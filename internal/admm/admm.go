@@ -67,13 +67,26 @@ type Stats struct {
 // ErrBadShape is returned when the A/Φ/Ψ shapes are inconsistent.
 var ErrBadShape = errors.New("admm: inconsistent matrix shapes")
 
-// Solver owns the reusable workspace (dual variable, Ã, A₀) so repeated
-// solves at the same shape allocate nothing. A Solver is not safe for
-// concurrent use.
+// Solver owns the reusable workspace so repeated solves allocate
+// nothing once it has grown to the largest shape seen — callers such as
+// core share one Solver across factor modes of different length. A
+// Solver is not safe for concurrent use.
 type Solver struct {
 	opt Options
-	// Workspace, lazily (re)sized.
-	u, atld, a0 *dense.Matrix
+	// The dual variable U, Ã and A₀: views, reshaped per solve, of the
+	// grow-only backing array buf.
+	u, atld, a0 dense.Matrix
+	buf         []float64
+	// chol holds the factor of Φ + ρI for the current solve.
+	chol dense.Cholesky
+	// BlockedFused state: the reduction target (K column norms² then
+	// the four residual sums), the all-reduced column norms the next
+	// projection reads (the tail of red's array), one block view per
+	// worker, and the operands of the call in flight for the pool
+	// bodies.
+	red, colNorms2 []float64
+	views          []dense.Matrix
+	bf             bfArgs
 	// cancel, when set, is polled between ADMM iterations; a non-nil
 	// return aborts the solve with that error.
 	cancel func() error
@@ -113,19 +126,18 @@ func (s *Solver) cancelled() error {
 	return s.cancel()
 }
 
+// ensureWorkspace reshapes U, Ã and A₀ to rows×cols over the backing
+// array, growing it only when the shape is the largest so far. Contents
+// are unspecified; every solve zeroes U and overwrites the other two.
 func (s *Solver) ensureWorkspace(rows, cols int) {
-	need := func(m *dense.Matrix) bool {
-		return m == nil || m.Rows != rows || m.Cols != cols
+	n := rows * cols
+	if cap(s.buf) < 3*n {
+		s.buf = make([]float64, 3*n)
 	}
-	if need(s.u) {
-		s.u = dense.NewMatrix(rows, cols)
+	view := func(i int) dense.Matrix {
+		return dense.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: s.buf[i*n : (i+1)*n : (i+1)*n]}
 	}
-	if need(s.atld) {
-		s.atld = dense.NewMatrix(rows, cols)
-	}
-	if need(s.a0) {
-		s.a0 = dense.NewMatrix(rows, cols)
-	}
+	s.u, s.atld, s.a0 = view(0), view(1), view(2)
 }
 
 func checkShapes(a, phi, psi *dense.Matrix) error {

@@ -17,12 +17,12 @@ func (s *Solver) Baseline(a, phi, psi *dense.Matrix, con Constraint) (Stats, err
 	opt := s.opt
 	rows, k := a.Rows, a.Cols
 	s.ensureWorkspace(rows, k)
-	u, atld, a0 := s.u, s.atld, s.a0
+	u, atld, a0 := &s.u, &s.atld, &s.a0
 	u.Zero()
 
 	p := rho(phi)
-	chol, err := dense.FactorRidge(phi, p)
-	if err != nil {
+	chol := &s.chol
+	if err := chol.FactorizeRidge(phi, p); err != nil {
 		return Stats{}, err
 	}
 
@@ -38,15 +38,16 @@ func (s *Solver) Baseline(a, phi, psi *dense.Matrix, con Constraint) (Stats, err
 				copy(a0.Row(i), a.Row(i))
 			}
 		})
-		// solve: Ã ← (Ψ + ρ(A + U)) (Φ + ρI)⁻¹.
+		// solve: Ã ← (Ψ + ρ(A + U)) (Φ + ρI)⁻¹ — the right-hand sides of
+		// the worker's range, then the panel solve over them.
 		parallel.For(rows, opt.Workers, func(_ int, r parallel.Range) {
 			for i := r.Lo; i < r.Hi; i++ {
 				ra, ru, rp, rt := a.Row(i), u.Row(i), psi.Row(i), atld.Row(i)
 				for j := range rt {
 					rt[j] = rp[j] + p*(ra[j]+ru[j])
 				}
-				chol.SolveVec(rt)
 			}
+			chol.SolveRows(atld.RowView(r.Lo, r.Hi))
 		})
 		// project: A ← Proj_C(Ã − U); column norms of the pre-projection
 		// matrix are computed in a separate reduction pass when needed.
@@ -109,8 +110,7 @@ func (s *Solver) Baseline(a, phi, psi *dense.Matrix, con Constraint) (Stats, err
 				}
 				p *= factor
 				dense.Scale(u, 1/factor, u)
-				chol, err = dense.FactorRidge(phi, p)
-				if err != nil {
+				if err := chol.FactorizeRidge(phi, p); err != nil {
 					return stats, err
 				}
 			}

@@ -51,11 +51,23 @@ func (NonNeg) Project(block *dense.Matrix, _ []float64, _ float64) {
 	for i := 0; i < block.Rows; i++ {
 		row := block.Row(i)
 		for j, v := range row {
-			if v < 0 {
-				row[j] = 0
-			}
+			row[j] = math.Float64frombits(math.Float64bits(v) &^ maskIf(v < 0))
 		}
 	}
+}
+
+// maskIf returns all ones when cond holds and zero otherwise. The
+// projections select with it instead of branching: inside ADMM the sign
+// of Ã − U is a coin flip per element, so a jump on it mispredicts every
+// other element, while the bool-to-integer idiom below compiles to a
+// flag set. Masking v's bits with it yields v bit for bit (−0 and NaN
+// included) or +0, exactly what the branch assigned.
+func maskIf(cond bool) uint64 {
+	var m uint64
+	if cond {
+		m = 1
+	}
+	return -m
 }
 
 // L1 is the soft-thresholding proximal operator for λ‖A‖₁ (sparsity
@@ -75,14 +87,10 @@ func (c L1) Project(block *dense.Matrix, _ []float64, rho float64) {
 	for i := 0; i < block.Rows; i++ {
 		row := block.Row(i)
 		for j, v := range row {
-			switch {
-			case v > thr:
-				row[j] = v - thr
-			case v < -thr:
-				row[j] = v + thr
-			default:
-				row[j] = 0
-			}
+			// v > thr → v − thr; else v < −thr → v + thr; else +0.
+			up := maskIf(v > thr)
+			dn := maskIf(v < -thr) &^ up
+			row[j] = math.Float64frombits(math.Float64bits(v-thr)&up | math.Float64bits(v+thr)&dn)
 		}
 	}
 }
@@ -104,13 +112,13 @@ func (c NonNegMaxColNorm) Project(block *dense.Matrix, colNorms2 []float64, _ fl
 	for i := 0; i < block.Rows; i++ {
 		row := block.Row(i)
 		for j, v := range row {
-			if v < 0 {
-				row[j] = 0
-				continue
-			}
+			// The cap test depends on the column alone, so it predicts;
+			// the sign test does not, so it is a mask.
+			w := v
 			if n2 := colNorms2[j]; n2 > c.R*c.R {
-				row[j] = v * c.R / math.Sqrt(n2)
+				w = v * c.R / math.Sqrt(n2)
 			}
+			row[j] = math.Float64frombits(math.Float64bits(w) &^ maskIf(v < 0))
 		}
 	}
 }

@@ -39,6 +39,11 @@ type Decomposer struct {
 	// spCP-stream state carried across slices.
 	prevNZ [][]int32       // nz sets of the previous slice
 	cz     []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
+	// spCP-stream Post scratch: the nz-row mask (all-false between
+	// uses, see markNZ) and one K-vector per worker for the z-row
+	// transform.
+	isNZ []bool
+	zTmp []float64
 
 	// Kernels and workspaces.
 	psi    []*dense.Matrix // Ψ workspace for the explicit algorithms

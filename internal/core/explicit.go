@@ -172,9 +172,7 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 			// triangular solves run only over the |nz| compact rows.
 			t0 = time.Now()
 			d.solveRows(psiNz, psiNz, &d.chol)
-			for i := 0; i < d.k; i++ {
-				d.chol.SolveVec(q.Row(i))
-			}
+			d.chol.SolveRows(q)
 			d.mulAB(d.a[n], d.prevA[n], q)
 			rm.ScatterMode(d.a[n], psiNz, n)
 			d.bd.Add(trace.Update, time.Since(t0))
@@ -402,8 +400,9 @@ func addMulABBody(ctx any, _ int, r parallel.Range) {
 	}
 }
 
-// solveRows computes dst = rhs·Φ⁻¹ row by row using the shared Cholesky
-// factor, parallelized over rows. Allocation-free like addMulAB.
+// solveRows computes dst = rhs·Φ⁻¹ using the shared Cholesky factor,
+// each worker pushing its row range through the panel solve.
+// Allocation-free like addMulAB.
 func (d *Decomposer) solveRows(dst, rhs *dense.Matrix, chol *dense.Cholesky) {
 	if dst.Rows != rhs.Rows || dst.Cols != rhs.Cols {
 		panic("core: solveRows shape mismatch")
@@ -416,9 +415,8 @@ func (d *Decomposer) solveRows(dst, rhs *dense.Matrix, chol *dense.Cholesky) {
 
 func solveRowsBody(ctx any, _ int, r parallel.Range) {
 	pa := ctx.(*coreArgs)
-	for i := r.Lo; i < r.Hi; i++ {
-		row := pa.dst.Row(i)
-		copy(row, pa.a.Row(i))
-		pa.chol.SolveVec(row)
-	}
+	var dst, rhs dense.Matrix
+	dst.SetRowView(pa.dst, r.Lo, r.Hi)
+	rhs.SetRowView(pa.a, r.Lo, r.Hi)
+	pa.chol.SolveRowsInto(&dst, &rhs)
 }

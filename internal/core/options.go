@@ -30,7 +30,12 @@ import (
 type Algorithm int
 
 const (
-	// Baseline is the unoptimized CP-stream reference.
+	// Baseline is the unoptimized CP-stream reference. It is not
+	// run-to-run reproducible above one worker: its lock-pool MTTKRP and
+	// single-lock time-mode update add in lock-acquisition order, by
+	// design (that contention is what the paper's Fig. 4 measures), so
+	// two runs of one stream differ in the last bits. Optimized and
+	// SpCPStream repeat exactly for a fixed worker count.
 	Baseline Algorithm = iota
 	// Optimized is CP-stream with Hybrid Lock MTTKRP and BF-ADMM.
 	Optimized

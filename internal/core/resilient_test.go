@@ -237,7 +237,8 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // run exactly.
 func TestStreamCheckpointResume(t *testing.T) {
 	s := testStream(t, 307, []int{12, 14}, 120, 9)
-	opt := Options{Rank: 3, Seed: 4}
+	// Optimized: Baseline is not run-to-run reproducible above one worker.
+	opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4}
 
 	ref, err := NewDecomposer(s.Dims, opt)
 	if err != nil {
@@ -293,7 +294,8 @@ func TestStreamCheckpointResume(t *testing.T) {
 // fault-free run.
 func TestRetryAfterTransientFailure(t *testing.T) {
 	s := testStream(t, 308, []int{12, 14}, 120, 5)
-	opt := Options{Rank: 3, Seed: 4}
+	// Optimized: Baseline is not run-to-run reproducible above one worker.
+	opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4}
 	ref, err := NewDecomposer(s.Dims, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -255,19 +255,21 @@ func (d *Decomposer) finishSpCP(run *spcpRun) SliceResult {
 	rm := run.rm
 	d.bd.Time(trace.Post, func() {
 		for m := range d.a {
-			projected := d.applyZTransform(d.a[m], rm.NZ[m], run.tFinal[m])
+			isNZ := d.markNZ(d.a[m].Rows, rm.NZ[m])
+			projected := d.applyZTransform(d.a[m], isNZ, run.tFinal[m])
 			rm.ScatterMode(d.a[m], run.aNz[m], m)
 			if projected {
 				// The z rows changed beyond the linear transform, so
 				// re-synchronize C_z (and with it C) from the
 				// materialized rows — one Gram pass per slice.
-				gramExcluding(d.cz[m], d.a[m], rm.NZ[m], d.opt.Workers)
+				gramExcluding(d.cz[m], d.a[m], isNZ, d.opt.Workers)
 				gram := dense.NewMatrix(d.k, d.k)
 				dense.GramParallel(gram, run.aNz[m], d.opt.Workers)
 				dense.Add(d.c[m], d.cz[m], gram)
 			} else {
 				d.cz[m].CopyFrom(run.czCur[m])
 			}
+			d.unmarkNZ(rm.NZ[m])
 		}
 		if d.prevNZ == nil {
 			d.prevNZ = make([][]int32, d.n)
@@ -301,30 +303,67 @@ func (d *Decomposer) ensureNzPsi(rm *mttkrp.Remapped) {
 	}
 }
 
+// markNZ returns the Decomposer's row mask, grown to rows entries, with
+// exactly the rows of nz set. The mask is all-false between uses:
+// unmarkNZ must follow, so a slice pays O(|nz|) per mode for it instead
+// of allocating and zeroing O(Iₙ).
+func (d *Decomposer) markNZ(rows int, nz []int32) []bool {
+	if len(d.isNZ) < rows {
+		d.isNZ = make([]bool, rows)
+	}
+	for _, i := range nz {
+		d.isNZ[i] = true
+	}
+	return d.isNZ[:rows]
+}
+
+// unmarkNZ clears the rows markNZ set.
+func (d *Decomposer) unmarkNZ(nz []int32) {
+	for _, i := range nz {
+		d.isNZ[i] = false
+	}
+}
+
 // applyZTransform updates every z row of the full factor in place:
-// row ← row·T (Eq. 6 with A_z,t−1 being the untouched rows of a). nz is
-// the sorted nonzero-row list; all other rows are transformed. In the
+// row ← row·T (Eq. 6 with A_z,t−1 being the untouched rows of a). isNZ
+// marks the rows to skip; all other rows are transformed. In the
 // constrained extension the materialized z rows are additionally
 // projected onto the constraint set; the return value reports whether
 // that projection ran (the caller must then re-synchronize the Grams).
-func (d *Decomposer) applyZTransform(a *dense.Matrix, nz []int32, t *dense.Matrix) bool {
-	isNZ := make([]bool, a.Rows)
-	for _, i := range nz {
-		isNZ[i] = true
-	}
+func (d *Decomposer) applyZTransform(a *dense.Matrix, isNZ []bool, t *dense.Matrix) bool {
 	k := d.k
 	con := d.opt.Constraint
-	parallel.For(a.Rows, d.opt.Workers, func(_ int, r parallel.Range) {
-		tmp := make([]float64, k)
+	if need := parallel.ClampWorkers(d.opt.Workers, a.Rows) * k; len(d.zTmp) < need {
+		d.zTmp = make([]float64, need)
+	}
+	parallel.For(a.Rows, d.opt.Workers, func(w int, r parallel.Range) {
+		tmp := d.zTmp[w*k : (w+1)*k]
 		for i := r.Lo; i < r.Hi; i++ {
 			if isNZ[i] {
 				continue
 			}
+			// Four columns of the product at a time, their sums in
+			// registers: column j still adds row[p]·T[p][j] for ascending
+			// p from zero, so every bit matches one dot product per
+			// column, but the four chains overlap where a lone one waits
+			// on each addition.
 			row := a.Row(i)
-			for j := 0; j < k; j++ {
+			j := 0
+			for ; j+4 <= k; j += 4 {
+				var s0, s1, s2, s3 float64
+				for p, rp := range row {
+					tr := t.Data[p*t.Stride+j:][:4]
+					s0 += rp * tr[0]
+					s1 += rp * tr[1]
+					s2 += rp * tr[2]
+					s3 += rp * tr[3]
+				}
+				tmp[j], tmp[j+1], tmp[j+2], tmp[j+3] = s0, s1, s2, s3
+			}
+			for ; j < k; j++ {
 				sum := 0.0
-				for p := 0; p < k; p++ {
-					sum += row[p] * t.Data[p*t.Stride+j]
+				for p, rp := range row {
+					sum += rp * t.Data[p*t.Stride+j]
 				}
 				tmp[j] = sum
 			}
@@ -339,13 +378,9 @@ func (d *Decomposer) applyZTransform(a *dense.Matrix, nz []int32, t *dense.Matri
 }
 
 // gramExcluding computes dst = Σ_{i ∉ nz} a[i]ᵀa[i] — the Gram of the z
-// rows — without gathering them, via per-worker partials reduced in
-// worker order.
-func gramExcluding(dst, a *dense.Matrix, nz []int32, workers int) {
-	isNZ := make([]bool, a.Rows)
-	for _, i := range nz {
-		isNZ[i] = true
-	}
+// rows (those isNZ does not mark) — without gathering them, via
+// per-worker partials reduced in worker order.
+func gramExcluding(dst, a *dense.Matrix, isNZ []bool, workers int) {
 	k := a.Cols
 	partial := parallel.ReduceVec(a.Rows, workers, k*k, func(_ int, r parallel.Range, acc []float64) {
 		for i := r.Lo; i < r.Hi; i++ {

@@ -17,6 +17,10 @@ var ErrNotSPD = errors.New("dense: matrix is not positive definite")
 type Cholesky struct {
 	n int
 	l *Matrix // lower triangle, including diagonal; upper is garbage
+	// lt is a compact n×n row-major copy of Lᵀ (upper triangle valid),
+	// written by every factorization so the panel back-substitution
+	// reads L's columns as contiguous rows. Grow-only.
+	lt []float64
 }
 
 // Factor computes the Cholesky factorization of SPD matrix a (which is
@@ -35,6 +39,13 @@ func Factor(a *Matrix) (*Cholesky, error) {
 // inner ALS loop; a is not modified. On error the receiver's previous
 // factor is invalid.
 func (c *Cholesky) Factorize(a *Matrix) error {
+	return c.FactorizeRidge(a, 0)
+}
+
+// FactorizeRidge is Factorize of a + ridge·I: the ridge is added to the
+// receiver's copy of the diagonal, so a is not modified and no K×K
+// temporary is needed (ADMM's Φ + ρI, once per solve).
+func (c *Cholesky) FactorizeRidge(a *Matrix, ridge float64) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("dense: Cholesky of non-square %d×%d matrix", a.Rows, a.Cols)
 	}
@@ -42,9 +53,14 @@ func (c *Cholesky) Factorize(a *Matrix) error {
 	if c.l == nil || c.l.Rows != n || c.l.Cols != n {
 		c.l = NewMatrix(n, n)
 	}
+	if cap(c.lt) < n*n {
+		c.lt = make([]float64, n*n)
+	}
+	c.lt = c.lt[:n*n]
 	c.n = n
 	l := c.l
 	l.CopyFrom(a)
+	AddScaledIdentity(l, l, ridge)
 	for j := 0; j < n; j++ {
 		rowJ := l.Row(j)
 		d := rowJ[j]
@@ -66,15 +82,23 @@ func (c *Cholesky) Factorize(a *Matrix) error {
 			rowI[j] = s * inv
 		}
 	}
+	for i := 0; i < n; i++ {
+		rowI := l.Row(i)
+		for p := 0; p <= i; p++ {
+			c.lt[p*n+i] = rowI[p]
+		}
+	}
 	return nil
 }
 
 // FactorRidge factors a + ridge·I without modifying a. CP-stream uses
-// this for Φ + ρI in ADMM and Φ + λI ridge solves.
+// this for Φ + λI ridge solves.
 func FactorRidge(a *Matrix, ridge float64) (*Cholesky, error) {
-	tmp := a.Clone()
-	AddScaledIdentity(tmp, tmp, ridge)
-	return Factor(tmp)
+	c := new(Cholesky)
+	if err := c.FactorizeRidge(a, ridge); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // N returns the factored dimension.
@@ -113,28 +137,89 @@ func (c *Cholesky) SolveVec(b []float64) {
 	}
 }
 
-// SolveRows solves X·(L·Lᵀ) = B for X where B is m×n, overwriting B with
-// X row by row. Because L·Lᵀ is symmetric, X = B·(LLᵀ)⁻¹ is obtained by
-// solving (LLᵀ)·xᵢᵀ = bᵢᵀ for each row bᵢ. This is exactly the
-// "A ← Ψ·Φ⁻¹" update of CP-stream with Ψ stored row-major.
-func (c *Cholesky) SolveRows(b *Matrix) {
-	if b.Cols != c.n {
-		panic("dense: SolveRows column mismatch")
+// panelRows is the number of right-hand sides the panel kernel carries
+// through the substitutions together. One row's solve is a chain of
+// n(n−1) dependent subtractions and runs at FP-add latency; four
+// independent chains keep the FP units busy instead, and L (and Lᵀ) is
+// read once per panel rather than once per row.
+const panelRows = 4
+
+// solvePanel is SolveVec on panelRows vectors at once. Every vector sees
+// exactly SolveVec's operations in SolveVec's order — the same
+// subtractions for ascending p, the same division by the diagonal — so
+// the results are bit-identical; only the interleaving across vectors
+// differs. The back substitution walks rows of the Lᵀ copy where
+// SolveVec strides down columns of L.
+func (c *Cholesky) solvePanel(b0, b1, b2, b3 []float64) {
+	n := c.n
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	// Forward substitution L·y = b.
+	for i := 0; i < n; i++ {
+		row := c.l.Data[i*c.l.Stride : i*c.l.Stride+i+1]
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		for p, lv := range row[:i] {
+			s0 -= lv * b0[p]
+			s1 -= lv * b1[p]
+			s2 -= lv * b2[p]
+			s3 -= lv * b3[p]
+		}
+		d := row[i]
+		b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
 	}
-	for i := 0; i < b.Rows; i++ {
-		c.SolveVec(b.Row(i))
+	// Back substitution Lᵀ·x = y.
+	for i := n - 1; i >= 0; i-- {
+		row := c.lt[i*n : (i+1)*n]
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		for p := i + 1; p < n; p++ {
+			lv := row[p]
+			s0 -= lv * b0[p]
+			s1 -= lv * b1[p]
+			s2 -= lv * b2[p]
+			s3 -= lv * b3[p]
+		}
+		d := row[i]
+		b0[i], b1[i], b2[i], b3[i] = s0/d, s1/d, s2/d, s3/d
 	}
 }
 
-// SolveRowsInto writes the row-solve result into dst without modifying b.
+// SolveRows solves X·(L·Lᵀ) = B for X where B is m×n, overwriting B with
+// X. Because L·Lᵀ is symmetric, X = B·(LLᵀ)⁻¹ is obtained by solving
+// (LLᵀ)·xᵢᵀ = bᵢᵀ for each row bᵢ — panelRows rows at a time, the
+// remainder through SolveVec, every row bit-identical to SolveVec. This
+// is exactly the "A ← Ψ·Φ⁻¹" update of CP-stream with Ψ stored
+// row-major.
+func (c *Cholesky) SolveRows(b *Matrix) {
+	c.SolveRowsInto(b, b)
+}
+
+// SolveRowsInto writes the row-solve result into dst without modifying
+// b (dst may be b, or a view of the same rows). Rows are copied a panel
+// at a time, so the panel is solved while it is still in cache.
 func (c *Cholesky) SolveRowsInto(dst, b *Matrix) {
 	if dst.Rows != b.Rows || dst.Cols != b.Cols {
 		panic("dense: SolveRowsInto shape mismatch")
 	}
-	if dst != b {
-		dst.CopyFrom(b)
+	if b.Cols != c.n {
+		panic("dense: SolveRows column mismatch")
 	}
-	c.SolveRows(dst)
+	i := 0
+	for ; i+panelRows <= b.Rows; i += panelRows {
+		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
+		if dst != b {
+			copy(d0, b.Row(i))
+			copy(d1, b.Row(i+1))
+			copy(d2, b.Row(i+2))
+			copy(d3, b.Row(i+3))
+		}
+		c.solvePanel(d0, d1, d2, d3)
+	}
+	for ; i < b.Rows; i++ {
+		row := dst.Row(i)
+		if dst != b {
+			copy(row, b.Row(i))
+		}
+		c.SolveVec(row)
+	}
 }
 
 // Inverse returns (L·Lᵀ)⁻¹ as a dense matrix. spCP-stream needs the

@@ -70,10 +70,19 @@ func (m *Matrix) Row(i int) []float64 {
 
 // RowView returns a matrix view of rows [lo, hi) sharing storage with m.
 func (m *Matrix) RowView(lo, hi int) *Matrix {
+	v := new(Matrix)
+	v.SetRowView(m, lo, hi)
+	return v
+}
+
+// SetRowView makes v a view of rows [lo, hi) of m, sharing m's storage:
+// RowView into a caller-owned header, for loops that take a view per
+// block and must not allocate one each time.
+func (v *Matrix) SetRowView(m *Matrix, lo, hi int) {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("dense: RowView[%d:%d) out of range for %d rows", lo, hi, m.Rows))
 	}
-	return &Matrix{
+	*v = Matrix{
 		Rows:   hi - lo,
 		Cols:   m.Cols,
 		Stride: m.Stride,
