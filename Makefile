@@ -115,6 +115,8 @@ cluster-chaos:
 	$(GO) test -race ./internal/cluster/ ./internal/serve/httpx/
 
 fuzz:
+	$(GO) test -fuzz FuzzRestoreState -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzRemapRoundTrip -fuzztime 30s ./internal/mttkrp/
 	$(GO) test -fuzz FuzzReadTNS -fuzztime 30s ./internal/sptensor/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/sptensor/
 	$(GO) test -fuzz FuzzCoalesce -fuzztime 30s ./internal/sptensor/

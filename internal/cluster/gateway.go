@@ -36,8 +36,8 @@ import (
 
 	"spstream/internal/resilience"
 	"spstream/internal/serve"
-	"spstream/internal/sptensor"
 	"spstream/internal/serve/httpx"
+	"spstream/internal/sptensor"
 	"spstream/internal/trace"
 )
 

@@ -24,19 +24,19 @@ type ingestReply struct {
 // every forwarded body and answers from a scripted reply plan
 // (default: 200 + ledger accepting every line).
 type fakeShard struct {
-	id, count  int
-	lo, hi     int
-	dims       []int
-	rank       int
-	t          int
-	mu         sync.Mutex
-	bodies     []string
-	flushes    []bool
-	plan       []ingestReply
-	ready      bool
-	mode0      [][]float64
-	s          []float64
-	srv        *httptest.Server
+	id, count int
+	lo, hi    int
+	dims      []int
+	rank      int
+	t         int
+	mu        sync.Mutex
+	bodies    []string
+	flushes   []bool
+	plan      []ingestReply
+	ready     bool
+	mode0     [][]float64
+	s         []float64
+	srv       *httptest.Server
 }
 
 func countEvents(body string) int {

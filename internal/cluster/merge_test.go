@@ -61,9 +61,9 @@ func TestBlockNorm2MatchesBruteForce(t *testing.T) {
 		k      int
 		lo, hi int
 	}{
-		{[]int{6, 4}, 3, 0, 6},  // full block, 2 modes
-		{[]int{6, 4}, 3, 2, 5},  // interior block
-		{[]int{6, 4}, 3, 4, 4},  // empty block
+		{[]int{6, 4}, 3, 0, 6},    // full block, 2 modes
+		{[]int{6, 4}, 3, 2, 5},    // interior block
+		{[]int{6, 4}, 3, 4, 4},    // empty block
 		{[]int{5, 3, 4}, 2, 1, 4}, // 3 modes
 		{[]int{5, 3, 4}, 4, 0, 2},
 		{[]int{1, 2, 2}, 1, 0, 1}, // minimal

@@ -101,11 +101,11 @@ func TestRouterPartitionRejectsWithoutPartialForwards(t *testing.T) {
 		return sptensor.Event{Coord: []int32{int32(row), 0}, Value: 1}
 	}
 	bad := []sptensor.Event{
-		{Coord: []int32{1}, Value: 1},          // too few modes
-		{Coord: []int32{1, 0, 0}, Value: 1},    // too many modes
-		{Coord: []int32{10, 0}, Value: 1},      // mode-0 out of range
-		{Coord: []int32{-1, 0}, Value: 1},      // negative
-		{Coord: []int32{1, 4}, Value: 1},       // mode-1 out of range
+		{Coord: []int32{1}, Value: 1},       // too few modes
+		{Coord: []int32{1, 0, 0}, Value: 1}, // too many modes
+		{Coord: []int32{10, 0}, Value: 1},   // mode-0 out of range
+		{Coord: []int32{-1, 0}, Value: 1},   // negative
+		{Coord: []int32{1, 4}, Value: 1},    // mode-1 out of range
 	}
 	for _, b := range bad {
 		batches, err := r.Partition([]sptensor.Event{good(0), good(5), b, good(9)})
@@ -142,12 +142,12 @@ func TestRouterRejectsBadTopology(t *testing.T) {
 		dims []int
 		n    int
 	}{
-		{[]int{10}, 2},      // single mode
-		{nil, 2},            // no modes
-		{[]int{0, 4}, 2},    // zero dim
-		{[]int{10, -1}, 2},  // negative dim
-		{[]int{10, 4}, 0},   // no shards
-		{[]int{10, 4}, -3},  // negative shards
+		{[]int{10}, 2},     // single mode
+		{nil, 2},           // no modes
+		{[]int{0, 4}, 2},   // zero dim
+		{[]int{10, -1}, 2}, // negative dim
+		{[]int{10, 4}, 0},  // no shards
+		{[]int{10, 4}, -3}, // negative shards
 	} {
 		if _, err := NewRouter(c.dims, c.n); err == nil {
 			t.Errorf("NewRouter(%v, %d) accepted", c.dims, c.n)

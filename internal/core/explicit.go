@@ -154,15 +154,7 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 				for j := range dst {
 					dst[j] *= s[j]
 				}
-				for kk, av := range prev.Row(int(g)) {
-					if av == 0 {
-						continue
-					}
-					rb := q.Data[kk*q.Stride : kk*q.Stride+d.k]
-					for j, bv := range rb {
-						dst[j] += av * bv
-					}
-				}
+				dense.AddMulRow(dst, prev.Row(int(g)), q)
 			}
 			d.bd.Add(trace.Historical, time.Since(t0))
 			// … and the full Iₙ×K Ψ is never materialized: the kernel
@@ -335,11 +327,9 @@ func (d *Decomposer) ensureANzCur(rm *mttkrp.Remapped) {
 
 // mulAB computes dst = a·b (full overwrite — the write variant of
 // addMulAB) with the row dimension parallelized (a: I×K, b: K×K,
-// dst: I×K). Allocation-free via the Decomposer-owned argument block.
+// dst: I×K; shapes are checked by the dense range kernel).
+// Allocation-free via the Decomposer-owned argument block.
 func (d *Decomposer) mulAB(dst, a, b *dense.Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("core: mulAB shape mismatch")
-	}
 	pa := &d.pargs
 	pa.dst, pa.a, pa.b = dst, a, b
 	d.pool.Do(a.Rows, d.opt.Workers, pa, mulABBody)
@@ -348,33 +338,13 @@ func (d *Decomposer) mulAB(dst, a, b *dense.Matrix) {
 
 func mulABBody(ctx any, _ int, r parallel.Range) {
 	pa := ctx.(*coreArgs)
-	a, b, dst := pa.a, pa.b, pa.dst
-	n := b.Cols
-	for i := r.Lo; i < r.Hi; i++ {
-		ra := a.Row(i)
-		rd := dst.Row(i)[:n]
-		for j := range rd {
-			rd[j] = 0
-		}
-		for kk, av := range ra {
-			if av == 0 {
-				continue
-			}
-			rb := b.Data[kk*b.Stride : kk*b.Stride+n]
-			for j, bv := range rb {
-				rd[j] += av * bv
-			}
-		}
-	}
+	dense.MulABRange(pa.dst, pa.a, pa.b, r.Lo, r.Hi)
 }
 
 // addMulAB computes dst += a·b with the row dimension parallelized
 // (a: I×K, b: K×K, dst: I×K). Allocation-free: the operands travel
 // through the Decomposer-owned argument block.
 func (d *Decomposer) addMulAB(dst, a, b *dense.Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("core: addMulAB shape mismatch")
-	}
 	pa := &d.pargs
 	pa.dst, pa.a, pa.b = dst, a, b
 	d.pool.Do(a.Rows, d.opt.Workers, pa, addMulABBody)
@@ -383,21 +353,7 @@ func (d *Decomposer) addMulAB(dst, a, b *dense.Matrix) {
 
 func addMulABBody(ctx any, _ int, r parallel.Range) {
 	pa := ctx.(*coreArgs)
-	a, b, dst := pa.a, pa.b, pa.dst
-	n := b.Cols
-	for i := r.Lo; i < r.Hi; i++ {
-		ra := a.Row(i)
-		rd := dst.Row(i)
-		for kk, av := range ra {
-			if av == 0 {
-				continue
-			}
-			rb := b.Data[kk*b.Stride : kk*b.Stride+n]
-			for j, bv := range rb {
-				rd[j] += av * bv
-			}
-		}
-	}
+	dense.AddMulABRange(pa.dst, pa.a, pa.b, r.Lo, r.Hi)
 }
 
 // solveRows computes dst = rhs·Φ⁻¹ using the shared Cholesky factor,

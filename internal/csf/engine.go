@@ -143,8 +143,9 @@ type Engine struct {
 	// gx is the blocked build's reusable slab gather buffer.
 	gx sptensor.Tensor
 
-	// Kernel scratch: per worker, lcap partial-product rows of kcap
-	// floats (one per internal tree level).
+	// Kernel scratch of the N ≠ 3 walk (walkInto): per worker, lcap
+	// partial-product rows of kcap floats, one per internal tree level.
+	// The three-way walk keeps its partial row in registers instead.
 	scratch [][]float64
 	kcap    int
 	lcap    int
@@ -776,7 +777,7 @@ func tileBody(ctx any, w int, r parallel.Range) {
 					dst[j] = 0
 				}
 				if three {
-					t.walk3Into(sc, int(tl.cLo), int(tl.cHi), fB, fC, dst, a.k)
+					t.walk3Into(int(tl.cLo), int(tl.cHi), fB, fC, dst)
 				} else {
 					t.walkInto(sc, e.kcap, 1, int(tl.cLo), int(tl.cHi), a.factors, dst, a.k)
 				}
@@ -785,7 +786,7 @@ func tileBody(ctx any, w int, r parallel.Range) {
 			for root := tl.rLo; root < tl.rHi; root++ {
 				dst := a.out.Row(int(ids[root]))
 				if three {
-					t.walk3Into(sc, int(ptr[root]), int(ptr[root+1]), fB, fC, dst, a.k)
+					t.walk3Into(int(ptr[root]), int(ptr[root+1]), fB, fC, dst)
 				} else {
 					t.walkInto(sc, e.kcap, 1, int(ptr[root]), int(ptr[root+1]), a.factors, dst, a.k)
 				}
@@ -826,28 +827,78 @@ func (t *tree) walkInto(sc []float64, kcap, l, lo, hi int, factors []*dense.Matr
 	}
 }
 
+// panelCols is the width of walk3Into's register panel (the same eight
+// columns as mttkrp's: one cache line of a factor row, and eight
+// accumulators plus operands fit amd64's fifteen usable XMM registers).
+const panelCols = 8
+
 // walk3Into is the fused three-way fast path: level-1 nodes [lo, hi)
-// with their leaves inlined, one partial row, no recursion.
-func (t *tree) walk3Into(sc []float64, lo, hi int, fB, fC *dense.Matrix, dst []float64, k int) {
+// with their leaves inlined, no recursion and no scratch row. Per
+// level-1 node it carries eight columns of the leaf sum in locals —
+// zero, then + v·rc[j] per leaf in leaf order — and folds them into dst
+// as dst[j] += acc[j]·rb[j]; K is covered by ⌊K/8⌋ such panels and, for
+// the last K mod 8 columns, one pass with the partial row on the stack
+// (a column at a time would walk the node's leaves up to seven more
+// times). Each column sees the operations of the
+// scratch-row form in the same order (products rounded by the explicit
+// float64 conversion before the add, so no platform fuses them), hence
+// bit-identical results.
+func (t *tree) walk3Into(lo, hi int, fB, fC *dense.Matrix, dst []float64) {
 	l1, l2 := &t.levels[1], &t.levels[2]
-	acc := sc[:k]
+	vals := t.vals
+	cd, cs := fC.Data, fC.Stride
+	k := len(dst)
 	for c := lo; c < hi; c++ {
-		rb := fB.Row(int(l1.IDs[c]))
-		for j := range acc {
-			acc[j] = 0
-		}
-		for leaf := l1.Ptr[c]; leaf < l1.Ptr[c+1]; leaf++ {
-			rc := fC.Row(int(l2.IDs[leaf]))
-			v := t.vals[l2.Ptr[leaf]]
-			for e := l2.Ptr[leaf] + 1; e < l2.Ptr[leaf+1]; e++ {
-				v += t.vals[e]
+		rb := fB.Row(int(l1.IDs[c]))[:k]
+		leafLo, leafHi := int(l1.Ptr[c]), int(l1.Ptr[c+1])
+		ids, ptr := l2.IDs[leafLo:leafHi], l2.Ptr[leafLo:leafHi+1]
+		j := 0
+		for ; j+panelCols <= k; j += panelCols {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for i, id := range ids {
+				v := vals[ptr[i]]
+				for e := ptr[i] + 1; e < ptr[i+1]; e++ {
+					v += vals[e]
+				}
+				rc := (*[panelCols]float64)(cd[int(id)*cs+j:])
+				a0 += float64(v * rc[0])
+				a1 += float64(v * rc[1])
+				a2 += float64(v * rc[2])
+				a3 += float64(v * rc[3])
+				a4 += float64(v * rc[4])
+				a5 += float64(v * rc[5])
+				a6 += float64(v * rc[6])
+				a7 += float64(v * rc[7])
 			}
-			for j := 0; j < k; j++ {
-				acc[j] += v * rc[j]
-			}
+			d, b := (*[panelCols]float64)(dst[j:]), (*[panelCols]float64)(rb[j:])
+			d[0] += float64(a0 * b[0])
+			d[1] += float64(a1 * b[1])
+			d[2] += float64(a2 * b[2])
+			d[3] += float64(a3 * b[3])
+			d[4] += float64(a4 * b[4])
+			d[5] += float64(a5 * b[5])
+			d[6] += float64(a6 * b[6])
+			d[7] += float64(a7 * b[7])
 		}
-		for j := 0; j < k; j++ {
-			dst[j] += acc[j] * rb[j]
+		if w := k - j; w > 0 {
+			// Tail columns: the scratch-row form over the last K mod 8
+			// columns, in one pass over the leaves.
+			var tail [panelCols]float64
+			acc := tail[:w]
+			for i, id := range ids {
+				v := vals[ptr[i]]
+				for e := ptr[i] + 1; e < ptr[i+1]; e++ {
+					v += vals[e]
+				}
+				o := int(id)*cs + j
+				for q, x := range cd[o : o+w] {
+					acc[q] += float64(v * x)
+				}
+			}
+			d := dst[j:k]
+			for q, x := range rb[j:k] {
+				d[q] += float64(acc[q] * x)
+			}
 		}
 	}
 }

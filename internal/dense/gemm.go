@@ -56,7 +56,7 @@ func putGemmArgs(g *gemmArgs) {
 // and must not alias a or b.
 func MulAB(dst, a, b *Matrix) {
 	checkMulAB(dst, a, b)
-	mulABRange(dst, a, b, 0, a.Rows)
+	mulABRange(dst, a, b, 0, a.Rows, false)
 }
 
 func checkMulAB(dst, a, b *Matrix) {
@@ -65,30 +65,83 @@ func checkMulAB(dst, a, b *Matrix) {
 	}
 }
 
-func mulABRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		ra := a.Row(i)
-		rd := dst.Row(i)
-		for j := range rd {
-			rd[j] = 0
+// mulCols is how many output columns mulRow carries in locals per pass
+// over the inner dimension.
+const mulCols = 4
+
+// mulRow computes rd = ra·b, or rd += ra·b when add is set, for one
+// output row: mulCols columns at a time are held in locals while kk runs
+// over ra, so the only stores are the finished columns. Each column is
+// still the ascending-kk sum of float64(av·b[kk][j]) with zero av
+// skipped (which keeps a zero factor entry from turning an Inf or NaN
+// in b into NaN), so it is bit-identical to accumulating in rd.
+func mulRow(rd, ra []float64, b *Matrix, add bool) {
+	bd, bs := b.Data, b.Stride
+	j := 0
+	for ; j+mulCols <= len(rd); j += mulCols {
+		d := (*[mulCols]float64)(rd[j:])
+		var c0, c1, c2, c3 float64
+		if add {
+			c0, c1, c2, c3 = d[0], d[1], d[2], d[3]
 		}
-		// k-outer loop: stream rows of b, accumulate into rd.
 		for kk, av := range ra {
 			if av == 0 {
 				continue
 			}
-			rb := b.Data[kk*b.Stride : kk*b.Stride+n]
-			for j, bv := range rb {
-				rd[j] += av * bv
-			}
+			rb := (*[mulCols]float64)(bd[kk*bs+j:])
+			c0 += float64(av * rb[0])
+			c1 += float64(av * rb[1])
+			c2 += float64(av * rb[2])
+			c3 += float64(av * rb[3])
 		}
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+	}
+	for ; j < len(rd); j++ {
+		c := 0.0
+		if add {
+			c = rd[j]
+		}
+		for kk, av := range ra {
+			if av == 0 {
+				continue
+			}
+			c += float64(av * bd[kk*bs+j])
+		}
+		rd[j] = c
+	}
+}
+
+// AddMulRow computes rd += ra·b for one row (len(ra) == b.Rows,
+// len(rd) == b.Cols).
+func AddMulRow(rd, ra []float64, b *Matrix) {
+	if len(ra) != b.Rows || len(rd) != b.Cols {
+		panic("dense: AddMulRow shape mismatch")
+	}
+	mulRow(rd, ra, b, true)
+}
+
+// MulABRange computes rows [lo, hi) of dst = a·b — the range kernel for
+// callers that parallelize the row dimension on a pool of their own.
+func MulABRange(dst, a, b *Matrix, lo, hi int) {
+	checkMulAB(dst, a, b)
+	mulABRange(dst, a, b, lo, hi, false)
+}
+
+// AddMulABRange computes rows [lo, hi) of dst += a·b.
+func AddMulABRange(dst, a, b *Matrix, lo, hi int) {
+	checkMulAB(dst, a, b)
+	mulABRange(dst, a, b, lo, hi, true)
+}
+
+func mulABRange(dst, a, b *Matrix, lo, hi int, add bool) {
+	for i := lo; i < hi; i++ {
+		mulRow(dst.Row(i), a.Row(i), b, add)
 	}
 }
 
 func mulABBody(ctx any, _ int, r parallel.Range) {
 	g := ctx.(*gemmArgs)
-	mulABRange(g.dst, g.a, g.b, r.Lo, r.Hi)
+	mulABRange(g.dst, g.a, g.b, r.Lo, r.Hi, false)
 }
 
 // MulABParallel is MulAB with the row dimension parallelized over the
@@ -96,7 +149,7 @@ func mulABBody(ctx any, _ int, r parallel.Range) {
 func MulABParallel(dst, a, b *Matrix, workers int) {
 	checkMulAB(dst, a, b)
 	if workers == 1 || a.Rows <= 1 {
-		mulABRange(dst, a, b, 0, a.Rows)
+		mulABRange(dst, a, b, 0, a.Rows, false)
 		return
 	}
 	g := getGemmArgs(dst, a, b)
@@ -120,19 +173,7 @@ func checkMulAtB(dst, a, b *Matrix) {
 
 func mulAtBBody(ctx any, _ int, r parallel.Range, acc []float64) {
 	g := ctx.(*gemmArgs)
-	kb := g.b.Cols
-	for i := r.Lo; i < r.Hi; i++ {
-		ra, rb := g.a.Row(i), g.b.Row(i)
-		for p, av := range ra {
-			if av == 0 {
-				continue
-			}
-			row := acc[p*kb : p*kb+kb]
-			for q, bv := range rb {
-				row[q] += av * bv
-			}
-		}
-	}
+	atbRange(acc, g.b.Cols, g.a, g.b, r.Lo, r.Hi, false)
 }
 
 // MulAtBParallel is MulAtB parallelized over the shared row dimension
@@ -152,19 +193,88 @@ func MulAtBParallel(dst, a, b *Matrix, workers int) {
 
 // mulAtBRange accumulates aᵀb over rows [lo,hi) into dst (+=).
 func mulAtBRange(dst, a, b *Matrix, lo, hi int) {
-	kb := b.Cols
-	for i := lo; i < hi; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		for p, av := range ra {
-			if av == 0 {
-				continue
+	atbRange(dst.Data, dst.Stride, a, b, lo, hi, false)
+}
+
+// atbBlock is the row-block height of atbRange: a 64-row block of a and
+// of b (8 KiB each at K = 16) stays in L1 while every output tile sweeps
+// it.
+const atbBlock = 64
+
+// atbRange accumulates aᵀ·b over rows [lo, hi) into the row-major
+// accumulator acc (+=, row stride given) — the kernel under MulAtB and,
+// with upper set and b == a, under Gram, which needs only the entries on
+// or above the diagonal. Rows are taken in 64-row blocks; within a block
+// each 2×4 tile of the output is held in locals while i runs over the
+// block, so every entry is still the ascending-i sum of
+// float64(a[i][p]·b[i][q]) with zero a[i][p] skipped — bit-identical to
+// accumulating in memory. With upper set, tiles start at the four-column
+// boundary at or left of the diagonal, so a straddling tile also writes
+// entries below it; the caller's mirror overwrites those.
+func atbRange(acc []float64, stride int, a, b *Matrix, lo, hi int, upper bool) {
+	ka, kb := a.Cols, b.Cols
+	ad, as := a.Data, a.Stride
+	bd, bs := b.Data, b.Stride
+	for ; lo < hi; lo += atbBlock {
+		end := min(lo+atbBlock, hi)
+		p := 0
+		for ; p+2 <= ka; p += 2 {
+			q := 0
+			if upper {
+				q = p &^ 3
 			}
-			rd := dst.Data[p*dst.Stride : p*dst.Stride+kb]
-			for q, bv := range rb {
-				rd[q] += av * bv
+			for ; q+4 <= kb; q += 4 {
+				r0 := (*[4]float64)(acc[p*stride+q:])
+				r1 := (*[4]float64)(acc[(p+1)*stride+q:])
+				c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
+				c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+				for i := lo; i < end; i++ {
+					ra := (*[2]float64)(ad[i*as+p:])
+					rb := (*[4]float64)(bd[i*bs+q:])
+					if a0 := ra[0]; a0 != 0 {
+						c00 += float64(a0 * rb[0])
+						c01 += float64(a0 * rb[1])
+						c02 += float64(a0 * rb[2])
+						c03 += float64(a0 * rb[3])
+					}
+					if a1 := ra[1]; a1 != 0 {
+						c10 += float64(a1 * rb[0])
+						c11 += float64(a1 * rb[1])
+						c12 += float64(a1 * rb[2])
+						c13 += float64(a1 * rb[3])
+					}
+				}
+				r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+				r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+			}
+			for ; q < kb; q++ {
+				atbEntry(&acc[p*stride+q], a, b, p, q, lo, end)
+				atbEntry(&acc[(p+1)*stride+q], a, b, p+1, q, lo, end)
+			}
+		}
+		if p < ka {
+			// Odd last row: one entry at a time.
+			q := 0
+			if upper {
+				q = p
+			}
+			for ; q < kb; q++ {
+				atbEntry(&acc[p*stride+q], a, b, p, q, lo, end)
 			}
 		}
 	}
+}
+
+// atbEntry adds Σ_{i∈[lo,hi)} a[i][p]·b[i][q] to *dst — the edge of
+// atbRange where no full 2×4 tile fits.
+func atbEntry(dst *float64, a, b *Matrix, p, q, lo, hi int) {
+	c := *dst
+	for i := lo; i < hi; i++ {
+		if av := a.Data[i*a.Stride+p]; av != 0 {
+			c += float64(av * b.Data[i*b.Stride+q])
+		}
+	}
+	*dst = c
 }
 
 // MulABt computes dst = a·bᵀ where a is m×k and b is n×k; dst must be m×n
@@ -213,30 +323,13 @@ func MulABtParallel(dst, a, b *Matrix, workers int) {
 }
 
 // Gram computes dst = aᵀ·a (K×K symmetric) exploiting symmetry: only the
-// upper triangle is accumulated, then mirrored.
+// tiles on or above the diagonal are accumulated (atbRange), then the
+// upper triangle is mirrored.
 func Gram(dst, a *Matrix) { GramParallel(dst, a, 1) }
-
-// gramRange accumulates the upper triangle of aᵀa over rows [lo,hi) into
-// a flat k×k accumulator (row-major, stride k).
-func gramRange(acc []float64, a *Matrix, lo, hi int) {
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		row := a.Row(i)
-		for x, vx := range row {
-			if vx == 0 {
-				continue
-			}
-			off := x * k
-			for y := x; y < k; y++ {
-				acc[off+y] += vx * row[y]
-			}
-		}
-	}
-}
 
 func gramBody(ctx any, _ int, r parallel.Range, acc []float64) {
 	g := ctx.(*gemmArgs)
-	gramRange(acc, g.a, r.Lo, r.Hi)
+	atbRange(acc, g.a.Cols, g.a, g.a, r.Lo, r.Hi, true)
 }
 
 // GramParallel is Gram with the row dimension parallelized via
@@ -248,19 +341,7 @@ func GramParallel(dst, a *Matrix, workers int) {
 	k := a.Cols
 	if workers == 1 || a.Rows <= 1 || dst.Stride != dst.Cols {
 		dst.Zero()
-		// Accumulate the upper triangle directly into dst row views.
-		for i := 0; i < a.Rows; i++ {
-			row := a.Row(i)
-			for x, vx := range row {
-				if vx == 0 {
-					continue
-				}
-				rd := dst.Data[x*dst.Stride : x*dst.Stride+k]
-				for y := x; y < k; y++ {
-					rd[y] += vx * row[y]
-				}
-			}
-		}
+		atbRange(dst.Data, dst.Stride, a, a, 0, a.Rows, true)
 	} else {
 		g := getGemmArgs(dst, a, nil)
 		parallel.Default().DoReduceVecInto(dst.Data[:k*k], a.Rows, workers, g, gramBody)

@@ -42,9 +42,10 @@ const DefaultLockPoolSize = 1024
 const nzChunk = 4096
 
 // Computer holds reusable kernel state for a fixed worker count. All
-// kernels dispatch through a persistent parallel.Pool and keep their
-// per-worker scratch rows in Computer-owned arenas, so steady-state
-// calls are allocation-free for any rank.
+// kernels dispatch through a persistent parallel.Pool; the ones that
+// form a product row in memory (see scratch) keep it in a Computer-owned
+// per-worker arena, so steady-state calls are allocation-free for any
+// rank.
 type Computer struct {
 	Workers            int
 	ShortModeThreshold int
@@ -52,8 +53,11 @@ type Computer struct {
 	locals             *parallel.LocalBuffers
 	pool               *parallel.Pool
 
-	// Per-worker scratch, 2·kcap floats each: the lower half is the
-	// rowProduct buffer, the upper half the plan kernel's accumulator.
+	// Per-worker scratch, kcap floats each: the rowProduct/timeModeRow
+	// product row of the kernels that still form one — the Lock/Hybrid
+	// baselines and the N ≠ 3 bodies of rowRun and timeRange. The
+	// three-way plan, stream and time-mode kernels keep their panel in
+	// registers and never touch it.
 	scratch [][]float64
 	kcap    int
 
@@ -109,18 +113,18 @@ func NewComputerWithPool(workers int, pool *parallel.Pool) *Computer {
 	return c
 }
 
-// ensureScratch grows the per-worker scratch arenas to hold two rank-k
-// rows per worker. Amortized: after the first call at the largest rank,
+// ensureScratch grows the per-worker scratch arenas to hold one rank-k
+// row per worker. Amortized: after the first call at the largest rank,
 // subsequent calls allocate nothing.
 func (c *Computer) ensureScratch(k int) {
 	if k > c.kcap {
 		c.kcap = k
 		for w := range c.scratch {
-			c.scratch[w] = make([]float64, 2*c.kcap)
+			c.scratch[w] = make([]float64, c.kcap)
 		}
 	}
 	for len(c.scratch) < c.Workers {
-		c.scratch = append(c.scratch, make([]float64, 2*c.kcap))
+		c.scratch = append(c.scratch, make([]float64, c.kcap))
 	}
 }
 
@@ -322,13 +326,7 @@ func (c *Computer) TimeMode(dst []float64, x *sptensor.Tensor, factors []*dense.
 
 func timeModeBody(ctx any, w int, r parallel.Range, acc []float64) {
 	a := ctx.(*kernelArgs)
-	buf := a.c.scratch[w][:a.k]
-	for e := r.Lo; e < r.Hi; e++ {
-		timeModeRow(buf, a.x, a.factors, e)
-		for j, v := range buf {
-			acc[j] += v
-		}
-	}
+	timeRange(acc, a.c.scratch[w][:a.k], a.x, a.factors, r.Lo, r.Hi)
 }
 
 // timeModeRow computes buf[j] = val_e · ∏_v factors[v][i_v][j].

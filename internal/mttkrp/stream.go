@@ -163,19 +163,11 @@ func (s *StreamKernel) blockMTTKRP(x *sptensor.Tensor) {
 
 func streamBlockBody(ctx any, w int, r parallel.Range) {
 	s := ctx.(*StreamKernel)
-	buf := s.c.scratch[w][:s.k]
-	x := s.x
+	run := newRowRun(s.x, s.factors, s.mode, s.c.scratch[w][:s.k])
 	for widx := r.Lo; widx < r.Hi; widx++ {
 		for seg := s.wseg[widx]; seg < s.wseg[widx+1]; seg++ {
-			plo, phi := s.segPtr[seg], s.segPtr[seg+1]
-			row := s.out.Row(int(s.col[s.perm[plo]]))
-			for pe := plo; pe < phi; pe++ {
-				e := int(s.perm[pe])
-				rowProduct(buf, x, s.factors, s.mode, e, x.Vals[e])
-				for j, v := range buf {
-					row[j] += v
-				}
-			}
+			perm := s.perm[s.segPtr[seg]:s.segPtr[seg+1]]
+			run.add(s.out.Row(int(s.col[perm[0]])), perm)
 		}
 	}
 }
@@ -235,7 +227,7 @@ func (s *StreamKernel) TimeMode(dst []float64, src sptensor.BlockSource, factors
 		if active == 1 {
 			// Mirror DoReduceVecInto's single-worker fast path: dst is
 			// the accumulator, so no +0/-0 merge artifacts can differ.
-			streamTimeRange(s, 0, 0, blk.NNZ(), dst)
+			timeRange(dst, c.scratch[0][:k], blk, factors, 0, blk.NNZ())
 		} else {
 			c.pool.Do(active, active, s, streamTimeBody)
 		}
@@ -267,18 +259,6 @@ func streamTimeBody(ctx any, w int, r parallel.Range) {
 		if glo >= ghi {
 			continue
 		}
-		streamTimeRange(s, w, glo-blo, ghi-blo, s.accs[widx][:s.k])
-	}
-}
-
-// streamTimeRange accumulates block entries [lo,hi) into acc using
-// pool-worker w's scratch row.
-func streamTimeRange(s *StreamKernel, w, lo, hi int, acc []float64) {
-	buf := s.c.scratch[w][:s.k]
-	for e := lo; e < hi; e++ {
-		timeModeRow(buf, s.x, s.factors, e)
-		for j, v := range buf {
-			acc[j] += v
-		}
+		timeRange(s.accs[widx][:s.k], s.c.scratch[w][:s.k], s.x, s.factors, glo-blo, ghi-blo)
 	}
 }

@@ -76,7 +76,7 @@ func (f *FaultFS) Truncate(name string, size int64) error {
 	}
 	return f.inner.Truncate(name, size)
 }
-func (f *FaultFS) Stat(name string) (fs.FileInfo, error)      { return f.inner.Stat(name) }
+func (f *FaultFS) Stat(name string) (fs.FileInfo, error) { return f.inner.Stat(name) }
 func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
