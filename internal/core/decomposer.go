@@ -92,6 +92,10 @@ type Decomposer struct {
 	// Reusable column-scale buffer for normalization.
 	colScale []float64
 
+	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s), shared by
+	// sliceFit and streamedFit.
+	fitPsi, fitTmp []float64
+
 	// Reusable argument block for the ctx-style parallel helpers below.
 	pargs coreArgs
 
@@ -169,6 +173,8 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 	d.scratch1 = dense.NewMatrix(k, k)
 	d.scratch2 = dense.NewMatrix(k, k)
 	d.colScale = make([]float64, k)
+	d.fitPsi = make([]float64, k)
+	d.fitTmp = make([]float64, k)
 	for range dims {
 		d.cz = append(d.cz, dense.NewMatrix(k, k))
 	}

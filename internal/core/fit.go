@@ -19,14 +19,20 @@ func (d *Decomposer) sliceFit(x *sptensor.Tensor) float64 {
 	if xnorm2 == 0 {
 		return math.NaN()
 	}
-	psi := make([]float64, d.k)
+	psi := d.fitPsi
 	d.mt.TimeMode(psi, x, d.a)
+	return d.fitFrom(xnorm2, psi)
+}
+
+// fitFrom finishes the fit from ‖X‖² and ψ — the part sliceFit and
+// streamedFit share. It overwrites scratch1 and fitTmp.
+func (d *Decomposer) fitFrom(xnorm2 float64, psi []float64) float64 {
 	had := d.scratch1
 	had.Fill(1)
 	for m := range d.c {
 		dense.Hadamard(had, had, d.c[m])
 	}
-	tmp := make([]float64, d.k)
+	tmp := d.fitTmp
 	dense.MulVec(tmp, had, d.s)
 	model2 := dense.Dot(d.s, tmp)
 	inner := dense.Dot(d.s, psi)

@@ -201,7 +201,8 @@ type Options struct {
 	// during processing (see perfmodel.ResidentBytes). When a slice
 	// arriving through ProcessBlockSlice would exceed it, the slice is
 	// evaluated out of core: every kernel streams over the source blocks
-	// and only one block plus the factor matrices stay resident.
+	// and only one block per worker plus the factor matrices stay
+	// resident.
 	// Non-positive (the default) means unconstrained — block sources are
 	// materialized and take the regular in-memory path. Slices arriving
 	// through ProcessSlice are already resident and ignore the budget.

@@ -24,8 +24,8 @@ import (
 //   - EvalStreamed: the slice never materializes. Every kernel —
 //     factor-mode MTTKRP, the streaming-mode (time) MTTKRP, the fit's
 //     ‖X‖² — streams over the blocks via mttkrp.StreamKernel, so the
-//     resident set is one decoded block plus the factor matrices,
-//     independent of the slice's nonzero count.
+//     resident set is one decoded block per worker plus the factor
+//     matrices, independent of the slice's nonzero count.
 //
 // The streamed path runs the explicit (Algorithm 1) update with the
 // optimized kernels: the streamed factor-mode MTTKRP is bit-identical
@@ -164,6 +164,9 @@ type streamedRun struct {
 // processSliceStreamed runs one time slice of Algorithm 1 entirely out
 // of core, mirroring processSliceExplicit's begin/iterate/finish shape.
 func (d *Decomposer) processSliceStreamed(ctx context.Context, src sptensor.BlockSource) (SliceResult, error) {
+	// The kernel holds the source from Begin on; drop it however the
+	// slice ends, so a reader the caller closes is not kept alive.
+	defer d.streamKernel().End()
 	run, err := d.beginStreamed(src)
 	if err != nil {
 		return run.res, err
@@ -189,8 +192,10 @@ func (d *Decomposer) processSliceStreamed(ctx context.Context, src sptensor.Bloc
 }
 
 // beginStreamed performs the per-slice Pre work: snapshot A_{t-1} and
-// C_{t-1}, seed H = C, and solve the sₜ warm start over the blocks.
-// There is no kernel table or layout to resolve — every kernel streams.
+// C_{t-1}, seed H = C, compile the streamed kernel's per-worker row and
+// block schedule for the source, and solve the sₜ warm start over the
+// blocks. There is no kernel table or layout to resolve — every kernel
+// streams.
 func (d *Decomposer) beginStreamed(src sptensor.BlockSource) (*streamedRun, error) {
 	run := &streamedRun{
 		src:       src,
@@ -208,6 +213,10 @@ func (d *Decomposer) beginStreamed(src sptensor.BlockSource) (*streamedRun, erro
 		// The layout manager never sees streamed slices; clear the last
 		// decision so diagnostics don't report a stale remap.
 		d.lastDec = perfmodel.Decision{}
+		if err = d.streamKernel().Begin(src); err != nil {
+			err = fmt.Errorf("core: streamed schedule: %w", err)
+			return
+		}
 		err = d.solveSStreamed(src)
 	})
 	if err != nil {
@@ -354,22 +363,9 @@ func (d *Decomposer) streamedFit(src sptensor.BlockSource) (float64, error) {
 	if xnorm2 == 0 {
 		return math.NaN(), nil
 	}
-	psi := make([]float64, d.k)
+	psi := d.fitPsi
 	if err := d.streamKernel().TimeMode(psi, src, d.a); err != nil {
 		return math.NaN(), fmt.Errorf("core: streamed fit: %w", err)
 	}
-	had := d.scratch1
-	had.Fill(1)
-	for m := range d.c {
-		dense.Hadamard(had, had, d.c[m])
-	}
-	tmp := make([]float64, d.k)
-	dense.MulVec(tmp, had, d.s)
-	model2 := dense.Dot(d.s, tmp)
-	inner := dense.Dot(d.s, psi)
-	err2 := xnorm2 - 2*inner + model2
-	if err2 < 0 {
-		err2 = 0
-	}
-	return 1 - math.Sqrt(err2/xnorm2), nil
+	return d.fitFrom(xnorm2, psi), nil
 }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spstream/internal/dense"
@@ -197,5 +200,109 @@ func TestBlockSliceShapeChecks(t *testing.T) {
 	}
 	if !res.Skipped || guarded.T() != before {
 		t.Fatalf("skip did not preserve state: skipped=%v t=%d", res.Skipped, guarded.T())
+	}
+}
+
+// flakySource serves block bad a fixed number of times and then fails
+// it — a block that goes away after the input scan and the schedule
+// compile have read it, so the failure surfaces from a worker inside
+// the kernel's pool dispatch.
+type flakySource struct {
+	sptensor.BlockSource
+	bad   int
+	good  int64
+	calls atomic.Int64
+}
+
+func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
+	if b == f.bad && f.calls.Add(1) > f.good {
+		return nil, errors.New("flaky: block gone")
+	}
+	return f.BlockSource.BlockInto(b, buf)
+}
+
+// TestStreamedDecodeErrorRollsBack fails a streamed slice from inside
+// the kernel two ways — a block that stops decoding mid-slice, and a
+// byte-flipped .spblk with the input scan off so the kernel's own first
+// read meets the bad CRC — and checks the guarded path treats both like
+// any failed attempt: the error names the block, the slice is skipped,
+// the model is bit for bit where it was, and the next good slice lands
+// exactly where it does on a decomposer that never saw the failure.
+func TestStreamedDecodeErrorRollsBack(t *testing.T) {
+	dims := []int{40, 30, 50}
+	stream := testStream(t, 13, dims, 1500, 2)
+	dir := t.TempDir()
+	var paths []string
+	for ti, x := range stream.Slices {
+		p := filepath.Join(dir, fmt.Sprintf("t%d.spblk", ti))
+		if err := ooc.WriteTensor(p, x, 200); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	open := func(p string) *ooc.BlockReader {
+		r, err := ooc.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	// Slice 1 again, one payload byte of block 3 flipped.
+	good := open(paths[1])
+	raw, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[good.BlockOffset(3)+12+8+1] ^= 0x10
+	flipped := filepath.Join(dir, "flipped.spblk")
+	if err := os.WriteFile(flipped, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, scan := range []bool{true, false} {
+			opt := Options{Rank: 6, Algorithm: Optimized, Workers: workers, MemBudget: 1, Seed: 5}
+			control, err := NewDecomposer(dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Resilience = &resilience.Config{Policy: resilience.SkipSlice, DisableInputScan: !scan}
+			d, err := NewDecomposer(dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dec := range []*Decomposer{control, d} {
+				if _, err := dec.ProcessBlockSlice(open(paths[0])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var bad sptensor.BlockSource
+			if scan {
+				// The compile and the warm-start time mode read block 3; it
+				// goes away during the first iteration's kernel passes, on
+				// some worker of the pool, and stays away for the retry.
+				bad = &flakySource{BlockSource: good, bad: 3, good: 4}
+			} else {
+				bad = open(flipped)
+			}
+			res, err := d.ProcessBlockSlice(bad)
+			if !errors.Is(err, resilience.ErrSliceSkipped) || !strings.Contains(err.Error(), "mttkrp: block 3:") {
+				t.Fatalf("workers=%d scan=%v: error %v, want a skipped slice naming block 3", workers, scan, err)
+			}
+			if st := d.ResilienceStats(); !res.Skipped || d.T() != 1 || st.Rollbacks != st.SliceRetries+1 || st.SlicesSkipped != 1 || st.PanicsRecovered != 0 {
+				t.Fatalf("workers=%d scan=%v: skipped=%v t=%d stats=%+v", workers, scan, res.Skipped, d.T(), st)
+			}
+			for n := range dims {
+				sameMatrixBits(t, fmt.Sprintf("workers=%d scan=%v rolled-back factor %d", workers, scan, n), d.Factor(n), control.Factor(n))
+			}
+			for _, dec := range []*Decomposer{control, d} {
+				if _, err := dec.ProcessBlockSlice(open(paths[1])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := range dims {
+				sameMatrixBits(t, fmt.Sprintf("workers=%d scan=%v next-slice factor %d", workers, scan, n), d.Factor(n), control.Factor(n))
+			}
+		}
 	}
 }

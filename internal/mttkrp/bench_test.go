@@ -2,10 +2,12 @@ package mttkrp
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"spstream/internal/dense"
 	"spstream/internal/sptensor"
+	"spstream/internal/sptensor/ooc"
 	"spstream/internal/synth"
 )
 
@@ -65,4 +67,78 @@ func BenchmarkTimeMode(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
 		})
 	}
+}
+
+// oocSlice is the slice the repo benchmark's ooc-stream workload is
+// bound by — uniform 1200×900×700 with 500k nonzeros — written to a
+// block file at the default block size (a 2×2×2 grid) and opened the
+// way core receives it.
+func oocSlice(b *testing.B) *ooc.BlockReader {
+	b.Helper()
+	dims := []int{1200, 900, 700}
+	x, err := synth.GenerateSlice(synth.Config{
+		Name:        "oocflat",
+		Dists:       []synth.IndexDist{synth.Uniform{N: dims[0]}, synth.Uniform{N: dims[1]}, synth.Uniform{N: dims[2]}},
+		NNZPerSlice: 500_000,
+		T:           1,
+		Seed:        31,
+	}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "slice.spblk")
+	if err := ooc.WriteTensor(path, x, 0); err != nil {
+		b.Fatal(err)
+	}
+	r, err := ooc.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { r.Close() })
+	return r
+}
+
+// BenchmarkStreamMTTKRP times the streamed kernel per output mode on the
+// ooc-stream slice (schedule compiled outside the timer, like the plan
+// in BenchmarkPlanMTTKRP) and reports ns per nonzero.
+func BenchmarkStreamMTTKRP(b *testing.B) {
+	r := oocSlice(b)
+	sk := NewStreamKernel(NewComputer(0))
+	const k = 16
+	factors := randomFactors(32, r.Dims(), k)
+	if err := sk.Begin(r); err != nil {
+		b.Fatal(err)
+	}
+	for mode, d := range r.Dims() {
+		out := dense.NewMatrix(d, k)
+		b.Run(fmt.Sprintf("K=%d/mode=%d", k, mode), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := sk.MTTKRP(out, r, factors, mode); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.NNZ()), "ns/nnz")
+		})
+	}
+}
+
+// BenchmarkStreamTimeMode times the streamed single-row MTTKRP over the
+// same file.
+func BenchmarkStreamTimeMode(b *testing.B) {
+	r := oocSlice(b)
+	sk := NewStreamKernel(NewComputer(0))
+	const k = 16
+	factors := randomFactors(32, r.Dims(), k)
+	dst := make([]float64, k)
+	if err := sk.Begin(r); err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := sk.TimeMode(dst, r, factors); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.NNZ()), "ns/nnz")
+	})
 }

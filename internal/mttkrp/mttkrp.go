@@ -128,11 +128,11 @@ func (c *Computer) ensureScratch(k int) {
 	}
 }
 
-func checkArgs(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, mode int) int {
-	if len(factors) != x.NModes() {
-		panic(fmt.Sprintf("mttkrp: %d factors for %d modes", len(factors), x.NModes()))
+func checkArgs(out *dense.Matrix, dims []int, factors []*dense.Matrix, mode int) int {
+	if len(factors) != len(dims) {
+		panic(fmt.Sprintf("mttkrp: %d factors for %d modes", len(factors), len(dims)))
 	}
-	if mode < 0 || mode >= x.NModes() {
+	if mode < 0 || mode >= len(dims) {
 		panic(fmt.Sprintf("mttkrp: mode %d out of range", mode))
 	}
 	k := factors[0].Cols
@@ -140,11 +140,11 @@ func checkArgs(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, m
 		if f.Cols != k {
 			panic("mttkrp: factor rank mismatch")
 		}
-		if f.Rows != x.Dims[m] {
-			panic(fmt.Sprintf("mttkrp: factor %d has %d rows for dim %d", m, f.Rows, x.Dims[m]))
+		if f.Rows != dims[m] {
+			panic(fmt.Sprintf("mttkrp: factor %d has %d rows for dim %d", m, f.Rows, dims[m]))
 		}
 	}
-	if out.Rows != x.Dims[mode] || out.Cols != k {
+	if out.Rows != dims[mode] || out.Cols != k {
 		panic("mttkrp: output shape mismatch")
 	}
 	return k
@@ -190,7 +190,7 @@ func rowProduct(tmp []float64, x *sptensor.Tensor, factors []*dense.Matrix, mode
 
 // Sequential computes out = MTTKRP(x, factors, mode) on one thread.
 func Sequential(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, mode int) {
-	k := checkArgs(out, x, factors, mode)
+	k := checkArgs(out, x.Dims, factors, mode)
 	out.Zero()
 	tmp := make([]float64, k)
 	col := x.Inds[mode]
@@ -206,7 +206,7 @@ func Sequential(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, 
 // Lock computes the MTTKRP with the baseline fine-grained parallelization
 // over nonzeros and a striped mutex pool serializing row updates.
 func (c *Computer) Lock(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, mode int) {
-	k := checkArgs(out, x, factors, mode)
+	k := checkArgs(out, x.Dims, factors, mode)
 	out.Zero()
 	c.ensureScratch(k)
 	a := &c.args
@@ -253,7 +253,7 @@ func (c *Computer) LocalAccumulate(out *dense.Matrix, x *sptensor.Tensor, factor
 // localAccumulate runs the thread-local path unconditionally (exposed
 // separately so benchmarks can compare both paths on the same mode).
 func (c *Computer) localAccumulate(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, mode int) {
-	k := checkArgs(out, x, factors, mode)
+	k := checkArgs(out, x.Dims, factors, mode)
 	rows := x.Dims[mode]
 	out.Zero()
 	if x.NNZ() == 0 {

@@ -116,7 +116,7 @@ func buildPlanMode(col []int32, dim, nnz, workers int) planMode {
 // bit-identical to Sequential regardless of worker count.
 func (c *Computer) PlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Matrix, mode int) {
 	x := plan.x
-	k := checkArgs(out, x, factors, mode)
+	k := checkArgs(out, x.Dims, factors, mode)
 	out.Zero()
 	pm := &plan.modes[mode]
 	if !pm.built {

@@ -1,9 +1,12 @@
 package mttkrp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spstream/internal/dense"
@@ -59,49 +62,15 @@ func TestStreamMatchesPlan(t *testing.T) {
 		{"mode4", streamTensor(t, []int{12, 9, 14, 8}, 2000, 4, false)},
 		{"empty", sptensor.New(5, 5, 5)},
 	}
-	const k = 9
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src, err := sptensor.SplitBlocks(tc.x, 700)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mat, err := sptensor.MaterializeBlocks(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(99))
-			factors := randFactors(rng, tc.x.Dims, k)
 			for _, workers := range []int{1, 4, 7} {
 				c := NewComputerWithPool(workers, pool)
-				sk := NewStreamKernel(c)
-				plan := c.NewPlan(mat)
-				for mode := range tc.x.Dims {
-					want := dense.NewMatrix(tc.x.Dims[mode], k)
-					got := dense.NewMatrix(tc.x.Dims[mode], k)
-					c.PlanMTTKRP(want, plan, factors, mode)
-					if err := sk.MTTKRP(got, src, factors, mode); err != nil {
-						t.Fatal(err)
-					}
-					for i, v := range want.Data {
-						if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-							t.Fatalf("workers=%d mode=%d: element %d = %v, want %v (not bit-identical)",
-								workers, mode, i, got.Data[i], v)
-						}
-					}
-				}
-				want := make([]float64, k)
-				got := make([]float64, k)
-				c.TimeMode(want, mat, factors)
-				if err := sk.TimeMode(got, src, factors); err != nil {
-					t.Fatal(err)
-				}
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("workers=%d TimeMode[%d] = %v, want %v (not bit-identical)",
-							workers, j, got[j], want[j])
-					}
-				}
+				newStreamTwin(t, c, src, 9).check(t, NewStreamKernel(c), fmt.Sprintf("workers=%d", workers))
 			}
 		})
 	}
@@ -111,52 +80,11 @@ func TestStreamMatchesPlan(t *testing.T) {
 // through a real .spblk file — mmap reader, CRC verification and all —
 // so the full out-of-core read path is covered, not just MemBlocks.
 func TestStreamMatchesPlanOnBlockFile(t *testing.T) {
-	x := streamTensor(t, []int{80, 50, 70}, 6000, 7, true)
-	path := filepath.Join(t.TempDir(), "x.spblk")
-	if err := ooc.WriteTensor(path, x, 512); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ooc.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	mat, err := sptensor.MaterializeBlocks(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 12
-	rng := rand.New(rand.NewSource(5))
-	factors := randFactors(rng, x.Dims, k)
+	r := blockFile(t, streamTensor(t, []int{80, 50, 70}, 6000, 7, true), 512)
 	pool := parallel.NewPool(4)
 	for _, workers := range []int{1, 4, 7} {
 		c := NewComputerWithPool(workers, pool)
-		sk := NewStreamKernel(c)
-		plan := c.NewPlan(mat)
-		for mode := range x.Dims {
-			want := dense.NewMatrix(x.Dims[mode], k)
-			got := dense.NewMatrix(x.Dims[mode], k)
-			c.PlanMTTKRP(want, plan, factors, mode)
-			if err := sk.MTTKRP(got, r, factors, mode); err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-					t.Fatalf("workers=%d mode=%d: element %d differs", workers, mode, i)
-				}
-			}
-		}
-		want := make([]float64, k)
-		got := make([]float64, k)
-		c.TimeMode(want, mat, factors)
-		if err := sk.TimeMode(got, r, factors); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("workers=%d TimeMode[%d] differs", workers, j)
-			}
-		}
+		newStreamTwin(t, c, r, 12).check(t, NewStreamKernel(c), fmt.Sprintf("workers=%d", workers))
 	}
 }
 
@@ -196,5 +124,304 @@ func TestStreamKernelAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state streamed kernels allocate %v times per run, want 0", allocs)
+	}
+}
+
+// blockFile writes x as an .spblk file of roughly target nonzeros per
+// block and opens it.
+func blockFile(t *testing.T, x *sptensor.Tensor, target int) *ooc.BlockReader {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "x.spblk")
+	if err := ooc.WriteTensor(path, x, target); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ooc.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// streamTwin is what the streamed kernels must reproduce bit for bit:
+// the plan kernels on the materialized concatenation of src.
+type streamTwin struct {
+	c       *Computer
+	src     sptensor.BlockSource
+	mat     *sptensor.Tensor
+	plan    *Plan
+	factors []*dense.Matrix
+}
+
+func newStreamTwin(t *testing.T, c *Computer, src sptensor.BlockSource, k int) *streamTwin {
+	t.Helper()
+	mat, err := sptensor.MaterializeBlocks(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &streamTwin{c: c, src: src, mat: mat, plan: c.NewPlan(mat),
+		factors: randFactors(rand.New(rand.NewSource(int64(k))), src.Dims(), k)}
+}
+
+// check runs every mode's MTTKRP and the time mode through sk and
+// compares the bits with the plan kernels.
+func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
+	t.Helper()
+	k := tw.factors[0].Cols
+	for mode, d := range tw.src.Dims() {
+		want, got := dense.NewMatrix(d, k), dense.NewMatrix(d, k)
+		tw.c.PlanMTTKRP(want, tw.plan, tw.factors, mode)
+		if err := sk.MTTKRP(got, tw.src, tw.factors, mode); err != nil {
+			t.Fatalf("%s mode %d: %v", label, mode, err)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s mode %d: element %d = %v, want %v (not bit-identical)", label, mode, i, got.Data[i], v)
+			}
+		}
+	}
+	want, got := make([]float64, k), make([]float64, k)
+	tw.c.TimeMode(want, tw.mat, tw.factors)
+	if err := sk.TimeMode(got, tw.src, tw.factors); err != nil {
+		t.Fatalf("%s TimeMode: %v", label, err)
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s TimeMode[%d] = %v, want %v (not bit-identical)", label, j, got[j], want[j])
+		}
+	}
+}
+
+// rowOwnerSources are the block layouts that decide how rows and blocks
+// fall to workers: which blocks a worker may take whole, which it must
+// filter, and which it never opens.
+func rowOwnerSources(t *testing.T) map[string]sptensor.BlockSource {
+	t.Helper()
+	split := func(x *sptensor.Tensor, n int) sptensor.BlockSource {
+		src, err := sptensor.SplitBlocks(x, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	// An empty block and a block holding one row, between two ordinary ones.
+	dims := []int{30, 20, 25}
+	oneRow := streamTensor(t, dims, 300, 23, false)
+	for e := range oneRow.Inds[0] {
+		oneRow.Inds[0][e] = 17
+	}
+	odd, err := sptensor.NewMemBlocks(dims, []*sptensor.Tensor{
+		streamTensor(t, dims, 900, 21, false), sptensor.New(dims...), oneRow, streamTensor(t, dims, 700, 22, true),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]sptensor.BlockSource{
+		// Every mode cut in two: with two workers each takes whole slabs.
+		"grid-2x2x2": blockFile(t, streamTensor(t, []int{60, 50, 40}, 4000, 31, false), 500),
+		// Mode 0 is one slab: every worker opens every block and filters.
+		"unsplit-mode": blockFile(t, streamTensor(t, []int{24, 1100, 1700}, 6000, 32, false), 800),
+		// Consecutive runs: every block spans all rows of every mode.
+		"run-blocks": split(streamTensor(t, []int{50, 40, 60}, 5000, 33, false), 700),
+		// Hot low rows pull a balanced boundary inside the first slab.
+		"skewed-grid":          blockFile(t, streamTensor(t, []int{200, 30, 100}, 8000, 34, true), 1000),
+		"empty-and-single-row": odd,
+	}
+}
+
+// TestStreamRowOwnerMatchesPlan is the row-ownership identity: whatever
+// rows and blocks a worker count hands each worker, every output row
+// still sums its entries in (block order, entry order), so the bits
+// equal the plan kernel's on the materialized twin.
+func TestStreamRowOwnerMatchesPlan(t *testing.T) {
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	for name, src := range rowOwnerSources(t) {
+		for _, workers := range []int{1, 2, 3, 4, 7} {
+			c := NewComputerWithPool(workers, pool)
+			sk := NewStreamKernel(c)
+			for _, k := range []int{7, 16, 17} {
+				newStreamTwin(t, c, src, k).check(t, sk, fmt.Sprintf("%s workers=%d K=%d", name, workers, k))
+			}
+		}
+	}
+}
+
+// TestStreamScheduleSnapsToSlabs pins the property the speed rests on:
+// on a uniform grid file the balanced row boundary lands a few rows off
+// the slab edge, and Begin moves it there, so with two workers each
+// opens only its own slab's four blocks and filters none; on the skewed
+// file the first of three workers' boundaries falls among the hot rows
+// and stays there (moving it to a slab edge would cost more than an
+// eighth of a worker's share), so two workers open that slab.
+func TestStreamScheduleSnapsToSlabs(t *testing.T) {
+	srcs := rowOwnerSources(t)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	sk := NewStreamKernel(NewComputerWithPool(2, pool))
+	if err := sk.Begin(srcs["grid-2x2x2"]); err != nil {
+		t.Fatal(err)
+	}
+	for m := range sk.modes {
+		sm := &sk.modes[m]
+		for w := 0; w < 2; w++ {
+			blks := sm.blks[sm.blkPtr[w]:sm.blkPtr[w+1]]
+			if len(blks) != 4 {
+				t.Fatalf("mode %d worker %d opens %d blocks, want its slab's 4", m, w, len(blks))
+			}
+			for _, b := range blks {
+				if sm.lo[b] < sm.rows[w] || sm.hi[b] >= sm.rows[w+1] {
+					t.Fatalf("mode %d worker %d must filter block %d: rows [%d,%d] vs range [%d,%d)",
+						m, w, b, sm.lo[b], sm.hi[b], sm.rows[w], sm.rows[w+1])
+				}
+			}
+		}
+	}
+	sk = NewStreamKernel(NewComputerWithPool(3, pool))
+	if err := sk.Begin(srcs["skewed-grid"]); err != nil {
+		t.Fatal(err)
+	}
+	sm := &sk.modes[0]
+	if b := sm.blks[sm.blkPtr[1]]; sm.lo[b] >= sm.rows[1] {
+		t.Fatalf("skewed mode 0: boundary %d is on a slab edge (block %d starts at %d), want it inside the slab", sm.rows[1], b, sm.lo[b])
+	}
+}
+
+// TestStreamAlternatingSources drives one kernel the way the repo
+// benchmark does — MTTKRP and TimeMode called directly, never Begin —
+// on two sources in turn: the kernel must notice the switch each time.
+func TestStreamAlternatingSources(t *testing.T) {
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	srcs := rowOwnerSources(t)
+	for _, workers := range []int{1, 3} {
+		c := NewComputerWithPool(workers, pool)
+		sk := NewStreamKernel(c)
+		a := newStreamTwin(t, c, srcs["grid-2x2x2"], 9)
+		b := newStreamTwin(t, c, srcs["run-blocks"], 9)
+		for round := 0; round < 3; round++ {
+			a.check(t, sk, fmt.Sprintf("workers=%d round %d source a", workers, round))
+			b.check(t, sk, fmt.Sprintf("workers=%d round %d source b", workers, round))
+		}
+	}
+}
+
+// TestStreamBeginAllocFree extends the steady-state contract to the
+// per-slice compile step: once the buffers have seen both sources, a
+// slice's worth of work — Begin, three MTTKRPs, a TimeMode, End —
+// allocates nothing on either.
+func TestStreamBeginAllocFree(t *testing.T) {
+	srcs := rowOwnerSources(t)
+	pair := []sptensor.BlockSource{srcs["grid-2x2x2"], srcs["run-blocks"]}
+	const k = 8
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	sk := NewStreamKernel(NewComputerWithPool(2, pool))
+	var factors [2][]*dense.Matrix
+	var outs [2][]*dense.Matrix
+	for i, src := range pair {
+		factors[i] = randFactors(rand.New(rand.NewSource(3)), src.Dims(), k)
+		for _, d := range src.Dims() {
+			outs[i] = append(outs[i], dense.NewMatrix(d, k))
+		}
+	}
+	dst := make([]float64, k)
+	slice := func() {
+		for i, src := range pair {
+			if err := sk.Begin(src); err != nil {
+				t.Fatal(err)
+			}
+			for mode, out := range outs[i] {
+				if err := sk.MTTKRP(out, src, factors[i], mode); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sk.TimeMode(dst, src, factors[i]); err != nil {
+				t.Fatal(err)
+			}
+			sk.End()
+		}
+	}
+	slice() // grow every buffer to the larger source
+	if allocs := testing.AllocsPerRun(10, slice); allocs != 0 {
+		t.Fatalf("steady-state streamed slice allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestStreamDecodeErrorLowestBlock corrupts two blocks of a file after
+// the kernel has compiled it — the CRCs are already checked, so only the
+// per-decode coordinate validation inside the pool can notice — and
+// checks that every worker count reports the lower block, wrapped the
+// usual way, without a panic, and that the kernel works again once the
+// file is whole.
+func TestStreamDecodeErrorLowestBlock(t *testing.T) {
+	x := streamTensor(t, []int{60, 50, 40}, 4000, 41, false)
+	path := filepath.Join(t.TempDir(), "x.spblk")
+	if err := ooc.WriteTensor(path, x, 500); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ooc.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Blocks() != 8 {
+		t.Fatalf("want a 2x2x2 grid, got %d blocks", r.Blocks())
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// The top byte of a block's first mode-0 coordinate: 12 bytes of
+	// section header, 8 of nonzero count, then the column.
+	const lowBad, highBad = 2, 6
+	poke := func(b int, v byte) byte {
+		at := r.BlockOffset(b) + 12 + 8 + 3
+		var old [1]byte
+		if _, err := f.ReadAt(old[:], at); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{v}, at); err != nil {
+			t.Fatal(err)
+		}
+		return old[0]
+	}
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	const k = 8
+	for _, workers := range []int{1, 2, 4} {
+		c := NewComputerWithPool(workers, pool)
+		sk := NewStreamKernel(c)
+		tw := newStreamTwin(t, c, r, k)
+		if err := sk.Begin(r); err != nil {
+			t.Fatal(err)
+		}
+		oldHigh, oldLow := poke(highBad, 0x7f), poke(lowBad, 0x7f)
+		want := fmt.Sprintf("mttkrp: block %d: ooc: block %d mode-0 coordinate", lowBad, lowBad)
+		for mode := range x.Dims {
+			o := dense.NewMatrix(x.Dims[mode], k)
+			if err := sk.MTTKRP(o, r, tw.factors, mode); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("workers=%d mode %d: error %v, want prefix %q", workers, mode, err, want)
+			}
+			// The failed pass dropped the source; compile again while the
+			// second bad block is the only one to find.
+			poke(lowBad, oldLow)
+			if err := sk.Begin(r); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("mttkrp: block %d:", highBad)) {
+				t.Fatalf("workers=%d: Begin error %v, want block %d", workers, err, highBad)
+			}
+			poke(highBad, oldHigh)
+			if err := sk.Begin(r); err != nil {
+				t.Fatal(err)
+			}
+			poke(highBad, 0x7f)
+			poke(lowBad, 0x7f)
+		}
+		if err := sk.TimeMode(make([]float64, k), r, tw.factors); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("workers=%d TimeMode: error %v, want prefix %q", workers, err, want)
+		}
+		poke(highBad, oldHigh)
+		poke(lowBad, oldLow)
+		tw.check(t, sk, fmt.Sprintf("workers=%d after repair", workers))
 	}
 }

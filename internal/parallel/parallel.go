@@ -136,8 +136,10 @@ func ReduceVec(n, workers, dim int, body func(w int, r Range, acc []float64)) []
 // buf is reused when its capacity suffices (pass nil to allocate). The
 // assignment depends only on (cum, active) — not on how many workers
 // actually execute — which is what lets callers keep results
-// bit-identical across worker counts.
-func WeightedBoundaries(buf []int32, cum []int32, active int) []int32 {
+// bit-identical across worker counts. cum is int32 for in-memory plans
+// and int64 for the streamed kernel, whose slices may exceed 2³¹
+// nonzeros.
+func WeightedBoundaries[W int32 | int64](buf []int32, cum []W, active int) []int32 {
 	nSeg := len(cum) - 1
 	if active > nSeg {
 		active = nSeg

@@ -13,10 +13,14 @@ import "fmt"
 //
 // Block(b) is random access so consumers can make multiple passes
 // (one per mode per iteration) and group blocks (the CSF slab build)
-// without re-opening the source. The returned tensor is valid only
-// until the next Block call on the same source: implementations decode
-// into a reusable buffer so a full pass allocates nothing in steady
-// state. Callers that need a block to outlive the next call must copy.
+// without re-opening the source. Block decodes into a buffer the source
+// owns, so the result is valid only until the next Block call and Block
+// must not be called concurrently. BlockInto decodes into a buffer the
+// caller owns: the result is valid until that buffer's next use, and
+// calls with distinct buffers may run concurrently — the streamed
+// kernels give every worker its own. Both allocate nothing once the
+// buffer has grown to the largest block. Callers that need a block to
+// outlive its buffer must copy.
 type BlockSource interface {
 	// Dims returns the mode lengths of the whole tensor.
 	Dims() []int
@@ -24,9 +28,20 @@ type BlockSource interface {
 	NNZ() int
 	// Blocks returns the number of blocks.
 	Blocks() int
-	// Block decodes block b (0 ≤ b < Blocks). The result aliases
-	// internal buffers and is invalidated by the next Block call.
+	// Block decodes block b (0 ≤ b < Blocks) into the source's own
+	// buffer; the next Block call invalidates the result.
 	Block(b int) (*Tensor, error)
+	// BlockInto decodes block b using buf as storage. Safe for
+	// concurrent use with distinct buffers.
+	BlockInto(b int, buf *BlockBuf) (*Tensor, error)
+}
+
+// BlockBuf is the grow-only storage one consumer of BlockInto owns: the
+// decoded block and, for sources that cannot hand out their bytes in
+// place, the raw section read from storage. The zero value is ready.
+type BlockBuf struct {
+	Tensor Tensor
+	Raw    []byte
 }
 
 // MemBlocks adapts an in-memory list of block tensors to BlockSource.
@@ -91,6 +106,10 @@ func (mb *MemBlocks) Block(b int) (*Tensor, error) {
 	}
 	return mb.blocks[b], nil
 }
+
+// BlockInto returns the same view as Block: the blocks are already in
+// memory and immutable, so buf stays unused.
+func (mb *MemBlocks) BlockInto(b int, _ *BlockBuf) (*Tensor, error) { return mb.Block(b) }
 
 // MaterializeBlocks concatenates every block of src into one in-memory
 // tensor, in block order. This is the bridge back to the in-memory

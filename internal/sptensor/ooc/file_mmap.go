@@ -38,7 +38,7 @@ func openBlockFile(path string) (blockFile, error) {
 	return &mmapFile{data: data}, nil
 }
 
-func (f *mmapFile) section(_ []byte, off, n int64) ([]byte, error) {
+func (f *mmapFile) section(_ *[]byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(f.data)) {
 		return nil, fmt.Errorf("ooc: section [%d,%d) outside mapped %d bytes", off, off+n, len(f.data))
 	}

@@ -29,14 +29,17 @@ func openBlockFile(path string) (blockFile, error) {
 	return &preadFile{f: f, sz: st.Size()}, nil
 }
 
-func (f *preadFile) section(scratch []byte, off, n int64) ([]byte, error) {
+func (f *preadFile) section(scratch *[]byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > f.sz {
 		return nil, fmt.Errorf("ooc: section [%d,%d) outside file of %d bytes", off, off+n, f.sz)
 	}
-	if int64(cap(scratch)) < n {
-		scratch = make([]byte, n)
+	if scratch == nil {
+		scratch = new([]byte)
 	}
-	buf := scratch[:n]
+	if int64(cap(*scratch)) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
 	if _, err := f.f.ReadAt(buf, off); err != nil {
 		return nil, err
 	}

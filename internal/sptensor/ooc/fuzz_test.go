@@ -15,7 +15,7 @@ import (
 // I/O per exec; it is semantically the mmap backend over a byte slice.
 type memFile struct{ data []byte }
 
-func (f *memFile) section(_ []byte, off, n int64) ([]byte, error) {
+func (f *memFile) section(_ *[]byte, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(f.data)) {
 		return nil, fmt.Errorf("ooc: section [%d,%d) outside %d bytes", off, off+n, len(f.data))
 	}

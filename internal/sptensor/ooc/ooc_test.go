@@ -2,9 +2,13 @@ package ooc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"spstream/internal/sptensor"
@@ -283,6 +287,118 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		}
 		return b
 	})
+}
+
+// TestConcurrentStreamsDecode decodes one fresh reader from four goroutines
+// at once, each into its own buffer — the streamed kernels' access
+// pattern. The first pass races the CRC checks (run it under -race);
+// every decode must equal the serial one.
+func TestConcurrentStreamsDecode(t *testing.T) {
+	x := randomTensor(t, []int{40, 50, 30}, 6000, 17, true)
+	want := make([]*sptensor.Tensor, 0)
+	serial := writeRead(t, x, 400)
+	for b := 0; b < serial.Blocks(); b++ {
+		blk, err := serial.Block(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, blk.Clone())
+	}
+	r := writeRead(t, x, 400)
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf sptensor.BlockBuf
+			for pass := 0; pass < 3; pass++ {
+				for i := range want {
+					b := (i + g*len(want)/4) % len(want) // staggered starts
+					blk, err := r.BlockInto(b, &buf)
+					if err == nil && !tensorsEqual(blk, want[b]) {
+						err = fmt.Errorf("goroutine %d pass %d: block %d differs from the serial decode", g, pass, b)
+					}
+					if err != nil {
+						errs[g] = err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeCoordsFirstOffender checks the grouped decode against the
+// contract of the loop it replaced: every position is checked against
+// [lo, hi), and the first coordinate outside it — wherever it sits in a
+// group of four or in the tail — is the one reported.
+func TestDecodeCoordsFirstOffender(t *testing.T) {
+	const n, lo, hi = 11, 5, 9
+	for bad := -1; bad < n; bad++ {
+		for _, v := range []int32{4, 9, -1} {
+			sec := make([]byte, 4*n)
+			for i := 0; i < n; i++ {
+				c := int32(lo + i%(hi-lo))
+				if i == bad || (bad >= 0 && i == n-1) { // a later offender must not win
+					c = v
+				}
+				binary.LittleEndian.PutUint32(sec[4*i:], uint32(c))
+			}
+			col := make([]int32, n)
+			got := decodeCoords(col, sec, lo, hi)
+			if got != bad {
+				t.Fatalf("offender %d at %d: decodeCoords = %d", v, bad, got)
+			}
+			if bad >= 0 && col[bad] != v {
+				t.Fatalf("offender at %d: col holds %d, want %d for the error text", bad, col[bad], v)
+			}
+		}
+	}
+}
+
+// TestBlockIntoRejectsCoordinate flips a coordinate out of its extent
+// behind a valid CRC (the check runs before the flip) and expects the
+// parent's error text from both entry points.
+func TestBlockIntoRejectsCoordinate(t *testing.T) {
+	x := randomTensor(t, []int{30, 30, 30}, 1500, 11, false)
+	path := filepath.Join(t.TempDir(), "x.spblk")
+	if err := WriteTensor(path, x, 200); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Block(1); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Sixth coordinate of mode 0, top byte.
+	if _, err := f.WriteAt([]byte{0x7f}, r.BlockOffset(1)+sectionHeaderLen+8+4*5+3); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := r.Extent(1, 0)
+	prefix, suffix := "ooc: block 1 mode-0 coordinate ", fmt.Sprintf(" outside extent [%d,%d)", lo, hi)
+	var buf sptensor.BlockBuf
+	_, errInto := r.BlockInto(1, &buf)
+	_, errOwn := r.Block(1)
+	for _, err := range []error{errInto, errOwn} {
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), suffix) {
+			t.Fatalf("error %v, want %q…%q", err, prefix, suffix)
+		}
+	}
 }
 
 func BenchmarkBlockDecode(b *testing.B) {

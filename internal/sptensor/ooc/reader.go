@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync/atomic"
 
 	"spstream/internal/sptensor"
 )
@@ -15,30 +16,31 @@ import (
 // reads into the caller's scratch. Either way the decoder sees one
 // contiguous []byte per section.
 type blockFile interface {
-	// section returns n bytes at off, using scratch as the destination
-	// when a copy is unavoidable. The result is valid until the next
-	// section call with the same scratch.
-	section(scratch []byte, off, n int64) ([]byte, error)
+	// section returns n bytes at off. A backend that must copy reads
+	// into *scratch, growing it as needed (nil: a fresh buffer), and the
+	// result is then valid until the next section call with the same
+	// scratch. Safe for concurrent use with distinct scratch.
+	section(scratch *[]byte, off, n int64) ([]byte, error)
 	size() int64
 	close() error
 }
 
 // BlockReader is the random-access reader for SPBLK001 files. It
-// implements sptensor.BlockSource: Block(b) decodes one block into a
-// reusable buffer, so iterating every block over and over (one pass
-// per mode per iteration in the streamed kernels) allocates nothing
-// after the first full pass. CRCs are verified on a block's first
-// access and skipped on re-reads — repeated kernel passes pay decode
-// cost only.
+// implements sptensor.BlockSource: Block and BlockInto decode one block
+// into a reusable buffer (the reader's own, or one the caller owns and
+// may use concurrently with other callers'), so iterating every block
+// over and over (one pass per mode per iteration in the streamed
+// kernels) allocates nothing after the first full pass. CRCs are
+// verified on a block's first access and skipped on re-reads —
+// repeated kernel passes pay decode cost only.
 type BlockReader struct {
 	f        blockFile
 	lay      Layout
 	totalNNZ int64
 	idx      []indexEntry
 
-	scratch  []byte
-	verified []bool
-	blk      sptensor.Tensor
+	verified []atomic.Bool
+	own      sptensor.BlockBuf // Block's destination
 }
 
 // Open maps (or opens) an SPBLK001 file and parses + validates its
@@ -109,10 +111,8 @@ func newReader(f blockFile) (*BlockReader, error) {
 		lay:      lay,
 		totalNNZ: totalNNZ,
 		idx:      idx,
-		verified: make([]bool, len(idx)),
+		verified: make([]atomic.Bool, len(idx)),
 	}
-	r.blk.Dims = lay.Dims
-	r.blk.Inds = make([][]int32, len(lay.Dims))
 	return r, nil
 }
 
@@ -159,19 +159,26 @@ func (r *BlockReader) MaxBlockNNZ() int {
 	return int(maxNNZ)
 }
 
-// Block decodes block b into the reader's reusable buffer. The result
-// is valid until the next Block call. The block's coordinates are
-// validated against its grid extent, so a value that decodes out of
-// range (bit rot past the CRC, or a forged index) is an error rather
-// than a later out-of-bounds kernel access.
+// Block decodes block b into the reader's own buffer. The result is
+// valid until the next Block call; concurrent callers use BlockInto.
 func (r *BlockReader) Block(b int) (*sptensor.Tensor, error) {
+	return r.BlockInto(b, &r.own)
+}
+
+// BlockInto decodes block b into buf. Calls with distinct buffers may
+// run concurrently: the reader's own state is read-only apart from the
+// per-block verified flags, which are atomic. The block's coordinates
+// are validated against its grid extent on every decode, so a value
+// that decodes out of range (bit rot past the CRC, or a forged index)
+// is an error rather than a later out-of-bounds kernel access.
+func (r *BlockReader) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
 	if b < 0 || b >= len(r.idx) {
 		return nil, fmt.Errorf("ooc: block %d out of range [0,%d)", b, len(r.idx))
 	}
 	e := &r.idx[b]
 	nModes := len(r.lay.Dims)
 	wantLen := blockPayloadLen(nModes, e.nnz)
-	hdr, err := r.f.section(r.smallScratch(), e.offset, sectionHeaderLen)
+	hdr, err := r.f.section(&buf.Raw, e.offset, sectionHeaderLen)
 	if err != nil {
 		return nil, err
 	}
@@ -180,56 +187,91 @@ func (r *BlockReader) Block(b int) (*sptensor.Tensor, error) {
 	if gotLen != uint64(wantLen) {
 		return nil, fmt.Errorf("ooc: block %d section length %d, index implies %d", b, gotLen, wantLen)
 	}
-	if cap(r.scratch) < int(wantLen) {
-		r.scratch = make([]byte, wantLen)
-	}
-	payload, err := r.f.section(r.scratch[:wantLen], e.offset+sectionHeaderLen, wantLen)
+	payload, err := r.f.section(&buf.Raw, e.offset+sectionHeaderLen, wantLen)
 	if err != nil {
 		return nil, err
 	}
-	if !r.verified[b] {
+	// Whichever caller reaches a block first checks its CRC; two racing
+	// first readers both check, which is only redundant.
+	if !r.verified[b].Load() {
 		if got := crc32.Checksum(payload, crcTable); got != wantCRC {
 			return nil, fmt.Errorf("ooc: block %d checksum %08x, want %08x", b, got, wantCRC)
 		}
-		r.verified[b] = true
+		r.verified[b].Store(true)
 	}
 	if got := binary.LittleEndian.Uint64(payload[0:8]); got != uint64(e.nnz) {
 		return nil, fmt.Errorf("ooc: block %d payload declares %d nonzeros, index %d", b, got, e.nnz)
 	}
+	blk := &buf.Tensor
+	blk.Dims = r.lay.Dims
+	if len(blk.Inds) != nModes {
+		blk.Inds = make([][]int32, nModes)
+	}
 	nnz := int(e.nnz)
 	off := 8
 	for m := 0; m < nModes; m++ {
-		if cap(r.blk.Inds[m]) < nnz {
-			r.blk.Inds[m] = make([]int32, nnz)
+		if cap(blk.Inds[m]) < nnz {
+			blk.Inds[m] = make([]int32, nnz)
 		}
-		col := r.blk.Inds[m][:nnz]
+		col := blk.Inds[m][:nnz]
+		blk.Inds[m] = col
 		lo, hi := r.lay.Extent(m, e.grid[m])
-		for i := 0; i < nnz; i++ {
-			c := int32(binary.LittleEndian.Uint32(payload[off:]))
-			off += 4
-			if c < lo || c >= hi {
-				return nil, fmt.Errorf("ooc: block %d mode-%d coordinate %d outside extent [%d,%d)", b, m, c, lo, hi)
-			}
-			col[i] = c
+		if i := decodeCoords(col, payload[off:off+4*nnz], lo, hi); i >= 0 {
+			return nil, fmt.Errorf("ooc: block %d mode-%d coordinate %d outside extent [%d,%d)", b, m, col[i], lo, hi)
 		}
-		r.blk.Inds[m] = col
+		off += 4 * nnz
 	}
-	if cap(r.blk.Vals) < nnz {
-		r.blk.Vals = make([]float64, nnz)
+	if cap(blk.Vals) < nnz {
+		blk.Vals = make([]float64, nnz)
 	}
-	vals := r.blk.Vals[:nnz]
-	for i := 0; i < nnz; i++ {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-	}
-	r.blk.Vals = vals
-	return &r.blk, nil
+	blk.Vals = blk.Vals[:nnz]
+	decodeVals(blk.Vals, payload[off:off+8*nnz])
+	return blk, nil
 }
 
-// smallScratch returns a header-sized prefix of the scratch buffer.
-func (r *BlockReader) smallScratch() []byte {
-	if cap(r.scratch) < sectionHeaderLen {
-		r.scratch = make([]byte, sectionHeaderLen)
+// decodeCoords decodes len(col) little-endian int32 coordinates from sec
+// into col and checks each against [lo, hi) with one unsigned compare.
+// It returns the index of the first coordinate outside the extent (left
+// in col for the error message), or −1. Four at a time: the fixed-size
+// sub-slices cost one bounds check per group, and a group holding a bad
+// coordinate falls through to the scalar loop, which finds the first.
+func decodeCoords(col []int32, sec []byte, lo, hi int32) int {
+	width := uint32(hi - lo)
+	i := 0
+	for ; i+4 <= len(col); i += 4 {
+		q := sec[4*i : 4*i+16 : 4*i+16]
+		d := col[i : i+4 : i+4]
+		c0 := int32(binary.LittleEndian.Uint32(q[0:]))
+		c1 := int32(binary.LittleEndian.Uint32(q[4:]))
+		c2 := int32(binary.LittleEndian.Uint32(q[8:]))
+		c3 := int32(binary.LittleEndian.Uint32(q[12:]))
+		if uint32(c0-lo) >= width || uint32(c1-lo) >= width || uint32(c2-lo) >= width || uint32(c3-lo) >= width {
+			break
+		}
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
 	}
-	return r.scratch[:sectionHeaderLen]
+	for ; i < len(col); i++ {
+		c := int32(binary.LittleEndian.Uint32(sec[4*i:]))
+		col[i] = c
+		if uint32(c-lo) >= width {
+			return i
+		}
+	}
+	return -1
+}
+
+// decodeVals decodes len(vals) little-endian float64 values from sec.
+func decodeVals(vals []float64, sec []byte) {
+	i := 0
+	for ; i+4 <= len(vals); i += 4 {
+		q := sec[8*i : 8*i+32 : 8*i+32]
+		d := vals[i : i+4 : i+4]
+		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(q[0:]))
+		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(q[8:]))
+		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(q[16:]))
+		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(q[24:]))
+	}
+	for ; i < len(vals); i++ {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(sec[8*i:]))
+	}
 }

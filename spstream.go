@@ -110,6 +110,9 @@ type (
 	// out-of-core input to Decomposer.ProcessBlockSlice. Implemented by
 	// BlockReader (.spblk files) and sptensor.MemBlocks.
 	BlockSource = sptensor.BlockSource
+	// BlockBuf is the decode buffer a BlockSource fills in BlockInto;
+	// the streamed kernels hand every worker its own, concurrently.
+	BlockBuf = sptensor.BlockBuf
 	// BlockReader reads a block-partitioned .spblk tensor file,
 	// decoding one CRC-checked block at a time (mmap-backed where the
 	// platform allows).
