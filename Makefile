@@ -10,7 +10,7 @@ LDFLAGS   = -ldflags "-X spstream/internal/version.Version=$(VERSION) \
 	-X spstream/internal/version.Commit=$(COMMIT) \
 	-X spstream/internal/version.BuildDate=$(BUILDDATE)"
 
-.PHONY: all build test race cover bench bench-skew bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos clean
+.PHONY: all build test race cover bench bench-skew bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos loc clean
 
 all: build test
 
@@ -124,6 +124,15 @@ fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 30s ./cmd/watch/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/ingest/wal/
 	$(GO) test -fuzz FuzzWALSegment -fuzztime 30s ./internal/ingest/wal/
+
+# Non-test Go lines per package under internal/ and cmd/, then the
+# repository total outside bench/ (the benchmark is not the program):
+# the before/after a simplicity change reports.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u | while read d; do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done
+	@printf '%6d total (non-test .go outside bench/)\n' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -exec cat {} + | wc -l)
 
 clean:
 	$(GO) clean -testcache -fuzzcache

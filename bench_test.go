@@ -461,9 +461,10 @@ func BenchmarkAblationCSF(b *testing.B) {
 	s := benchStream(b, "nips")
 	x := s.Slices[s.T()/2]
 	factors := benchFactors(s.Dims, 16)
-	forest, err := csf.NewForest(x)
-	if err != nil {
-		b.Fatal(err)
+	eng := csf.NewEngine(0)
+	eng.Begin(x)
+	for m := range s.Dims {
+		eng.Build(m)
 	}
 	c := mttkrp.NewComputer(0)
 	outs := make([]*dense.Matrix, len(s.Dims))
@@ -480,14 +481,15 @@ func BenchmarkAblationCSF(b *testing.B) {
 	b.Run("csf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for m := range s.Dims {
-				forest.MTTKRP(outs[m], factors, m, 0)
+				eng.MTTKRP(outs[m], factors, m)
 			}
 		}
 	})
 	b.Run("csf-build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := csf.NewForest(x); err != nil {
-				b.Fatal(err)
+			eng.Begin(x)
+			for m := range s.Dims {
+				eng.Build(m)
 			}
 		}
 	})

@@ -32,7 +32,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 		if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 			t.Fatal(err)
 		}
-		run, err := d.beginExplicit(s.Slices[1])
+		run, err := d.beginExplicit(sliceData{x: s.Slices[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 			if _, err := d.iterateExplicit(run); err != nil {
 				t.Fatal(err)
 			}
-			d.sliceFit(s.Slices[1])
+			d.sliceFit(sliceData{x: s.Slices[1]})
 		})
 		if allocs != 0 {
 			t.Errorf("%v inner iteration allocates %.1f times per run, want 0", alg, allocs)
@@ -71,16 +71,17 @@ func TestSpCPIterateZeroAlloc(t *testing.T) {
 		if _, err := d.iterateSpCP(run); err != nil {
 			t.Fatal(err)
 		}
-		d.sliceFit(s.Slices[1])
+		d.sliceFit(sliceData{x: s.Slices[1]})
 	})
 	if allocs != 0 {
 		t.Errorf("spCP inner iteration allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestStreamedIterateZeroAlloc is the out-of-core twin: after one slice
-// has grown the streamed kernel's buffers, compiling the next source's
-// schedule, iterating on it and scoring its fit allocate nothing.
+// TestStreamedIterateZeroAlloc is the same property with a block source
+// as the explicit body's input: after one slice has grown the streamed
+// kernel's buffers, compiling the next source's schedule, iterating on
+// it and scoring its fit allocate nothing.
 func TestStreamedIterateZeroAlloc(t *testing.T) {
 	s := skewedStream(t, 314)
 	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Seed: 7, Workers: 1, TrackFit: true, MemBudget: 1})
@@ -98,21 +99,22 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 	if _, err := d.ProcessBlockSlice(srcs[0]); err != nil {
 		t.Fatal(err)
 	}
-	run, err := d.beginStreamed(srcs[1])
+	in := sliceData{src: srcs[1]}
+	run, err := d.beginExplicit(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.iterateStreamed(run); err != nil { // warm scratch
+	if _, err := d.iterateExplicit(run); err != nil { // warm scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := d.streamKernel().Begin(srcs[1]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.iterateStreamed(run); err != nil {
+		if _, err := d.iterateExplicit(run); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.streamedFit(srcs[1]); err != nil {
+		if _, err := d.sliceFit(in); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -92,8 +92,7 @@ type Decomposer struct {
 	// Reusable column-scale buffer for normalization.
 	colScale []float64
 
-	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s), shared by
-	// sliceFit and streamedFit.
+	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s).
 	fitPsi, fitTmp []float64
 
 	// Reusable argument block for the ctx-style parallel helpers below.
@@ -211,15 +210,12 @@ func (d *Decomposer) Breakdown() *trace.Breakdown { return &d.bd }
 // ResetBreakdown clears accumulated phase timings.
 func (d *Decomposer) ResetBreakdown() { d.bd.Reset() }
 
-// checkSlice validates a slice's shape against the decomposer.
-func (d *Decomposer) checkSlice(x *sptensor.Tensor) error {
-	if x == nil {
-		return fmt.Errorf("core: nil slice")
+// checkDims validates a slice's mode lengths against the decomposer.
+func (d *Decomposer) checkDims(dims []int) error {
+	if len(dims) != d.n {
+		return fmt.Errorf("core: slice has %d modes, decomposer expects %d", len(dims), d.n)
 	}
-	if x.NModes() != d.n {
-		return fmt.Errorf("core: slice has %d modes, decomposer expects %d", x.NModes(), d.n)
-	}
-	for m, dim := range x.Dims {
+	for m, dim := range dims {
 		if dim != d.dims[m] {
 			return fmt.Errorf("core: slice mode %d length %d ≠ %d", m, dim, d.dims[m])
 		}
@@ -250,23 +246,20 @@ func (d *Decomposer) refreshGrams() {
 }
 
 // solveS computes the closed-form sₜ update
-// (⊛_v C⁽ᵛ⁾ + λI)s = ψ with ψ from the streaming-mode MTTKRP over the
-// given factors. It runs once before the inner loop (warm start from
-// the previous slice's factors) and once per inner iteration (the time
-// mode is the (N+1)-th ALS block). The locked flag selects the
-// pathological single-lock kernel (Baseline) vs the thread-local
-// reduction — the paper's prime example of lock contention (§IV-B).
-func (d *Decomposer) solveS(x *sptensor.Tensor, factors []*dense.Matrix, locked bool) error {
+// (⊛_v C⁽ᵛ⁾ + λI)s = ψ with ψ the streaming-mode MTTKRP of the slice
+// over the given factors (see mttkrpTime for locked). It runs once
+// before the inner loop (warm start from the previous slice's factors)
+// and once per inner iteration (the time mode is the (N+1)-th ALS
+// block).
+func (d *Decomposer) solveS(in sliceData, factors []*dense.Matrix, locked bool) error {
 	phi := d.sPhi
 	phi.Fill(1)
 	for m := range factors {
 		dense.Hadamard(phi, phi, d.c[m])
 	}
 	dense.AddScaledIdentity(phi, phi, d.opt.StreamRidge)
-	if locked {
-		d.mt.TimeModeLocked(d.s, x, factors)
-	} else {
-		d.mt.TimeMode(d.s, x, factors)
+	if err := d.mttkrpTime(d.s, in, factors, locked); err != nil {
+		return err
 	}
 	if err := d.factorize(phi); err != nil {
 		return fmt.Errorf("core: sₜ solve: %w", err)

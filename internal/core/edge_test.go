@@ -7,6 +7,7 @@ import (
 	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/sptensor"
+	"spstream/internal/trace"
 )
 
 // Rank larger than every mode length: Φ is rank-deficient before the
@@ -138,6 +139,31 @@ func TestBreakdownPhaseAttribution(t *testing.T) {
 	}
 	if bdSp.Iters == 0 || bdOpt.Iters == 0 {
 		t.Fatal("iteration counts not recorded")
+	}
+	// Streamed: the same phases as a resident explicit slice — the
+	// schedule compile and warm start in Pre, the streamed kernels in
+	// MTTKRP, the fit in Misc.
+	dStr, err := NewDecomposer(s.Dims, Options{Rank: 3, Algorithm: Optimized, Seed: 1, TrackFit: true, MemBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range s.Slices {
+		src, err := sptensor.SplitBlocks(x, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dStr.ProcessBlockSlice(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bdStr := dStr.Breakdown()
+	for _, p := range []trace.Phase{trace.Pre, trace.Post, trace.MTTKRP, trace.Historical, trace.Misc} {
+		if bdStr.Times[p] <= 0 {
+			t.Fatalf("streamed breakdown missing phase %v: %v", p, bdStr)
+		}
+	}
+	if bdStr.Iters == 0 {
+		t.Fatal("streamed iteration count not recorded")
 	}
 }
 

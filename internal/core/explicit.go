@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,22 +8,30 @@ import (
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/parallel"
-	"spstream/internal/resilience"
-	"spstream/internal/sptensor"
+	"spstream/internal/perfmodel"
 	"spstream/internal/trace"
 )
 
-// explicitRun holds the per-slice state of Algorithm 1 between the
-// begin/iterate/finish phases. Splitting the slice loop this way keeps
-// every per-slice artifact (compiled MTTKRP layouts, convergence state)
-// out of the Decomposer while letting tests drive — and measure — a
-// single steady-state inner iteration in isolation. The kernel table
-// d.kernels (resolved in beginExplicit) says which layout each mode's
-// MTTKRP dispatches to; plan is nil when no mode chose it, and the CSF
-// trees live in the Decomposer's pooled engine.
+// explicitRun holds the per-slice state of Algorithm 1 — the Baseline
+// and Optimized variants, and every algorithm on a streamed slice —
+// between the begin/iterate/finish phases. Splitting the slice loop this
+// way keeps every per-slice artifact (compiled MTTKRP layouts, the
+// slice's result) out of the Decomposer while letting tests drive — and
+// measure — a single steady-state inner iteration in isolation. The
+// variants differ in kernel choice: Lock vs plan-based segmented MTTKRP,
+// single-lock vs thread-local streaming-mode update, and Algorithm 2 vs
+// Algorithm 3 ADMM for constrained problems.
 type explicitRun struct {
-	x    *sptensor.Tensor
-	plan *mttkrp.Plan
+	// in is the slice as it arrived, in global row ids; kin and kf are
+	// the sparse data and factors the kernels read — in and d.a, unless
+	// the layout manager remapped the slice (rm below). For a resident
+	// kin the kernel table d.kernels (resolved in beginExplicit) says
+	// which layout each mode's MTTKRP dispatches to; plan is nil when no
+	// mode chose it, and the CSF trees live in the Decomposer's pooled
+	// engine. A streamed kin has no table: every kernel streams.
+	in, kin sliceData
+	kf      []*dense.Matrix
+	plan    *mttkrp.Plan
 	// rm, when non-nil, is the layout manager's compact renumbering of
 	// the slice (see beginKernelsLayout): the kernels run over rm.X and
 	// the gathered d.aNzCur factors, while d.a/d.psi stay in global row
@@ -32,53 +39,22 @@ type explicitRun struct {
 	// loop, so snapshots and checkpoints always see global rows.
 	rm        *mttkrp.Remapped
 	optimized bool
-	deltaPrev float64
 	res       SliceResult
-}
-
-// processSliceExplicit runs one time slice of Algorithm 1 with explicit
-// factor matrices — the Baseline and Optimized variants. The two differ
-// in kernel choice: Lock vs plan-based segmented MTTKRP, single-lock vs
-// thread-local streaming-mode update, and Algorithm 2 vs Algorithm 3
-// ADMM for constrained problems. The context is checked at iteration
-// boundaries (and inside long ADMM loops via the solver's cancel hook),
-// so cancellation abandons the slice without tearing down mid-kernel.
-func (d *Decomposer) processSliceExplicit(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	run, err := d.beginExplicit(x)
-	if err != nil {
-		return run.res, err
-	}
-	for iter := 1; iter <= d.opt.MaxIters; iter++ {
-		d.iterNo = iter
-		if err := ctx.Err(); err != nil {
-			return run.res, err
-		}
-		if err := d.injectFault(resilience.StageIterate, iter); err != nil {
-			return run.res, err
-		}
-		converged, err := d.iterateExplicit(run)
-		if err != nil {
-			return run.res, err
-		}
-		if converged {
-			run.res.Converged = true
-			break
-		}
-	}
-	return d.finishExplicit(run), nil
 }
 
 // beginExplicit performs the per-slice Pre work: snapshot A_{t-1} and
 // C_{t-1}, seed H = C (A == A_{t-1} at the start of the inner loop),
 // resolve the per-mode kernel table and compile the layouts it needs
 // (coordinate plan and/or CSF trees — both amortized over the inner
-// iterations), and solve the closed-form sₜ warm start.
-func (d *Decomposer) beginExplicit(x *sptensor.Tensor) (*explicitRun, error) {
+// iterations) or, for a streamed slice, the streamed kernel's per-worker
+// row and block schedule, and solve the closed-form sₜ warm start.
+func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 	run := &explicitRun{
-		x:         x,
+		in:        in,
+		kin:       in,
+		kf:        d.a,
 		optimized: d.opt.Algorithm != Baseline,
-		deltaPrev: math.Inf(1),
-		res:       SliceResult{T: d.t, NNZ: x.NNZ(), Fit: math.NaN()},
+		res:       SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()},
 	}
 	var err error
 	d.bd.Time(trace.Pre, func() {
@@ -87,14 +63,25 @@ func (d *Decomposer) beginExplicit(x *sptensor.Tensor) (*explicitRun, error) {
 			d.cPrev[m].CopyFrom(d.c[m])
 			d.h[m].CopyFrom(d.c[m])
 		}
-		run.plan, run.rm = d.beginKernelsLayout(x)
+		if in.src != nil {
+			// Kernel selection and the adaptive layout are in-memory
+			// concerns: empty the table and the last decision so the
+			// diagnostics don't name a previous slice's.
+			d.kernels = d.kernels[:0]
+			d.lastDec = perfmodel.Decision{}
+			if err = d.streamKernel().Begin(in.src); err != nil {
+				err = fmt.Errorf("core: streamed schedule: %w", err)
+				return
+			}
+		} else {
+			run.plan, run.rm = d.beginKernelsLayout(in.x)
+		}
 		if run.rm != nil {
 			d.ensureNzPsi(run.rm)
 			d.ensureANzCur(run.rm)
-			err = d.solveS(run.rm.X, d.aNzCur, !run.optimized)
-		} else {
-			err = d.solveS(x, d.a, !run.optimized)
+			run.kin, run.kf = sliceData{x: run.rm.X}, d.aNzCur
 		}
+		err = d.solveS(run.kin, run.kf, !run.optimized)
 	})
 	if err != nil {
 		return run, err
@@ -105,15 +92,17 @@ func (d *Decomposer) beginExplicit(x *sptensor.Tensor) (*explicitRun, error) {
 }
 
 // iterateExplicit runs one inner ALS/ADMM iteration (all modes plus the
-// time-mode block) and reports convergence. This is the steady-state hot
+// time-mode block) and returns its δₜ. This is the steady-state hot
 // path: all parallel work dispatches ctx-style through the persistent
 // pool, timing uses explicit Add calls, and the Φ factorization reuses
 // the Decomposer's Cholesky storage — zero heap allocations per call.
-func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
-	run.res.Iters++
-	d.bd.Iters++
+func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
+	rm := run.rm
+	// The remapped unconstrained update never materializes the full Ψ;
+	// ADMM needs it whatever the layout.
+	fused := rm != nil && d.opt.Constraint == nil
 	for n := 0; n < d.n; n++ {
 		// Φ⁽ⁿ⁾ and its Cholesky factorization. Hoisted ahead of the Ψ
 		// work (on which it does not depend) so the remapped path can use
@@ -123,114 +112,83 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 		err := d.factorize(phi)
 		d.bd.Add(trace.Inverse, time.Since(t0))
 		if err != nil {
-			return false, fmt.Errorf("core: mode %d Φ factorization: %w", n, err)
+			return 0, fmt.Errorf("core: mode %d Φ factorization: %w", n, err)
 		}
 		// Ψ⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n)·diag(sₜ) — the slice's time mode
 		// contributes the single Khatri-Rao row sₜ, which (all nonzeros
 		// sharing one time index) reduces to a column scaling of the
-		// N-way MTTKRP …
+		// N-way MTTKRP. A remapped slice's kernel runs over the compact
+		// slice and gathered factors into the |nz|×K Ψ_nz …
 		t0 = time.Now()
-		if rm := run.rm; rm != nil && d.opt.Constraint == nil {
-			// Remapped path: the kernel runs over the compact slice and
-			// gathered factors into the |nz|×K Ψ_nz …
-			psiNz := d.nzPsi[n]
-			switch d.kernels[n] {
-			case kcCSF:
-				d.csfEng.MTTKRP(psiNz, d.aNzCur, n)
-			case kcPlan:
-				d.mt.PlanMTTKRP(psiNz, run.plan, d.aNzCur, n)
-			default:
-				d.mt.Lock(psiNz, rm.X, d.aNzCur, n)
-			}
-			d.bd.Add(trace.MTTKRP, time.Since(t0))
+		kout := d.psi[n]
+		if rm != nil {
+			kout = d.nzPsi[n]
+		}
+		if err := d.mttkrpMode(kout, run.kin, run.plan, run.kf, n); err != nil {
+			return 0, err
+		}
+		if rm == nil {
+			dense.ScaleColumns(kout, kout, d.s)
+		}
+		d.bd.Add(trace.MTTKRP, time.Since(t0))
+		t0 = time.Now()
+		d.buildQ(q, n)
+		switch {
+		case fused:
 			// … the historical term folds into the compact rows only:
 			// Ψ_nz ← Ψ_nz·diag(sₜ) + (A⁽ⁿ⁾ₜ₋₁)_nz·Q …
-			t0 = time.Now()
-			d.buildQ(q, n)
 			s := d.s
 			prev := d.prevA[n]
 			for r, g := range rm.NZ[n] {
-				dst := psiNz.Row(r)
+				dst := kout.Row(r)
 				for j := range dst {
 					dst[j] *= s[j]
 				}
 				dense.AddMulRow(dst, prev.Row(int(g)), q)
 			}
-			d.bd.Add(trace.Historical, time.Since(t0))
-			// … and the full Iₙ×K Ψ is never materialized: the kernel
-			// output is zero off the nz rows, so Ψ_z = (A⁽ⁿ⁾ₜ₋₁·Q)_z and
-			// the z-row solves collapse into one K×K composition
-			// M = Q·Φ⁻¹ followed by a streaming product — the per-row
-			// triangular solves run only over the |nz| compact rows.
-			t0 = time.Now()
-			d.solveRows(psiNz, psiNz, &d.chol)
-			d.chol.SolveRows(q)
-			d.mulAB(d.a[n], d.prevA[n], q)
-			rm.ScatterMode(d.a[n], psiNz, n)
-			d.bd.Add(trace.Update, time.Since(t0))
-		} else if rm != nil {
-			// Constrained remap: ADMM needs the full-row Ψ, so build it
-			// as overwrite-plus-scatter (still no Iₙ×K zero fill).
-			psiNz := d.nzPsi[n]
-			switch d.kernels[n] {
-			case kcCSF:
-				d.csfEng.MTTKRP(psiNz, d.aNzCur, n)
-			case kcPlan:
-				d.mt.PlanMTTKRP(psiNz, run.plan, d.aNzCur, n)
-			default:
-				d.mt.Lock(psiNz, rm.X, d.aNzCur, n)
-			}
-			d.bd.Add(trace.MTTKRP, time.Since(t0))
-			t0 = time.Now()
-			d.buildQ(q, n)
+		case rm != nil:
+			// Constrained remap: build the full-row Ψ as
+			// overwrite-plus-scatter (still no Iₙ×K zero fill).
 			d.mulAB(d.psi[n], d.prevA[n], q)
 			s := d.s
 			for r, g := range rm.NZ[n] {
 				dst := d.psi[n].Row(int(g))
-				src := psiNz.Row(r)
+				src := kout.Row(r)
 				for j, v := range src {
 					dst[j] += v * s[j]
 				}
 			}
-			d.bd.Add(trace.Historical, time.Since(t0))
-		} else {
-			switch d.kernels[n] {
-			case kcCSF:
-				d.csfEng.MTTKRP(d.psi[n], d.a, n)
-			case kcPlan:
-				d.mt.PlanMTTKRP(d.psi[n], run.plan, d.a, n)
-			default:
-				d.mt.Lock(d.psi[n], run.x, d.a, n)
-			}
-			dense.ScaleColumns(d.psi[n], d.psi[n], d.s)
-			d.bd.Add(trace.MTTKRP, time.Since(t0))
+		default:
 			// … + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG): the "Historical" term,
 			// an Iₙ×K by K×K product against the full previous factor.
-			t0 = time.Now()
-			d.buildQ(q, n)
 			d.addMulAB(d.psi[n], d.prevA[n], q)
-			d.bd.Add(trace.Historical, time.Since(t0))
 		}
-		// A⁽ⁿ⁾ update for the paths that materialized the full Ψ: direct
-		// solve (non-constrained) or ADMM. The fused remap path already
-		// updated A⁽ⁿ⁾ above.
-		if run.rm == nil || d.opt.Constraint != nil {
-			t0 = time.Now()
-			if d.opt.Constraint == nil {
-				d.solveRows(d.a[n], d.psi[n], &d.chol)
-			} else if run.optimized {
-				st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], d.opt.Constraint)
-				run.res.ADMMIters += st.Iters
-				err = e
-			} else {
-				st, e := d.solver.Baseline(d.a[n], phi, d.psi[n], d.opt.Constraint)
-				run.res.ADMMIters += st.Iters
-				err = e
-			}
-			d.bd.Add(trace.Update, time.Since(t0))
-			if err != nil {
-				return false, fmt.Errorf("core: mode %d ADMM: %w", n, err)
-			}
+		d.bd.Add(trace.Historical, time.Since(t0))
+		t0 = time.Now()
+		if fused {
+			// The kernel output is zero off the nz rows, so
+			// Ψ_z = (A⁽ⁿ⁾ₜ₋₁·Q)_z and the z-row solves collapse into one
+			// K×K composition M = Q·Φ⁻¹ followed by a streaming product —
+			// the per-row triangular solves run only over the |nz| compact
+			// rows.
+			d.solveRows(kout, kout, &d.chol)
+			d.chol.SolveRows(q)
+			d.mulAB(d.a[n], d.prevA[n], q)
+			rm.ScatterMode(d.a[n], kout, n)
+		} else if d.opt.Constraint == nil {
+			d.solveRows(d.a[n], d.psi[n], &d.chol)
+		} else if run.optimized {
+			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], d.opt.Constraint)
+			run.res.ADMMIters += st.Iters
+			err = e
+		} else {
+			st, e := d.solver.Baseline(d.a[n], phi, d.psi[n], d.opt.Constraint)
+			run.res.ADMMIters += st.Iters
+			err = e
+		}
+		d.bd.Add(trace.Update, time.Since(t0))
+		if err != nil {
+			return 0, fmt.Errorf("core: mode %d ADMM: %w", n, err)
 		}
 		// Refresh the Gram matrices used by the other modes. The C⁽ⁿ⁾
 		// refresh is "Gram" work; the H⁽ⁿ⁾ cross-Gram against A⁽ⁿ⁾ₜ₋₁ is
@@ -246,11 +204,11 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 			d.normalizeModeExplicit(n)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
-		if run.rm != nil {
+		if rm != nil {
 			// Refresh the mode's compact gather so the remaining modes'
 			// kernels (and the time-mode solve) read the updated rows.
 			t0 = time.Now()
-			run.rm.GatherMode(d.aNzCur[n], d.a[n], n)
+			rm.GatherMode(d.aNzCur[n], d.a[n], n)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
 	}
@@ -258,15 +216,10 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 	// single-row MTTKRP that motivates the Hybrid Lock kernel) and with
 	// it the µG + ssᵀ Hadamard operand.
 	t0 := time.Now()
-	var err error
-	if run.rm != nil {
-		err = d.solveS(run.rm.X, d.aNzCur, !run.optimized)
-	} else {
-		err = d.solveS(run.x, d.a, !run.optimized)
-	}
+	err := d.solveS(run.kin, run.kf, !run.optimized)
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	t0 = time.Now()
 	d.buildMuG()
@@ -282,20 +235,25 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (bool, error) {
 		}
 	}
 	d.bd.Add(trace.Error, time.Since(t0))
-	run.res.Delta = delta
-	converged := math.Abs(delta-run.deltaPrev) < d.opt.Tol
-	run.deltaPrev = delta
-	return converged, nil
+	return delta, nil
 }
 
 // finishExplicit performs the Post work (fit tracking, G/S temporal
 // update) and returns the slice result.
-func (d *Decomposer) finishExplicit(run *explicitRun) SliceResult {
+func (d *Decomposer) finishExplicit(run *explicitRun) (SliceResult, error) {
 	if d.opt.TrackFit {
-		d.bd.Time(trace.Misc, func() { run.res.Fit = d.sliceFit(run.x) })
+		var err error
+		d.bd.Time(trace.Misc, func() { run.res.Fit, err = d.sliceFit(run.in) })
+		if err != nil {
+			return run.res, err
+		}
 	}
+	// This slice's rows moved outside the Gram-form bookkeeping (a
+	// streamed slice under spCP-stream lands here): like SetAlgorithm,
+	// make the next spCP slice recompute C_z,t−1 from scratch.
+	d.prevNZ = nil
 	d.bd.Time(trace.Post, d.finishSlice)
-	return run.res
+	return run.res, nil
 }
 
 // ensurePsi lazily allocates the Ψ workspace (one Iₙ×K matrix per mode).
@@ -310,18 +268,10 @@ func (d *Decomposer) ensurePsi() {
 }
 
 // ensureANzCur sizes the per-mode gathered compact factors A_nz to the
-// remapped slice's nz row counts (reallocating only modes whose count
-// changed) and fills them from the current factors.
+// remapped slice's nz row counts and fills them from the current
+// factors.
 func (d *Decomposer) ensureANzCur(rm *mttkrp.Remapped) {
-	if d.aNzCur == nil {
-		d.aNzCur = make([]*dense.Matrix, d.n)
-	}
-	for m := range d.aNzCur {
-		rows := len(rm.NZ[m])
-		if d.aNzCur[m] == nil || d.aNzCur[m].Rows != rows || d.aNzCur[m].Cols != d.k {
-			d.aNzCur[m] = dense.NewMatrix(rows, d.k)
-		}
-	}
+	d.aNzCur = d.sizeNZ(d.aNzCur, rm)
 	rm.GatherFactorsInto(d.aNzCur, d.a)
 }
 

@@ -270,13 +270,3 @@ func TestPlanKernelComposition(t *testing.T) {
 		}
 	}
 }
-
-// The CSF kernel option must not change the factor trajectory either.
-func TestCSFMTTKRPEquivalence(t *testing.T) {
-	s := skewedStream(t, 109)
-	plain, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: 2})
-	viaCSF, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: 2, CSFMTTKRP: true})
-	if d := maxFactorDiff(plain, viaCSF); d > 1e-8 {
-		t.Fatalf("CSF MTTKRP changed results by %g", d)
-	}
-}

@@ -14,19 +14,18 @@ import (
 //	‖X−X̂‖² = ‖X‖² − 2·⟨X, X̂⟩ + ‖X̂‖²
 //	⟨X, X̂⟩  = sᵀ·ψ with ψ the streaming-mode MTTKRP over current factors
 //	‖X̂‖²    = sᵀ(⊛_v C⁽ᵛ⁾)s
-func (d *Decomposer) sliceFit(x *sptensor.Tensor) float64 {
-	xnorm2 := x.Norm2()
-	if xnorm2 == 0 {
-		return math.NaN()
+//
+// It overwrites scratch1, fitPsi and fitTmp. A resident slice cannot
+// fail; a streamed one reports its decode errors.
+func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
+	xnorm2, err := d.norm2(in)
+	if err != nil || xnorm2 == 0 {
+		return math.NaN(), err
 	}
 	psi := d.fitPsi
-	d.mt.TimeMode(psi, x, d.a)
-	return d.fitFrom(xnorm2, psi)
-}
-
-// fitFrom finishes the fit from ‖X‖² and ψ — the part sliceFit and
-// streamedFit share. It overwrites scratch1 and fitTmp.
-func (d *Decomposer) fitFrom(xnorm2 float64, psi []float64) float64 {
+	if err := d.mttkrpTime(psi, in, d.a, false); err != nil {
+		return math.NaN(), err
+	}
 	had := d.scratch1
 	had.Fill(1)
 	for m := range d.c {
@@ -40,7 +39,7 @@ func (d *Decomposer) fitFrom(xnorm2 float64, psi []float64) float64 {
 	if err2 < 0 {
 		err2 = 0
 	}
-	return 1 - math.Sqrt(err2/xnorm2)
+	return 1 - math.Sqrt(err2/xnorm2), nil
 }
 
 // FitOf evaluates the current model's fit 1 − ‖X−X̂‖_F/‖X‖_F against an
@@ -48,13 +47,11 @@ func (d *Decomposer) fitFrom(xnorm2 float64, psi []float64) float64 {
 // e.g. to score a held-out or incoming slice before folding it in.
 // Returns NaN for an empty slice.
 func (d *Decomposer) FitOf(x *sptensor.Tensor) (float64, error) {
-	if x == nil || x.NModes() != d.n {
-		return math.NaN(), fmt.Errorf("core: FitOf slice has wrong mode count")
+	if x == nil {
+		return math.NaN(), fmt.Errorf("core: nil slice")
 	}
-	for m, dim := range x.Dims {
-		if dim != d.dims[m] {
-			return math.NaN(), fmt.Errorf("core: FitOf slice mode %d length %d ≠ %d", m, dim, d.dims[m])
-		}
+	if err := d.checkDims(x.Dims); err != nil {
+		return math.NaN(), err
 	}
-	return d.sliceFit(x), nil
+	return d.sliceFit(sliceData{x: x})
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+
 	"spstream/internal/csf"
+	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/perfmodel"
 	"spstream/internal/sptensor"
@@ -16,6 +19,102 @@ import (
 // against the tiled CSF engine per mode, using the measured slice shape
 // — a pure function of (slice, options), so checkpoint-restored and
 // retried slices reproduce the original kernel schedule exactly.
+
+// sliceData is one time slice's sparse data: resident (x) or streamed
+// out of core (src) — exactly one is set. The driver and both algorithm
+// bodies pass it around opaquely; only mttkrpMode, mttkrpTime and norm2
+// below look at which it is, so a streamed slice is an input to the one
+// slice driver rather than a driver of its own.
+type sliceData struct {
+	x   *sptensor.Tensor
+	src sptensor.BlockSource
+}
+
+func (in sliceData) dims() []int {
+	if in.src != nil {
+		return in.src.Dims()
+	}
+	return in.x.Dims
+}
+
+func (in sliceData) nnz() int {
+	if in.src != nil {
+		return in.src.NNZ()
+	}
+	return in.x.NNZ()
+}
+
+// scan is the guarded path's input scan.
+func (in sliceData) scan() error {
+	if in.src != nil {
+		return scanBlockInput(in.src)
+	}
+	return scanSliceInput(in.x)
+}
+
+// mttkrpMode computes out = MTTKRP(in, factors, n): streamed over the
+// blocks when the slice is a source (bit-identical to the compiled plan
+// on their concatenation, for any worker count), else by the kernel the
+// table resolved for mode n — the plan compiled over in.x, the CSF
+// engine's trees (begun on in.x), or the lock kernel.
+func (d *Decomposer) mttkrpMode(out *dense.Matrix, in sliceData, plan *mttkrp.Plan, factors []*dense.Matrix, n int) error {
+	if in.src != nil {
+		if err := d.streamKernel().MTTKRP(out, in.src, factors, n); err != nil {
+			return fmt.Errorf("core: mode %d streamed MTTKRP: %w", n, err)
+		}
+		return nil
+	}
+	switch d.kernels[n] {
+	case kcCSF:
+		d.csfEng.MTTKRP(out, factors, n)
+	case kcPlan:
+		d.mt.PlanMTTKRP(out, plan, factors, n)
+	default:
+		d.mt.Lock(out, in.x, factors, n)
+	}
+	return nil
+}
+
+// mttkrpTime computes the streaming-mode (time) MTTKRP dst over in. The
+// streamed reduction is the thread-local one whatever locked says (the
+// single-lock kernel has no out-of-core form), so a streamed slice
+// matches the in-memory Optimized path bit for bit. On a resident slice
+// locked selects the pathological single-lock kernel (Baseline) vs the
+// thread-local reduction — the paper's prime example of lock contention
+// (§IV-B).
+func (d *Decomposer) mttkrpTime(dst []float64, in sliceData, factors []*dense.Matrix, locked bool) error {
+	switch {
+	case in.src != nil:
+		if err := d.streamKernel().TimeMode(dst, in.src, factors); err != nil {
+			return fmt.Errorf("core: streamed time-mode MTTKRP: %w", err)
+		}
+	case locked:
+		d.mt.TimeModeLocked(dst, in.x, factors)
+	default:
+		d.mt.TimeMode(dst, in.x, factors)
+	}
+	return nil
+}
+
+// norm2 returns ‖X‖² of the slice. A source accumulates block by block
+// in block order — the same left-to-right summation Norm2 performs on
+// the materialized concatenation.
+func (d *Decomposer) norm2(in sliceData) (float64, error) {
+	if in.src == nil {
+		return in.x.Norm2(), nil
+	}
+	sum := 0.0
+	for b := 0; b < in.src.Blocks(); b++ {
+		blk, err := in.src.Block(b)
+		if err != nil {
+			return 0, fmt.Errorf("core: streamed ‖X‖²: %w", err)
+		}
+		for _, v := range blk.Vals {
+			sum += v * v
+		}
+	}
+	return sum, nil
+}
 
 // kernelChoice is one mode's resolved kernel for the current slice.
 type kernelChoice int8

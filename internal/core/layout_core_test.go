@@ -163,7 +163,7 @@ func TestExplicitRemapIterateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run, err := d.beginExplicit(s.Slices[2])
+	run, err := d.beginExplicit(sliceData{x: s.Slices[2]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,12 +191,6 @@ type Options struct {
 	// reproducible kernel benchmarking). Adjustable between slices via
 	// Decomposer.SetLayoutPolicy.
 	Layout LayoutPolicy
-	// CSFMTTKRP is the legacy switch for the Compressed Sparse Fiber
-	// MTTKRP (SPLATT's format, related work [15]); it is equivalent to
-	// MTTKRPKernel: KernelCSF and kept for compatibility. The fiber
-	// trees reuse partial Khatri-Rao products along shared index
-	// prefixes (see csf.Engine).
-	CSFMTTKRP bool
 	// MemBudget caps the estimated resident bytes a slice may occupy
 	// during processing (see perfmodel.ResidentBytes). When a slice
 	// arriving through ProcessBlockSlice would exceed it, the slice is
@@ -251,9 +245,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MTTKRPKernel == KernelDefault && o.CSFMTTKRP {
-		o.MTTKRPKernel = KernelCSF
 	}
 	if o.Resilience != nil {
 		cfg := o.Resilience.WithDefaults()

@@ -207,15 +207,18 @@ func recoveredError(r any) error {
 	return fmt.Errorf("core: panic during slice processing: %v\n%s", r, debug.Stack())
 }
 
-// runSlice executes one slice attempt with panic containment and the
-// solver-level cancellation check installed. It is the single choke
-// point through which both the guarded and unguarded paths process a
-// slice.
-func (d *Decomposer) runSlice(ctx context.Context, x *sptensor.Tensor) (res SliceResult, err error) {
+// runSlice executes one slice attempt — resident or streamed, explicit
+// or Gram-form — with panic containment and the solver-level
+// cancellation check installed. It is the single choke point through
+// which the guarded and unguarded paths process a slice, and holds the
+// one inner loop: the context is checked at iteration boundaries (and
+// inside long ADMM loops via the solver's cancel hook), so cancellation
+// abandons the slice without tearing down mid-kernel.
+func (d *Decomposer) runSlice(ctx context.Context, in sliceData) (res SliceResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			d.stats.PanicsRecovered++
-			res.T, res.NNZ = d.t, x.NNZ()
+			res.T, res.NNZ = d.t, in.nnz()
 			err = recoveredError(r)
 		}
 	}()
@@ -225,14 +228,63 @@ func (d *Decomposer) runSlice(ctx context.Context, x *sptensor.Tensor) (res Slic
 	}
 	d.iterNo = 0
 	if err := d.injectFault(resilience.StageBegin, 0); err != nil {
-		return SliceResult{T: d.t, NNZ: x.NNZ()}, err
+		return SliceResult{T: d.t, NNZ: in.nnz()}, err
 	}
-	switch d.opt.Algorithm {
-	case SpCPStream:
-		return d.processSliceSpCP(ctx, x)
-	default:
-		return d.processSliceExplicit(ctx, x)
+	if in.src != nil {
+		// The streamed kernel holds the source from begin on; drop it
+		// however the slice ends, so a reader the caller closes is not
+		// kept alive.
+		defer d.streamKernel().End()
 	}
+	// The Gram-form recurrence needs the resident slice (its nz sets come
+	// from a remap); a streamed slice runs the explicit body under every
+	// algorithm.
+	var (
+		ex  *explicitRun
+		sp  *spcpRun
+		out *SliceResult
+	)
+	if d.opt.Algorithm == SpCPStream && in.src == nil {
+		sp, err = d.beginSpCP(in.x)
+		out = &sp.res
+	} else {
+		ex, err = d.beginExplicit(in)
+		out = &ex.res
+	}
+	if err != nil {
+		return *out, err
+	}
+	deltaPrev := math.Inf(1)
+	for iter := 1; iter <= d.opt.MaxIters; iter++ {
+		d.iterNo = iter
+		if err := ctx.Err(); err != nil {
+			return *out, err
+		}
+		if err := d.injectFault(resilience.StageIterate, iter); err != nil {
+			return *out, err
+		}
+		out.Iters++
+		d.bd.Iters++
+		var delta float64
+		if sp != nil {
+			delta, err = d.iterateSpCP(sp)
+		} else {
+			delta, err = d.iterateExplicit(ex)
+		}
+		if err != nil {
+			return *out, err
+		}
+		out.Delta = delta
+		if math.Abs(delta-deltaPrev) < d.opt.Tol {
+			out.Converged = true
+			break
+		}
+		deltaPrev = delta
+	}
+	if sp != nil {
+		return d.finishSpCP(sp), nil
+	}
+	return d.finishExplicit(ex)
 }
 
 // ProcessSliceContext advances the factorization by one time slice
@@ -246,7 +298,26 @@ func (d *Decomposer) runSlice(ctx context.Context, x *sptensor.Tensor) (res Slic
 // resilience.ErrSliceSkipped alongside a result with Skipped set; the
 // decomposer remains at its pre-slice state and can keep streaming.
 func (d *Decomposer) ProcessSliceContext(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	res, err := d.processSliceCtx(ctx, x)
+	return d.processSlice(ctx, sliceData{x: x})
+}
+
+// processSlice is the one slice entry, shared by ProcessSliceContext
+// and ProcessBlockSliceContext: shape check, the guarded run, and the
+// commit hook.
+func (d *Decomposer) processSlice(ctx context.Context, in sliceData) (SliceResult, error) {
+	if in.x == nil && in.src == nil {
+		return SliceResult{}, fmt.Errorf("core: nil slice")
+	}
+	if err := d.checkDims(in.dims()); err != nil {
+		return SliceResult{}, err
+	}
+	if in.src != nil {
+		var err error
+		if in, err = d.stageBlocks(in.src); err != nil {
+			return SliceResult{}, err
+		}
+	}
+	res, err := d.guardedRun(ctx, in)
 	if err == nil && d.commitHook != nil {
 		// The slice is committed: every return path with err == nil has
 		// passed the health check (guarded mode) and advanced t.
@@ -257,29 +328,19 @@ func (d *Decomposer) ProcessSliceContext(ctx context.Context, x *sptensor.Tensor
 	return res, err
 }
 
-// processSliceCtx is ProcessSliceContext without the commit hook.
-func (d *Decomposer) processSliceCtx(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	if err := d.checkSlice(x); err != nil {
-		return SliceResult{}, err
-	}
-	return d.guardedRun(ctx, x.NNZ(),
-		func() error { return scanSliceInput(x) },
-		func(runCtx context.Context) (SliceResult, error) { return d.runSlice(runCtx, x) })
-}
-
-// guardedRun wraps one slice-shaped unit of work (in-memory or blocked)
-// in the resilience policy: input scan, snapshot, the retry loop with
-// per-attempt timeout, health check, and rollback + policy on failure.
-// With a nil resilience config it is exactly run(ctx).
-func (d *Decomposer) guardedRun(ctx context.Context, nnz int, scan func() error, run func(context.Context) (SliceResult, error)) (SliceResult, error) {
+// guardedRun wraps one slice (resident or streamed) in the resilience
+// policy: input scan, snapshot, the retry loop with per-attempt timeout,
+// health check, and rollback + policy on failure. With a nil resilience
+// config it is exactly runSlice.
+func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult, error) {
 	cfg := d.opt.Resilience
 	if cfg == nil {
-		return run(ctx)
+		return d.runSlice(ctx, in)
 	}
 	if !cfg.DisableInputScan {
-		if err := scan(); err != nil {
+		if err := in.scan(); err != nil {
 			d.stats.InputRejects++
-			res := SliceResult{T: d.t, NNZ: nnz}
+			res := SliceResult{T: d.t, NNZ: in.nnz()}
 			if cfg.Policy == resilience.SkipSlice {
 				d.stats.SlicesSkipped++
 				res.Skipped = true
@@ -297,7 +358,7 @@ func (d *Decomposer) guardedRun(ctx context.Context, nnz int, scan func() error,
 		if cfg.SliceTimeout > 0 {
 			runCtx, cancel = context.WithTimeout(ctx, cfg.SliceTimeout)
 		}
-		res, err = run(runCtx)
+		res, err = d.runSlice(runCtx, in)
 		if err == nil {
 			if herr := d.healthCheck(&res); herr != nil {
 				d.stats.HealthFailures++

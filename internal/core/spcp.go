@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,59 +8,31 @@ import (
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/parallel"
-	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
 )
 
-// spcpRun holds the per-slice state of Algorithm 4 between the
-// begin/iterate/finish phases: the remapped slice, its compiled MTTKRP
-// plan, the gathered A_nz iterates, and the per-mode final transforms.
-type spcpRun struct {
-	x         *sptensor.Tensor
-	rm        *mttkrp.Remapped
-	plan      *mttkrp.Plan
-	aNzPrev   []*dense.Matrix
-	aNz       []*dense.Matrix
-	tFinal    []*dense.Matrix
-	czCur     []*dense.Matrix
-	tmpKK     *dense.Matrix
-	deltaPrev float64
-	res       SliceResult
-}
-
-// processSliceSpCP runs one time slice of the paper's Algorithm 4
-// (spCP-stream). Factor rows are partitioned per mode into the nz(n)
-// subset touched by this slice's nonzeros and the untouched z(n)
-// subset. Only A_nz is materialized and iterated on; the z rows are
+// spcpRun holds the per-slice state of the paper's Algorithm 4
+// (spCP-stream) between the begin/iterate/finish phases: the remapped
+// slice, its compiled MTTKRP plan, the gathered A_nz iterates, and the
+// per-mode final transforms. Factor rows are partitioned per mode into
+// the nz(n) subset touched by this slice's nonzeros and the untouched
+// z(n) subset. Only A_nz is materialized and iterated on; the z rows are
 // carried implicitly through the K×K Gram matrices C_z (Eq. 11) and
 // updated explicitly once, after convergence, by the accumulated
 // transform Q·Φ⁻¹ of the final iteration (Eq. 6). The inner loop
 // therefore costs O(nnz·K + |nz|·K² + K³) per mode instead of
 // O(nnz·K + Iₙ·K²) — the source of the 102× speedups on skewed tensors.
-func (d *Decomposer) processSliceSpCP(ctx context.Context, x *sptensor.Tensor) (SliceResult, error) {
-	run, err := d.beginSpCP(x)
-	if err != nil {
-		return run.res, err
-	}
-	for iter := 1; iter <= d.opt.MaxIters; iter++ {
-		d.iterNo = iter
-		if err := ctx.Err(); err != nil {
-			return run.res, err
-		}
-		if err := d.injectFault(resilience.StageIterate, iter); err != nil {
-			return run.res, err
-		}
-		converged, err := d.iterateSpCP(run)
-		if err != nil {
-			return run.res, err
-		}
-		if converged {
-			run.res.Converged = true
-			break
-		}
-	}
-	return d.finishSpCP(run), nil
+type spcpRun struct {
+	x       *sptensor.Tensor
+	rm      *mttkrp.Remapped
+	plan    *mttkrp.Plan
+	aNzPrev []*dense.Matrix
+	aNz     []*dense.Matrix
+	tFinal  []*dense.Matrix
+	czCur   []*dense.Matrix
+	tmpKK   *dense.Matrix
+	res     SliceResult
 }
 
 // beginSpCP performs the Pre work: remap, nz bookkeeping, incremental
@@ -70,9 +41,8 @@ func (d *Decomposer) processSliceSpCP(ctx context.Context, x *sptensor.Tensor) (
 // sₜ warm start.
 func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 	run := &spcpRun{
-		x:         x,
-		deltaPrev: math.Inf(1),
-		res:       SliceResult{T: d.t, NNZ: x.NNZ(), Fit: math.NaN()},
+		x:   x,
+		res: SliceResult{T: d.t, NNZ: x.NNZ(), Fit: math.NaN()},
 	}
 	var err error
 	d.bd.Time(trace.Pre, func() {
@@ -134,7 +104,7 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 		run.plan = d.beginKernels(rm.X)
 		// sₜ update over the remapped slice and gathered prev factors
 		// (identical values, slice-local footprint).
-		err = d.solveS(rm.X, run.aNzPrev, false)
+		err = d.solveS(sliceData{x: rm.X}, run.aNzPrev, false)
 	})
 	if err != nil {
 		return run, err
@@ -143,11 +113,9 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 	return run, nil
 }
 
-// iterateSpCP runs one inner iteration of Algorithm 4 and reports
-// convergence. Steady-state allocation-free, like iterateExplicit.
-func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
-	run.res.Iters++
-	d.bd.Iters++
+// iterateSpCP runs one inner iteration of Algorithm 4 and returns its
+// δₜ. Steady-state allocation-free, like iterateExplicit.
+func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
 	for n := 0; n < d.n; n++ {
@@ -161,22 +129,17 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
 		err := d.factorize(phi)
 		d.bd.Add(trace.Inverse, time.Since(t0))
 		if err != nil {
-			return false, fmt.Errorf("core: spcp mode %d Φ factorization: %w", n, err)
+			return 0, fmt.Errorf("core: spcp mode %d Φ factorization: %w", n, err)
 		}
 		// A_nz update (Eq. 7): plan-based spMTTKRP over gathered factors
 		// plus the nz part of the historical term, then the Φ solve.
 		t0 = time.Now()
 		psi := d.nzPsi[n]
-		switch d.kernels[n] {
-		case kcCSF:
-			d.csfEng.MTTKRP(psi, run.aNz, n)
-		case kcPlan:
-			d.mt.PlanMTTKRP(psi, run.plan, run.aNz, n)
-		default:
-			d.mt.Lock(psi, run.rm.X, run.aNz, n)
+		if err := d.mttkrpMode(psi, sliceData{x: run.rm.X}, run.plan, run.aNz, n); err != nil {
+			return 0, err
 		}
 		// Column-scale by sₜ: the time mode's single Khatri-Rao row
-		// (see processSliceExplicit).
+		// (see iterateExplicit).
 		dense.ScaleColumns(psi, psi, d.s)
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
 		t0 = time.Now()
@@ -194,7 +157,7 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
 		}
 		d.bd.Add(trace.Update, time.Since(t0))
 		if err != nil {
-			return false, fmt.Errorf("core: spcp mode %d ADMM: %w", n, err)
+			return 0, fmt.Errorf("core: spcp mode %d ADMM: %w", n, err)
 		}
 		// Gram refresh: C_nz from the explicit nz rows; the H_nz
 		// cross-Gram is historical-term work (Fig. 8 accounting) …
@@ -220,10 +183,10 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
 	// Time-mode ALS block: refresh sₜ over the remapped slice and the
 	// gathered current factors, then the µG + ssᵀ operand.
 	t0 := time.Now()
-	err := d.solveS(run.rm.X, run.aNz, false)
+	err := d.solveS(sliceData{x: run.rm.X}, run.aNz, false)
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	t0 = time.Now()
 	d.buildMuG()
@@ -243,10 +206,7 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (bool, error) {
 		}
 	}
 	d.bd.Add(trace.Error, time.Since(t0))
-	run.res.Delta = delta
-	converged := math.Abs(delta-run.deltaPrev) < d.opt.Tol
-	run.deltaPrev = delta
-	return converged, nil
+	return delta, nil
 }
 
 // finishSpCP materializes A = A_z ⊕ A_nz (Alg. 4 line 34) and performs
@@ -282,25 +242,31 @@ func (d *Decomposer) finishSpCP(run *spcpRun) SliceResult {
 		}
 	})
 	if d.opt.TrackFit {
-		d.bd.Time(trace.Misc, func() { run.res.Fit = d.sliceFit(run.x) })
+		// The fit of a resident slice cannot fail.
+		d.bd.Time(trace.Misc, func() { run.res.Fit, _ = d.sliceFit(sliceData{x: run.x}) })
 	}
 	d.bd.Time(trace.Post, d.finishSlice)
 	return run.res
 }
 
 // ensureNzPsi sizes the per-mode Ψ_nz workspaces to the remapped
-// slice's nz row counts, reallocating only the modes whose count
-// changed since the previous slice.
-func (d *Decomposer) ensureNzPsi(rm *mttkrp.Remapped) {
-	if d.nzPsi == nil {
-		d.nzPsi = make([]*dense.Matrix, d.n)
+// slice's nz row counts.
+func (d *Decomposer) ensureNzPsi(rm *mttkrp.Remapped) { d.nzPsi = d.sizeNZ(d.nzPsi, rm) }
+
+// sizeNZ returns ms as one |nz(m)|×K matrix per mode of the remapped
+// slice, reallocating only the modes whose count changed since the
+// previous slice.
+func (d *Decomposer) sizeNZ(ms []*dense.Matrix, rm *mttkrp.Remapped) []*dense.Matrix {
+	if ms == nil {
+		ms = make([]*dense.Matrix, d.n)
 	}
-	for m := range d.nzPsi {
+	for m := range ms {
 		rows := len(rm.NZ[m])
-		if d.nzPsi[m] == nil || d.nzPsi[m].Rows != rows || d.nzPsi[m].Cols != d.k {
-			d.nzPsi[m] = dense.NewMatrix(rows, d.k)
+		if ms[m] == nil || ms[m].Rows != rows || ms[m].Cols != d.k {
+			ms[m] = dense.NewMatrix(rows, d.k)
 		}
 	}
+	return ms
 }
 
 // markNZ returns the Decomposer's row mask, grown to rows entries, with

@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
@@ -204,18 +206,22 @@ func TestBlockSliceShapeChecks(t *testing.T) {
 }
 
 // flakySource serves block bad a fixed number of times and then fails
-// it — a block that goes away after the input scan and the schedule
-// compile have read it, so the failure surfaces from a worker inside
-// the kernel's pool dispatch.
+// it (or panics) — a block that goes away after the input scan and the
+// schedule compile have read it, so the failure surfaces from a worker
+// inside the kernel's pool dispatch.
 type flakySource struct {
 	sptensor.BlockSource
-	bad   int
-	good  int64
-	calls atomic.Int64
+	bad    int
+	good   int64
+	panics bool
+	calls  atomic.Int64
 }
 
 func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
 	if b == f.bad && f.calls.Add(1) > f.good {
+		if f.panics {
+			panic("flaky: block gone")
+		}
 		return nil, errors.New("flaky: block gone")
 	}
 	return f.BlockSource.BlockInto(b, buf)
@@ -302,6 +308,261 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 			}
 			for n := range dims {
 				sameMatrixBits(t, fmt.Sprintf("workers=%d scan=%v next-slice factor %d", workers, scan, n), d.Factor(n), control.Factor(n))
+			}
+		}
+	}
+}
+
+// relFactorDiff is the largest factor difference between two
+// decomposers relative to the largest factor entry.
+func relFactorDiff(a, b *Decomposer) float64 {
+	scale := 0.0
+	for m := range a.a {
+		for _, v := range a.Factor(m).Data {
+			scale = math.Max(scale, math.Abs(v))
+		}
+	}
+	return maxFactorDiff(a, b) / scale
+}
+
+// TestSpCPStreamMixedEval streams two over-budget slices through a
+// spCP-stream decomposer between resident ones. The streamed slices run
+// the explicit body, which moves every row outside the Gram-form
+// bookkeeping, so the next spCP slice must rebuild C_z,t−1 from scratch:
+// the incremental run has to land where the DirectCz run (which always
+// rebuilds) does. The incremental run also loses the first slice after
+// the streamed ones to a failed health check, after that slice's finish
+// has recorded its nz sets: the rollback has to forget them again.
+func TestSpCPStreamMixedEval(t *testing.T) {
+	dims := []int{30, 2000, 20}
+	slices := testStream(t, 17, dims, 300, 6).Slices
+	big := testStream(t, 18, dims, 3000, 6).Slices
+	slices[2], slices[3] = big[2], big[3]
+	run := func(direct bool) *Decomposer {
+		d, err := NewDecomposer(dims, Options{
+			Rank: 6, Algorithm: SpCPStream, DirectCz: direct, Seed: 3,
+			MemBudget:  perfmodel.ResidentBytes(1000, 3),
+			Resilience: &resilience.Config{Policy: resilience.SkipSlice},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func(x *sptensor.Tensor) error {
+			src, err := sptensor.SplitBlocks(x, 500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = d.ProcessBlockSlice(src)
+			return err
+		}
+		full := d.MaxIters()
+		for ti, x := range slices {
+			if ti == 0 {
+				d.SetMaxIters(1) // a cold first slice, as the benchmark feeds it
+			}
+			if ti == 4 && !direct {
+				maxDelta := d.opt.Resilience.MaxDelta
+				d.opt.Resilience.MaxDelta = 0
+				if err := feed(x); !errors.Is(err, resilience.ErrSliceSkipped) {
+					t.Fatalf("slice 4 under MaxDelta 0: %v, want a skipped slice", err)
+				}
+				if d.prevNZ != nil || d.T() != 4 {
+					t.Fatalf("rollback left prevNZ=%v t=%d, want nil and 4", d.prevNZ, d.T())
+				}
+				d.opt.Resilience.MaxDelta = maxDelta
+			}
+			if err := feed(x); err != nil {
+				t.Fatalf("slice %d: %v", ti, err)
+			}
+			d.SetMaxIters(full)
+			streamed := ti == 2 || ti == 3
+			if got := d.LastEvalMode(); (got == perfmodel.EvalStreamed) != streamed {
+				t.Fatalf("slice %d: eval mode %v", ti, got)
+			}
+			if (d.prevNZ == nil) != streamed {
+				t.Fatalf("slice %d: prevNZ nil is %v, streamed is %v", ti, d.prevNZ == nil, streamed)
+			}
+		}
+		return d
+	}
+	if diff := relFactorDiff(run(false), run(true)); diff > 1e-10 {
+		t.Fatalf("incremental C_z differs from DirectCz by %g after streamed slices", diff)
+	}
+}
+
+// TestStreamedSliceClearsKernelDiagnostics: a streamed slice runs no
+// kernel table and no layout decision, so neither may keep naming the
+// resident slice before it.
+func TestStreamedSliceClearsKernelDiagnostics(t *testing.T) {
+	s := remapStream(t, 23, 2)
+	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Seed: 2, MemBudget: perfmodel.ResidentBytes(1000, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := testStream(t, 24, s.Dims, 3000, 1).Slices[0]
+	for ti, x := range []*sptensor.Tensor{s.Slices[0], s.Slices[1], over} {
+		src, err := sptensor.SplitBlocks(x, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ProcessBlockSlice(src); err != nil {
+			t.Fatal(err)
+		}
+		schedule := string(d.KernelSchedule(nil))
+		remapped, hot := d.LastLayoutDecision()
+		if ti < 2 {
+			if d.LastEvalMode() != perfmodel.EvalInMemory || len(schedule) != len(s.Dims) || !remapped {
+				t.Fatalf("slice %d: eval %v, schedule %q, remapped %v; want a remapped in-memory slice", ti, d.LastEvalMode(), schedule, remapped)
+			}
+		} else if d.LastEvalMode() != perfmodel.EvalStreamed || schedule != "" || remapped || hot {
+			t.Fatalf("streamed slice: eval %v, schedule %q, layout %v/%v; want streamed, empty, false/false", d.LastEvalMode(), schedule, remapped, hot)
+		}
+	}
+}
+
+// TestSliceDriverStreamedAndResident feeds one stream through the three
+// ways into the slice driver — ProcessSlice, ProcessBlockSlice under the
+// budget (materialized) and over it (streamed) — and checks they are one
+// driver: the fault hook sees the same (stage, slice, iter, attempt)
+// sequence, the explicit body lands on the same bits whatever the entry,
+// and the commit hook fires once per committed slice and never for a
+// slice lost to an injected StageIterate error or to a panic inside the
+// streamed kernel, both of which leave the state bit for bit where it
+// was. MaxIters with a Tol no δ step reaches pins the iteration count,
+// so the spCP-stream config (whose streamed entry runs the explicit
+// body) must still report the same sequence.
+func TestSliceDriverStreamedAndResident(t *testing.T) {
+	dims := []int{40, 30, 50}
+	stream := testStream(t, 29, dims, 1500, 4)
+	const resident, materialized, streamed = 0, 1, 2
+	explicit := Options{Algorithm: Optimized, MTTKRPKernel: KernelPlan, Layout: LayoutOff}
+	nonneg := explicit
+	nonneg.Constraint = admm.NonNeg{}
+	configs := []struct {
+		name string
+		opt  Options
+	}{{"plan", explicit}, {"nonneg", nonneg}, {"spcp", Options{Algorithm: SpCPStream}}}
+	type outcome struct {
+		faults    []resilience.Fault
+		committed []SliceResult
+		d         *Decomposer
+	}
+	for _, cfg := range configs {
+		for _, workers := range []int{1, 4} {
+			run := func(entry int) outcome {
+				var out outcome
+				failIter := false
+				opt := cfg.opt
+				opt.Rank, opt.Seed, opt.Workers, opt.TrackFit = 5, 9, workers, true
+				opt.MaxIters, opt.Tol = 3, 1e-300
+				if entry != resident {
+					opt.MemBudget = 1 << 30
+				}
+				if entry == streamed {
+					opt.MemBudget = 1
+				}
+				opt.Resilience = &resilience.Config{
+					Policy: resilience.SkipSlice,
+					FaultHook: func(f resilience.Fault) error {
+						out.faults = append(out.faults, f)
+						if failIter && f.Stage == resilience.StageIterate && f.Iter == 2 {
+							return errors.New("injected")
+						}
+						return nil
+					},
+				}
+				d, err := NewDecomposer(dims, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.d = d
+				d.SetCommitHook(func(res SliceResult) { out.committed = append(out.committed, res) })
+				feed := func(x *sptensor.Tensor, wrap func(sptensor.BlockSource) sptensor.BlockSource) error {
+					if entry == resident {
+						_, err := d.ProcessSlice(x)
+						return err
+					}
+					src, err := sptensor.SplitBlocks(x, 400)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = d.ProcessBlockSlice(wrap(src))
+					return err
+				}
+				plain := func(src sptensor.BlockSource) sptensor.BlockSource { return src }
+				// lost feeds a slice that must fail and checks nothing moved.
+				lost := func(what string, x *sptensor.Tensor, wrap func(sptensor.BlockSource) sptensor.BlockSource) {
+					var before []*dense.Matrix
+					for n := range dims {
+						before = append(before, d.Factor(n).Clone())
+					}
+					commits, at := len(out.committed), d.T()
+					if err := feed(x, wrap); !errors.Is(err, resilience.ErrSliceSkipped) {
+						t.Fatalf("%s workers=%d entry=%d: %s gave %v, want a skipped slice", cfg.name, workers, entry, what, err)
+					}
+					if len(out.committed) != commits || d.T() != at {
+						t.Fatalf("%s workers=%d entry=%d: %s committed (hook fired %d times, t=%d)", cfg.name, workers, entry, what, len(out.committed)-commits, d.T())
+					}
+					for n := range dims {
+						sameMatrixBits(t, fmt.Sprintf("%s workers=%d entry=%d: factor %d after %s", cfg.name, workers, entry, n, what), d.Factor(n), before[n])
+					}
+				}
+				for ti, x := range stream.Slices {
+					if ti == 2 {
+						failIter = true
+						lost("injected iterate error", x, plain)
+						failIter = false
+					}
+					if ti == 3 && entry == streamed {
+						// Outside the compared fault sequence: only this entry
+						// has a streamed kernel to panic in.
+						seen := len(out.faults)
+						lost("streamed kernel panic", x, func(src sptensor.BlockSource) sptensor.BlockSource {
+							return &flakySource{BlockSource: src, bad: 1, good: 3, panics: true}
+						})
+						if d.ResilienceStats().PanicsRecovered == 0 {
+							t.Fatalf("%s workers=%d: the slice was not lost to a recovered panic", cfg.name, workers)
+						}
+						out.faults = out.faults[:seen]
+					}
+					if err := feed(x, plain); err != nil {
+						t.Fatalf("%s workers=%d entry=%d slice %d: %v", cfg.name, workers, entry, ti, err)
+					}
+				}
+				return out
+			}
+			ref := run(resident)
+			for ti, res := range ref.committed {
+				if res.T != ti {
+					t.Fatalf("%s workers=%d: commit %d is slice %d", cfg.name, workers, ti, res.T)
+				}
+			}
+			for entry := materialized; entry <= streamed; entry++ {
+				got := run(entry)
+				label := fmt.Sprintf("%s workers=%d entry=%d", cfg.name, workers, entry)
+				if !slices.Equal(got.faults, ref.faults) {
+					t.Fatalf("%s: fault sequence differs from ProcessSlice's\n got %v\nwant %v", label, got.faults, ref.faults)
+				}
+				if len(got.committed) != len(stream.Slices) {
+					t.Fatalf("%s: commit hook fired %d times for %d slices", label, len(got.committed), len(stream.Slices))
+				}
+				if cfg.opt.Algorithm == SpCPStream && entry == streamed {
+					continue // the explicit body, not the Gram-form one: same model, other bits
+				}
+				for ti, res := range got.committed {
+					want := ref.committed[ti]
+					if res.T != want.T || res.Iters != want.Iters || res.ADMMIters != want.ADMMIters ||
+						math.Float64bits(res.Delta) != math.Float64bits(want.Delta) || math.Float64bits(res.Fit) != math.Float64bits(want.Fit) {
+						t.Fatalf("%s slice %d: result %+v, want %+v", label, ti, res, want)
+					}
+				}
+				for n := range dims {
+					sameMatrixBits(t, fmt.Sprintf("%s factor %d", label, n), got.d.Factor(n), ref.d.Factor(n))
+				}
+				sameMatrixBits(t, label+" temporal Gram", got.d.TemporalGram(), ref.d.TemporalGram())
+				if !slices.Equal(got.d.LastS(), ref.d.LastS()) {
+					t.Fatalf("%s: sₜ differs", label)
+				}
 			}
 		}
 	}

@@ -41,10 +41,11 @@ func (d *Decomposer) Algorithm() Algorithm { return d.opt.Algorithm }
 // SetAlgorithm switches the solver variant between slices. The three
 // variants share the explicit factor/Gram state that crosses slice
 // boundaries (finishSpCP materializes A = A_z ⊕ A_nz every slice), so
-// the switch is exact: the next slice simply runs the other inner
-// loop. The spCP-stream incremental C_z bookkeeping is invalidated by
-// any switch (its prevNZ set refers to slices processed by the other
-// path), so the next spCP slice recomputes C_z,t−1 from scratch — one
+// the switch is exact: the next slice simply runs the other body. The
+// spCP-stream incremental C_z bookkeeping is invalidated by any switch
+// and by any slice the explicit body finishes — a streamed slice under
+// spCP-stream included (prevNZ would name rows the Gram form did not
+// track) — so the next spCP slice recomputes C_z,t−1 from scratch: one
 // extra Gram pass, after which incremental maintenance resumes.
 //
 // The same constraint-compatibility rules as construction apply

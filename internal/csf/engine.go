@@ -1,3 +1,16 @@
+// Package csf implements Compressed Sparse Fiber storage — the format of
+// SPLATT (Smith & Karypis, the paper's related work [15]) — and a pooled
+// MTTKRP engine over it. CSF arranges a slice's nonzeros as a forest:
+// one tree level per mode, with nonzeros sharing an index prefix sharing
+// the corresponding tree path. The MTTKRP then reuses each internal
+// node's partial Khatri-Rao product across all of its leaves, cutting
+// the per-nonzero work from (N−1)·K multiplies to roughly K at the
+// deepest level, and — like the sorted-segment kernel — each root owns
+// its output row, so no synchronization is needed.
+//
+// The paper's own kernels operate on plain COO; this package is the
+// storage-format counterpoint its related-work section contrasts
+// against, selected per mode by core's kernel policy.
 package csf
 
 import (
@@ -63,6 +76,14 @@ func ModeOrderBase(buf []int, n, root int) []int {
 		}
 	}
 	return buf
+}
+
+// Level is one depth of the fiber forest. Node i at this level has
+// index IDs[i] (in its mode's index space) and children (or value
+// range, at the deepest level) [Ptr[i], Ptr[i+1]).
+type Level struct {
+	IDs []int32
+	Ptr []int32
 }
 
 // tile is one unit of kernel work. A whole-root tile (shard < 0) owns
@@ -186,9 +207,6 @@ func NewEngineWithPool(workers int, pool *parallel.Pool) *Engine {
 	e.args.e = e
 	return e
 }
-
-// Workers returns the worker count the engine schedules for.
-func (e *Engine) Workers() int { return e.workers }
 
 // Begin points the engine at a new slice and invalidates every tree.
 // The slice must not be mutated while the engine is in use. Trees are
@@ -424,9 +442,9 @@ func (e *Engine) buildLevelsSorted(t *tree, perm []int32) {
 	nnz := len(perm)
 
 	leaf := &t.levels[n-1]
-	leaf.IDs = growI32(leaf.IDs, nnz)
-	leaf.Ptr = growI32(leaf.Ptr, nnz+1)
-	t.vals = growF64(t.vals, nnz)
+	leaf.IDs = grow(leaf.IDs, nnz)
+	leaf.Ptr = grow(leaf.Ptr, nnz+1)
+	t.vals = grow(t.vals, nnz)
 	leafCol := x.Inds[t.order[n-1]]
 	for i, p := range perm {
 		t.vals[i] = x.Vals[p]
@@ -486,7 +504,7 @@ func (e *Engine) buildLevelsSorted(t *tree, perm []int32) {
 	if n == 2 {
 		// Level 1 is the leaf itself: its value ranges are the identity,
 		// like the leaf Ptr.
-		t.childVal = growI32(t.childVal, nnz+1)
+		t.childVal = grow(t.childVal, nnz+1)
 		for i := range t.childVal {
 			t.childVal[i] = int32(i)
 		}
@@ -496,18 +514,11 @@ func (e *Engine) buildLevelsSorted(t *tree, perm []int32) {
 	t.rootVal = append(t.rootVal, int32(nnz))
 }
 
-// growI32 reslices s to length n, reallocating only when capacity is
-// short (contents are overwritten by the caller).
-func growI32(s []int32, n int) []int32 {
+// grow reslices s to length n, reallocating only when capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -660,10 +671,7 @@ func (t *tree) buildTiles(workers int) {
 	}
 
 	nt := len(t.tiles)
-	if cap(t.cumTile) < nt+1 {
-		t.cumTile = make([]int32, nt+1)
-	}
-	t.cumTile = t.cumTile[:nt+1]
+	t.cumTile = grow(t.cumTile, nt+1)
 	t.cumTile[0] = 0
 	for i := range t.tiles {
 		tl := &t.tiles[i]
@@ -697,13 +705,6 @@ func (e *Engine) ensureScratch(k, nLevels int) {
 	}
 }
 
-func (e *Engine) ensureShards(n int) {
-	if cap(e.shards) < n {
-		e.shards = make([]float64, n)
-	}
-	e.shards = e.shards[:n]
-}
-
 func (e *Engine) checkShapes(out *dense.Matrix, factors []*dense.Matrix, mode int) int {
 	if len(factors) != len(e.dims) {
 		panic(fmt.Sprintf("csf: %d factors for %d modes", len(factors), len(e.dims)))
@@ -734,7 +735,7 @@ func (e *Engine) MTTKRP(out *dense.Matrix, factors []*dense.Matrix, mode int) {
 		return
 	}
 	e.ensureScratch(k, len(t.order))
-	e.ensureShards(t.nSplit * k)
+	e.shards = grow(e.shards, t.nSplit*k)
 	a := &e.args
 	a.t, a.out, a.factors, a.k = t, out, factors, k
 	active := len(t.wb) - 1

@@ -11,8 +11,8 @@ import (
 	"spstream/internal/synth"
 )
 
-// rawSlice is randomSlice without coalescing, so duplicate coordinates
-// survive into the engine (which must merge them into leaf value
+// rawSlice is a random slice with its duplicate coordinates left in, so
+// they survive into the engine (which must merge them into leaf value
 // ranges).
 func rawSlice(seed uint64, dims []int, nnz int) *sptensor.Tensor {
 	r := synth.NewRNG(seed)
@@ -25,6 +25,26 @@ func rawSlice(seed uint64, dims []int, nnz int) *sptensor.Tensor {
 		x.Append(coord, r.NormFloat64())
 	}
 	return x
+}
+
+// randomSlice is rawSlice coalesced: sorted, no duplicates.
+func randomSlice(seed uint64, dims []int, nnz int) *sptensor.Tensor {
+	x := rawSlice(seed, dims, nnz)
+	x.Coalesce()
+	return x
+}
+
+func randomFactors(seed uint64, dims []int, k int) []*dense.Matrix {
+	r := synth.NewRNG(seed)
+	out := make([]*dense.Matrix, len(dims))
+	for m, d := range dims {
+		f := dense.NewMatrix(d, k)
+		for i := range f.Data {
+			f.Data[i] = r.NormFloat64()
+		}
+		out[m] = f
+	}
+	return out
 }
 
 func maxAbsDiff(a, b *dense.Matrix) float64 {
