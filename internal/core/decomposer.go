@@ -48,6 +48,7 @@ type Decomposer struct {
 	// Kernels and workspaces.
 	psi    []*dense.Matrix // Ψ workspace for the explicit algorithms
 	nzPsi  []*dense.Matrix // per-mode Ψ_nz workspaces for spCP-stream
+	lastM  *dense.Matrix   // raw MTTKRP of a constrained last factor mode
 	mt     *mttkrp.Computer
 	solver *admm.Solver
 	bd     trace.Breakdown
@@ -92,8 +93,11 @@ type Decomposer struct {
 	// Reusable column-scale buffer for normalization.
 	colScale []float64
 
-	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s).
-	fitPsi, fitTmp []float64
+	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s). ψ is also every
+	// sₜ solve's right-hand side; psiFresh says it is the running slice's,
+	// over the factors as they now are. dotPart: colDots' block partials.
+	fitPsi, fitTmp, dotPart []float64
+	psiFresh                bool
 
 	// Reusable argument block for the ctx-style parallel helpers below.
 	pargs coreArgs
@@ -122,11 +126,13 @@ type Decomposer struct {
 // inside the hook is safe; retaining references past its return is not.
 func (d *Decomposer) SetCommitHook(h func(SliceResult)) { d.commitHook = h }
 
-// coreArgs carries addMulAB/solveRows operands through the worker pool
-// without closures; owned by the Decomposer and cleared after each call.
+// coreArgs carries stageRHS/solveRows/colDots operands through the worker
+// pool without closures; owned by the Decomposer and cleared after each call.
 type coreArgs struct {
-	dst, a, b *dense.Matrix
-	chol      *dense.Cholesky
+	dst, m, a, b *dense.Matrix
+	chol         *dense.Cholesky
+	nz           []int32
+	s, part      []float64
 }
 
 // NewDecomposer creates a decomposer for slices with the given mode
@@ -246,24 +252,22 @@ func (d *Decomposer) refreshGrams() {
 }
 
 // solveS computes the closed-form sₜ update
-// (⊛_v C⁽ᵛ⁾ + λI)s = ψ with ψ the streaming-mode MTTKRP of the slice
-// over the given factors (see mttkrpTime for locked). It runs once
-// before the inner loop (warm start from the previous slice's factors)
-// and once per inner iteration (the time mode is the (N+1)-th ALS
-// block).
-func (d *Decomposer) solveS(in sliceData, factors []*dense.Matrix, locked bool) error {
+// (⊛_v C⁽ᵛ⁾ + λI)s = ψ, with ψ — the streaming-mode MTTKRP of the slice
+// over the current factors — left in fitPsi by the caller: by a pass over
+// the nonzeros before the inner loop (warm start from the previous
+// slice's factors), from the last factor mode's MTTKRP once per inner
+// iteration (the time mode is the (N+1)-th ALS block). ψ stays there.
+func (d *Decomposer) solveS() error {
 	phi := d.sPhi
 	phi.Fill(1)
-	for m := range factors {
+	for m := range d.c {
 		dense.Hadamard(phi, phi, d.c[m])
 	}
 	dense.AddScaledIdentity(phi, phi, d.opt.StreamRidge)
-	if err := d.mttkrpTime(d.s, in, factors, locked); err != nil {
-		return err
-	}
 	if err := d.factorize(phi); err != nil {
 		return fmt.Errorf("core: sₜ solve: %w", err)
 	}
+	copy(d.s, d.fitPsi)
 	d.chol.SolveVec(d.s)
 	return nil
 }

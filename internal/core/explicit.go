@@ -81,7 +81,9 @@ func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 			d.ensureANzCur(run.rm)
 			run.kin, run.kf = sliceData{x: run.rm.X}, d.aNzCur
 		}
-		err = d.solveS(run.kin, run.kf, !run.optimized)
+		if err = d.mttkrpTime(d.fitPsi, run.kin, run.kf, !run.optimized); err == nil {
+			err = d.solveS()
+		}
 	})
 	if err != nil {
 		return run, err
@@ -100,9 +102,11 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
 	rm := run.rm
+	con := d.opt.Constraint
 	// The remapped unconstrained update never materializes the full Ψ;
 	// ADMM needs it whatever the layout.
-	fused := rm != nil && d.opt.Constraint == nil
+	fused := rm != nil && con == nil
+	var kout *dense.Matrix
 	for n := 0; n < d.n; n++ {
 		// Φ⁽ⁿ⁾ and its Cholesky factorization. Hoisted ahead of the Ψ
 		// work (on which it does not depend) so the remapped path can use
@@ -114,42 +118,34 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: mode %d Φ factorization: %w", n, err)
 		}
-		// Ψ⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n)·diag(sₜ) — the slice's time mode
-		// contributes the single Khatri-Rao row sₜ, which (all nonzeros
-		// sharing one time index) reduces to a column scaling of the
-		// N-way MTTKRP. A remapped slice's kernel runs over the compact
-		// slice and gathered factors into the |nz|×K Ψ_nz …
+		// M⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n), kept raw: the time mode's single
+		// Khatri-Rao row sₜ is a column scaling the row pass below applies,
+		// and sₜ itself is refreshed from the last mode's M — which ADMM
+		// would overwrite with Ψ⁽ᴺ⁾, hence rawLast. A remapped slice's kernel
+		// runs over the compact slice and gathered factors into M_nz.
 		t0 = time.Now()
-		kout := d.psi[n]
+		kout = d.psi[n]
 		if rm != nil {
 			kout = d.nzPsi[n]
+		} else if con != nil && n == d.n-1 {
+			kout = d.rawLast(d.dims[n])
 		}
 		if err := d.mttkrpMode(kout, run.kin, run.plan, run.kf, n); err != nil {
 			return 0, err
 		}
-		if rm == nil {
-			dense.ScaleColumns(kout, kout, d.s)
-		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
+		// Ψ⁽ⁿ⁾ = M⁽ⁿ⁾·diag(sₜ) + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG), the second
+		// the "Historical" term, staged in one row pass where the solve
+		// reads it: the factor, its compact rows when remapped, Ψ for ADMM.
 		t0 = time.Now()
 		d.buildQ(q, n)
 		switch {
 		case fused:
-			// … the historical term folds into the compact rows only:
-			// Ψ_nz ← Ψ_nz·diag(sₜ) + (A⁽ⁿ⁾ₜ₋₁)_nz·Q …
-			s := d.s
-			prev := d.prevA[n]
-			for r, g := range rm.NZ[n] {
-				dst := kout.Row(r)
-				for j := range dst {
-					dst[j] *= s[j]
-				}
-				dense.AddMulRow(dst, prev.Row(int(g)), q)
-			}
+			d.stageRHS(d.aNzCur[n], kout, d.prevA[n], q, rm.NZ[n])
 		case rm != nil:
 			// Constrained remap: build the full-row Ψ as
 			// overwrite-plus-scatter (still no Iₙ×K zero fill).
-			d.mulAB(d.psi[n], d.prevA[n], q)
+			dense.MulABParallel(d.psi[n], d.prevA[n], q, d.opt.Workers)
 			s := d.s
 			for r, g := range rm.NZ[n] {
 				dst := d.psi[n].Row(int(g))
@@ -158,10 +154,10 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 					dst[j] += v * s[j]
 				}
 			}
+		case con != nil:
+			d.stageRHS(d.psi[n], kout, d.prevA[n], q, nil)
 		default:
-			// … + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG): the "Historical" term,
-			// an Iₙ×K by K×K product against the full previous factor.
-			d.addMulAB(d.psi[n], d.prevA[n], q)
+			d.stageRHS(d.a[n], kout, d.prevA[n], q, nil)
 		}
 		d.bd.Add(trace.Historical, time.Since(t0))
 		t0 = time.Now()
@@ -171,18 +167,18 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 			// K×K composition M = Q·Φ⁻¹ followed by a streaming product —
 			// the per-row triangular solves run only over the |nz| compact
 			// rows.
-			d.solveRows(kout, kout, &d.chol)
+			d.solveRows(d.aNzCur[n])
 			d.chol.SolveRows(q)
-			d.mulAB(d.a[n], d.prevA[n], q)
-			rm.ScatterMode(d.a[n], kout, n)
-		} else if d.opt.Constraint == nil {
-			d.solveRows(d.a[n], d.psi[n], &d.chol)
+			dense.MulABParallel(d.a[n], d.prevA[n], q, d.opt.Workers)
+			rm.ScatterMode(d.a[n], d.aNzCur[n], n)
+		} else if con == nil {
+			d.solveRows(d.a[n])
 		} else if run.optimized {
-			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], d.opt.Constraint)
+			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], con)
 			run.res.ADMMIters += st.Iters
 			err = e
 		} else {
-			st, e := d.solver.Baseline(d.a[n], phi, d.psi[n], d.opt.Constraint)
+			st, e := d.solver.Baseline(d.a[n], phi, d.psi[n], con)
 			run.res.ADMMIters += st.Iters
 			err = e
 		}
@@ -206,17 +202,23 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 		}
 		if rm != nil {
 			// Refresh the mode's compact gather so the remaining modes'
-			// kernels (and the time-mode solve) read the updated rows.
+			// kernels (and the time-mode block) read the updated rows.
 			t0 = time.Now()
 			rm.GatherMode(d.aNzCur[n], d.a[n], n)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
 	}
-	// Time-mode ALS block: refresh sₜ against the updated factors (the
-	// single-row MTTKRP that motivates the Hybrid Lock kernel) and with
-	// it the µG + ssᵀ Hadamard operand.
+	// Time-mode ALS block: refresh sₜ, and with it the µG + ssᵀ operand,
+	// from ψ = Σᵢ M⁽ᴺ⁾[i,:] ∘ A⁽ᴺ⁾[i,:] — no pass over the nonzeros; only
+	// Baseline on a resident slice keeps the paper's single-lock kernel.
 	t0 := time.Now()
-	err := d.solveS(run.kin, run.kf, !run.optimized)
+	if run.optimized || run.in.src != nil {
+		d.colDots(d.fitPsi, kout, run.kf[d.n-1])
+	} else if err := d.mttkrpTime(d.fitPsi, run.kin, run.kf, true); err != nil {
+		return 0, err
+	}
+	d.psiFresh = true
+	err := d.solveS()
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
 		return 0, err
@@ -275,54 +277,88 @@ func (d *Decomposer) ensureANzCur(rm *mttkrp.Remapped) {
 	rm.GatherFactorsInto(d.aNzCur, d.a)
 }
 
-// mulAB computes dst = a·b (full overwrite — the write variant of
-// addMulAB) with the row dimension parallelized (a: I×K, b: K×K,
-// dst: I×K; shapes are checked by the dense range kernel).
-// Allocation-free via the Decomposer-owned argument block.
-func (d *Decomposer) mulAB(dst, a, b *dense.Matrix) {
-	pa := &d.pargs
-	pa.dst, pa.a, pa.b = dst, a, b
-	d.pool.Do(a.Rows, d.opt.Workers, pa, mulABBody)
-	*pa = coreArgs{}
-}
-
-func mulABBody(ctx any, _ int, r parallel.Range) {
-	pa := ctx.(*coreArgs)
-	dense.MulABRange(pa.dst, pa.a, pa.b, r.Lo, r.Hi)
-}
-
-// addMulAB computes dst += a·b with the row dimension parallelized
-// (a: I×K, b: K×K, dst: I×K). Allocation-free: the operands travel
-// through the Decomposer-owned argument block.
-func (d *Decomposer) addMulAB(dst, a, b *dense.Matrix) {
-	pa := &d.pargs
-	pa.dst, pa.a, pa.b = dst, a, b
-	d.pool.Do(a.Rows, d.opt.Workers, pa, addMulABBody)
-	*pa = coreArgs{}
-}
-
-func addMulABBody(ctx any, _ int, r parallel.Range) {
-	pa := ctx.(*coreArgs)
-	dense.AddMulABRange(pa.dst, pa.a, pa.b, r.Lo, r.Hi)
-}
-
-// solveRows computes dst = rhs·Φ⁻¹ using the shared Cholesky factor,
-// each worker pushing its row range through the panel solve.
-// Allocation-free like addMulAB.
-func (d *Decomposer) solveRows(dst, rhs *dense.Matrix, chol *dense.Cholesky) {
-	if dst.Rows != rhs.Rows || dst.Cols != rhs.Cols {
-		panic("core: solveRows shape mismatch")
+// rawLast returns the rows×K buffer a constrained last factor mode's
+// kernel writes M into (see iterateExplicit), reallocated on a new size.
+func (d *Decomposer) rawLast(rows int) *dense.Matrix {
+	if d.lastM == nil || d.lastM.Rows != rows {
+		d.lastM = dense.NewMatrix(rows, d.k)
 	}
+	return d.lastM
+}
+
+// stageRHS writes the row update's right-hand side
+// dst[r] = m[r]∘sₜ + prev[g]·q for every row r of m, with g = nz[r], or r
+// itself when nz is nil; dst may be m. Allocation-free via d.pargs.
+func (d *Decomposer) stageRHS(dst, m, prev, q *dense.Matrix, nz []int32) {
 	pa := &d.pargs
-	pa.dst, pa.a, pa.chol = dst, rhs, chol
-	d.pool.Do(rhs.Rows, d.opt.Workers, pa, solveRowsBody)
+	pa.dst, pa.m, pa.a, pa.b, pa.nz, pa.s = dst, m, prev, q, nz, d.s
+	d.pool.Do(m.Rows, d.opt.Workers, pa, stageRHSBody)
+	*pa = coreArgs{}
+}
+
+func stageRHSBody(ctx any, _ int, r parallel.Range) {
+	pa := ctx.(*coreArgs)
+	for i := r.Lo; i < r.Hi; i++ {
+		dst := pa.dst.Row(i)
+		for j, v := range pa.m.Row(i) {
+			dst[j] = v * pa.s[j]
+		}
+		g := i
+		if pa.nz != nil {
+			g = int(pa.nz[i])
+		}
+		dense.AddMulRow(dst, pa.a.Row(g), pa.b)
+	}
+}
+
+// solveRows overwrites the staged right-hand sides m with m·Φ⁻¹, each
+// worker pushing its row range through the panel solve.
+func (d *Decomposer) solveRows(m *dense.Matrix) {
+	pa := &d.pargs
+	pa.dst, pa.chol = m, &d.chol
+	d.pool.Do(m.Rows, d.opt.Workers, pa, solveRowsBody)
 	*pa = coreArgs{}
 }
 
 func solveRowsBody(ctx any, _ int, r parallel.Range) {
 	pa := ctx.(*coreArgs)
-	var dst, rhs dense.Matrix
-	dst.SetRowView(pa.dst, r.Lo, r.Hi)
-	rhs.SetRowView(pa.a, r.Lo, r.Hi)
-	pa.chol.SolveRowsInto(&dst, &rhs)
+	var rows dense.Matrix
+	rows.SetRowView(pa.dst, r.Lo, r.Hi)
+	pa.chol.SolveRows(&rows)
+}
+
+// dotBlock is the row-block height of colDots: a constant, so that the
+// partial sums, and with them sₜ, do not depend on the worker count.
+const dotBlock = 256
+
+// colDots computes dst[k] = Σᵢ m[i,k]·a[i,k]: one partial per dotBlock
+// rows, computed on the pool, merged in ascending block order.
+func (d *Decomposer) colDots(dst []float64, m, a *dense.Matrix) {
+	nb := (m.Rows + dotBlock - 1) / dotBlock
+	if cap(d.dotPart) < nb*d.k {
+		d.dotPart = make([]float64, nb*d.k)
+	}
+	pa := &d.pargs
+	pa.m, pa.a, pa.part = m, a, d.dotPart[:nb*d.k]
+	d.pool.Do(nb, d.opt.Workers, pa, colDotsBody)
+	*pa = coreArgs{}
+	clear(dst)
+	for i, v := range d.dotPart[:nb*d.k] {
+		dst[i%d.k] += v
+	}
+}
+
+func colDotsBody(ctx any, _ int, r parallel.Range) {
+	pa := ctx.(*coreArgs)
+	k := pa.m.Cols
+	for b := r.Lo; b < r.Hi; b++ {
+		acc := pa.part[b*k : (b+1)*k]
+		clear(acc)
+		for i := b * dotBlock; i < min((b+1)*dotBlock, pa.m.Rows); i++ {
+			ra := pa.a.Row(i)
+			for j, v := range pa.m.Row(i) {
+				acc[j] += float64(v * ra[j])
+			}
+		}
+	}
 }

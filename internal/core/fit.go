@@ -15,16 +15,20 @@ import (
 //	⟨X, X̂⟩  = sᵀ·ψ with ψ the streaming-mode MTTKRP over current factors
 //	‖X̂‖²    = sᵀ(⊛_v C⁽ᵛ⁾)s
 //
-// It overwrites scratch1, fitPsi and fitTmp. A resident slice cannot
-// fail; a streamed one reports its decode errors.
+// For the slice just solved ψ is what the last sₜ refresh left in fitPsi
+// (psiFresh); any other slice costs a pass over its nonzeros. It
+// overwrites scratch1, fitPsi and fitTmp. A resident slice cannot fail; a
+// streamed one reports its decode errors.
 func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
 	xnorm2, err := d.norm2(in)
 	if err != nil || xnorm2 == 0 {
 		return math.NaN(), err
 	}
 	psi := d.fitPsi
-	if err := d.mttkrpTime(psi, in, d.a, false); err != nil {
-		return math.NaN(), err
+	if !d.psiFresh {
+		if err := d.mttkrpTime(psi, in, d.a, false); err != nil {
+			return math.NaN(), err
+		}
 	}
 	had := d.scratch1
 	had.Fill(1)

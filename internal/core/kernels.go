@@ -22,9 +22,10 @@ import (
 
 // sliceData is one time slice's sparse data: resident (x) or streamed
 // out of core (src) — exactly one is set. The driver and both algorithm
-// bodies pass it around opaquely; only mttkrpMode, mttkrpTime and norm2
-// below look at which it is, so a streamed slice is an input to the one
-// slice driver rather than a driver of its own.
+// bodies pass it around opaquely; beyond the explicit body's begin and
+// its choice of sₜ refresh, only mttkrpMode, mttkrpTime and norm2 below
+// look at which it is, so a streamed slice is an input to the one slice
+// driver rather than a driver of its own.
 type sliceData struct {
 	x   *sptensor.Tensor
 	src sptensor.BlockSource
@@ -75,13 +76,11 @@ func (d *Decomposer) mttkrpMode(out *dense.Matrix, in sliceData, plan *mttkrp.Pl
 	return nil
 }
 
-// mttkrpTime computes the streaming-mode (time) MTTKRP dst over in. The
-// streamed reduction is the thread-local one whatever locked says (the
-// single-lock kernel has no out-of-core form), so a streamed slice
-// matches the in-memory Optimized path bit for bit. On a resident slice
-// locked selects the pathological single-lock kernel (Baseline) vs the
-// thread-local reduction — the paper's prime example of lock contention
-// (§IV-B).
+// mttkrpTime computes the streaming-mode (time) MTTKRP dst over in, a
+// pass over the nonzeros: the warm-start sₜ, FitOf, and Baseline's
+// per-iteration sₜ, where locked selects the single-lock kernel — the
+// paper's prime example of lock contention (§IV-B). A streamed slice has
+// only the thread-local reduction, bit for bit the in-memory one.
 func (d *Decomposer) mttkrpTime(dst []float64, in sliceData, factors []*dense.Matrix, locked bool) error {
 	switch {
 	case in.src != nil:

@@ -4,9 +4,9 @@
 //   - Baseline: Algorithm 1 with the original kernel choices — lock-pool
 //     MTTKRP (including a single-lock streaming-mode update) and, for
 //     constrained problems, the pass-per-operation ADMM of Algorithm 2.
-//   - Optimized: Algorithm 1 with the paper's optimized kernels — Hybrid
-//     Lock MTTKRP, thread-local streaming-mode reduction, and Blocked &
-//     Fused ADMM (Algorithm 3) for constraints.
+//   - Optimized: Algorithm 1 with optimized kernels — compiled-plan or
+//     CSF MTTKRP (where the paper has Hybrid Lock), no per-iteration
+//     streaming-mode pass, and Blocked & Fused ADMM (Algorithm 3).
 //   - SpCPStream: the paper's new Algorithm 4 for non-constrained
 //     problems — factor rows are partitioned into nz/z subsets, the z
 //     subset is carried implicitly in K×K Gram form, and convergence is
@@ -37,7 +37,7 @@ const (
 	// two runs of one stream differ in the last bits. Optimized and
 	// SpCPStream repeat exactly for a fixed worker count.
 	Baseline Algorithm = iota
-	// Optimized is CP-stream with Hybrid Lock MTTKRP and BF-ADMM.
+	// Optimized is CP-stream with plan/CSF MTTKRP and BF-ADMM.
 	Optimized
 	// SpCPStream is the paper's new Gram-form algorithm (non-constrained
 	// only).
@@ -141,7 +141,7 @@ func (l LayoutPolicy) String() string {
 type Options struct {
 	// Rank K of the decomposition. Required.
 	Rank int
-	// Algorithm variant. Default Optimized.
+	// Algorithm variant. The zero value is Baseline: set it.
 	Algorithm Algorithm
 	// Mu is the forgetting factor µ ∈ [0,1]. Default 0.99 (paper §VI-B).
 	Mu float64
@@ -166,7 +166,7 @@ type Options struct {
 	ADMMMaxIters int
 	// Seed drives the random factor initialization. Default 1.
 	Seed uint64
-	// TrackFit enables per-slice fit computation (extra nnz·K work).
+	// TrackFit enables per-slice fit computation (one more pass, for ‖X‖²).
 	TrackFit bool
 	// Normalize applies the per-iteration normalize(C, H) of Algorithm 4
 	// (line 30): after every mode update, that mode's factor columns are

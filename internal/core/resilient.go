@@ -227,6 +227,8 @@ func (d *Decomposer) runSlice(ctx context.Context, in sliceData) (res SliceResul
 		defer d.solver.SetCancel(nil)
 	}
 	d.iterNo = 0
+	// However the attempt ends, its ψ is no later attempt's or FitOf's.
+	defer func() { d.psiFresh = false }()
 	if err := d.injectFault(resilience.StageBegin, 0); err != nil {
 		return SliceResult{T: d.t, NNZ: in.nnz()}, err
 	}

@@ -1,0 +1,449 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"spstream/internal/admm"
+	"spstream/internal/dense"
+	"spstream/internal/mttkrp"
+	"spstream/internal/resilience"
+	"spstream/internal/sptensor"
+	"spstream/internal/synth"
+)
+
+// The inner loop takes the time mode's right-hand side from the last
+// factor mode's MTTKRP instead of a pass over the nonzeros (colDots),
+// and stages every row update's right-hand side in the rows the solve
+// overwrites (stageRHS). The tests below pin what that may and may not
+// move: ψ agrees with the full pass to rounding, the factors of an
+// iteration are the old formula's bit for bit, the reduction does not
+// know the worker count, and a streamed slice decodes its blocks once
+// less per iteration.
+
+// reuseStream is remapStream with a chosen number of modes: one long
+// mode that a slice touches a few percent of (so the layout manager
+// remaps) beside short ones.
+func reuseStream(t testing.TB, seed uint64, modes, slices int) *sptensor.Stream {
+	t.Helper()
+	dists := []synth.IndexDist{synth.NewZipf(6000, 1.1), synth.Uniform{N: 60}, synth.NewZipf(80, 1.2), synth.Uniform{N: 12}}
+	s, err := synth.Generate(synth.Config{
+		Name: "reuse", Dists: dists[:modes], T: slices, NNZPerSlice: 600,
+		Values: synth.ValuePlanted, PlantedRank: 3, NoiseStd: 0.01, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// driveSlice is runSlice's loop without the guard, calling after with
+// the run every inner iteration: the slice's kernel view and the
+// factors its kernels read.
+func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func(kin sliceData, kf []*dense.Matrix, remapped, hot bool)) {
+	t.Helper()
+	if in.src != nil {
+		defer d.streamKernel().End()
+	}
+	if d.opt.Algorithm == SpCPStream && in.src == nil {
+		run, err := d.beginSpCP(in.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it := 0; it < iters; it++ {
+			if _, err := d.iterateSpCP(run); err != nil {
+				t.Fatal(err)
+			}
+			after(sliceData{x: run.rm.X}, run.aNz, true, false)
+		}
+		d.finishSpCP(run)
+		return
+	}
+	run, err := d.beginExplicit(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it := 0; it < iters; it++ {
+		if _, err := d.iterateExplicit(run); err != nil {
+			t.Fatal(err)
+		}
+		// Whatever the layout, d.a holds every updated row in global ids.
+		after(in, d.a, run.rm != nil, d.lastDec.HotFirst != nil)
+	}
+	if _, err := d.finishExplicit(run); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTimeModeReuseMatchesFullPass: after every inner iteration the ψ
+// the sₜ solve was handed equals a full time-mode pass over the same
+// factors to 1e-12 of its largest entry, on every branch of both bodies.
+func TestTimeModeReuseMatchesFullPass(t *testing.T) {
+	const resident, remap, streamed = 0, 1, 2
+	sawRemap, sawHot := false, false
+	for _, alg := range []Algorithm{Optimized, SpCPStream} {
+		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
+			for _, normalize := range []bool{false, true} {
+				for modes := 2; modes <= 4; modes++ {
+					for input := resident; input <= streamed; input++ {
+						if alg == SpCPStream && input == remap {
+							continue // the Gram-form body remaps every slice itself
+						}
+						name := fmt.Sprintf("%v con=%v normalize=%v N=%d input=%d", alg, con != nil, normalize, modes, input)
+						s := reuseStream(t, 500+uint64(modes), modes, 4)
+						opt := Options{
+							Rank: 4, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
+							Normalize: normalize, Workers: 2, Seed: 5, Layout: LayoutOff,
+							ADMMMaxIters: 5, // ψ is checked, not the ADMM optimum
+						}
+						if input == remap {
+							opt.Layout = LayoutAuto
+						}
+						if input == streamed {
+							opt.MemBudget = 1
+						}
+						d, err := NewDecomposer(s.Dims, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if input == remap {
+							// Every factor "overflows the cache": the learned
+							// hot-first order is used as soon as there is one.
+							d.ensureLayout().P.CacheBytes = 1
+						}
+						full := make([]float64, d.k)
+						for ti, x := range s.Slices {
+							in := sliceData{x: x}
+							if input == streamed {
+								src, err := sptensor.SplitBlocks(x, 150)
+								if err != nil {
+									t.Fatal(err)
+								}
+								in = sliceData{src: src}
+							}
+							iter := 0
+							driveSlice(t, d, in, 3, func(kin sliceData, kf []*dense.Matrix, remapped, hot bool) {
+								iter++
+								if kin.src != nil {
+									if err := mttkrp.NewStreamKernel(d.mt).TimeMode(full, kin.src, kf); err != nil {
+										t.Fatal(err)
+									}
+								} else {
+									d.mt.TimeMode(full, kin.x, kf)
+								}
+								scale := 0.0
+								for _, v := range full {
+									scale = math.Max(scale, math.Abs(v))
+								}
+								for j, v := range d.fitPsi {
+									if diff := math.Abs(v - full[j]); diff > 1e-12*scale {
+										t.Fatalf("%s slice %d iter %d: ψ[%d] = %g, full pass %g (|Δ| %g of %g)", name, ti, iter, j, v, full[j], diff, scale)
+									}
+								}
+								if input == remap {
+									sawRemap, sawHot = sawRemap || remapped, sawHot || hot
+								}
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawRemap || !sawHot {
+		t.Fatalf("layout runs remapped: %v, hot-first: %v — the table misses a branch", sawRemap, sawHot)
+	}
+}
+
+// TestRowUpdateMatchesParentFormula pins "A does not move": handed the
+// same sₜ, an inner iteration's factors are bit for bit those of the
+// update it replaced — ScaleColumns(Ψ), Ψ += A_{t−1}·Q row by row, then
+// A = Ψ·Φ⁻¹ out of place — and the nz-indexed staging equals the old
+// compact loop.
+func TestRowUpdateMatchesParentFormula(t *testing.T) {
+	dims := []int{300, 41, 57}
+	stream := testStream(t, 61, dims, 2500, 2)
+	opt := Options{Rank: 6, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Layout: LayoutOff, Workers: 3, Seed: 4}
+	var ds [2]*Decomposer
+	var runs [2]*explicitRun
+	for i := range ds {
+		d, err := NewDecomposer(dims, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ProcessSlice(stream.Slices[0]); err != nil {
+			t.Fatal(err)
+		}
+		if runs[i], err = d.beginExplicit(sliceData{x: stream.Slices[1]}); err != nil {
+			t.Fatal(err)
+		}
+		ds[i] = d
+	}
+	if _, err := ds[0].iterateExplicit(runs[0]); err != nil {
+		t.Fatal(err)
+	}
+	d, run := ds[1], runs[1]
+	phi, q := d.scratch1, d.scratch2
+	for n := range dims {
+		d.buildPhi(phi, n)
+		if err := d.factorize(phi); err != nil {
+			t.Fatal(err)
+		}
+		psi := d.psi[n]
+		if err := d.mttkrpMode(psi, run.kin, run.plan, run.kf, n); err != nil {
+			t.Fatal(err)
+		}
+		dense.ScaleColumns(psi, psi, d.s)
+		d.buildQ(q, n)
+		for i := 0; i < psi.Rows; i++ {
+			dense.AddMulRow(psi.Row(i), d.prevA[n].Row(i), q)
+		}
+		d.chol.SolveRowsInto(d.a[n], psi)
+		dense.GramParallel(d.c[n], d.a[n], d.opt.Workers)
+		dense.MulAtBParallel(d.h[n], d.prevA[n], d.a[n], d.opt.Workers)
+		sameMatrixBits(t, fmt.Sprintf("factor %d", n), ds[0].a[n], d.a[n])
+	}
+
+	// The compact form: rows of prev picked through nz.
+	const k = 6
+	r := synth.NewRNG(8)
+	fill := func(rows, cols int) *dense.Matrix {
+		m := dense.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = r.NormFloat64()
+		}
+		return m
+	}
+	m, prev, qq := fill(37, k), fill(90, k), fill(k, k)
+	nz := make([]int32, m.Rows)
+	for i := range nz {
+		nz[i] = int32(2*i + i%2)
+	}
+	for j := range d.s {
+		d.s[j] = r.NormFloat64()
+	}
+	want := m.Clone()
+	for i, g := range nz {
+		dst := want.Row(i)
+		for j := range dst {
+			dst[j] *= d.s[j]
+		}
+		dense.AddMulRow(dst, prev.Row(int(g)), qq)
+	}
+	d.chol.SolveRowsInto(want, want)
+	got := dense.NewMatrix(m.Rows, k)
+	d.stageRHS(got, m, prev, qq, nz)
+	d.solveRows(got)
+	sameMatrixBits(t, "compact rows", got, want)
+}
+
+// TestColDotsWorkerIdentity: the block-keyed reduction gives the same
+// bits at every worker count — and at every GOMAXPROCS CI runs it under
+// — on row counts around a block edge, and they are the bits of the
+// definition: per-block sums in row order, added in block order.
+func TestColDotsWorkerIdentity(t *testing.T) {
+	r := synth.NewRNG(3)
+	for _, k := range []int{1, 5, 16} {
+		for _, rows := range []int{0, 1, dotBlock - 1, dotBlock, dotBlock + 1, 5*dotBlock + 17} {
+			m, a := dense.NewMatrix(rows, k), dense.NewMatrix(rows, k)
+			for i := range m.Data {
+				m.Data[i], a.Data[i] = r.NormFloat64(), r.NormFloat64()
+			}
+			want := make([]float64, k)
+			for lo := 0; lo < rows; lo += dotBlock {
+				part := make([]float64, k)
+				for i := lo; i < min(lo+dotBlock, rows); i++ {
+					for j := range part {
+						part[j] += float64(m.At(i, j) * a.At(i, j))
+					}
+				}
+				for j := range want {
+					want[j] += part[j]
+				}
+			}
+			for _, workers := range []int{1, 2, 4, 7} {
+				d, err := NewDecomposer([]int{3, 3}, Options{Rank: k, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float64, k)
+				got[0] = math.NaN() // colDots overwrites
+				d.colDots(got, m, a)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("K=%d rows=%d workers=%d: column %d is %g, want %g", k, rows, workers, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// countingSource counts block decodes, through either method.
+type countingSource struct {
+	sptensor.BlockSource
+	decodes atomic.Int64
+}
+
+func (c *countingSource) Block(b int) (*sptensor.Tensor, error) {
+	c.decodes.Add(1)
+	return c.BlockSource.Block(b)
+}
+
+func (c *countingSource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
+	c.decodes.Add(1)
+	return c.BlockSource.BlockInto(b, buf)
+}
+
+// TestStreamedDecodeCount is the count behind the claim: a streamed
+// slice decodes every block once for the schedule compile, once for the
+// warm-start sₜ and once per factor mode per inner iteration — no
+// time-mode pass in the loop — plus once for ‖X‖² when the fit is
+// tracked, whose ⟨X, X̂⟩ costs no pass either. One worker, so that a pass
+// is exactly one decode of each block.
+func TestStreamedDecodeCount(t *testing.T) {
+	const iters = 20
+	for modes := 2; modes <= 4; modes++ {
+		s := reuseStream(t, 70, modes, 2)
+		for _, fit := range []bool{false, true} {
+			d, err := NewDecomposer(s.Dims, Options{
+				Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MemBudget: 1,
+				MaxIters: iters, Tol: 1e-300, TrackFit: fit,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, x := range s.Slices {
+				blocks, err := sptensor.SplitBlocks(x, 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := &countingSource{BlockSource: blocks}
+				res, err := d.ProcessBlockSlice(src)
+				if err != nil || res.Iters != iters {
+					t.Fatalf("slice %d: %d iterations, %v", ti, res.Iters, err)
+				}
+				passes := 1 + 1 + modes*iters
+				if fit {
+					passes++
+				}
+				if got, want := src.decodes.Load(), int64(passes*blocks.Blocks()); got != want {
+					t.Fatalf("N=%d fit=%v slice %d: %d block decodes, want %d passes × %d blocks = %d", modes, fit, ti, got, passes, blocks.Blocks(), want)
+				}
+			}
+		}
+	}
+}
+
+// TestTrackedFitReusesIterationPsi: the tracked fit takes ⟨X, X̂⟩ from the
+// last inner iteration's ψ and must agree with FitOf — a full pass —
+// on the same slice; a ψ from an attempt that failed is never the one
+// read (the retried slice lands on the undisturbed control's bits), and
+// nothing of the slice's ψ is left for a later FitOf of another slice.
+func TestTrackedFitReusesIterationPsi(t *testing.T) {
+	dims := []int{40, 30, 50}
+	stream := testStream(t, 37, dims, 1500, 3)
+	for _, alg := range []Algorithm{Baseline, Optimized, SpCPStream} {
+		for _, streamed := range []bool{false, true} {
+			name := fmt.Sprintf("%v streamed=%v", alg, streamed)
+			opt := Options{Rank: 5, Algorithm: alg, Workers: 2, Seed: 6, TrackFit: true, MaxIters: 4, Tol: 1e-300}
+			if streamed {
+				opt.MemBudget = 1
+			}
+			control, err := NewDecomposer(dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := false
+			opt.Resilience = &resilience.Config{
+				Policy: resilience.RetrySlice, MaxSliceRetries: 1, DisableInputScan: true,
+				FaultHook: func(f resilience.Fault) error {
+					// After two iterations of slice 1's first attempt have
+					// each left their ψ behind.
+					if f.Stage == resilience.StageIterate && f.Slice == 1 && f.Iter == 3 && f.Attempt == 0 {
+						failed = true
+						return errors.New("injected")
+					}
+					return nil
+				},
+			}
+			d, err := NewDecomposer(dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, x := range stream.Slices {
+				var fits [2]float64
+				for i, dec := range []*Decomposer{control, d} {
+					src, err := sptensor.SplitBlocks(x, 400)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := dec.ProcessBlockSlice(src)
+					if err != nil {
+						t.Fatalf("%s slice %d: %v", name, ti, err)
+					}
+					fits[i] = res.Fit
+					if dec.psiFresh {
+						t.Fatalf("%s slice %d: ψ still marked fresh after the slice", name, ti)
+					}
+					if own, err := dec.FitOf(x); err != nil || math.Abs(own-res.Fit) > 1e-12 {
+						t.Fatalf("%s slice %d: tracked fit %.15g, FitOf %.15g (%v)", name, ti, res.Fit, own, err)
+					}
+				}
+				// Baseline's locked kernels add in lock order: two runs agree
+				// to rounding, not to the bit.
+				if alg != Baseline && math.Float64bits(fits[0]) != math.Float64bits(fits[1]) {
+					t.Fatalf("%s slice %d: fit %.17g after a retry, control %.17g", name, ti, fits[1], fits[0])
+				}
+			}
+			if !failed || d.ResilienceStats().SliceRetries != 1 {
+				t.Fatalf("%s: fault injected %v, stats %+v", name, failed, d.ResilienceStats())
+			}
+			// Another slice than the one just solved: a full pass again.
+			other := stream.Slices[0]
+			got, err := d.FitOf(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			psi := make([]float64, d.k)
+			d.mt.TimeMode(psi, other, d.a)
+			had := dense.NewMatrix(d.k, d.k)
+			had.Fill(1)
+			for m := range d.c {
+				dense.Hadamard(had, had, d.c[m])
+			}
+			tmp := make([]float64, d.k)
+			dense.MulVec(tmp, had, d.s)
+			want := 1 - math.Sqrt(math.Max(0, other.Norm2()-2*dense.Dot(d.s, psi)+dense.Dot(d.s, tmp))/other.Norm2())
+			if math.Abs(got-want) > 1e-12 {
+				t.Fatalf("%s: FitOf another slice %.15g, from its own pass %.15g", name, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkColDots times the sₜ right-hand side on the two shapes the
+// benchmark workloads give it: the longest nips mode and a compact
+// |nz|-row one, at K = 16.
+func BenchmarkColDots(b *testing.B) {
+	for _, rows := range []int{14000, 700} {
+		b.Run(fmt.Sprintf("%dx16", rows), func(b *testing.B) {
+			d, err := NewDecomposer([]int{3, 3}, Options{Rank: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, a := dense.NewMatrix(rows, 16), dense.NewMatrix(rows, 16)
+			m.Fill(1.5)
+			a.Fill(0.5)
+			dst := make([]float64, 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.colDots(dst, m, a)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		})
+	}
+}

@@ -104,7 +104,9 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 		run.plan = d.beginKernels(rm.X)
 		// sₜ update over the remapped slice and gathered prev factors
 		// (identical values, slice-local footprint).
-		err = d.solveS(sliceData{x: rm.X}, run.aNzPrev, false)
+		if err = d.mttkrpTime(d.fitPsi, sliceData{x: rm.X}, run.aNzPrev, false); err == nil {
+			err = d.solveS()
+		}
 	})
 	if err != nil {
 		return run, err
@@ -118,6 +120,8 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
+	con := d.opt.Constraint
+	var kout *dense.Matrix
 	for n := 0; n < d.n; n++ {
 		// Q⁽ⁿ⁾ (Eq. 14) — Hadamard of K×K Grams, replacing the
 		// baseline's giant Historical matrix products.
@@ -131,27 +135,29 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: spcp mode %d Φ factorization: %w", n, err)
 		}
-		// A_nz update (Eq. 7): plan-based spMTTKRP over gathered factors
-		// plus the nz part of the historical term, then the Φ solve.
+		// A_nz update (Eq. 7): plan-based spMTTKRP over gathered factors,
+		// kept raw (see iterateExplicit), then its column scaling by sₜ
+		// plus the nz part of the historical term, and the Φ solve.
 		t0 = time.Now()
-		psi := d.nzPsi[n]
-		if err := d.mttkrpMode(psi, sliceData{x: run.rm.X}, run.plan, run.aNz, n); err != nil {
+		kout = d.nzPsi[n]
+		if con != nil && n == d.n-1 {
+			kout = d.rawLast(kout.Rows)
+		}
+		if err := d.mttkrpMode(kout, sliceData{x: run.rm.X}, run.plan, run.aNz, n); err != nil {
 			return 0, err
 		}
-		// Column-scale by sₜ: the time mode's single Khatri-Rao row
-		// (see iterateExplicit).
-		dense.ScaleColumns(psi, psi, d.s)
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
 		t0 = time.Now()
-		d.addMulAB(psi, run.aNzPrev[n], q)
-		if d.opt.Constraint == nil {
-			d.solveRows(run.aNz[n], psi, &d.chol)
+		if con == nil {
+			d.stageRHS(run.aNz[n], kout, run.aNzPrev[n], q, nil)
+			d.solveRows(run.aNz[n])
 		} else {
 			// Experimental constrained extension (§VII): the nz rows
 			// are solved with BF-ADMM (warm-started from the previous
 			// iterate); the z rows stay linear and are projected once
 			// per slice in Post.
-			st, e := d.solver.BlockedFused(run.aNz[n], phi, psi, d.opt.Constraint)
+			d.stageRHS(d.nzPsi[n], kout, run.aNzPrev[n], q, nil)
+			st, e := d.solver.BlockedFused(run.aNz[n], phi, d.nzPsi[n], con)
 			run.res.ADMMIters += st.Iters
 			err = e
 		}
@@ -180,10 +186,12 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
 	}
-	// Time-mode ALS block: refresh sₜ over the remapped slice and the
-	// gathered current factors, then the µG + ssᵀ operand.
+	// Time-mode ALS block: refresh sₜ from the last mode's raw MTTKRP and
+	// its updated nz rows (see iterateExplicit), then the µG + ssᵀ operand.
 	t0 := time.Now()
-	err := d.solveS(sliceData{x: run.rm.X}, run.aNz, false)
+	d.colDots(d.fitPsi, kout, run.aNz[d.n-1])
+	d.psiFresh = true
+	err := d.solveS()
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
 		return 0, err

@@ -17,27 +17,27 @@ import (
 //     slice runs as if it had come through ProcessSliceContext — kernel
 //     table, adaptive layout, and all.
 //   - EvalStreamed: the slice never materializes. The source itself is
-//     the slice driver's input, and every kernel that reads the sparse
-//     data — factor-mode MTTKRP, the streaming-mode (time) MTTKRP, the
-//     fit's ‖X‖² — streams over the blocks (mttkrpMode, mttkrpTime and
-//     norm2 in kernels.go), so the resident set is one decoded block per
-//     worker plus the factor matrices, independent of the slice's
-//     nonzero count.
+//     the slice driver's input, and every pass over the sparse data — the
+//     warm-start time-mode MTTKRP, one factor-mode MTTKRP per mode per
+//     inner iteration, the fit's ‖X‖² — streams over the blocks
+//     (mttkrpTime, mttkrpMode and norm2 in kernels.go), so the resident
+//     set is one decoded block per worker plus the factor matrices,
+//     independent of the slice's nonzero count. The per-iteration sₜ and
+//     the fit's ⟨X, X̂⟩ come from the last mode's MTTKRP, not a decode.
 //
 // A streamed slice runs the explicit (Algorithm 1) body with the
 // optimized kernels: mttkrp.StreamKernel is bit-identical to the
 // compiled coordinate plan (mttkrp.PlanMTTKRP) and to the thread-local
-// in-memory time-mode reduction on the block concatenation, both for any
-// worker count — and everything between the kernels is the same code —
-// so a streamed slice produces bit-identical factors, temporal weights,
-// and fit to the in-memory Optimized/KernelPlan run. The Baseline
-// algorithm's deliberately contended lock kernels and the spCP-stream
-// Gram-form recurrence have no out-of-core counterpart: under
-// EvalStreamed those configurations run this same explicit update.
-// Constrained problems are supported — ADMM consumes the full Ψ⁽ⁿ⁾,
-// which the streamed MTTKRP materializes per mode just like the
-// in-memory path. Adaptive layout and per-mode kernel selection are
-// in-memory concerns and stay off here.
+// in-memory time-mode reduction on the block concatenation — and
+// everything between the kernels is the same code — so a streamed slice
+// produces bit-identical factors, temporal weights, and fit to the
+// in-memory Optimized/KernelPlan run. The Baseline algorithm's
+// deliberately contended lock kernels and the spCP-stream Gram-form
+// recurrence have no out-of-core counterpart: under EvalStreamed those
+// configurations run this same explicit update. Constrained problems
+// are supported — ADMM consumes the full Ψ⁽ⁿ⁾, staged per mode just
+// like the in-memory path. Adaptive layout and per-mode kernel
+// selection are in-memory concerns and stay off here.
 
 // LastEvalMode reports where the most recent ProcessBlockSlice ran
 // (in-memory after materialization, or streamed out of core). Slices

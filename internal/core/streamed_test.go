@@ -205,20 +205,21 @@ func TestBlockSliceShapeChecks(t *testing.T) {
 	}
 }
 
-// flakySource serves block bad a fixed number of times and then fails
-// it (or panics) — a block that goes away after the input scan and the
-// schedule compile have read it, so the failure surfaces from a worker
-// inside the kernel's pool dispatch.
+// flakySource serves block bad a fixed number of times, or until armed,
+// and then fails it (or panics) — a block that goes away after the input
+// scan and the schedule compile have read it, so the failure surfaces
+// from a worker inside the kernel's pool dispatch.
 type flakySource struct {
 	sptensor.BlockSource
 	bad    int
 	good   int64
 	panics bool
 	calls  atomic.Int64
+	armed  atomic.Bool
 }
 
 func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
-	if b == f.bad && f.calls.Add(1) > f.good {
+	if b == f.bad && (f.armed.Load() || f.calls.Add(1) > f.good) {
 		if f.panics {
 			panic("flaky: block gone")
 		}
@@ -228,14 +229,25 @@ func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor
 }
 
 // TestStreamedDecodeErrorRollsBack fails a streamed slice from inside
-// the kernel two ways — a block that stops decoding mid-slice, and a
-// byte-flipped .spblk with the input scan off so the kernel's own first
-// read meets the bad CRC — and checks the guarded path treats both like
-// any failed attempt: the error names the block, the slice is skipped,
-// the model is bit for bit where it was, and the next good slice lands
-// exactly where it does on a decomposer that never saw the failure.
+// the kernel — a byte-flipped .spblk with the input scan off, so the
+// kernel's own first read meets the bad CRC, and a block that stops
+// decoding at a chosen pass of the slice — and checks the guarded path
+// treats each like any failed attempt: the error names the block, the
+// slice is skipped, the model is bit for bit where it was with no ψ of
+// the lost attempts left to read, and the next good slice lands exactly
+// where it does on a decomposer that never saw the failure, tracked fit
+// included.
+//
+// A slice's passes, each decoding every block once per worker that
+// needs it: the schedule compile (once, on the caller), the warm-start
+// time mode, then one MTTKRP per factor mode per inner iteration. Block
+// 3's decodes before a pass are counted from that; the pass sₜ now
+// depends on — the last mode of the last iteration — is reached at any
+// worker count by arming the source from the fault hook, which every
+// mode's Φ factorization calls.
 func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 	dims := []int{40, 30, 50}
+	const iters = 3
 	stream := testStream(t, 13, dims, 1500, 2)
 	dir := t.TempDir()
 	var paths []string
@@ -265,14 +277,40 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 	if err := os.WriteFile(flipped, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	const compile, warmStart = 1, 1
+	cases := []struct {
+		name string
+		scan bool
+		// good is how many decodes of block 3 succeed; negative arms the
+		// source at the last mode of the last iteration instead.
+		good int64
+	}{
+		{"flipped byte, first read", false, 0},
+		{"warm-start time mode", true, compile},
+		{"first iteration, last mode", true, int64(compile + warmStart + len(dims) - 1)},
+		{"last iteration, last mode", true, -1},
+	}
 	for _, workers := range []int{1, 2, 4} {
-		for _, scan := range []bool{true, false} {
-			opt := Options{Rank: 6, Algorithm: Optimized, Workers: workers, MemBudget: 1, Seed: 5}
+		for _, tc := range cases {
+			label := fmt.Sprintf("workers=%d %s", workers, tc.name)
+			opt := Options{Rank: 6, Algorithm: Optimized, Workers: workers, MemBudget: 1, Seed: 5, TrackFit: true, MaxIters: iters, Tol: 1e-300}
 			control, err := NewDecomposer(dims, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Resilience = &resilience.Config{Policy: resilience.SkipSlice, DisableInputScan: !scan}
+			var arm *flakySource
+			factorized := 0
+			opt.Resilience = &resilience.Config{
+				Policy: resilience.SkipSlice, DisableInputScan: !tc.scan,
+				FaultHook: func(f resilience.Fault) error {
+					if arm != nil && f.Stage == resilience.StageFactorize && f.Iter == iters && f.Attempt == 0 {
+						if factorized++; factorized == len(dims) {
+							arm.armed.Store(true)
+						}
+					}
+					return nil
+				},
+			}
 			d, err := NewDecomposer(dims, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -282,32 +320,46 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var bad sptensor.BlockSource
-			if scan {
-				// The compile and the warm-start time mode read block 3; it
-				// goes away during the first iteration's kernel passes, on
-				// some worker of the pool, and stays away for the retry.
-				bad = &flakySource{BlockSource: good, bad: 3, good: 4}
-			} else {
-				bad = open(flipped)
+			var bad sptensor.BlockSource = open(flipped)
+			if tc.scan {
+				// The block goes away on some worker of the pool, and stays
+				// away for the retry.
+				flaky := &flakySource{BlockSource: good, bad: 3, good: tc.good}
+				if tc.good < 0 {
+					flaky.good, arm = math.MaxInt64, flaky
+				}
+				bad = flaky
 			}
 			res, err := d.ProcessBlockSlice(bad)
 			if !errors.Is(err, resilience.ErrSliceSkipped) || !strings.Contains(err.Error(), "mttkrp: block 3:") {
-				t.Fatalf("workers=%d scan=%v: error %v, want a skipped slice naming block 3", workers, scan, err)
+				t.Fatalf("%s: error %v, want a skipped slice naming block 3", label, err)
 			}
+			if arm != nil && !arm.armed.Load() {
+				t.Fatalf("%s: the slice failed before its last pass", label)
+			}
+			arm = nil
 			if st := d.ResilienceStats(); !res.Skipped || d.T() != 1 || st.Rollbacks != st.SliceRetries+1 || st.SlicesSkipped != 1 || st.PanicsRecovered != 0 {
-				t.Fatalf("workers=%d scan=%v: skipped=%v t=%d stats=%+v", workers, scan, res.Skipped, d.T(), st)
+				t.Fatalf("%s: skipped=%v t=%d stats=%+v", label, res.Skipped, d.T(), st)
+			}
+			if d.psiFresh {
+				t.Fatalf("%s: the lost attempt's ψ is still marked fresh", label)
 			}
 			for n := range dims {
-				sameMatrixBits(t, fmt.Sprintf("workers=%d scan=%v rolled-back factor %d", workers, scan, n), d.Factor(n), control.Factor(n))
+				sameMatrixBits(t, fmt.Sprintf("%s rolled-back factor %d", label, n), d.Factor(n), control.Factor(n))
 			}
-			for _, dec := range []*Decomposer{control, d} {
-				if _, err := dec.ProcessBlockSlice(open(paths[1])); err != nil {
+			var fits [2]float64
+			for i, dec := range []*Decomposer{control, d} {
+				res, err := dec.ProcessBlockSlice(open(paths[1]))
+				if err != nil {
 					t.Fatal(err)
 				}
+				fits[i] = res.Fit
+			}
+			if math.Float64bits(fits[0]) != math.Float64bits(fits[1]) {
+				t.Fatalf("%s: next slice's fit %.17g, control %.17g", label, fits[1], fits[0])
 			}
 			for n := range dims {
-				sameMatrixBits(t, fmt.Sprintf("workers=%d scan=%v next-slice factor %d", workers, scan, n), d.Factor(n), control.Factor(n))
+				sameMatrixBits(t, fmt.Sprintf("%s next-slice factor %d", label, n), d.Factor(n), control.Factor(n))
 			}
 		}
 	}

@@ -120,19 +120,6 @@ func AddMulRow(rd, ra []float64, b *Matrix) {
 	mulRow(rd, ra, b, true)
 }
 
-// MulABRange computes rows [lo, hi) of dst = a·b — the range kernel for
-// callers that parallelize the row dimension on a pool of their own.
-func MulABRange(dst, a, b *Matrix, lo, hi int) {
-	checkMulAB(dst, a, b)
-	mulABRange(dst, a, b, lo, hi, false)
-}
-
-// AddMulABRange computes rows [lo, hi) of dst += a·b.
-func AddMulABRange(dst, a, b *Matrix, lo, hi int) {
-	checkMulAB(dst, a, b)
-	mulABRange(dst, a, b, lo, hi, true)
-}
-
 func mulABRange(dst, a, b *Matrix, lo, hi int, add bool) {
 	for i := lo; i < hi; i++ {
 		mulRow(dst.Row(i), a.Row(i), b, add)

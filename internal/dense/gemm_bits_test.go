@@ -144,8 +144,8 @@ var (
 	bitsWorkers = []int{1, 2, 7}
 )
 
-// TestMulABBitIdentical pins MulAB, MulABParallel, MulABRange,
-// AddMulABRange and AddMulRow to the in-memory loops.
+// TestMulABBitIdentical pins MulAB, MulABParallel and AddMulRow to the
+// in-memory loops.
 func TestMulABBitIdentical(t *testing.T) {
 	for _, nonFinite := range []bool{false, true} {
 		for _, rows := range bitsRows {
@@ -164,17 +164,9 @@ func TestMulABBitIdentical(t *testing.T) {
 					MulABParallel(got, a, b, w)
 					requireSameBitsOrNaN(t, fmt.Sprintf("%s MulABParallel W=%d", name, w), got, want)
 				}
-				got.Fill(7)
-				MulABRange(got, a, b, 0, rows/2)
-				MulABRange(got, a, b, rows/2, rows)
-				requireSameBitsOrNaN(t, name+" MulABRange", got, want)
 
 				want = hostileMatrix(4, rows, k, false)
 				refMulAB(want, a, b, true)
-				got = hostileMatrix(4, rows, k, false)
-				AddMulABRange(got, a, b, 0, rows/2)
-				AddMulABRange(got, a, b, rows/2, rows)
-				requireSameBitsOrNaN(t, name+" AddMulABRange", got, want)
 				got = hostileMatrix(4, rows, k, false)
 				for i := 0; i < rows; i++ {
 					AddMulRow(got.Row(i), a.Row(i), b)
