@@ -70,7 +70,7 @@ benchcmp:
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short-mode threshold calibration sweep (mttkrp.DefaultShortModeThreshold).
+# Short-mode threshold calibration sweep (baselines.DefaultShortModeThreshold).
 threshold:
 	$(GO) run ./cmd/paperbench -exp threshold
 

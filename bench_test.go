@@ -13,6 +13,7 @@ import (
 
 	"spstream"
 	"spstream/internal/admm"
+	"spstream/internal/baselines"
 	"spstream/internal/core"
 	"spstream/internal/csf"
 	"spstream/internal/dense"
@@ -50,6 +51,34 @@ func benchStream(b *testing.B, name string) *sptensor.Stream {
 	benchStreams[name] = s
 	return s
 }
+
+// sliceProcessor is what the end-to-end benchmarks drive: the runtime's
+// Decomposer or the paper's unoptimized baseline.
+type sliceProcessor interface {
+	ProcessSlice(*sptensor.Tensor) (core.SliceResult, error)
+	Breakdown() *spstream.Breakdown
+}
+
+// benchVariant is one column of the paper's comparison.
+type benchVariant struct {
+	name string
+	new  func(dims []int, opt core.Options) (sliceProcessor, error)
+}
+
+func runtimeVariant(alg core.Algorithm) benchVariant {
+	return benchVariant{alg.String(), func(dims []int, opt core.Options) (sliceProcessor, error) {
+		opt.Algorithm = alg
+		return core.NewDecomposer(dims, opt)
+	}}
+}
+
+var (
+	benchBaseline = benchVariant{"baseline", func(dims []int, opt core.Options) (sliceProcessor, error) {
+		return spstream.NewCPStreamBaseline(dims, opt)
+	}}
+	benchExplicit = []benchVariant{benchBaseline, runtimeVariant(core.Optimized)}
+	benchAll      = []benchVariant{benchBaseline, runtimeVariant(core.Optimized), runtimeVariant(core.SpCPStream)}
+)
 
 func benchFactors(dims []int, k int) []*dense.Matrix {
 	r := synth.NewRNG(77)
@@ -163,14 +192,14 @@ func BenchmarkFig3Kernels(b *testing.B) {
 		x := s.Slices[s.T()/2]
 		factors := benchFactors(s.Dims, 16)
 		b.Run(name+"/mttkrp-lock", func(b *testing.B) {
-			c := mttkrp.NewComputer(0)
+			c := baselines.NewLockKernels(0)
 			out := dense.NewMatrix(s.Dims[0], 16)
 			for i := 0; i < b.N; i++ {
 				c.Lock(out, x, factors, 0)
 			}
 		})
 		b.Run(name+"/mttkrp-hybrid", func(b *testing.B) {
-			c := mttkrp.NewComputer(0)
+			c := baselines.NewLockKernels(0)
 			out := dense.NewMatrix(s.Dims[0], 16)
 			for i := 0; i < b.N; i++ {
 				c.Hybrid(out, x, factors, 0)
@@ -187,7 +216,7 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 	for _, k := range []int{16, 128} {
 		factors := benchFactors(s.Dims, k)
 		b.Run("baseline/rank"+itoa(k), func(b *testing.B) {
-			c := mttkrp.NewComputer(0)
+			c := baselines.NewLockKernels(0)
 			sv := make([]float64, k)
 			outs := make([]*dense.Matrix, len(s.Dims))
 			for m, d := range s.Dims {
@@ -201,7 +230,7 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 			}
 		})
 		b.Run("hybridlock/rank"+itoa(k), func(b *testing.B) {
-			c := mttkrp.NewComputer(0)
+			c, tm := baselines.NewLockKernels(0), mttkrp.NewComputer(0)
 			sv := make([]float64, k)
 			outs := make([]*dense.Matrix, len(s.Dims))
 			for m, d := range s.Dims {
@@ -211,20 +240,20 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 				for m := range s.Dims {
 					c.Hybrid(outs[m], x, factors, m)
 				}
-				c.TimeMode(sv, x, factors)
+				tm.TimeMode(sv, x, factors)
 			}
 		})
 		b.Run("rowsparse/rank"+itoa(k), func(b *testing.B) {
 			c := mttkrp.NewComputer(0)
 			rm := mttkrp.Remap(x)
-			gathered := rm.GatherFactors(factors)
+			gathered, plan := rm.GatherFactors(factors), c.NewPlan(rm.X)
 			outs := make([]*dense.Matrix, len(s.Dims))
 			for m := range s.Dims {
 				outs[m] = dense.NewMatrix(len(rm.NZ[m]), k)
 			}
 			for i := 0; i < b.N; i++ {
 				for m := range s.Dims {
-					c.RowSparse(outs[m], rm, gathered, m)
+					c.PlanMTTKRP(outs[m], plan, gathered, m)
 				}
 			}
 		})
@@ -235,11 +264,11 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 // both kernel sets (Fig. 5) on NIPS at rank 16.
 func BenchmarkFig5Constrained(b *testing.B) {
 	s := benchStream(b, "nips")
-	for _, alg := range []core.Algorithm{core.Baseline, core.Optimized} {
-		b.Run(alg.String(), func(b *testing.B) {
+	for _, alg := range benchExplicit {
+		b.Run(alg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dec, err := core.NewDecomposer(s.Dims, core.Options{
-					Rank: 16, Algorithm: alg, Constraint: admm.NonNeg{},
+				dec, err := alg.new(s.Dims, core.Options{
+					Rank: 16, Constraint: admm.NonNeg{},
 					Seed: 5, MaxIters: 3, ADMMMaxIters: 10,
 				})
 				if err != nil {
@@ -269,10 +298,10 @@ func BenchmarkFig7Datasets(b *testing.B) {
 func benchNonConstrained(b *testing.B, name string, ranks []int) {
 	s := benchStream(b, name)
 	for _, k := range ranks {
-		for _, alg := range []core.Algorithm{core.Baseline, core.Optimized, core.SpCPStream} {
-			b.Run(name+"/"+alg.String()+"/rank"+itoa(k), func(b *testing.B) {
-				dec, err := core.NewDecomposer(s.Dims, core.Options{
-					Rank: k, Algorithm: alg, Seed: 5, MaxIters: 3,
+		for _, alg := range benchAll {
+			b.Run(name+"/"+alg.name+"/rank"+itoa(k), func(b *testing.B) {
+				dec, err := alg.new(s.Dims, core.Options{
+					Rank: k, Seed: 5, MaxIters: 3,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -292,10 +321,10 @@ func benchNonConstrained(b *testing.B, name string, ranks []int) {
 // whose phase breakdown reproduces Fig. 8.
 func BenchmarkFig8Breakdown(b *testing.B) {
 	s := benchStream(b, "flickr")
-	for _, alg := range []core.Algorithm{core.Baseline, core.Optimized, core.SpCPStream} {
-		b.Run(alg.String(), func(b *testing.B) {
-			dec, err := core.NewDecomposer(s.Dims, core.Options{
-				Rank: 16, Algorithm: alg, Seed: 5, MaxIters: 3,
+	for _, alg := range benchAll {
+		b.Run(alg.name, func(b *testing.B) {
+			dec, err := alg.new(s.Dims, core.Options{
+				Rank: 16, Seed: 5, MaxIters: 3,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -435,16 +464,16 @@ func BenchmarkAblationPlanMTTKRP(b *testing.B) {
 	factors := benchFactors(s.Dims, 16)
 	mode := 2 // the long, skewed word mode
 	out := dense.NewMatrix(s.Dims[mode], 16)
-	c := mttkrp.NewComputer(0)
+	c, lk := mttkrp.NewComputer(0), baselines.NewLockKernels(0)
 	plan := c.NewPlan(x)
 	b.Run("lock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.Lock(out, x, factors, mode)
+			lk.Lock(out, x, factors, mode)
 		}
 	})
 	b.Run("hybrid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.Hybrid(out, x, factors, mode)
+			lk.Hybrid(out, x, factors, mode)
 		}
 	})
 	b.Run("plan", func(b *testing.B) {
@@ -466,7 +495,7 @@ func BenchmarkAblationCSF(b *testing.B) {
 	for m := range s.Dims {
 		eng.Build(m)
 	}
-	c := mttkrp.NewComputer(0)
+	c := baselines.NewLockKernels(0)
 	outs := make([]*dense.Matrix, len(s.Dims))
 	for m, d := range s.Dims {
 		outs[m] = dense.NewMatrix(d, 16)

@@ -48,7 +48,7 @@ func main() {
 		preset     = flag.String("preset", "", "synthetic preset: patents, flickr, uber, nips")
 		scale      = flag.Float64("scale", 0.2, "synthetic preset scale")
 		rank       = flag.Int("rank", 16, "decomposition rank K")
-		alg        = flag.String("alg", "optimized", "algorithm: baseline, optimized, spcp")
+		alg        = flag.String("alg", "optimized", "algorithm: optimized, spcp")
 		mu         = flag.Float64("mu", 0.99, "forgetting factor µ")
 		tol        = flag.Float64("tol", 1e-5, "outer convergence tolerance")
 		maxIters   = flag.Int("maxiters", 20, "max inner iterations per slice")
@@ -116,15 +116,9 @@ func main() {
 		TrackFit:  *fit,
 		MemBudget: *memBudget,
 	}
-	switch *alg {
-	case "baseline":
-		opt.Algorithm = spstream.Baseline
-	case "optimized":
-		opt.Algorithm = spstream.Optimized
-	case "spcp":
-		opt.Algorithm = spstream.SpCPStream
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q (want baseline, optimized, spcp)", *alg))
+	var err error
+	if opt.Algorithm, err = spstream.ParseAlgorithm(*alg); err != nil {
+		fatal(err)
 	}
 	switch {
 	case *nonneg && *l1 > 0:

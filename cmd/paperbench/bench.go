@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spstream/internal/baselines"
 	"spstream/internal/core"
 	"spstream/internal/csf"
 	"spstream/internal/dense"
@@ -287,7 +288,7 @@ func (h *harness) bench() error {
 func benchKernelOnce(kernel string, x *sptensor.Tensor, factors []*dense.Matrix, out *dense.Matrix, mode, w int, pool *parallel.Pool) testing.BenchmarkResult {
 	switch kernel {
 	case "lock":
-		c := mttkrp.NewComputer(w)
+		c := baselines.NewLockKernels(w)
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -334,10 +335,10 @@ type e2ePolicy struct {
 // layout policy is irrelevant.
 func e2ePolicies() []e2ePolicy {
 	return []e2ePolicy{
-		{"auto", core.KernelAuto, core.LayoutDefault},
+		{"auto", core.KernelAuto, core.LayoutAuto},
 		{"auto-nolayout", core.KernelAuto, core.LayoutOff},
-		{"plan", core.KernelPlan, core.LayoutDefault},
-		{"csf", core.KernelCSF, core.LayoutDefault},
+		{"plan", core.KernelPlan, core.LayoutAuto},
+		{"csf", core.KernelCSF, core.LayoutAuto},
 	}
 }
 

@@ -4,10 +4,11 @@ import (
 	"fmt"
 
 	"spstream/internal/admm"
+	"spstream/internal/baselines"
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/perfmodel"
-	"spstream/internal/roofline"
+	"spstream/internal/perfmodel/sim"
 )
 
 // calibrate cross-checks the performance model against reality: the
@@ -27,17 +28,11 @@ func (h *harness) calibrate() error {
 	x := s.Slices[s.T()/2]
 	prof := perfmodel.Profile(x)
 	// Model one core of a generic ~2.7 GHz host.
-	mo := perfmodel.Model{M: roofline.Machine{
-		PeakFlopsPerCore:   8e9,
-		BandwidthPerSocket: 20e9,
-		CoresPerSocket:     1,
-		Sockets:            1,
-		CacheBytes:         8 << 20,
-	}, P: perfmodel.DefaultParams()}
+	mo := sim.HostModel(1)
 
 	const k = 16
 	factors := randomFactors(s.Dims, k, 3)
-	c := mttkrp.NewComputer(1)
+	c, lk := mttkrp.NewComputer(1), baselines.NewLockKernels(1)
 	fmt.Fprintf(h.out, "slice: nnz=%d dims=%v rank=%d\n\n", x.NNZ(), s.Dims, k)
 	fmt.Fprintf(h.out, "%-22s %12s %12s %10s\n", "kernel", "measured(s)", "model(s)", "meas/model")
 
@@ -56,16 +51,16 @@ func (h *harness) calibrate() error {
 	}
 	measLock := minDuration(measureTrials, func() {
 		for m := range s.Dims {
-			c.Lock(outs[m], x, factors, m)
+			lk.Lock(outs[m], x, factors, m)
 		}
 	}).Seconds()
-	report("mttkrp-lock", measLock, mo.MTTKRPTime(perfmodel.MTTKRPLock, prof, k, 1))
+	report("mttkrp-lock", measLock, mo.MTTKRPTime(sim.MTTKRPLock, prof, k, 1))
 	measHL := minDuration(measureTrials, func() {
 		for m := range s.Dims {
-			c.Hybrid(outs[m], x, factors, m)
+			lk.Hybrid(outs[m], x, factors, m)
 		}
 	}).Seconds()
-	report("mttkrp-hybrid", measHL, mo.MTTKRPTime(perfmodel.MTTKRPHybrid, prof, k, 1))
+	report("mttkrp-hybrid", measHL, mo.MTTKRPTime(sim.MTTKRPHybrid, prof, k, 1))
 	sv := make([]float64, k)
 	measTM := minDuration(measureTrials, func() { c.TimeMode(sv, x, factors) }).Seconds()
 	report("timemode", measTM, mo.TimeModeUpdateTime(prof, k, 1, false))
@@ -79,20 +74,9 @@ func (h *harness) calibrate() error {
 	psi := dense.NewMatrix(big.Rows, k)
 	dense.MulAB(psi, big, phi)
 	solver := admm.NewSolver(admm.Options{Workers: 1, Tol: 1e-30, MaxIters: admmIters})
-	measBase := minDuration(measureTrials, func() {
-		a := big.Clone()
-		if _, err := solver.Baseline(a, phi, psi, admm.NonNeg{}); err != nil {
-			panic(err)
-		}
-	}).Seconds() / admmIters
-	report("admm-baseline/iter", measBase, mo.ADMMIterTime(perfmodel.ADMMBaseline, big.Rows, k, 1))
-	measBF := minDuration(measureTrials, func() {
-		a := big.Clone()
-		if _, err := solver.BlockedFused(a, phi, psi, admm.NonNeg{}); err != nil {
-			panic(err)
-		}
-	}).Seconds() / admmIters
-	report("admm-bf/iter", measBF, mo.ADMMIterTime(perfmodel.ADMMBlockedFused, big.Rows, k, 1))
+	measBase, measBF := timeADMM(solver, big, phi, psi)
+	report("admm-baseline/iter", measBase.Seconds()/admmIters, mo.ADMMIterTime(sim.ADMMBaseline, big.Rows, k, 1))
+	report("admm-bf/iter", measBF.Seconds()/admmIters, mo.ADMMIterTime(sim.ADMMBlockedFused, big.Rows, k, 1))
 
 	fmt.Fprintln(h.out, "\nratios within roughly 0.2–5× indicate the model's cost constants are")
 	fmt.Fprintln(h.out, "the right order of magnitude on this host; thread-scaling *shapes* come")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spstream/internal/perfmodel"
+	"spstream/internal/perfmodel/sim"
 	"spstream/internal/synth"
 )
 
@@ -39,8 +40,8 @@ func (h *harness) crossover() error {
 		}
 		prof := perfmodel.Profile(x)
 		zeroFrac := 1 - float64(prof.Modes[1].NZRows)/float64(prof.Modes[1].Dim)
-		o := mo.IterTime(perfmodel.AlgOptimized, prof, 16, 56, 6)
-		n := mo.IterTime(perfmodel.AlgSpCP, prof, 16, 56, 6)
+		o := mo.IterTime(sim.AlgOptimized, prof, 16, 56, 6)
+		n := mo.IterTime(sim.AlgSpCP, prof, 16, 56, 6)
 		fmt.Fprintf(h.out, "%10d %14.4f %12.6f %12.6f %9.1fx\n", images, zeroFrac, o, n, o/n)
 		rows = append(rows, []string{itoa(images), ftoa(zeroFrac), ftoa(o), ftoa(n), ftoa(o / n)})
 	}

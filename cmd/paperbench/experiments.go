@@ -3,7 +3,7 @@ package main
 import (
 	"fmt"
 
-	"spstream/internal/perfmodel"
+	"spstream/internal/perfmodel/sim"
 	"spstream/internal/roofline"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
@@ -103,8 +103,8 @@ func (h *harness) fig2() error {
 		for _, p := range paperThreads {
 			base, bf := 0.0, 0.0
 			for _, m := range prof.Modes {
-				base += mo.ADMMIterTime(perfmodel.ADMMBaseline, m.Dim, k, p)
-				bf += mo.ADMMIterTime(perfmodel.ADMMBlockedFused, m.Dim, k, p)
+				base += mo.ADMMIterTime(sim.ADMMBaseline, m.Dim, k, p)
+				bf += mo.ADMMIterTime(sim.ADMMBlockedFused, m.Dim, k, p)
 			}
 			fmt.Fprintf(h.out, "%8d %14.6f %14.6f %9.1fx\n", p, base, bf, base/bf)
 			rows = append(rows, []string{itoa(k), itoa(p), ftoa(base), ftoa(bf), ftoa(base / bf)})
@@ -132,11 +132,11 @@ func (h *harness) fig3() error {
 			}
 			base, bf := 0.0, 0.0
 			for _, m := range prof.Modes {
-				base += mo.ADMMIterTime(perfmodel.ADMMBaseline, m.Dim, k, 56)
-				bf += mo.ADMMIterTime(perfmodel.ADMMBlockedFused, m.Dim, k, 56)
+				base += mo.ADMMIterTime(sim.ADMMBaseline, m.Dim, k, 56)
+				bf += mo.ADMMIterTime(sim.ADMMBlockedFused, m.Dim, k, 56)
 			}
-			lock := mo.MTTKRPTime(perfmodel.MTTKRPLock, prof, k, 56) + mo.TimeModeUpdateTime(prof, k, 56, true)
-			hl := mo.MTTKRPTime(perfmodel.MTTKRPHybrid, prof, k, 56) + mo.TimeModeUpdateTime(prof, k, 56, false)
+			lock := mo.MTTKRPTime(sim.MTTKRPLock, prof, k, 56) + mo.TimeModeUpdateTime(prof, k, 56, true)
+			hl := mo.MTTKRPTime(sim.MTTKRPHybrid, prof, k, 56) + mo.TimeModeUpdateTime(prof, k, 56, false)
 			fmt.Fprintf(h.out, "%6d %-8s %11.1fx %13.1fx\n", k, name, base/bf, lock/hl)
 			rows = append(rows, []string{itoa(k), name, ftoa(base / bf), ftoa(lock / hl)})
 		}
@@ -161,8 +161,8 @@ func (h *harness) fig4() error {
 	for _, k := range []int{16, 128} {
 		fmt.Fprintf(h.out, "\nrank %d:\n%8s %14s %14s %10s\n", k, "threads", "baseline(s)", "HL(s)", "speedup")
 		for _, p := range paperThreads {
-			lock := mo.MTTKRPTime(perfmodel.MTTKRPLock, prof, k, p) + mo.TimeModeUpdateTime(prof, k, p, true)
-			hl := mo.MTTKRPTime(perfmodel.MTTKRPHybrid, prof, k, p) + mo.TimeModeUpdateTime(prof, k, p, false)
+			lock := mo.MTTKRPTime(sim.MTTKRPLock, prof, k, p) + mo.TimeModeUpdateTime(prof, k, p, true)
+			hl := mo.MTTKRPTime(sim.MTTKRPHybrid, prof, k, p) + mo.TimeModeUpdateTime(prof, k, p, false)
 			fmt.Fprintf(h.out, "%8d %14.6f %14.6f %9.1fx\n", p, lock, hl, lock/hl)
 			rows = append(rows, []string{itoa(k), itoa(p), ftoa(lock), ftoa(hl), ftoa(lock / hl)})
 		}
@@ -192,8 +192,8 @@ func (h *harness) fig5() error {
 			if err != nil {
 				return err
 			}
-			b := mo.ConstrainedIterTime(perfmodel.AlgBaseline, prof, k, 56, 6, admmIters)
-			o := mo.ConstrainedIterTime(perfmodel.AlgOptimized, prof, k, 56, 6, admmIters)
+			b := mo.ConstrainedIterTime(sim.AlgBaseline, prof, k, 56, 6, admmIters)
+			o := mo.ConstrainedIterTime(sim.AlgOptimized, prof, k, 56, 6, admmIters)
 			fmt.Fprintf(h.out, "%6d %-8s %9.1fx\n", k, name, b/o)
 			rows = append(rows, []string{itoa(k), name, ftoa(b / o)})
 		}
@@ -234,9 +234,9 @@ func (h *harness) modelNonConstrained(exp string, datasets []string, ranks []int
 			fmt.Fprintf(h.out, "\n%s rank %d:\n%8s %12s %12s %12s %8s %8s\n",
 				name, k, "threads", "baseline(s)", "optimized(s)", "spCP(s)", "N/B", "O/B")
 			for _, p := range paperThreads {
-				b := mo.IterTime(perfmodel.AlgBaseline, prof, k, p, 6)
-				o := mo.IterTime(perfmodel.AlgOptimized, prof, k, p, 6)
-				n := mo.IterTime(perfmodel.AlgSpCP, prof, k, p, 6)
+				b := mo.IterTime(sim.AlgBaseline, prof, k, p, 6)
+				o := mo.IterTime(sim.AlgOptimized, prof, k, p, 6)
+				n := mo.IterTime(sim.AlgSpCP, prof, k, p, 6)
 				fmt.Fprintf(h.out, "%8d %12.6f %12.6f %12.6f %7.1fx %7.1fx\n", p, b, o, n, b/n, b/o)
 				rows = append(rows, []string{name, itoa(k), itoa(p), ftoa(b), ftoa(o), ftoa(n)})
 			}
@@ -257,8 +257,8 @@ func (h *harness) fig8() error {
 	if err != nil {
 		return err
 	}
-	algs := []perfmodel.AlgKind{perfmodel.AlgBaseline, perfmodel.AlgOptimized, perfmodel.AlgSpCP}
-	base := mo.IterTime(perfmodel.AlgBaseline, prof, 16, 56, 6)
+	algs := []sim.AlgKind{sim.AlgBaseline, sim.AlgOptimized, sim.AlgSpCP}
+	base := mo.IterTime(sim.AlgBaseline, prof, 16, 56, 6)
 	fmt.Fprintf(h.out, "%-12s %10s %8s", "algorithm", "total(ms)", "speedup")
 	for ph := 0; ph < trace.NumPhases; ph++ {
 		fmt.Fprintf(h.out, " %10s", trace.Phase(ph))

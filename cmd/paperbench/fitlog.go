@@ -22,11 +22,11 @@ func (h *harness) fitlog() error {
 		if err != nil {
 			return err
 		}
-		algs := []core.Algorithm{core.Baseline, core.Optimized, core.SpCPStream}
-		decs := make([]*core.Decomposer, len(algs))
+		algs := []variant{varBaseline, varOptimized, varSpCP}
+		decs := make([]sliceRunner, len(algs))
 		for i, alg := range algs {
-			decs[i], err = core.NewDecomposer(s.Dims, core.Options{
-				Rank: 16, Algorithm: alg, Seed: 7, TrackFit: true,
+			decs[i], err = alg.newRunner(s.Dims, core.Options{
+				Rank: 16, Seed: 7, TrackFit: true,
 			})
 			if err != nil {
 				return err

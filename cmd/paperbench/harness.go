@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"spstream/internal/perfmodel"
+	"spstream/internal/perfmodel/sim"
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
 )
@@ -46,7 +47,7 @@ type harness struct {
 	cmpOld string
 	cmpNew string
 
-	model    perfmodel.Model
+	model    sim.Model
 	modelOK  bool
 	streams  map[string]*sptensor.Stream
 	profiles map[string]perfmodel.SliceProfile
@@ -97,9 +98,9 @@ func (h *harness) validate() error {
 	return nil
 }
 
-func (h *harness) perfModel() perfmodel.Model {
+func (h *harness) perfModel() sim.Model {
 	if !h.modelOK {
-		h.model = perfmodel.PaperModel()
+		h.model = sim.PaperModel()
 		h.modelOK = true
 	}
 	return h.model

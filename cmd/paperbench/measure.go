@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spstream/internal/admm"
+	"spstream/internal/baselines"
 	"spstream/internal/core"
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
@@ -12,6 +13,39 @@ import (
 	"spstream/internal/synth"
 	"spstream/internal/trace"
 )
+
+// sliceRunner is what the measured experiments need of a decomposition.
+type sliceRunner interface {
+	ProcessSlice(*sptensor.Tensor) (core.SliceResult, error)
+	Breakdown() *trace.Breakdown
+}
+
+// variant is one column of the paper's comparison: the unoptimized
+// CP-stream (internal/baselines — an experiment, not a core.Algorithm)
+// or one of the two algorithms the runtime serves.
+type variant struct {
+	name     string
+	baseline bool
+	alg      core.Algorithm
+}
+
+var (
+	varBaseline  = variant{name: "baseline", baseline: true}
+	varOptimized = variant{name: "optimized", alg: core.Optimized}
+	varSpCP      = variant{name: "spcp-stream", alg: core.SpCPStream}
+)
+
+func (v variant) String() string { return v.name }
+
+// newRunner creates the variant's decomposition; both start from the
+// same factors for the same opt.Seed.
+func (v variant) newRunner(dims []int, opt core.Options) (sliceRunner, error) {
+	if v.baseline {
+		return baselines.NewCPStream(dims, opt)
+	}
+	opt.Algorithm = v.alg
+	return core.NewDecomposer(dims, opt)
+}
 
 // measureTrials is the repeat count for kernel timings; the minimum is
 // reported, as in the paper (§VI-C).
@@ -103,24 +137,11 @@ func (h *harness) measureFig2() error {
 		for _, w := range h.measureWorkers() {
 			opt := admm.Options{Workers: w, Tol: 1e-30, MaxIters: admmIters}
 			var tBase, tBF time.Duration
-			for m, f := range factors {
+			for _, f := range factors {
 				psi := dense.NewMatrix(f.Rows, k)
 				dense.MulAB(psi, f, phi)
-				warm := f.Clone()
-				solver := admm.NewSolver(opt)
-				tBase += minDuration(measureTrials, func() {
-					a := warm.Clone()
-					if _, err := solver.Baseline(a, phi, psi, admm.NonNeg{}); err != nil {
-						panic(err)
-					}
-				})
-				tBF += minDuration(measureTrials, func() {
-					a := warm.Clone()
-					if _, err := solver.BlockedFused(a, phi, psi, admm.NonNeg{}); err != nil {
-						panic(err)
-					}
-				})
-				_ = m
+				b, bf := timeADMM(admm.NewSolver(opt), f, phi, psi)
+				tBase, tBF = tBase+b, tBF+bf
 			}
 			fmt.Fprintf(h.out, "%8d %14.6f %14.6f %9.2fx\n",
 				w, tBase.Seconds()/admmIters, tBF.Seconds()/admmIters,
@@ -147,8 +168,8 @@ func (h *harness) measureFig3() error {
 			if err != nil {
 				return err
 			}
-			mSpeed := measureMTTKRPSpeedup(s.Slices[s.T()/2], s.Dims, k, w)
-			fmt.Fprintf(h.out, "%6d %-8s %11.2fx %13.2fx\n", k, name, aSpeed, mSpeed)
+			tLock, tHL := measureLockVsHL(s.Slices[s.T()/2], s.Dims, randomFactors(s.Dims, k, 5), k, w)
+			fmt.Fprintf(h.out, "%6d %-8s %11.2fx %13.2fx\n", k, name, aSpeed, float64(tLock)/float64(tHL))
 		}
 	}
 	return nil
@@ -157,7 +178,7 @@ func (h *harness) measureFig3() error {
 func measureADMMSpeedup(dims []int, k, w int) (float64, error) {
 	factors := randomFactors(dims, k, 3)
 	phi := dense.NewMatrix(k, k)
-	dense.Gram(phi, factors[0].RowView(0, minInt(factors[0].Rows, 4*k)))
+	dense.Gram(phi, factors[0].RowView(0, min(factors[0].Rows, 4*k)))
 	dense.AddScaledIdentity(phi, phi, 1)
 	opt := admm.Options{Workers: w, Tol: 1e-30, MaxIters: 5}
 	solver := admm.NewSolver(opt)
@@ -165,35 +186,40 @@ func measureADMMSpeedup(dims []int, k, w int) (float64, error) {
 	for _, f := range factors {
 		psi := dense.NewMatrix(f.Rows, k)
 		dense.MulAB(psi, f, phi)
-		tBase += minDuration(measureTrials, func() {
-			a := f.Clone()
-			if _, err := solver.Baseline(a, phi, psi, admm.NonNeg{}); err != nil {
-				panic(err)
-			}
-		})
-		tBF += minDuration(measureTrials, func() {
-			a := f.Clone()
-			if _, err := solver.BlockedFused(a, phi, psi, admm.NonNeg{}); err != nil {
-				panic(err)
-			}
-		})
+		b, bf := timeADMM(solver, f, phi, psi)
+		tBase, tBF = tBase+b, tBF+bf
 	}
 	return float64(tBase) / float64(tBF), nil
 }
 
-func measureMTTKRPSpeedup(x *sptensor.Tensor, dims []int, k, w int) float64 {
-	factors := randomFactors(dims, k, 5)
-	c := mttkrp.NewComputer(w)
+// timeADMM times one non-negative solve from the warm start a0 with the
+// baseline ADMM (Algorithm 2) and with Blocked & Fused (Algorithm 3).
+func timeADMM(solver *admm.Solver, a0, phi, psi *dense.Matrix) (tBase, tBF time.Duration) {
+	run := func(solve func(a, phi, psi *dense.Matrix, con admm.Constraint) (admm.Stats, error)) time.Duration {
+		return minDuration(measureTrials, func() {
+			if _, err := solve(a0.Clone(), phi, psi, admm.NonNeg{}); err != nil {
+				panic(err)
+			}
+		})
+	}
+	return run(solver.Baseline), run(solver.BlockedFused)
+}
+
+// measureLockVsHL times one inner iteration's MTTKRP work — every factor
+// mode plus the streaming-mode update — with the baseline kernels
+// (lock pool, single-lock time mode) and with Hybrid Lock + the
+// thread-local time mode.
+func measureLockVsHL(x *sptensor.Tensor, dims []int, factors []*dense.Matrix, k, w int) (tLock, tHL time.Duration) {
+	lk, c := baselines.NewLockKernels(w), mttkrp.NewComputer(w)
 	s := make([]float64, k)
-	var tLock, tHL time.Duration
 	for mode := range dims {
 		out := dense.NewMatrix(dims[mode], k)
-		tLock += minDuration(measureTrials, func() { c.Lock(out, x, factors, mode) })
-		tHL += minDuration(measureTrials, func() { c.Hybrid(out, x, factors, mode) })
+		tLock += minDuration(measureTrials, func() { lk.Lock(out, x, factors, mode) })
+		tHL += minDuration(measureTrials, func() { lk.Hybrid(out, x, factors, mode) })
 	}
-	tLock += minDuration(measureTrials, func() { c.TimeModeLocked(s, x, factors) })
+	tLock += minDuration(measureTrials, func() { lk.TimeModeLocked(s, x, factors) })
 	tHL += minDuration(measureTrials, func() { c.TimeMode(s, x, factors) })
-	return float64(tLock) / float64(tHL)
+	return tLock, tHL
 }
 
 // measureFig4 times the real MTTKRP kernels across the worker sweep.
@@ -208,16 +234,7 @@ func (h *harness) measureFig4() error {
 		fmt.Fprintf(h.out, "\nrank %d (all modes + streaming-mode update, min of %d trials):\n", k, measureTrials)
 		fmt.Fprintf(h.out, "%8s %14s %14s %10s\n", "workers", "baseline(s)", "HL(s)", "speedup")
 		for _, w := range h.measureWorkers() {
-			c := mttkrp.NewComputer(w)
-			sv := make([]float64, k)
-			var tLock, tHL time.Duration
-			for mode := range s.Dims {
-				out := dense.NewMatrix(s.Dims[mode], k)
-				tLock += minDuration(measureTrials, func() { c.Lock(out, x, factors, mode) })
-				tHL += minDuration(measureTrials, func() { c.Hybrid(out, x, factors, mode) })
-			}
-			tLock += minDuration(measureTrials, func() { c.TimeModeLocked(sv, x, factors) })
-			tHL += minDuration(measureTrials, func() { c.TimeMode(sv, x, factors) })
+			tLock, tHL := measureLockVsHL(x, s.Dims, factors, k, w)
 			fmt.Fprintf(h.out, "%8d %14.6f %14.6f %9.2fx\n", w, tLock.Seconds(), tHL.Seconds(), float64(tLock)/float64(tHL))
 		}
 	}
@@ -232,11 +249,11 @@ func (h *harness) measureFig5() error {
 	fmt.Fprintf(h.out, "%6s %-8s %10s\n", "rank", "dataset", "speedup")
 	for _, k := range []int{16, 32} {
 		for _, name := range []string{"patents", "nips", "uber"} {
-			b, err := h.runDecomposition(name, core.Baseline, k, w, true)
+			b, err := h.runDecomposition(name, varBaseline, k, w, true)
 			if err != nil {
 				return err
 			}
-			o, err := h.runDecomposition(name, core.Optimized, k, w, true)
+			o, err := h.runDecomposition(name, varOptimized, k, w, true)
 			if err != nil {
 				return err
 			}
@@ -253,15 +270,15 @@ func (h *harness) measureNonConstrained(datasets []string, ranks []int) error {
 			fmt.Fprintf(h.out, "\n%s rank %d (per-iteration seconds, %d slices):\n", name, k, h.slices)
 			fmt.Fprintf(h.out, "%8s %12s %12s %12s %8s %8s\n", "workers", "baseline", "optimized", "spCP", "N/B", "O/B")
 			for _, w := range h.measureWorkers() {
-				b, err := h.runDecomposition(name, core.Baseline, k, w, false)
+				b, err := h.runDecomposition(name, varBaseline, k, w, false)
 				if err != nil {
 					return err
 				}
-				o, err := h.runDecomposition(name, core.Optimized, k, w, false)
+				o, err := h.runDecomposition(name, varOptimized, k, w, false)
 				if err != nil {
 					return err
 				}
-				n, err := h.runDecomposition(name, core.SpCPStream, k, w, false)
+				n, err := h.runDecomposition(name, varSpCP, k, w, false)
 				if err != nil {
 					return err
 				}
@@ -274,17 +291,17 @@ func (h *harness) measureNonConstrained(datasets []string, ranks []int) error {
 
 // runDecomposition runs h.slices slices and returns the per-inner-
 // iteration wall time in seconds.
-func (h *harness) runDecomposition(name string, alg core.Algorithm, k, w int, constrained bool) (float64, error) {
+func (h *harness) runDecomposition(name string, v variant, k, w int, constrained bool) (float64, error) {
 	s, err := h.stream(name)
 	if err != nil {
 		return 0, err
 	}
-	opt := core.Options{Rank: k, Algorithm: alg, Workers: w, Seed: 9, MaxIters: 5}
+	opt := core.Options{Rank: k, Workers: w, Seed: 9, MaxIters: 5}
 	if constrained {
 		opt.Constraint = admm.NonNeg{}
 		opt.ADMMMaxIters = 10
 	}
-	dec, err := core.NewDecomposer(s.Dims, opt)
+	dec, err := v.newRunner(s.Dims, opt)
 	if err != nil {
 		return 0, err
 	}
@@ -319,8 +336,8 @@ func (h *harness) measureFig8() error {
 		fmt.Fprintf(h.out, " %10s", trace.Phase(ph))
 	}
 	fmt.Fprintln(h.out)
-	for _, alg := range []core.Algorithm{core.Baseline, core.Optimized, core.SpCPStream} {
-		dec, err := core.NewDecomposer(s.Dims, core.Options{Rank: 16, Algorithm: alg, Workers: w, Seed: 9, MaxIters: 5})
+	for _, alg := range []variant{varBaseline, varOptimized, varSpCP} {
+		dec, err := alg.newRunner(s.Dims, core.Options{Rank: 16, Workers: w, Seed: 9, MaxIters: 5})
 		if err != nil {
 			return err
 		}
@@ -331,25 +348,11 @@ func (h *harness) measureFig8() error {
 		}
 		bd := dec.Breakdown()
 		per := bd.PerIter()
-		fmt.Fprintf(h.out, "%-12s %10.3f", alg, bd.Total().Seconds()*1e3/float64(maxInt(bd.Iters, 1)))
+		fmt.Fprintf(h.out, "%-12s %10.3f", alg, bd.Total().Seconds()*1e3/float64(max(bd.Iters, 1)))
 		for ph := 0; ph < trace.NumPhases; ph++ {
 			fmt.Fprintf(h.out, " %10.4f", per[ph].Seconds()*1e3)
 		}
 		fmt.Fprintln(h.out)
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,12 +3,12 @@ package main
 import (
 	"fmt"
 
+	"spstream/internal/baselines"
 	"spstream/internal/dense"
-	"spstream/internal/mttkrp"
 	"spstream/internal/synth"
 )
 
-// threshold calibrates mttkrp.DefaultShortModeThreshold: Hybrid routes
+// threshold calibrates baselines.DefaultShortModeThreshold: Hybrid routes
 // a mode to the thread-local-accumulate path when its length is at or
 // below the threshold and to the lock-pool path above it. The sweep
 // holds the nonzero count fixed and grows one mode's length across the
@@ -47,7 +47,7 @@ func (h *harness) threshold() error {
 			}
 			dims := []int{rowsN, 2000, 2000}
 			factors := randomFactors(dims, k, 13)
-			c := mttkrp.NewComputer(w)
+			c := baselines.NewLockKernels(w)
 			out := dense.NewMatrix(rowsN, k)
 			tLocal := minDuration(measureTrials, func() { c.LocalAccumulate(out, x, factors, 0) }).Seconds()
 			tLock := minDuration(measureTrials, func() { c.Lock(out, x, factors, 0) }).Seconds()
@@ -65,6 +65,6 @@ func (h *harness) threshold() error {
 				crossover, crossover/2, crossover)
 		}
 	}
-	fmt.Fprintf(h.out, "\ncurrent DefaultShortModeThreshold = %d\n", mttkrp.DefaultShortModeThreshold)
+	fmt.Fprintf(h.out, "\ncurrent DefaultShortModeThreshold = %d\n", baselines.DefaultShortModeThreshold)
 	return h.writeCSV("threshold", []string{"workers", "rows", "local_s", "lock_s", "ratio"}, rows)
 }

@@ -41,6 +41,12 @@ func TestE2E(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
+	// The paper's baseline is an experiment (internal/baselines), not a
+	// runtime option: the daemon refuses it at startup.
+	if out, err := exec.Command(bin, "-dims", "10,8", "-alg", "baseline").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "want optimized or spcp") {
+		t.Fatalf("-alg baseline: err %v, output %q", err, out)
+	}
 	ckptDir := t.TempDir()
 
 	// Begin-attempt timeline (window = 4 events, skip policy retries

@@ -59,7 +59,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a free port, printed on startup)")
 		dimsFlag = flag.String("dims", "", "mode lengths of each event's coordinates, comma separated (required)")
 		rank     = flag.Int("rank", 8, "decomposition rank")
-		alg      = flag.String("alg", "spcp", "algorithm: baseline, optimized, spcp")
+		alg      = flag.String("alg", "spcp", "algorithm: optimized, spcp")
 		mu       = flag.Float64("mu", 0.95, "forgetting factor")
 		window   = flag.Int("window", 1000, "events per window/slice")
 		queueCap = flag.Int("queue", 8, "max windows buffered between API and solver")
@@ -115,7 +115,7 @@ func main() {
 		lo, hi := router.Block(*shardID)
 		shardInfo = &serve.ShardInfo{ID: *shardID, Count: *shardCount, RowLo: lo, RowHi: hi}
 	}
-	algorithm, err := parseAlg(*alg)
+	algorithm, err := core.ParseAlgorithm(*alg)
 	if err != nil {
 		fatal(err)
 	}
@@ -286,19 +286,6 @@ func parseDims(s string) ([]int, error) {
 		return nil, fmt.Errorf("need at least 2 modes")
 	}
 	return dims, nil
-}
-
-func parseAlg(s string) (core.Algorithm, error) {
-	switch s {
-	case "baseline":
-		return core.Baseline, nil
-	case "optimized":
-		return core.Optimized, nil
-	case "spcp":
-		return core.SpCPStream, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
 }
 
 func fatal(err error) {

@@ -75,7 +75,7 @@ func main() {
 		rank       = flag.Int("rank", 8, "decomposition rank")
 		topN       = flag.Int("top", 3, "top rows to print per component")
 		mu         = flag.Float64("mu", 0.95, "forgetting factor")
-		alg        = flag.String("alg", "spcp", "algorithm: baseline, optimized, spcp")
+		alg        = flag.String("alg", "spcp", "algorithm: optimized, spcp")
 		queueCap   = flag.Int("queue", 8, "max windows buffered between feed and solver")
 		shed       = flag.String("shed-policy", "block", "full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
 		maxLag     = flag.Duration("max-lag", 0, "shed windows older than this at solve time (0 = never)")
@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	algorithm, err := parseAlg(*alg)
+	algorithm, err := spstream.ParseAlgorithm(*alg)
 	if err != nil {
 		fatal(err)
 	}
@@ -383,19 +383,6 @@ func parseDims(s string) ([]int, error) {
 		return nil, fmt.Errorf("need at least 2 modes")
 	}
 	return dims, nil
-}
-
-func parseAlg(s string) (spstream.Algorithm, error) {
-	switch s {
-	case "baseline":
-		return spstream.Baseline, nil
-	case "optimized":
-		return spstream.Optimized, nil
-	case "spcp":
-		return spstream.SpCPStream, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
 }
 
 func rowList(rows []spstream.RowWeight) string {

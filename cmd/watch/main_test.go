@@ -100,12 +100,16 @@ func FuzzParseEvent(f *testing.F) {
 	})
 }
 
+// -alg goes through the parser all three CLIs share (table-tested in
+// internal/core); this pins what reaches watch through the facade.
 func TestParseAlg(t *testing.T) {
-	if a, err := parseAlg("spcp"); err != nil || a != spstream.SpCPStream {
+	if a, err := spstream.ParseAlgorithm("spcp"); err != nil || a != spstream.SpCPStream {
 		t.Fatal("spcp parse wrong")
 	}
-	if _, err := parseAlg("nope"); err == nil {
-		t.Fatal("bad algorithm accepted")
+	for _, bad := range []string{"nope", "baseline"} {
+		if _, err := spstream.ParseAlgorithm(bad); err == nil {
+			t.Fatalf("algorithm %q accepted", bad)
+		}
 	}
 }
 

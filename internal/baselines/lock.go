@@ -1,4 +1,4 @@
-package parallel
+package baselines
 
 import (
 	"fmt"
@@ -57,20 +57,14 @@ func NewLocalBuffers(workers, size int) *LocalBuffers {
 // Get returns worker w's buffer, growing it to at least size and zeroing
 // the first size elements.
 func (lb *LocalBuffers) Get(w, size int) []float64 {
-	if w >= len(lb.bufs) {
-		// Grow the worker dimension lazily; callers normally size the
-		// pool to the worker count, so this is a rare path.
-		for len(lb.bufs) <= w {
-			lb.bufs = append(lb.bufs, nil)
-		}
+	for len(lb.bufs) <= w { // rare: callers size the pool to the worker count
+		lb.bufs = append(lb.bufs, nil)
 	}
 	if cap(lb.bufs[w]) < size {
 		lb.bufs[w] = make([]float64, size)
 	}
 	buf := lb.bufs[w][:size]
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return buf
 }
 
@@ -85,12 +79,12 @@ func (lb *LocalBuffers) Workers() int { return len(lb.bufs) }
 // instead.
 func (lb *LocalBuffers) Reduce(dst []float64, workers, size int) {
 	if workers > len(lb.bufs) {
-		panic(fmt.Sprintf("parallel: LocalBuffers.Reduce over %d workers but only %d buffers held", workers, len(lb.bufs)))
+		panic(fmt.Sprintf("baselines: LocalBuffers.Reduce over %d workers but only %d buffers held", workers, len(lb.bufs)))
 	}
 	for w := 0; w < workers; w++ {
 		buf := lb.bufs[w]
 		if len(buf) < size {
-			panic(fmt.Sprintf("parallel: LocalBuffers.Reduce worker %d buffer has %d elements, need %d", w, len(buf), size))
+			panic(fmt.Sprintf("baselines: LocalBuffers.Reduce worker %d buffer has %d elements, need %d", w, len(buf), size))
 		}
 		for i := 0; i < size; i++ {
 			dst[i] += buf[i]

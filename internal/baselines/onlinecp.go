@@ -36,8 +36,8 @@ type OnlineCP struct {
 	p    []*dense.Matrix
 	q    []*dense.Matrix
 	s    []float64
-	hist [][]float64
 	mt   *mttkrp.Computer
+	lk   *LockKernels
 	// ridge stabilizes the Q solves.
 	ridge float64
 	psi   []*dense.Matrix
@@ -57,6 +57,7 @@ func NewOnlineCP(dims []int, rank, workers int, seed uint64) (*OnlineCP, error) 
 		dims:  append([]int(nil), dims...),
 		k:     rank,
 		mt:    mttkrp.NewComputer(workers),
+		lk:    NewLockKernels(workers),
 		ridge: 1e-6,
 		s:     make([]float64, rank),
 	}
@@ -98,33 +99,19 @@ func (o *OnlineCP) ProcessSlice(x *sptensor.Tensor) error {
 	}
 	k := o.k
 	// sₜ: closed-form LS against the current factors.
-	phiS := dense.NewMatrix(k, k)
-	phiS.Fill(1)
-	for m := range o.c {
-		dense.Hadamard(phiS, phiS, o.c[m])
-	}
-	dense.AddScaledIdentity(phiS, phiS, 1e-2)
 	o.mt.TimeMode(o.s, x, o.a)
-	chol, err := dense.Factor(phiS)
-	if err != nil {
-		return fmt.Errorf("baselines: s solve: %w", err)
+	if err := solveTemporal(o.s, o.c, 1e-2); err != nil {
+		return err
 	}
-	chol.SolveVec(o.s)
 
 	// Accumulate P and Q and refresh each factor once.
 	ssT := dense.NewMatrix(k, k)
 	dense.OuterProduct(ssT, o.s, o.s)
 	for n := range o.a {
-		o.mt.Hybrid(o.psi[n], x, o.a, n)
+		o.lk.Hybrid(o.psi[n], x, o.a, n)
 		dense.ScaleColumns(o.psi[n], o.psi[n], o.s)
 		dense.Add(o.p[n], o.p[n], o.psi[n])
-		had := dense.NewMatrix(k, k)
-		had.Fill(1)
-		for v := range o.c {
-			if v != n {
-				dense.Hadamard(had, had, o.c[v])
-			}
-		}
+		had := hadamardExcept(o.c, n)
 		dense.Hadamard(had, had, ssT)
 		dense.Add(o.q[n], o.q[n], had)
 		ridge := o.ridge * (1 + dense.Trace(o.q[n])/float64(k))
@@ -135,7 +122,6 @@ func (o *OnlineCP) ProcessSlice(x *sptensor.Tensor) error {
 		qc.SolveRowsInto(o.a[n], o.p[n])
 		dense.Gram(o.c[n], o.a[n])
 	}
-	o.hist = append(o.hist, append([]float64(nil), o.s...))
 	o.t++
 	return nil
 }
@@ -145,25 +131,53 @@ func (o *OnlineCP) Fit(x *sptensor.Tensor) float64 {
 	return modelFit(o.mt, x, o.a, o.c, o.s)
 }
 
-// modelFit is the shared sparse fit computation (see core.sliceFit).
+// modelFit is the sparse fit of the model {a, s} (Grams c) on x; 0 for
+// an empty slice.
 func modelFit(mt *mttkrp.Computer, x *sptensor.Tensor, a, c []*dense.Matrix, s []float64) float64 {
-	xnorm2 := x.Norm2()
-	if xnorm2 == 0 {
+	if x.Norm2() == 0 {
 		return 0
 	}
-	k := len(s)
-	psi := make([]float64, k)
+	psi := make([]float64, len(s))
 	mt.TimeMode(psi, x, a)
-	had := dense.NewMatrix(k, k)
-	had.Fill(1)
-	for m := range c {
-		dense.Hadamard(had, had, c[m])
+	return fitFromPsi(x, psi, c, s)
+}
+
+// hadamardExcept returns ⊛_{v≠skip} ms[v] as a new matrix (skip = -1: all).
+func hadamardExcept(ms []*dense.Matrix, skip int) *dense.Matrix {
+	out := dense.NewMatrix(ms[0].Rows, ms[0].Cols)
+	out.Fill(1)
+	for v, m := range ms {
+		if v != skip {
+			dense.Hadamard(out, out, m)
+		}
 	}
-	tmp := make([]float64, k)
-	dense.MulVec(tmp, had, s)
-	model2 := dense.Dot(s, tmp)
-	inner := dense.Dot(s, psi)
-	err2 := xnorm2 - 2*inner + model2
+	return out
+}
+
+// solveTemporal overwrites s = ψ, the streaming-mode MTTKRP, with the
+// closed-form temporal row: (⊛_v C⁽ᵛ⁾ + ridge·I)s = ψ.
+func solveTemporal(s []float64, c []*dense.Matrix, ridge float64) error {
+	phi := hadamardExcept(c, -1)
+	dense.AddScaledIdentity(phi, phi, ridge)
+	chol, err := dense.Factor(phi)
+	if err != nil {
+		return fmt.Errorf("baselines: sₜ solve: %w", err)
+	}
+	chol.SolveVec(s)
+	return nil
+}
+
+// fitFromPsi returns 1 − ‖X−X̂‖_F/‖X‖_F in sparse form (see
+// core.sliceFit): ⟨X, X̂⟩ = sᵀψ with ψ the streaming-mode MTTKRP of x over
+// the factors, ‖X̂‖² = sᵀ(⊛_v C⁽ᵛ⁾)s. NaN for an empty slice.
+func fitFromPsi(x *sptensor.Tensor, psi []float64, c []*dense.Matrix, s []float64) float64 {
+	xnorm2 := x.Norm2()
+	if xnorm2 == 0 {
+		return math.NaN()
+	}
+	tmp := make([]float64, len(s))
+	dense.MulVec(tmp, hadamardExcept(c, -1), s)
+	err2 := xnorm2 - 2*dense.Dot(s, psi) + dense.Dot(s, tmp)
 	if err2 < 0 {
 		err2 = 0
 	}

@@ -94,18 +94,10 @@ func (o *OnlineSGD) ProcessSlice(x *sptensor.Tensor) error {
 	}
 	k := o.k
 	// sₜ via least squares on current factors.
-	phiS := dense.NewMatrix(k, k)
-	phiS.Fill(1)
-	for m := range o.c {
-		dense.Hadamard(phiS, phiS, o.c[m])
-	}
-	dense.AddScaledIdentity(phiS, phiS, 1e-2)
 	o.mt.TimeMode(o.s, x, o.a)
-	chol, err := dense.Factor(phiS)
-	if err != nil {
-		return fmt.Errorf("baselines: s solve: %w", err)
+	if err := solveTemporal(o.s, o.c, 1e-2); err != nil {
+		return err
 	}
-	chol.SolveVec(o.s)
 
 	eta := o.LearningRate
 	for p := 0; p < o.t; p++ {

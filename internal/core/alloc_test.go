@@ -22,7 +22,7 @@ import (
 // with the iteration: its two rank-K vectors are Decomposer-owned.
 
 func TestExplicitIterateZeroAlloc(t *testing.T) {
-	for _, alg := range []Algorithm{Baseline, Optimized} {
+	for _, alg := range []Algorithm{Optimized} {
 		s := skewedStream(t, 314)
 		d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: alg, Seed: 7, Workers: 1, TrackFit: true})
 		if err != nil {

@@ -79,25 +79,6 @@ func maxFactorDiff(a, b *Decomposer) float64 {
 	return worst
 }
 
-// Baseline and Optimized run the same algorithm with different kernels;
-// their factor trajectories must agree to lock-ordering FP noise.
-func TestBaselineOptimizedEquivalence(t *testing.T) {
-	s := testStream(t, 21, []int{20, 30, 15}, 400, 5)
-	base, resB := runStream(t, s, Options{Rank: 4, Algorithm: Baseline, Seed: 5, Workers: 2})
-	opt, resO := runStream(t, s, Options{Rank: 4, Algorithm: Optimized, Seed: 5, Workers: 2})
-	if len(resB) != len(resO) {
-		t.Fatal("slice counts differ")
-	}
-	if d := maxFactorDiff(base, opt); d > 1e-6 {
-		t.Fatalf("baseline vs optimized factors differ by %g", d)
-	}
-	for i := range resB {
-		if math.Abs(resB[i].Delta-resO[i].Delta) > 1e-6 {
-			t.Fatalf("slice %d: deltas differ: %g vs %g", i, resB[i].Delta, resO[i].Delta)
-		}
-	}
-}
-
 // The central correctness property of the reproduction: spCP-stream's
 // Gram-form updates produce the same factorization as explicit
 // CP-stream.
@@ -179,7 +160,7 @@ func TestSpCPFitComparableToExplicit(t *testing.T) {
 
 func TestConstrainedNonNegFeasible(t *testing.T) {
 	s := testStream(t, 51, []int{15, 20, 10}, 300, 4)
-	for _, alg := range []Algorithm{Baseline, Optimized} {
+	for _, alg := range []Algorithm{Optimized} {
 		d, res := runStream(t, s, Options{Rank: 3, Algorithm: alg, Constraint: admm.NonNeg{}, Seed: 7})
 		for m := 0; m < 3; m++ {
 			for _, v := range d.Factor(m).Data {
@@ -198,22 +179,13 @@ func TestConstrainedNonNegFeasible(t *testing.T) {
 	}
 }
 
-func TestConstrainedBaselineOptimizedClose(t *testing.T) {
-	s := testStream(t, 52, []int{15, 20, 10}, 300, 4)
-	base, _ := runStream(t, s, Options{Rank: 3, Algorithm: Baseline, Constraint: admm.NonNeg{}, Seed: 7, ADMMTol: 1e-8, ADMMMaxIters: 200})
-	opt, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Constraint: admm.NonNeg{}, Seed: 7, ADMMTol: 1e-8, ADMMMaxIters: 200})
-	if d := maxFactorDiff(base, opt); d > 1e-2 {
-		t.Fatalf("constrained baseline vs optimized differ by %g", d)
-	}
-}
-
 func TestEmptySlices(t *testing.T) {
 	dims := []int{10, 12}
 	empty := sptensor.New(dims...)
 	full := sptensor.New(dims...)
 	full.Append([]int32{1, 2}, 1.0)
 	full.Append([]int32{3, 4}, 2.0)
-	for _, alg := range []Algorithm{Baseline, Optimized, SpCPStream} {
+	for _, alg := range []Algorithm{Optimized, SpCPStream} {
 		d, err := NewDecomposer(dims, Options{Rank: 2, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ type Decomposer struct {
 	csfEng  *csf.Engine
 	sel     perfmodel.Selector
 	prof    perfmodel.SliceProfile
-	kernels []kernelChoice
+	kernels []perfmodel.MTTKRPKind
 
 	// Out-of-core evaluation (see streamed.go): the pooled streaming
 	// MTTKRP kernel (created on first blocked slice) and the evaluation
@@ -139,7 +139,7 @@ type coreArgs struct {
 // lengths. Factors are randomly initialized (non-negative uniform, so
 // constrained runs start feasible).
 func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := opt.Validate(dims); err != nil {
 		return nil, err
 	}

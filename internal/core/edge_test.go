@@ -101,7 +101,7 @@ func TestTrackFitEmptySlice(t *testing.T) {
 // A single nonzero per slice (extreme sparsity) through all algorithms.
 func TestSingleNonzeroSlices(t *testing.T) {
 	dims := []int{50, 60}
-	for _, alg := range []Algorithm{Baseline, Optimized, SpCPStream} {
+	for _, alg := range []Algorithm{Optimized, SpCPStream} {
 		d, err := NewDecomposer(dims, Options{Rank: 3, Algorithm: alg, Seed: 5, MaxIters: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestConstrainedSpCPWithL1(t *testing.T) {
 }
 
 func TestAlgorithmStringNames(t *testing.T) {
-	if Baseline.String() != "baseline" || Optimized.String() != "optimized" || SpCPStream.String() != "spcp-stream" {
+	if Optimized.String() != "optimized" || SpCPStream.String() != "spcp-stream" {
 		t.Fatal("algorithm names wrong")
 	}
 	if Algorithm(99).String() == "" {

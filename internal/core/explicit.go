@@ -12,15 +12,12 @@ import (
 	"spstream/internal/trace"
 )
 
-// explicitRun holds the per-slice state of Algorithm 1 — the Baseline
-// and Optimized variants, and every algorithm on a streamed slice —
-// between the begin/iterate/finish phases. Splitting the slice loop this
-// way keeps every per-slice artifact (compiled MTTKRP layouts, the
-// slice's result) out of the Decomposer while letting tests drive — and
-// measure — a single steady-state inner iteration in isolation. The
-// variants differ in kernel choice: Lock vs plan-based segmented MTTKRP,
-// single-lock vs thread-local streaming-mode update, and Algorithm 2 vs
-// Algorithm 3 ADMM for constrained problems.
+// explicitRun holds the per-slice state of Algorithm 1 — Optimized, and
+// either algorithm on a streamed slice — between the begin/iterate/finish
+// phases. Splitting the slice loop this way keeps every per-slice
+// artifact (compiled MTTKRP layouts, the slice's result) out of the
+// Decomposer while letting tests drive — and measure — a single
+// steady-state inner iteration in isolation.
 type explicitRun struct {
 	// in is the slice as it arrived, in global row ids; kin and kf are
 	// the sparse data and factors the kernels read — in and d.a, unless
@@ -37,9 +34,8 @@ type explicitRun struct {
 	// the gathered d.aNzCur factors, while d.a/d.psi stay in global row
 	// ids — the remapping is invisible outside the mode-update inner
 	// loop, so snapshots and checkpoints always see global rows.
-	rm        *mttkrp.Remapped
-	optimized bool
-	res       SliceResult
+	rm  *mttkrp.Remapped
+	res SliceResult
 }
 
 // beginExplicit performs the per-slice Pre work: snapshot A_{t-1} and
@@ -50,11 +46,10 @@ type explicitRun struct {
 // row and block schedule, and solve the closed-form sₜ warm start.
 func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 	run := &explicitRun{
-		in:        in,
-		kin:       in,
-		kf:        d.a,
-		optimized: d.opt.Algorithm != Baseline,
-		res:       SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()},
+		in:  in,
+		kin: in,
+		kf:  d.a,
+		res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()},
 	}
 	var err error
 	d.bd.Time(trace.Pre, func() {
@@ -81,7 +76,7 @@ func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 			d.ensureANzCur(run.rm)
 			run.kin, run.kf = sliceData{x: run.rm.X}, d.aNzCur
 		}
-		if err = d.mttkrpTime(d.fitPsi, run.kin, run.kf, !run.optimized); err == nil {
+		if err = d.mttkrpTime(d.fitPsi, run.kin, run.kf); err == nil {
 			err = d.solveS()
 		}
 	})
@@ -173,12 +168,8 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 			rm.ScatterMode(d.a[n], d.aNzCur[n], n)
 		} else if con == nil {
 			d.solveRows(d.a[n])
-		} else if run.optimized {
-			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], con)
-			run.res.ADMMIters += st.Iters
-			err = e
 		} else {
-			st, e := d.solver.Baseline(d.a[n], phi, d.psi[n], con)
+			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], con)
 			run.res.ADMMIters += st.Iters
 			err = e
 		}
@@ -209,14 +200,9 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 		}
 	}
 	// Time-mode ALS block: refresh sₜ, and with it the µG + ssᵀ operand,
-	// from ψ = Σᵢ M⁽ᴺ⁾[i,:] ∘ A⁽ᴺ⁾[i,:] — no pass over the nonzeros; only
-	// Baseline on a resident slice keeps the paper's single-lock kernel.
+	// from ψ = Σᵢ M⁽ᴺ⁾[i,:] ∘ A⁽ᴺ⁾[i,:] — no pass over the nonzeros.
 	t0 := time.Now()
-	if run.optimized || run.in.src != nil {
-		d.colDots(d.fitPsi, kout, run.kf[d.n-1])
-	} else if err := d.mttkrpTime(d.fitPsi, run.kin, run.kf, true); err != nil {
-		return 0, err
-	}
+	d.colDots(d.fitPsi, kout, run.kf[d.n-1])
 	d.psiFresh = true
 	err := d.solveS()
 	d.bd.Add(trace.MTTKRP, time.Since(t0))

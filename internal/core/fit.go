@@ -26,7 +26,7 @@ func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
 	}
 	psi := d.fitPsi
 	if !d.psiFresh {
-		if err := d.mttkrpTime(psi, in, d.a, false); err != nil {
+		if err := d.mttkrpTime(psi, in, d.a); err != nil {
 			return math.NaN(), err
 		}
 	}

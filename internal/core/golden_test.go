@@ -14,7 +14,6 @@ import (
 // update the table alongside the change.
 func TestGoldenTrajectories(t *testing.T) {
 	golden := map[Algorithm][]string{
-		Baseline:   {"fit=0.6695 iters=20", "fit=0.5551 iters=20", "fit=0.5442 iters=20"},
 		Optimized:  {"fit=0.6695 iters=20", "fit=0.5551 iters=20", "fit=0.5442 iters=20"},
 		SpCPStream: {"fit=0.6695 iters=20", "fit=0.5551 iters=20", "fit=0.5442 iters=20"},
 	}

@@ -22,10 +22,10 @@ import (
 
 // sliceData is one time slice's sparse data: resident (x) or streamed
 // out of core (src) — exactly one is set. The driver and both algorithm
-// bodies pass it around opaquely; beyond the explicit body's begin and
-// its choice of sₜ refresh, only mttkrpMode, mttkrpTime and norm2 below
-// look at which it is, so a streamed slice is an input to the one slice
-// driver rather than a driver of its own.
+// bodies pass it around opaquely; beyond the explicit body's begin, only
+// mttkrpMode, mttkrpTime and norm2 below look at which it is, so a
+// streamed slice is an input to the one slice driver rather than a driver
+// of its own.
 type sliceData struct {
 	x   *sptensor.Tensor
 	src sptensor.BlockSource
@@ -56,8 +56,8 @@ func (in sliceData) scan() error {
 // mttkrpMode computes out = MTTKRP(in, factors, n): streamed over the
 // blocks when the slice is a source (bit-identical to the compiled plan
 // on their concatenation, for any worker count), else by the kernel the
-// table resolved for mode n — the plan compiled over in.x, the CSF
-// engine's trees (begun on in.x), or the lock kernel.
+// table resolved for mode n — the plan compiled over in.x or the CSF
+// engine's trees (begun on in.x).
 func (d *Decomposer) mttkrpMode(out *dense.Matrix, in sliceData, plan *mttkrp.Plan, factors []*dense.Matrix, n int) error {
 	if in.src != nil {
 		if err := d.streamKernel().MTTKRP(out, in.src, factors, n); err != nil {
@@ -65,32 +65,24 @@ func (d *Decomposer) mttkrpMode(out *dense.Matrix, in sliceData, plan *mttkrp.Pl
 		}
 		return nil
 	}
-	switch d.kernels[n] {
-	case kcCSF:
+	if d.kernels[n] == perfmodel.MTTKRPCSF {
 		d.csfEng.MTTKRP(out, factors, n)
-	case kcPlan:
+	} else {
 		d.mt.PlanMTTKRP(out, plan, factors, n)
-	default:
-		d.mt.Lock(out, in.x, factors, n)
 	}
 	return nil
 }
 
 // mttkrpTime computes the streaming-mode (time) MTTKRP dst over in, a
-// pass over the nonzeros: the warm-start sₜ, FitOf, and Baseline's
-// per-iteration sₜ, where locked selects the single-lock kernel — the
-// paper's prime example of lock contention (§IV-B). A streamed slice has
-// only the thread-local reduction, bit for bit the in-memory one.
-func (d *Decomposer) mttkrpTime(dst []float64, in sliceData, factors []*dense.Matrix, locked bool) error {
-	switch {
-	case in.src != nil:
-		if err := d.streamKernel().TimeMode(dst, in.src, factors); err != nil {
-			return fmt.Errorf("core: streamed time-mode MTTKRP: %w", err)
-		}
-	case locked:
-		d.mt.TimeModeLocked(dst, in.x, factors)
-	default:
+// pass over the nonzeros: the warm-start sₜ and FitOf. The streamed
+// kernel is bit for bit the in-memory thread-local reduction.
+func (d *Decomposer) mttkrpTime(dst []float64, in sliceData, factors []*dense.Matrix) error {
+	if in.src == nil {
 		d.mt.TimeMode(dst, in.x, factors)
+		return nil
+	}
+	if err := d.streamKernel().TimeMode(dst, in.src, factors); err != nil {
+		return fmt.Errorf("core: streamed time-mode MTTKRP: %w", err)
 	}
 	return nil
 }
@@ -115,26 +107,6 @@ func (d *Decomposer) norm2(in sliceData) (float64, error) {
 	return sum, nil
 }
 
-// kernelChoice is one mode's resolved kernel for the current slice.
-type kernelChoice int8
-
-const (
-	kcLock kernelChoice = iota
-	kcPlan
-	kcCSF
-)
-
-// kernelPolicy resolves KernelDefault to the per-algorithm default.
-func (d *Decomposer) kernelPolicy() MTTKRPKernel {
-	if d.opt.MTTKRPKernel != KernelDefault {
-		return d.opt.MTTKRPKernel
-	}
-	if d.opt.Algorithm == Baseline {
-		return KernelLock
-	}
-	return KernelAuto
-}
-
 // selectorAmortIters is the inner-iteration count the per-slice build
 // cost is amortized over in Auto selection: MaxIters capped low, so a
 // stream that converges quickly is not charged for builds it would
@@ -149,13 +121,11 @@ func (d *Decomposer) selectorAmortIters() int {
 }
 
 // layoutActive reports whether the adaptive layout manager runs: it
-// rides the Auto cost-model path of the optimized algorithms (forced
-// kernel policies pin the whole layout so kernel benchmarks stay
-// apples-to-apples) and can be switched off via Options.Layout.
+// rides the Auto cost-model path (forced kernel policies pin the whole
+// layout so kernel benchmarks stay apples-to-apples) and can be switched
+// off via Options.Layout.
 func (d *Decomposer) layoutActive() bool {
-	return d.opt.Layout != LayoutOff &&
-		d.opt.Algorithm != Baseline &&
-		d.kernelPolicy() == KernelAuto
+	return d.opt.Layout != LayoutOff && d.opt.MTTKRPKernel == KernelAuto
 }
 
 // ensureLayout lazily creates the stream-lifetime layout manager.
@@ -174,38 +144,16 @@ func (d *Decomposer) ensureLayout() *perfmodel.Layout {
 // model sees the remapped shape when the layout manager remapped.
 func (d *Decomposer) chooseKernelsFrom(n int, prof *perfmodel.SliceProfile) (needPlan, needCSF bool) {
 	if cap(d.kernels) < n {
-		d.kernels = make([]kernelChoice, n)
+		d.kernels = make([]perfmodel.MTTKRPKind, n)
 	}
 	d.kernels = d.kernels[:n]
-	switch d.kernelPolicy() {
-	case KernelLock:
-		for m := range d.kernels {
-			d.kernels[m] = kcLock
-		}
-	case KernelPlan:
-		for m := range d.kernels {
-			d.kernels[m] = kcPlan
-		}
-	case KernelCSF:
-		for m := range d.kernels {
-			d.kernels[m] = kcCSF
-		}
-	default: // KernelAuto
-		amort := d.selectorAmortIters()
-		for m := range d.kernels {
-			if d.sel.SelectMTTKRPEx(*prof, m, d.k, amort, prof.Sorted) == perfmodel.MTTKRPCSF {
-				d.kernels[m] = kcCSF
-			} else {
-				d.kernels[m] = kcPlan
-			}
-		}
-	}
-	for _, kc := range d.kernels {
-		switch kc {
-		case kcPlan:
-			needPlan = true
-		case kcCSF:
-			needCSF = true
+	policy, amort := d.opt.MTTKRPKernel, d.selectorAmortIters()
+	for m := range d.kernels {
+		if policy == KernelCSF || policy == KernelAuto &&
+			d.sel.SelectMTTKRPEx(*prof, m, d.k, amort, prof.Sorted) == perfmodel.MTTKRPCSF {
+			d.kernels[m], needCSF = perfmodel.MTTKRPCSF, true
+		} else {
+			d.kernels[m], needPlan = perfmodel.MTTKRPPlan, true
 		}
 	}
 	return needPlan, needCSF
@@ -215,7 +163,7 @@ func (d *Decomposer) chooseKernelsFrom(n int, prof *perfmodel.SliceProfile) (nee
 // the single-tensor path used by spCP-stream, forced policies, and the
 // selection tests.
 func (d *Decomposer) chooseKernels(x *sptensor.Tensor) (needPlan, needCSF bool) {
-	if d.kernelPolicy() == KernelAuto {
+	if d.opt.MTTKRPKernel == KernelAuto {
 		d.profiler.Profile(&d.prof, x, nil, d.t)
 	}
 	return d.chooseKernelsFrom(x.NModes(), &d.prof)
@@ -244,7 +192,7 @@ func (d *Decomposer) compileKernels(kx *sptensor.Tensor, needPlan, needCSF, hint
 			eng.SetSortedBase()
 		}
 		for m, kc := range d.kernels {
-			if kc == kcCSF {
+			if kc == perfmodel.MTTKRPCSF {
 				eng.Build(m)
 			}
 		}
@@ -252,12 +200,12 @@ func (d *Decomposer) compileKernels(kx *sptensor.Tensor, needPlan, needCSF, hint
 	if !needPlan {
 		return nil
 	}
-	if allPlan(d.kernels) {
+	if !needCSF {
 		return d.mt.NewPlan(kx)
 	}
 	need := make([]bool, len(d.kernels))
 	for m, kc := range d.kernels {
-		need[m] = kc == kcPlan
+		need[m] = kc == perfmodel.MTTKRPPlan
 	}
 	return d.mt.NewPlanFor(kx, need)
 }
@@ -268,7 +216,7 @@ func (d *Decomposer) compileKernels(kx *sptensor.Tensor, needPlan, needCSF, hint
 // every production path; the engine's own verification catches the
 // rest).
 func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
-	auto := d.kernelPolicy() == KernelAuto
+	auto := d.opt.MTTKRPKernel == KernelAuto
 	needPlan, needCSF := d.chooseKernels(x)
 	return d.compileKernels(x, needPlan, needCSF, !auto || d.prof.Sorted)
 }
@@ -281,7 +229,7 @@ func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
 // whichever view the inner loop will run on. Returns the compiled plan
 // and the remapped view (nil when the slice runs in place).
 func (d *Decomposer) beginKernelsLayout(x *sptensor.Tensor) (*mttkrp.Plan, *mttkrp.Remapped) {
-	if d.kernelPolicy() != KernelAuto {
+	if d.opt.MTTKRPKernel != KernelAuto {
 		d.lastDec = perfmodel.Decision{}
 		needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.prof)
 		return d.compileKernels(x, needPlan, needCSF, true), nil
@@ -322,13 +270,4 @@ func (d *Decomposer) compactProfile(rm *mttkrp.Remapped, hot bool) {
 	}
 	p.Sorted = d.prof.Sorted && !hot
 	p.Pair01 = d.prof.Pair01
-}
-
-func allPlan(ks []kernelChoice) bool {
-	for _, kc := range ks {
-		if kc != kcPlan {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"spstream/internal/perfmodel"
@@ -12,7 +13,7 @@ import (
 func TestKernelPoliciesEquivalent(t *testing.T) {
 	s := skewedStream(t, 117)
 	ref, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: 2, MTTKRPKernel: KernelPlan})
-	for _, k := range []MTTKRPKernel{KernelAuto, KernelCSF, KernelLock} {
+	for _, k := range []MTTKRPKernel{KernelAuto, KernelCSF} {
 		got, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: 2, MTTKRPKernel: k})
 		if d := maxFactorDiff(ref, got); d > 1e-8 {
 			t.Fatalf("policy %v changed results by %g", k, d)
@@ -33,24 +34,25 @@ func TestKernelPoliciesEquivalentSpCP(t *testing.T) {
 	}
 }
 
-// KernelDefault resolves per algorithm: the paper-faithful Lock kernel
-// for Baseline, cost-model Auto for the optimized variants.
+// An Options literal that names nothing but the rank gets what the
+// daemon serves: Optimized, the cost-model kernel selection, the adaptive
+// layout — and a schedule of compiled kernels only.
 func TestKernelPolicyDefaults(t *testing.T) {
-	for _, tc := range []struct {
-		alg  Algorithm
-		want MTTKRPKernel
-	}{
-		{Baseline, KernelLock},
-		{Optimized, KernelAuto},
-		{SpCPStream, KernelAuto},
-	} {
-		d, err := NewDecomposer([]int{10, 12, 14}, Options{Rank: 3, Algorithm: tc.alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.kernelPolicy(); got != tc.want {
-			t.Fatalf("%v: default policy = %v, want %v", tc.alg, got, tc.want)
-		}
+	s := skewedStream(t, 116)
+	d, err := NewDecomposer(s.Dims, Options{Rank: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Algorithm() != Optimized || d.MTTKRPKernel() != KernelAuto || d.LayoutPolicy() != LayoutAuto || !d.layoutActive() {
+		t.Fatalf("zero-value options resolve to %v / %v / %v (layout active %v)",
+			d.Algorithm(), d.MTTKRPKernel(), d.LayoutPolicy(), d.layoutActive())
+	}
+	if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
+		t.Fatal(err)
+	}
+	sched := string(d.KernelSchedule(nil))
+	if len(sched) != len(s.Dims) || strings.Trim(sched, "PC") != "" {
+		t.Fatalf("kernel schedule %q, want one of P/C per mode", sched)
 	}
 }
 
@@ -65,12 +67,11 @@ func TestChooseKernelsForced(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		policy            MTTKRPKernel
-		want              kernelChoice
+		want              perfmodel.MTTKRPKind
 		needPlan, needCSF bool
 	}{
-		{KernelPlan, kcPlan, true, false},
-		{KernelCSF, kcCSF, false, true},
-		{KernelLock, kcLock, false, false},
+		{KernelPlan, perfmodel.MTTKRPPlan, true, false},
+		{KernelCSF, perfmodel.MTTKRPCSF, false, true},
 	} {
 		if err := d.SetMTTKRPKernel(tc.policy); err != nil {
 			t.Fatal(err)
@@ -97,7 +98,7 @@ func TestChooseKernelsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.chooseKernels(s.Slices[0])
-	first := append([]kernelChoice(nil), d.kernels...)
+	first := append([]perfmodel.MTTKRPKind(nil), d.kernels...)
 	// Resolve other slices in between, then the original again.
 	d.chooseKernels(s.Slices[1])
 	d.chooseKernels(s.Slices[0])
@@ -127,13 +128,13 @@ func TestSetMTTKRPKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetMTTKRPKernel(KernelLock + 1); err == nil {
+	if err := d.SetMTTKRPKernel(KernelCSF + 1); err == nil {
 		t.Fatal("out-of-range policy accepted")
 	}
-	if got := d.MTTKRPKernel(); got != KernelDefault {
+	if got := d.MTTKRPKernel(); got != KernelAuto {
 		t.Fatalf("failed Set changed the policy to %v", got)
 	}
-	for _, k := range []MTTKRPKernel{KernelCSF, KernelPlan, KernelLock, KernelAuto} {
+	for _, k := range []MTTKRPKernel{KernelCSF, KernelPlan, KernelAuto} {
 		if err := d.SetMTTKRPKernel(k); err != nil {
 			t.Fatal(err)
 		}
@@ -146,10 +147,49 @@ func TestSetMTTKRPKernel(t *testing.T) {
 	}
 }
 
-// An out-of-range policy in Options must be rejected at construction.
+// An out-of-range policy or algorithm in Options must be rejected at
+// construction, and by SetAlgorithm, which validates through the same
+// check.
 func TestOptionsRejectUnknownKernel(t *testing.T) {
-	_, err := NewDecomposer([]int{10, 12}, Options{Rank: 2, MTTKRPKernel: KernelLock + 1})
-	if err == nil {
+	dims := []int{10, 12}
+	if _, err := NewDecomposer(dims, Options{Rank: 2, MTTKRPKernel: KernelCSF + 1}); err == nil {
 		t.Fatal("NewDecomposer accepted an unknown MTTKRPKernel")
+	}
+	for _, a := range []Algorithm{-1, SpCPStream + 1, 7} {
+		if _, err := NewDecomposer(dims, Options{Rank: 2, Algorithm: a}); err == nil {
+			t.Fatalf("NewDecomposer accepted Algorithm %d", int(a))
+		}
+	}
+	d, err := NewDecomposer(dims, Options{Rank: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetAlgorithm(7); err == nil || d.Algorithm() != Optimized {
+		t.Fatalf("SetAlgorithm(7): err %v, algorithm now %v", err, d.Algorithm())
+	}
+}
+
+// The one -alg parser of cpstream, watch and spstreamd: two names, and an
+// error that lists them.
+func TestParseAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Algorithm
+		ok   bool
+	}{
+		{"optimized", Optimized, true},
+		{"spcp", SpCPStream, true},
+		{"baseline", 0, false}, // an experiment (internal/baselines), not a runtime option
+		{"spcp-stream", 0, false},
+		{"Optimized", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseAlgorithm(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", tc.in, got, err)
+		}
+		if err != nil && !(strings.Contains(err.Error(), "optimized") && strings.Contains(err.Error(), "spcp")) {
+			t.Errorf("ParseAlgorithm(%q) error %q does not list the valid names", tc.in, err)
+		}
 	}
 }

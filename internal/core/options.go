@@ -1,20 +1,19 @@
-// Package core implements the CP-stream family of streaming tensor
-// decomposition algorithms from the paper:
+// Package core implements the two CP-stream algorithms the runtime
+// serves:
 //
-//   - Baseline: Algorithm 1 with the original kernel choices — lock-pool
-//     MTTKRP (including a single-lock streaming-mode update) and, for
-//     constrained problems, the pass-per-operation ADMM of Algorithm 2.
 //   - Optimized: Algorithm 1 with optimized kernels — compiled-plan or
-//     CSF MTTKRP (where the paper has Hybrid Lock), no per-iteration
+//     CSF MTTKRP (where the paper has its HL kernel), no per-iteration
 //     streaming-mode pass, and Blocked & Fused ADMM (Algorithm 3).
 //   - SpCPStream: the paper's new Algorithm 4 for non-constrained
 //     problems — factor rows are partitioned into nz/z subsets, the z
 //     subset is carried implicitly in K×K Gram form, and convergence is
 //     checked from traces of the C and H Gram matrices.
 //
-// All three produce a rank-K factorization {A⁽¹⁾,…,A⁽ᴺ⁾, S} of a stream
-// of N-way slices, with forgetting factor µ weighting history through
-// the temporal Gram matrix G.
+// Both produce a rank-K factorization {A⁽¹⁾,…,A⁽ᴺ⁾, S} of a stream of
+// N-way slices, with forgetting factor µ weighting history through the
+// temporal Gram matrix G. The unoptimized CP-stream the paper measures
+// them against (lock-pool MTTKRP, pass-per-operation ADMM) is an
+// experiment, not a runtime option: internal/baselines.CPStream.
 package core
 
 import (
@@ -30,75 +29,54 @@ import (
 type Algorithm int
 
 const (
-	// Baseline is the unoptimized CP-stream reference. It is not
-	// run-to-run reproducible above one worker: its lock-pool MTTKRP and
-	// single-lock time-mode update add in lock-acquisition order, by
-	// design (that contention is what the paper's Fig. 4 measures), so
-	// two runs of one stream differ in the last bits. Optimized and
-	// SpCPStream repeat exactly for a fixed worker count.
-	Baseline Algorithm = iota
 	// Optimized is CP-stream with plan/CSF MTTKRP and BF-ADMM.
-	Optimized
+	Optimized Algorithm = iota
 	// SpCPStream is the paper's new Gram-form algorithm (non-constrained
 	// only).
 	SpCPStream
 )
 
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Baseline:
-		return "baseline"
-	case Optimized:
-		return "optimized"
-	case SpCPStream:
-		return "spcp-stream"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+// ParseAlgorithm parses the -alg flag value the CLIs share.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch s {
+	case "optimized":
+		return Optimized, nil
+	case "spcp":
+		return SpCPStream, nil
 	}
+	return 0, fmt.Errorf("unknown algorithm %q (want optimized or spcp)", s)
+}
+
+// String names the algorithm.
+func (a Algorithm) String() string { return enumName("Algorithm", int(a), "optimized", "spcp-stream") }
+
+// enumName names value v of an option enum, "Type(v)" out of range.
+func enumName(typ string, v int, names ...string) string {
+	if v >= 0 && v < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, v)
 }
 
 // MTTKRPKernel selects the factor-mode MTTKRP strategy.
 type MTTKRPKernel int
 
 const (
-	// KernelDefault picks per algorithm: Lock for Baseline (the
-	// paper-faithful unoptimized reference) and Auto for Optimized and
-	// SpCPStream.
-	KernelDefault MTTKRPKernel = iota
 	// KernelAuto selects plan vs CSF per mode at every slice using the
 	// perfmodel cost selector on the measured slice shape (nnz, mode
 	// lengths, rank, workers). The choice is a pure function of the
 	// slice and the options, so restored runs reproduce it exactly.
-	KernelAuto
+	KernelAuto MTTKRPKernel = iota
 	// KernelPlan forces the per-slice compiled coordinate plan
 	// (mttkrp.Plan) for every mode.
 	KernelPlan
 	// KernelCSF forces the tiled CSF fiber-tree engine (csf.Engine) for
 	// every mode.
 	KernelCSF
-	// KernelLock forces the baseline striped-mutex kernel (no per-slice
-	// compile step).
-	KernelLock
 )
 
 // String names the kernel policy.
-func (k MTTKRPKernel) String() string {
-	switch k {
-	case KernelDefault:
-		return "default"
-	case KernelAuto:
-		return "auto"
-	case KernelPlan:
-		return "plan"
-	case KernelCSF:
-		return "csf"
-	case KernelLock:
-		return "lock"
-	default:
-		return fmt.Sprintf("MTTKRPKernel(%d)", int(k))
-	}
-}
+func (k MTTKRPKernel) String() string { return enumName("MTTKRPKernel", int(k), "auto", "plan", "csf") }
 
 // LayoutPolicy selects the adaptive memory-layout manager (see
 // perfmodel.Layout): per-mode decayed hot-row histograms learned across
@@ -108,13 +86,10 @@ func (k MTTKRPKernel) String() string {
 type LayoutPolicy int
 
 const (
-	// LayoutDefault enables adaptive layout whenever the kernel policy
-	// resolves to Auto on the optimized algorithms (it rides the same
-	// slice profile the kernel selector reads, so it costs nothing
-	// extra to keep on).
-	LayoutDefault LayoutPolicy = iota
-	// LayoutAuto is LayoutDefault spelled explicitly.
-	LayoutAuto
+	// LayoutAuto enables adaptive layout whenever the kernel policy is
+	// KernelAuto (it rides the same slice profile the kernel selector
+	// reads, so it costs nothing extra to keep on).
+	LayoutAuto LayoutPolicy = iota
 	// LayoutOff disables remapping and layout learning; slices run in
 	// stream order over the full index space (the pre-layout behavior,
 	// and the apples-to-apples baseline the bench suite compares
@@ -123,25 +98,14 @@ const (
 )
 
 // String names the layout policy.
-func (l LayoutPolicy) String() string {
-	switch l {
-	case LayoutDefault:
-		return "default"
-	case LayoutAuto:
-		return "auto"
-	case LayoutOff:
-		return "off"
-	default:
-		return fmt.Sprintf("LayoutPolicy(%d)", int(l))
-	}
-}
+func (l LayoutPolicy) String() string { return enumName("LayoutPolicy", int(l), "auto", "off") }
 
 // Options configure a Decomposer. Zero values select the paper's
 // defaults where one exists.
 type Options struct {
 	// Rank K of the decomposition. Required.
 	Rank int
-	// Algorithm variant. The zero value is Baseline: set it.
+	// Algorithm variant. Default Optimized.
 	Algorithm Algorithm
 	// Mu is the forgetting factor µ ∈ [0,1]. Default 0.99 (paper §VI-B).
 	Mu float64
@@ -181,13 +145,13 @@ type Options struct {
 	// numerical cross-check (spCP-stream only).
 	DirectCz bool
 	// MTTKRPKernel selects the factor-mode MTTKRP strategy; see the
-	// MTTKRPKernel constants. The default picks Lock for Baseline and
-	// the cost-model Auto selection for Optimized and SpCPStream.
-	// Adjustable between slices via Decomposer.SetMTTKRPKernel.
+	// MTTKRPKernel constants. Default KernelAuto, the cost-model
+	// selection. Adjustable between slices via
+	// Decomposer.SetMTTKRPKernel.
 	MTTKRPKernel MTTKRPKernel
 	// Layout selects the adaptive memory-layout manager; see the
-	// LayoutPolicy constants. Only consulted when the kernel policy
-	// resolves to Auto (forced kernel policies pin the whole layout for
+	// LayoutPolicy constants. Only consulted when the kernel policy is
+	// KernelAuto (forced kernel policies pin the whole layout for
 	// reproducible kernel benchmarking). Adjustable between slices via
 	// Decomposer.SetLayoutPolicy.
 	Layout LayoutPolicy
@@ -218,7 +182,9 @@ type Options struct {
 	ConstrainedSpCP bool
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero field replaced by its
+// documented default.
+func (o Options) WithDefaults() Options {
 	if o.Mu == 0 {
 		o.Mu = 0.99
 	}
@@ -269,10 +235,13 @@ func (o Options) Validate(dims []int) error {
 	if o.Mu < 0 || o.Mu > 1 {
 		return fmt.Errorf("core: forgetting factor µ=%g outside [0,1]", o.Mu)
 	}
-	if o.MTTKRPKernel < KernelDefault || o.MTTKRPKernel > KernelLock {
+	if o.Algorithm < Optimized || o.Algorithm > SpCPStream {
+		return fmt.Errorf("core: unknown Algorithm %d", int(o.Algorithm))
+	}
+	if o.MTTKRPKernel < KernelAuto || o.MTTKRPKernel > KernelCSF {
 		return fmt.Errorf("core: unknown MTTKRPKernel %d", int(o.MTTKRPKernel))
 	}
-	if o.Layout < LayoutDefault || o.Layout > LayoutOff {
+	if o.Layout < LayoutAuto || o.Layout > LayoutOff {
 		return fmt.Errorf("core: unknown LayoutPolicy %d", int(o.Layout))
 	}
 	if o.Algorithm == SpCPStream && o.Constraint != nil {

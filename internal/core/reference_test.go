@@ -63,7 +63,7 @@ func TestExplicitMatchesDenseReference(t *testing.T) {
 		dense.MulVecT(psi, z, xvec)
 		phiS := dense.NewMatrix(k, k)
 		dense.Gram(phiS, z)
-		dense.AddScaledIdentity(phiS, phiS, opt.withDefaults().StreamRidge)
+		dense.AddScaledIdentity(phiS, phiS, opt.WithDefaults().StreamRidge)
 		chol, err := dense.Factor(phiS)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestExplicitMatchesDenseReference(t *testing.T) {
 		phi := dense.NewMatrix(k, k)
 		dense.Gram(phi, z)
 		// Same relative ridge the solver applies (µG = 0 on slice 1).
-		ridge := opt.withDefaults().FactorRidgeRel * dense.Trace(phi) / float64(k)
+		ridge := opt.WithDefaults().FactorRidgeRel * dense.Trace(phi) / float64(k)
 		chol, err := dense.FactorRidge(phi, ridge)
 		if err != nil {
 			t.Fatal(err)

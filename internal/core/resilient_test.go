@@ -121,14 +121,15 @@ func TestDeadlinePropagatesWithoutConfig(t *testing.T) {
 }
 
 // TestWorkerPanicSurfacesAsError: a panic inside a pool worker during
-// ProcessSlice surfaces as an error carrying the worker's stack (with a
+// a slice surfaces as an error carrying the worker's stack (with a
 // resilience config and Abort policy), not as a process crash.
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
 	s := testStream(t, 304, []int{12, 15}, 150, 2)
 	d, err := NewDecomposer(s.Dims, Options{
-		Rank:    3,
-		Workers: 4,
-		Seed:    2,
+		Rank:      3,
+		Workers:   4,
+		Seed:      2,
+		MemBudget: 1, // every block slice streams: the kernels decode on the pool
 		Resilience: &resilience.Config{
 			Policy:           resilience.Abort,
 			DisableInputScan: true,
@@ -140,13 +141,15 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 	if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a coordinate out of range: the MTTKRP kernel indexes past
-	// the factor matrix and panics inside a pool worker.
-	bad := s.Slices[1].Clone()
-	bad.Inds[0][0] = int32(bad.Dims[0] + 3)
-	_, err = d.ProcessSlice(bad)
+	// A block that goes away once the schedule compile has read it: the
+	// streamed kernel's decode panics inside a pool worker.
+	src, err := sptensor.SplitBlocks(s.Slices[1], 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.ProcessBlockSlice(&flakySource{BlockSource: src, bad: 1, good: 1, panics: true})
 	if err == nil {
-		t.Fatal("corrupt coordinate did not error")
+		t.Fatal("vanished block did not error")
 	}
 	var pe *parallel.PanicError
 	if !errors.As(err, &pe) {
@@ -237,7 +240,6 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // run exactly.
 func TestStreamCheckpointResume(t *testing.T) {
 	s := testStream(t, 307, []int{12, 14}, 120, 9)
-	// Optimized: Baseline is not run-to-run reproducible above one worker.
 	opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4}
 
 	ref, err := NewDecomposer(s.Dims, opt)
@@ -294,7 +296,6 @@ func TestStreamCheckpointResume(t *testing.T) {
 // fault-free run.
 func TestRetryAfterTransientFailure(t *testing.T) {
 	s := testStream(t, 308, []int{12, 14}, 120, 5)
-	// Optimized: Baseline is not run-to-run reproducible above one worker.
 	opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4}
 	ref, err := NewDecomposer(s.Dims, opt)
 	if err != nil {

@@ -104,7 +104,7 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 		run.plan = d.beginKernels(rm.X)
 		// sₜ update over the remapped slice and gathered prev factors
 		// (identical values, slice-local footprint).
-		if err = d.mttkrpTime(d.fitPsi, sliceData{x: rm.X}, run.aNzPrev, false); err == nil {
+		if err = d.mttkrpTime(d.fitPsi, sliceData{x: rm.X}, run.aNzPrev); err == nil {
 			err = d.solveS()
 		}
 	})

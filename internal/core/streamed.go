@@ -31,10 +31,9 @@ import (
 // in-memory time-mode reduction on the block concatenation — and
 // everything between the kernels is the same code — so a streamed slice
 // produces bit-identical factors, temporal weights, and fit to the
-// in-memory Optimized/KernelPlan run. The Baseline algorithm's
-// deliberately contended lock kernels and the spCP-stream Gram-form
-// recurrence have no out-of-core counterpart: under EvalStreamed those
-// configurations run this same explicit update. Constrained problems
+// in-memory Optimized/KernelPlan run. The spCP-stream Gram-form
+// recurrence has no out-of-core counterpart: under EvalStreamed it runs
+// this same explicit update. Constrained problems
 // are supported — ADMM consumes the full Ψ⁽ⁿ⁾, staged per mode just
 // like the in-memory path. Adaptive layout and per-mode kernel
 // selection are in-memory concerns and stay off here.

@@ -121,8 +121,6 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 func TestBlockSliceMaterializes(t *testing.T) {
 	dims := []int{25, 20, 30}
 	stream := testStream(t, 5, dims, 800, 3)
-	// Optimized, not the zero-value Baseline: two Baseline runs differ in
-	// the last bits above one worker (lock-order MTTKRP, by design).
 	opt := Options{Rank: 6, Algorithm: Optimized, MemBudget: 1 << 30, TrackFit: true, Seed: 3}
 	blocked, err := NewDecomposer(dims, opt)
 	if err != nil {

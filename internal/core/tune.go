@@ -38,7 +38,7 @@ func (d *Decomposer) SetADMMMaxIters(n int) { d.solver.SetMaxIters(n) }
 // Algorithm returns the solver variant currently in use.
 func (d *Decomposer) Algorithm() Algorithm { return d.opt.Algorithm }
 
-// SetAlgorithm switches the solver variant between slices. The three
+// SetAlgorithm switches the solver variant between slices. The two
 // variants share the explicit factor/Gram state that crosses slice
 // boundaries (finishSpCP materializes A = A_z ⊕ A_nz every slice), so
 // the switch is exact: the next slice simply runs the other body. The
@@ -70,15 +70,13 @@ func (d *Decomposer) SetAlgorithm(a Algorithm) error {
 func (d *Decomposer) MTTKRPKernel() MTTKRPKernel { return d.opt.MTTKRPKernel }
 
 // SetMTTKRPKernel overrides the MTTKRP kernel policy for subsequent
-// slices. KernelDefault restores the per-algorithm default (Lock for
-// Baseline, cost-model Auto otherwise); KernelAuto/KernelPlan/
-// KernelCSF/KernelLock force a specific strategy. The switch is exact:
-// every kernel computes the same MTTKRP, only its schedule (and hence
-// rounding order) differs, and the table is re-resolved at the next
-// slice begin. Unknown values return an error and leave the policy
-// unchanged.
+// slices: KernelAuto is the cost-model selection, KernelPlan/KernelCSF
+// force one kernel. The switch is exact: every kernel computes the same
+// MTTKRP, only its schedule (and hence rounding order) differs, and the
+// table is re-resolved at the next slice begin. Unknown values return an
+// error and leave the policy unchanged.
 func (d *Decomposer) SetMTTKRPKernel(k MTTKRPKernel) error {
-	if k < KernelDefault || k > KernelLock {
+	if k < KernelAuto || k > KernelCSF {
 		return fmt.Errorf("core: unknown MTTKRPKernel %d", int(k))
 	}
 	d.opt.MTTKRPKernel = k
@@ -91,12 +89,12 @@ func (d *Decomposer) LayoutPolicy() LayoutPolicy { return d.opt.Layout }
 // SetLayoutPolicy overrides the adaptive-layout policy for subsequent
 // slices. LayoutOff freezes remapping and histogram learning (the
 // learned state is kept, so re-enabling resumes where it left off);
-// LayoutDefault/LayoutAuto re-enable it. The switch is exact in the
+// LayoutAuto re-enables it. The switch is exact in the
 // same sense as SetMTTKRPKernel: every layout computes the same
 // updates, only memory order (and hence rounding order) differs.
 // Unknown values return an error and leave the policy unchanged.
 func (d *Decomposer) SetLayoutPolicy(l LayoutPolicy) error {
-	if l < LayoutDefault || l > LayoutOff {
+	if l < LayoutAuto || l > LayoutOff {
 		return fmt.Errorf("core: unknown LayoutPolicy %d", int(l))
 	}
 	d.opt.Layout = l
@@ -122,18 +120,15 @@ func (d *Decomposer) LastLayoutDecision() (remapped, hotFirst bool) {
 }
 
 // KernelSchedule appends the current per-mode kernel table (resolved
-// at the last slice begin) to dst as one letter per mode — "P"lan,
-// "C"SF, "L"ock — the compact schedule string the determinism tests
-// compare across checkpoint restores.
+// at the last slice begin) to dst as one letter per mode — "P"lan or
+// "C"SF — the compact schedule string the determinism tests compare
+// across checkpoint restores.
 func (d *Decomposer) KernelSchedule(dst []byte) []byte {
 	for _, kc := range d.kernels {
-		switch kc {
-		case kcPlan:
-			dst = append(dst, 'P')
-		case kcCSF:
+		if kc == perfmodel.MTTKRPCSF {
 			dst = append(dst, 'C')
-		default:
-			dst = append(dst, 'L')
+		} else {
+			dst = append(dst, 'P')
 		}
 	}
 	return dst

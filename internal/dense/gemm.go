@@ -292,23 +292,6 @@ func mulABtRange(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-func mulABtBody(ctx any, _ int, r parallel.Range) {
-	g := ctx.(*gemmArgs)
-	mulABtRange(g.dst, g.a, g.b, r.Lo, r.Hi)
-}
-
-// MulABtParallel is MulABt with the row dimension parallelized.
-func MulABtParallel(dst, a, b *Matrix, workers int) {
-	checkMulABt(dst, a, b)
-	if workers == 1 || a.Rows <= 1 {
-		mulABtRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	g := getGemmArgs(dst, a, b)
-	parallel.Default().Do(a.Rows, workers, g, mulABtBody)
-	putGemmArgs(g)
-}
-
 // Gram computes dst = aᵀ·a (K×K symmetric) exploiting symmetry: only the
 // tiles on or above the diagonal are accumulated (atbRange), then the
 // upper triangle is mirrored.

@@ -675,14 +675,6 @@ func (l *Log) Pending() uint64 {
 	return l.nextSeq - l.readSeq
 }
 
-// AppendedSeq returns the highest sequence number appended (0 when
-// empty).
-func (l *Log) AppendedSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - 1
-}
-
 // Segments returns the number of live segment files.
 func (l *Log) Segments() int {
 	l.mu.Lock()

@@ -87,53 +87,44 @@ func TestSequentialFourWay(t *testing.T) {
 	}
 }
 
-// All parallel kernels must agree with the sequential reference.
+// The parallel kernels must agree with the sequential reference on
+// random slices: the compiled plan and the streamed kernel bit for bit,
+// at any worker count. (The lock-pool and Hybrid Lock kernels are checked
+// against Sequential in internal/baselines.)
 func TestKernelEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		dims := []int{20, 30, 15}
 		x := randomSlice(seed, dims, 300)
 		factors := randomFactors(seed+1, dims, 4)
+		src, err := sptensor.SplitBlocks(x, 64)
+		if err != nil {
+			return false
+		}
 		for _, workers := range []int{1, 4} {
 			c := NewComputer(workers)
+			plan, sk := c.NewPlan(x), NewStreamKernel(c)
+			if sk.Begin(src) != nil {
+				return false
+			}
 			for mode := range dims {
 				want := dense.NewMatrix(dims[mode], 4)
 				Sequential(want, x, factors, mode)
-				lock := dense.NewMatrix(dims[mode], 4)
-				c.Lock(lock, x, factors, mode)
-				if lock.MaxAbsDiff(want) > 1e-9 {
+				got := dense.NewMatrix(dims[mode], 4)
+				c.PlanMTTKRP(got, plan, factors, mode)
+				if got.MaxAbsDiff(want) != 0 {
 					return false
 				}
-				hyb := dense.NewMatrix(dims[mode], 4)
-				c.Hybrid(hyb, x, factors, mode)
-				if hyb.MaxAbsDiff(want) > 1e-9 {
-					return false
-				}
-				local := dense.NewMatrix(dims[mode], 4)
-				c.localAccumulate(local, x, factors, mode)
-				if local.MaxAbsDiff(want) > 1e-9 {
+				got.Fill(9)
+				if sk.MTTKRP(got, src, factors, mode) != nil || got.MaxAbsDiff(want) != 0 {
 					return false
 				}
 			}
+			sk.End()
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHybridUsesLockPathForLongModes(t *testing.T) {
-	dims := []int{5000, 10, 10}
-	x := randomSlice(9, dims, 500)
-	factors := randomFactors(10, dims, 2)
-	c := NewComputer(2)
-	c.ShortModeThreshold = 100
-	want := dense.NewMatrix(5000, 2)
-	Sequential(want, x, factors, 0)
-	got := dense.NewMatrix(5000, 2)
-	c.Hybrid(got, x, factors, 0) // rows > threshold → lock path
-	if got.MaxAbsDiff(want) > 1e-9 {
-		t.Fatal("hybrid long-mode path wrong")
 	}
 }
 
@@ -159,13 +150,6 @@ func TestTimeModeAgainstDefinition(t *testing.T) {
 		for k := range want {
 			if math.Abs(got[k]-want[k]) > 1e-9 {
 				t.Fatalf("workers=%d: TimeMode[%d]=%v want %v", workers, k, got[k], want[k])
-			}
-		}
-		locked := make([]float64, 3)
-		c.TimeModeLocked(locked, x, factors)
-		for k := range want {
-			if math.Abs(locked[k]-want[k]) > 1e-9 {
-				t.Fatalf("workers=%d: TimeModeLocked[%d]=%v want %v", workers, k, locked[k], want[k])
 			}
 		}
 	}
@@ -196,17 +180,10 @@ func TestEmptySlice(t *testing.T) {
 	c := NewComputer(4)
 	out := dense.NewMatrix(5, 3)
 	out.Fill(9)
-	c.Hybrid(out, x, factors, 0)
+	c.PlanMTTKRP(out, c.NewPlan(x), factors, 0)
 	for _, v := range out.Data {
 		if v != 0 {
 			t.Fatal("empty-slice MTTKRP must zero the output")
-		}
-	}
-	out.Fill(9)
-	c.Lock(out, x, factors, 0)
-	for _, v := range out.Data {
-		if v != 0 {
-			t.Fatal("empty-slice lock MTTKRP must zero the output")
 		}
 	}
 	s := make([]float64, 3)

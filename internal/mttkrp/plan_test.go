@@ -115,18 +115,12 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	plan := c.NewPlan(x)
 	out := dense.NewMatrix(dims[0], 8)
 	s := make([]float64, 8)
-	// Warm up every kernel once (scratch + thread-local buffers).
+	// Warm up every kernel once (scratch arenas).
 	c.PlanMTTKRP(out, plan, factors, 0)
-	c.Lock(out, x, factors, 0)
-	c.Hybrid(out, x, factors, 0)
 	c.TimeMode(s, x, factors)
-	c.TimeModeLocked(s, x, factors)
 	cases := map[string]func(){
-		"PlanMTTKRP":     func() { c.PlanMTTKRP(out, plan, factors, 0) },
-		"Lock":           func() { c.Lock(out, x, factors, 0) },
-		"Hybrid":         func() { c.Hybrid(out, x, factors, 0) },
-		"TimeMode":       func() { c.TimeMode(s, x, factors) },
-		"TimeModeLocked": func() { c.TimeModeLocked(s, x, factors) },
+		"PlanMTTKRP": func() { c.PlanMTTKRP(out, plan, factors, 0) },
+		"TimeMode":   func() { c.TimeMode(s, x, factors) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
@@ -135,79 +129,25 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// The K > 512 fallback used to heap-allocate a rank-sized buffer per
-// 4096-nonzero chunk; the per-worker arenas must have eliminated that.
+// The scratch-row kernels (N ≠ 3) take their rank-sized product row from
+// the per-worker arenas at any rank — K > 512 used to heap-allocate one
+// per chunk.
 func TestKernelsZeroAllocLargeRank(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	dims := []int{30, 20, 10}
+	dims := []int{30, 20, 10, 6}
 	x := randomSlice(23, dims, 2000)
 	factors := randomFactors(24, dims, 600) // K > 512
 	c := NewComputerWithPool(2, pool)
 	out := dense.NewMatrix(dims[0], 600)
-	c.Lock(out, x, factors, 0)
-	if allocs := testing.AllocsPerRun(20, func() { c.Lock(out, x, factors, 0) }); allocs != 0 {
-		t.Errorf("Lock at K=600: %v allocs per call, want 0", allocs)
+	plan := c.NewPlan(x)
+	c.PlanMTTKRP(out, plan, factors, 0)
+	if allocs := testing.AllocsPerRun(20, func() { c.PlanMTTKRP(out, plan, factors, 0) }); allocs != 0 {
+		t.Errorf("PlanMTTKRP at K=600: %v allocs per call, want 0", allocs)
 	}
 	s := make([]float64, 600)
 	c.TimeMode(s, x, factors)
 	if allocs := testing.AllocsPerRun(20, func() { c.TimeMode(s, x, factors) }); allocs != 0 {
 		t.Errorf("TimeMode at K=600: %v allocs per call, want 0", allocs)
 	}
-}
-
-// BenchmarkPlanVsLockInnerIters compares one slice's inner loop — the
-// MTTKRP over every mode, repeated innerIters times — with the plan
-// build amortized over those iterations (exactly how core uses it)
-// against the lock-pool and hybrid kernels that re-walk the raw COO
-// slice each iteration.
-func BenchmarkPlanVsLockInnerIters(b *testing.B) {
-	const innerIters = 5
-	dims := []int{100, 2000, 300}
-	x := randomSlice(31, dims, 50000)
-	factors := randomFactors(32, dims, 16)
-	outs := make([]*dense.Matrix, len(dims))
-	for m, d := range dims {
-		outs[m] = dense.NewMatrix(d, 16)
-	}
-	c := NewComputer(0)
-	b.Run("lock", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for it := 0; it < innerIters; it++ {
-				for mode := range dims {
-					c.Lock(outs[mode], x, factors, mode)
-				}
-			}
-		}
-	})
-	b.Run("hybrid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for it := 0; it < innerIters; it++ {
-				for mode := range dims {
-					c.Hybrid(outs[mode], x, factors, mode)
-				}
-			}
-		}
-	})
-	b.Run("plan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := c.NewPlan(x) // amortized: built once per slice
-			for it := 0; it < innerIters; it++ {
-				for mode := range dims {
-					c.PlanMTTKRP(outs[mode], plan, factors, mode)
-				}
-			}
-		}
-	})
-	b.Run("plan-steady", func(b *testing.B) {
-		plan := c.NewPlan(x) // excluded: pure per-iteration cost
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for it := 0; it < innerIters; it++ {
-				for mode := range dims {
-					c.PlanMTTKRP(outs[mode], plan, factors, mode)
-				}
-			}
-		}
-	})
 }

@@ -200,15 +200,6 @@ func (rm *Remapped) ZeroRows(mode, dim int) []int32 {
 	return out
 }
 
-// RowSparse computes Ψ_nz = spMTTKRP(Xt, {A_nz}) for one mode: a plain
-// MTTKRP over the remapped slice and gathered factors. The output has
-// len(NZ[mode]) rows. Uses the hybrid-lock strategy internally — after
-// remapping, modes are short by construction, so this nearly always
-// takes the thread-local path.
-func (c *Computer) RowSparse(out *dense.Matrix, rm *Remapped, gathered []*dense.Matrix, mode int) {
-	c.Hybrid(out, rm.X, gathered, mode)
-}
-
 // SetDiff returns the elements of a not present in b; both inputs must
 // be sorted ascending. Used for the nz(n)ₜ₋₁ \ nz(n) bookkeeping of
 // Algorithm 4 (lines 9–10).

@@ -34,9 +34,10 @@ func TestRemapStructure(t *testing.T) {
 	}
 }
 
-// Property: spMTTKRP over the remapped slice + gathered factors equals
-// the nz rows of the full MTTKRP, and the z rows of the full MTTKRP are
-// exactly zero (the fact Eq. 5 exploits).
+// Property: spMTTKRP — the compiled plan over the remapped slice and
+// gathered factors, which is what the remapped paths of core execute —
+// equals the nz rows of the full MTTKRP, and the z rows of the full
+// MTTKRP are exactly zero (the fact Eq. 5 exploits).
 func TestRowSparseMatchesFullMTTKRP(t *testing.T) {
 	f := func(seed uint64) bool {
 		dims := []int{30, 40, 25}
@@ -49,7 +50,7 @@ func TestRowSparseMatchesFullMTTKRP(t *testing.T) {
 			full := dense.NewMatrix(dims[mode], 3)
 			Sequential(full, x, factors, mode)
 			sp := dense.NewMatrix(len(rm.NZ[mode]), 3)
-			c.RowSparse(sp, rm, gathered, mode)
+			c.PlanMTTKRP(sp, c.NewPlan(rm.X), gathered, mode)
 			// nz rows match.
 			for local, global := range rm.NZ[mode] {
 				for k := 0; k < 3; k++ {

@@ -1,126 +1,15 @@
-// Package perfmodel predicts per-iteration kernel and algorithm
-// execution times for CP-stream on a modeled multi-socket machine. It
-// exists because the paper's evaluation (Figs. 2–8) sweeps 1–56 threads
-// on a quad-socket Xeon; this reproduction must regenerate those scaling
-// curves even on hosts without 56 cores. The model combines:
-//
-//   - the roofline bound (compute vs memory bandwidth, with per-socket
-//     bandwidth scaling and a cache-resident fast path),
-//   - a fine-grained-scheduling overhead term for the baseline ADMM's
-//     one-thread-per-element OpenMP parallelization,
-//   - a lock-contention model for the baseline MTTKRP's mutex pool,
-//     driven by the measured per-mode row-popularity skew of the actual
-//     slice (hot rows serialize and their cache line ping-pongs, so the
-//     contended path *degrades* with thread count, reproducing Fig. 4),
-//   - footprint-dependent cache residency for spMTTKRP's gathered
-//     factors (the §VI-E1 effect).
-//
-// Constants are calibrated against the paper's reported speedups (see
-// EXPERIMENTS.md); tests assert the qualitative shapes (monotonicity,
-// saturation, baseline degradation, algorithm ordering), not absolute
-// times. An independent discrete-event lock simulator (eventsim.go)
-// cross-checks the contention model.
+// Package perfmodel holds the cost models the runtime consults once per
+// slice, each a pure function of the measured slice shape and the
+// options, so a checkpoint-restored stream replays the same schedule:
+// the slice profile (this file), the plan-vs-CSF kernel selector
+// (select.go), the adaptive layout manager (layout.go) and the
+// in-memory-vs-streamed evaluation choice (eval.go). The simulator that
+// regenerates the paper's thread-scaling figures is the sub-package sim.
 package perfmodel
 
-import (
-	"spstream/internal/roofline"
-	"spstream/internal/sptensor"
-)
+import "spstream/internal/sptensor"
 
-// Params holds the calibrated cost constants (all times in seconds).
-type Params struct {
-	// RowProductNsPerK is the per-nonzero, per-rank-element cost of the
-	// MTTKRP row product and update (ns).
-	RowProductNsPerK float64
-	// NnzOverheadNs is the per-nonzero fixed cost common to every
-	// MTTKRP variant (index decode, scheduling, cache misses on the
-	// factor rows).
-	NnzOverheadNs float64
-	// LockNs is the cost of an uncontended mutex acquire/release.
-	LockNs float64
-	// ContendNs is the additional cost per contending thread when a hot
-	// lock's cache line ping-pongs between cores.
-	ContendNs float64
-	// ElemNs and ElemAlpha model the baseline ADMM's fine-grained
-	// per-element scheduling: cost/element = ElemNs·(1/p + ElemAlpha),
-	// i.e. a component that does not scale with threads (coherence and
-	// scheduling overhead that grows with parallelism).
-	ElemNs    float64
-	ElemAlpha float64
-	// BarrierNs is the per-parallel-region fork/join cost, multiplied
-	// by log₂(p).
-	BarrierNs float64
-	// CacheBWMultiplier is the bandwidth multiplier applied when a
-	// kernel's working set fits in the aggregate LLC.
-	CacheBWMultiplier float64
-	// SpLocalityFactor is the row-product cost multiplier for spMTTKRP
-	// when the gathered factors are cache resident (<1: fewer TLB
-	// misses, better prefetch — §VI-E1).
-	SpLocalityFactor float64
-	// RemapNsPerNnz is the per-slice preprocessing cost of building the
-	// remapped slice (amortized over inner iterations).
-	RemapNsPerNnz float64
-	// GramNsPerElem is the per-element cost of dense Gram/GEMM updates
-	// (beyond the roofline bound; covers loop overheads).
-	GramNsPerElem float64
-	// ReduceNs is the per-element cost of the serial p-way reduction of
-	// thread-local MTTKRP copies.
-	ReduceNs float64
-	// KKFlopNs is the per-flop cost of small cache-hot K×K dense
-	// kernels (Cholesky, Gram-form products); much faster than the
-	// streaming GramNsPerElem rate.
-	KKFlopNs float64
-	// KernelCacheFraction is the share of the LLC effectively available
-	// to one kernel's working set (the rest is polluted by the streamed
-	// tensor and other operands).
-	KernelCacheFraction float64
-	// TinyFootprintBytes is the factor-matrix footprint below which
-	// contended lock handoffs stay on-chip and cost only
-	// CacheContendFactor of the normal transfer (the paper's Uber
-	// effect: "updates occur more quickly in cache, leading to lower
-	// wait time during contention").
-	TinyFootprintBytes int64
-	// CacheContendFactor scales contention cost for tiny footprints.
-	CacheContendFactor float64
-}
-
-// DefaultParams returns constants calibrated so the model lands in the
-// paper's reported speedup ranges on the synthetic dataset analogues.
-func DefaultParams() Params {
-	return Params{
-		RowProductNsPerK:    0.55,
-		NnzOverheadNs:       150,
-		LockNs:              18,
-		ContendNs:           40,
-		ElemNs:              7,
-		ElemAlpha:           0.10,
-		BarrierNs:           1500,
-		CacheBWMultiplier:   4.0,
-		SpLocalityFactor:    0.45,
-		RemapNsPerNnz:       14,
-		GramNsPerElem:       0.4,
-		ReduceNs:            0.3,
-		KKFlopNs:            0.05,
-		KernelCacheFraction: 0.25,
-		TinyFootprintBytes:  2 << 20,
-		CacheContendFactor:  0.25,
-	}
-}
-
-// Model couples a machine description with cost constants.
-type Model struct {
-	M roofline.Machine
-	P Params
-}
-
-// PaperModel returns the model of the paper's 56-core testbed with the
-// default calibration.
-func PaperModel() Model {
-	return Model{M: roofline.PaperTestbed(), P: DefaultParams()}
-}
-
-// ModeProfile summarizes one mode of a time slice for the contention
-// and footprint models.
+// ModeProfile summarizes one mode of a time slice.
 type ModeProfile struct {
 	Dim        int     // full mode length Iₙ
 	NZRows     int     // |nz(n)| distinct rows touched
@@ -141,17 +30,11 @@ type SliceProfile struct {
 	Pair01 int
 }
 
-// Profile measures a SliceProfile from an actual slice.
+// Profile measures a SliceProfile from an actual slice (ProfileInto plus
+// the storage-order scan, into fresh storage).
 func Profile(x *sptensor.Tensor) SliceProfile {
-	p := SliceProfile{NNZ: x.NNZ(), Modes: make([]ModeProfile, x.NModes())}
-	for m := range p.Modes {
-		st := sptensor.StatsForMode(x, m)
-		top := 0.0
-		if st.NNZ > 0 {
-			top = float64(st.MaxPerRow) / float64(st.NNZ)
-		}
-		p.Modes[m] = ModeProfile{Dim: st.Dim, NZRows: st.NonzeroRows, TopRowFrac: top}
-	}
+	var p SliceProfile
+	ProfileInto(&p, x, nil)
 	p.Sorted, p.Pair01 = scanOrder(x)
 	return p
 }
@@ -170,55 +53,6 @@ func (s SliceProfile) TotalNZRows() int {
 	t := 0
 	for _, m := range s.Modes {
 		t += m.NZRows
-	}
-	return t
-}
-
-// barrier returns the fork/join cost for p threads.
-func (mo Model) barrier(p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	lg := 0
-	for v := p - 1; v > 0; v >>= 1 {
-		lg++
-	}
-	return mo.P.BarrierNs * float64(lg) * 1e-9
-}
-
-// clampThreads bounds p to the machine.
-func (mo Model) clampThreads(p int) int {
-	if p < 1 {
-		return 1
-	}
-	if c := mo.M.Cores(); p > c {
-		return c
-	}
-	return p
-}
-
-// cacheResident reports whether a working set of the given bytes fits
-// in the kernel-usable share of the LLC reachable by p threads.
-func (mo Model) cacheResident(bytes int64, p int) bool {
-	sockets := (p + mo.M.CoresPerSocket - 1) / mo.M.CoresPerSocket
-	if sockets < 1 {
-		sockets = 1
-	}
-	if sockets > mo.M.Sockets {
-		sockets = mo.M.Sockets
-	}
-	avail := float64(mo.M.CacheBytes) * float64(sockets) * mo.P.KernelCacheFraction
-	return float64(bytes) <= avail
-}
-
-// memTime returns the roofline time with the cache fast path.
-func (mo Model) memTime(flops, bytes float64, footprint int64, p int) float64 {
-	t := mo.M.Time(flops, bytes, p)
-	if mo.cacheResident(footprint, p) {
-		fast := mo.M.Time(flops, bytes/mo.P.CacheBWMultiplier, p)
-		if fast < t {
-			t = fast
-		}
 	}
 	return t
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"spstream/internal/csf"
-	"spstream/internal/roofline"
 	"spstream/internal/sptensor"
 )
 
@@ -12,8 +11,8 @@ import (
 // shape, it predicts the per-mode cost of the two per-slice compiled
 // MTTKRP kernels — the coordinate plan (mttkrp.Plan) and the tiled CSF
 // engine (csf.Engine) — and picks the faster one. Unlike the paper-
-// testbed model in kernels.go (which reproduces published scaling
-// curves), the selector runs on whatever host the stream runs on, so
+// testbed model in the sim sub-package (which reproduces published
+// scaling curves), the selector runs on whatever host the stream runs on, so
 // its constants are calibrated against measured single-core kernel
 // times (EXPERIMENTS.md, "CSF vs plan crossover") and it only needs the
 // *ordering* of the two predictions to be right, with a conservative
@@ -89,6 +88,16 @@ func DefaultSelectorParams() SelectorParams {
 		Margin:             0.9,
 	}
 }
+
+// MTTKRPKind is the selector's verdict for one mode.
+type MTTKRPKind int
+
+const (
+	// MTTKRPPlan is the per-slice compiled coordinate plan (mttkrp.Plan).
+	MTTKRPPlan MTTKRPKind = iota
+	// MTTKRPCSF is the tiled CSF fiber-tree kernel (csf.Engine).
+	MTTKRPCSF
+)
 
 // Selector predicts and compares the compiled MTTKRP kernels.
 type Selector struct {
@@ -292,26 +301,6 @@ func (se Selector) SelectMTTKRPEx(s SliceProfile, mode, k, amortIters int, sorte
 		return MTTKRPCSF
 	}
 	return MTTKRPPlan
-}
-
-// HostModel returns a Model describing a generic current-generation
-// host with the given core count — the machine stand-in the runtime
-// selector and host-side experiments use when the paper's quad-socket
-// testbed is not the target.
-func HostModel(cores int) Model {
-	if cores < 1 {
-		cores = 1
-	}
-	return Model{
-		M: roofline.Machine{
-			PeakFlopsPerCore:   8e9,
-			BandwidthPerSocket: 20e9,
-			CoresPerSocket:     cores,
-			Sockets:            1,
-			CacheBytes:         8 << 20,
-		},
-		P: DefaultParams(),
-	}
 }
 
 // ProfileInto measures a SliceProfile from x into p, reusing p's Modes

@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"testing"
 
+	"spstream/internal/sptensor"
 	"spstream/internal/synth"
 )
 
@@ -119,5 +120,25 @@ func TestProfileIntoZeroAlloc(t *testing.T) {
 		if p.Modes[m] != want.Modes[m] {
 			t.Fatalf("mode %d: ProfileInto %+v ≠ Profile %+v", m, p.Modes[m], want.Modes[m])
 		}
+	}
+}
+
+func TestProfileMeasurement(t *testing.T) {
+	x := sptensor.New(10, 20)
+	x.Append([]int32{1, 2}, 1)
+	x.Append([]int32{1, 3}, 1)
+	x.Append([]int32{4, 2}, 1)
+	p := Profile(x)
+	if p.NNZ != 3 || len(p.Modes) != 2 {
+		t.Fatalf("profile = %+v", p)
+	}
+	if p.Modes[0].NZRows != 2 || p.Modes[0].Dim != 10 {
+		t.Fatalf("mode 0 = %+v", p.Modes[0])
+	}
+	if p.Modes[0].TopRowFrac != 2.0/3 {
+		t.Fatalf("top row frac = %v", p.Modes[0].TopRowFrac)
+	}
+	if p.TotalDim() != 30 || p.TotalNZRows() != 4 {
+		t.Fatalf("totals wrong: dim=%d nz=%d", p.TotalDim(), p.TotalNZRows())
 	}
 }

@@ -1,6 +1,9 @@
-package perfmodel
+package sim
 
-import "spstream/internal/trace"
+import (
+	"spstream/internal/perfmodel"
+	"spstream/internal/trace"
+)
 
 // AlgKind selects the end-to-end algorithm being modeled.
 type AlgKind int
@@ -55,7 +58,7 @@ func (mo Model) denseMatTime(rows, k, p int, flopsPerElem, passes float64) float
 // IterBreakdown predicts one inner iteration of the non-constrained
 // algorithms, with per-slice work (remap, sₜ update, post gather /
 // scatter / z-transform) amortized over itersPerSlice.
-func (mo Model) IterBreakdown(alg AlgKind, s SliceProfile, k, p, itersPerSlice int) Breakdown {
+func (mo Model) IterBreakdown(alg AlgKind, s perfmodel.SliceProfile, k, p, itersPerSlice int) Breakdown {
 	if itersPerSlice < 1 {
 		itersPerSlice = 1
 	}
@@ -125,14 +128,14 @@ func (mo Model) IterBreakdown(alg AlgKind, s SliceProfile, k, p, itersPerSlice i
 }
 
 // IterTime is the summed IterBreakdown.
-func (mo Model) IterTime(alg AlgKind, s SliceProfile, k, p, itersPerSlice int) float64 {
+func (mo Model) IterTime(alg AlgKind, s perfmodel.SliceProfile, k, p, itersPerSlice int) float64 {
 	return mo.IterBreakdown(alg, s, k, p, itersPerSlice).Total()
 }
 
 // ConstrainedIterTime predicts one inner iteration of constrained
 // CP-stream: the MTTKRP/Historical machinery plus admmIters ADMM
 // iterations per mode on the full Iₙ×K factors.
-func (mo Model) ConstrainedIterTime(alg AlgKind, s SliceProfile, k, p, itersPerSlice, admmIters int) float64 {
+func (mo Model) ConstrainedIterTime(alg AlgKind, s perfmodel.SliceProfile, k, p, itersPerSlice, admmIters int) float64 {
 	if admmIters < 1 {
 		admmIters = 1
 	}

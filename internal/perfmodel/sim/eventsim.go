@@ -1,4 +1,4 @@
-package perfmodel
+package sim
 
 import "spstream/internal/sptensor"
 

@@ -1,6 +1,9 @@
-package perfmodel
+package sim
 
-import "spstream/internal/roofline"
+import (
+	"spstream/internal/perfmodel"
+	"spstream/internal/roofline"
+)
 
 // ADMMKind selects the ADMM implementation being modeled.
 type ADMMKind int
@@ -52,12 +55,6 @@ const (
 	MTTKRPHybrid
 	// MTTKRPRowSparse is spCP-stream's spMTTKRP over gathered nz rows.
 	MTTKRPRowSparse
-	// MTTKRPPlan is the per-slice compiled segmented-reduction kernel
-	// (mttkrp.Plan). Contention-free; modeled by Selector.PlanModeTime.
-	MTTKRPPlan
-	// MTTKRPCSF is the tiled CSF fiber-tree kernel (csf.Engine).
-	// Modeled by Selector.CSFModeTime.
-	MTTKRPCSF
 )
 
 // shortModeThreshold mirrors the kernel's switch point.
@@ -140,8 +137,8 @@ func (mo Model) localModeTime(rows int, nnz float64, k, nModes, p int, workScale
 	return work + reduce + mo.barrier(p)
 }
 
-// mttkrpModeTime predicts the MTTKRP for one target mode.
-func (mo Model) mttkrpModeTime(kind MTTKRPKind, s SliceProfile, mode, k, p int) float64 {
+// MTTKRPModeTime predicts the MTTKRP for one target mode.
+func (mo Model) MTTKRPModeTime(kind MTTKRPKind, s perfmodel.SliceProfile, mode, k, p int) float64 {
 	p = mo.clampThreads(p)
 	m := s.Modes[mode]
 	nnz := float64(s.NNZ)
@@ -178,18 +175,6 @@ func (mo Model) mttkrpModeTime(kind MTTKRPKind, s SliceProfile, mode, k, p int) 
 			return mo.localModeTime(m.Dim, nnz, k, n, p, 1)
 		}
 		return mo.lockedModeTime(m.Dim, m.TopRowFrac, nnz, k, n, p, footprint)
-	case MTTKRPPlan, MTTKRPCSF:
-		// Per-slice compiled contention-free kernels: parallel work with
-		// no locks and no p-way output reduction (the plan gives every
-		// output row a single writer; the CSF engine's shard merge is
-		// negligible). Host-accurate predictions live in Selector; this
-		// case keeps the paper-testbed model total.
-		work := nnz * mo.rowWork(k, n) / float64(p) * 1e-9
-		mem := mo.memTime(0, nnz*float64(8+4*n), footprint, p)
-		if mem > work {
-			work = mem
-		}
-		return work + mo.barrier(p)
 	default:
 		return mo.lockedModeTime(m.Dim, m.TopRowFrac, nnz, k, n, p, footprint)
 	}
@@ -198,10 +183,10 @@ func (mo Model) mttkrpModeTime(kind MTTKRPKind, s SliceProfile, mode, k, p int) 
 // MTTKRPTime predicts the summed MTTKRP time across all N modes of one
 // inner iteration (the streaming-mode update is separate; see
 // TimeModeUpdateTime).
-func (mo Model) MTTKRPTime(kind MTTKRPKind, s SliceProfile, k, p int) float64 {
+func (mo Model) MTTKRPTime(kind MTTKRPKind, s perfmodel.SliceProfile, k, p int) float64 {
 	t := 0.0
 	for mode := range s.Modes {
-		t += mo.mttkrpModeTime(kind, s, mode, k, p)
+		t += mo.MTTKRPModeTime(kind, s, mode, k, p)
 	}
 	return t
 }
@@ -211,7 +196,7 @@ func (mo Model) MTTKRPTime(kind MTTKRPKind, s SliceProfile, k, p int) float64 {
 // baseline's one-lock path — every update serializes on one mutex whose
 // line ping-pongs between all p cores, so this kernel gets *slower*
 // with more threads; otherwise the thread-local reduction path scales.
-func (mo Model) TimeModeUpdateTime(s SliceProfile, k, p int, locked bool) float64 {
+func (mo Model) TimeModeUpdateTime(s perfmodel.SliceProfile, k, p int, locked bool) float64 {
 	p = mo.clampThreads(p)
 	nnz := float64(s.NNZ)
 	n := len(s.Modes)

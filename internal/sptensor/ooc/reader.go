@@ -147,18 +147,6 @@ func (r *BlockReader) BlockGrid(b int) []int32 { return r.idx[b].grid }
 // BlockOffset returns the file offset of block b's section.
 func (r *BlockReader) BlockOffset(b int) int64 { return r.idx[b].offset }
 
-// MaxBlockNNZ returns the largest per-block nonzero count — what
-// consumers size their reusable per-block scratch to.
-func (r *BlockReader) MaxBlockNNZ() int {
-	maxNNZ := int64(0)
-	for i := range r.idx {
-		if r.idx[i].nnz > maxNNZ {
-			maxNNZ = r.idx[i].nnz
-		}
-	}
-	return int(maxNNZ)
-}
-
 // Block decodes block b into the reader's own buffer. The result is
 // valid until the next Block call; concurrent callers use BlockInto.
 func (r *BlockReader) Block(b int) (*sptensor.Tensor, error) {

@@ -3,7 +3,7 @@
 // CP-stream algorithm family from "High Performance Streaming Tensor
 // Decomposition" (Soh et al., IPDPS 2021), including the paper's two
 // contributions — the optimized constrained CP-stream (Blocked & Fused
-// ADMM + Hybrid Lock MTTKRP) and the new spCP-stream algorithm that
+// ADMM, contention-free MTTKRP) and the new spCP-stream algorithm that
 // keeps untouched factor rows in K×K Gram form.
 //
 // # Quick start
@@ -205,14 +205,16 @@ func NewWindowAccumulator(dims []int, windowEvents int) *WindowAccumulator {
 
 // Algorithm variants.
 const (
-	// Baseline is the unoptimized CP-stream reference implementation.
-	Baseline = core.Baseline
-	// Optimized is CP-stream with the paper's kernel optimizations.
+	// Optimized is CP-stream with the paper's kernel optimizations (the
+	// default).
 	Optimized = core.Optimized
 	// SpCPStream is the paper's new Gram-form algorithm
 	// (non-constrained problems only).
 	SpCPStream = core.SpCPStream
 )
+
+// ParseAlgorithm parses "optimized" or "spcp" (the -alg flag value).
+func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // NonNeg returns the non-negativity constraint for constrained runs.
 func NonNeg() Constraint { return admm.NonNeg{} }
@@ -230,9 +232,13 @@ func New(dims []int, opt Options) (*Decomposer, error) {
 	return core.NewDecomposer(dims, opt)
 }
 
-// Related-work comparators (paper §II), exposed for benchmarking and
-// the comparison example.
+// Comparators, exposed for benchmarking and the examples: the
+// unoptimized CP-stream every speedup in the paper is measured against,
+// and the related-work methods of §II.
 type (
+	// CPStreamBaseline is Algorithm 1 with the lock-pool MTTKRP and the
+	// pass-per-operation ADMM — an experiment, not an Algorithm value.
+	CPStreamBaseline = baselines.CPStream
 	// OnlineCP is the accumulation-based streaming method of Zhou et
 	// al. (KDD'16), adapted to sparse slices.
 	OnlineCP = baselines.OnlineCP
@@ -240,6 +246,12 @@ type (
 	// et al. (TSP'15).
 	OnlineSGD = baselines.OnlineSGD
 )
+
+// NewCPStreamBaseline creates the unoptimized CP-stream comparator; it
+// starts from the same factors as New with the same Options.Seed.
+func NewCPStreamBaseline(dims []int, opt Options) (*CPStreamBaseline, error) {
+	return baselines.NewCPStream(dims, opt)
+}
 
 // NewOnlineCP creates an OnlineCP comparator.
 func NewOnlineCP(dims []int, rank, workers int, seed uint64) (*OnlineCP, error) {

@@ -53,7 +53,11 @@ func TestAllAlgorithmsViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []spstream.Algorithm{spstream.Baseline, spstream.Optimized, spstream.SpCPStream} {
+	for _, name := range []string{"optimized", "spcp"} {
+		alg, err := spstream.ParseAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dec, err := spstream.New(stream.Dims, spstream.Options{Rank: 3, Algorithm: alg, MaxIters: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -62,6 +66,20 @@ func TestAllAlgorithmsViaFacade(t *testing.T) {
 			if _, err := dec.ProcessSlice(stream.Slices[ti]); err != nil {
 				t.Fatalf("%v: %v", alg, err)
 			}
+		}
+	}
+	// The paper's unoptimized baseline is a comparator beside OnlineCP,
+	// not an Algorithm.
+	if _, err := spstream.ParseAlgorithm("baseline"); err == nil {
+		t.Fatal("baseline accepted as a runtime algorithm")
+	}
+	base, err := spstream.NewCPStreamBaseline(stream.Dims, spstream.Options{Rank: 3, MaxIters: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < 3; ti++ {
+		if _, err := base.ProcessSlice(stream.Slices[ti]); err != nil {
+			t.Fatalf("baseline: %v", err)
 		}
 	}
 }
