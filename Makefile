@@ -55,7 +55,7 @@ bench-compare:
 	$(GO) run ./cmd/paperbench -exp bench -benchjson bench_fresh.json -compare $(BENCH_BASE)
 
 # Just the layout-sensitive configs (skewed + dupheavy): the quick
-# check that hot-row remapping still pays off on this host.
+# check that remapping still pays off on this host.
 bench-skew:
 	$(GO) run ./cmd/paperbench -exp bench -benchconfigs dupheavy,skewed
 

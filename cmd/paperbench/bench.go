@@ -47,10 +47,10 @@ type benchRecord struct {
 	// K-wide multiply chain over the N−1 source modes plus the
 	// accumulate, per nonzero). Zero for slice benches.
 	GFLOPS float64 `json:"gflops,omitempty"`
-	// Remapped / HotFirst record the layout manager's verdict on the
-	// final slice of an end-to-end bench (slice records only).
+	// Remapped records the selector's remap verdict on the final slice
+	// of an end-to-end bench (slice records only). Files written before
+	// PR 24 also carry a hot_first key, which readers ignore.
 	Remapped bool `json:"remapped,omitempty"`
-	HotFirst bool `json:"hot_first,omitempty"`
 	// LiveHeapBytes / PeakHeapBytes are the out-of-core experiment's
 	// memory evidence (ooc records only): post-GC live-heap delta and
 	// sampled heap high-water delta over the pre-run baseline.
@@ -80,8 +80,8 @@ type benchFile struct {
 // cube (both kernels comfortable), a duplicate-heavy slice whose
 // coalesced fiber tree is much smaller than its nonzero count (CSF's
 // best case), and a skewed slice with long, sparsely-touched modes —
-// the layout manager's target regime, where per-slice activity covers
-// a small hot fraction of huge factor matrices.
+// the remap's target regime, where per-slice activity covers a small
+// hot fraction of huge factor matrices.
 type benchConfig struct {
 	name  string
 	dists []synth.IndexDist
@@ -197,11 +197,11 @@ func (h *harness) bench() error {
 
 	// --- end-to-end slices ---------------------------------------------
 	// Optimized CP-stream over the same configs under each forced policy
-	// plus Auto (with and without the layout manager, isolating the
-	// hot-row remapping payoff); the selector check is that Auto never
+	// plus Auto (with and without remapping, isolating its payoff); the
+	// selector check is that Auto never
 	// loses to the best forced kernel by more than measurement slack.
 	fmt.Fprintf(h.out, "\nend-to-end slices (optimized CP-stream, %d inner iters, min of %d interleaved trials):\n", 4, e2eTrials)
-	fmt.Fprintf(h.out, "%-10s %5s %8s %-14s %14s %6s %4s\n", "config", "rank", "workers", "policy", "ns/slice", "remap", "hot")
+	fmt.Fprintf(h.out, "%-10s %5s %8s %-14s %14s %6s\n", "config", "rank", "workers", "policy", "ns/slice", "remap")
 	pols := e2ePolicies()
 	w := workers[len(workers)-1]
 	for _, cfg := range cfgs {
@@ -215,7 +215,6 @@ func (h *harness) bench() error {
 				best[i] = math.Inf(1)
 			}
 			remapped := make([]bool, len(pols))
-			hotFirst := make([]bool, len(pols))
 			// Interleave the policies within each trial and rotate the
 			// starting policy per trial: back-to-back runs of the same
 			// policy share correlated scheduler and cache state, and a
@@ -228,14 +227,14 @@ func (h *harness) bench() error {
 					pol := pols[pi]
 					opt := core.Options{Rank: k, Algorithm: core.Optimized, Workers: w,
 						Seed: 9, MaxIters: 4, Tol: 0, MTTKRPKernel: pol.kernel, Layout: pol.layout}
-					d, rm, hf, err := benchSliceOnce(dims, slices, opt)
+					d, rm, err := benchSliceOnce(dims, slices, opt)
 					if err != nil {
 						return err
 					}
 					if ns := float64(d.Nanoseconds()) / float64(len(slices)); ns < best[pi] {
 						best[pi] = ns
 					}
-					remapped[pi], hotFirst[pi] = rm, hf
+					remapped[pi] = rm
 				}
 			}
 			perPolicy := make(map[string]float64, len(pols))
@@ -245,11 +244,11 @@ func (h *harness) bench() error {
 					Name: fmt.Sprintf("slice/%s/k%d/w%d/%s", cfg.name, k, w, pol.name),
 					Kind: "slice", Config: cfg.name, Kernel: pol.name,
 					Mode: -1, Rank: k, Workers: w, NsPerOp: best[pi],
-					Remapped: remapped[pi], HotFirst: hotFirst[pi],
+					Remapped: remapped[pi],
 				}
 				doc.Records = append(doc.Records, rec)
-				fmt.Fprintf(h.out, "%-10s %5d %8d %-14s %14.0f %6v %4v\n",
-					cfg.name, k, w, pol.name, best[pi], remapped[pi], hotFirst[pi])
+				fmt.Fprintf(h.out, "%-10s %5d %8d %-14s %14.0f %6v\n",
+					cfg.name, k, w, pol.name, best[pi], remapped[pi])
 			}
 			bestForced := perPolicy["plan"]
 			if perPolicy["csf"] < bestForced {
@@ -330,8 +329,8 @@ type e2ePolicy struct {
 }
 
 // e2ePolicies returns the end-to-end grid: the adaptive selector with
-// and without the layout manager (their gap is the hot-row remapping
-// payoff) and each forced kernel. Forced kernels never remap, so their
+// and without remapping (their gap is the remapping payoff) and each
+// forced kernel. Forced kernels never remap, so their
 // layout policy is irrelevant.
 func e2ePolicies() []e2ePolicy {
 	return []e2ePolicy{
@@ -343,23 +342,23 @@ func e2ePolicies() []e2ePolicy {
 }
 
 // benchSliceOnce runs the stream once through a fresh decomposer and
-// returns the wall time plus the layout verdict of the final slice.
+// returns the wall time plus the remap verdict of the final slice.
 // Per-slice Pre work (kernel selection, layout builds) is inside the
 // measurement; construction is too, matching earlier baselines.
-func benchSliceOnce(dims []int, slices []*sptensor.Tensor, opt core.Options) (time.Duration, bool, bool, error) {
+func benchSliceOnce(dims []int, slices []*sptensor.Tensor, opt core.Options) (time.Duration, bool, error) {
 	start := time.Now()
 	dec, err := core.NewDecomposer(dims, opt)
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
 	for _, x := range slices {
 		if _, err := dec.ProcessSlice(x); err != nil {
-			return 0, false, false, err
+			return 0, false, err
 		}
 	}
 	d := time.Since(start)
-	rm, hot := dec.LastLayoutDecision()
-	return d, rm, hot, nil
+	rm, _ := dec.LastLayoutDecision()
+	return d, rm, nil
 }
 
 // compareBench diffs the fresh run against a committed baseline,

@@ -70,19 +70,17 @@ type Decomposer struct {
 	sk       *mttkrp.StreamKernel
 	lastEval perfmodel.EvalMode
 
-	// Adaptive memory layout (see kernels.go and perfmodel/layout.go):
-	// the stream-lifetime layout manager (lazily created when the
-	// policy allows it), the pooled profiler that folds each slice's
-	// row counts into its histograms, the pooled remapper, the compact
-	// profile of the remapped view, the gathered compact factors the
-	// remapped kernels read, and the last slice's resolved decision
-	// (for the tune/serve diagnostics and the determinism tests).
-	layout   *perfmodel.Layout
-	profiler perfmodel.Profiler
-	remapper mttkrp.Remapper
-	profNz   perfmodel.SliceProfile
-	aNzCur   []*dense.Matrix
-	lastDec  perfmodel.Decision
+	// Per-slice remapping (see kernels.go and perfmodel.SelectRemap):
+	// the pooled profiler and remapper, the compact profile of the
+	// remapped view, the gathered compact factors the remapped kernels
+	// read, and the last slice's verdict (for the tune/serve
+	// diagnostics and the determinism tests). Nothing here outlives a
+	// slice except as reusable storage.
+	profiler     perfmodel.Profiler
+	remapper     mttkrp.Remapper
+	profNz       perfmodel.SliceProfile
+	aNzCur       []*dense.Matrix
+	lastRemapped bool
 
 	// Scratch K×K matrices reused across iterations.
 	muG, phiS, sPhi, scratch1, scratch2 *dense.Matrix

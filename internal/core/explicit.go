@@ -8,7 +8,6 @@ import (
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/parallel"
-	"spstream/internal/perfmodel"
 	"spstream/internal/trace"
 )
 
@@ -21,7 +20,7 @@ import (
 type explicitRun struct {
 	// in is the slice as it arrived, in global row ids; kin and kf are
 	// the sparse data and factors the kernels read — in and d.a, unless
-	// the layout manager remapped the slice (rm below). For a resident
+	// the selector remapped the slice (rm below). For a resident
 	// kin the kernel table d.kernels (resolved in beginExplicit) says
 	// which layout each mode's MTTKRP dispatches to; plan is nil when no
 	// mode chose it, and the CSF trees live in the Decomposer's pooled
@@ -29,7 +28,7 @@ type explicitRun struct {
 	in, kin sliceData
 	kf      []*dense.Matrix
 	plan    *mttkrp.Plan
-	// rm, when non-nil, is the layout manager's compact renumbering of
+	// rm, when non-nil, is the compact renumbering of
 	// the slice (see beginKernelsLayout): the kernels run over rm.X and
 	// the gathered d.aNzCur factors, while d.a/d.psi stay in global row
 	// ids — the remapping is invisible outside the mode-update inner
@@ -59,11 +58,11 @@ func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 			d.h[m].CopyFrom(d.c[m])
 		}
 		if in.src != nil {
-			// Kernel selection and the adaptive layout are in-memory
-			// concerns: empty the table and the last decision so the
-			// diagnostics don't name a previous slice's.
+			// Kernel selection and remapping are in-memory concerns:
+			// empty the table and the last verdict so the diagnostics
+			// don't name a previous slice's.
 			d.kernels = d.kernels[:0]
-			d.lastDec = perfmodel.Decision{}
+			d.lastRemapped = false
 			if err = d.streamKernel().Begin(in.src); err != nil {
 				err = fmt.Errorf("core: streamed schedule: %w", err)
 				return

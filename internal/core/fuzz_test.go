@@ -44,8 +44,18 @@ func FuzzRestoreState(f *testing.F) {
 		forged[i] = 0xff
 	}
 	f.Add(forged)
+	// The committed legacy checkpoint, whose flag-1 layout section the
+	// parser steps over. Its shape is not the small one above, so inputs
+	// that declare three modes are tried against its decomposer instead.
+	legacyStream := remapStream(f, 404, 1)
+	legacy, _ := legacySection(f, legacyStream.Dims)
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, input []byte) {
+		dims, opt, next := dims, opt, s.Slices[0]
+		if len(input) > 8 && input[8] == 3 {
+			dims, opt, next = legacyStream.Dims, legacyOptions, legacyStream.Slices[0]
+		}
 		fresh, err := NewDecomposer(dims, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +68,7 @@ func FuzzRestoreState(f *testing.F) {
 		if fresh.T() != len(fresh.sHist) {
 			t.Fatalf("restored T=%d with %d temporal rows", fresh.T(), len(fresh.sHist))
 		}
-		if _, err := fresh.ProcessSlice(s.Slices[0]); err != nil {
+		if _, err := fresh.ProcessSlice(next); err != nil {
 			t.Fatalf("decomposer broken after accepted restore: %v", err)
 		}
 	})

@@ -120,28 +120,12 @@ func (d *Decomposer) selectorAmortIters() int {
 	return it
 }
 
-// layoutActive reports whether the adaptive layout manager runs: it
-// rides the Auto cost-model path (forced kernel policies pin the whole
-// layout so kernel benchmarks stay apples-to-apples) and can be switched
-// off via Options.Layout.
-func (d *Decomposer) layoutActive() bool {
-	return d.opt.Layout != LayoutOff && d.opt.MTTKRPKernel == KernelAuto
-}
-
-// ensureLayout lazily creates the stream-lifetime layout manager.
-func (d *Decomposer) ensureLayout() *perfmodel.Layout {
-	if d.layout == nil {
-		d.layout = perfmodel.NewLayout(perfmodel.DefaultLayoutParams(), d.dims)
-	}
-	return d.layout
-}
-
 // chooseKernelsFrom fills d.kernels (one choice per mode) from an
 // already-measured profile (ignored under forced policies) and reports
 // which compiled layouts the slice needs. Under KernelAuto the
 // selection is a pure function of (profile, rank, options) — the
 // profile of the view the kernels will actually run over, so the cost
-// model sees the remapped shape when the layout manager remapped.
+// model sees the remapped shape when the slice was remapped.
 func (d *Decomposer) chooseKernelsFrom(n int, prof *perfmodel.SliceProfile) (needPlan, needCSF bool) {
 	if cap(d.kernels) < n {
 		d.kernels = make([]perfmodel.MTTKRPKind, n)
@@ -164,7 +148,7 @@ func (d *Decomposer) chooseKernelsFrom(n int, prof *perfmodel.SliceProfile) (nee
 // selection tests.
 func (d *Decomposer) chooseKernels(x *sptensor.Tensor) (needPlan, needCSF bool) {
 	if d.opt.MTTKRPKernel == KernelAuto {
-		d.profiler.Profile(&d.prof, x, nil, d.t)
+		d.profiler.Profile(&d.prof, x)
 	}
 	return d.chooseKernelsFrom(x.NModes(), &d.prof)
 }
@@ -222,31 +206,28 @@ func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
 }
 
 // beginKernelsLayout is beginKernels for the explicit path with the
-// adaptive layout manager in the loop: profile the global slice (the
-// same counting pass folds the per-row histograms), ask the layout
-// manager whether remapping pays off, remap through the pooled
-// remapper when it does, and select kernels over the profile of
-// whichever view the inner loop will run on. Returns the compiled plan
-// and the remapped view (nil when the slice runs in place).
+// remap verdict in the loop. Remapping rides the Auto cost-model path
+// (forced kernel policies pin the whole layout so kernel benchmarks
+// stay apples-to-apples) and can be switched off via Options.Layout:
+// profile the slice, ask the selector whether remapping pays off — a
+// function of this slice alone — remap through the pooled remapper when
+// it does, and select kernels over the profile of whichever view the
+// inner loop will run on. Returns the compiled plan and the remapped
+// view (nil when the slice runs in place).
 func (d *Decomposer) beginKernelsLayout(x *sptensor.Tensor) (*mttkrp.Plan, *mttkrp.Remapped) {
 	if d.opt.MTTKRPKernel != KernelAuto {
-		d.lastDec = perfmodel.Decision{}
-		needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.prof)
-		return d.compileKernels(x, needPlan, needCSF, true), nil
+		d.lastRemapped = false
+		return d.beginKernels(x), nil
 	}
-	var lay *perfmodel.Layout
-	if d.layoutActive() {
-		lay = d.ensureLayout()
-	}
-	d.profiler.Profile(&d.prof, x, lay, d.t)
-	dec := lay.Decide(d.prof, d.k, d.selectorAmortIters())
-	d.lastDec = dec
-	if !dec.Remap {
+	d.profiler.Profile(&d.prof, x)
+	d.lastRemapped = d.opt.Layout != LayoutOff &&
+		d.sel.SelectRemap(d.prof, d.k, d.selectorAmortIters())
+	if !d.lastRemapped {
 		needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.prof)
 		return d.compileKernels(x, needPlan, needCSF, d.prof.Sorted), nil
 	}
-	rm := d.remapper.Begin(x, dec.HotFirst)
-	d.compactProfile(rm, dec.HotFirst != nil)
+	rm := d.remapper.Begin(x, nil)
+	d.compactProfile(rm)
 	needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.profNz)
 	return d.compileKernels(rm.X, needPlan, needCSF, d.profNz.Sorted), rm
 }
@@ -255,9 +236,9 @@ func (d *Decomposer) beginKernelsLayout(x *sptensor.Tensor) (*mttkrp.Plan, *mttk
 // one without a second counting pass: mode m's index space collapses
 // to its nz-row count (every local row is nonzero by construction),
 // nonzero counts and distinct-pair counts are invariant under the
-// per-mode renumbering, and ascending-id remapping preserves storage
-// order (hot-first does not).
-func (d *Decomposer) compactProfile(rm *mttkrp.Remapped, hot bool) {
+// per-mode renumbering, and the ascending-id remapping preserves
+// storage order.
+func (d *Decomposer) compactProfile(rm *mttkrp.Remapped) {
 	p := &d.profNz
 	p.NNZ = d.prof.NNZ
 	if cap(p.Modes) < len(d.prof.Modes) {
@@ -268,6 +249,6 @@ func (d *Decomposer) compactProfile(rm *mttkrp.Remapped, hot bool) {
 		nz := len(rm.NZ[m])
 		p.Modes[m] = perfmodel.ModeProfile{Dim: nz, NZRows: nz, TopRowFrac: mp.TopRowFrac}
 	}
-	p.Sorted = d.prof.Sorted && !hot
+	p.Sorted = d.prof.Sorted
 	p.Pair01 = d.prof.Pair01
 }

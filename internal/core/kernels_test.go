@@ -43,9 +43,8 @@ func TestKernelPolicyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Algorithm() != Optimized || d.MTTKRPKernel() != KernelAuto || d.LayoutPolicy() != LayoutAuto || !d.layoutActive() {
-		t.Fatalf("zero-value options resolve to %v / %v / %v (layout active %v)",
-			d.Algorithm(), d.MTTKRPKernel(), d.LayoutPolicy(), d.layoutActive())
+	if d.Algorithm() != Optimized || d.MTTKRPKernel() != KernelAuto || d.LayoutPolicy() != LayoutAuto {
+		t.Fatalf("zero-value options resolve to %v / %v / %v", d.Algorithm(), d.MTTKRPKernel(), d.LayoutPolicy())
 	}
 	if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 		t.Fatal(err)

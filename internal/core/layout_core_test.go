@@ -2,13 +2,21 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"strings"
 	"testing"
+
+	"spstream/internal/resilience"
 
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
 )
 
-// remapStream generates a stream skewed enough for the layout manager to
+// remapStream generates a stream skewed enough for the selector to
 // choose remapping under the default cost model: one long mode whose
 // activity touches a small fraction of its rows, so the z-row solve
 // collapse dominates the remap build cost even at small ranks.
@@ -43,24 +51,20 @@ func scheduleTrace(t *testing.T, d *Decomposer, x *sptensor.Tensor, trace []byte
 		t.Fatal(err)
 	}
 	trace = d.KernelSchedule(trace)
-	rm, hot := d.LastLayoutDecision()
 	code := byte('-')
-	switch {
-	case rm && hot:
-		code = 'H'
-	case rm:
+	if rm, _ := d.LastLayoutDecision(); rm {
 		code = 'R'
 	}
 	return append(trace, code, '|')
 }
 
 // TestLayoutCheckpointRoundTrip is the determinism acceptance test: save
-// mid-stream with an active permutation and remap schedule, restore into
-// a fresh decomposer, and finish the stream — the factors must be
-// bit-identical to an uninterrupted run and the kernel+layout schedule
-// of every remaining slice identical. The layout histograms are part of
-// the SPSTRM03 payload; losing them would silently change the schedule
-// (and with it the rounding order, hence the factors).
+// mid-stream with an active remap schedule, restore into a fresh
+// decomposer, and finish the stream — the factors must be bit-identical
+// to an uninterrupted run and the kernel+layout schedule of every
+// remaining slice identical. The checkpoint carries no layout state;
+// the schedule (and with it the rounding order, hence the factors) is a
+// function of each slice alone.
 func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	s := remapStream(t, 404, 8)
 	opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5}
@@ -87,9 +91,6 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	if rm, _ := first.LastLayoutDecision(); !rm {
 		t.Fatal("stream does not trigger remapping — test is vacuous")
 	}
-	if st := first.LayoutStats(); st.Epoch != cut {
-		t.Fatalf("layout epoch = %d before save, want %d", st.Epoch, cut)
-	}
 
 	var buf bytes.Buffer
 	if err := first.SaveState(&buf); err != nil {
@@ -101,9 +102,6 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := second.RestoreState(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if st := second.LayoutStats(); st != first.LayoutStats() {
-		t.Fatalf("restored layout stats %+v != saved %+v", st, first.LayoutStats())
 	}
 
 	// Finish both runs, comparing the schedule slice by slice.
@@ -184,8 +182,7 @@ func TestExplicitRemapIterateZeroAlloc(t *testing.T) {
 }
 
 // TestLayoutPolicyTuning covers the runtime layout knob: validation,
-// freezing via LayoutOff (decisions stop, learned state kept), and
-// re-enabling.
+// LayoutOff (remapping stops), and re-enabling.
 func TestLayoutPolicyTuning(t *testing.T) {
 	s := remapStream(t, 407, 4)
 	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5})
@@ -201,7 +198,6 @@ func TestLayoutPolicyTuning(t *testing.T) {
 	if rm, _ := d.LastLayoutDecision(); !rm {
 		t.Fatal("expected remap on slice 0")
 	}
-	epoch := d.LayoutStats().Epoch
 
 	if err := d.SetLayoutPolicy(LayoutOff); err != nil {
 		t.Fatal(err)
@@ -211,9 +207,6 @@ func TestLayoutPolicyTuning(t *testing.T) {
 	}
 	if rm, _ := d.LastLayoutDecision(); rm {
 		t.Fatal("LayoutOff slice still remapped")
-	}
-	if got := d.LayoutStats().Epoch; got != epoch {
-		t.Fatalf("frozen layout kept learning: epoch %d → %d", epoch, got)
 	}
 
 	if err := d.SetLayoutPolicy(LayoutAuto); err != nil {
@@ -225,7 +218,240 @@ func TestLayoutPolicyTuning(t *testing.T) {
 	if rm, _ := d.LastLayoutDecision(); !rm {
 		t.Fatal("re-enabled layout did not resume remapping")
 	}
-	if got := d.LayoutStats().Epoch; got != epoch+1 {
-		t.Fatalf("re-enabled layout epoch = %d, want %d", got, epoch+1)
+}
+
+// legacyCheckpoint is the committed SPSTRM03 file the last commit with a
+// learned layout wrote: SaveState after 4 slices of remapStream(404, 8)
+// under legacyOptions, with hot-first permutations on every mode, hence
+// a flag-1 layout section.
+const (
+	legacyCheckpoint = "testdata/spstrm03_layout.ckpt"
+	legacyCut        = 4
+)
+
+var legacyOptions = Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5}
+
+// legacySection returns the fixture's bytes and the offset of its layout
+// section (the presence flag), which runs up to the 4-byte CRC footer.
+func legacySection(t testing.TB, dims []int) ([]byte, int) {
+	t.Helper()
+	raw, err := os.ReadFile(legacyCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := 8 + 3*8 // presence flag, three counters
+	for _, dim := range dims {
+		sec += 8*dim + 4*8 + 8 + 4*dim // histogram, scalars, perm flag, perm
+	}
+	start := len(raw) - 4 - sec
+	if start < 0 || binary.LittleEndian.Uint64(raw[start:]) != 1 {
+		t.Fatalf("fixture has no flag-1 layout section at offset %d", start)
+	}
+	return raw, start
+}
+
+// resealCRC recomputes the footer after a deliberate payload mutation.
+func resealCRC(raw []byte) {
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+}
+
+// TestRestoreLegacyLayoutSection: a checkpoint with a learned-layout
+// section still restores — the section is stepped over — and the
+// resumed stream ends bit-identical to an uninterrupted run; the same
+// bytes cut anywhere inside the section, with an illegal permutation
+// flag, or with one checksummed byte of the section flipped are
+// rejected.
+func TestRestoreLegacyLayoutSection(t *testing.T) {
+	s := remapStream(t, 404, 8)
+	raw, start := legacySection(t, s.Dims)
+	ref, _ := runStream(t, s, legacyOptions)
+
+	restore := func(b []byte) (*Decomposer, error) {
+		d, err := NewDecomposer(s.Dims, legacyOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, d.RestoreState(bytes.NewReader(b))
+	}
+	d, err := restore(raw)
+	if err != nil {
+		t.Fatalf("legacy checkpoint rejected: %v", err)
+	}
+	if d.T() != legacyCut {
+		t.Fatalf("restored T = %d, want %d", d.T(), legacyCut)
+	}
+	for _, x := range s.Slices[legacyCut:] {
+		if _, err := d.ProcessSlice(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if diff := maxFactorDiff(ref, d); diff != 0 {
+		t.Fatalf("resumed factors differ from uninterrupted by %g", diff)
+	}
+	if diff := ref.Temporal().MaxAbsDiff(d.Temporal()); diff != 0 {
+		t.Fatalf("temporal factors differ by %g", diff)
+	}
+
+	// Truncation: every section boundary and a stride through the bulk.
+	permFlag0 := start + 8 + 3*8 + 8*s.Dims[0] + 4*8
+	cuts := []int{start, start + 4, start + 8, start + 8 + 3*8, permFlag0, permFlag0 + 8, len(raw) - 5, len(raw) - 4}
+	for off := start + 13; off < len(raw)-4; off += 7919 {
+		cuts = append(cuts, off)
+	}
+	for _, off := range cuts {
+		if _, err := restore(raw[:off]); err == nil {
+			t.Errorf("checkpoint truncated at %d of %d restored silently", off, len(raw))
+		}
+	}
+
+	// A permutation flag that is neither 0 nor 1, under a valid CRC.
+	bad := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(bad[permFlag0:], 2)
+	resealCRC(bad)
+	if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "perm presence flag") {
+		t.Errorf("perm flag 2: got %v, want a perm presence flag error", err)
+	}
+
+	// One flipped bit in bytes the parser only skips: the CRC catches it.
+	for _, off := range []int{start + 8 + 5, start + 8 + 3*8 + 17, permFlag0 + 8 + 3, len(raw) - 5} {
+		bad := append([]byte(nil), raw...)
+		bad[off] ^= 0x10
+		if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("bit flip at %d: got %v, want a checksum error", off, err)
+		}
+	}
+}
+
+// asV2 rewrites an SPSTRM03 checkpoint with an empty layout flag as the
+// SPSTRM02 file an older writer would have produced: no flag, v2 magic.
+func asV2(t testing.TB, v3 []byte) []byte {
+	t.Helper()
+	body := len(v3) - 4 - 8
+	if binary.LittleEndian.Uint64(v3[body:]) != 0 {
+		t.Fatal("checkpoint does not end in an empty layout flag")
+	}
+	v2 := append(append([]byte(nil), v3[:body]...), 0, 0, 0, 0)
+	copy(v2, stateMagicV2[:])
+	resealCRC(v2)
+	return v2
+}
+
+// TestRemapScheduleIgnoresHistory: the kernel table and the remap
+// verdict of a slice are those it gets as slice 0 of a fresh
+// decomposer, whatever came before it — a slice dropped under SkipSlice,
+// its own failed first attempt under RetrySlice, a LayoutOff interlude,
+// or a restore from an SPSTRM02 checkpoint, which has no layout section.
+func TestRemapScheduleIgnoresHistory(t *testing.T) {
+	s := remapStream(t, 408, 4)
+	probe := s.Slices[3]
+	opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5}
+	boom := errors.New("injected")
+
+	fresh, err := NewDecomposer(s.Dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(scheduleTrace(t, fresh, probe, nil))
+	if !strings.HasSuffix(want, "R|") {
+		t.Fatalf("probe schedule %q is not remapped — test is vacuous", want)
+	}
+
+	histories := map[string]func(t *testing.T) *Decomposer{
+		"skip": func(t *testing.T) *Decomposer {
+			o := opt
+			drop := false
+			o.Resilience = &resilience.Config{
+				Policy: resilience.SkipSlice,
+				FaultHook: func(f resilience.Fault) error {
+					if drop && f.Stage == resilience.StageIterate {
+						return boom
+					}
+					return nil
+				},
+			}
+			d, err := NewDecomposer(s.Dims, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
+				t.Fatal(err)
+			}
+			drop = true
+			if _, err := d.ProcessSliceContext(context.Background(), s.Slices[1]); !errors.Is(err, resilience.ErrSliceSkipped) {
+				t.Fatalf("slice 1: %v, want a skip", err)
+			}
+			drop = false
+			if d.T() != 1 {
+				t.Fatalf("T = %d after a dropped slice, want 1", d.T())
+			}
+			return d
+		},
+		"retry": func(t *testing.T) *Decomposer {
+			o := opt
+			o.Resilience = &resilience.Config{
+				Policy: resilience.RetrySlice,
+				FaultHook: func(f resilience.Fault) error {
+					if f.Slice == 1 && f.Stage == resilience.StageIterate && f.Attempt == 0 {
+						return boom
+					}
+					return nil
+				},
+			}
+			d, err := NewDecomposer(s.Dims, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
+				t.Fatal(err)
+			}
+			return d // the probe is slice 1: its first attempt fails
+		},
+		"off-auto": func(t *testing.T) *Decomposer {
+			d, err := NewDecomposer(s.Dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pol := range []LayoutPolicy{LayoutAuto, LayoutOff} {
+				if err := d.SetLayoutPolicy(pol); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.ProcessSlice(s.Slices[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.SetLayoutPolicy(LayoutAuto); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+		"v2-restore": func(t *testing.T) *Decomposer {
+			first, _ := runStream(t, &sptensor.Stream{Dims: s.Dims, Slices: s.Slices[:2]}, opt)
+			var buf bytes.Buffer
+			if err := first.SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDecomposer(s.Dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RestoreState(bytes.NewReader(asV2(t, buf.Bytes()))); err != nil {
+				t.Fatalf("SPSTRM02 checkpoint rejected: %v", err)
+			}
+			if d.T() != 2 || maxFactorDiff(first, d) != 0 {
+				t.Fatal("SPSTRM02 restore lost state")
+			}
+			return d
+		},
+	}
+	for name, history := range histories {
+		t.Run(name, func(t *testing.T) {
+			d := history(t)
+			if got := string(scheduleTrace(t, d, probe, nil)); got != want {
+				t.Fatalf("schedule %q after history, %q as slice 0 of a fresh decomposer", got, want)
+			}
+			if name == "retry" && d.ResilienceStats().SliceRetries != 1 {
+				t.Fatalf("probe was not retried: %+v", d.ResilienceStats())
+			}
+		})
 	}
 }

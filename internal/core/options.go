@@ -78,19 +78,18 @@ const (
 // String names the kernel policy.
 func (k MTTKRPKernel) String() string { return enumName("MTTKRPKernel", int(k), "auto", "plan", "csf") }
 
-// LayoutPolicy selects the adaptive memory-layout manager (see
-// perfmodel.Layout): per-mode decayed hot-row histograms learned across
-// slices, and a per-slice cost-model decision to renumber the slice
-// into its compact nz-row index space (optionally hot-first) before the
-// inner iterations run.
+// LayoutPolicy says whether a slice may be remapped: a per-slice
+// cost-model decision (perfmodel.Selector.SelectRemap, a function of
+// that slice's profile alone) to renumber the slice into its compact
+// nz-row index space before the inner iterations run.
 type LayoutPolicy int
 
 const (
-	// LayoutAuto enables adaptive layout whenever the kernel policy is
+	// LayoutAuto lets the selector remap whenever the kernel policy is
 	// KernelAuto (it rides the same slice profile the kernel selector
 	// reads, so it costs nothing extra to keep on).
 	LayoutAuto LayoutPolicy = iota
-	// LayoutOff disables remapping and layout learning; slices run in
+	// LayoutOff disables remapping; slices run in
 	// stream order over the full index space (the pre-layout behavior,
 	// and the apples-to-apples baseline the bench suite compares
 	// against).
@@ -149,7 +148,7 @@ type Options struct {
 	// selection. Adjustable between slices via
 	// Decomposer.SetMTTKRPKernel.
 	MTTKRPKernel MTTKRPKernel
-	// Layout selects the adaptive memory-layout manager; see the
+	// Layout says whether slices may be remapped; see the
 	// LayoutPolicy constants. Only consulted when the kernel policy is
 	// KernelAuto (forced kernel policies pin the whole layout for
 	// reproducible kernel benchmarking). Adjustable between slices via

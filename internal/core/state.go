@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"spstream/internal/dense"
-	"spstream/internal/perfmodel"
 )
 
 // Checkpointing: a Decomposer's streaming state can be serialized
@@ -19,17 +18,18 @@ import (
 // the temporal Gram G, the temporal history S, the slice counter, and
 // (for spCP-stream) the previous nz sets and z-row Grams.
 //
-// Format v3 (SPSTRM03) adds the adaptive-layout state — the per-mode
-// decayed row histograms, the learned hot-first permutations, and the
-// fold/rebuild counters — so a restored stream replays the identical
-// kernel+layout schedule (layout decisions are a pure function of
-// profile, layout state, and options). Like v2 it carries a CRC32
-// (IEEE) footer covering the magic and the payload, so a checkpoint
-// truncated or bit-flipped at rest is rejected instead of restoring
-// silently wrong state. v2 (SPSTRM02, no layout section) and v1
-// (SPSTRM01, no layout, no footer) checkpoints still restore — the
-// layout manager then restarts cold, which only costs a few slices of
-// histogram warm-up.
+// Format v3 (SPSTRM03) is v2 plus one layout presence flag, which this
+// code always writes as 0: the kernel and remap schedule is a pure
+// function of each slice and the options, so there is no layout state
+// to carry and a stream restored from any version replays the same
+// schedule. Older writers stored learned hot-row state behind a flag of
+// 1 (per mode a decayed row histogram and an optional row permutation);
+// RestoreState steps over such a section — sized from the receiver's
+// dims, flags validated, bytes under the checksum — and keeps nothing
+// of it. Like v2, v3 carries a CRC32 (IEEE) footer covering the magic
+// and the payload, so a checkpoint truncated or bit-flipped at rest is
+// rejected instead of restoring silently wrong state. v2 (SPSTRM02, no
+// flag) and v1 (SPSTRM01, no flag, no footer) checkpoints still restore.
 
 // stateMagic identifies the checkpoint container and its version.
 var (
@@ -64,7 +64,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// SaveState serializes the decomposer's streaming state (format v2,
+// SaveState serializes the decomposer's streaming state (format v3,
 // with the CRC footer). It must be called between slices (never
 // concurrently with ProcessSlice).
 func (d *Decomposer) SaveState(w io.Writer) error {
@@ -133,58 +133,9 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 			}
 		}
 	}
-	// Adaptive-layout state (v3): presence flag, fold/rebuild counters,
-	// then per mode the decayed histogram, its running sum, the rebuild
-	// bookkeeping, and (flagged) the learned permutation. The derived
-	// inverse Rank is reconstructed on restore, not serialized.
-	if d.layout == nil {
-		if err := writeU64(0); err != nil {
-			return err
-		}
-	} else {
-		if err := writeU64(1); err != nil {
-			return err
-		}
-		lay := d.layout
-		if err := writeU64(uint64(lay.Epoch)); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, int64(lay.FoldedT)); err != nil {
-			return err
-		}
-		if err := writeU64(uint64(lay.Rebuilds)); err != nil {
-			return err
-		}
-		for m := range lay.Modes {
-			st := &lay.Modes[m]
-			if err := binary.Write(cw, binary.LittleEndian, st.Hist); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, st.Tot); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, int64(st.RebuildEpoch)); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, st.CoverAtRebuild); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, st.Cover); err != nil {
-				return err
-			}
-			if st.Perm == nil {
-				if err := writeU64(0); err != nil {
-					return err
-				}
-			} else {
-				if err := writeU64(1); err != nil {
-					return err
-				}
-				if err := binary.Write(cw, binary.LittleEndian, st.Perm); err != nil {
-					return err
-				}
-			}
-		}
+	// Layout presence flag (v3): always 0, see the format note above.
+	if err := writeU64(0); err != nil {
+		return err
 	}
 	// CRC footer over magic + payload (not hashed itself).
 	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
@@ -311,7 +262,6 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	default:
 		return fmt.Errorf("core: checkpoint nz presence flag %d is not 0 or 1", hasNZ)
 	}
-	var layout *perfmodel.Layout
 	if withLayout {
 		hasLayout, err := readU64()
 		if err != nil {
@@ -320,63 +270,9 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 		switch hasLayout {
 		case 0:
 		case 1:
-			lay := perfmodel.NewLayout(perfmodel.DefaultLayoutParams(), d.dims)
-			epoch, err := readU64()
-			if err != nil {
-				return err
+			if err := skipLegacyLayout(cr, d.dims); err != nil {
+				return fmt.Errorf("core: checkpoint legacy layout section: %w", err)
 			}
-			lay.Epoch = int(epoch)
-			var foldedT int64
-			if err := binary.Read(cr, binary.LittleEndian, &foldedT); err != nil {
-				return err
-			}
-			lay.FoldedT = int(foldedT)
-			rebuilds, err := readU64()
-			if err != nil {
-				return err
-			}
-			lay.Rebuilds = int(rebuilds)
-			for m := range lay.Modes {
-				st := &lay.Modes[m]
-				if err := binary.Read(cr, binary.LittleEndian, st.Hist); err != nil {
-					return err
-				}
-				if err := binary.Read(cr, binary.LittleEndian, &st.Tot); err != nil {
-					return err
-				}
-				var rbEpoch int64
-				if err := binary.Read(cr, binary.LittleEndian, &rbEpoch); err != nil {
-					return err
-				}
-				st.RebuildEpoch = int(rbEpoch)
-				if err := binary.Read(cr, binary.LittleEndian, &st.CoverAtRebuild); err != nil {
-					return err
-				}
-				if err := binary.Read(cr, binary.LittleEndian, &st.Cover); err != nil {
-					return err
-				}
-				hasPerm, err := readU64()
-				if err != nil {
-					return err
-				}
-				switch hasPerm {
-				case 0:
-				case 1:
-					st.Perm = make([]int32, d.dims[m])
-					if err := binary.Read(cr, binary.LittleEndian, st.Perm); err != nil {
-						return err
-					}
-					for _, g := range st.Perm {
-						if g < 0 || int(g) >= d.dims[m] {
-							return fmt.Errorf("core: checkpoint layout perm of mode %d has out-of-range row %d", m, g)
-						}
-					}
-				default:
-					return fmt.Errorf("core: checkpoint perm presence flag %d is not 0 or 1", hasPerm)
-				}
-			}
-			lay.RebuildRanks()
-			layout = lay
 		default:
 			return fmt.Errorf("core: checkpoint layout presence flag %d is not 0 or 1", hasLayout)
 		}
@@ -393,8 +289,42 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	}
 	d.sHist = sHist
 	d.prevNZ = prevNZ
-	d.layout = layout
 	d.t = int(t)
+	return nil
+}
+
+// skipLegacyLayout reads past the learned-layout section an older
+// writer stored behind a presence flag of 1: three counters, then per
+// mode a float64 histogram over the mode's rows, four 8-byte scalars, a
+// permutation flag and (flag 1) an int32 permutation over the rows. All
+// sizes come from dims, never from the input; r is the checksummed
+// reader, so the skipped bytes still count toward the CRC.
+func skipLegacyLayout(r io.Reader, dims []int) error {
+	skip := func(n int) error {
+		_, err := io.CopyN(io.Discard, r, int64(n))
+		return err
+	}
+	if err := skip(3 * 8); err != nil {
+		return err
+	}
+	for m, dim := range dims {
+		if err := skip(8*dim + 4*8); err != nil {
+			return err
+		}
+		var hasPerm uint64
+		if err := binary.Read(r, binary.LittleEndian, &hasPerm); err != nil {
+			return err
+		}
+		switch hasPerm {
+		case 0:
+		case 1:
+			if err := skip(4 * dim); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("perm presence flag %d of mode %d is not 0 or 1", hasPerm, m)
+		}
+	}
 	return nil
 }
 

@@ -87,12 +87,13 @@ func (d *Decomposer) SetMTTKRPKernel(k MTTKRPKernel) error {
 func (d *Decomposer) LayoutPolicy() LayoutPolicy { return d.opt.Layout }
 
 // SetLayoutPolicy overrides the adaptive-layout policy for subsequent
-// slices. LayoutOff freezes remapping and histogram learning (the
-// learned state is kept, so re-enabling resumes where it left off);
-// LayoutAuto re-enables it. The switch is exact in the
-// same sense as SetMTTKRPKernel: every layout computes the same
-// updates, only memory order (and hence rounding order) differs.
-// Unknown values return an error and leave the policy unchanged.
+// slices: LayoutOff stops remapping, LayoutAuto lets the selector decide
+// again. There is nothing to freeze or resume — the verdict is a
+// function of each slice alone, so a slice is scheduled the same
+// whatever the policy was before it. The switch is exact in the same
+// sense as SetMTTKRPKernel: every layout computes the same updates,
+// only memory order (and hence rounding order) differs. Unknown values
+// return an error and leave the policy unchanged.
 func (d *Decomposer) SetLayoutPolicy(l LayoutPolicy) error {
 	if l < LayoutAuto || l > LayoutOff {
 		return fmt.Errorf("core: unknown LayoutPolicy %d", int(l))
@@ -101,22 +102,14 @@ func (d *Decomposer) SetLayoutPolicy(l LayoutPolicy) error {
 	return nil
 }
 
-// LayoutStats summarizes the adaptive layout manager (zero value until
-// the first slice profiles under an active layout policy).
-func (d *Decomposer) LayoutStats() perfmodel.LayoutStats { return d.layout.Stats() }
-
 // LastLayoutDecision reports the layout verdict of the most recent
 // slice begin: whether the slice was renumbered into its compact
-// nz-row space, and whether any mode used the learned hot-first order.
+// nz-row space. hotFirst is always false — the learned hot-first order
+// is gone and remapped slices keep ascending ids; the result stays only
+// because bench/ compiles against the two-value form (ROADMAP item 8).
 // Diagnostics surface for serve and the determinism tests.
 func (d *Decomposer) LastLayoutDecision() (remapped, hotFirst bool) {
-	remapped = d.lastDec.Remap
-	for _, p := range d.lastDec.HotFirst {
-		if p != nil {
-			hotFirst = true
-		}
-	}
-	return remapped, hotFirst
+	return d.lastRemapped, false
 }
 
 // KernelSchedule appends the current per-mode kernel table (resolved

@@ -136,13 +136,9 @@ type Engine struct {
 	workers int
 	pool    *parallel.Pool
 
-	// Exactly one of x (in-memory slice, via Begin) and src (blocked
-	// slice, via BeginBlocks) is non-nil while the engine is active.
-	// dims mirrors the active slice's mode lengths either way, so the
-	// kernels and shape checks never need the tensor itself — in blocked
-	// mode only the built trees are resident, never the nonzeros.
+	// x is the active slice (nil before the first Begin); dims is its
+	// mode lengths.
 	x     *sptensor.Tensor
-	src   sptensor.BlockSource
 	dims  []int
 	trees []*tree
 
@@ -160,9 +156,6 @@ type Engine struct {
 	perm, perm2 []int32
 	count       []int32
 	prev        []int32
-
-	// gx is the blocked build's reusable slab gather buffer.
-	gx sptensor.Tensor
 
 	// Kernel scratch of the N ≠ 3 walk (walkInto): per worker, lcap
 	// partial-product rows of kcap floats, one per internal tree level.
@@ -213,17 +206,11 @@ func NewEngineWithPool(workers int, pool *parallel.Pool) *Engine {
 // rebuilt lazily on the first MTTKRP per mode (or eagerly via Build).
 func (e *Engine) Begin(x *sptensor.Tensor) {
 	e.x = x
-	e.src = nil
-	e.begin(x.Dims)
-}
-
-// begin resets the per-slice state shared by Begin and BeginBlocks.
-func (e *Engine) begin(dims []int) {
-	e.dims = dims
+	e.dims = x.Dims
 	e.baseHint = false
 	e.baseState = 0
-	if len(e.trees) != len(dims) {
-		e.trees = make([]*tree, len(dims))
+	if len(e.trees) != len(e.dims) {
+		e.trees = make([]*tree, len(e.dims))
 	}
 	for _, t := range e.trees {
 		if t != nil {
@@ -294,11 +281,11 @@ func (e *Engine) Build(mode int) {
 
 // Built reports whether mode's tree is current for the active slice.
 func (e *Engine) Built(mode int) bool {
-	return (e.x != nil || e.src != nil) && mode < len(e.trees) && e.trees[mode] != nil && e.trees[mode].built
+	return e.x != nil && mode < len(e.trees) && e.trees[mode] != nil && e.trees[mode].built
 }
 
 func (e *Engine) tree(mode int) *tree {
-	if e.x == nil && e.src == nil {
+	if e.x == nil {
 		panic("csf: Engine used before Begin")
 	}
 	if mode < 0 || mode >= len(e.trees) {
@@ -324,10 +311,6 @@ func (e *Engine) buildTree(t *tree, mode int) {
 	if n < 2 {
 		panic("csf: need ≥ 2 modes")
 	}
-	if e.src != nil {
-		e.buildTreeBlocked(t, mode)
-		return
-	}
 	x := e.x
 	if e.baseUsable() {
 		t.order = ModeOrderBase(t.order, n, mode)
@@ -349,14 +332,8 @@ func (e *Engine) buildTree(t *tree, mode int) {
 // at levels ≤ l changes; duplicate coordinates (div == n) coalesce into
 // the previous leaf's value range.
 func (e *Engine) buildLevels(t *tree, perm []int32) {
-	e.resetLevels(t)
-	total := e.appendLevels(t, e.x, perm, 0)
-	e.finalizeLevels(t, total)
-}
-
-// resetLevels clears the tree's level arrays before an incremental
-// build (one appendLevels call per sorted batch).
-func (e *Engine) resetLevels(t *tree) {
+	x := e.x
+	n := len(e.dims)
 	for l := range t.levels {
 		t.levels[l].IDs = t.levels[l].IDs[:0]
 		t.levels[l].Ptr = t.levels[l].Ptr[:0]
@@ -364,23 +341,12 @@ func (e *Engine) resetLevels(t *tree) {
 	t.vals = t.vals[:0]
 	t.rootVal = t.rootVal[:0]
 	t.childVal = t.childVal[:0]
-}
-
-// appendLevels appends the sorted batch perm of x to the tree under
-// construction and returns the new global nonzero count. base is the
-// count before this batch; e.prev carries the previous nonzero's
-// coordinates across batches, so feeding the global sorted order in
-// pieces produces exactly the tree a single-batch build would — the
-// seam the blocked build relies on.
-func (e *Engine) appendLevels(t *tree, x *sptensor.Tensor, perm []int32, base int) int {
-	n := len(e.dims)
 	if cap(e.prev) < n {
 		e.prev = make([]int32, n)
 	}
 	prev := e.prev[:n]
 
-	for i, p := range perm {
-		g := base + i
+	for g, p := range perm {
 		t.vals = append(t.vals, x.Vals[p])
 		// div = first level whose coordinate differs from the previous
 		// nonzero; duplicates (div == n) extend the last leaf's value
@@ -415,18 +381,14 @@ func (e *Engine) appendLevels(t *tree, x *sptensor.Tensor, perm []int32, base in
 			}
 		}
 	}
-	return base + len(perm)
-}
 
-// finalizeLevels appends the sentinel entries once every batch is in.
-func (e *Engine) finalizeLevels(t *tree, nnz int) {
-	n := len(e.dims)
+	nnz := int32(len(perm))
 	for l := 0; l < n-1; l++ {
 		t.levels[l].Ptr = append(t.levels[l].Ptr, int32(len(t.levels[l+1].IDs)))
 	}
-	t.levels[n-1].Ptr = append(t.levels[n-1].Ptr, int32(nnz))
-	t.rootVal = append(t.rootVal, int32(nnz))
-	t.childVal = append(t.childVal, int32(nnz))
+	t.levels[n-1].Ptr = append(t.levels[n-1].Ptr, nnz)
+	t.rootVal = append(t.rootVal, nnz)
+	t.childVal = append(t.childVal, nnz)
 }
 
 // buildLevelsSorted is the level construction for verified strictly

@@ -1,10 +1,11 @@
 // Package perfmodel holds the cost models the runtime consults once per
 // slice, each a pure function of the measured slice shape and the
 // options, so a checkpoint-restored stream replays the same schedule:
-// the slice profile (this file), the plan-vs-CSF kernel selector
-// (select.go), the adaptive layout manager (layout.go) and the
-// in-memory-vs-streamed evaluation choice (eval.go). The simulator that
-// regenerates the paper's thread-scaling figures is the sub-package sim.
+// the slice profile (this file), the plan-vs-CSF kernel choice and the
+// remap verdict (select.go) and the in-memory-vs-streamed evaluation
+// choice (eval.go). Nothing here keeps state between slices. The
+// simulator that regenerates the paper's thread-scaling figures is the
+// sub-package sim.
 package perfmodel
 
 import "spstream/internal/sptensor"
@@ -30,12 +31,11 @@ type SliceProfile struct {
 	Pair01 int
 }
 
-// Profile measures a SliceProfile from an actual slice (ProfileInto plus
-// the storage-order scan, into fresh storage).
+// Profile measures a SliceProfile from an actual slice into fresh
+// storage (Profiler.Profile is the pooled form).
 func Profile(x *sptensor.Tensor) SliceProfile {
 	var p SliceProfile
-	ProfileInto(&p, x, nil)
-	p.Sorted, p.Pair01 = scanOrder(x)
+	new(Profiler).Profile(&p, x)
 	return p
 }
 

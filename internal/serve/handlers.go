@@ -282,17 +282,12 @@ type shardStats struct {
 	RowHi int `json:"row_hi"`
 }
 
-// layoutStats reports the adaptive-layout manager: how much of the
-// stream it has profiled, how often the hot-first permutations were
-// rebuilt, and what the newest slice's verdict was. Row remapping is
-// invisible in every other API — snapshots and checkpoints always carry
-// global row ids — so these counters are the only external trace of it.
+// layoutStats reports whether the newest slice was renumbered into its
+// compact nz-row space. Row remapping is invisible in every other API —
+// snapshots and checkpoints always carry global row ids — so this flag
+// is the only external trace of it.
 type layoutStats struct {
-	Epoch    int     `json:"epoch"`
-	Rebuilds int     `json:"rebuilds"`
-	MaxCover float64 `json:"max_cover"`
-	Remapped bool    `json:"remapped"`
-	HotFirst bool    `json:"hot_first"`
+	Remapped bool `json:"remapped"`
 }
 
 type breakerStats struct {
@@ -342,13 +337,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"shed_spill":      ov.ShedSpill,
 		},
 		Resilience: view.Resilience,
-		Layout: layoutStats{
-			Epoch:    view.Layout.Epoch,
-			Rebuilds: view.Layout.Rebuilds,
-			MaxCover: view.Layout.MaxCover,
-			Remapped: view.Remapped,
-			HotFirst: view.HotFirst,
-		},
+		Layout:     layoutStats{Remapped: view.Remapped},
 	}
 	if sh := s.cfg.Shard; sh != nil {
 		resp.Shard = &shardStats{ID: sh.ID, Count: sh.Count, RowLo: sh.RowLo, RowHi: sh.RowHi}

@@ -13,7 +13,6 @@ import (
 
 	"spstream/internal/core"
 	"spstream/internal/ingest"
-	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
@@ -156,9 +155,7 @@ type statsView struct {
 	T          int
 	Fit        float64
 	Resilience resilience.Stats
-	Layout     perfmodel.LayoutStats
 	Remapped   bool
-	HotFirst   bool
 }
 
 // Server is the daemon: decomposer + ingest pipeline + breaker + HTTP
@@ -309,14 +306,12 @@ func (s *Server) onError(err error) {
 // publishStats republishes the consumer-side counters (called only
 // from the consumer goroutine or while the pipeline is quiescent).
 func (s *Server) publishStats(fit float64) {
-	rm, hot := s.dec.LastLayoutDecision()
+	rm, _ := s.dec.LastLayoutDecision()
 	s.stats.Store(&statsView{
 		T:          s.dec.T(),
 		Fit:        fit,
 		Resilience: s.dec.ResilienceStats(),
-		Layout:     s.dec.LayoutStats(),
 		Remapped:   rm,
-		HotFirst:   hot,
 	})
 }
 
