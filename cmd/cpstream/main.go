@@ -5,7 +5,10 @@
 // selecting the temporal mode), a built-in synthetic dataset analogue
 // (-preset with -scale), or block-partitioned .spblk slices — a single
 // file or a directory of them, processed out of core under -mem-budget
-// (see cmd/spblk for the converter).
+// (see cmd/spblk for the converter). Resident slices can instead ride
+// the bounded ingest pipeline (-shed-policy, -spill-dir, -max-lag,
+// -degrade); .spblk slices cannot — the pipeline carries resident
+// tensors — and the combination is rejected.
 //
 // Examples:
 //
@@ -27,6 +30,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -37,358 +41,420 @@ import (
 	"spstream/internal/version"
 )
 
-// stopCPUProfile flushes an in-flight CPU profile; fatal() must call it
-// because os.Exit skips deferred functions.
-var stopCPUProfile func()
+// config is the parsed flag set; run takes it whole so tests drive the
+// command without a process.
+type config struct {
+	// what to decompose
+	input, preset string
+	streamMode    int
+	scale         float64
+	maxSlices     int
+	// how
+	alg                     string
+	rank, maxIters, workers int
+	mu, tol, l1             float64
+	seed                    uint64
+	nonneg                  bool
+	memBudget               int64
+	// what to print and write
+	fit, breakdown, showVer        bool
+	factorsOut, checkpoint, resume string
+	cpuprofile, memprofile         string
+	// guarded processing and periodic checkpoints
+	onError             string
+	sliceTimeout        time.Duration
+	ckptDir             string
+	ckptEvery, ckptKeep int
+	// the ingest pipeline
+	shedPolicy, spillDir        string
+	spillMax                    int64
+	spillFsync, maxLag, drainTO time.Duration
+	degrade                     bool
+}
+
+func parseFlags(args []string) config {
+	var c config
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&c.input, "input", "", "FROSTT .tns input file")
+	fs.IntVar(&c.streamMode, "streammode", -1, "streaming (time) mode index of the input tensor, 0-based")
+	fs.StringVar(&c.preset, "preset", "", "synthetic preset: patents, flickr, uber, nips")
+	fs.Float64Var(&c.scale, "scale", 0.2, "synthetic preset scale")
+	fs.IntVar(&c.rank, "rank", 16, "decomposition rank K")
+	fs.StringVar(&c.alg, "alg", "optimized", "algorithm: optimized, spcp")
+	fs.Float64Var(&c.mu, "mu", 0.99, "forgetting factor µ")
+	fs.Float64Var(&c.tol, "tol", 1e-5, "outer convergence tolerance")
+	fs.IntVar(&c.maxIters, "maxiters", 20, "max inner iterations per slice")
+	fs.IntVar(&c.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.Uint64Var(&c.seed, "seed", 1, "factor initialization seed")
+	fs.BoolVar(&c.nonneg, "nonneg", false, "apply a non-negativity constraint (ADMM)")
+	fs.Float64Var(&c.l1, "l1", 0, "apply an L1 sparsity constraint with this weight (ADMM)")
+	fs.Int64Var(&c.memBudget, "mem-budget", 0, "resident-memory budget in bytes per slice; block (.spblk) slices whose modeled working set exceeds it are processed out of core (0 = unconstrained)")
+	fs.BoolVar(&c.fit, "fit", false, "track per-slice fit (extra work)")
+	fs.BoolVar(&c.breakdown, "breakdown", false, "print the per-phase time breakdown at the end")
+	fs.IntVar(&c.maxSlices, "slices", 0, "process at most this many slices (0 = all)")
+	fs.StringVar(&c.factorsOut, "factors", "", "write final factor matrices to this file")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "write the decomposer state to this file after the run (atomic)")
+	fs.StringVar(&c.resume, "resume", "", "restore the decomposer state before processing: a checkpoint file, or a directory (newest valid checkpoint wins)")
+	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "write periodic crash-safe checkpoints into this directory")
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "periodic checkpoint interval in slices (with -checkpoint-dir)")
+	fs.IntVar(&c.ckptKeep, "checkpoint-keep", 2, "periodic checkpoints retained (with -checkpoint-dir)")
+	fs.StringVar(&c.onError, "on-error", "", "slice failure policy: abort, retry, skip (enables guarded processing)")
+	fs.DurationVar(&c.sliceTimeout, "slice-timeout", 0, "per-slice deadline (e.g. 30s; 0 = none)")
+	fs.StringVar(&c.shedPolicy, "shed-policy", "", "route slices through the bounded ingest pipeline with this full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
+	fs.StringVar(&c.spillDir, "spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
+	fs.Int64Var(&c.spillMax, "spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
+	fs.DurationVar(&c.spillFsync, "spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every slice)")
+	fs.DurationVar(&c.maxLag, "max-lag", 0, "shed slices older than this at solve time (enables the ingest pipeline; 0 = never)")
+	fs.BoolVar(&c.degrade, "degrade", false, "degrade model quality under sustained overload (enables the ingest pipeline)")
+	fs.DurationVar(&c.drainTO, "drain-timeout", 30*time.Second, "max time to flush the ingest backlog on shutdown")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.BoolVar(&c.showVer, "version", false, "print version/build information and exit")
+	fs.Parse(args) // ExitOnError
+	return c
+}
 
 func main() {
-	var (
-		input      = flag.String("input", "", "FROSTT .tns input file")
-		streamMode = flag.Int("streammode", -1, "streaming (time) mode index of the input tensor, 0-based")
-		preset     = flag.String("preset", "", "synthetic preset: patents, flickr, uber, nips")
-		scale      = flag.Float64("scale", 0.2, "synthetic preset scale")
-		rank       = flag.Int("rank", 16, "decomposition rank K")
-		alg        = flag.String("alg", "optimized", "algorithm: optimized, spcp")
-		mu         = flag.Float64("mu", 0.99, "forgetting factor µ")
-		tol        = flag.Float64("tol", 1e-5, "outer convergence tolerance")
-		maxIters   = flag.Int("maxiters", 20, "max inner iterations per slice")
-		workers    = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		seed       = flag.Uint64("seed", 1, "factor initialization seed")
-		nonneg     = flag.Bool("nonneg", false, "apply a non-negativity constraint (ADMM)")
-		l1         = flag.Float64("l1", 0, "apply an L1 sparsity constraint with this weight (ADMM)")
-		memBudget  = flag.Int64("mem-budget", 0, "resident-memory budget in bytes per slice; block (.spblk) slices whose modeled working set exceeds it are processed out of core (0 = unconstrained)")
-		fit        = flag.Bool("fit", false, "track per-slice fit (extra work)")
-		breakdown  = flag.Bool("breakdown", false, "print the per-phase time breakdown at the end")
-		maxSlices  = flag.Int("slices", 0, "process at most this many slices (0 = all)")
-		factorsOut = flag.String("factors", "", "write final factor matrices to this file")
-		checkpoint = flag.String("checkpoint", "", "write the decomposer state to this file after the run (atomic)")
-		resume     = flag.String("resume", "", "restore the decomposer state before processing: a checkpoint file, or a directory (newest valid checkpoint wins)")
-		ckptDir    = flag.String("checkpoint-dir", "", "write periodic crash-safe checkpoints into this directory")
-		ckptEvery  = flag.Int("checkpoint-every", 10, "periodic checkpoint interval in slices (with -checkpoint-dir)")
-		ckptKeep   = flag.Int("checkpoint-keep", 2, "periodic checkpoints retained (with -checkpoint-dir)")
-		onError    = flag.String("on-error", "", "slice failure policy: abort, retry, skip (enables guarded processing)")
-		sliceTmout = flag.Duration("slice-timeout", 0, "per-slice deadline (e.g. 30s; 0 = none)")
-		shedPolicy = flag.String("shed-policy", "", "route slices through the bounded ingest pipeline with this full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
-		spillDir   = flag.String("spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
-		spillMax   = flag.Int64("spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
-		spillFsync = flag.Duration("spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every slice)")
-		maxLag     = flag.Duration("max-lag", 0, "shed slices older than this at solve time (enables the ingest pipeline; 0 = never)")
-		degrade    = flag.Bool("degrade", false, "degrade model quality under sustained overload (enables the ingest pipeline)")
-		drainTmout = flag.Duration("drain-timeout", 30*time.Second, "max time to flush the ingest backlog on shutdown")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		showVer    = flag.Bool("version", false, "print version/build information and exit")
-	)
-	flag.Parse()
-	if *showVer {
+	cfg := parseFlags(os.Args[1:])
+	if cfg.showVer {
 		fmt.Println("cpstream", version.String())
 		return
 	}
-
 	// SIGINT/SIGTERM cancel the stream at the next iteration boundary;
 	// the decomposer is then still consistent and checkpointable.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		stopCPUProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		defer stopCPUProfile()
+	if err := profiled(cfg, func() error { return run(ctx, os.Stdout, cfg) }); err != nil {
+		fmt.Fprintln(os.Stderr, "cpstream:", err)
+		os.Exit(1)
 	}
+}
 
+// profiled wraps the run in the -cpuprofile / -memprofile captures. The
+// CPU profile is flushed on the error path too: a truncated-but-valid
+// profile of a failed run is still a profile.
+func profiled(cfg config, run func() error) error {
+	if cfg.cpuprofile != "" {
+		f, err := os.Create(cfg.cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if err := run(); err != nil || cfg.memprofile == "" {
+		return err
+	}
+	f, err := os.Create(cfg.memprofile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the heap so the profile shows live objects
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	fmt.Printf("heap profile written to %s\n", cfg.memprofile)
+	return f.Close()
+}
+
+// options turns the flags into decomposer options. Any of the
+// resilience flags arms guarded processing; -checkpoint-dir puts the
+// manager where both slice loops find it (Options.Resilience.Checkpoint:
+// the direct loop below and, through the decomposer, the pipeline).
+func (c config) options() (spstream.Options, error) {
 	opt := spstream.Options{
-		Rank:      *rank,
-		Mu:        *mu,
-		Tol:       *tol,
-		MaxIters:  *maxIters,
-		Workers:   *workers,
-		Seed:      *seed,
-		TrackFit:  *fit,
-		MemBudget: *memBudget,
+		Rank:      c.rank,
+		Mu:        c.mu,
+		Tol:       c.tol,
+		MaxIters:  c.maxIters,
+		Workers:   c.workers,
+		Seed:      c.seed,
+		TrackFit:  c.fit,
+		MemBudget: c.memBudget,
 	}
 	var err error
-	if opt.Algorithm, err = spstream.ParseAlgorithm(*alg); err != nil {
-		fatal(err)
+	if opt.Algorithm, err = spstream.ParseAlgorithm(c.alg); err != nil {
+		return opt, err
 	}
 	switch {
-	case *nonneg && *l1 > 0:
-		fatal(fmt.Errorf("choose one of -nonneg and -l1"))
-	case *nonneg:
+	case c.nonneg && c.l1 > 0:
+		return opt, errors.New("choose one of -nonneg and -l1")
+	case c.nonneg:
 		opt.Constraint = spstream.NonNeg()
-	case *l1 > 0:
-		opt.Constraint = spstream.L1(*l1)
+	case c.l1 > 0:
+		opt.Constraint = spstream.L1(c.l1)
 	}
-
-	// Guarded processing: any of the resilience flags arms it.
-	var rcfg *spstream.ResilienceConfig
-	if *onError != "" || *ckptDir != "" || *sliceTmout > 0 {
-		rcfg = &spstream.ResilienceConfig{SliceTimeout: *sliceTmout}
-		if *onError != "" {
-			pol, err := resilience.ParsePolicy(*onError)
-			if err != nil {
-				fatal(err)
-			}
-			rcfg.Policy = pol
+	if c.onError == "" && c.ckptDir == "" && c.sliceTimeout <= 0 {
+		return opt, nil
+	}
+	rcfg := &spstream.ResilienceConfig{SliceTimeout: c.sliceTimeout}
+	if c.onError != "" {
+		if rcfg.Policy, err = resilience.ParsePolicy(c.onError); err != nil {
+			return opt, err
 		}
-		if *ckptDir != "" {
-			mgr, err := spstream.NewCheckpointManager(*ckptDir, *ckptEvery, *ckptKeep)
-			if err != nil {
-				fatal(err)
-			}
-			rcfg.Checkpoint = mgr
+	}
+	if c.ckptDir != "" {
+		if rcfg.Checkpoint, err = spstream.NewCheckpointManager(c.ckptDir, c.ckptEvery, c.ckptKeep); err != nil {
+			return opt, err
 		}
-		opt.Resilience = rcfg
 	}
+	opt.Resilience = rcfg
+	return opt, nil
+}
 
-	// Block-partitioned (.spblk) inputs take the out-of-core path: each
-	// file is one time slice, processed block by block under the memory
-	// budget without ever materializing when it doesn't fit.
-	if paths, err := spblkInputs(*input); err != nil {
-		fatal(err)
-	} else if paths != nil {
-		runBlockInput(ctx, paths, opt, rcfg, *fit, *breakdown, *maxSlices, *factorsOut, *checkpoint, *resume)
-		return
-	}
+// input is the stream a run consumes, one slice per next call: resident
+// tensors (a .tns file or a preset), or .spblk files that are opened
+// only while they are solved, block by block under the memory budget.
+type input struct {
+	dims  []int
+	t     int                  // slices in the stream
+	desc  string               // what the header says about it
+	src   spstream.SliceSource // resident …
+	paths []string             // … or block files
+}
 
-	stream, err := loadStream(*input, *streamMode, *preset, *scale)
+func openInput(c config) (*input, error) {
+	paths, err := spblkInputs(c.input)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-
-	dec, err := spstream.New(stream.Dims, opt)
-	if err != nil {
-		fatal(err)
-	}
-	skip := 0
-	if *resume != "" {
-		from, err := restoreFrom(*resume, dec)
+	if paths == nil {
+		stream, err := loadStream(c.input, c.streamMode, c.preset, c.scale)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		skip = dec.T()
-		fmt.Printf("resumed from %s at slice %d\n", from, skip)
+		return &input{dims: stream.Dims, t: stream.T(), desc: fmt.Sprintf("nnz=%d", stream.NNZ()), src: stream.Source()}, nil
 	}
+	if c.shedPolicy != "" || c.spillDir != "" || c.spillMax != 0 || c.spillFsync != 0 || c.maxLag != 0 || c.degrade {
+		return nil, errors.New(".spblk input cannot take the ingest flags (-shed-policy, -spill-dir, -spill-max-bytes, -spill-fsync-interval, -max-lag, -degrade): the pipeline carries resident slices")
+	}
+	probe, err := spstream.OpenBlocks(paths[0])
+	if err != nil {
+		return nil, err
+	}
+	defer probe.Close()
+	return &input{dims: append([]int(nil), probe.Dims()...), t: len(paths), desc: fmt.Sprintf("blocked input mem-budget=%d", c.memBudget), paths: paths}, nil
+}
 
+// next returns the next slice: a resident tensor, or the path of a block
+// file; ok is false at the end of the stream.
+func (in *input) next() (x *spstream.Tensor, path string, ok bool) {
+	if in.paths != nil {
+		if len(in.paths) == 0 {
+			return nil, "", false
+		}
+		path, in.paths = in.paths[0], in.paths[1:]
+		return nil, path, true
+	}
+	x = in.src.Next()
+	return x, "", x != nil
+}
+
+// solve runs one slice through the decomposer, from memory or from its
+// block file.
+func solve(ctx context.Context, dec *spstream.Decomposer, x *spstream.Tensor, path string) (spstream.SliceResult, error) {
+	if path == "" {
+		return dec.ProcessSliceContext(ctx, x)
+	}
+	r, err := spstream.OpenBlocks(path)
+	if err != nil {
+		return spstream.SliceResult{}, fmt.Errorf("%s: %w", path, err)
+	}
+	defer r.Close()
+	res, err := dec.ProcessBlockSliceContext(ctx, r)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return res, err
+}
+
+// table prints the per-slice rows; eval adds the column that says how a
+// block slice was evaluated (resident or streamed).
+type table struct {
+	w         io.Writer
+	fit, eval bool
+}
+
+func (t table) line(slice, nnz, iters, delta, fit, elapsed, eval, conv string) {
+	if t.eval { // one more right-aligned column, between time and conv
+		elapsed = fmt.Sprintf("%10s %10s", elapsed, eval)
+	}
+	fmt.Fprintf(t.w, "%6s %10s %6s %12s %10s %10s %8s\n", slice, nnz, iters, delta, fit, elapsed, conv)
+}
+
+func (t table) row(res spstream.SliceResult, elapsed, eval string) {
+	fit, conv := "-", strconv.FormatBool(res.Converged)
+	if t.fit {
+		fit = fmt.Sprintf("%.4f", res.Fit)
+	}
+	if res.Skipped {
+		conv = "skipped"
+	}
+	t.line(strconv.Itoa(res.T), strconv.Itoa(res.NNZ), strconv.Itoa(res.Iters), fmt.Sprintf("%.6g", res.Delta), fit, elapsed, eval, conv)
+}
+
+// run is the whole command behind the flags: open the input, restore,
+// solve slice by slice — directly, or by offering the same slices to the
+// ingest pipeline — and write what the flags ask for.
+func run(ctx context.Context, w io.Writer, cfg config) error {
+	opt, err := cfg.options()
+	if err != nil {
+		return err
+	}
+	in, err := openInput(cfg)
+	if err != nil {
+		return err
+	}
+	dec, err := spstream.New(in.dims, opt)
+	if err != nil {
+		return err
+	}
+	if cfg.resume != "" {
+		from, err := restoreFrom(cfg.resume, dec)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "resumed from %s at slice %d\n", from, dec.T())
+		for skipped := 0; skipped < dec.T(); skipped++ {
+			if _, _, ok := in.next(); !ok {
+				return fmt.Errorf("resume state is at slice %d but the stream has only %d", dec.T(), skipped)
+			}
+		}
+	}
 	effWorkers := opt.Workers
 	if effWorkers <= 0 {
 		effWorkers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("cpstream: dims=%v T=%d nnz=%d rank=%d alg=%s workers=%d\n",
-		stream.Dims, stream.T(), stream.NNZ(), *rank, *alg, effWorkers)
-	fmt.Printf("%6s %10s %6s %12s %10s %10s %8s\n",
-		"slice", "nnz", "iters", "delta", "fit", "time", "conv")
+	fmt.Fprintf(w, "cpstream: dims=%v T=%d %s rank=%d alg=%s workers=%d\n", in.dims, in.t, in.desc, cfg.rank, cfg.alg, effWorkers)
+	tbl := table{w: w, fit: cfg.fit, eval: in.paths != nil}
+	tbl.line("slice", "nnz", "iters", "delta", "fit", "time", "eval", "conv")
 
-	src := stream.Source()
-	processed := 0
-	totalStart := time.Now()
-	for skipped := 0; skipped < skip; skipped++ {
-		if src.Next() == nil {
-			fatal(fmt.Errorf("resume state is at slice %d but the stream has only %d", skip, skipped))
-		}
-	}
-	interrupted := false
-	if *shedPolicy != "" || *maxLag > 0 || *degrade || *spillDir != "" {
-		// Overload-robust path: slices go through the bounded ingest
-		// pipeline instead of the direct loop.
-		policy := spstream.ShedBlock
-		if *shedPolicy != "" {
-			policy, err = spstream.ParseShedPolicy(*shedPolicy)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if policy == spstream.ShedSpill && *spillDir == "" {
-			fatal(fmt.Errorf("-shed-policy spill requires -spill-dir"))
-		}
-		var p *spstream.IngestPipeline
+	// Overload-robust path: the slices go through the bounded ingest
+	// pipeline, which also owns checkpointing for the run.
+	var p *spstream.IngestPipeline
+	if cfg.shedPolicy != "" || cfg.maxLag > 0 || cfg.degrade || cfg.spillDir != "" {
 		pcfg := spstream.IngestConfig{
-			Policy:       policy,
-			MaxLag:       *maxLag,
-			DrainTimeout: *drainTmout,
-			OnResult: func(res spstream.SliceResult) {
-				fitStr := "-"
-				if *fit {
-					fitStr = fmt.Sprintf("%.4f", res.Fit)
-				}
-				fmt.Printf("%6d %10d %6d %12.6g %10s %10s %8v\n",
-					res.T, res.NNZ, res.Iters, res.Delta, fitStr, "-", res.Converged)
-				if rcfg != nil && rcfg.Checkpoint != nil {
-					// Consumer goroutine: the decomposer is quiescent
-					// between slices here. Durably bind the spill offset
-					// BEFORE the checkpoint that depends on it.
-					t := dec.T()
-					if t > 0 && t%*ckptEvery == 0 {
-						if err := p.SpillMark(t); err != nil {
-							fmt.Fprintf(os.Stderr, "cpstream: spill offset: %v\n", err)
-						}
-					}
-					if _, err := rcfg.Checkpoint.MaybeWrite(t, dec); err != nil {
-						fmt.Fprintf(os.Stderr, "cpstream: checkpoint: %v\n", err)
-					}
-				}
-			},
-			OnError: func(err error) {
-				fmt.Fprintf(os.Stderr, "cpstream: %v\n", err)
-			},
+			MaxLag:       cfg.maxLag,
+			DrainTimeout: cfg.drainTO,
+			Spill:        &spstream.SpillConfig{Dir: cfg.spillDir, MaxBytes: cfg.spillMax, FsyncInterval: cfg.spillFsync},
+			OnResult:     func(res spstream.SliceResult) { tbl.row(res, "-", "") },
+			OnError:      func(err error) { fmt.Fprintf(os.Stderr, "cpstream: %v\n", err) },
 		}
-		if *degrade {
-			pcfg.Degrade = &spstream.DegradeConfig{MaxLag: *maxLag}
-		}
-		if *spillDir != "" {
-			pcfg.Policy = spstream.ShedSpill
-			pcfg.Spill = &spstream.SpillConfig{
-				Dir:           *spillDir,
-				MaxBytes:      *spillMax,
-				FsyncInterval: *spillFsync,
-				// Replay resumes after the slices folded into the resumed
-				// state; a fresh start replays the whole backlog.
-				ReplayFrom: dec.T(),
+		if cfg.shedPolicy != "" {
+			if pcfg.Policy, err = spstream.ParseShedPolicy(cfg.shedPolicy); err != nil {
+				return err
 			}
 		}
-		p, err = spstream.NewIngestPipeline(dec, pcfg)
-		if err != nil {
-			fatal(err)
+		if cfg.degrade {
+			pcfg.Degrade = &spstream.DegradeConfig{MaxLag: cfg.maxLag}
 		}
-		if pcfg.Spill != nil {
-			if n := p.Stats().SpillRecovered; n > 0 {
-				fmt.Printf("spill: recovered %d durable backlog slices (replay bound to t=%d)\n", n, pcfg.Spill.ReplayFrom)
-			}
+		if p, err = spstream.NewIngestPipeline(dec, pcfg); err != nil {
+			return err
+		}
+		if n := p.Stats().SpillRecovered; n > 0 {
+			fmt.Fprintf(w, "spill: recovered %d durable backlog slices (replay bound to t=%d)\n", n, dec.T())
 		}
 		// The signal stops admissions; the backlog still drains
 		// (bounded by -drain-timeout).
 		p.Start(context.Background())
-		offered := 0
-		for {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			x := src.Next()
-			if x == nil {
-				break
-			}
-			if *maxSlices > 0 && offered >= *maxSlices {
-				break
-			}
-			if err := p.Offer(x); err != nil {
-				break
-			}
-			offered++
-		}
-		snap := p.Drain(context.Background())
-		processed = int(snap.Processed)
-		fmt.Printf("ingest: %s\n", snap.String())
-	} else {
-		for {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			x := src.Next()
-			if x == nil {
-				break
-			}
-			if *maxSlices > 0 && processed >= *maxSlices {
-				break
-			}
-			start := time.Now()
-			res, err := dec.ProcessSliceContext(ctx, x)
-			switch {
-			case err == nil:
-			case errors.Is(err, spstream.ErrSliceSkipped):
-				fmt.Fprintf(os.Stderr, "cpstream: %v\n", err)
-			case errors.Is(err, context.Canceled):
-				interrupted = true
-			default:
-				fatal(err)
-			}
-			if interrupted {
-				break
-			}
-			elapsed := time.Since(start)
-			fitStr := "-"
-			if *fit {
-				fitStr = fmt.Sprintf("%.4f", res.Fit)
-			}
-			status := fmt.Sprintf("%v", res.Converged)
-			if res.Skipped {
-				status = "skipped"
-			}
-			fmt.Printf("%6d %10d %6d %12.6g %10s %10s %8s\n",
-				res.T, res.NNZ, res.Iters, res.Delta, fitStr, elapsed.Round(time.Microsecond), status)
-			processed++
-			if rcfg != nil && rcfg.Checkpoint != nil && !res.Skipped {
-				if _, err := rcfg.Checkpoint.MaybeWrite(dec.T(), dec); err != nil {
-					fmt.Fprintf(os.Stderr, "cpstream: checkpoint: %v\n", err)
-				}
-			}
-		}
-	}
-	fmt.Printf("total: %d slices in %s\n", processed, time.Since(totalStart).Round(time.Millisecond))
-	if interrupted {
-		fmt.Printf("interrupted at slice %d; state is consistent at the last completed slice\n", dec.T())
-	}
-	if rcfg != nil {
-		st := dec.ResilienceStats()
-		fmt.Printf("resilience: retries=%d skips=%d rollbacks=%d ridge-recoveries=%d panics=%d rejects=%d timeouts=%d sheds=%d coalesced=%d stale=%d drained=%d\n",
-			st.SliceRetries, st.SlicesSkipped, st.Rollbacks, st.RidgeRecoveries, st.PanicsRecovered, st.InputRejects, st.Timeouts,
-			st.OverloadSheds, st.OverloadCoalesced, st.StaleSheds, st.DrainedSlices)
 	}
 
-	if *breakdown {
+	mgr := dec.Checkpoints()
+	processed, interrupted := 0, false
+	totalStart := time.Now()
+	for taken := 0; cfg.maxSlices <= 0 || taken < cfg.maxSlices; taken++ {
+		if ctx.Err() != nil {
+			interrupted = true
+			break
+		}
+		x, path, ok := in.next()
+		if !ok {
+			break
+		}
+		if p != nil {
+			if p.Offer(x) != nil {
+				break
+			}
+			continue
+		}
+		start := time.Now()
+		res, err := solve(ctx, dec, x, path)
+		switch {
+		case err == nil:
+		case errors.Is(err, spstream.ErrSliceSkipped):
+			fmt.Fprintf(os.Stderr, "cpstream: %v\n", err)
+		case errors.Is(err, context.Canceled):
+			interrupted = true
+		default:
+			return err
+		}
+		if interrupted {
+			break
+		}
+		eval := ""
+		if path != "" {
+			eval = dec.LastEvalMode().String()
+		}
+		tbl.row(res, time.Since(start).Round(time.Microsecond).String(), eval)
+		processed++
+		if mgr != nil && !res.Skipped {
+			if _, err := mgr.MaybeWrite(dec.T(), dec); err != nil {
+				fmt.Fprintf(os.Stderr, "cpstream: checkpoint: %v\n", err)
+			}
+		}
+	}
+	if p != nil {
+		snap := p.Drain(context.Background())
+		processed = int(snap.Processed)
+		fmt.Fprintf(w, "ingest: %s\n", snap.String())
+	}
+
+	fmt.Fprintf(w, "total: %d slices in %s\n", processed, time.Since(totalStart).Round(time.Millisecond))
+	if interrupted {
+		fmt.Fprintf(w, "interrupted at slice %d; state is consistent at the last completed slice\n", dec.T())
+	}
+	if opt.Resilience != nil {
+		st := dec.ResilienceStats()
+		fmt.Fprintf(w, "resilience: retries=%d skips=%d rollbacks=%d ridge-recoveries=%d panics=%d rejects=%d timeouts=%d\n",
+			st.SliceRetries, st.SlicesSkipped, st.Rollbacks, st.RidgeRecoveries, st.PanicsRecovered, st.InputRejects, st.Timeouts)
+	}
+	if cfg.breakdown {
 		bd := dec.Breakdown()
 		per := bd.PerIter()
-		fmt.Printf("\nper-iteration phase breakdown (%d inner iterations):\n", bd.Iters)
+		fmt.Fprintf(w, "\nper-iteration phase breakdown (%d inner iterations):\n", bd.Iters)
 		for ph := 0; ph < trace.NumPhases; ph++ {
-			fmt.Printf("  %-12s %v\n", trace.Phase(ph), per[ph].Round(time.Microsecond))
+			fmt.Fprintf(w, "  %-12s %v\n", trace.Phase(ph), per[ph].Round(time.Microsecond))
 		}
 	}
-	if *factorsOut != "" {
-		if err := spstream.SaveFactors(*factorsOut, dec); err != nil {
-			fatal(err)
+	if cfg.factorsOut != "" {
+		if err := spstream.SaveFactors(cfg.factorsOut, dec); err != nil {
+			return err
 		}
-		fmt.Printf("factors written to %s\n", *factorsOut)
+		fmt.Fprintf(w, "factors written to %s\n", cfg.factorsOut)
 	}
-	// A final checkpoint survives interrupts too: the state is the
-	// last completed slice either way.
-	if rcfg != nil && rcfg.Checkpoint != nil && dec.T() > 0 {
-		if path, err := rcfg.Checkpoint.Write(dec.T(), dec); err != nil {
-			fmt.Fprintf(os.Stderr, "cpstream: final checkpoint: %v\n", err)
-		} else {
-			fmt.Printf("checkpoint written to %s\n", path)
+	// A final checkpoint survives interrupts too: the state is the last
+	// completed slice either way. The pipeline's Drain wrote its own.
+	if mgr != nil && dec.T() > 0 {
+		if p == nil {
+			if _, err := mgr.Write(dec.T(), dec); err != nil {
+				fmt.Fprintf(os.Stderr, "cpstream: final checkpoint: %v\n", err)
+			}
+		}
+		if cks := mgr.Checkpoints(); len(cks) > 0 && cks[0] == mgr.Path(dec.T()) {
+			fmt.Fprintf(w, "checkpoint written to %s\n", cks[0])
 		}
 	}
-	if *checkpoint != "" {
-		if err := resilience.AtomicWriteFile(*checkpoint, dec.SaveState); err != nil {
-			fatal(err)
+	if cfg.checkpoint != "" {
+		if err := resilience.AtomicWriteFile(cfg.checkpoint, dec.SaveState); err != nil {
+			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", *checkpoint)
+		fmt.Fprintf(w, "checkpoint written to %s\n", cfg.checkpoint)
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC() // settle the heap so the profile shows live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("heap profile written to %s\n", *memprofile)
-	}
+	return nil
 }
 
 // spblkInputs resolves -input to a list of block-slice files: a single
@@ -415,128 +481,6 @@ func spblkInputs(input string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
-}
-
-// runBlockInput processes a sequence of .spblk slice files out of core.
-func runBlockInput(ctx context.Context, paths []string, opt spstream.Options, rcfg *spstream.ResilienceConfig,
-	fit, breakdown bool, maxSlices int, factorsOut, checkpoint, resume string) {
-	probe, err := spstream.OpenBlocks(paths[0])
-	if err != nil {
-		fatal(err)
-	}
-	dims := append([]int(nil), probe.Dims()...)
-	probe.Close()
-
-	dec, err := spstream.New(dims, opt)
-	if err != nil {
-		fatal(err)
-	}
-	skip := 0
-	if resume != "" {
-		from, err := restoreFrom(resume, dec)
-		if err != nil {
-			fatal(err)
-		}
-		skip = dec.T()
-		fmt.Printf("resumed from %s at slice %d\n", from, skip)
-	}
-	effWorkers := opt.Workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("cpstream: dims=%v T=%d blocked input mem-budget=%d rank=%d workers=%d\n",
-		dims, len(paths), opt.MemBudget, opt.Rank, effWorkers)
-	fmt.Printf("%6s %10s %6s %12s %10s %10s %10s %8s\n",
-		"slice", "nnz", "iters", "delta", "fit", "time", "eval", "conv")
-
-	processed := 0
-	interrupted := false
-	totalStart := time.Now()
-	for i, path := range paths {
-		if i < skip {
-			continue
-		}
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		if maxSlices > 0 && processed >= maxSlices {
-			break
-		}
-		r, err := spstream.OpenBlocks(path)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		start := time.Now()
-		res, err := dec.ProcessBlockSliceContext(ctx, r)
-		r.Close()
-		switch {
-		case err == nil:
-		case errors.Is(err, spstream.ErrSliceSkipped):
-			fmt.Fprintf(os.Stderr, "cpstream: %v\n", err)
-		case errors.Is(err, context.Canceled):
-			interrupted = true
-		default:
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		if interrupted {
-			break
-		}
-		elapsed := time.Since(start)
-		fitStr := "-"
-		if fit {
-			fitStr = fmt.Sprintf("%.4f", res.Fit)
-		}
-		status := fmt.Sprintf("%v", res.Converged)
-		if res.Skipped {
-			status = "skipped"
-		}
-		fmt.Printf("%6d %10d %6d %12.6g %10s %10s %10s %8s\n",
-			res.T, res.NNZ, res.Iters, res.Delta, fitStr,
-			elapsed.Round(time.Microsecond), dec.LastEvalMode(), status)
-		processed++
-		if rcfg != nil && rcfg.Checkpoint != nil && !res.Skipped {
-			if _, err := rcfg.Checkpoint.MaybeWrite(dec.T(), dec); err != nil {
-				fmt.Fprintf(os.Stderr, "cpstream: checkpoint: %v\n", err)
-			}
-		}
-	}
-	fmt.Printf("total: %d slices in %s\n", processed, time.Since(totalStart).Round(time.Millisecond))
-	if interrupted {
-		fmt.Printf("interrupted at slice %d; state is consistent at the last completed slice\n", dec.T())
-	}
-	if rcfg != nil {
-		st := dec.ResilienceStats()
-		fmt.Printf("resilience: retries=%d skips=%d rollbacks=%d ridge-recoveries=%d panics=%d rejects=%d timeouts=%d\n",
-			st.SliceRetries, st.SlicesSkipped, st.Rollbacks, st.RidgeRecoveries, st.PanicsRecovered, st.InputRejects, st.Timeouts)
-	}
-	if breakdown {
-		bd := dec.Breakdown()
-		per := bd.PerIter()
-		fmt.Printf("\nper-iteration phase breakdown (%d inner iterations):\n", bd.Iters)
-		for ph := 0; ph < trace.NumPhases; ph++ {
-			fmt.Printf("  %-12s %v\n", trace.Phase(ph), per[ph].Round(time.Microsecond))
-		}
-	}
-	if factorsOut != "" {
-		if err := spstream.SaveFactors(factorsOut, dec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("factors written to %s\n", factorsOut)
-	}
-	if rcfg != nil && rcfg.Checkpoint != nil && dec.T() > 0 {
-		if path, err := rcfg.Checkpoint.Write(dec.T(), dec); err != nil {
-			fmt.Fprintf(os.Stderr, "cpstream: final checkpoint: %v\n", err)
-		} else {
-			fmt.Printf("checkpoint written to %s\n", path)
-		}
-	}
-	if checkpoint != "" {
-		if err := resilience.AtomicWriteFile(checkpoint, dec.SaveState); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("checkpoint written to %s\n", checkpoint)
-	}
 }
 
 func loadStream(input string, streamMode int, preset string, scale float64) (*spstream.Stream, error) {
@@ -579,12 +523,4 @@ func restoreFrom(path string, dec *spstream.Decomposer) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-func fatal(err error) {
-	if stopCPUProfile != nil {
-		stopCPUProfile()
-	}
-	fmt.Fprintln(os.Stderr, "cpstream:", err)
-	os.Exit(1)
 }

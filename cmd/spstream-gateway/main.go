@@ -38,13 +38,13 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"spstream/internal/cluster"
 	"spstream/internal/resilience"
+	"spstream/internal/serve"
 	"spstream/internal/version"
 )
 
@@ -74,7 +74,7 @@ func main() {
 		fmt.Println("spstream-gateway", version.String())
 		return
 	}
-	dims, err := parseDims(*dimsFlag)
+	dims, err := serve.ParseDims(*dimsFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,24 +135,6 @@ func main() {
 	if err := g.Run(ctx, ln); err != nil {
 		fatal(err)
 	}
-}
-
-func parseDims(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-dims is required")
-	}
-	var dims []int
-	for _, part := range strings.Split(s, ",") {
-		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || d < 1 {
-			return nil, fmt.Errorf("bad dimension %q", part)
-		}
-		dims = append(dims, d)
-	}
-	if len(dims) < 2 {
-		return nil, fmt.Errorf("need at least 2 modes")
-	}
-	return dims, nil
 }
 
 func fatal(err error) {

@@ -96,7 +96,7 @@ func main() {
 		fmt.Println("spstreamd", version.String())
 		return
 	}
-	dims, err := parseDims(*dimsFlag)
+	dims, err := serve.ParseDims(*dimsFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -125,9 +125,6 @@ func main() {
 	}
 	if policy == ingest.Block {
 		fatal(fmt.Errorf("the block policy would hang HTTP ingest; use a shedding policy"))
-	}
-	if policy == ingest.Spill && *spillDir == "" {
-		fatal(fmt.Errorf("-shed-policy spill requires -spill-dir"))
 	}
 	rpolicy, err := resilience.ParsePolicy(*onError)
 	if err != nil {
@@ -268,24 +265,6 @@ func parseChaos(spec string) (resilience.Hook, error) {
 		}
 		return nil
 	}, nil
-}
-
-func parseDims(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-dims is required")
-	}
-	var dims []int
-	for _, part := range strings.Split(s, ",") {
-		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || d < 1 {
-			return nil, fmt.Errorf("bad dimension %q", part)
-		}
-		dims = append(dims, d)
-	}
-	if len(dims) < 2 {
-		return nil, fmt.Errorf("need at least 2 modes")
-	}
-	return dims, nil
 }
 
 func fatal(err error) {

@@ -13,11 +13,13 @@
 // quality for throughput under sustained overload (and restores full
 // quality once the queue calms). With -spill-dir, overflow is never
 // shed at all: it rides a crash-safe on-disk WAL and replays in order,
-// resuming from the newest checkpoint after a crash.
-// SIGINT/SIGTERM drain gracefully: the
-// backlog is flushed (bounded by -drain-timeout), a final checkpoint is
-// written when -checkpoint-dir is set, and the overload counters are
-// reported with -stats. A second signal force-quits.
+// resuming from the newest checkpoint after a crash. With
+// -checkpoint-dir the run checkpoints like the daemon does — every 10
+// committed windows, keeping 3 — and restores the newest one at startup.
+// SIGINT/SIGTERM drain gracefully: the backlog is flushed (bounded by
+// -drain-timeout), a final checkpoint is written when -checkpoint-dir
+// is set, and the overload counters are reported with -stats. A second
+// signal force-quits.
 //
 // Examples:
 //
@@ -33,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"spstream"
+	"spstream/internal/serve"
 	"spstream/internal/version"
 )
 
@@ -69,41 +71,38 @@ type config struct {
 }
 
 func main() {
-	var (
-		dimsFlag   = flag.String("dims", "", "mode lengths of each event's coordinates, comma separated (required)")
-		window     = flag.Int("window", 10000, "events per window/slice")
-		rank       = flag.Int("rank", 8, "decomposition rank")
-		topN       = flag.Int("top", 3, "top rows to print per component")
-		mu         = flag.Float64("mu", 0.95, "forgetting factor")
-		alg        = flag.String("alg", "spcp", "algorithm: optimized, spcp")
-		queueCap   = flag.Int("queue", 8, "max windows buffered between feed and solver")
-		shed       = flag.String("shed-policy", "block", "full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
-		maxLag     = flag.Duration("max-lag", 0, "shed windows older than this at solve time (0 = never)")
-		degrade    = flag.Bool("degrade", false, "degrade model quality under sustained overload instead of falling behind")
-		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "max time to flush the backlog on shutdown")
-		windowTO   = flag.Duration("window-timeout", 0, "emit a partial window after this much wall-clock time (0 = count only)")
-		ckptDir    = flag.String("checkpoint-dir", "", "restore the newest checkpoint from here at startup and write one on graceful shutdown")
-		spillDir   = flag.String("spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
-		spillMax   = flag.Int64("spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
-		spillFsync = flag.Duration("spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every window)")
-		statsFlag  = flag.Bool("stats", false, "print produced/processed/shed/coalesced/rejected counters on exit")
-		showVer    = flag.Bool("version", false, "print version/build information and exit")
-	)
+	var cfg config
+	dimsFlag := flag.String("dims", "", "mode lengths of each event's coordinates, comma separated (required)")
+	flag.IntVar(&cfg.window, "window", 10000, "events per window/slice")
+	flag.IntVar(&cfg.rank, "rank", 8, "decomposition rank")
+	flag.IntVar(&cfg.topN, "top", 3, "top rows to print per component")
+	flag.Float64Var(&cfg.mu, "mu", 0.95, "forgetting factor")
+	alg := flag.String("alg", "spcp", "algorithm: optimized, spcp")
+	flag.IntVar(&cfg.queueCap, "queue", 8, "max windows buffered between feed and solver")
+	shed := flag.String("shed-policy", "block", "full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
+	flag.DurationVar(&cfg.maxLag, "max-lag", 0, "shed windows older than this at solve time (0 = never)")
+	flag.BoolVar(&cfg.degrade, "degrade", false, "degrade model quality under sustained overload instead of falling behind")
+	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to flush the backlog on shutdown")
+	flag.DurationVar(&cfg.windowTimeout, "window-timeout", 0, "emit a partial window after this much wall-clock time (0 = count only)")
+	flag.StringVar(&cfg.checkpointDir, "checkpoint-dir", "", "restore the newest checkpoint from here at startup; write one every 10 windows and on graceful shutdown")
+	flag.StringVar(&cfg.spillDir, "spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
+	flag.Int64Var(&cfg.spillMaxBytes, "spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
+	flag.DurationVar(&cfg.spillFsync, "spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every window)")
+	flag.BoolVar(&cfg.stats, "stats", false, "print produced/processed/shed/coalesced/rejected counters on exit")
+	showVer := flag.Bool("version", false, "print version/build information and exit")
 	flag.Parse()
 	if *showVer {
 		fmt.Println("watch", version.String())
 		return
 	}
-	dims, err := parseDims(*dimsFlag)
-	if err != nil {
+	var err error
+	if cfg.dims, err = serve.ParseDims(*dimsFlag); err != nil {
 		fatal(err)
 	}
-	algorithm, err := spstream.ParseAlgorithm(*alg)
-	if err != nil {
+	if cfg.alg, err = spstream.ParseAlgorithm(*alg); err != nil {
 		fatal(err)
 	}
-	policy, err := spstream.ParseShedPolicy(*shed)
-	if err != nil {
+	if cfg.policy, err = spstream.ParseShedPolicy(*shed); err != nil {
 		fatal(err)
 	}
 
@@ -116,26 +115,7 @@ func main() {
 		stop()
 	}()
 
-	err = run(ctx, os.Stdin, os.Stdout, config{
-		dims:          dims,
-		window:        *window,
-		rank:          *rank,
-		topN:          *topN,
-		mu:            *mu,
-		alg:           algorithm,
-		queueCap:      *queueCap,
-		policy:        policy,
-		maxLag:        *maxLag,
-		degrade:       *degrade,
-		drainTimeout:  *drainTO,
-		windowTimeout: *windowTO,
-		checkpointDir: *ckptDir,
-		spillDir:      *spillDir,
-		spillMaxBytes: *spillMax,
-		spillFsync:    *spillFsync,
-		stats:         *statsFlag,
-	})
-	if err != nil {
+	if err := run(ctx, os.Stdin, os.Stdout, cfg); err != nil {
 		fatal(err)
 	}
 }
@@ -156,60 +136,49 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 
 // run is the testable core: it consumes the event feed from r and
 // writes per-window summaries to w until EOF or ctx cancellation
-// (signal), then drains gracefully.
+// (signal), then drains gracefully. The decomposer, its restore from
+// -checkpoint-dir, the pipeline, the spill WAL and the checkpoint
+// cadence (every 10 committed windows, keep 3, one more at drain) are
+// the daemon's (serve.NewPipeline); what is watch's own is the feed,
+// the window timeout, the -degrade window widening and the summaries.
 func run(ctx context.Context, r io.Reader, w io.Writer, cfg config) error {
 	out := &lockedWriter{w: w}
-	dec, err := spstream.New(cfg.dims, spstream.Options{
-		Rank:      cfg.rank,
-		Algorithm: cfg.alg,
-		Mu:        cfg.mu,
-		TrackFit:  true,
-		Normalize: true,
-	})
-	if err != nil {
-		return err
+	var degrade *spstream.DegradeConfig
+	if cfg.degrade {
+		degrade = &spstream.DegradeConfig{MaxLag: cfg.maxLag}
 	}
-	// A checkpoint directory arms restart: pick up where the last run
-	// (graceful or crashed) left off, so a spilled backlog replays
-	// against the state it was admitted after.
-	if cfg.checkpointDir != "" {
-		switch path, err := spstream.RestoreNewestCheckpoint(cfg.checkpointDir, dec); {
-		case err == nil:
-			fmt.Fprintf(out, "restored checkpoint %s (t=%d)\n", path, dec.T())
-		case errors.Is(err, spstream.ErrNoCheckpoint):
-			// Fresh start.
-		default:
-			return err
-		}
-	}
-
-	pcfg := spstream.IngestConfig{
-		QueueCap:     cfg.queueCap,
-		Policy:       cfg.policy,
-		MaxLag:       cfg.maxLag,
-		DrainTimeout: cfg.drainTimeout,
+	var dec *spstream.Decomposer
+	dec, p, err := serve.NewPipeline(serve.Config{
+		Dims: cfg.dims,
+		Options: spstream.Options{
+			Rank:      cfg.rank,
+			Algorithm: cfg.alg,
+			Mu:        cfg.mu,
+			TrackFit:  true,
+			Normalize: true,
+		},
+		QueueCap:           cfg.queueCap,
+		Policy:             cfg.policy,
+		MaxLag:             cfg.maxLag,
+		DrainTimeout:       cfg.drainTimeout,
+		SpillDir:           cfg.spillDir,
+		SpillMaxBytes:      cfg.spillMaxBytes,
+		SpillFsyncInterval: cfg.spillFsync,
+		CheckpointDir:      cfg.checkpointDir,
+		Logf:               func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) },
+	}, spstream.IngestConfig{
+		Degrade: degrade,
 		OnResult: func(res spstream.SliceResult) {
 			printWindow(out, dec, res, cfg.dims, cfg.topN)
 		},
 		OnError: func(err error) {
-			fmt.Fprintf(out, "window dropped: %v\n", err)
+			if errors.Is(err, spstream.ErrIngestDurability) {
+				fmt.Fprintln(out, err)
+			} else {
+				fmt.Fprintf(out, "window dropped: %v\n", err)
+			}
 		},
-	}
-	if cfg.degrade {
-		pcfg.Degrade = &spstream.DegradeConfig{MaxLag: cfg.maxLag}
-	}
-	if cfg.spillDir != "" {
-		pcfg.Policy = spstream.ShedSpill
-		pcfg.Spill = &spstream.SpillConfig{
-			Dir:           cfg.spillDir,
-			MaxBytes:      cfg.spillMaxBytes,
-			FsyncInterval: cfg.spillFsync,
-			ReplayFrom:    dec.T(),
-		}
-	} else if cfg.policy == spstream.ShedSpill {
-		return fmt.Errorf("-shed-policy spill requires -spill-dir")
-	}
-	p, err := spstream.NewIngestPipeline(dec, pcfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -269,7 +238,7 @@ feed:
 			if line == "" || strings.HasPrefix(line, "#") {
 				continue
 			}
-			ev, err := parseEvent(line, cfg.dims)
+			ev, err := serve.ParseEvent(line, cfg.dims)
 			if err != nil {
 				// A live feed keeps going past garbage; the count is
 				// reported with -stats.
@@ -292,8 +261,8 @@ feed:
 		}
 	}
 
-	// Graceful drain: flush the partial window, process the backlog,
-	// checkpoint, report.
+	// Graceful drain: flush the partial window, process the backlog
+	// (the pipeline writes the final checkpoint), report.
 	if slice := acc.Flush(); slice != nil {
 		_ = p.Offer(slice)
 	}
@@ -303,16 +272,10 @@ feed:
 	} else if err := <-scanErr; err != nil {
 		return err
 	}
-	if cfg.checkpointDir != "" && dec.T() > 0 {
-		mgr, err := spstream.NewCheckpointManager(cfg.checkpointDir, 1, 3)
-		if err != nil {
-			return err
+	if mgr := dec.Checkpoints(); mgr != nil {
+		if cks := mgr.Checkpoints(); len(cks) > 0 {
+			fmt.Fprintf(out, "checkpoint: %s\n", cks[0])
 		}
-		path, err := mgr.Write(dec.T(), dec)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "checkpoint: %s\n", path)
 	}
 	if cfg.stats {
 		fmt.Fprintf(out, "stats: %s rejected=%d\n", snap.String(), rejected)
@@ -338,51 +301,6 @@ func printWindow(w io.Writer, dec *spstream.Decomposer, res spstream.SliceResult
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// parseEvent parses "i j k [value]" with 1-based coordinates. Anything
-// malformed — wrong field count, out-of-range or overflowing
-// coordinates, non-finite values — is an error, never a panic: the
-// function is the trust boundary for arbitrary feed input.
-func parseEvent(line string, dims []int) (spstream.Event, error) {
-	fields := strings.Fields(line)
-	if len(fields) != len(dims) && len(fields) != len(dims)+1 {
-		return spstream.Event{}, fmt.Errorf("want %d coordinates (+ optional value), got %d fields", len(dims), len(fields))
-	}
-	ev := spstream.Event{Coord: make([]int32, len(dims)), Value: 1}
-	for m := range dims {
-		v, err := strconv.ParseInt(fields[m], 10, 32)
-		if err != nil || v < 1 || int(v) > dims[m] {
-			return spstream.Event{}, fmt.Errorf("bad coordinate %q for mode %d (dim %d)", fields[m], m, dims[m])
-		}
-		ev.Coord[m] = int32(v - 1)
-	}
-	if len(fields) == len(dims)+1 {
-		v, err := strconv.ParseFloat(fields[len(dims)], 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return spstream.Event{}, fmt.Errorf("bad value %q", fields[len(dims)])
-		}
-		ev.Value = v
-	}
-	return ev, nil
-}
-
-func parseDims(s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-dims is required")
-	}
-	var dims []int
-	for _, part := range strings.Split(s, ",") {
-		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || d < 1 {
-			return nil, fmt.Errorf("bad dimension %q", part)
-		}
-		dims = append(dims, d)
-	}
-	if len(dims) < 2 {
-		return nil, fmt.Errorf("need at least 2 modes")
-	}
-	return dims, nil
 }
 
 func rowList(rows []spstream.RowWeight) string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"spstream"
+	"spstream/internal/serve"
 	"spstream/internal/synth"
 )
 
@@ -32,12 +34,12 @@ func testConfig(dims []int, window int) config {
 }
 
 func TestParseDims(t *testing.T) {
-	dims, err := parseDims("10, 20,30")
+	dims, err := serve.ParseDims("10, 20,30")
 	if err != nil || len(dims) != 3 || dims[1] != 20 {
 		t.Fatalf("dims=%v err=%v", dims, err)
 	}
 	for _, bad := range []string{"", "10", "10,x", "10,-2"} {
-		if _, err := parseDims(bad); err == nil {
+		if _, err := serve.ParseDims(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}
@@ -45,7 +47,7 @@ func TestParseDims(t *testing.T) {
 
 func TestParseEvent(t *testing.T) {
 	dims := []int{5, 6}
-	ev, err := parseEvent("2 3 1.5", dims)
+	ev, err := serve.ParseEvent("2 3 1.5", dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestParseEvent(t *testing.T) {
 		t.Fatalf("event = %+v", ev)
 	}
 	// Default value.
-	ev, err = parseEvent("1 1", dims)
+	ev, err = serve.ParseEvent("1 1", dims)
 	if err != nil || ev.Value != 1 {
 		t.Fatalf("default value wrong: %+v %v", ev, err)
 	}
@@ -62,14 +64,15 @@ func TestParseEvent(t *testing.T) {
 		"99999999999999999999 1",          // coordinate overflow
 		"1 1 NaN", "1 1 +Inf", "1 1 -Inf", // non-finite values
 	} {
-		if _, err := parseEvent(bad, dims); err == nil {
+		if _, err := serve.ParseEvent(bad, dims); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}
 }
 
-// FuzzParseEvent: the event-line parser is the trust boundary for
-// arbitrary feed input — it must never panic, and anything it accepts
+// FuzzParseEvent: the event-line parser — the one watch, the daemon and
+// the gateway share (serve.ParseEvent) — is the trust boundary for
+// arbitrary feed input: it must never panic, and anything it accepts
 // must be a well-formed in-range event with a finite value.
 func FuzzParseEvent(f *testing.F) {
 	f.Add("1 2 3.5")
@@ -82,7 +85,7 @@ func FuzzParseEvent(f *testing.F) {
 	f.Add("\t 2 3 \x00")
 	dims := []int{5, 6}
 	f.Fuzz(func(t *testing.T, line string) {
-		ev, err := parseEvent(line, dims)
+		ev, err := serve.ParseEvent(line, dims)
 		if err != nil {
 			return
 		}
@@ -292,5 +295,73 @@ func TestRunErrors(t *testing.T) {
 	// A lone malformed line is rejected, leaving no windows.
 	if err := run(context.Background(), strings.NewReader("99 1\n"), &out, testConfig([]int{5, 5}, 100)); err == nil {
 		t.Fatal("feed with no valid events accepted")
+	}
+}
+
+// dirBytes sums the file sizes under dir.
+func dirBytes(t *testing.T, dir string) (n int64) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// TestRunSpillWavesReclaimDisk: -spill-dir without -checkpoint-dir. Ten
+// bursts, each overflowing the 2-deep queue into the WAL and each
+// drained before the next, under a -spill-max-bytes cap a few bursts
+// would exceed if consumed records stayed on disk — which they did
+// before the pipeline committed offsets on its own: the cap was hit,
+// every later overflow was shed, and the "lossless" policy lost windows.
+func TestRunSpillWavesReclaimDisk(t *testing.T) {
+	spill := t.TempDir()
+	pr, pw := io.Pipe()
+	var out syncBuffer
+	cfg := testConfig([]int{10, 10}, 20)
+	cfg.queueCap = 2
+	cfg.spillDir = spill
+	cfg.spillMaxBytes = 32 << 10
+	cfg.stats = true
+	done := make(chan error, 1)
+	go func() { done <- run(context.Background(), pr, &out, cfg) }()
+
+	const waves, perWave = 10, 40 // ≈ 14 KiB of records a wave
+	r := synth.NewRNG(3)
+	for w := 1; w <= waves; w++ {
+		var burst bytes.Buffer
+		for e := 0; e < perWave*cfg.window; e++ {
+			fmt.Fprintf(&burst, "%d %d 1\n", r.Intn(10)+1, r.Intn(10)+1)
+		}
+		if _, err := pw.Write(burst.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(20 * time.Second); strings.Count(out.String(), "window ") < w*perWave; {
+			if time.Now().After(deadline) {
+				t.Fatalf("wave %d never drained: windows were shed\n%s", w, out.String()[max(0, len(out.String())-400):])
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	stats := s[strings.LastIndex(s, "stats: "):]
+	if !strings.Contains(stats, " spill=0)") || strings.Contains(stats, "spilled=0 ") {
+		t.Fatalf("want windows spilled and none shed by the spill tier:\n%s", stats)
+	}
+	// Everything consumed and the run drained: segments are gone, what
+	// is left is an empty segment's header and the offset sidecar.
+	if n := dirBytes(t, spill); n > 256 {
+		t.Fatalf("%d bytes left in the spill dir after a drained run", n)
 	}
 }

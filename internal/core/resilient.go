@@ -406,6 +406,18 @@ func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult,
 	}
 }
 
+// Checkpoints returns the checkpoint manager the decomposer was
+// configured with (Options.Resilience.Checkpoint), nil for none. The
+// slice loops that own a run read it here — ProcessStreamContext below,
+// and the ingest pipeline, which must commit its WAL offset before each
+// checkpoint it writes.
+func (d *Decomposer) Checkpoints() *resilience.Manager {
+	if d.opt.Resilience == nil {
+		return nil
+	}
+	return d.opt.Resilience.Checkpoint
+}
+
 // ProcessStreamContext drains a slice source under a context, invoking
 // cb (if non-nil) after every slice, including skipped ones. Slices
 // skipped under the SkipSlice policy are recorded and the stream
@@ -415,7 +427,7 @@ func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult,
 // counted, not fatal — losing a checkpoint must not kill the stream it
 // exists to protect.
 func (d *Decomposer) ProcessStreamContext(ctx context.Context, src sptensor.SliceSource, cb func(SliceResult)) ([]SliceResult, error) {
-	cfg := d.opt.Resilience
+	mgr := d.Checkpoints()
 	var out []SliceResult
 	for {
 		if err := ctx.Err(); err != nil {
@@ -433,8 +445,8 @@ func (d *Decomposer) ProcessStreamContext(ctx context.Context, src sptensor.Slic
 		if cb != nil {
 			cb(res)
 		}
-		if err == nil && cfg != nil && cfg.Checkpoint != nil {
-			if path, werr := cfg.Checkpoint.MaybeWrite(d.t, d); werr != nil {
+		if err == nil && mgr != nil {
+			if path, werr := mgr.MaybeWrite(d.t, d); werr != nil {
 				d.stats.CheckpointErrors++
 			} else if path != "" {
 				d.stats.CheckpointWrites++

@@ -126,31 +126,3 @@ func (d *Decomposer) KernelSchedule(dst []byte) []byte {
 	}
 	return dst
 }
-
-// NoteOverload folds the ingestion pipeline's overload counters into
-// the recovery stats, so a single ResilienceStats read reports both
-// failure recovery and load shedding for the stream.
-func (d *Decomposer) NoteOverload(shed, coalesced, stale, drained int) {
-	d.stats.OverloadSheds += shed
-	d.stats.OverloadCoalesced += coalesced
-	d.stats.StaleSheds += stale
-	d.stats.DrainedSlices += drained
-}
-
-// NoteBreaker folds the serving layer's circuit-breaker counters into
-// the recovery stats (open transitions, half-open probes, and slices
-// shed at admission while the breaker was open).
-func (d *Decomposer) NoteBreaker(opens, probes, sheds int) {
-	d.stats.BreakerOpens += opens
-	d.stats.BreakerProbes += probes
-	d.stats.BreakerSheds += sheds
-}
-
-// NoteSpill folds the durable-backlog counters into the recovery stats
-// (slices diverted to the WAL spill tier, slices replayed back out of
-// it, and the backlog still on disk at drain time).
-func (d *Decomposer) NoteSpill(spilled, replayed, pending int) {
-	d.stats.SpilledSlices += spilled
-	d.stats.SpillReplayed += replayed
-	d.stats.SpillPending = pending
-}

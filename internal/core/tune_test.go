@@ -149,16 +149,3 @@ func TestSetAlgorithmRejectsConstrainedSpCP(t *testing.T) {
 		t.Fatalf("failed switch mutated the algorithm: %v", d.Algorithm())
 	}
 }
-
-func TestNoteOverloadFoldsIntoStats(t *testing.T) {
-	d, err := NewDecomposer([]int{10, 10}, Options{Rank: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.NoteOverload(5, 2, 3, 4)
-	d.NoteOverload(1, 1, 0, 0)
-	st := d.ResilienceStats()
-	if st.OverloadSheds != 6 || st.OverloadCoalesced != 3 || st.StaleSheds != 3 || st.DrainedSlices != 4 {
-		t.Fatalf("overload stats = %+v", st)
-	}
-}

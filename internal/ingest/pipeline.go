@@ -8,26 +8,26 @@ import (
 	"time"
 
 	"spstream/internal/core"
+	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
 )
 
-// Processor consumes slices; implemented by core.Decomposer.
+// Processor consumes slices; implemented by core.Decomposer. What else
+// a processor can do is found by type assertion: T() int (the replay
+// point and offset key), Tunable (degradation), checkpointer.
 type Processor interface {
 	ProcessSliceContext(ctx context.Context, x *sptensor.Tensor) (core.SliceResult, error)
 }
 
-// overloadNoter lets the pipeline fold its shed counters into the
-// decomposer's recovery stats at drain time; implemented by
-// core.Decomposer.
-type overloadNoter interface {
-	NoteOverload(shed, coalesced, stale, drained int)
-}
-
-// spillNoter folds the durable-backlog counters into the decomposer's
-// recovery stats at drain time; implemented by core.Decomposer.
-type spillNoter interface {
-	NoteSpill(spilled, replayed, pending int)
+// checkpointer is the optional capability a checkpointed run rests on
+// (core.Decomposer has it): the slice counter offsets and checkpoints
+// are keyed by, the state a checkpoint holds, and the manager the run
+// was configured with (Options.Resilience.Checkpoint; nil for none).
+type checkpointer interface {
+	T() int
+	resilience.StateWriter
+	Checkpoints() *resilience.Manager
 }
 
 // ErrDraining is returned by Offer once Drain has begun (or the
@@ -38,6 +38,11 @@ var ErrDraining = errors.New("ingest: pipeline is draining")
 // (Config.Gate — the serving layer's circuit breaker) refused the
 // slice; it is accounted as a breaker shed.
 var ErrGateClosed = errors.New("ingest: admission gate closed (circuit breaker open)")
+
+// ErrDurability wraps what OnError receives when an offset commit, a
+// checkpoint write or the WAL close failed: the slice outcomes stand,
+// what is in doubt is how much of them a crash would keep.
+var ErrDurability = errors.New("ingest: durability")
 
 // ErrQueueFull is returned by Admit when the full-queue policy shed
 // the offered slice instead of queueing it (DropNewest). Offer keeps
@@ -89,8 +94,9 @@ type Config struct {
 	// accounting invariant produced == processed+failed+coalesced+shed
 	// exact across breaker-open phases.
 	Gate func() bool
-	// Spill configures the durable on-disk backlog; required by (and
-	// only meaningful with) the Spill policy.
+	// Spill configures the durable on-disk backlog. A non-empty
+	// Spill.Dir implies the Spill policy, and the Spill policy requires
+	// one; without a Dir the rest of the struct is ignored.
 	Spill *SpillConfig
 }
 
@@ -111,10 +117,16 @@ type Pipeline struct {
 	clock    func() time.Time
 	realTime bool
 
+	// t reads the processor's slice counter (0 when it has none); ckpt
+	// and mgr are set when the processor carries a checkpoint manager.
+	t    func() int
+	ckpt checkpointer
+	mgr  *resilience.Manager
+
 	// consumedSeq is the highest WAL sequence number of a slice the
 	// consumer fully finished (processed, failed, or stale-shed —
-	// outcomes an uncrashed run would reproduce). SpillMark binds it to
-	// a checkpoint so replay after a crash is exactly-once.
+	// outcomes an uncrashed run would reproduce). commit binds it to a
+	// slice counter so replay after a crash is exactly-once.
 	consumedSeq atomic.Uint64
 
 	cancel context.CancelFunc
@@ -132,9 +144,21 @@ func New(proc Processor, cfg Config) (*Pipeline, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
+	if cfg.Spill != nil && cfg.Spill.Dir != "" {
+		cfg.Policy = Spill
+	} else if cfg.Policy == Spill {
+		return nil, errors.New("ingest: the spill policy requires a spill directory")
+	}
 	p := &Pipeline{cfg: cfg, proc: proc, clock: cfg.Clock, realTime: cfg.Clock == nil}
 	if p.clock == nil {
 		p.clock = time.Now
+	}
+	p.t = func() int { return 0 }
+	if tp, ok := proc.(interface{ T() int }); ok {
+		p.t = tp.T
+	}
+	if c, ok := proc.(checkpointer); ok && c.Checkpoints() != nil {
+		p.ckpt, p.mgr = c, c.Checkpoints()
 	}
 	if cfg.Degrade != nil {
 		tun, ok := proc.(Tunable)
@@ -145,16 +169,13 @@ func New(proc Processor, cfg Config) (*Pipeline, error) {
 	}
 	p.q = newQueue(cfg.QueueCap, cfg.Policy, p.clock, &p.ov)
 	if cfg.Policy == Spill {
-		if cfg.Spill == nil {
-			return nil, errors.New("ingest: Spill policy requires Config.Spill")
-		}
-		sp, err := newSpiller(*cfg.Spill, p.q, &p.ov, p.clock)
+		// Replay starts after the slices already folded into the
+		// processor's (restored) state.
+		sp, err := newSpiller(*cfg.Spill, p.t(), p.q, &p.ov, p.clock)
 		if err != nil {
 			return nil, err
 		}
 		p.sp = sp
-	} else if cfg.Spill != nil {
-		return nil, fmt.Errorf("ingest: Config.Spill is only valid with the Spill policy, got %v", cfg.Policy)
 	}
 	p.done = make(chan struct{})
 	return p, nil
@@ -266,18 +287,43 @@ func (p *Pipeline) SpillDiskBytes() int64 {
 	return p.sp.log.DiskBytes()
 }
 
-// SpillMark durably binds the checkpoint about to be written at slice
-// counter t to the pipeline's spill-consumption progress. Call it
-// immediately BEFORE writing checkpoint t: if the process dies between
-// the two writes, restore falls back to an older checkpoint whose
-// offset record is retained, and replay stays exactly-once with
-// respect to committed slices. A pipeline without the Spill policy
-// returns nil.
-func (p *Pipeline) SpillMark(t int) error {
-	if p.sp == nil {
-		return nil
+// commit durably binds the consumed WAL offset to the processor's slice
+// counter. The WAL keeps one older offset per checkpoint a restart could
+// fall back to — the manager's retention, none without a manager — and
+// collects every segment below the oldest.
+func (p *Pipeline) commit() bool {
+	older := 0
+	if p.mgr != nil {
+		older = p.mgr.Keep()
 	}
-	return p.sp.commitOffset(t, p.consumedSeq.Load())
+	return p.sp == nil || p.durable("spill offset", p.sp.commitOffset(p.t(), p.consumedSeq.Load(), older))
+}
+
+// checkpoint is the whole durability protocol of a run (DESIGN §13):
+// when checkpoint t is due — or final, at drain — commit the consumed
+// offset for t and only then write checkpoint t. A crash between the two
+// restores an older checkpoint whose offset is still retained; a failed
+// commit skips the checkpoint for the same reason. A run without a
+// manager only commits, at drain. It runs on the consumer goroutine or
+// after it has exited, so the processor is quiescent.
+func (p *Pipeline) checkpoint(final bool) {
+	t := p.t()
+	due := p.mgr != nil && t > 0 && (final || p.mgr.Due(t))
+	if !due && !final {
+		return
+	}
+	if p.commit() && due {
+		_, err := p.mgr.Write(t, p.ckpt)
+		p.durable("checkpoint", err)
+	}
+}
+
+// durable reports a failed durability step through OnError.
+func (p *Pipeline) durable(step string, err error) bool {
+	if err != nil && p.cfg.OnError != nil {
+		p.cfg.OnError(fmt.Errorf("%w: %s: %v", ErrDurability, step, err))
+	}
+	return err == nil
 }
 
 // Kill is the crash simulation used by the durability tests: it stops
@@ -347,6 +393,7 @@ func (p *Pipeline) consume(ctx context.Context, it item) {
 	case err == nil:
 		p.ov.Processed.Add(1)
 		p.markConsumed(it)
+		p.checkpoint(false)
 		if p.cfg.OnResult != nil {
 			p.cfg.OnResult(res)
 		}
@@ -382,11 +429,18 @@ func (p *Pipeline) consume(ctx context.Context, it item) {
 // slices this advances the replay offset candidate: an outcome an
 // uncrashed run would reproduce (processed into state; failed or
 // stale-shed and skipped) must not replay after a crash, or recovery
-// diverges from the uncrashed run.
+// diverges from the uncrashed run. The WAL collects segments only at
+// an offset commit, and without a checkpoint manager nothing else
+// commits one: do it whenever it frees the oldest segment, so disk
+// tracks the unconsumed backlog, not the run's history.
 func (p *Pipeline) markConsumed(it item) {
-	if it.walSeq > p.consumedSeq.Load() {
-		// Single consumer goroutine: plain store ordering is enough.
-		p.consumedSeq.Store(it.walSeq)
+	if it.walSeq <= p.consumedSeq.Load() {
+		return
+	}
+	// Single consumer goroutine: plain store ordering is enough.
+	p.consumedSeq.Store(it.walSeq)
+	if p.mgr == nil && p.sp.log.Reclaimable(it.walSeq) {
+		p.commit()
 	}
 }
 
@@ -400,12 +454,11 @@ func (p *Pipeline) observe(lag time.Duration) {
 // Drain performs the graceful shutdown: admissions stop, the backlog
 // is processed until done or the drain deadline (Config.DrainTimeout,
 // further bounded by ctx), and anything still queued is shed and
-// counted. It then folds the shed/coalesced counters into the
-// processor's recovery stats (when it is a core.Decomposer) and
-// returns the final counter snapshot. Drain must be called exactly
-// once, after producers have stopped offering.
+// counted. It then makes the end state durable — the final offset
+// commit, the final checkpoint when the run has a manager, the WAL
+// close — and returns the final counter snapshot. Drain must be called
+// exactly once, after producers have stopped offering.
 func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
-	preDrain := p.ov.Processed.Load()
 	p.q.close()
 	if p.sp != nil {
 		// No more spills are coming; the refiller flushes the durable
@@ -452,27 +505,12 @@ func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
 	} else if p.sp != nil {
 		p.sp.wait()
 	}
+	// Bind the final consumption point to the slice counter so a restart
+	// does not replay slices this run already committed, checkpoint that
+	// state, then flush and close the WAL.
+	p.checkpoint(true)
 	if p.sp != nil {
-		// Bind the final consumption point to the processor's slice
-		// counter so a restart does not replay slices this run already
-		// committed, then flush and close the WAL. Callers writing a
-		// final checkpoint after Drain (the serving layer) re-commit
-		// the same pair via SpillMark first — both orders are safe
-		// because the offset always precedes its checkpoint.
-		if t, ok := p.proc.(interface{ T() int }); ok {
-			_ = p.sp.commitOffset(t.T(), p.consumedSeq.Load())
-		}
-		if err := p.sp.close(); err != nil && p.cfg.OnError != nil {
-			p.cfg.OnError(err)
-		}
+		p.durable("spill close", p.sp.close())
 	}
-	snap := p.ov.Snapshot()
-	if n, ok := p.proc.(overloadNoter); ok {
-		n.NoteOverload(int(snap.Shed()), int(snap.Coalesced), int(snap.ShedStale),
-			int(snap.Processed-preDrain))
-		if sn, ok := p.proc.(spillNoter); ok && p.sp != nil {
-			sn.NoteSpill(int(snap.Spilled), int(snap.SpillDrained), int(snap.SpillPending()))
-		}
-	}
-	return snap
+	return p.ov.Snapshot()
 }

@@ -34,7 +34,7 @@ func overloadStream(t *testing.T, slices int, seed uint64) *sptensor.Stream {
 
 // throttled artificially slows a decomposer so a fast producer
 // overruns it by a known factor; embedding forwards the Tunable and
-// NoteOverload surfaces.
+// checkpointing surfaces.
 type throttled struct {
 	*core.Decomposer
 	delay time.Duration
@@ -104,11 +104,6 @@ func TestOverloadBoundedAndAccounted(t *testing.T) {
 			} else if snap.Shed() == 0 {
 				t.Fatalf("%v shed nothing under 10× overload", policy)
 			}
-			// The decomposer's recovery stats carry the fold.
-			st := dec.ResilienceStats()
-			if int64(st.OverloadSheds) != snap.Shed() || int64(st.OverloadCoalesced) != snap.Coalesced {
-				t.Fatalf("stats fold mismatch: resilience=%+v snapshot=%+v", st, snap)
-			}
 		})
 	}
 }
@@ -165,9 +160,6 @@ func TestStaleShedBeforeSolving(t *testing.T) {
 	checkAccounting(t, p)
 	if snap.ShedStale == 0 {
 		t.Fatalf("no stale sheds with 15ms MaxLag behind a 10ms solver: %+v", snap)
-	}
-	if st := dec.ResilienceStats(); int64(st.StaleSheds) != snap.ShedStale {
-		t.Fatalf("StaleSheds fold mismatch: %d vs %d", st.StaleSheds, snap.ShedStale)
 	}
 }
 
@@ -301,10 +293,10 @@ func TestDrainWritesRestorableCheckpoint(t *testing.T) {
 	if snap.Processed == 0 {
 		t.Fatal("nothing processed before the drain")
 	}
-	// The shutdown path's final checkpoint (what cmd/watch writes on
-	// SIGINT after Drain returns).
-	if _, err := mgr.Write(dec.T(), dec); err != nil {
-		t.Fatal(err)
+	// Drain wrote the final checkpoint itself, at the last slice — not
+	// only the periodic ones (every 5).
+	if want := mgr.Path(dec.T()); len(mgr.Checkpoints()) == 0 || mgr.Checkpoints()[0] != want {
+		t.Fatalf("newest checkpoint %v, want %s", mgr.Checkpoints(), want)
 	}
 	restored, err := core.NewDecomposer(s.Dims, core.Options{Rank: 4, Seed: 99})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // SpillConfig parameterizes the durable backlog behind the Spill shed
-// policy. Dir is required; everything else defaults.
+// policy. Dir arms it; everything else defaults.
 type SpillConfig struct {
 	// Dir is the WAL directory (created if missing). Keep it on the
 	// same filesystem as the checkpoint directory so a crash loses
@@ -23,7 +23,8 @@ type SpillConfig struct {
 	// MaxBytes, when positive, caps the on-disk backlog; past it new
 	// overflow is shed (counted ShedSpill) instead of filling the disk.
 	MaxBytes int64
-	// SegmentBytes is the WAL segment rotation threshold. Default 4 MiB.
+	// SegmentBytes is the WAL segment rotation threshold. Default 4 MiB,
+	// or a quarter of MaxBytes when that is smaller.
 	SegmentBytes int64
 	// FsyncInterval is the group-commit window: how much recently
 	// spilled data a hard crash may lose. Zero means every spill
@@ -31,12 +32,6 @@ type SpillConfig struct {
 	FsyncInterval time.Duration
 	// MaxRecordBytes bounds one encoded slice. Default 64 MiB.
 	MaxRecordBytes int
-	// ReplayFrom is the slice counter T of the checkpoint the processor
-	// was restored from (0 for a fresh start). Replay seeks to the
-	// consumer offset committed for that checkpoint, making restart
-	// exactly-once with respect to committed slices; with no matching
-	// offset record the whole backlog replays (at-least-once fallback).
-	ReplayFrom int
 	// FS replaces the filesystem (disk-fault injection). Default the
 	// real one.
 	FS wal.FS
@@ -93,10 +88,12 @@ type spiller struct {
 	done chan struct{}
 }
 
-func newSpiller(cfg SpillConfig, q *queue, ov *trace.Overload, clock func() time.Time) (*spiller, error) {
-	if cfg.Dir == "" {
-		return nil, errors.New("ingest: Spill policy requires SpillConfig.Dir")
-	}
+// newSpiller opens the WAL and seeks replay to the offset committed for
+// slice counter replayFrom — the state the processor holds (0 for a
+// fresh start) — making restart exactly-once with respect to committed
+// slices; with no matching offset the whole backlog replays
+// (at-least-once fallback).
+func newSpiller(cfg SpillConfig, replayFrom int, q *queue, ov *trace.Overload, clock func() time.Time) (*spiller, error) {
 	log, _, err := wal.Open(wal.Options{
 		Dir:            cfg.Dir,
 		SegmentBytes:   cfg.SegmentBytes,
@@ -108,14 +105,11 @@ func newSpiller(cfg SpillConfig, q *queue, ov *trace.Overload, clock func() time
 	if err != nil {
 		return nil, err
 	}
-	// Seek replay to the offset the restored checkpoint committed;
-	// everything after it was produced but never folded into the
-	// restored state, so it re-enters accounting as recovered backlog.
-	if seq, ok := log.OffsetFor(cfg.ReplayFrom); ok {
-		log.SeekTo(seq)
-	} else {
-		log.SeekTo(0)
-	}
+	// Everything after the offset was produced but never folded into
+	// the restored state, so it re-enters accounting as recovered
+	// backlog. (No matching offset: seq is 0, replay all.)
+	seq, _ := log.OffsetFor(replayFrom)
+	log.SeekTo(seq)
 	s := &spiller{log: log, q: q, ov: ov, clock: clock, done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	s.backlog = log.Pending()
@@ -259,9 +253,10 @@ func (s *spiller) kill() {
 // wait blocks until the refill goroutine has exited.
 func (s *spiller) wait() { <-s.done }
 
-// commitOffset durably binds checkpoint t to consumption progress.
-func (s *spiller) commitOffset(t int, seq uint64) error {
-	err := s.log.CommitOffset(t, seq)
+// commitOffset durably binds slice counter t to consumption progress,
+// keeping as many older offsets as there are checkpoints to fall back to.
+func (s *spiller) commitOffset(t int, seq uint64, older int) error {
+	err := s.log.CommitOffset(t, seq, older)
 	if errors.Is(err, wal.ErrClosed) {
 		return nil
 	}

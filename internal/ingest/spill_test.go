@@ -5,10 +5,12 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spstream/internal/core"
+	"spstream/internal/ingest/wal"
 	"spstream/internal/resilience"
 	"spstream/internal/resilience/faultinject"
 	"spstream/internal/sptensor"
@@ -71,11 +73,6 @@ func TestSpillLosesNothingUnderOverload(t *testing.T) {
 	}
 	if snap.SpillPending() != 0 {
 		t.Fatalf("pending = %d after graceful drain, want 0", snap.SpillPending())
-	}
-	// The decomposer's recovery stats carry the spill fold.
-	st := dec.ResilienceStats()
-	if int64(st.SpilledSlices) != snap.Spilled || int64(st.SpillReplayed) != snap.SpillDrained {
-		t.Fatalf("stats fold mismatch: resilience=%+v snapshot=%+v", st, snap)
 	}
 }
 
@@ -210,36 +207,27 @@ func TestSpillCrashReplayBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Crashed run: checkpoint every slice (offset committed first — the
-	// serving layer's protocol), slow consumer, tiny queue, kill while
-	// the backlog is non-empty.
+	// Crashed run: the pipeline checkpoints every slice through the
+	// manager the decomposer carries (offset committed first — its own
+	// protocol), slow consumer, tiny queue, kill while the backlog is
+	// non-empty.
 	ckptDir, spillDir := t.TempDir(), t.TempDir()
 	mgr, err := resilience.NewManager(ckptDir, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Resilience = &resilience.Config{Checkpoint: mgr}
 	dec, err := core.NewDecomposer(s.Dims, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := &throttled{Decomposer: dec, delay: 5 * time.Millisecond}
-	var p *Pipeline
-	p, err = New(th, Config{
+	p, err := New(th, Config{
 		QueueCap: 1,
-		Policy:   Spill,
 		// FsyncInterval 0: every spill is durable before Offer returns,
 		// so the kill cannot lose admitted slices.
-		Spill: &SpillConfig{Dir: spillDir},
-		OnResult: func(core.SliceResult) {
-			// The replay/offset protocol: bind the offset BEFORE the
-			// checkpoint that depends on it.
-			if err := p.SpillMark(dec.T()); err != nil {
-				t.Errorf("SpillMark: %v", err)
-			}
-			if _, err := mgr.MaybeWrite(dec.T(), dec); err != nil {
-				t.Errorf("MaybeWrite: %v", err)
-			}
-		},
+		Spill:   &SpillConfig{Dir: spillDir},
+		OnError: func(err error) { t.Errorf("durability: %v", err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +257,8 @@ func TestSpillCrashReplayBitIdentical(t *testing.T) {
 		t.Fatalf("kill happened after the whole stream (t=%d); no backlog to replay", killT)
 	}
 
-	// Restart: restore the newest checkpoint, replay the backlog from
-	// its committed offset, drain.
+	// Restart: restore the newest checkpoint; the pipeline replays the
+	// backlog from the offset committed for the restored T().
 	dec2, err := core.NewDecomposer(s.Dims, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +270,7 @@ func TestSpillCrashReplayBitIdentical(t *testing.T) {
 	p2, err := New(dec2, Config{
 		QueueCap:     1,
 		Policy:       Spill,
-		Spill:        &SpillConfig{Dir: spillDir, ReplayFrom: restoredT},
+		Spill:        &SpillConfig{Dir: spillDir},
 		DrainTimeout: 60 * time.Second,
 	})
 	if err != nil {
@@ -400,4 +388,142 @@ func TestSpillExactAccountingENOSPC(t *testing.T) {
 		t.Fatalf("processed %d + shed %d != produced %d",
 			snap.Processed, snap.Shed(), producers*perProducer)
 	}
+}
+
+// slowRecorder is a processor with a slice counter and a fixed solve
+// time: slow enough that a burst overflows a 2-deep queue.
+type slowRecorder struct{ t atomic.Int64 }
+
+func (r *slowRecorder) ProcessSliceContext(context.Context, *sptensor.Tensor) (core.SliceResult, error) {
+	time.Sleep(200 * time.Microsecond)
+	return core.SliceResult{T: int(r.t.Add(1))}, nil
+}
+func (r *slowRecorder) T() int { return int(r.t.Load()) }
+
+// waitFor polls cond until it holds or ten seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestSpillWavesReclaimDiskWithoutCheckpoints: a run with no checkpoint
+// manager has nobody but the pipeline to commit WAL offsets, and the WAL
+// collects segments only at a commit. Thirty overload waves, each
+// drained to an empty backlog before the next, must leave the disk
+// footprint where one wave leaves it — and under a MaxBytes cap that a
+// single wave fits, no wave may ever shed. (At the parent commit the
+// consumed records stayed on disk: the cap was hit in wave 3 and every
+// later overflow was shed.)
+func TestSpillWavesReclaimDiskWithoutCheckpoints(t *testing.T) {
+	for name, segBytes := range map[string]int64{"one-segment": 1 << 20, "small-segments": 256} {
+		t.Run(name, func(t *testing.T) {
+			rec := &slowRecorder{}
+			p, err := New(rec, Config{
+				QueueCap: 2,
+				Policy:   Spill,
+				Spill:    &SpillConfig{Dir: t.TempDir(), MaxBytes: 4 << 10, SegmentBytes: segBytes},
+				OnError:  func(err error) { t.Errorf("pipeline: %v", err) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Start(context.Background())
+			const waves, perWave = 30, 20 // ≈ 1.5 KiB of records a wave
+			for w := 0; w < waves; w++ {
+				for i := 0; i < perWave; i++ {
+					if err := p.Offer(markerSlice(t, i)); err != nil {
+						t.Fatalf("wave %d: %v", w, err)
+					}
+				}
+				waitFor(t, "the wave to drain", func() bool {
+					return p.Stats().Processed == int64((w+1)*perWave) && p.SpillPending() == 0
+				})
+			}
+			// Fully consumed means fully collected: an empty segment's
+			// header is all that may remain, however many waves ran.
+			waitFor(t, "the consumed backlog to leave the disk", func() bool { return p.SpillDiskBytes() <= 64 })
+			snap := p.Drain(context.Background())
+			checkSpillAccounting(t, p)
+			if snap.Spilled < waves || snap.ShedSpill != 0 {
+				t.Fatalf("spilled=%d shed_spill=%d: want every wave spilling and none shed", snap.Spilled, snap.ShedSpill)
+			}
+		})
+	}
+}
+
+// commitFS records the slice counter at every offset commit (each one
+// publishes the sidecar with a rename).
+type commitFS struct {
+	wal.FS
+	t     func() int
+	marks []int
+}
+
+func (f *commitFS) Rename(o, n string) error {
+	f.marks = append(f.marks, f.t())
+	return f.FS.Rename(o, n)
+}
+
+// TestCheckpointedRunMarksOnlyDueCheckpoints pins where the offset
+// commits of a checkpointed run land: one immediately before every due
+// checkpoint and one at drain — each costs an fsync, and the reclaim
+// cadence of the run without a manager must not leak into this one.
+func TestCheckpointedRunMarksOnlyDueCheckpoints(t *testing.T) {
+	s := overloadStream(t, 23, 5)
+	mgr, err := resilience.NewManager(t.TempDir(), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := core.NewDecomposer(s.Dims, core.Options{Rank: 4, Seed: 1, Resilience: &resilience.Config{Checkpoint: mgr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &commitFS{FS: wal.OSFS(), t: dec.T}
+	p, err := New(&throttled{Decomposer: dec, delay: time.Millisecond}, Config{
+		QueueCap: 1,
+		Spill:    &SpillConfig{Dir: t.TempDir(), SegmentBytes: 8 << 10, FS: fs},
+		OnError:  func(err error) { t.Errorf("pipeline: %v", err) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start(context.Background())
+	for _, x := range s.Slices {
+		if err := p.Offer(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap := p.Drain(context.Background()); snap.Processed != 23 || snap.Spilled == 0 {
+		t.Fatalf("processed=%d spilled=%d, want 23 and some", snap.Processed, snap.Spilled)
+	}
+	if want := []int{5, 10, 15, 20, 23}; !reflect.DeepEqual(fs.marks, want) {
+		t.Fatalf("offset commits at t=%v, want %v", fs.marks, want)
+	}
+	if got, want := mgr.Checkpoints(), []string{mgr.Path(23), mgr.Path(20)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpoints %v, want %v", got, want)
+	}
+}
+
+// TestSpillDirAndPolicyAreOneSetting: the rule every front end relies
+// on lives here — a spill directory implies the Spill policy, and the
+// Spill policy without a directory is refused.
+func TestSpillDirAndPolicyAreOneSetting(t *testing.T) {
+	rec := &slowRecorder{}
+	for _, cfg := range []Config{{Policy: Spill}, {Policy: Spill, Spill: &SpillConfig{MaxBytes: 1 << 20}}} {
+		if _, err := New(rec, cfg); err == nil {
+			t.Fatalf("Spill policy without a directory accepted: %+v", cfg)
+		}
+	}
+	if p, err := New(rec, Config{Policy: DropNewest, Spill: &SpillConfig{MaxBytes: 1 << 20}}); err != nil || p.sp != nil {
+		t.Fatalf("a SpillConfig without Dir must be ignored: sp=%v err=%v", p.sp, err)
+	}
+	p, err := New(rec, Config{Policy: DropNewest, Spill: &SpillConfig{Dir: t.TempDir()}})
+	if err != nil || p.sp == nil || p.cfg.Policy != Spill {
+		t.Fatalf("a spill directory must arm the Spill policy: err=%v", err)
+	}
+	p.Kill()
 }

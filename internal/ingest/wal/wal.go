@@ -137,7 +137,10 @@ const recHeaderSize = 4 + 4
 type Options struct {
 	// Dir is the log directory (created if missing).
 	Dir string
-	// SegmentBytes is the rotation threshold. Default 4 MiB.
+	// SegmentBytes is the rotation threshold. Default 4 MiB, or a
+	// quarter of MaxBytes when that is smaller: disk comes back a whole
+	// segment at a time, so a cap has to span several of them or it is
+	// reached with one half-consumed segment on disk.
 	SegmentBytes int64
 	// MaxBytes, when positive, caps the total bytes across segments;
 	// Append returns ErrFull past it so the caller can shed instead of
@@ -160,6 +163,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
+		if o.MaxBytes > 0 && o.MaxBytes/4 < o.SegmentBytes {
+			o.SegmentBytes = o.MaxBytes / 4
+		}
 	}
 	if o.MaxRecordBytes <= 0 {
 		o.MaxRecordBytes = 64 << 20
@@ -191,8 +197,8 @@ type offsetEntry struct {
 	seq uint64
 }
 
-// maxOffsetEntries bounds the sidecar history; it only needs to cover
-// the checkpoints the Manager retains, with slack.
+// maxOffsetEntries caps the sidecar history (the format's bound; the
+// committer says how many entries it actually needs, CommitOffset).
 const maxOffsetEntries = 16
 
 // Recovery reports what Open found on disk.
@@ -704,7 +710,13 @@ func (l *Log) diskBytesLocked() int64 {
 // between the two writes, restore falls back to an older checkpoint
 // whose offset entry is still retained — replaying too much is
 // impossible, replaying exactly right is the common case.
-func (l *Log) CommitOffset(t int, seq uint64) error {
+//
+// older is how many earlier entries stay retained beside this one: the
+// checkpoints a restart could still fall back to (0 for a run that
+// keeps none — the history collapses to this entry and everything at or
+// below seq is collected). Entries above t belong to a life of the
+// stream that this commit supersedes; they go.
+func (l *Log) CommitOffset(t int, seq uint64, older int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -715,23 +727,30 @@ func (l *Log) CommitOffset(t int, seq uint64) error {
 	if err := l.syncLocked(); err != nil {
 		return fmt.Errorf("wal: commit offset sync: %w", err)
 	}
-	// Replace any entry for the same t, keep the history bounded.
 	kept := l.offsets[:0]
-	for _, e := range l.offsets {
-		if e.t != t {
+	for _, e := range l.offsets { // sorted by t
+		if e.t < t {
 			kept = append(kept, e)
 		}
 	}
-	l.offsets = append(kept, offsetEntry{t: t, seq: seq})
-	sort.Slice(l.offsets, func(a, b int) bool { return l.offsets[a].t < l.offsets[b].t })
-	if len(l.offsets) > maxOffsetEntries {
-		l.offsets = append(l.offsets[:0], l.offsets[len(l.offsets)-maxOffsetEntries:]...)
-	}
+	older = min(max(older, 0), maxOffsetEntries-1, len(kept))
+	l.offsets = append(append(l.offsets[:0], kept[len(kept)-older:]...), offsetEntry{t: t, seq: seq})
 	if err := l.writeOffsetsLocked(); err != nil {
 		return err
 	}
 	l.gcLocked()
 	return nil
+}
+
+// Reclaimable reports whether a commit at seq would free disk: the
+// oldest segment holds records, all at or below seq, and the reader is
+// past it. A run without checkpoints asks after every consumed record,
+// because segments are collected only at a commit.
+func (l *Log) Reclaimable(seq uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.segs[0]
+	return !l.closed && s.count > 0 && s.lastSeq() <= seq && s.lastSeq() < l.readSeq
 }
 
 // OffsetFor returns the consumption offset bound to checkpoint t. When
@@ -754,7 +773,9 @@ func (l *Log) OffsetFor(t int) (uint64, bool) {
 }
 
 // gcLocked deletes segments every retained offset has passed and the
-// reader is done with.
+// reader is done with. The active append segment goes too once it is
+// consumed to its last record — a fresh one takes over first — so a
+// backlog that drains to nothing leaves nothing on disk.
 func (l *Log) gcLocked() {
 	if len(l.offsets) == 0 {
 		return
@@ -768,10 +789,23 @@ func (l *Log) gcLocked() {
 	if l.readSeq-1 < floor {
 		floor = l.readSeq - 1
 	}
-	for len(l.segs) > 1 { // never the active append segment
+	for {
 		s := l.segs[0]
 		if s.count > 0 && s.lastSeq() > floor {
 			break
+		}
+		if len(l.segs) == 1 {
+			if s.count == 0 {
+				break
+			}
+			// Appends were flushed by the commit that got us here; on
+			// failure the old segment simply stays active.
+			old := l.w
+			if err := l.createSegment(s.index+1, l.nextSeq); err != nil {
+				_ = l.opts.FS.Remove(l.segPath(s.index + 1))
+				break
+			}
+			old.Close()
 		}
 		if l.rSeg == 0 {
 			l.invalidateCursorLocked()

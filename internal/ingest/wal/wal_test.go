@@ -250,10 +250,10 @@ func TestOffsetsRoundTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		l.Next()
 	}
-	if err := l.CommitOffset(5, 10); err != nil {
+	if err := l.CommitOffset(5, 10, 15); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CommitOffset(9, 20); err != nil {
+	if err := l.CommitOffset(9, 20, 15); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -289,7 +289,7 @@ func TestOffsetsCorruptionDegrades(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		l.Append(payload(i))
 	}
-	if err := l.CommitOffset(3, 4); err != nil {
+	if err := l.CommitOffset(3, 4, 15); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -393,5 +393,71 @@ func TestOversizedRecordRejected(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(forged[segHeaderSize:]))
 	if _, err := readRecord(br, 64); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("forged length read as %v, want ErrCorruptRecord", err)
+	}
+}
+
+// TestCommitRetentionAndActiveSegmentGC: a commit keeps only as many
+// older offsets as the committer asks for, drops entries above its t
+// (an abandoned life of the stream), and — once every record is
+// consumed and below the floor — collects the active segment too,
+// leaving a fresh empty one whose numbering continues.
+func TestCommitRetentionAndActiveSegmentGC(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir}) // one 4 MiB segment throughout
+	for i := 1; i <= 10; i++ {
+		if _, err := l.Append(payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Reclaimable(10) {
+		t.Fatal("Reclaimable before the reader passed the segment")
+	}
+	drainAll(t, l, 1)
+	for _, c := range []struct{ t, seq int }{{2, 4}, {4, 6}, {9, 9}, {6, 8}} {
+		if err := l.CommitOffset(c.t, uint64(c.seq), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// {6,8} keeps one older entry, {4,6}; {2,4} aged out, {9,9} is above.
+	if _, ok := l.OffsetFor(3); ok {
+		t.Fatal("entry t=2 survived a commit that keeps one older offset")
+	}
+	if seq, _ := l.OffsetFor(100); seq != 8 {
+		t.Fatalf("OffsetFor(100) = %d, want 8: the entry above the committed t must go", seq)
+	}
+	if l.DiskBytes() <= segHeaderSize {
+		t.Fatal("active segment collected while records 7..10 are above the floor")
+	}
+	if !l.Reclaimable(10) {
+		t.Fatal("not Reclaimable with every record consumed")
+	}
+	if err := l.CommitOffset(7, 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	if l.Segments() != 1 || l.DiskBytes() != segHeaderSize {
+		t.Fatalf("segments=%d disk=%d after a fully consumed commit, want one empty segment", l.Segments(), l.DiskBytes())
+	}
+	if seq, err := l.Append(payload(11)); err != nil || seq != 11 {
+		t.Fatalf("append after collection: seq=%d err=%v, want 11", seq, err)
+	}
+	l.Close()
+	l2, rec := mustOpen(t, Options{Dir: dir})
+	defer l2.Close()
+	if rec.Records != 1 || drainAll(t, l2, 11) != 1 {
+		t.Fatalf("reopen found %d records, want the one appended after collection", rec.Records)
+	}
+}
+
+// TestSegmentDefaultFollowsCap: disk is reclaimed a segment at a time,
+// so the default segment size shrinks to a quarter of a small MaxBytes.
+func TestSegmentDefaultFollowsCap(t *testing.T) {
+	if got := (Options{MaxBytes: 1 << 20}).withDefaults().SegmentBytes; got != 256<<10 {
+		t.Fatalf("SegmentBytes = %d under a 1 MiB cap, want 256 KiB", got)
+	}
+	if got := (Options{MaxBytes: 1 << 20, SegmentBytes: 1 << 20}).withDefaults().SegmentBytes; got != 1<<20 {
+		t.Fatalf("explicit SegmentBytes overridden to %d", got)
+	}
+	if got := (Options{}).withDefaults().SegmentBytes; got != 4<<20 {
+		t.Fatalf("SegmentBytes = %d without a cap, want 4 MiB", got)
 	}
 }

@@ -69,19 +69,21 @@ func sweepStaleTemps(dir string) {
 // Dir returns the checkpoint directory.
 func (m *Manager) Dir() string { return m.dir }
 
-// Every returns the checkpoint interval in slices.
-func (m *Manager) Every() int { return m.every }
+// Keep returns how many checkpoints the manager retains.
+func (m *Manager) Keep() int { return m.keep }
 
 // Path returns the checkpoint file path for slice counter t.
 func (m *Manager) Path(t int) string {
 	return filepath.Join(m.dir, fmt.Sprintf("ckpt-%09d%s", t, checkpointExt))
 }
 
-// MaybeWrite checkpoints the state when the slice counter t is a
-// multiple of the interval. It returns the written path ("" when the
-// interval did not trigger).
+// Due reports whether slice counter t is a multiple of the interval.
+func (m *Manager) Due(t int) bool { return t > 0 && t%m.every == 0 }
+
+// MaybeWrite checkpoints the state when t is Due. It returns the
+// written path ("" when the interval did not trigger).
 func (m *Manager) MaybeWrite(t int, s StateWriter) (string, error) {
-	if t <= 0 || t%m.every != 0 {
+	if !m.Due(t) {
 		return "", nil
 	}
 	return m.Write(t, s)

@@ -212,43 +212,6 @@ type Stats struct {
 	// outcomes during ProcessStreamContext.
 	CheckpointWrites int
 	CheckpointErrors int
-	// OverloadSheds counts slices the ingestion pipeline shed under
-	// load (queue policy, staleness, or the drain deadline) instead of
-	// solving.
-	OverloadSheds int
-	// OverloadCoalesced counts slices the ingestion pipeline merged
-	// into a coarser slice under the Coalesce shed policy.
-	OverloadCoalesced int
-	// StaleSheds counts the subset of OverloadSheds dropped because
-	// they exceeded the max-lag deadline between admission and solving.
-	StaleSheds int
-	// DrainedSlices counts slices processed during a graceful drain
-	// (after the producer stopped, before shutdown).
-	DrainedSlices int
-	// BreakerOpens counts circuit-breaker open transitions (the solver
-	// loop hit the consecutive-failure threshold, or a half-open probe
-	// failed).
-	BreakerOpens int
-	// BreakerProbes counts half-open probe slices admitted after a
-	// cooldown.
-	BreakerProbes int
-	// BreakerSheds counts slices refused at admission while the breaker
-	// was open — the serving layer's distinct shed cause, kept separate
-	// from the queue-policy and staleness sheds in OverloadSheds'
-	// accounting.
-	BreakerSheds int
-	// SpilledSlices counts slices diverted to the durable on-disk WAL
-	// backlog under the Spill shed policy instead of being dropped.
-	SpilledSlices int
-	// SpillReplayed counts slices read back from the WAL backlog into
-	// the queue — both live drain as capacity freed and startup replay
-	// after a crash.
-	SpillReplayed int
-	// SpillPending is the durable backlog still on disk when the stats
-	// were folded: spilled (plus crash-recovered) minus replayed. These
-	// slices are not lost — they are processed when capacity frees or
-	// after a restart.
-	SpillPending int
 }
 
 // renameFile is the rename step of AtomicWriteFile, indirected so the

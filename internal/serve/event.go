@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -37,4 +38,25 @@ func ParseEvent(line string, dims []int) (sptensor.Event, error) {
 		ev.Value = v
 	}
 	return ev, nil
+}
+
+// ParseDims parses the -dims flag every event-feed front end takes
+// (watch, spstreamd, the gateway): comma-separated mode lengths, at
+// least two, each positive.
+func ParseDims(s string) ([]int, error) {
+	if s == "" {
+		return nil, errors.New("-dims is required")
+	}
+	var dims []int
+	for _, part := range strings.Split(s, ",") {
+		d, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || d < 1 {
+			return nil, fmt.Errorf("bad dimension %q", part)
+		}
+		dims = append(dims, d)
+	}
+	if len(dims) < 2 {
+		return nil, errors.New("need at least 2 modes")
+	}
+	return dims, nil
 }

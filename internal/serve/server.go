@@ -106,16 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8
 	}
-	if c.Policy == ingest.Block {
-		// Blocking admission would turn queue pressure into hung HTTP
-		// requests; shedding + 429 is the serving-layer contract.
-		c.Policy = ingest.DropNewest
-	}
-	if c.SpillDir != "" {
-		// A spill directory arms the durable backlog: overflow rides the
-		// WAL instead of being shed.
-		c.Policy = ingest.Spill
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -165,7 +155,6 @@ type Server struct {
 	dec     *core.Decomposer
 	pipe    *ingest.Pipeline
 	breaker *resilience.Breaker
-	ckpt    *resilience.Manager
 
 	// snap is the published model; handlers only ever load it.
 	snap atomic.Pointer[FactorSnapshot]
@@ -183,42 +172,78 @@ type Server struct {
 	httpSrv  *http.Server
 }
 
-// New builds the server: decomposer (restored from the newest
-// checkpoint when CheckpointDir has one), pipeline, breaker, and
-// routes. The pipeline is not started until Run.
-func New(cfg Config) (*Server, error) {
+// NewPipeline assembles the durable run a live front end sits on —
+// spstreamd through New, cmd/watch directly: the checkpoint manager when
+// cfg.CheckpointDir is set, a decomposer carrying it and restored from
+// the newest valid checkpoint there, and the ingest pipeline over that
+// decomposer, with the spill WAL when cfg.SpillDir is set. From here on
+// the pipeline owns the run's durability: replay from the restored T(),
+// the WAL offset before every due checkpoint, the final pair at Drain.
+// own carries what is the caller's — Gate, Degrade, OnResult, OnError —
+// and its queue, policy, lag, drain and spill settings come from cfg.
+func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipeline, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg}
-
-	var err error
 	if cfg.CheckpointDir != "" {
-		s.ckpt, err = resilience.NewManager(cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointKeep)
+		mgr, err := resilience.NewManager(cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointKeep)
 		if err != nil {
-			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
+			return nil, nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 		}
+		rc := *cfg.Options.Resilience // the caller's struct stays as it was
+		rc.Checkpoint = mgr
+		cfg.Options.Resilience = &rc
 	}
-	s.dec, err = core.NewDecomposer(cfg.Dims, cfg.Options)
+	dec, err := core.NewDecomposer(cfg.Dims, cfg.Options)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if s.ckpt != nil {
-		path, err := s.ckpt.RestoreLatest(s.dec.RestoreState)
+	if mgr := dec.Checkpoints(); mgr != nil {
+		path, err := mgr.RestoreLatest(dec.RestoreState)
 		switch {
 		case err == nil:
-			cfg.Logf("restored checkpoint %s (t=%d)", path, s.dec.T())
+			cfg.Logf("restored checkpoint %s (t=%d)", path, dec.T())
 		case errors.Is(err, resilience.ErrNoCheckpoint):
 			// Fresh start.
 		default:
-			return nil, fmt.Errorf("serve: restore: %w", err)
+			return nil, nil, fmt.Errorf("serve: restore: %w", err)
 		}
 	}
+	own.QueueCap, own.Policy, own.MaxLag, own.DrainTimeout = cfg.QueueCap, cfg.Policy, cfg.MaxLag, cfg.DrainTimeout
+	own.Spill = &ingest.SpillConfig{Dir: cfg.SpillDir, MaxBytes: cfg.SpillMaxBytes, FsyncInterval: cfg.SpillFsyncInterval}
+	pipe, err := ingest.New(dec, own)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n := pipe.Stats().SpillRecovered; n > 0 {
+		cfg.Logf("spill: recovered %d durable backlog slices (replay bound to t=%d)", n, dec.T())
+	}
+	return dec, pipe, nil
+}
 
+// New builds the server: the durable run (NewPipeline), breaker, and
+// routes. The pipeline is not started until Run.
+func New(cfg Config) (*Server, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Policy == ingest.Block {
+		// Blocking admission would turn queue pressure into hung HTTP
+		// requests; shedding + 429 is the serving-layer contract.
+		cfg.Policy = ingest.DropNewest
+	}
+	s := &Server{cfg: cfg}
 	s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 		FailureThreshold: cfg.BreakerFailures,
 		Cooldown:         cfg.BreakerCooldown,
 	})
 	s.acc = sptensor.NewWindowAccumulator(cfg.Dims, cfg.WindowEvents)
 
+	var err error
+	s.dec, s.pipe, err = NewPipeline(cfg, ingest.Config{
+		Gate:     s.breaker.Allow,
+		OnResult: s.onResult,
+		OnError:  s.onError,
+	})
+	if err != nil {
+		return nil, err
+	}
 	// Snapshot publication rides the commit hook: it fires only after a
 	// slice commits, on the consumer goroutine, with the decomposer
 	// quiescent — the only moment a copy is both safe and guaranteed
@@ -226,37 +251,6 @@ func New(cfg Config) (*Server, error) {
 	s.dec.SetCommitHook(func(res core.SliceResult) {
 		s.snap.Store(TakeSnapshot(s.dec, res.Fit))
 	})
-
-	// The durable backlog replays from the offset bound to the restored
-	// checkpoint, so a restart neither re-solves committed slices nor
-	// drops admitted ones.
-	var spill *ingest.SpillConfig
-	if cfg.SpillDir != "" {
-		spill = &ingest.SpillConfig{
-			Dir:           cfg.SpillDir,
-			MaxBytes:      cfg.SpillMaxBytes,
-			FsyncInterval: cfg.SpillFsyncInterval,
-			ReplayFrom:    s.dec.T(),
-		}
-	}
-	s.pipe, err = ingest.New(s.dec, ingest.Config{
-		QueueCap:     cfg.QueueCap,
-		Policy:       cfg.Policy,
-		MaxLag:       cfg.MaxLag,
-		DrainTimeout: cfg.DrainTimeout,
-		Spill:        spill,
-		Gate:         s.breaker.Allow,
-		OnResult:     s.onResult,
-		OnError:      s.onError,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if spill != nil {
-		if n := s.pipe.Stats().SpillRecovered; n > 0 {
-			cfg.Logf("spill: recovered %d durable backlog slices (replay bound to t=%d)", n, spill.ReplayFrom)
-		}
-	}
 
 	// The pre-stream snapshot: reads before the first committed slice
 	// see the (restored or initial) state, never a 404 race.
@@ -269,31 +263,23 @@ func New(cfg Config) (*Server, error) {
 }
 
 // onResult runs on the pipeline's consumer goroutine after every
-// committed slice: breaker success, periodic checkpoint, stats.
+// committed slice (and after the pipeline wrote the checkpoint, when
+// one was due): breaker success, stats.
 func (s *Server) onResult(res core.SliceResult) {
 	s.breaker.OnSuccess()
-	if s.ckpt != nil {
-		t := s.dec.T()
-		// The replay/offset protocol: durably bind the spill-consumption
-		// offset BEFORE the checkpoint that depends on it, and only when a
-		// checkpoint is actually due (each mark costs an fsync).
-		if t > 0 && t%s.cfg.CheckpointEvery == 0 {
-			if err := s.pipe.SpillMark(t); err != nil {
-				s.cfg.Logf("spill offset commit failed: %v", err)
-			}
-		}
-		if _, err := s.ckpt.MaybeWrite(t, s.dec); err != nil {
-			s.cfg.Logf("checkpoint write failed: %v", err)
-		}
-	}
 	s.publishStats(res.Fit)
 }
 
 // onError runs on the consumer goroutine for absorbed per-slice
 // errors. Staleness (the max-lag deadline) is overload, not solver
 // sickness — it must not open the breaker, or a traffic spike would be
-// misdiagnosed as a broken solver and turn 429s into 503s.
+// misdiagnosed as a broken solver and turn 429s into 503s. Neither is a
+// failed offset commit or checkpoint write: the slice itself committed.
 func (s *Server) onError(err error) {
+	if errors.Is(err, ingest.ErrDurability) {
+		s.cfg.Logf("%v", err)
+		return
+	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		s.breaker.OnFailure()
 		if st := s.breaker.Snapshot(); st.State == resilience.BreakerOpen {
@@ -336,8 +322,9 @@ func (s *Server) Handler() http.Handler {
 
 // Run serves HTTP on ln until ctx is cancelled, then performs the
 // graceful shutdown: stop admissions, flush the partial window, drain
-// the backlog (bounded by DrainTimeout), fold the breaker counters,
-// write the final checkpoint, and finish in-flight reads. It returns
+// the backlog (bounded by DrainTimeout; the pipeline commits the final
+// WAL offset and writes the final checkpoint), and finish in-flight
+// reads. It returns
 // the fatal serve error, or nil after a clean drain.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	s.pipe.Start(context.Background())
@@ -364,17 +351,10 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	s.accMu.Unlock()
 
 	snap := s.pipe.Drain(context.Background())
-	// The pipeline is quiescent now: fold the breaker's counters into
-	// the decomposer's recovery stats and republish.
-	bs := s.breaker.Snapshot()
-	s.dec.NoteBreaker(int(bs.Opens), int(bs.Probes), int(snap.ShedBreaker))
-	s.publishStats(math.NaN())
-
-	if s.ckpt != nil && s.dec.T() > 0 {
-		if path, err := s.ckpt.Write(s.dec.T(), s.dec); err != nil {
-			s.cfg.Logf("final checkpoint failed: %v", err)
-		} else {
-			s.cfg.Logf("final checkpoint: %s", path)
+	s.publishStats(math.NaN()) // the pipeline is quiescent now
+	if mgr := s.dec.Checkpoints(); mgr != nil {
+		if cks := mgr.Checkpoints(); len(cks) > 0 {
+			s.cfg.Logf("newest checkpoint: %s", cks[0])
 		}
 	}
 

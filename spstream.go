@@ -84,7 +84,9 @@ type (
 	// (Decomposer.ResilienceStats).
 	ResilienceStats = resilience.Stats
 	// CheckpointManager writes crash-safe periodic checkpoints into a
-	// directory and restores the newest valid one.
+	// directory and restores the newest valid one. Set it as
+	// ResilienceConfig.Checkpoint and whichever loop owns the run —
+	// ProcessStream or an IngestPipeline — writes the checkpoints.
 	CheckpointManager = resilience.Manager
 	// IngestPipeline is the bounded live-ingestion pipeline: a shed
 	// queue feeding a consumer goroutine, with optional lag-aware
@@ -99,9 +101,11 @@ type (
 	// (IngestConfig.Degrade).
 	DegradeConfig = ingest.ControllerConfig
 	// SpillConfig configures the durable spill-to-disk backlog
-	// (IngestConfig.Spill, required by ShedSpill): WAL directory, disk
-	// budget, group-commit window, and the checkpoint counter to replay
-	// from after a crash.
+	// (IngestConfig.Spill; a Dir implies ShedSpill): WAL directory, disk
+	// budget, group-commit window. Replay after a crash starts from the
+	// decomposer's own T(), and a decomposer that carries a checkpoint
+	// manager (ResilienceConfig.Checkpoint) is checkpointed by the
+	// pipeline, WAL offset first.
 	SpillConfig = ingest.SpillConfig
 	// OverloadStats is a point-in-time snapshot of the overload
 	// counters (produced, processed, shed, coalesced, …).
@@ -163,8 +167,13 @@ func NewIngestPipeline(proc ingest.Processor, cfg IngestConfig) (*IngestPipeline
 func ParseShedPolicy(s string) (ShedPolicy, error) { return ingest.ParseShedPolicy(s) }
 
 // ErrIngestDraining is returned by IngestPipeline.Offer after Drain has
-// begun.
-var ErrIngestDraining = ingest.ErrDraining
+// begun; ErrIngestDurability wraps what IngestConfig.OnError receives
+// when an offset commit, checkpoint write or WAL close failed — the
+// slice outcomes stand, their durability is in doubt.
+var (
+	ErrIngestDraining   = ingest.ErrDraining
+	ErrIngestDurability = ingest.ErrDurability
+)
 
 // Resilience sentinel errors, matched with errors.Is.
 var (
