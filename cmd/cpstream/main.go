@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"spstream"
+	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
 	"spstream/internal/trace"
 	"spstream/internal/version"
@@ -273,7 +274,8 @@ func solve(ctx context.Context, dec *spstream.Decomposer, x *spstream.Tensor, pa
 }
 
 // table prints the per-slice rows; eval adds the column that says how a
-// block slice was evaluated (resident or streamed).
+// block slice was evaluated: in-memory, or streamed with the share of
+// its permutations and blocks the budget kept resident between passes.
 type table struct {
 	w         io.Writer
 	fit, eval bool
@@ -281,7 +283,7 @@ type table struct {
 
 func (t table) line(slice, nnz, iters, delta, fit, elapsed, eval, conv string) {
 	if t.eval { // one more right-aligned column, between time and conv
-		elapsed = fmt.Sprintf("%10s %10s", elapsed, eval)
+		elapsed = fmt.Sprintf("%10s %13s", elapsed, eval)
 	}
 	fmt.Fprintf(t.w, "%6s %10s %6s %12s %10s %10s %8s\n", slice, nnz, iters, delta, fit, elapsed, conv)
 }
@@ -397,7 +399,9 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 		}
 		eval := ""
 		if path != "" {
-			eval = dec.LastEvalMode().String()
+			if eval = dec.LastEvalMode().String(); dec.LastEvalMode() == perfmodel.EvalStreamed {
+				eval = fmt.Sprintf("%s %.0f%%", eval, 100*dec.LastResidency().Share())
+			}
 		}
 		tbl.row(res, time.Since(start).Round(time.Microsecond).String(), eval)
 		processed++

@@ -64,6 +64,7 @@ type oocRun struct {
 	liveB    int64 // post-GC live-heap delta after the run
 	peakB    int64 // sampled HeapAlloc high-water delta during the run
 	evalMode perfmodel.EvalMode
+	resident float64 // share of the slice's permutations and blocks kept between passes
 }
 
 func (h *harness) ooc() error {
@@ -118,15 +119,19 @@ func (h *harness) ooc() error {
 
 	fmt.Fprintf(h.out, "\nbudget=%s  ceiling=%s  rank=%d  iters=%d  workers=%d\n\n",
 		fmtBytes(oocBudget), fmtBytes(oocBudget+oocBudget/4), rank, 4, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(h.out, "%-16s %10s %-10s %12s %10s %12s %12s\n",
+	fmt.Fprintf(h.out, "%-16s %10s %-13s %12s %10s %12s %12s\n",
 		"run", "nnz", "eval", "wall", "Mnnz/s", "live-heap", "peak-heap")
 
 	for _, r := range runs {
 		if err := h.oocMeasure(r, dims, rank, paths[r.scale]); err != nil {
 			return err
 		}
-		fmt.Fprintf(h.out, "%-16s %10d %-10s %12s %10.2f %12s %12s\n",
-			r.name, r.nnz, r.evalMode, r.wall.Round(time.Millisecond),
+		eval := r.evalMode.String()
+		if r.evalMode == perfmodel.EvalStreamed {
+			eval = fmt.Sprintf("%s %.0f%%", eval, 100*r.resident)
+		}
+		fmt.Fprintf(h.out, "%-16s %10d %-13s %12s %10.2f %12s %12s\n",
+			r.name, r.nnz, eval, r.wall.Round(time.Millisecond),
 			float64(r.nnz)/1e6/r.wall.Seconds(),
 			fmtBytes(r.liveB), fmtBytes(r.peakB))
 	}
@@ -210,7 +215,7 @@ func (h *harness) oocMeasure(r *oocRun, dims []int, rank int, path string) error
 		wall := time.Since(start)
 		high := stop()
 
-		r.evalMode = dec.LastEvalMode()
+		r.evalMode, r.resident = dec.LastEvalMode(), dec.LastResidency().Share()
 		if r.evalMode != r.want {
 			br.Close()
 			return fmt.Errorf("%s: selector chose %s, expected %s (nnz=%d budget=%d)",

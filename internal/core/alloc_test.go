@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"spstream/internal/perfmodel"
 	"spstream/internal/sptensor"
 )
 
@@ -81,44 +82,65 @@ func TestSpCPIterateZeroAlloc(t *testing.T) {
 // TestStreamedIterateZeroAlloc is the same property with a block source
 // as the explicit body's input: after one slice has grown the streamed
 // kernel's buffers, compiling the next source's schedule, iterating on
-// it and scoring its fit allocate nothing.
+// it and scoring its fit allocate nothing — with nothing resident, and
+// with the arena holding every permutation and block of a source that
+// decodes into the kernel's buffers.
 func TestStreamedIterateZeroAlloc(t *testing.T) {
-	s := skewedStream(t, 314)
-	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Seed: 7, Workers: 1, TrackFit: true, MemBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srcs []sptensor.BlockSource
-	for _, x := range s.Slices[:2] {
-		src, err := sptensor.SplitBlocks(x, 120)
+	for _, resident := range []bool{false, true} {
+		// The skewed stream's dense state alone is more than a slice's
+		// resident estimate: a budget with room for the arena would not
+		// stream it.
+		s := skewedStream(t, 314)
+		if resident {
+			s = testStream(t, 315, []int{40, 30, 50}, 1500, 2)
+		}
+		opt := Options{Rank: 4, Algorithm: Optimized, Seed: 7, Workers: 1, TrackFit: true, MemBudget: 1}
+		var srcs []sptensor.BlockSource
+		for _, x := range s.Slices[:2] {
+			blocks, err := sptensor.SplitBlocks(x, 120)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs = append(srcs, &countingSource{BlockSource: blocks, decode: resident})
+		}
+		if resident {
+			// Room for all of the larger slice.
+			for _, src := range srcs {
+				budget, _, _ := budgetFor(opt, src, len(s.Dims)*src.Blocks(), src.Blocks())
+				opt.MemBudget = max(opt.MemBudget, budget)
+			}
+		}
+		d, err := NewDecomposer(s.Dims, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs = append(srcs, src)
-	}
-	if _, err := d.ProcessBlockSlice(srcs[0]); err != nil {
-		t.Fatal(err)
-	}
-	in := sliceData{src: srcs[1]}
-	run, err := d.beginExplicit(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.iterateExplicit(run); err != nil { // warm scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := d.streamKernel().Begin(srcs[1]); err != nil {
+		if _, err := d.ProcessBlockSlice(srcs[0]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.iterateExplicit(run); err != nil {
+		in := sliceData{src: srcs[1]}
+		run, err := d.beginExplicit(in)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.sliceFit(in); err != nil {
+		if _, err := d.iterateExplicit(run); err != nil { // warm scratch
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("streamed inner iteration allocates %.1f times per run, want 0", allocs)
+		if got := d.LastResidency(); d.LastEvalMode() != perfmodel.EvalStreamed || resident != (got.Share() == 1) {
+			t.Fatalf("resident=%v: evaluated %v with %+v resident", resident, d.LastEvalMode(), got)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := d.streamKernel().Begin(srcs[1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.iterateExplicit(run); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.sliceFit(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("resident=%v: streamed inner iteration allocates %.1f times per run, want 0", resident, allocs)
+		}
 	}
 }

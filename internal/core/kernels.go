@@ -87,22 +87,16 @@ func (d *Decomposer) mttkrpTime(dst []float64, in sliceData, factors []*dense.Ma
 	return nil
 }
 
-// norm2 returns ‖X‖² of the slice. A source accumulates block by block
-// in block order — the same left-to-right summation Norm2 performs on
-// the materialized concatenation.
+// norm2 returns ‖X‖² of the slice. A source's was summed block by block
+// by the pass that compiled its schedule — the same left-to-right
+// summation Norm2 performs on the materialized concatenation.
 func (d *Decomposer) norm2(in sliceData) (float64, error) {
 	if in.src == nil {
 		return in.x.Norm2(), nil
 	}
-	sum := 0.0
-	for b := 0; b < in.src.Blocks(); b++ {
-		blk, err := in.src.Block(b)
-		if err != nil {
-			return 0, fmt.Errorf("core: streamed ‖X‖²: %w", err)
-		}
-		for _, v := range blk.Vals {
-			sum += v * v
-		}
+	sum, err := d.streamKernel().Norm2(in.src)
+	if err != nil {
+		return 0, fmt.Errorf("core: streamed ‖X‖²: %w", err)
 	}
 	return sum, nil
 }

@@ -10,6 +10,7 @@ import (
 	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
+	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
@@ -277,9 +278,13 @@ func TestColDotsWorkerIdentity(t *testing.T) {
 	}
 }
 
-// countingSource counts block decodes, through either method.
+// countingSource counts block decodes, through either method. With
+// decode set it serves BlockInto the way a reader does — copied into
+// the caller's buffer — so the kernel may keep the blocks of a MemBlocks
+// layout (empty and single-entry blocks included) in its arena.
 type countingSource struct {
 	sptensor.BlockSource
+	decode  bool
 	decodes atomic.Int64
 }
 
@@ -290,43 +295,132 @@ func (c *countingSource) Block(b int) (*sptensor.Tensor, error) {
 
 func (c *countingSource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
 	c.decodes.Add(1)
-	return c.BlockSource.BlockInto(b, buf)
+	blk, err := c.BlockSource.BlockInto(b, buf)
+	if err != nil || !c.decode {
+		return blk, err
+	}
+	t := &buf.Tensor
+	t.Dims, t.Vals = blk.Dims, append(t.Vals[:0], blk.Vals...)
+	if len(t.Inds) != len(blk.Inds) {
+		t.Inds = make([][]int32, len(blk.Inds))
+	}
+	for m, col := range blk.Inds {
+		t.Inds[m] = append(t.Inds[m][:0], col...)
+	}
+	return t, nil
 }
 
-// TestStreamedDecodeCount is the count behind the claim: a streamed
-// slice decodes every block once for the schedule compile, once for the
-// warm-start sₜ and once per factor mode per inner iteration — no
-// time-mode pass in the loop — plus once for ‖X‖² when the fit is
-// tracked, whose ⟨X, X̂⟩ costs no pass either. One worker, so that a pass
-// is exactly one decode of each block.
+// budgetFor is the budget arithmetic written out forwards: the smallest
+// Options.MemBudget at which a decomposer with these options keeps the
+// permutations of the first pairs (mode, block) pairs of src — mode-major
+// — and decoded copies of its first blocks blocks, and the bytes of each
+// it then holds. An unconstrained decomposer's dense state is the factor,
+// its A_{t−1} copy and Ψ per mode, plus the rollback snapshot under a
+// resilience policy; a worker's streaming buffers are one decoded block
+// and one permutation of the largest block.
+func budgetFor(opt Options, src sptensor.BlockSource, pairs, blocks int) (budget, permBytes, blockBytes int64) {
+	nb, entry, largest, rows := src.Blocks(), int64(4*len(src.Dims())+8), 0, 0
+	for _, d := range src.Dims() {
+		rows += 3 * d
+		if opt.Resilience != nil {
+			rows += d
+		}
+	}
+	for b := 0; b < nb; b++ {
+		largest = max(largest, src.BlockNNZ(b))
+	}
+	for p := 0; p < pairs; p++ {
+		permBytes += 4 * int64(src.BlockNNZ(p%nb))
+	}
+	for b := 0; b < blocks; b++ {
+		blockBytes += entry * int64(src.BlockNNZ(b))
+	}
+	return int64(8*opt.Rank*rows) + int64(opt.Workers*largest)*(entry+4) + permBytes + blockBytes, permBytes, blockBytes
+}
+
+// raggedBlocks cuts x into consecutive-run blocks of up to 200 nonzeros
+// with an empty block and a single-entry (so single-row) block among
+// them.
+func raggedBlocks(t testing.TB, x *sptensor.Tensor) *sptensor.MemBlocks {
+	t.Helper()
+	var blocks []*sptensor.Tensor
+	for lo, i := 0, 0; lo < x.NNZ(); i++ {
+		n := 200
+		if i < 4 {
+			n = []int{200, 0, 1, 99}[i]
+		}
+		hi := min(lo+n, x.NNZ())
+		b := &sptensor.Tensor{Dims: x.Dims, Inds: make([][]int32, x.NModes()), Vals: x.Vals[lo:hi]}
+		for m := range b.Inds {
+			b.Inds[m] = x.Inds[m][lo:hi]
+		}
+		blocks = append(blocks, b)
+		lo = hi
+	}
+	src, err := sptensor.NewMemBlocks(x.Dims, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// TestStreamedDecodeCount is the count behind both claims. A streamed
+// slice with nothing resident decodes every block once for the schedule
+// compile (which also sums ‖X‖² for a tracked fit, whose ⟨X, X̂⟩ costs no
+// pass either), once for the warm-start sₜ and once per factor mode per
+// inner iteration — no time-mode pass in the loop: 62 times for three
+// modes at 20 iterations. A block the budget keeps resident is decoded
+// by the compile alone: once, and with everything resident that is every
+// block; resident permutations change no count. One worker, so that a
+// pass is exactly one decode of each block that holds anything; an empty
+// block is only ever opened by the compile.
 func TestStreamedDecodeCount(t *testing.T) {
 	const iters = 20
 	for modes := 2; modes <= 4; modes++ {
-		s := reuseStream(t, 70, modes, 2)
+		dims := []int{60, 50, 40, 12}[:modes]
+		s := testStream(t, 70, dims, 1500, 2)
+		passes := int64(1 + 1 + modes*iters)
+		if modes == 3 && passes != 62 {
+			t.Fatalf("three modes make %d passes, want 62", passes)
+		}
 		for _, fit := range []bool{false, true} {
-			d, err := NewDecomposer(s.Dims, Options{
-				Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MemBudget: 1,
-				MaxIters: iters, Tol: 1e-300, TrackFit: fit,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ti, x := range s.Slices {
-				blocks, err := sptensor.SplitBlocks(x, 100)
+			opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MaxIters: iters, Tol: 1e-300, TrackFit: fit}
+			first := raggedBlocks(t, s.Slices[0])
+			nb := first.Blocks()
+			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
+				label := fmt.Sprintf("N=%d fit=%v pairs=%d blocks=%d", modes, fit, keep[0], keep[1])
+				var permBytes, blockBytes int64
+				if opt.MemBudget = 1; keep[0] >= 0 {
+					opt.MemBudget, permBytes, blockBytes = budgetFor(opt, first, keep[0], keep[1])
+				}
+				d, err := NewDecomposer(dims, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				src := &countingSource{BlockSource: blocks}
-				res, err := d.ProcessBlockSlice(src)
-				if err != nil || res.Iters != iters {
-					t.Fatalf("slice %d: %d iterations, %v", ti, res.Iters, err)
-				}
-				passes := 1 + 1 + modes*iters
-				if fit {
-					passes++
-				}
-				if got, want := src.decodes.Load(), int64(passes*blocks.Blocks()); got != want {
-					t.Fatalf("N=%d fit=%v slice %d: %d block decodes, want %d passes × %d blocks = %d", modes, fit, ti, got, passes, blocks.Blocks(), want)
+				for ti, x := range s.Slices {
+					blocks := raggedBlocks(t, x)
+					src := &countingSource{BlockSource: blocks, decode: true}
+					res, err := d.ProcessBlockSlice(src)
+					if err != nil || res.Iters != iters || d.LastEvalMode() != perfmodel.EvalStreamed {
+						t.Fatalf("%s slice %d: %d iterations, %v, %v", label, ti, res.Iters, d.LastEvalMode(), err)
+					}
+					got := d.LastResidency()
+					if ti == 0 && (got.PermBytes != permBytes || got.BlockBytes != blockBytes) {
+						t.Fatalf("%s: resident %+v, want %d permutation and %d block bytes", label, got, permBytes, blockBytes)
+					}
+					// Block b is resident when the prefix ending with it is.
+					want, prefix := int64(0), int64(0)
+					for b := 0; b < blocks.Blocks(); b++ {
+						prefix += int64(4*modes+8) * int64(blocks.BlockNNZ(b))
+						if blocks.BlockNNZ(b) == 0 || prefix <= got.BlockBytes {
+							want++
+						} else {
+							want += passes
+						}
+					}
+					if n := src.decodes.Load(); n != want {
+						t.Fatalf("%s slice %d: %d block decodes, want %d (%d passes, %d blocks, %d block bytes resident)", label, ti, n, want, passes, blocks.Blocks(), got.BlockBytes)
+					}
 				}
 			}
 		}

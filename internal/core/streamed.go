@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"spstream/internal/mttkrp"
 	"spstream/internal/perfmodel"
@@ -18,12 +19,14 @@ import (
 //     table, adaptive layout, and all.
 //   - EvalStreamed: the slice never materializes. The source itself is
 //     the slice driver's input, and every pass over the sparse data — the
-//     warm-start time-mode MTTKRP, one factor-mode MTTKRP per mode per
-//     inner iteration, the fit's ‖X‖² — streams over the blocks
-//     (mttkrpTime, mttkrpMode and norm2 in kernels.go), so the resident
-//     set is one decoded block per worker plus the factor matrices,
-//     independent of the slice's nonzero count. The per-iteration sₜ and
-//     the fit's ⟨X, X̂⟩ come from the last mode's MTTKRP, not a decode.
+//     warm-start time-mode MTTKRP and one factor-mode MTTKRP per mode
+//     per inner iteration — streams over the blocks (mttkrpTime and
+//     mttkrpMode in kernels.go), so the resident set is the factor
+//     matrices, one decoded block per worker and what else of the slice
+//     the budget has room for (streamKernel below), never more for a
+//     larger slice. The per-iteration sₜ and the fit's ⟨X, X̂⟩ come from
+//     the last mode's MTTKRP and its ‖X‖² from the schedule compile, not
+//     a decode.
 //
 // A streamed slice runs the explicit (Algorithm 1) body with the
 // optimized kernels: mttkrp.StreamKernel is bit-identical to the
@@ -43,12 +46,38 @@ import (
 // fed through ProcessSlice do not update it.
 func (d *Decomposer) LastEvalMode() perfmodel.EvalMode { return d.lastEval }
 
+// LastResidency reports how much of the most recent streamed slice the
+// kernel kept decoded and sorted between passes, out of what share of
+// Options.MemBudget — zero before the first streamed slice.
+func (d *Decomposer) LastResidency() mttkrp.Residency {
+	if d.sk == nil {
+		return mttkrp.Residency{}
+	}
+	return d.sk.Residency()
+}
+
 // streamKernel lazily creates the pooled streaming kernel. It shares
 // the Decomposer's mttkrp.Computer, so worker count and scratch follow
-// the same configuration as the in-memory kernels.
+// the same configuration as the in-memory kernels, and may hold what
+// Options.MemBudget leaves after the I×K matrices a streamed slice
+// keeps, each counted once per mode: the factor, its A_{t−1} copy and Ψ,
+// the rollback snapshot under a resilience policy and, under a
+// constraint, ADMM's U, Ã and A₀ for the longest mode and the last
+// mode's raw M.
 func (d *Decomposer) streamKernel() *mttkrp.StreamKernel {
 	if d.sk == nil {
+		rows, copies := 0, 3
+		if d.opt.Resilience != nil {
+			copies++
+		}
+		for _, dim := range d.dims {
+			rows += copies * dim
+		}
+		if d.opt.Constraint != nil {
+			rows += 3*slices.Max(d.dims) + d.dims[d.n-1]
+		}
 		d.sk = mttkrp.NewStreamKernel(d.mt)
+		d.sk.SetShare(d.opt.MemBudget - int64(8*d.k*rows))
 	}
 	return d.sk
 }

@@ -115,6 +115,61 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestStreamedResidentMatchesInMemory is the same equivalence with the
+// idle budget spent: whatever share of a slice's permutations and blocks
+// the kernel keeps between passes — nothing (MemBudget 1), some
+// permutations only, all of them and a block prefix, everything — the
+// factors, sₜ, δ and tracked fit equal the in-memory KernelPlan run's
+// bit for bit, at 1, 2 and 4 workers, for 2-, 3- and 4-mode slices cut
+// into ragged blocks with an empty and a single-row one among them, and
+// the decomposer reports the share it used.
+func TestStreamedResidentMatchesInMemory(t *testing.T) {
+	for modes := 2; modes <= 4; modes++ {
+		dims := []int{60, 50, 40, 12}[:modes]
+		stream := testStream(t, 19, dims, 1500, 3)
+		for _, workers := range []int{1, 2, 4} {
+			opt := Options{Rank: 4, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Layout: LayoutOff, Workers: workers, TrackFit: true, Seed: 7, MaxIters: 4, Tol: 1e-300}
+			first := raggedBlocks(t, stream.Slices[0])
+			nb := first.Blocks()
+			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
+				label := fmt.Sprintf("N=%d workers=%d pairs=%d blocks=%d", modes, workers, keep[0], keep[1])
+				mem, err := NewDecomposer(dims, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				optS := opt
+				var permBytes, blockBytes int64
+				if optS.MemBudget = 1; keep[0] >= 0 {
+					optS.MemBudget, permBytes, blockBytes = budgetFor(optS, first, keep[0], keep[1])
+				}
+				str, err := NewDecomposer(dims, optS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ti, x := range stream.Slices {
+					resS, errS := str.ProcessBlockSlice(&countingSource{BlockSource: raggedBlocks(t, x), decode: true})
+					resM, errM := mem.ProcessSlice(x)
+					if errS != nil || errM != nil || str.LastEvalMode() != perfmodel.EvalStreamed {
+						t.Fatalf("%s slice %d: streamed %v (%v), in-memory %v", label, ti, errS, str.LastEvalMode(), errM)
+					}
+					if got := str.LastResidency(); ti == 0 && (got.PermBytes != permBytes || got.BlockBytes != blockBytes) || keep[0] < 0 && got.Share() != 0 {
+						t.Fatalf("%s slice %d: resident %+v, want %d permutation and %d block bytes on slice 0", label, ti, got, permBytes, blockBytes)
+					}
+					if math.Float64bits(resS.Delta) != math.Float64bits(resM.Delta) || math.Float64bits(resS.Fit) != math.Float64bits(resM.Fit) {
+						t.Fatalf("%s slice %d: δ %g fit %g, in-memory δ %g fit %g", label, ti, resS.Delta, resS.Fit, resM.Delta, resM.Fit)
+					}
+					for n := range dims {
+						sameMatrixBits(t, fmt.Sprintf("%s slice %d factor %d", label, ti, n), str.Factor(n), mem.Factor(n))
+					}
+					if !slices.Equal(str.LastS(), mem.LastS()) {
+						t.Fatalf("%s slice %d: sₜ differs", label, ti)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBlockSliceMaterializes checks the other side of the budget: with
 // room to spare (or no budget at all) ProcessBlockSlice materializes
 // and takes the regular in-memory path, byte-identical to ProcessSlice.
@@ -243,10 +298,18 @@ func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor
 // depends on — the last mode of the last iteration — is reached at any
 // worker count by arming the source from the fault hook, which every
 // mode's Φ factorization calls.
+//
+// All of it twice: with nothing resident (MemBudget 1), and with a
+// budget that keeps every permutation and blocks 0–3 of 8. There the
+// flipped byte sits in a resident block and surfaces when Begin fills
+// the arena, and the block that goes away is one of the streamed
+// remainder, met at its pass. The next good slice is other data served
+// through the failed source's own address: had the kernel kept anything
+// of the lost attempt, the bits would show it.
 func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 	dims := []int{40, 30, 50}
 	const iters = 3
-	stream := testStream(t, 13, dims, 1500, 2)
+	stream := testStream(t, 13, dims, 1500, 3)
 	dir := t.TempDir()
 	var paths []string
 	for ti, x := range stream.Slices {
@@ -288,9 +351,10 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 		{"first iteration, last mode", true, int64(compile + warmStart + len(dims) - 1)},
 		{"last iteration, last mode", true, -1},
 	}
-	for _, workers := range []int{1, 2, 4} {
+	for _, run := range []struct{ workers, flaky int }{{1, 3}, {2, 3}, {4, 3}, {1, 6}, {2, 6}, {4, 6}} {
 		for _, tc := range cases {
-			label := fmt.Sprintf("workers=%d %s", workers, tc.name)
+			workers, partial := run.workers, run.flaky != 3
+			label := fmt.Sprintf("workers=%d partial=%v %s", workers, partial, tc.name)
 			opt := Options{Rank: 6, Algorithm: Optimized, Workers: workers, MemBudget: 1, Seed: 5, TrackFit: true, MaxIters: iters, Tol: 1e-300}
 			control, err := NewDecomposer(dims, opt)
 			if err != nil {
@@ -309,6 +373,9 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 					return nil
 				},
 			}
+			if partial {
+				opt.MemBudget, _, _ = budgetFor(opt, good, len(dims)*good.Blocks(), 4)
+			}
 			d, err := NewDecomposer(dims, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -318,19 +385,18 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var bad sptensor.BlockSource = open(flipped)
+			bad, badBlock := &flakySource{BlockSource: open(flipped), bad: -1}, 3
 			if tc.scan {
 				// The block goes away on some worker of the pool, and stays
 				// away for the retry.
-				flaky := &flakySource{BlockSource: good, bad: 3, good: tc.good}
+				bad, badBlock = &flakySource{BlockSource: good, bad: run.flaky, good: tc.good}, run.flaky
 				if tc.good < 0 {
-					flaky.good, arm = math.MaxInt64, flaky
+					bad.good, arm = math.MaxInt64, bad
 				}
-				bad = flaky
 			}
 			res, err := d.ProcessBlockSlice(bad)
-			if !errors.Is(err, resilience.ErrSliceSkipped) || !strings.Contains(err.Error(), "mttkrp: block 3:") {
-				t.Fatalf("%s: error %v, want a skipped slice naming block 3", label, err)
+			if !errors.Is(err, resilience.ErrSliceSkipped) || !strings.Contains(err.Error(), fmt.Sprintf("mttkrp: block %d:", badBlock)) {
+				t.Fatalf("%s: error %v, want a skipped slice naming block %d", label, err, badBlock)
 			}
 			if arm != nil && !arm.armed.Load() {
 				t.Fatalf("%s: the slice failed before its last pass", label)
@@ -345,9 +411,12 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 			for n := range dims {
 				sameMatrixBits(t, fmt.Sprintf("%s rolled-back factor %d", label, n), d.Factor(n), control.Factor(n))
 			}
+			// A new reader at the failed source's address.
+			bad.BlockSource, bad.bad = open(paths[2]), -1
+			bad.armed.Store(false)
 			var fits [2]float64
 			for i, dec := range []*Decomposer{control, d} {
-				res, err := dec.ProcessBlockSlice(open(paths[1]))
+				res, err := dec.ProcessBlockSlice([]sptensor.BlockSource{open(paths[2]), bad}[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -355,6 +424,9 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 			}
 			if math.Float64bits(fits[0]) != math.Float64bits(fits[1]) {
 				t.Fatalf("%s: next slice's fit %.17g, control %.17g", label, fits[1], fits[0])
+			}
+			if got := d.LastResidency(); partial != (got.BlockBytes > 0) {
+				t.Fatalf("%s: next slice resident %+v", label, got)
 			}
 			for n := range dims {
 				sameMatrixBits(t, fmt.Sprintf("%s next-slice factor %d", label, n), d.Factor(n), control.Factor(n))

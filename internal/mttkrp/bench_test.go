@@ -100,25 +100,30 @@ func oocSlice(b *testing.B) *ooc.BlockReader {
 
 // BenchmarkStreamMTTKRP times the streamed kernel per output mode on the
 // ooc-stream slice (schedule compiled outside the timer, like the plan
-// in BenchmarkPlanMTTKRP) and reports ns per nonzero.
+// in BenchmarkPlanMTTKRP) and reports ns per nonzero: with no share
+// (every block decoded and sorted each pass), with a share the
+// permutations and some blocks fit, and with everything resident.
 func BenchmarkStreamMTTKRP(b *testing.B) {
 	r := oocSlice(b)
-	sk := NewStreamKernel(NewComputer(0))
 	const k = 16
 	factors := randomFactors(32, r.Dims(), k)
-	if err := sk.Begin(r); err != nil {
-		b.Fatal(err)
-	}
-	for mode, d := range r.Dims() {
-		out := dense.NewMatrix(d, k)
-		b.Run(fmt.Sprintf("K=%d/mode=%d", k, mode), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := sk.MTTKRP(out, r, factors, mode); err != nil {
-					b.Fatal(err)
+	for _, share := range []int64{0, 12 << 20, 32 << 20} {
+		sk := NewStreamKernel(NewComputer(0))
+		sk.SetShare(share)
+		if err := sk.Begin(r); err != nil {
+			b.Fatal(err)
+		}
+		for mode, d := range r.Dims() {
+			out := dense.NewMatrix(d, k)
+			b.Run(fmt.Sprintf("K=%d/resident=%.0f%%/mode=%d", k, 100*sk.Residency().Share(), mode), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := sk.MTTKRP(out, r, factors, mode); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.NNZ()), "ns/nnz")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.NNZ()), "ns/nnz")
+			})
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spstream/internal/dense"
@@ -309,14 +310,14 @@ func TestStreamAlternatingSources(t *testing.T) {
 // TestStreamBeginAllocFree extends the steady-state contract to the
 // per-slice compile step: once the buffers have seen both sources, a
 // slice's worth of work — Begin, three MTTKRPs, a TimeMode, End —
-// allocates nothing on either.
+// allocates nothing on either, with no share and with the arena filled
+// from one (the file's blocks and both sources' permutations).
 func TestStreamBeginAllocFree(t *testing.T) {
 	srcs := rowOwnerSources(t)
 	pair := []sptensor.BlockSource{srcs["grid-2x2x2"], srcs["run-blocks"]}
 	const k = 8
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	sk := NewStreamKernel(NewComputerWithPool(2, pool))
 	var factors [2][]*dense.Matrix
 	var outs [2][]*dense.Matrix
 	for i, src := range pair {
@@ -326,25 +327,70 @@ func TestStreamBeginAllocFree(t *testing.T) {
 		}
 	}
 	dst := make([]float64, k)
-	slice := func() {
-		for i, src := range pair {
-			if err := sk.Begin(src); err != nil {
-				t.Fatal(err)
-			}
-			for mode, out := range outs[i] {
-				if err := sk.MTTKRP(out, src, factors[i], mode); err != nil {
+	for _, share := range []int64{0, 1 << 20} {
+		sk := NewStreamKernel(NewComputerWithPool(2, pool))
+		sk.SetShare(share)
+		slice := func() {
+			for i, src := range pair {
+				if err := sk.Begin(src); err != nil {
 					t.Fatal(err)
 				}
+				if (sk.Residency().Share() == 1) != (share > 0) {
+					t.Fatalf("share %d: resident %+v", share, sk.Residency())
+				}
+				for mode, out := range outs[i] {
+					if err := sk.MTTKRP(out, src, factors[i], mode); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sk.TimeMode(dst, src, factors[i]); err != nil {
+					t.Fatal(err)
+				}
+				sk.End()
 			}
-			if err := sk.TimeMode(dst, src, factors[i]); err != nil {
-				t.Fatal(err)
-			}
-			sk.End()
+		}
+		slice() // grow every buffer to the larger source
+		if allocs := testing.AllocsPerRun(10, slice); allocs != 0 {
+			t.Fatalf("share %d: steady-state streamed slice allocates %v times per run, want 0", share, allocs)
 		}
 	}
-	slice() // grow every buffer to the larger source
-	if allocs := testing.AllocsPerRun(10, slice); allocs != 0 {
-		t.Fatalf("steady-state streamed slice allocates %v times per run, want 0", allocs)
+}
+
+// pokeableFile writes x as a 2×2×2 grid of blocks, opens it, and returns
+// with the reader a function that overwrites the top byte of block b's
+// first mode-0 coordinate — 12 bytes of section header, 8 of nonzero
+// count, then the column — and returns the byte it replaced. 0x7f puts
+// the coordinate out of range: with the CRCs already checked, only the
+// per-decode coordinate validation can notice.
+func pokeableFile(t *testing.T, x *sptensor.Tensor) (*ooc.BlockReader, func(b int, v byte) byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "x.spblk")
+	if err := ooc.WriteTensor(path, x, x.NNZ()/8); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ooc.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	if r.Blocks() != 8 {
+		t.Fatalf("want a 2x2x2 grid, got %d blocks", r.Blocks())
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return r, func(b int, v byte) byte {
+		at := r.BlockOffset(b) + 12 + 8 + 3
+		var old [1]byte
+		if _, err := f.ReadAt(old[:], at); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{v}, at); err != nil {
+			t.Fatal(err)
+		}
+		return old[0]
 	}
 }
 
@@ -356,37 +402,8 @@ func TestStreamBeginAllocFree(t *testing.T) {
 // file is whole.
 func TestStreamDecodeErrorLowestBlock(t *testing.T) {
 	x := streamTensor(t, []int{60, 50, 40}, 4000, 41, false)
-	path := filepath.Join(t.TempDir(), "x.spblk")
-	if err := ooc.WriteTensor(path, x, 500); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ooc.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Blocks() != 8 {
-		t.Fatalf("want a 2x2x2 grid, got %d blocks", r.Blocks())
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	// The top byte of a block's first mode-0 coordinate: 12 bytes of
-	// section header, 8 of nonzero count, then the column.
+	r, poke := pokeableFile(t, x)
 	const lowBad, highBad = 2, 6
-	poke := func(b int, v byte) byte {
-		at := r.BlockOffset(b) + 12 + 8 + 3
-		var old [1]byte
-		if _, err := f.ReadAt(old[:], at); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte{v}, at); err != nil {
-			t.Fatal(err)
-		}
-		return old[0]
-	}
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	const k = 8
@@ -422,6 +439,166 @@ func TestStreamDecodeErrorLowestBlock(t *testing.T) {
 		}
 		poke(highBad, oldHigh)
 		poke(lowBad, oldLow)
+		tw.check(t, sk, fmt.Sprintf("workers=%d after repair", workers))
+	}
+}
+
+// decodingSource serves another source's blocks the way a reader does —
+// copied into the caller's buffer — and counts the calls, so a MemBlocks
+// layout (empty and single-row blocks included) is worth keeping in the
+// arena.
+type decodingSource struct {
+	sptensor.BlockSource
+	decodes atomic.Int64
+}
+
+func (d *decodingSource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor, error) {
+	d.decodes.Add(1)
+	blk, err := d.BlockSource.BlockInto(b, buf)
+	if err != nil {
+		return nil, err
+	}
+	t := &buf.Tensor
+	t.Dims, t.Vals = blk.Dims, append(t.Vals[:0], blk.Vals...)
+	if len(t.Inds) != len(blk.Inds) {
+		t.Inds = make([][]int32, len(blk.Inds))
+	}
+	for m, col := range blk.Inds {
+		t.Inds[m] = append(t.Inds[m][:0], col...)
+	}
+	return t, nil
+}
+
+// shareFor is plan's arithmetic written out forwards: the smallest share
+// at which a kernel of that many workers keeps the permutations of the
+// first pairs (mode, block) pairs of src — mode-major — and decoded
+// copies of its first blocks blocks, and the bytes of each it then holds.
+func shareFor(src sptensor.BlockSource, workers, pairs, blocks int) (share, permBytes, blockBytes int64) {
+	nb, entry, largest := src.Blocks(), int64(4*len(src.Dims())+8), 0
+	for b := 0; b < nb; b++ {
+		largest = max(largest, src.BlockNNZ(b))
+	}
+	for p := 0; p < pairs; p++ {
+		permBytes += 4 * int64(src.BlockNNZ(p%nb))
+	}
+	for b := 0; b < blocks; b++ {
+		blockBytes += entry * int64(src.BlockNNZ(b))
+	}
+	return int64(workers*largest)*(entry+4) + permBytes + blockBytes, permBytes, blockBytes
+}
+
+// arenaBytes is what the kernel's slabs hold, used or not.
+func arenaBytes(sk *StreamKernel) int64 {
+	return int64(4*cap(sk.ints) + 8*cap(sk.vals))
+}
+
+// TestStreamResidentMatchesPlan is the identity the arena must not
+// touch: at no share, one that holds some permutations only, one that
+// holds them all and half the blocks, and one that holds everything, for
+// 2-, 3- and 4-mode sources with ragged, empty and single-row blocks and
+// worker counts 1, 2 and 4, the first pass (which sorts into the arena)
+// and a second (which reads it back) both equal the plan kernels bit for
+// bit; the kernel reports exactly the bytes shareFor predicts and its
+// slabs hold them without overdrawing the arena; a source that serves
+// its own storage keeps permutations only; and with everything resident
+// nothing is decoded after Begin.
+func TestStreamResidentMatchesPlan(t *testing.T) {
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	srcs := rowOwnerSources(t)
+	srcs["two-mode"] = blockFile(t, streamTensor(t, []int{90, 70}, 3000, 51, true), 400)
+	srcs["four-mode"] = blockFile(t, streamTensor(t, []int{12, 9, 14, 8}, 3000, 52, false), 300)
+	srcs["decoded-odd"] = &decodingSource{BlockSource: srcs["empty-and-single-row"]}
+	for name, src := range srcs {
+		n, nb := len(src.Dims()), src.Blocks()
+		_, own := src.(*sptensor.MemBlocks)
+		counted, _ := src.(*decodingSource)
+		for _, workers := range []int{1, 2, 4} {
+			c := NewComputerWithPool(workers, pool)
+			tw := newStreamTwin(t, c, src, 9)
+			for _, keep := range [][2]int{{0, 0}, {nb + nb/2, 0}, {n * nb, nb / 2}, {n * nb, nb}} {
+				label := fmt.Sprintf("%s workers=%d pairs=%d blocks=%d", name, workers, keep[0], keep[1])
+				share, permBytes, blockBytes := shareFor(src, workers, keep[0], keep[1])
+				arena := permBytes + blockBytes // what the share leaves after the workers' buffers
+				if own {
+					blockBytes = 0
+				}
+				sk := NewStreamKernel(c)
+				sk.SetShare(share)
+				if counted != nil {
+					counted.decodes.Store(0)
+				}
+				tw.check(t, sk, label+" sorting pass")
+				tw.check(t, sk, label+" resident pass")
+				if got := sk.Residency(); got.PermBytes != permBytes || got.BlockBytes != blockBytes {
+					t.Fatalf("%s: resident %+v, want %d permutation and %d block bytes", label, got, permBytes, blockBytes)
+				}
+				if held := arenaBytes(sk); held < permBytes+blockBytes || held > arena {
+					t.Fatalf("%s: slabs hold %d bytes for %d resident in an arena of %d", label, held, permBytes+blockBytes, arena)
+				}
+				if keep[1] == nb && counted != nil && counted.decodes.Load() != int64(nb) {
+					t.Fatalf("%s: %d decodes of %d blocks with everything resident", label, counted.decodes.Load(), nb)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamArenaWithinShare hands one kernel, and so one set of grow-only
+// slabs, sources of very different sizes under one share: whatever mix
+// of permutations and blocks each keeps, the slabs' capacities never sum
+// to more than the share, and every source still equals the plan.
+func TestStreamArenaWithinShare(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	c := NewComputerWithPool(2, pool)
+	small := blockFile(t, streamTensor(t, []int{60, 50, 40}, 1500, 61, false), 200)
+	large := blockFile(t, streamTensor(t, []int{60, 50, 40}, 9000, 62, false), 1200)
+	// Everything of small fits; of large, not even the permutations.
+	share, _, _ := shareFor(large, 2, large.Blocks()+3, 0)
+	sk := NewStreamKernel(c)
+	sk.SetShare(share)
+	for round, src := range []sptensor.BlockSource{small, large, small, large} {
+		newStreamTwin(t, c, src, 8).check(t, sk, fmt.Sprintf("round %d", round))
+		res := sk.Residency()
+		if all := src == sptensor.BlockSource(small); all != (res.Share() == 1) || res.PermBytes == 0 {
+			t.Fatalf("round %d: resident %+v of share %d", round, res, share)
+		}
+		if held := arenaBytes(sk); held > share {
+			t.Fatalf("round %d: slabs hold %d bytes of a %d-byte share", round, held, share)
+		}
+	}
+}
+
+// TestStreamResidentFaults corrupts a resident block and a streamed one
+// after Begin has filled the arena from a partial share. The pass never
+// reads the resident block again, so it reports the streamed one; that
+// drops everything resident, so the recompile meets the other at fill;
+// and once the file is whole the kernel — decoding afresh — equals the
+// plan again.
+func TestStreamResidentFaults(t *testing.T) {
+	x := streamTensor(t, []int{60, 50, 40}, 4000, 43, false)
+	r, poke := pokeableFile(t, x)
+	const resident, streamed, k = 2, 6, 8
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	for _, workers := range []int{1, 2, 4} {
+		c := NewComputerWithPool(workers, pool)
+		share, _, _ := shareFor(r, workers, 3*r.Blocks(), 4)
+		sk := NewStreamKernel(c)
+		sk.SetShare(share)
+		tw := newStreamTwin(t, c, r, k)
+		tw.check(t, sk, fmt.Sprintf("workers=%d before", workers))
+		oldResident, oldStreamed := poke(resident, 0x7f), poke(streamed, 0x7f)
+		out := dense.NewMatrix(x.Dims[1], k)
+		if err := sk.MTTKRP(out, r, tw.factors, 1); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mttkrp: block %d:", streamed)) {
+			t.Fatalf("workers=%d: pass error %v, want block %d", workers, err, streamed)
+		}
+		poke(streamed, oldStreamed)
+		if err := sk.MTTKRP(out, r, tw.factors, 1); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mttkrp: block %d:", resident)) {
+			t.Fatalf("workers=%d: fill error %v, want block %d", workers, err, resident)
+		}
+		poke(resident, oldResident)
 		tw.check(t, sk, fmt.Sprintf("workers=%d after repair", workers))
 	}
 }

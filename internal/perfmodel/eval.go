@@ -14,8 +14,8 @@ const (
 	// in-memory kernels (plan / CSF, chosen per mode by SelectMTTKRP).
 	EvalInMemory EvalMode = iota
 	// EvalStreamed keeps the slice out of core and streams every kernel
-	// over its blocks; one decoded block per worker plus the factors
-	// stay resident.
+	// over its blocks; the factors, one decoded block per worker and
+	// what of the slice the budget has room for stay resident.
 	EvalStreamed
 )
 

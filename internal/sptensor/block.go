@@ -28,6 +28,8 @@ type BlockSource interface {
 	NNZ() int
 	// Blocks returns the number of blocks.
 	Blocks() int
+	// BlockNNZ returns block b's nonzero count without decoding it.
+	BlockNNZ(b int) int
 	// Block decodes block b (0 ≤ b < Blocks) into the source's own
 	// buffer; the next Block call invalidates the result.
 	Block(b int) (*Tensor, error)
@@ -99,6 +101,8 @@ func (mb *MemBlocks) Dims() []int { return mb.dims }
 func (mb *MemBlocks) NNZ() int { return mb.nnz }
 
 func (mb *MemBlocks) Blocks() int { return len(mb.blocks) }
+
+func (mb *MemBlocks) BlockNNZ(b int) int { return mb.blocks[b].NNZ() }
 
 func (mb *MemBlocks) Block(b int) (*Tensor, error) {
 	if b < 0 || b >= len(mb.blocks) {
