@@ -10,7 +10,7 @@ LDFLAGS   = -ldflags "-X spstream/internal/version.Version=$(VERSION) \
 	-X spstream/internal/version.Commit=$(COMMIT) \
 	-X spstream/internal/version.BuildDate=$(BUILDDATE)"
 
-.PHONY: all build test race cover bench bench-skew bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos loc clean
+.PHONY: all build test race cover bench bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos loc clean
 
 all: build test
 
@@ -29,7 +29,7 @@ cover:
 
 # Reproducible benchmark pipeline: MTTKRP kernel grid (lock / plan /
 # CSF, ns/op + B/op + allocs/op + effective GFLOP/s, worker sweep up to
-# GOMAXPROCS) and end-to-end slices under each kernel + layout policy,
+# GOMAXPROCS) and end-to-end slices under each kernel policy,
 # written to BENCH_PR10.json and compared against the previous committed
 # baseline, then the out-of-core flat-memory records are appended (the
 # ooc experiment preserves the bench records already in the file).
@@ -53,11 +53,6 @@ bench-ooc:
 
 bench-compare:
 	$(GO) run ./cmd/paperbench -exp bench -benchjson bench_fresh.json -compare $(BENCH_BASE)
-
-# Just the layout-sensitive configs (skewed + dupheavy): the quick
-# check that remapping still pays off on this host.
-bench-skew:
-	$(GO) run ./cmd/paperbench -exp bench -benchconfigs dupheavy,skewed
 
 # Per-config speedup table between two committed bench files:
 #   make benchcmp OLD=BENCH_PR5.json NEW=BENCH_PR6.json

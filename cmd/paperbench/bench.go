@@ -47,10 +47,6 @@ type benchRecord struct {
 	// K-wide multiply chain over the N−1 source modes plus the
 	// accumulate, per nonzero). Zero for slice benches.
 	GFLOPS float64 `json:"gflops,omitempty"`
-	// Remapped records the selector's remap verdict on the final slice
-	// of an end-to-end bench (slice records only). Files written before
-	// PR 24 also carry a hot_first key, which readers ignore.
-	Remapped bool `json:"remapped,omitempty"`
 	// LiveHeapBytes / PeakHeapBytes are the out-of-core experiment's
 	// memory evidence (ooc records only): post-GC live-heap delta and
 	// sampled heap high-water delta over the pre-run baseline.
@@ -79,9 +75,9 @@ type benchFile struct {
 // mode (heavy output-row sharing, the plan's worst case), a uniform
 // cube (both kernels comfortable), a duplicate-heavy slice whose
 // coalesced fiber tree is much smaller than its nonzero count (CSF's
-// best case), and a skewed slice with long, sparsely-touched modes —
-// the remap's target regime, where per-slice activity covers a small
-// hot fraction of huge factor matrices.
+// best case), and a skewed slice with long, sparsely-touched modes,
+// where per-slice activity covers a small hot fraction of huge factor
+// matrices.
 type benchConfig struct {
 	name  string
 	dists []synth.IndexDist
@@ -114,8 +110,7 @@ func benchSlices(cfg benchConfig, t int) ([]*sptensor.Tensor, []int, error) {
 }
 
 // benchSelected filters the grid by the -benchconfigs flag (empty =
-// all), so `make bench-skew` can rerun just the layout-sensitive
-// configs without the full grid's wall clock.
+// all).
 func (h *harness) benchSelected() ([]benchConfig, error) {
 	all := benchConfigs()
 	if h.benchOnly == "" {
@@ -197,11 +192,10 @@ func (h *harness) bench() error {
 
 	// --- end-to-end slices ---------------------------------------------
 	// Optimized CP-stream over the same configs under each forced policy
-	// plus Auto (with and without remapping, isolating its payoff); the
-	// selector check is that Auto never
-	// loses to the best forced kernel by more than measurement slack.
+	// plus Auto; the selector check is that Auto never loses to the best
+	// forced kernel by more than measurement slack.
 	fmt.Fprintf(h.out, "\nend-to-end slices (optimized CP-stream, %d inner iters, min of %d interleaved trials):\n", 4, e2eTrials)
-	fmt.Fprintf(h.out, "%-10s %5s %8s %-14s %14s %6s\n", "config", "rank", "workers", "policy", "ns/slice", "remap")
+	fmt.Fprintf(h.out, "%-10s %5s %8s %-14s %14s\n", "config", "rank", "workers", "policy", "ns/slice")
 	pols := e2ePolicies()
 	w := workers[len(workers)-1]
 	for _, cfg := range cfgs {
@@ -214,7 +208,6 @@ func (h *harness) bench() error {
 			for i := range best {
 				best[i] = math.Inf(1)
 			}
-			remapped := make([]bool, len(pols))
 			// Interleave the policies within each trial and rotate the
 			// starting policy per trial: back-to-back runs of the same
 			// policy share correlated scheduler and cache state, and a
@@ -226,15 +219,14 @@ func (h *harness) bench() error {
 					pi := (po + tr) % len(pols)
 					pol := pols[pi]
 					opt := core.Options{Rank: k, Algorithm: core.Optimized, Workers: w,
-						Seed: 9, MaxIters: 4, Tol: 0, MTTKRPKernel: pol.kernel, Layout: pol.layout}
-					d, rm, err := benchSliceOnce(dims, slices, opt)
+						Seed: 9, MaxIters: 4, Tol: 0, MTTKRPKernel: pol.kernel}
+					d, err := benchSliceOnce(dims, slices, opt)
 					if err != nil {
 						return err
 					}
 					if ns := float64(d.Nanoseconds()) / float64(len(slices)); ns < best[pi] {
 						best[pi] = ns
 					}
-					remapped[pi] = rm
 				}
 			}
 			perPolicy := make(map[string]float64, len(pols))
@@ -244,11 +236,10 @@ func (h *harness) bench() error {
 					Name: fmt.Sprintf("slice/%s/k%d/w%d/%s", cfg.name, k, w, pol.name),
 					Kind: "slice", Config: cfg.name, Kernel: pol.name,
 					Mode: -1, Rank: k, Workers: w, NsPerOp: best[pi],
-					Remapped: remapped[pi],
 				}
 				doc.Records = append(doc.Records, rec)
-				fmt.Fprintf(h.out, "%-10s %5d %8d %-14s %14.0f %6v\n",
-					cfg.name, k, w, pol.name, best[pi], remapped[pi])
+				fmt.Fprintf(h.out, "%-10s %5d %8d %-14s %14.0f\n",
+					cfg.name, k, w, pol.name, best[pi])
 			}
 			bestForced := perPolicy["plan"]
 			if perPolicy["csf"] < bestForced {
@@ -320,45 +311,38 @@ func benchKernelOnce(kernel string, x *sptensor.Tensor, factors []*dense.Matrix,
 // minimum over interleaved, rotation-ordered trials is reported.
 const e2eTrials = 4
 
-// e2ePolicy is one end-to-end run configuration: a kernel policy plus a
-// layout policy.
+// e2ePolicy is one end-to-end run configuration: a named kernel policy.
 type e2ePolicy struct {
 	name   string
 	kernel core.MTTKRPKernel
-	layout core.LayoutPolicy
 }
 
-// e2ePolicies returns the end-to-end grid: the adaptive selector with
-// and without remapping (their gap is the remapping payoff) and each
-// forced kernel. Forced kernels never remap, so their
-// layout policy is irrelevant.
+// e2ePolicies returns the end-to-end grid: the adaptive selector and
+// each forced kernel.
 func e2ePolicies() []e2ePolicy {
 	return []e2ePolicy{
-		{"auto", core.KernelAuto, core.LayoutAuto},
-		{"auto-nolayout", core.KernelAuto, core.LayoutOff},
-		{"plan", core.KernelPlan, core.LayoutAuto},
-		{"csf", core.KernelCSF, core.LayoutAuto},
+		{"auto", core.KernelAuto},
+		{"plan", core.KernelPlan},
+		{"csf", core.KernelCSF},
 	}
 }
 
 // benchSliceOnce runs the stream once through a fresh decomposer and
-// returns the wall time plus the remap verdict of the final slice.
-// Per-slice Pre work (kernel selection, layout builds) is inside the
-// measurement; construction is too, matching earlier baselines.
-func benchSliceOnce(dims []int, slices []*sptensor.Tensor, opt core.Options) (time.Duration, bool, error) {
+// returns the wall time. Per-slice Pre work (kernel selection, layout
+// builds) is inside the measurement; construction is too, matching
+// earlier baselines.
+func benchSliceOnce(dims []int, slices []*sptensor.Tensor, opt core.Options) (time.Duration, error) {
 	start := time.Now()
 	dec, err := core.NewDecomposer(dims, opt)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	for _, x := range slices {
 		if _, err := dec.ProcessSlice(x); err != nil {
-			return 0, false, err
+			return 0, err
 		}
 	}
-	d := time.Since(start)
-	rm, _ := dec.LastLayoutDecision()
-	return d, rm, nil
+	return time.Since(start), nil
 }
 
 // compareBench diffs the fresh run against a committed baseline,

@@ -37,7 +37,7 @@ type harness struct {
 	// benchJSON / benchCompare configure the bench experiment: the
 	// output path for the results JSON and an optional committed
 	// baseline to diff against (advisory). benchOnly restricts the grid
-	// to a comma-separated subset of config names (make bench-skew).
+	// to a comma-separated subset of config names.
 	benchJSON    string
 	benchCompare string
 	benchOnly    string

@@ -194,12 +194,11 @@ func (h *harness) oocMeasure(r *oocRun, dims []int, rank int, path string) error
 		stop := oocHeapSampler()
 
 		start := time.Now()
-		// KernelPlan + LayoutOff on both paths: the streamed kernels
-		// are the plan's bit-identical twins, so this is the
-		// apples-to-apples configuration for the throughput ratio.
+		// KernelPlan on both paths: the streamed kernels are the plan's
+		// bit-identical twins, so this is the apples-to-apples
+		// configuration for the throughput ratio.
 		dec, err := core.NewDecomposer(dims, core.Options{
-			Rank: rank, Algorithm: core.Optimized,
-			MTTKRPKernel: core.KernelPlan, Layout: core.LayoutOff,
+			Rank: rank, Algorithm: core.Optimized, MTTKRPKernel: core.KernelPlan,
 			Seed: 9, MaxIters: 4, Tol: 0, MemBudget: r.budget,
 		})
 		if err != nil {

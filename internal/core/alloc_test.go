@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"spstream/internal/admm"
 	"spstream/internal/perfmodel"
 	"spstream/internal/sptensor"
 )
@@ -23,9 +24,20 @@ import (
 // with the iteration: its two rank-K vectors are Decomposer-owned.
 
 func TestExplicitIterateZeroAlloc(t *testing.T) {
-	for _, alg := range []Algorithm{Optimized} {
-		s := skewedStream(t, 314)
-		d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: alg, Seed: 7, Workers: 1, TrackFit: true})
+	// Both arms of the row update, on a short clustered stream and on
+	// remapStream's one long, sparsely touched mode.
+	long := remapStream(t, 406, 2)
+	for _, tc := range []struct {
+		name   string
+		stream *sptensor.Stream
+		con    admm.Constraint
+	}{
+		{"clustered", skewedStream(t, 314), nil},
+		{"long mode", long, nil},
+		{"long mode, NonNeg", long, admm.NonNeg{}},
+	} {
+		s := tc.stream
+		d, err := NewDecomposer(s.Dims, Options{Rank: 4, Constraint: tc.con, Seed: 7, Workers: 1, TrackFit: true, MaxIters: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +59,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 			d.sliceFit(sliceData{x: s.Slices[1]})
 		})
 		if allocs != 0 {
-			t.Errorf("%v inner iteration allocates %.1f times per run, want 0", alg, allocs)
+			t.Errorf("%s: inner iteration allocates %.1f times per run, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spstream/internal/admm"
+	"spstream/internal/dense"
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
 )
@@ -105,6 +106,28 @@ func TestSpCPMatchesExplicit(t *testing.T) {
 				t.Fatalf("temporal factors differ by %g", d)
 			}
 		})
+	}
+}
+
+// TestExplicitMatchesSpCPOnSkewed is the same property where it matters
+// most and to rounding: on a stream that touches a few percent of its
+// long mode, the explicit body — every row solved in place — and the
+// Gram form, which solves the touched rows and carries the rest as a K×K
+// transform, run the same iterations to the same factors.
+func TestExplicitMatchesSpCPOnSkewed(t *testing.T) {
+	s := remapStream(t, 405, 3)
+	for _, normalize := range []bool{false, true} {
+		opt := Options{Rank: 4, Seed: 5, Workers: 2, Normalize: normalize, MaxIters: 10, Tol: 1e-300}
+		exp, _ := runStream(t, s, opt)
+		opt.Algorithm = SpCPStream
+		spc, _ := runStream(t, s, opt)
+		if d := relFactorDiff(exp, spc); d > 1e-10 {
+			t.Fatalf("normalize=%v: spCP vs explicit factors differ by %g of the largest entry", normalize, d)
+		}
+		st := exp.Temporal()
+		if d, scale := st.MaxAbsDiff(spc.Temporal()), math.Sqrt(dense.FrobNorm2(st)); d > 1e-10*scale {
+			t.Fatalf("normalize=%v: temporal factors differ by %g of ‖S‖ = %g", normalize, d, scale)
+		}
 	}
 }
 

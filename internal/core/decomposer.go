@@ -36,9 +36,11 @@ type Decomposer struct {
 	sHist [][]float64     // all temporal rows (the S factor)
 	t     int             // slices processed
 
-	// spCP-stream state carried across slices.
-	prevNZ [][]int32       // nz sets of the previous slice
-	cz     []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
+	// spCP-stream state carried across slices, and the pooled remapper
+	// that renumbers each of its slices into nz-row space.
+	prevNZ   [][]int32       // nz sets of the previous slice
+	cz       []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
+	remapper mttkrp.Remapper
 	// spCP-stream Post scratch: the nz-row mask (all-false between
 	// uses, see markNZ) and one K-vector per worker for the z-row
 	// transform.
@@ -56,31 +58,20 @@ type Decomposer struct {
 	pool   *parallel.Pool
 
 	// MTTKRP kernel selection (see kernels.go): the pooled CSF engine
-	// (created on first use), the cost-model selector, the reusable slice
-	// profile it reads, and the per-mode kernel table resolved at every
-	// slice begin.
-	csfEng  *csf.Engine
-	sel     perfmodel.Selector
-	prof    perfmodel.SliceProfile
-	kernels []perfmodel.MTTKRPKind
+	// (created on first use), the cost-model selector, the pooled profiler
+	// and the reusable slice profile it fills, and the per-mode kernel
+	// table resolved at every slice begin.
+	csfEng   *csf.Engine
+	sel      perfmodel.Selector
+	profiler perfmodel.Profiler
+	prof     perfmodel.SliceProfile
+	kernels  []perfmodel.MTTKRPKind
 
 	// Out-of-core evaluation (see streamed.go): the pooled streaming
 	// MTTKRP kernel (created on first blocked slice) and the evaluation
 	// mode the selector picked for the most recent block slice.
 	sk       *mttkrp.StreamKernel
 	lastEval perfmodel.EvalMode
-
-	// Per-slice remapping (see kernels.go and perfmodel.SelectRemap):
-	// the pooled profiler and remapper, the compact profile of the
-	// remapped view, the gathered compact factors the remapped kernels
-	// read, and the last slice's verdict (for the tune/serve
-	// diagnostics and the determinism tests). Nothing here outlives a
-	// slice except as reusable storage.
-	profiler     perfmodel.Profiler
-	remapper     mttkrp.Remapper
-	profNz       perfmodel.SliceProfile
-	aNzCur       []*dense.Matrix
-	lastRemapped bool
 
 	// Scratch K×K matrices reused across iterations.
 	muG, phiS, sPhi, scratch1, scratch2 *dense.Matrix
@@ -129,7 +120,6 @@ func (d *Decomposer) SetCommitHook(h func(SliceResult)) { d.commitHook = h }
 type coreArgs struct {
 	dst, m, a, b *dense.Matrix
 	chol         *dense.Cholesky
-	nz           []int32
 	s, part      []float64
 }
 

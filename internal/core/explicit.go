@@ -18,23 +18,14 @@ import (
 // Decomposer while letting tests drive — and measure — a single
 // steady-state inner iteration in isolation.
 type explicitRun struct {
-	// in is the slice as it arrived, in global row ids; kin and kf are
-	// the sparse data and factors the kernels read — in and d.a, unless
-	// the selector remapped the slice (rm below). For a resident
-	// kin the kernel table d.kernels (resolved in beginExplicit) says
-	// which layout each mode's MTTKRP dispatches to; plan is nil when no
-	// mode chose it, and the CSF trees live in the Decomposer's pooled
-	// engine. A streamed kin has no table: every kernel streams.
-	in, kin sliceData
-	kf      []*dense.Matrix
-	plan    *mttkrp.Plan
-	// rm, when non-nil, is the compact renumbering of
-	// the slice (see beginKernelsLayout): the kernels run over rm.X and
-	// the gathered d.aNzCur factors, while d.a/d.psi stay in global row
-	// ids — the remapping is invisible outside the mode-update inner
-	// loop, so snapshots and checkpoints always see global rows.
-	rm  *mttkrp.Remapped
-	res SliceResult
+	// in is the slice; the kernels read it and d.a. For a resident in the
+	// kernel table d.kernels (resolved in beginExplicit) says which
+	// layout each mode's MTTKRP dispatches to; plan is nil when no mode
+	// chose it, and the CSF trees live in the Decomposer's pooled engine.
+	// A streamed in has no table: every kernel streams.
+	in   sliceData
+	plan *mttkrp.Plan
+	res  SliceResult
 }
 
 // beginExplicit performs the per-slice Pre work: snapshot A_{t-1} and
@@ -46,8 +37,6 @@ type explicitRun struct {
 func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 	run := &explicitRun{
 		in:  in,
-		kin: in,
-		kf:  d.a,
 		res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()},
 	}
 	var err error
@@ -58,24 +47,17 @@ func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 			d.h[m].CopyFrom(d.c[m])
 		}
 		if in.src != nil {
-			// Kernel selection and remapping are in-memory concerns:
-			// empty the table and the last verdict so the diagnostics
-			// don't name a previous slice's.
+			// Kernel selection is an in-memory concern: empty the table
+			// so the diagnostics don't name a previous slice's.
 			d.kernels = d.kernels[:0]
-			d.lastRemapped = false
 			if err = d.streamKernel().Begin(in.src); err != nil {
 				err = fmt.Errorf("core: streamed schedule: %w", err)
 				return
 			}
 		} else {
-			run.plan, run.rm = d.beginKernelsLayout(in.x)
+			run.plan = d.beginKernels(in.x)
 		}
-		if run.rm != nil {
-			d.ensureNzPsi(run.rm)
-			d.ensureANzCur(run.rm)
-			run.kin, run.kf = sliceData{x: run.rm.X}, d.aNzCur
-		}
-		if err = d.mttkrpTime(d.fitPsi, run.kin, run.kf); err == nil {
+		if err = d.mttkrpTime(d.fitPsi, in, d.a); err == nil {
 			err = d.solveS()
 		}
 	})
@@ -95,16 +77,10 @@ func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
-	rm := run.rm
 	con := d.opt.Constraint
-	// The remapped unconstrained update never materializes the full Ψ;
-	// ADMM needs it whatever the layout.
-	fused := rm != nil && con == nil
 	var kout *dense.Matrix
 	for n := 0; n < d.n; n++ {
-		// Φ⁽ⁿ⁾ and its Cholesky factorization. Hoisted ahead of the Ψ
-		// work (on which it does not depend) so the remapped path can use
-		// the factor for its fused compact update below.
+		// Φ⁽ⁿ⁾ and its Cholesky factorization.
 		t0 := time.Now()
 		d.buildPhi(phi, n)
 		err := d.factorize(phi)
@@ -115,57 +91,29 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 		// M⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n), kept raw: the time mode's single
 		// Khatri-Rao row sₜ is a column scaling the row pass below applies,
 		// and sₜ itself is refreshed from the last mode's M — which ADMM
-		// would overwrite with Ψ⁽ᴺ⁾, hence rawLast. A remapped slice's kernel
-		// runs over the compact slice and gathered factors into M_nz.
+		// would overwrite with Ψ⁽ᴺ⁾, hence rawLast.
 		t0 = time.Now()
 		kout = d.psi[n]
-		if rm != nil {
-			kout = d.nzPsi[n]
-		} else if con != nil && n == d.n-1 {
+		if con != nil && n == d.n-1 {
 			kout = d.rawLast(d.dims[n])
 		}
-		if err := d.mttkrpMode(kout, run.kin, run.plan, run.kf, n); err != nil {
+		if err := d.mttkrpMode(kout, run.in, run.plan, d.a, n); err != nil {
 			return 0, err
 		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
 		// Ψ⁽ⁿ⁾ = M⁽ⁿ⁾·diag(sₜ) + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG), the second
 		// the "Historical" term, staged in one row pass where the solve
-		// reads it: the factor, its compact rows when remapped, Ψ for ADMM.
+		// reads it: the factor itself, Ψ for ADMM.
 		t0 = time.Now()
 		d.buildQ(q, n)
-		switch {
-		case fused:
-			d.stageRHS(d.aNzCur[n], kout, d.prevA[n], q, rm.NZ[n])
-		case rm != nil:
-			// Constrained remap: build the full-row Ψ as
-			// overwrite-plus-scatter (still no Iₙ×K zero fill).
-			dense.MulABParallel(d.psi[n], d.prevA[n], q, d.opt.Workers)
-			s := d.s
-			for r, g := range rm.NZ[n] {
-				dst := d.psi[n].Row(int(g))
-				src := kout.Row(r)
-				for j, v := range src {
-					dst[j] += v * s[j]
-				}
-			}
-		case con != nil:
-			d.stageRHS(d.psi[n], kout, d.prevA[n], q, nil)
-		default:
-			d.stageRHS(d.a[n], kout, d.prevA[n], q, nil)
+		rhs := d.a[n]
+		if con != nil {
+			rhs = d.psi[n]
 		}
+		d.stageRHS(rhs, kout, d.prevA[n], q)
 		d.bd.Add(trace.Historical, time.Since(t0))
 		t0 = time.Now()
-		if fused {
-			// The kernel output is zero off the nz rows, so
-			// Ψ_z = (A⁽ⁿ⁾ₜ₋₁·Q)_z and the z-row solves collapse into one
-			// K×K composition M = Q·Φ⁻¹ followed by a streaming product —
-			// the per-row triangular solves run only over the |nz| compact
-			// rows.
-			d.solveRows(d.aNzCur[n])
-			d.chol.SolveRows(q)
-			dense.MulABParallel(d.a[n], d.prevA[n], q, d.opt.Workers)
-			rm.ScatterMode(d.a[n], d.aNzCur[n], n)
-		} else if con == nil {
+		if con == nil {
 			d.solveRows(d.a[n])
 		} else {
 			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], con)
@@ -190,18 +138,11 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 			d.normalizeModeExplicit(n)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
-		if rm != nil {
-			// Refresh the mode's compact gather so the remaining modes'
-			// kernels (and the time-mode block) read the updated rows.
-			t0 = time.Now()
-			rm.GatherMode(d.aNzCur[n], d.a[n], n)
-			d.bd.Add(trace.Misc, time.Since(t0))
-		}
 	}
 	// Time-mode ALS block: refresh sₜ, and with it the µG + ssᵀ operand,
 	// from ψ = Σᵢ M⁽ᴺ⁾[i,:] ∘ A⁽ᴺ⁾[i,:] — no pass over the nonzeros.
 	t0 := time.Now()
-	d.colDots(d.fitPsi, kout, run.kf[d.n-1])
+	d.colDots(d.fitPsi, kout, d.a[d.n-1])
 	d.psiFresh = true
 	err := d.solveS()
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
@@ -254,14 +195,6 @@ func (d *Decomposer) ensurePsi() {
 	}
 }
 
-// ensureANzCur sizes the per-mode gathered compact factors A_nz to the
-// remapped slice's nz row counts and fills them from the current
-// factors.
-func (d *Decomposer) ensureANzCur(rm *mttkrp.Remapped) {
-	d.aNzCur = d.sizeNZ(d.aNzCur, rm)
-	rm.GatherFactorsInto(d.aNzCur, d.a)
-}
-
 // rawLast returns the rows×K buffer a constrained last factor mode's
 // kernel writes M into (see iterateExplicit), reallocated on a new size.
 func (d *Decomposer) rawLast(rows int) *dense.Matrix {
@@ -272,11 +205,11 @@ func (d *Decomposer) rawLast(rows int) *dense.Matrix {
 }
 
 // stageRHS writes the row update's right-hand side
-// dst[r] = m[r]∘sₜ + prev[g]·q for every row r of m, with g = nz[r], or r
-// itself when nz is nil; dst may be m. Allocation-free via d.pargs.
-func (d *Decomposer) stageRHS(dst, m, prev, q *dense.Matrix, nz []int32) {
+// dst[r] = m[r]∘sₜ + prev[r]·q for every row r of m; dst may be m.
+// Allocation-free via d.pargs.
+func (d *Decomposer) stageRHS(dst, m, prev, q *dense.Matrix) {
 	pa := &d.pargs
-	pa.dst, pa.m, pa.a, pa.b, pa.nz, pa.s = dst, m, prev, q, nz, d.s
+	pa.dst, pa.m, pa.a, pa.b, pa.s = dst, m, prev, q, d.s
 	d.pool.Do(m.Rows, d.opt.Workers, pa, stageRHSBody)
 	*pa = coreArgs{}
 }
@@ -288,11 +221,7 @@ func stageRHSBody(ctx any, _ int, r parallel.Range) {
 		for j, v := range pa.m.Row(i) {
 			dst[j] = v * pa.s[j]
 		}
-		g := i
-		if pa.nz != nil {
-			g = int(pa.nz[i])
-		}
-		dense.AddMulRow(dst, pa.a.Row(g), pa.b)
+		dense.AddMulRow(dst, pa.a.Row(i), pa.b)
 	}
 }
 

@@ -114,37 +114,29 @@ func (d *Decomposer) selectorAmortIters() int {
 	return it
 }
 
-// chooseKernelsFrom fills d.kernels (one choice per mode) from an
-// already-measured profile (ignored under forced policies) and reports
-// which compiled layouts the slice needs. Under KernelAuto the
-// selection is a pure function of (profile, rank, options) — the
-// profile of the view the kernels will actually run over, so the cost
-// model sees the remapped shape when the slice was remapped.
-func (d *Decomposer) chooseKernelsFrom(n int, prof *perfmodel.SliceProfile) (needPlan, needCSF bool) {
+// chooseKernels profiles x (under Auto) and fills d.kernels (one choice
+// per mode), reporting which compiled layouts the slice needs. Under
+// KernelAuto the selection is a pure function of (profile, rank,
+// options); forced policies skip the profile.
+func (d *Decomposer) chooseKernels(x *sptensor.Tensor) (needPlan, needCSF bool) {
+	policy, amort := d.opt.MTTKRPKernel, d.selectorAmortIters()
+	if policy == KernelAuto {
+		d.profiler.Profile(&d.prof, x)
+	}
+	n := x.NModes()
 	if cap(d.kernels) < n {
 		d.kernels = make([]perfmodel.MTTKRPKind, n)
 	}
 	d.kernels = d.kernels[:n]
-	policy, amort := d.opt.MTTKRPKernel, d.selectorAmortIters()
 	for m := range d.kernels {
 		if policy == KernelCSF || policy == KernelAuto &&
-			d.sel.SelectMTTKRPEx(*prof, m, d.k, amort, prof.Sorted) == perfmodel.MTTKRPCSF {
+			d.sel.SelectMTTKRPEx(d.prof, m, d.k, amort, d.prof.Sorted) == perfmodel.MTTKRPCSF {
 			d.kernels[m], needCSF = perfmodel.MTTKRPCSF, true
 		} else {
 			d.kernels[m], needPlan = perfmodel.MTTKRPPlan, true
 		}
 	}
 	return needPlan, needCSF
-}
-
-// chooseKernels profiles x (under Auto) and resolves the kernel table —
-// the single-tensor path used by spCP-stream, forced policies, and the
-// selection tests.
-func (d *Decomposer) chooseKernels(x *sptensor.Tensor) (needPlan, needCSF bool) {
-	if d.opt.MTTKRPKernel == KernelAuto {
-		d.profiler.Profile(&d.prof, x)
-	}
-	return d.chooseKernelsFrom(x.NModes(), &d.prof)
 }
 
 // ensureEngine lazily creates the CSF engine on the Decomposer's pool.
@@ -155,18 +147,20 @@ func (d *Decomposer) ensureEngine() *csf.Engine {
 	return d.csfEng
 }
 
-// compileKernels compiles the layouts the resolved kernel table needs
-// over kx: CSF trees for the CSF modes (built eagerly so the cost lands
-// in the Pre phase, not the first iteration) and the coordinate plan
-// for the plan modes. Returns the plan (nil when no mode uses it).
-// hintSorted passes the sorted-base claim to the CSF engine, unlocking
-// its reduced-pass builds (the engine verifies the claim itself, so an
-// optimistic hint is safe).
-func (d *Decomposer) compileKernels(kx *sptensor.Tensor, needPlan, needCSF, hintSorted bool) *mttkrp.Plan {
+// beginKernels resolves the kernel table for slice x and compiles the
+// layouts it needs: CSF trees for the CSF modes (built eagerly so the
+// cost lands in the Pre phase, not the first iteration) and the
+// coordinate plan for the plan modes. Returns the plan (nil when no mode
+// uses it). The sorted-base claim unlocks the CSF engine's reduced-pass
+// builds; forced policies skip profiling, so it is passed optimistically
+// (slices arrive Coalesce-sorted in every production path, and the engine
+// verifies the claim itself).
+func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
+	needPlan, needCSF := d.chooseKernels(x)
 	if needCSF {
 		eng := d.ensureEngine()
-		eng.Begin(kx)
-		if hintSorted {
+		eng.Begin(x)
+		if d.opt.MTTKRPKernel != KernelAuto || d.prof.Sorted {
 			eng.SetSortedBase()
 		}
 		for m, kc := range d.kernels {
@@ -179,70 +173,11 @@ func (d *Decomposer) compileKernels(kx *sptensor.Tensor, needPlan, needCSF, hint
 		return nil
 	}
 	if !needCSF {
-		return d.mt.NewPlan(kx)
+		return d.mt.NewPlan(x)
 	}
 	need := make([]bool, len(d.kernels))
 	for m, kc := range d.kernels {
 		need[m] = kc == perfmodel.MTTKRPPlan
 	}
-	return d.mt.NewPlanFor(kx, need)
-}
-
-// beginKernels resolves the kernel table for slice x and compiles the
-// layouts it needs. Forced policies skip profiling, so the sorted-base
-// hint is passed optimistically (slices arrive Coalesce-sorted in
-// every production path; the engine's own verification catches the
-// rest).
-func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
-	auto := d.opt.MTTKRPKernel == KernelAuto
-	needPlan, needCSF := d.chooseKernels(x)
-	return d.compileKernels(x, needPlan, needCSF, !auto || d.prof.Sorted)
-}
-
-// beginKernelsLayout is beginKernels for the explicit path with the
-// remap verdict in the loop. Remapping rides the Auto cost-model path
-// (forced kernel policies pin the whole layout so kernel benchmarks
-// stay apples-to-apples) and can be switched off via Options.Layout:
-// profile the slice, ask the selector whether remapping pays off — a
-// function of this slice alone — remap through the pooled remapper when
-// it does, and select kernels over the profile of whichever view the
-// inner loop will run on. Returns the compiled plan and the remapped
-// view (nil when the slice runs in place).
-func (d *Decomposer) beginKernelsLayout(x *sptensor.Tensor) (*mttkrp.Plan, *mttkrp.Remapped) {
-	if d.opt.MTTKRPKernel != KernelAuto {
-		d.lastRemapped = false
-		return d.beginKernels(x), nil
-	}
-	d.profiler.Profile(&d.prof, x)
-	d.lastRemapped = d.opt.Layout != LayoutOff &&
-		d.sel.SelectRemap(d.prof, d.k, d.selectorAmortIters())
-	if !d.lastRemapped {
-		needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.prof)
-		return d.compileKernels(x, needPlan, needCSF, d.prof.Sorted), nil
-	}
-	rm := d.remapper.Begin(x, nil)
-	d.compactProfile(rm)
-	needPlan, needCSF := d.chooseKernelsFrom(x.NModes(), &d.profNz)
-	return d.compileKernels(rm.X, needPlan, needCSF, d.profNz.Sorted), rm
-}
-
-// compactProfile derives the remapped view's profile from the global
-// one without a second counting pass: mode m's index space collapses
-// to its nz-row count (every local row is nonzero by construction),
-// nonzero counts and distinct-pair counts are invariant under the
-// per-mode renumbering, and the ascending-id remapping preserves
-// storage order.
-func (d *Decomposer) compactProfile(rm *mttkrp.Remapped) {
-	p := &d.profNz
-	p.NNZ = d.prof.NNZ
-	if cap(p.Modes) < len(d.prof.Modes) {
-		p.Modes = make([]perfmodel.ModeProfile, len(d.prof.Modes))
-	}
-	p.Modes = p.Modes[:len(d.prof.Modes)]
-	for m, mp := range d.prof.Modes {
-		nz := len(rm.NZ[m])
-		p.Modes[m] = perfmodel.ModeProfile{Dim: nz, NZRows: nz, TopRowFrac: mp.TopRowFrac}
-	}
-	p.Sorted = d.prof.Sorted
-	p.Pair01 = d.prof.Pair01
+	return d.mt.NewPlanFor(x, need)
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"spstream/internal/admm"
 	"spstream/internal/perfmodel"
 )
 
@@ -35,16 +38,16 @@ func TestKernelPoliciesEquivalentSpCP(t *testing.T) {
 }
 
 // An Options literal that names nothing but the rank gets what the
-// daemon serves: Optimized, the cost-model kernel selection, the adaptive
-// layout — and a schedule of compiled kernels only.
+// daemon serves: Optimized, the cost-model kernel selection — and a
+// schedule of compiled kernels only.
 func TestKernelPolicyDefaults(t *testing.T) {
 	s := skewedStream(t, 116)
 	d, err := NewDecomposer(s.Dims, Options{Rank: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Algorithm() != Optimized || d.MTTKRPKernel() != KernelAuto || d.LayoutPolicy() != LayoutAuto {
-		t.Fatalf("zero-value options resolve to %v / %v / %v", d.Algorithm(), d.MTTKRPKernel(), d.LayoutPolicy())
+	if d.Algorithm() != Optimized || d.MTTKRPKernel() != KernelAuto {
+		t.Fatalf("zero-value options resolve to %v / %v", d.Algorithm(), d.MTTKRPKernel())
 	}
 	if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 		t.Fatal(err)
@@ -52,6 +55,41 @@ func TestKernelPolicyDefaults(t *testing.T) {
 	sched := string(d.KernelSchedule(nil))
 	if len(sched) != len(s.Dims) || strings.Trim(sched, "PC") != "" {
 		t.Fatalf("kernel schedule %q, want one of P/C per mode", sched)
+	}
+}
+
+// TestLayoutOptionInert: Options.Layout survives only so bench/ compiles
+// (compat.go). On the skewed stream the explicit body used to remap,
+// both values give the same bits — factors, sₜ and kernel schedule —
+// and no slice reports a remap.
+func TestLayoutOptionInert(t *testing.T) {
+	s := remapStream(t, 405, 3)
+	for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
+		for _, workers := range []int{1, 2} {
+			var ds [2]*Decomposer
+			var scheds [2][]byte
+			for i, layout := range []LayoutPolicy{LayoutAuto, LayoutOff} {
+				d, err := NewDecomposer(s.Dims, Options{Rank: 4, Constraint: con, Workers: workers, Seed: 5, MaxIters: 4, ADMMMaxIters: 8, Layout: layout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range s.Slices {
+					scheds[i] = scheduleTrace(t, d, x, scheds[i])
+					if rm, hot := d.LastLayoutDecision(); rm || hot {
+						t.Fatalf("layout %d: slice reports a layout decision %v/%v", layout, rm, hot)
+					}
+				}
+				ds[i] = d
+			}
+			name := fmt.Sprintf("con=%v workers=%d", con != nil, workers)
+			if !bytes.Equal(scheds[0], scheds[1]) || len(scheds[0]) == 0 {
+				t.Fatalf("%s: kernel schedules %q and %q", name, scheds[0], scheds[1])
+			}
+			for m := range s.Dims {
+				sameMatrixBits(t, fmt.Sprintf("%s factor %d", name, m), ds[0].a[m], ds[1].a[m])
+			}
+			sameMatrixBits(t, name+" temporal", ds[0].Temporal(), ds[1].Temporal())
+		}
 	}
 }
 

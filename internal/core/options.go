@@ -78,27 +78,6 @@ const (
 // String names the kernel policy.
 func (k MTTKRPKernel) String() string { return enumName("MTTKRPKernel", int(k), "auto", "plan", "csf") }
 
-// LayoutPolicy says whether a slice may be remapped: a per-slice
-// cost-model decision (perfmodel.Selector.SelectRemap, a function of
-// that slice's profile alone) to renumber the slice into its compact
-// nz-row index space before the inner iterations run.
-type LayoutPolicy int
-
-const (
-	// LayoutAuto lets the selector remap whenever the kernel policy is
-	// KernelAuto (it rides the same slice profile the kernel selector
-	// reads, so it costs nothing extra to keep on).
-	LayoutAuto LayoutPolicy = iota
-	// LayoutOff disables remapping; slices run in
-	// stream order over the full index space (the pre-layout behavior,
-	// and the apples-to-apples baseline the bench suite compares
-	// against).
-	LayoutOff
-)
-
-// String names the layout policy.
-func (l LayoutPolicy) String() string { return enumName("LayoutPolicy", int(l), "auto", "off") }
-
 // Options configure a Decomposer. Zero values select the paper's
 // defaults where one exists.
 type Options struct {
@@ -148,11 +127,7 @@ type Options struct {
 	// selection. Adjustable between slices via
 	// Decomposer.SetMTTKRPKernel.
 	MTTKRPKernel MTTKRPKernel
-	// Layout says whether slices may be remapped; see the
-	// LayoutPolicy constants. Only consulted when the kernel policy is
-	// KernelAuto (forced kernel policies pin the whole layout for
-	// reproducible kernel benchmarking). Adjustable between slices via
-	// Decomposer.SetLayoutPolicy.
+	// Layout is ignored (see compat.go).
 	Layout LayoutPolicy
 	// MemBudget caps the estimated resident bytes a slice may occupy
 	// during processing (see perfmodel.ResidentBytes). When a slice
@@ -242,9 +217,6 @@ func (o Options) Validate(dims []int) error {
 	}
 	if o.MTTKRPKernel < KernelAuto || o.MTTKRPKernel > KernelCSF {
 		return fmt.Errorf("core: unknown MTTKRPKernel %d", int(o.MTTKRPKernel))
-	}
-	if o.Layout < LayoutAuto || o.Layout > LayoutOff {
-		return fmt.Errorf("core: unknown LayoutPolicy %d", int(o.Layout))
 	}
 	if o.Algorithm == SpCPStream && o.Constraint != nil {
 		if !o.ConstrainedSpCP {

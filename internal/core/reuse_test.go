@@ -26,8 +26,7 @@ import (
 // less per iteration.
 
 // reuseStream is remapStream with a chosen number of modes: one long
-// mode that a slice touches a few percent of (so the layout manager
-// remaps) beside short ones.
+// mode that a slice touches a few percent of beside short ones.
 func reuseStream(t testing.TB, seed uint64, modes, slices int) *sptensor.Stream {
 	t.Helper()
 	dists := []synth.IndexDist{synth.NewZipf(6000, 1.1), synth.Uniform{N: 60}, synth.NewZipf(80, 1.2), synth.Uniform{N: 12}}
@@ -44,7 +43,7 @@ func reuseStream(t testing.TB, seed uint64, modes, slices int) *sptensor.Stream 
 // driveSlice is runSlice's loop without the guard, calling after with
 // the run every inner iteration: the slice's kernel view and the
 // factors its kernels read.
-func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func(kin sliceData, kf []*dense.Matrix, remapped bool)) {
+func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func(kin sliceData, kf []*dense.Matrix)) {
 	t.Helper()
 	if in.src != nil {
 		defer d.streamKernel().End()
@@ -58,7 +57,7 @@ func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func
 			if _, err := d.iterateSpCP(run); err != nil {
 				t.Fatal(err)
 			}
-			after(sliceData{x: run.rm.X}, run.aNz, true)
+			after(sliceData{x: run.rm.X}, run.aNz)
 		}
 		d.finishSpCP(run)
 		return
@@ -71,8 +70,7 @@ func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func
 		if _, err := d.iterateExplicit(run); err != nil {
 			t.Fatal(err)
 		}
-		// Whatever the layout, d.a holds every updated row in global ids.
-		after(in, d.a, run.rm != nil)
+		after(in, d.a)
 	}
 	if _, err := d.finishExplicit(run); err != nil {
 		t.Fatal(err)
@@ -83,25 +81,18 @@ func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func
 // the sₜ solve was handed equals a full time-mode pass over the same
 // factors to 1e-12 of its largest entry, on every branch of both bodies.
 func TestTimeModeReuseMatchesFullPass(t *testing.T) {
-	const resident, remap, streamed = 0, 1, 2
-	sawRemap := false
+	const resident, streamed = 0, 1
 	for _, alg := range []Algorithm{Optimized, SpCPStream} {
 		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
 			for _, normalize := range []bool{false, true} {
 				for modes := 2; modes <= 4; modes++ {
 					for input := resident; input <= streamed; input++ {
-						if alg == SpCPStream && input == remap {
-							continue // the Gram-form body remaps every slice itself
-						}
 						name := fmt.Sprintf("%v con=%v normalize=%v N=%d input=%d", alg, con != nil, normalize, modes, input)
 						s := reuseStream(t, 500+uint64(modes), modes, 4)
 						opt := Options{
 							Rank: 4, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
-							Normalize: normalize, Workers: 2, Seed: 5, Layout: LayoutOff,
+							Normalize: normalize, Workers: 2, Seed: 5,
 							ADMMMaxIters: 5, // ψ is checked, not the ADMM optimum
-						}
-						if input == remap {
-							opt.Layout = LayoutAuto
 						}
 						if input == streamed {
 							opt.MemBudget = 1
@@ -121,7 +112,7 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 								in = sliceData{src: src}
 							}
 							iter := 0
-							driveSlice(t, d, in, 3, func(kin sliceData, kf []*dense.Matrix, remapped bool) {
+							driveSlice(t, d, in, 3, func(kin sliceData, kf []*dense.Matrix) {
 								iter++
 								if kin.src != nil {
 									if err := mttkrp.NewStreamKernel(d.mt).TimeMode(full, kin.src, kf); err != nil {
@@ -139,9 +130,6 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 										t.Fatalf("%s slice %d iter %d: ψ[%d] = %g, full pass %g (|Δ| %g of %g)", name, ti, iter, j, v, full[j], diff, scale)
 									}
 								}
-								if input == remap {
-									sawRemap = sawRemap || remapped
-								}
 							})
 						}
 					}
@@ -149,20 +137,16 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 			}
 		}
 	}
-	if !sawRemap {
-		t.Fatal("no layout run remapped — the table misses a branch")
-	}
 }
 
 // TestRowUpdateMatchesParentFormula pins "A does not move": handed the
 // same sₜ, an inner iteration's factors are bit for bit those of the
 // update it replaced — ScaleColumns(Ψ), Ψ += A_{t−1}·Q row by row, then
-// A = Ψ·Φ⁻¹ out of place — and the nz-indexed staging equals the old
-// compact loop.
+// A = Ψ·Φ⁻¹ out of place.
 func TestRowUpdateMatchesParentFormula(t *testing.T) {
 	dims := []int{300, 41, 57}
 	stream := testStream(t, 61, dims, 2500, 2)
-	opt := Options{Rank: 6, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Layout: LayoutOff, Workers: 3, Seed: 4}
+	opt := Options{Rank: 6, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Workers: 3, Seed: 4}
 	var ds [2]*Decomposer
 	var runs [2]*explicitRun
 	for i := range ds {
@@ -189,7 +173,7 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		psi := d.psi[n]
-		if err := d.mttkrpMode(psi, run.kin, run.plan, run.kf, n); err != nil {
+		if err := d.mttkrpMode(psi, run.in, run.plan, d.a, n); err != nil {
 			t.Fatal(err)
 		}
 		dense.ScaleColumns(psi, psi, d.s)
@@ -202,38 +186,6 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 		dense.MulAtBParallel(d.h[n], d.prevA[n], d.a[n], d.opt.Workers)
 		sameMatrixBits(t, fmt.Sprintf("factor %d", n), ds[0].a[n], d.a[n])
 	}
-
-	// The compact form: rows of prev picked through nz.
-	const k = 6
-	r := synth.NewRNG(8)
-	fill := func(rows, cols int) *dense.Matrix {
-		m := dense.NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = r.NormFloat64()
-		}
-		return m
-	}
-	m, prev, qq := fill(37, k), fill(90, k), fill(k, k)
-	nz := make([]int32, m.Rows)
-	for i := range nz {
-		nz[i] = int32(2*i + i%2)
-	}
-	for j := range d.s {
-		d.s[j] = r.NormFloat64()
-	}
-	want := m.Clone()
-	for i, g := range nz {
-		dst := want.Row(i)
-		for j := range dst {
-			dst[j] *= d.s[j]
-		}
-		dense.AddMulRow(dst, prev.Row(int(g)), qq)
-	}
-	d.chol.SolveRowsInto(want, want)
-	got := dense.NewMatrix(m.Rows, k)
-	d.stageRHS(got, m, prev, qq, nz)
-	d.solveRows(got)
-	sameMatrixBits(t, "compact rows", got, want)
 }
 
 // TestColDotsWorkerIdentity: the block-keyed reduction gives the same

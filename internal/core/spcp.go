@@ -149,14 +149,14 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
 		t0 = time.Now()
 		if con == nil {
-			d.stageRHS(run.aNz[n], kout, run.aNzPrev[n], q, nil)
+			d.stageRHS(run.aNz[n], kout, run.aNzPrev[n], q)
 			d.solveRows(run.aNz[n])
 		} else {
 			// Experimental constrained extension (§VII): the nz rows
 			// are solved with BF-ADMM (warm-started from the previous
 			// iterate); the z rows stay linear and are projected once
 			// per slice in Post.
-			d.stageRHS(d.nzPsi[n], kout, run.aNzPrev[n], q, nil)
+			d.stageRHS(d.nzPsi[n], kout, run.aNzPrev[n], q)
 			st, e := d.solver.BlockedFused(run.aNz[n], phi, d.nzPsi[n], con)
 			run.res.ADMMIters += st.Iters
 			err = e
@@ -258,23 +258,18 @@ func (d *Decomposer) finishSpCP(run *spcpRun) SliceResult {
 }
 
 // ensureNzPsi sizes the per-mode Ψ_nz workspaces to the remapped
-// slice's nz row counts.
-func (d *Decomposer) ensureNzPsi(rm *mttkrp.Remapped) { d.nzPsi = d.sizeNZ(d.nzPsi, rm) }
-
-// sizeNZ returns ms as one |nz(m)|×K matrix per mode of the remapped
-// slice, reallocating only the modes whose count changed since the
-// previous slice.
-func (d *Decomposer) sizeNZ(ms []*dense.Matrix, rm *mttkrp.Remapped) []*dense.Matrix {
-	if ms == nil {
-		ms = make([]*dense.Matrix, d.n)
+// slice's nz row counts, reallocating only the modes whose count changed
+// since the previous slice.
+func (d *Decomposer) ensureNzPsi(rm *mttkrp.Remapped) {
+	if d.nzPsi == nil {
+		d.nzPsi = make([]*dense.Matrix, d.n)
 	}
-	for m := range ms {
+	for m := range d.nzPsi {
 		rows := len(rm.NZ[m])
-		if ms[m] == nil || ms[m].Rows != rows || ms[m].Cols != d.k {
-			ms[m] = dense.NewMatrix(rows, d.k)
+		if d.nzPsi[m] == nil || d.nzPsi[m].Rows != rows || d.nzPsi[m].Cols != d.k {
+			d.nzPsi[m] = dense.NewMatrix(rows, d.k)
 		}
 	}
-	return ms
 }
 
 // markNZ returns the Decomposer's row mask, grown to rows entries, with

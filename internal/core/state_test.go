@@ -11,15 +11,13 @@ import (
 	"testing"
 
 	"spstream/internal/resilience"
-
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
 )
 
-// remapStream generates a stream skewed enough for the selector to
-// choose remapping under the default cost model: one long mode whose
-// activity touches a small fraction of its rows, so the z-row solve
-// collapse dominates the remap build cost even at small ranks.
+// remapStream generates a skewed stream: one long mode whose activity
+// touches a small fraction of its rows beside two short ones — the shape
+// the explicit body used to remap, and the committed legacy checkpoint's.
 func remapStream(t testing.TB, seed uint64, slices int) *sptensor.Stream {
 	t.Helper()
 	s, err := synth.Generate(synth.Config{
@@ -42,29 +40,23 @@ func remapStream(t testing.TB, seed uint64, slices int) *sptensor.Stream {
 	return s
 }
 
-// scheduleTrace runs one slice and appends the resolved kernel table and
-// layout verdict — the per-slice schedule fingerprint the determinism
-// contract is stated in.
+// scheduleTrace runs one slice and appends the resolved kernel table —
+// the per-slice schedule fingerprint the determinism contract is stated
+// in.
 func scheduleTrace(t *testing.T, d *Decomposer, x *sptensor.Tensor, trace []byte) []byte {
 	t.Helper()
 	if _, err := d.ProcessSlice(x); err != nil {
 		t.Fatal(err)
 	}
-	trace = d.KernelSchedule(trace)
-	code := byte('-')
-	if rm, _ := d.LastLayoutDecision(); rm {
-		code = 'R'
-	}
-	return append(trace, code, '|')
+	return append(d.KernelSchedule(trace), '|')
 }
 
 // TestLayoutCheckpointRoundTrip is the determinism acceptance test: save
-// mid-stream with an active remap schedule, restore into a fresh
-// decomposer, and finish the stream — the factors must be bit-identical
-// to an uninterrupted run and the kernel+layout schedule of every
-// remaining slice identical. The checkpoint carries no layout state;
-// the schedule (and with it the rounding order, hence the factors) is a
-// function of each slice alone.
+// mid-stream, restore into a fresh decomposer, and finish the stream —
+// the factors must be bit-identical to an uninterrupted run and the
+// kernel schedule of every remaining slice identical. The checkpoint
+// carries no schedule state; the schedule (and with it the rounding
+// order, hence the factors) is a function of each slice alone.
 func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	s := remapStream(t, 404, 8)
 	opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5}
@@ -88,10 +80,6 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rm, _ := first.LastLayoutDecision(); !rm {
-		t.Fatal("stream does not trigger remapping — test is vacuous")
-	}
-
 	var buf bytes.Buffer
 	if err := first.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -124,99 +112,6 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	}
 	if d := ref.Temporal().MaxAbsDiff(second.Temporal()); d != 0 {
 		t.Fatalf("temporal factors differ by %g", d)
-	}
-}
-
-// TestExplicitRemapEquivalence: the remapped inner loop computes the
-// same updates as the layout-off path up to floating-point
-// reassociation (the z-row solves compose Q·Φ⁻¹ before touching the
-// rows). The factor trajectories must stay close across a whole stream.
-func TestExplicitRemapEquivalence(t *testing.T) {
-	s := remapStream(t, 405, 6)
-	on, _ := runStream(t, s, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5, Layout: LayoutAuto})
-	off, _ := runStream(t, s, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5, Layout: LayoutOff})
-	if rm, _ := on.LastLayoutDecision(); !rm {
-		t.Fatal("layout-on run never remapped — test is vacuous")
-	}
-	if rm, _ := off.LastLayoutDecision(); rm {
-		t.Fatal("layout-off run remapped")
-	}
-	if d := maxFactorDiff(on, off); d > 1e-6 {
-		t.Fatalf("remap path diverges from layout-off by %g", d)
-	}
-}
-
-// TestExplicitRemapIterateZeroAlloc extends the steady-state guarantee
-// to the remapped inner loop: compact kernels, fused historical term,
-// compact solves, the z-row composition, and the per-mode gather refresh
-// all run on pooled storage.
-func TestExplicitRemapIterateZeroAlloc(t *testing.T) {
-	s := remapStream(t, 406, 3)
-	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Seed: 7, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range s.Slices[:2] {
-		if _, err := d.ProcessSlice(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run, err := d.beginExplicit(sliceData{x: s.Slices[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.rm == nil {
-		t.Fatal("slice not remapped — test is vacuous")
-	}
-	if _, err := d.iterateExplicit(run); err != nil { // warm scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := d.iterateExplicit(run); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("remapped inner iteration allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestLayoutPolicyTuning covers the runtime layout knob: validation,
-// LayoutOff (remapping stops), and re-enabling.
-func TestLayoutPolicyTuning(t *testing.T) {
-	s := remapStream(t, 407, 4)
-	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetLayoutPolicy(LayoutPolicy(99)); err == nil {
-		t.Fatal("invalid layout policy accepted")
-	}
-	if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
-		t.Fatal(err)
-	}
-	if rm, _ := d.LastLayoutDecision(); !rm {
-		t.Fatal("expected remap on slice 0")
-	}
-
-	if err := d.SetLayoutPolicy(LayoutOff); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ProcessSlice(s.Slices[1]); err != nil {
-		t.Fatal(err)
-	}
-	if rm, _ := d.LastLayoutDecision(); rm {
-		t.Fatal("LayoutOff slice still remapped")
-	}
-
-	if err := d.SetLayoutPolicy(LayoutAuto); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ProcessSlice(s.Slices[2]); err != nil {
-		t.Fatal(err)
-	}
-	if rm, _ := d.LastLayoutDecision(); !rm {
-		t.Fatal("re-enabled layout did not resume remapping")
 	}
 }
 
@@ -256,11 +151,13 @@ func resealCRC(raw []byte) {
 }
 
 // TestRestoreLegacyLayoutSection: a checkpoint with a learned-layout
-// section still restores — the section is stepped over — and the
-// resumed stream ends bit-identical to an uninterrupted run; the same
-// bytes cut anywhere inside the section, with an illegal permutation
-// flag, or with one checksummed byte of the section flipped are
-// rejected.
+// section still restores — the section is stepped over — to exactly the
+// state the same file holds with the section cut out, and the resumed
+// stream ends where an uninterrupted run does, to rounding: the file's
+// four slices were solved by the remapped update this commit no longer
+// has, which reassociated the z rows. The same bytes cut anywhere inside
+// the section, with an illegal permutation flag, or with one checksummed
+// byte of the section flipped are rejected.
 func TestRestoreLegacyLayoutSection(t *testing.T) {
 	s := remapStream(t, 404, 8)
 	raw, start := legacySection(t, s.Dims)
@@ -273,22 +170,32 @@ func TestRestoreLegacyLayoutSection(t *testing.T) {
 		}
 		return d, d.RestoreState(bytes.NewReader(b))
 	}
-	d, err := restore(raw)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if d.T() != legacyCut {
-		t.Fatalf("restored T = %d, want %d", d.T(), legacyCut)
-	}
-	for _, x := range s.Slices[legacyCut:] {
-		if _, err := d.ProcessSlice(x); err != nil {
-			t.Fatal(err)
+	// The same payload as a current writer would end it: flag 0, footer.
+	bare := append(append([]byte(nil), raw[:start]...), make([]byte, 8+4)...)
+	resealCRC(bare)
+	var ds [2]*Decomposer
+	for i, b := range [][]byte{raw, bare} {
+		d, err := restore(b)
+		if err != nil {
+			t.Fatalf("legacy checkpoint (section cut: %v) rejected: %v", i == 1, err)
 		}
+		if d.T() != legacyCut {
+			t.Fatalf("restored T = %d, want %d", d.T(), legacyCut)
+		}
+		for _, x := range s.Slices[legacyCut:] {
+			if _, err := d.ProcessSlice(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds[i] = d
 	}
-	if diff := maxFactorDiff(ref, d); diff != 0 {
-		t.Fatalf("resumed factors differ from uninterrupted by %g", diff)
+	if diff := maxFactorDiff(ds[0], ds[1]) + ds[0].Temporal().MaxAbsDiff(ds[1].Temporal()); diff != 0 {
+		t.Fatalf("stepping over the section moved the resumed run by %g", diff)
 	}
-	if diff := ref.Temporal().MaxAbsDiff(d.Temporal()); diff != 0 {
+	if diff := relFactorDiff(ref, ds[0]); diff > 1e-8 {
+		t.Fatalf("resumed factors differ from uninterrupted by %g of the largest entry", diff)
+	}
+	if diff := ref.Temporal().MaxAbsDiff(ds[0].Temporal()); diff > 1e-8 {
 		t.Fatalf("temporal factors differ by %g", diff)
 	}
 
@@ -336,12 +243,12 @@ func asV2(t testing.TB, v3 []byte) []byte {
 	return v2
 }
 
-// TestRemapScheduleIgnoresHistory: the kernel table and the remap
-// verdict of a slice are those it gets as slice 0 of a fresh
-// decomposer, whatever came before it — a slice dropped under SkipSlice,
-// its own failed first attempt under RetrySlice, a LayoutOff interlude,
-// or a restore from an SPSTRM02 checkpoint, which has no layout section.
-func TestRemapScheduleIgnoresHistory(t *testing.T) {
+// TestScheduleIgnoresHistory: the kernel table of a slice is the one it
+// gets as slice 0 of a fresh decomposer, whatever came before it — a
+// slice dropped under SkipSlice, its own failed first attempt under
+// RetrySlice, or a restore from an SPSTRM02 checkpoint, which has no
+// layout flag.
+func TestScheduleIgnoresHistory(t *testing.T) {
 	s := remapStream(t, 408, 4)
 	probe := s.Slices[3]
 	opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5}
@@ -352,9 +259,6 @@ func TestRemapScheduleIgnoresHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := string(scheduleTrace(t, fresh, probe, nil))
-	if !strings.HasSuffix(want, "R|") {
-		t.Fatalf("probe schedule %q is not remapped — test is vacuous", want)
-	}
 
 	histories := map[string]func(t *testing.T) *Decomposer{
 		"skip": func(t *testing.T) *Decomposer {
@@ -405,24 +309,6 @@ func TestRemapScheduleIgnoresHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			return d // the probe is slice 1: its first attempt fails
-		},
-		"off-auto": func(t *testing.T) *Decomposer {
-			d, err := NewDecomposer(s.Dims, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, pol := range []LayoutPolicy{LayoutAuto, LayoutOff} {
-				if err := d.SetLayoutPolicy(pol); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := d.ProcessSlice(s.Slices[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := d.SetLayoutPolicy(LayoutAuto); err != nil {
-				t.Fatal(err)
-			}
-			return d
 		},
 		"v2-restore": func(t *testing.T) *Decomposer {
 			first, _ := runStream(t, &sptensor.Stream{Dims: s.Dims, Slices: s.Slices[:2]}, opt)

@@ -15,8 +15,8 @@ import (
 // Options.MemBudget by perfmodel.SelectEval:
 //
 //   - EvalInMemory: the blocks are materialized into one tensor and the
-//     slice runs as if it had come through ProcessSliceContext — kernel
-//     table, adaptive layout, and all.
+//     slice runs as if it had come through ProcessSliceContext, kernel
+//     table and all.
 //   - EvalStreamed: the slice never materializes. The source itself is
 //     the slice driver's input, and every pass over the sparse data — the
 //     warm-start time-mode MTTKRP and one factor-mode MTTKRP per mode
@@ -38,8 +38,8 @@ import (
 // recurrence has no out-of-core counterpart: under EvalStreamed it runs
 // this same explicit update. Constrained problems
 // are supported — ADMM consumes the full Ψ⁽ⁿ⁾, staged per mode just
-// like the in-memory path. Adaptive layout and per-mode kernel
-// selection are in-memory concerns and stay off here.
+// like the in-memory path. Per-mode kernel selection is an in-memory
+// concern and stays off here.
 
 // LastEvalMode reports where the most recent ProcessBlockSlice ran
 // (in-memory after materialization, or streamed out of core). Slices

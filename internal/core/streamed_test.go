@@ -50,7 +50,6 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 				Rank:         8,
 				Algorithm:    Optimized,
 				MTTKRPKernel: KernelPlan,
-				Layout:       LayoutOff,
 				Workers:      workers,
 				TrackFit:     true,
 				Seed:         7,
@@ -128,7 +127,7 @@ func TestStreamedResidentMatchesInMemory(t *testing.T) {
 		dims := []int{60, 50, 40, 12}[:modes]
 		stream := testStream(t, 19, dims, 1500, 3)
 		for _, workers := range []int{1, 2, 4} {
-			opt := Options{Rank: 4, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Layout: LayoutOff, Workers: workers, TrackFit: true, Seed: 7, MaxIters: 4, Tol: 1e-300}
+			opt := Options{Rank: 4, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Workers: workers, TrackFit: true, Seed: 7, MaxIters: 4, Tol: 1e-300}
 			first := raggedBlocks(t, stream.Slices[0])
 			nb := first.Blocks()
 			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
@@ -513,8 +512,8 @@ func TestSpCPStreamMixedEval(t *testing.T) {
 }
 
 // TestStreamedSliceClearsKernelDiagnostics: a streamed slice runs no
-// kernel table and no layout decision, so neither may keep naming the
-// resident slice before it.
+// kernel table, so KernelSchedule may not keep naming the resident slice
+// before it.
 func TestStreamedSliceClearsKernelDiagnostics(t *testing.T) {
 	s := remapStream(t, 23, 2)
 	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: Optimized, Seed: 2, MemBudget: perfmodel.ResidentBytes(1000, 3)})
@@ -531,13 +530,13 @@ func TestStreamedSliceClearsKernelDiagnostics(t *testing.T) {
 			t.Fatal(err)
 		}
 		schedule := string(d.KernelSchedule(nil))
-		remapped, hot := d.LastLayoutDecision()
+		remapped, _ := d.LastLayoutDecision()
 		if ti < 2 {
-			if d.LastEvalMode() != perfmodel.EvalInMemory || len(schedule) != len(s.Dims) || !remapped {
-				t.Fatalf("slice %d: eval %v, schedule %q, remapped %v; want a remapped in-memory slice", ti, d.LastEvalMode(), schedule, remapped)
+			if d.LastEvalMode() != perfmodel.EvalInMemory || len(schedule) != len(s.Dims) || remapped {
+				t.Fatalf("slice %d: eval %v, schedule %q, remapped %v; want an in-memory slice run in place", ti, d.LastEvalMode(), schedule, remapped)
 			}
-		} else if d.LastEvalMode() != perfmodel.EvalStreamed || schedule != "" || remapped || hot {
-			t.Fatalf("streamed slice: eval %v, schedule %q, layout %v/%v; want streamed, empty, false/false", d.LastEvalMode(), schedule, remapped, hot)
+		} else if d.LastEvalMode() != perfmodel.EvalStreamed || schedule != "" {
+			t.Fatalf("streamed slice: eval %v, schedule %q; want streamed, empty", d.LastEvalMode(), schedule)
 		}
 	}
 }
@@ -557,7 +556,7 @@ func TestSliceDriverStreamedAndResident(t *testing.T) {
 	dims := []int{40, 30, 50}
 	stream := testStream(t, 29, dims, 1500, 4)
 	const resident, materialized, streamed = 0, 1, 2
-	explicit := Options{Algorithm: Optimized, MTTKRPKernel: KernelPlan, Layout: LayoutOff}
+	explicit := Options{Algorithm: Optimized, MTTKRPKernel: KernelPlan}
 	nonneg := explicit
 	nonneg.Constraint = admm.NonNeg{}
 	configs := []struct {

@@ -83,35 +83,6 @@ func (d *Decomposer) SetMTTKRPKernel(k MTTKRPKernel) error {
 	return nil
 }
 
-// LayoutPolicy returns the current adaptive-layout policy.
-func (d *Decomposer) LayoutPolicy() LayoutPolicy { return d.opt.Layout }
-
-// SetLayoutPolicy overrides the adaptive-layout policy for subsequent
-// slices: LayoutOff stops remapping, LayoutAuto lets the selector decide
-// again. There is nothing to freeze or resume — the verdict is a
-// function of each slice alone, so a slice is scheduled the same
-// whatever the policy was before it. The switch is exact in the same
-// sense as SetMTTKRPKernel: every layout computes the same updates,
-// only memory order (and hence rounding order) differs. Unknown values
-// return an error and leave the policy unchanged.
-func (d *Decomposer) SetLayoutPolicy(l LayoutPolicy) error {
-	if l < LayoutAuto || l > LayoutOff {
-		return fmt.Errorf("core: unknown LayoutPolicy %d", int(l))
-	}
-	d.opt.Layout = l
-	return nil
-}
-
-// LastLayoutDecision reports the layout verdict of the most recent
-// slice begin: whether the slice was renumbered into its compact
-// nz-row space. hotFirst is always false — the learned hot-first order
-// is gone and remapped slices keep ascending ids; the result stays only
-// because bench/ compiles against the two-value form (ROADMAP item 8).
-// Diagnostics surface for serve and the determinism tests.
-func (d *Decomposer) LastLayoutDecision() (remapped, hotFirst bool) {
-	return d.lastRemapped, false
-}
-
 // KernelSchedule appends the current per-mode kernel table (resolved
 // at the last slice begin) to dst as one letter per mode — "P"lan or
 // "C"SF — the compact schedule string the determinism tests compare

@@ -1,9 +1,9 @@
 // Package perfmodel holds the cost models the runtime consults once per
 // slice, each a pure function of the measured slice shape and the
 // options, so a checkpoint-restored stream replays the same schedule:
-// the slice profile (this file), the plan-vs-CSF kernel choice and the
-// remap verdict (select.go) and the in-memory-vs-streamed evaluation
-// choice (eval.go). Nothing here keeps state between slices. The
+// the slice profile (this file), the plan-vs-CSF kernel choice
+// (select.go) and the in-memory-vs-streamed evaluation choice
+// (eval.go). Nothing here keeps state between slices. The
 // simulator that regenerates the paper's thread-scaling figures is the
 // sub-package sim.
 package perfmodel

@@ -10,16 +10,13 @@ import (
 // This file is the runtime selector. Given a measured slice shape it
 // predicts the per-mode cost of the two per-slice compiled MTTKRP
 // kernels — the coordinate plan (mttkrp.Plan) and the tiled CSF engine
-// (csf.Engine) — and picks the faster one (SelectMTTKRPEx), and it
-// decides whether the slice should first be renumbered into its compact
-// nz-row index space (SelectRemap; mttkrp.Remapper, the paper's A_nz /
-// A_z row split applied per slice). Unlike the paper-testbed model in
-// the sim sub-package (which reproduces published scaling curves), the
-// selector runs on whatever host the stream runs on, so its constants
-// are calibrated against measured single-core kernel times
-// (EXPERIMENTS.md, "CSF vs plan crossover") and it only needs the
-// *ordering* of two predictions to be right, with conservative margins
-// absorbing the residual model error.
+// (csf.Engine) — and picks the faster one (SelectMTTKRPEx). Unlike the
+// paper-testbed model in the sim sub-package (which reproduces published
+// scaling curves), the selector runs on whatever host the stream runs
+// on, so its constants are calibrated against measured single-core
+// kernel times (EXPERIMENTS.md, "CSF vs plan crossover") and it only
+// needs the *ordering* of two predictions to be right, with conservative
+// margins absorbing the residual model error.
 
 // SelectorParams holds the host-generic per-operation costs (ns) of the
 // two compiled kernels. Defaults were fit on a commodity x86-64 core
@@ -65,40 +62,9 @@ type SelectorParams struct {
 	// flat per-rank constants (fit on cache-resident grids) miss badly
 	// on paper-§VI-scale skewed modes.
 	ColdFactor float64
-	// CacheBytes is the one cache budget both the kernel predictions and
-	// the remap verdict compare factor footprints against.
+	// CacheBytes is the cache budget the kernel predictions compare
+	// factor footprints against.
 	CacheBytes int64
-
-	// Remap build cost: one LUT translate pass per mode per nonzero,
-	// one mark/assign scan over each mode's rows, and a fixed per-slice
-	// overhead that keeps tiny slices (where even a "profitable" remap
-	// saves microseconds) on the simple path.
-	RemapBuildNsPerNnz float64 // per nonzero per mode
-	RemapBuildNsPerRow float64 // per row of Σ dims
-	RemapFixedNs       float64
-	// Per-iteration remap terms: a remapped mode skips the full-Iₙ Ψ zero
-	// fill (ZeroNsPerElem·Iₙ·K saved) but pays two compact-factor
-	// copies (gather after each factor update, GatherNsPerElem·|nz|·K).
-	ZeroNsPerElem   float64
-	GatherNsPerElem float64
-	// ColdNsPerNnz is the per-nonzero gather penalty the kernels pay
-	// when the full factors overflow CacheBytes; remapping to the
-	// |nz|-row compact factors removes it when they fit back in.
-	ColdNsPerNnz float64
-	// ZSolveNsPerMAC prices the z-row solve collapse of the remapped
-	// explicit update: with Ψ never materialized off the nz rows, the
-	// (Iₙ−|nz|) per-row triangular solves become one K×K composition
-	// plus a streaming product — roughly this many ns saved per z-row
-	// MAC (K² MACs per z row per iteration). This is the remap's
-	// biggest modeled win on skewed modes; it slightly overestimates
-	// constrained runs (ADMM keeps the full Ψ), which is acceptable —
-	// their remap path is a wash, not a regression.
-	ZSolveNsPerMAC float64
-	// MaxNZFrac: a mode only counts as compactable when its nz-row set
-	// is at most this fraction of the mode length (the skew detector —
-	// dense-activity modes gain nothing from renumbering).
-	MaxNZFrac float64
-
 	// Margin < 1: CSF is selected only when its predicted time is below
 	// Margin × the plan's prediction, so prediction noise near the
 	// crossover resolves to the kernel whose worst case is milder.
@@ -121,14 +87,6 @@ func DefaultSelectorParams() SelectorParams {
 		CSFTreeNsPerNnz:    30,
 		ColdFactor:         1.6,
 		CacheBytes:         8 << 20,
-		RemapBuildNsPerNnz: 4,
-		RemapBuildNsPerRow: 2,
-		RemapFixedNs:       30000,
-		ZeroNsPerElem:      0.5,
-		GatherNsPerElem:    1.5,
-		ColdNsPerNnz:       6,
-		ZSolveNsPerMAC:     0.5,
-		MaxNZFrac:          0.5,
 		Margin:             0.9,
 	}
 }
@@ -143,8 +101,7 @@ const (
 	MTTKRPCSF
 )
 
-// Selector predicts and compares the compiled MTTKRP kernels and the
-// remapped against the in-place slice.
+// Selector predicts and compares the compiled MTTKRP kernels.
 type Selector struct {
 	P SelectorParams
 	// Workers is the parallel width both kernels run at.
@@ -346,62 +303,6 @@ func (se Selector) SelectMTTKRPEx(s SliceProfile, mode, k, amortIters int, sorte
 		return MTTKRPCSF
 	}
 	return MTTKRPPlan
-}
-
-// SelectRemap decides whether the slice should be renumbered into its
-// compact nz-row index space before the inner iterations (paper §V-D
-// applied to the explicit algorithm: the kernels then gather from
-// |nz|·K compact factors instead of Iₙ·K full ones): remap when the
-// modeled per-iteration gain (skipped full-size Ψ zero fills, collapsed
-// z-row solves, warmed-up kernel gathers), amortized over amortIters
-// inner iterations, pays for the remap build and the per-iteration
-// compact-factor maintenance. Like the kernel choice it is a pure
-// function of (profile, k, amortIters, params) — nothing learned across
-// slices flows in, so a retried, skipped-past or checkpoint-restored
-// stream replays the same verdicts by construction.
-func (se Selector) SelectRemap(p SliceProfile, k, amortIters int) bool {
-	if p.NNZ == 0 {
-		return false
-	}
-	if amortIters < 1 {
-		amortIters = 1
-	}
-	iters := float64(amortIters)
-	nnz := float64(p.NNZ)
-	n := len(p.Modes)
-
-	gain, cost := 0.0, se.P.RemapFixedNs/iters
-	cost += nnz * float64(n) * se.P.RemapBuildNsPerNnz / iters
-	compactable := false
-	fullBytes, nzBytes := int64(0), int64(0)
-	for _, mp := range p.Modes {
-		fullBytes += int64(mp.Dim) * int64(k) * 8
-		nzBytes += int64(mp.NZRows) * int64(k) * 8
-		cost += float64(mp.Dim) * se.P.RemapBuildNsPerRow / iters
-		if float64(mp.NZRows) <= se.P.MaxNZFrac*float64(mp.Dim) {
-			compactable = true
-			// Per iteration: the mode's Ψ shrinks from Iₙ×K to |nz|×K,
-			// skipping the zero fill of the untouched rows …
-			gain += float64(mp.Dim-mp.NZRows) * float64(k) * se.P.ZeroNsPerElem
-		}
-		// … at the price of refreshing the compact gather of the mode's
-		// factor once per mode update.
-		cost += float64(mp.NZRows) * float64(k) * se.P.GatherNsPerElem
-		// Every mode's update also sheds its z-row triangular solves
-		// (K² MACs each) for a streaming A_z = A_z,t₋₁·M product.
-		gain += float64(mp.Dim-mp.NZRows) * float64(k) * float64(k) * se.P.ZSolveNsPerMAC
-	}
-	if !compactable {
-		return false
-	}
-	// Cache term: each of the N per-mode MTTKRPs streams nnz gathers
-	// from the other factors; if the full factor set overflows the
-	// budget but the compact set fits, every one of those gathers warms
-	// up.
-	if fullBytes > se.P.CacheBytes && nzBytes <= se.P.CacheBytes {
-		gain += nnz * float64(n) * se.P.ColdNsPerNnz
-	}
-	return gain > cost
 }
 
 // ProfileInto measures a SliceProfile from x into p, reusing p's Modes

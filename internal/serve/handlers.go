@@ -267,7 +267,6 @@ type statsResponse struct {
 	Breaker        breakerStats     `json:"breaker"`
 	Overload       map[string]int64 `json:"overload"`
 	Resilience     resilience.Stats `json:"resilience"`
-	Layout         layoutStats      `json:"layout"`
 }
 
 // shardStats reports this daemon's slot in a row-sharded cluster: it
@@ -280,14 +279,6 @@ type shardStats struct {
 	Count int `json:"count"`
 	RowLo int `json:"row_lo"`
 	RowHi int `json:"row_hi"`
-}
-
-// layoutStats reports whether the newest slice was renumbered into its
-// compact nz-row space. Row remapping is invisible in every other API —
-// snapshots and checkpoints always carry global row ids — so this flag
-// is the only external trace of it.
-type layoutStats struct {
-	Remapped bool `json:"remapped"`
 }
 
 type breakerStats struct {
@@ -337,7 +328,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"shed_spill":      ov.ShedSpill,
 		},
 		Resilience: view.Resilience,
-		Layout:     layoutStats{Remapped: view.Remapped},
 	}
 	if sh := s.cfg.Shard; sh != nil {
 		resp.Shard = &shardStats{ID: sh.ID, Count: sh.Count, RowLo: sh.RowLo, RowHi: sh.RowHi}

@@ -145,7 +145,6 @@ type statsView struct {
 	T          int
 	Fit        float64
 	Resilience resilience.Stats
-	Remapped   bool
 }
 
 // Server is the daemon: decomposer + ingest pipeline + breaker + HTTP
@@ -292,12 +291,10 @@ func (s *Server) onError(err error) {
 // publishStats republishes the consumer-side counters (called only
 // from the consumer goroutine or while the pipeline is quiescent).
 func (s *Server) publishStats(fit float64) {
-	rm, _ := s.dec.LastLayoutDecision()
 	s.stats.Store(&statsView{
 		T:          s.dec.T(),
 		Fit:        fit,
 		Resilience: s.dec.ResilienceStats(),
-		Remapped:   rm,
 	})
 }
 
