@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"spstream/internal/admm"
@@ -153,6 +154,47 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("resident=%v: streamed inner iteration allocates %.1f times per run, want 0", resident, allocs)
+		}
+	}
+}
+
+// TestSpCPSliceRoundAllocs bounds what a whole spCP-stream slice —
+// beginSpCP, an iteration, finishSpCP — allocates once the Decomposer's
+// grow-only matrices have reached the stream's nz counts: the remap, the
+// compiled plan, the two set differences per mode and the appended sₜ
+// row, together fewer bytes than the slice's A_nz alone (0.43 × here). (The parent
+// allocated A_nz, its A_{t−1} gather, Ψ_nz and the gathers of the rows
+// that moved afresh every slice: five to six times A_nz.)
+func TestSpCPSliceRoundAllocs(t *testing.T) {
+	s := remapStream(t, 406, 6)
+	d, err := NewDecomposer(s.Dims, Options{Rank: 16, Algorithm: SpCPStream, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range s.Slices { // grow every buffer to the largest slice
+		if _, err := d.ProcessSlice(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	for i, x := range s.Slices {
+		runtime.ReadMemStats(&before)
+		run, err := d.beginSpCP(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.iterateSpCP(run); err != nil {
+			t.Fatal(err)
+		}
+		d.finishSpCP(run)
+		runtime.ReadMemStats(&after)
+		aNz := 0
+		for _, nz := range run.rm.NZ {
+			aNz += 8 * d.k * len(nz)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if got >= uint64(aNz) {
+			t.Errorf("slice %d: a spCP slice round allocates %d bytes, its A_nz is %d", i, got, aNz)
 		}
 	}
 }

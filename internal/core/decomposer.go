@@ -49,7 +49,7 @@ type Decomposer struct {
 
 	// Kernels and workspaces.
 	psi    []*dense.Matrix // Ψ workspace for the explicit algorithms
-	nzPsi  []*dense.Matrix // per-mode Ψ_nz workspaces for spCP-stream
+	sp     spcpBufs        // spCP-stream's per-slice matrices
 	lastM  *dense.Matrix   // raw MTTKRP of a constrained last factor mode
 	mt     *mttkrp.Computer
 	solver *admm.Solver
@@ -84,11 +84,12 @@ type Decomposer struct {
 
 	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s). ψ is also every
 	// sₜ solve's right-hand side; psiFresh says it is the running slice's,
-	// over the factors as they now are. dotPart: colDots' block partials.
-	fitPsi, fitTmp, dotPart []float64
-	psiFresh                bool
+	// over the factors as they now are. sweepPart: rowSweep's block
+	// partials, grow-only.
+	fitPsi, fitTmp, sweepPart []float64
+	psiFresh                  bool
 
-	// Reusable argument block for the ctx-style parallel helpers below.
+	// Reusable argument block of the ctx-style pool bodies (sweep.go).
 	pargs coreArgs
 
 	// Resilience state (see resilient.go): recovery counters, the
@@ -114,14 +115,6 @@ type Decomposer struct {
 // the decomposer, while it is quiescent — reading factors, Fit, and T
 // inside the hook is safe; retaining references past its return is not.
 func (d *Decomposer) SetCommitHook(h func(SliceResult)) { d.commitHook = h }
-
-// coreArgs carries stageRHS/solveRows/colDots operands through the worker
-// pool without closures; owned by the Decomposer and cleared after each call.
-type coreArgs struct {
-	dst, m, a, b *dense.Matrix
-	chol         *dense.Cholesky
-	s, part      []float64
-}
 
 // NewDecomposer creates a decomposer for slices with the given mode
 // lengths. Factors are randomly initialized (non-negative uniform, so
@@ -317,55 +310,29 @@ func (d *Decomposer) finishSlice() {
 	d.t++
 }
 
-// columnScales extracts the per-column 2-norms λ of mode m's factor
-// from diag(C⁽ᵐ⁾) (so it works identically for the Gram-form algorithm)
-// and their inverses, guarding dead columns, and absorbs λ into sₜ so
-// the model [[A…; s]] is unchanged by the rescaling.
-func (d *Decomposer) columnScales(m int) (inv []float64) {
-	inv = d.colScale
-	for j := 0; j < d.k; j++ {
-		v := d.c[m].At(j, j)
+// normalizeMode implements Algorithm 4's per-iteration normalize(C, H)
+// (line 30) after mode m's update. The per-column 2-norms λ of the factor
+// come from diag(C⁽ᵐ⁾) (so the Gram form takes the same ones), dead
+// columns guarded; λ is absorbed into sₜ so the model [[A…; s]] is
+// unchanged; the rows sw.a are scaled by λ⁻¹ in one more sweep, which
+// takes the norms and ψ again on the scaled rows; the cached Gram state
+// follows — C ← D⁻¹CD⁻¹ and H ← H·D⁻¹ (H's left side is the unscaled
+// A⁽ᵐ⁾ₜ₋₁) — and the µG + ssᵀ operand is refreshed so the later modes of
+// the iteration see a consistent model. λ⁻¹ stays in d.colScale.
+func (d *Decomposer) normalizeMode(m int, sw coreArgs) (diff2, norm2 float64) {
+	sw.inv = d.colScale
+	for j := range sw.inv {
 		lambda := 1.0
-		if v > 0 {
+		if v := d.c[m].At(j, j); v > 0 {
 			lambda = math.Sqrt(v)
 		}
-		inv[j] = 1 / lambda
+		sw.inv[j] = 1 / lambda
 		d.s[j] *= lambda
 	}
-	return inv
-}
-
-// scaleGrams applies the column rescaling to mode m's cached Gram
-// state: C ← D⁻¹CD⁻¹ and H ← H·D⁻¹ (H's left side is the unscaled
-// A⁽ᵐ⁾ₜ₋₁).
-func (d *Decomposer) scaleGrams(m int, inv []float64) {
-	dense.ScaleColumns(d.c[m], d.c[m], inv)
-	dense.ScaleRows(d.c[m], d.c[m], inv)
-	dense.ScaleColumns(d.h[m], d.h[m], inv)
-}
-
-// normalizeModeExplicit implements Algorithm 4's per-iteration
-// normalize(C, H) (line 30) for the explicit algorithms: after mode m's
-// update, its factor columns are rescaled to unit norm, the scale is
-// absorbed into sₜ, and the µG + ssᵀ operand is refreshed so subsequent
-// modes in the same iteration see a consistent model.
-func (d *Decomposer) normalizeModeExplicit(m int) {
-	inv := d.columnScales(m)
-	dense.ScaleColumns(d.a[m], d.a[m], inv)
-	d.scaleGrams(m, inv)
+	diff2, norm2 = d.rowSweep(sw, nil, nil)
+	dense.ScaleColumns(d.c[m], d.c[m], sw.inv)
+	dense.ScaleRows(d.c[m], d.c[m], sw.inv)
+	dense.ScaleColumns(d.h[m], d.h[m], sw.inv)
 	d.buildMuG()
-}
-
-// normalizeModeSpCP is the Gram-form counterpart: the explicit nz rows
-// and the z-row transform T⁽ᵐ⁾ are rescaled (A_z = A_z,t₋₁·T, so
-// scaling T's columns scales the implicit z rows), along with the
-// current C_z and the C/H state.
-func (d *Decomposer) normalizeModeSpCP(m int, aNz, tCur, czCur *dense.Matrix) {
-	inv := d.columnScales(m)
-	dense.ScaleColumns(aNz, aNz, inv)
-	dense.ScaleColumns(tCur, tCur, inv)
-	dense.ScaleColumns(czCur, czCur, inv)
-	dense.ScaleRows(czCur, czCur, inv)
-	d.scaleGrams(m, inv)
-	d.buildMuG()
+	return diff2, norm2
 }

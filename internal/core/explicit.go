@@ -7,7 +7,6 @@ import (
 
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
-	"spstream/internal/parallel"
 	"spstream/internal/trace"
 )
 
@@ -78,7 +77,7 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
 	con := d.opt.Constraint
-	var kout *dense.Matrix
+	var delta float64
 	for n := 0; n < d.n; n++ {
 		// Φ⁽ⁿ⁾ and its Cholesky factorization.
 		t0 := time.Now()
@@ -89,11 +88,11 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 			return 0, fmt.Errorf("core: mode %d Φ factorization: %w", n, err)
 		}
 		// M⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n), kept raw: the time mode's single
-		// Khatri-Rao row sₜ is a column scaling the row pass below applies,
-		// and sₜ itself is refreshed from the last mode's M — which ADMM
-		// would overwrite with Ψ⁽ᴺ⁾, hence rawLast.
+		// Khatri-Rao row sₜ is a column scaling the row sweep applies, and
+		// sₜ itself is refreshed from the last mode's M — which ADMM would
+		// overwrite with Ψ⁽ᴺ⁾, hence rawLast.
 		t0 = time.Now()
-		kout = d.psi[n]
+		kout := d.psi[n]
 		if con != nil && n == d.n-1 {
 			kout = d.rawLast(d.dims[n])
 		}
@@ -101,69 +100,44 @@ func (d *Decomposer) iterateExplicit(run *explicitRun) (float64, error) {
 			return 0, err
 		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
-		// Ψ⁽ⁿ⁾ = M⁽ⁿ⁾·diag(sₜ) + A⁽ⁿ⁾ₜ₋₁ ((⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG), the second
-		// the "Historical" term, staged in one row pass where the solve
-		// reads it: the factor itself, Ψ for ADMM.
+		// A⁽ⁿ⁾ = Ψ⁽ⁿ⁾Φ⁻¹ for Ψ⁽ⁿ⁾ = M⁽ⁿ⁾·diag(sₜ) + A⁽ⁿ⁾ₜ₋₁ Q⁽ⁿ⁾, with
+		// Q⁽ⁿ⁾ = (⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG the "Historical" term, and what the
+		// other modes and δₜ read off the new rows.
 		t0 = time.Now()
 		d.buildQ(q, n)
-		rhs := d.a[n]
-		if con != nil {
-			rhs = d.psi[n]
-		}
-		d.stageRHS(rhs, kout, d.prevA[n], q)
 		d.bd.Add(trace.Historical, time.Since(t0))
-		t0 = time.Now()
-		if con == nil {
-			d.solveRows(d.a[n])
-		} else {
-			st, e := d.solver.BlockedFused(d.a[n], phi, d.psi[n], con)
-			run.res.ADMMIters += st.Iters
-			err = e
-		}
-		d.bd.Add(trace.Update, time.Since(t0))
+		num, den, err := d.updateRows(&run.res, n, d.a[n], kout, d.prevA[n], d.psi[n], phi, q)
 		if err != nil {
-			return 0, fmt.Errorf("core: mode %d ADMM: %w", n, err)
+			return 0, err
 		}
-		// Refresh the Gram matrices used by the other modes. The C⁽ⁿ⁾
-		// refresh is "Gram" work; the H⁽ⁿ⁾ cross-Gram against A⁽ⁿ⁾ₜ₋₁ is
-		// part of the historical term (Fig. 8 accounting).
-		t0 = time.Now()
-		dense.GramParallel(d.c[n], d.a[n], d.opt.Workers)
-		d.bd.Add(trace.Gram, time.Since(t0))
-		t0 = time.Now()
-		dense.MulAtBParallel(d.h[n], d.prevA[n], d.a[n], d.opt.Workers)
-		d.bd.Add(trace.Historical, time.Since(t0))
 		if d.opt.Normalize {
 			t0 = time.Now()
-			d.normalizeModeExplicit(n)
+			num, den = d.normalizeMode(n, coreArgs{a: d.a[n], m: kout, prev: d.prevA[n], psi: n == d.n-1})
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
-	}
-	// Time-mode ALS block: refresh sₜ, and with it the µG + ssᵀ operand,
-	// from ψ = Σᵢ M⁽ᴺ⁾[i,:] ∘ A⁽ᴺ⁾[i,:] — no pass over the nonzeros.
-	t0 := time.Now()
-	d.colDots(d.fitPsi, kout, d.a[d.n-1])
-	d.psiFresh = true
-	err := d.solveS()
-	d.bd.Add(trace.MTTKRP, time.Since(t0))
-	if err != nil {
-		return 0, err
-	}
-	t0 = time.Now()
-	d.buildMuG()
-	d.bd.Add(trace.Misc, time.Since(t0))
-	// δₜ = Σ_n ‖A⁽ⁿ⁾−A⁽ⁿ⁾ₜ₋₁‖_F / ‖A⁽ⁿ⁾‖_F (Eq. 15).
-	t0 = time.Now()
-	var delta float64
-	for n := 0; n < d.n; n++ {
-		num := dense.ParallelFrobNorm2Diff(d.a[n], d.prevA[n], d.opt.Workers)
-		den := dense.FrobNorm2(d.a[n])
+		// δₜ = Σ_n ‖A⁽ⁿ⁾−A⁽ⁿ⁾ₜ₋₁‖_F / ‖A⁽ⁿ⁾‖_F (Eq. 15).
 		if den > 0 {
 			delta += math.Sqrt(num / den)
 		}
 	}
-	d.bd.Add(trace.Error, time.Since(t0))
-	return delta, nil
+	return delta, d.refreshS()
+}
+
+// refreshS is the time-mode ALS block that closes an inner iteration: sₜ
+// from the ψ the last mode's sweep left in fitPsi — no pass over the
+// nonzeros — and with it the µG + ssᵀ operand.
+func (d *Decomposer) refreshS() error {
+	t0 := time.Now()
+	d.psiFresh = true
+	err := d.solveS()
+	d.bd.Add(trace.MTTKRP, time.Since(t0))
+	if err != nil {
+		return err
+	}
+	t0 = time.Now()
+	d.buildMuG()
+	d.bd.Add(trace.Misc, time.Since(t0))
+	return nil
 }
 
 // finishExplicit performs the Post work (fit tracking, G/S temporal
@@ -196,83 +170,8 @@ func (d *Decomposer) ensurePsi() {
 }
 
 // rawLast returns the rows×K buffer a constrained last factor mode's
-// kernel writes M into (see iterateExplicit), reallocated on a new size.
+// kernel writes M into (see iterateExplicit), grow-only.
 func (d *Decomposer) rawLast(rows int) *dense.Matrix {
-	if d.lastM == nil || d.lastM.Rows != rows {
-		d.lastM = dense.NewMatrix(rows, d.k)
-	}
+	d.lastM = resized(d.lastM, rows, d.k)
 	return d.lastM
-}
-
-// stageRHS writes the row update's right-hand side
-// dst[r] = m[r]∘sₜ + prev[r]·q for every row r of m; dst may be m.
-// Allocation-free via d.pargs.
-func (d *Decomposer) stageRHS(dst, m, prev, q *dense.Matrix) {
-	pa := &d.pargs
-	pa.dst, pa.m, pa.a, pa.b, pa.s = dst, m, prev, q, d.s
-	d.pool.Do(m.Rows, d.opt.Workers, pa, stageRHSBody)
-	*pa = coreArgs{}
-}
-
-func stageRHSBody(ctx any, _ int, r parallel.Range) {
-	pa := ctx.(*coreArgs)
-	for i := r.Lo; i < r.Hi; i++ {
-		dst := pa.dst.Row(i)
-		for j, v := range pa.m.Row(i) {
-			dst[j] = v * pa.s[j]
-		}
-		dense.AddMulRow(dst, pa.a.Row(i), pa.b)
-	}
-}
-
-// solveRows overwrites the staged right-hand sides m with m·Φ⁻¹, each
-// worker pushing its row range through the panel solve.
-func (d *Decomposer) solveRows(m *dense.Matrix) {
-	pa := &d.pargs
-	pa.dst, pa.chol = m, &d.chol
-	d.pool.Do(m.Rows, d.opt.Workers, pa, solveRowsBody)
-	*pa = coreArgs{}
-}
-
-func solveRowsBody(ctx any, _ int, r parallel.Range) {
-	pa := ctx.(*coreArgs)
-	var rows dense.Matrix
-	rows.SetRowView(pa.dst, r.Lo, r.Hi)
-	pa.chol.SolveRows(&rows)
-}
-
-// dotBlock is the row-block height of colDots: a constant, so that the
-// partial sums, and with them sₜ, do not depend on the worker count.
-const dotBlock = 256
-
-// colDots computes dst[k] = Σᵢ m[i,k]·a[i,k]: one partial per dotBlock
-// rows, computed on the pool, merged in ascending block order.
-func (d *Decomposer) colDots(dst []float64, m, a *dense.Matrix) {
-	nb := (m.Rows + dotBlock - 1) / dotBlock
-	if cap(d.dotPart) < nb*d.k {
-		d.dotPart = make([]float64, nb*d.k)
-	}
-	pa := &d.pargs
-	pa.m, pa.a, pa.part = m, a, d.dotPart[:nb*d.k]
-	d.pool.Do(nb, d.opt.Workers, pa, colDotsBody)
-	*pa = coreArgs{}
-	clear(dst)
-	for i, v := range d.dotPart[:nb*d.k] {
-		dst[i%d.k] += v
-	}
-}
-
-func colDotsBody(ctx any, _ int, r parallel.Range) {
-	pa := ctx.(*coreArgs)
-	k := pa.m.Cols
-	for b := r.Lo; b < r.Hi; b++ {
-		acc := pa.part[b*k : (b+1)*k]
-		clear(acc)
-		for i := b * dotBlock; i < min((b+1)*dotBlock, pa.m.Rows); i++ {
-			ra := pa.a.Row(i)
-			for j, v := range pa.m.Row(i) {
-				acc[j] += float64(v * ra[j])
-			}
-		}
-	}
 }

@@ -17,13 +17,11 @@ import (
 )
 
 // The inner loop takes the time mode's right-hand side from the last
-// factor mode's MTTKRP instead of a pass over the nonzeros (colDots),
-// and stages every row update's right-hand side in the rows the solve
-// overwrites (stageRHS). The tests below pin what that may and may not
-// move: ψ agrees with the full pass to rounding, the factors of an
-// iteration are the old formula's bit for bit, the reduction does not
-// know the worker count, and a streamed slice decodes its blocks once
-// less per iteration.
+// factor mode's MTTKRP instead of a pass over the nonzeros (the row
+// sweep's ψ). The tests below pin what that may and may not move: ψ
+// agrees with the full pass to rounding, a streamed slice decodes its
+// blocks once less per iteration, and the tracked fit reads the same ψ.
+// What the sweep itself may move is pinned in sweep_test.go.
 
 // reuseStream is remapStream with a chosen number of modes: one long
 // mode that a slice touches a few percent of beside short ones.
@@ -57,7 +55,7 @@ func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func
 			if _, err := d.iterateSpCP(run); err != nil {
 				t.Fatal(err)
 			}
-			after(sliceData{x: run.rm.X}, run.aNz)
+			after(sliceData{x: run.rm.X}, d.sp.aNz)
 		}
 		d.finishSpCP(run)
 		return
@@ -132,97 +130,6 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 								}
 							})
 						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRowUpdateMatchesParentFormula pins "A does not move": handed the
-// same sₜ, an inner iteration's factors are bit for bit those of the
-// update it replaced — ScaleColumns(Ψ), Ψ += A_{t−1}·Q row by row, then
-// A = Ψ·Φ⁻¹ out of place.
-func TestRowUpdateMatchesParentFormula(t *testing.T) {
-	dims := []int{300, 41, 57}
-	stream := testStream(t, 61, dims, 2500, 2)
-	opt := Options{Rank: 6, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Workers: 3, Seed: 4}
-	var ds [2]*Decomposer
-	var runs [2]*explicitRun
-	for i := range ds {
-		d, err := NewDecomposer(dims, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.ProcessSlice(stream.Slices[0]); err != nil {
-			t.Fatal(err)
-		}
-		if runs[i], err = d.beginExplicit(sliceData{x: stream.Slices[1]}); err != nil {
-			t.Fatal(err)
-		}
-		ds[i] = d
-	}
-	if _, err := ds[0].iterateExplicit(runs[0]); err != nil {
-		t.Fatal(err)
-	}
-	d, run := ds[1], runs[1]
-	phi, q := d.scratch1, d.scratch2
-	for n := range dims {
-		d.buildPhi(phi, n)
-		if err := d.factorize(phi); err != nil {
-			t.Fatal(err)
-		}
-		psi := d.psi[n]
-		if err := d.mttkrpMode(psi, run.in, run.plan, d.a, n); err != nil {
-			t.Fatal(err)
-		}
-		dense.ScaleColumns(psi, psi, d.s)
-		d.buildQ(q, n)
-		for i := 0; i < psi.Rows; i++ {
-			dense.AddMulRow(psi.Row(i), d.prevA[n].Row(i), q)
-		}
-		d.chol.SolveRowsInto(d.a[n], psi)
-		dense.GramParallel(d.c[n], d.a[n], d.opt.Workers)
-		dense.MulAtBParallel(d.h[n], d.prevA[n], d.a[n], d.opt.Workers)
-		sameMatrixBits(t, fmt.Sprintf("factor %d", n), ds[0].a[n], d.a[n])
-	}
-}
-
-// TestColDotsWorkerIdentity: the block-keyed reduction gives the same
-// bits at every worker count — and at every GOMAXPROCS CI runs it under
-// — on row counts around a block edge, and they are the bits of the
-// definition: per-block sums in row order, added in block order.
-func TestColDotsWorkerIdentity(t *testing.T) {
-	r := synth.NewRNG(3)
-	for _, k := range []int{1, 5, 16} {
-		for _, rows := range []int{0, 1, dotBlock - 1, dotBlock, dotBlock + 1, 5*dotBlock + 17} {
-			m, a := dense.NewMatrix(rows, k), dense.NewMatrix(rows, k)
-			for i := range m.Data {
-				m.Data[i], a.Data[i] = r.NormFloat64(), r.NormFloat64()
-			}
-			want := make([]float64, k)
-			for lo := 0; lo < rows; lo += dotBlock {
-				part := make([]float64, k)
-				for i := lo; i < min(lo+dotBlock, rows); i++ {
-					for j := range part {
-						part[j] += float64(m.At(i, j) * a.At(i, j))
-					}
-				}
-				for j := range want {
-					want[j] += part[j]
-				}
-			}
-			for _, workers := range []int{1, 2, 4, 7} {
-				d, err := NewDecomposer([]int{3, 3}, Options{Rank: k, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([]float64, k)
-				got[0] = math.NaN() // colDots overwrites
-				d.colDots(got, m, a)
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("K=%d rows=%d workers=%d: column %d is %g, want %g", k, rows, workers, j, got[j], want[j])
 					}
 				}
 			}
@@ -461,28 +368,5 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 				t.Fatalf("%s: FitOf another slice %.15g, from its own pass %.15g", name, got, want)
 			}
 		}
-	}
-}
-
-// BenchmarkColDots times the sₜ right-hand side on the two shapes the
-// benchmark workloads give it: the longest nips mode and a compact
-// |nz|-row one, at K = 16.
-func BenchmarkColDots(b *testing.B) {
-	for _, rows := range []int{14000, 700} {
-		b.Run(fmt.Sprintf("%dx16", rows), func(b *testing.B) {
-			d, err := NewDecomposer([]int{3, 3}, Options{Rank: 16})
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, a := dense.NewMatrix(rows, 16), dense.NewMatrix(rows, 16)
-			m.Fill(1.5)
-			a.Fill(0.5)
-			dst := make([]float64, 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.colDots(dst, m, a)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
-		})
 	}
 }

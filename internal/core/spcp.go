@@ -14,25 +14,61 @@ import (
 
 // spcpRun holds the per-slice state of the paper's Algorithm 4
 // (spCP-stream) between the begin/iterate/finish phases: the remapped
-// slice, its compiled MTTKRP plan, the gathered A_nz iterates, and the
-// per-mode final transforms. Factor rows are partitioned per mode into
-// the nz(n) subset touched by this slice's nonzeros and the untouched
-// z(n) subset. Only A_nz is materialized and iterated on; the z rows are
-// carried implicitly through the K×K Gram matrices C_z (Eq. 11) and
-// updated explicitly once, after convergence, by the accumulated
-// transform Q·Φ⁻¹ of the final iteration (Eq. 6). The inner loop
-// therefore costs O(nnz·K + |nz|·K² + K³) per mode instead of
+// slice and its compiled MTTKRP plan; the gathered A_nz iterates and the
+// per-mode final transforms are the Decomposer's (spcpBufs). Factor rows
+// are partitioned per mode into the nz(n) subset touched by this slice's
+// nonzeros and the untouched z(n) subset. Only A_nz is materialized and
+// iterated on; the z rows are carried implicitly through the K×K Gram
+// matrices C_z (Eq. 11) and updated explicitly once, after convergence,
+// by the accumulated transform Q·Φ⁻¹ of the final iteration (Eq. 6). The
+// inner loop therefore costs O(nnz·K + |nz|·K² + K³) per mode instead of
 // O(nnz·K + Iₙ·K²) — the source of the 102× speedups on skewed tensors.
 type spcpRun struct {
-	x       *sptensor.Tensor
-	rm      *mttkrp.Remapped
-	plan    *mttkrp.Plan
-	aNzPrev []*dense.Matrix
-	aNz     []*dense.Matrix
-	tFinal  []*dense.Matrix
-	czCur   []*dense.Matrix
-	tmpKK   *dense.Matrix
-	res     SliceResult
+	x    *sptensor.Tensor
+	rm   *mttkrp.Remapped
+	plan *mttkrp.Plan
+	res  SliceResult
+}
+
+// spcpBufs are the matrices of a spCP-stream slice, owned by the
+// Decomposer and grow-only: per mode the |nz|×K iterate aNz, its A_{t−1}
+// gather aNzPrev and the Ψ_nz workspace psi (row counts differ across
+// modes, so each mode owns its own), the K×K final transform tFinal and
+// current C_z czCur; tmpKK and gram are K×K scratch, moved the gather of
+// the rows that left or entered an nz set. beginSpCP re-slices the row
+// matrices to the slice's nz counts and nothing reads one before it is
+// written in full: aNzPrev by its gather and aNz by the copy of it in
+// beginSpCP, psi by every mode's MTTKRP, tFinal, tmpKK and czCur by
+// iterateSpCP's SolveRowsInto, MulAB and MulAtB — MaxIters ≥ 1, so
+// finishSpCP never sees a previous slice's — gram and moved by the
+// GramParallel and gather beside each use.
+type spcpBufs struct {
+	aNz, aNzPrev, psi, tFinal, czCur []*dense.Matrix
+	tmpKK, gram, moved               *dense.Matrix
+}
+
+// resized returns m re-sliced to rows×k over its own storage, contents
+// unspecified. Storage that is too small is replaced with a quarter's
+// headroom, so the creeping nz counts of a stream reallocate a few times
+// and then no more.
+func resized(m *dense.Matrix, rows, k int) *dense.Matrix {
+	if m == nil {
+		return dense.NewMatrix(rows, k)
+	}
+	if cap(m.Data) < rows*k {
+		m = dense.NewMatrix(rows+rows/4, k)
+	}
+	m.Rows, m.Data = rows, m.Data[:rows*k]
+	return m
+}
+
+// gatherNZ resizes dst to the rows of src listed in idx and copies them.
+func gatherNZ(dst, src *dense.Matrix, idx []int32) *dense.Matrix {
+	dst = resized(dst, len(idx), src.Cols)
+	for r, i := range idx {
+		copy(dst.Row(r), src.Row(int(i)))
+	}
+	return dst
 }
 
 // beginSpCP performs the Pre work: remap, nz bookkeeping, incremental
@@ -50,53 +86,44 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 		// bookkeeping relies on sorted NZ sets): the dense LUT scratch,
 		// NZ lists, and index columns are reused across slices.
 		run.rm = d.remapper.Begin(x, nil)
-		rm := run.rm
-		if d.prevNZ == nil || d.opt.DirectCz {
-			// First slice (or the DirectCz ablation): C_z,t−1 =
-			// C − Gram(A_nz) from scratch.
-			for m := range d.a {
-				aNzPrevM := gatherNZ(d.a[m], rm.NZ[m])
-				gram := dense.NewMatrix(d.k, d.k)
-				dense.GramParallel(gram, aNzPrevM, d.opt.Workers)
-				dense.Sub(d.cz[m], d.c[m], gram)
+		rm, sp := run.rm, &d.sp
+		if sp.aNz == nil {
+			sp.aNz, sp.aNzPrev, sp.psi = make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
+			for range d.a {
+				sp.tFinal = append(sp.tFinal, dense.NewMatrix(d.k, d.k))
+				sp.czCur = append(sp.czCur, dense.NewMatrix(d.k, d.k))
 			}
-		} else {
-			// Algorithm 4 lines 8–11: adjust C_z,t−1 by the rows that
-			// left (add) and entered (subtract) the nz set.
-			for m := range d.a {
-				left := mttkrp.SetDiff(d.prevNZ[m], rm.NZ[m])
-				entered := mttkrp.SetDiff(rm.NZ[m], d.prevNZ[m])
-				if len(left) > 0 {
-					g := dense.NewMatrix(d.k, d.k)
-					dense.GramParallel(g, gatherNZ(d.a[m], left), d.opt.Workers)
-					dense.Add(d.cz[m], d.cz[m], g)
-				}
-				if len(entered) > 0 {
-					g := dense.NewMatrix(d.k, d.k)
-					dense.GramParallel(g, gatherNZ(d.a[m], entered), d.opt.Workers)
-					dense.Sub(d.cz[m], d.cz[m], g)
-				}
-			}
+			sp.tmpKK, sp.gram = dense.NewMatrix(d.k, d.k), dense.NewMatrix(d.k, d.k)
 		}
-		// Gather A_nz,t−1 and initialize the iterate A_nz from it; seed
-		// the Gram state exactly like the explicit path.
-		run.aNzPrev = make([]*dense.Matrix, d.n)
-		run.aNz = make([]*dense.Matrix, d.n)
-		run.tFinal = make([]*dense.Matrix, d.n)
-		run.czCur = make([]*dense.Matrix, d.n)
 		for m := range d.a {
-			run.aNzPrev[m] = gatherNZ(d.a[m], rm.NZ[m])
-			run.aNz[m] = run.aNzPrev[m].Clone()
-			run.tFinal[m] = dense.NewMatrix(d.k, d.k)
-			run.czCur[m] = dense.NewMatrix(d.k, d.k)
+			// Gather A_nz,t−1, initialize the iterate A_nz from it and
+			// seed the Gram state exactly like the explicit path.
+			sp.aNzPrev[m] = gatherNZ(sp.aNzPrev[m], d.a[m], rm.NZ[m])
+			sp.aNz[m] = resized(sp.aNz[m], len(rm.NZ[m]), d.k)
+			sp.aNz[m].CopyFrom(sp.aNzPrev[m])
+			sp.psi[m] = resized(sp.psi[m], len(rm.NZ[m]), d.k)
 			d.cPrev[m].CopyFrom(d.c[m])
 			d.h[m].CopyFrom(d.c[m])
+			if d.prevNZ == nil || d.opt.DirectCz {
+				// First slice (or the DirectCz ablation): C_z,t−1 =
+				// C − Gram(A_nz) from scratch.
+				dense.GramParallel(sp.gram, sp.aNzPrev[m], d.opt.Workers)
+				dense.Sub(d.cz[m], d.c[m], sp.gram)
+				continue
+			}
+			// Algorithm 4 lines 8–11: adjust C_z,t−1 by the rows that
+			// left (add) and entered (subtract) the nz set.
+			if left := mttkrp.SetDiff(d.prevNZ[m], rm.NZ[m]); len(left) > 0 {
+				sp.moved = gatherNZ(sp.moved, d.a[m], left)
+				dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
+				dense.Add(d.cz[m], d.cz[m], sp.gram)
+			}
+			if entered := mttkrp.SetDiff(rm.NZ[m], d.prevNZ[m]); len(entered) > 0 {
+				sp.moved = gatherNZ(sp.moved, d.a[m], entered)
+				dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
+				dense.Sub(d.cz[m], d.cz[m], sp.gram)
+			}
 		}
-		run.tmpKK = dense.NewMatrix(d.k, d.k)
-		// Ψ_nz workspaces sized per mode (row counts differ across
-		// modes, so each mode owns its own buffer — resizing one shared
-		// buffer would allocate on every inner iteration).
-		d.ensureNzPsi(rm)
 		// The compiled MTTKRP layouts over the remapped slice, reused by
 		// every A_nz update of the inner loop. Kernel selection profiles
 		// the remapped slice — its mode lengths are the nz-row counts, so
@@ -104,7 +131,7 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 		run.plan = d.beginKernels(rm.X)
 		// sₜ update over the remapped slice and gathered prev factors
 		// (identical values, slice-local footprint).
-		if err = d.mttkrpTime(d.fitPsi, sliceData{x: rm.X}, run.aNzPrev); err == nil {
+		if err = d.mttkrpTime(d.fitPsi, sliceData{x: rm.X}, sp.aNzPrev); err == nil {
 			err = d.solveS()
 		}
 	})
@@ -121,8 +148,9 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 	phi := d.scratch1
 	q := d.scratch2
 	con := d.opt.Constraint
-	var kout *dense.Matrix
+	sp := &d.sp
 	for n := 0; n < d.n; n++ {
+		last := n == d.n-1
 		// Q⁽ⁿ⁾ (Eq. 14) — Hadamard of K×K Grams, replacing the
 		// baseline's giant Historical matrix products.
 		t0 := time.Now()
@@ -136,72 +164,52 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 			return 0, fmt.Errorf("core: spcp mode %d Φ factorization: %w", n, err)
 		}
 		// A_nz update (Eq. 7): plan-based spMTTKRP over gathered factors,
-		// kept raw (see iterateExplicit), then its column scaling by sₜ
-		// plus the nz part of the historical term, and the Φ solve.
+		// kept raw (see iterateExplicit), then the explicit body's row
+		// update over the nz rows: the column scaling by sₜ plus the nz
+		// part of the historical term, the Φ solve — under the
+		// experimental constrained extension (§VII) BF-ADMM, warm-started
+		// from the previous iterate, the z rows staying linear and
+		// projected once per slice in Post — and C_nz, H_nz and ψ.
 		t0 = time.Now()
-		kout = d.nzPsi[n]
-		if con != nil && n == d.n-1 {
+		kout := sp.psi[n]
+		if con != nil && last {
 			kout = d.rawLast(kout.Rows)
 		}
-		if err := d.mttkrpMode(kout, sliceData{x: run.rm.X}, run.plan, run.aNz, n); err != nil {
+		if err := d.mttkrpMode(kout, sliceData{x: run.rm.X}, run.plan, sp.aNz, n); err != nil {
 			return 0, err
 		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
-		t0 = time.Now()
-		if con == nil {
-			d.stageRHS(run.aNz[n], kout, run.aNzPrev[n], q)
-			d.solveRows(run.aNz[n])
-		} else {
-			// Experimental constrained extension (§VII): the nz rows
-			// are solved with BF-ADMM (warm-started from the previous
-			// iterate); the z rows stay linear and are projected once
-			// per slice in Post.
-			d.stageRHS(d.nzPsi[n], kout, run.aNzPrev[n], q)
-			st, e := d.solver.BlockedFused(run.aNz[n], phi, d.nzPsi[n], con)
-			run.res.ADMMIters += st.Iters
-			err = e
+		// C_nz lands in c[n], H_nz in h[n].
+		if _, _, err := d.updateRows(&run.res, n, sp.aNz[n], kout, sp.aNzPrev[n], sp.psi[n], phi, q); err != nil {
+			return 0, err
 		}
-		d.bd.Add(trace.Update, time.Since(t0))
-		if err != nil {
-			return 0, fmt.Errorf("core: spcp mode %d ADMM: %w", n, err)
-		}
-		// Gram refresh: C_nz from the explicit nz rows; the H_nz
-		// cross-Gram is historical-term work (Fig. 8 accounting) …
+		// The implicit z parts (Eqs. 11, 13): T = QΦ⁻¹,
+		// H_z = C_z,t−1·T, C_z = Tᵀ·C_z,t−1·T. All K×K, and
+		// historical-term work (Fig. 8 accounting).
 		t0 = time.Now()
-		dense.GramParallel(d.c[n], run.aNz[n], d.opt.Workers) // C_nz into c[n]
-		d.bd.Add(trace.Gram, time.Since(t0))
-		t0 = time.Now()
-		dense.MulAtBParallel(d.h[n], run.aNzPrev[n], run.aNz[n], d.opt.Workers)
-		// … and the implicit z parts (Eqs. 11, 13): T = QΦ⁻¹,
-		// H_z = C_z,t−1·T, C_z = Tᵀ·C_z,t−1·T. All K×K.
-		d.chol.SolveRowsInto(run.tFinal[n], q)
-		dense.MulAB(run.tmpKK, d.cz[n], run.tFinal[n]) // C_z,t−1·T
-		dense.Add(d.h[n], d.h[n], run.tmpKK)           // H = H_nz + H_z
-		dense.MulAtB(run.czCur[n], run.tFinal[n], run.tmpKK)
-		dense.Add(d.c[n], d.c[n], run.czCur[n]) // C = C_nz + C_z
+		d.chol.SolveRowsInto(sp.tFinal[n], q)
+		dense.MulAB(sp.tmpKK, d.cz[n], sp.tFinal[n]) // C_z,t−1·T
+		dense.Add(d.h[n], d.h[n], sp.tmpKK)          // H = H_nz + H_z
+		dense.MulAtB(sp.czCur[n], sp.tFinal[n], sp.tmpKK)
+		dense.Add(d.c[n], d.c[n], sp.czCur[n]) // C = C_nz + C_z
 		d.bd.Add(trace.Historical, time.Since(t0))
 		if d.opt.Normalize {
+			// Gram-form normalize: scaling T's columns scales the implicit
+			// z rows (A_z = A_z,t₋₁·T), and C_z goes with them.
 			t0 = time.Now()
-			d.normalizeModeSpCP(n, run.aNz[n], run.tFinal[n], run.czCur[n])
+			d.normalizeMode(n, coreArgs{a: sp.aNz[n], m: kout, psi: last})
+			dense.ScaleColumns(sp.tFinal[n], sp.tFinal[n], d.colScale)
+			dense.ScaleColumns(sp.czCur[n], sp.czCur[n], d.colScale)
+			dense.ScaleRows(sp.czCur[n], sp.czCur[n], d.colScale)
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
 	}
-	// Time-mode ALS block: refresh sₜ from the last mode's raw MTTKRP and
-	// its updated nz rows (see iterateExplicit), then the µG + ssᵀ operand.
-	t0 := time.Now()
-	d.colDots(d.fitPsi, kout, run.aNz[d.n-1])
-	d.psiFresh = true
-	err := d.solveS()
-	d.bd.Add(trace.MTTKRP, time.Since(t0))
-	if err != nil {
+	if err := d.refreshS(); err != nil {
 		return 0, err
 	}
-	t0 = time.Now()
-	d.buildMuG()
-	d.bd.Add(trace.Misc, time.Since(t0))
 	// Trace-form convergence (Eqs. 16–17):
 	// ‖A−Aₜ₋₁‖² = tr(C) + tr(Cₜ₋₁) − 2tr(H), ‖A‖² = tr(C).
-	t0 = time.Now()
+	t0 := time.Now()
 	var delta float64
 	for n := 0; n < d.n; n++ {
 		den := dense.Trace(d.c[n])
@@ -220,22 +228,21 @@ func (d *Decomposer) iterateSpCP(run *spcpRun) (float64, error) {
 // finishSpCP materializes A = A_z ⊕ A_nz (Alg. 4 line 34) and performs
 // the shared Post bookkeeping.
 func (d *Decomposer) finishSpCP(run *spcpRun) SliceResult {
-	rm := run.rm
+	rm, sp := run.rm, &d.sp
 	d.bd.Time(trace.Post, func() {
 		for m := range d.a {
 			isNZ := d.markNZ(d.a[m].Rows, rm.NZ[m])
-			projected := d.applyZTransform(d.a[m], isNZ, run.tFinal[m])
-			rm.ScatterMode(d.a[m], run.aNz[m], m)
+			projected := d.applyZTransform(d.a[m], isNZ, sp.tFinal[m])
+			rm.ScatterMode(d.a[m], sp.aNz[m], m)
 			if projected {
 				// The z rows changed beyond the linear transform, so
 				// re-synchronize C_z (and with it C) from the
-				// materialized rows — one Gram pass per slice.
-				gramExcluding(d.cz[m], d.a[m], isNZ, d.opt.Workers)
-				gram := dense.NewMatrix(d.k, d.k)
-				dense.GramParallel(gram, run.aNz[m], d.opt.Workers)
-				dense.Add(d.c[m], d.cz[m], gram)
+				// materialized rows — one masked sweep per slice.
+				d.rowSweep(coreArgs{a: d.a[m], skip: isNZ}, d.cz[m], nil)
+				dense.GramParallel(sp.gram, sp.aNz[m], d.opt.Workers)
+				dense.Add(d.c[m], d.cz[m], sp.gram)
 			} else {
-				d.cz[m].CopyFrom(run.czCur[m])
+				d.cz[m].CopyFrom(sp.czCur[m])
 			}
 			d.unmarkNZ(rm.NZ[m])
 		}
@@ -255,21 +262,6 @@ func (d *Decomposer) finishSpCP(run *spcpRun) SliceResult {
 	}
 	d.bd.Time(trace.Post, d.finishSlice)
 	return run.res
-}
-
-// ensureNzPsi sizes the per-mode Ψ_nz workspaces to the remapped
-// slice's nz row counts, reallocating only the modes whose count changed
-// since the previous slice.
-func (d *Decomposer) ensureNzPsi(rm *mttkrp.Remapped) {
-	if d.nzPsi == nil {
-		d.nzPsi = make([]*dense.Matrix, d.n)
-	}
-	for m := range d.nzPsi {
-		rows := len(rm.NZ[m])
-		if d.nzPsi[m] == nil || d.nzPsi[m].Rows != rows || d.nzPsi[m].Cols != d.k {
-			d.nzPsi[m] = dense.NewMatrix(rows, d.k)
-		}
-	}
 }
 
 // markNZ returns the Decomposer's row mask, grown to rows entries, with
@@ -293,95 +285,39 @@ func (d *Decomposer) unmarkNZ(nz []int32) {
 	}
 }
 
-// applyZTransform updates every z row of the full factor in place:
-// row ← row·T (Eq. 6 with A_z,t−1 being the untouched rows of a). isNZ
-// marks the rows to skip; all other rows are transformed. In the
-// constrained extension the materialized z rows are additionally
-// projected onto the constraint set; the return value reports whether
-// that projection ran (the caller must then re-synchronize the Grams).
+// applyZTransform updates every z row of the full factor in place, on the
+// pool: row ← row·T (Eq. 6 with A_z,t−1 being the untouched rows of a).
+// isNZ marks the rows to skip; all other rows are transformed, each on its
+// own, so no bit depends on the partition. In the constrained extension
+// the materialized z rows are additionally projected onto the constraint
+// set; the return value reports whether that projection ran (the caller
+// must then re-synchronize the Grams).
 func (d *Decomposer) applyZTransform(a *dense.Matrix, isNZ []bool, t *dense.Matrix) bool {
-	k := d.k
-	con := d.opt.Constraint
-	if need := parallel.ClampWorkers(d.opt.Workers, a.Rows) * k; len(d.zTmp) < need {
+	if need := parallel.ClampWorkers(d.opt.Workers, a.Rows) * d.k; len(d.zTmp) < need {
 		d.zTmp = make([]float64, need)
 	}
-	parallel.For(a.Rows, d.opt.Workers, func(w int, r parallel.Range) {
-		tmp := d.zTmp[w*k : (w+1)*k]
-		for i := r.Lo; i < r.Hi; i++ {
-			if isNZ[i] {
-				continue
-			}
-			// Four columns of the product at a time, their sums in
-			// registers: column j still adds row[p]·T[p][j] for ascending
-			// p from zero, so every bit matches one dot product per
-			// column, but the four chains overlap where a lone one waits
-			// on each addition.
-			row := a.Row(i)
-			j := 0
-			for ; j+4 <= k; j += 4 {
-				var s0, s1, s2, s3 float64
-				for p, rp := range row {
-					tr := t.Data[p*t.Stride+j:][:4]
-					s0 += rp * tr[0]
-					s1 += rp * tr[1]
-					s2 += rp * tr[2]
-					s3 += rp * tr[3]
-				}
-				tmp[j], tmp[j+1], tmp[j+2], tmp[j+3] = s0, s1, s2, s3
-			}
-			for ; j < k; j++ {
-				sum := 0.0
-				for p, rp := range row {
-					sum += rp * t.Data[p*t.Stride+j]
-				}
-				tmp[j] = sum
-			}
-			copy(row, tmp)
-			if con != nil {
-				rowView := a.RowView(i, i+1)
-				con.Project(rowView, nil, 1)
-			}
-		}
-	})
-	return con != nil
+	d.pargs = coreArgs{a: a, q: t, skip: isNZ, con: d.opt.Constraint, part: d.zTmp}
+	d.pool.Do(a.Rows, d.opt.Workers, &d.pargs, zTransformBody)
+	d.pargs = coreArgs{}
+	return d.opt.Constraint != nil
 }
 
-// gramExcluding computes dst = Σ_{i ∉ nz} a[i]ᵀa[i] — the Gram of the z
-// rows (those isNZ does not mark) — without gathering them, via
-// per-worker partials reduced in worker order.
-func gramExcluding(dst, a *dense.Matrix, isNZ []bool, workers int) {
-	k := a.Cols
-	partial := parallel.ReduceVec(a.Rows, workers, k*k, func(_ int, r parallel.Range, acc []float64) {
-		for i := r.Lo; i < r.Hi; i++ {
-			if isNZ[i] {
-				continue
-			}
-			row := a.Row(i)
-			for x, vx := range row {
-				if vx == 0 {
-					continue
-				}
-				off := x * k
-				for y := x; y < k; y++ {
-					acc[off+y] += vx * row[y]
-				}
-			}
+func zTransformBody(ctx any, w int, r parallel.Range) {
+	pa := ctx.(*coreArgs)
+	k := pa.a.Cols
+	tmp := pa.part[w*k : (w+1)*k]
+	var rowView dense.Matrix
+	for i := r.Lo; i < r.Hi; i++ {
+		if pa.skip[i] {
+			continue
 		}
-	})
-	for x := 0; x < k; x++ {
-		for y := x; y < k; y++ {
-			v := partial[x*k+y]
-			dst.Data[x*dst.Stride+y] = v
-			dst.Data[y*dst.Stride+x] = v
+		row := pa.a.Row(i)
+		clear(tmp)
+		dense.AddMulRow(tmp, row, pa.q)
+		copy(row, tmp)
+		if pa.con != nil {
+			rowView.SetRowView(pa.a, i, i+1)
+			pa.con.Project(&rowView, nil, 1)
 		}
 	}
-}
-
-// gatherNZ gathers the rows listed in idx (int32) from src.
-func gatherNZ(src *dense.Matrix, idx []int32) *dense.Matrix {
-	out := dense.NewMatrix(len(idx), src.Cols)
-	for r, i := range idx {
-		copy(out.Row(r), src.Row(int(i)))
-	}
-	return out
 }

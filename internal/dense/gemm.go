@@ -160,7 +160,7 @@ func checkMulAtB(dst, a, b *Matrix) {
 
 func mulAtBBody(ctx any, _ int, r parallel.Range, acc []float64) {
 	g := ctx.(*gemmArgs)
-	atbRange(acc, g.b.Cols, g.a, g.b, r.Lo, r.Hi, false)
+	AddAtBRange(acc, g.b.Cols, g.a, g.b, r.Lo, r.Hi, false)
 }
 
 // MulAtBParallel is MulAtB parallelized over the shared row dimension
@@ -180,25 +180,26 @@ func MulAtBParallel(dst, a, b *Matrix, workers int) {
 
 // mulAtBRange accumulates aᵀb over rows [lo,hi) into dst (+=).
 func mulAtBRange(dst, a, b *Matrix, lo, hi int) {
-	atbRange(dst.Data, dst.Stride, a, b, lo, hi, false)
+	AddAtBRange(dst.Data, dst.Stride, a, b, lo, hi, false)
 }
 
-// atbBlock is the row-block height of atbRange: a 64-row block of a and
+// atbBlock is the row-block height of AddAtBRange: a 64-row block of a and
 // of b (8 KiB each at K = 16) stays in L1 while every output tile sweeps
 // it.
 const atbBlock = 64
 
-// atbRange accumulates aᵀ·b over rows [lo, hi) into the row-major
+// AddAtBRange accumulates aᵀ·b over rows [lo, hi) into the row-major
 // accumulator acc (+=, row stride given) — the kernel under MulAtB and,
 // with upper set and b == a, under Gram, which needs only the entries on
-// or above the diagonal. Rows are taken in 64-row blocks; within a block
+// or above the diagonal; exported for callers that keep one partial per
+// row block and reduce them themselves. Rows are taken in 64-row blocks; within a block
 // each 2×4 tile of the output is held in locals while i runs over the
 // block, so every entry is still the ascending-i sum of
 // float64(a[i][p]·b[i][q]) with zero a[i][p] skipped — bit-identical to
 // accumulating in memory. With upper set, tiles start at the four-column
 // boundary at or left of the diagonal, so a straddling tile also writes
 // entries below it; the caller's mirror overwrites those.
-func atbRange(acc []float64, stride int, a, b *Matrix, lo, hi int, upper bool) {
+func AddAtBRange(acc []float64, stride int, a, b *Matrix, lo, hi int, upper bool) {
 	ka, kb := a.Cols, b.Cols
 	ad, as := a.Data, a.Stride
 	bd, bs := b.Data, b.Stride
@@ -253,7 +254,7 @@ func atbRange(acc []float64, stride int, a, b *Matrix, lo, hi int, upper bool) {
 }
 
 // atbEntry adds Σ_{i∈[lo,hi)} a[i][p]·b[i][q] to *dst — the edge of
-// atbRange where no full 2×4 tile fits.
+// AddAtBRange where no full 2×4 tile fits.
 func atbEntry(dst *float64, a, b *Matrix, p, q, lo, hi int) {
 	c := *dst
 	for i := lo; i < hi; i++ {
@@ -293,13 +294,13 @@ func mulABtRange(dst, a, b *Matrix, lo, hi int) {
 }
 
 // Gram computes dst = aᵀ·a (K×K symmetric) exploiting symmetry: only the
-// tiles on or above the diagonal are accumulated (atbRange), then the
+// tiles on or above the diagonal are accumulated (AddAtBRange), then the
 // upper triangle is mirrored.
 func Gram(dst, a *Matrix) { GramParallel(dst, a, 1) }
 
 func gramBody(ctx any, _ int, r parallel.Range, acc []float64) {
 	g := ctx.(*gemmArgs)
-	atbRange(acc, g.a.Cols, g.a, g.a, r.Lo, r.Hi, true)
+	AddAtBRange(acc, g.a.Cols, g.a, g.a, r.Lo, r.Hi, true)
 }
 
 // GramParallel is Gram with the row dimension parallelized via
@@ -311,7 +312,7 @@ func GramParallel(dst, a *Matrix, workers int) {
 	k := a.Cols
 	if workers == 1 || a.Rows <= 1 || dst.Stride != dst.Cols {
 		dst.Zero()
-		atbRange(dst.Data, dst.Stride, a, a, 0, a.Rows, true)
+		AddAtBRange(dst.Data, dst.Stride, a, a, 0, a.Rows, true)
 	} else {
 		g := getGemmArgs(dst, a, nil)
 		parallel.Default().DoReduceVecInto(dst.Data[:k*k], a.Rows, workers, g, gramBody)

@@ -8,7 +8,7 @@ import (
 	"spstream/internal/parallel"
 )
 
-// The register-form kernels (mulRow, atbRange) replaced loops that kept
+// The register-form kernels (mulRow, AddAtBRange) replaced loops that kept
 // their accumulators in the destination. The references below are those
 // loops, kept as they were; the kernels must match them bit for bit.
 
@@ -238,6 +238,36 @@ func TestMulAtBGramBitIdentical(t *testing.T) {
 				got = hostileMatrix(9, k, k, false)
 				Gram(got, a)
 				requireSameBitsOrNaN(t, name+" Gram strided", got, want)
+			}
+		}
+	}
+}
+
+// TestAddRangesMatchWholeProduct: AddAtBRange accumulates, so row
+// ranges cut anywhere and added in ascending order give MulAtB's and
+// Gram's bits — every entry is still the ascending-row sum.
+func TestAddRangesMatchWholeProduct(t *testing.T) {
+	for _, rows := range []int{1, 63, 64, 65, 300} {
+		for _, k := range bitsRanks {
+			a := hostileMatrix(11, rows, k, false)
+			b := hostileMatrix(12, rows, k+1, false)
+			wantH, wantC := NewMatrix(k, k+1), NewMatrix(k, k)
+			MulAtB(wantH, a, b)
+			Gram(wantC, a)
+			for _, cut := range []int{1, 7, 64, 100} {
+				gotH, gotC := NewMatrix(k, k+1), NewMatrix(k, k)
+				for lo := 0; lo < rows; lo += cut {
+					AddAtBRange(gotH.Data, k+1, a, b, lo, min(lo+cut, rows), false)
+					AddAtBRange(gotC.Data, k, a, a, lo, min(lo+cut, rows), true)
+				}
+				for x := 0; x < k; x++ {
+					for y := x + 1; y < k; y++ {
+						gotC.Set(y, x, gotC.At(x, y))
+					}
+				}
+				name := fmt.Sprintf("rows=%d K=%d cut=%d", rows, k, cut)
+				requireSameBitsOrNaN(t, name+" AᵀB", gotH, wantH)
+				requireSameBitsOrNaN(t, name+" Gram", gotC, wantC)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package dense
 
-import (
-	"math"
-
-	"spstream/internal/parallel"
-)
+import "math"
 
 // Add computes dst = a + b element-wise. dst may alias a or b.
 func Add(dst, a, b *Matrix) {
@@ -185,29 +181,6 @@ func ScatterRows(dst, src *Matrix, idx []int) {
 	for r, i := range idx {
 		copy(dst.Row(i), src.Row(r))
 	}
-}
-
-// ParallelFrobNorm2Diff computes ‖a-b‖²_F with a deterministic parallel
-// reduction over row blocks. Allocation-free in steady state.
-func ParallelFrobNorm2Diff(a, b *Matrix, workers int) float64 {
-	checkSameShape(a, b)
-	g := getGemmArgs(nil, a, b)
-	sum := parallel.Default().DoReduceFloat64(a.Rows, workers, g, frobDiffBody)
-	putGemmArgs(g)
-	return sum
-}
-
-func frobDiffBody(ctx any, _ int, r parallel.Range) float64 {
-	g := ctx.(*gemmArgs)
-	sum := 0.0
-	for i := r.Lo; i < r.Hi; i++ {
-		ra, rb := g.a.Row(i), g.b.Row(i)
-		for j := range ra {
-			d := ra[j] - rb[j]
-			sum += d * d
-		}
-	}
-	return sum
 }
 
 func checkSameShape(a, b *Matrix) {

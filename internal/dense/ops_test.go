@@ -1,7 +1,6 @@
 package dense
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -66,16 +65,6 @@ func TestTraceAndNorms(t *testing.T) {
 	b := NewMatrix(2, 2)
 	if FrobNorm2Diff(a, b) != 25 {
 		t.Fatal("FrobNorm2Diff wrong")
-	}
-}
-
-func TestParallelFrobNorm2DiffMatchesSerial(t *testing.T) {
-	a := randomMatrix(1, 333, 5)
-	b := randomMatrix(2, 333, 5)
-	serial := FrobNorm2Diff(a, b)
-	par := ParallelFrobNorm2Diff(a, b, 4)
-	if math.Abs(serial-par) > 1e-9*math.Abs(serial) {
-		t.Fatalf("parallel %v vs serial %v", par, serial)
 	}
 }
 
