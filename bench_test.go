@@ -401,23 +401,6 @@ func BenchmarkAblationConstrainedSpCP(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationADMMBlockSize sweeps the Blocked & Fused row-block
-// size (the cache-blocking knob of Algorithm 3).
-func BenchmarkAblationADMMBlockSize(b *testing.B) {
-	a0, phi, psi := admmProblem(8000, 16)
-	for _, rows := range []int{16, 64, 256, 1024} {
-		b.Run("block"+itoa(rows), func(b *testing.B) {
-			solver := admm.NewSolver(admm.Options{Tol: 1e-30, MaxIters: 10, BlockRows: rows})
-			for i := 0; i < b.N; i++ {
-				a := a0.Clone()
-				if _, err := solver.BlockedFused(a, phi, psi, admm.NonNeg{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPublicAPI measures the facade path end to end (quickstart
 // shape).
 func BenchmarkPublicAPI(b *testing.B) {

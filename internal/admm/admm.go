@@ -16,9 +16,6 @@ type Options struct {
 	Tol float64
 	// MaxIters bounds the inner loop. Default 50.
 	MaxIters int
-	// BlockRows is the row-block size for BlockedFused (0 = auto: a
-	// block of the five I×K operands fits in ~256 KiB of cache).
-	BlockRows int
 	// AdaptiveRho enables residual balancing (Boyd et al. §3.4.1) in
 	// the Baseline solver: when the primal residual dominates the dual
 	// one by RhoBalance (or vice versa), ρ is doubled (halved) and the
@@ -45,19 +42,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// blockRows resolves the row-block size for rank k.
-func (o Options) blockRows(k int) int {
-	if o.BlockRows > 0 {
-		return o.BlockRows
-	}
-	// Five I×K float64 operands (A, Ã, A₀, U, Ψ) per block ≲ 256 KiB.
-	b := (256 * 1024) / (5 * 8 * k)
-	if b < 16 {
-		b = 16
-	}
-	return b
-}
-
 // Stats reports the outcome of one ADMM solve.
 type Stats struct {
 	Iters     int
@@ -79,14 +63,13 @@ type Solver struct {
 	buf         []float64
 	// chol holds the factor of Φ + ρI for the current solve.
 	chol dense.Cholesky
-	// BlockedFused state: the reduction target (K column norms² then
-	// the four residual sums), the all-reduced column norms the next
-	// projection reads (the tail of red's array), one block view per
-	// worker, and the operands of the call in flight for the pool
-	// bodies.
-	red, colNorms2 []float64
-	views          []dense.Matrix
-	bf             bfArgs
+	// BlockedFused state: one partial per row block, then their merge
+	// total at the end of the same array (the K column norms² when the
+	// constraint reads them, then the four residual sums), three block
+	// views per worker, and the operands of the call in flight.
+	part, total []float64
+	views       []dense.Matrix
+	bf          bfArgs
 	// cancel, when set, is polled between ADMM iterations; a non-nil
 	// return aborts the solve with that error.
 	cancel func() error

@@ -77,7 +77,7 @@ func TestNonNegProducesFeasibleSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	NonNeg{}.Project(clipped, nil, 0)
+	NonNeg{}.Project(clipped, clipped, nil, nil, 0)
 	if obj(a) > obj(clipped)+1e-6*math.Abs(obj(clipped)) {
 		t.Fatalf("ADMM NNLS objective %g worse than clipped LS %g", obj(a), obj(clipped))
 	}
@@ -85,13 +85,13 @@ func TestNonNegProducesFeasibleSolution(t *testing.T) {
 
 func TestBlockedFusedMatchesBaseline(t *testing.T) {
 	f := func(seed uint64) bool {
-		_, phi, psi := randomProblem(seed, 50, 4)
-		warm := dense.NewMatrix(50, 4)
+		_, phi, psi := randomProblem(seed, 150, 4)
+		warm := dense.NewMatrix(150, 4)
 		for _, con := range []Constraint{NonNeg{}, Unconstrained{}, L1{Lambda: 0.1}} {
 			aBase := warm.Clone()
 			aBF := warm.Clone()
 			sb := NewSolver(Options{Tol: 1e-9, MaxIters: 400, Workers: 2})
-			sf := NewSolver(Options{Tol: 1e-9, MaxIters: 400, Workers: 2, BlockRows: 7})
+			sf := NewSolver(Options{Tol: 1e-9, MaxIters: 400, Workers: 2})
 			stB, err := sb.Baseline(aBase, phi, psi, con)
 			if err != nil {
 				return false
@@ -118,9 +118,9 @@ func TestBlockedFusedMatchesBaseline(t *testing.T) {
 }
 
 func TestBlockedFusedFinalProjectionFeasible(t *testing.T) {
-	_, phi, psi := randomProblem(11, 33, 5)
-	a := dense.NewMatrix(33, 5)
-	s := NewSolver(Options{Tol: 1e-6, MaxIters: 100, BlockRows: 8})
+	_, phi, psi := randomProblem(11, 150, 5)
+	a := dense.NewMatrix(150, 5)
+	s := NewSolver(Options{Tol: 1e-6, MaxIters: 100})
 	if _, err := s.BlockedFused(a, phi, psi, NonNeg{}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,26 +174,26 @@ func TestNonNegMaxColNormCapsColumns(t *testing.T) {
 
 func TestProjectionOperators(t *testing.T) {
 	m := dense.FromRows([][]float64{{-1, 2}, {3, -4}})
-	NonNeg{}.Project(m, nil, 1)
+	NonNeg{}.Project(m, m, nil, nil, 1)
 	if m.At(0, 0) != 0 || m.At(0, 1) != 2 || m.At(1, 1) != 0 {
 		t.Fatalf("NonNeg projection wrong: %v", m)
 	}
 	// Idempotence.
 	before := m.Clone()
-	NonNeg{}.Project(m, nil, 1)
+	NonNeg{}.Project(m, m, nil, nil, 1)
 	if !m.Equal(before, 0) {
 		t.Fatal("NonNeg not idempotent")
 	}
 
 	l := dense.FromRows([][]float64{{-1, 0.05}, {0.3, -0.02}})
-	L1{Lambda: 0.1}.Project(l, nil, 1) // threshold = 0.1
+	L1{Lambda: 0.1}.Project(l, l, nil, nil, 1) // threshold = 0.1
 	if l.At(0, 0) != -0.9 || l.At(0, 1) != 0 || math.Abs(l.At(1, 0)-0.2) > 1e-15 || l.At(1, 1) != 0 {
 		t.Fatalf("L1 soft threshold wrong: %v", l)
 	}
 
 	c := dense.FromRows([][]float64{{3, -1}, {4, 2}})
 	norms2 := []float64{25, 5} // col 0 norm 5 > cap 1
-	NonNegMaxColNorm{R: 1}.Project(c, norms2, 1)
+	NonNegMaxColNorm{R: 1}.Project(c, c, nil, norms2, 1)
 	if math.Abs(c.At(0, 0)-3.0/5) > 1e-15 || c.At(0, 1) != 0 {
 		t.Fatalf("col norm projection wrong: %v", c)
 	}
@@ -242,13 +242,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Tol != 1e-4 || o.MaxIters != 50 {
 		t.Fatalf("defaults wrong: %+v", o)
-	}
-	if b := o.blockRows(16); b < 16 {
-		t.Fatalf("blockRows(16) = %d", b)
-	}
-	o.BlockRows = 5
-	if o.blockRows(16) != 5 {
-		t.Fatal("explicit BlockRows ignored")
 	}
 }
 

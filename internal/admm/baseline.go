@@ -66,7 +66,8 @@ func (s *Solver) Baseline(a, phi, psi *dense.Matrix, con Constraint) (Stats, err
 			})
 		}
 		parallel.For(rows, opt.Workers, func(_ int, r parallel.Range) {
-			con.Project(a.RowView(r.Lo, r.Hi), colNorms2, p)
+			view := a.RowView(r.Lo, r.Hi)
+			con.Project(view, view, nil, colNorms2, p)
 		})
 		// update: U ← U + A − Ã.
 		parallel.For(rows, opt.Workers, func(_ int, r parallel.Range) {

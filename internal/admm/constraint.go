@@ -7,12 +7,13 @@
 //     over the I×K matrices, exactly like the original OpenMP code.
 //     Every pass re-streams the matrices from memory, which is why the
 //     kernel is bandwidth-bound (paper Table I).
-//   - BlockedFused (paper Alg. 3): matrices are divided into row blocks
-//     processed one-per-worker; update, error, init and the next solve's
-//     right-hand side are fused into a single element-wise loop holding
-//     intermediates in registers, and the column norms needed by the
-//     projection are accumulated per worker and all-reduced. Memory
-//     traffic drops from 22·I·K+K² to 15·I·K+K² words per iteration.
+//   - BlockedFused (paper Alg. 3): matrices are divided into fixed row
+//     blocks shared out among the workers; update, error, init and the
+//     next solve's right-hand side are fused into a single element-wise
+//     loop holding intermediates in registers, and the column norms
+//     needed by the projection are summed per block and merged in block
+//     order. Memory traffic drops from 22·I·K+K² to 15·I·K+K² words per
+//     iteration.
 package admm
 
 import (
@@ -31,9 +32,21 @@ type Constraint interface {
 	Name() string
 	// NeedsColNorms reports whether Project consumes colNorms2.
 	NeedsColNorms() bool
-	// Project applies the projection/proximal operator to block in
-	// place.
-	Project(block *dense.Matrix, colNorms2 []float64, rho float64)
+	// Project sets dst = Π(x − u) element by element, so ADMM's
+	// A ← Π(Ã − U) is one pass; u == nil means Π(x). x and u have dst's
+	// shape, and dst may be x.
+	Project(dst, x, u *dense.Matrix, colNorms2 []float64, rho float64)
+}
+
+// rowsAt returns row i of dst, x and u (nil when u is), cut to dst's
+// width.
+func rowsAt(dst, x, u *dense.Matrix, i int) (rd, rx, ru []float64) {
+	rd = dst.Row(i)
+	rx = x.Row(i)[:len(rd)]
+	if u != nil {
+		ru = u.Row(i)[:len(rd)]
+	}
+	return rd, rx, ru
 }
 
 // NonNeg projects onto the non-negative orthant: A[i][j] ← max(0, ·).
@@ -47,11 +60,14 @@ func (NonNeg) Name() string { return "nonneg" }
 func (NonNeg) NeedsColNorms() bool { return false }
 
 // Project implements Constraint.
-func (NonNeg) Project(block *dense.Matrix, _ []float64, _ float64) {
-	for i := 0; i < block.Rows; i++ {
-		row := block.Row(i)
-		for j, v := range row {
-			row[j] = math.Float64frombits(math.Float64bits(v) &^ maskIf(v < 0))
+func (NonNeg) Project(dst, x, u *dense.Matrix, _ []float64, _ float64) {
+	for i := 0; i < dst.Rows; i++ {
+		rd, rx, ru := rowsAt(dst, x, u, i)
+		for j, v := range rx {
+			if ru != nil {
+				v -= ru[j]
+			}
+			rd[j] = math.Float64frombits(math.Float64bits(v) &^ maskIf(v < 0))
 		}
 	}
 }
@@ -82,15 +98,18 @@ func (L1) Name() string { return "l1" }
 func (L1) NeedsColNorms() bool { return false }
 
 // Project implements Constraint.
-func (c L1) Project(block *dense.Matrix, _ []float64, rho float64) {
+func (c L1) Project(dst, x, u *dense.Matrix, _ []float64, rho float64) {
 	thr := c.Lambda / rho
-	for i := 0; i < block.Rows; i++ {
-		row := block.Row(i)
-		for j, v := range row {
+	for i := 0; i < dst.Rows; i++ {
+		rd, rx, ru := rowsAt(dst, x, u, i)
+		for j, v := range rx {
+			if ru != nil {
+				v -= ru[j]
+			}
 			// v > thr → v − thr; else v < −thr → v + thr; else +0.
 			up := maskIf(v > thr)
 			dn := maskIf(v < -thr) &^ up
-			row[j] = math.Float64frombits(math.Float64bits(v-thr)&up | math.Float64bits(v+thr)&dn)
+			rd[j] = math.Float64frombits(math.Float64bits(v-thr)&up | math.Float64bits(v+thr)&dn)
 		}
 	}
 }
@@ -108,17 +127,20 @@ func (NonNegMaxColNorm) Name() string { return "nonneg-maxcolnorm" }
 func (NonNegMaxColNorm) NeedsColNorms() bool { return true }
 
 // Project implements Constraint.
-func (c NonNegMaxColNorm) Project(block *dense.Matrix, colNorms2 []float64, _ float64) {
-	for i := 0; i < block.Rows; i++ {
-		row := block.Row(i)
-		for j, v := range row {
+func (c NonNegMaxColNorm) Project(dst, x, u *dense.Matrix, colNorms2 []float64, _ float64) {
+	for i := 0; i < dst.Rows; i++ {
+		rd, rx, ru := rowsAt(dst, x, u, i)
+		for j, v := range rx {
+			if ru != nil {
+				v -= ru[j]
+			}
 			// The cap test depends on the column alone, so it predicts;
 			// the sign test does not, so it is a mask.
 			w := v
 			if n2 := colNorms2[j]; n2 > c.R*c.R {
 				w = v * c.R / math.Sqrt(n2)
 			}
-			row[j] = math.Float64frombits(math.Float64bits(w) &^ maskIf(v < 0))
+			rd[j] = math.Float64frombits(math.Float64bits(w) &^ maskIf(v < 0))
 		}
 	}
 }
@@ -134,4 +156,10 @@ func (Unconstrained) Name() string { return "unconstrained" }
 func (Unconstrained) NeedsColNorms() bool { return false }
 
 // Project implements Constraint.
-func (Unconstrained) Project(*dense.Matrix, []float64, float64) {}
+func (Unconstrained) Project(dst, x, u *dense.Matrix, _ []float64, _ float64) {
+	if u != nil {
+		dense.Sub(dst, x, u)
+	} else if dst != x {
+		dst.CopyFrom(x)
+	}
+}

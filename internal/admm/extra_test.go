@@ -9,13 +9,13 @@ import (
 // The column-norm constraint exercises the all-reduce path of Alg. 3;
 // baseline and BF must still follow the same iterate sequence.
 func TestColNormConstraintBaselineVsBF(t *testing.T) {
-	_, phi, psi := randomProblem(41, 45, 4)
+	_, phi, psi := randomProblem(41, 150, 4)
 	dense.Scale(psi, 20, psi) // push column norms over the cap
 	con := NonNegMaxColNorm{R: 3}
-	aBase := dense.NewMatrix(45, 4)
-	aBF := dense.NewMatrix(45, 4)
+	aBase := dense.NewMatrix(150, 4)
+	aBF := dense.NewMatrix(150, 4)
 	sb := NewSolver(Options{Tol: 1e-9, MaxIters: 300, Workers: 2})
-	sf := NewSolver(Options{Tol: 1e-9, MaxIters: 300, Workers: 2, BlockRows: 9})
+	sf := NewSolver(Options{Tol: 1e-9, MaxIters: 300, Workers: 2})
 	stB, err := sb.Baseline(aBase, phi, psi, con)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spstream/internal/admm"
+	"spstream/internal/dense"
 	"spstream/internal/perfmodel"
 	"spstream/internal/sptensor"
 )
@@ -89,6 +90,29 @@ func TestSpCPIterateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("spCP inner iteration allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestZTransformZeroAlloc: constrained spCP-stream's z-row transform
+// projects every transformed row through the Constraint interface;
+// once the per-worker scratch rows exist, that allocates nothing.
+func TestZTransformZeroAlloc(t *testing.T) {
+	const rows, k = 37, 4
+	d, err := NewDecomposer([]int{rows, 9}, Options{Rank: k, Algorithm: SpCPStream, ConstrainedSpCP: true,
+		Constraint: admm.NonNeg{}, Workers: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, tr := dense.NewMatrix(rows, k), dense.Identity(k)
+	for i := range a.Data {
+		a.Data[i] = float64(i%7) - 3
+	}
+	nz := []int32{0, 5, 20}
+	isNZ := d.markNZ(rows, nz)
+	defer d.unmarkNZ(nz)
+	d.applyZTransform(a, isNZ, tr) // grow the scratch rows
+	if n := testing.AllocsPerRun(20, func() { d.applyZTransform(a, isNZ, tr) }); n != 0 {
+		t.Errorf("constrained z-row transform allocates %.1f times per call, want 0", n)
 	}
 }
 

@@ -42,10 +42,10 @@ type Decomposer struct {
 	cz       []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
 	remapper mttkrp.Remapper
 	// spCP-stream Post scratch: the nz-row mask (all-false between
-	// uses, see markNZ) and one K-vector per worker for the z-row
+	// uses, see markNZ) and one 1×K row per worker for the z-row
 	// transform.
-	isNZ []bool
-	zTmp []float64
+	isNZ  []bool
+	zRows []dense.Matrix
 
 	// Kernels and workspaces.
 	psi    []*dense.Matrix // Ψ workspace for the explicit algorithms

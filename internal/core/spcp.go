@@ -293,10 +293,10 @@ func (d *Decomposer) unmarkNZ(nz []int32) {
 // set; the return value reports whether that projection ran (the caller
 // must then re-synchronize the Grams).
 func (d *Decomposer) applyZTransform(a *dense.Matrix, isNZ []bool, t *dense.Matrix) bool {
-	if need := parallel.ClampWorkers(d.opt.Workers, a.Rows) * d.k; len(d.zTmp) < need {
-		d.zTmp = make([]float64, need)
+	for w := len(d.zRows); w < parallel.ClampWorkers(d.opt.Workers, a.Rows); w++ {
+		d.zRows = append(d.zRows, *dense.NewMatrix(1, d.k))
 	}
-	d.pargs = coreArgs{a: a, q: t, skip: isNZ, con: d.opt.Constraint, part: d.zTmp}
+	d.pargs = coreArgs{a: a, q: t, skip: isNZ, con: d.opt.Constraint, rows: d.zRows}
 	d.pool.Do(a.Rows, d.opt.Workers, &d.pargs, zTransformBody)
 	d.pargs = coreArgs{}
 	return d.opt.Constraint != nil
@@ -304,20 +304,17 @@ func (d *Decomposer) applyZTransform(a *dense.Matrix, isNZ []bool, t *dense.Matr
 
 func zTransformBody(ctx any, w int, r parallel.Range) {
 	pa := ctx.(*coreArgs)
-	k := pa.a.Cols
-	tmp := pa.part[w*k : (w+1)*k]
-	var rowView dense.Matrix
+	tmp := &pa.rows[w]
 	for i := r.Lo; i < r.Hi; i++ {
 		if pa.skip[i] {
 			continue
 		}
 		row := pa.a.Row(i)
-		clear(tmp)
-		dense.AddMulRow(tmp, row, pa.q)
-		copy(row, tmp)
+		clear(tmp.Data)
+		dense.AddMulRow(tmp.Data, row, pa.q)
 		if pa.con != nil {
-			rowView.SetRowView(pa.a, i, i+1)
-			pa.con.Project(&rowView, nil, 1)
+			pa.con.Project(tmp, tmp, nil, nil, 1)
 		}
+		copy(row, tmp.Data)
 	}
 }

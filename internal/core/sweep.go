@@ -39,7 +39,8 @@ type coreArgs struct {
 	skip       []bool          // set: marked rows stay out of C; the z transform's nz rows
 	grams, psi bool            // reduce C (and H, given prev); reduce ψ
 	con        admm.Constraint // z transform: projects the transformed rows
-	part       []float64       // block partials; the z transform's row per worker
+	part       []float64       // block partials
+	rows       []dense.Matrix  // z transform: one 1×K scratch row per worker
 }
 
 // rowSweep runs sw over every row of sw.a on the pool and adds up the
@@ -59,12 +60,7 @@ func (d *Decomposer) rowSweep(sw coreArgs, c, h *dense.Matrix) (diff2, norm2 flo
 	d.pool.Do(nb, d.opt.Workers, &d.pargs, rowSweepBody)
 	d.pargs = coreArgs{}
 	total := d.sweepPart[nb*stride : (nb+1)*stride]
-	clear(total)
-	for p := sw.part; len(p) > 0; p = p[stride:] {
-		for i := range total {
-			total[i] += p[i]
-		}
-	}
+	parallel.SumBlocks(total, sw.part)
 	if c != nil {
 		for x := 0; x < k; x++ {
 			for y := x; y < k; y++ {

@@ -123,6 +123,20 @@ func ReduceVec(n, workers, dim int, body func(w int, r Range, acc []float64)) []
 	return Default().ReduceVec(n, workers, dim, body)
 }
 
+// SumBlocks sets dst to the element-wise sum of the len(dst)-long block
+// partials laid end to end in parts, added from zero in ascending block
+// order: the merge of a block-keyed reduction, whose bits therefore
+// depend on the block size alone, never on the worker count that filled
+// parts.
+func SumBlocks(dst, parts []float64) {
+	clear(dst)
+	for n := len(dst); n > 0 && len(parts) > 0; parts = parts[n:] {
+		for i, v := range parts[:n] {
+			dst[i] += v
+		}
+	}
+}
+
 // WeightedBoundaries statically assigns weighted segments to workers.
 // cum is the cumulative weight array of the segments: segment s has
 // weight cum[s+1]−cum[s], so len(cum) == nSeg+1 and cum[0] == 0. The
