@@ -51,7 +51,7 @@ func TestPoolWorkerPanicPropagates(t *testing.T) {
 }
 
 // TestPoolSurvivesPanic: the same pool must stay usable — workers
-// parked, mutex released — after containing a panic in every primitive.
+// alive, mutex released — after containing a panic in every primitive.
 func TestPoolSurvivesPanic(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

@@ -1,8 +1,13 @@
 package parallel
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolForMatchesPartition(t *testing.T) {
@@ -166,7 +171,7 @@ func TestPoolOversubscribed(t *testing.T) {
 }
 
 // The steady-state ctx-style primitives must not allocate: the worker
-// goroutines are parked, the descriptor lives in pool fields, and the
+// goroutines persist, the descriptor lives in pool fields, and the
 // reduction arenas are pool-owned. Closure captures would break this, so
 // the bodies below are top-level functions with a pointer ctx.
 type poolAllocArgs struct {
@@ -242,4 +247,169 @@ func TestDefaultPoolWrappers(t *testing.T) {
 	if vec[1] != 10 || vec[0] != 0 {
 		t.Fatalf("wrapper ReduceVec = %v", vec)
 	}
+}
+
+// busy spins for d without yielding, standing in for a kernel body or
+// the caller's serial work between dispatches.
+func busy(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// Every dispatch must reach its workers whichever state they are in —
+// still running the last op's tail, spinning, between the spin and the
+// park, or parked — so bodies and gaps straddle the spin budget, and
+// workers w ≥ active must never run.
+func TestPoolSpinParkNoLostWake(t *testing.T) {
+	durs := []time.Duration{0, spinBudget / 2, spinBudget, 2 * spinBudget, time.Millisecond}
+	rounds := 1000
+	if testing.Short() {
+		rounds = 200
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{2, 3, 5} {
+		p := NewPool(size)
+		var visits [64]atomic.Int32
+		for round := 0; round < rounds; round++ {
+			active := 2 + rng.Intn(size-1)
+			n := size + rng.Intn(len(visits)-size+1)
+			body, gap := durs[rng.Intn(len(durs))], durs[rng.Intn(len(durs))]
+			p.For(n, active, func(w int, r Range) {
+				if w >= active {
+					t.Errorf("size %d: worker %d ran an op for %d workers", size, w, active)
+				}
+				for i := r.Lo; i < r.Hi; i++ {
+					visits[i].Add(1)
+				}
+				busy(body)
+			})
+			for i := 0; i < n; i++ {
+				if v := visits[i].Swap(0); v != 1 {
+					t.Fatalf("size %d round %d (active %d, n %d): index %d visited %d times", size, round, active, n, i, v)
+				}
+			}
+			busy(gap)
+		}
+		p.Close()
+	}
+}
+
+// An idle pool must stop spinning: a worker left alone parks.
+func TestPoolIdleParks(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	p.For(4, 4, func(int, Range) {})
+	time.Sleep(5 * spinBudget)
+	// A short grace for a worker the host has not scheduled yet; a spin
+	// that ignored its budget would still be polling long after it.
+	deadline := time.Now().Add(200 * spinBudget)
+	for w := 1; w < p.size; w++ {
+		for st := p.state[w].Load(); st != stParked; st = p.state[w].Load() {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %d: state %d long after the last op, want parked (%d)", w, st, stParked)
+			}
+			time.Sleep(spinBudget)
+		}
+	}
+}
+
+func TestPoolCloseStopsWorkers(t *testing.T) {
+	for _, parked := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		p := NewPool(5)
+		p.For(5, 5, func(int, Range) {})
+		if parked {
+			for w := 1; w < p.size; w++ {
+				for p.state[w].Load() != stParked {
+					time.Sleep(spinBudget)
+				}
+			}
+		}
+		p.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("parked=%v: %d goroutines after Close, %d before NewPool", parked, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+func TestPoolUseAfterClosePanics(t *testing.T) {
+	p := NewPool(3)
+	p.For(3, 3, func(int, Range) {})
+	p.Close()
+	dst := make([]float64, 2)
+	uses := map[string]func(){
+		"Do":              func() { p.Do(6, 3, nil, func(any, int, Range) {}) },
+		"DoChunked":       func() { p.DoChunked(6, 3, 1, nil, func(any, int, Range) {}) },
+		"DoReduceFloat64": func() { p.DoReduceFloat64(6, 3, nil, func(any, int, Range) float64 { return 1 }) },
+		"DoReduceVecInto": func() { p.DoReduceVecInto(dst, 6, 3, nil, func(any, int, Range, []float64) {}) },
+	}
+	for name, use := range uses {
+		for attempt := 0; attempt < 2; attempt++ {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s after Close (attempt %d) did not panic", name, attempt)
+					}
+				}()
+				use()
+			}()
+		}
+	}
+}
+
+func poolEmptyBody(any, int, Range) {}
+
+// BenchmarkPoolDispatch times back-to-back empty dispatches: at W = 1
+// the inline path, at W = 2 one wake of a worker that is still spinning.
+func BenchmarkPoolDispatch(b *testing.B) {
+	p := NewPool(2)
+	defer p.Close()
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.Do(2, w, nil, poolEmptyBody)
+			}
+		})
+	}
+}
+
+type poolWakeArgs struct {
+	body       time.Duration
+	start, end time.Time // worker 1's
+}
+
+func poolWakeBody(ctx any, w int, _ Range) {
+	a := ctx.(*poolWakeArgs)
+	if w == 1 {
+		a.start = time.Now()
+	}
+	busy(a.body)
+	if w == 1 {
+		a.end = time.Now()
+	}
+}
+
+// BenchmarkPoolWake times BF-ADMM's dispatch pattern: a 190 µs body at
+// W = 2 after 5 µs of serial work. lag_us is worker 1's start minus the
+// dispatch, tail_us the caller's return minus worker 1's end.
+func BenchmarkPoolWake(b *testing.B) {
+	p := NewPool(2)
+	defer p.Close()
+	a := &poolWakeArgs{body: 190 * time.Microsecond}
+	var lag, tail time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		busy(5 * time.Microsecond)
+		t0 := time.Now()
+		p.Do(2, 2, a, poolWakeBody)
+		t1 := time.Now()
+		lag += a.start.Sub(t0)
+		tail += t1.Sub(a.end)
+	}
+	b.ReportMetric(float64(lag)/1e3/float64(b.N), "lag_us")
+	b.ReportMetric(float64(tail)/1e3/float64(b.N), "tail_us")
 }
