@@ -165,16 +165,14 @@ func BenchmarkFig2ADMM(b *testing.B) {
 		a0, phi, psi := admmProblem(14000/10, k)
 		for _, kind := range []string{"baseline", "blockedfused"} {
 			b.Run(kind+"/rank"+itoa(k), func(b *testing.B) {
-				solver := admm.NewSolver(admm.Options{Tol: 1e-30, MaxIters: 10})
+				opt := admm.Options{Tol: 1e-30, MaxIters: 10}
+				solve := admm.NewSolver(opt).BlockedFused
+				if kind == "baseline" {
+					solve = baselines.NewADMM(baselines.ADMMOptions{Options: opt}).Solve
+				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					a := a0.Clone()
-					var err error
-					if kind == "baseline" {
-						_, err = solver.Baseline(a, phi, psi, admm.NonNeg{})
-					} else {
-						_, err = solver.BlockedFused(a, phi, psi, admm.NonNeg{})
-					}
+					_, err := solve(a0.Clone(), phi, psi, admm.NonNeg{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -73,8 +73,7 @@ func (h *harness) calibrate() error {
 	dense.AddScaledIdentity(phi, phi, 1)
 	psi := dense.NewMatrix(big.Rows, k)
 	dense.MulAB(psi, big, phi)
-	solver := admm.NewSolver(admm.Options{Workers: 1, Tol: 1e-30, MaxIters: admmIters})
-	measBase, measBF := timeADMM(solver, big, phi, psi)
+	measBase, measBF := timeADMM(admm.Options{Workers: 1, Tol: 1e-30, MaxIters: admmIters}, big, phi, psi)
 	report("admm-baseline/iter", measBase.Seconds()/admmIters, mo.ADMMIterTime(sim.ADMMBaseline, big.Rows, k, 1))
 	report("admm-bf/iter", measBF.Seconds()/admmIters, mo.ADMMIterTime(sim.ADMMBlockedFused, big.Rows, k, 1))
 

@@ -140,7 +140,7 @@ func (h *harness) measureFig2() error {
 			for _, f := range factors {
 				psi := dense.NewMatrix(f.Rows, k)
 				dense.MulAB(psi, f, phi)
-				b, bf := timeADMM(admm.NewSolver(opt), f, phi, psi)
+				b, bf := timeADMM(opt, f, phi, psi)
 				tBase, tBF = tBase+b, tBF+bf
 			}
 			fmt.Fprintf(h.out, "%8d %14.6f %14.6f %9.2fx\n",
@@ -181,12 +181,11 @@ func measureADMMSpeedup(dims []int, k, w int) (float64, error) {
 	dense.Gram(phi, factors[0].RowView(0, min(factors[0].Rows, 4*k)))
 	dense.AddScaledIdentity(phi, phi, 1)
 	opt := admm.Options{Workers: w, Tol: 1e-30, MaxIters: 5}
-	solver := admm.NewSolver(opt)
 	var tBase, tBF time.Duration
 	for _, f := range factors {
 		psi := dense.NewMatrix(f.Rows, k)
 		dense.MulAB(psi, f, phi)
-		b, bf := timeADMM(solver, f, phi, psi)
+		b, bf := timeADMM(opt, f, phi, psi)
 		tBase, tBF = tBase+b, tBF+bf
 	}
 	return float64(tBase) / float64(tBF), nil
@@ -194,7 +193,7 @@ func measureADMMSpeedup(dims []int, k, w int) (float64, error) {
 
 // timeADMM times one non-negative solve from the warm start a0 with the
 // baseline ADMM (Algorithm 2) and with Blocked & Fused (Algorithm 3).
-func timeADMM(solver *admm.Solver, a0, phi, psi *dense.Matrix) (tBase, tBF time.Duration) {
+func timeADMM(opt admm.Options, a0, phi, psi *dense.Matrix) (tBase, tBF time.Duration) {
 	run := func(solve func(a, phi, psi *dense.Matrix, con admm.Constraint) (admm.Stats, error)) time.Duration {
 		return minDuration(measureTrials, func() {
 			if _, err := solve(a0.Clone(), phi, psi, admm.NonNeg{}); err != nil {
@@ -202,7 +201,7 @@ func timeADMM(solver *admm.Solver, a0, phi, psi *dense.Matrix) (tBase, tBF time.
 			}
 		})
 	}
-	return run(solver.Baseline), run(solver.BlockedFused)
+	return run(baselines.NewADMM(baselines.ADMMOptions{Options: opt}).Solve), run(admm.NewSolver(opt).BlockedFused)
 }
 
 // measureLockVsHL times one inner iteration's MTTKRP work — every factor

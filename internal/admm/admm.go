@@ -16,17 +16,6 @@ type Options struct {
 	Tol float64
 	// MaxIters bounds the inner loop. Default 50.
 	MaxIters int
-	// AdaptiveRho enables residual balancing (Boyd et al. §3.4.1) in
-	// the Baseline solver: when the primal residual dominates the dual
-	// one by RhoBalance (or vice versa), ρ is doubled (halved) and the
-	// scaled dual variable rescaled accordingly. Each adaptation pays a
-	// re-factorization of Φ+ρI, which is why the paper's fused kernel
-	// keeps ρ fixed; the option exists for hard constraint sets where
-	// a poor initial ρ stalls convergence.
-	AdaptiveRho bool
-	// RhoBalance is the imbalance ratio that triggers adaptation
-	// (default 100, on the squared-norm residuals).
-	RhoBalance float64
 }
 
 func (o Options) withDefaults() Options {
@@ -35,9 +24,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 50
-	}
-	if o.RhoBalance <= 0 {
-		o.RhoBalance = 100
 	}
 	return o
 }

@@ -25,13 +25,13 @@ func (g *bfArgs) block(b int) (lo, hi int, part []float64) {
 	return b * bfBlock, min((b+1)*bfBlock, g.a.Rows), g.part[b*(g.nn+4) : (b+1)*(g.nn+4)]
 }
 
-// BlockedFused solves the same constrained problem as Baseline via the
-// paper's Algorithm 3: fixed row blocks are shared out among the workers,
-// the update / error / init operations and the next solve's right-hand
-// side are fused into one element-wise loop whose intermediates live in
-// registers, and the residuals (and the column norms a constraint may
-// read) are summed per block and merged in block order, so no bit depends
-// on the worker count. a is updated in place.
+// BlockedFused solves the constrained problem via the paper's Algorithm
+// 3: fixed row blocks are shared out among the workers, the update /
+// error / init operations and the next solve's right-hand side are fused
+// into one element-wise loop whose intermediates live in registers, and
+// the residuals (and the column norms a constraint may read) are summed
+// per block and merged in block order, so no bit depends on the worker
+// count. a is updated in place.
 //
 // Per block the body is three passes over cache-resident rows: the fused
 // element loop, the panel solve of the whole block
@@ -40,11 +40,11 @@ func (g *bfArgs) block(b int) (lo, hi int, part []float64) {
 // column norms gets A ← Ã − U and the norms there instead, and is applied
 // with the merged norms at the next iteration's start.
 //
-// The iterate sequence is identical to Baseline (same Φ, ρ, stopping
-// quantities), so both converge in the same number of iterations; the
-// returned A differs by one extra solve+projection half-step, which is
-// inherent in the fusion (the loop body computes iteration i's error
-// after already producing iteration i+1's Ã).
+// The iterate sequence is identical to Algorithm 2's (baselines.ADMM:
+// same Φ, ρ, stopping quantities), so both converge in the same number
+// of iterations; the returned A differs by one extra solve+projection
+// half-step, which is inherent in the fusion (the loop body computes
+// iteration i's error after already producing iteration i+1's Ã).
 func (s *Solver) BlockedFused(a, phi, psi *dense.Matrix, con Constraint) (Stats, error) {
 	if err := checkShapes(a, phi, psi); err != nil {
 		return Stats{}, err

@@ -1,19 +1,15 @@
 // Package admm implements the alternating direction method of
 // multipliers solver used by constrained CP-stream for the factor-matrix
-// update A ← argmin ½‖Ψ − AΦ‖ s.t. A ∈ C, in two variants:
-//
-//   - Baseline (paper Alg. 2): each ADMM operation (init, solve,
-//     project, update, error) is a separate fine-grained parallel pass
-//     over the I×K matrices, exactly like the original OpenMP code.
-//     Every pass re-streams the matrices from memory, which is why the
-//     kernel is bandwidth-bound (paper Table I).
-//   - BlockedFused (paper Alg. 3): matrices are divided into fixed row
-//     blocks shared out among the workers; update, error, init and the
-//     next solve's right-hand side are fused into a single element-wise
-//     loop holding intermediates in registers, and the column norms
-//     needed by the projection are summed per block and merged in block
-//     order. Memory traffic drops from 22·I·K+K² to 15·I·K+K² words per
-//     iteration.
+// update A ← argmin ½‖Ψ − AΦ‖ s.t. A ∈ C: Solver.BlockedFused (paper
+// Alg. 3). Matrices are divided into fixed row blocks shared out among
+// the workers; update, error, init and the next solve's right-hand side
+// are fused into a single element-wise loop holding intermediates in
+// registers, and the column norms needed by the projection are summed per
+// block and merged in block order. Memory traffic drops from the
+// 22·I·K+K² words per iteration of the paper's Alg. 2 — a separate
+// fine-grained parallel pass per ADMM operation, bandwidth-bound (paper
+// Table I) — to 15·I·K+K². Alg. 2 itself is baselines.ADMM, which the
+// runtime does not link.
 package admm
 
 import (

@@ -82,7 +82,17 @@ func blockGroups(rows int) (bs int, groups []parallel.Range) {
 // pool's static worker ranges, one partial per worker.
 func workerGroups(rows, k, workers int) (bs int, groups []parallel.Range) {
 	bs = max(16, 256*1024/(5*8*k))
-	return bs, parallel.Partition((rows+bs-1)/bs, workers)
+	nb := (rows + bs - 1) / bs
+	workers = min(workers, nb)
+	for w, lo := 0, 0; w < workers; w++ {
+		size := nb / workers
+		if w < nb%workers {
+			size++
+		}
+		groups = append(groups, parallel.Range{Lo: lo, Hi: lo + size})
+		lo += size
+	}
+	return bs, groups
 }
 
 // referenceBlockedFused is the BlockedFused body as it stood before the

@@ -36,7 +36,7 @@ type CPStream struct {
 	t    int
 
 	lk     *LockKernels
-	solver *admm.Solver
+	solver *ADMM
 	bd     trace.Breakdown
 }
 
@@ -53,7 +53,7 @@ func NewCPStream(dims []int, opt core.Options) (*CPStream, error) {
 	b := &CPStream{
 		opt: opt, dims: slices.Clone(dims), g: dense.NewMatrix(k, k), s: make([]float64, k),
 		lk:     NewLockKernels(opt.Workers),
-		solver: admm.NewSolver(admm.Options{Workers: opt.Workers, Tol: opt.ADMMTol, MaxIters: opt.ADMMMaxIters}),
+		solver: NewADMM(ADMMOptions{Options: admm.Options{Workers: opt.Workers, Tol: opt.ADMMTol, MaxIters: opt.ADMMMaxIters}}),
 	}
 	rng := synth.NewRNG(opt.Seed)
 	for _, dim := range dims {
@@ -152,7 +152,7 @@ func (b *CPStream) ProcessSlice(x *sptensor.Tensor) (core.SliceResult, error) {
 			if opt.Constraint == nil {
 				chol.SolveRowsInto(b.a[n], psi)
 			} else {
-				st, err := b.solver.Baseline(b.a[n], phi, psi, opt.Constraint)
+				st, err := b.solver.Solve(b.a[n], phi, psi, opt.Constraint)
 				res.ADMMIters += st.Iters
 				if err != nil {
 					return res, fmt.Errorf("baselines: mode %d ADMM: %w", n, err)

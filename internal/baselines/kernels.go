@@ -87,7 +87,7 @@ func checkShapes(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix,
 func (c *LockKernels) Lock(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, mode int) {
 	k, col := checkShapes(out, x, factors, mode), x.Inds[mode]
 	out.Zero()
-	parallel.ForChunked(x.NNZ(), c.Workers, nzChunk, func(_ int, r parallel.Range) {
+	forChunked(x.NNZ(), c.Workers, nzChunk, func(_ int, r parallel.Range) {
 		buf := make([]float64, k)
 		for e := r.Lo; e < r.Hi; e++ {
 			rowProduct(buf, x, factors, mode, e)
@@ -127,7 +127,7 @@ func (c *LockKernels) LocalAccumulate(out *dense.Matrix, x *sptensor.Tensor, fac
 	for w := range locals {
 		locals[w] = c.locals.Get(w, size)
 	}
-	parallel.ForChunked(x.NNZ(), workers, nzChunk, func(w int, r parallel.Range) {
+	forChunked(x.NNZ(), workers, nzChunk, func(w int, r parallel.Range) {
 		buf := make([]float64, k)
 		for e := r.Lo; e < r.Hi; e++ {
 			rowProduct(buf, x, factors, mode, e)
@@ -148,7 +148,7 @@ func (c *LockKernels) TimeModeLocked(dst []float64, x *sptensor.Tensor, factors 
 		panic("baselines: TimeModeLocked factor count mismatch")
 	}
 	clear(dst)
-	parallel.ForChunked(x.NNZ(), c.Workers, 64, func(_ int, r parallel.Range) {
+	forChunked(x.NNZ(), c.Workers, 64, func(_ int, r parallel.Range) {
 		buf := make([]float64, len(dst))
 		for e := r.Lo; e < r.Hi; e++ {
 			rowProduct(buf, x, factors, -1, e)

@@ -13,7 +13,7 @@ func TestMutexPoolStriping(t *testing.T) {
 	}
 	// Concurrent increments guarded by the pool must not race.
 	counters := make([]int, 64)
-	parallel.For(64*100, 8, func(_ int, r parallel.Range) {
+	forRange(64*100, 8, func(_ int, r parallel.Range) {
 		for i := r.Lo; i < r.Hi; i++ {
 			row := i % 64
 			p.Lock(row)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"spstream/internal/admm"
+	"spstream/internal/sptensor"
 )
 
 // The incremental C_z maintenance (Alg. 4 lines 8–11) must be exactly
@@ -199,17 +201,63 @@ func TestConstrainedSpCPBreakdown(t *testing.T) {
 	}
 }
 
-// The plan-based MTTKRP kernel used by the Optimized algorithm must not
-// make the factor trajectory depend on the worker count. The kernel
-// itself is bit-identical across worker counts (single writer per
-// output row); the dense reductions are worker-order deterministic, so
-// trajectories agree to reduction-reordering precision.
+// No bit of a run depends on the worker count for a fixed kernel
+// schedule: the kernels give every output row one writer, and every sum —
+// the Grams, the row sweep, BF-ADMM and the time mode — is keyed by fixed
+// blocks. Factors, sₜ and G must be bit-equal at Workers 1/2/3/7 for both
+// algorithms, unconstrained and NonNeg, resident and streamed from
+// MemBlocks, on slices of several time-mode spans with a mode longer than
+// one Gram block.
 func TestPlanKernelWorkerInvariance(t *testing.T) {
-	s := skewedStream(t, 106)
-	one, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: 1})
-	many, _ := runStream(t, s, Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: 3})
-	if d := maxFactorDiff(one, many); d > 1e-8 {
-		t.Fatalf("worker count changed plan-kernel results by %g", d)
+	dims := []int{30, 700, 40}
+	s := testStream(t, 106, dims, 9000, 3)
+	for _, alg := range []Algorithm{Optimized, SpCPStream} {
+		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
+			for _, streamed := range []bool{false, true} {
+				var ref *Decomposer
+				for _, workers := range []int{1, 2, 3, 7} {
+					name := fmt.Sprintf("%v constrained=%v streamed=%v W=%d", alg, con != nil, streamed, workers)
+					opt := Options{
+						Rank: 5, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
+						MTTKRPKernel: KernelPlan, Seed: 4, Workers: workers,
+					}
+					if streamed {
+						opt.MemBudget = 1 // every slice streams
+					}
+					d, err := NewDecomposer(dims, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ti, x := range s.Slices {
+						if streamed {
+							src, serr := sptensor.SplitBlocks(x, 1000)
+							if serr != nil {
+								t.Fatal(serr)
+							}
+							_, err = d.ProcessBlockSlice(src)
+						} else {
+							_, err = d.ProcessSlice(x)
+						}
+						if err != nil {
+							t.Fatalf("%s slice %d: %v", name, ti, err)
+						}
+					}
+					if ref == nil {
+						ref = d
+						continue
+					}
+					for n := range dims {
+						sameMatrixBits(t, fmt.Sprintf("%s factor %d", name, n), d.Factor(n), ref.Factor(n))
+					}
+					for j, v := range d.LastS() {
+						if math.Float64bits(v) != math.Float64bits(ref.LastS()[j]) {
+							t.Fatalf("%s: s[%d] = %v, %v at one worker", name, j, v, ref.LastS()[j])
+						}
+					}
+					sameMatrixBits(t, name+" G", d.TemporalGram(), ref.TemporalGram())
+				}
+			}
+		}
 	}
 }
 

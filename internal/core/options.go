@@ -97,7 +97,18 @@ type Options struct {
 	// FactorRidgeRel scales the ridge added to Φ⁽ⁿ⁾ before factorization,
 	// relative to tr(Φ)/K. Default 1e-6.
 	FactorRidgeRel float64
-	// Workers is the parallel width (≤0 = GOMAXPROCS).
+	// Workers is the parallel width (≤0 = GOMAXPROCS). For a fixed
+	// kernel schedule the results are bit-identical at any worker count:
+	// every kernel gives each output row one writer and every sum is
+	// keyed by fixed blocks, so a checkpoint may resume at another width.
+	// The schedule itself is the one input that takes the count:
+	// KernelAuto's cost model divides kernel time, not layout build
+	// time, by Workers (perfmodel.Selector). It was measured equal at 1
+	// and 2 workers on the nips, uber and flickr presets, except where
+	// build time weighs most: on a nips first slice run at one inner
+	// iteration it picks PPC at 1 worker and PPP at 2, and the factors
+	// then differ in their last bits. Pin MTTKRPKernel where bit equality
+	// across widths must hold whatever the slice.
 	Workers int
 	// Constraint, when non-nil, activates constrained CP-stream with the
 	// ADMM inner solver. SpCPStream rejects constraints (paper §VII).

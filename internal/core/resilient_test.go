@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -239,55 +241,78 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // decomposer, and a replay of the tail — matching the uninterrupted
 // run exactly.
 func TestStreamCheckpointResume(t *testing.T) {
-	s := testStream(t, 307, []int{12, 14}, 120, 9)
-	opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4}
+	for _, tc := range []struct {
+		name              string
+		s                 *sptensor.Stream
+		kernel            MTTKRPKernel
+		workers, restored int
+	}{
+		{"same workers", testStream(t, 307, []int{12, 14}, 120, 9), KernelAuto, 0, 0},
+		// A checkpoint written at two workers resumes at seven bit for
+		// bit — slices of several time-mode spans, a mode longer than one
+		// Gram block — under a fixed kernel schedule: KernelAuto's takes
+		// the worker count as an input (Options.Workers).
+		{"workers 2 to 7", testStream(t, 309, []int{300, 40, 20}, 5000, 9), KernelPlan, 2, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			opt := Options{Rank: 3, Algorithm: Optimized, MTTKRPKernel: tc.kernel, Seed: 4, Workers: tc.workers}
 
-	ref, err := NewDecomposer(s.Dims, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.ProcessStream(s.Source(), nil); err != nil {
-		t.Fatal(err)
-	}
+			ref, err := NewDecomposer(s.Dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.ProcessStream(s.Source(), nil); err != nil {
+				t.Fatal(err)
+			}
 
-	dir := t.TempDir()
-	mgr, err := resilience.NewManager(dir, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optC := opt
-	optC.Resilience = &resilience.Config{Checkpoint: mgr}
-	crashing, err := NewDecomposer(s.Dims, optC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "Crash" after slice 7 by feeding only a prefix of the stream.
-	prefix := &sptensor.Stream{Dims: s.Dims, Slices: s.Slices[:7]}
-	if _, err := crashing.ProcessStreamContext(context.Background(), prefix.Source(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := crashing.ResilienceStats().CheckpointWrites; got != 2 { // t=3, t=6
-		t.Fatalf("CheckpointWrites = %d, want 2", got)
-	}
+			dir := t.TempDir()
+			mgr, err := resilience.NewManager(dir, 3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			optC := opt
+			optC.Resilience = &resilience.Config{Checkpoint: mgr}
+			crashing, err := NewDecomposer(s.Dims, optC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// "Crash" after slice 7 by feeding only a prefix of the stream.
+			prefix := &sptensor.Stream{Dims: s.Dims, Slices: s.Slices[:7]}
+			if _, err := crashing.ProcessStreamContext(context.Background(), prefix.Source(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := crashing.ResilienceStats().CheckpointWrites; got != 2 { // t=3, t=6
+				t.Fatalf("CheckpointWrites = %d, want 2", got)
+			}
 
-	resumed, err := NewDecomposer(s.Dims, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := resilience.RestoreNewest(dir, resumed.RestoreState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.T() != 6 {
-		t.Fatalf("restored %q at T=%d, want 6", path, resumed.T())
-	}
-	for ti := resumed.T(); ti < s.T(); ti++ {
-		if _, err := resumed.ProcessSlice(s.Slices[ti]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := maxFactorDiff(ref, resumed); d != 0 {
-		t.Fatalf("resumed run differs from uninterrupted by %g", d)
+			optR := opt
+			optR.Workers = tc.restored
+			resumed, err := NewDecomposer(s.Dims, optR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := resilience.RestoreNewest(dir, resumed.RestoreState)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.T() != 6 {
+				t.Fatalf("restored %q at T=%d, want 6", path, resumed.T())
+			}
+			for ti := resumed.T(); ti < s.T(); ti++ {
+				if _, err := resumed.ProcessSlice(s.Slices[ti]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := range s.Dims {
+				sameMatrixBits(t, fmt.Sprintf("factor %d", n), resumed.Factor(n), ref.Factor(n))
+			}
+			for j, v := range resumed.LastS() {
+				if math.Float64bits(v) != math.Float64bits(ref.LastS()[j]) {
+					t.Fatalf("s[%d] = %v, %v uninterrupted", j, v, ref.LastS()[j])
+				}
+			}
+		})
 	}
 }
 

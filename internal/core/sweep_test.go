@@ -341,16 +341,20 @@ func BenchmarkRowSweep(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%dx%d/W=%d/sevenpass", rows, k, workers), func(b *testing.B) {
 				var sink float64
+				parts := make([]float64, workers)
 				for i := 0; i < b.N; i++ {
 					d.stageRHS(a, c.m, c.prev, c.q)
-					parallel.For(rows, workers, func(_ int, r parallel.Range) {
+					d.pool.Do(rows, workers, nil, func(_ any, _ int, r parallel.Range) {
 						d.chol.SolveRows(a.RowView(r.Lo, r.Hi))
 					})
 					dense.GramParallel(cm, a, workers)
 					dense.MulAtBParallel(hm, c.prev, a, workers)
-					sink += parallel.ReduceFloat64(rows, workers, func(_ int, r parallel.Range) float64 {
-						return dense.FrobNorm2Diff(a.RowView(r.Lo, r.Hi), c.prev.RowView(r.Lo, r.Hi))
+					d.pool.Do(rows, workers, nil, func(_ any, w int, r parallel.Range) {
+						parts[w] = dense.FrobNorm2Diff(a.RowView(r.Lo, r.Hi), c.prev.RowView(r.Lo, r.Hi))
 					})
+					for _, v := range parts {
+						sink += v
+					}
 					sink += dense.FrobNorm2(a)
 					sink += refColDots(c.m, a)[0]
 				}

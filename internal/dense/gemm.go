@@ -14,15 +14,21 @@ import (
 //   Gram    C = Aᵀ·A       (I×K) → K×K         SYRK-style symmetric Gram
 //
 // The long dimension (rows of A) is blocked and parallelized; the K×K
-// inner kernels stay dense and sequential. Serial entry points run the
-// row kernels directly; parallel ones dispatch ctx-style through the
-// persistent default pool with argument blocks drawn from a free list,
-// so steady-state calls allocate nothing either way.
+// inner kernels stay dense and sequential. MulAB, MulAtB and MulABt run
+// their row kernels directly; MulABParallel, MulAtBParallel and the Grams
+// dispatch ctx-style through the persistent default pool with argument
+// blocks drawn from a free list. MulAtBParallel and the Grams are
+// block-keyed: one partial per fixed row block, merged in block order, so
+// their bits do not depend on the worker count.
 
 // gemmArgs carries one parallel product's operands through the pool
-// without a closure. Recycled via a free list.
+// without a closure, and the block partials of a K×K product. Recycled
+// via a free list.
 type gemmArgs struct {
 	dst, a, b *Matrix
+	upper     bool
+	first     int // the first row block of the group in flight
+	part      []float64
 }
 
 var gemmArgsPool struct {
@@ -145,11 +151,12 @@ func MulABParallel(dst, a, b *Matrix, workers int) {
 }
 
 // MulAtB computes dst = aᵀ·b where a is m×ka and b is m×kb; dst must be
-// ka×kb and must not alias a or b.
+// ka×kb and must not alias a or b. One ascending sum over all rows; for
+// K×K products over a long row dimension use MulAtBParallel.
 func MulAtB(dst, a, b *Matrix) {
 	checkMulAtB(dst, a, b)
 	dst.Zero()
-	mulAtBRange(dst, a, b, 0, a.Rows)
+	AddAtBRange(dst.Data, dst.Stride, a, b, 0, a.Rows, false)
 }
 
 func checkMulAtB(dst, a, b *Matrix) {
@@ -158,29 +165,64 @@ func checkMulAtB(dst, a, b *Matrix) {
 	}
 }
 
-func mulAtBBody(ctx any, _ int, r parallel.Range, acc []float64) {
-	g := ctx.(*gemmArgs)
-	AddAtBRange(acc, g.b.Cols, g.a, g.b, r.Lo, r.Hi, false)
-}
-
-// MulAtBParallel is MulAtB parallelized over the shared row dimension
-// with per-worker partial accumulators reduced in worker order
-// (deterministic for a fixed worker count).
+// MulAtBParallel is MulAtB over the shared row dimension in gramBlock
+// row blocks shared out among the workers; its bits do not depend on
+// workers.
 func MulAtBParallel(dst, a, b *Matrix, workers int) {
 	checkMulAtB(dst, a, b)
-	if workers == 1 || a.Rows <= 1 || dst.Stride != dst.Cols {
-		dst.Zero()
-		mulAtBRange(dst, a, b, 0, a.Rows)
-		return
-	}
+	atbBlocks(dst, a, b, workers, false)
+}
+
+// gramBlock is the row-block height of the block-keyed products
+// (MulAtBParallel, Gram, GramParallel): every block's aᵀb is summed from
+// zero into its own partial, and the partials are added in block order
+// (parallel.SumBlocks), so the result is the same at any worker count.
+// A matrix of at most gramBlock rows is one ascending sum.
+const gramBlock = 256
+
+// gramPart bounds the floats of partials one product holds: the blocks
+// are summed a group at a time, and each group's partials are added onto
+// the running total — SumBlocks over the total followed by the group,
+// which repeats the additions of one merge over all blocks, since the
+// total is never −0 — so a 400 000-row mode needs no more memory than a
+// slice's nz rows.
+const gramPart = 1 << 16
+
+// atbBlocks sets dst = aᵀb (with upper, only the entries on or above the
+// diagonal are defined) by gramBlock row blocks on the default pool.
+// g.part holds the merge's output, the running total and the group's
+// partials, n floats each.
+func atbBlocks(dst, a, b *Matrix, workers int, upper bool) {
+	n, nb := a.Cols*b.Cols, (a.Rows+gramBlock-1)/gramBlock
+	group := min(nb, max(1, gramPart/n-2))
 	g := getGemmArgs(dst, a, b)
-	parallel.Default().DoReduceVecInto(dst.Data[:dst.Rows*dst.Cols], a.Rows, workers, g, mulAtBBody)
+	g.upper = upper
+	if cap(g.part) < (group+2)*n {
+		g.part = make([]float64, (group+2)*n)
+	}
+	merged, total := g.part[:n], g.part[n:2*n]
+	clear(total)
+	for g.first = 0; g.first < nb; g.first += group {
+		blocks := min(group, nb-g.first)
+		parallel.Default().Do(blocks, workers, g, atbBlockBody)
+		parallel.SumBlocks(merged, g.part[n:(2+blocks)*n])
+		copy(total, merged)
+	}
+	for p := 0; p < a.Cols; p++ {
+		copy(dst.Row(p), total[p*b.Cols:(p+1)*b.Cols])
+	}
 	putGemmArgs(g)
 }
 
-// mulAtBRange accumulates aᵀb over rows [lo,hi) into dst (+=).
-func mulAtBRange(dst, a, b *Matrix, lo, hi int) {
-	AddAtBRange(dst.Data, dst.Stride, a, b, lo, hi, false)
+func atbBlockBody(ctx any, _ int, r parallel.Range) {
+	g := ctx.(*gemmArgs)
+	n := g.a.Cols * g.b.Cols
+	for i := r.Lo; i < r.Hi; i++ {
+		part := g.part[(2+i)*n : (3+i)*n]
+		clear(part)
+		lo := (g.first + i) * gramBlock
+		AddAtBRange(part, g.b.Cols, g.a, g.b, lo, min(lo+gramBlock, g.a.Rows), g.upper)
+	}
 }
 
 // atbBlock is the row-block height of AddAtBRange: a 64-row block of a and
@@ -294,33 +336,19 @@ func mulABtRange(dst, a, b *Matrix, lo, hi int) {
 }
 
 // Gram computes dst = aᵀ·a (K×K symmetric) exploiting symmetry: only the
-// tiles on or above the diagonal are accumulated (AddAtBRange), then the
-// upper triangle is mirrored.
+// tiles on or above the diagonal are accumulated (AddAtBRange), by
+// gramBlock row blocks, then the upper triangle is mirrored.
 func Gram(dst, a *Matrix) { GramParallel(dst, a, 1) }
 
-func gramBody(ctx any, _ int, r parallel.Range, acc []float64) {
-	g := ctx.(*gemmArgs)
-	AddAtBRange(acc, g.a.Cols, g.a, g.a, r.Lo, r.Hi, true)
-}
-
-// GramParallel is Gram with the row dimension parallelized via
-// deterministic per-worker partials summed in worker order.
+// GramParallel is Gram with its row blocks shared out among the given
+// number of workers; its bits do not depend on workers.
 func GramParallel(dst, a *Matrix, workers int) {
 	if dst.Rows != a.Cols || dst.Cols != a.Cols {
 		panic("dense: Gram shape mismatch")
 	}
-	k := a.Cols
-	if workers == 1 || a.Rows <= 1 || dst.Stride != dst.Cols {
-		dst.Zero()
-		AddAtBRange(dst.Data, dst.Stride, a, a, 0, a.Rows, true)
-	} else {
-		g := getGemmArgs(dst, a, nil)
-		parallel.Default().DoReduceVecInto(dst.Data[:k*k], a.Rows, workers, g, gramBody)
-		putGemmArgs(g)
-	}
-	// Mirror the upper triangle to the lower.
-	for x := 0; x < k; x++ {
-		for y := x + 1; y < k; y++ {
+	atbBlocks(dst, a, a, workers, true)
+	for x := 0; x < a.Cols; x++ {
+		for y := x + 1; y < a.Cols; y++ {
 			dst.Data[y*dst.Stride+x] = dst.Data[x*dst.Stride+y]
 		}
 	}

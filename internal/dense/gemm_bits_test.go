@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"spstream/internal/parallel"
 )
 
 // The register-form kernels (mulRow, AddAtBRange) replaced loops that kept
@@ -71,24 +69,14 @@ func refGramRange(acc []float64, stride int, a *Matrix, lo, hi int) {
 	}
 }
 
-// refReduce runs body the way DoReduceVecInto does: one worker into the
-// zeroed dst itself, several into zeroed partials added in worker order.
-func refReduce(dst []float64, n, workers int, body func(acc []float64, lo, hi int)) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	if n <= 0 {
-		return
-	}
-	active := parallel.ClampWorkers(workers, n)
-	if active == 1 {
-		body(dst, 0, n)
-		return
-	}
-	for w := 0; w < active; w++ {
-		r := parallel.WorkerRange(n, active, w)
+// refReduce runs body the block-keyed way: each 256-row block into its
+// own zeroed partial, the partials added to the zeroed dst in block
+// order — whatever the worker count.
+func refReduce(dst []float64, n int, body func(acc []float64, lo, hi int)) {
+	clear(dst)
+	for lo := 0; lo < n; lo += 256 {
 		acc := make([]float64, len(dst))
-		body(acc, r.Lo, r.Hi)
+		body(acc, lo, min(lo+256, n))
 		for i, v := range acc {
 			dst[i] += v
 		}
@@ -139,7 +127,7 @@ func requireSameBitsOrNaN(t *testing.T, what string, got, want *Matrix) {
 }
 
 var (
-	bitsRows    = []int{0, 1, 63, 64, 65, 409}
+	bitsRows    = []int{0, 1, 63, 64, 65, 409, 600}
 	bitsRanks   = []int{1, 3, 4, 5, 16, 17}
 	bitsWorkers = []int{1, 2, 7}
 )
@@ -177,9 +165,9 @@ func TestMulABBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMulAtBGramBitIdentical pins MulAtB, MulAtBParallel, Gram and
-// GramParallel to the in-memory loops under the same per-worker
-// reduction, for compact and strided destinations.
+// TestMulAtBGramBitIdentical pins MulAtB to the in-memory loop, and
+// MulAtBParallel, Gram and GramParallel to it under the block-keyed
+// reduction at every worker count, for compact and strided destinations.
 func TestMulAtBGramBitIdentical(t *testing.T) {
 	for _, nonFinite := range []bool{false, true} {
 		for _, rows := range bitsRows {
@@ -190,12 +178,7 @@ func TestMulAtBGramBitIdentical(t *testing.T) {
 					name := fmt.Sprintf("rows=%d K=%d W=%d nonFinite=%v", rows, k, w, nonFinite)
 
 					want := NewMatrix(k, k+1)
-					// MulAtBParallel reduces per worker only above one row.
-					rw := w
-					if rows <= 1 {
-						rw = 1
-					}
-					refReduce(want.Data, rows, rw, func(acc []float64, lo, hi int) {
+					refReduce(want.Data, rows, func(acc []float64, lo, hi int) {
 						refMulAtBRange(acc, k+1, a, b, lo, hi)
 					})
 					got := NewMatrix(k, k+1)
@@ -204,7 +187,7 @@ func TestMulAtBGramBitIdentical(t *testing.T) {
 					requireSameBitsOrNaN(t, name+" MulAtBParallel", got, want)
 
 					want = NewMatrix(k, k)
-					refReduce(want.Data, rows, rw, func(acc []float64, lo, hi int) {
+					refReduce(want.Data, rows, func(acc []float64, lo, hi int) {
 						refGramRange(acc, k, a, lo, hi)
 					})
 					for x := 0; x < k; x++ {
@@ -228,8 +211,13 @@ func TestMulAtBGramBitIdentical(t *testing.T) {
 				requireSameBitsOrNaN(t, name+" MulAtB strided", got, want)
 
 				want = hostileMatrix(9, k, k, false)
-				want.Zero()
-				refGramRange(want.Data, want.Stride, a, 0, rows)
+				compact := NewMatrix(k, k)
+				refReduce(compact.Data, rows, func(acc []float64, lo, hi int) {
+					refGramRange(acc, k, a, lo, hi)
+				})
+				for x := 0; x < k; x++ {
+					copy(want.Row(x), compact.Row(x))
+				}
 				for x := 0; x < k; x++ {
 					for y := x + 1; y < k; y++ {
 						want.Set(y, x, want.At(x, y))
@@ -241,11 +229,31 @@ func TestMulAtBGramBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// At K = 128 a group holds two blocks (one for K×(K+1)), so 1 300 rows
+	// merge over several groups, each onto the running total.
+	const k, rows = 128, 1300
+	a, b := hostileMatrix(13, rows, k, true), hostileMatrix(14, rows, k+1, true)
+	wantH, wantC := NewMatrix(k, k+1), NewMatrix(k, k)
+	refReduce(wantH.Data, rows, func(acc []float64, lo, hi int) { refMulAtBRange(acc, k+1, a, b, lo, hi) })
+	refReduce(wantC.Data, rows, func(acc []float64, lo, hi int) { refGramRange(acc, k, a, lo, hi) })
+	for x := 0; x < k; x++ {
+		for y := x + 1; y < k; y++ {
+			wantC.Set(y, x, wantC.At(x, y))
+		}
+	}
+	for _, w := range bitsWorkers {
+		gotH, gotC := NewMatrix(k, k+1), NewMatrix(k, k)
+		MulAtBParallel(gotH, a, b, w)
+		GramParallel(gotC, a, w)
+		requireSameBitsOrNaN(t, fmt.Sprintf("grouped W=%d MulAtBParallel", w), gotH, wantH)
+		requireSameBitsOrNaN(t, fmt.Sprintf("grouped W=%d GramParallel", w), gotC, wantC)
+	}
 }
 
 // TestAddRangesMatchWholeProduct: AddAtBRange accumulates, so row
-// ranges cut anywhere and added in ascending order give MulAtB's and
-// Gram's bits — every entry is still the ascending-row sum.
+// ranges cut anywhere and added in ascending order give MulAtB's bits —
+// every entry is still the ascending-row sum — and, cut anywhere within
+// each 256-row block, Gram's.
 func TestAddRangesMatchWholeProduct(t *testing.T) {
 	for _, rows := range []int{1, 63, 64, 65, 300} {
 		for _, k := range bitsRanks {
@@ -258,8 +266,13 @@ func TestAddRangesMatchWholeProduct(t *testing.T) {
 				gotH, gotC := NewMatrix(k, k+1), NewMatrix(k, k)
 				for lo := 0; lo < rows; lo += cut {
 					AddAtBRange(gotH.Data, k+1, a, b, lo, min(lo+cut, rows), false)
-					AddAtBRange(gotC.Data, k, a, a, lo, min(lo+cut, rows), true)
 				}
+				// Gram's ascending sums restart at every 256-row block.
+				refReduce(gotC.Data, rows, func(acc []float64, lo, hi int) {
+					for ; lo < hi; lo += cut {
+						AddAtBRange(acc, k, a, a, lo, min(lo+cut, hi), true)
+					}
+				})
 				for x := 0; x < k; x++ {
 					for y := x + 1; y < k; y++ {
 						gotC.Set(y, x, gotC.At(x, y))

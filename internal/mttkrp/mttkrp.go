@@ -4,7 +4,8 @@
 // compiled Plan (plan.go) and the register panel under it (panel.go),
 // the Remapper into the compact nz-row index space (remap.go), the
 // block-streamed StreamKernel (stream.go), and TimeMode, the single-row
-// MTTKRP behind the sₜ update (thread-local accumulation, paper §IV-B).
+// MTTKRP behind the sₜ update (one partial per fixed nonzero span where
+// the paper accumulates per thread, §IV-B).
 // A Computer owns the reusable per-worker scratch, so per-iteration calls
 // are allocation-free in steady state. The paper's lock-based kernels
 // are in internal/baselines.
@@ -33,6 +34,9 @@ type Computer struct {
 	// kernels keep their panel in registers and never touch it.
 	scratch [][]float64
 	kcap    int
+
+	// TimeMode's span partials, k floats per timeSpan nonzeros.
+	parts []float64
 
 	// Reusable kernel argument block passed as ctx to the pool bodies.
 	args kernelArgs
@@ -163,25 +167,39 @@ func Sequential(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, 
 	}
 }
 
+// timeSpan is the nonzeros one time-mode partial sums: TimeMode cuts the
+// nonzero range into spans of this constant length, sums each from zero
+// into its own rank-k partial and adds the partials in span order
+// (parallel.SumBlocks), so no bit depends on the worker count, nor, for
+// StreamKernel.TimeMode, on the source's block sizes. A multiple of
+// timeChunk.
+const timeSpan = 4096
+
 // TimeMode computes dst[k] = Σ_e val_e · ∏_v factors[v][i_v][k] — the
-// streaming-mode MTTKRP whose output is a single row. Thread-local
-// accumulation is mandatory here: with one output row, locking would
-// serialize every update (paper §IV-B).
+// streaming-mode MTTKRP whose output is a single row. Partials per span,
+// not locks: with one output row, locking would serialize every update
+// (paper §IV-B).
 func (c *Computer) TimeMode(dst []float64, x *sptensor.Tensor, factors []*dense.Matrix) {
 	if len(factors) != x.NModes() {
 		panic("mttkrp: TimeMode factor count mismatch")
 	}
-	k := len(dst)
+	k, spans := len(dst), (x.NNZ()+timeSpan-1)/timeSpan
 	c.ensureScratch(k)
+	c.parts = grow(c.parts, spans*k)
 	a := &c.args
 	a.x, a.factors, a.k = x, factors, k
-	c.pool.DoReduceVecInto(dst, x.NNZ(), c.Workers, a, timeModeBody)
+	c.pool.Do(spans, c.Workers, a, timeModeBody)
 	a.reset()
+	parallel.SumBlocks(dst, c.parts)
 }
 
-func timeModeBody(ctx any, w int, r parallel.Range, acc []float64) {
+func timeModeBody(ctx any, w int, r parallel.Range) {
 	a := ctx.(*kernelArgs)
-	timeRange(acc, a.c.scratch[w][:a.k], a.x, a.factors, r.Lo, r.Hi)
+	for sp := r.Lo; sp < r.Hi; sp++ {
+		part := a.c.parts[sp*a.k : (sp+1)*a.k]
+		clear(part)
+		timeRange(part, a.c.scratch[w][:a.k], a.x, a.factors, sp*timeSpan, min((sp+1)*timeSpan, a.x.NNZ()))
+	}
 }
 
 // timeModeRow computes buf[j] = val_e · ∏_v factors[v][i_v][j].

@@ -63,33 +63,20 @@ func refStreamMTTKRP(out *dense.Matrix, src sptensor.BlockSource, factors []*den
 	}
 }
 
-// refTimeMode is the scratch-row timeModeBody under DoReduceVecInto's
-// partition: one worker accumulates into dst itself, several into zeroed
-// partials that are added to the zeroed dst in worker order.
-func refTimeMode(dst []float64, x *sptensor.Tensor, factors []*dense.Matrix, workers int) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	if x.NNZ() == 0 {
-		return
-	}
+// refTimeMode is the scratch-row time-mode body, block-keyed: every
+// 4096-nonzero span summed into its own zeroed partial, the partials
+// added to the zeroed dst in span order — at any worker count.
+func refTimeMode(dst []float64, x *sptensor.Tensor, factors []*dense.Matrix) {
+	clear(dst)
 	buf := make([]float64, len(dst))
-	body := func(acc []float64, r parallel.Range) {
-		for e := r.Lo; e < r.Hi; e++ {
+	for lo := 0; lo < x.NNZ(); lo += 4096 {
+		acc := make([]float64, len(dst))
+		for e := lo; e < min(lo+4096, x.NNZ()); e++ {
 			timeModeRow(buf, x, factors, e)
 			for j, v := range buf {
 				acc[j] += v
 			}
 		}
-	}
-	active := parallel.ClampWorkers(workers, x.NNZ())
-	if active == 1 {
-		body(dst, parallel.Range{Lo: 0, Hi: x.NNZ()})
-		return
-	}
-	for w := 0; w < active; w++ {
-		acc := make([]float64, len(dst))
-		body(acc, parallel.WorkerRange(x.NNZ(), active, w))
 		for j, v := range acc {
 			dst[j] += v
 		}
@@ -239,7 +226,7 @@ func TestPanelKernelsBitIdentical(t *testing.T) {
 					}
 					want := make([]float64, k)
 					got := make([]float64, k)
-					refTimeMode(want, x, factors, workers)
+					refTimeMode(want, x, factors)
 					c.TimeMode(got, x, factors)
 					if j, ok := sameBits(got, want); !ok {
 						t.Fatalf("%s TimeMode[%d] = %x, reference %x", name, j,
@@ -262,25 +249,39 @@ func TestPanelKernelsBitIdentical(t *testing.T) {
 }
 
 // TestTimeModeChunkSeam runs the time-mode panel over a range several
-// timeChunk long and not a multiple of it, so accumulators are spilled
-// and reloaded between chunks.
+// timeSpan long and not a multiple of timeChunk, so accumulators are
+// spilled and reloaded between chunks and partials start at every span
+// edge — in memory, and streamed from blocks whose edges fall inside
+// spans.
 func TestTimeModeChunkSeam(t *testing.T) {
 	dims := []int{30, 50, 20}
-	x := randomSlice(9, dims, 3*timeChunk+17)
-	if x.NNZ() <= 2*timeChunk {
+	x := randomSlice(9, dims, 2*timeSpan+3*timeChunk+17)
+	if x.NNZ() <= 2*timeSpan {
 		t.Fatalf("slice too small for the seam: %d nonzeros", x.NNZ())
+	}
+	src, err := sptensor.SplitBlocks(x, 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 	for _, k := range []int{9, 16} {
 		factors := stridedFactors(3, dims, k, false)
-		for _, workers := range []int{1, 2} {
-			want := make([]float64, k)
+		want := make([]float64, k)
+		refTimeMode(want, x, factors)
+		for _, workers := range []int{1, 2, 3} {
 			got := make([]float64, k)
-			refTimeMode(want, x, factors, workers)
-			NewComputerWithPool(workers, pool).TimeMode(got, x, factors)
+			c := NewComputerWithPool(workers, pool)
+			c.TimeMode(got, x, factors)
 			if j, ok := sameBits(got, want); !ok {
 				t.Fatalf("K=%d W=%d TimeMode[%d] = %x, reference %x", k, workers, j,
+					math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+			if err := NewStreamKernel(c).TimeMode(got, src, factors); err != nil {
+				t.Fatal(err)
+			}
+			if j, ok := sameBits(got, want); !ok {
+				t.Fatalf("K=%d W=%d StreamKernel.TimeMode[%d] = %x, reference %x", k, workers, j,
 					math.Float64bits(got[j]), math.Float64bits(want[j]))
 			}
 		}

@@ -27,12 +27,12 @@ import (
 //     receives its contributions in (block order, entry order) — the
 //     plan kernel's per-row left-to-right sum. Which worker owns a row
 //     decides only who does the work, never a bit of the result.
-//   - TimeMode: the global nonzero range is partitioned with the same
-//     parallel.WorkerRange boundaries DoReduceVecInto uses, each worker
-//     decodes the blocks its range intersects and carries its rank-k
-//     accumulator across them, and the accumulators merge into dst in
-//     worker order — the reduction tree is identical to the in-memory
-//     TimeMode on the materialized tensor.
+//   - TimeMode: the global nonzero range is cut into the same fixed
+//     timeSpan-long spans as the in-memory TimeMode, each worker decodes
+//     the blocks its spans intersect and sums every span from zero into
+//     the span's own rank-k partial, carried across block edges, and the
+//     partials merge into dst in span order — the in-memory TimeMode's
+//     reduction on the materialized tensor, whoever summed which span.
 //
 // A slice's structure does not change between its passes, so what
 // SetShare leaves after the workers' streaming buffers keeps it, in a
@@ -79,13 +79,13 @@ type StreamKernel struct {
 	permTop    atomic.Int64
 	kept       int
 
-	// Dispatch arguments for the pool bodies (no closures).
+	// Dispatch arguments for the pool bodies (no closures), and
+	// TimeMode's span partials.
 	out     *dense.Matrix
 	factors []*dense.Matrix
-	dst     []float64
+	parts   []float64
 	mode    int
 	k       int
-	active  int
 }
 
 // streamMode is one output mode's row-ownership schedule.
@@ -113,7 +113,6 @@ type streamWorker struct {
 	view  sptensor.Tensor // of a resident block
 	count []int32
 	perm  []int32
-	acc   []float64
 	// First block that failed to decode in the current pass.
 	err    error
 	errBlk int
@@ -155,7 +154,7 @@ func (s *StreamKernel) Residency() Residency { return s.res }
 // pinned between calls and no worker's decode error outlives the pass
 // that met it.
 func (s *StreamKernel) reset() {
-	s.out, s.factors, s.dst = nil, nil, nil
+	s.out, s.factors = nil, nil
 	for w := range s.ws {
 		s.ws[w].err = nil
 	}
@@ -506,7 +505,7 @@ func (s *StreamKernel) Norm2(src sptensor.BlockSource) (float64, error) {
 
 // TimeMode computes dst[k] = Σ_e val_e · ∏_v factors[v][i_v][k] over all
 // blocks of src. Bit-identical to Computer.TimeMode on the materialized
-// tensor for the same worker count.
+// tensor, at any worker count.
 func (s *StreamKernel) TimeMode(dst []float64, src sptensor.BlockSource, factors []*dense.Matrix) error {
 	if len(factors) != len(src.Dims()) {
 		panic("mttkrp: TimeMode factor count mismatch")
@@ -515,57 +514,45 @@ func (s *StreamKernel) TimeMode(dst []float64, src sptensor.BlockSource, factors
 	if err := s.compiled(src); err != nil {
 		return err
 	}
-	total := s.blkOff[len(s.blkOff)-1]
-	if total == 0 {
-		return nil
-	}
-	k := len(dst)
+	k, spans := len(dst), (s.blkOff[len(s.blkOff)-1]+timeSpan-1)/timeSpan
 	s.c.ensureScratch(k)
-	active := parallel.ClampWorkers(s.c.Workers, total)
-	s.factors, s.dst, s.k, s.active = factors, dst, k, active
+	s.parts = grow(s.parts, spans*k)
+	s.factors, s.k = factors, k
 	defer s.reset()
-	s.c.pool.Do(active, active, s, streamTimeBody)
-	if err := s.firstErr(active); err != nil {
+	s.c.pool.Do(s.c.Workers, s.c.Workers, s, streamTimeBody)
+	if err := s.firstErr(s.c.Workers); err != nil {
 		return err
 	}
-	if active > 1 {
-		for w := range s.ws[:active] {
-			for j, v := range s.ws[w].acc[:k] {
-				dst[j] += v
-			}
-		}
-	}
+	parallel.SumBlocks(dst, s.parts)
 	return nil
 }
 
-// streamTimeBody is worker w's whole time-mode pass: the blocks its
-// global nonzero range intersects, decoded into its own buffer, summed
-// into one accumulator. With one worker dst is the accumulator, which
-// mirrors DoReduceVecInto's single-worker path: no +0/−0 merge
-// artifacts can differ.
+// streamTimeBody is the time-mode pass of workers wr, each with its
+// share of the spans: the blocks they intersect, each decoded once into
+// the worker's buffer, and per block the part of every span it holds
+// added to that span's partial.
 func streamTimeBody(ctx any, _ int, wr parallel.Range) {
 	s := ctx.(*StreamKernel)
-	nb := len(s.blkOff) - 1
+	nb, workers := len(s.blkOff)-1, s.c.Workers
+	spans := (s.blkOff[nb] + timeSpan - 1) / timeSpan
 	for w := wr.Lo; w < wr.Hi; w++ {
-		ws := &s.ws[w]
-		acc := s.dst
-		if s.active > 1 {
-			ws.acc = grow(ws.acc, s.k)
-			acc = ws.acc
-			clear(acc)
-		}
-		g := parallel.WorkerRange(s.blkOff[nb], s.active, w)
-		for b := 0; b < nb && s.blkOff[b] < g.Hi; b++ {
+		first, last := w*spans/workers, (w+1)*spans/workers
+		lo, hi := first*timeSpan, min(last*timeSpan, s.blkOff[nb])
+		clear(s.parts[first*s.k : last*s.k])
+		for b := 0; b < nb && s.blkOff[b] < hi; b++ {
 			base, end := s.blkOff[b], s.blkOff[b+1]
-			if end <= g.Lo || end == base {
+			if end <= lo || end == base {
 				continue
 			}
 			x, err := s.block(s.src, b, w)
 			if err != nil {
-				ws.err, ws.errBlk = err, b
+				s.ws[w].err, s.ws[w].errBlk = err, b
 				break
 			}
-			timeRange(acc, s.c.scratch[w][:s.k], x, s.factors, max(g.Lo, base)-base, min(g.Hi, end)-base)
+			for sp := max(base, lo) / timeSpan; sp*timeSpan < min(end, hi); sp++ {
+				from, to := max(sp*timeSpan, base), min((sp+1)*timeSpan, end)
+				timeRange(s.parts[sp*s.k:(sp+1)*s.k], s.c.scratch[w][:s.k], x, s.factors, from-base, to-base)
+			}
 		}
 	}
 }

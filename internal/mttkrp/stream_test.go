@@ -165,7 +165,8 @@ func newStreamTwin(t *testing.T, c *Computer, src sptensor.BlockSource, k int) *
 }
 
 // check runs every mode's MTTKRP and the time mode through sk and
-// compares the bits with the plan kernels.
+// compares the bits with the plan kernels and the span-keyed time-mode
+// reference.
 func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
 	t.Helper()
 	k := tw.factors[0].Cols
@@ -182,7 +183,7 @@ func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
 		}
 	}
 	want, got := make([]float64, k), make([]float64, k)
-	tw.c.TimeMode(want, tw.mat, tw.factors)
+	refTimeMode(want, tw.mat, tw.factors)
 	if err := sk.TimeMode(got, tw.src, tw.factors); err != nil {
 		t.Fatalf("%s TimeMode: %v", label, err)
 	}

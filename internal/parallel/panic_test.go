@@ -33,7 +33,7 @@ func TestPoolWorkerPanicPropagates(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	pe := mustPanicWithError(t, func() {
-		p.For(100, 4, func(w int, r Range) {
+		run(p, 100, 4, func(w int, r Range) {
 			if r.Lo <= 42 && 42 < r.Hi {
 				panic("boom at 42")
 			}
@@ -57,29 +57,33 @@ func TestPoolSurvivesPanic(t *testing.T) {
 	defer p.Close()
 	prims := map[string]func(bad bool){
 		"Do": func(bad bool) {
-			p.For(64, 4, func(w int, r Range) {
+			run(p, 64, 4, func(w int, r Range) {
 				if bad {
 					panic("do")
 				}
 			})
 		},
+		// Do over fixed 8-element chunks, the dispatch of block-keyed
+		// kernels.
 		"DoChunked": func(bad bool) {
-			p.ForChunked(64, 4, 8, func(w int, r Range) {
-				if bad {
+			run(p, 64/8, 4, func(w int, r Range) {
+				if bad && r.Lo == 0 {
 					panic("chunked")
 				}
 			})
 		},
+		// Block-keyed reductions, one and three floats per block: the
+		// panic surfaces before SumBlocks reads a partial.
 		"ReduceFloat64": func(bad bool) {
-			p.ReduceFloat64(64, 4, func(w int, r Range) float64 {
+			sumBlocks(p, make([]float64, 1), 64, 8, 4, func(part []float64, r Range) {
 				if bad {
 					panic("reduce")
 				}
-				return 1
+				part[0]++
 			})
 		},
 		"ReduceVec": func(bad bool) {
-			p.ReduceVec(64, 4, 3, func(w int, r Range, acc []float64) {
+			sumBlocks(p, make([]float64, 3), 64, 8, 4, func(part []float64, r Range) {
 				if bad {
 					panic("reducevec")
 				}
@@ -92,7 +96,7 @@ func TestPoolSurvivesPanic(t *testing.T) {
 			mustPanicWithError(t, func() { prim(true) })
 			// The pool must immediately accept and complete new work.
 			done := false
-			p.For(8, 4, func(w int, r Range) {
+			run(p, 8, 4, func(w int, r Range) {
 				if r.Lo == 0 {
 					done = true
 				}
@@ -113,12 +117,12 @@ func TestSpawnFallbackPanicPropagates(t *testing.T) {
 	defer p.Close()
 	var inner *PanicError
 	var mu sync.Mutex
-	p.For(4, 2, func(w int, r Range) {
+	run(p, 4, 2, func(w int, r Range) {
 		if w != 0 {
 			return
 		}
 		pe := mustPanicOrNil(func() {
-			p.For(32, 2, func(w int, r Range) {
+			run(p, 32, 2, func(w int, r Range) {
 				if r.Lo == 0 {
 					panic("spawned boom")
 				}
@@ -155,7 +159,7 @@ func TestPanicErrorUnwrap(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	pe := mustPanicWithError(t, func() {
-		p.For(16, 2, func(w int, r Range) {
+		run(p, 16, 2, func(w int, r Range) {
 			if r.Lo == 0 {
 				panic(sentinel)
 			}
@@ -172,7 +176,7 @@ func TestFirstPanicWins(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	pe := mustPanicWithError(t, func() {
-		p.For(64, 4, func(w int, r Range) {
+		run(p, 64, 4, func(w int, r Range) {
 			panic(w)
 		})
 	})
@@ -202,5 +206,5 @@ func TestWorkersOnePanicUnchanged(t *testing.T) {
 			t.Errorf("recovered %v, want the raw panic value", r)
 		}
 	}()
-	p.For(4, 1, func(w int, r Range) { panic("raw") })
+	run(p, 4, 1, func(w int, r Range) { panic("raw") })
 }

@@ -1,16 +1,14 @@
-// Package parallel provides the shared-memory parallel primitives used by
-// every kernel in this repository: a persistent worker pool (Pool) with a
-// static blocked parallel-for, stable worker identifiers, per-worker
-// reduction helpers, and a striped mutex pool.
+// Package parallel provides the shared-memory parallel primitives every
+// kernel in this repository runs on: a persistent worker pool (Pool)
+// whose one operation, Do, is a static blocked parallel-for with stable
+// worker identifiers; SumBlocks, the merge of a block-keyed reduction;
+// and WeightedBoundaries, a static partition of weighted segments.
 //
-// The package mirrors the scheduling semantics of the OpenMP constructs
-// used by the original CP-stream implementation: static chunking over an
-// index range, one logical thread per chunk set, and deterministic
-// per-thread partial results that are reduced in worker order. The
-// package-level For/ForChunked/ReduceFloat64/ReduceVec are thin
-// compatibility wrappers over the lazily-initialized default Pool;
-// allocation-critical kernels use the Pool's ctx-style Do* primitives
-// directly.
+// The package mirrors the scheduling of the OpenMP parallel loops of the
+// original CP-stream implementation, static chunking over an index range,
+// but not its per-thread reductions: a kernel that sums keeps one partial
+// per fixed block of its index space and merges them in block order, so
+// its bits depend on the block size alone and never on the worker count.
 package parallel
 
 import "runtime"
@@ -43,84 +41,11 @@ type Range struct {
 	Lo, Hi int
 }
 
-// WorkerRange returns worker w's share of the blocked static partition
-// of [0, n) over active workers — the exact ranges the Pool's Do and
-// DoReduceVecInto primitives hand their bodies. Exported so kernels
-// that stream an index space in external pieces (the out-of-core MTTKRP
-// path) can reproduce the in-memory partition boundaries, and with them
-// the in-memory floating-point reduction order, bit for bit.
-func WorkerRange(n, active, w int) Range {
-	return workerRange(n, active, w)
-}
-
-// ClampWorkers normalizes a requested worker count the way every Pool
-// primitive does: non-positive means DefaultWorkers, and the count never
-// exceeds n. Exported alongside WorkerRange for external-partition
-// kernels that must clamp identically to DoReduceVecInto.
+// ClampWorkers normalizes a requested worker count the way Pool.Do
+// does: non-positive means DefaultWorkers, and the count never exceeds
+// n. Callers that size per-worker scratch use it.
 func ClampWorkers(workers, n int) int {
 	return clampWorkers(workers, n)
-}
-
-// Partition splits [0, n) into at most workers contiguous ranges of
-// near-equal size. Fewer ranges are returned when n < workers. The
-// partition is deterministic: worker w always receives the same range for
-// the same (n, workers) pair.
-func Partition(n, workers int) []Range {
-	workers = clampWorkers(workers, n)
-	if n <= 0 {
-		return nil
-	}
-	ranges := make([]Range, 0, workers)
-	base := n / workers
-	rem := n % workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		if size == 0 {
-			continue
-		}
-		ranges = append(ranges, Range{Lo: lo, Hi: lo + size})
-		lo += size
-	}
-	return ranges
-}
-
-// For executes body over a static partition of [0, n) using the given
-// number of workers. Each worker w invokes body exactly once with its
-// assigned range and its stable worker id (0 ≤ w < workers). When
-// workers == 1 (or n is small) the body runs on the calling goroutine,
-// so single-threaded runs have no scheduling overhead. Dispatches
-// through the default Pool.
-func For(n, workers int, body func(w int, r Range)) {
-	Default().For(n, workers, body)
-}
-
-// ForChunked executes body over [0, n) in fixed-size chunks distributed
-// round-robin across workers. Unlike For, a worker may receive several
-// non-adjacent chunks; this approximates OpenMP's schedule(static, chunk)
-// and is used where load per index is highly skewed (e.g. nonzeros sorted
-// by coordinate). Dispatches through the default Pool.
-func ForChunked(n, workers, chunk int, body func(w int, r Range)) {
-	Default().ForChunked(n, workers, chunk, body)
-}
-
-// ReduceFloat64 runs body on a static partition of [0, n); each worker
-// returns a float64 partial, and the partials are summed in worker order
-// so the floating-point reduction order is deterministic for a fixed
-// worker count. Dispatches through the default Pool.
-func ReduceFloat64(n, workers int, body func(w int, r Range) float64) float64 {
-	return Default().ReduceFloat64(n, workers, body)
-}
-
-// ReduceVec is like ReduceFloat64 but each worker produces a fixed-length
-// vector partial (e.g. per-column norms). Worker w writes into its own
-// slice; the partials are then summed element-wise in worker order into a
-// freshly allocated result. Dispatches through the default Pool.
-func ReduceVec(n, workers, dim int, body func(w int, r Range, acc []float64)) []float64 {
-	return Default().ReduceVec(n, workers, dim, body)
 }
 
 // SumBlocks sets dst to the element-wise sum of the len(dst)-long block

@@ -17,7 +17,7 @@ func TestPoolForMatchesPartition(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			seen := make([]bool, n)
 			var mu sync.Mutex
-			p.For(n, workers, func(w int, r Range) {
+			run(p, n, workers, func(w int, r Range) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := r.Lo; i < r.Hi; i++ {
@@ -36,38 +36,28 @@ func TestPoolForMatchesPartition(t *testing.T) {
 	}
 }
 
+// workerRange must be the contiguous partition with the remainder on the
+// first workers, worker by worker in order.
 func TestPoolWorkerRangeMatchesPartition(t *testing.T) {
 	for n := 1; n < 50; n++ {
 		for workers := 1; workers <= n && workers <= 8; workers++ {
-			ranges := Partition(n, workers)
-			for w, want := range ranges {
-				if got := workerRange(n, workers, w); got != want {
+			lo := 0
+			for w := 0; w < workers; w++ {
+				size := n / workers
+				if w < n%workers {
+					size++
+				}
+				if got, want := workerRange(n, workers, w), (Range{Lo: lo, Hi: lo + size}); got != want {
 					t.Fatalf("workerRange(%d,%d,%d)=%v want %v", n, workers, w, got, want)
 				}
+				lo += size
 			}
 		}
 	}
 }
 
-func TestPoolChunkedMatchesFreeFunction(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	n, chunk := 1000, 64
-	got := make([]int, n)
-	p.ForChunked(n, 3, chunk, func(w int, r Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			got[i] = w
-		}
-	})
-	// Round-robin: chunk c goes to worker c mod workers.
-	for i := range got {
-		want := (i / chunk) % 3
-		if got[i] != want {
-			t.Fatalf("index %d ran on worker %d, want %d", i, got[i], want)
-		}
-	}
-}
-
+// A block-keyed reduction on a private pool repeats its bits at any
+// worker count, the pool's own size and beyond it (the spawn fallback).
 func TestPoolReduceDeterministic(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -75,17 +65,19 @@ func TestPoolReduceDeterministic(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1.0 / float64(i+1)
 	}
-	body := func(_ int, r Range) float64 {
-		s := 0.0
+	body := func(part []float64, r Range) {
 		for i := r.Lo; i < r.Hi; i++ {
-			s += vals[i]
+			part[0] += vals[i]
 		}
-		return s
 	}
-	first := p.ReduceFloat64(len(vals), 4, body)
-	for trial := 0; trial < 10; trial++ {
-		if again := p.ReduceFloat64(len(vals), 4, body); again != first {
-			t.Fatalf("trial %d: %v != %v", trial, again, first)
+	first := []float64{0}
+	sumBlocks(p, first, len(vals), 100, 1, body)
+	for _, workers := range []int{2, 3, 4, 6} {
+		for trial := 0; trial < 3; trial++ {
+			again := []float64{0}
+			if sumBlocks(p, again, len(vals), 100, workers, body); again[0] != first[0] {
+				t.Fatalf("workers=%d trial %d: %v != %v", workers, trial, again[0], first[0])
+			}
 		}
 	}
 }
@@ -94,17 +86,17 @@ func TestPoolReduceVecIntoOverwritesDst(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	dst := []float64{9, 9, 9}
-	p.DoReduceVecInto(dst, 8, 4, nil, func(_ any, _ int, r Range, acc []float64) {
+	sumBlocks(p, dst, 8, 3, 4, func(part []float64, r Range) {
 		for i := r.Lo; i < r.Hi; i++ {
-			acc[0]++
-			acc[2] += 2
+			part[0]++
+			part[2] += 2
 		}
 	})
 	if dst[0] != 8 || dst[1] != 0 || dst[2] != 16 {
 		t.Fatalf("dst = %v", dst)
 	}
 	// n == 0 must still zero dst.
-	p.DoReduceVecInto(dst, 0, 4, nil, func(_ any, _ int, _ Range, _ []float64) {})
+	sumBlocks(p, dst, 0, 3, 4, func([]float64, Range) {})
 	if dst[0] != 0 || dst[2] != 0 {
 		t.Fatalf("dst not zeroed on empty reduction: %v", dst)
 	}
@@ -117,8 +109,8 @@ func TestPoolNestedDispatch(t *testing.T) {
 	defer p.Close()
 	var total int64
 	var mu sync.Mutex
-	p.For(4, 4, func(w int, r Range) {
-		p.For(10, 2, func(_ int, inner Range) {
+	run(p, 4, 4, func(w int, r Range) {
+		run(p, 10, 2, func(_ int, inner Range) {
 			mu.Lock()
 			total += int64(inner.Hi - inner.Lo)
 			mu.Unlock()
@@ -140,11 +132,12 @@ func TestPoolConcurrentDispatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
-				got := p.ReduceFloat64(1000, 4, func(_ int, r Range) float64 {
-					return float64(r.Hi - r.Lo)
+				got := []float64{0}
+				sumBlocks(p, got, 1000, 64, 4, func(part []float64, r Range) {
+					part[0] += float64(r.Hi - r.Lo)
 				})
-				if got != 1000 {
-					t.Errorf("reduce = %v, want 1000", got)
+				if got[0] != 1000 {
+					t.Errorf("reduce = %v, want 1000", got[0])
 					return
 				}
 			}
@@ -160,7 +153,7 @@ func TestPoolOversubscribed(t *testing.T) {
 	defer p.Close()
 	var count int64
 	var mu sync.Mutex
-	p.For(100, 8, func(_ int, r Range) {
+	run(p, 100, 8, func(_ int, r Range) {
 		mu.Lock()
 		count += int64(r.Hi - r.Lo)
 		mu.Unlock()
@@ -170,13 +163,13 @@ func TestPoolOversubscribed(t *testing.T) {
 	}
 }
 
-// The steady-state ctx-style primitives must not allocate: the worker
-// goroutines persist, the descriptor lives in pool fields, and the
-// reduction arenas are pool-owned. Closure captures would break this, so
-// the bodies below are top-level functions with a pointer ctx.
+// Steady-state dispatch must not allocate: the worker goroutines persist
+// and the descriptor lives in pool fields. Closure captures would break
+// this, so the bodies below are top-level functions with a pointer ctx.
 type poolAllocArgs struct {
-	vals []float64
-	out  []float64
+	vals  []float64
+	out   []float64
+	parts []float64 // one 16-float partial per 256-element block
 }
 
 func poolAllocForBody(ctx any, _ int, r Range) {
@@ -186,42 +179,30 @@ func poolAllocForBody(ctx any, _ int, r Range) {
 	}
 }
 
-func poolAllocReduceBody(ctx any, _ int, r Range) float64 {
+func poolAllocBlocksBody(ctx any, _ int, r Range) {
 	a := ctx.(*poolAllocArgs)
-	s := 0.0
-	for i := r.Lo; i < r.Hi; i++ {
-		s += a.vals[i]
-	}
-	return s
-}
-
-func poolAllocReduceVecBody(ctx any, _ int, r Range, acc []float64) {
-	a := ctx.(*poolAllocArgs)
-	for i := r.Lo; i < r.Hi; i++ {
-		acc[i%len(acc)] += a.vals[i]
+	for b := r.Lo; b < r.Hi; b++ {
+		part := a.parts[b*16 : (b+1)*16]
+		clear(part)
+		for i := b * 256; i < (b+1)*256; i++ {
+			part[i%16] += a.vals[i]
+		}
 	}
 }
 
 func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	args := &poolAllocArgs{vals: make([]float64, 4096), out: make([]float64, 4096)}
+	args := &poolAllocArgs{vals: make([]float64, 4096), out: make([]float64, 4096), parts: make([]float64, 16*16)}
 	for i := range args.vals {
 		args.vals[i] = float64(i)
 	}
 	dst := make([]float64, 16)
-	// Warm up: grows the vector-reduction arenas once.
-	p.DoReduceVecInto(dst, len(args.vals), 4, args, poolAllocReduceVecBody)
 	cases := map[string]func(){
 		"Do": func() { p.Do(len(args.vals), 4, args, poolAllocForBody) },
-		"DoChunked": func() {
-			p.DoChunked(len(args.vals), 4, 256, args, poolAllocForBody)
-		},
-		"DoReduceFloat64": func() {
-			_ = p.DoReduceFloat64(len(args.vals), 4, args, poolAllocReduceBody)
-		},
-		"DoReduceVecInto": func() {
-			p.DoReduceVecInto(dst, len(args.vals), 4, args, poolAllocReduceVecBody)
+		"Do+SumBlocks": func() {
+			p.Do(len(args.vals)/256, 4, args, poolAllocBlocksBody)
+			SumBlocks(dst, args.parts)
 		},
 	}
 	for name, fn := range cases {
@@ -232,20 +213,17 @@ func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestDefaultPoolWrappers(t *testing.T) {
-	// The free functions must dispatch through the default pool and keep
-	// their documented semantics.
+	// The process-wide pool is one pool, and runs Do and block-keyed
+	// reductions like any other.
 	if Default() != Default() {
 		t.Fatal("Default must return a singleton")
 	}
-	sum := ReduceFloat64(100, 4, func(_ int, r Range) float64 { return float64(r.Hi - r.Lo) })
-	if sum != 100 {
-		t.Fatalf("wrapper ReduceFloat64 = %v", sum)
-	}
-	vec := ReduceVec(10, 2, 3, func(_ int, r Range, acc []float64) {
-		acc[1] += float64(r.Hi - r.Lo)
+	vec := make([]float64, 3)
+	sumBlocks(Default(), vec, 10, 3, 2, func(part []float64, r Range) {
+		part[1] += float64(r.Hi - r.Lo)
 	})
 	if vec[1] != 10 || vec[0] != 0 {
-		t.Fatalf("wrapper ReduceVec = %v", vec)
+		t.Fatalf("reduction on the default pool = %v", vec)
 	}
 }
 
@@ -274,7 +252,7 @@ func TestPoolSpinParkNoLostWake(t *testing.T) {
 			active := 2 + rng.Intn(size-1)
 			n := size + rng.Intn(len(visits)-size+1)
 			body, gap := durs[rng.Intn(len(durs))], durs[rng.Intn(len(durs))]
-			p.For(n, active, func(w int, r Range) {
+			run(p, n, active, func(w int, r Range) {
 				if w >= active {
 					t.Errorf("size %d: worker %d ran an op for %d workers", size, w, active)
 				}
@@ -298,7 +276,7 @@ func TestPoolSpinParkNoLostWake(t *testing.T) {
 func TestPoolIdleParks(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	p.For(4, 4, func(int, Range) {})
+	run(p, 4, 4, func(int, Range) {})
 	time.Sleep(5 * spinBudget)
 	// A short grace for a worker the host has not scheduled yet; a spin
 	// that ignored its budget would still be polling long after it.
@@ -317,7 +295,7 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 	for _, parked := range []bool{false, true} {
 		base := runtime.NumGoroutine()
 		p := NewPool(5)
-		p.For(5, 5, func(int, Range) {})
+		run(p, 5, 5, func(int, Range) {})
 		if parked {
 			for w := 1; w < p.size; w++ {
 				for p.state[w].Load() != stParked {
@@ -338,26 +316,17 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 
 func TestPoolUseAfterClosePanics(t *testing.T) {
 	p := NewPool(3)
-	p.For(3, 3, func(int, Range) {})
+	run(p, 3, 3, func(int, Range) {})
 	p.Close()
-	dst := make([]float64, 2)
-	uses := map[string]func(){
-		"Do":              func() { p.Do(6, 3, nil, func(any, int, Range) {}) },
-		"DoChunked":       func() { p.DoChunked(6, 3, 1, nil, func(any, int, Range) {}) },
-		"DoReduceFloat64": func() { p.DoReduceFloat64(6, 3, nil, func(any, int, Range) float64 { return 1 }) },
-		"DoReduceVecInto": func() { p.DoReduceVecInto(dst, 6, 3, nil, func(any, int, Range, []float64) {}) },
-	}
-	for name, use := range uses {
-		for attempt := 0; attempt < 2; attempt++ {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s after Close (attempt %d) did not panic", name, attempt)
-					}
-				}()
-				use()
+	for attempt := 0; attempt < 2; attempt++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Do after Close (attempt %d) did not panic", attempt)
+				}
 			}()
-		}
+			p.Do(6, 3, nil, func(any, int, Range) {})
+		}()
 	}
 }
 
