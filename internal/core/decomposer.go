@@ -58,10 +58,14 @@ type Decomposer struct {
 	pool   *parallel.Pool
 
 	// MTTKRP kernel selection (see kernels.go): the pooled CSF engine
-	// (created on first use), the cost-model selector, the pooled profiler
-	// and the reusable slice profile it fills, and the per-mode kernel
-	// table resolved at every slice begin.
+	// (created on first use), the coordinate plan every slice recompiles
+	// into (grow-only; it keeps no reference to the slice) and the mask
+	// of the modes it compiles, the cost-model selector, the pooled
+	// profiler and the reusable slice profile it fills, and the per-mode
+	// kernel table resolved at every slice begin.
 	csfEng   *csf.Engine
+	plan     *mttkrp.Plan
+	planNeed []bool
 	sel      perfmodel.Selector
 	profiler perfmodel.Profiler
 	prof     perfmodel.SliceProfile

@@ -150,11 +150,12 @@ func (d *Decomposer) ensureEngine() *csf.Engine {
 // beginKernels resolves the kernel table for slice x and compiles the
 // layouts it needs: CSF trees for the CSF modes (built eagerly so the
 // cost lands in the Pre phase, not the first iteration) and the
-// coordinate plan for the plan modes. Returns the plan (nil when no mode
-// uses it). The sorted-base claim unlocks the CSF engine's reduced-pass
-// builds; forced policies skip profiling, so it is passed optimistically
-// (slices arrive Coalesce-sorted in every production path, and the engine
-// verifies the claim itself).
+// coordinate plan for the plan modes, recompiled into the Decomposer's
+// one grow-only Plan. Returns the plan (nil when no mode uses it). The
+// sorted-base claim unlocks the CSF engine's reduced-pass builds; forced
+// policies skip profiling, so it is passed optimistically (slices arrive
+// Coalesce-sorted in every production path, and the engine verifies the
+// claim itself).
 func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
 	needPlan, needCSF := d.chooseKernels(x)
 	if needCSF {
@@ -172,12 +173,14 @@ func (d *Decomposer) beginKernels(x *sptensor.Tensor) *mttkrp.Plan {
 	if !needPlan {
 		return nil
 	}
-	if !needCSF {
-		return d.mt.NewPlan(x)
+	var need []bool
+	if needCSF {
+		d.planNeed = d.planNeed[:0]
+		for _, kc := range d.kernels {
+			d.planNeed = append(d.planNeed, kc == perfmodel.MTTKRPPlan)
+		}
+		need = d.planNeed
 	}
-	need := make([]bool, len(d.kernels))
-	for m, kc := range d.kernels {
-		need[m] = kc == perfmodel.MTTKRPPlan
-	}
-	return d.mt.NewPlanFor(x, need)
+	d.plan = d.mt.CompilePlan(d.plan, x, need)
+	return d.plan
 }

@@ -8,6 +8,7 @@ import (
 
 	"spstream/internal/admm"
 	"spstream/internal/perfmodel"
+	"spstream/internal/synth"
 )
 
 // Every kernel policy computes the same MTTKRP — only the schedule
@@ -153,6 +154,48 @@ func TestChooseKernelsDeterministic(t *testing.T) {
 		b := sel.SelectMTTKRP(prof, m, 3, 8)
 		if a != b {
 			t.Fatalf("selector not deterministic for mode %d", m)
+		}
+	}
+}
+
+// On the repo benchmark's nips slices the auto schedule is a function of
+// the slice, not of the worker count: all plan at Workers 1 and 2, for
+// one inner iteration and for twenty. With no kernel pinned, factors, sₜ
+// and G are then bit-equal across the two widths.
+func TestAutoScheduleNipsWorkerIndependent(t *testing.T) {
+	cfg, err := synth.Preset("nips", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.T = 2
+	s, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, iters := range []int{1, 20} {
+		var ref *Decomposer
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("MaxIters=%d W=%d", iters, workers)
+			d, err := NewDecomposer(s.Dims, Options{Rank: 16, Workers: workers, MaxIters: iters, Seed: 17})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sched []byte
+			for _, x := range s.Slices {
+				sched = scheduleTrace(t, d, x, sched)
+			}
+			if got := string(sched); got != "PPP|PPP|" {
+				t.Fatalf("%s: kernel schedule %q, want PPP on both slices", name, got)
+			}
+			if ref == nil {
+				ref = d
+				continue
+			}
+			for n := range s.Dims {
+				sameMatrixBits(t, fmt.Sprintf("%s factor %d", name, n), d.Factor(n), ref.Factor(n))
+			}
+			sameMatrixBits(t, name+" temporal", d.Temporal(), ref.Temporal())
+			sameMatrixBits(t, name+" G", d.TemporalGram(), ref.TemporalGram())
 		}
 	}
 }

@@ -52,6 +52,21 @@ func BenchmarkPlanMTTKRP(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanCompile times recompiling every mode of the plan into a
+// warm Plan's storage — the counting sort, its scatter of the values and
+// the other modes' coordinates, the worker partition — and reports ns
+// per nonzero per mode, the unit of perfmodel's PlanBuildNsPerNnz.
+func BenchmarkPlanCompile(b *testing.B) {
+	x := nipsSlice(b)
+	c := NewComputer(0)
+	plan := c.NewPlan(x)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.CompilePlan(plan, x, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()*x.NModes()), "ns/nnz")
+}
+
 // BenchmarkTimeMode times the single-row streaming-mode MTTKRP over the
 // same slice.
 func BenchmarkTimeMode(b *testing.B) {

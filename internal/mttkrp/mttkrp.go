@@ -23,7 +23,10 @@ import (
 // kernels dispatch through a persistent parallel.Pool; the ones that
 // form a product row in memory (see scratch) keep it in a Computer-owned
 // per-worker arena, so steady-state calls are allocation-free for any
-// rank.
+// rank. A Plan's row-order copies are the Plan's own: a caller that
+// recompiles one Plan per slice (CompilePlan) keeps the compile
+// allocation-free too, and the worker count it partitions for is the
+// Computer's.
 type Computer struct {
 	Workers int
 	pool    *parallel.Pool

@@ -18,9 +18,11 @@ import (
 // has one writer, and the time-mode partition is reproduced exactly).
 // The rewired kernels must match them bit for bit.
 
-// refPlanMTTKRP is the scratch-row planBody over every segment.
+// refPlanMTTKRP is the scratch-row planBody over every segment of the
+// mode's compiled row-order copy.
 func refPlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Matrix, mode int) {
-	x, pm := plan.x, &plan.modes[mode]
+	pm := &plan.modes[mode]
+	x := &pm.x
 	k := out.Cols
 	out.Zero()
 	buf := make([]float64, k)
@@ -30,8 +32,7 @@ func refPlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Matrix, mode 
 			acc[j] = 0
 		}
 		lo, hi := pm.segPtr[seg], pm.segPtr[seg+1]
-		for pe := lo; pe < hi; pe++ {
-			e := int(pm.perm[pe])
+		for e := int(lo); e < int(hi); e++ {
 			rowProduct(buf, x, factors, mode, e, x.Vals[e])
 			for j, v := range buf {
 				acc[j] += v

@@ -7,28 +7,35 @@ import (
 )
 
 // Plan is a per-slice compiled MTTKRP layout. For every mode it holds a
-// permutation of the slice's nonzeros sorted (stably) by output row,
-// CSR-style segment boundaries, and a static nnz-balanced assignment of
-// whole segments to workers. Building it costs one counting sort per
-// mode — O(nnz + dim) — paid once when the slice arrives; every inner
+// copy of the slice's values and other-mode coordinates sorted (stably)
+// by output row, CSR-style segment boundaries, and a static nnz-balanced
+// assignment of whole segments to workers. Building it costs one
+// counting sort per mode, whose scatter moves the values and coordinates
+// — O(nnz + dim) — paid once when the slice arrives; every inner
 // ALS/ADMM iteration then runs a contention-free segmented reduction
-// with no locks, no thread-local matrix copies, and no per-call sort.
+// that reads its index and value arrays front to back, with no locks and
+// no per-call sort.
 //
 // Because the counting sort is stable and each output row is written by
 // exactly one worker, the per-row accumulation order equals the original
 // entry order: PlanMTTKRP is bit-identical to Sequential for any worker
-// count.
+// count. A Plan keeps no reference to the slice, and CompilePlan
+// recompiles it in place into grow-only storage.
 type Plan struct {
-	x     *sptensor.Tensor
+	dims  []int
 	modes []planMode
+	// Build scratch: the counting sort's histogram.
+	count []int32
 }
 
 type planMode struct {
-	// perm lists nonzero indices of x grouped by this mode's coordinate,
-	// in ascending row order, original order within a row.
-	perm []int32
+	// x is the slice in this mode's row order (ascending row, original
+	// order within a row): Vals, and Inds[v] for every v ≠ mode, windows
+	// of idx. Inds[mode] is nil — rows names a whole segment's row.
+	x   sptensor.Tensor
+	idx []int32
 	// rows[i] is the output row of segment i; segments are
-	// [segPtr[i], segPtr[i+1]) index ranges into perm.
+	// [segPtr[i], segPtr[i+1]) ranges of x.
 	rows   []int32
 	segPtr []int32
 	// workerSeg[w]..workerSeg[w+1] are the segments assigned to worker
@@ -42,7 +49,7 @@ type planMode struct {
 }
 
 // NewPlan compiles a plan for every mode of x using the Computer's
-// worker count. The slice must not be mutated while the plan is in use.
+// worker count.
 func (c *Computer) NewPlan(x *sptensor.Tensor) *Plan {
 	return c.NewPlanFor(x, nil)
 }
@@ -53,70 +60,87 @@ func (c *Computer) NewPlan(x *sptensor.Tensor) *Plan {
 // layout would never be used; calling PlanMTTKRP on an uncompiled mode
 // panics.
 func (c *Computer) NewPlanFor(x *sptensor.Tensor, need []bool) *Plan {
-	p := &Plan{x: x, modes: make([]planMode, x.NModes())}
-	nnz := x.NNZ()
+	return c.CompilePlan(nil, x, need)
+}
+
+// CompilePlan is NewPlanFor into p's storage (a new Plan when p is nil),
+// reallocating only what x outgrows, and returns p.
+func (c *Computer) CompilePlan(p *Plan, x *sptensor.Tensor, need []bool) *Plan {
+	if p == nil {
+		p = &Plan{}
+	}
+	p.dims, p.modes = append(p.dims[:0], x.Dims...), grow(p.modes, x.NModes())
 	for m := range p.modes {
-		if need != nil && !need[m] {
-			continue
+		p.modes[m].built = false
+		if need == nil || need[m] {
+			p.compileMode(x, m, c.Workers)
 		}
-		p.modes[m] = buildPlanMode(x.Inds[m], x.Dims[m], nnz, c.Workers)
 	}
 	return p
 }
 
-// NNZ returns the nonzero count of the planned slice.
-func (p *Plan) NNZ() int { return p.x.NNZ() }
-
-// Tensor returns the slice the plan was compiled for.
-func (p *Plan) Tensor() *sptensor.Tensor { return p.x }
-
-// buildPlanMode groups nonzeros by their coordinate in col via a stable
+// compileMode copies the nonzeros of x into mode's row order by a stable
 // counting sort and statically partitions the resulting segments over
 // workers so each worker owns a near-equal nonzero count.
-func buildPlanMode(col []int32, dim, nnz, workers int) planMode {
-	// Counting sort: histogram, exclusive prefix sum, stable scatter.
-	count := make([]int32, dim+1)
+func (p *Plan) compileMode(x *sptensor.Tensor, mode, workers int) {
+	pm := &p.modes[mode]
+	col, dim, nnz := x.Inds[mode], x.Dims[mode], x.NNZ()
+	// Counting sort: histogram; prefix sum and one segment per non-empty
+	// row; stable scatter of each entry's value and other-mode
+	// coordinates to the next slot of its row, count[i] walking row i's
+	// run.
+	p.count = grow(p.count, dim+1)
+	count := p.count
+	clear(count)
 	for _, i := range col {
 		count[i+1]++
 	}
+	pm.rows, pm.segPtr = pm.rows[:0], pm.segPtr[:0]
 	for i := 0; i < dim; i++ {
-		count[i+1] += count[i]
-	}
-	offsets := make([]int32, dim)
-	copy(offsets, count[:dim])
-	pm := planMode{perm: make([]int32, nnz)}
-	for e, i := range col {
-		pm.perm[offsets[i]] = int32(e)
-		offsets[i]++
-	}
-	// Segment boundaries: one segment per non-empty row.
-	for i := 0; i < dim; i++ {
-		if count[i+1] > count[i] {
+		if count[i+1] > 0 {
 			pm.rows = append(pm.rows, int32(i))
 			pm.segPtr = append(pm.segPtr, count[i])
 		}
+		count[i+1] += count[i]
 	}
 	pm.segPtr = append(pm.segPtr, int32(nnz))
+	pm.x.Vals = grow(pm.x.Vals, nnz)
+	pm.idx, pm.x.Inds = grow(pm.idx, nnz*(x.NModes()-1)), grow(pm.x.Inds, x.NModes())
+	for v, idx := 0, pm.idx; v < x.NModes(); v++ {
+		pm.x.Inds[v] = nil
+		if v != mode {
+			pm.x.Inds[v], idx = idx[:nnz], idx[nnz:]
+		}
+	}
+	for e, i := range col {
+		d := count[i]
+		count[i]++
+		pm.x.Vals[d] = x.Vals[e]
+		for v, dst := range pm.x.Inds {
+			if dst != nil {
+				dst[d] = x.Inds[v][e]
+			}
+		}
+	}
 
 	// Static worker→segment partition, balanced by nonzero count (segPtr
 	// doubles as the cumulative weight array). Whole segments only — each
 	// output row has a single writer.
-	pm.workerSeg = parallel.WeightedBoundaries(nil, pm.segPtr, workers)
+	pm.workerSeg = parallel.WeightedBoundaries(pm.workerSeg, pm.segPtr, workers)
 	pm.active = len(pm.workerSeg) - 1
 	pm.built = true
-	return pm
 }
 
-// PlanMTTKRP computes out = MTTKRP(plan.Tensor(), factors, mode) by
-// segmented reduction over the compiled layout: each worker walks its
-// statically assigned segments and adds each segment's nonzeros, in
-// entry order, to its zeroed output row (rowRun: eight columns at a time
-// in registers for three-way slices, stored once per panel). Zero
-// allocations, zero synchronization on the output, and results
-// bit-identical to Sequential regardless of worker count.
+// PlanMTTKRP computes out = MTTKRP(x, factors, mode) for the slice x the
+// plan was compiled from, by segmented reduction over the compiled
+// layout: each worker walks its statically assigned segments and adds
+// each segment's nonzeros, in entry order, to its zeroed output row
+// (rowRun.addRange: eight columns at a time in registers for three-way
+// slices, stored once per panel). Zero allocations, zero synchronization
+// on the output, and results bit-identical to Sequential regardless of
+// worker count.
 func (c *Computer) PlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Matrix, mode int) {
-	x := plan.x
-	k := checkArgs(out, x.Dims, factors, mode)
+	k := checkArgs(out, plan.dims, factors, mode)
 	out.Zero()
 	pm := &plan.modes[mode]
 	if !pm.built {
@@ -127,7 +151,7 @@ func (c *Computer) PlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Ma
 	}
 	c.ensureScratch(k)
 	a := &c.args
-	a.out, a.x, a.factors, a.pm, a.mode, a.k = out, x, factors, pm, mode, k
+	a.out, a.factors, a.pm, a.mode, a.k = out, factors, pm, mode, k
 	c.pool.Do(pm.active, pm.active, a, planBody)
 	a.reset()
 }
@@ -135,10 +159,8 @@ func (c *Computer) PlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Ma
 func planBody(ctx any, w int, r parallel.Range) {
 	a := ctx.(*kernelArgs)
 	pm := a.pm
-	run := newRowRun(a.x, a.factors, a.mode, a.c.scratch[w][:a.k])
-	for widx := r.Lo; widx < r.Hi; widx++ {
-		for seg := pm.workerSeg[widx]; seg < pm.workerSeg[widx+1]; seg++ {
-			run.add(a.out.Row(int(pm.rows[seg])), pm.perm[pm.segPtr[seg]:pm.segPtr[seg+1]])
-		}
+	run := newRowRun(&pm.x, a.factors, a.mode, a.c.scratch[w][:a.k])
+	for seg := pm.workerSeg[r.Lo]; seg < pm.workerSeg[r.Hi]; seg++ {
+		run.addRange(a.out.Row(int(pm.rows[seg])), int(pm.segPtr[seg]), int(pm.segPtr[seg+1]))
 	}
 }

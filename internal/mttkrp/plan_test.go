@@ -1,11 +1,14 @@
 package mttkrp
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"spstream/internal/dense"
 	"spstream/internal/parallel"
+	"spstream/internal/sptensor"
 )
 
 // Plan-based segmented MTTKRP must match Sequential *bit for bit* on
@@ -76,28 +79,114 @@ func TestPlanEmptySlice(t *testing.T) {
 }
 
 // The plan partition must cover every segment exactly once, with
-// monotone per-worker boundaries, for adversarial skew (one giant row).
+// monotone per-worker boundaries, for adversarial skew (one giant row),
+// and every mode's compiled copies must be the slice gathered through a
+// stable counting sort by that mode's coordinate.
 func TestPlanWorkerPartition(t *testing.T) {
-	col := make([]int32, 1000)
-	for i := 600; i < 1000; i++ {
-		col[i] = int32(1 + i%7)
+	x := sptensor.New(8, 13, 5)
+	for e := 0; e < 1000; e++ {
+		i := int32(0)
+		if e >= 600 {
+			i = int32(1 + e%7)
+		}
+		x.Append([]int32{i, int32(e * 7 % 13), int32(e % 5)}, float64(e))
 	}
-	pm := buildPlanMode(col, 8, len(col), 4)
-	if pm.workerSeg[0] != 0 || int(pm.workerSeg[pm.active]) != len(pm.rows) {
-		t.Fatalf("partition endpoints wrong: %v over %d segments", pm.workerSeg, len(pm.rows))
+	plan := NewComputer(4).NewPlan(x)
+	for mode, dim := range x.Dims {
+		pm := &plan.modes[mode]
+		if pm.workerSeg[0] != 0 || int(pm.workerSeg[pm.active]) != len(pm.rows) {
+			t.Fatalf("mode %d: partition endpoints wrong: %v over %d segments", mode, pm.workerSeg, len(pm.rows))
+		}
+		for w := 1; w <= pm.active; w++ {
+			if pm.workerSeg[w] < pm.workerSeg[w-1] {
+				t.Fatalf("mode %d: non-monotone partition %v", mode, pm.workerSeg)
+			}
+		}
+		requireStableSortCopies(t, x, plan, mode, dim)
 	}
-	for w := 1; w <= pm.active; w++ {
-		if pm.workerSeg[w] < pm.workerSeg[w-1] {
-			t.Fatalf("non-monotone partition %v", pm.workerSeg)
+}
+
+// requireStableSortCopies checks plan's compiled layout of mode against
+// x gathered through a stable counting sort computed here.
+func requireStableSortCopies(t *testing.T, x *sptensor.Tensor, plan *Plan, mode, dim int) {
+	t.Helper()
+	pm := &plan.modes[mode]
+	byRow := make([][]int, dim)
+	for e, i := range x.Inds[mode] {
+		byRow[i] = append(byRow[i], e)
+	}
+	d, seg := 0, 0
+	for i, es := range byRow {
+		if len(es) == 0 {
+			continue
+		}
+		if pm.rows[seg] != int32(i) || int(pm.segPtr[seg]) != d {
+			t.Fatalf("mode %d: segment %d is row %d at %d, want row %d at %d", mode, seg, pm.rows[seg], pm.segPtr[seg], i, d)
+		}
+		for _, e := range es {
+			if math.Float64bits(pm.x.Vals[d]) != math.Float64bits(x.Vals[e]) {
+				t.Fatalf("mode %d: value %d is %v, want entry %d's %v", mode, d, pm.x.Vals[d], e, x.Vals[e])
+			}
+			for v, col := range x.Inds {
+				if v != mode && pm.x.Inds[v][d] != col[e] {
+					t.Fatalf("mode %d: mode-%d coordinate %d is %d, want entry %d's %d", mode, v, d, pm.x.Inds[v][d], e, col[e])
+				}
+			}
+			d++
+		}
+		seg++
+	}
+	if seg != len(pm.rows) || int(pm.segPtr[seg]) != x.NNZ() || len(pm.x.Vals) != x.NNZ() {
+		t.Fatalf("mode %d: %d segments over %d entries, want %d over %d", mode, len(pm.rows), len(pm.x.Vals), seg, x.NNZ())
+	}
+}
+
+// One Plan recompiled over slices of different sizes and orders, and
+// with a mode left out, allocates nothing once it has seen the largest
+// of each, and compiles what a fresh NewPlanFor compiles, bit for bit.
+func TestPlanRecompileAllocFree(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	c := NewComputerWithPool(2, pool)
+	cases := []struct {
+		x    *sptensor.Tensor
+		need []bool
+	}{
+		{randomSlice(1, []int{30, 40, 20}, 2000), nil},
+		{randomSlice(2, []int{12, 50, 9}, 300), nil},
+		{randomSlice(3, []int{4, 3, 5, 6}, 200), nil},
+		{randomSlice(4, []int{30, 40, 20}, 1500), []bool{true, false, true}},
+		{randomSlice(5, []int{6, 7, 8}, 0), nil}, // every mode empty
+	}
+	plan := c.NewPlan(cases[0].x)
+	compileAll := func() {
+		for _, tc := range cases {
+			c.CompilePlan(plan, tc.x, tc.need)
 		}
 	}
-	// Permutation must be a bijection on [0, nnz).
-	seen := make([]bool, len(col))
-	for _, e := range pm.perm {
-		if seen[e] {
-			t.Fatalf("index %d permuted twice", e)
+	compileAll()
+	if allocs := testing.AllocsPerRun(10, compileAll); allocs != 0 {
+		t.Errorf("recompiling a warm plan: %v allocs per round, want 0", allocs)
+	}
+	for i, tc := range cases {
+		c.CompilePlan(plan, tc.x, tc.need)
+		fresh := c.NewPlanFor(tc.x, tc.need)
+		k := panelCols + 1
+		factors := randomFactors(uint64(i), tc.x.Dims, k)
+		for mode, dim := range tc.x.Dims {
+			if tc.need != nil && !tc.need[mode] {
+				if plan.modes[mode].built {
+					t.Fatalf("case %d: mode %d compiled against the need mask", i, mode)
+				}
+				continue
+			}
+			requireStableSortCopies(t, tc.x, plan, mode, dim)
+			want, got := dense.NewMatrix(dim, k), dense.NewMatrix(dim, k)
+			c.PlanMTTKRP(want, fresh, factors, mode)
+			got.Fill(3)
+			c.PlanMTTKRP(got, plan, factors, mode)
+			requireSameMatrix(t, fmt.Sprintf("case %d mode %d", i, mode), got, want)
 		}
-		seen[e] = true
 	}
 }
 

@@ -24,16 +24,11 @@ import (
 // ranks 16–32 and 2·10⁵–3·10⁵ nonzeros; see EXPERIMENTS.md.
 type SelectorParams struct {
 	// Plan kernel: cost per nonzero = PlanNsPerNnz + K·PlanNsPerRank
-	// (permutation gather, two factor-row gathers, 3-op row product).
+	// (the mode's row-sorted value and index copies read in order, two
+	// factor-row gathers, 3-op row product). The same for every mode:
+	// the copies make the last mode's read as sequential as the first's.
 	PlanNsPerNnz  float64
 	PlanNsPerRank float64
-	// PlanLastModeFactor scales the plan prediction for the slice's last
-	// mode. Coalesced slices are stored in lexicographic order, so the
-	// plan permutation for the last mode visits the nonzero arrays in
-	// maximally scattered order (every consecutive gather jumps), while
-	// earlier modes read in long sequential runs; the measured grid
-	// shows the last mode costing ~1.7–2.2× the others.
-	PlanLastModeFactor float64
 	// CSF kernel: every stored value costs CSFValNs + K·CSFLeafNsPerRank
 	// (sequential value stream + leaf factor row); every internal node
 	// at the levels above the leaves costs CSFNodeNs + K·CSFNodeNsPerRank
@@ -43,9 +38,10 @@ type SelectorParams struct {
 	CSFLeafNsPerRank float64
 	CSFNodeNs        float64
 	CSFNodeNsPerRank float64
-	// Build costs per nonzero: the plan's one counting sort per mode vs
-	// the CSF engine's N-pass radix sort + tree pass per tree. Amortized
-	// over the expected inner iterations.
+	// Build costs per nonzero: the plan's counting sort per mode (whose
+	// scatter moves the values and coordinates) vs the CSF engine's
+	// N-pass radix sort + tree pass per tree. Amortized over the expected
+	// inner iterations.
 	PlanBuildNsPerNnz float64
 	CSFBuildNsPerNnz  float64 // per nonzero per level of one tree
 	// Sorted-slice build refinement: when the profile proves the slice
@@ -74,20 +70,19 @@ type SelectorParams struct {
 // DefaultSelectorParams returns the host-generic calibration.
 func DefaultSelectorParams() SelectorParams {
 	return SelectorParams{
-		PlanNsPerNnz:       8,
-		PlanNsPerRank:      3.4,
-		PlanLastModeFactor: 1.8,
-		CSFValNs:           5,
-		CSFLeafNsPerRank:   2,
-		CSFNodeNs:          10,
-		CSFNodeNsPerRank:   1,
-		PlanBuildNsPerNnz:  11,
-		CSFBuildNsPerNnz:   28,
-		CSFSortNsPerPass:   18,
-		CSFTreeNsPerNnz:    30,
-		ColdFactor:         1.6,
-		CacheBytes:         8 << 20,
-		Margin:             0.9,
+		PlanNsPerNnz:      8,
+		PlanNsPerRank:     3.4,
+		CSFValNs:          5,
+		CSFLeafNsPerRank:  2,
+		CSFNodeNs:         10,
+		CSFNodeNsPerRank:  1,
+		PlanBuildNsPerNnz: 11,
+		CSFBuildNsPerNnz:  28,
+		CSFSortNsPerPass:  18,
+		CSFTreeNsPerNnz:   30,
+		ColdFactor:        1.6,
+		CacheBytes:        8 << 20,
+		Margin:            0.9,
 	}
 }
 
@@ -167,11 +162,7 @@ func (se Selector) PlanModeTime(s SliceProfile, mode, k int) float64 {
 		}
 	}
 	rankNs := float64(k) * se.P.PlanNsPerRank * se.coldScale(srcDim, k)
-	t := nnz * (se.P.PlanNsPerNnz + rankNs) / float64(se.Workers) * 1e-9
-	if mode == len(s.Modes)-1 {
-		t *= se.P.PlanLastModeFactor
-	}
-	return t
+	return nnz * (se.P.PlanNsPerNnz + rankNs) / float64(se.Workers) * 1e-9
 }
 
 // CSFModeTime predicts one CSF-engine MTTKRP (seconds, excluding build)
@@ -246,7 +237,8 @@ func rowSpace(m ModeProfile) float64 {
 
 // PlanBuildTime and CSFBuildTime predict the per-slice compile cost of
 // one mode's layout (seconds). The CSF build is serial per tree (radix
-// sort passes); the plan build is one counting sort.
+// sort passes); the plan build is one counting sort that scatters the
+// values and coordinates into row order.
 func (se Selector) PlanBuildTime(s SliceProfile) float64 {
 	return float64(s.NNZ) * se.P.PlanBuildNsPerNnz * 1e-9
 }
