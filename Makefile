@@ -29,8 +29,8 @@ cover:
 
 # Reproducible benchmark pipeline: MTTKRP kernel grid (lock / plan /
 # CSF, ns/op + B/op + allocs/op + effective GFLOP/s, worker sweep up to
-# GOMAXPROCS) and end-to-end slices under each kernel policy,
-# written to BENCH_PR10.json and compared against the previous committed
+# GOMAXPROCS) and end-to-end slices on the plan, written to
+# BENCH_PR10.json and compared against the previous committed
 # baseline, then the out-of-core flat-memory records are appended (the
 # ooc experiment preserves the bench records already in the file).
 # BENCH_BASE resolves to the newest committed BENCH_PR*.json;

@@ -23,8 +23,8 @@ import (
 
 // The bench experiment is the reproducible benchmark pipeline behind
 // `make bench`: it times the three factor-mode MTTKRP kernels (lock,
-// coordinate plan, tiled CSF) and full end-to-end slices under each
-// kernel policy on fixed synthetic configs, and emits the results as
+// coordinate plan, tiled CSF) and full end-to-end slices, which run the
+// plan on every mode, on fixed synthetic configs, and emits the results as
 // machine-readable JSON (BENCH_PR<n>.json). The newest committed copy
 // of that file is the regression baseline CI compares fresh runs
 // against (advisory: >10% slowdowns warn, they do not fail the build —
@@ -36,7 +36,7 @@ type benchRecord struct {
 	Name        string  `json:"name"`
 	Kind        string  `json:"kind"`   // "kernel" or "slice"
 	Config      string  `json:"config"` // synthetic config name
-	Kernel      string  `json:"kernel"` // lock|plan|csf, or the slice policy auto|plan|csf
+	Kernel      string  `json:"kernel"` // lock|plan|csf; plan for slice benches
 	Mode        int     `json:"mode"`   // target mode; -1 for slice benches
 	Rank        int     `json:"rank"`
 	Workers     int     `json:"workers"`
@@ -71,7 +71,7 @@ type benchFile struct {
 }
 
 // benchConfig is one synthetic workload of the grid. The four configs
-// pin the regimes the kernel selector discriminates: a short leading
+// pin the regimes where plan and CSF part ways: a short leading
 // mode (heavy output-row sharing, the plan's worst case), a uniform
 // cube (both kernels comfortable), a duplicate-heavy slice whose
 // coalesced fiber tree is much smaller than its nonzero count (CSF's
@@ -135,7 +135,7 @@ func (h *harness) benchSelected() ([]benchConfig, error) {
 // bench runs the kernel + end-to-end grid and writes the JSON.
 func (h *harness) bench() error {
 	h.header("Bench — MTTKRP kernel and end-to-end slice pipeline",
-		"reproducible regression baseline; kernel grid backs the cost-model selector")
+		"reproducible regression baseline; kernel grid compares plan against lock and CSF")
 	doc := benchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), Baseline: h.benchCompare}
 	cfgs, err := h.benchSelected()
 	if err != nil {
@@ -191,12 +191,10 @@ func (h *harness) bench() error {
 	fmt.Fprintf(h.out, "\nbest CSF speedup over plan: %.2fx at %s\n", doc.CSFBestSpeedup, doc.CSFBestAt)
 
 	// --- end-to-end slices ---------------------------------------------
-	// Optimized CP-stream over the same configs under each forced policy
-	// plus Auto; the selector check is that Auto never loses to the best
-	// forced kernel by more than measurement slack.
-	fmt.Fprintf(h.out, "\nend-to-end slices (optimized CP-stream, %d inner iters, min of %d interleaved trials):\n", 4, e2eTrials)
-	fmt.Fprintf(h.out, "%-10s %5s %8s %-14s %14s\n", "config", "rank", "workers", "policy", "ns/slice")
-	pols := e2ePolicies()
+	// Optimized CP-stream over the same configs; every resident slice
+	// runs the compiled plan.
+	fmt.Fprintf(h.out, "\nend-to-end slices (optimized CP-stream, %d inner iters, min of %d trials):\n", 4, e2eTrials)
+	fmt.Fprintf(h.out, "%-10s %5s %8s %14s\n", "config", "rank", "workers", "ns/slice")
 	w := workers[len(workers)-1]
 	for _, cfg := range cfgs {
 		slices, dims, err := benchSlices(cfg, 3)
@@ -204,51 +202,21 @@ func (h *harness) bench() error {
 			return err
 		}
 		for _, k := range benchRanks {
-			best := make([]float64, len(pols))
-			for i := range best {
-				best[i] = math.Inf(1)
-			}
-			// Interleave the policies within each trial and rotate the
-			// starting policy per trial: back-to-back runs of the same
-			// policy share correlated scheduler and cache state, and a
-			// fixed order hands later policies a warmer process. The
-			// rotation distributes any position effect evenly, so the
-			// per-policy minima are comparable.
+			best := math.Inf(1)
 			for tr := 0; tr < e2eTrials; tr++ {
-				for po := range pols {
-					pi := (po + tr) % len(pols)
-					pol := pols[pi]
-					opt := core.Options{Rank: k, Algorithm: core.Optimized, Workers: w,
-						Seed: 9, MaxIters: 4, Tol: 0, MTTKRPKernel: pol.kernel}
-					d, err := benchSliceOnce(dims, slices, opt)
-					if err != nil {
-						return err
-					}
-					if ns := float64(d.Nanoseconds()) / float64(len(slices)); ns < best[pi] {
-						best[pi] = ns
-					}
+				opt := core.Options{Rank: k, Algorithm: core.Optimized, Workers: w, Seed: 9, MaxIters: 4, Tol: 0}
+				d, err := benchSliceOnce(dims, slices, opt)
+				if err != nil {
+					return err
 				}
+				best = min(best, float64(d.Nanoseconds())/float64(len(slices)))
 			}
-			perPolicy := make(map[string]float64, len(pols))
-			for pi, pol := range pols {
-				perPolicy[pol.name] = best[pi]
-				rec := benchRecord{
-					Name: fmt.Sprintf("slice/%s/k%d/w%d/%s", cfg.name, k, w, pol.name),
-					Kind: "slice", Config: cfg.name, Kernel: pol.name,
-					Mode: -1, Rank: k, Workers: w, NsPerOp: best[pi],
-				}
-				doc.Records = append(doc.Records, rec)
-				fmt.Fprintf(h.out, "%-10s %5d %8d %-14s %14.0f\n",
-					cfg.name, k, w, pol.name, best[pi])
-			}
-			bestForced := perPolicy["plan"]
-			if perPolicy["csf"] < bestForced {
-				bestForced = perPolicy["csf"]
-			}
-			if perPolicy["auto"] > bestForced*1.10 {
-				fmt.Fprintf(h.out, "WARN: %s k=%d: auto policy (%.0f ns) regresses %.0f%% vs best forced kernel (%.0f ns)\n",
-					cfg.name, k, perPolicy["auto"], 100*(perPolicy["auto"]/bestForced-1), bestForced)
-			}
+			doc.Records = append(doc.Records, benchRecord{
+				Name: fmt.Sprintf("slice/%s/k%d/w%d/plan", cfg.name, k, w),
+				Kind: "slice", Config: cfg.name, Kernel: "plan",
+				Mode: -1, Rank: k, Workers: w, NsPerOp: best,
+			})
+			fmt.Fprintf(h.out, "%-10s %5d %8d %14.0f\n", cfg.name, k, w, best)
 		}
 	}
 
@@ -308,28 +276,12 @@ func benchKernelOnce(kernel string, x *sptensor.Tensor, factors []*dense.Matrix,
 }
 
 // e2eTrials is the trial count for the end-to-end slice grid; the
-// minimum over interleaved, rotation-ordered trials is reported.
+// minimum over the trials is reported.
 const e2eTrials = 4
 
-// e2ePolicy is one end-to-end run configuration: a named kernel policy.
-type e2ePolicy struct {
-	name   string
-	kernel core.MTTKRPKernel
-}
-
-// e2ePolicies returns the end-to-end grid: the adaptive selector and
-// each forced kernel.
-func e2ePolicies() []e2ePolicy {
-	return []e2ePolicy{
-		{"auto", core.KernelAuto},
-		{"plan", core.KernelPlan},
-		{"csf", core.KernelCSF},
-	}
-}
-
 // benchSliceOnce runs the stream once through a fresh decomposer and
-// returns the wall time. Per-slice Pre work (kernel selection, layout
-// builds) is inside the measurement; construction is too, matching
+// returns the wall time. Per-slice Pre work (the plan compile) is
+// inside the measurement; construction is too, matching
 // earlier baselines.
 func benchSliceOnce(dims []int, slices []*sptensor.Tensor, opt core.Options) (time.Duration, error) {
 	start := time.Now()

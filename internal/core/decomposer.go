@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"spstream/internal/admm"
-	"spstream/internal/csf"
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
 	"spstream/internal/parallel"
@@ -57,23 +56,16 @@ type Decomposer struct {
 	rng    *synth.RNG
 	pool   *parallel.Pool
 
-	// MTTKRP kernel selection (see kernels.go): the pooled CSF engine
-	// (created on first use), the coordinate plan every slice recompiles
-	// into (grow-only; it keeps no reference to the slice) and the mask
-	// of the modes it compiles, the cost-model selector, the pooled
-	// profiler and the reusable slice profile it fills, and the per-mode
-	// kernel table resolved at every slice begin.
-	csfEng   *csf.Engine
+	// The coordinate plan every resident slice recompiles into
+	// (kernels.go; grow-only, it keeps no reference to the slice), and
+	// whether the last slice began on it rather than streamed
+	// (KernelSchedule).
 	plan     *mttkrp.Plan
-	planNeed []bool
-	sel      perfmodel.Selector
-	profiler perfmodel.Profiler
-	prof     perfmodel.SliceProfile
-	kernels  []perfmodel.MTTKRPKind
+	resident bool
 
 	// Out-of-core evaluation (see streamed.go): the pooled streaming
 	// MTTKRP kernel (created on first blocked slice) and the evaluation
-	// mode the selector picked for the most recent block slice.
+	// mode SelectEval picked for the most recent block slice.
 	sk       *mttkrp.StreamKernel
 	lastEval perfmodel.EvalMode
 
@@ -136,7 +128,6 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 		mt:   mttkrp.NewComputer(opt.Workers),
 		rng:  synth.NewRNG(opt.Seed),
 		pool: parallel.Default(),
-		sel:  perfmodel.NewSelector(opt.Workers),
 	}
 	d.solver = admm.NewSolver(admm.Options{
 		Workers:  opt.Workers,

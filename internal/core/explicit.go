@@ -17,11 +17,9 @@ import (
 // Decomposer while letting tests drive — and measure — a single
 // steady-state inner iteration in isolation.
 type explicitRun struct {
-	// in is the slice; the kernels read it and d.a. For a resident in the
-	// kernel table d.kernels (resolved in beginExplicit) says which
-	// layout each mode's MTTKRP dispatches to; plan is nil when no mode
-	// chose it, and the CSF trees live in the Decomposer's pooled engine.
-	// A streamed in has no table: every kernel streams.
+	// in is the slice; the kernels read it and d.a. plan is the layout
+	// compiled over a resident in, nil for a streamed one, whose every
+	// kernel streams.
 	in   sliceData
 	plan *mttkrp.Plan
 	res  SliceResult
@@ -29,10 +27,9 @@ type explicitRun struct {
 
 // beginExplicit performs the per-slice Pre work: snapshot A_{t-1} and
 // C_{t-1}, seed H = C (A == A_{t-1} at the start of the inner loop),
-// resolve the per-mode kernel table and compile the layouts it needs
-// (coordinate plan and/or CSF trees — both amortized over the inner
-// iterations) or, for a streamed slice, the streamed kernel's per-worker
-// row and block schedule, and solve the closed-form sₜ warm start.
+// compile the coordinate plan (amortized over the inner iterations) or,
+// for a streamed slice, the streamed kernel's per-worker row and block
+// schedule, and solve the closed-form sₜ warm start.
 func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 	run := &explicitRun{
 		in:  in,
@@ -46,9 +43,7 @@ func (d *Decomposer) beginExplicit(in sliceData) (*explicitRun, error) {
 			d.h[m].CopyFrom(d.c[m])
 		}
 		if in.src != nil {
-			// Kernel selection is an in-memory concern: empty the table
-			// so the diagnostics don't name a previous slice's.
-			d.kernels = d.kernels[:0]
+			d.resident = false
 			if err = d.streamKernel().Begin(in.src); err != nil {
 				err = fmt.Errorf("core: streamed schedule: %w", err)
 				return

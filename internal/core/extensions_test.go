@@ -219,7 +219,7 @@ func TestPlanKernelWorkerInvariance(t *testing.T) {
 					name := fmt.Sprintf("%v constrained=%v streamed=%v W=%d", alg, con != nil, streamed, workers)
 					opt := Options{
 						Rank: 5, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
-						MTTKRPKernel: KernelPlan, Seed: 4, Workers: workers,
+						Seed: 4, Workers: workers,
 					}
 					if streamed {
 						opt.MemBudget = 1 // every slice streams

@@ -1,9 +1,10 @@
 // Package core implements the two CP-stream algorithms the runtime
 // serves:
 //
-//   - Optimized: Algorithm 1 with optimized kernels — compiled-plan or
-//     CSF MTTKRP (where the paper has its HL kernel), no per-iteration
-//     streaming-mode pass, and Blocked & Fused ADMM (Algorithm 3).
+//   - Optimized: Algorithm 1 with optimized kernels — the compiled-plan
+//     row-owner MTTKRP (where the paper has its HL kernel), no
+//     per-iteration streaming-mode pass, and Blocked & Fused ADMM
+//     (Algorithm 3).
 //   - SpCPStream: the paper's new Algorithm 4 for non-constrained
 //     problems — factor rows are partitioned into nz/z subsets, the z
 //     subset is carried implicitly in K×K Gram form, and convergence is
@@ -29,7 +30,7 @@ import (
 type Algorithm int
 
 const (
-	// Optimized is CP-stream with plan/CSF MTTKRP and BF-ADMM.
+	// Optimized is CP-stream with the compiled-plan MTTKRP and BF-ADMM.
 	Optimized Algorithm = iota
 	// SpCPStream is the paper's new Gram-form algorithm (non-constrained
 	// only).
@@ -47,36 +48,16 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (want optimized or spcp)", s)
 }
 
-// String names the algorithm.
-func (a Algorithm) String() string { return enumName("Algorithm", int(a), "optimized", "spcp-stream") }
-
-// enumName names value v of an option enum, "Type(v)" out of range.
-func enumName(typ string, v int, names ...string) string {
-	if v >= 0 && v < len(names) {
-		return names[v]
+// String names the algorithm, "Algorithm(v)" out of range.
+func (a Algorithm) String() string {
+	switch a {
+	case Optimized:
+		return "optimized"
+	case SpCPStream:
+		return "spcp-stream"
 	}
-	return fmt.Sprintf("%s(%d)", typ, v)
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
-
-// MTTKRPKernel selects the factor-mode MTTKRP strategy.
-type MTTKRPKernel int
-
-const (
-	// KernelAuto selects plan vs CSF per mode at every slice using the
-	// perfmodel cost selector on the measured slice shape (nnz, mode
-	// lengths, rank, workers). The choice is a pure function of the
-	// slice and the options, so restored runs reproduce it exactly.
-	KernelAuto MTTKRPKernel = iota
-	// KernelPlan forces the per-slice compiled coordinate plan
-	// (mttkrp.Plan) for every mode.
-	KernelPlan
-	// KernelCSF forces the tiled CSF fiber-tree engine (csf.Engine) for
-	// every mode.
-	KernelCSF
-)
-
-// String names the kernel policy.
-func (k MTTKRPKernel) String() string { return enumName("MTTKRPKernel", int(k), "auto", "plan", "csf") }
 
 // Options configure a Decomposer. Zero values select the paper's
 // defaults where one exists.
@@ -97,18 +78,10 @@ type Options struct {
 	// FactorRidgeRel scales the ridge added to Φ⁽ⁿ⁾ before factorization,
 	// relative to tr(Φ)/K. Default 1e-6.
 	FactorRidgeRel float64
-	// Workers is the parallel width (≤0 = GOMAXPROCS). For a fixed
-	// kernel schedule the results are bit-identical at any worker count:
-	// every kernel gives each output row one writer and every sum is
-	// keyed by fixed blocks, so a checkpoint may resume at another width.
-	// The schedule itself is the one input that takes the count:
-	// KernelAuto's cost model divides kernel time, not layout build
-	// time, by Workers (perfmodel.Selector). It was measured equal at 1
-	// and 2 workers on the nips, uber and flickr presets, except where
-	// build time weighs most: on a nips first slice run at one inner
-	// iteration it picks PPC at 1 worker and PPP at 2, and the factors
-	// then differ in their last bits. Pin MTTKRPKernel where bit equality
-	// across widths must hold whatever the slice.
+	// Workers is the parallel width (≤0 = GOMAXPROCS). The results are
+	// bit-identical at any worker count: every kernel gives each output
+	// row one writer and every sum is keyed by fixed blocks, so a
+	// checkpoint may resume at another width.
 	Workers int
 	// Constraint, when non-nil, activates constrained CP-stream with the
 	// ADMM inner solver. SpCPStream rejects constraints (paper §VII).
@@ -133,10 +106,7 @@ type Options struct {
 	// most of their nz sets; exists for the ablation benchmark and as a
 	// numerical cross-check (spCP-stream only).
 	DirectCz bool
-	// MTTKRPKernel selects the factor-mode MTTKRP strategy; see the
-	// MTTKRPKernel constants. Default KernelAuto, the cost-model
-	// selection. Adjustable between slices via
-	// Decomposer.SetMTTKRPKernel.
+	// MTTKRPKernel is ignored (see compat.go).
 	MTTKRPKernel MTTKRPKernel
 	// Layout is ignored (see compat.go).
 	Layout LayoutPolicy
@@ -225,9 +195,6 @@ func (o Options) Validate(dims []int) error {
 	}
 	if o.Algorithm < Optimized || o.Algorithm > SpCPStream {
 		return fmt.Errorf("core: unknown Algorithm %d", int(o.Algorithm))
-	}
-	if o.MTTKRPKernel < KernelAuto || o.MTTKRPKernel > KernelCSF {
-		return fmt.Errorf("core: unknown MTTKRPKernel %d", int(o.MTTKRPKernel))
 	}
 	if o.Algorithm == SpCPStream && o.Constraint != nil {
 		if !o.ConstrainedSpCP {

@@ -244,19 +244,17 @@ func TestStreamCheckpointResume(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		s                 *sptensor.Stream
-		kernel            MTTKRPKernel
 		workers, restored int
 	}{
-		{"same workers", testStream(t, 307, []int{12, 14}, 120, 9), KernelAuto, 0, 0},
+		{"same workers", testStream(t, 307, []int{12, 14}, 120, 9), 0, 0},
 		// A checkpoint written at two workers resumes at seven bit for
 		// bit — slices of several time-mode spans, a mode longer than one
-		// Gram block — under a fixed kernel schedule: KernelAuto's takes
-		// the worker count as an input (Options.Workers).
-		{"workers 2 to 7", testStream(t, 309, []int{300, 40, 20}, 5000, 9), KernelPlan, 2, 7},
+		// Gram block.
+		{"workers 2 to 7", testStream(t, 309, []int{300, 40, 20}, 5000, 9), 2, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s
-			opt := Options{Rank: 3, Algorithm: Optimized, MTTKRPKernel: tc.kernel, Seed: 4, Workers: tc.workers}
+			opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4, Workers: tc.workers}
 
 			ref, err := NewDecomposer(s.Dims, opt)
 			if err != nil {

@@ -124,10 +124,8 @@ func (d *Decomposer) beginSpCP(x *sptensor.Tensor) (*spcpRun, error) {
 				dense.Sub(d.cz[m], d.cz[m], sp.gram)
 			}
 		}
-		// The compiled MTTKRP layouts over the remapped slice, reused by
-		// every A_nz update of the inner loop. Kernel selection profiles
-		// the remapped slice — its mode lengths are the nz-row counts, so
-		// the cost model sees the problem the kernels actually run on.
+		// The compiled MTTKRP layout over the remapped slice, reused by
+		// every A_nz update of the inner loop.
 		run.plan = d.beginKernels(rm.X)
 		// sₜ update over the remapped slice and gathered prev factors
 		// (identical values, slice-local footprint).

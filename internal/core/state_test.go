@@ -40,9 +40,8 @@ func remapStream(t testing.TB, seed uint64, slices int) *sptensor.Stream {
 	return s
 }
 
-// scheduleTrace runs one slice and appends the resolved kernel table —
-// the per-slice schedule fingerprint the determinism contract is stated
-// in.
+// scheduleTrace runs one slice and appends its kernel schedule — the
+// per-slice fingerprint the determinism contract is stated in.
 func scheduleTrace(t *testing.T, d *Decomposer, x *sptensor.Tensor, trace []byte) []byte {
 	t.Helper()
 	if _, err := d.ProcessSlice(x); err != nil {
@@ -243,7 +242,7 @@ func asV2(t testing.TB, v3 []byte) []byte {
 	return v2
 }
 
-// TestScheduleIgnoresHistory: the kernel table of a slice is the one it
+// TestScheduleIgnoresHistory: the kernel schedule of a slice is the one it
 // gets as slice 0 of a fresh decomposer, whatever came before it — a
 // slice dropped under SkipSlice, its own failed first attempt under
 // RetrySlice, or a restore from an SPSTRM02 checkpoint, which has no

@@ -15,8 +15,7 @@ import (
 // Options.MemBudget by perfmodel.SelectEval:
 //
 //   - EvalInMemory: the blocks are materialized into one tensor and the
-//     slice runs as if it had come through ProcessSliceContext, kernel
-//     table and all.
+//     slice runs as if it had come through ProcessSliceContext.
 //   - EvalStreamed: the slice never materializes. The source itself is
 //     the slice driver's input, and every pass over the sparse data — the
 //     warm-start time-mode MTTKRP and one factor-mode MTTKRP per mode
@@ -34,12 +33,10 @@ import (
 // in-memory time-mode reduction on the block concatenation — and
 // everything between the kernels is the same code — so a streamed slice
 // produces bit-identical factors, temporal weights, and fit to the
-// in-memory Optimized/KernelPlan run. The spCP-stream Gram-form
-// recurrence has no out-of-core counterpart: under EvalStreamed it runs
-// this same explicit update. Constrained problems
-// are supported — ADMM consumes the full Ψ⁽ⁿ⁾, staged per mode just
-// like the in-memory path. Per-mode kernel selection is an in-memory
-// concern and stays off here.
+// in-memory Optimized run. The spCP-stream Gram-form recurrence has no
+// out-of-core counterpart: under EvalStreamed it runs this same explicit
+// update. Constrained problems are supported — ADMM consumes the full
+// Ψ⁽ⁿ⁾, staged per mode just like the in-memory path.
 
 // LastEvalMode reports where the most recent ProcessBlockSlice ran
 // (in-memory after materialization, or streamed out of core). Slices
@@ -123,7 +120,7 @@ func (d *Decomposer) ProcessBlockSliceContext(ctx context.Context, src sptensor.
 // and returns the driver's input: the source itself when it streams,
 // its materialized concatenation when it fits the budget.
 func (d *Decomposer) stageBlocks(src sptensor.BlockSource) (sliceData, error) {
-	d.lastEval = d.sel.SelectEval(src.NNZ(), d.n, d.opt.MemBudget)
+	d.lastEval = perfmodel.SelectEval(src.NNZ(), d.n, d.opt.MemBudget)
 	if d.lastEval == perfmodel.EvalStreamed {
 		return sliceData{src: src}, nil
 	}

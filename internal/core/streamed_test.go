@@ -47,12 +47,11 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 	for _, workers := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opt := Options{
-				Rank:         8,
-				Algorithm:    Optimized,
-				MTTKRPKernel: KernelPlan,
-				Workers:      workers,
-				TrackFit:     true,
-				Seed:         7,
+				Rank:      8,
+				Algorithm: Optimized,
+				Workers:   workers,
+				TrackFit:  true,
+				Seed:      7,
 			}
 			mem, err := NewDecomposer(dims, opt)
 			if err != nil {
@@ -118,7 +117,7 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 // idle budget spent: whatever share of a slice's permutations and blocks
 // the kernel keeps between passes — nothing (MemBudget 1), some
 // permutations only, all of them and a block prefix, everything — the
-// factors, sₜ, δ and tracked fit equal the in-memory KernelPlan run's
+// factors, sₜ, δ and tracked fit equal the in-memory run's
 // bit for bit, at 1, 2 and 4 workers, for 2-, 3- and 4-mode slices cut
 // into ragged blocks with an empty and a single-row one among them, and
 // the decomposer reports the share it used.
@@ -127,7 +126,7 @@ func TestStreamedResidentMatchesInMemory(t *testing.T) {
 		dims := []int{60, 50, 40, 12}[:modes]
 		stream := testStream(t, 19, dims, 1500, 3)
 		for _, workers := range []int{1, 2, 4} {
-			opt := Options{Rank: 4, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Workers: workers, TrackFit: true, Seed: 7, MaxIters: 4, Tol: 1e-300}
+			opt := Options{Rank: 4, Algorithm: Optimized, Workers: workers, TrackFit: true, Seed: 7, MaxIters: 4, Tol: 1e-300}
 			first := raggedBlocks(t, stream.Slices[0])
 			nb := first.Blocks()
 			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
@@ -512,7 +511,7 @@ func TestSpCPStreamMixedEval(t *testing.T) {
 }
 
 // TestStreamedSliceClearsKernelDiagnostics: a streamed slice runs no
-// kernel table, so KernelSchedule may not keep naming the resident slice
+// compiled plan, so KernelSchedule may not keep naming the resident slice
 // before it.
 func TestStreamedSliceClearsKernelDiagnostics(t *testing.T) {
 	s := remapStream(t, 23, 2)
@@ -556,7 +555,7 @@ func TestSliceDriverStreamedAndResident(t *testing.T) {
 	dims := []int{40, 30, 50}
 	stream := testStream(t, 29, dims, 1500, 4)
 	const resident, materialized, streamed = 0, 1, 2
-	explicit := Options{Algorithm: Optimized, MTTKRPKernel: KernelPlan}
+	explicit := Options{Algorithm: Optimized}
 	nonneg := explicit
 	nonneg.Constraint = admm.NonNeg{}
 	configs := []struct {

@@ -268,7 +268,7 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 func TestRowUpdateMatchesParentFormula(t *testing.T) {
 	dims := []int{300, 41, 57}
 	stream := testStream(t, 61, dims, 2500, 2)
-	opt := Options{Rank: 6, Algorithm: Optimized, MTTKRPKernel: KernelPlan, Workers: 3, Seed: 4}
+	opt := Options{Rank: 6, Algorithm: Optimized, Workers: 3, Seed: 4}
 	var ds [2]*Decomposer
 	var runs [2]*explicitRun
 	for i := range ds {

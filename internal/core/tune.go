@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"spstream/internal/perfmodel"
-)
-
 // This file is the runtime tuning surface the lag-aware degradation
 // controller (internal/ingest) drives: the knobs that trade model
 // quality for per-slice throughput while a stream is live. All of them
@@ -64,36 +58,4 @@ func (d *Decomposer) SetAlgorithm(a Algorithm) error {
 	d.opt.Algorithm = a
 	d.prevNZ = nil
 	return nil
-}
-
-// MTTKRPKernel returns the current factor-mode MTTKRP kernel policy.
-func (d *Decomposer) MTTKRPKernel() MTTKRPKernel { return d.opt.MTTKRPKernel }
-
-// SetMTTKRPKernel overrides the MTTKRP kernel policy for subsequent
-// slices: KernelAuto is the cost-model selection, KernelPlan/KernelCSF
-// force one kernel. The switch is exact: every kernel computes the same
-// MTTKRP, only its schedule (and hence rounding order) differs, and the
-// table is re-resolved at the next slice begin. Unknown values return an
-// error and leave the policy unchanged.
-func (d *Decomposer) SetMTTKRPKernel(k MTTKRPKernel) error {
-	if k < KernelAuto || k > KernelCSF {
-		return fmt.Errorf("core: unknown MTTKRPKernel %d", int(k))
-	}
-	d.opt.MTTKRPKernel = k
-	return nil
-}
-
-// KernelSchedule appends the current per-mode kernel table (resolved
-// at the last slice begin) to dst as one letter per mode — "P"lan or
-// "C"SF — the compact schedule string the determinism tests compare
-// across checkpoint restores.
-func (d *Decomposer) KernelSchedule(dst []byte) []byte {
-	for _, kc := range d.kernels {
-		if kc == perfmodel.MTTKRPCSF {
-			dst = append(dst, 'C')
-		} else {
-			dst = append(dst, 'P')
-		}
-	}
-	return dst
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // BenchmarkEngineMTTKRP times the tiled CSF kernel alone (trees built
-// outside the timer, on the sorted-base path core uses for coalesced
-// slices) on the synth.Preset("nips", 1) slice and reports ns per
-// nonzero for each output mode, at two full register panels (K = 16)
-// and at two panels plus a four-column tail (K = 20).
+// outside the timer) on the synth.Preset("nips", 1) slice and reports
+// ns per nonzero for each output mode, at two full register panels
+// (K = 16) and at two panels plus a four-column tail (K = 20).
 func BenchmarkEngineMTTKRP(b *testing.B) {
 	cfg, err := synth.Preset("nips", 1)
 	if err != nil {
@@ -25,7 +24,6 @@ func BenchmarkEngineMTTKRP(b *testing.B) {
 	x.Coalesce()
 	eng := NewEngine(0)
 	eng.Begin(x)
-	eng.SetSortedBase()
 	for mode := range x.Dims {
 		eng.Build(mode)
 	}

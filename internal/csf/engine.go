@@ -10,7 +10,10 @@
 //
 // The paper's own kernels operate on plain COO; this package is the
 // storage-format counterpoint its related-work section contrasts
-// against, selected per mode by core's kernel policy.
+// against. It is an experiment: the runtime (core) runs the compiled
+// coordinate plan (mttkrp.Plan) on every mode, and only benchmarks —
+// the repository benchmark's probes, the root package's ablation and
+// paperbench's kernel grid — drive this engine.
 package csf
 
 import (
@@ -59,25 +62,6 @@ func ModeOrder(buf []int, dims []int, root int) []int {
 	return buf
 }
 
-// ModeOrderBase writes the sorted-base level order for a tree rooted at
-// mode root into buf and returns it: the root first, then the remaining
-// modes in storage (ascending-index) order. For a slice stored in
-// lexicographic mode order — what sptensor.Coalesce produces — this is
-// the order the engine can build with at most one counting-sort pass
-// instead of one per level: stable-sorting a lexicographically sorted
-// slice by a single mode leaves the tie groups in exactly this nested
-// order.
-func ModeOrderBase(buf []int, n, root int) []int {
-	buf = buf[:0]
-	buf = append(buf, root)
-	for m := 0; m < n; m++ {
-		if m != root {
-			buf = append(buf, m)
-		}
-	}
-	return buf
-}
-
 // Level is one depth of the fiber forest. Node i at this level has
 // index IDs[i] (in its mode's index space) and children (or value
 // range, at the deepest level) [Ptr[i], Ptr[i+1]).
@@ -116,10 +100,6 @@ type tree struct {
 	wb      []int32 // worker→tile boundaries from WeightedBoundaries
 	nSplit  int     // shard slots needed (number of shard tiles)
 	built   bool
-	// sortPasses records how many counting-sort passes the last build
-	// spent (N for the radix path, 0–1 for the sorted-base fast path);
-	// diagnostics only.
-	sortPasses int8
 }
 
 // Engine is a pooled, multi-mode CSF MTTKRP engine: one tree orientation
@@ -141,15 +121,6 @@ type Engine struct {
 	x     *sptensor.Tensor
 	dims  []int
 	trees []*tree
-
-	// Sorted-base fast path: baseHint is the caller's claim that the
-	// active slice is lexicographically sorted by storage mode order;
-	// baseState caches the engine's own verification of that claim
-	// (never trusted blindly — an unsorted slice through the fast path
-	// would produce duplicate roots and break the tile scheduler's
-	// exclusive-ownership invariant).
-	baseHint  bool
-	baseState int8 // 0 unchecked, 1 verified sorted, 2 refuted
 
 	// Build scratch: the double-buffered radix-sort permutation, the
 	// counting-sort histogram, and the previous-coordinate register.
@@ -207,8 +178,6 @@ func NewEngineWithPool(workers int, pool *parallel.Pool) *Engine {
 func (e *Engine) Begin(x *sptensor.Tensor) {
 	e.x = x
 	e.dims = x.Dims
-	e.baseHint = false
-	e.baseState = 0
 	if len(e.trees) != len(e.dims) {
 		e.trees = make([]*tree, len(e.dims))
 	}
@@ -217,60 +186,6 @@ func (e *Engine) Begin(x *sptensor.Tensor) {
 			t.built = false
 		}
 	}
-}
-
-// SetSortedBase declares that the slice passed to the latest Begin is
-// stored in lexicographic (mode 0, 1, …) order, enabling the sorted
-// fast build: trees use the ModeOrderBase level order and need zero
-// (root mode 0) or one (other roots) counting-sort passes instead of
-// one per level. The claim is verified once per Begin with a single
-// O(nnz) scan before the first build uses it; a refuted claim silently
-// falls back to the full radix path, so a wrong hint costs only the
-// scan. Cleared by the next Begin.
-func (e *Engine) SetSortedBase() {
-	e.baseHint = true
-}
-
-// baseUsable verifies the sorted-base hint on first use.
-func (e *Engine) baseUsable() bool {
-	if !e.baseHint || e.x == nil {
-		return false
-	}
-	if e.baseState == 0 {
-		if lexSorted(e.x) {
-			e.baseState = 1
-		} else {
-			e.baseState = 2
-		}
-	}
-	return e.baseState == 1
-}
-
-// lexSorted reports whether x is strictly sorted lexicographically by
-// storage mode order. Strictness matters: with no duplicate
-// coordinates, every nonzero opens its own leaf, which is what lets the
-// sorted build bulk-fill the leaf level. Coalesced slices are strictly
-// sorted by construction; a duplicated coordinate refutes the hint and
-// the build falls back to the duplicate-coalescing radix path.
-func lexSorted(x *sptensor.Tensor) bool {
-	n := x.NModes()
-	for e := 1; e < x.NNZ(); e++ {
-		tie := true
-		for m := 0; m < n; m++ {
-			a, b := x.Inds[m][e-1], x.Inds[m][e]
-			if a < b {
-				tie = false
-				break
-			}
-			if a > b {
-				return false
-			}
-		}
-		if tie {
-			return false
-		}
-	}
-	return true
 }
 
 // Build constructs the tree rooted at mode now (normally done lazily by
@@ -311,23 +226,13 @@ func (e *Engine) buildTree(t *tree, mode int) {
 	if n < 2 {
 		panic("csf: need ≥ 2 modes")
 	}
-	x := e.x
-	if e.baseUsable() {
-		t.order = ModeOrderBase(t.order, n, mode)
-		perm := e.sortPermSorted(x, mode, t)
-		e.buildLevelsSorted(t, perm)
-	} else {
-		t.order = ModeOrder(t.order, x.Dims, mode)
-		perm := e.sortPerm(x, t.order)
-		t.sortPasses = int8(n)
-		e.buildLevels(t, perm)
-	}
-
+	t.order = ModeOrder(t.order, e.x.Dims, mode)
+	e.buildLevels(t, e.sortPerm(e.x, t.order))
 	t.buildTiles(e.workers)
 	t.built = true
 }
 
-// buildLevels is the general level construction: one pass over the
+// buildLevels is the level construction: one pass over the
 // sorted permutation, opening a node at level l whenever any coordinate
 // at levels ≤ l changes; duplicate coordinates (div == n) coalesce into
 // the previous leaf's value range.
@@ -391,91 +296,6 @@ func (e *Engine) buildLevels(t *tree, perm []int32) {
 	t.childVal = append(t.childVal, nnz)
 }
 
-// buildLevelsSorted is the level construction for verified strictly
-// sorted slices (see lexSorted): every nonzero opens its own leaf, so
-// the leaf level's IDs/Ptr and the value array are bulk-filled, and the
-// per-nonzero loop only compares the n−1 upper coordinates — the
-// append-per-level work of the general path collapses to the (rare)
-// upper-node opens. This is what makes CSF builds over coalesced
-// streaming slices nearly free of sorting AND construction cost.
-func (e *Engine) buildLevelsSorted(t *tree, perm []int32) {
-	x := e.x
-	n := x.NModes()
-	nnz := len(perm)
-
-	leaf := &t.levels[n-1]
-	leaf.IDs = grow(leaf.IDs, nnz)
-	leaf.Ptr = grow(leaf.Ptr, nnz+1)
-	t.vals = grow(t.vals, nnz)
-	leafCol := x.Inds[t.order[n-1]]
-	for i, p := range perm {
-		t.vals[i] = x.Vals[p]
-		leaf.IDs[i] = leafCol[p]
-	}
-	for i := range leaf.Ptr {
-		leaf.Ptr[i] = int32(i)
-	}
-
-	for l := 0; l < n-1; l++ {
-		t.levels[l].IDs = t.levels[l].IDs[:0]
-		t.levels[l].Ptr = t.levels[l].Ptr[:0]
-	}
-	t.rootVal = t.rootVal[:0]
-	t.childVal = t.childVal[:0]
-	if cap(e.prev) < n {
-		e.prev = make([]int32, n)
-	}
-	prev := e.prev[:n]
-
-	for i := 0; i < nnz; i++ {
-		p := perm[i]
-		div := 0
-		if i > 0 {
-			div = n - 1
-			for l := 0; l < n-1; l++ {
-				if x.Inds[t.order[l]][p] != prev[l] {
-					div = l
-					break
-				}
-			}
-		}
-		for l := div; l < n-1; l++ {
-			idx := x.Inds[t.order[l]][p]
-			prev[l] = idx
-			lev := &t.levels[l]
-			lev.IDs = append(lev.IDs, idx)
-			if l == n-2 {
-				// The child level is the bulk-filled leaf: its node
-				// count at this point is exactly i.
-				lev.Ptr = append(lev.Ptr, int32(i))
-			} else {
-				lev.Ptr = append(lev.Ptr, int32(len(t.levels[l+1].IDs)))
-			}
-			if l == 0 {
-				t.rootVal = append(t.rootVal, int32(i))
-			}
-			if l == 1 {
-				t.childVal = append(t.childVal, int32(i))
-			}
-		}
-	}
-	for l := 0; l < n-2; l++ {
-		t.levels[l].Ptr = append(t.levels[l].Ptr, int32(len(t.levels[l+1].IDs)))
-	}
-	t.levels[n-2].Ptr = append(t.levels[n-2].Ptr, int32(nnz))
-	if n == 2 {
-		// Level 1 is the leaf itself: its value ranges are the identity,
-		// like the leaf Ptr.
-		t.childVal = grow(t.childVal, nnz+1)
-		for i := range t.childVal {
-			t.childVal[i] = int32(i)
-		}
-	} else {
-		t.childVal = append(t.childVal, int32(nnz))
-	}
-	t.rootVal = append(t.rootVal, int32(nnz))
-}
-
 // grow reslices s to length n, reallocating only when capacity is
 // short; the contents are unspecified.
 func grow[T any](s []T, n int) []T {
@@ -528,57 +348,6 @@ func (e *Engine) sortPerm(x *sptensor.Tensor, order []int) []int32 {
 	}
 	e.perm, e.perm2 = src[:cap(src)], dst[:cap(dst)]
 	return src
-}
-
-// sortPermSorted is the verified-sorted fast path for the ModeOrderBase
-// level order: the slice is already in lexicographic storage order, so
-// a tree rooted at mode 0 needs the identity permutation and any other
-// root needs exactly one stable counting sort by the root coordinate —
-// stability preserves the lexicographic order of the remaining modes
-// inside each root group, which is precisely the (root, 0, 1, …) order
-// the tree wants.
-func (e *Engine) sortPermSorted(x *sptensor.Tensor, root int, t *tree) []int32 {
-	nnz := x.NNZ()
-	if cap(e.perm) < nnz {
-		e.perm = make([]int32, nnz)
-	}
-	src := e.perm[:nnz]
-	for i := range src {
-		src[i] = int32(i)
-	}
-	if root == 0 {
-		t.sortPasses = 0
-		return src
-	}
-	if cap(e.perm2) < nnz {
-		e.perm2 = make([]int32, nnz)
-	}
-	dst := e.perm2[:nnz]
-	col := x.Inds[root]
-	dim := x.Dims[root]
-	if cap(e.count) < dim {
-		e.count = make([]int32, dim)
-	}
-	cnt := e.count[:dim]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, i := range col {
-		cnt[i]++
-	}
-	sum := int32(0)
-	for i, c := range cnt {
-		cnt[i] = sum
-		sum += c
-	}
-	for p := int32(0); p < int32(nnz); p++ {
-		i := col[p]
-		dst[cnt[i]] = p
-		cnt[i]++
-	}
-	e.perm, e.perm2 = dst[:cap(dst)], src[:cap(src)]
-	t.sortPasses = 1
-	return dst
 }
 
 // buildTiles decomposes the tree into ~tileTargetNNZ-nonzero tiles:
@@ -866,16 +635,13 @@ func (t *tree) walk3Into(lo, hi int, fB, fC *dense.Matrix, dst []float64) {
 	}
 }
 
-// Stats summarizes one built tree for diagnostics and the cost model's
-// cross-checks: node counts per level and the tile decomposition.
+// Stats summarizes one built tree for diagnostics and the benchmark
+// probes: node counts per level and the tile decomposition.
 type Stats struct {
 	Order      []int
 	LevelNodes []int
 	Tiles      int
 	ShardTiles int
-	// SortPasses is the counting-sort pass count of the last build:
-	// one per level on the radix path, 0–1 on the sorted-base path.
-	SortPasses int
 }
 
 // TreeStats returns layout statistics for mode's tree, building it if
@@ -887,7 +653,6 @@ func (e *Engine) TreeStats(mode int) Stats {
 		LevelNodes: make([]int, len(t.levels)),
 		Tiles:      len(t.tiles),
 		ShardTiles: t.nSplit,
-		SortPasses: int(t.sortPasses),
 	}
 	for l := range t.levels {
 		s.LevelNodes[l] = len(t.levels[l].IDs)

@@ -62,7 +62,7 @@ func BenchmarkPlanCompile(b *testing.B) {
 	plan := c.NewPlan(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.CompilePlan(plan, x, nil)
+		c.CompilePlan(plan, x)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()*x.NModes()), "ns/nnz")
 }

@@ -43,38 +43,23 @@ type planMode struct {
 	workerSeg []int32
 	// active is the worker count the segment assignment was built for.
 	active int
-	// built reports whether this mode's layout was compiled. NewPlanFor
-	// skips modes the caller's kernel selection routed elsewhere.
-	built bool
 }
 
 // NewPlan compiles a plan for every mode of x using the Computer's
 // worker count.
 func (c *Computer) NewPlan(x *sptensor.Tensor) *Plan {
-	return c.NewPlanFor(x, nil)
+	return c.CompilePlan(nil, x)
 }
 
-// NewPlanFor compiles a plan for the modes of x with need[m] set (nil =
-// all modes). A kernel selector that routes some modes to the CSF
-// engine uses this to avoid paying the counting sort for modes whose
-// layout would never be used; calling PlanMTTKRP on an uncompiled mode
-// panics.
-func (c *Computer) NewPlanFor(x *sptensor.Tensor, need []bool) *Plan {
-	return c.CompilePlan(nil, x, need)
-}
-
-// CompilePlan is NewPlanFor into p's storage (a new Plan when p is nil),
+// CompilePlan is NewPlan into p's storage (a new Plan when p is nil),
 // reallocating only what x outgrows, and returns p.
-func (c *Computer) CompilePlan(p *Plan, x *sptensor.Tensor, need []bool) *Plan {
+func (c *Computer) CompilePlan(p *Plan, x *sptensor.Tensor) *Plan {
 	if p == nil {
 		p = &Plan{}
 	}
 	p.dims, p.modes = append(p.dims[:0], x.Dims...), grow(p.modes, x.NModes())
 	for m := range p.modes {
-		p.modes[m].built = false
-		if need == nil || need[m] {
-			p.compileMode(x, m, c.Workers)
-		}
+		p.compileMode(x, m, c.Workers)
 	}
 	return p
 }
@@ -128,7 +113,6 @@ func (p *Plan) compileMode(x *sptensor.Tensor, mode, workers int) {
 	// output row has a single writer.
 	pm.workerSeg = parallel.WeightedBoundaries(pm.workerSeg, pm.segPtr, workers)
 	pm.active = len(pm.workerSeg) - 1
-	pm.built = true
 }
 
 // PlanMTTKRP computes out = MTTKRP(x, factors, mode) for the slice x the
@@ -143,9 +127,6 @@ func (c *Computer) PlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Ma
 	k := checkArgs(out, plan.dims, factors, mode)
 	out.Zero()
 	pm := &plan.modes[mode]
-	if !pm.built {
-		panic("mttkrp: PlanMTTKRP on a mode the plan was not compiled for")
-	}
 	if len(pm.rows) == 0 {
 		return
 	}

@@ -141,46 +141,37 @@ func requireStableSortCopies(t *testing.T, x *sptensor.Tensor, plan *Plan, mode,
 	}
 }
 
-// One Plan recompiled over slices of different sizes and orders, and
-// with a mode left out, allocates nothing once it has seen the largest
-// of each, and compiles what a fresh NewPlanFor compiles, bit for bit.
+// One Plan recompiled over slices of different sizes and orders
+// allocates nothing once it has seen the largest of each, and compiles
+// what a fresh NewPlan compiles, bit for bit.
 func TestPlanRecompileAllocFree(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 	c := NewComputerWithPool(2, pool)
-	cases := []struct {
-		x    *sptensor.Tensor
-		need []bool
-	}{
-		{randomSlice(1, []int{30, 40, 20}, 2000), nil},
-		{randomSlice(2, []int{12, 50, 9}, 300), nil},
-		{randomSlice(3, []int{4, 3, 5, 6}, 200), nil},
-		{randomSlice(4, []int{30, 40, 20}, 1500), []bool{true, false, true}},
-		{randomSlice(5, []int{6, 7, 8}, 0), nil}, // every mode empty
+	cases := []*sptensor.Tensor{
+		randomSlice(1, []int{30, 40, 20}, 2000),
+		randomSlice(2, []int{12, 50, 9}, 300),
+		randomSlice(3, []int{4, 3, 5, 6}, 200),
+		randomSlice(4, []int{30, 40, 20}, 1500),
+		randomSlice(5, []int{6, 7, 8}, 0), // every mode empty
 	}
-	plan := c.NewPlan(cases[0].x)
+	plan := c.NewPlan(cases[0])
 	compileAll := func() {
-		for _, tc := range cases {
-			c.CompilePlan(plan, tc.x, tc.need)
+		for _, x := range cases {
+			c.CompilePlan(plan, x)
 		}
 	}
 	compileAll()
 	if allocs := testing.AllocsPerRun(10, compileAll); allocs != 0 {
 		t.Errorf("recompiling a warm plan: %v allocs per round, want 0", allocs)
 	}
-	for i, tc := range cases {
-		c.CompilePlan(plan, tc.x, tc.need)
-		fresh := c.NewPlanFor(tc.x, tc.need)
+	for i, x := range cases {
+		c.CompilePlan(plan, x)
+		fresh := c.NewPlan(x)
 		k := panelCols + 1
-		factors := randomFactors(uint64(i), tc.x.Dims, k)
-		for mode, dim := range tc.x.Dims {
-			if tc.need != nil && !tc.need[mode] {
-				if plan.modes[mode].built {
-					t.Fatalf("case %d: mode %d compiled against the need mask", i, mode)
-				}
-				continue
-			}
-			requireStableSortCopies(t, tc.x, plan, mode, dim)
+		factors := randomFactors(uint64(i), x.Dims, k)
+		for mode, dim := range x.Dims {
+			requireStableSortCopies(t, x, plan, mode, dim)
 			want, got := dense.NewMatrix(dim, k), dense.NewMatrix(dim, k)
 			c.PlanMTTKRP(want, fresh, factors, mode)
 			got.Fill(3)

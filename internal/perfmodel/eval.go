@@ -1,6 +1,6 @@
 package perfmodel
 
-// Evaluation-mode selection: before any kernel choice, the decomposer
+// Evaluation-mode selection: before it compiles a kernel, the decomposer
 // must decide whether a slice's working set fits in memory at all. The
 // functions here are pure — they depend only on their arguments — so a
 // checkpoint replay on the same inputs reselects the same mode and the
@@ -11,7 +11,7 @@ type EvalMode int
 
 const (
 	// EvalInMemory materializes the slice and runs the compiled
-	// in-memory kernels (plan / CSF, chosen per mode by SelectMTTKRP).
+	// in-memory kernel (mttkrp.Plan) on every mode.
 	EvalInMemory EvalMode = iota
 	// EvalStreamed keeps the slice out of core and streams every kernel
 	// over its blocks; the factors, one decoded block per worker and
@@ -27,13 +27,13 @@ func (m EvalMode) String() string {
 }
 
 // residentMultiplier scales raw coordinate storage to the in-memory
-// path's working set: the COO arrays themselves, the per-mode plan
-// permutations or CSF tree (≈ one extra copy), the build scratch
-// (double-buffered radix permutation), and allocator slack. Measured
-// high-water marks on the bench configs sit between 3× and 4× the raw
-// nonzero payload; 4 is the conservative choice — over-estimating
-// resident size streams a slice that would barely have fit, which
-// costs throughput, while under-estimating breaks the memory budget.
+// path's working set: the COO arrays themselves, the plan's row-ordered
+// copy of the slice per mode, the build scratch, and allocator slack.
+// Measured high-water marks on the bench configs sit between 3× and 4×
+// the raw nonzero payload; 4 is the conservative choice —
+// over-estimating resident size streams a slice that would barely have
+// fit, which costs throughput, while under-estimating breaks the memory
+// budget.
 const residentMultiplier = 4
 
 // ResidentBytes estimates the peak resident footprint of processing an
@@ -46,7 +46,7 @@ func ResidentBytes(nnz, nModes int) int64 {
 // SelectEval picks the evaluation mode for a slice of the given shape
 // under a memory budget in bytes. A non-positive budget means
 // unconstrained: always in-memory.
-func (s Selector) SelectEval(nnz, nModes int, memBudget int64) EvalMode {
+func SelectEval(nnz, nModes int, memBudget int64) EvalMode {
 	if memBudget <= 0 {
 		return EvalInMemory
 	}

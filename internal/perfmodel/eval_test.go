@@ -3,20 +3,19 @@ package perfmodel
 import "testing"
 
 func TestSelectEval(t *testing.T) {
-	s := NewSelector(4)
 	// Unconstrained budget never streams.
-	if got := s.SelectEval(1<<30, 3, 0); got != EvalInMemory {
+	if got := SelectEval(1<<30, 3, 0); got != EvalInMemory {
 		t.Fatalf("no budget: got %v", got)
 	}
-	if got := s.SelectEval(1<<30, 3, -1); got != EvalInMemory {
+	if got := SelectEval(1<<30, 3, -1); got != EvalInMemory {
 		t.Fatalf("negative budget: got %v", got)
 	}
 	// A 3-mode slice costs 20 bytes/nnz raw, 80 modeled: 1e5 nonzeros
 	// fit an 8 MiB budget and bust a 4 MiB one.
-	if got := s.SelectEval(1e5, 3, 8<<20); got != EvalInMemory {
+	if got := SelectEval(1e5, 3, 8<<20); got != EvalInMemory {
 		t.Fatalf("fits: got %v", got)
 	}
-	if got := s.SelectEval(1e5, 3, 4<<20); got != EvalStreamed {
+	if got := SelectEval(1e5, 3, 4<<20); got != EvalStreamed {
 		t.Fatalf("exceeds: got %v", got)
 	}
 	// Threshold is monotone in nnz: streaming once selected stays
@@ -24,7 +23,7 @@ func TestSelectEval(t *testing.T) {
 	budget := int64(4 << 20)
 	streamedAt := -1
 	for nnz := 1 << 10; nnz <= 1<<24; nnz <<= 1 {
-		m := s.SelectEval(nnz, 3, budget)
+		m := SelectEval(nnz, 3, budget)
 		if m == EvalStreamed && streamedAt < 0 {
 			streamedAt = nnz
 		}

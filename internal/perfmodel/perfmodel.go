@@ -1,11 +1,10 @@
 // Package perfmodel holds the cost models the runtime consults once per
 // slice, each a pure function of the measured slice shape and the
 // options, so a checkpoint-restored stream replays the same schedule:
-// the slice profile (this file), the plan-vs-CSF kernel choice
-// (select.go) and the in-memory-vs-streamed evaluation choice
-// (eval.go). Nothing here keeps state between slices. The
-// simulator that regenerates the paper's thread-scaling figures is the
-// sub-package sim.
+// the slice profile (this file) and the in-memory-vs-streamed
+// evaluation choice (eval.go). Nothing here keeps state between slices.
+// The simulator that regenerates the paper's thread-scaling figures is
+// the sub-package sim.
 package perfmodel
 
 import "spstream/internal/sptensor"
@@ -21,22 +20,55 @@ type ModeProfile struct {
 type SliceProfile struct {
 	NNZ   int
 	Modes []ModeProfile
-	// Sorted reports that the slice is stored in lexicographic
-	// (mode 0, 1, …) order — what sptensor.Coalesce produces — which
-	// unlocks the CSF engine's reduced-pass builds; Pair01 is the
-	// measured distinct (mode0, mode1) coordinate-pair count (0 when
-	// unsorted), replacing the birthday estimate for the level-1 node
-	// counts of trees rooted at modes 0 and 1.
-	Sorted bool
-	Pair01 int
 }
 
 // Profile measures a SliceProfile from an actual slice into fresh
-// storage (Profiler.Profile is the pooled form).
+// storage (ProfileInto is the pooled form).
 func Profile(x *sptensor.Tensor) SliceProfile {
 	var p SliceProfile
-	new(Profiler).Profile(&p, x)
+	ProfileInto(&p, x, nil)
 	return p
+}
+
+// ProfileInto measures a SliceProfile from x into p, reusing p's Modes
+// slice and the counts scratch buffer (grown to the longest mode, then
+// reused). It returns the scratch for the caller to keep. Unlike
+// Profile it allocates nothing in steady state.
+func ProfileInto(p *SliceProfile, x *sptensor.Tensor, counts []int32) []int32 {
+	n := x.NModes()
+	p.NNZ = x.NNZ()
+	if cap(p.Modes) < n {
+		p.Modes = make([]ModeProfile, n)
+	}
+	p.Modes = p.Modes[:n]
+	for m := 0; m < n; m++ {
+		dim := x.Dims[m]
+		if cap(counts) < dim {
+			counts = make([]int32, dim)
+		}
+		c := counts[:dim]
+		for i := range c {
+			c[i] = 0
+		}
+		for _, i := range x.Inds[m] {
+			c[i]++
+		}
+		nzRows, maxPer := 0, int32(0)
+		for _, v := range c {
+			if v > 0 {
+				nzRows++
+			}
+			if v > maxPer {
+				maxPer = v
+			}
+		}
+		top := 0.0
+		if p.NNZ > 0 {
+			top = float64(maxPer) / float64(p.NNZ)
+		}
+		p.Modes[m] = ModeProfile{Dim: dim, NZRows: nzRows, TopRowFrac: top}
+	}
+	return counts
 }
 
 // TotalDim returns ΣIₙ over modes.

@@ -1,74 +1,66 @@
 package perfmodel
 
 import (
-	"reflect"
 	"testing"
 
 	"spstream/internal/sptensor"
+	"spstream/internal/synth"
 )
 
-// slice2 builds a coalesced 2-way slice from coordinate pairs.
-func slice2(dims []int, coords [][2]int32) *sptensor.Tensor {
-	x := sptensor.New(dims...)
-	for _, c := range coords {
-		x.Append([]int32{c[0], c[1]}, 1)
+// ProfileInto allocates nothing once its buffers have grown.
+func TestProfileIntoZeroAlloc(t *testing.T) {
+	s, err := synth.Generate(synth.Config{
+		Name:        "prof",
+		Dists:       []synth.IndexDist{synth.Uniform{N: 40}, synth.Uniform{N: 300}, synth.Uniform{N: 200}},
+		T:           3,
+		NNZPerSlice: 2000,
+		Seed:        5,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	x.Coalesce()
-	return x
-}
-
-// TestScanOrder pins down the sortedness/pair-count scan: Pair01 counts
-// distinct (mode0, mode1) prefixes on sorted slices, tolerates duplicate
-// coordinates, and is zero (with Sorted=false) on unsorted input.
-func TestScanOrder(t *testing.T) {
-	dims := []int{10, 10, 10}
-	x := sptensor.New(dims...)
-	for _, c := range [][3]int32{{0, 0, 1}, {0, 0, 3}, {0, 2, 0}, {1, 0, 0}, {1, 0, 0}, {1, 0, 5}} {
-		x.Append(c[:], 1)
-	}
-	sorted, pairs := scanOrder(x)
-	if !sorted {
-		t.Fatal("lex-sorted slice (with a duplicate) must report sorted")
-	}
-	// Distinct (m0,m1) prefixes: (0,0), (0,2), (1,0).
-	if pairs != 3 {
-		t.Fatalf("Pair01 = %d, want 3", pairs)
-	}
-
-	y := sptensor.New(dims...)
-	y.Append([]int32{5, 0, 0}, 1)
-	y.Append([]int32{2, 0, 0}, 1)
-	if sorted, pairs := scanOrder(y); sorted || pairs != 0 {
-		t.Fatalf("unsorted slice: sorted=%v pairs=%d", sorted, pairs)
-	}
-
-	empty := sptensor.New(dims...)
-	if sorted, pairs := scanOrder(empty); !sorted || pairs != 0 {
-		t.Fatal("empty slice must be trivially sorted with zero pairs")
-	}
-}
-
-// TestProfilerZeroAllocWithLayout: the pooled profile (counting pass
-// plus storage-order scan) is allocation-free once warm.
-func TestProfilerZeroAllocWithLayout(t *testing.T) {
-	dims := []int{300, 200}
-	var pf Profiler
 	var p SliceProfile
-	xs := []*sptensor.Tensor{
-		slice2(dims, [][2]int32{{0, 0}, {1, 1}, {299, 199}}),
-		slice2(dims, [][2]int32{{5, 5}, {7, 9}}),
+	var counts []int32
+	for _, x := range s.Slices {
+		counts = ProfileInto(&p, x, counts)
 	}
-	pf.Profile(&p, xs[0])
-	pf.Profile(&p, xs[1])
 	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		pf.Profile(&p, xs[i%2])
+	allocs := testing.AllocsPerRun(10, func() {
+		counts = ProfileInto(&p, s.Slices[i%len(s.Slices)], counts)
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("profile allocates %v times per slice", allocs)
+		t.Fatalf("steady-state ProfileInto allocates %v times", allocs)
 	}
-	if want := Profile(xs[(i-1)%2]); !reflect.DeepEqual(p, want) {
-		t.Fatalf("pooled profile %+v != fresh %+v", p, want)
+	// Cross-check one profile against the allocating Profile.
+	want := Profile(s.Slices[len(s.Slices)-1])
+	counts = ProfileInto(&p, s.Slices[len(s.Slices)-1], counts)
+	if p.NNZ != want.NNZ || len(p.Modes) != len(want.Modes) {
+		t.Fatal("ProfileInto disagrees with Profile on shape")
+	}
+	for m := range want.Modes {
+		if p.Modes[m] != want.Modes[m] {
+			t.Fatalf("mode %d: ProfileInto %+v ≠ Profile %+v", m, p.Modes[m], want.Modes[m])
+		}
+	}
+}
+
+func TestProfileMeasurement(t *testing.T) {
+	x := sptensor.New(10, 20)
+	x.Append([]int32{1, 2}, 1)
+	x.Append([]int32{1, 3}, 1)
+	x.Append([]int32{4, 2}, 1)
+	p := Profile(x)
+	if p.NNZ != 3 || len(p.Modes) != 2 {
+		t.Fatalf("profile = %+v", p)
+	}
+	if p.Modes[0].NZRows != 2 || p.Modes[0].Dim != 10 {
+		t.Fatalf("mode 0 = %+v", p.Modes[0])
+	}
+	if p.Modes[0].TopRowFrac != 2.0/3 {
+		t.Fatalf("top row frac = %v", p.Modes[0].TopRowFrac)
+	}
+	if p.TotalDim() != 30 || p.TotalNZRows() != 4 {
+		t.Fatalf("totals wrong: dim=%d nz=%d", p.TotalDim(), p.TotalNZRows())
 	}
 }
