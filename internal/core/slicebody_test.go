@@ -1,0 +1,159 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"spstream/internal/admm"
+	"spstream/internal/dense"
+	"spstream/internal/perfmodel"
+	"spstream/internal/sptensor"
+)
+
+// sliceBodyBits pins, per configuration, the FNV-64a hash of everything a
+// slice body produces: each slice's δ, fit, Iters and ADMMIters, then the
+// final factors, C, C_z, every sₜ and G. Keys are
+// "<stream>/<alg>/<con|uncon>/<norm|raw>/<resident|streamed>".
+var sliceBodyBits = map[string]uint64{
+	"planted/optimized/uncon/raw/resident":  0x89bb46d6f1868511,
+	"planted/optimized/uncon/raw/streamed":  0x89bb46d6f1868511,
+	"planted/optimized/uncon/norm/resident": 0x4d14568a5ed006fa,
+	"planted/optimized/uncon/norm/streamed": 0x4d14568a5ed006fa,
+	"planted/optimized/con/raw/resident":    0x8ddf92fd49e17edf,
+	"planted/optimized/con/raw/streamed":    0x8ddf92fd49e17edf,
+	"planted/optimized/con/norm/resident":   0x8890e5cd22d1458c,
+	"planted/optimized/con/norm/streamed":   0x8890e5cd22d1458c,
+	"planted/spcp/uncon/raw/resident":       0xe0dbeb26f03f2334,
+	"planted/spcp/uncon/norm/resident":      0x7f6646150ec013fb,
+	"planted/spcp/con/raw/resident":         0xda5307bd07f4d732,
+	"planted/spcp/con/norm/resident":        0x970dc8264495cef8,
+	"skewed/optimized/uncon/raw/resident":   0x752a1c5c43c0551e,
+	"skewed/optimized/uncon/raw/streamed":   0x752a1c5c43c0551e,
+	"skewed/optimized/uncon/norm/resident":  0x9038a635e68e84f8,
+	"skewed/optimized/uncon/norm/streamed":  0x9038a635e68e84f8,
+	"skewed/optimized/con/raw/resident":     0x6f5c1fadf50f4365,
+	"skewed/optimized/con/raw/streamed":     0x6f5c1fadf50f4365,
+	"skewed/optimized/con/norm/resident":    0x1de5086f858d2700,
+	"skewed/optimized/con/norm/streamed":    0x1de5086f858d2700,
+	"skewed/spcp/uncon/raw/resident":        0x49342ee7ff2ea132,
+	"skewed/spcp/uncon/norm/resident":       0x37b02c3435bab71b,
+	"skewed/spcp/con/raw/resident":          0x6132932091fc86e,
+	"skewed/spcp/con/norm/resident":         0x42a22898ad2fd9c4,
+}
+
+// TestSliceBodyBits holds the slice body to its exact output across
+// {Optimized, SpCPStream} × {unconstrained, NonNeg} × {Normalize off, on}
+// × {resident, streamed} on a uniform and a skewed stream. A streamed
+// slice runs the body with an empty z set under either algorithm, so a
+// streamed SpCPStream run must hash like the Optimized one. Other
+// architectures may fuse multiply-adds, so the pins are amd64's.
+func TestSliceBodyBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit pins are amd64's; other architectures may fuse FMA")
+	}
+	streams := []struct {
+		name string
+		s    *sptensor.Stream
+	}{
+		{"planted", testStream(t, 106, []int{30, 700, 40}, 9000, 3)},
+		{"skewed", skewedStream(t, 32)},
+	}
+	for _, st := range streams {
+		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
+			for _, normalize := range []bool{false, true} {
+				for _, streamed := range []bool{false, true} {
+					var hashes [2]uint64
+					for i, alg := range []Algorithm{Optimized, SpCPStream} {
+						opt := Options{
+							Rank: 5, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
+							Normalize: normalize, Seed: 4, Workers: 2, TrackFit: true,
+						}
+						if streamed {
+							opt.MemBudget = 1
+						}
+						hashes[i] = sliceBodyHash(t, st.s, opt, streamed)
+					}
+					key := sliceBodyKey(st.name, con != nil, normalize, streamed)
+					if streamed && hashes[1] != hashes[0] {
+						t.Errorf("%s: streamed SpCPStream hashes %#x, Optimized %#x", key, hashes[1], hashes[0])
+					}
+					for i, alg := range []string{"optimized", "spcp"} {
+						k := fmt.Sprintf(key, alg)
+						want, ok := sliceBodyBits[k]
+						if !ok {
+							continue // streamed spCP: checked against Optimized above
+						}
+						if hashes[i] != want {
+							t.Errorf("%s: hash %#x, pinned %#x", k, hashes[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func sliceBodyKey(stream string, con, normalize, streamed bool) string {
+	c, n, r := "uncon", "raw", "resident"
+	if con {
+		c = "con"
+	}
+	if normalize {
+		n = "norm"
+	}
+	if streamed {
+		r = "streamed"
+	}
+	return stream + "/%s/" + c + "/" + n + "/" + r
+}
+
+func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed bool) uint64 {
+	t.Helper()
+	d, err := NewDecomposer(s.Dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, x := range s.Slices {
+		var res SliceResult
+		if streamed {
+			src, err := sptensor.SplitBlocks(x, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err = d.ProcessBlockSlice(src); err != nil {
+				t.Fatal(err)
+			}
+			if d.LastEvalMode() != perfmodel.EvalStreamed {
+				t.Fatalf("slice %d evaluated %v, want streamed", res.T, d.LastEvalMode())
+			}
+		} else if res, err = d.ProcessSlice(x); err != nil {
+			t.Fatal(err)
+		}
+		hashFloats(h, res.Delta, res.Fit, float64(res.Iters), float64(res.ADMMIters))
+	}
+	for m := range d.a {
+		for _, mat := range []*dense.Matrix{d.a[m], d.c[m], d.cz[m]} {
+			hashFloats(h, mat.Data...)
+		}
+	}
+	for _, s := range d.sHist {
+		hashFloats(h, s...)
+	}
+	hashFloats(h, d.s...)
+	hashFloats(h, d.g.Data...)
+	return h.Sum64()
+}
+
+func hashFloats(h hash.Hash64, vs ...float64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+}
