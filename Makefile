@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 30s ./cmd/watch/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/ingest/wal/
 	$(GO) test -fuzz FuzzWALSegment -fuzztime 30s ./internal/ingest/wal/
+	$(GO) test -fuzz FuzzWALOffsets -fuzztime 30s ./internal/ingest/wal/
 
 # Non-test Go lines per package under internal/ and cmd/, then the
 # repository total outside bench/ (the benchmark is not the program):

@@ -47,15 +47,15 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 		if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 			t.Fatal(err)
 		}
-		run, err := d.beginExplicit(sliceData{x: s.Slices[1]})
+		run, err := d.beginSlice(sliceData{x: s.Slices[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.iterateExplicit(run); err != nil { // warm scratch
+		if _, err := d.iterateSlice(run); err != nil { // warm scratch
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := d.iterateExplicit(run); err != nil {
+			if _, err := d.iterateSlice(run); err != nil {
 				t.Fatal(err)
 			}
 			d.sliceFit(sliceData{x: s.Slices[1]})
@@ -75,15 +75,15 @@ func TestSpCPIterateZeroAlloc(t *testing.T) {
 	if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 		t.Fatal(err)
 	}
-	run, err := d.beginSpCP(s.Slices[1])
+	run, err := d.beginSlice(sliceData{x: s.Slices[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.iterateSpCP(run); err != nil { // warm scratch
+	if _, err := d.iterateSlice(run); err != nil { // warm scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := d.iterateSpCP(run); err != nil {
+		if _, err := d.iterateSlice(run); err != nil {
 			t.Fatal(err)
 		}
 		d.sliceFit(sliceData{x: s.Slices[1]})
@@ -117,7 +117,7 @@ func TestZTransformZeroAlloc(t *testing.T) {
 }
 
 // TestStreamedIterateZeroAlloc is the same property with a block source
-// as the explicit body's input: after one slice has grown the streamed
+// as the slice body's input: after one slice has grown the streamed
 // kernel's buffers, compiling the next source's schedule, iterating on
 // it and scoring its fit allocate nothing — with nothing resident, and
 // with the arena holding every permutation and block of a source that
@@ -155,11 +155,11 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := sliceData{src: srcs[1]}
-		run, err := d.beginExplicit(in)
+		run, err := d.beginSlice(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.iterateExplicit(run); err != nil { // warm scratch
+		if _, err := d.iterateSlice(run); err != nil { // warm scratch
 			t.Fatal(err)
 		}
 		if got := d.LastResidency(); d.LastEvalMode() != perfmodel.EvalStreamed || resident != (got.Share() == 1) {
@@ -169,7 +169,7 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 			if err := d.streamKernel().Begin(srcs[1]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.iterateExplicit(run); err != nil {
+			if _, err := d.iterateSlice(run); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := d.sliceFit(in); err != nil {
@@ -183,10 +183,10 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 }
 
 // TestSpCPSliceRoundAllocs bounds what a whole spCP-stream slice —
-// beginSpCP, an iteration, finishSpCP — allocates once the Decomposer's
+// beginSlice, an iteration, finishSlice — allocates once the Decomposer's
 // grow-only matrices have reached the stream's nz counts: the remap, the
 // compiled plan, the two set differences per mode and the appended sₜ
-// row, together fewer bytes than the slice's A_nz alone (0.43 × here). (The parent
+// row, together fewer bytes than the slice's A_nz alone (≈ 0.09 × here). (The parent
 // allocated A_nz, its A_{t−1} gather, Ψ_nz and the gathers of the rows
 // that moved afresh every slice: five to six times A_nz.)
 func TestSpCPSliceRoundAllocs(t *testing.T) {
@@ -203,14 +203,16 @@ func TestSpCPSliceRoundAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	for i, x := range s.Slices {
 		runtime.ReadMemStats(&before)
-		run, err := d.beginSpCP(x)
+		run, err := d.beginSlice(sliceData{x: x})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.iterateSpCP(run); err != nil {
+		if _, err := d.iterateSlice(run); err != nil {
 			t.Fatal(err)
 		}
-		d.finishSpCP(run)
+		if _, err := d.finishSlice(run); err != nil {
+			t.Fatal(err)
+		}
 		runtime.ReadMemStats(&after)
 		aNz := 0
 		for _, nz := range run.rm.NZ {

@@ -1,6 +1,6 @@
 package core
 
-// Inert residue of the explicit body's per-slice remap and of the
+// Inert residue of Optimized's former per-slice remap and of the
 // plan-vs-CSF kernel selection, both gone (DESIGN §11): bench/ compiles
 // against these names and may only be edited by a [benchmark] PR.
 // Nothing reads the options; all of these leave with the next such PR

@@ -47,9 +47,8 @@ type Decomposer struct {
 	zRows []dense.Matrix
 
 	// Kernels and workspaces.
-	psi    []*dense.Matrix // Ψ workspace for the explicit algorithms
-	sp     spcpBufs        // spCP-stream's per-slice matrices
-	lastM  *dense.Matrix   // raw MTTKRP of a constrained last factor mode
+	sp     spcpBufs      // the slice body's per-slice matrices
+	lastM  *dense.Matrix // raw MTTKRP of a constrained last factor mode
 	mt     *mttkrp.Computer
 	solver *admm.Solver
 	bd     trace.Breakdown
@@ -156,9 +155,14 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 	d.colScale = make([]float64, k)
 	d.fitPsi = make([]float64, k)
 	d.fitTmp = make([]float64, k)
+	sp := &d.sp
+	sp.aNz, sp.aNzPrev, sp.psi = make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
 	for range dims {
 		d.cz = append(d.cz, dense.NewMatrix(k, k))
+		sp.tFinal = append(sp.tFinal, dense.NewMatrix(k, k))
+		sp.czCur = append(sp.czCur, dense.NewMatrix(k, k))
 	}
+	sp.tmpKK, sp.gram = dense.NewMatrix(k, k), dense.NewMatrix(k, k)
 	// Invariant: d.c always holds Gram(d.a) at slice boundaries.
 	d.refreshGrams()
 	return d, nil
@@ -287,11 +291,11 @@ func (d *Decomposer) buildQ(dst *dense.Matrix, mode int) {
 	dense.Hadamard(dst, dst, d.muG)
 }
 
-// finishSlice performs the bookkeeping common to all algorithms after
-// the inner loop converges: the G/S temporal updates and the slice
-// counter. (Normalization, when enabled, already ran per iteration —
-// Algorithm 4 line 30.)
-func (d *Decomposer) finishSlice() {
+// advanceTime performs the bookkeeping that closes every slice after the
+// inner loop converges: the G/S temporal updates and the slice counter.
+// (Normalization, when enabled, already ran per iteration — Algorithm 4
+// line 30.)
+func (d *Decomposer) advanceTime() {
 	// Gₜ = µGₜ₋₁ + sₜsₜᵀ.
 	dense.Scale(d.g, d.opt.Mu, d.g)
 	for i := 0; i < d.k; i++ {

@@ -16,8 +16,9 @@ import (
 // (mttkrp.StreamKernel). Both are bit-identical at any worker count.
 
 // sliceData is one time slice's sparse data: resident (x) or streamed
-// out of core (src) — exactly one is set. The driver and both algorithm
-// bodies pass it around opaquely; beyond the explicit body's begin, only
+// out of core (src) — exactly one is set. The driver and the slice body
+// pass it around opaquely; beyond beginSlice (which gives a streamed
+// slice the empty z set and the streamed kernel's schedule), only
 // mttkrpMode, mttkrpTime and norm2 below look at which it is, so a
 // streamed slice is an input to the one slice driver rather than a driver
 // of its own.

@@ -207,13 +207,13 @@ func recoveredError(r any) error {
 	return fmt.Errorf("core: panic during slice processing: %v\n%s", r, debug.Stack())
 }
 
-// runSlice executes one slice attempt — resident or streamed, explicit
-// or Gram-form — with panic containment and the solver-level
-// cancellation check installed. It is the single choke point through
-// which the guarded and unguarded paths process a slice, and holds the
-// one inner loop: the context is checked at iteration boundaries (and
-// inside long ADMM loops via the solver's cancel hook), so cancellation
-// abandons the slice without tearing down mid-kernel.
+// runSlice executes one slice attempt — resident or streamed, under
+// either algorithm: one slice body — with panic containment and the
+// solver-level cancellation check installed. It is the single choke
+// point through which the guarded and unguarded paths process a slice,
+// and holds the one inner loop: the context is checked at iteration
+// boundaries (and inside long ADMM loops via the solver's cancel hook),
+// so cancellation abandons the slice without tearing down mid-kernel.
 func (d *Decomposer) runSlice(ctx context.Context, in sliceData) (res SliceResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -227,66 +227,45 @@ func (d *Decomposer) runSlice(ctx context.Context, in sliceData) (res SliceResul
 		defer d.solver.SetCancel(nil)
 	}
 	d.iterNo = 0
-	// However the attempt ends, its ψ is no later attempt's or FitOf's.
-	defer func() { d.psiFresh = false }()
+	// However the attempt ends, its ψ is no later attempt's or FitOf's,
+	// and the streamed kernel drops a source it was begun on, so a reader
+	// the caller closes is not kept alive.
+	defer func() {
+		d.psiFresh = false
+		if d.sk != nil {
+			d.sk.End()
+		}
+	}()
 	if err := d.injectFault(resilience.StageBegin, 0); err != nil {
 		return SliceResult{T: d.t, NNZ: in.nnz()}, err
 	}
-	if in.src != nil {
-		// The streamed kernel holds the source from begin on; drop it
-		// however the slice ends, so a reader the caller closes is not
-		// kept alive.
-		defer d.streamKernel().End()
-	}
-	// The Gram-form recurrence needs the resident slice (its nz sets come
-	// from a remap); a streamed slice runs the explicit body under every
-	// algorithm.
-	var (
-		ex  *explicitRun
-		sp  *spcpRun
-		out *SliceResult
-	)
-	if d.opt.Algorithm == SpCPStream && in.src == nil {
-		sp, err = d.beginSpCP(in.x)
-		out = &sp.res
-	} else {
-		ex, err = d.beginExplicit(in)
-		out = &ex.res
-	}
+	run, err := d.beginSlice(in)
 	if err != nil {
-		return *out, err
+		return run.res, err
 	}
 	deltaPrev := math.Inf(1)
 	for iter := 1; iter <= d.opt.MaxIters; iter++ {
 		d.iterNo = iter
 		if err := ctx.Err(); err != nil {
-			return *out, err
+			return run.res, err
 		}
 		if err := d.injectFault(resilience.StageIterate, iter); err != nil {
-			return *out, err
+			return run.res, err
 		}
-		out.Iters++
+		run.res.Iters++
 		d.bd.Iters++
-		var delta float64
-		if sp != nil {
-			delta, err = d.iterateSpCP(sp)
-		} else {
-			delta, err = d.iterateExplicit(ex)
-		}
+		delta, err := d.iterateSlice(run)
 		if err != nil {
-			return *out, err
+			return run.res, err
 		}
-		out.Delta = delta
+		run.res.Delta = delta
 		if math.Abs(delta-deltaPrev) < d.opt.Tol {
-			out.Converged = true
+			run.res.Converged = true
 			break
 		}
 		deltaPrev = delta
 	}
-	if sp != nil {
-		return d.finishSpCP(sp), nil
-	}
-	return d.finishExplicit(ex)
+	return d.finishSlice(run)
 }
 
 // ProcessSliceContext advances the factorization by one time slice

@@ -46,31 +46,17 @@ func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func
 	if in.src != nil {
 		defer d.streamKernel().End()
 	}
-	if d.opt.Algorithm == SpCPStream && in.src == nil {
-		run, err := d.beginSpCP(in.x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for it := 0; it < iters; it++ {
-			if _, err := d.iterateSpCP(run); err != nil {
-				t.Fatal(err)
-			}
-			after(sliceData{x: run.rm.X}, d.sp.aNz)
-		}
-		d.finishSpCP(run)
-		return
-	}
-	run, err := d.beginExplicit(in)
+	run, err := d.beginSlice(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for it := 0; it < iters; it++ {
-		if _, err := d.iterateExplicit(run); err != nil {
+		if _, err := d.iterateSlice(run); err != nil {
 			t.Fatal(err)
 		}
-		after(in, d.a)
+		after(run.kin, run.a)
 	}
-	if _, err := d.finishExplicit(run); err != nil {
+	if _, err := d.finishSlice(run); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,16 +27,15 @@ import (
 //     the last mode's MTTKRP and its ‖X‖² from the schedule compile, not
 //     a decode.
 //
-// A streamed slice runs the explicit (Algorithm 1) body with the
+// A streamed slice runs the slice body with an empty z set under either
+// algorithm — its nz sets would take a remap of the source — and the
 // optimized kernels: mttkrp.StreamKernel is bit-identical to the
-// compiled coordinate plan (mttkrp.PlanMTTKRP) and to the thread-local
-// in-memory time-mode reduction on the block concatenation — and
-// everything between the kernels is the same code — so a streamed slice
-// produces bit-identical factors, temporal weights, and fit to the
-// in-memory Optimized run. The spCP-stream Gram-form recurrence has no
-// out-of-core counterpart: under EvalStreamed it runs this same explicit
-// update. Constrained problems are supported — ADMM consumes the full
-// Ψ⁽ⁿ⁾, staged per mode just like the in-memory path.
+// compiled coordinate plan (mttkrp.PlanMTTKRP) and to the in-memory
+// time-mode reduction on the block concatenation — and everything
+// between the kernels is the same code — so a streamed slice produces
+// bit-identical factors, temporal weights, and fit to the in-memory
+// Optimized run. Constrained problems are supported — ADMM consumes the
+// full Ψ⁽ⁿ⁾, staged per mode just like the in-memory path.
 
 // LastEvalMode reports where the most recent ProcessBlockSlice ran
 // (in-memory after materialization, or streamed out of core). Slices

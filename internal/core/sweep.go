@@ -77,8 +77,8 @@ func (d *Decomposer) rowSweep(sw coreArgs, c, h *dense.Matrix) (diff2, norm2 flo
 	return total[stride-2], total[stride-1]
 }
 
-// updateRows is mode n's row update under both slice bodies: a ← Ψ·Φ⁻¹
-// for Ψ = m·diag(sₜ) + prev·q, and the reductions over the new rows — C
+// updateRows is the slice body's row update of mode n, over the rows it
+// iterates (all of them, or A_nz): a ← Ψ·Φ⁻¹ for Ψ = m·diag(sₜ) + prev·q, and the reductions over the new rows — C
 // into c[n], H into h[n], on the last mode ψ into fitPsi, the norms
 // returned. Unconstrained, the solve is the sweep's own; under a
 // constraint Ψ is staged into psi for BF-ADMM (phi is its Φ) and the

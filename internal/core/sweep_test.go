@@ -64,7 +64,7 @@ func sweepDecomposer(t testing.TB, c sweepCase, workers int) *Decomposer {
 // sweepShapes are the ways the two slice bodies call the sweep: the
 // unconstrained update, the reductions alone after ADMM (explicit and
 // spCP pass the same operands; spCP ignores the norms), Normalize's
-// scaling walk, and finishSpCP's masked Gram of the z rows.
+// scaling walk, and finishZ's masked Gram of the z rows.
 var sweepShapes = []struct {
 	name string
 	c, h bool // which of C and H the caller asks for
@@ -234,12 +234,12 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 	if _, err := d.ProcessSlice(stream.Slices[0]); err != nil {
 		t.Fatal(err)
 	}
-	run, err := d.beginExplicit(sliceData{x: stream.Slices[1]})
+	run, err := d.beginSlice(sliceData{x: stream.Slices[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for it := 0; it < 2; it++ {
-		delta, err := d.iterateExplicit(run)
+		delta, err := d.iterateSlice(run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 			t.Fatalf("iteration %d: δ = %.17g, on the scaled factors %.17g", it, delta, want)
 		}
 		last := len(dims) - 1
-		sameMatrixBits(t, "ψ under Normalize", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{refColDots(d.psi[last], d.a[last])}))
+		sameMatrixBits(t, "ψ under Normalize", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{refColDots(d.sp.psi[last], d.a[last])}))
 	}
 }
 
@@ -270,7 +270,7 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 	stream := testStream(t, 61, dims, 2500, 2)
 	opt := Options{Rank: 6, Algorithm: Optimized, Workers: 3, Seed: 4}
 	var ds [2]*Decomposer
-	var runs [2]*explicitRun
+	var runs [2]*sliceRun
 	for i := range ds {
 		d, err := NewDecomposer(dims, opt)
 		if err != nil {
@@ -279,12 +279,12 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 		if _, err := d.ProcessSlice(stream.Slices[0]); err != nil {
 			t.Fatal(err)
 		}
-		if runs[i], err = d.beginExplicit(sliceData{x: stream.Slices[1]}); err != nil {
+		if runs[i], err = d.beginSlice(sliceData{x: stream.Slices[1]}); err != nil {
 			t.Fatal(err)
 		}
 		ds[i] = d
 	}
-	if _, err := ds[0].iterateExplicit(runs[0]); err != nil {
+	if _, err := ds[0].iterateSlice(runs[0]); err != nil {
 		t.Fatal(err)
 	}
 	d, run := ds[1], runs[1]
@@ -294,8 +294,8 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 		if err := d.factorize(phi); err != nil {
 			t.Fatal(err)
 		}
-		psi := d.psi[n]
-		if err := d.mttkrpMode(psi, run.in, run.plan, d.a, n); err != nil {
+		psi := d.sp.psi[n]
+		if err := d.mttkrpMode(psi, run.kin, run.plan, d.a, n); err != nil {
 			t.Fatal(err)
 		}
 		dense.ScaleColumns(psi, psi, d.s)

@@ -32,15 +32,16 @@ func (d *Decomposer) SetADMMMaxIters(n int) { d.solver.SetMaxIters(n) }
 // Algorithm returns the solver variant currently in use.
 func (d *Decomposer) Algorithm() Algorithm { return d.opt.Algorithm }
 
-// SetAlgorithm switches the solver variant between slices. The two
-// variants share the explicit factor/Gram state that crosses slice
-// boundaries (finishSpCP materializes A = A_z ⊕ A_nz every slice), so
-// the switch is exact: the next slice simply runs the other body. The
-// spCP-stream incremental C_z bookkeeping is invalidated by any switch
-// and by any slice the explicit body finishes — a streamed slice under
-// spCP-stream included (prevNZ would name rows the Gram form did not
-// track) — so the next spCP slice recomputes C_z,t−1 from scratch: one
-// extra Gram pass, after which incremental maintenance resumes.
+// SetAlgorithm switches the solver variant between slices. Both run the
+// one slice body and differ only in its z set — the untouched rows under
+// spCP-stream, none under Optimized — and the state that crosses slice
+// boundaries is the same explicit factors and Grams (finishZ
+// materializes A = A_z ⊕ A_nz every slice), so the switch is exact. The
+// incremental C_z bookkeeping is invalidated by any switch and by any
+// slice run with z = ∅ — a streamed slice under spCP-stream included
+// (prevNZ would name rows the Gram form did not track) — so the next
+// z set recomputes C_z,t−1 from scratch: one extra Gram pass, after
+// which incremental maintenance resumes.
 //
 // The same constraint-compatibility rules as construction apply
 // (spCP-stream rejects constraints unless ConstrainedSpCP is set);
