@@ -5,10 +5,14 @@
 // selecting the temporal mode), a built-in synthetic dataset analogue
 // (-preset with -scale), or block-partitioned .spblk slices — a single
 // file or a directory of them, processed out of core under -mem-budget
-// (see cmd/spblk for the converter). Resident slices can instead ride
-// the bounded ingest pipeline (-shed-policy, -spill-dir, -max-lag,
-// -degrade); .spblk slices cannot — the pipeline carries resident
-// tensors — and the combination is rejected.
+// (see cmd/spblk for the converter).
+//
+// The flags cpstream shares with watch and spstreamd are registered
+// once, by serve.Config's Flags and GuardFlags. Any of -shed-policy,
+// -max-lag, -spill-dir or -degrade routes resident slices through the
+// bounded ingest pipeline; .spblk slices cannot ride it, and the
+// combination is rejected. Any of -on-error, -slice-timeout or
+// -checkpoint-dir arms guarded processing.
 //
 // Examples:
 //
@@ -38,81 +42,89 @@ import (
 	"spstream"
 	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
+	"spstream/internal/serve"
 	"spstream/internal/trace"
 	"spstream/internal/version"
 )
 
-// config is the parsed flag set; run takes it whole so tests drive the
-// command without a process.
+// config is the parsed flag set: a serve.Config and cpstream's own
+// flags. run takes it whole so tests drive the command without a process.
 type config struct {
+	serve.Config
 	// what to decompose
 	input, preset string
 	streamMode    int
 	scale         float64
 	maxSlices     int
-	// how
-	alg                     string
-	rank, maxIters, workers int
-	mu, tol, l1             float64
-	seed                    uint64
-	nonneg                  bool
-	memBudget               int64
+	// constraints
+	nonneg bool
+	l1     float64
 	// what to print and write
-	fit, breakdown, showVer        bool
+	breakdown, showVer             bool
 	factorsOut, checkpoint, resume string
 	cpuprofile, memprofile         string
-	// guarded processing and periodic checkpoints
-	onError             string
-	sliceTimeout        time.Duration
-	ckptDir             string
-	ckptEvery, ckptKeep int
-	// the ingest pipeline
-	shedPolicy, spillDir        string
-	spillMax                    int64
-	spillFsync, maxLag, drainTO time.Duration
-	degrade                     bool
+	// the ingest pipeline: piped is set when a flag arms it
+	degrade, piped bool
 }
 
-func parseFlags(args []string) config {
-	var c config
+// newFlags binds every cpstream flag to a config that holds the defaults.
+func newFlags() (*config, *flag.FlagSet) {
+	c := &config{Config: serve.Config{
+		Options:         spstream.Options{Rank: 16, Algorithm: spstream.Optimized, Mu: 0.99, Tol: 1e-5, MaxIters: 20, Seed: 1},
+		DrainTimeout:    30 * time.Second,
+		CheckpointEvery: 10,
+		CheckpointKeep:  2,
+	}, streamMode: -1, scale: 0.2}
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	c.Flags(fs)
+	c.GuardFlags(fs)
+	o := &c.Options
 	fs.StringVar(&c.input, "input", "", "FROSTT .tns input file")
-	fs.IntVar(&c.streamMode, "streammode", -1, "streaming (time) mode index of the input tensor, 0-based")
+	fs.IntVar(&c.streamMode, "streammode", c.streamMode, "streaming (time) mode index of the input tensor, 0-based")
 	fs.StringVar(&c.preset, "preset", "", "synthetic preset: patents, flickr, uber, nips")
-	fs.Float64Var(&c.scale, "scale", 0.2, "synthetic preset scale")
-	fs.IntVar(&c.rank, "rank", 16, "decomposition rank K")
-	fs.StringVar(&c.alg, "alg", "optimized", "algorithm: optimized, spcp")
-	fs.Float64Var(&c.mu, "mu", 0.99, "forgetting factor µ")
-	fs.Float64Var(&c.tol, "tol", 1e-5, "outer convergence tolerance")
-	fs.IntVar(&c.maxIters, "maxiters", 20, "max inner iterations per slice")
-	fs.IntVar(&c.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	fs.Uint64Var(&c.seed, "seed", 1, "factor initialization seed")
+	fs.Float64Var(&c.scale, "scale", c.scale, "synthetic preset scale")
+	fs.Float64Var(&o.Tol, "tol", o.Tol, "outer convergence tolerance")
+	fs.IntVar(&o.MaxIters, "maxiters", o.MaxIters, "max inner iterations per slice")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel workers (0 = GOMAXPROCS)")
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "factor initialization seed")
 	fs.BoolVar(&c.nonneg, "nonneg", false, "apply a non-negativity constraint (ADMM)")
 	fs.Float64Var(&c.l1, "l1", 0, "apply an L1 sparsity constraint with this weight (ADMM)")
-	fs.Int64Var(&c.memBudget, "mem-budget", 0, "resident-memory budget in bytes per slice; block (.spblk) slices whose modeled working set exceeds it are processed out of core (0 = unconstrained)")
-	fs.BoolVar(&c.fit, "fit", false, "track per-slice fit (extra work)")
+	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "resident-memory budget in bytes per slice; block (.spblk) slices whose modeled working set exceeds it are processed out of core (0 = unconstrained)")
+	fs.BoolVar(&o.TrackFit, "fit", false, "track per-slice fit (extra work)")
 	fs.BoolVar(&c.breakdown, "breakdown", false, "print the per-phase time breakdown at the end")
 	fs.IntVar(&c.maxSlices, "slices", 0, "process at most this many slices (0 = all)")
 	fs.StringVar(&c.factorsOut, "factors", "", "write final factor matrices to this file")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "write the decomposer state to this file after the run (atomic)")
 	fs.StringVar(&c.resume, "resume", "", "restore the decomposer state before processing: a checkpoint file, or a directory (newest valid checkpoint wins)")
-	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "write periodic crash-safe checkpoints into this directory")
-	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "periodic checkpoint interval in slices (with -checkpoint-dir)")
-	fs.IntVar(&c.ckptKeep, "checkpoint-keep", 2, "periodic checkpoints retained (with -checkpoint-dir)")
-	fs.StringVar(&c.onError, "on-error", "", "slice failure policy: abort, retry, skip (enables guarded processing)")
-	fs.DurationVar(&c.sliceTimeout, "slice-timeout", 0, "per-slice deadline (e.g. 30s; 0 = none)")
-	fs.StringVar(&c.shedPolicy, "shed-policy", "", "route slices through the bounded ingest pipeline with this full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
-	fs.StringVar(&c.spillDir, "spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
-	fs.Int64Var(&c.spillMax, "spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
-	fs.DurationVar(&c.spillFsync, "spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every slice)")
-	fs.DurationVar(&c.maxLag, "max-lag", 0, "shed slices older than this at solve time (enables the ingest pipeline; 0 = never)")
 	fs.BoolVar(&c.degrade, "degrade", false, "degrade model quality under sustained overload (enables the ingest pipeline)")
-	fs.DurationVar(&c.drainTO, "drain-timeout", 30*time.Second, "max time to flush the ingest backlog on shutdown")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file at exit")
 	fs.BoolVar(&c.showVer, "version", false, "print version/build information and exit")
+	return c, fs
+}
+
+func parseFlags(args []string) config {
+	c, fs := newFlags()
 	fs.Parse(args) // ExitOnError
-	return c
+	o := &c.Options
+
+	// The arming rules of the package doc. An enum flag arms its stage by
+	// being given at all (-shed-policy block and -on-error abort are the
+	// zero values); the flag set knows it by the field it is bound to.
+	guarded := c.CheckpointDir != "" || o.Resilience.SliceTimeout > 0
+	c.piped = c.MaxLag > 0 || c.degrade || c.SpillDir != ""
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Value.(flag.Getter).Get() {
+		case &c.Policy:
+			c.piped = true
+		case &o.Resilience.Policy:
+			guarded = true
+		}
+	})
+	if !guarded {
+		o.Resilience = nil
+	}
+	return *c
 }
 
 func main() {
@@ -162,25 +174,11 @@ func profiled(cfg config, run func() error) error {
 	return f.Close()
 }
 
-// options turns the flags into decomposer options. Any of the
-// resilience flags arms guarded processing; -checkpoint-dir puts the
-// manager where both slice loops find it (Options.Resilience.Checkpoint:
-// the direct loop below and, through the decomposer, the pipeline).
+// options adds to the flags' Options the constraint and, with
+// -checkpoint-dir, the manager both slice loops find in
+// Options.Resilience.Checkpoint (the pipeline through the decomposer).
 func (c config) options() (spstream.Options, error) {
-	opt := spstream.Options{
-		Rank:      c.rank,
-		Mu:        c.mu,
-		Tol:       c.tol,
-		MaxIters:  c.maxIters,
-		Workers:   c.workers,
-		Seed:      c.seed,
-		TrackFit:  c.fit,
-		MemBudget: c.memBudget,
-	}
-	var err error
-	if opt.Algorithm, err = spstream.ParseAlgorithm(c.alg); err != nil {
-		return opt, err
-	}
+	opt := c.Options
 	switch {
 	case c.nonneg && c.l1 > 0:
 		return opt, errors.New("choose one of -nonneg and -l1")
@@ -189,21 +187,14 @@ func (c config) options() (spstream.Options, error) {
 	case c.l1 > 0:
 		opt.Constraint = spstream.L1(c.l1)
 	}
-	if c.onError == "" && c.ckptDir == "" && c.sliceTimeout <= 0 {
-		return opt, nil
-	}
-	rcfg := &spstream.ResilienceConfig{SliceTimeout: c.sliceTimeout}
-	if c.onError != "" {
-		if rcfg.Policy, err = resilience.ParsePolicy(c.onError); err != nil {
+	if c.CheckpointDir != "" {
+		rc := *opt.Resilience // the config's struct stays as it was
+		var err error
+		if rc.Checkpoint, err = spstream.NewCheckpointManager(c.CheckpointDir, c.CheckpointEvery, c.CheckpointKeep); err != nil {
 			return opt, err
 		}
+		opt.Resilience = &rc
 	}
-	if c.ckptDir != "" {
-		if rcfg.Checkpoint, err = spstream.NewCheckpointManager(c.ckptDir, c.ckptEvery, c.ckptKeep); err != nil {
-			return opt, err
-		}
-	}
-	opt.Resilience = rcfg
 	return opt, nil
 }
 
@@ -230,7 +221,7 @@ func openInput(c config) (*input, error) {
 		}
 		return &input{dims: stream.Dims, t: stream.T(), desc: fmt.Sprintf("nnz=%d", stream.NNZ()), src: stream.Source()}, nil
 	}
-	if c.shedPolicy != "" || c.spillDir != "" || c.spillMax != 0 || c.spillFsync != 0 || c.maxLag != 0 || c.degrade {
+	if c.piped || c.SpillMaxBytes != 0 || c.SpillFsyncInterval != 0 || c.MaxLag != 0 {
 		return nil, errors.New(".spblk input cannot take the ingest flags (-shed-policy, -spill-dir, -spill-max-bytes, -spill-fsync-interval, -max-lag, -degrade): the pipeline carries resident slices")
 	}
 	probe, err := spstream.OpenBlocks(paths[0])
@@ -238,7 +229,7 @@ func openInput(c config) (*input, error) {
 		return nil, err
 	}
 	defer probe.Close()
-	return &input{dims: append([]int(nil), probe.Dims()...), t: len(paths), desc: fmt.Sprintf("blocked input mem-budget=%d", c.memBudget), paths: paths}, nil
+	return &input{dims: append([]int(nil), probe.Dims()...), t: len(paths), desc: fmt.Sprintf("blocked input mem-budget=%d", c.Options.MemBudget), paths: paths}, nil
 }
 
 // next returns the next slice: a resident tensor, or the path of a block
@@ -331,28 +322,21 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	if effWorkers <= 0 {
 		effWorkers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(w, "cpstream: dims=%v T=%d %s rank=%d alg=%s workers=%d\n", in.dims, in.t, in.desc, cfg.rank, cfg.alg, effWorkers)
-	tbl := table{w: w, fit: cfg.fit, eval: in.paths != nil}
+	alg, _ := opt.Algorithm.MarshalText() // parsed from the flag: always valid
+	fmt.Fprintf(w, "cpstream: dims=%v T=%d %s rank=%d alg=%s workers=%d\n", in.dims, in.t, in.desc, opt.Rank, alg, effWorkers)
+	tbl := table{w: w, fit: opt.TrackFit, eval: in.paths != nil}
 	tbl.line("slice", "nnz", "iters", "delta", "fit", "time", "eval", "conv")
 
 	// Overload-robust path: the slices go through the bounded ingest
 	// pipeline, which also owns checkpointing for the run.
 	var p *spstream.IngestPipeline
-	if cfg.shedPolicy != "" || cfg.maxLag > 0 || cfg.degrade || cfg.spillDir != "" {
-		pcfg := spstream.IngestConfig{
-			MaxLag:       cfg.maxLag,
-			DrainTimeout: cfg.drainTO,
-			Spill:        &spstream.SpillConfig{Dir: cfg.spillDir, MaxBytes: cfg.spillMax, FsyncInterval: cfg.spillFsync},
-			OnResult:     func(res spstream.SliceResult) { tbl.row(res, "-", "") },
-			OnError:      func(err error) { fmt.Fprintf(os.Stderr, "cpstream: %v\n", err) },
-		}
-		if cfg.shedPolicy != "" {
-			if pcfg.Policy, err = spstream.ParseShedPolicy(cfg.shedPolicy); err != nil {
-				return err
-			}
-		}
+	if cfg.piped {
+		pcfg := cfg.Ingest(spstream.IngestConfig{
+			OnResult: func(res spstream.SliceResult) { tbl.row(res, "-", "") },
+			OnError:  func(err error) { fmt.Fprintf(os.Stderr, "cpstream: %v\n", err) },
+		})
 		if cfg.degrade {
-			pcfg.Degrade = &spstream.DegradeConfig{MaxLag: cfg.maxLag}
+			pcfg.Degrade = &spstream.DegradeConfig{MaxLag: cfg.MaxLag}
 		}
 		if p, err = spstream.NewIngestPipeline(dec, pcfg); err != nil {
 			return err

@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"spstream"
+	"spstream/internal/serve"
 )
 
 // TestMain lets a test re-execute this binary as cpstream itself
@@ -184,7 +188,7 @@ func TestRunSlicesAndResume(t *testing.T) {
 	if n := len(rows(straight)); n != 5 {
 		t.Fatalf("-slices 5 printed %d rows:\n%s", n, straight)
 	}
-	mustRun(t, append(uber, "-slices", "3", "-checkpoint", file, "-checkpoint-dir", ckdir, "-checkpoint-every", "2")...)
+	mustRun(t, append(uber, "-slices", "3", "-checkpoint", file, "-checkpoint-dir", ckdir, "-every", "2")...)
 	for from, factors := range map[string]string{file: f32, ckdir: fdir} {
 		out := mustRun(t, append(uber, "-resume", from, "-slices", "2", "-factors", factors)...)
 		if !strings.Contains(out, "at slice 3\n") || strings.Join(rows(out), "\n") != strings.Join(rows(straight)[3:], "\n") {
@@ -221,7 +225,7 @@ func TestRunCancelLeavesCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &cancelAt{row: "2", cancel: cancel}
-	if err := run(ctx, out, parseFlags(append(uber, "-checkpoint-dir", ckdir, "-checkpoint-every", "100"))); err != nil {
+	if err := run(ctx, out, parseFlags(append(uber, "-checkpoint-dir", ckdir, "-every", "100"))); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "interrupted at slice 3;") || len(rows(out.String())) != 3 {
@@ -240,7 +244,7 @@ func TestRunPipelinedMatchesDirect(t *testing.T) {
 	dir := t.TempDir()
 	fd, fp := filepath.Join(dir, "direct"), filepath.Join(dir, "pipelined")
 	direct := mustRun(t, append(uber, "-slices", "6", "-factors", fd)...)
-	piped := mustRun(t, append(uber, "-slices", "6", "-factors", fp, "-shed-policy", "block", "-checkpoint-dir", filepath.Join(dir, "ck"), "-checkpoint-every", "4")...)
+	piped := mustRun(t, append(uber, "-slices", "6", "-factors", fp, "-shed-policy", "block", "-checkpoint-dir", filepath.Join(dir, "ck"), "-every", "4")...)
 	if strings.Join(rows(direct), "\n") != strings.Join(rows(piped), "\n") {
 		t.Fatalf("rows differ:\ndirect\n%s\npipelined\n%s", direct, piped)
 	}
@@ -286,5 +290,56 @@ func TestRunRejectsBlockedIngestFlags(t *testing.T) {
 	}
 	if msg := stderr.String(); !strings.HasPrefix(msg, "cpstream: ") || strings.Count(msg, "\n") != 1 {
 		t.Fatalf("want one line on stderr, got %q", msg)
+	}
+}
+
+// flagNames lists a flag set's names in order.
+func flagNames(fs *flag.FlagSet) string {
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return strings.Join(names, " ")
+}
+
+// TestFlagSurface pins cpstream's flags: their names (the shared ones
+// registered by serve), what an empty argv yields, which flags arm the
+// pipeline and guarded processing, and the header's -alg spelling.
+func TestFlagSurface(t *testing.T) {
+	_, fs := newFlags()
+	const names = "alg breakdown checkpoint checkpoint-dir cpuprofile degrade drain-timeout every factors fit input keep l1 max-lag maxiters mem-budget memprofile mu nonneg on-error preset rank resume scale seed shed-policy slice-timeout slices spill-dir spill-fsync-interval spill-max-bytes streammode tol version workers"
+	if got := flagNames(fs); got != names {
+		t.Errorf("flags:\n got %s\nwant %s", got, names)
+	}
+	want := config{Config: serve.Config{
+		Options:         spstream.Options{Rank: 16, Algorithm: spstream.Optimized, Mu: 0.99, Tol: 1e-5, MaxIters: 20, Seed: 1},
+		DrainTimeout:    30 * time.Second,
+		CheckpointEvery: 10,
+		CheckpointKeep:  2,
+	}, streamMode: -1, scale: 0.2}
+	if got := parseFlags(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("empty argv:\n got %+v\nwant %+v", got, want)
+	}
+	for _, tc := range []struct {
+		argv           string
+		piped, guarded bool
+	}{
+		{"-shed-policy block", true, false},
+		{"-max-lag 1s", true, false},
+		{"-degrade", true, false},
+		{"-spill-dir wal", true, false},
+		{"-spill-max-bytes 10 -spill-fsync-interval 1s -drain-timeout 1s", false, false},
+		{"-on-error abort", false, true},
+		{"-slice-timeout 1s", false, true},
+		{"-checkpoint-dir ck", false, true},
+		{"-every 3 -keep 4 -rank 2 -alg spcp -mu 0.5", false, false},
+	} {
+		c := parseFlags(strings.Fields(tc.argv))
+		if c.piped != tc.piped || (c.Options.Resilience != nil) != tc.guarded {
+			t.Errorf("%s: piped %v guarded %v, want %v %v", tc.argv, c.piped, c.Options.Resilience != nil, tc.piped, tc.guarded)
+		}
+	}
+	for _, alg := range []string{"optimized", "spcp"} {
+		if out := mustRun(t, append(uber, "-alg", alg, "-slices", "1")...); !strings.Contains(out, " rank=4 alg="+alg+" workers=") {
+			t.Errorf("-alg %s header:\n%s", alg, out)
+		}
 	}
 }

@@ -12,20 +12,18 @@
 //	GET  /readyz           readiness (503 while the breaker is open or draining)
 //
 // The serving contract: reads always see a committed slice boundary
-// (snapshot isolation — never a mid-solve or rolled-back state), a full
-// queue answers 429 + Retry-After instead of hanging, and consecutive
-// solver failures open a circuit breaker that sheds ingest with 503
-// until a half-open probe slice succeeds. SIGINT/SIGTERM drain the
-// backlog (bounded by -drain-timeout), write a final checkpoint when
-// -checkpoint-dir is set, finish in-flight reads, and exit 0; on
-// restart the newest checkpoint is restored.
+// (snapshot isolation), a full queue answers 429 + Retry-After instead
+// of hanging, and consecutive solver failures open a circuit breaker
+// that sheds ingest with 503 until a half-open probe slice succeeds.
+// SIGINT/SIGTERM drain the backlog, write a final checkpoint, finish
+// in-flight reads and exit 0; on restart the newest checkpoint is
+// restored, and with -spill-dir the WAL backlog replays from the offset
+// bound to it.
 //
-// With -spill-dir, queue overflow is not shed: it spills to a
-// crash-safe write-ahead log in that directory and replays in
-// admission order as the solver catches up. After a hard crash the
-// unconsumed backlog replays from the offset bound to the restored
-// checkpoint — committed slices are never re-solved, admitted ones
-// never dropped.
+// The flags it shares with cpstream and watch are registered once, by
+// serve.Config's Flags, GuardFlags and WindowFlags; the daemon's own are
+// -addr, -shard-id/-shard-count, -chaos, the breaker's, -body-limit and
+// -request-timeout.
 //
 // Examples:
 //
@@ -35,6 +33,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -54,129 +53,94 @@ import (
 	"spstream/internal/version"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a free port, printed on startup)")
-		dimsFlag = flag.String("dims", "", "mode lengths of each event's coordinates, comma separated (required)")
-		rank     = flag.Int("rank", 8, "decomposition rank")
-		alg      = flag.String("alg", "spcp", "algorithm: optimized, spcp")
-		mu       = flag.Float64("mu", 0.95, "forgetting factor")
-		window   = flag.Int("window", 1000, "events per window/slice")
-		queueCap = flag.Int("queue", 8, "max windows buffered between API and solver")
-		shed     = flag.String("shed-policy", "drop-newest", "full-queue policy: drop-newest, drop-oldest, coalesce, spill")
-		maxLag   = flag.Duration("max-lag", 0, "shed windows older than this at solve time (0 = never)")
-		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "max time to flush the backlog on shutdown")
+// config is the parsed flag set: the server's Config and the daemon's
+// own flags.
+type config struct {
+	serve.Config
+	addr, chaos         string
+	shardID, shardCount int
+	showVer             bool
+}
 
-		spillDir   = flag.String("spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
-		spillMax   = flag.Int64("spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
-		spillFsync = flag.Duration("spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every window)")
+// newFlags binds every spstreamd flag to a config that holds the defaults.
+func newFlags() (*config, *flag.FlagSet) {
+	c := &config{Config: serve.Config{
+		Options: core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		Policy:  ingest.DropNewest,
+	}.WithDefaults()}
+	fs := flag.NewFlagSet("spstreamd", flag.ExitOnError)
+	c.Flags(fs)
+	c.GuardFlags(fs)
+	c.WindowFlags(fs)
+	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address (\":0\" picks a free port, printed on startup)")
+	fs.IntVar(&c.BreakerFailures, "breaker-failures", c.BreakerFailures, "consecutive solver failures that open the circuit breaker")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", c.BreakerCooldown, "breaker open→half-open cooldown")
+	fs.Int64Var(&c.BodyLimit, "body-limit", c.BodyLimit, "max request body bytes")
+	fs.DurationVar(&c.RequestTimeout, "request-timeout", c.RequestTimeout, "per-request handler deadline")
+	fs.IntVar(&c.shardID, "shard-id", -1, "this daemon's shard index in a row-sharded cluster (requires -shard-count)")
+	fs.IntVar(&c.shardCount, "shard-count", 0, "total shards in the cluster; 0 = standalone (see cmd/spstream-gateway)")
+	fs.StringVar(&c.chaos, "chaos", "", "fault injection spec for testing, e.g. \"fail=3-5\" or \"stall=2-2:200ms\" (begin-attempt ordinals, 1-based)")
+	fs.BoolVar(&c.showVer, "version", false, "print version/build information and exit")
+	return c, fs
+}
 
-		ckptDir   = flag.String("checkpoint-dir", "", "restore from and checkpoint into this directory")
-		ckptEvery = flag.Int("every", 10, "checkpoint every N committed slices")
-		ckptKeep  = flag.Int("keep", 3, "checkpoints to retain")
-
-		memBudget = flag.Int64("mem-budget", 0, "resident-memory budget in bytes per slice for block-delivered slices (0 = unconstrained)")
-
-		onError  = flag.String("on-error", "skip", "slice-failure policy: abort, retry, skip")
-		sliceTO  = flag.Duration("slice-timeout", 0, "per-slice solve deadline (0 = none)")
-		brkFails = flag.Int("breaker-failures", 3, "consecutive solver failures that open the circuit breaker")
-		brkCool  = flag.Duration("breaker-cooldown", 5*time.Second, "breaker open→half-open cooldown")
-
-		bodyLimit = flag.Int64("body-limit", 8<<20, "max request body bytes")
-		reqTO     = flag.Duration("request-timeout", 30*time.Second, "per-request handler deadline")
-
-		shardID    = flag.Int("shard-id", -1, "this daemon's shard index in a row-sharded cluster (requires -shard-count)")
-		shardCount = flag.Int("shard-count", 0, "total shards in the cluster; 0 = standalone (see cmd/spstream-gateway)")
-
-		chaos   = flag.String("chaos", "", "fault injection spec for testing, e.g. \"fail=3-5\" or \"stall=2-2:200ms\" (begin-attempt ordinals, 1-based)")
-		showVer = flag.Bool("version", false, "print version/build information and exit")
-	)
-	flag.Parse()
-	if *showVer {
-		fmt.Println("spstreamd", version.String())
-		return
-	}
-	dims, err := serve.ParseDims(*dimsFlag)
-	if err != nil {
-		fatal(err)
+func parseFlags(args []string) (config, error) {
+	c, fs := newFlags()
+	fs.Parse(args) // ExitOnError
+	switch {
+	case c.showVer:
+		return *c, nil
+	case c.Dims == nil:
+		return *c, errors.New("-dims is required")
+	case c.Policy == ingest.Block:
+		return *c, errors.New("the block policy would hang HTTP ingest; use a shedding policy")
 	}
 	// Shard identity is derived from the same router arithmetic the
 	// gateway uses, so the daemon's self-reported row block in /v1/stats
 	// can be audited against the gateway's routing table.
-	var shardInfo *serve.ShardInfo
-	if *shardCount > 0 || *shardID >= 0 {
-		if *shardCount < 1 || *shardID < 0 || *shardID >= *shardCount {
-			fatal(fmt.Errorf("-shard-id %d with -shard-count %d: need 0 <= id < count", *shardID, *shardCount))
+	if c.shardCount > 0 || c.shardID >= 0 {
+		if c.shardCount < 1 || c.shardID < 0 || c.shardID >= c.shardCount {
+			return *c, fmt.Errorf("-shard-id %d with -shard-count %d: need 0 <= id < count", c.shardID, c.shardCount)
 		}
-		router, err := cluster.NewRouter(dims, *shardCount)
+		router, err := cluster.NewRouter(c.Dims, c.shardCount)
 		if err != nil {
-			fatal(err)
+			return *c, err
 		}
-		lo, hi := router.Block(*shardID)
-		shardInfo = &serve.ShardInfo{ID: *shardID, Count: *shardCount, RowLo: lo, RowHi: hi}
+		lo, hi := router.Block(c.shardID)
+		c.Shard = &serve.ShardInfo{ID: c.shardID, Count: c.shardCount, RowLo: lo, RowHi: hi}
 	}
-	algorithm, err := core.ParseAlgorithm(*alg)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := ingest.ParseShedPolicy(*shed)
-	if err != nil {
-		fatal(err)
-	}
-	if policy == ingest.Block {
-		fatal(fmt.Errorf("the block policy would hang HTTP ingest; use a shedding policy"))
-	}
-	rpolicy, err := resilience.ParsePolicy(*onError)
-	if err != nil {
-		fatal(err)
-	}
-	rcfg := &resilience.Config{Policy: rpolicy, SliceTimeout: *sliceTO}
-	if *chaos != "" {
-		hook, err := parseChaos(*chaos)
+	if c.chaos != "" {
+		hook, err := parseChaos(c.chaos)
 		if err != nil {
-			fatal(err)
+			return *c, err
 		}
-		rcfg.FaultHook = hook
-		fmt.Fprintf(os.Stderr, "spstreamd: CHAOS MODE: %s\n", *chaos)
+		c.Options.Resilience.FaultHook = hook
 	}
+	return *c, nil
+}
 
-	srv, err := serve.New(serve.Config{
-		Dims: dims,
-		Options: core.Options{
-			Rank:       *rank,
-			Algorithm:  algorithm,
-			Mu:         *mu,
-			TrackFit:   true,
-			Normalize:  true,
-			MemBudget:  *memBudget,
-			Resilience: rcfg,
-		},
-		WindowEvents:       *window,
-		QueueCap:           *queueCap,
-		Policy:             policy,
-		MaxLag:             *maxLag,
-		DrainTimeout:       *drainTO,
-		SpillDir:           *spillDir,
-		SpillMaxBytes:      *spillMax,
-		SpillFsyncInterval: *spillFsync,
-		CheckpointDir:      *ckptDir,
-		CheckpointEvery:    *ckptEvery,
-		CheckpointKeep:     *ckptKeep,
-		BreakerFailures:    *brkFails,
-		BreakerCooldown:    *brkCool,
-		BodyLimit:          *bodyLimit,
-		RequestTimeout:     *reqTO,
-		Shard:              shardInfo,
-		Version:            version.String(),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "spstreamd: "+format+"\n", args...)
-		},
-	})
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if cfg.showVer {
+		fmt.Println("spstreamd", version.String())
+		return
+	}
+	if cfg.chaos != "" {
+		fmt.Fprintf(os.Stderr, "spstreamd: CHAOS MODE: %s\n", cfg.chaos)
+	}
+	cfg.Version = version.String()
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "spstreamd: "+format+"\n", args...)
+	}
+	srv, err := serve.New(cfg.Config)
 	if err != nil {
 		fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,21 +5,16 @@
 // the end-to-end shape of the monitoring deployments the paper's
 // introduction motivates ("topic monitoring, trend analysis").
 //
-// The feed goes through a bounded ingestion pipeline, so a producer
-// that outruns the solver cannot grow memory without bound: the
-// -shed-policy flag selects what happens to windows the solver cannot
-// keep up with, -max-lag sheds windows that have gone stale in the
-// queue, and -degrade arms the lag-aware controller that trades model
-// quality for throughput under sustained overload (and restores full
-// quality once the queue calms). With -spill-dir, overflow is never
-// shed at all: it rides a crash-safe on-disk WAL and replays in order,
-// resuming from the newest checkpoint after a crash. With
-// -checkpoint-dir the run checkpoints like the daemon does — every 10
-// committed windows, keeping 3 — and restores the newest one at startup.
-// SIGINT/SIGTERM drain gracefully: the backlog is flushed (bounded by
-// -drain-timeout), a final checkpoint is written when -checkpoint-dir
-// is set, and the overload counters are reported with -stats. A second
-// signal force-quits.
+// The feed runs on the daemon's pipeline (serve.NewPipeline), so a
+// producer that outruns the solver cannot grow memory without bound. The
+// flags watch shares with cpstream and spstreamd are registered once, by
+// serve.Config's Flags and WindowFlags: the model, the queue and its
+// -shed-policy, -max-lag, the spill WAL, and -checkpoint-dir (restored
+// at startup, written every 10 committed windows keeping 3, and at
+// drain). watch's own are -top, -window-timeout, -stats, and -degrade,
+// the lag-aware controller that trades model quality for throughput
+// under sustained overload. SIGINT/SIGTERM drain the backlog (bounded by
+// -drain-timeout); a second signal force-quits.
 //
 // Examples:
 //
@@ -48,62 +43,51 @@ import (
 	"spstream/internal/version"
 )
 
-// config is the parsed flag set; run takes it whole so tests can drive
-// every combination without a flag round-trip.
+// config is the parsed flag set: the pipeline's Config and watch's own
+// flags. run takes it whole so tests drive it without a flag round-trip.
 type config struct {
-	dims          []int
-	window        int
-	rank          int
-	topN          int
-	mu            float64
-	alg           spstream.Algorithm
-	queueCap      int
-	policy        spstream.ShedPolicy
-	maxLag        time.Duration
-	degrade       bool
-	drainTimeout  time.Duration
-	windowTimeout time.Duration
-	checkpointDir string
-	spillDir      string
-	spillMaxBytes int64
-	spillFsync    time.Duration
-	stats         bool
+	serve.Config
+	topN                    int
+	windowTimeout           time.Duration
+	degrade, stats, showVer bool
+}
+
+// newFlags binds every watch flag to a config that holds the defaults.
+func newFlags() (*config, *flag.FlagSet) {
+	c := &config{Config: serve.Config{
+		Options:      spstream.Options{Rank: 8, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		WindowEvents: 10000,
+		QueueCap:     8,
+		DrainTimeout: 30 * time.Second,
+	}, topN: 3}
+	fs := flag.NewFlagSet("watch", flag.ExitOnError)
+	c.Flags(fs)
+	c.WindowFlags(fs)
+	fs.IntVar(&c.topN, "top", c.topN, "top rows to print per component")
+	fs.DurationVar(&c.windowTimeout, "window-timeout", 0, "emit a partial window after this much wall-clock time (0 = count only)")
+	fs.BoolVar(&c.degrade, "degrade", false, "degrade model quality under sustained overload instead of falling behind")
+	fs.BoolVar(&c.stats, "stats", false, "print produced/processed/shed/coalesced/rejected counters on exit")
+	fs.BoolVar(&c.showVer, "version", false, "print version/build information and exit")
+	return c, fs
+}
+
+func parseFlags(args []string) (config, error) {
+	c, fs := newFlags()
+	fs.Parse(args) // ExitOnError
+	if c.Dims == nil && !c.showVer {
+		return *c, errors.New("-dims is required")
+	}
+	return *c, nil
 }
 
 func main() {
-	var cfg config
-	dimsFlag := flag.String("dims", "", "mode lengths of each event's coordinates, comma separated (required)")
-	flag.IntVar(&cfg.window, "window", 10000, "events per window/slice")
-	flag.IntVar(&cfg.rank, "rank", 8, "decomposition rank")
-	flag.IntVar(&cfg.topN, "top", 3, "top rows to print per component")
-	flag.Float64Var(&cfg.mu, "mu", 0.95, "forgetting factor")
-	alg := flag.String("alg", "spcp", "algorithm: optimized, spcp")
-	flag.IntVar(&cfg.queueCap, "queue", 8, "max windows buffered between feed and solver")
-	shed := flag.String("shed-policy", "block", "full-queue policy: block, drop-newest, drop-oldest, coalesce, spill")
-	flag.DurationVar(&cfg.maxLag, "max-lag", 0, "shed windows older than this at solve time (0 = never)")
-	flag.BoolVar(&cfg.degrade, "degrade", false, "degrade model quality under sustained overload instead of falling behind")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to flush the backlog on shutdown")
-	flag.DurationVar(&cfg.windowTimeout, "window-timeout", 0, "emit a partial window after this much wall-clock time (0 = count only)")
-	flag.StringVar(&cfg.checkpointDir, "checkpoint-dir", "", "restore the newest checkpoint from here at startup; write one every 10 windows and on graceful shutdown")
-	flag.StringVar(&cfg.spillDir, "spill-dir", "", "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
-	flag.Int64Var(&cfg.spillMaxBytes, "spill-max-bytes", 0, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
-	flag.DurationVar(&cfg.spillFsync, "spill-fsync-interval", 0, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every window)")
-	flag.BoolVar(&cfg.stats, "stats", false, "print produced/processed/shed/coalesced/rejected counters on exit")
-	showVer := flag.Bool("version", false, "print version/build information and exit")
-	flag.Parse()
-	if *showVer {
+	cfg, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if cfg.showVer {
 		fmt.Println("watch", version.String())
 		return
-	}
-	var err error
-	if cfg.dims, err = serve.ParseDims(*dimsFlag); err != nil {
-		fatal(err)
-	}
-	if cfg.alg, err = spstream.ParseAlgorithm(*alg); err != nil {
-		fatal(err)
-	}
-	if cfg.policy, err = spstream.ParseShedPolicy(*shed); err != nil {
-		fatal(err)
 	}
 
 	// First signal: graceful drain. Restoring default handling as soon
@@ -145,31 +129,14 @@ func run(ctx context.Context, r io.Reader, w io.Writer, cfg config) error {
 	out := &lockedWriter{w: w}
 	var degrade *spstream.DegradeConfig
 	if cfg.degrade {
-		degrade = &spstream.DegradeConfig{MaxLag: cfg.maxLag}
+		degrade = &spstream.DegradeConfig{MaxLag: cfg.MaxLag}
 	}
 	var dec *spstream.Decomposer
-	dec, p, err := serve.NewPipeline(serve.Config{
-		Dims: cfg.dims,
-		Options: spstream.Options{
-			Rank:      cfg.rank,
-			Algorithm: cfg.alg,
-			Mu:        cfg.mu,
-			TrackFit:  true,
-			Normalize: true,
-		},
-		QueueCap:           cfg.queueCap,
-		Policy:             cfg.policy,
-		MaxLag:             cfg.maxLag,
-		DrainTimeout:       cfg.drainTimeout,
-		SpillDir:           cfg.spillDir,
-		SpillMaxBytes:      cfg.spillMaxBytes,
-		SpillFsyncInterval: cfg.spillFsync,
-		CheckpointDir:      cfg.checkpointDir,
-		Logf:               func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) },
-	}, spstream.IngestConfig{
+	cfg.Logf = func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
+	dec, p, err := serve.NewPipeline(cfg.Config, spstream.IngestConfig{
 		Degrade: degrade,
 		OnResult: func(res spstream.SliceResult) {
-			printWindow(out, dec, res, cfg.dims, cfg.topN)
+			printWindow(out, dec, res, cfg.Dims, cfg.topN)
 		},
 		OnError: func(err error) {
 			if errors.Is(err, spstream.ErrIngestDurability) {
@@ -186,7 +153,7 @@ func run(ctx context.Context, r io.Reader, w io.Writer, cfg config) error {
 	// producer, and the backlog still drains (bounded by DrainTimeout).
 	p.Start(context.Background())
 
-	acc := spstream.NewWindowAccumulator(cfg.dims, cfg.window)
+	acc := spstream.NewWindowAccumulator(cfg.Dims, cfg.WindowEvents)
 	acc.WindowTimeout = cfg.windowTimeout
 
 	// The scanner runs in its own goroutine so a signal interrupts the
@@ -238,7 +205,7 @@ feed:
 			if line == "" || strings.HasPrefix(line, "#") {
 				continue
 			}
-			ev, err := serve.ParseEvent(line, cfg.dims)
+			ev, err := serve.ParseEvent(line, cfg.Dims)
 			if err != nil {
 				// A live feed keeps going past garbage; the count is
 				// reported with -stats.
@@ -251,7 +218,7 @@ feed:
 			if cfg.degrade {
 				// The controller widens windows under load; the
 				// accumulator follows between events.
-				acc.SetWindowEvents(cfg.window * p.WindowFactor())
+				acc.SetWindowEvents(cfg.WindowEvents * p.WindowFactor())
 			}
 			if slice := acc.Add(ev); slice != nil {
 				if err := p.Offer(slice); err != nil {

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,17 +22,14 @@ import (
 
 // testConfig is the baseline command configuration the tests tweak.
 func testConfig(dims []int, window int) config {
-	return config{
-		dims:         dims,
-		window:       window,
-		rank:         4,
-		topN:         2,
-		mu:           0.95,
-		alg:          spstream.SpCPStream,
-		queueCap:     8,
-		policy:       spstream.ShedBlock,
-		drainTimeout: 10 * time.Second,
-	}
+	return config{Config: serve.Config{
+		Dims:         dims,
+		WindowEvents: window,
+		Options:      spstream.Options{Rank: 4, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		QueueCap:     8,
+		Policy:       spstream.ShedBlock,
+		DrainTimeout: 10 * time.Second,
+	}, topN: 2}
 }
 
 func TestParseDims(t *testing.T) {
@@ -211,7 +210,7 @@ func TestRunGracefulInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var out syncBuffer
 	cfg := testConfig([]int{10, 10}, 200)
-	cfg.checkpointDir = dir
+	cfg.CheckpointDir = dir
 	cfg.stats = true
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, pr, &out, cfg) }()
@@ -326,9 +325,9 @@ func TestRunSpillWavesReclaimDisk(t *testing.T) {
 	pr, pw := io.Pipe()
 	var out syncBuffer
 	cfg := testConfig([]int{10, 10}, 20)
-	cfg.queueCap = 2
-	cfg.spillDir = spill
-	cfg.spillMaxBytes = 32 << 10
+	cfg.QueueCap = 2
+	cfg.SpillDir = spill
+	cfg.SpillMaxBytes = 32 << 10
 	cfg.stats = true
 	done := make(chan error, 1)
 	go func() { done <- run(context.Background(), pr, &out, cfg) }()
@@ -337,7 +336,7 @@ func TestRunSpillWavesReclaimDisk(t *testing.T) {
 	r := synth.NewRNG(3)
 	for w := 1; w <= waves; w++ {
 		var burst bytes.Buffer
-		for e := 0; e < perWave*cfg.window; e++ {
+		for e := 0; e < perWave*cfg.WindowEvents; e++ {
 			fmt.Fprintf(&burst, "%d %d 1\n", r.Intn(10)+1, r.Intn(10)+1)
 		}
 		if _, err := pw.Write(burst.Bytes()); err != nil {
@@ -363,5 +362,38 @@ func TestRunSpillWavesReclaimDisk(t *testing.T) {
 	// is left is an empty segment's header and the offset sidecar.
 	if n := dirBytes(t, spill); n > 256 {
 		t.Fatalf("%d bytes left in the spill dir after a drained run", n)
+	}
+}
+
+// TestFlagSurface pins watch's flags: their names (the shared ones
+// registered by serve) and what an empty argv yields — the -dims error,
+// and today's defaults: rank 8, spcp, µ 0.95, 10000-event windows behind
+// an 8-deep blocking queue.
+func TestFlagSurface(t *testing.T) {
+	var names []string
+	_, fs := newFlags()
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	const want = "alg checkpoint-dir degrade dims drain-timeout max-lag mu queue rank shed-policy spill-dir spill-fsync-interval spill-max-bytes stats top version window window-timeout"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("flags:\n got %s\nwant %s", got, want)
+	}
+	got, err := parseFlags(nil)
+	if err == nil || err.Error() != "-dims is required" {
+		t.Errorf("empty argv: err = %v", err)
+	}
+	defaults := config{Config: serve.Config{
+		Options:      spstream.Options{Rank: 8, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		WindowEvents: 10000,
+		QueueCap:     8,
+		Policy:       spstream.ShedBlock,
+		DrainTimeout: 30 * time.Second,
+	}, topN: 3}
+	if !reflect.DeepEqual(got, defaults) {
+		t.Errorf("empty argv:\n got %+v\nwant %+v", got, defaults)
+	}
+	got, err = parseFlags([]string{"-dims", "24,110,170", "-top", "2", "-window-timeout", "1s", "-degrade", "-stats"})
+	defaults.Dims, defaults.topN, defaults.windowTimeout, defaults.degrade, defaults.stats = []int{24, 110, 170}, 2, time.Second, true, true
+	if err != nil || !reflect.DeepEqual(got, defaults) {
+		t.Errorf("watch's own flags: %v\n got %+v\nwant %+v", err, got, defaults)
 	}
 }

@@ -37,13 +37,16 @@ const (
 	SpCPStream
 )
 
+// algNames are the -alg spellings, the text form ("spcp", where String
+// says "spcp-stream").
+var algNames = [...]string{Optimized: "optimized", SpCPStream: "spcp"}
+
 // ParseAlgorithm parses the -alg flag value the CLIs share.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "optimized":
-		return Optimized, nil
-	case "spcp":
-		return SpCPStream, nil
+	for a, name := range algNames {
+		if s == name {
+			return Algorithm(a), nil
+		}
 	}
 	return 0, fmt.Errorf("unknown algorithm %q (want optimized or spcp)", s)
 }
@@ -57,6 +60,20 @@ func (a Algorithm) String() string {
 		return "spcp-stream"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// MarshalText writes the spelling ParseAlgorithm reads.
+func (a Algorithm) MarshalText() ([]byte, error) {
+	if a < 0 || int(a) >= len(algNames) {
+		return nil, fmt.Errorf("unknown algorithm %d", int(a))
+	}
+	return []byte(algNames[a]), nil
+}
+
+// UnmarshalText parses with ParseAlgorithm.
+func (a *Algorithm) UnmarshalText(text []byte) (err error) {
+	*a, err = ParseAlgorithm(string(text))
+	return err
 }
 
 // Options configure a Decomposer. Zero values select the paper's

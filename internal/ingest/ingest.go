@@ -62,39 +62,37 @@ const (
 	Spill
 )
 
+// shedPolicyNames is the one spelling of each policy (its text form).
+var shedPolicyNames = [...]string{Block: "block", DropNewest: "drop-newest", DropOldest: "drop-oldest", Coalesce: "coalesce", Spill: "spill"}
+
 // String names the policy.
 func (p ShedPolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropNewest:
-		return "drop-newest"
-	case DropOldest:
-		return "drop-oldest"
-	case Coalesce:
-		return "coalesce"
-	case Spill:
-		return "spill"
-	default:
-		return fmt.Sprintf("ShedPolicy(%d)", int(p))
+	if b, err := p.MarshalText(); err == nil {
+		return string(b)
 	}
+	return fmt.Sprintf("ShedPolicy(%d)", int(p))
 }
 
-// ParseShedPolicy parses "block", "drop-newest", "drop-oldest",
-// "coalesce", or "spill".
+// ParseShedPolicy parses a policy's name.
 func ParseShedPolicy(s string) (ShedPolicy, error) {
-	switch s {
-	case "block":
-		return Block, nil
-	case "drop-newest":
-		return DropNewest, nil
-	case "drop-oldest":
-		return DropOldest, nil
-	case "coalesce":
-		return Coalesce, nil
-	case "spill":
-		return Spill, nil
-	default:
-		return Block, fmt.Errorf("ingest: unknown shed policy %q (want block, drop-newest, drop-oldest, coalesce, spill)", s)
+	for p, name := range shedPolicyNames {
+		if s == name {
+			return ShedPolicy(p), nil
+		}
 	}
+	return Block, fmt.Errorf("ingest: unknown shed policy %q (want block, drop-newest, drop-oldest, coalesce, spill)", s)
+}
+
+// MarshalText writes the name ParseShedPolicy reads.
+func (p ShedPolicy) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(shedPolicyNames) {
+		return nil, fmt.Errorf("ingest: unknown shed policy %d", int(p))
+	}
+	return []byte(shedPolicyNames[p]), nil
+}
+
+// UnmarshalText parses with ParseShedPolicy.
+func (p *ShedPolicy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParseShedPolicy(string(text))
+	return err
 }

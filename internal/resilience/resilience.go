@@ -43,32 +43,39 @@ const (
 	SkipSlice
 )
 
+// policyNames is the one spelling of each policy (its text form).
+var policyNames = [...]string{Abort: "abort", RetrySlice: "retry", SkipSlice: "skip"}
+
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case Abort:
-		return "abort"
-	case RetrySlice:
-		return "retry"
-	case SkipSlice:
-		return "skip"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if b, err := p.MarshalText(); err == nil {
+		return string(b)
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // ParsePolicy parses "abort", "retry", or "skip".
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "abort":
-		return Abort, nil
-	case "retry":
-		return RetrySlice, nil
-	case "skip":
-		return SkipSlice, nil
-	default:
-		return Abort, fmt.Errorf("resilience: unknown policy %q (want abort, retry, skip)", s)
+	for p, name := range policyNames {
+		if s == name {
+			return Policy(p), nil
+		}
 	}
+	return Abort, fmt.Errorf("resilience: unknown policy %q (want abort, retry, skip)", s)
+}
+
+// MarshalText writes the name ParsePolicy reads.
+func (p Policy) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(policyNames) {
+		return nil, fmt.Errorf("resilience: unknown policy %d", int(p))
+	}
+	return []byte(policyNames[p]), nil
+}
+
+// UnmarshalText parses with ParsePolicy.
+func (p *Policy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePolicy(string(text))
+	return err
 }
 
 // Structured error values. Callers match with errors.Is; the wrapping

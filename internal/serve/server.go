@@ -98,8 +98,9 @@ type ShardInfo struct {
 	RowHi int
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
+// WithDefaults fills zero fields: the production-safe defaults a daemon
+// runs with, and the flag defaults spstreamd starts from.
+func (c Config) WithDefaults() Config {
 	if c.WindowEvents <= 0 {
 		c.WindowEvents = 1000
 	}
@@ -179,9 +180,10 @@ type Server struct {
 // the pipeline owns the run's durability: replay from the restored T(),
 // the WAL offset before every due checkpoint, the final pair at Drain.
 // own carries what is the caller's — Gate, Degrade, OnResult, OnError —
-// and its queue, policy, lag, drain and spill settings come from cfg.
+// and its queue, policy, lag, drain and spill settings come from cfg
+// (Ingest).
 func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipeline, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.CheckpointDir != "" {
 		mgr, err := resilience.NewManager(cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointKeep)
 		if err != nil {
@@ -206,9 +208,7 @@ func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipel
 			return nil, nil, fmt.Errorf("serve: restore: %w", err)
 		}
 	}
-	own.QueueCap, own.Policy, own.MaxLag, own.DrainTimeout = cfg.QueueCap, cfg.Policy, cfg.MaxLag, cfg.DrainTimeout
-	own.Spill = &ingest.SpillConfig{Dir: cfg.SpillDir, MaxBytes: cfg.SpillMaxBytes, FsyncInterval: cfg.SpillFsyncInterval}
-	pipe, err := ingest.New(dec, own)
+	pipe, err := ingest.New(dec, cfg.Ingest(own))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -218,10 +218,18 @@ func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipel
 	return dec, pipe, nil
 }
 
+// Ingest returns own with c's pipeline settings: the queue, policy, lag,
+// drain and spill settings the shared flags bind.
+func (c Config) Ingest(own ingest.Config) ingest.Config {
+	own.QueueCap, own.Policy, own.MaxLag, own.DrainTimeout = c.QueueCap, c.Policy, c.MaxLag, c.DrainTimeout
+	own.Spill = &ingest.SpillConfig{Dir: c.SpillDir, MaxBytes: c.SpillMaxBytes, FsyncInterval: c.SpillFsyncInterval}
+	return own
+}
+
 // New builds the server: the durable run (NewPipeline), breaker, and
 // routes. The pipeline is not started until Run.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.Policy == ingest.Block {
 		// Blocking admission would turn queue pressure into hung HTTP
 		// requests; shedding + 429 is the serving-layer contract.
