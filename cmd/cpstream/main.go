@@ -332,12 +332,10 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	var p *spstream.IngestPipeline
 	if cfg.piped {
 		pcfg := cfg.Ingest(spstream.IngestConfig{
+			Degrade:  cfg.degrade,
 			OnResult: func(res spstream.SliceResult) { tbl.row(res, "-", "") },
 			OnError:  func(err error) { fmt.Fprintf(os.Stderr, "cpstream: %v\n", err) },
 		})
-		if cfg.degrade {
-			pcfg.Degrade = &spstream.DegradeConfig{MaxLag: cfg.MaxLag}
-		}
 		if p, err = spstream.NewIngestPipeline(dec, pcfg); err != nil {
 			return err
 		}

@@ -127,14 +127,10 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 // the window timeout, the -degrade window widening and the summaries.
 func run(ctx context.Context, r io.Reader, w io.Writer, cfg config) error {
 	out := &lockedWriter{w: w}
-	var degrade *spstream.DegradeConfig
-	if cfg.degrade {
-		degrade = &spstream.DegradeConfig{MaxLag: cfg.MaxLag}
-	}
 	var dec *spstream.Decomposer
 	cfg.Logf = func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
 	dec, p, err := serve.NewPipeline(cfg.Config, spstream.IngestConfig{
-		Degrade: degrade,
+		Degrade: cfg.degrade,
 		OnResult: func(res spstream.SliceResult) {
 			printWindow(out, dec, res, cfg.Dims, cfg.topN)
 		},

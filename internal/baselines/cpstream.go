@@ -87,7 +87,7 @@ func (b *CPStream) solveS(x *sptensor.Tensor) (psi []float64, muG, phiS *dense.M
 	psi = make([]float64, len(b.s))
 	b.lk.TimeModeLocked(psi, x, b.a)
 	copy(b.s, psi)
-	if err := solveTemporal(b.s, b.c, b.opt.StreamRidge); err != nil {
+	if err := solveTemporal(b.s, b.c, core.StreamRidge); err != nil {
 		return nil, nil, nil, err
 	}
 	muG, phiS = dense.NewMatrix(len(b.s), len(b.s)), dense.NewMatrix(len(b.s), len(b.s))
@@ -127,7 +127,7 @@ func (b *CPStream) ProcessSlice(x *sptensor.Tensor) (core.SliceResult, error) {
 			// Φ⁽ⁿ⁾ = (⊛_{v≠n} C⁽ᵛ⁾) ⊛ (µG + ssᵀ) + ridge·I.
 			phi := hadamardExcept(b.c, n)
 			dense.Hadamard(phi, phi, phiS)
-			ridge := opt.FactorRidgeRel * dense.Trace(phi) / float64(k)
+			ridge := core.FactorRidgeRel * dense.Trace(phi) / float64(k)
 			if ridge <= 0 || math.IsNaN(ridge) {
 				ridge = 1e-12
 			}

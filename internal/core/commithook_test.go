@@ -27,8 +27,7 @@ func TestCommitHookFiresOnlyOnCommit(t *testing.T) {
 	// fail every slice from the first injected failure onward.
 	var firstAttempts int
 	rcfg := &resilience.Config{
-		Policy:          resilience.SkipSlice,
-		MaxSliceRetries: 1,
+		Policy: resilience.SkipSlice,
 		FaultHook: func(f resilience.Fault) error {
 			if f.Stage != resilience.StageBegin {
 				return nil

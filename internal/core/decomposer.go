@@ -243,7 +243,7 @@ func (d *Decomposer) solveS() error {
 	for m := range d.c {
 		dense.Hadamard(phi, phi, d.c[m])
 	}
-	dense.AddScaledIdentity(phi, phi, d.opt.StreamRidge)
+	dense.AddScaledIdentity(phi, phi, StreamRidge)
 	if err := d.factorize(phi); err != nil {
 		return fmt.Errorf("core: sₜ solve: %w", err)
 	}
@@ -271,7 +271,7 @@ func (d *Decomposer) buildPhi(dst *dense.Matrix, mode int) float64 {
 		dense.Hadamard(dst, dst, d.c[v])
 	}
 	dense.Hadamard(dst, dst, d.phiS)
-	ridge := d.opt.FactorRidgeRel * dense.Trace(dst) / float64(d.k)
+	ridge := FactorRidgeRel * dense.Trace(dst) / float64(d.k)
 	if ridge <= 0 || math.IsNaN(ridge) {
 		ridge = 1e-12
 	}

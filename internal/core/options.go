@@ -76,6 +76,17 @@ func (a *Algorithm) UnmarshalText(text []byte) (err error) {
 	return err
 }
 
+// The method's fixed ridges. They are constants of CP-stream, not
+// per-run choices.
+const (
+	// StreamRidge is the Frobenius regularization on the streaming-mode
+	// solve (paper §VI-B).
+	StreamRidge = 1e-2
+	// FactorRidgeRel scales the ridge added to Φ⁽ⁿ⁾ before factorization,
+	// relative to tr(Φ)/K.
+	FactorRidgeRel = 1e-6
+)
+
 // Options configure a Decomposer. Zero values select the paper's
 // defaults where one exists.
 type Options struct {
@@ -89,12 +100,6 @@ type Options struct {
 	Tol float64
 	// MaxIters bounds the inner (per-slice) iteration count. Default 20.
 	MaxIters int
-	// StreamRidge is the Frobenius regularization on the streaming-mode
-	// solve (paper §VI-B uses 1e-2). Default 1e-2.
-	StreamRidge float64
-	// FactorRidgeRel scales the ridge added to Φ⁽ⁿ⁾ before factorization,
-	// relative to tr(Φ)/K. Default 1e-6.
-	FactorRidgeRel float64
 	// Workers is the parallel width (≤0 = GOMAXPROCS). The results are
 	// bit-identical at any worker count: every kernel gives each output
 	// row one writer and every sum is keyed by fixed blocks, so a
@@ -168,12 +173,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 20
-	}
-	if o.StreamRidge <= 0 {
-		o.StreamRidge = 1e-2
-	}
-	if o.FactorRidgeRel <= 0 {
-		o.FactorRidgeRel = 1e-6
 	}
 	if o.Workers <= 0 {
 		o.Workers = parallel.DefaultWorkers()

@@ -104,8 +104,15 @@ func (d *Decomposer) rollback() bool {
 	return true
 }
 
-// ResilienceStats returns a copy of the per-stream recovery counters.
-func (d *Decomposer) ResilienceStats() resilience.Stats { return d.stats }
+// ResilienceStats returns a copy of the per-stream recovery counters;
+// the checkpoint counts are the manager's.
+func (d *Decomposer) ResilienceStats() resilience.Stats {
+	st := d.stats
+	if mgr := d.Checkpoints(); mgr != nil {
+		st.CheckpointWrites, st.CheckpointErrors = mgr.Counts()
+	}
+	return st
+}
 
 // injectFault invokes the fault-injection hook (testing only; no-op
 // without one).
@@ -117,10 +124,21 @@ func (d *Decomposer) injectFault(stage resilience.Stage, iter int) error {
 	return cfg.FaultHook(resilience.Fault{Stage: stage, Slice: d.t, Iter: iter, Attempt: d.sliceAttempt})
 }
 
+// The recovery constants: a failed Φ factorization is retried at most
+// maxFactorizeRetries times with a ridge of ridgeBoost·tr(Φ)/K, grown by
+// ridgeGrowth per rung; RetrySlice and SkipSlice re-run a failed slice
+// maxSliceRetries times from the snapshot.
+const (
+	ridgeBoost          = 1e-6
+	ridgeGrowth         = 100
+	maxFactorizeRetries = 3
+	maxSliceRetries     = 1
+)
+
 // factorize runs the Φ Cholesky factorization with the recovery ladder:
 // on ErrNotSPD (a numerically indefinite Gram, the classic CP-stream
 // failure mode) it retries with an escalating ridge via
-// dense.FactorRidge, bounded by MaxFactorizeRetries, before giving up
+// dense.FactorRidge, bounded by maxFactorizeRetries, before giving up
 // with the original error. Without a resilience config it is exactly
 // chol.Factorize.
 func (d *Decomposer) factorize(phi *dense.Matrix) error {
@@ -132,11 +150,11 @@ func (d *Decomposer) factorize(phi *dense.Matrix) error {
 	if err == nil || cfg == nil || !errors.Is(err, dense.ErrNotSPD) {
 		return err
 	}
-	boost := cfg.RidgeBoost * dense.Trace(phi) / float64(d.k)
+	boost := ridgeBoost * dense.Trace(phi) / float64(d.k)
 	if !(boost > 0) || math.IsInf(boost, 0) { // catches NaN traces too
 		boost = 1e-10
 	}
-	for attempt := 0; attempt < cfg.MaxFactorizeRetries; attempt++ {
+	for attempt := 0; attempt < maxFactorizeRetries; attempt++ {
 		d.stats.RidgeRetries++
 		c, rerr := dense.FactorRidge(phi, boost)
 		if rerr == nil {
@@ -144,7 +162,7 @@ func (d *Decomposer) factorize(phi *dense.Matrix) error {
 			d.stats.RidgeRecoveries++
 			return nil
 		}
-		boost *= cfg.RidgeGrowth
+		boost *= ridgeGrowth
 	}
 	return err
 }
@@ -166,8 +184,8 @@ func scanSliceInput(x *sptensor.Tensor) error {
 
 // healthCheck validates the numerical state a just-finished slice left
 // behind: finite convergence measure within the divergence guard,
-// finite factors, temporal weights, and temporal Gram, and (optionally)
-// the fit floor. Failures wrap resilience.ErrDiverged.
+// finite factors, temporal weights, and temporal Gram. Failures wrap
+// resilience.ErrDiverged.
 func (d *Decomposer) healthCheck(res *SliceResult) error {
 	cfg := d.opt.Resilience
 	if cfg == nil {
@@ -188,9 +206,6 @@ func (d *Decomposer) healthCheck(res *SliceResult) error {
 	}
 	if d.g.HasNaN() {
 		return fmt.Errorf("core: slice t=%d produced a non-finite temporal Gram: %w", res.T, resilience.ErrDiverged)
-	}
-	if cfg.FitFloor != 0 && d.opt.TrackFit && !math.IsNaN(res.Fit) && res.Fit < cfg.FitFloor {
-		return fmt.Errorf("core: slice t=%d fit %g below floor %g: %w", res.T, res.Fit, cfg.FitFloor, resilience.ErrDiverged)
 	}
 	return nil
 }
@@ -370,7 +385,7 @@ func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult,
 			d.sliceAttempt = 0
 			return res, err
 		}
-		if attempt < cfg.MaxSliceRetries {
+		if attempt < maxSliceRetries {
 			d.stats.SliceRetries++
 			continue
 		}
@@ -403,8 +418,8 @@ func (d *Decomposer) Checkpoints() *resilience.Manager {
 // continues; any other error stops the drain. When the resilience
 // config carries a checkpoint manager, the state is checkpointed
 // crash-safely every manager interval; checkpoint write failures are
-// counted, not fatal — losing a checkpoint must not kill the stream it
-// exists to protect.
+// counted by the manager, not fatal — losing a checkpoint must not kill
+// the stream it exists to protect.
 func (d *Decomposer) ProcessStreamContext(ctx context.Context, src sptensor.SliceSource, cb func(SliceResult)) ([]SliceResult, error) {
 	mgr := d.Checkpoints()
 	var out []SliceResult
@@ -425,11 +440,7 @@ func (d *Decomposer) ProcessStreamContext(ctx context.Context, src sptensor.Slic
 			cb(res)
 		}
 		if err == nil && mgr != nil {
-			if path, werr := mgr.MaybeWrite(d.t, d); werr != nil {
-				d.stats.CheckpointErrors++
-			} else if path != "" {
-				d.stats.CheckpointWrites++
-			}
+			mgr.MaybeWrite(d.t, d)
 		}
 	}
 }

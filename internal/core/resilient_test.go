@@ -173,9 +173,12 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestCheckpointCRCRejectsCorruption: a bit flip anywhere in a v2
+// TestCheckpointCRCRejectsCorruption: a bit flip anywhere in a
 // checkpoint fails the CRC check (or the structural validation for
-// header bytes) — never a silent wrong restore.
+// header bytes) — never a silent wrong restore. That holds for a flip
+// of the magic's version byte too, even with a payload bit flipped
+// beside it: '3' → '1' names the footerless v1 format, which is
+// rejected instead of restored unchecked (TestRestoreV1Checkpoint).
 func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 	s := testStream(t, 305, []int{10, 12}, 100, 3)
 	d, _ := runStream(t, s, Options{Rank: 2, Seed: 1})
@@ -197,6 +200,24 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 			t.Errorf("bit flip at offset %d restored silently", off)
 		}
 	}
+	// The version byte flipped to v1, alone and with a payload flip.
+	if raw[7] != '3' {
+		t.Fatalf("magic %q is not v3", raw[:8])
+	}
+	for _, payloadFlip := range []bool{false, true} {
+		corrupted := append([]byte(nil), raw...)
+		corrupted[7] ^= '3' ^ '1'
+		if payloadFlip {
+			corrupted[len(raw)/2] ^= 0x10
+		}
+		fresh, err := NewDecomposer([]int{10, 12}, Options{Rank: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.RestoreState(bytes.NewReader(corrupted)); err == nil {
+			t.Errorf("magic flip to v1 (payload flip %v) restored silently", payloadFlip)
+		}
+	}
 	// Truncation of just the footer is rejected too.
 	fresh, _ := NewDecomposer([]int{10, 12}, Options{Rank: 2})
 	if err := fresh.RestoreState(bytes.NewReader(raw[:len(raw)-2])); err == nil {
@@ -208,8 +229,9 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreV1Checkpoint: a v1 (SPSTRM01) checkpoint — same payload,
-// no CRC footer — still restores bit-identically.
+// TestRestoreV1Checkpoint: a v1 (SPSTRM01) checkpoint — the current
+// payload, no CRC footer — is rejected by its magic, so no restore
+// goes unchecksummed.
 func TestRestoreV1Checkpoint(t *testing.T) {
 	s := testStream(t, 306, []int{10, 12}, 100, 3)
 	d, _ := runStream(t, s, Options{Rank: 2, Seed: 1})
@@ -217,22 +239,17 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	if err := d.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v2 := buf.Bytes()
-	v1 := append([]byte(nil), v2[:len(v2)-4]...) // strip the CRC footer
-	copy(v1, stateMagicV1[:])
+	raw := buf.Bytes()
+	v1 := append([]byte(nil), raw[:len(raw)-4]...) // strip the CRC footer
+	copy(v1, "SPSTRM01")
 
 	restored, err := NewDecomposer([]int{10, 12}, Options{Rank: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreState(bytes.NewReader(v1)); err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if restored.T() != d.T() {
-		t.Fatalf("restored T = %d, want %d", restored.T(), d.T())
-	}
-	if diff := maxFactorDiff(d, restored); diff != 0 {
-		t.Fatalf("v1 restore differs by %g", diff)
+	err = restored.RestoreState(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
+		t.Fatalf("v1 checkpoint: err = %v, want a bad-magic rejection", err)
 	}
 }
 

@@ -293,7 +293,7 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 			}
 			failed := false
 			opt.Resilience = &resilience.Config{
-				Policy: resilience.RetrySlice, MaxSliceRetries: 1, DisableInputScan: true,
+				Policy: resilience.RetrySlice, DisableInputScan: true,
 				FaultHook: func(f resilience.Fault) error {
 					// After two iterations of slice 1's first attempt have
 					// each left their ψ behind.

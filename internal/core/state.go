@@ -29,13 +29,13 @@ import (
 // of it. Like v2, v3 carries a CRC32 (IEEE) footer covering the magic
 // and the payload, so a checkpoint truncated or bit-flipped at rest is
 // rejected instead of restoring silently wrong state. v2 (SPSTRM02, no
-// flag) and v1 (SPSTRM01, no flag, no footer) checkpoints still restore.
+// flag) checkpoints still restore; v1 (SPSTRM01) had no footer and is
+// rejected, so every restore is checksummed.
 
 // stateMagic identifies the checkpoint container and its version.
 var (
 	stateMagic   = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '3'}
 	stateMagicV2 = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '2'}
-	stateMagicV1 = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '1'}
 )
 
 // crcWriter updates a running CRC32 with everything written through it.
@@ -146,7 +146,7 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 
 // RestoreState loads a checkpoint written by SaveState into this
 // decomposer. The decomposer must have been created with the same dims
-// and rank; mismatches, truncations, and (for v2) checksum failures are
+// and rank; mismatches, truncations, and checksum failures are
 // rejected, leaving a partially overwritten but structurally intact
 // decomposer — callers recovering from a bad checkpoint should restore
 // another or create a fresh decomposer. Every length field is validated
@@ -159,13 +159,11 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
 		return fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
-	var withCRC, withLayout bool
+	var withLayout bool
 	switch magic {
 	case stateMagic:
-		withCRC, withLayout = true, true
+		withLayout = true
 	case stateMagicV2:
-		withCRC = true
-	case stateMagicV1:
 	default:
 		return fmt.Errorf("core: bad checkpoint magic %q", magic)
 	}
@@ -277,15 +275,13 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 			return fmt.Errorf("core: checkpoint layout presence flag %d is not 0 or 1", hasLayout)
 		}
 	}
-	if withCRC {
-		sum := cr.crc // everything hashed so far: magic + payload
-		var footer uint32
-		if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
-			return fmt.Errorf("core: reading checkpoint checksum: %w", err)
-		}
-		if footer != sum {
-			return fmt.Errorf("core: checkpoint checksum mismatch (stored %08x, computed %08x)", footer, sum)
-		}
+	sum := cr.crc // everything hashed so far: magic + payload
+	var footer uint32
+	if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
+		return fmt.Errorf("core: reading checkpoint checksum: %w", err)
+	}
+	if footer != sum {
+		return fmt.Errorf("core: checkpoint checksum mismatch (stored %08x, computed %08x)", footer, sum)
 	}
 	d.sHist = sHist
 	d.prevNZ = prevNZ

@@ -231,15 +231,6 @@ func (c *Cholesky) Inverse() *Matrix {
 	return out
 }
 
-// LogDet returns log det(L·Lᵀ) = 2·Σ log L[i][i].
-func (c *Cholesky) LogDet() float64 {
-	sum := 0.0
-	for i := 0; i < c.n; i++ {
-		sum += math.Log(c.l.Data[i*c.l.Stride+i])
-	}
-	return 2 * sum
-}
-
 // SolveSPD is a convenience that factors a+ridge·I and solves X·a' = b,
 // returning the new X (b unmodified).
 func SolveSPD(a *Matrix, ridge float64, b *Matrix) (*Matrix, error) {

@@ -2,7 +2,6 @@ package dense
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -113,20 +112,6 @@ func TestFactorRidge(t *testing.T) {
 		if !almostEqual(b[i], want[i], 1e-12) {
 			t.Fatalf("ridge solve[%d] = %v", i, b[i])
 		}
-	}
-}
-
-func TestLogDet(t *testing.T) {
-	a := Identity(4)
-	a.Set(0, 0, 2)
-	a.Set(1, 1, 3)
-	c, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(6.0)
-	if !almostEqual(c.LogDet(), want, 1e-12) {
-		t.Fatalf("LogDet = %v want %v", c.LogDet(), want)
 	}
 }
 

@@ -1,7 +1,5 @@
 package dense
 
-import "math"
-
 // Add computes dst = a + b element-wise. dst may alias a or b.
 func Add(dst, a, b *Matrix) {
 	checkSameShape(a, b)
@@ -33,17 +31,6 @@ func Scale(dst *Matrix, alpha float64, a *Matrix) {
 		da, ra := dst.Row(i), a.Row(i)
 		for j := range da {
 			da[j] = alpha * ra[j]
-		}
-	}
-}
-
-// AXPY computes dst += alpha * a.
-func AXPY(dst *Matrix, alpha float64, a *Matrix) {
-	checkSameShape(dst, a)
-	for i := 0; i < a.Rows; i++ {
-		da, ra := dst.Row(i), a.Row(i)
-		for j := range da {
-			da[j] += alpha * ra[j]
 		}
 	}
 }
@@ -98,9 +85,6 @@ func FrobNorm2(a *Matrix) float64 {
 	}
 	return sum
 }
-
-// FrobNorm returns the Frobenius norm ‖a‖_F.
-func FrobNorm(a *Matrix) float64 { return math.Sqrt(FrobNorm2(a)) }
 
 // FrobNorm2Diff returns ‖a-b‖²_F without materializing the difference.
 func FrobNorm2Diff(a, b *Matrix) float64 {
@@ -169,17 +153,6 @@ func GatherRowsInto(dst, src *Matrix, idx []int) {
 	}
 	for r, i := range idx {
 		copy(dst.Row(r), src.Row(i))
-	}
-}
-
-// ScatterRows copies row r of src into row idx[r] of dst: the A ← A_nz ⊕
-// A_z "scatter" of spCP-stream.
-func ScatterRows(dst, src *Matrix, idx []int) {
-	if src.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("dense: ScatterRows shape mismatch")
-	}
-	for r, i := range idx {
-		copy(dst.Row(i), src.Row(r))
 	}
 }
 

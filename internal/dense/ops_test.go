@@ -22,10 +22,6 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	if diff.At(0, 0) != 18 {
 		t.Fatal("Scale in place wrong")
 	}
-	AXPY(sum, -1, b)
-	if !sum.Equal(a, 0) {
-		t.Fatal("AXPY wrong")
-	}
 }
 
 func TestHadamardCommutative(t *testing.T) {
@@ -58,9 +54,6 @@ func TestTraceAndNorms(t *testing.T) {
 	}
 	if FrobNorm2(a) != 25 {
 		t.Fatal("FrobNorm2 wrong")
-	}
-	if FrobNorm(a) != 5 {
-		t.Fatal("FrobNorm wrong")
 	}
 	b := NewMatrix(2, 2)
 	if FrobNorm2Diff(a, b) != 25 {
@@ -95,38 +88,9 @@ func TestGatherScatterRows(t *testing.T) {
 	if g.At(0, 0) != 3 || g.At(1, 1) != 1 {
 		t.Fatalf("GatherRows wrong: %v", g)
 	}
-	dst := NewMatrix(4, 2)
-	ScatterRows(dst, g, []int{3, 1})
-	if dst.At(3, 0) != 3 || dst.At(1, 0) != 1 || dst.At(0, 0) != 0 {
-		t.Fatalf("ScatterRows wrong: %v", dst)
-	}
 	g2 := NewMatrix(2, 2)
 	GatherRowsInto(g2, src, []int{0, 2})
 	if g2.At(1, 1) != 2 {
 		t.Fatal("GatherRowsInto wrong")
-	}
-}
-
-// Property: gather then scatter with the same index list restores the
-// gathered rows exactly.
-func TestGatherScatterRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		src := randomMatrix(seed, 8, 3)
-		idx := []int{1, 4, 6}
-		g := GatherRows(src, idx)
-		dst := src.Clone()
-		dst.Zero()
-		ScatterRows(dst, g, idx)
-		for _, i := range idx {
-			for j := 0; j < 3; j++ {
-				if dst.At(i, j) != src.At(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

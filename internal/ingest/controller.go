@@ -20,47 +20,22 @@ type Tunable interface {
 	SetAlgorithm(core.Algorithm) error
 }
 
-// ControllerConfig parameterizes the lag-aware degradation controller.
-// The zero value gives the documented defaults.
-type ControllerConfig struct {
-	// HighWater is the queue-depth fraction at or above which the
-	// controller steps the quality ladder down. Default 0.75.
-	HighWater float64
-	// LowWater is the queue-depth fraction at or below which a slice
-	// counts as calm (a step-up candidate). Default 0.25.
-	LowWater float64
-	// MaxLag, when positive, is the target admission-to-solve lag: lag
-	// beyond it is pressure regardless of queue depth, and calm
-	// additionally requires lag ≤ MaxLag/2.
-	MaxLag time.Duration
-	// StepUpAfter is the hysteresis: consecutive calm slices required
-	// before one step back up the ladder. Default 3. After a burst the
-	// controller is therefore back at full quality within
-	// level×StepUpAfter calm slices.
-	StepUpAfter int
-	// LagAlpha is the EWMA weight of the newest lag observation.
-	// Default 0.3.
-	LagAlpha float64
-}
-
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.HighWater <= 0 || c.HighWater > 1 {
-		c.HighWater = 0.75
-	}
-	if c.LowWater <= 0 || c.LowWater >= c.HighWater {
-		c.LowWater = 0.25
-		if c.LowWater >= c.HighWater {
-			c.LowWater = c.HighWater / 2
-		}
-	}
-	if c.StepUpAfter < 1 {
-		c.StepUpAfter = 3
-	}
-	if c.LagAlpha <= 0 || c.LagAlpha > 1 {
-		c.LagAlpha = 0.3
-	}
-	return c
-}
+// The controller's fixed thresholds.
+const (
+	// highWater is the queue-depth fraction at or above which the
+	// controller steps the quality ladder down.
+	highWater = 0.75
+	// lowWater is the queue-depth fraction at or below which a slice
+	// counts as calm (a step-up candidate).
+	lowWater = 0.25
+	// stepUpAfter is the hysteresis: consecutive calm slices required
+	// before one step back up the ladder. After a burst the controller
+	// is therefore back at full quality within level×stepUpAfter calm
+	// slices.
+	stepUpAfter = 3
+	// lagAlpha is the EWMA weight of the newest lag observation.
+	lagAlpha = 0.3
+)
 
 // Ladder levels. Each level is applied absolutely (not incrementally),
 // so the controller can jump to any level and land in a consistent
@@ -90,9 +65,12 @@ const (
 // (the only time the Tunable may be mutated); Level and WindowFactor
 // are safe to read from other goroutines.
 type Controller struct {
-	cfg ControllerConfig
-	tun Tunable
-	ov  *trace.Overload
+	// maxLag, when positive, is the target admission-to-solve lag: lag
+	// beyond it is pressure regardless of queue depth, and calm
+	// additionally requires lag ≤ maxLag/2.
+	maxLag time.Duration
+	tun    Tunable
+	ov     *trace.Overload
 
 	// Base configuration captured at construction — the "full quality"
 	// the ladder restores to.
@@ -106,9 +84,11 @@ type Controller struct {
 }
 
 // NewController captures tun's current configuration as full quality.
-func NewController(tun Tunable, cfg ControllerConfig, ov *trace.Overload) *Controller {
+// maxLag is the pipeline's (Config.MaxLag); zero leaves lag out of the
+// pressure and calm tests.
+func NewController(tun Tunable, maxLag time.Duration, ov *trace.Overload) *Controller {
 	c := &Controller{
-		cfg:       cfg.withDefaults(),
+		maxLag:    maxLag,
 		tun:       tun,
 		ov:        ov,
 		baseIters: tun.MaxIters(),
@@ -145,16 +125,16 @@ func (c *Controller) Observe(depth, capacity int, lag time.Duration, spillPendin
 	if c.lagEWMA == 0 {
 		c.lagEWMA = lag
 	} else {
-		c.lagEWMA += time.Duration(c.cfg.LagAlpha * float64(lag-c.lagEWMA))
+		c.lagEWMA += time.Duration(lagAlpha * float64(lag-c.lagEWMA))
 	}
 	c.ov.LagEWMANanos.Store(int64(c.lagEWMA))
 
 	fill := float64(depth) / float64(capacity)
-	pressure := fill >= c.cfg.HighWater ||
-		(c.cfg.MaxLag > 0 && c.lagEWMA > c.cfg.MaxLag) ||
+	pressure := fill >= highWater ||
+		(c.maxLag > 0 && c.lagEWMA > c.maxLag) ||
 		spillPending > 0
-	calm := fill <= c.cfg.LowWater && spillPending == 0 &&
-		(c.cfg.MaxLag == 0 || c.lagEWMA <= c.cfg.MaxLag/2)
+	calm := fill <= lowWater && spillPending == 0 &&
+		(c.maxLag == 0 || c.lagEWMA <= c.maxLag/2)
 
 	level := int(c.level.Load())
 	switch {
@@ -164,7 +144,7 @@ func (c *Controller) Observe(depth, capacity int, lag time.Duration, spillPendin
 		c.ov.DegradeSteps.Add(1)
 	case calm && level > 0:
 		c.calmRun++
-		if c.calmRun >= c.cfg.StepUpAfter {
+		if c.calmRun >= stepUpAfter {
 			c.calmRun = 0
 			c.apply(level - 1)
 			c.ov.RestoreSteps.Add(1)

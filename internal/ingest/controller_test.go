@@ -25,11 +25,11 @@ func newTestDecomposer(t *testing.T, opt core.Options) *core.Decomposer {
 // depth observations and checks the full ladder walk: every level
 // degrades the configured knobs, and the documented hysteresis bound
 // holds — from the deepest level the controller is back at full
-// quality within numLevels×StepUpAfter calm observations.
+// quality within (numLevels−1)×stepUpAfter calm observations.
 func TestControllerLadderDownAndUp(t *testing.T) {
 	var ov trace.Overload
 	d := newTestDecomposer(t, core.Options{Algorithm: core.Optimized, MaxIters: 20, ADMMMaxIters: 50})
-	c := NewController(d, ControllerConfig{StepUpAfter: 2}, &ov)
+	c := NewController(d, 0, &ov)
 
 	// Sustained pressure: full queue every observation.
 	for i := 0; i < 10; i++ {
@@ -54,9 +54,9 @@ func TestControllerLadderDownAndUp(t *testing.T) {
 		t.Fatalf("DegradeSteps = %d, want %d", got, numLevels-1)
 	}
 
-	// Calm: empty queue. Documented bound: level×StepUpAfter calm
+	// Calm: empty queue. Documented bound: level×stepUpAfter calm
 	// slices to full quality.
-	bound := (numLevels - 1) * 2
+	bound := (numLevels - 1) * stepUpAfter
 	for i := 0; i < bound; i++ {
 		c.Observe(0, 8, 0, 0)
 	}
@@ -82,7 +82,7 @@ func TestControllerLadderDownAndUp(t *testing.T) {
 func TestControllerHysteresis(t *testing.T) {
 	var ov trace.Overload
 	d := newTestDecomposer(t, core.Options{Algorithm: core.Optimized, MaxIters: 20})
-	c := NewController(d, ControllerConfig{StepUpAfter: 3}, &ov)
+	c := NewController(d, 0, &ov)
 	c.Observe(8, 8, 0, 0) // degrade to 1
 	if c.Level() != 1 {
 		t.Fatalf("level = %d, want 1", c.Level())
@@ -101,20 +101,44 @@ func TestControllerHysteresis(t *testing.T) {
 	}
 }
 
-// TestControllerLagPressure: lag beyond MaxLag is pressure even with a
-// shallow queue.
+// TestControllerLagPressure: lag beyond the max lag is pressure even
+// with a shallow queue.
 func TestControllerLagPressure(t *testing.T) {
 	var ov trace.Overload
 	d := newTestDecomposer(t, core.Options{Algorithm: core.Optimized, MaxIters: 20})
-	c := NewController(d, ControllerConfig{MaxLag: 10 * time.Millisecond, LagAlpha: 1}, &ov)
+	c := NewController(d, 10*time.Millisecond, &ov)
 	c.Observe(0, 8, 50*time.Millisecond, 0)
 	if c.Level() != 1 {
-		t.Fatalf("level = %d with lag 5× MaxLag, want 1", c.Level())
+		t.Fatalf("level = %d with lag 5× max lag, want 1", c.Level())
 	}
-	// Calm needs lag ≤ MaxLag/2 as well as a shallow queue.
+	// The EWMA moves lagAlpha of the way to the newest lag and is still
+	// past the max lag: pressure again, though the queue is shallow.
 	c.Observe(0, 8, 8*time.Millisecond, 0)
-	if got := c.LagEWMA(); got != 8*time.Millisecond {
-		t.Fatalf("LagEWMA = %v with α=1, want 8ms", got)
+	want := 50*time.Millisecond + time.Duration(lagAlpha*float64(8*time.Millisecond-50*time.Millisecond))
+	if got := c.LagEWMA(); got != want {
+		t.Fatalf("LagEWMA = %v with α=%g, want %v", got, lagAlpha, want)
+	}
+	if c.Level() != 2 {
+		t.Fatalf("level = %d with lag EWMA %v past the max lag, want 2", c.Level(), want)
+	}
+	// Calm needs lag ≤ max lag/2 as well as a shallow queue: while the
+	// EWMA decays through (5ms, 10ms] the level holds, and only calm
+	// observations below 5ms step it up.
+	for c.LagEWMA() > 10*time.Millisecond {
+		c.Observe(0, 8, 0, 0)
+	}
+	level := c.Level()
+	for c.LagEWMA() > 5*time.Millisecond {
+		c.Observe(0, 8, 0, 0)
+	}
+	if c.Level() != level {
+		t.Fatalf("level = %d after lag EWMA decayed to %v, want %d (lag above max lag/2 is not calm)", c.Level(), c.LagEWMA(), level)
+	}
+	for i := 0; i < stepUpAfter; i++ {
+		c.Observe(0, 8, 0, 0)
+	}
+	if c.Level() != level-1 {
+		t.Fatalf("level = %d after %d calm observations, want %d", c.Level(), stepUpAfter, level-1)
 	}
 }
 
@@ -124,7 +148,7 @@ func TestControllerLagPressure(t *testing.T) {
 func TestControllerConstrainedFallback(t *testing.T) {
 	var ov trace.Overload
 	d := newTestDecomposer(t, core.Options{Algorithm: core.Optimized, Constraint: admm.NonNeg{}, MaxIters: 20, ADMMMaxIters: 40})
-	c := NewController(d, ControllerConfig{StepUpAfter: 1}, &ov)
+	c := NewController(d, 0, &ov)
 	for i := 0; i < numLevels; i++ {
 		c.Observe(8, 8, 0, 0)
 	}
@@ -134,7 +158,7 @@ func TestControllerConstrainedFallback(t *testing.T) {
 	if d.MaxIters() != 5 || d.ADMMMaxIters() != 10 {
 		t.Fatalf("constrained fallback iters = %d/%d, want 5/10", d.MaxIters(), d.ADMMMaxIters())
 	}
-	for i := 0; i < numLevels; i++ {
+	for i := 0; i < (numLevels-1)*stepUpAfter; i++ {
 		c.Observe(0, 8, 0, 0)
 	}
 	if d.MaxIters() != 20 || d.ADMMMaxIters() != 40 || c.Level() != 0 {
@@ -150,7 +174,7 @@ func TestControllerConstrainedFallback(t *testing.T) {
 func TestControllerSpillPressure(t *testing.T) {
 	var ov trace.Overload
 	d := newTestDecomposer(t, core.Options{Algorithm: core.Optimized, MaxIters: 20})
-	c := NewController(d, ControllerConfig{StepUpAfter: 1}, &ov)
+	c := NewController(d, 0, &ov)
 
 	// Empty queue + spilled backlog: step down anyway.
 	c.Observe(0, 8, 0, 500)
@@ -178,9 +202,9 @@ func TestControllerSpillPressure(t *testing.T) {
 		t.Fatalf("level = %d while the backlog still drains, want %d (restore must wait)", c.Level(), numLevels-1)
 	}
 
-	// Backlog gone: calm observations (StepUpAfter=1, one per rung)
-	// restore full quality.
-	for i := 0; i < numLevels-1; i++ {
+	// Backlog gone: calm observations (stepUpAfter per rung) restore
+	// full quality.
+	for i := 0; i < (numLevels-1)*stepUpAfter; i++ {
 		c.Observe(0, 8, 0, 0)
 	}
 	if c.Level() != 0 || d.MaxIters() != 20 {

@@ -68,9 +68,10 @@ type Config struct {
 	// solve that starts in time but overruns is abandoned at an
 	// iteration boundary (rolled back when resilience is configured).
 	MaxLag time.Duration
-	// Degrade, when non-nil, arms the lag-aware degradation
-	// controller; the Processor must then implement Tunable.
-	Degrade *ControllerConfig
+	// Degrade arms the lag-aware degradation controller, which takes
+	// MaxLag as its lag target; the Processor must then implement
+	// Tunable.
+	Degrade bool
 	// DrainTimeout bounds how long Drain processes the backlog before
 	// shedding what remains. Default 30s.
 	DrainTimeout time.Duration
@@ -160,12 +161,12 @@ func New(proc Processor, cfg Config) (*Pipeline, error) {
 	if c, ok := proc.(checkpointer); ok && c.Checkpoints() != nil {
 		p.ckpt, p.mgr = c, c.Checkpoints()
 	}
-	if cfg.Degrade != nil {
+	if cfg.Degrade {
 		tun, ok := proc.(Tunable)
 		if !ok {
 			return nil, fmt.Errorf("ingest: degradation requires a Tunable processor, got %T", proc)
 		}
-		p.ctrl = NewController(tun, *cfg.Degrade, &p.ov)
+		p.ctrl = NewController(tun, cfg.MaxLag, &p.ov)
 	}
 	p.q = newQueue(cfg.QueueCap, cfg.Policy, p.clock, &p.ov)
 	if cfg.Policy == Spill {

@@ -178,7 +178,7 @@ func TestDegradeUnderBurstThenRecover(t *testing.T) {
 	p, err := New(th, Config{
 		QueueCap: 4,
 		Policy:   DropOldest,
-		Degrade:  &ControllerConfig{StepUpAfter: 2},
+		Degrade:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

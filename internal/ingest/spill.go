@@ -30,8 +30,6 @@ type SpillConfig struct {
 	// spilled data a hard crash may lose. Zero means every spill
 	// fsyncs — strict durability, one fsync per overflowing slice.
 	FsyncInterval time.Duration
-	// MaxRecordBytes bounds one encoded slice. Default 64 MiB.
-	MaxRecordBytes int
 	// FS replaces the filesystem (disk-fault injection). Default the
 	// real one.
 	FS wal.FS
@@ -95,12 +93,11 @@ type spiller struct {
 // (at-least-once fallback).
 func newSpiller(cfg SpillConfig, replayFrom int, q *queue, ov *trace.Overload, clock func() time.Time) (*spiller, error) {
 	log, _, err := wal.Open(wal.Options{
-		Dir:            cfg.Dir,
-		SegmentBytes:   cfg.SegmentBytes,
-		MaxBytes:       cfg.MaxBytes,
-		MaxRecordBytes: cfg.MaxRecordBytes,
-		SyncEvery:      cfg.FsyncInterval,
-		FS:             cfg.FS,
+		Dir:          cfg.Dir,
+		SegmentBytes: cfg.SegmentBytes,
+		MaxBytes:     cfg.MaxBytes,
+		SyncEvery:    cfg.FsyncInterval,
+		FS:           cfg.FS,
 	})
 	if err != nil {
 		return nil, err

@@ -51,7 +51,7 @@ type Remapper struct {
 // hotFirst optionally overrides the local id order per mode: nil (or a
 // nil entry) assigns ids in ascending global-row order, which keeps a
 // lexicographically sorted slice sorted and NZ[m] sorted ascending (the
-// invariant SetDiff/SetUnion bookkeeping relies on). A non-nil entry
+// invariant the SetDiff bookkeeping relies on). A non-nil entry
 // must be a full permutation of the mode's rows (pos → global row);
 // rows then get local ids in that order, NZ[m] is in permutation order,
 // and the local slice is no longer sorted.
@@ -149,13 +149,6 @@ func (rm *Remapped) GatherFactors(full []*dense.Matrix) []*dense.Matrix {
 	return out
 }
 
-// GatherFactorsInto refreshes previously allocated gathers in place.
-func (rm *Remapped) GatherFactorsInto(dst, full []*dense.Matrix) {
-	for m, f := range full {
-		gatherInt32(dst[m], f, rm.NZ[m])
-	}
-}
-
 // GatherMode refreshes a single mode's gather in place (the per-mode
 // compact-factor refresh after a factor update).
 func (rm *Remapped) GatherMode(dst, full *dense.Matrix, mode int) {
@@ -183,23 +176,6 @@ func (rm *Remapped) ScatterMode(full, src *dense.Matrix, mode int) {
 	}
 }
 
-// ZeroRows returns the complement z(n) = {0..dim-1} \ NZ[mode] for the
-// given full mode length. Used by tests and by the incremental C_z
-// maintenance.
-func (rm *Remapped) ZeroRows(mode, dim int) []int32 {
-	nz := rm.NZ[mode]
-	out := make([]int32, 0, dim-len(nz))
-	p := 0
-	for i := int32(0); i < int32(dim); i++ {
-		if p < len(nz) && nz[p] == i {
-			p++
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
 // SetDiff returns the elements of a not present in b; both inputs must
 // be sorted ascending. Used for the nz(n)ₜ₋₁ \ nz(n) bookkeeping of
 // Algorithm 4 (lines 9–10).
@@ -215,27 +191,6 @@ func SetDiff(a, b []int32) []int32 {
 			i++
 			j++
 		default:
-			j++
-		}
-	}
-	return out
-}
-
-// SetUnion merges two sorted int32 sets.
-func SetUnion(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
 			j++
 		}
 	}

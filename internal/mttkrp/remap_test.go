@@ -60,9 +60,14 @@ func TestRowSparseMatchesFullMTTKRP(t *testing.T) {
 				}
 			}
 			// z rows of the full result are zero.
-			for _, z := range rm.ZeroRows(mode, dims[mode]) {
+			nz := rm.NZ[mode]
+			for i := 0; i < dims[mode]; i++ {
+				if len(nz) > 0 && int(nz[0]) == i {
+					nz = nz[1:]
+					continue
+				}
 				for k := 0; k < 3; k++ {
-					if full.At(int(z), k) != 0 {
+					if full.At(i, k) != 0 {
 						return false
 					}
 				}
@@ -88,11 +93,11 @@ func TestGatherScatterMode(t *testing.T) {
 	if g[0].Rows != 2 || g[0].At(1, 0) != full.At(4, 0) {
 		t.Fatal("gather wrong")
 	}
-	// Round trip through GatherFactorsInto.
-	g2 := []*dense.Matrix{dense.NewMatrix(2, 2), dense.NewMatrix(1, 2)}
-	rm.GatherFactorsInto(g2, []*dense.Matrix{full, full})
-	if g2[0].At(0, 1) != full.At(1, 1) {
-		t.Fatal("GatherFactorsInto wrong")
+	// Refresh in place through GatherMode.
+	g2 := dense.NewMatrix(2, 2)
+	rm.GatherMode(g2, full, 0)
+	if g2.At(0, 1) != full.At(1, 1) {
+		t.Fatal("GatherMode wrong")
 	}
 	// Scatter modified rows back.
 	mod := g[0].Clone()
@@ -103,23 +108,6 @@ func TestGatherScatterMode(t *testing.T) {
 	}
 	if full.At(0, 0) != 0 {
 		t.Fatal("scatter touched a z row")
-	}
-}
-
-func TestZeroRows(t *testing.T) {
-	x := sptensor.New(5, 5)
-	x.Append([]int32{1, 0}, 1)
-	x.Append([]int32{3, 0}, 1)
-	rm := Remap(x)
-	z := rm.ZeroRows(0, 5)
-	want := []int32{0, 2, 4}
-	if len(z) != len(want) {
-		t.Fatalf("ZeroRows = %v", z)
-	}
-	for i := range want {
-		if z[i] != want[i] {
-			t.Fatalf("ZeroRows = %v", z)
-		}
 	}
 }
 
@@ -136,30 +124,32 @@ func TestSetDiffUnion(t *testing.T) {
 	if got := SetDiff(nil, b); len(got) != 0 {
 		t.Fatalf("SetDiff nil = %v", got)
 	}
-	u := SetUnion(a, b)
-	want := []int32{1, 3, 4, 5, 7}
-	if len(u) != len(want) {
-		t.Fatalf("SetUnion = %v", u)
-	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("SetUnion = %v", u)
-		}
-	}
 }
 
-// Property: SetDiff/SetUnion satisfy |A∪B| = |A| + |B\A| and the union
-// is sorted.
+// Property: SetDiff(B, A) is sorted, holds exactly the elements of B
+// not in A, and so satisfies |B\A| + |A∩B| = |B|.
 func TestSetAlgebraProperty(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a := dedupSorted(xs)
 		b := dedupSorted(ys)
-		u := SetUnion(a, b)
 		d := SetDiff(b, a)
-		if len(u) != len(a)+len(d) {
-			return false
+		inA, inB := map[int32]bool{}, map[int32]bool{}
+		for _, v := range a {
+			inA[v] = true
 		}
-		return SortedInt32(u)
+		common := 0
+		for _, v := range b {
+			inB[v] = true
+			if inA[v] {
+				common++
+			}
+		}
+		for _, v := range d {
+			if inA[v] || !inB[v] {
+				return false
+			}
+		}
+		return len(d)+common == len(b) && SortedInt32(d)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

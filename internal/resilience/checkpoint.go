@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // StateWriter is the serialization half of a checkpointable decomposer
@@ -20,11 +21,14 @@ type StateWriter interface {
 // restores the newest valid one. Files are named ckpt-<slice>.spstrm;
 // each write is atomic (temp file + fsync + rename), so the directory
 // only ever contains complete checkpoints, and the state format's CRC
-// footer rejects any that were corrupted at rest.
+// footer rejects any that were corrupted at rest. It counts its own
+// writes, so the counts hold whichever loop writes through it.
 type Manager struct {
 	dir   string
 	every int
 	keep  int
+
+	writes, errs atomic.Int64
 }
 
 // checkpointExt is the checkpoint file suffix.
@@ -94,10 +98,18 @@ func (m *Manager) MaybeWrite(t int, s StateWriter) (string, error) {
 func (m *Manager) Write(t int, s StateWriter) (string, error) {
 	path := m.Path(t)
 	if err := AtomicWriteFile(path, s.SaveState); err != nil {
+		m.errs.Add(1)
 		return "", err
 	}
+	m.writes.Add(1)
 	m.prune()
 	return path, nil
+}
+
+// Counts returns how many Writes succeeded and failed. Safe for
+// concurrent use.
+func (m *Manager) Counts() (writes, errors int) {
+	return int(m.writes.Load()), int(m.errs.Load())
 }
 
 // Checkpoints returns the checkpoint paths in the directory, newest

@@ -33,8 +33,8 @@ const (
 	// decomposer is left at the last-good snapshot, so the caller can
 	// checkpoint or resume it.
 	Abort Policy = iota
-	// RetrySlice re-runs the whole slice from the snapshot up to
-	// MaxSliceRetries times, then aborts. Useful when failures are
+	// RetrySlice re-runs the whole slice once from the snapshot, then
+	// aborts. Useful when failures are
 	// transient (stalls, injected faults, scheduling noise).
 	RetrySlice
 	// SkipSlice re-runs like RetrySlice, then drops the slice and
@@ -94,22 +94,13 @@ var (
 )
 
 // Config enables guarded slice processing when set on core.Options.
-// The zero value is usable: Abort policy with the default recovery
-// ladder, input and factor health checks on, and no slice deadline.
+// The zero value is usable: Abort policy, input and factor health
+// checks on, and no slice deadline. The recovery ladder (three ridge
+// escalations from 1e-6·tr(Φ)/K, ×100 per rung) and the one slice
+// re-run of RetrySlice/SkipSlice are constants of internal/core.
 type Config struct {
 	// Policy applied after in-slice recovery fails.
 	Policy Policy
-	// MaxFactorizeRetries bounds the ridge-escalation ladder run when a
-	// Φ factorization returns dense.ErrNotSPD. Default 3.
-	MaxFactorizeRetries int
-	// RidgeBoost is the first escalation ridge, relative to tr(Φ)/K.
-	// Default 1e-6.
-	RidgeBoost float64
-	// RidgeGrowth multiplies the ridge between ladder rungs. Default 100.
-	RidgeGrowth float64
-	// MaxSliceRetries bounds whole-slice re-runs (RetrySlice/SkipSlice
-	// policies) after a rollback. Default 1.
-	MaxSliceRetries int
 	// SliceTimeout, when positive, is a per-slice deadline; a slice
 	// exceeding it is abandoned at the next iteration boundary, rolled
 	// back, and handed to the policy.
@@ -118,17 +109,16 @@ type Config struct {
 	// measure δ; a slice finishing with δ > MaxDelta (or non-finite δ or
 	// factors) fails the health check with ErrDiverged. Default 1e9.
 	MaxDelta float64
-	// FitFloor, when non-zero and fit tracking is enabled, fails the
-	// health check for slices whose fit falls below it.
-	FitFloor float64
 	// DisableInputScan skips the pre-processing scan that rejects slices
 	// with non-finite values or out-of-range coordinates. With the scan
 	// off such slices reach the kernels, where NaNs surface as solver
 	// failures and corrupt indices as contained panics — the harder
 	// recovery paths the fault-injection tests exercise.
 	DisableInputScan bool
-	// Checkpoint, when non-nil, receives MaybeWrite after every
-	// successfully processed slice during ProcessStreamContext.
+	// Checkpoint, when non-nil, is the checkpoint manager of whichever
+	// loop owns the run: ProcessStreamContext calls MaybeWrite after
+	// every successfully processed slice, and the ingest pipeline
+	// writes through it after committing its WAL offset.
 	Checkpoint *Manager
 	// FaultHook, when non-nil, is invoked at the named stages of guarded
 	// slice processing; a non-nil return is treated as that stage
@@ -139,20 +129,6 @@ type Config struct {
 
 // WithDefaults returns a copy with zero fields replaced by defaults.
 func (c Config) WithDefaults() Config {
-	if c.MaxFactorizeRetries <= 0 {
-		c.MaxFactorizeRetries = 3
-	}
-	if c.RidgeBoost <= 0 {
-		c.RidgeBoost = 1e-6
-	}
-	if c.RidgeGrowth <= 1 {
-		c.RidgeGrowth = 100
-	}
-	if c.MaxSliceRetries < 0 {
-		c.MaxSliceRetries = 0
-	} else if c.MaxSliceRetries == 0 {
-		c.MaxSliceRetries = 1
-	}
 	if c.MaxDelta <= 0 {
 		c.MaxDelta = 1e9
 	}
@@ -206,7 +182,7 @@ type Stats struct {
 	// Rollbacks counts restores of the last-good in-memory snapshot.
 	Rollbacks int
 	// HealthFailures counts post-slice health-check failures
-	// (non-finite factors, exploding δ, fit floor).
+	// (non-finite factors, exploding δ).
 	HealthFailures int
 	// InputRejects counts slices rejected by the pre-processing scan.
 	InputRejects int
@@ -215,8 +191,9 @@ type Stats struct {
 	// Cancellations counts slices abandoned because the caller's
 	// context was cancelled.
 	Cancellations int
-	// CheckpointWrites and CheckpointErrors count periodic checkpoint
-	// outcomes during ProcessStreamContext.
+	// CheckpointWrites and CheckpointErrors count the writes of the
+	// Config.Checkpoint manager, whichever loop made them (see
+	// Manager.Counts).
 	CheckpointWrites int
 	CheckpointErrors int
 }

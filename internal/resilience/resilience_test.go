@@ -23,13 +23,12 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 
 func TestConfigWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.MaxFactorizeRetries != 3 || c.RidgeBoost != 1e-6 || c.RidgeGrowth != 100 ||
-		c.MaxSliceRetries != 1 || c.MaxDelta != 1e9 {
+	if c.MaxDelta != 1e9 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
-	// Explicit settings survive; negative MaxSliceRetries means zero.
-	c = Config{MaxFactorizeRetries: 7, MaxSliceRetries: -1}.WithDefaults()
-	if c.MaxFactorizeRetries != 7 || c.MaxSliceRetries != 0 {
+	// Explicit settings survive.
+	c = Config{MaxDelta: 7}.WithDefaults()
+	if c.MaxDelta != 7 {
 		t.Errorf("explicit settings clobbered: %+v", c)
 	}
 }

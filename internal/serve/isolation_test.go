@@ -61,9 +61,8 @@ func TestSnapshotIsolationAcrossRollback(t *testing.T) {
 		Options: core.Options{
 			Rank: 3, Seed: 1, TrackFit: true,
 			Resilience: &resilience.Config{
-				Policy:          resilience.SkipSlice,
-				MaxSliceRetries: 1,
-				FaultHook:       failNthSlices(3, 5),
+				Policy:    resilience.SkipSlice,
+				FaultHook: failNthSlices(3, 5),
 			},
 		},
 	})

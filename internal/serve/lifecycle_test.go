@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -84,5 +85,41 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 	if !restored.Equal(final) {
 		t.Fatal("restored snapshot differs from the pre-shutdown model")
+	}
+}
+
+// TestStatsCountPipelineCheckpoints: the checkpoints a daemon's
+// pipeline writes show in /v1/stats — CheckpointWrites equals the
+// files on disk after six windows at one checkpoint a slice.
+func TestStatsCountPipelineCheckpoints(t *testing.T) {
+	ckptDir := t.TempDir()
+	srv := newTestServer(t, func(c *Config) {
+		c.QueueCap = 8
+		c.CheckpointDir = ckptDir
+		c.CheckpointEvery = 1
+		c.CheckpointKeep = 100
+	})
+	srv.pipe.Start(context.Background())
+	defer srv.pipe.Drain(context.Background())
+	h := srv.Handler()
+	if rec := doReq(h, "POST", "/v1/ingest", eventBody(24)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+	}
+	var sr statsResponse
+	for deadline := time.Now().Add(5 * time.Second); sr.T < 6; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d slices solved before deadline", sr.T)
+		}
+		sr = statsResponse{}
+		if err := json.Unmarshal(doReq(h, "GET", "/v1/stats", "").Body.Bytes(), &sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := len(resilience.ListCheckpoints(ckptDir))
+	if files != 6 {
+		t.Fatalf("%d checkpoint files after 6 slices at every 1, want 6", files)
+	}
+	if got := sr.Resilience; got.CheckpointWrites != files || got.CheckpointErrors != 0 {
+		t.Fatalf("stats report %d checkpoint writes (%d errors), want %d (0)", got.CheckpointWrites, got.CheckpointErrors, files)
 	}
 }

@@ -28,8 +28,7 @@ func TestConcurrentReadsDuringChaos(t *testing.T) {
 		Options: core.Options{
 			Rank: 3, Seed: 1, TrackFit: true,
 			Resilience: &resilience.Config{
-				Policy:          resilience.RetrySlice,
-				MaxSliceRetries: 2,
+				Policy: resilience.RetrySlice,
 				FaultHook: func(f resilience.Fault) error {
 					// Fail every 5th begin attempt once (retries pass),
 					// keeping a steady mix of rollbacks and commits.

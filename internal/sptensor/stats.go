@@ -39,15 +39,6 @@ func StatsForMode(t *Tensor, mode int) ModeStats {
 	}
 }
 
-// AllModeStats computes ModeStats for every mode.
-func AllModeStats(t *Tensor) []ModeStats {
-	out := make([]ModeStats, t.NModes())
-	for m := range out {
-		out[m] = StatsForMode(t, m)
-	}
-	return out
-}
-
 func (s ModeStats) String() string {
 	return fmt.Sprintf("mode %d: dim=%d nnz=%d nzRows=%d zeroFrac=%.4f maxPerRow=%d",
 		s.Mode, s.Dim, s.NNZ, s.NonzeroRows, s.ZeroRowFrac, s.MaxPerRow)

@@ -14,9 +14,8 @@ func TestStatsForMode(t *testing.T) {
 	if s.ZeroRowFrac != 0.8 {
 		t.Fatalf("zeroFrac = %v", s.ZeroRowFrac)
 	}
-	all := AllModeStats(ts)
-	if len(all) != 2 || all[1].NonzeroRows != 3 {
-		t.Fatalf("AllModeStats = %v", all)
+	if s1 := StatsForMode(ts, 1); s1.NonzeroRows != 3 {
+		t.Fatalf("mode-1 stats = %+v", s1)
 	}
 }
 

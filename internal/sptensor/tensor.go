@@ -231,24 +231,6 @@ func (t *Tensor) sameCoords(a, b int) bool {
 	return true
 }
 
-// NonzeroSlices returns the sorted distinct index values present in the
-// given mode — the nz(n) set of spCP-stream.
-func (t *Tensor) NonzeroSlices(mode int) []int32 {
-	if t.NNZ() == 0 {
-		return nil
-	}
-	seen := make(map[int32]struct{}, 1024)
-	for _, i := range t.Inds[mode] {
-		seen[i] = struct{}{}
-	}
-	out := make([]int32, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // Density returns nnz / ∏ dims as a float64 (0 for degenerate shapes).
 func (t *Tensor) Density() float64 {
 	total := 1.0
@@ -272,31 +254,4 @@ func (t *Tensor) String() string {
 		}
 	}
 	return fmt.Sprintf("%s (%d nnz)", s, t.NNZ())
-}
-
-// PermuteModes returns a copy of the tensor with its modes reordered:
-// new mode m holds what was mode order[m]. Useful for putting a tensor's
-// natural streaming mode last before Merge-style serialization or for
-// CSF orderings.
-func (t *Tensor) PermuteModes(order []int) (*Tensor, error) {
-	if len(order) != t.NModes() {
-		return nil, fmt.Errorf("sptensor: permutation has %d modes, tensor %d", len(order), t.NModes())
-	}
-	seen := make([]bool, t.NModes())
-	for _, m := range order {
-		if m < 0 || m >= t.NModes() || seen[m] {
-			return nil, fmt.Errorf("sptensor: %v is not a mode permutation", order)
-		}
-		seen[m] = true
-	}
-	out := &Tensor{
-		Dims: make([]int, t.NModes()),
-		Inds: make([][]int32, t.NModes()),
-		Vals: append([]float64(nil), t.Vals...),
-	}
-	for m, src := range order {
-		out.Dims[m] = t.Dims[src]
-		out.Inds[m] = append([]int32(nil), t.Inds[src]...)
-	}
-	return out, nil
 }

@@ -136,28 +136,6 @@ func TestCoalescePreservesNorm(t *testing.T) {
 	}
 }
 
-func TestNonzeroSlices(t *testing.T) {
-	ts := buildTestTensor()
-	nz := ts.NonzeroSlices(0)
-	want := []int32{0, 1, 2}
-	if len(nz) != len(want) {
-		t.Fatalf("nz = %v", nz)
-	}
-	for i := range want {
-		if nz[i] != want[i] {
-			t.Fatalf("nz = %v", nz)
-		}
-	}
-	nz2 := ts.NonzeroSlices(2)
-	if len(nz2) != 2 {
-		t.Fatalf("mode 2 nz = %v", nz2)
-	}
-	empty := New(3, 3)
-	if empty.NonzeroSlices(0) != nil {
-		t.Fatal("empty tensor should have nil nz")
-	}
-}
-
 func TestDensity(t *testing.T) {
 	ts := buildTestTensor()
 	want := 4.0 / 24.0
@@ -172,34 +150,5 @@ func TestReserveKeepsContents(t *testing.T) {
 	ts.Reserve(100)
 	if ts.NNZ() != 1 || ts.Vals[0] != 7 || ts.Inds[0][0] != 1 {
 		t.Fatal("Reserve corrupted contents")
-	}
-}
-
-func TestPermuteModes(t *testing.T) {
-	ts := buildTestTensor() // 3×4×2
-	p, err := ts.PermuteModes([]int{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Dims[0] != 2 || p.Dims[1] != 3 || p.Dims[2] != 4 {
-		t.Fatalf("dims = %v", p.Dims)
-	}
-	for e := 0; e < ts.NNZ(); e++ {
-		if p.Inds[0][e] != ts.Inds[2][e] || p.Inds[1][e] != ts.Inds[0][e] || p.Vals[e] != ts.Vals[e] {
-			t.Fatal("permutation scrambled coordinates")
-		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The copy is independent.
-	p.Vals[0] = 99
-	if ts.Vals[0] == 99 {
-		t.Fatal("PermuteModes shares storage")
-	}
-	for _, bad := range [][]int{{0}, {0, 0, 1}, {0, 1, 3}} {
-		if _, err := ts.PermuteModes(bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
 	}
 }

@@ -97,9 +97,6 @@ type (
 	IngestConfig = ingest.Config
 	// ShedPolicy selects what a full ingest queue does with new slices.
 	ShedPolicy = ingest.ShedPolicy
-	// DegradeConfig tunes the lag-aware degradation controller
-	// (IngestConfig.Degrade).
-	DegradeConfig = ingest.ControllerConfig
 	// SpillConfig configures the durable spill-to-disk backlog
 	// (IngestConfig.Spill; a Dir implies ShedSpill): WAL directory, disk
 	// budget, group-commit window. Replay after a crash starts from the

@@ -3,6 +3,7 @@ package spstream_test
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -228,5 +229,30 @@ func TestFitSensible(t *testing.T) {
 	last := results[len(results)-1]
 	if math.IsNaN(last.Fit) || last.Fit < 0.5 {
 		t.Fatalf("fit %.3f too low on near-dense planted data", last.Fit)
+	}
+}
+
+// TestOptionSurface pins the settable values of the library's four
+// configuration structs: each field's name and kind, in order. A value
+// that only one caller sets belongs in a constant, not here.
+func TestOptionSurface(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{spstream.Options{}, "Rank:int Algorithm:int Mu:float64 Tol:float64 MaxIters:int Workers:int Constraint:interface ADMMTol:float64 ADMMMaxIters:int Seed:uint64 TrackFit:bool Normalize:bool DirectCz:bool MTTKRPKernel:int Layout:int MemBudget:int64 Resilience:ptr ConstrainedSpCP:bool"},
+		{spstream.ResilienceConfig{}, "Policy:int SliceTimeout:int64 MaxDelta:float64 DisableInputScan:bool Checkpoint:ptr FaultHook:func"},
+		{spstream.IngestConfig{}, "QueueCap:int Policy:int MaxLag:int64 Degrade:bool DrainTimeout:int64 OnResult:func OnError:func Clock:func Gate:func Spill:ptr"},
+		{spstream.SpillConfig{}, "Dir:string MaxBytes:int64 SegmentBytes:int64 FsyncInterval:int64 FS:interface"},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		fields := make([]string, typ.NumField())
+		for i := range fields {
+			f := typ.Field(i)
+			fields[i] = f.Name + ":" + f.Type.Kind().String()
+		}
+		if got := strings.Join(fields, " "); got != tc.want {
+			t.Errorf("%s fields:\n got %s\nwant %s", typ, got, tc.want)
+		}
 	}
 }
