@@ -119,7 +119,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 30s ./cmd/watch/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/ingest/wal/
 	$(GO) test -fuzz FuzzWALSegment -fuzztime 30s ./internal/ingest/wal/
-	$(GO) test -fuzz FuzzWALOffsets -fuzztime 30s ./internal/ingest/wal/
 	$(GO) test -fuzz FuzzShardIngestResponse -fuzztime 30s ./internal/cluster/
 
 # Non-test Go lines per package under internal/ and cmd/, then the

@@ -17,8 +17,8 @@
 // that sheds ingest with 503 until a half-open probe slice succeeds.
 // SIGINT/SIGTERM drain the backlog, write a final checkpoint, finish
 // in-flight reads and exit 0; on restart the newest checkpoint is
-// restored, and with -spill-dir the WAL backlog replays from the offset
-// bound to it.
+// restored, and with -spill-dir the WAL backlog replays from the cursor
+// stored in it.
 //
 // The flags it shares with cpstream and watch are registered once, by
 // serve.Config's Flags, GuardFlags and WindowFlags; the daemon's own are

@@ -359,7 +359,7 @@ func TestRunSpillWavesReclaimDisk(t *testing.T) {
 		t.Fatalf("want windows spilled and none shed by the spill tier:\n%s", stats)
 	}
 	// Everything consumed and the run drained: segments are gone, what
-	// is left is an empty segment's header and the offset sidecar.
+	// is left is an empty segment's header.
 	if n := dirBytes(t, spill); n > 256 {
 		t.Fatalf("%d bytes left in the spill dir after a drained run", n)
 	}

@@ -35,6 +35,10 @@ type Decomposer struct {
 	sHist [][]float64     // all temporal rows (the S factor)
 	t     int             // slices processed
 
+	// The highest WAL sequence number whose slice the state includes
+	// (Cursor); it is checkpointed with the state.
+	cursor uint64
+
 	// spCP-stream state carried across slices, and the pooled remapper
 	// that renumbers each of its slices into nz-row space.
 	prevNZ   [][]int32       // nz sets of the previous slice

@@ -44,18 +44,25 @@ func FuzzRestoreState(f *testing.F) {
 		forged[i] = 0xff
 	}
 	f.Add(forged)
-	// The committed legacy checkpoint, whose flag-1 layout section the
-	// parser steps over. Its shape is not the small one above, so inputs
-	// that declare three modes are tried against its decomposer instead.
-	legacyStream := remapStream(f, 404, 1)
-	legacy, _ := legacySection(f, legacyStream.Dims)
-	f.Add(legacy)
+	// The same state under the v3 magic, resealed: no cursor, rejected.
+	v3 := append([]byte(nil), valid...)
+	copy(v3, "SPSTRM03")
+	resealCRC(v3)
+	f.Add(v3)
+	// One flipped bit in the WAL cursor, the last word before the footer:
+	// only the checksum can catch it.
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-4-8] ^= 0x01
+	probe, err := NewDecomposer(dims, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := probe.RestoreState(bytes.NewReader(flipped)); err == nil {
+		f.Fatal("a checkpoint with a flipped cursor bit restored")
+	}
+	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, input []byte) {
-		dims, opt, next := dims, opt, s.Slices[0]
-		if len(input) > 8 && input[8] == 3 {
-			dims, opt, next = legacyStream.Dims, legacyOptions, legacyStream.Slices[0]
-		}
 		fresh, err := NewDecomposer(dims, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +75,7 @@ func FuzzRestoreState(f *testing.F) {
 		if fresh.T() != len(fresh.sHist) {
 			t.Fatalf("restored T=%d with %d temporal rows", fresh.T(), len(fresh.sHist))
 		}
-		if _, err := fresh.ProcessSlice(next); err != nil {
+		if _, err := fresh.ProcessSlice(s.Slices[0]); err != nil {
 			t.Fatalf("decomposer broken after accepted restore: %v", err)
 		}
 	})

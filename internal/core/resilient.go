@@ -403,8 +403,8 @@ func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult,
 // Checkpoints returns the checkpoint manager the decomposer was
 // configured with (Options.Resilience.Checkpoint), nil for none. The
 // slice loops that own a run read it here — ProcessStreamContext below,
-// and the ingest pipeline, which must commit its WAL offset before each
-// checkpoint it writes.
+// and the ingest pipeline, which sets the WAL cursor (SetCursor) before
+// each checkpoint it writes.
 func (d *Decomposer) Checkpoints() *resilience.Manager {
 	if d.opt.Resilience == nil {
 		return nil

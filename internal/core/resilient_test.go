@@ -177,7 +177,7 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 // checkpoint fails the CRC check (or the structural validation for
 // header bytes) — never a silent wrong restore. That holds for a flip
 // of the magic's version byte too, even with a payload bit flipped
-// beside it: '3' → '1' names the footerless v1 format, which is
+// beside it: '4' → '1' names the footerless v1 format, which is
 // rejected instead of restored unchecked (TestRestoreV1Checkpoint).
 func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 	s := testStream(t, 305, []int{10, 12}, 100, 3)
@@ -201,12 +201,12 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 		}
 	}
 	// The version byte flipped to v1, alone and with a payload flip.
-	if raw[7] != '3' {
-		t.Fatalf("magic %q is not v3", raw[:8])
+	if raw[7] != '4' {
+		t.Fatalf("magic %q is not v4", raw[:8])
 	}
 	for _, payloadFlip := range []bool{false, true} {
 		corrupted := append([]byte(nil), raw...)
-		corrupted[7] ^= '3' ^ '1'
+		corrupted[7] ^= '4' ^ '1'
 		if payloadFlip {
 			corrupted[len(raw)/2] ^= 0x10
 		}

@@ -15,28 +15,20 @@ import (
 // dims and Options, so long-running deployments can survive restarts
 // without replaying the stream. The format captures exactly the state
 // that crosses slice boundaries: the factors, their Gram invariants,
-// the temporal Gram G, the temporal history S, the slice counter, and
-// (for spCP-stream) the previous nz sets and z-row Grams.
+// the temporal Gram G, the temporal history S, the slice counter, (for
+// spCP-stream) the previous nz sets and z-row Grams, and the WAL cursor
+// (Cursor) — the replay point of a spilled ingest backlog, so the state
+// and the position it was folded up to commit as one file.
 //
-// Format v3 (SPSTRM03) is v2 plus one layout presence flag, which this
-// code always writes as 0: the kernel and remap schedule is a pure
-// function of each slice and the options, so there is no layout state
-// to carry and a stream restored from any version replays the same
-// schedule. Older writers stored learned hot-row state behind a flag of
-// 1 (per mode a decayed row histogram and an optional row permutation);
-// RestoreState steps over such a section — sized from the receiver's
-// dims, flags validated, bytes under the checksum — and keeps nothing
-// of it. Like v2, v3 carries a CRC32 (IEEE) footer covering the magic
-// and the payload, so a checkpoint truncated or bit-flipped at rest is
-// rejected instead of restoring silently wrong state. v2 (SPSTRM02, no
-// flag) checkpoints still restore; v1 (SPSTRM01) had no footer and is
-// rejected, so every restore is checksummed.
+// The format is SPSTRM04: magic, payload, cursor, and a CRC32 (IEEE)
+// footer covering all of it, so a checkpoint truncated or bit-flipped
+// at rest is rejected instead of restoring silently wrong state. Older
+// versions are rejected by their magic: v1 had no footer, and v2/v3
+// carry no cursor, so restoring one would replay a spilled backlog the
+// state may already hold.
 
 // stateMagic identifies the checkpoint container and its version.
-var (
-	stateMagic   = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '3'}
-	stateMagicV2 = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '2'}
-)
+var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '4'}
 
 // crcWriter updates a running CRC32 with everything written through it.
 type crcWriter struct {
@@ -64,7 +56,15 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// SaveState serializes the decomposer's streaming state (format v3,
+// Cursor returns the highest WAL sequence number whose slice the state
+// already includes (0 for none): restored by RestoreState, set by the
+// ingest pipeline before every checkpoint it writes.
+func (d *Decomposer) Cursor() uint64 { return d.cursor }
+
+// SetCursor records the WAL cursor the next SaveState writes.
+func (d *Decomposer) SetCursor(seq uint64) { d.cursor = seq }
+
+// SaveState serializes the decomposer's streaming state (SPSTRM04,
 // with the CRC footer). It must be called between slices (never
 // concurrently with ProcessSlice).
 func (d *Decomposer) SaveState(w io.Writer) error {
@@ -133,8 +133,7 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 			}
 		}
 	}
-	// Layout presence flag (v3): always 0, see the format note above.
-	if err := writeU64(0); err != nil {
+	if err := writeU64(d.cursor); err != nil {
 		return err
 	}
 	// CRC footer over magic + payload (not hashed itself).
@@ -159,13 +158,8 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
 		return fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
-	var withLayout bool
-	switch magic {
-	case stateMagic:
-		withLayout = true
-	case stateMagicV2:
-	default:
-		return fmt.Errorf("core: bad checkpoint magic %q", magic)
+	if magic != stateMagic {
+		return fmt.Errorf("core: bad checkpoint magic %q (this build reads %s only)", magic, stateMagic)
 	}
 	readU64 := func() (uint64, error) {
 		var v uint64
@@ -260,20 +254,9 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	default:
 		return fmt.Errorf("core: checkpoint nz presence flag %d is not 0 or 1", hasNZ)
 	}
-	if withLayout {
-		hasLayout, err := readU64()
-		if err != nil {
-			return err
-		}
-		switch hasLayout {
-		case 0:
-		case 1:
-			if err := skipLegacyLayout(cr, d.dims); err != nil {
-				return fmt.Errorf("core: checkpoint legacy layout section: %w", err)
-			}
-		default:
-			return fmt.Errorf("core: checkpoint layout presence flag %d is not 0 or 1", hasLayout)
-		}
+	cursor, err := readU64()
+	if err != nil {
+		return err
 	}
 	sum := cr.crc // everything hashed so far: magic + payload
 	var footer uint32
@@ -286,41 +269,7 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	d.sHist = sHist
 	d.prevNZ = prevNZ
 	d.t = int(t)
-	return nil
-}
-
-// skipLegacyLayout reads past the learned-layout section an older
-// writer stored behind a presence flag of 1: three counters, then per
-// mode a float64 histogram over the mode's rows, four 8-byte scalars, a
-// permutation flag and (flag 1) an int32 permutation over the rows. All
-// sizes come from dims, never from the input; r is the checksummed
-// reader, so the skipped bytes still count toward the CRC.
-func skipLegacyLayout(r io.Reader, dims []int) error {
-	skip := func(n int) error {
-		_, err := io.CopyN(io.Discard, r, int64(n))
-		return err
-	}
-	if err := skip(3 * 8); err != nil {
-		return err
-	}
-	for m, dim := range dims {
-		if err := skip(8*dim + 4*8); err != nil {
-			return err
-		}
-		var hasPerm uint64
-		if err := binary.Read(r, binary.LittleEndian, &hasPerm); err != nil {
-			return err
-		}
-		switch hasPerm {
-		case 0:
-		case 1:
-			if err := skip(4 * dim); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("perm presence flag %d of mode %d is not 0 or 1", hasPerm, m)
-		}
-	}
+	d.cursor = cursor
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
 	"strings"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 
 // remapStream generates a skewed stream: one long mode whose activity
 // touches a small fraction of its rows beside two short ones — the shape
-// the explicit body used to remap, and the committed legacy checkpoint's.
+// the explicit body used to remap.
 func remapStream(t testing.TB, seed uint64, slices int) *sptensor.Stream {
 	t.Helper()
 	s, err := synth.Generate(synth.Config{
@@ -114,139 +113,63 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyCheckpoint is the committed SPSTRM03 file the last commit with a
-// learned layout wrote: SaveState after 4 slices of remapStream(404, 8)
-// under legacyOptions, with hot-first permutations on every mode, hence
-// a flag-1 layout section.
-const (
-	legacyCheckpoint = "testdata/spstrm03_layout.ckpt"
-	legacyCut        = 4
-)
-
-var legacyOptions = Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 5}
-
-// legacySection returns the fixture's bytes and the offset of its layout
-// section (the presence flag), which runs up to the 4-byte CRC footer.
-func legacySection(t testing.TB, dims []int) ([]byte, int) {
-	t.Helper()
-	raw, err := os.ReadFile(legacyCheckpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sec := 8 + 3*8 // presence flag, three counters
-	for _, dim := range dims {
-		sec += 8*dim + 4*8 + 8 + 4*dim // histogram, scalars, perm flag, perm
-	}
-	start := len(raw) - 4 - sec
-	if start < 0 || binary.LittleEndian.Uint64(raw[start:]) != 1 {
-		t.Fatalf("fixture has no flag-1 layout section at offset %d", start)
-	}
-	return raw, start
-}
-
 // resealCRC recomputes the footer after a deliberate payload mutation.
 func resealCRC(raw []byte) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 }
 
-// TestRestoreLegacyLayoutSection: a checkpoint with a learned-layout
-// section still restores — the section is stepped over — to exactly the
-// state the same file holds with the section cut out, and the resumed
-// stream ends where an uninterrupted run does, to rounding: the file's
-// four slices were solved by the remapped update this commit no longer
-// has, which reassociated the z rows. The same bytes cut anywhere inside
-// the section, with an illegal permutation flag, or with one checksummed
-// byte of the section flipped are rejected.
-func TestRestoreLegacyLayoutSection(t *testing.T) {
-	s := remapStream(t, 404, 8)
-	raw, start := legacySection(t, s.Dims)
-	ref, _ := runStream(t, s, legacyOptions)
-
+// TestCheckpointCarriesCursor: the WAL cursor round-trips as the last
+// payload word, under the checkpoint's one CRC — one flipped cursor bit
+// fails the checksum — and a v2 or v3 checkpoint, which has no cursor,
+// is rejected by an error that names its version, even under a valid
+// checksum.
+func TestCheckpointCarriesCursor(t *testing.T) {
+	dims, opt := []int{6, 7}, Options{Rank: 3, Seed: 1}
+	d, _ := runStream(t, testStream(t, 311, dims, 60, 3), opt)
+	const cursor = 0x0102030405060708
+	d.SetCursor(cursor)
+	var buf bytes.Buffer
+	if err := d.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
 	restore := func(b []byte) (*Decomposer, error) {
-		d, err := NewDecomposer(s.Dims, legacyOptions)
+		fresh, err := NewDecomposer(dims, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d, d.RestoreState(bytes.NewReader(b))
+		return fresh, fresh.RestoreState(bytes.NewReader(b))
 	}
-	// The same payload as a current writer would end it: flag 0, footer.
-	bare := append(append([]byte(nil), raw[:start]...), make([]byte, 8+4)...)
-	resealCRC(bare)
-	var ds [2]*Decomposer
-	for i, b := range [][]byte{raw, bare} {
-		d, err := restore(b)
-		if err != nil {
-			t.Fatalf("legacy checkpoint (section cut: %v) rejected: %v", i == 1, err)
-		}
-		if d.T() != legacyCut {
-			t.Fatalf("restored T = %d, want %d", d.T(), legacyCut)
-		}
-		for _, x := range s.Slices[legacyCut:] {
-			if _, err := d.ProcessSlice(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ds[i] = d
+	got, err := restore(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if diff := maxFactorDiff(ds[0], ds[1]) + ds[0].Temporal().MaxAbsDiff(ds[1].Temporal()); diff != 0 {
-		t.Fatalf("stepping over the section moved the resumed run by %g", diff)
+	if got.Cursor() != cursor || got.T() != d.T() || maxFactorDiff(d, got) != 0 {
+		t.Fatalf("restored cursor %#x at t=%d, want %#x at t=%d and the same factors", got.Cursor(), got.T(), uint64(cursor), d.T())
 	}
-	if diff := relFactorDiff(ref, ds[0]); diff > 1e-8 {
-		t.Fatalf("resumed factors differ from uninterrupted by %g of the largest entry", diff)
+	at := len(raw) - 4 - 8
+	if binary.LittleEndian.Uint64(raw[at:]) != cursor {
+		t.Fatal("the cursor is not the last word before the footer")
 	}
-	if diff := ref.Temporal().MaxAbsDiff(ds[0].Temporal()); diff > 1e-8 {
-		t.Fatalf("temporal factors differ by %g", diff)
+	flipped := append([]byte(nil), raw...)
+	flipped[at] ^= 0x01
+	if _, err := restore(flipped); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("flipped cursor bit: got %v, want a checksum error", err)
 	}
-
-	// Truncation: every section boundary and a stride through the bulk.
-	permFlag0 := start + 8 + 3*8 + 8*s.Dims[0] + 4*8
-	cuts := []int{start, start + 4, start + 8, start + 8 + 3*8, permFlag0, permFlag0 + 8, len(raw) - 5, len(raw) - 4}
-	for off := start + 13; off < len(raw)-4; off += 7919 {
-		cuts = append(cuts, off)
-	}
-	for _, off := range cuts {
-		if _, err := restore(raw[:off]); err == nil {
-			t.Errorf("checkpoint truncated at %d of %d restored silently", off, len(raw))
+	for _, version := range []string{"SPSTRM02", "SPSTRM03"} {
+		old := append([]byte(nil), raw...)
+		copy(old, version)
+		resealCRC(old)
+		if _, err := restore(old); err == nil || !strings.Contains(err.Error(), version) {
+			t.Fatalf("%s checkpoint: got %v, want a rejection naming the version", version, err)
 		}
 	}
-
-	// A permutation flag that is neither 0 nor 1, under a valid CRC.
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(bad[permFlag0:], 2)
-	resealCRC(bad)
-	if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "perm presence flag") {
-		t.Errorf("perm flag 2: got %v, want a perm presence flag error", err)
-	}
-
-	// One flipped bit in bytes the parser only skips: the CRC catches it.
-	for _, off := range []int{start + 8 + 5, start + 8 + 3*8 + 17, permFlag0 + 8 + 3, len(raw) - 5} {
-		bad := append([]byte(nil), raw...)
-		bad[off] ^= 0x10
-		if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
-			t.Errorf("bit flip at %d: got %v, want a checksum error", off, err)
-		}
-	}
-}
-
-// asV2 rewrites an SPSTRM03 checkpoint with an empty layout flag as the
-// SPSTRM02 file an older writer would have produced: no flag, v2 magic.
-func asV2(t testing.TB, v3 []byte) []byte {
-	t.Helper()
-	body := len(v3) - 4 - 8
-	if binary.LittleEndian.Uint64(v3[body:]) != 0 {
-		t.Fatal("checkpoint does not end in an empty layout flag")
-	}
-	v2 := append(append([]byte(nil), v3[:body]...), 0, 0, 0, 0)
-	copy(v2, stateMagicV2[:])
-	resealCRC(v2)
-	return v2
 }
 
 // TestScheduleIgnoresHistory: the kernel schedule of a slice is the one it
 // gets as slice 0 of a fresh decomposer, whatever came before it — a
-// slice dropped under SkipSlice, its own failed first attempt under
-// RetrySlice, or a restore from an SPSTRM02 checkpoint, which has no
-// layout flag.
+// slice dropped under SkipSlice or its own failed first attempt under
+// RetrySlice.
 func TestScheduleIgnoresHistory(t *testing.T) {
 	s := remapStream(t, 408, 4)
 	probe := s.Slices[3]
@@ -308,24 +231,6 @@ func TestScheduleIgnoresHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			return d // the probe is slice 1: its first attempt fails
-		},
-		"v2-restore": func(t *testing.T) *Decomposer {
-			first, _ := runStream(t, &sptensor.Stream{Dims: s.Dims, Slices: s.Slices[:2]}, opt)
-			var buf bytes.Buffer
-			if err := first.SaveState(&buf); err != nil {
-				t.Fatal(err)
-			}
-			d, err := NewDecomposer(s.Dims, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.RestoreState(bytes.NewReader(asV2(t, buf.Bytes()))); err != nil {
-				t.Fatalf("SPSTRM02 checkpoint rejected: %v", err)
-			}
-			if d.T() != 2 || maxFactorDiff(first, d) != 0 {
-				t.Fatal("SPSTRM02 restore lost state")
-			}
-			return d
 		},
 	}
 	for name, history := range histories {

@@ -8,24 +8,28 @@ import (
 	"time"
 
 	"spstream/internal/core"
+	"spstream/internal/ingest/wal"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
 )
 
 // Processor consumes slices; implemented by core.Decomposer. What else
-// a processor can do is found by type assertion: T() int (the replay
-// point and offset key), Tunable (degradation), checkpointer.
+// a processor can do is found by type assertion: Tunable (degradation),
+// checkpointer (the replay point and checkpoints).
 type Processor interface {
 	ProcessSliceContext(ctx context.Context, x *sptensor.Tensor) (core.SliceResult, error)
 }
 
 // checkpointer is the optional capability a checkpointed run rests on
-// (core.Decomposer has it): the slice counter offsets and checkpoints
-// are keyed by, the state a checkpoint holds, and the manager the run
-// was configured with (Options.Resilience.Checkpoint; nil for none).
+// (core.Decomposer has it): the slice counter checkpoints are keyed by,
+// the WAL cursor the state carries (the replay point), the state a
+// checkpoint holds, and the manager the run was configured with
+// (Options.Resilience.Checkpoint; nil for none).
 type checkpointer interface {
 	T() int
+	Cursor() uint64
+	SetCursor(seq uint64)
 	resilience.StateWriter
 	Checkpoints() *resilience.Manager
 }
@@ -39,9 +43,10 @@ var ErrDraining = errors.New("ingest: pipeline is draining")
 // slice; it is accounted as a breaker shed.
 var ErrGateClosed = errors.New("ingest: admission gate closed (circuit breaker open)")
 
-// ErrDurability wraps what OnError receives when an offset commit, a
-// checkpoint write or the WAL close failed: the slice outcomes stand,
-// what is in doubt is how much of them a crash would keep.
+// ErrDurability wraps what OnError receives when the WAL flush before a
+// checkpoint, the checkpoint write or the WAL close failed: the slice
+// outcomes stand, what is in doubt is how much of them a crash would
+// keep.
 var ErrDurability = errors.New("ingest: durability")
 
 // ErrQueueFull is returned by Admit when the full-queue policy shed
@@ -118,16 +123,18 @@ type Pipeline struct {
 	clock    func() time.Time
 	realTime bool
 
-	// t reads the processor's slice counter (0 when it has none); ckpt
-	// and mgr are set when the processor carries a checkpoint manager.
-	t    func() int
-	ckpt checkpointer
-	mgr  *resilience.Manager
+	// ckpt is set when the processor is a checkpointer, mgr when it also
+	// carries a checkpoint manager; cursors holds the cursor of every
+	// checkpoint this run wrote that the manager still keeps, by path.
+	ckpt    checkpointer
+	mgr     *resilience.Manager
+	cursors map[string]uint64
 
 	// consumedSeq is the highest WAL sequence number of a slice the
 	// consumer fully finished (processed, failed, or stale-shed —
-	// outcomes an uncrashed run would reproduce). commit binds it to a
-	// slice counter so replay after a crash is exactly-once.
+	// outcomes an uncrashed run would reproduce), seeded from the
+	// restored state's cursor. Every checkpoint carries it, so replay
+	// after a crash is exactly-once.
 	consumedSeq atomic.Uint64
 
 	cancel context.CancelFunc
@@ -154,12 +161,12 @@ func New(proc Processor, cfg Config) (*Pipeline, error) {
 	if p.clock == nil {
 		p.clock = time.Now
 	}
-	p.t = func() int { return 0 }
-	if tp, ok := proc.(interface{ T() int }); ok {
-		p.t = tp.T
-	}
-	if c, ok := proc.(checkpointer); ok && c.Checkpoints() != nil {
+	if c, ok := proc.(checkpointer); ok {
+		// Replay starts after the slices already folded into the
+		// processor's (restored) state.
 		p.ckpt, p.mgr = c, c.Checkpoints()
+		p.cursors = map[string]uint64{}
+		p.consumedSeq.Store(c.Cursor())
 	}
 	if cfg.Degrade {
 		tun, ok := proc.(Tunable)
@@ -170,9 +177,7 @@ func New(proc Processor, cfg Config) (*Pipeline, error) {
 	}
 	p.q = newQueue(cfg.QueueCap, cfg.Policy, p.clock, &p.ov)
 	if cfg.Policy == Spill {
-		// Replay starts after the slices already folded into the
-		// processor's (restored) state.
-		sp, err := newSpiller(*cfg.Spill, p.t(), p.q, &p.ov, p.clock)
+		sp, err := newSpiller(*cfg.Spill, p.consumedSeq.Load(), p.q, &p.ov, p.clock)
 		if err != nil {
 			return nil, err
 		}
@@ -288,35 +293,55 @@ func (p *Pipeline) SpillDiskBytes() int64 {
 	return p.sp.log.DiskBytes()
 }
 
-// commit durably binds the consumed WAL offset to the processor's slice
-// counter. The WAL keeps one older offset per checkpoint a restart could
-// fall back to — the manager's retention, none without a manager — and
-// collects every segment below the oldest.
-func (p *Pipeline) commit() bool {
-	older := 0
-	if p.mgr != nil {
-		older = p.mgr.Keep()
-	}
-	return p.sp == nil || p.durable("spill offset", p.sp.commitOffset(p.t(), p.consumedSeq.Load(), older))
-}
-
 // checkpoint is the whole durability protocol of a run (DESIGN §13):
-// when checkpoint t is due — or final, at drain — commit the consumed
-// offset for t and only then write checkpoint t. A crash between the two
-// restores an older checkpoint whose offset is still retained; a failed
-// commit skips the checkpoint for the same reason. A run without a
-// manager only commits, at drain. It runs on the consumer goroutine or
-// after it has exited, so the processor is quiescent.
+// when checkpoint t is due — or final, at drain — flush the WAL's group
+// commit, write checkpoint t carrying the consumed cursor, and only then
+// release the segments below the lowest cursor a restart could resume
+// from. A failed flush skips the checkpoint. A run without a manager
+// releases every consumed segment at drain. It runs on the consumer
+// goroutine or after it has exited, so the processor is quiescent.
 func (p *Pipeline) checkpoint(final bool) {
-	t := p.t()
-	due := p.mgr != nil && t > 0 && (final || p.mgr.Due(t))
-	if !due && !final {
+	seq := p.consumedSeq.Load()
+	if p.mgr == nil {
+		if final && p.sp != nil {
+			p.sp.log.Release(seq)
+		}
 		return
 	}
-	if p.commit() && due {
-		_, err := p.mgr.Write(t, p.ckpt)
-		p.durable("checkpoint", err)
+	t := p.ckpt.T()
+	if t == 0 || !final && !p.mgr.Due(t) {
+		return
 	}
+	if p.sp != nil {
+		// A killed run's log is closed: it writes nothing more.
+		if err := p.sp.log.Sync(); errors.Is(err, wal.ErrClosed) || !p.durable("spill sync", err) {
+			return
+		}
+	}
+	p.ckpt.SetCursor(seq)
+	path, err := p.mgr.Write(t, p.ckpt)
+	if p.durable("checkpoint", err) && p.sp != nil {
+		p.sp.log.Release(p.floor(path, seq))
+	}
+}
+
+// floor records that the checkpoint at path carries cursor seq and
+// returns the lowest cursor among the checkpoints the manager keeps. One
+// this run did not write counts as 0: its cursor is unknown here, and a
+// restart may still fall back to it.
+func (p *Pipeline) floor(path string, seq uint64) uint64 {
+	p.cursors[path] = seq
+	kept := make(map[string]uint64, len(p.cursors))
+	floor := seq
+	for _, ck := range p.mgr.Checkpoints() {
+		c, ok := p.cursors[ck]
+		floor = min(floor, c)
+		if ok {
+			kept[ck] = c
+		}
+	}
+	p.cursors = kept
+	return floor
 }
 
 // durable reports a failed durability step through OnError.
@@ -329,7 +354,7 @@ func (p *Pipeline) durable(step string, err error) bool {
 
 // Kill is the crash simulation used by the durability tests: it stops
 // the consumer and refiller immediately and closes the WAL WITHOUT
-// flushing the group commit or committing an offset — exactly the
+// flushing the group commit or writing a checkpoint — exactly the
 // state a SIGKILL leaves behind. Production shutdown is Drain.
 func (p *Pipeline) Kill() {
 	started := p.cancel != nil
@@ -410,8 +435,8 @@ func (p *Pipeline) consume(ctx context.Context, it item) {
 		// Emergency stop: the item was popped but not completed; count
 		// it with the drain sheds so the accounting stays exact. The
 		// consumed mark is NOT advanced — a spilled slice stopped
-		// mid-solve stays below any committed offset and replays after
-		// restart.
+		// mid-solve stays above every checkpoint's cursor and replays
+		// after restart.
 		p.ov.ShedDrain.Add(1)
 		return
 	default:
@@ -427,21 +452,20 @@ func (p *Pipeline) consume(ctx context.Context, it item) {
 }
 
 // markConsumed records that a slice's outcome is final. For spilled
-// slices this advances the replay offset candidate: an outcome an
-// uncrashed run would reproduce (processed into state; failed or
-// stale-shed and skipped) must not replay after a crash, or recovery
-// diverges from the uncrashed run. The WAL collects segments only at
-// an offset commit, and without a checkpoint manager nothing else
-// commits one: do it whenever it frees the oldest segment, so disk
-// tracks the unconsumed backlog, not the run's history.
+// slices this advances the cursor the next checkpoint carries: an
+// outcome an uncrashed run would reproduce (processed into state;
+// failed or stale-shed and skipped) must not replay after a crash, or
+// recovery diverges from the uncrashed run. Without a checkpoint
+// manager no checkpoint releases WAL segments, so every consumed record
+// does, and disk tracks the unconsumed backlog, not the run's history.
 func (p *Pipeline) markConsumed(it item) {
 	if it.walSeq <= p.consumedSeq.Load() {
 		return
 	}
 	// Single consumer goroutine: plain store ordering is enough.
 	p.consumedSeq.Store(it.walSeq)
-	if p.mgr == nil && p.sp.log.Reclaimable(it.walSeq) {
-		p.commit()
+	if p.mgr == nil {
+		p.sp.log.Release(it.walSeq)
 	}
 }
 
@@ -455,10 +479,10 @@ func (p *Pipeline) observe(lag time.Duration) {
 // Drain performs the graceful shutdown: admissions stop, the backlog
 // is processed until done or the drain deadline (Config.DrainTimeout,
 // further bounded by ctx), and anything still queued is shed and
-// counted. It then makes the end state durable — the final offset
-// commit, the final checkpoint when the run has a manager, the WAL
-// close — and returns the final counter snapshot. Drain must be called
-// exactly once, after producers have stopped offering.
+// counted. It then makes the end state durable — the final checkpoint
+// when the run has a manager, the WAL close — and returns the final
+// counter snapshot. Drain must be called exactly once, after producers
+// have stopped offering.
 func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
 	p.q.close()
 	if p.sp != nil {
@@ -479,8 +503,8 @@ func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
 	if !graceful {
 		// Deadline: stop the consumer and refiller, then account the
 		// backlog. Direct-queued slices are shed; spilled slices are
-		// returned to the durable backlog — they are on disk below any
-		// committed offset, so the next run replays them instead.
+		// returned to the durable backlog — they are on disk above every
+		// checkpoint's cursor, so the next run replays them instead.
 		if p.cancel != nil {
 			p.cancel()
 		}
@@ -506,9 +530,9 @@ func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
 	} else if p.sp != nil {
 		p.sp.wait()
 	}
-	// Bind the final consumption point to the slice counter so a restart
-	// does not replay slices this run already committed, checkpoint that
-	// state, then flush and close the WAL.
+	// Checkpoint the final state with its cursor so a restart does not
+	// replay slices this run already folded in, then flush and close
+	// the WAL.
 	p.checkpoint(true)
 	if p.sp != nil {
 		p.durable("spill close", p.sp.close())

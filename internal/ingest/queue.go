@@ -19,8 +19,8 @@ type item struct {
 	coalesced int
 	// walSeq is the WAL sequence number of a slice that took the spill
 	// tier (0 for slices that entered the queue directly). The consumer
-	// tracks the highest fully-consumed walSeq so checkpoint offsets
-	// make replay after a crash exactly-once.
+	// tracks the highest fully-consumed walSeq; every checkpoint
+	// carries it, so replay after a crash is exactly-once.
 	walSeq uint64
 }
 

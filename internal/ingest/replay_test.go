@@ -186,3 +186,91 @@ func TestSpillRestartReplaysNothingTwice(t *testing.T) {
 		})
 	}
 }
+
+// stopAfter solves n slices, then waits on the next one for the
+// emergency stop: a life killed mid-solve with a known backlog behind it.
+type stopAfter struct {
+	*core.Decomposer
+	n int
+}
+
+func (s *stopAfter) ProcessSliceContext(ctx context.Context, x *sptensor.Tensor) (core.SliceResult, error) {
+	if s.n == 0 {
+		<-ctx.Done()
+		return core.SliceResult{}, ctx.Err()
+	}
+	s.n--
+	return s.Decomposer.ProcessSliceContext(ctx, x)
+}
+
+// TestSpillRestartAfterWALLost: the WAL directory is lost while the
+// checkpoints survive. The next life's spills must be numbered past the
+// restored cursor, so that when it is killed with a backlog, the restart
+// replays that backlog instead of skipping it as already applied.
+func TestSpillRestartAfterWALLost(t *testing.T) {
+	l := newLives(t, 24)
+	l.spillThenDrain(l.s.Slices[:20])
+	if err := os.RemoveAll(l.spillDir); err != nil {
+		t.Fatal(err)
+	}
+
+	_, p, mgr := l.life(1, func(d *core.Decomposer) Processor { return &stopAfter{Decomposer: d, n: 1} })
+	for _, x := range l.s.Slices[20:] {
+		if err := p.Offer(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.Stats().Spilled; got != 3 {
+		t.Fatalf("spilled %d slices, want 3", got)
+	}
+	p.Start(context.Background())
+	waitCheckpoint(t, mgr, 21)
+	p.Kill()
+
+	l.finish(3)
+}
+
+// diskProbe reads the WAL's footprint as each slice reaches the solver,
+// after the previous slice's checkpoint and release.
+type diskProbe struct {
+	*core.Decomposer
+	p    *Pipeline
+	disk []int64
+}
+
+func (d *diskProbe) ProcessSliceContext(ctx context.Context, x *sptensor.Tensor) (core.SliceResult, error) {
+	d.disk = append(d.disk, d.p.SpillDiskBytes())
+	return d.Decomposer.ProcessSliceContext(ctx, x)
+}
+
+// TestRestoredRunKeepsSegmentsUntilOwnCheckpoints: a restart may fall
+// back to any checkpoint the manager keeps, and a restarted run does not
+// know the cursors of those an earlier life wrote, so it releases no WAL
+// segment until every kept checkpoint (two here) is one of its own.
+func TestRestoredRunKeepsSegmentsUntilOwnCheckpoints(t *testing.T) {
+	l := newLives(t, 23)
+	l.spillThenDrain(l.s.Slices[:20])
+
+	probe := &diskProbe{}
+	_, p, _ := l.life(8, func(d *core.Decomposer) Processor {
+		probe.Decomposer = d
+		return probe
+	})
+	probe.p = p
+	left := p.SpillDiskBytes()
+	if left <= 64 {
+		t.Fatalf("life 1 left %d WAL bytes; nothing to keep", left)
+	}
+	for _, x := range l.s.Slices[20:] {
+		if err := p.Offer(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Start(context.Background())
+	p.Drain(context.Background())
+	// Slice 21 runs after checkpoint 21 (kept beside life 1's 20), slice
+	// 22 after checkpoint 22 (kept beside 21, both this life's).
+	if d := probe.disk; len(d) != 3 || d[0] != left || d[1] != left || d[2] > 64 {
+		t.Fatalf("WAL bytes as slices 20..22 began: %v, want %d, %d, then an empty segment", d, left, left)
+	}
+}

@@ -16,9 +16,8 @@ import (
 // SpillConfig parameterizes the durable backlog behind the Spill shed
 // policy. Dir arms it; everything else defaults.
 type SpillConfig struct {
-	// Dir is the WAL directory (created if missing). Keep it on the
-	// same filesystem as the checkpoint directory so a crash loses
-	// neither or both of a checkpoint/offset pair's durability.
+	// Dir is the WAL directory (created if missing). The replay point
+	// is not kept here but in the checkpoint (core.Decomposer.Cursor).
 	Dir string
 	// MaxBytes, when positive, caps the on-disk backlog; past it new
 	// overflow is shed (counted ShedSpill) instead of filling the disk.
@@ -86,12 +85,10 @@ type spiller struct {
 	done chan struct{}
 }
 
-// newSpiller opens the WAL and seeks replay to the offset committed for
-// slice counter replayFrom — the state the processor holds (0 for a
-// fresh start) — making restart exactly-once with respect to committed
-// slices; with no matching offset the whole backlog replays
-// (at-least-once fallback).
-func newSpiller(cfg SpillConfig, replayFrom int, q *queue, ov *trace.Overload, clock func() time.Time) (*spiller, error) {
+// newSpiller opens the WAL and seeks replay past cursor, the highest
+// sequence number the processor's (restored) state already includes —
+// 0 for a fresh start, which replays everything on disk.
+func newSpiller(cfg SpillConfig, cursor uint64, q *queue, ov *trace.Overload, clock func() time.Time) (*spiller, error) {
 	log, _, err := wal.Open(wal.Options{
 		Dir:          cfg.Dir,
 		SegmentBytes: cfg.SegmentBytes,
@@ -102,11 +99,10 @@ func newSpiller(cfg SpillConfig, replayFrom int, q *queue, ov *trace.Overload, c
 	if err != nil {
 		return nil, err
 	}
-	// Everything after the offset was produced but never folded into
+	// Everything after the cursor was produced but never folded into
 	// the restored state, so it re-enters accounting as recovered
-	// backlog. (No matching offset: seq is 0, replay all.)
-	seq, _ := log.OffsetFor(replayFrom)
-	log.SeekTo(seq)
+	// backlog.
+	log.SeekTo(cursor)
 	s := &spiller{log: log, q: q, ov: ov, clock: clock, done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	s.backlog = log.Pending()
@@ -250,19 +246,9 @@ func (s *spiller) kill() {
 // wait blocks until the refill goroutine has exited.
 func (s *spiller) wait() { <-s.done }
 
-// commitOffset durably binds slice counter t to consumption progress,
-// keeping as many older offsets as there are checkpoints to fall back to.
-func (s *spiller) commitOffset(t int, seq uint64, older int) error {
-	err := s.log.CommitOffset(t, seq, older)
-	if errors.Is(err, wal.ErrClosed) {
-		return nil
-	}
-	return err
-}
-
 // requeue returns a popped-but-unprocessed WAL item to the backlog
 // accounting after a drain deadline: the record is still on disk and
-// below any committed offset, so the next run replays it. Reverses the
+// above the consumer's cursor, so the next run replays it. Reverses the
 // SpillDrained count its refill added.
 func (s *spiller) requeue() {
 	s.ov.SpillDrained.Add(-1)

@@ -3,7 +3,11 @@ package ingest
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -411,8 +415,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestSpillWavesReclaimDiskWithoutCheckpoints: a run with no checkpoint
-// manager has nobody but the pipeline to commit WAL offsets, and the WAL
-// collects segments only at a commit. Thirty overload waves, each
+// manager has no checkpoint to release WAL segments at, so the pipeline
+// releases them as it consumes records. Thirty overload waves, each
 // drained to an empty backlog before the next, must leave the disk
 // footprint where one wave leaves it — and under a MaxBytes cap that a
 // single wave fits, no wave may ever shed. (At the parent commit the
@@ -455,23 +459,40 @@ func TestSpillWavesReclaimDiskWithoutCheckpoints(t *testing.T) {
 	}
 }
 
-// commitFS records the slice counter at every offset commit (each one
-// publishes the sidecar with a rename).
-type commitFS struct {
+// segmentOnlyFS records every file the WAL opens other than a segment.
+type segmentOnlyFS struct {
 	wal.FS
-	t     func() int
+	mu    sync.Mutex
+	other []string
+}
+
+func (f *segmentOnlyFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	if base := filepath.Base(name); !strings.HasPrefix(base, "wal-") || !strings.HasSuffix(base, ".seg") {
+		f.mu.Lock()
+		f.other = append(f.other, base)
+		f.mu.Unlock()
+	}
+	return f.FS.OpenFile(name, flag, perm)
+}
+
+// saveRecorder records the slice counter at every checkpoint the
+// manager writes (each serializes the state once).
+type saveRecorder struct {
+	*throttled
 	marks []int
 }
 
-func (f *commitFS) Rename(o, n string) error {
-	f.marks = append(f.marks, f.t())
-	return f.FS.Rename(o, n)
+func (r *saveRecorder) SaveState(w io.Writer) error {
+	r.marks = append(r.marks, r.T())
+	return r.throttled.SaveState(w)
 }
 
-// TestCheckpointedRunMarksOnlyDueCheckpoints pins where the offset
-// commits of a checkpointed run land: one immediately before every due
-// checkpoint and one at drain — each costs an fsync, and the reclaim
-// cadence of the run without a manager must not leak into this one.
+// TestCheckpointedRunMarksOnlyDueCheckpoints pins the durability cost of
+// a checkpointed run: one checkpoint where one is due and one at drain —
+// the reclaim cadence of the run without a manager must not leak into
+// this one — and no WAL file but its segments: the replay point travels
+// inside the checkpoint, so no sidecar is written, renamed or fsynced
+// beside it.
 func TestCheckpointedRunMarksOnlyDueCheckpoints(t *testing.T) {
 	s := overloadStream(t, 23, 5)
 	mgr, err := resilience.NewManager(t.TempDir(), 5, 2)
@@ -482,8 +503,9 @@ func TestCheckpointedRunMarksOnlyDueCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &commitFS{FS: wal.OSFS(), t: dec.T}
-	p, err := New(&throttled{Decomposer: dec, delay: time.Millisecond}, Config{
+	fs := &segmentOnlyFS{FS: wal.OSFS()}
+	rec := &saveRecorder{throttled: &throttled{Decomposer: dec, delay: time.Millisecond}}
+	p, err := New(rec, Config{
 		QueueCap: 1,
 		Spill:    &SpillConfig{Dir: t.TempDir(), SegmentBytes: 8 << 10, FS: fs},
 		OnError:  func(err error) { t.Errorf("pipeline: %v", err) },
@@ -500,8 +522,11 @@ func TestCheckpointedRunMarksOnlyDueCheckpoints(t *testing.T) {
 	if snap := p.Drain(context.Background()); snap.Processed != 23 || snap.Spilled == 0 {
 		t.Fatalf("processed=%d spilled=%d, want 23 and some", snap.Processed, snap.Spilled)
 	}
-	if want := []int{5, 10, 15, 20, 23}; !reflect.DeepEqual(fs.marks, want) {
-		t.Fatalf("offset commits at t=%v, want %v", fs.marks, want)
+	if want := []int{5, 10, 15, 20, 23}; !reflect.DeepEqual(rec.marks, want) {
+		t.Fatalf("checkpoints written at t=%v, want %v", rec.marks, want)
+	}
+	if len(fs.other) != 0 {
+		t.Fatalf("the WAL opened %v beside its segments", fs.other)
 	}
 	if got, want := mgr.Checkpoints(), []string{mgr.Path(23), mgr.Path(20)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoints %v, want %v", got, want)

@@ -7,15 +7,16 @@
 // configurable interval rather than per record, bounding both the
 // fsync rate and the data-loss window of a hard crash.
 //
-// The log carries a consumer-offset sidecar file recording, per
-// decomposer checkpoint T, how far consumption had durably progressed.
-// Replay after SIGKILL seeks to the offset bound to the restored
-// checkpoint, so every slice after the checkpoint is re-applied exactly
-// once and the recovered stream converges to the same factors as an
-// uncrashed run. All filesystem access flows through the FS seam so the
-// fault-injection harness (internal/resilience/faultinject) can produce
-// short writes, failed fsyncs, torn final records, and ENOSPC
-// deterministically.
+// The log keeps no consumer position of its own. The consumer's cursor —
+// the highest sequence number its state already includes — is stored
+// in the decomposer checkpoint, under that file's checksum; a restart
+// hands the restored cursor to SeekTo, so every record after it is
+// applied exactly once and the recovered stream converges to the same
+// factors as an uncrashed run, and Release collects the segments no
+// retained checkpoint can replay from. All filesystem access flows
+// through the FS seam so the fault-injection harness
+// (internal/resilience/faultinject) can produce short writes, failed
+// fsyncs, torn final records, and ENOSPC deterministically.
 package wal
 
 import (
@@ -42,7 +43,6 @@ import (
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	ReadDir(name string) ([]fs.DirEntry, error)
-	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Truncate(name string, size int64) error
 	Stat(name string) (fs.FileInfo, error)
@@ -67,7 +67,6 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) Rename(o, n string) error                   { return os.Rename(o, n) }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }
 func (osFS) Truncate(name string, size int64) error     { return os.Truncate(name, size) }
 func (osFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
@@ -111,19 +110,14 @@ func (e *LossError) Error() string {
 
 func (e *LossError) Unwrap() error { return e.Err }
 
-// Segment and sidecar naming.
+// Segment naming.
 const (
-	segPrefix  = "wal-"
-	segExt     = ".seg"
-	offsetName = "offsets"
+	segPrefix = "wal-"
+	segExt    = ".seg"
 )
 
-// segMagic identifies a segment file and its format version; offMagic
-// the consumer-offset sidecar.
-var (
-	segMagic = [8]byte{'S', 'P', 'W', 'A', 'L', 'S', '0', '1'}
-	offMagic = [8]byte{'S', 'P', 'W', 'A', 'L', 'O', '0', '1'}
-)
+// segMagic identifies a segment file and its format version.
+var segMagic = [8]byte{'S', 'P', 'W', 'A', 'L', 'S', '0', '1'}
 
 // segHeaderSize is magic + first sequence number.
 const segHeaderSize = 8 + 8
@@ -189,18 +183,6 @@ type segment struct {
 
 func (s *segment) lastSeq() uint64 { return s.firstSeq + s.count - 1 }
 
-// offsetEntry binds a decomposer checkpoint T to the highest WAL
-// sequence number whose slice that checkpoint's state already
-// includes.
-type offsetEntry struct {
-	t   int
-	seq uint64
-}
-
-// maxOffsetEntries caps the sidecar history (the format's bound; the
-// committer says how many entries it actually needs, CommitOffset).
-const maxOffsetEntries = 16
-
 // Recovery reports what Open found on disk.
 type Recovery struct {
 	// Segments and Records are the valid state recovered.
@@ -215,7 +197,7 @@ type Recovery struct {
 }
 
 // Log is the write-ahead log. One writer (Append) and one reader
-// (Next) may run concurrently with each other and with CommitOffset;
+// (Next) may run concurrently with each other and with Release;
 // all state is guarded by one mutex — the log is disk-bound, not
 // lock-bound.
 type Log struct {
@@ -228,12 +210,11 @@ type Log struct {
 	closed bool
 	broken error // set when a failed append could not be rolled back
 
-	nextSeq  uint64 // seq the next Append gets
+	nextSeq  uint64 // seq the next Append gets, unless below seqFloor
+	seqFloor uint64 // the lowest seq an Append may take (SeekTo)
 	readSeq  uint64 // seq the next Next returns
 	dirty    bool   // unsynced appends
 	lastSync time.Time
-
-	offsets []offsetEntry
 
 	// read cursor
 	rFile  File
@@ -245,10 +226,9 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the log in opts.Dir, validates every
-// segment record by record, truncates a torn tail off the newest
-// segment, and loads the consumer-offset sidecar. The read cursor
-// starts at the oldest record on disk; callers coordinating with a
-// checkpoint should follow with SeekTo(OffsetFor(t)).
+// segment record by record and truncates a torn tail off the newest
+// segment. The read cursor starts at the oldest record on disk; a
+// consumer resuming from a checkpoint follows with SeekTo(cursor).
 func Open(opts Options) (*Log, Recovery, error) {
 	opts = opts.withDefaults()
 	var rec Recovery
@@ -310,8 +290,6 @@ func Open(opts Options) (*Log, Recovery, error) {
 		l.w, l.wPath = w, l.segPath(tail.index)
 	}
 	l.rSeg = -1
-
-	l.loadOffsets() // corruption here degrades to replay-everything, never fails Open
 	return l, rec, nil
 }
 
@@ -431,7 +409,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 
 	tail := l.segs[len(l.segs)-1]
-	if tail.size+recSize > l.opts.SegmentBytes && tail.count > 0 {
+	if l.nextSeq < l.seqFloor || tail.size+recSize > l.opts.SegmentBytes && tail.count > 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
@@ -491,7 +469,9 @@ func (l *Log) rollbackTailLocked(tail *segment) error {
 }
 
 // rotateLocked finalizes the active segment (fsync + close) and
-// creates the next one.
+// creates the next one, numbered from seqFloor when SeekTo moved the
+// numbering past the records on disk. An empty active segment, rotated
+// only to renumber, is deleted.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return fmt.Errorf("wal: rotate sync: %w", err)
@@ -500,7 +480,19 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: rotate close: %w", err)
 	}
 	tail := l.segs[len(l.segs)-1]
-	return l.createSegment(tail.index+1, l.nextSeq)
+	first := max(l.nextSeq, l.seqFloor)
+	if err := l.createSegment(tail.index+1, first); err != nil {
+		return err
+	}
+	if tail.count == 0 && l.opts.FS.Remove(l.segPath(tail.index)) == nil {
+		// Kept on a failed remove: Release collects it from the front.
+		l.segs = append(l.segs[:len(l.segs)-2], l.segs[len(l.segs)-1])
+	}
+	if l.readSeq == l.nextSeq {
+		l.readSeq = first
+	}
+	l.nextSeq = first
+	return nil
 }
 
 // Sync forces the group commit: every appended record becomes durable.
@@ -655,10 +647,15 @@ func (l *Log) invalidateCursorLocked() {
 }
 
 // SeekTo positions the reader after seq: the next record returned is
-// the oldest on disk with a sequence number greater than seq.
+// the oldest on disk with a sequence number greater than seq. No Append
+// after it is numbered seq or below: when every record on disk is at or
+// below seq — the log was emptied or replaced under a checkpoint that
+// survived — the next one is numbered seq+1, or a restart resuming from
+// the same cursor would skip it.
 func (l *Log) SeekTo(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.seqFloor = max(l.seqFloor, seq+1)
 	target := seq + 1
 	if len(l.segs) > 0 && target < l.segs[0].firstSeq {
 		target = l.segs[0].firstSeq
@@ -703,92 +700,19 @@ func (l *Log) diskBytesLocked() int64 {
 	return n
 }
 
-// CommitOffset durably records that the state checkpointed at
-// decomposer slice counter t already includes every record up to and
-// including seq, then garbage-collects segments no retained offset can
-// reach. Call it BEFORE writing checkpoint t: if the crash lands
-// between the two writes, restore falls back to an older checkpoint
-// whose offset entry is still retained — replaying too much is
-// impossible, replaying exactly right is the common case.
-//
-// older is how many earlier entries stay retained beside this one: the
-// checkpoints a restart could still fall back to (0 for a run that
-// keeps none — the history collapses to this entry and everything at or
-// below seq is collected). Entries above t belong to a life of the
-// stream that this commit supersedes; they go.
-func (l *Log) CommitOffset(t int, seq uint64, older int) error {
+// Release deletes the segments whose records are all at or below seq —
+// the lowest cursor any retained checkpoint may resume from — and that
+// the reader is done with. The active segment goes too once it is
+// consumed to its last record — a fresh one takes over first — so a
+// backlog that drains to nothing leaves nothing on disk.
+func (l *Log) Release(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
-	}
-	// Group-commit flush first: an offset must never claim durability
-	// for records the segment has not fsynced.
-	if err := l.syncLocked(); err != nil {
-		return fmt.Errorf("wal: commit offset sync: %w", err)
-	}
-	kept := l.offsets[:0]
-	for _, e := range l.offsets { // sorted by t
-		if e.t < t {
-			kept = append(kept, e)
-		}
-	}
-	older = min(max(older, 0), maxOffsetEntries-1, len(kept))
-	l.offsets = append(append(l.offsets[:0], kept[len(kept)-older:]...), offsetEntry{t: t, seq: seq})
-	if err := l.writeOffsetsLocked(); err != nil {
-		return err
-	}
-	l.gcLocked()
-	return nil
-}
-
-// Reclaimable reports whether a commit at seq would free disk: the
-// oldest segment holds records, all at or below seq, and the reader is
-// past it. A run without checkpoints asks after every consumed record,
-// because segments are collected only at a commit.
-func (l *Log) Reclaimable(seq uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.segs[0]
-	return !l.closed && s.count > 0 && s.lastSeq() <= seq && s.lastSeq() < l.readSeq
-}
-
-// OffsetFor returns the consumption offset bound to checkpoint t. When
-// no exact entry exists (the sidecar predates t or was lost), it falls
-// back to the newest entry at or below t; with no entry at all it
-// returns (0, false) — replay everything on disk, the fail-safe
-// at-least-once default.
-func (l *Log) OffsetFor(t int) (uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var best uint64
-	found := false
-	for _, e := range l.offsets {
-		if e.t <= t {
-			best = e.seq
-			found = true
-		}
-	}
-	return best, found
-}
-
-// gcLocked deletes segments every retained offset has passed and the
-// reader is done with. The active append segment goes too once it is
-// consumed to its last record — a fresh one takes over first — so a
-// backlog that drains to nothing leaves nothing on disk.
-func (l *Log) gcLocked() {
-	if len(l.offsets) == 0 {
 		return
 	}
-	floor := l.offsets[0].seq
-	for _, e := range l.offsets[1:] {
-		if e.seq < floor {
-			floor = e.seq
-		}
-	}
-	if l.readSeq-1 < floor {
-		floor = l.readSeq - 1
-	}
+	floor := min(seq, l.readSeq-1)
+	removed := false
 	for {
 		s := l.segs[0]
 		if s.count > 0 && s.lastSeq() > floor {
@@ -798,8 +722,8 @@ func (l *Log) gcLocked() {
 			if s.count == 0 {
 				break
 			}
-			// Appends were flushed by the commit that got us here; on
-			// failure the old segment simply stays active.
+			// Every record in it is consumed, so its unsynced appends
+			// need no flush; on failure it simply stays active.
 			old := l.w
 			if err := l.createSegment(s.index+1, l.nextSeq); err != nil {
 				_ = l.opts.FS.Remove(l.segPath(s.index + 1))
@@ -815,79 +739,10 @@ func (l *Log) gcLocked() {
 		if l.rSeg > 0 {
 			l.rSeg--
 		}
+		removed = true
 	}
-	_ = l.opts.FS.SyncDir(l.opts.Dir)
-}
-
-// writeOffsetsLocked rewrites the sidecar atomically: temp file, fsync,
-// rename, directory fsync.
-func (l *Log) writeOffsetsLocked() error {
-	buf := make([]byte, 0, segHeaderSize+len(l.offsets)*16+4)
-	buf = append(buf, offMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.offsets)))
-	for _, e := range l.offsets {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.t))
-		buf = binary.LittleEndian.AppendUint64(buf, e.seq)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
-	path := filepath.Join(l.opts.Dir, offsetName)
-	tmp := path + ".tmp"
-	f, err := l.opts.FS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: offsets temp: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		l.opts.FS.Remove(tmp)
-		return fmt.Errorf("wal: offsets write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		l.opts.FS.Remove(tmp)
-		return fmt.Errorf("wal: offsets sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		l.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := l.opts.FS.Rename(tmp, path); err != nil {
-		l.opts.FS.Remove(tmp)
-		return fmt.Errorf("wal: offsets rename: %w", err)
-	}
-	return l.opts.FS.SyncDir(l.opts.Dir)
-}
-
-// loadOffsets reads the sidecar; any damage degrades to an empty table
-// (replay everything) rather than an error.
-func (l *Log) loadOffsets() {
-	path := filepath.Join(l.opts.Dir, offsetName)
-	f, err := l.opts.FS.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, 8+4+maxOffsetEntries*16+4+1))
-	if err != nil || len(data) < 8+4+4 {
-		return
-	}
-	if string(data[:8]) != string(offMagic[:]) {
-		return
-	}
-	body, foot := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(foot) {
-		return
-	}
-	n := binary.LittleEndian.Uint32(data[8:12])
-	if int(n) > maxOffsetEntries || len(body) != 12+int(n)*16 {
-		return
-	}
-	off := 12
-	for i := uint32(0); i < n; i++ {
-		t := int(int64(binary.LittleEndian.Uint64(body[off:])))
-		seq := binary.LittleEndian.Uint64(body[off+8:])
-		l.offsets = append(l.offsets, offsetEntry{t: t, seq: seq})
-		off += 16
+	if removed {
+		_ = l.opts.FS.SyncDir(l.opts.Dir)
 	}
 }
 

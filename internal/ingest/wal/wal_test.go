@@ -99,8 +99,9 @@ func TestReopenResumes(t *testing.T) {
 	if rec.Records != 10 {
 		t.Fatalf("recovered %d records, want 10", rec.Records)
 	}
-	// Reader restarts at the oldest on-disk record (offset coordination
-	// is the caller's job via SeekTo); appends continue at 11.
+	// Reader restarts at the oldest on-disk record (resuming from a
+	// checkpoint's cursor is the caller's job via SeekTo); appends
+	// continue at 11.
 	if seq, err := l2.Append(payload(11)); err != nil || seq != 11 {
 		t.Fatalf("Append after reopen: seq=%d err=%v", seq, err)
 	}
@@ -235,78 +236,6 @@ func TestMaxBytes(t *testing.T) {
 	l.Close()
 }
 
-// TestOffsetsRoundTrip: offsets survive reopen, bind exactly, fall back
-// to the newest at-or-below entry, and GC passed segments.
-func TestOffsetsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 128})
-	for i := 1; i <= 30; i++ {
-		if _, err := l.Append(payload(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segsBefore := l.Segments()
-	// Consume 20, then bind checkpoints: t=5→seq 10, t=9→seq 20.
-	for i := 0; i < 20; i++ {
-		l.Next()
-	}
-	if err := l.CommitOffset(5, 10, 15); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CommitOffset(9, 20, 15); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	l2, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 128})
-	if l2.Segments() >= segsBefore {
-		t.Fatalf("GC kept all %d segments despite floor seq 10", segsBefore)
-	}
-	if seq, ok := l2.OffsetFor(9); !ok || seq != 20 {
-		t.Fatalf("OffsetFor(9) = %d,%v want 20,true", seq, ok)
-	}
-	// Exact t missing: newest at-or-below wins.
-	if seq, ok := l2.OffsetFor(7); !ok || seq != 10 {
-		t.Fatalf("OffsetFor(7) = %d,%v want 10,true", seq, ok)
-	}
-	// Below every entry: replay-everything fallback.
-	if _, ok := l2.OffsetFor(3); ok {
-		t.Fatal("OffsetFor(3) found an entry below the oldest commit")
-	}
-	// Replay from the t=9 offset: records 21..30.
-	l2.SeekTo(20)
-	if got := drainAll(t, l2, 21); got != 10 {
-		t.Fatalf("replayed %d records from offset, want 10", got)
-	}
-	l2.Close()
-}
-
-// TestOffsetsCorruptionDegrades: a damaged offsets sidecar degrades to
-// replay-everything, never an Open failure.
-func TestOffsetsCorruptionDegrades(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, Options{Dir: dir})
-	for i := 1; i <= 5; i++ {
-		l.Append(payload(i))
-	}
-	if err := l.CommitOffset(3, 4, 15); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	if err := os.WriteFile(filepath.Join(dir, offsetName), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, _ := mustOpen(t, Options{Dir: dir})
-	if _, ok := l2.OffsetFor(3); ok {
-		t.Fatal("corrupt offsets file still resolved an offset")
-	}
-	if got := l2.Pending(); got != 5 {
-		t.Fatalf("Pending = %d with lost offsets, want 5 (replay everything)", got)
-	}
-	l2.Close()
-}
-
 // TestGroupCommit: with a long SyncEvery only the first append in the
 // window fsyncs; Sync() forces the rest out.
 func TestGroupCommit(t *testing.T) {
@@ -396,55 +325,90 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 }
 
-// TestCommitRetentionAndActiveSegmentGC: a commit keeps only as many
-// older offsets as the committer asks for, drops entries above its t
-// (an abandoned life of the stream), and — once every record is
-// consumed and below the floor — collects the active segment too,
-// leaving a fresh empty one whose numbering continues.
+// TestCommitRetentionAndActiveSegmentGC: after a checkpoint commit the
+// consumer releases up to the lowest cursor a retained checkpoint may
+// resume from. A segment goes only when all its records are at or below
+// that floor and behind the reader; once every record is, the active
+// segment goes too, leaving a fresh empty one whose numbering continues.
 func TestCommitRetentionAndActiveSegmentGC(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, Options{Dir: dir}) // one 4 MiB segment throughout
-	for i := 1; i <= 10; i++ {
+	l, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 128})
+	for i := 1; i <= 20; i++ {
 		if _, err := l.Append(payload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l.Reclaimable(10) {
-		t.Fatal("Reclaimable before the reader passed the segment")
+	segs := l.Segments()
+	l.Release(20)
+	if l.Segments() != segs {
+		t.Fatal("released segments the reader has not passed")
 	}
-	drainAll(t, l, 1)
-	for _, c := range []struct{ t, seq int }{{2, 4}, {4, 6}, {9, 9}, {6, 8}} {
-		if err := l.CommitOffset(c.t, uint64(c.seq), 1); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 12; i++ {
+		l.Next()
 	}
-	// {6,8} keeps one older entry, {4,6}; {2,4} aged out, {9,9} is above.
-	if _, ok := l.OffsetFor(3); ok {
-		t.Fatal("entry t=2 survived a commit that keeps one older offset")
-	}
-	if seq, _ := l.OffsetFor(100); seq != 8 {
-		t.Fatalf("OffsetFor(100) = %d, want 8: the entry above the committed t must go", seq)
-	}
-	if l.DiskBytes() <= segHeaderSize {
-		t.Fatal("active segment collected while records 7..10 are above the floor")
-	}
-	if !l.Reclaimable(10) {
-		t.Fatal("not Reclaimable with every record consumed")
-	}
-	if err := l.CommitOffset(7, 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if l.Segments() != 1 || l.DiskBytes() != segHeaderSize {
-		t.Fatalf("segments=%d disk=%d after a fully consumed commit, want one empty segment", l.Segments(), l.DiskBytes())
-	}
-	if seq, err := l.Append(payload(11)); err != nil || seq != 11 {
-		t.Fatalf("append after collection: seq=%d err=%v, want 11", seq, err)
+	l.Release(6)
+	if got := l.Segments(); got >= segs || got == 1 {
+		t.Fatalf("segments %d → %d after releasing up to 6 of 20", segs, got)
 	}
 	l.Close()
-	l2, rec := mustOpen(t, Options{Dir: dir})
-	defer l2.Close()
-	if rec.Records != 1 || drainAll(t, l2, 11) != 1 {
+	l2, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 128})
+	// Every record above the floor is still on disk.
+	l2.SeekTo(6)
+	if got := drainAll(t, l2, 7); got != 14 {
+		t.Fatalf("replayed %d records after the floor, want 14", got)
+	}
+	l2.Release(20)
+	if l2.Segments() != 1 || l2.DiskBytes() != segHeaderSize {
+		t.Fatalf("segments=%d disk=%d after a full release, want one empty segment", l2.Segments(), l2.DiskBytes())
+	}
+	if seq, err := l2.Append(payload(21)); err != nil || seq != 21 {
+		t.Fatalf("append after collection: seq=%d err=%v, want 21", seq, err)
+	}
+	l2.Close()
+	l3, rec := mustOpen(t, Options{Dir: dir})
+	defer l3.Close()
+	if rec.Records != 1 || drainAll(t, l3, 21) != 1 {
 		t.Fatalf("reopen found %d records, want the one appended after collection", rec.Records)
+	}
+}
+
+// TestSeekToPastRecordsRenumbers: a consumer resuming from a cursor above
+// every record on disk — the log was emptied or replaced under a
+// checkpoint that survived — must see the next append numbered past the
+// cursor, or a restart from the same cursor would skip it. Records below
+// the cursor stay readable.
+func TestSeekToPastRecordsRenumbers(t *testing.T) {
+	for _, before := range []int{0, 3} {
+		dir := t.TempDir()
+		l, _ := mustOpen(t, Options{Dir: dir})
+		for i := 1; i <= before; i++ {
+			if _, err := l.Append(payload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.SeekTo(40)
+		if p := l.Pending(); p != 0 {
+			t.Fatalf("%d records: Pending = %d after seeking past them, want 0", before, p)
+		}
+		for i := 41; i <= 42; i++ {
+			if seq, err := l.Append(payload(i)); err != nil || seq != uint64(i) {
+				t.Fatalf("%d records: append after SeekTo(40) got seq %d (err %v), want %d", before, seq, err, i)
+			}
+		}
+		if got := drainAll(t, l, 41); got != 2 {
+			t.Fatalf("%d records: read %d appends after the cursor, want 2", before, got)
+		}
+		l.Close()
+
+		l2, rec := mustOpen(t, Options{Dir: dir})
+		if rec.Records != uint64(before+2) || rec.LostRecords != 0 {
+			t.Fatalf("%d records: reopen recovered %+v", before, rec)
+		}
+		l2.SeekTo(40)
+		if got := drainAll(t, l2, 41); got != 2 {
+			t.Fatalf("%d records: replayed %d records after the cursor, want 2", before, got)
+		}
+		l2.Close()
 	}
 }
 

@@ -73,9 +73,6 @@ func sweepStaleTemps(dir string) {
 // Dir returns the checkpoint directory.
 func (m *Manager) Dir() string { return m.dir }
 
-// Keep returns how many checkpoints the manager retains.
-func (m *Manager) Keep() int { return m.keep }
-
 // Path returns the checkpoint file path for slice counter t.
 func (m *Manager) Path(t int) string {
 	return filepath.Join(m.dir, fmt.Sprintf("ckpt-%09d%s", t, checkpointExt))
@@ -150,7 +147,8 @@ func ListCheckpoints(dir string) []string {
 
 // prune removes all but the newest keep checkpoints.
 func (m *Manager) prune() {
-	for _, path := range m.Checkpoints()[minInt(m.keep, len(m.Checkpoints())):] {
+	cks := m.Checkpoints()
+	for _, path := range cks[min(m.keep, len(cks)):] {
 		os.Remove(path)
 	}
 }
@@ -183,11 +181,4 @@ func RestoreNewest(dir string, restore func(io.Reader) error) (string, error) {
 		return "", fmt.Errorf("%w: %v", ErrNoCheckpoint, lastErr)
 	}
 	return "", ErrNoCheckpoint
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -68,7 +68,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, e
 }
 
 func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) { return f.inner.ReadDir(name) }
-func (f *FaultFS) Rename(o, n string) error                   { return f.inner.Rename(o, n) }
 func (f *FaultFS) Remove(name string) error                   { return f.inner.Remove(name) }
 func (f *FaultFS) Truncate(name string, size int64) error {
 	if f.plan.FailTruncate {

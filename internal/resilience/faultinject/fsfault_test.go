@@ -147,7 +147,7 @@ func TestTornRecordSurvivesCrashAndRecovers(t *testing.T) {
 	if _, err := l.Append([]byte("after-broken")); err == nil || !strings.Contains(err.Error(), "rollback failed") {
 		t.Fatalf("append on broken log: got %v, want latched rollback failure", err)
 	}
-	l.Abort() // crash: no flush, no offset commit
+	l.Abort() // crash: no flush
 
 	l2, rec := openWAL(t, dir, nil)
 	defer l2.Close()

@@ -118,7 +118,8 @@ type Config struct {
 	// Checkpoint, when non-nil, is the checkpoint manager of whichever
 	// loop owns the run: ProcessStreamContext calls MaybeWrite after
 	// every successfully processed slice, and the ingest pipeline
-	// writes through it after committing its WAL offset.
+	// writes through it after flushing its WAL, the checkpoint carrying
+	// the WAL cursor.
 	Checkpoint *Manager
 	// FaultHook, when non-nil, is invoked at the named stages of guarded
 	// slice processing; a non-nil return is treated as that stage

@@ -177,8 +177,9 @@ type Server struct {
 // cfg.CheckpointDir is set, a decomposer carrying it and restored from
 // the newest valid checkpoint there, and the ingest pipeline over that
 // decomposer, with the spill WAL when cfg.SpillDir is set. From here on
-// the pipeline owns the run's durability: replay from the restored T(),
-// the WAL offset before every due checkpoint, the final pair at Drain.
+// the pipeline owns the run's durability: replay after the restored
+// checkpoint's WAL cursor, a checkpoint carrying the consumed cursor
+// when one is due, the final one at Drain.
 // own carries what is the caller's — Gate, Degrade, OnResult, OnError —
 // and its queue, policy, lag, drain and spill settings come from cfg
 // (Ingest).
@@ -281,7 +282,7 @@ func (s *Server) onResult(res core.SliceResult) {
 // errors. Staleness (the max-lag deadline) is overload, not solver
 // sickness — it must not open the breaker, or a traffic spike would be
 // misdiagnosed as a broken solver and turn 429s into 503s. Neither is a
-// failed offset commit or checkpoint write: the slice itself committed.
+// failed WAL flush or checkpoint write: the slice itself committed.
 func (s *Server) onError(err error) {
 	if errors.Is(err, ingest.ErrDurability) {
 		s.cfg.Logf("%v", err)
@@ -327,10 +328,9 @@ func (s *Server) Handler() http.Handler {
 
 // Run serves HTTP on ln until ctx is cancelled, then performs the
 // graceful shutdown: stop admissions, flush the partial window, drain
-// the backlog (bounded by DrainTimeout; the pipeline commits the final
-// WAL offset and writes the final checkpoint), and finish in-flight
-// reads. It returns
-// the fatal serve error, or nil after a clean drain.
+// the backlog (bounded by DrainTimeout; the pipeline writes the final
+// checkpoint, carrying the WAL cursor), and finish in-flight reads. It
+// returns the fatal serve error, or nil after a clean drain.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	s.pipe.Start(context.Background())
 	s.httpSrv = &http.Server{Handler: s.Handler()}

@@ -99,10 +99,11 @@ type (
 	ShedPolicy = ingest.ShedPolicy
 	// SpillConfig configures the durable spill-to-disk backlog
 	// (IngestConfig.Spill; a Dir implies ShedSpill): WAL directory, disk
-	// budget, group-commit window. Replay after a crash starts from the
-	// decomposer's own T(), and a decomposer that carries a checkpoint
-	// manager (ResilienceConfig.Checkpoint) is checkpointed by the
-	// pipeline, WAL offset first.
+	// budget, group-commit window. Replay after a crash starts after the
+	// decomposer's own WAL cursor (Decomposer.Cursor, restored with its
+	// checkpoint), and a decomposer that carries a checkpoint manager
+	// (ResilienceConfig.Checkpoint) is checkpointed by the pipeline with
+	// the cursor it has consumed up to.
 	SpillConfig = ingest.SpillConfig
 	// OverloadStats is a point-in-time snapshot of the overload
 	// counters (produced, processed, shed, coalesced, …).
@@ -165,7 +166,8 @@ func ParseShedPolicy(s string) (ShedPolicy, error) { return ingest.ParseShedPoli
 
 // ErrIngestDraining is returned by IngestPipeline.Offer after Drain has
 // begun; ErrIngestDurability wraps what IngestConfig.OnError receives
-// when an offset commit, checkpoint write or WAL close failed — the
+// when the WAL flush before a checkpoint, the checkpoint write or the
+// WAL close failed — the
 // slice outcomes stand, their durability is in doubt.
 var (
 	ErrIngestDraining   = ingest.ErrDraining
