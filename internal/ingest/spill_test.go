@@ -402,7 +402,6 @@ func (r *slowRecorder) ProcessSliceContext(context.Context, *sptensor.Tensor) (c
 	time.Sleep(200 * time.Microsecond)
 	return core.SliceResult{T: int(r.t.Add(1))}, nil
 }
-func (r *slowRecorder) T() int { return int(r.t.Load()) }
 
 // waitFor polls cond until it holds or ten seconds pass.
 func waitFor(t *testing.T, what string, cond func() bool) {
