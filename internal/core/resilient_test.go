@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spstream/internal/dense"
 	"spstream/internal/parallel"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
@@ -199,6 +200,7 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 		if err := fresh.RestoreState(bytes.NewReader(corrupted)); err == nil {
 			t.Errorf("bit flip at offset %d restored silently", off)
 		}
+		sameStateBits(t, fmt.Sprintf("bit flip at offset %d", off), fresh)
 	}
 	// The version byte flipped to v1, alone and with a payload flip.
 	if raw[7] != '4' {
@@ -217,15 +219,40 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 		if err := fresh.RestoreState(bytes.NewReader(corrupted)); err == nil {
 			t.Errorf("magic flip to v1 (payload flip %v) restored silently", payloadFlip)
 		}
+		sameStateBits(t, fmt.Sprintf("magic flip to v1 (payload flip %v)", payloadFlip), fresh)
 	}
 	// Truncation of just the footer is rejected too.
 	fresh, _ := NewDecomposer([]int{10, 12}, Options{Rank: 2})
 	if err := fresh.RestoreState(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Error("footer truncation restored silently")
 	}
+	sameStateBits(t, "footer truncation", fresh)
 	// The pristine bytes still restore.
 	if err := fresh.RestoreState(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameStateBits fails unless d, after a rejected restore, holds exactly
+// the state of a fresh decomposer with its options: factors, C, C_z, G,
+// sₜ, the temporal history, the slice counter and the WAL cursor. A
+// rejected checkpoint must leave nothing of itself behind.
+func sameStateBits(t *testing.T, label string, d *Decomposer) {
+	t.Helper()
+	want, err := NewDecomposer(d.Dims(), d.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range d.Dims() {
+		sameMatrixBits(t, fmt.Sprintf("%s: factor %d", label, m), d.Factor(m), want.Factor(m))
+		sameMatrixBits(t, fmt.Sprintf("%s: C %d", label, m), d.c[m], want.c[m])
+		sameMatrixBits(t, fmt.Sprintf("%s: C_z %d", label, m), d.cz[m], want.cz[m])
+	}
+	sameMatrixBits(t, label+": G", d.g, want.g)
+	sameMatrixBits(t, label+": s", dense.FromRows([][]float64{d.s}), dense.FromRows([][]float64{want.s}))
+	if d.T() != want.T() || d.Cursor() != want.Cursor() || len(d.sHist) != 0 || d.prevNZ != nil {
+		t.Fatalf("%s: t=%d cursor=%d |S|=%d nz=%v, want a fresh decomposer's t=%d cursor=%d",
+			label, d.T(), d.Cursor(), len(d.sHist), d.prevNZ != nil, want.T(), want.Cursor())
 	}
 }
 

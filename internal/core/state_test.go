@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -243,5 +245,32 @@ func TestScheduleIgnoresHistory(t *testing.T) {
 				t.Fatalf("probe was not retried: %+v", d.ResilienceStats())
 			}
 		})
+	}
+}
+
+// savedStateSHA256 is the SHA-256 of the SPSTRM04 bytes SaveState writes
+// for savedStateFixture, taken when the encoder still wrote a row at a
+// time: encoding through one buffer must not move a byte.
+const savedStateSHA256 = "cd9aff0b5d267227c2fb81c98e2924bfe63eded7dcb45b7eecefc56b256b3084"
+
+// savedStateFixture is a decomposer whose state has every section of
+// the format filled in: spCP nz sets and z-row Grams, a temporal
+// history, and a WAL cursor.
+func savedStateFixture(t *testing.T) *Decomposer {
+	t.Helper()
+	s := testStream(t, 307, []int{300, 40, 25}, 400, 4)
+	d, _ := runStream(t, s, Options{Rank: 5, Algorithm: SpCPStream, Seed: 3, Workers: 2})
+	d.SetCursor(0x0123456789abcdef)
+	return d
+}
+
+// TestSaveStateBytesPinned pins SaveState's output byte for byte.
+func TestSaveStateBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := savedStateFixture(t).SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != savedStateSHA256 {
+		t.Fatalf("SaveState wrote %d bytes hashing to %s, pinned %s", buf.Len(), got, savedStateSHA256)
 	}
 }

@@ -7,12 +7,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"spstream/internal/core"
 	"spstream/internal/resilience"
+	"spstream/internal/sptensor"
 )
 
 // TestRunGracefulShutdown drives the full daemon lifecycle over real
@@ -121,5 +123,65 @@ func TestStatsCountPipelineCheckpoints(t *testing.T) {
 	}
 	if got := sr.Resilience; got.CheckpointWrites != files || got.CheckpointErrors != 0 {
 		t.Fatalf("stats report %d checkpoint writes (%d errors), want %d (0)", got.CheckpointWrites, got.CheckpointErrors, files)
+	}
+}
+
+// TestCorruptCheckpointStartsFresh: a -checkpoint-dir whose only
+// checkpoint fails its checksum is a fresh start, and a fresh start
+// means exactly that — the daemon runs bit for bit like one given an
+// empty directory, with nothing of the rejected file in its state.
+func TestCorruptCheckpointStartsFresh(t *testing.T) {
+	stream := testStream(t, 5, 24)
+	opts := core.Options{Rank: 3, Seed: 1}
+	dirty, empty := t.TempDir(), t.TempDir()
+
+	// A checkpoint of a different run (another seed, three slices in),
+	// with one payload bit flipped at rest.
+	other, err := core.NewDecomposer(stream.Dims, core.Options{Rank: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range stream.Slices[:3] {
+		if _, err := other.ProcessSlice(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr, err := resilience.NewManager(dirty, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := mgr.Write(other.T(), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var srvs [2]*Server
+	for i, dir := range []string{dirty, empty} {
+		srv, err := New(Config{Dims: stream.Dims, Options: opts, CheckpointDir: dir, CheckpointEvery: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = srv
+	}
+	for i, x := range append([]*sptensor.Tensor{nil}, stream.Slices...) {
+		if x != nil {
+			for _, srv := range srvs {
+				if _, err := srv.dec.ProcessSlice(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, want := srvs[0].Snapshot(), srvs[1].Snapshot()
+		if !got.Equal(want) {
+			t.Fatalf("after %d slices the corrupt-checkpoint daemon (t=%d) differs from the empty-directory one (t=%d)", i, got.T, want.T)
+		}
 	}
 }
