@@ -1,12 +1,14 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
 	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/perfmodel"
+	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 )
 
@@ -110,8 +112,8 @@ func TestZTransformZeroAlloc(t *testing.T) {
 	nz := []int32{0, 5, 20}
 	isNZ := d.markNZ(rows, nz)
 	defer d.unmarkNZ(nz)
-	d.applyZTransform(a, isNZ, tr) // grow the scratch rows
-	if n := testing.AllocsPerRun(20, func() { d.applyZTransform(a, isNZ, tr) }); n != 0 {
+	d.applyZTransform(a, a, isNZ, tr) // grow the scratch rows
+	if n := testing.AllocsPerRun(20, func() { d.applyZTransform(a, a, isNZ, tr) }); n != 0 {
 		t.Errorf("constrained z-row transform allocates %.1f times per call, want 0", n)
 	}
 }
@@ -222,5 +224,67 @@ func TestSpCPSliceRoundAllocs(t *testing.T) {
 		if got >= uint64(aNz) {
 			t.Errorf("slice %d: a spCP slice round allocates %d bytes, its A_nz is %d", i, got, aNz)
 		}
+	}
+}
+
+// TestGuardedCommitZeroAlloc is the commit half of a guarded spCP-stream
+// slice once the decomposer alternates between its two versions, with a
+// publisher holding the committed one the way the serve snapshot does:
+// the rollback point pins the committed version, finishZ claims the
+// spare because of it, the commit swaps, the rollback point lets go, and
+// the hook pins the new version and releases the old. None of it
+// allocates — a commit copies nothing.
+func TestGuardedCommitZeroAlloc(t *testing.T) {
+	s := skewedStream(t, 314)
+	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 7, Workers: 1,
+		Resilience: &resilience.Config{Policy: resilience.SkipSlice}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var published *Version
+	d.SetCommitHook(func(SliceResult) {
+		v := d.Committed()
+		v.Pin()
+		if published != nil {
+			published.Release()
+		}
+		published = v
+	})
+	d.commitHook(SliceResult{})
+	for _, x := range s.Slices[:3] {
+		if _, err := d.ProcessSlice(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versions := map[*Version]bool{d.cur: true, d.spare: true}
+	allocs := testing.AllocsPerRun(50, func() {
+		d.takeSnapshot()
+		d.commit(d.claimSpare())
+		d.releaseSnapshot()
+		d.commitHook(SliceResult{T: d.t})
+	})
+	if allocs != 0 {
+		t.Errorf("guarded commit and publish allocate %.1f times per slice, want 0", allocs)
+	}
+	if !versions[d.cur] || !versions[d.spare] || d.cur == d.spare || d.parked != nil {
+		t.Errorf("commits left cur %p spare %p parked %p, want the two versions %v", d.cur, d.spare, d.parked, versions)
+	}
+}
+
+// TestSaveStateAllocsFlat: SaveState encodes through one buffer, so what
+// it allocates does not grow with the factors.
+func TestSaveStateAllocsFlat(t *testing.T) {
+	var allocs []float64
+	for _, rows := range []int{50, 5000} {
+		s := testStream(t, 308, []int{rows, 30}, 300, 2)
+		d, _ := runStream(t, s, Options{Rank: 8, Algorithm: SpCPStream, Seed: 2, Workers: 1})
+		allocs = append(allocs, testing.AllocsPerRun(10, func() {
+			if err := d.SaveState(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("SaveState allocates %.0f times at I₀ = 50 and %.0f at I₀ = 5000, want the same", allocs[0], allocs[1])
 	}
 }

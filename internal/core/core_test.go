@@ -72,7 +72,7 @@ func runStream(t *testing.T, s *sptensor.Stream, opt Options) (*Decomposer, []Sl
 
 func maxFactorDiff(a, b *Decomposer) float64 {
 	worst := 0.0
-	for m := range a.a {
+	for m := range a.Dims() {
 		if d := a.Factor(m).MaxAbsDiff(b.Factor(m)); d > worst {
 			worst = d
 		}

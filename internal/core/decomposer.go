@@ -24,16 +24,20 @@ type Decomposer struct {
 	n    int // number of non-streaming modes
 	k    int // rank
 
-	// Factor state.
-	a     []*dense.Matrix // current factors A⁽ⁿ⁾ (Iₙ×K)
-	prevA []*dense.Matrix // A⁽ⁿ⁾ₜ₋₁ snapshot during a slice
-	c     []*dense.Matrix // C⁽ⁿ⁾ = A⁽ⁿ⁾ᵀA⁽ⁿ⁾ (K×K)
-	cPrev []*dense.Matrix // C⁽ⁿ⁾ₜ₋₁ (K×K)
-	h     []*dense.Matrix // H⁽ⁿ⁾ = Aₜ₋₁ᵀA (K×K)
-	g     *dense.Matrix   // temporal Gram G (K×K)
-	s     []float64       // current sₜ
-	sHist [][]float64     // all temporal rows (the S factor)
-	t     int             // slices processed
+	// Factor state: the committed factors A⁽ⁿ⁾ (Iₙ×K), the retired
+	// version a slice writes its iterate into, and a retired version a
+	// reader still held when it was due (version.go); fac, the factors
+	// the kernels read during a slice with z = ∅ — the committed ones
+	// until the first iteration has written each mode's iterate.
+	cur, spare, parked *Version
+	fac                []*dense.Matrix
+	c                  []*dense.Matrix // C⁽ⁿ⁾ = A⁽ⁿ⁾ᵀA⁽ⁿ⁾ (K×K)
+	cPrev              []*dense.Matrix // C⁽ⁿ⁾ₜ₋₁ (K×K)
+	h                  []*dense.Matrix // H⁽ⁿ⁾ = Aₜ₋₁ᵀA (K×K)
+	g                  *dense.Matrix   // temporal Gram G (K×K)
+	s                  []float64       // current sₜ
+	sHist              [][]float64     // all temporal rows (the S factor)
+	t                  int             // slices processed
 
 	// The highest WAL sequence number whose slice the state includes
 	// (Cursor); it is checkpointed with the state.
@@ -107,12 +111,14 @@ type Decomposer struct {
 // SetCommitHook registers a callback invoked immediately after a slice
 // commits — ProcessSliceContext returning nil, with the factor state
 // advanced to include the slice. It never fires for failed, skipped,
-// rolled-back, or cancelled slices, so a hook that snapshots the
+// rolled-back, or cancelled slices, so a hook that publishes the
 // factors (the serving layer's snapshot publisher) can never observe
 // state a later rollback will retract: by the time the hook runs, the
 // slice's mutations are final. The hook runs on the goroutine driving
 // the decomposer, while it is quiescent — reading factors, Fit, and T
-// inside the hook is safe; retaining references past its return is not.
+// inside the hook is safe. A factor it reads is valid until the next
+// slice begins; to hold one longer, Pin the Committed version, which
+// the decomposer then leaves unwritten until it is released.
 func (d *Decomposer) SetCommitHook(h func(SliceResult)) { d.commitHook = h }
 
 // NewDecomposer creates a decomposer for slices with the given mode
@@ -138,13 +144,13 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 		MaxIters: opt.ADMMMaxIters,
 	})
 	k := d.k
-	for _, dim := range dims {
-		f := dense.NewMatrix(dim, k)
+	d.cur = d.newVersion()
+	for _, f := range d.cur.a {
 		for i := range f.Data {
 			f.Data[i] = d.rng.Float64() + 0.1 // positive, well away from 0
 		}
-		d.a = append(d.a, f)
-		d.prevA = append(d.prevA, dense.NewMatrix(dim, k))
+	}
+	for range dims {
 		d.c = append(d.c, dense.NewMatrix(k, k))
 		d.cPrev = append(d.cPrev, dense.NewMatrix(k, k))
 		d.h = append(d.h, dense.NewMatrix(k, k))
@@ -167,7 +173,8 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 		sp.czCur = append(sp.czCur, dense.NewMatrix(k, k))
 	}
 	sp.tmpKK, sp.gram = dense.NewMatrix(k, k), dense.NewMatrix(k, k)
-	// Invariant: d.c always holds Gram(d.a) at slice boundaries.
+	// Invariant: d.c always holds Gram of the committed factors at slice
+	// boundaries.
 	d.refreshGrams()
 	return d, nil
 }
@@ -181,9 +188,10 @@ func (d *Decomposer) Rank() int { return d.k }
 // T returns the number of slices processed so far.
 func (d *Decomposer) T() int { return d.t }
 
-// Factor returns the current factor matrix for mode n (live storage; do
-// not modify).
-func (d *Decomposer) Factor(n int) *dense.Matrix { return d.a[n] }
+// Factor returns the committed factor matrix for mode n (live storage;
+// do not modify). It is valid until the next slice begins, unless the
+// Committed version is pinned.
+func (d *Decomposer) Factor(n int) *dense.Matrix { return d.cur.a[n] }
 
 // TemporalGram returns the temporal Gram matrix G (live storage).
 func (d *Decomposer) TemporalGram() *dense.Matrix { return d.g }
@@ -230,8 +238,8 @@ func (d *Decomposer) ProcessStream(src sptensor.SliceSource, cb func(SliceResult
 
 // refreshGrams recomputes C⁽ⁿ⁾ for all modes from the current factors.
 func (d *Decomposer) refreshGrams() {
-	for m := range d.a {
-		dense.GramParallel(d.c[m], d.a[m], d.opt.Workers)
+	for m, a := range d.cur.a {
+		dense.GramParallel(d.c[m], a, d.opt.Workers)
 	}
 }
 

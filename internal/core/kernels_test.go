@@ -62,7 +62,7 @@ func TestLayoutOptionInert(t *testing.T) {
 					t.Fatalf("%s: kernel schedules %q and %q", name, scheds[0], scheds[i])
 				}
 				for m := range s.Dims {
-					sameMatrixBits(t, fmt.Sprintf("%s factor %d", name, m), ds[0].a[m], ds[i].a[m])
+					sameMatrixBits(t, fmt.Sprintf("%s factor %d", name, m), ds[0].Factor(m), ds[i].Factor(m))
 				}
 				sameMatrixBits(t, name+" temporal", ds[0].Temporal(), ds[i].Temporal())
 			}

@@ -22,22 +22,26 @@ import (
 // cancellation and panic-to-error conversion but never mutates recovery
 // state.
 
-// stateSnapshot is a deep copy of exactly the state that crosses slice
-// boundaries (the same set SaveState serializes). It is owned by the
-// Decomposer and its storage is reused across slices, so steady-state
-// snapshotting allocates nothing.
+// stateSnapshot is the rollback point of a guarded slice: the committed
+// factor version, pinned for the length of the slice so nothing writes
+// it, and a copy of the small state that crosses slice boundaries — C,
+// C_z, G, sₜ, the temporal history length, t and the nz sets. It is
+// owned by the Decomposer and its storage is reused across slices, so
+// steady-state snapshotting allocates nothing and copies O(N·K² + |nz|).
 type stateSnapshot struct {
-	valid    bool
-	a, c, cz []*dense.Matrix
-	g        *dense.Matrix
-	s        []float64
-	histLen  int
-	t        int
-	hasNZ    bool
-	prevNZ   [][]int32
+	valid   bool
+	ver     *Version
+	c, cz   []*dense.Matrix
+	g       *dense.Matrix
+	s       []float64
+	histLen int
+	t       int
+	hasNZ   bool
+	prevNZ  [][]int32
 }
 
-// takeSnapshot captures the current between-slice state.
+// takeSnapshot captures the current between-slice state and pins the
+// committed version until releaseSnapshot.
 func (d *Decomposer) takeSnapshot() {
 	if d.snap == nil {
 		sn := &stateSnapshot{
@@ -45,16 +49,16 @@ func (d *Decomposer) takeSnapshot() {
 			s:      make([]float64, d.k),
 			prevNZ: make([][]int32, d.n),
 		}
-		for _, dim := range d.dims {
-			sn.a = append(sn.a, dense.NewMatrix(dim, d.k))
+		for range d.dims {
 			sn.c = append(sn.c, dense.NewMatrix(d.k, d.k))
 			sn.cz = append(sn.cz, dense.NewMatrix(d.k, d.k))
 		}
 		d.snap = sn
 	}
 	sn := d.snap
-	for m := range d.a {
-		sn.a[m].CopyFrom(d.a[m])
+	sn.ver = d.cur
+	sn.ver.Pin()
+	for m := range d.c {
 		sn.c[m].CopyFrom(d.c[m])
 		sn.cz[m].CopyFrom(d.cz[m])
 	}
@@ -71,16 +75,29 @@ func (d *Decomposer) takeSnapshot() {
 	sn.valid = true
 }
 
+// releaseSnapshot ends the rollback point: the version it pinned may be
+// written again.
+func (d *Decomposer) releaseSnapshot() {
+	if sn := d.snap; sn != nil && sn.valid {
+		sn.ver.Release()
+		sn.ver, sn.valid = nil, false
+	}
+}
+
 // rollback restores the last snapshot, reversing any partial mutation a
-// failed, cancelled, or panicked slice left behind. It reports whether
-// a snapshot was available.
+// failed, cancelled, or panicked slice left behind: the committed
+// version is the pinned one again — the attempt's own, if it committed,
+// goes back to spare — and the small state is copied back. It reports
+// whether a snapshot was available.
 func (d *Decomposer) rollback() bool {
 	sn := d.snap
 	if sn == nil || !sn.valid {
 		return false
 	}
-	for m := range d.a {
-		d.a[m].CopyFrom(sn.a[m])
+	if d.cur != sn.ver {
+		d.spare, d.cur = d.cur, sn.ver
+	}
+	for m := range d.c {
 		d.c[m].CopyFrom(sn.c[m])
 		d.cz[m].CopyFrom(sn.cz[m])
 		// Re-seed the slice-start invariants the begin phase established.
@@ -194,8 +211,8 @@ func (d *Decomposer) healthCheck(res *SliceResult) error {
 	if math.IsNaN(res.Delta) || math.IsInf(res.Delta, 0) || res.Delta > cfg.MaxDelta {
 		return fmt.Errorf("core: slice t=%d finished with δ=%g: %w", res.T, res.Delta, resilience.ErrDiverged)
 	}
-	for m := range d.a {
-		if d.a[m].HasNaN() {
+	for m, a := range d.cur.a {
+		if a.HasNaN() {
 			return fmt.Errorf("core: slice t=%d produced a non-finite mode-%d factor: %w", res.T, m, resilience.ErrDiverged)
 		}
 	}
@@ -346,6 +363,7 @@ func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult,
 		}
 	}
 	d.takeSnapshot()
+	defer d.releaseSnapshot()
 	var res SliceResult
 	var err error
 	for attempt := 0; ; attempt++ {

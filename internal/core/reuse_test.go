@@ -54,7 +54,7 @@ func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func
 		if _, err := d.iterateSlice(run); err != nil {
 			t.Fatal(err)
 		}
-		after(run.kin, run.a)
+		after(run.kin, run.fac)
 	}
 	if _, err := d.finishSlice(run); err != nil {
 		t.Fatal(err)
@@ -167,9 +167,6 @@ func budgetFor(opt Options, src sptensor.BlockSource, pairs, blocks int) (budget
 	nb, entry, largest, rows := src.Blocks(), int64(4*len(src.Dims())+8), 0, 0
 	for _, d := range src.Dims() {
 		rows += 3 * d
-		if opt.Resilience != nil {
-			rows += d
-		}
 	}
 	for b := 0; b < nb; b++ {
 		largest = max(largest, src.BlockNNZ(b))
@@ -341,7 +338,7 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 				t.Fatal(err)
 			}
 			psi := make([]float64, d.k)
-			d.mt.TimeMode(psi, other, d.a)
+			d.mt.TimeMode(psi, other, d.cur.a)
 			had := dense.NewMatrix(d.k, d.k)
 			had.Fill(1)
 			for m := range d.c {

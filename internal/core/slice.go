@@ -28,36 +28,40 @@ type sliceRun struct {
 	kin  sliceData        // what the kernels read: in, or its remap into nz-row space
 	plan *mttkrp.Plan     // compiled over a resident kin; nil for a streamed one
 	rm   *mttkrp.Remapped // the remap that names the z set; nil for z = ∅
-	// a is the iterate — A itself, or the gathered A_nz — and prev its
-	// A_{t−1}.
-	a, prev []*dense.Matrix
-	res     SliceResult
+	// a is the iterate — the spare version's A_t, or the gathered A_nz —
+	// prev its A_{t−1} — the committed version, or the gathered
+	// A_nz,t−1 — and fac the factors the kernels read: a, except that with
+	// z = ∅ a mode reads as prev until the first iteration has written it.
+	a, prev, fac []*dense.Matrix
+	// next is the version the slice commits: the spare, or the committed
+	// one itself when a z set writes in place (finishZ).
+	next *Version
+	res  SliceResult
 }
 
 // beginSlice performs the per-slice Pre work. It chooses the z set: the
 // untouched rows of a resident slice under SpCPStream (beginZ), else
 // none — Optimized, and a streamed slice under either algorithm, whose
-// nz sets would take a remap of the source. Then it seeds the Gram state
-// (C_{t−1} = C, and H = C since the iterate starts at A_{t−1}), sizes the
-// Ψ workspace to the iterate, compiles the coordinate plan over a
-// resident slice (amortized over the inner iterations) or the streamed
-// kernel's schedule over a source, and solves the closed-form sₜ warm
-// start.
+// nz sets would take a remap of the source. With z = ∅ the iterate is
+// the spare version, which the kernels read only once it is written:
+// A_{t−1} is the committed version itself, and no copy seeds the
+// iterate. Then it seeds the Gram state (C_{t−1} = C, and H = C since
+// the iterate starts at A_{t−1}), sizes the Ψ workspace to the iterate,
+// compiles the coordinate plan over a resident slice (amortized over the
+// inner iterations) or the streamed kernel's schedule over a source, and
+// solves the closed-form sₜ warm start.
 func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
-	run := &sliceRun{
-		in: in, kin: in, a: d.a, prev: d.prevA,
-		res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()},
-	}
+	run := &sliceRun{in: in, kin: in, res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()}}
 	var err error
 	d.bd.Time(trace.Pre, func() {
 		if d.opt.Algorithm == SpCPStream && in.src == nil {
 			d.beginZ(run)
 		} else {
-			for m := range d.a {
-				d.prevA[m].CopyFrom(d.a[m])
-			}
+			run.next = d.claimSpare()
+			d.fac = append(d.fac[:0], d.cur.a...)
+			run.a, run.prev, run.fac = run.next.a, d.cur.a, d.fac
 		}
-		for m := range d.a {
+		for m := range run.a {
 			d.sp.psi[m] = resized(d.sp.psi[m], run.a[m].Rows, d.k)
 			d.cPrev[m].CopyFrom(d.c[m])
 			d.h[m].CopyFrom(d.c[m])
@@ -115,10 +119,17 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		if d.opt.Constraint != nil && last {
 			kout = d.rawLast(kout.Rows)
 		}
-		if err := d.mttkrpMode(kout, run.kin, run.plan, run.a, n); err != nil {
+		if err := d.mttkrpMode(kout, run.kin, run.plan, run.fac, n); err != nil {
 			return 0, err
 		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
+		if d.opt.Constraint != nil && run.fac[n] != run.a[n] {
+			// BF-ADMM warm-starts from the iterate, which on the first
+			// iteration is A_{t−1}.
+			t0 = time.Now()
+			run.a[n].CopyFrom(run.prev[n])
+			d.bd.Add(trace.Pre, time.Since(t0))
+		}
 		// The iterate's rows (Eq. 7): A = Ψ·Φ⁻¹ for Ψ = M·diag(sₜ) +
 		// A_{t−1}·Q — under a constraint BF-ADMM, warm-started from the
 		// previous iterate, the z rows staying linear and projected once
@@ -128,6 +139,7 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
+		run.fac[n] = run.a[n]
 		if run.rm != nil {
 			// The implicit z parts (Eqs. 11, 13): T = QΦ⁻¹,
 			// H_z = C_z,t−1·T, C_z = Tᵀ·C_z,t−1·T. All K×K, and
@@ -201,17 +213,19 @@ func (d *Decomposer) refreshS() error {
 }
 
 // finishSlice performs the Post work and returns the slice result: for
-// a z set A = A_z ⊕ A_nz (finishZ), the tracked fit, and the G/S
-// temporal update.
+// a z set A = A_z ⊕ A_nz (finishZ), the commit of the version the slice
+// wrote, the tracked fit, and the G/S temporal update. A guarded slice
+// that then fails its health check rolls the commit back.
 func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 	if run.rm != nil {
-		d.bd.Time(trace.Post, func() { d.finishZ(run.rm) })
+		d.bd.Time(trace.Post, func() { d.finishZ(run) })
 	} else {
 		// Every row moved outside the Gram-form bookkeeping: like
 		// SetAlgorithm, make the next z set recompute C_z,t−1 from
 		// scratch.
 		d.prevNZ = nil
 	}
+	d.commit(run.next)
 	if d.opt.TrackFit {
 		var err error
 		d.bd.Time(trace.Misc, func() { run.res.Fit, err = d.sliceFit(run.in) })

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"spstream/internal/admm"
@@ -50,7 +51,11 @@ var sliceBodyBits = map[string]uint64{
 // {Optimized, SpCPStream} × {unconstrained, NonNeg} × {Normalize off, on}
 // × {resident, streamed} on a uniform and a skewed stream. A streamed
 // slice runs the body with an empty z set under either algorithm, so a
-// streamed SpCPStream run must hash like the Optimized one. Other
+// streamed SpCPStream run must hash like the Optimized one. Each
+// configuration runs again with the committed version pinned across
+// every slice — the way a reader or a rollback point holds it — which
+// sends the resident spCP slice into the spare instead of in place and
+// has every slice meet a pinned spare; it must hash the same. Other
 // architectures may fuse multiply-adds, so the pins are amd64's.
 func TestSliceBodyBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -67,29 +72,35 @@ func TestSliceBodyBits(t *testing.T) {
 		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
 			for _, normalize := range []bool{false, true} {
 				for _, streamed := range []bool{false, true} {
-					var hashes [2]uint64
-					for i, alg := range []Algorithm{Optimized, SpCPStream} {
-						opt := Options{
-							Rank: 5, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
-							Normalize: normalize, Seed: 4, Workers: 2, TrackFit: true,
+					for _, pinned := range []bool{false, true} {
+						var hashes [2]uint64
+						for i, alg := range []Algorithm{Optimized, SpCPStream} {
+							opt := Options{
+								Rank: 5, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
+								Normalize: normalize, Seed: 4, Workers: 2, TrackFit: true,
+							}
+							if streamed {
+								opt.MemBudget = 1
+							}
+							hashes[i] = sliceBodyHash(t, st.s, opt, streamed, pinned)
 						}
-						if streamed {
-							opt.MemBudget = 1
+						key := sliceBodyKey(st.name, con != nil, normalize, streamed)
+						if pinned {
+							key += "/pinned"
 						}
-						hashes[i] = sliceBodyHash(t, st.s, opt, streamed)
-					}
-					key := sliceBodyKey(st.name, con != nil, normalize, streamed)
-					if streamed && hashes[1] != hashes[0] {
-						t.Errorf("%s: streamed SpCPStream hashes %#x, Optimized %#x", key, hashes[1], hashes[0])
-					}
-					for i, alg := range []string{"optimized", "spcp"} {
-						k := fmt.Sprintf(key, alg)
-						want, ok := sliceBodyBits[k]
-						if !ok {
-							continue // streamed spCP: checked against Optimized above
+						if streamed && hashes[1] != hashes[0] {
+							t.Errorf("%s: streamed SpCPStream hashes %#x, Optimized %#x", key, hashes[1], hashes[0])
 						}
-						if hashes[i] != want {
-							t.Errorf("%s: hash %#x, pinned %#x", k, hashes[i], want)
+						for i, alg := range []string{"optimized", "spcp"} {
+							k := fmt.Sprintf(key, alg)
+							// A pinned run hashes like the unpinned one.
+							want, ok := sliceBodyBits[strings.TrimSuffix(k, "/pinned")]
+							if !ok {
+								continue // streamed spCP: checked against Optimized above
+							}
+							if hashes[i] != want {
+								t.Errorf("%s: hash %#x, pinned %#x", k, hashes[i], want)
+							}
 						}
 					}
 				}
@@ -112,14 +123,27 @@ func sliceBodyKey(stream string, con, normalize, streamed bool) string {
 	return stream + "/%s/" + c + "/" + n + "/" + r
 }
 
-func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed bool) uint64 {
+// sliceBodyHash runs s and hashes the output. pinned holds each slice's
+// committed version from before the slice until after the next one, so
+// the committed version and, from the second slice on, the spare are
+// pinned whenever a slice begins.
+func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed, pinned bool) uint64 {
 	t.Helper()
 	d, err := NewDecomposer(s.Dims, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
+	var held []*Version
 	for _, x := range s.Slices {
+		if pinned {
+			if len(held) == 2 {
+				held[0].Release()
+				held = held[1:]
+			}
+			held = append(held, d.Committed())
+			d.Committed().Pin()
+		}
 		var res SliceResult
 		if streamed {
 			src, err := sptensor.SplitBlocks(x, 1000)
@@ -137,8 +161,11 @@ func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed bool)
 		}
 		hashFloats(h, res.Delta, res.Fit, float64(res.Iters), float64(res.ADMMIters))
 	}
-	for m := range d.a {
-		for _, mat := range []*dense.Matrix{d.a[m], d.c[m], d.cz[m]} {
+	for _, v := range held {
+		v.Release()
+	}
+	for m := range d.cur.a {
+		for _, mat := range []*dense.Matrix{d.cur.a[m], d.c[m], d.cz[m]} {
 			hashFloats(h, mat.Data...)
 		}
 	}

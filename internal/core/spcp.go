@@ -53,8 +53,8 @@ func gatherNZ(dst, src *dense.Matrix, idx []int32) *dense.Matrix {
 // A_nz,t−1 gathers the iterate starts from, and C_z,t−1's upkeep.
 func (d *Decomposer) beginZ(run *sliceRun) {
 	rm, sp := d.remapper.Begin(run.in.x, nil), &d.sp
-	for m := range d.a {
-		sp.aNzPrev[m] = gatherNZ(sp.aNzPrev[m], d.a[m], rm.NZ[m])
+	for m, a := range d.cur.a {
+		sp.aNzPrev[m] = gatherNZ(sp.aNzPrev[m], a, rm.NZ[m])
 		sp.aNz[m] = resized(sp.aNz[m], len(rm.NZ[m]), d.k)
 		sp.aNz[m].CopyFrom(sp.aNzPrev[m])
 		if d.prevNZ == nil || d.opt.DirectCz {
@@ -67,33 +67,40 @@ func (d *Decomposer) beginZ(run *sliceRun) {
 		// Algorithm 4 lines 8–11: adjust C_z,t−1 by the rows that
 		// left (add) and entered (subtract) the nz set.
 		if left := mttkrp.SetDiff(d.prevNZ[m], rm.NZ[m]); len(left) > 0 {
-			sp.moved = gatherNZ(sp.moved, d.a[m], left)
+			sp.moved = gatherNZ(sp.moved, a, left)
 			dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
 			dense.Add(d.cz[m], d.cz[m], sp.gram)
 		}
 		if entered := mttkrp.SetDiff(rm.NZ[m], d.prevNZ[m]); len(entered) > 0 {
-			sp.moved = gatherNZ(sp.moved, d.a[m], entered)
+			sp.moved = gatherNZ(sp.moved, a, entered)
 			dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
 			dense.Sub(d.cz[m], d.cz[m], sp.gram)
 		}
 	}
-	run.rm, run.kin, run.a, run.prev = rm, sliceData{x: rm.X}, sp.aNz, sp.aNzPrev
+	run.rm, run.kin, run.a, run.prev, run.fac = rm, sliceData{x: rm.X}, sp.aNz, sp.aNzPrev, sp.aNz
 }
 
 // finishZ is finishSlice's half for a z set: it materializes
-// A = A_z ⊕ A_nz (Alg. 4 line 34) and records the nz sets for the next
-// slice's C_z upkeep.
-func (d *Decomposer) finishZ(rm *mttkrp.Remapped) {
-	sp := &d.sp
-	for m := range d.a {
-		isNZ := d.markNZ(d.a[m].Rows, rm.NZ[m])
-		projected := d.applyZTransform(d.a[m], isNZ, sp.tFinal[m])
-		rm.ScatterMode(d.a[m], sp.aNz[m], m)
+// A = A_z ⊕ A_nz (Alg. 4 line 34) into run.next and records the nz sets
+// for the next slice's C_z upkeep. run.next is the committed version
+// itself when nothing pins it — nothing needs A_{t−1} after the slice —
+// else the spare, every row of which is written here: the z rows by the
+// transform of the committed ones, the nz rows by the scatter.
+func (d *Decomposer) finishZ(run *sliceRun) {
+	rm, sp := run.rm, &d.sp
+	run.next = d.cur
+	if d.cur.pinned() {
+		run.next = d.claimSpare()
+	}
+	for m, a := range run.next.a {
+		isNZ := d.markNZ(a.Rows, rm.NZ[m])
+		projected := d.applyZTransform(a, d.cur.a[m], isNZ, sp.tFinal[m])
+		rm.ScatterMode(a, sp.aNz[m], m)
 		if projected {
 			// The z rows changed beyond the linear transform, so
 			// re-synchronize C_z (and with it C) from the
 			// materialized rows — one masked sweep per slice.
-			d.rowSweep(coreArgs{a: d.a[m], skip: isNZ}, d.cz[m], nil)
+			d.rowSweep(coreArgs{a: a, skip: isNZ}, d.cz[m], nil)
 			dense.GramParallel(sp.gram, sp.aNz[m], d.opt.Workers)
 			dense.Add(d.c[m], d.cz[m], sp.gram)
 		} else {
@@ -133,19 +140,20 @@ func (d *Decomposer) unmarkNZ(nz []int32) {
 	}
 }
 
-// applyZTransform updates every z row of the full factor in place, on the
-// pool: row ← row·T (Eq. 6 with A_z,t−1 being the untouched rows of a).
-// isNZ marks the rows to skip; all other rows are transformed, each on its
-// own, so no bit depends on the partition. In the constrained extension
-// the materialized z rows are additionally projected onto the constraint
-// set; the return value reports whether that projection ran (the caller
-// must then re-synchronize the Grams).
-func (d *Decomposer) applyZTransform(a *dense.Matrix, isNZ []bool, t *dense.Matrix) bool {
-	for w := len(d.zRows); w < parallel.ClampWorkers(d.opt.Workers, a.Rows); w++ {
+// applyZTransform writes every z row of the full factor dst from the same
+// row of src, on the pool: row ← row·T (Eq. 6 with A_z,t−1 being the
+// untouched rows of src); dst may be src. isNZ marks the rows to skip;
+// all other rows are transformed, each on its own, so no bit depends on
+// the partition. In the constrained extension the materialized z rows
+// are additionally projected onto the constraint set; the return value
+// reports whether that projection ran (the caller must then
+// re-synchronize the Grams).
+func (d *Decomposer) applyZTransform(dst, src *dense.Matrix, isNZ []bool, t *dense.Matrix) bool {
+	for w := len(d.zRows); w < parallel.ClampWorkers(d.opt.Workers, dst.Rows); w++ {
 		d.zRows = append(d.zRows, *dense.NewMatrix(1, d.k))
 	}
-	d.pargs = coreArgs{a: a, q: t, skip: isNZ, con: d.opt.Constraint, rows: d.zRows}
-	d.pool.Do(a.Rows, d.opt.Workers, &d.pargs, zTransformBody)
+	d.pargs = coreArgs{a: dst, prev: src, q: t, skip: isNZ, con: d.opt.Constraint, rows: d.zRows}
+	d.pool.Do(dst.Rows, d.opt.Workers, &d.pargs, zTransformBody)
 	d.pargs = coreArgs{}
 	return d.opt.Constraint != nil
 }
@@ -157,12 +165,11 @@ func zTransformBody(ctx any, w int, r parallel.Range) {
 		if pa.skip[i] {
 			continue
 		}
-		row := pa.a.Row(i)
 		clear(tmp.Data)
-		dense.AddMulRow(tmp.Data, row, pa.q)
+		dense.AddMulRow(tmp.Data, pa.prev.Row(i), pa.q)
 		if pa.con != nil {
 			pa.con.Project(tmp, tmp, nil, nil, 1)
 		}
-		copy(row, tmp.Data)
+		copy(pa.a.Row(i), tmp.Data)
 	}
 }

@@ -53,12 +53,16 @@ func TestApplyZTransformMatchesDotProducts(t *testing.T) {
 				copy(row, tmp)
 			}
 
+			// Into a spare whose nz rows the scatter would write (here
+			// already a's), and in place.
 			isNZ := d.markNZ(rows, nz)
-			if d.applyZTransform(a, isNZ, tr) {
+			spare := a.Clone()
+			if d.applyZTransform(spare, a, isNZ, tr) || d.applyZTransform(a, a, isNZ, tr) {
 				t.Fatal("unconstrained transform reported a projection")
 			}
 			d.unmarkNZ(nz)
-			sameMatrixBits(t, fmt.Sprintf("k=%d workers=%d", k, workers), a, want)
+			sameMatrixBits(t, fmt.Sprintf("k=%d workers=%d in place", k, workers), a, want)
+			sameMatrixBits(t, fmt.Sprintf("k=%d workers=%d into the spare", k, workers), spare, want)
 			for i, set := range d.isNZ {
 				if set {
 					t.Fatalf("k=%d: mask row %d left set", k, i)

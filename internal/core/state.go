@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"spstream/internal/dense"
 )
@@ -30,16 +31,118 @@ import (
 // stateMagic identifies the checkpoint container and its version.
 var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '4'}
 
-// crcWriter updates a running CRC32 with everything written through it.
-type crcWriter struct {
+// stateBuf is the size of the one buffer a checkpoint is encoded and
+// decoded through, whatever the factors' size.
+const stateBuf = 64 << 10
+
+// stateEnc writes little-endian words through one buffer, keeping a
+// running CRC32 (IEEE) of everything it flushes. The first write error
+// sticks and ends all further writes.
+type stateEnc struct {
 	w   io.Writer
+	buf []byte
 	crc uint32
+	err error
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
+func (e *stateEnc) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+func (e *stateEnc) room(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+}
+
+func (e *stateEnc) u64(v uint64) {
+	e.room(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+func (e *stateEnc) floats(v []float64) {
+	for _, x := range v {
+		e.room(8)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x))
+	}
+}
+
+func (e *stateEnc) int32s(v []int32) {
+	for _, x := range v {
+		e.room(4)
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
+	}
+}
+
+func (e *stateEnc) matrix(m *dense.Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		e.floats(m.Row(i))
+	}
+}
+
+// stateDec is stateEnc's reader: little-endian words read through one
+// buffer from r, the first error sticking.
+type stateDec struct {
+	r   io.Reader
+	buf []byte
+	err error
+}
+
+// next reads n ≤ len(buf) bytes, or returns nil once an error stuck.
+func (dc *stateDec) next(n int) []byte {
+	if dc.err != nil {
+		return nil
+	}
+	b := dc.buf[:n]
+	if _, dc.err = io.ReadFull(dc.r, b); dc.err != nil {
+		return nil
+	}
+	return b
+}
+
+func (dc *stateDec) u64() uint64 {
+	if b := dc.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (dc *stateDec) floats(v []float64) {
+	for len(v) > 0 {
+		n := min(len(v), len(dc.buf)/8)
+		b := dc.next(8 * n)
+		if b == nil {
+			return
+		}
+		for i := range v[:n] {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		v = v[n:]
+	}
+}
+
+func (dc *stateDec) int32s(v []int32) {
+	for len(v) > 0 {
+		n := min(len(v), len(dc.buf)/4)
+		b := dc.next(4 * n)
+		if b == nil {
+			return
+		}
+		for i := range v[:n] {
+			v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		v = v[n:]
+	}
+}
+
+func (dc *stateDec) matrix(m *dense.Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		dc.floats(m.Row(i))
+	}
 }
 
 // crcReader updates a running CRC32 with everything read through it. It
@@ -65,154 +168,103 @@ func (d *Decomposer) Cursor() uint64 { return d.cursor }
 func (d *Decomposer) SetCursor(seq uint64) { d.cursor = seq }
 
 // SaveState serializes the decomposer's streaming state (SPSTRM04,
-// with the CRC footer). It must be called between slices (never
-// concurrently with ProcessSlice).
+// with the CRC footer) through one buffer, so it allocates the same at
+// any mode length. It must be called between slices (never concurrently
+// with ProcessSlice).
 func (d *Decomposer) SaveState(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write(stateMagic[:]); err != nil {
-		return err
-	}
-	writeU64 := func(v uint64) error { return binary.Write(cw, binary.LittleEndian, v) }
-	if err := writeU64(uint64(d.n)); err != nil {
-		return err
-	}
+	e := &stateEnc{w: w, buf: make([]byte, 0, stateBuf)}
+	e.buf = append(e.buf, stateMagic[:]...)
+	e.u64(uint64(d.n))
 	for _, dim := range d.dims {
-		if err := writeU64(uint64(dim)); err != nil {
-			return err
-		}
+		e.u64(uint64(dim))
 	}
-	if err := writeU64(uint64(d.k)); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(d.t)); err != nil {
-		return err
-	}
+	e.u64(uint64(d.k))
+	e.u64(uint64(d.t))
 	// Factors, Gram invariants, z-row Grams.
-	for m := range d.a {
-		if err := writeMatrix(cw, d.a[m]); err != nil {
-			return err
-		}
-		if err := writeMatrix(cw, d.c[m]); err != nil {
-			return err
-		}
-		if err := writeMatrix(cw, d.cz[m]); err != nil {
-			return err
-		}
+	for m, a := range d.cur.a {
+		e.matrix(a)
+		e.matrix(d.c[m])
+		e.matrix(d.cz[m])
 	}
-	if err := writeMatrix(cw, d.g); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, d.s); err != nil {
-		return err
-	}
+	e.matrix(d.g)
+	e.floats(d.s)
 	// Temporal history.
-	if err := writeU64(uint64(len(d.sHist))); err != nil {
-		return err
-	}
+	e.u64(uint64(len(d.sHist)))
 	for _, row := range d.sHist {
-		if err := binary.Write(cw, binary.LittleEndian, row); err != nil {
-			return err
-		}
+		e.floats(row)
 	}
 	// spCP nz sets (presence flag + per-mode lists).
 	if d.prevNZ == nil {
-		if err := writeU64(0); err != nil {
-			return err
-		}
+		e.u64(0)
 	} else {
-		if err := writeU64(1); err != nil {
-			return err
-		}
+		e.u64(1)
 		for _, nz := range d.prevNZ {
-			if err := writeU64(uint64(len(nz))); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, nz); err != nil {
-				return err
-			}
+			e.u64(uint64(len(nz)))
+			e.int32s(nz)
 		}
 	}
-	if err := writeU64(d.cursor); err != nil {
-		return err
+	e.u64(d.cursor)
+	e.flush()
+	if e.err != nil {
+		return e.err
 	}
 	// CRC footer over magic + payload (not hashed itself).
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(binary.LittleEndian.AppendUint32(e.buf, e.crc))
+	return err
 }
 
 // RestoreState loads a checkpoint written by SaveState into this
 // decomposer. The decomposer must have been created with the same dims
 // and rank; mismatches, truncations, and checksum failures are
-// rejected, leaving a partially overwritten but structurally intact
-// decomposer — callers recovering from a bad checkpoint should restore
-// another or create a fresh decomposer. Every length field is validated
-// against the receiver before it drives an allocation, so arbitrary
-// (fuzzed) input cannot trigger huge allocations.
+// rejected. The factors are decoded into the spare version and the
+// small state into scratch, and both replace the decomposer's only once
+// the checksum matched, so a rejected checkpoint leaves the decomposer
+// exactly as it was. Every length field is validated against the
+// receiver before it drives an allocation, so arbitrary (fuzzed) input
+// cannot trigger huge allocations.
 func (d *Decomposer) RestoreState(r io.Reader) error {
 	br := bufio.NewReader(r)
 	cr := &crcReader{r: br}
-	var magic [8]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return fmt.Errorf("core: reading checkpoint magic: %w", err)
+	dc := &stateDec{r: cr, buf: make([]byte, stateBuf)}
+	b := dc.next(len(stateMagic))
+	if b == nil {
+		return fmt.Errorf("core: reading checkpoint magic: %w", dc.err)
 	}
-	if magic != stateMagic {
+	if magic := [8]byte(b); magic != stateMagic {
 		return fmt.Errorf("core: bad checkpoint magic %q (this build reads %s only)", magic, stateMagic)
 	}
-	readU64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(cr, binary.LittleEndian, &v)
-		return v, err
-	}
-	n, err := readU64()
-	if err != nil {
-		return err
-	}
-	if int(n) != d.n {
+	if n := dc.u64(); dc.err != nil {
+		return dc.err
+	} else if int(n) != d.n {
 		return fmt.Errorf("core: checkpoint has %d modes, decomposer %d", n, d.n)
 	}
 	for m := 0; m < d.n; m++ {
-		dim, err := readU64()
-		if err != nil {
-			return err
-		}
-		if int(dim) != d.dims[m] {
+		if dim := dc.u64(); dc.err != nil {
+			return dc.err
+		} else if int(dim) != d.dims[m] {
 			return fmt.Errorf("core: checkpoint mode %d length %d ≠ %d", m, dim, d.dims[m])
 		}
 	}
-	k, err := readU64()
-	if err != nil {
-		return err
-	}
-	if int(k) != d.k {
+	if k := dc.u64(); dc.err != nil {
+		return dc.err
+	} else if int(k) != d.k {
 		return fmt.Errorf("core: checkpoint rank %d ≠ %d", k, d.k)
 	}
-	t, err := readU64()
-	if err != nil {
-		return err
+	t := dc.u64()
+	v := d.claimSpare()
+	c, cz := make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
+	for m := range c {
+		c[m], cz[m] = dense.NewMatrix(d.k, d.k), dense.NewMatrix(d.k, d.k)
+		dc.matrix(v.a[m])
+		dc.matrix(c[m])
+		dc.matrix(cz[m])
 	}
-	for m := 0; m < d.n; m++ {
-		if err := readMatrix(cr, d.a[m]); err != nil {
-			return err
-		}
-		if err := readMatrix(cr, d.c[m]); err != nil {
-			return err
-		}
-		if err := readMatrix(cr, d.cz[m]); err != nil {
-			return err
-		}
-	}
-	if err := readMatrix(cr, d.g); err != nil {
-		return err
-	}
-	if err := binary.Read(cr, binary.LittleEndian, d.s); err != nil {
-		return err
-	}
-	histLen, err := readU64()
-	if err != nil {
-		return err
+	g, s := dense.NewMatrix(d.k, d.k), make([]float64, d.k)
+	dc.matrix(g)
+	dc.floats(s)
+	histLen := dc.u64()
+	if dc.err != nil {
+		return dc.err
 	}
 	if histLen != t {
 		return fmt.Errorf("core: checkpoint has %d temporal rows for t=%d", histLen, t)
@@ -223,14 +275,14 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	sHist := make([][]float64, 0, min(int(histLen), 1024))
 	for i := uint64(0); i < histLen; i++ {
 		row := make([]float64, d.k)
-		if err := binary.Read(cr, binary.LittleEndian, row); err != nil {
-			return err
+		if dc.floats(row); dc.err != nil {
+			return dc.err
 		}
 		sHist = append(sHist, row)
 	}
-	hasNZ, err := readU64()
-	if err != nil {
-		return err
+	hasNZ := dc.u64()
+	if dc.err != nil {
+		return dc.err
 	}
 	var prevNZ [][]int32
 	switch hasNZ {
@@ -238,55 +290,41 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	case 1:
 		prevNZ = make([][]int32, d.n)
 		for m := 0; m < d.n; m++ {
-			cnt, err := readU64()
-			if err != nil {
-				return err
+			cnt := dc.u64()
+			if dc.err != nil {
+				return dc.err
 			}
 			if cnt > uint64(d.dims[m]) {
 				return fmt.Errorf("core: checkpoint nz set of mode %d has %d entries for dim %d", m, cnt, d.dims[m])
 			}
-			nz := make([]int32, cnt)
-			if err := binary.Read(cr, binary.LittleEndian, nz); err != nil {
-				return err
-			}
-			prevNZ[m] = nz
+			prevNZ[m] = make([]int32, cnt)
+			dc.int32s(prevNZ[m])
 		}
 	default:
 		return fmt.Errorf("core: checkpoint nz presence flag %d is not 0 or 1", hasNZ)
 	}
-	cursor, err := readU64()
-	if err != nil {
-		return err
+	cursor := dc.u64()
+	if dc.err != nil {
+		return dc.err
 	}
 	sum := cr.crc // everything hashed so far: magic + payload
-	var footer uint32
-	if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
-		return fmt.Errorf("core: reading checkpoint checksum: %w", err)
+	dc.r = br
+	if b = dc.next(4); b == nil {
+		return fmt.Errorf("core: reading checkpoint checksum: %w", dc.err)
 	}
-	if footer != sum {
+	if footer := binary.LittleEndian.Uint32(b); footer != sum {
 		return fmt.Errorf("core: checkpoint checksum mismatch (stored %08x, computed %08x)", footer, sum)
 	}
+	d.commit(v)
+	for m := range c {
+		d.c[m].CopyFrom(c[m])
+		d.cz[m].CopyFrom(cz[m])
+	}
+	d.g.CopyFrom(g)
+	copy(d.s, s)
 	d.sHist = sHist
 	d.prevNZ = prevNZ
 	d.t = int(t)
 	d.cursor = cursor
-	return nil
-}
-
-func writeMatrix(w io.Writer, m *dense.Matrix) error {
-	for i := 0; i < m.Rows; i++ {
-		if err := binary.Write(w, binary.LittleEndian, m.Row(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readMatrix(r io.Reader, m *dense.Matrix) error {
-	for i := 0; i < m.Rows; i++ {
-		if err := binary.Read(r, binary.LittleEndian, m.Row(i)); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -56,18 +56,15 @@ func (d *Decomposer) LastResidency() mttkrp.Residency {
 // the Decomposer's mttkrp.Computer, so worker count and scratch follow
 // the same configuration as the in-memory kernels, and may hold what
 // Options.MemBudget leaves after the I×K matrices a streamed slice
-// keeps, each counted once per mode: the factor, its A_{t−1} copy and Ψ,
-// the rollback snapshot under a resilience policy and, under a
-// constraint, ADMM's U, Ã and A₀ for the longest mode and the last
-// mode's raw M.
+// keeps, each counted once per mode: the committed and the spare factor
+// version — the rollback point of a guarded slice is the committed one —
+// and Ψ, and, under a constraint, ADMM's U, Ã and A₀ for the longest
+// mode and the last mode's raw M.
 func (d *Decomposer) streamKernel() *mttkrp.StreamKernel {
 	if d.sk == nil {
-		rows, copies := 0, 3
-		if d.opt.Resilience != nil {
-			copies++
-		}
+		rows := 0
 		for _, dim := range d.dims {
-			rows += copies * dim
+			rows += 3 * dim
 		}
 		if d.opt.Constraint != nil {
 			rows += 3*slices.Max(d.dims) + d.dims[d.n-1]

@@ -437,7 +437,7 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 // decomposers relative to the largest factor entry.
 func relFactorDiff(a, b *Decomposer) float64 {
 	scale := 0.0
-	for m := range a.a {
+	for m := range a.Dims() {
 		for _, v := range a.Factor(m).Data {
 			scale = math.Max(scale, math.Abs(v))
 		}

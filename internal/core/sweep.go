@@ -29,7 +29,7 @@ const (
 type coreArgs struct {
 	a    *dense.Matrix // the rows: written under chol or inv, always reduced over
 	m    *dense.Matrix // the mode's raw MTTKRP (chol, psi)
-	prev *dense.Matrix // A_{t−1}: historical term, H, norms; nil drops all three
+	prev *dense.Matrix // A_{t−1}: historical term, H, norms; nil drops all three; the z-row transform's source
 	q    *dense.Matrix // Q⁽ⁿ⁾ (chol); the z-row transform's T
 	s    []float64     // sₜ (chol)
 	// chol set: a[r] = (m[r]∘s + prev[r]·q)·Φ⁻¹ before anything is reduced;

@@ -245,8 +245,8 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 		}
 		want := 0.0
 		for n := range dims {
-			want += math.Sqrt(dense.FrobNorm2Diff(d.a[n], d.prevA[n]) / dense.FrobNorm2(d.a[n]))
-			if n2 := dense.FrobNorm2(d.a[n]); math.Abs(n2-float64(d.k)) > 1e-9 {
+			want += math.Sqrt(dense.FrobNorm2Diff(run.a[n], run.prev[n]) / dense.FrobNorm2(run.a[n]))
+			if n2 := dense.FrobNorm2(run.a[n]); math.Abs(n2-float64(d.k)) > 1e-9 {
 				t.Fatalf("iteration %d: ‖A⁽%d⁾‖² = %g after Normalize, want %d", it, n, n2, d.k)
 			}
 		}
@@ -254,7 +254,7 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 			t.Fatalf("iteration %d: δ = %.17g, on the scaled factors %.17g", it, delta, want)
 		}
 		last := len(dims) - 1
-		sameMatrixBits(t, "ψ under Normalize", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{refColDots(d.sp.psi[last], d.a[last])}))
+		sameMatrixBits(t, "ψ under Normalize", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{refColDots(d.sp.psi[last], run.a[last])}))
 	}
 }
 
@@ -295,17 +295,18 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		psi := d.sp.psi[n]
-		if err := d.mttkrpMode(psi, run.kin, run.plan, d.a, n); err != nil {
+		if err := d.mttkrpMode(psi, run.kin, run.plan, run.fac, n); err != nil {
 			t.Fatal(err)
 		}
 		dense.ScaleColumns(psi, psi, d.s)
 		d.buildQ(q, n)
 		for i := 0; i < psi.Rows; i++ {
-			dense.AddMulRow(psi.Row(i), d.prevA[n].Row(i), q)
+			dense.AddMulRow(psi.Row(i), run.prev[n].Row(i), q)
 		}
-		d.chol.SolveRowsInto(d.a[n], psi)
-		d.rowSweep(coreArgs{a: d.a[n], prev: d.prevA[n]}, d.c[n], d.h[n])
-		sameMatrixBits(t, fmt.Sprintf("factor %d", n), ds[0].a[n], d.a[n])
+		d.chol.SolveRowsInto(run.a[n], psi)
+		d.rowSweep(coreArgs{a: run.a[n], prev: run.prev[n]}, d.c[n], d.h[n])
+		run.fac[n] = run.a[n]
+		sameMatrixBits(t, fmt.Sprintf("factor %d", n), runs[0].a[n], run.a[n])
 		sameMatrixBits(t, fmt.Sprintf("C %d", n), ds[0].c[n], d.c[n])
 		sameMatrixBits(t, fmt.Sprintf("H %d", n), ds[0].h[n], d.h[n])
 	}

@@ -181,7 +181,8 @@ type factorsResponse struct {
 // handleFactors serves the published snapshot — by construction a
 // committed slice boundary, regardless of what the solver is doing.
 func (s *Server) handleFactors(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
+	snap := s.acquire()
+	defer snap.Release()
 	resp := factorsResponse{
 		T:    snap.T,
 		Dims: snap.Dims,
@@ -211,7 +212,7 @@ func matrixRows(snap *FactorSnapshot, mode int) [][]float64 {
 	f := snap.Factors[mode]
 	rows := make([][]float64, f.Rows)
 	for i := 0; i < f.Rows; i++ {
-		rows[i] = f.Row(i) // snapshot storage is immutable; safe to alias
+		rows[i] = f.Row(i) // pinned until the response is written; safe to alias
 	}
 	return rows
 }
@@ -227,7 +228,8 @@ func jsonFloat(v float64) *float64 {
 // handleReconstruct evaluates the snapshot model at ?coord=i,j,…
 // (1-based, matching the event feed convention).
 func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
+	snap := s.acquire()
+	defer snap.Release()
 	coordStr := r.URL.Query().Get("coord")
 	if coordStr == "" {
 		jsonError(w, http.StatusBadRequest, "missing coord=i,j,… query parameter")

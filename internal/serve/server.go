@@ -156,8 +156,10 @@ type Server struct {
 	pipe    *ingest.Pipeline
 	breaker *resilience.Breaker
 
-	// snap is the published model; handlers only ever load it.
+	// snap is the published model; handlers pin it (acquire). pub holds
+	// the last two snapshots published, for publish to reuse.
 	snap atomic.Pointer[FactorSnapshot]
+	pub  [2]*FactorSnapshot
 	// stats is the published copy of the consumer-side counters.
 	stats atomic.Pointer[statsView]
 
@@ -254,15 +256,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Snapshot publication rides the commit hook: it fires only after a
 	// slice commits, on the consumer goroutine, with the decomposer
-	// quiescent — the only moment a copy is both safe and guaranteed
-	// never to be retracted by a later rollback.
-	s.dec.SetCommitHook(func(res core.SliceResult) {
-		s.snap.Store(TakeSnapshot(s.dec, res.Fit))
-	})
+	// quiescent — the only moment a publication is both safe and
+	// guaranteed never to be retracted by a later rollback.
+	s.dec.SetCommitHook(func(res core.SliceResult) { s.publish(res.Fit) })
 
 	// The pre-stream snapshot: reads before the first committed slice
 	// see the (restored or initial) state, never a 404 race.
-	s.snap.Store(TakeSnapshot(s.dec, math.NaN()))
+	s.publish(math.NaN())
 	s.publishStats(math.NaN())
 
 	s.mux = http.NewServeMux()
@@ -307,8 +307,47 @@ func (s *Server) publishStats(fit float64) {
 	})
 }
 
-// Snapshot returns the current published model (never nil after New).
-func (s *Server) Snapshot() *FactorSnapshot { return s.snap.Load() }
+// publish makes the decomposer's committed version the published
+// snapshot, pinned, then drops the publication pin of the snapshot it
+// replaces. It runs where the decomposer is quiescent: in New and the
+// commit hook. A slice commits a version nothing pinned when it began
+// (core.Version), usually the one published two commits ago, and that
+// snapshot is refilled for it instead of allocating: no reader holds
+// it, and one that loaded it earlier fails acquire's recheck.
+func (s *Server) publish(fit float64) {
+	v := s.dec.Committed()
+	snap := s.pub[0]
+	if snap == nil || snap.ver != v {
+		snap = newSnapshot(s.dec.Dims(), s.dec.Rank(), v)
+	}
+	snap.fill(s.dec, fit)
+	v.Pin()
+	old := s.snap.Swap(snap)
+	s.pub[0], s.pub[1] = s.pub[1], snap
+	if old != nil {
+		old.Release()
+	}
+}
+
+// acquire pins the published snapshot: load, pin, recheck. A snapshot
+// still published after the pin was taken stays unwritten until its
+// Release — the decomposer reuses only unpinned versions. One replaced in
+// between may already be rewritten; its pin is dropped and the load
+// retried.
+func (s *Server) acquire() *FactorSnapshot {
+	for {
+		snap := s.snap.Load()
+		snap.ver.Pin()
+		if s.snap.Load() == snap {
+			return snap
+		}
+		snap.ver.Release()
+	}
+}
+
+// Snapshot returns the current published model (never nil after New),
+// pinned: Release it when done.
+func (s *Server) Snapshot() *FactorSnapshot { return s.acquire() }
 
 // Breaker exposes the circuit breaker (tests, stats).
 func (s *Server) Breaker() *resilience.Breaker { return s.breaker }

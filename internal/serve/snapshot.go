@@ -7,11 +7,14 @@
 //
 //   - Snapshot isolation. Readers never see the solver's in-progress or
 //     rolled-back state: after every *committed* slice the decomposer's
-//     commit hook deep-copies the factors into an immutable
-//     FactorSnapshot published by atomic pointer swap. A slice that
-//     fails, retries, or rolls back publishes nothing, so the visible
-//     model always corresponds to a slice boundary that will never be
-//     retracted.
+//     commit hook publishes a FactorSnapshot of the committed factor
+//     version by atomic pointer swap. The snapshot pins that version
+//     (core.Version) instead of copying it, and the decomposer never
+//     writes a pinned version: its next slices write into a spare. A
+//     reader pins it too, from load to release, by load–pin–recheck.
+//     A slice that fails, retries, or rolls back publishes nothing, so
+//     the visible model always corresponds to a slice boundary that
+//     will never be retracted.
 //
 //   - Backpressure-aware admission. The ingest queue is bounded; when
 //     it sheds, the API says so (429 + Retry-After) instead of hanging
@@ -33,10 +36,13 @@ import (
 	"spstream/internal/dense"
 )
 
-// FactorSnapshot is an immutable copy of the decomposition state at a
-// committed slice boundary. All storage is deep-copied at publication
-// and never mutated afterwards, so any number of readers may hold one
-// while the solver advances or rolls back.
+// FactorSnapshot is the decomposition state at a committed slice
+// boundary. Its factors are the committed core.Version itself, pinned,
+// so they stay unwritten while the snapshot is held: any number of
+// readers may hold one while the solver advances or rolls back. Every
+// snapshot TakeSnapshot or Server.Snapshot returns holds one pin;
+// Release drops it, after which the snapshot must not be read. One never
+// released costs the decomposer one allocation, never a bit.
 type FactorSnapshot struct {
 	// T is the number of slices committed into this snapshot.
 	T int
@@ -44,32 +50,47 @@ type FactorSnapshot struct {
 	Dims []int
 	// Rank is the decomposition rank K.
 	Rank int
-	// Factors are deep copies of the non-temporal factor matrices.
+	// Factors are the non-temporal factor matrices of the pinned version.
 	Factors []*dense.Matrix
 	// S is the temporal row sₜ of the newest committed slice.
 	S []float64
 	// Fit is the newest committed slice's fit (NaN without TrackFit).
 	Fit float64
+
+	ver *core.Version // fixed for the snapshot's life
 }
 
-// TakeSnapshot deep-copies the decomposer's current factor state. It
-// must be called while the decomposer is quiescent — in practice from
-// its commit hook or the pipeline's consumer callbacks.
+// TakeSnapshot returns a snapshot of the decomposer's committed state
+// holding one pin on its factor version; Release it when done. It must
+// be called while the decomposer is quiescent — in practice from its
+// commit hook or the pipeline's consumer callbacks.
 func TakeSnapshot(d *core.Decomposer, fit float64) *FactorSnapshot {
-	dims := d.Dims()
+	s := newSnapshot(d.Dims(), d.Rank(), d.Committed())
+	s.fill(d, fit)
+	s.ver.Pin()
+	return s
+}
+
+// newSnapshot returns a snapshot of version v, not yet filled or pinned.
+func newSnapshot(dims []int, rank int, v *core.Version) *FactorSnapshot {
 	s := &FactorSnapshot{
-		T:       d.T(),
-		Dims:    append([]int(nil), dims...),
-		Rank:    d.Rank(),
-		Factors: make([]*dense.Matrix, len(dims)),
-		S:       append([]float64(nil), d.LastS()...),
-		Fit:     fit,
+		Dims: append([]int(nil), dims...), Rank: rank,
+		Factors: make([]*dense.Matrix, len(dims)), S: make([]float64, rank), ver: v,
 	}
 	for m := range dims {
-		s.Factors[m] = d.Factor(m).Clone()
+		s.Factors[m] = v.Factor(m)
 	}
 	return s
 }
+
+// fill copies the decomposer's slice counter and sₜ, and fit, into s.
+func (s *FactorSnapshot) fill(d *core.Decomposer, fit float64) {
+	s.T, s.Fit = d.T(), fit
+	copy(s.S, d.LastS())
+}
+
+// Release drops the pin TakeSnapshot or Server.Snapshot took.
+func (s *FactorSnapshot) Release() { s.ver.Release() }
 
 // ReconstructAt evaluates the snapshot's model X̂ₜ = [[A…; sₜ]] at one
 // coordinate of the newest slice, with bounds checking (the serving
