@@ -24,12 +24,11 @@ import (
 
 // stateSnapshot is the rollback point of a guarded slice: the committed
 // factor version, pinned for the length of the slice so nothing writes
-// it, and a copy of the small state that crosses slice boundaries — C,
+// it (nil outside a slice), and a copy of the small state that crosses slice boundaries — C,
 // C_z, G, sₜ, the temporal history length, t and the nz sets. It is
 // owned by the Decomposer and its storage is reused across slices, so
 // steady-state snapshotting allocates nothing and copies O(N·K² + |nz|).
 type stateSnapshot struct {
-	valid   bool
 	ver     *Version
 	c, cz   []*dense.Matrix
 	g       *dense.Matrix
@@ -72,15 +71,14 @@ func (d *Decomposer) takeSnapshot() {
 			sn.prevNZ[m] = append(sn.prevNZ[m][:0], d.prevNZ[m]...)
 		}
 	}
-	sn.valid = true
 }
 
 // releaseSnapshot ends the rollback point: the version it pinned may be
 // written again.
 func (d *Decomposer) releaseSnapshot() {
-	if sn := d.snap; sn != nil && sn.valid {
+	if sn := d.snap; sn != nil && sn.ver != nil {
 		sn.ver.Release()
-		sn.ver, sn.valid = nil, false
+		sn.ver = nil
 	}
 }
 
@@ -91,7 +89,7 @@ func (d *Decomposer) releaseSnapshot() {
 // whether a snapshot was available.
 func (d *Decomposer) rollback() bool {
 	sn := d.snap
-	if sn == nil || !sn.valid {
+	if sn == nil || sn.ver == nil {
 		return false
 	}
 	if d.cur != sn.ver {

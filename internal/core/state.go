@@ -85,10 +85,12 @@ func (e *stateEnc) matrix(m *dense.Matrix) {
 }
 
 // stateDec is stateEnc's reader: little-endian words read through one
-// buffer from r, the first error sticking.
+// buffer from r, with a running CRC32 of everything read; the first
+// error sticks.
 type stateDec struct {
 	r   io.Reader
 	buf []byte
+	crc uint32
 	err error
 }
 
@@ -101,6 +103,7 @@ func (dc *stateDec) next(n int) []byte {
 	if _, dc.err = io.ReadFull(dc.r, b); dc.err != nil {
 		return nil
 	}
+	dc.crc = crc32.Update(dc.crc, crc32.IEEETable, b)
 	return b
 }
 
@@ -143,20 +146,6 @@ func (dc *stateDec) matrix(m *dense.Matrix) {
 	for i := 0; i < m.Rows; i++ {
 		dc.floats(m.Row(i))
 	}
-}
-
-// crcReader updates a running CRC32 with everything read through it. It
-// sits above the buffered reader so lookahead never hashes bytes the
-// parser has not consumed (the footer must stay out of the sum).
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
 }
 
 // Cursor returns the highest WAL sequence number whose slice the state
@@ -223,9 +212,7 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 // receiver before it drives an allocation, so arbitrary (fuzzed) input
 // cannot trigger huge allocations.
 func (d *Decomposer) RestoreState(r io.Reader) error {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	dc := &stateDec{r: cr, buf: make([]byte, stateBuf)}
+	dc := &stateDec{r: bufio.NewReader(r), buf: make([]byte, stateBuf)}
 	b := dc.next(len(stateMagic))
 	if b == nil {
 		return fmt.Errorf("core: reading checkpoint magic: %w", dc.err)
@@ -307,8 +294,7 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	if dc.err != nil {
 		return dc.err
 	}
-	sum := cr.crc // everything hashed so far: magic + payload
-	dc.r = br
+	sum := dc.crc // everything read so far: magic + payload
 	if b = dc.next(4); b == nil {
 		return fmt.Errorf("core: reading checkpoint checksum: %w", dc.err)
 	}

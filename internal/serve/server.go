@@ -318,7 +318,7 @@ func (s *Server) publish(fit float64) {
 	v := s.dec.Committed()
 	snap := s.pub[0]
 	if snap == nil || snap.ver != v {
-		snap = newSnapshot(s.dec.Dims(), s.dec.Rank(), v)
+		snap = newSnapshot(s.dec)
 	}
 	snap.fill(s.dec, fit)
 	v.Pin()

@@ -65,20 +65,21 @@ type FactorSnapshot struct {
 // be called while the decomposer is quiescent — in practice from its
 // commit hook or the pipeline's consumer callbacks.
 func TakeSnapshot(d *core.Decomposer, fit float64) *FactorSnapshot {
-	s := newSnapshot(d.Dims(), d.Rank(), d.Committed())
+	s := newSnapshot(d)
 	s.fill(d, fit)
 	s.ver.Pin()
 	return s
 }
 
-// newSnapshot returns a snapshot of version v, not yet filled or pinned.
-func newSnapshot(dims []int, rank int, v *core.Version) *FactorSnapshot {
+// newSnapshot returns a snapshot of d's committed version, not yet
+// filled or pinned.
+func newSnapshot(d *core.Decomposer) *FactorSnapshot {
 	s := &FactorSnapshot{
-		Dims: append([]int(nil), dims...), Rank: rank,
-		Factors: make([]*dense.Matrix, len(dims)), S: make([]float64, rank), ver: v,
+		Dims: append([]int(nil), d.Dims()...), Rank: d.Rank(),
+		Factors: make([]*dense.Matrix, len(d.Dims())), S: make([]float64, d.Rank()), ver: d.Committed(),
 	}
-	for m := range dims {
-		s.Factors[m] = v.Factor(m)
+	for m := range s.Factors {
+		s.Factors[m] = s.ver.Factor(m)
 	}
 	return s
 }
