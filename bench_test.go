@@ -368,37 +368,6 @@ func BenchmarkAblationCz(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConstrainedSpCP compares the experimental
-// constrained spCP-stream extension (paper §VII future work) against
-// the exact constrained Optimized algorithm.
-func BenchmarkAblationConstrainedSpCP(b *testing.B) {
-	s := benchStream(b, "flickr")
-	run := func(b *testing.B, opt core.Options) {
-		dec, err := core.NewDecomposer(s.Dims, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dec.ProcessSlice(s.Slices[i%s.T()]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("optimized-constrained", func(b *testing.B) {
-		run(b, core.Options{
-			Rank: 16, Algorithm: core.Optimized, Constraint: admm.NonNeg{},
-			Seed: 5, MaxIters: 3, ADMMMaxIters: 10,
-		})
-	})
-	b.Run("spcp-constrained", func(b *testing.B) {
-		run(b, core.Options{
-			Rank: 16, Algorithm: core.SpCPStream, Constraint: admm.NonNeg{},
-			ConstrainedSpCP: true, Seed: 5, MaxIters: 3, ADMMMaxIters: 10,
-		})
-	})
-}
-
 // BenchmarkPublicAPI measures the facade path end to end (quickstart
 // shape).
 func BenchmarkPublicAPI(b *testing.B) {

@@ -73,16 +73,19 @@ func RankComponents(d *Decomposer) []int {
 
 // ReconstructAt evaluates the current model X̂ₜ = [[A…; sₜ]] at one
 // coordinate of the latest slice — useful for spot-checking predictions
-// or imputing missing entries.
+// or imputing missing entries. It reads the N rows it needs, brought
+// current, so it costs O(N·K²) whatever the mode lengths.
 func ReconstructAt(d *Decomposer, coord []int32) float64 {
-	s := d.LastS()
-	sum := 0.0
-	for k := range s {
-		p := s[k]
-		for m := range d.Dims() {
-			p *= d.Factor(m).At(int(coord[m]), k)
+	v := d.Committed()
+	p, row := append([]float64(nil), d.LastS()...), make([]float64, d.Rank())
+	for m := range d.Dims() {
+		for k, x := range v.Row(m, int(coord[m]), row) {
+			p[k] *= x
 		}
-		sum += p
+	}
+	sum := 0.0
+	for _, x := range p {
+		sum += x
 	}
 	return sum
 }

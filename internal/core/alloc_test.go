@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spstream/internal/admm"
-	"spstream/internal/dense"
 	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
@@ -95,26 +94,45 @@ func TestSpCPIterateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestZTransformZeroAlloc: constrained spCP-stream's z-row transform
-// projects every transformed row through the Constraint interface;
-// once the per-worker scratch rows exist, that allocates nothing.
+// TestZTransformZeroAlloc: the lazy z side allocates nothing once its
+// scratch exists — not finishZ extending the log and writing the nz
+// rows, in place or into the spare brought level with a pinned
+// committed version, and not the flush of every zLogLen-th slice.
 func TestZTransformZeroAlloc(t *testing.T) {
-	const rows, k = 37, 4
-	d, err := NewDecomposer([]int{rows, 9}, Options{Rank: k, Algorithm: SpCPStream, ConstrainedSpCP: true,
-		Constraint: admm.NonNeg{}, Workers: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, tr := dense.NewMatrix(rows, k), dense.Identity(k)
-	for i := range a.Data {
-		a.Data[i] = float64(i%7) - 3
-	}
-	nz := []int32{0, 5, 20}
-	isNZ := d.markNZ(rows, nz)
-	defer d.unmarkNZ(nz)
-	d.applyZTransform(a, a, isNZ, tr) // grow the scratch rows
-	if n := testing.AllocsPerRun(20, func() { d.applyZTransform(a, a, isNZ, tr) }); n != 0 {
-		t.Errorf("constrained z-row transform allocates %.1f times per call, want 0", n)
+	s := skewedStream(t, 314)
+	for _, pinned := range []bool{false, true} {
+		d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 7, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
+			t.Fatal(err)
+		}
+		run, err := d.beginSlice(sliceData{x: s.Slices[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.iterateSlice(run); err != nil {
+			t.Fatal(err)
+		}
+		commit := func() {
+			held := d.Committed()
+			if pinned {
+				held.Pin()
+			}
+			d.finishZ(run)
+			d.commit(run.next)
+			if pinned {
+				held.Release()
+			}
+		}
+		for range zLogLen + 2 {
+			commit() // grow every buffer, through a flush
+		}
+		// 2·zLogLen commits hold two flushes whatever the phase.
+		if n := testing.AllocsPerRun(2*zLogLen, commit); n != 0 {
+			t.Errorf("pinned=%v: a lazy spCP commit allocates %.2f times on average, want 0", pinned, n)
+		}
 	}
 }
 

@@ -28,9 +28,15 @@ type Decomposer struct {
 	// version a slice writes its iterate into, and a retired version a
 	// reader still held when it was due (version.go); fac, the factors
 	// the kernels read during a slice with z = ∅ — the committed ones
-	// until the first iteration has written each mode's iterate.
+	// until the first iteration has written each mode's iterate. ids
+	// numbers version contents (Version.id); view holds the committed
+	// factors Factor brought current, for the contents viewID names,
+	// until the next slice begins.
 	cur, spare, parked *Version
 	fac                []*dense.Matrix
+	ids                uint64
+	view               []*dense.Matrix
+	viewID             []uint64
 	c                  []*dense.Matrix // C⁽ⁿ⁾ = A⁽ⁿ⁾ᵀA⁽ⁿ⁾ (K×K)
 	cPrev              []*dense.Matrix // C⁽ⁿ⁾ₜ₋₁ (K×K)
 	h                  []*dense.Matrix // H⁽ⁿ⁾ = Aₜ₋₁ᵀA (K×K)
@@ -48,11 +54,10 @@ type Decomposer struct {
 	prevNZ   [][]int32       // nz sets of the previous slice
 	cz       []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
 	remapper mttkrp.Remapper
-	// spCP-stream Post scratch: the nz-row mask (all-false between
-	// uses, see markNZ) and one 1×K row per worker for the z-row
-	// transform.
-	isNZ  []bool
-	zRows []dense.Matrix
+	// One 1×K row per worker for the flush, and the count of rows the
+	// z side has brought current (the nz gathers and the flushes).
+	zRows     []dense.Matrix
+	zRowsRead int
 
 	// Kernels and workspaces.
 	sp     spcpBufs      // the slice body's per-slice matrices
@@ -150,6 +155,7 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 			f.Data[i] = d.rng.Float64() + 0.1 // positive, well away from 0
 		}
 	}
+	d.endWrite(d.cur)
 	for range dims {
 		d.c = append(d.c, dense.NewMatrix(k, k))
 		d.cPrev = append(d.cPrev, dense.NewMatrix(k, k))
@@ -187,11 +193,6 @@ func (d *Decomposer) Rank() int { return d.k }
 
 // T returns the number of slices processed so far.
 func (d *Decomposer) T() int { return d.t }
-
-// Factor returns the committed factor matrix for mode n (live storage;
-// do not modify). It is valid until the next slice begins, unless the
-// Committed version is pinned.
-func (d *Decomposer) Factor(n int) *dense.Matrix { return d.cur.a[n] }
 
 // TemporalGram returns the temporal Gram matrix G (live storage).
 func (d *Decomposer) TemporalGram() *dense.Matrix { return d.g }

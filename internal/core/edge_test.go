@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
@@ -164,28 +163,6 @@ func TestBreakdownPhaseAttribution(t *testing.T) {
 	}
 	if bdStr.Iters == 0 {
 		t.Fatal("streamed iteration count not recorded")
-	}
-}
-
-// Constrained spCP with L1 (the other constraint the paper names).
-func TestConstrainedSpCPWithL1(t *testing.T) {
-	s := skewedStream(t, 203)
-	d, err := NewDecomposer(s.Dims, Options{
-		Rank: 3, Algorithm: SpCPStream, Constraint: admm.L1{Lambda: 0.01},
-		ConstrainedSpCP: true, Seed: 2, MaxIters: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := d.ProcessSlice(s.Slices[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for m := range s.Dims {
-		if d.Factor(m).HasNaN() {
-			t.Fatal("NaN with L1 constrained spCP")
-		}
 	}
 }
 

@@ -22,58 +22,15 @@ func TestDirectCzEquivalence(t *testing.T) {
 	}
 }
 
-// Constrained spCP-stream (the paper's §VII future work) must keep the
-// factors feasible and produce fits comparable to the exact constrained
-// Optimized algorithm.
-func TestConstrainedSpCPFeasibleAndComparable(t *testing.T) {
-	s := skewedStream(t, 102)
-	opt := Options{
-		Rank: 4, Algorithm: SpCPStream, Constraint: admm.NonNeg{},
-		ConstrainedSpCP: true, Seed: 5, TrackFit: true,
-	}
-	spc, resS := runStream(t, s, opt)
-	for m := 0; m < 3; m++ {
-		for _, v := range spc.Factor(m).Data {
-			if v < 0 {
-				t.Fatalf("mode %d: negative entry %g", m, v)
-			}
-		}
-	}
-	total := 0
-	for _, r := range resS {
-		total += r.ADMMIters
-	}
-	if total == 0 {
-		t.Fatal("ADMM never ran in constrained spCP")
-	}
-	// Reference: exact constrained CP-stream with the same seed.
-	_, resO := runStream(t, s, Options{
-		Rank: 4, Algorithm: Optimized, Constraint: admm.NonNeg{}, Seed: 5, TrackFit: true,
-	})
-	for i := range resS {
-		if math.IsNaN(resS[i].Fit) {
-			t.Fatalf("slice %d: NaN fit", i)
-		}
-		if resS[i].Fit < resO[i].Fit-0.1 {
-			t.Fatalf("slice %d: constrained spCP fit %.4f ≪ optimized %.4f", i, resS[i].Fit, resO[i].Fit)
-		}
-	}
-}
-
+// TestConstrainedSpCPValidation: spCP-stream rejects every constraint
+// (paper §VII) — its z rows move only by a linear transform.
 func TestConstrainedSpCPValidation(t *testing.T) {
-	// Without the opt-in flag the combination stays rejected
-	// (paper-faithful behaviour).
-	if _, err := NewDecomposer([]int{10, 10}, Options{
-		Rank: 2, Algorithm: SpCPStream, Constraint: admm.NonNeg{},
-	}); err == nil || !strings.Contains(err.Error(), "ConstrainedSpCP") {
-		t.Fatalf("expected opt-in error, got %v", err)
-	}
-	// Column-norm constraints are not supported on this path.
-	if _, err := NewDecomposer([]int{10, 10}, Options{
-		Rank: 2, Algorithm: SpCPStream, Constraint: admm.NonNegMaxColNorm{R: 1},
-		ConstrainedSpCP: true,
-	}); err == nil {
-		t.Fatal("column-norm constraint accepted on spCP path")
+	for _, con := range []admm.Constraint{admm.NonNeg{}, admm.L1{Lambda: 0.01}, admm.NonNegMaxColNorm{R: 1}} {
+		if _, err := NewDecomposer([]int{10, 10}, Options{
+			Rank: 2, Algorithm: SpCPStream, Constraint: con,
+		}); err == nil || !strings.Contains(err.Error(), "does not support constraints") {
+			t.Fatalf("%T: got %v, want the spCP constraint rejection", con, err)
+		}
 	}
 }
 
@@ -172,35 +129,6 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
-// The constrained spCP extension must still beat the explicit
-// constrained algorithm on iteration structure: its per-iteration phase
-// times exclude full-factor Historical products. We check the weaker,
-// robust property that it converges and the breakdown records spCP
-// phases (Post > 0, since z rows are materialized and projected).
-func TestConstrainedSpCPBreakdown(t *testing.T) {
-	s := skewedStream(t, 105)
-	opt := Options{
-		Rank: 3, Algorithm: SpCPStream, Constraint: admm.NonNeg{},
-		ConstrainedSpCP: true, Seed: 2,
-	}
-	d, err := NewDecomposer(s.Dims, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := 0; ti < 3; ti++ {
-		if _, err := d.ProcessSlice(s.Slices[ti]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bd := d.Breakdown()
-	if bd.Times[6] <= 0 { // Historical phase still runs (K×K work)
-		t.Fatal("no historical time recorded")
-	}
-	if bd.Times[1] <= 0 { // Post runs the projection + Gram resync
-		t.Fatal("no post time recorded")
-	}
-}
-
 // No bit of a run depends on the worker count for a fixed kernel
 // schedule: the kernels give every output row one writer, and every sum —
 // the Grams, the row sweep, BF-ADMM and the time mode — is keyed by fixed
@@ -213,12 +141,15 @@ func TestPlanKernelWorkerInvariance(t *testing.T) {
 	s := testStream(t, 106, dims, 9000, 3)
 	for _, alg := range []Algorithm{Optimized, SpCPStream} {
 		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
+			if alg == SpCPStream && con != nil {
+				continue // rejected (paper §VII)
+			}
 			for _, streamed := range []bool{false, true} {
 				var ref *Decomposer
 				for _, workers := range []int{1, 2, 3, 7} {
 					name := fmt.Sprintf("%v constrained=%v streamed=%v W=%d", alg, con != nil, streamed, workers)
 					opt := Options{
-						Rank: 5, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
+						Rank: 5, Algorithm: alg, Constraint: con,
 						Seed: 4, Workers: workers,
 					}
 					if streamed {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -61,6 +62,54 @@ func FuzzRestoreState(f *testing.F) {
 		f.Fatal("a checkpoint with a flipped cursor bit restored")
 	}
 	f.Add(flipped)
+	// The state under the v4 magic, resealed: no z-side log, rejected.
+	v4 := append([]byte(nil), valid...)
+	copy(v4, "SPSTRM04")
+	resealCRC(v4)
+	f.Add(v4)
+
+	// A spCP checkpoint, its z side three slices past the last flush,
+	// and three forgeries of it, resealed so only validation can refuse
+	// them — each before it drives an allocation: a row dated after t,
+	// a log longer than zLogLen, and a log cut short.
+	sp, err := NewDecomposer(dims, Options{Rank: 3, Seed: 1, Workers: 1, Algorithm: SpCPStream})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, x := range s.Slices {
+		if _, err := sp.ProcessSlice(x); err != nil {
+			f.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := sp.SaveState(&buf); err != nil {
+		f.Fatal(err)
+	}
+	lazy := buf.Bytes()
+	// magic, N, I₁, I₂, K, t; then lag; then mode 0's factor and ages.
+	const lagAt = 8 + 8*(1+2+1+1)
+	ageAt := lagAt + 8 + 8*dims[0]*opt.Rank
+	if lag := binary.LittleEndian.Uint64(lazy[lagAt:]); lag != uint64(len(s.Slices)) {
+		f.Fatalf("spCP checkpoint lag %d, want %d", lag, len(s.Slices))
+	}
+	f.Add(lazy)
+	future := append([]byte(nil), lazy...)
+	future[ageAt] = byte(len(s.Slices) + 1)
+	resealCRC(future)
+	long := append([]byte(nil), lazy...)
+	binary.LittleEndian.PutUint64(long[lagAt:], zLogLen+1)
+	resealCRC(long)
+	cut := append([]byte(nil), lazy[:ageAt+dims[0]+8*opt.Rank]...)
+	for name, forged := range map[string][]byte{"future row": future, "long log": long, "truncated log": cut} {
+		probe, err := NewDecomposer(dims, opt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := probe.RestoreState(bytes.NewReader(forged)); err == nil {
+			f.Fatalf("a checkpoint with a %s restored", name)
+		}
+		f.Add(forged)
+	}
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		fresh, err := NewDecomposer(dims, opt)

@@ -150,16 +150,6 @@ type Options struct {
 	// failures, post-slice health checks, last-good snapshot rollback,
 	// and the RetrySlice/SkipSlice/Abort policy. See resilience.Config.
 	Resilience *resilience.Config
-	// ConstrainedSpCP enables the experimental constrained spCP-stream
-	// extension — the integration of ADMM into spCP-stream that the
-	// paper names as future work (§VII). The nz rows are solved exactly
-	// with ADMM each inner iteration; the implicit z rows remain linear
-	// during the inner loop and are materialized and projected once per
-	// slice, after which the Gram state is re-synchronized. This is an
-	// approximation: z rows are feasible at slice boundaries but the
-	// inner iterations see their unprojected Grams. Constraints that
-	// need global column norms are not supported on this path.
-	ConstrainedSpCP bool
 }
 
 // WithDefaults returns o with every zero field replaced by its
@@ -213,12 +203,7 @@ func (o Options) Validate(dims []int) error {
 		return fmt.Errorf("core: unknown Algorithm %d", int(o.Algorithm))
 	}
 	if o.Algorithm == SpCPStream && o.Constraint != nil {
-		if !o.ConstrainedSpCP {
-			return errors.New("core: spCP-stream does not support constraints (paper §VII); set ConstrainedSpCP to enable the experimental extension")
-		}
-		if o.Constraint.NeedsColNorms() {
-			return errors.New("core: constrained spCP-stream does not support column-norm constraints")
-		}
+		return errors.New("core: spCP-stream does not support constraints (paper §VII); use Optimized")
 	}
 	return nil
 }

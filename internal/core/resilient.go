@@ -198,9 +198,13 @@ func scanSliceInput(x *sptensor.Tensor) error {
 }
 
 // healthCheck validates the numerical state a just-finished slice left
-// behind: finite convergence measure within the divergence guard,
-// finite factors, temporal weights, and temporal Gram. Failures wrap
-// resilience.ErrDiverged.
+// behind, reading only what the slice wrote: finite convergence measure
+// within the divergence guard; finite factor rows — those the slice
+// wrote (Version.wrote), the z rows it left stored through their C_z and
+// the logged transforms; finite C, temporal weights, and temporal Gram.
+// A z row turns non-finite only after its squared norm, and with it
+// diag(C_z), has overflowed, so a finite C_z and log vouch for the rows
+// the slice did not touch. Failures wrap resilience.ErrDiverged.
 func (d *Decomposer) healthCheck(res *SliceResult) error {
 	cfg := d.opt.Resilience
 	if cfg == nil {
@@ -209,8 +213,22 @@ func (d *Decomposer) healthCheck(res *SliceResult) error {
 	if math.IsNaN(res.Delta) || math.IsInf(res.Delta, 0) || res.Delta > cfg.MaxDelta {
 		return fmt.Errorf("core: slice t=%d finished with δ=%g: %w", res.T, res.Delta, resilience.ErrDiverged)
 	}
-	for m, a := range d.cur.a {
-		if a.HasNaN() {
+	v := d.cur
+	var row dense.Matrix
+	for m, a := range v.a {
+		finite := !d.c[m].HasNaN() && !d.cz[m].HasNaN()
+		if v.wrote == nil {
+			finite = finite && !a.HasNaN()
+		} else {
+			for _, i := range v.wrote[m] {
+				row.SetRowView(a, int(i), int(i)+1)
+				finite = finite && !row.HasNaN()
+			}
+		}
+		for e := 0; e < v.lag; e++ {
+			finite = finite && !v.log[m][e].HasNaN()
+		}
+		if !finite {
 			return fmt.Errorf("core: slice t=%d produced a non-finite mode-%d factor: %w", res.T, m, resilience.ErrDiverged)
 		}
 	}

@@ -203,12 +203,12 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 		sameStateBits(t, fmt.Sprintf("bit flip at offset %d", off), fresh)
 	}
 	// The version byte flipped to v1, alone and with a payload flip.
-	if raw[7] != '4' {
-		t.Fatalf("magic %q is not v4", raw[:8])
+	if raw[7] != '5' {
+		t.Fatalf("magic %q is not v5", raw[:8])
 	}
 	for _, payloadFlip := range []bool{false, true} {
 		corrupted := append([]byte(nil), raw...)
-		corrupted[7] ^= '4' ^ '1'
+		corrupted[7] ^= '5' ^ '1'
 		if payloadFlip {
 			corrupted[len(raw)/2] ^= 0x10
 		}

@@ -68,13 +68,16 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 	const resident, streamed = 0, 1
 	for _, alg := range []Algorithm{Optimized, SpCPStream} {
 		for _, con := range []admm.Constraint{nil, admm.NonNeg{}} {
+			if alg == SpCPStream && con != nil {
+				continue // rejected (paper §VII)
+			}
 			for _, normalize := range []bool{false, true} {
 				for modes := 2; modes <= 4; modes++ {
 					for input := resident; input <= streamed; input++ {
 						name := fmt.Sprintf("%v con=%v normalize=%v N=%d input=%d", alg, con != nil, normalize, modes, input)
 						s := reuseStream(t, 500+uint64(modes), modes, 4)
 						opt := Options{
-							Rank: 4, Algorithm: alg, Constraint: con, ConstrainedSpCP: con != nil,
+							Rank: 4, Algorithm: alg, Constraint: con,
 							Normalize: normalize, Workers: 2, Seed: 5,
 							ADMMMaxIters: 5, // ψ is checked, not the ADMM optimum
 						}
@@ -338,7 +341,7 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 				t.Fatal(err)
 			}
 			psi := make([]float64, d.k)
-			d.mt.TimeMode(psi, other, d.cur.a)
+			d.mt.TimeMode(psi, other, d.factors())
 			had := dense.NewMatrix(d.k, d.k)
 			had.Fill(1)
 			for m := range d.c {

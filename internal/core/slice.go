@@ -15,10 +15,12 @@ import (
 // one policy is the z set, chosen in beginSlice: per mode, the factor
 // rows the slice's nonzeros do not touch. Only the touched rows A_nz are
 // iterated on; the z rows are carried implicitly through the K×K Gram
-// C_z (Eq. 11) and updated once, after convergence, by the final
-// iteration's transform QΦ⁻¹ (Eq. 6), so the inner loop costs
-// O(nnz·K + |nz|·K² + K³) per mode instead of O(nnz·K + Iₙ·K²) — the
-// source of the 102× speedups on skewed tensors. With z = ∅ the body is
+// C_z (Eq. 11), and after convergence the final iteration's transform
+// QΦ⁻¹ (Eq. 6) is logged for them rather than applied (finishZ, the lazy
+// z side of Version), so the inner loop costs O(nnz·K + |nz|·K² + K³)
+// per mode instead of O(nnz·K + Iₙ·K²) — the source of the 102×
+// speedups on skewed tensors — and so does the slice, but for the flush
+// of every zLogLen-th. With z = ∅ the body is
 // Algorithm 1 (CP-stream): A_nz is A, no transform runs, and δ comes from
 // the sweep's direct norms. Splitting the slice loop into phases keeps
 // every per-slice artifact out of the Decomposer while letting tests
@@ -39,13 +41,14 @@ type sliceRun struct {
 	res  SliceResult
 }
 
-// beginSlice performs the per-slice Pre work. It chooses the z set: the
-// untouched rows of a resident slice under SpCPStream (beginZ), else
-// none — Optimized, and a streamed slice under either algorithm, whose
-// nz sets would take a remap of the source. With z = ∅ the iterate is
-// the spare version, which the kernels read only once it is written:
-// A_{t−1} is the committed version itself, and no copy seeds the
-// iterate. Then it seeds the Gram state (C_{t−1} = C, and H = C since
+// beginSlice performs the per-slice Pre work. It releases the buffers
+// Factor filled and chooses the z set: the untouched rows of a resident
+// slice under SpCPStream (beginZ), else none — Optimized, and a streamed
+// slice under either algorithm, whose nz sets would take a remap of the
+// source. With z = ∅ the iterate is the spare version, which the kernels
+// read only once it is written: A_{t−1} is the committed version itself,
+// flushed first if its z side lags, and no copy seeds the iterate. Then
+// it seeds the Gram state (C_{t−1} = C, and H = C since
 // the iterate starts at A_{t−1}), sizes the Ψ workspace to the iterate,
 // compiles the coordinate plan over a resident slice (amortized over the
 // inner iterations) or the streamed kernel's schedule over a source, and
@@ -53,11 +56,15 @@ type sliceRun struct {
 func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 	run := &sliceRun{in: in, kin: in, res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()}}
 	var err error
+	clear(d.view)
 	d.bd.Time(trace.Pre, func() {
 		if d.opt.Algorithm == SpCPStream && in.src == nil {
 			d.beginZ(run)
 		} else {
+			d.flushCommitted()
 			run.next = d.claimSpare()
+			d.beginWrite(run.next, nil)
+			run.next.setCurrent()
 			d.fac = append(d.fac[:0], d.cur.a...)
 			run.a, run.prev, run.fac = run.next.a, d.cur.a, d.fac
 		}
@@ -132,9 +139,8 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		}
 		// The iterate's rows (Eq. 7): A = Ψ·Φ⁻¹ for Ψ = M·diag(sₜ) +
 		// A_{t−1}·Q — under a constraint BF-ADMM, warm-started from the
-		// previous iterate, the z rows staying linear and projected once
-		// per slice in finishZ — and their C in c[n], H in h[n], the δ
-		// norms and ψ.
+		// previous iterate — and their C in c[n], H in h[n], the δ norms
+		// and ψ.
 		num, den, err := d.updateRows(&run.res, n, run.a[n], kout, run.prev[n], sp.psi[n], phi, q)
 		if err != nil {
 			return 0, err
@@ -213,9 +219,10 @@ func (d *Decomposer) refreshS() error {
 }
 
 // finishSlice performs the Post work and returns the slice result: for
-// a z set A = A_z ⊕ A_nz (finishZ), the commit of the version the slice
-// wrote, the tracked fit, and the G/S temporal update. A guarded slice
-// that then fails its health check rolls the commit back.
+// a z set the nz rows and the logged transform (finishZ), the commit of
+// the version the slice wrote, the tracked fit, and the G/S temporal
+// update. A guarded slice that then fails its health check rolls the
+// commit back.
 func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 	if run.rm != nil {
 		d.bd.Time(trace.Post, func() { d.finishZ(run) })
@@ -224,6 +231,7 @@ func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 		// SetAlgorithm, make the next z set recompute C_z,t−1 from
 		// scratch.
 		d.prevNZ = nil
+		d.endWrite(run.next)
 	}
 	d.commit(run.next)
 	if d.opt.TrackFit {

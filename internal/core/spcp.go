@@ -3,7 +3,6 @@ package core
 import (
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
-	"spstream/internal/parallel"
 )
 
 // spcpBufs are the slice body's matrices, owned by the Decomposer and
@@ -16,7 +15,8 @@ import (
 // gather and aNz by the copy of it in beginZ, psi by every mode's
 // MTTKRP, tFinal, tmpKK and czCur by iterateSlice's SolveRowsInto, MulAB
 // and MulAtB — MaxIters ≥ 1, so finishZ never sees a previous slice's —
-// gram and moved by the GramParallel and gather beside each use.
+// tmpKK again by finishZ's MulAB, gram and moved by the GramParallel and
+// gather beside each use.
 type spcpBufs struct {
 	aNz, aNzPrev, psi, tFinal, czCur []*dense.Matrix
 	tmpKK, gram, moved               *dense.Matrix
@@ -37,12 +37,32 @@ func resized(m *dense.Matrix, rows, k int) *dense.Matrix {
 	return m
 }
 
-// gatherNZ resizes dst to the rows of src listed in idx and copies them.
-func gatherNZ(dst, src *dense.Matrix, idx []int32) *dense.Matrix {
-	dst = resized(dst, len(idx), src.Cols)
+// gatherRows resizes dst to the rows of v's mode n listed in idx and
+// writes them, brought current.
+func gatherRows(dst *dense.Matrix, v *Version, n int, idx []int32) *dense.Matrix {
+	dst = resized(dst, len(idx), v.a[n].Cols)
 	for r, i := range idx {
-		copy(dst.Row(r), src.Row(int(i)))
+		v.Row(n, int(i), dst.Row(r))
 	}
+	return dst
+}
+
+// gatherEntered resizes dst to the rows of nz that prev lacks (both
+// ascending) and copies them from aNz, nz's gather.
+func gatherEntered(dst, aNz *dense.Matrix, nz, prev []int32) *dense.Matrix {
+	dst = resized(dst, len(nz), aNz.Cols)
+	r, p := 0, 0
+	for j, i := range nz {
+		for p < len(prev) && prev[p] < i {
+			p++
+		}
+		if p < len(prev) && prev[p] == i {
+			continue
+		}
+		copy(dst.Row(r), aNz.Row(j))
+		r++
+	}
+	dst.Rows, dst.Data = r, dst.Data[:r*dst.Cols]
 	return dst
 }
 
@@ -50,12 +70,17 @@ func gatherNZ(dst, src *dense.Matrix, idx []int32) *dense.Matrix {
 // pooled remap of the slice into nz-row space (ascending local ids — the
 // incremental C_z bookkeeping relies on sorted nz sets; the dense LUT
 // scratch, nz lists and index columns are reused across slices), the
-// A_nz,t−1 gathers the iterate starts from, and C_z,t−1's upkeep.
+// A_nz,t−1 gathers the iterate starts from — the only rows of A_{t−1} a
+// non-flush slice brings current — and C_z,t−1's upkeep. The rows that
+// left the nz set were written by the previous slice, so they are stored
+// current; the rows that entered it are read from the gather.
 func (d *Decomposer) beginZ(run *sliceRun) {
-	rm, sp := d.remapper.Begin(run.in.x, nil), &d.sp
-	for m, a := range d.cur.a {
-		sp.aNzPrev[m] = gatherNZ(sp.aNzPrev[m], a, rm.NZ[m])
-		sp.aNz[m] = resized(sp.aNz[m], len(rm.NZ[m]), d.k)
+	rm, sp, v := d.remapper.Begin(run.in.x, nil), &d.sp, d.cur
+	for m := range v.a {
+		nz := rm.NZ[m]
+		sp.aNzPrev[m] = gatherRows(sp.aNzPrev[m], v, m, nz)
+		d.zRowsRead += len(nz)
+		sp.aNz[m] = resized(sp.aNz[m], len(nz), d.k)
 		sp.aNz[m].CopyFrom(sp.aNzPrev[m])
 		if d.prevNZ == nil || d.opt.DirectCz {
 			// First slice (or the DirectCz ablation): C_z,t−1 =
@@ -66,13 +91,12 @@ func (d *Decomposer) beginZ(run *sliceRun) {
 		}
 		// Algorithm 4 lines 8–11: adjust C_z,t−1 by the rows that
 		// left (add) and entered (subtract) the nz set.
-		if left := mttkrp.SetDiff(d.prevNZ[m], rm.NZ[m]); len(left) > 0 {
-			sp.moved = gatherNZ(sp.moved, a, left)
+		if left := mttkrp.SetDiff(d.prevNZ[m], nz); len(left) > 0 {
+			sp.moved = gatherRows(sp.moved, v, m, left)
 			dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
 			dense.Add(d.cz[m], d.cz[m], sp.gram)
 		}
-		if entered := mttkrp.SetDiff(rm.NZ[m], d.prevNZ[m]); len(entered) > 0 {
-			sp.moved = gatherNZ(sp.moved, a, entered)
+		if sp.moved = gatherEntered(sp.moved, sp.aNzPrev[m], nz, d.prevNZ[m]); sp.moved.Rows > 0 {
 			dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
 			dense.Sub(d.cz[m], d.cz[m], sp.gram)
 		}
@@ -80,34 +104,40 @@ func (d *Decomposer) beginZ(run *sliceRun) {
 	run.rm, run.kin, run.a, run.prev, run.fac = rm, sliceData{x: rm.X}, sp.aNz, sp.aNzPrev, sp.aNz
 }
 
-// finishZ is finishSlice's half for a z set: it materializes
-// A = A_z ⊕ A_nz (Alg. 4 line 34) into run.next and records the nz sets
-// for the next slice's C_z upkeep. run.next is the committed version
-// itself when nothing pins it — nothing needs A_{t−1} after the slice —
-// else the spare, every row of which is written here: the z rows by the
-// transform of the committed ones, the nz rows by the scatter.
+// finishZ is finishSlice's half for a z set: A = A_z ⊕ A_nz (Alg. 4
+// line 34), lazily. It writes the nz rows and logs the final transforms
+// (every suffix product times T, O(zLogLen·K³) per mode) into run.next —
+// the committed version itself when nothing pins it, else the spare
+// brought level with it (writable) — and records the nz sets for the
+// next slice's C_z upkeep. So a slice writes O(|nz|·K) words; the z rows
+// are rewritten only by the flush of every zLogLen-th slice.
 func (d *Decomposer) finishZ(run *sliceRun) {
 	rm, sp := run.rm, &d.sp
-	run.next = d.cur
-	if d.cur.pinned() {
-		run.next = d.claimSpare()
+	v := d.writable()
+	for m, nz := range rm.NZ {
+		v.nz[m] = append(v.nz[m][:0], nz...)
 	}
-	for m, a := range run.next.a {
-		isNZ := d.markNZ(a.Rows, rm.NZ[m])
-		projected := d.applyZTransform(a, d.cur.a[m], isNZ, sp.tFinal[m])
-		rm.ScatterMode(a, sp.aNz[m], m)
-		if projected {
-			// The z rows changed beyond the linear transform, so
-			// re-synchronize C_z (and with it C) from the
-			// materialized rows — one masked sweep per slice.
-			d.rowSweep(coreArgs{a: a, skip: isNZ}, d.cz[m], nil)
-			dense.GramParallel(sp.gram, sp.aNz[m], d.opt.Workers)
-			dense.Add(d.c[m], d.cz[m], sp.gram)
-		} else {
-			d.cz[m].CopyFrom(sp.czCur[m])
+	d.beginWrite(v, v.nz)
+	v.growLog(v.lag + 1)
+	age := uint8(v.lag + 1)
+	for m, a := range v.a {
+		for e := 0; e < v.lag; e++ {
+			dense.MulAB(sp.tmpKK, v.log[m][e], sp.tFinal[m])
+			v.log[m][e].CopyFrom(sp.tmpKK)
 		}
-		d.unmarkNZ(rm.NZ[m])
+		v.log[m][v.lag].CopyFrom(sp.tFinal[m])
+		rm.ScatterMode(a, sp.aNz[m], m)
+		for _, i := range rm.NZ[m] {
+			v.age[m][i] = age
+		}
+		d.cz[m].CopyFrom(sp.czCur[m])
 	}
+	v.lag++
+	d.endWrite(v)
+	if v.lag == zLogLen {
+		d.flush(v, v)
+	}
+	run.next = v
 	if d.prevNZ == nil {
 		d.prevNZ = make([][]int32, d.n)
 	}
@@ -116,60 +146,5 @@ func (d *Decomposer) finishZ(run *sliceRun) {
 	// C_z bookkeeping of the following slice.
 	for m := range rm.NZ {
 		d.prevNZ[m] = append(d.prevNZ[m][:0], rm.NZ[m]...)
-	}
-}
-
-// markNZ returns the Decomposer's row mask, grown to rows entries, with
-// exactly the rows of nz set. The mask is all-false between uses:
-// unmarkNZ must follow, so a slice pays O(|nz|) per mode for it instead
-// of allocating and zeroing O(Iₙ).
-func (d *Decomposer) markNZ(rows int, nz []int32) []bool {
-	if len(d.isNZ) < rows {
-		d.isNZ = make([]bool, rows)
-	}
-	for _, i := range nz {
-		d.isNZ[i] = true
-	}
-	return d.isNZ[:rows]
-}
-
-// unmarkNZ clears the rows markNZ set.
-func (d *Decomposer) unmarkNZ(nz []int32) {
-	for _, i := range nz {
-		d.isNZ[i] = false
-	}
-}
-
-// applyZTransform writes every z row of the full factor dst from the same
-// row of src, on the pool: row ← row·T (Eq. 6 with A_z,t−1 being the
-// untouched rows of src); dst may be src. isNZ marks the rows to skip;
-// all other rows are transformed, each on its own, so no bit depends on
-// the partition. In the constrained extension the materialized z rows
-// are additionally projected onto the constraint set; the return value
-// reports whether that projection ran (the caller must then
-// re-synchronize the Grams).
-func (d *Decomposer) applyZTransform(dst, src *dense.Matrix, isNZ []bool, t *dense.Matrix) bool {
-	for w := len(d.zRows); w < parallel.ClampWorkers(d.opt.Workers, dst.Rows); w++ {
-		d.zRows = append(d.zRows, *dense.NewMatrix(1, d.k))
-	}
-	d.pargs = coreArgs{a: dst, prev: src, q: t, skip: isNZ, con: d.opt.Constraint, rows: d.zRows}
-	d.pool.Do(dst.Rows, d.opt.Workers, &d.pargs, zTransformBody)
-	d.pargs = coreArgs{}
-	return d.opt.Constraint != nil
-}
-
-func zTransformBody(ctx any, w int, r parallel.Range) {
-	pa := ctx.(*coreArgs)
-	tmp := &pa.rows[w]
-	for i := r.Lo; i < r.Hi; i++ {
-		if pa.skip[i] {
-			continue
-		}
-		clear(tmp.Data)
-		dense.AddMulRow(tmp.Data, pa.prev.Row(i), pa.q)
-		if pa.con != nil {
-			pa.con.Project(tmp, tmp, nil, nil, 1)
-		}
-		copy(pa.a.Row(i), tmp.Data)
 	}
 }

@@ -19,17 +19,26 @@ import (
 // the temporal Gram G, the temporal history S, the slice counter, (for
 // spCP-stream) the previous nz sets and z-row Grams, and the WAL cursor
 // (Cursor) — the replay point of a spilled ingest backlog, so the state
-// and the position it was folded up to commit as one file.
+// and the position it was folded up to commit as one file. The factors
+// are written as the committed version stores them, lazy z side and
+// all (Version): the stored rows, each row's age and the log of suffix
+// products, so a restored run continues bit for bit, flushes included.
 //
-// The format is SPSTRM04: magic, payload, cursor, and a CRC32 (IEEE)
+// The format is SPSTRM05: magic, payload, cursor, and a CRC32 (IEEE)
 // footer covering all of it, so a checkpoint truncated or bit-flipped
 // at rest is rejected instead of restoring silently wrong state. Older
-// versions are rejected by their magic: v1 had no footer, and v2/v3
-// carry no cursor, so restoring one would replay a spilled backlog the
-// state may already hold.
+// versions are rejected by their magic: v1 had no footer, v2/v3 carry
+// no cursor, so restoring one would replay a spilled backlog the state
+// may already hold, and v4 carries no z-side log.
+//
+// Payload, little-endian u64 words unless noted: N, I₁…I_N, K, t, lag;
+// per mode the stored Iₙ×K factor, Iₙ age bytes, lag K×K suffix
+// products, C and C_z (float64 words); G, sₜ; the history length and
+// its rows; the nz presence flag and per-mode counted nz lists (u32
+// words); the cursor.
 
 // stateMagic identifies the checkpoint container and its version.
-var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '4'}
+var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '5'}
 
 // stateBuf is the size of the one buffer a checkpoint is encoded and
 // decoded through, whatever the factors' size.
@@ -68,6 +77,15 @@ func (e *stateEnc) floats(v []float64) {
 	for _, x := range v {
 		e.room(8)
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x))
+	}
+}
+
+func (e *stateEnc) bytes(v []byte) {
+	for len(v) > 0 {
+		e.room(1)
+		n := min(len(v), cap(e.buf)-len(e.buf))
+		e.buf = append(e.buf, v[:n]...)
+		v = v[n:]
 	}
 }
 
@@ -128,6 +146,18 @@ func (dc *stateDec) floats(v []float64) {
 	}
 }
 
+func (dc *stateDec) bytes(v []byte) {
+	for len(v) > 0 {
+		n := min(len(v), len(dc.buf))
+		b := dc.next(n)
+		if b == nil {
+			return
+		}
+		copy(v, b)
+		v = v[n:]
+	}
+}
+
 func (dc *stateDec) int32s(v []int32) {
 	for len(v) > 0 {
 		n := min(len(v), len(dc.buf)/4)
@@ -156,7 +186,7 @@ func (d *Decomposer) Cursor() uint64 { return d.cursor }
 // SetCursor records the WAL cursor the next SaveState writes.
 func (d *Decomposer) SetCursor(seq uint64) { d.cursor = seq }
 
-// SaveState serializes the decomposer's streaming state (SPSTRM04,
+// SaveState serializes the decomposer's streaming state (SPSTRM05,
 // with the CRC footer) through one buffer, so it allocates the same at
 // any mode length. It must be called between slices (never concurrently
 // with ProcessSlice).
@@ -169,9 +199,15 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 	}
 	e.u64(uint64(d.k))
 	e.u64(uint64(d.t))
-	// Factors, Gram invariants, z-row Grams.
-	for m, a := range d.cur.a {
+	v := d.cur
+	e.u64(uint64(v.lag))
+	// Factors with their z side, Gram invariants, z-row Grams.
+	for m, a := range v.a {
 		e.matrix(a)
+		e.bytes(v.age[m])
+		for _, p := range v.log[m][:v.lag] {
+			e.matrix(p)
+		}
 		e.matrix(d.c[m])
 		e.matrix(d.cz[m])
 	}
@@ -238,13 +274,36 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 		return fmt.Errorf("core: checkpoint rank %d ≠ %d", k, d.k)
 	}
 	t := dc.u64()
+	lag := dc.u64()
+	if dc.err != nil {
+		return dc.err
+	}
+	if lag >= zLogLen || lag > t {
+		return fmt.Errorf("core: checkpoint z-side log of %d transforms at t=%d (at most %d)", lag, t, min(t, zLogLen-1))
+	}
+	// The spare's contents are unknown from here on: nothing may bring
+	// it level by copying only a few rows.
 	v := d.claimSpare()
+	d.beginWrite(v, nil)
+	v.growLog(int(lag))
 	c, cz := make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
 	for m := range c {
 		c[m], cz[m] = dense.NewMatrix(d.k, d.k), dense.NewMatrix(d.k, d.k)
 		dc.matrix(v.a[m])
+		dc.bytes(v.age[m])
+		for _, p := range v.log[m][:lag] {
+			dc.matrix(p)
+		}
 		dc.matrix(c[m])
 		dc.matrix(cz[m])
+		if dc.err != nil {
+			return dc.err
+		}
+		for i, e := range v.age[m] {
+			if uint64(e) > lag {
+				return fmt.Errorf("core: checkpoint mode %d row %d is dated after t=%d", m, i, t)
+			}
+		}
 	}
 	g, s := dense.NewMatrix(d.k, d.k), make([]float64, d.k)
 	dc.matrix(g)
@@ -301,6 +360,8 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	if footer := binary.LittleEndian.Uint32(b); footer != sum {
 		return fmt.Errorf("core: checkpoint checksum mismatch (stored %08x, computed %08x)", footer, sum)
 	}
+	v.lag = int(lag)
+	d.endWrite(v)
 	d.commit(v)
 	for m := range c {
 		d.c[m].CopyFrom(c[m])

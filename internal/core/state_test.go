@@ -8,9 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"strings"
 	"testing"
 
+	"spstream/internal/dense"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
@@ -123,8 +125,8 @@ func resealCRC(raw []byte) {
 // TestCheckpointCarriesCursor: the WAL cursor round-trips as the last
 // payload word, under the checkpoint's one CRC — one flipped cursor bit
 // fails the checksum — and a v2 or v3 checkpoint, which has no cursor,
-// is rejected by an error that names its version, even under a valid
-// checksum.
+// or a v4 one, which has no z-side log, is rejected by an error that
+// names its version, even under a valid checksum.
 func TestCheckpointCarriesCursor(t *testing.T) {
 	dims, opt := []int{6, 7}, Options{Rank: 3, Seed: 1}
 	d, _ := runStream(t, testStream(t, 311, dims, 60, 3), opt)
@@ -158,7 +160,7 @@ func TestCheckpointCarriesCursor(t *testing.T) {
 	if _, err := restore(flipped); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("flipped cursor bit: got %v, want a checksum error", err)
 	}
-	for _, version := range []string{"SPSTRM02", "SPSTRM03"} {
+	for _, version := range []string{"SPSTRM02", "SPSTRM03", "SPSTRM04"} {
 		old := append([]byte(nil), raw...)
 		copy(old, version)
 		resealCRC(old)
@@ -248,14 +250,14 @@ func TestScheduleIgnoresHistory(t *testing.T) {
 	}
 }
 
-// savedStateSHA256 is the SHA-256 of the SPSTRM04 bytes SaveState writes
-// for savedStateFixture, taken when the encoder still wrote a row at a
-// time: encoding through one buffer must not move a byte.
-const savedStateSHA256 = "cd9aff0b5d267227c2fb81c98e2924bfe63eded7dcb45b7eecefc56b256b3084"
+// savedStateSHA256 is the SHA-256 of the SPSTRM05 bytes SaveState writes
+// for savedStateFixture: the stored rows, their ages and the log of a
+// lazy z side three slices past its last flush.
+const savedStateSHA256 = "d8fb6964a1496d82081f1115b50f574ad95bf083aa4cb6d1f64a151bde798bb7"
 
 // savedStateFixture is a decomposer whose state has every section of
-// the format filled in: spCP nz sets and z-row Grams, a temporal
-// history, and a WAL cursor.
+// the format filled in: a lazy z side, spCP nz sets and z-row Grams, a
+// temporal history, and a WAL cursor.
 func savedStateFixture(t *testing.T) *Decomposer {
 	t.Helper()
 	s := testStream(t, 307, []int{300, 40, 25}, 400, 4)
@@ -273,4 +275,73 @@ func TestSaveStateBytesPinned(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != savedStateSHA256 {
 		t.Fatalf("SaveState wrote %d bytes hashing to %s, pinned %s", buf.Len(), got, savedStateSHA256)
 	}
+}
+
+// TestRestoreEverySliceContinuesBitEqual checkpoints a 3·zLogLen spCP
+// stream after every slice — at every phase of the lazy z side, three
+// flushes included — restores each checkpoint into a fresh decomposer at
+// another worker count, and holds every continued slice to the bits of
+// the uninterrupted run.
+func TestRestoreEverySliceContinuesBitEqual(t *testing.T) {
+	cfg, err := synth.Preset("flickr", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.T, cfg.NNZPerSlice = 3*zLogLen, 60
+	s, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Rank: 4, Algorithm: SpCPStream, Mu: 0.95, Normalize: true, Seed: 8, Workers: 2, MaxIters: 4}
+	ref, err := NewDecomposer(s.Dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkpoints [][]byte
+	var want []uint64
+	for _, x := range s.Slices {
+		if _, err := ref.ProcessSlice(x); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ref.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkpoints = append(checkpoints, buf.Bytes())
+		want = append(want, stateHash(ref))
+	}
+	for at, raw := range checkpoints[:len(checkpoints)-1] {
+		o := opt
+		o.Workers = 1 + at%3
+		d, err := NewDecomposer(s.Dims, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RestoreState(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("checkpoint after slice %d: %v", at, err)
+		}
+		for ti := at + 1; ti < len(s.Slices); ti++ {
+			if _, err := d.ProcessSlice(s.Slices[ti]); err != nil {
+				t.Fatal(err)
+			}
+			if got := stateHash(d); got != want[ti] {
+				t.Fatalf("restored after slice %d (lag %d) at %d workers: slice %d hashes %#x, uninterrupted %#x",
+					at, d.cur.lag, o.Workers, ti, got, want[ti])
+			}
+		}
+	}
+}
+
+// stateHash is the FNV-64a hash of a decomposer's model and Gram state:
+// its factors brought current, C, C_z, sₜ and G.
+func stateHash(d *Decomposer) uint64 {
+	h := fnv.New64a()
+	for m := range d.dims {
+		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.cz[m]} {
+			hashFloats(h, mat.Data...)
+		}
+	}
+	hashFloats(h, d.s...)
+	hashFloats(h, d.g.Data...)
+	return h.Sum64()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/parallel"
 	"spstream/internal/trace"
@@ -24,23 +23,23 @@ const (
 )
 
 // coreArgs names a row sweep's operands and carries them — like stageRHS's
-// and the z-row transform's — through the worker pool without a closure
-// (d.pargs, cleared after each call).
+// and the flush's — through the worker pool without a closure (d.pargs,
+// cleared after each call).
 type coreArgs struct {
-	a    *dense.Matrix // the rows: written under chol or inv, always reduced over
+	a    *dense.Matrix // the rows: written under chol or inv, always reduced over; the rows a flush writes
 	m    *dense.Matrix // the mode's raw MTTKRP (chol, psi)
-	prev *dense.Matrix // A_{t−1}: historical term, H, norms; nil drops all three; the z-row transform's source
-	q    *dense.Matrix // Q⁽ⁿ⁾ (chol); the z-row transform's T
+	prev *dense.Matrix // A_{t−1}: historical term, H, norms; nil drops all three
+	q    *dense.Matrix // Q⁽ⁿ⁾ (chol)
 	s    []float64     // sₜ (chol)
 	// chol set: a[r] = (m[r]∘s + prev[r]·q)·Φ⁻¹ before anything is reduced;
 	// nil when the rows are already final (ADMM wrote them).
 	chol       *dense.Cholesky
-	inv        []float64       // set: a[r] ← a[r]∘inv first (Normalize)
-	skip       []bool          // set: marked rows stay out of C; the z transform's nz rows
-	grams, psi bool            // reduce C (and H, given prev); reduce ψ
-	con        admm.Constraint // z transform: projects the transformed rows
-	part       []float64       // block partials
-	rows       []dense.Matrix  // z transform: one 1×K scratch row per worker
+	inv        []float64      // set: a[r] ← a[r]∘inv first (Normalize)
+	grams, psi bool           // reduce C (and H, given prev); reduce ψ
+	part       []float64      // block partials
+	ver        *Version       // flush: the version whose mode rows are brought current
+	mode       int            // flush: that mode
+	rows       []dense.Matrix // flush: one 1×K scratch row per worker
 }
 
 // rowSweep runs sw over every row of sw.a on the pool and adds up the
@@ -151,21 +150,9 @@ func rowSweepBody(ctx any, _ int, r parallel.Range) {
 				dense.ScaleColumns(&view, &view, pa.inv)
 			}
 			if pa.grams {
-				// C and H over the runs of rows the mask leaves in.
-				for i := lo; i < hi; {
-					if pa.skip != nil && pa.skip[i] {
-						i++
-						continue
-					}
-					run := i + 1
-					for run < hi && (pa.skip == nil || !pa.skip[run]) {
-						run++
-					}
-					dense.AddAtBRange(c, k, a, a, i, run, true)
-					if pa.prev != nil {
-						dense.AddAtBRange(h, k, pa.prev, a, i, run, false)
-					}
-					i = run
+				dense.AddAtBRange(c, k, a, a, lo, hi, true)
+				if pa.prev != nil {
+					dense.AddAtBRange(h, k, pa.prev, a, lo, hi, false)
 				}
 			}
 			if pa.prev != nil {

@@ -21,7 +21,6 @@ import (
 type sweepCase struct {
 	m, prev, a0, q, phi *dense.Matrix
 	s, inv              []float64
-	skip                []bool
 }
 
 func newSweepCase(seed uint64, rows, k int) sweepCase {
@@ -39,9 +38,6 @@ func newSweepCase(seed uint64, rows, k int) sweepCase {
 	for j := 0; j < k; j++ {
 		c.s = append(c.s, r.NormFloat64())
 		c.inv = append(c.inv, 0.5+r.Float64())
-	}
-	for i := 0; i < rows; i++ {
-		c.skip = append(c.skip, r.Float64() < 0.3)
 	}
 	return c
 }
@@ -64,7 +60,7 @@ func sweepDecomposer(t testing.TB, c sweepCase, workers int) *Decomposer {
 // sweepShapes are the ways the two slice bodies call the sweep: the
 // unconstrained update, the reductions alone after ADMM (explicit and
 // spCP pass the same operands; spCP ignores the norms), Normalize's
-// scaling walk, and finishZ's masked Gram of the z rows.
+// scaling walk.
 var sweepShapes = []struct {
 	name string
 	c, h bool // which of C and H the caller asks for
@@ -78,9 +74,6 @@ var sweepShapes = []struct {
 	}},
 	{"scale", false, false, func(d *Decomposer, c sweepCase, a *dense.Matrix) coreArgs {
 		return coreArgs{a: a, m: c.m, prev: c.prev, inv: c.inv, psi: true}
-	}},
-	{"masked", true, false, func(d *Decomposer, c sweepCase, a *dense.Matrix) coreArgs {
-		return coreArgs{a: a, skip: c.skip}
 	}},
 }
 
@@ -180,7 +173,7 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 	for _, k := range []int{5, 16} {
 		for _, rows := range []int{63, 1000} {
 			c := newSweepCase(uint64(7*k+rows), rows, k)
-			for shape, sh := range sweepShapes[:3] {
+			for shape, sh := range sweepShapes {
 				name := fmt.Sprintf("%s K=%d rows=%d", sh.name, k, rows)
 				got := runSweep(t, c, 3, shape)
 				d := sweepDecomposer(t, c, 3)
@@ -206,21 +199,6 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 				if !relClose(got.c, wc, 1e-13) || !relClose(got.h, wh, 1e-13) {
 					t.Fatalf("%s: C off Gram by %g, H off MulAtB by %g", name, got.c.MaxAbsDiff(wc), got.h.MaxAbsDiff(wh))
 				}
-			}
-			// The masked Gram is the Gram of the rows the mask leaves in.
-			got := runSweep(t, c, 3, 3)
-			var keep [][]float64
-			for i, skip := range c.skip {
-				if !skip {
-					keep = append(keep, c.a0.Row(i))
-				}
-			}
-			wc := dense.NewMatrix(k, k)
-			if len(keep) > 0 {
-				dense.Gram(wc, dense.FromRows(keep))
-			}
-			if !relClose(got.c, wc, 1e-13) {
-				t.Fatalf("masked K=%d rows=%d: C off the kept rows' Gram by %g", k, rows, got.c.MaxAbsDiff(wc))
 			}
 		}
 	}

@@ -35,8 +35,9 @@ func (d *Decomposer) Algorithm() Algorithm { return d.opt.Algorithm }
 // SetAlgorithm switches the solver variant between slices. Both run the
 // one slice body and differ only in its z set — the untouched rows under
 // spCP-stream, none under Optimized — and the state that crosses slice
-// boundaries is the same explicit factors and Grams (finishZ
-// materializes A = A_z ⊕ A_nz every slice), so the switch is exact. The
+// boundaries is the same factors and Grams — a z = ∅ slice first
+// flushes the z side spCP-stream leaves lazy (Version) — so the switch
+// is exact. The
 // incremental C_z bookkeeping is invalidated by any switch and by any
 // slice run with z = ∅ — a streamed slice under spCP-stream included
 // (prevNZ would name rows the Gram form did not track) — so the next
@@ -44,9 +45,8 @@ func (d *Decomposer) Algorithm() Algorithm { return d.opt.Algorithm }
 // which incremental maintenance resumes.
 //
 // The same constraint-compatibility rules as construction apply
-// (spCP-stream rejects constraints unless ConstrainedSpCP is set);
-// incompatible switches return an error and leave the decomposer
-// unchanged.
+// (spCP-stream rejects constraints); incompatible switches return an
+// error and leave the decomposer unchanged.
 func (d *Decomposer) SetAlgorithm(a Algorithm) error {
 	if a == d.opt.Algorithm {
 		return nil

@@ -4,7 +4,13 @@ import (
 	"sync/atomic"
 
 	"spstream/internal/dense"
+	"spstream/internal/parallel"
 )
+
+// zLogLen bounds the lazy z side: a version's rows may lag the slice
+// counter by at most zLogLen−1 final transforms; the spCP slice that
+// would log the zLogLen-th flushes instead (finishZ).
+const zLogLen = 16
 
 // Version is one copy of the factor storage, A⁽¹⁾…A⁽ᴺ⁾. The Decomposer
 // keeps the committed one, cur, and a retired one, spare, that a slice
@@ -13,17 +19,61 @@ import (
 // and the rollback point of a guarded slice, a published serve snapshot
 // and every reader share it instead of copying it.
 //
+// The z side is lazy. An spCP slice changes the rows no nonzero touched
+// only by its final transform T (row ← row·T, Eq. 6), so instead of
+// rewriting them a version logs the transforms: lag is the number of
+// slices since its last flush, age[n][i] the slice (counted from that
+// flush) that last wrote stored row i, and log[n][e] = T_{e+1}···T_lag
+// the suffix product that brings a row of age e current. Row applies
+// it; a row of age lag is stored current. Only the rows a slice touches
+// are written, and a flush (every zLogLen slices, and before a slice
+// that reads every row) brings them all current and empties the log.
+//
 // The pin count is the only synchronization. The Decomposer writes a
 // version only when nothing pins it, and allocates a fresh one when the
 // spare is pinned, so a pin never stalls a slice and never changes a
 // bit; one that is never released costs one allocation.
 type Version struct {
-	a    []*dense.Matrix
-	pins atomic.Int64
+	a   []*dense.Matrix
+	age [][]uint8
+	log [][]*dense.Matrix
+	lag int
+	// Lineage, for bringing a spare level cheaply: id names the contents
+	// (0: unknown, mid-write), and base is the id of the contents this
+	// version held before its last write, which changed only the rows
+	// in wrote (nil: every row; else nz, the storage it points at).
+	id, base  uint64
+	wrote, nz [][]int32
+	pins      atomic.Int64
 }
 
-// Factor returns mode n's factor in this version (do not modify it).
-func (v *Version) Factor(n int) *dense.Matrix { return v.a[n] }
+// Row writes row i of mode n, brought current, into dst (len K) and
+// returns it: O(K²), or a copy when the stored row is current.
+func (v *Version) Row(n, i int, dst []float64) []float64 {
+	src := v.a[n].Row(i)
+	if e := int(v.age[n][i]); e < v.lag {
+		clear(dst)
+		dense.AddMulRow(dst, src, v.log[n][e])
+	} else {
+		copy(dst, src)
+	}
+	return dst
+}
+
+// Factor returns mode n's factor in this version (do not modify it):
+// the stored matrix itself when every row is current, else a new copy
+// brought current.
+func (v *Version) Factor(n int) *dense.Matrix {
+	a := v.a[n]
+	if v.lag == 0 {
+		return a
+	}
+	f := dense.NewMatrix(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		v.Row(n, i, f.Row(i))
+	}
+	return f
+}
 
 // Pin keeps the Decomposer from writing v until the matching Release.
 // Pin the committed version on the goroutine driving the Decomposer,
@@ -46,11 +96,23 @@ func (v *Version) pinned() bool { return v.pins.Load() != 0 }
 func (d *Decomposer) Committed() *Version { return d.cur }
 
 func (d *Decomposer) newVersion() *Version {
-	v := &Version{a: make([]*dense.Matrix, d.n)}
+	v := &Version{a: make([]*dense.Matrix, d.n), age: make([][]uint8, d.n), log: make([][]*dense.Matrix, d.n), nz: make([][]int32, d.n)}
 	for m, dim := range d.dims {
 		v.a[m] = dense.NewMatrix(dim, d.k)
+		v.age[m] = make([]uint8, dim)
 	}
 	return v
+}
+
+// growLog gives every mode's log room for lag suffix products. They are
+// allocated on first use, so a version that never logs (z = ∅) holds
+// none.
+func (v *Version) growLog(lag int) {
+	for m, a := range v.a {
+		for len(v.log[m]) < lag {
+			v.log[m] = append(v.log[m], dense.NewMatrix(a.Cols, a.Cols))
+		}
+	}
 }
 
 // claimSpare returns d.spare, made writable: the spare itself when
@@ -84,4 +146,135 @@ func (d *Decomposer) commit(v *Version) {
 	if v != d.cur {
 		d.spare, d.cur = d.cur, v
 	}
+}
+
+// beginWrite marks v as being rewritten from the contents it holds,
+// changing only the rows of wrote (nil: all); endWrite names the new
+// contents. A write cut short leaves v's contents unknown (id 0), so
+// the next level copies it whole.
+func (d *Decomposer) beginWrite(v *Version, wrote [][]int32) {
+	v.base, v.id = v.id, 0
+	v.wrote = wrote
+}
+
+func (d *Decomposer) endWrite(v *Version) {
+	d.ids++
+	v.id = d.ids
+}
+
+// writable returns the version a slice writes its z-set result into:
+// the committed one when nothing pins it, else the spare brought level
+// with it — by copying only the rows the committed version's last write
+// changed when the spare holds the contents that write started from
+// (the alternating pair of a served stream), else every row.
+func (d *Decomposer) writable() *Version {
+	from := d.cur
+	if !from.pinned() {
+		return from
+	}
+	v := d.claimSpare()
+	if v.id != 0 && v.id == from.id {
+		return v
+	}
+	partial := v.id != 0 && v.id == from.base && from.wrote != nil
+	v.growLog(from.lag)
+	for m, a := range from.a {
+		if partial {
+			for _, i := range from.wrote[m] {
+				copy(v.a[m].Row(int(i)), a.Row(int(i)))
+				v.age[m][i] = from.age[m][i]
+			}
+		} else {
+			v.a[m].CopyFrom(a)
+			copy(v.age[m], from.age[m])
+		}
+		for e := 0; e < from.lag; e++ {
+			v.log[m][e].CopyFrom(from.log[m][e])
+		}
+	}
+	v.lag, v.id = from.lag, from.id
+	return v
+}
+
+// setCurrent records that every stored row of v is current: all ages
+// and the lag 0, the log empty.
+func (v *Version) setCurrent() {
+	for m := range v.age {
+		clear(v.age[m])
+	}
+	v.lag = 0
+}
+
+// flush writes every row of src, brought current, into dst (which may
+// be src) on the pool, and empties dst's log: O(ΣIₙ·K²), so it runs once
+// per zLogLen spCP slices and before a slice with z = ∅. Each row is
+// transformed on its own, so no bit depends on the partition.
+func (d *Decomposer) flush(dst, src *Version) {
+	d.beginWrite(dst, nil)
+	for w := len(d.zRows); w < d.opt.Workers; w++ {
+		d.zRows = append(d.zRows, *dense.NewMatrix(1, d.k))
+	}
+	for m, a := range dst.a {
+		for _, e := range src.age[m] {
+			if int(e) < src.lag {
+				d.zRowsRead++
+			}
+		}
+		d.pargs = coreArgs{a: a, ver: src, mode: m, rows: d.zRows}
+		d.pool.Do(a.Rows, d.opt.Workers, &d.pargs, flushBody)
+	}
+	d.pargs = coreArgs{}
+	dst.setCurrent()
+	d.endWrite(dst)
+}
+
+func flushBody(ctx any, w int, r parallel.Range) {
+	pa := ctx.(*coreArgs)
+	tmp := pa.rows[w].Data
+	for i := r.Lo; i < r.Hi; i++ {
+		copy(pa.a.Row(i), pa.ver.Row(pa.mode, i, tmp))
+	}
+}
+
+// flushCommitted brings every row of the committed version current, for
+// a slice that reads all of A_{t−1}: in place when nothing pins it, else
+// into the spare, which it then commits — the same contents.
+func (d *Decomposer) flushCommitted() {
+	if d.cur.lag == 0 {
+		return
+	}
+	v := d.cur
+	if v.pinned() {
+		v = d.claimSpare()
+	}
+	d.flush(v, d.cur)
+	d.commit(v)
+}
+
+// Factor returns the committed factor matrix for mode n (do not modify
+// it): Committed().Factor(n), the copy a lagging z side needs kept for
+// later calls until the next slice begins and drops it — it is never
+// rewritten. Either is valid until the next slice begins, unless the
+// Committed version is pinned.
+func (d *Decomposer) Factor(n int) *dense.Matrix {
+	v := d.cur
+	if v.lag == 0 {
+		return v.a[n]
+	}
+	if d.view == nil {
+		d.view, d.viewID = make([]*dense.Matrix, d.n), make([]uint64, d.n)
+	}
+	if d.view[n] == nil || d.viewID[n] != v.id {
+		d.view[n], d.viewID[n] = v.Factor(n), v.id
+	}
+	return d.view[n]
+}
+
+// factors returns every mode's Factor.
+func (d *Decomposer) factors() []*dense.Matrix {
+	f := make([]*dense.Matrix, d.n)
+	for m := range f {
+		f[m] = d.Factor(m)
+	}
+	return f
 }

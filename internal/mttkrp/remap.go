@@ -1,6 +1,7 @@
 package mttkrp
 
 import (
+	"slices"
 	"sort"
 
 	"spstream/internal/dense"
@@ -23,7 +24,7 @@ type Remapped struct {
 }
 
 // Remap builds the local-index view of a slice. Cost is O(nnz·N) plus
-// an O(dim) id-assignment scan per mode. Convenience wrapper over a
+// a sort of each mode's touched rows, O(|nz|·log|nz|). Convenience wrapper over a
 // throwaway Remapper; streaming callers hold a Remapper so the dense
 // scratch (and the result's storage) is reused across slices.
 func Remap(x *sptensor.Tensor) *Remapped {
@@ -90,16 +91,19 @@ func (r *Remapper) Begin(x *sptensor.Tensor, hotFirst [][]int32) *Remapped {
 		}
 		lut = lut[:dim]
 
-		// Mark the rows this slice touches …
+		// Mark and collect the rows this slice touches …
+		nz := r.rm.NZ[m][:0]
 		for _, g := range x.Inds[m] {
 			if lut[g] == -1 {
 				lut[g] = -2
+				nz = append(nz, g)
 			}
 		}
-		// … then assign local ids in ascending global order (one O(dim)
-		// scan) or in the caller's hot-first order.
-		nz := r.rm.NZ[m][:0]
+		// … then assign local ids in ascending global order (a sort of
+		// the touched rows, so no pass over all dim) or in the caller's
+		// hot-first order.
 		if hotFirst != nil && m < len(hotFirst) && hotFirst[m] != nil {
+			nz = nz[:0]
 			for _, g := range hotFirst[m] {
 				if lut[g] == -2 {
 					lut[g] = int32(len(nz))
@@ -107,11 +111,9 @@ func (r *Remapper) Begin(x *sptensor.Tensor, hotFirst [][]int32) *Remapped {
 				}
 			}
 		} else {
-			for g := int32(0); int(g) < dim; g++ {
-				if lut[g] == -2 {
-					lut[g] = int32(len(nz))
-					nz = append(nz, g)
-				}
+			slices.Sort(nz)
+			for l, g := range nz {
+				lut[g] = int32(l)
 			}
 		}
 		r.rm.NZ[m] = nz

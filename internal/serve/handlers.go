@@ -192,24 +192,24 @@ func (s *Server) handleFactors(w http.ResponseWriter, r *http.Request) {
 	}
 	if modeStr := r.URL.Query().Get("mode"); modeStr != "" {
 		mode, err := strconv.Atoi(modeStr)
-		if err != nil || mode < 0 || mode >= len(snap.Factors) {
-			jsonError(w, http.StatusBadRequest, "bad mode %q (have %d modes)", modeStr, len(snap.Factors))
+		if err != nil || mode < 0 || mode >= len(snap.Dims) {
+			jsonError(w, http.StatusBadRequest, "bad mode %q (have %d modes)", modeStr, len(snap.Dims))
 			return
 		}
 		resp.Mode = &mode
 		resp.Factor = matrixRows(snap, mode)
 	} else {
-		resp.Factors = make([][][]float64, len(snap.Factors))
-		for m := range snap.Factors {
+		resp.Factors = make([][][]float64, len(snap.Dims))
+		for m := range snap.Dims {
 			resp.Factors[m] = matrixRows(snap, m)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// matrixRows copies one factor into a JSON-friendly row-major slice.
+// matrixRows lays one factor out as a JSON-friendly row-major slice.
 func matrixRows(snap *FactorSnapshot, mode int) [][]float64 {
-	f := snap.Factors[mode]
+	f := snap.Factor(mode)
 	rows := make([][]float64, f.Rows)
 	for i := 0; i < f.Rows; i++ {
 		rows[i] = f.Row(i) // pinned until the response is written; safe to alias

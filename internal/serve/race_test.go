@@ -67,9 +67,9 @@ func TestConcurrentReadsDuringChaos(t *testing.T) {
 					return
 				}
 				lastT = snap.T
-				if len(snap.Factors) != len(snap.Dims) || len(snap.S) != snap.Rank {
-					t.Errorf("inconsistent snapshot: %d factors, |s|=%d, rank %d",
-						len(snap.Factors), len(snap.S), snap.Rank)
+				if snap.Factor(0).Rows != snap.Dims[0] || len(snap.S) != snap.Rank {
+					t.Errorf("inconsistent snapshot: %d mode-0 rows, |s|=%d, rank %d",
+						snap.Factor(0).Rows, len(snap.S), snap.Rank)
 					return
 				}
 				if _, err := snap.ReconstructAt([]int32{1, 1}); err != nil {

@@ -42,7 +42,9 @@ import (
 // readers may hold one while the solver advances or rolls back. Every
 // snapshot TakeSnapshot or Server.Snapshot returns holds one pin;
 // Release drops it, after which the snapshot must not be read. One never
-// released costs the decomposer one allocation, never a bit.
+// released costs the decomposer one allocation, never a bit. The version
+// stores its z side lazily, so every factor read goes through Row or
+// Factor, which bring rows current.
 type FactorSnapshot struct {
 	// T is the number of slices committed into this snapshot.
 	T int
@@ -50,8 +52,6 @@ type FactorSnapshot struct {
 	Dims []int
 	// Rank is the decomposition rank K.
 	Rank int
-	// Factors are the non-temporal factor matrices of the pinned version.
-	Factors []*dense.Matrix
 	// S is the temporal row sₜ of the newest committed slice.
 	S []float64
 	// Fit is the newest committed slice's fit (NaN without TrackFit).
@@ -74,14 +74,10 @@ func TakeSnapshot(d *core.Decomposer, fit float64) *FactorSnapshot {
 // newSnapshot returns a snapshot of d's committed version, not yet
 // filled or pinned.
 func newSnapshot(d *core.Decomposer) *FactorSnapshot {
-	s := &FactorSnapshot{
+	return &FactorSnapshot{
 		Dims: append([]int(nil), d.Dims()...), Rank: d.Rank(),
-		Factors: make([]*dense.Matrix, len(d.Dims())), S: make([]float64, d.Rank()), ver: d.Committed(),
+		S: make([]float64, d.Rank()), ver: d.Committed(),
 	}
-	for m := range s.Factors {
-		s.Factors[m] = s.ver.Factor(m)
-	}
-	return s
 }
 
 // fill copies the decomposer's slice counter and sₜ, and fit, into s.
@@ -92,6 +88,15 @@ func (s *FactorSnapshot) fill(d *core.Decomposer, fit float64) {
 
 // Release drops the pin TakeSnapshot or Server.Snapshot took.
 func (s *FactorSnapshot) Release() { s.ver.Release() }
+
+// Row writes row i of mode m's factor into dst (len Rank) and returns
+// it: O(Rank²).
+func (s *FactorSnapshot) Row(m, i int, dst []float64) []float64 { return s.ver.Row(m, i, dst) }
+
+// Factor returns mode m's factor matrix, valid until Release (do not
+// modify it): the pinned storage when the version holds every row
+// current, else a copy brought current.
+func (s *FactorSnapshot) Factor(m int) *dense.Matrix { return s.ver.Factor(m) }
 
 // ReconstructAt evaluates the snapshot's model X̂ₜ = [[A…; sₜ]] at one
 // coordinate of the newest slice, with bounds checking (the serving
@@ -105,13 +110,15 @@ func (s *FactorSnapshot) ReconstructAt(coord []int32) (float64, error) {
 			return 0, fmt.Errorf("serve: coordinate %d out of range for mode %d (dim %d)", c, m, s.Dims[m])
 		}
 	}
-	sum := 0.0
-	for k := range s.S {
-		p := s.S[k]
-		for m := range s.Factors {
-			p *= s.Factors[m].At(int(coord[m]), k)
+	p, row := append([]float64(nil), s.S...), make([]float64, s.Rank)
+	for m, c := range coord {
+		for k, v := range s.Row(m, int(c), row) {
+			p[k] *= v
 		}
-		sum += p
+	}
+	sum := 0.0
+	for _, v := range p {
+		sum += v
 	}
 	return sum, nil
 }
@@ -124,8 +131,7 @@ func (s *FactorSnapshot) Equal(o *FactorSnapshot) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	if s.T != o.T || s.Rank != o.Rank || len(s.Dims) != len(o.Dims) ||
-		len(s.Factors) != len(o.Factors) || len(s.S) != len(o.S) {
+	if s.T != o.T || s.Rank != o.Rank || len(s.Dims) != len(o.Dims) || len(s.S) != len(o.S) {
 		return false
 	}
 	for m := range s.Dims {
@@ -138,13 +144,11 @@ func (s *FactorSnapshot) Equal(o *FactorSnapshot) bool {
 			return false
 		}
 	}
-	for m := range s.Factors {
-		a, b := s.Factors[m], o.Factors[m]
-		if a.Rows != b.Rows || a.Cols != b.Cols {
-			return false
-		}
-		for i := 0; i < a.Rows; i++ {
-			ra, rb := a.Row(i), b.Row(i)
+	ra, rb := make([]float64, s.Rank), make([]float64, s.Rank)
+	for m, dim := range s.Dims {
+		for i := 0; i < dim; i++ {
+			s.Row(m, i, ra)
+			o.Row(m, i, rb)
 			for j := range ra {
 				if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
 					return false

@@ -240,7 +240,7 @@ func TestOptionSurface(t *testing.T) {
 		v    any
 		want string
 	}{
-		{spstream.Options{}, "Rank:int Algorithm:int Mu:float64 Tol:float64 MaxIters:int Workers:int Constraint:interface ADMMTol:float64 ADMMMaxIters:int Seed:uint64 TrackFit:bool Normalize:bool DirectCz:bool MTTKRPKernel:int Layout:int MemBudget:int64 Resilience:ptr ConstrainedSpCP:bool"},
+		{spstream.Options{}, "Rank:int Algorithm:int Mu:float64 Tol:float64 MaxIters:int Workers:int Constraint:interface ADMMTol:float64 ADMMMaxIters:int Seed:uint64 TrackFit:bool Normalize:bool DirectCz:bool MTTKRPKernel:int Layout:int MemBudget:int64 Resilience:ptr"},
 		{spstream.ResilienceConfig{}, "Policy:int SliceTimeout:int64 MaxDelta:float64 DisableInputScan:bool Checkpoint:ptr FaultHook:func"},
 		{spstream.IngestConfig{}, "QueueCap:int Policy:int MaxLag:int64 Degrade:bool DrainTimeout:int64 OnResult:func OnError:func Clock:func Gate:func Spill:ptr"},
 		{spstream.SpillConfig{}, "Dir:string MaxBytes:int64 SegmentBytes:int64 FsyncInterval:int64 FS:interface"},
