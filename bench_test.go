@@ -243,10 +243,13 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 		})
 		b.Run("rowsparse/rank"+itoa(k), func(b *testing.B) {
 			c := mttkrp.NewComputer(0)
-			rm := mttkrp.Remap(x)
-			gathered, plan := rm.GatherFactors(factors), c.NewPlan(rm.X)
-			outs := make([]*dense.Matrix, len(s.Dims))
+			var r mttkrp.Remapper
+			rm := r.Begin(x)
+			plan := c.NewPlan(rm.X)
+			gathered, outs := make([]*dense.Matrix, len(s.Dims)), make([]*dense.Matrix, len(s.Dims))
 			for m := range s.Dims {
+				gathered[m] = dense.NewMatrix(len(rm.NZ[m]), k)
+				rm.GatherMode(gathered[m], factors[m], m)
 				outs[m] = dense.NewMatrix(len(rm.NZ[m]), k)
 			}
 			for i := 0; i < b.N; i++ {
@@ -336,33 +339,6 @@ func BenchmarkFig8Breakdown(b *testing.B) {
 			b.StopTimer()
 			if dec.Breakdown().Total() <= 0 {
 				b.Fatal("no breakdown recorded")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCz compares the incremental C_z maintenance of
-// Algorithm 4 (lines 8–11) against recomputing C_z,t−1 from scratch
-// every slice — the design choice called out in DESIGN.md.
-func BenchmarkAblationCz(b *testing.B) {
-	s := benchStream(b, "flickr")
-	for _, direct := range []bool{false, true} {
-		name := "incremental"
-		if direct {
-			name = "direct"
-		}
-		b.Run(name, func(b *testing.B) {
-			dec, err := core.NewDecomposer(s.Dims, core.Options{
-				Rank: 16, Algorithm: core.SpCPStream, Seed: 5, MaxIters: 3, DirectCz: direct,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dec.ProcessSlice(s.Slices[i%s.T()]); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

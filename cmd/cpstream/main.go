@@ -18,8 +18,8 @@
 //
 //	cpstream -preset nips -scale 0.2 -rank 16 -alg spcp
 //	cpstream -input data.tns -streammode 3 -rank 32 -alg optimized -nonneg
-//	cpstream -preset flickr -rank 16 -alg optimized -fit -breakdown
-//	cpstream -input slices/ -mem-budget 67108864 -rank 16 -fit
+//	cpstream -preset flickr -rank 16 -alg optimized -breakdown
+//	cpstream -input slices/ -mem-budget 67108864 -rank 16
 package main
 
 import (
@@ -90,7 +90,6 @@ func newFlags() (*config, *flag.FlagSet) {
 	fs.BoolVar(&c.nonneg, "nonneg", false, "apply a non-negativity constraint (ADMM)")
 	fs.Float64Var(&c.l1, "l1", 0, "apply an L1 sparsity constraint with this weight (ADMM)")
 	fs.Int64Var(&o.MemBudget, "mem-budget", 0, "resident-memory budget in bytes per slice; block (.spblk) slices whose modeled working set exceeds it are processed out of core (0 = unconstrained)")
-	fs.BoolVar(&o.TrackFit, "fit", false, "track per-slice fit (extra work)")
 	fs.BoolVar(&c.breakdown, "breakdown", false, "print the per-phase time breakdown at the end")
 	fs.IntVar(&c.maxSlices, "slices", 0, "process at most this many slices (0 = all)")
 	fs.StringVar(&c.factorsOut, "factors", "", "write final factor matrices to this file")
@@ -268,8 +267,8 @@ func solve(ctx context.Context, dec *spstream.Decomposer, x *spstream.Tensor, pa
 // block slice was evaluated: in-memory, or streamed with the share of
 // its permutations and blocks the budget kept resident between passes.
 type table struct {
-	w         io.Writer
-	fit, eval bool
+	w    io.Writer
+	eval bool
 }
 
 func (t table) line(slice, nnz, iters, delta, fit, elapsed, eval, conv string) {
@@ -280,14 +279,11 @@ func (t table) line(slice, nnz, iters, delta, fit, elapsed, eval, conv string) {
 }
 
 func (t table) row(res spstream.SliceResult, elapsed, eval string) {
-	fit, conv := "-", strconv.FormatBool(res.Converged)
-	if t.fit {
-		fit = fmt.Sprintf("%.4f", res.Fit)
-	}
+	conv := strconv.FormatBool(res.Converged)
 	if res.Skipped {
 		conv = "skipped"
 	}
-	t.line(strconv.Itoa(res.T), strconv.Itoa(res.NNZ), strconv.Itoa(res.Iters), fmt.Sprintf("%.6g", res.Delta), fit, elapsed, eval, conv)
+	t.line(strconv.Itoa(res.T), strconv.Itoa(res.NNZ), strconv.Itoa(res.Iters), fmt.Sprintf("%.6g", res.Delta), fmt.Sprintf("%.4f", res.Fit), elapsed, eval, conv)
 }
 
 // run is the whole command behind the flags: open the input, restore,
@@ -324,7 +320,7 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	}
 	alg, _ := opt.Algorithm.MarshalText() // parsed from the flag: always valid
 	fmt.Fprintf(w, "cpstream: dims=%v T=%d %s rank=%d alg=%s workers=%d\n", in.dims, in.t, in.desc, opt.Rank, alg, effWorkers)
-	tbl := table{w: w, fit: opt.TrackFit, eval: in.paths != nil}
+	tbl := table{w: w, eval: in.paths != nil}
 	tbl.line("slice", "nnz", "iters", "delta", "fit", "time", "eval", "conv")
 
 	// Overload-robust path: the slices go through the bounded ingest

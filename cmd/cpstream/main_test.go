@@ -98,7 +98,7 @@ func mustRun(t *testing.T, args ...string) string {
 }
 
 // The stream every run test uses, as flags.
-var uber = []string{"-preset", "uber", "-scale", "0.05", "-rank", "4", "-fit"}
+var uber = []string{"-preset", "uber", "-scale", "0.05", "-rank", "4"}
 
 // writeBlocks writes the uber test stream as one .spblk file per slice,
 // each a single block: the writer orders nonzeros by grid block, and
@@ -147,7 +147,7 @@ func TestRunResidentAndBlockedAgree(t *testing.T) {
 	dir := t.TempDir()
 	fr, fb := filepath.Join(dir, "resident.txt"), filepath.Join(dir, "blocked.txt")
 	resident := mustRun(t, append(uber, "-factors", fr)...)
-	blocked := mustRun(t, "-input", writeBlocks(t), "-rank", "4", "-fit", "-factors", fb)
+	blocked := mustRun(t, "-input", writeBlocks(t), "-rank", "4", "-factors", fb)
 	r, b := rows(resident), rows(blocked)
 	if len(r) < 5 || strings.Join(r, "\n") != strings.Join(b, "\n") {
 		t.Fatalf("rows differ:\nresident\n%s\nblocked\n%s", resident, blocked)
@@ -166,8 +166,8 @@ func TestRunResidentAndBlockedAgree(t *testing.T) {
 // estimate — and the rows are the same either way.
 func TestRunStreamedShowsResidentShare(t *testing.T) {
 	in := writeBlocks(t)
-	none := mustRun(t, "-input", in, "-rank", "4", "-fit", "-workers", "1", "-mem-budget", "1")
-	all := mustRun(t, "-input", in, "-rank", "4", "-fit", "-workers", "1", "-mem-budget", "70000")
+	none := mustRun(t, "-input", in, "-rank", "4", "-workers", "1", "-mem-budget", "1")
+	all := mustRun(t, "-input", in, "-rank", "4", "-workers", "1", "-mem-budget", "70000")
 	if !strings.Contains(none, " streamed 0% ") || !strings.Contains(all, " streamed 100% ") || strings.Contains(all, "in-memory") {
 		t.Fatalf("eval column:\nbudget 1\n%s\nbudget 70000\n%s", none, all)
 	}
@@ -305,7 +305,7 @@ func flagNames(fs *flag.FlagSet) string {
 // pipeline and guarded processing, and the header's -alg spelling.
 func TestFlagSurface(t *testing.T) {
 	_, fs := newFlags()
-	const names = "alg breakdown checkpoint checkpoint-dir cpuprofile degrade drain-timeout every factors fit input keep l1 max-lag maxiters mem-budget memprofile mu nonneg on-error preset rank resume scale seed shed-policy slice-timeout slices spill-dir spill-fsync-interval spill-max-bytes streammode tol version workers"
+	const names = "alg breakdown checkpoint checkpoint-dir cpuprofile degrade drain-timeout every factors input keep l1 max-lag maxiters mem-budget memprofile mu nonneg on-error preset rank resume scale seed shed-policy slice-timeout slices spill-dir spill-fsync-interval spill-max-bytes streammode tol version workers"
 	if got := flagNames(fs); got != names {
 		t.Errorf("flags:\n got %s\nwant %s", got, names)
 	}

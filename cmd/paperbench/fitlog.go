@@ -26,7 +26,7 @@ func (h *harness) fitlog() error {
 		decs := make([]sliceRunner, len(algs))
 		for i, alg := range algs {
 			decs[i], err = alg.newRunner(s.Dims, core.Options{
-				Rank: 16, Seed: 7, TrackFit: true,
+				Rank: 16, Seed: 7,
 			})
 			if err != nil {
 				return err

@@ -65,7 +65,7 @@ type config struct {
 // newFlags binds every spstreamd flag to a config that holds the defaults.
 func newFlags() (*config, *flag.FlagSet) {
 	c := &config{Config: serve.Config{
-		Options: core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		Options: core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, Normalize: true},
 		Policy:  ingest.DropNewest,
 	}.WithDefaults()}
 	fs := flag.NewFlagSet("spstreamd", flag.ExitOnError)

@@ -59,7 +59,7 @@ func TestFlagSurface(t *testing.T) {
 		t.Errorf("flags:\n got %s\nwant %s", got, want)
 	}
 	defaults := serve.Config{
-		Options: core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true,
+		Options: core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, Normalize: true,
 			Resilience: &resilience.Config{Policy: resilience.SkipSlice}},
 		WindowEvents: 1000, QueueCap: 8, Policy: ingest.DropNewest, DrainTimeout: 30 * time.Second,
 		CheckpointEvery: 10, CheckpointKeep: 3, BreakerFailures: 3, BreakerCooldown: 5 * time.Second,
@@ -67,7 +67,7 @@ func TestFlagSurface(t *testing.T) {
 	}
 	bench := serve.Config{
 		Dims: []int{24, 110, 170},
-		Options: core.Options{Rank: 16, Algorithm: core.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true,
+		Options: core.Options{Rank: 16, Algorithm: core.SpCPStream, Mu: 0.95, Normalize: true,
 			Resilience: &resilience.Config{Policy: resilience.SkipSlice}},
 		WindowEvents: 2000, QueueCap: 8, Policy: ingest.DropNewest, DrainTimeout: 30 * time.Second,
 		SpillDir: "d/wal", CheckpointDir: "d/ck", CheckpointEvery: 10, CheckpointKeep: 3,

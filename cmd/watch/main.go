@@ -55,7 +55,7 @@ type config struct {
 // newFlags binds every watch flag to a config that holds the defaults.
 func newFlags() (*config, *flag.FlagSet) {
 	c := &config{Config: serve.Config{
-		Options:      spstream.Options{Rank: 8, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		Options:      spstream.Options{Rank: 8, Algorithm: spstream.SpCPStream, Mu: 0.95, Normalize: true},
 		WindowEvents: 10000,
 		QueueCap:     8,
 		DrainTimeout: 30 * time.Second,

@@ -25,7 +25,7 @@ func testConfig(dims []int, window int) config {
 	return config{Config: serve.Config{
 		Dims:         dims,
 		WindowEvents: window,
-		Options:      spstream.Options{Rank: 4, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		Options:      spstream.Options{Rank: 4, Algorithm: spstream.SpCPStream, Mu: 0.95, Normalize: true},
 		QueueCap:     8,
 		Policy:       spstream.ShedBlock,
 		DrainTimeout: 10 * time.Second,
@@ -240,7 +240,7 @@ func TestRunGracefulInterrupt(t *testing.T) {
 		t.Fatalf("missing checkpoint message:\n%s", s)
 	}
 	// The checkpoint must restore into a fresh decomposer.
-	dec, err := spstream.New([]int{10, 10}, spstream.Options{Rank: 4, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true})
+	dec, err := spstream.New([]int{10, 10}, spstream.Options{Rank: 4, Algorithm: spstream.SpCPStream, Mu: 0.95, Normalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestFlagSurface(t *testing.T) {
 		t.Errorf("empty argv: err = %v", err)
 	}
 	defaults := config{Config: serve.Config{
-		Options:      spstream.Options{Rank: 8, Algorithm: spstream.SpCPStream, Mu: 0.95, TrackFit: true, Normalize: true},
+		Options:      spstream.Options{Rank: 8, Algorithm: spstream.SpCPStream, Mu: 0.95, Normalize: true},
 		WindowEvents: 10000,
 		QueueCap:     8,
 		Policy:       spstream.ShedBlock,

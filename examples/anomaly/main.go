@@ -39,7 +39,6 @@ func main() {
 	dec, err := spstream.New([]int{nSrc, nDst, nPort}, spstream.Options{
 		Rank:      rank,
 		Algorithm: spstream.SpCPStream,
-		TrackFit:  true,
 		Mu:        0.95,
 		Seed:      3,
 	})

@@ -32,7 +32,7 @@ func main() {
 	dims := []int{dim, dim, dim}
 
 	cp, err := spstream.New(dims, spstream.Options{
-		Rank: rank, Algorithm: spstream.SpCPStream, TrackFit: true, Mu: 0.9, Seed: 3,
+		Rank: rank, Algorithm: spstream.SpCPStream, Mu: 0.9, Seed: 3,
 	})
 	if err != nil {
 		log.Fatal(err)

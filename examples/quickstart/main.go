@@ -22,7 +22,6 @@ func main() {
 	dec, err := spstream.New(stream.Dims, spstream.Options{
 		Rank:      16,
 		Algorithm: spstream.SpCPStream, // the paper's fast non-constrained algorithm
-		TrackFit:  true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -181,10 +181,8 @@ func (b *CPStream) ProcessSlice(x *sptensor.Tensor) (core.SliceResult, error) {
 		deltaPrev = res.Delta
 		lap(trace.Error)
 	}
-	if opt.TrackFit {
-		res.Fit = fitFromPsi(x, psiS, b.c, b.s)
-		lap(trace.Misc)
-	}
+	res.Fit = fitFromPsi(x, psiS, b.c, b.s)
+	lap(trace.Misc)
 	// Post: Gₜ = µGₜ₋₁ + sₜsₜᵀ, which is the µG + ssᵀ of the last sₜ.
 	b.g = phiS
 	b.t++

@@ -91,7 +91,7 @@ func equivalenceStreams(t *testing.T, fixedSeed uint64, fixedDims []int, nnz, sl
 // slice.
 func TestBaselineOptimizedEquivalence(t *testing.T) {
 	for name, s := range equivalenceStreams(t, 21, []int{20, 30, 15}, 400, 5) {
-		base, dec, resB, resO := runBoth(t, s, core.Options{Rank: 4, Seed: 5, Workers: 2, TrackFit: true})
+		base, dec, resB, resO := runBoth(t, s, core.Options{Rank: 4, Seed: 5, Workers: 2})
 		if d := maxFactorDiff(base, dec); d > 1e-6 {
 			t.Errorf("%s: baseline vs optimized factors differ by %g", name, d)
 		}
@@ -145,7 +145,7 @@ func TestConstrainedBaselineOptimizedClose(t *testing.T) {
 func TestCPStreamGoldenTrajectory(t *testing.T) {
 	want := []string{"fit=0.6695 iters=20", "fit=0.5551 iters=20", "fit=0.5442 iters=20"}
 	s := plantedStream(t, 777, []int{8, 9, 7}, 1500, 3)
-	b, err := NewCPStream(s.Dims, core.Options{Rank: 4, Seed: 11, Workers: 1, TrackFit: true})
+	b, err := NewCPStream(s.Dims, core.Options{Rank: 4, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCPStreamGoldenTrajectory(t *testing.T) {
 func TestCPStreamDegenerateSlices(t *testing.T) {
 	dims := []int{10, 12}
 	empty := sptensor.New(dims...)
-	b, err := NewCPStream(dims, core.Options{Rank: 2, MaxIters: 4, TrackFit: true})
+	b, err := NewCPStream(dims, core.Options{Rank: 2, MaxIters: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 // path regardless of GOMAXPROCS; the pool's own zero-spawn dispatch is
 // covered by the parallel and mttkrp alloc tests with explicit pools.
 //
-// Every test runs with TrackFit and measures the tracked fit together
-// with the iteration: its two rank-K vectors are Decomposer-owned.
+// Where a test finishes the slice it measures the fit too: its two
+// rank-K vectors are Decomposer-owned.
 
 func TestExplicitIterateZeroAlloc(t *testing.T) {
 	// Both arms of the row update, on a short clustered stream and on
@@ -40,7 +40,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 		{"long mode, NonNeg", long, admm.NonNeg{}},
 	} {
 		s := tc.stream
-		d, err := NewDecomposer(s.Dims, Options{Rank: 4, Constraint: tc.con, Seed: 7, Workers: 1, TrackFit: true, MaxIters: 4})
+		d, err := NewDecomposer(s.Dims, Options{Rank: 4, Constraint: tc.con, Seed: 7, Workers: 1, MaxIters: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 
 func TestSpCPIterateZeroAlloc(t *testing.T) {
 	s := skewedStream(t, 314)
-	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 7, Workers: 1, TrackFit: true})
+	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 		if resident {
 			s = testStream(t, 315, []int{40, 30, 50}, 1500, 2)
 		}
-		opt := Options{Rank: 4, Algorithm: Optimized, Seed: 7, Workers: 1, TrackFit: true, MemBudget: 1}
+		opt := Options{Rank: 4, Algorithm: Optimized, Seed: 7, Workers: 1, MemBudget: 1}
 		var srcs []sptensor.BlockSource
 		for _, x := range s.Slices[:2] {
 			blocks, err := sptensor.SplitBlocks(x, 120)

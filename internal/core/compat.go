@@ -1,10 +1,11 @@
 package core
 
-// Inert residue of Optimized's former per-slice remap and of the
-// plan-vs-CSF kernel selection, both gone (DESIGN §11): bench/ compiles
-// against these names and may only be edited by a [benchmark] PR.
-// Nothing reads the options; all of these leave with the next such PR
-// (ROADMAP item 8).
+// Inert residue of Optimized's former per-slice remap, of the
+// plan-vs-CSF kernel selection (DESIGN §11) and of the fit switch
+// Options.TrackFit — the fit is always computed, its ψ read off the last
+// factor mode's MTTKRP, so it costs ‖X‖² alone: bench/ compiles against
+// these names and may only be edited by a [benchmark] PR. Nothing reads
+// the options; all of these leave with the next such PR (ROADMAP item 8).
 
 // LayoutPolicy is ignored.
 type LayoutPolicy int

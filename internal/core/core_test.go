@@ -159,7 +159,7 @@ func TestFitImprovesOnPlantedData(t *testing.T) {
 	// legitimately near 0 — that regime is covered by
 	// TestSpCPFitComparableToExplicit instead.
 	s := testStream(t, 41, []int{10, 10, 10}, 3000, 6)
-	_, res := runStream(t, s, Options{Rank: 6, Algorithm: Optimized, Seed: 3, TrackFit: true, MaxIters: 30})
+	_, res := runStream(t, s, Options{Rank: 6, Algorithm: Optimized, Seed: 3, MaxIters: 30})
 	last := res[len(res)-1]
 	if math.IsNaN(last.Fit) || last.Fit < 0.5 {
 		t.Fatalf("final fit %.3f too low for planted data", last.Fit)
@@ -172,8 +172,8 @@ func TestFitImprovesOnPlantedData(t *testing.T) {
 
 func TestSpCPFitComparableToExplicit(t *testing.T) {
 	s := skewedStream(t, 42)
-	_, resO := runStream(t, s, Options{Rank: 4, Seed: 3, TrackFit: true})
-	_, resS := runStream(t, s, Options{Rank: 4, Algorithm: SpCPStream, Seed: 3, TrackFit: true})
+	_, resO := runStream(t, s, Options{Rank: 4, Seed: 3})
+	_, resS := runStream(t, s, Options{Rank: 4, Algorithm: SpCPStream, Seed: 3})
 	for i := range resO {
 		if math.Abs(resO[i].Fit-resS[i].Fit) > 1e-3 {
 			t.Fatalf("slice %d: fits diverge: %.5f vs %.5f", i, resO[i].Fit, resS[i].Fit)

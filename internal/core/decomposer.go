@@ -54,6 +54,10 @@ type Decomposer struct {
 	prevNZ   [][]int32       // nz sets of the previous slice
 	cz       []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
 	remapper mttkrp.Remapper
+	// directCz recomputes C_z,t−1 = C − A_nzᵀA_nz from scratch every
+	// slice instead of Alg. 4's lines 8–11: the tests' cross-check of the
+	// incremental upkeep, and its ablation benchmark.
+	directCz bool
 	// One 1×K row per worker for the flush, and the count of rows the
 	// z side has brought current (the nz gathers and the flushes).
 	zRows     []dense.Matrix
@@ -90,12 +94,10 @@ type Decomposer struct {
 	// Reusable column-scale buffer for normalization.
 	colScale []float64
 
-	// Rank-K vectors of the tracked fit (ψ and (⊛C)·s). ψ is also every
-	// sₜ solve's right-hand side; psiFresh says it is the running slice's,
-	// over the factors as they now are. sweepPart: rowSweep's block
-	// partials, grow-only.
+	// Rank-K vectors of the fit (ψ and (⊛C)·s). ψ is also every sₜ
+	// solve's right-hand side. sweepPart: rowSweep's block partials,
+	// grow-only.
 	fitPsi, fitTmp, sweepPart []float64
-	psiFresh                  bool
 
 	// Reusable argument block of the ctx-style pool bodies (sweep.go).
 	pargs coreArgs
@@ -246,10 +248,10 @@ func (d *Decomposer) refreshGrams() {
 
 // solveS computes the closed-form sₜ update
 // (⊛_v C⁽ᵛ⁾ + λI)s = ψ, with ψ — the streaming-mode MTTKRP of the slice
-// over the current factors — left in fitPsi by the caller: by a pass over
-// the nonzeros before the inner loop (warm start from the previous
-// slice's factors), from the last factor mode's MTTKRP once per inner
-// iteration (the time mode is the (N+1)-th ALS block). ψ stays there.
+// over the current factors — left in fitPsi by a row sweep: beginSlice's
+// over mode 0's MTTKRP and A_{t−1} (the warm start from the previous
+// slice's factors), then once per inner iteration the last factor
+// mode's (the time mode is the (N+1)-th ALS block). ψ stays there.
 func (d *Decomposer) solveS() error {
 	phi := d.sPhi
 	phi.Fill(1)

@@ -50,7 +50,7 @@ func TestOversubscribedWorkers(t *testing.T) {
 }
 
 // SliceResult bookkeeping: NNZ echoes the slice, ADMMIters stays zero
-// without a constraint, T increments, Fit is NaN unless tracked.
+// without a constraint, T increments, Fit is computed.
 func TestSliceResultFields(t *testing.T) {
 	s := testStream(t, 201, []int{10, 12}, 150, 3)
 	d, err := NewDecomposer(s.Dims, Options{Rank: 2, Seed: 4})
@@ -67,8 +67,8 @@ func TestSliceResultFields(t *testing.T) {
 	if res.ADMMIters != 0 {
 		t.Fatal("ADMMIters non-zero without a constraint")
 	}
-	if !math.IsNaN(res.Fit) {
-		t.Fatal("Fit should be NaN when TrackFit is off")
+	if math.IsNaN(res.Fit) || math.IsInf(res.Fit, 0) {
+		t.Fatalf("Fit = %v, want the slice's fit: it is always computed", res.Fit)
 	}
 	res2, err := d.ProcessSlice(s.Slices[1])
 	if err != nil {
@@ -82,9 +82,9 @@ func TestSliceResultFields(t *testing.T) {
 	}
 }
 
-// TrackFit on an all-empty slice: fit is NaN (no mass), not a crash.
+// The fit of an all-empty slice is NaN (no mass), not a crash.
 func TestTrackFitEmptySlice(t *testing.T) {
-	d, err := NewDecomposer([]int{5, 5}, Options{Rank: 2, TrackFit: true})
+	d, err := NewDecomposer([]int{5, 5}, Options{Rank: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestBreakdownPhaseAttribution(t *testing.T) {
 	// Streamed: the same phases as a resident explicit slice — the
 	// schedule compile and warm start in Pre, the streamed kernels in
 	// MTTKRP, the fit in Misc.
-	dStr, err := NewDecomposer(s.Dims, Options{Rank: 3, Algorithm: Optimized, Seed: 1, TrackFit: true, MemBudget: 1})
+	dStr, err := NewDecomposer(s.Dims, Options{Rank: 3, Algorithm: Optimized, Seed: 1, MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAlgorithmStringNames(t *testing.T) {
 
 func TestFitOf(t *testing.T) {
 	s := testStream(t, 204, []int{10, 10}, 500, 3)
-	d, _ := runStream(t, s, Options{Rank: 3, Seed: 1, TrackFit: true})
+	d, _ := runStream(t, s, Options{Rank: 3, Seed: 1})
 	// Scoring the last seen slice must match the tracked fit closely.
 	fit, err := d.FitOf(s.Slices[2])
 	if err != nil {
@@ -203,7 +203,7 @@ func TestFitOf(t *testing.T) {
 // and tracked fits never exceed 1.
 func TestStreamingInvariants(t *testing.T) {
 	s := skewedStream(t, 205)
-	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 8, TrackFit: true})
+	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

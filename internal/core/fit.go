@@ -8,27 +8,19 @@ import (
 	"spstream/internal/sptensor"
 )
 
-// sliceFit computes the fit 1 − ‖Xₜ − X̂ₜ‖_F/‖Xₜ‖_F of the current model
-// X̂ₜ = [[A⁽¹⁾,…,A⁽ᴺ⁾; sₜ]] against the slice, entirely in sparse form:
+// fit returns the fit 1 − ‖Xₜ − X̂ₜ‖_F/‖Xₜ‖_F of the current model
+// X̂ₜ = [[A⁽¹⁾,…,A⁽ᴺ⁾; sₜ]] against a slice with ‖X‖² = xnorm2 and
+// streaming-mode MTTKRP ψ over the current factors in fitPsi, entirely
+// in sparse form:
 //
 //	‖X−X̂‖² = ‖X‖² − 2·⟨X, X̂⟩ + ‖X̂‖²
-//	⟨X, X̂⟩  = sᵀ·ψ with ψ the streaming-mode MTTKRP over current factors
+//	⟨X, X̂⟩  = sᵀ·ψ
 //	‖X̂‖²    = sᵀ(⊛_v C⁽ᵛ⁾)s
 //
-// For the slice just solved ψ is what the last sₜ refresh left in fitPsi
-// (psiFresh); any other slice costs a pass over its nonzeros. It
-// overwrites scratch1, fitPsi and fitTmp. A resident slice cannot fail; a
-// streamed one reports its decode errors.
-func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
-	xnorm2, err := d.norm2(in)
-	if err != nil || xnorm2 == 0 {
-		return math.NaN(), err
-	}
-	psi := d.fitPsi
-	if !d.psiFresh {
-		if err := d.mttkrpTime(psi, in, d.factors()); err != nil {
-			return math.NaN(), err
-		}
+// NaN for an empty slice. It overwrites scratch1 and fitTmp.
+func (d *Decomposer) fit(xnorm2 float64) float64 {
+	if xnorm2 == 0 {
+		return math.NaN()
 	}
 	had := d.scratch1
 	had.Fill(1)
@@ -38,18 +30,31 @@ func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
 	tmp := d.fitTmp
 	dense.MulVec(tmp, had, d.s)
 	model2 := dense.Dot(d.s, tmp)
-	inner := dense.Dot(d.s, psi)
+	inner := dense.Dot(d.s, d.fitPsi)
 	err2 := xnorm2 - 2*inner + model2
 	if err2 < 0 {
 		err2 = 0
 	}
-	return 1 - math.Sqrt(err2/xnorm2), nil
+	return 1 - math.Sqrt(err2/xnorm2)
+}
+
+// sliceFit is the fit of the slice just solved. Its ⟨X, X̂⟩ = sᵀψ takes
+// the ψ the last sₜ refresh left in fitPsi, over the factors as they now
+// are, so it costs ‖X‖² alone: an O(nnz) sum over a resident slice's
+// values, and the schedule compile's for a streamed one.
+func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
+	xnorm2, err := d.norm2(in)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return d.fit(xnorm2), nil
 }
 
 // FitOf evaluates the current model's fit 1 − ‖X−X̂‖_F/‖X‖_F against an
 // arbitrary slice-shaped tensor using the latest temporal weights —
-// e.g. to score a held-out or incoming slice before folding it in.
-// Returns NaN for an empty slice.
+// e.g. to score a held-out or incoming slice before folding it in. Its
+// ψ is a time-mode pass over the slice's nonzeros. Returns NaN for an
+// empty slice.
 func (d *Decomposer) FitOf(x *sptensor.Tensor) (float64, error) {
 	if x == nil {
 		return math.NaN(), fmt.Errorf("core: nil slice")
@@ -57,5 +62,6 @@ func (d *Decomposer) FitOf(x *sptensor.Tensor) (float64, error) {
 	if err := d.checkDims(x.Dims); err != nil {
 		return math.NaN(), err
 	}
-	return d.sliceFit(sliceData{x: x})
+	d.mt.TimeMode(d.fitPsi, x, d.factors())
+	return d.fit(x.Norm2()), nil
 }

@@ -20,7 +20,7 @@ func TestGoldenTrajectories(t *testing.T) {
 	s := testStream(t, 777, []int{8, 9, 7}, 1500, 3)
 	for alg, want := range golden {
 		d, err := NewDecomposer(s.Dims, Options{
-			Rank: 4, Algorithm: alg, Seed: 11, Workers: 1, TrackFit: true,
+			Rank: 4, Algorithm: alg, Seed: 11, Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // out of core (src) — exactly one is set. The driver and the slice body
 // pass it around opaquely; beyond beginSlice (which gives a streamed
 // slice the empty z set and the streamed kernel's schedule), only
-// mttkrpMode, mttkrpTime and norm2 below look at which it is, so a
+// mttkrpMode and norm2 below look at which it is, so a
 // streamed slice is an input to the one slice driver rather than a driver
 // of its own.
 type sliceData struct {
@@ -64,23 +64,10 @@ func (d *Decomposer) mttkrpMode(out *dense.Matrix, in sliceData, plan *mttkrp.Pl
 	return nil
 }
 
-// mttkrpTime computes the streaming-mode (time) MTTKRP dst over in, a
-// pass over the nonzeros: the warm-start sₜ and FitOf. The streamed
-// kernel is bit for bit the in-memory thread-local reduction.
-func (d *Decomposer) mttkrpTime(dst []float64, in sliceData, factors []*dense.Matrix) error {
-	if in.src == nil {
-		d.mt.TimeMode(dst, in.x, factors)
-		return nil
-	}
-	if err := d.streamKernel().TimeMode(dst, in.src, factors); err != nil {
-		return fmt.Errorf("core: streamed time-mode MTTKRP: %w", err)
-	}
-	return nil
-}
-
-// norm2 returns ‖X‖² of the slice. A source's was summed block by block
-// by the pass that compiled its schedule — the same left-to-right
-// summation Norm2 performs on the materialized concatenation.
+// norm2 returns ‖X‖² of the slice, for its fit. A source's was summed
+// block by block by the pass that compiled its schedule — the same
+// left-to-right summation Norm2 performs on the materialized
+// concatenation.
 func (d *Decomposer) norm2(in sliceData) (float64, error) {
 	if in.src == nil {
 		return in.x.Norm2(), nil

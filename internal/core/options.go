@@ -114,20 +114,14 @@ type Options struct {
 	ADMMMaxIters int
 	// Seed drives the random factor initialization. Default 1.
 	Seed uint64
-	// TrackFit enables per-slice fit computation (one more pass, for ‖X‖²).
-	TrackFit bool
 	// Normalize applies the per-iteration normalize(C, H) of Algorithm 4
 	// (line 30): after every mode update, that mode's factor columns are
 	// rescaled to unit norm (norms taken from diag(C), so the Gram-form
 	// algorithm needs no explicit factors), with the scales absorbed
 	// into sₜ.
 	Normalize bool
-	// DirectCz disables the incremental C_z,t−1 maintenance of
-	// Algorithm 4 lines 8–11 and recomputes C_z,t−1 = C − A_nzᵀA_nz
-	// from scratch every slice. Slower when consecutive slices share
-	// most of their nz sets; exists for the ablation benchmark and as a
-	// numerical cross-check (spCP-stream only).
-	DirectCz bool
+	// TrackFit is ignored (see compat.go): every slice's fit is computed.
+	TrackFit bool
 	// MTTKRPKernel is ignored (see compat.go).
 	MTTKRPKernel MTTKRPKernel
 	// Layout is ignored (see compat.go).
@@ -223,7 +217,7 @@ type SliceResult struct {
 	// ADMMIters is the total ADMM iteration count across modes and
 	// inner iterations (constrained runs only).
 	ADMMIters int
-	// Fit is 1 − ‖X−X̂‖/‖X‖ for this slice (TrackFit only, else NaN).
+	// Fit is 1 − ‖X−X̂‖/‖X‖ for this slice, NaN for an empty one.
 	Fit float64
 	// Retries is the number of whole-slice re-runs the resilience layer
 	// consumed before this result (0 on the first attempt).

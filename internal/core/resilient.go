@@ -275,11 +275,9 @@ func (d *Decomposer) runSlice(ctx context.Context, in sliceData) (res SliceResul
 		defer d.solver.SetCancel(nil)
 	}
 	d.iterNo = 0
-	// However the attempt ends, its ψ is no later attempt's or FitOf's,
-	// and the streamed kernel drops a source it was begun on, so a reader
-	// the caller closes is not kept alive.
+	// However the attempt ends, the streamed kernel drops a source it was
+	// begun on, so a reader the caller closes is not kept alive.
 	defer func() {
-		d.psiFresh = false
 		if d.sk != nil {
 			d.sk.End()
 		}

@@ -9,7 +9,6 @@ import (
 
 	"spstream/internal/admm"
 	"spstream/internal/dense"
-	"spstream/internal/mttkrp"
 	"spstream/internal/perfmodel"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
@@ -102,9 +101,7 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 							driveSlice(t, d, in, 3, func(kin sliceData, kf []*dense.Matrix) {
 								iter++
 								if kin.src != nil {
-									if err := mttkrp.NewStreamKernel(d.mt).TimeMode(full, kin.src, kf); err != nil {
-										t.Fatal(err)
-									}
+									d.mt.TimeMode(full, x, kf) // the blocks' concatenation
 								} else {
 									d.mt.TimeMode(full, kin.x, kf)
 								}
@@ -120,6 +117,89 @@ func TestTimeModeReuseMatchesFullPass(t *testing.T) {
 							})
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestWarmStartMatchesTimeMode: the warm start's ψ⁰, read off mode 0's
+// MTTKRP over A_{t−1} by the row sweep, is the time-mode MTTKRP of the
+// slice over A_{t−1} — within 1e-12 of a Computer.TimeMode pass, relative
+// to its largest entry — on the first slice (A_{t−1} the random start)
+// and the next, with z = ∅ on a resident slice, an spCP-stream slice
+// (remapped, z set), a streamed slice and a NonNeg slice, and bit-equal
+// at Workers 1, 2 and 4.
+func TestWarmStartMatchesTimeMode(t *testing.T) {
+	s := reuseStream(t, 71, 3, 2)
+	for _, tc := range []struct {
+		name     string
+		opt      Options
+		streamed bool
+	}{
+		{"resident", Options{Algorithm: Optimized}, false},
+		{"spcp", Options{Algorithm: SpCPStream}, false},
+		{"streamed", Options{Algorithm: Optimized, MemBudget: 1}, true},
+		{"nonneg", Options{Algorithm: Optimized, Constraint: admm.NonNeg{}}, false},
+	} {
+		var first [][]float64
+		for _, workers := range []int{1, 2, 4} {
+			opt := tc.opt
+			opt.Rank, opt.Seed, opt.Workers = 4, 8, workers
+			d, err := NewDecomposer(s.Dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, x := range s.Slices {
+				label := fmt.Sprintf("%s W=%d slice %d", tc.name, workers, ti)
+				prev := make([]*dense.Matrix, len(s.Dims))
+				for m := range prev {
+					prev[m] = d.Factor(m).Clone()
+				}
+				in := sliceData{x: x}
+				if tc.streamed {
+					src, err := sptensor.SplitBlocks(x, 150)
+					if err != nil {
+						t.Fatal(err)
+					}
+					in = sliceData{src: src}
+				}
+				run, err := d.beginSlice(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (run.rm != nil) != (tc.opt.Algorithm == SpCPStream) {
+					t.Fatalf("%s: z set %v", label, run.rm != nil)
+				}
+				full := make([]float64, d.k)
+				d.mt.TimeMode(full, x, prev)
+				scale := 0.0
+				for _, v := range full {
+					scale = math.Max(scale, math.Abs(v))
+				}
+				if scale == 0 {
+					t.Fatalf("%s: the time-mode pass over A_{t−1} is zero", label)
+				}
+				for j, v := range d.fitPsi {
+					if diff := math.Abs(v - full[j]); !(diff <= 1e-12*scale) {
+						t.Fatalf("%s: ψ⁰[%d] = %g, time-mode pass %g (|Δ| %g of %g)", label, j, v, full[j], diff, scale)
+					}
+				}
+				if workers == 1 {
+					first = append(first, append([]float64(nil), d.fitPsi...))
+				} else {
+					sameMatrixBits(t, label+" ψ⁰ against W=1", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{first[ti]}))
+				}
+				for it := 0; it < 3; it++ {
+					if _, err := d.iterateSlice(run); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := d.finishSlice(run); err != nil {
+					t.Fatal(err)
+				}
+				if tc.streamed {
+					d.streamKernel().End()
 				}
 			}
 		}
@@ -211,10 +291,11 @@ func raggedBlocks(t testing.TB, x *sptensor.Tensor) *sptensor.MemBlocks {
 
 // TestStreamedDecodeCount is the count behind both claims. A streamed
 // slice with nothing resident decodes every block once for the schedule
-// compile (which also sums ‖X‖² for a tracked fit, whose ⟨X, X̂⟩ costs no
-// pass either), once for the warm-start sₜ and once per factor mode per
-// inner iteration — no time-mode pass in the loop: 62 times for three
-// modes at 20 iterations. A block the budget keeps resident is decoded
+// compile (which also sums ‖X‖² for the fit, whose ⟨X, X̂⟩ costs no pass
+// either) and once per factor mode per inner iteration — the warm-start
+// sₜ reads the first iteration's mode-0 MTTKRP, and no time-mode pass
+// runs at all: 61 times for three modes at 20 iterations. A block the
+// budget keeps resident is decoded
 // by the compile alone: once, and with everything resident that is every
 // block; resident permutations change no count. One worker, so that a
 // pass is exactly one decode of each block that holds anything; an empty
@@ -224,66 +305,66 @@ func TestStreamedDecodeCount(t *testing.T) {
 	for modes := 2; modes <= 4; modes++ {
 		dims := []int{60, 50, 40, 12}[:modes]
 		s := testStream(t, 70, dims, 1500, 2)
-		passes := int64(1 + 1 + modes*iters)
-		if modes == 3 && passes != 62 {
-			t.Fatalf("three modes make %d passes, want 62", passes)
+		passes := int64(1 + modes*iters)
+		if modes == 3 && passes != 61 {
+			t.Fatalf("three modes make %d passes, want 61", passes)
 		}
-		for _, fit := range []bool{false, true} {
-			opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MaxIters: iters, Tol: 1e-300, TrackFit: fit}
-			first := raggedBlocks(t, s.Slices[0])
-			nb := first.Blocks()
-			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
-				label := fmt.Sprintf("N=%d fit=%v pairs=%d blocks=%d", modes, fit, keep[0], keep[1])
-				var permBytes, blockBytes int64
-				if opt.MemBudget = 1; keep[0] >= 0 {
-					opt.MemBudget, permBytes, blockBytes = budgetFor(opt, first, keep[0], keep[1])
+		opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MaxIters: iters, Tol: 1e-300}
+		first := raggedBlocks(t, s.Slices[0])
+		nb := first.Blocks()
+		for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
+			label := fmt.Sprintf("N=%d pairs=%d blocks=%d", modes, keep[0], keep[1])
+			var permBytes, blockBytes int64
+			if opt.MemBudget = 1; keep[0] >= 0 {
+				opt.MemBudget, permBytes, blockBytes = budgetFor(opt, first, keep[0], keep[1])
+			}
+			d, err := NewDecomposer(dims, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, x := range s.Slices {
+				blocks := raggedBlocks(t, x)
+				src := &countingSource{BlockSource: blocks, decode: true}
+				res, err := d.ProcessBlockSlice(src)
+				if err != nil || res.Iters != iters || d.LastEvalMode() != perfmodel.EvalStreamed {
+					t.Fatalf("%s slice %d: %d iterations, %v, %v", label, ti, res.Iters, d.LastEvalMode(), err)
 				}
-				d, err := NewDecomposer(dims, opt)
-				if err != nil {
-					t.Fatal(err)
+				got := d.LastResidency()
+				if ti == 0 && (got.PermBytes != permBytes || got.BlockBytes != blockBytes) {
+					t.Fatalf("%s: resident %+v, want %d permutation and %d block bytes", label, got, permBytes, blockBytes)
 				}
-				for ti, x := range s.Slices {
-					blocks := raggedBlocks(t, x)
-					src := &countingSource{BlockSource: blocks, decode: true}
-					res, err := d.ProcessBlockSlice(src)
-					if err != nil || res.Iters != iters || d.LastEvalMode() != perfmodel.EvalStreamed {
-						t.Fatalf("%s slice %d: %d iterations, %v, %v", label, ti, res.Iters, d.LastEvalMode(), err)
+				// Block b is resident when the prefix ending with it is.
+				want, prefix := int64(0), int64(0)
+				for b := 0; b < blocks.Blocks(); b++ {
+					prefix += int64(4*modes+8) * int64(blocks.BlockNNZ(b))
+					if blocks.BlockNNZ(b) == 0 || prefix <= got.BlockBytes {
+						want++
+					} else {
+						want += passes
 					}
-					got := d.LastResidency()
-					if ti == 0 && (got.PermBytes != permBytes || got.BlockBytes != blockBytes) {
-						t.Fatalf("%s: resident %+v, want %d permutation and %d block bytes", label, got, permBytes, blockBytes)
-					}
-					// Block b is resident when the prefix ending with it is.
-					want, prefix := int64(0), int64(0)
-					for b := 0; b < blocks.Blocks(); b++ {
-						prefix += int64(4*modes+8) * int64(blocks.BlockNNZ(b))
-						if blocks.BlockNNZ(b) == 0 || prefix <= got.BlockBytes {
-							want++
-						} else {
-							want += passes
-						}
-					}
-					if n := src.decodes.Load(); n != want {
-						t.Fatalf("%s slice %d: %d block decodes, want %d (%d passes, %d blocks, %d block bytes resident)", label, ti, n, want, passes, blocks.Blocks(), got.BlockBytes)
-					}
+				}
+				if n := src.decodes.Load(); n != want {
+					t.Fatalf("%s slice %d: %d block decodes, want %d (%d passes, %d blocks, %d block bytes resident)", label, ti, n, want, passes, blocks.Blocks(), got.BlockBytes)
 				}
 			}
 		}
 	}
 }
 
-// TestTrackedFitReusesIterationPsi: the tracked fit takes ⟨X, X̂⟩ from the
-// last inner iteration's ψ and must agree with FitOf — a full pass —
-// on the same slice; a ψ from an attempt that failed is never the one
-// read (the retried slice lands on the undisturbed control's bits), and
-// nothing of the slice's ψ is left for a later FitOf of another slice.
+// TestTrackedFitReusesIterationPsi: under default options every slice's
+// fit is computed, takes ⟨X, X̂⟩ from the last inner iteration's ψ, is
+// finite and agrees with FitOf — a full pass — on the same slice; a ψ
+// from an attempt that failed is never the one read (poisoned when the
+// attempt fails, the retried slice still lands on the undisturbed
+// control's bits), and nothing of the slice's ψ is left for a later
+// FitOf of another slice.
 func TestTrackedFitReusesIterationPsi(t *testing.T) {
 	dims := []int{40, 30, 50}
 	stream := testStream(t, 37, dims, 1500, 3)
 	for _, alg := range []Algorithm{Optimized, SpCPStream} {
 		for _, streamed := range []bool{false, true} {
 			name := fmt.Sprintf("%v streamed=%v", alg, streamed)
-			opt := Options{Rank: 5, Algorithm: alg, Workers: 2, Seed: 6, TrackFit: true, MaxIters: 4, Tol: 1e-300}
+			opt := Options{Rank: 5, Algorithm: alg, Workers: 2, Seed: 6, MaxIters: 4, Tol: 1e-300}
 			if streamed {
 				opt.MemBudget = 1
 			}
@@ -292,6 +373,7 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 				t.Fatal(err)
 			}
 			failed := false
+			var d *Decomposer
 			opt.Resilience = &resilience.Config{
 				Policy: resilience.RetrySlice, DisableInputScan: true,
 				FaultHook: func(f resilience.Fault) error {
@@ -299,12 +381,15 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 					// each left their ψ behind.
 					if f.Stage == resilience.StageIterate && f.Slice == 1 && f.Iter == 3 && f.Attempt == 0 {
 						failed = true
+						for j := range d.fitPsi {
+							d.fitPsi[j] = math.NaN()
+						}
 						return errors.New("injected")
 					}
 					return nil
 				},
 			}
-			d, err := NewDecomposer(dims, opt)
+			d, err = NewDecomposer(dims, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,8 +405,8 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 						t.Fatalf("%s slice %d: %v", name, ti, err)
 					}
 					fits[i] = res.Fit
-					if dec.psiFresh {
-						t.Fatalf("%s slice %d: ψ still marked fresh after the slice", name, ti)
+					if math.IsNaN(res.Fit) || math.IsInf(res.Fit, 0) {
+						t.Fatalf("%s slice %d: fit %v", name, ti, res.Fit)
 					}
 					if own, err := dec.FitOf(x); err != nil || math.Abs(own-res.Fit) > 1e-12 {
 						t.Fatalf("%s slice %d: tracked fit %.15g, FitOf %.15g (%v)", name, ti, res.Fit, own, err)

@@ -38,7 +38,10 @@ type sliceRun struct {
 	// next is the version the slice commits: the spare, or the committed
 	// one itself when a z set writes in place (finishZ).
 	next *Version
-	res  SliceResult
+	// m0: the psi workspace of mode 0 holds the MTTKRP the warm start
+	// computed, which the first iteration's mode 0 reads instead of its own.
+	m0  bool
+	res SliceResult
 }
 
 // beginSlice performs the per-slice Pre work. It releases the buffers
@@ -50,9 +53,12 @@ type sliceRun struct {
 // flushed first if its z side lags, and no copy seeds the iterate. Then
 // it seeds the Gram state (C_{t−1} = C, and H = C since
 // the iterate starts at A_{t−1}), sizes the Ψ workspace to the iterate,
-// compiles the coordinate plan over a resident slice (amortized over the
-// inner iterations) or the streamed kernel's schedule over a source, and
-// solves the closed-form sₜ warm start.
+// and compiles the coordinate plan over a resident slice (amortized over
+// the inner iterations) or the streamed kernel's schedule over a source.
+// Last, the warm start: sₜ solved against A_{t−1}, with ψ read off mode
+// 0's MTTKRP over A_{t−1} — the one iteration 1's mode 0 would compute
+// over the same factors, so it consumes this one (sliceRun.m0) and the
+// slice makes no pass over its nonzeros for the time mode.
 func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 	run := &sliceRun{in: in, kin: in, res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()}}
 	var err error
@@ -77,14 +83,21 @@ func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 			d.resident = false
 			if err = d.streamKernel().Begin(in.src); err != nil {
 				err = fmt.Errorf("core: streamed schedule: %w", err)
-				return
 			}
 		} else {
 			run.plan = d.beginKernels(run.kin.x)
 		}
-		if err = d.mttkrpTime(d.fitPsi, run.kin, run.prev); err == nil {
-			err = d.solveS()
+	})
+	if err != nil {
+		return run, err
+	}
+	d.bd.Time(trace.MTTKRP, func() {
+		if err = d.mttkrpMode(d.sp.psi[0], run.kin, run.plan, run.fac, 0); err != nil {
+			return
 		}
+		d.rowSweep(coreArgs{a: run.prev[0], m: d.sp.psi[0], psi: true}, nil, nil)
+		run.m0 = true
+		err = d.solveS()
 	})
 	if err != nil {
 		return run, err
@@ -120,13 +133,16 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		// M⁽ⁿ⁾ = MTTKRP(Xₜ, {A}, n), kept raw: the time mode's single
 		// Khatri-Rao row sₜ is a column scaling the row sweep applies, and
 		// sₜ itself is refreshed from the last mode's M — which ADMM would
-		// overwrite with Ψ⁽ᴺ⁾, hence rawLast.
+		// overwrite with Ψ⁽ᴺ⁾, hence rawLast. The first iteration's mode 0
+		// reads the warm start's (beginSlice).
 		t0 = time.Now()
 		kout := sp.psi[n]
 		if d.opt.Constraint != nil && last {
 			kout = d.rawLast(kout.Rows)
 		}
-		if err := d.mttkrpMode(kout, run.kin, run.plan, run.fac, n); err != nil {
+		if n == 0 && run.m0 {
+			run.m0 = false
+		} else if err := d.mttkrpMode(kout, run.kin, run.plan, run.fac, n); err != nil {
 			return 0, err
 		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
@@ -206,7 +222,6 @@ func (d *Decomposer) traceDelta() float64 {
 // nonzeros — and with it the µG + ssᵀ operand.
 func (d *Decomposer) refreshS() error {
 	t0 := time.Now()
-	d.psiFresh = true
 	err := d.solveS()
 	d.bd.Add(trace.MTTKRP, time.Since(t0))
 	if err != nil {
@@ -220,9 +235,8 @@ func (d *Decomposer) refreshS() error {
 
 // finishSlice performs the Post work and returns the slice result: for
 // a z set the nz rows and the logged transform (finishZ), the commit of
-// the version the slice wrote, the tracked fit, and the G/S temporal
-// update. A guarded slice that then fails its health check rolls the
-// commit back.
+// the version the slice wrote, the fit, and the G/S temporal update. A
+// guarded slice that then fails its health check rolls the commit back.
 func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 	if run.rm != nil {
 		d.bd.Time(trace.Post, func() { d.finishZ(run) })
@@ -234,12 +248,10 @@ func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 		d.endWrite(run.next)
 	}
 	d.commit(run.next)
-	if d.opt.TrackFit {
-		var err error
-		d.bd.Time(trace.Misc, func() { run.res.Fit, err = d.sliceFit(run.in) })
-		if err != nil {
-			return run.res, err
-		}
+	var err error
+	d.bd.Time(trace.Misc, func() { run.res.Fit, err = d.sliceFit(run.in) })
+	if err != nil {
+		return run.res, err
 	}
 	d.bd.Time(trace.Post, d.advanceTime)
 	return run.res, nil

@@ -21,26 +21,26 @@ import (
 // final factors, C, C_z, every sₜ and G. Keys are
 // "<stream>/<alg>/<con|uncon>/<norm|raw>/<resident|streamed>".
 var sliceBodyBits = map[string]uint64{
-	"planted/optimized/uncon/raw/resident":  0x89bb46d6f1868511,
-	"planted/optimized/uncon/raw/streamed":  0x89bb46d6f1868511,
-	"planted/optimized/uncon/norm/resident": 0x4d14568a5ed006fa,
-	"planted/optimized/uncon/norm/streamed": 0x4d14568a5ed006fa,
-	"planted/optimized/con/raw/resident":    0x8ddf92fd49e17edf,
-	"planted/optimized/con/raw/streamed":    0x8ddf92fd49e17edf,
-	"planted/optimized/con/norm/resident":   0x8890e5cd22d1458c,
-	"planted/optimized/con/norm/streamed":   0x8890e5cd22d1458c,
-	"planted/spcp/uncon/raw/resident":       0xe0dbeb26f03f2334,
-	"planted/spcp/uncon/norm/resident":      0x7f6646150ec013fb,
-	"skewed/optimized/uncon/raw/resident":   0x752a1c5c43c0551e,
-	"skewed/optimized/uncon/raw/streamed":   0x752a1c5c43c0551e,
-	"skewed/optimized/uncon/norm/resident":  0x9038a635e68e84f8,
-	"skewed/optimized/uncon/norm/streamed":  0x9038a635e68e84f8,
-	"skewed/optimized/con/raw/resident":     0x6f5c1fadf50f4365,
-	"skewed/optimized/con/raw/streamed":     0x6f5c1fadf50f4365,
-	"skewed/optimized/con/norm/resident":    0x1de5086f858d2700,
-	"skewed/optimized/con/norm/streamed":    0x1de5086f858d2700,
-	"skewed/spcp/uncon/raw/resident":        0x0a984917361c3816,
-	"skewed/spcp/uncon/norm/resident":       0x6fe8a83fc0c847f1,
+	"planted/optimized/uncon/raw/resident":  0xdd08fad54bad2731,
+	"planted/optimized/uncon/raw/streamed":  0xdd08fad54bad2731,
+	"planted/optimized/uncon/norm/resident": 0x522c111a1a75f35c,
+	"planted/optimized/uncon/norm/streamed": 0x522c111a1a75f35c,
+	"planted/optimized/con/raw/resident":    0x331da52331f0d75a,
+	"planted/optimized/con/raw/streamed":    0x331da52331f0d75a,
+	"planted/optimized/con/norm/resident":   0x0d68d583c834ba42,
+	"planted/optimized/con/norm/streamed":   0x0d68d583c834ba42,
+	"planted/spcp/uncon/raw/resident":       0x72fecae8983d230c,
+	"planted/spcp/uncon/norm/resident":      0x9738c34f70c449b9,
+	"skewed/optimized/uncon/raw/resident":   0x2d6e08ede602a103,
+	"skewed/optimized/uncon/raw/streamed":   0x2d6e08ede602a103,
+	"skewed/optimized/uncon/norm/resident":  0xaa71d93a06c6d060,
+	"skewed/optimized/uncon/norm/streamed":  0xaa71d93a06c6d060,
+	"skewed/optimized/con/raw/resident":     0x294be7307b68d26c,
+	"skewed/optimized/con/raw/streamed":     0x294be7307b68d26c,
+	"skewed/optimized/con/norm/resident":    0xe73c1c8601d03b73,
+	"skewed/optimized/con/norm/streamed":    0xe73c1c8601d03b73,
+	"skewed/spcp/uncon/raw/resident":        0x1b1fdd42d12b41ee,
+	"skewed/spcp/uncon/norm/resident":       0x5244fb729c5fe4aa,
 }
 
 // TestSliceBodyBits holds the slice body to its exact output across
@@ -77,7 +77,7 @@ func TestSliceBodyBits(t *testing.T) {
 							}
 							opt := Options{
 								Rank: 5, Algorithm: alg, Constraint: con,
-								Normalize: normalize, Seed: 4, Workers: 2, TrackFit: true,
+								Normalize: normalize, Seed: 4, Workers: 2,
 							}
 							if streamed {
 								opt.MemBudget = 1

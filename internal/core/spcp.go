@@ -75,16 +75,16 @@ func gatherEntered(dst, aNz *dense.Matrix, nz, prev []int32) *dense.Matrix {
 // left the nz set were written by the previous slice, so they are stored
 // current; the rows that entered it are read from the gather.
 func (d *Decomposer) beginZ(run *sliceRun) {
-	rm, sp, v := d.remapper.Begin(run.in.x, nil), &d.sp, d.cur
+	rm, sp, v := d.remapper.Begin(run.in.x), &d.sp, d.cur
 	for m := range v.a {
 		nz := rm.NZ[m]
 		sp.aNzPrev[m] = gatherRows(sp.aNzPrev[m], v, m, nz)
 		d.zRowsRead += len(nz)
 		sp.aNz[m] = resized(sp.aNz[m], len(nz), d.k)
 		sp.aNz[m].CopyFrom(sp.aNzPrev[m])
-		if d.prevNZ == nil || d.opt.DirectCz {
-			// First slice (or the DirectCz ablation): C_z,t−1 =
-			// C − Gram(A_nz) from scratch.
+		if d.prevNZ == nil || d.directCz {
+			// First slice (or the from-scratch cross-check): C_z,t−1 =
+			// C − Gram(A_nz).
 			dense.GramParallel(sp.gram, sp.aNzPrev[m], d.opt.Workers)
 			dense.Sub(d.cz[m], d.c[m], sp.gram)
 			continue

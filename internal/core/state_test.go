@@ -253,7 +253,7 @@ func TestScheduleIgnoresHistory(t *testing.T) {
 // savedStateSHA256 is the SHA-256 of the SPSTRM05 bytes SaveState writes
 // for savedStateFixture: the stored rows, their ages and the log of a
 // lazy z side three slices past its last flush.
-const savedStateSHA256 = "d8fb6964a1496d82081f1115b50f574ad95bf083aa4cb6d1f64a151bde798bb7"
+const savedStateSHA256 = "0a70498b4453d9c51cb9d32ab21b55eff4ce542c26f39ec771c51340f264569e"
 
 // savedStateFixture is a decomposer whose state has every section of
 // the format filled in: a lazy z side, spCP nz sets and z-row Grams, a

@@ -17,22 +17,21 @@ import (
 //   - EvalInMemory: the blocks are materialized into one tensor and the
 //     slice runs as if it had come through ProcessSliceContext.
 //   - EvalStreamed: the slice never materializes. The source itself is
-//     the slice driver's input, and every pass over the sparse data — the
-//     warm-start time-mode MTTKRP and one factor-mode MTTKRP per mode
-//     per inner iteration — streams over the blocks (mttkrpTime and
-//     mttkrpMode in kernels.go), so the resident set is the factor
-//     matrices, one decoded block per worker and what else of the slice
-//     the budget has room for (streamKernel below), never more for a
-//     larger slice. The per-iteration sₜ and the fit's ⟨X, X̂⟩ come from
-//     the last mode's MTTKRP and its ‖X‖² from the schedule compile, not
-//     a decode.
+//     the slice driver's input, and every pass over the sparse data — one
+//     factor-mode MTTKRP per mode per inner iteration, the first of them
+//     computed by the warm start — streams over the blocks (mttkrpMode
+//     in kernels.go), so the resident set is the factor matrices, one
+//     decoded block per worker and what else of the slice the budget has
+//     room for (streamKernel below), never more for a larger slice. Every
+//     sₜ and the fit's ⟨X, X̂⟩ come from a factor mode's MTTKRP and ‖X‖²
+//     from the schedule compile, not a decode.
 //
 // A streamed slice runs the slice body with an empty z set under either
 // algorithm — its nz sets would take a remap of the source — and the
 // optimized kernels: mttkrp.StreamKernel is bit-identical to the
-// compiled coordinate plan (mttkrp.PlanMTTKRP) and to the in-memory
-// time-mode reduction on the block concatenation — and everything
-// between the kernels is the same code — so a streamed slice produces
+// compiled coordinate plan (mttkrp.PlanMTTKRP) on the block
+// concatenation — and everything between the kernels is the same code —
+// so a streamed slice produces
 // bit-identical factors, temporal weights, and fit to the in-memory
 // Optimized run. Constrained problems are supported — ADMM consumes the
 // full Ψ⁽ⁿ⁾, staged per mode just like the in-memory path.

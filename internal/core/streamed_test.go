@@ -50,7 +50,6 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 				Rank:      8,
 				Algorithm: Optimized,
 				Workers:   workers,
-				TrackFit:  true,
 				Seed:      7,
 			}
 			mem, err := NewDecomposer(dims, opt)
@@ -126,7 +125,7 @@ func TestStreamedResidentMatchesInMemory(t *testing.T) {
 		dims := []int{60, 50, 40, 12}[:modes]
 		stream := testStream(t, 19, dims, 1500, 3)
 		for _, workers := range []int{1, 2, 4} {
-			opt := Options{Rank: 4, Algorithm: Optimized, Workers: workers, TrackFit: true, Seed: 7, MaxIters: 4, Tol: 1e-300}
+			opt := Options{Rank: 4, Algorithm: Optimized, Workers: workers, Seed: 7, MaxIters: 4, Tol: 1e-300}
 			first := raggedBlocks(t, stream.Slices[0])
 			nb := first.Blocks()
 			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
@@ -174,7 +173,7 @@ func TestStreamedResidentMatchesInMemory(t *testing.T) {
 func TestBlockSliceMaterializes(t *testing.T) {
 	dims := []int{25, 20, 30}
 	stream := testStream(t, 5, dims, 800, 3)
-	opt := Options{Rank: 6, Algorithm: Optimized, MemBudget: 1 << 30, TrackFit: true, Seed: 3}
+	opt := Options{Rank: 6, Algorithm: Optimized, MemBudget: 1 << 30, Seed: 3}
 	blocked, err := NewDecomposer(dims, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -284,14 +283,14 @@ func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor
 // kernel's own first read meets the bad CRC, and a block that stops
 // decoding at a chosen pass of the slice — and checks the guarded path
 // treats each like any failed attempt: the error names the block, the
-// slice is skipped, the model is bit for bit where it was with no ψ of
-// the lost attempts left to read, and the next good slice lands exactly
-// where it does on a decomposer that never saw the failure, tracked fit
-// included.
+// slice is skipped, the model is bit for bit where it was, and the next
+// good slice lands exactly where it does on a decomposer that never saw
+// the failure, fit included.
 //
 // A slice's passes, each decoding every block once per worker that
-// needs it: the schedule compile (once, on the caller), the warm-start
-// time mode, then one MTTKRP per factor mode per inner iteration. Block
+// needs it: the schedule compile (once, on the caller), then one MTTKRP
+// per factor mode per inner iteration, the first of them the warm
+// start's mode 0. Block
 // 3's decodes before a pass are counted from that; the pass sₜ now
 // depends on — the last mode of the last iteration — is reached at any
 // worker count by arming the source from the fault hook, which every
@@ -336,7 +335,7 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 	if err := os.WriteFile(flipped, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const compile, warmStart = 1, 1
+	const compile = 1
 	cases := []struct {
 		name string
 		scan bool
@@ -345,15 +344,15 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 		good int64
 	}{
 		{"flipped byte, first read", false, 0},
-		{"warm-start time mode", true, compile},
-		{"first iteration, last mode", true, int64(compile + warmStart + len(dims) - 1)},
+		{"warm-start mode-0 MTTKRP", true, compile},
+		{"first iteration, last mode", true, int64(compile + len(dims) - 1)},
 		{"last iteration, last mode", true, -1},
 	}
 	for _, run := range []struct{ workers, flaky int }{{1, 3}, {2, 3}, {4, 3}, {1, 6}, {2, 6}, {4, 6}} {
 		for _, tc := range cases {
 			workers, partial := run.workers, run.flaky != 3
 			label := fmt.Sprintf("workers=%d partial=%v %s", workers, partial, tc.name)
-			opt := Options{Rank: 6, Algorithm: Optimized, Workers: workers, MemBudget: 1, Seed: 5, TrackFit: true, MaxIters: iters, Tol: 1e-300}
+			opt := Options{Rank: 6, Algorithm: Optimized, Workers: workers, MemBudget: 1, Seed: 5, MaxIters: iters, Tol: 1e-300}
 			control, err := NewDecomposer(dims, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -403,9 +402,6 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 			if st := d.ResilienceStats(); !res.Skipped || d.T() != 1 || st.Rollbacks != st.SliceRetries+1 || st.SlicesSkipped != 1 || st.PanicsRecovered != 0 {
 				t.Fatalf("%s: skipped=%v t=%d stats=%+v", label, res.Skipped, d.T(), st)
 			}
-			if d.psiFresh {
-				t.Fatalf("%s: the lost attempt's ψ is still marked fresh", label)
-			}
 			for n := range dims {
 				sameMatrixBits(t, fmt.Sprintf("%s rolled-back factor %d", label, n), d.Factor(n), control.Factor(n))
 			}
@@ -449,8 +445,8 @@ func relFactorDiff(a, b *Decomposer) float64 {
 // spCP-stream decomposer between resident ones. The streamed slices run
 // the explicit body, which moves every row outside the Gram-form
 // bookkeeping, so the next spCP slice must rebuild C_z,t−1 from scratch:
-// the incremental run has to land where the DirectCz run (which always
-// rebuilds) does. The incremental run also loses the first slice after
+// the incremental run has to land where the from-scratch run (which
+// always rebuilds) does. The incremental run also loses the first slice after
 // the streamed ones to a failed health check, after that slice's finish
 // has recorded its nz sets: the rollback has to forget them again.
 func TestSpCPStreamMixedEval(t *testing.T) {
@@ -459,14 +455,11 @@ func TestSpCPStreamMixedEval(t *testing.T) {
 	big := testStream(t, 18, dims, 3000, 6).Slices
 	slices[2], slices[3] = big[2], big[3]
 	run := func(direct bool) *Decomposer {
-		d, err := NewDecomposer(dims, Options{
-			Rank: 6, Algorithm: SpCPStream, DirectCz: direct, Seed: 3,
+		d := newDirectCz(t, dims, Options{
+			Rank: 6, Algorithm: SpCPStream, Seed: 3,
 			MemBudget:  perfmodel.ResidentBytes(1000, 3),
 			Resilience: &resilience.Config{Policy: resilience.SkipSlice},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, direct)
 		feed := func(x *sptensor.Tensor) error {
 			src, err := sptensor.SplitBlocks(x, 500)
 			if err != nil {
@@ -506,7 +499,7 @@ func TestSpCPStreamMixedEval(t *testing.T) {
 		return d
 	}
 	if diff := relFactorDiff(run(false), run(true)); diff > 1e-10 {
-		t.Fatalf("incremental C_z differs from DirectCz by %g after streamed slices", diff)
+		t.Fatalf("incremental C_z differs from the from-scratch one by %g after streamed slices", diff)
 	}
 }
 
@@ -573,7 +566,7 @@ func TestSliceDriverStreamedAndResident(t *testing.T) {
 				var out outcome
 				failIter := false
 				opt := cfg.opt
-				opt.Rank, opt.Seed, opt.Workers, opt.TrackFit = 5, 9, workers, true
+				opt.Rank, opt.Seed, opt.Workers = 5, 9, workers
 				opt.MaxIters, opt.Tol = 3, 1e-300
 				if entry != resident {
 					opt.MemBudget = 1 << 30

@@ -29,7 +29,7 @@ func TestCoalescedStreamConvergesClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.Options{Rank: 4, Algorithm: core.Optimized, Seed: 3, TrackFit: true}
+	opt := core.Options{Rank: 4, Algorithm: core.Optimized, Seed: 3}
 
 	full, err := core.NewDecomposer(s.Dims, opt)
 	if err != nil {

@@ -141,24 +141,3 @@ func BenchmarkStreamMTTKRP(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStreamTimeMode times the streamed single-row MTTKRP over the
-// same file.
-func BenchmarkStreamTimeMode(b *testing.B) {
-	r := oocSlice(b)
-	sk := NewStreamKernel(NewComputer(0))
-	const k = 16
-	factors := randomFactors(32, r.Dims(), k)
-	dst := make([]float64, k)
-	if err := sk.Begin(r); err != nil {
-		b.Fatal(err)
-	}
-	b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := sk.TimeMode(dst, r, factors); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.NNZ()), "ns/nnz")
-	})
-}

@@ -4,8 +4,10 @@
 // compiled Plan (plan.go) and the register panel under it (panel.go),
 // the Remapper into the compact nz-row index space (remap.go), the
 // block-streamed StreamKernel (stream.go), and TimeMode, the single-row
-// MTTKRP behind the sₜ update (one partial per fixed nonzero span where
-// the paper accumulates per thread, §IV-B).
+// streaming-mode MTTKRP (one partial per fixed nonzero span where the
+// paper accumulates per thread, §IV-B) that scores an arbitrary slice's
+// fit — the runtime's sₜ reads its right-hand side off a factor mode's
+// MTTKRP instead.
 // A Computer owns the reusable per-worker scratch, so per-iteration calls
 // are allocation-free in steady state. The paper's lock-based kernels
 // are in internal/baselines.
@@ -173,9 +175,8 @@ func Sequential(out *dense.Matrix, x *sptensor.Tensor, factors []*dense.Matrix, 
 // timeSpan is the nonzeros one time-mode partial sums: TimeMode cuts the
 // nonzero range into spans of this constant length, sums each from zero
 // into its own rank-k partial and adds the partials in span order
-// (parallel.SumBlocks), so no bit depends on the worker count, nor, for
-// StreamKernel.TimeMode, on the source's block sizes. A multiple of
-// timeChunk.
+// (parallel.SumBlocks), so no bit depends on the worker count. A
+// multiple of timeChunk.
 const timeSpan = 4096
 
 // TimeMode computes dst[k] = Σ_e val_e · ∏_v factors[v][i_v][k] — the

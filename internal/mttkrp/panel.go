@@ -159,8 +159,8 @@ func (r *rowRun) addRange(dst []float64, lo, hi int) {
 }
 
 // timeRange adds Σ_e val_e · ∏_v factors[v][i_v][j] over nonzeros
-// [lo, hi) of x into acc — the streaming-mode row, shared by
-// Computer.TimeMode and StreamKernel.TimeMode. Three factors take the
+// [lo, hi) of x into acc — the streaming-mode row of one
+// Computer.TimeMode span. Three factors take the
 // three-row register panel, ((v·r0)·r1)·r2 per column; other orders
 // keep the generic scratch-row body over buf.
 func timeRange(acc, buf []float64, x *sptensor.Tensor, factors []*dense.Matrix, lo, hi int) {

@@ -187,8 +187,8 @@ var (
 	panelShapes  = [][]int{{11, 40, 9}, {5, 13, 4, 6}}
 )
 
-// TestPanelKernelsBitIdentical pins PlanMTTKRP, StreamKernel.MTTKRP,
-// Computer.TimeMode and StreamKernel.TimeMode to the scratch-row bodies
+// TestPanelKernelsBitIdentical pins PlanMTTKRP, StreamKernel.MTTKRP and
+// Computer.TimeMode to the scratch-row bodies
 // they replaced: ranks around the panel width (tail only, one panel,
 // panel + tail, several panels), worker counts below, at and above the
 // pool size, three-way (panel) and four-way (generic body) slices,
@@ -233,16 +233,6 @@ func TestPanelKernelsBitIdentical(t *testing.T) {
 						t.Fatalf("%s TimeMode[%d] = %x, reference %x", name, j,
 							math.Float64bits(got[j]), math.Float64bits(want[j]))
 					}
-					for j := range got {
-						got[j] = 3
-					}
-					if err := sk.TimeMode(got, src, factors); err != nil {
-						t.Fatal(err)
-					}
-					if j, ok := sameBits(got, want); !ok {
-						t.Fatalf("%s StreamKernel.TimeMode[%d] = %x, reference %x", name, j,
-							math.Float64bits(got[j]), math.Float64bits(want[j]))
-					}
 				}
 			}
 		}
@@ -252,17 +242,12 @@ func TestPanelKernelsBitIdentical(t *testing.T) {
 // TestTimeModeChunkSeam runs the time-mode panel over a range several
 // timeSpan long and not a multiple of timeChunk, so accumulators are
 // spilled and reloaded between chunks and partials start at every span
-// edge — in memory, and streamed from blocks whose edges fall inside
-// spans.
+// edge.
 func TestTimeModeChunkSeam(t *testing.T) {
 	dims := []int{30, 50, 20}
 	x := randomSlice(9, dims, 2*timeSpan+3*timeChunk+17)
 	if x.NNZ() <= 2*timeSpan {
 		t.Fatalf("slice too small for the seam: %d nonzeros", x.NNZ())
-	}
-	src, err := sptensor.SplitBlocks(x, 1000)
-	if err != nil {
-		t.Fatal(err)
 	}
 	pool := parallel.NewPool(2)
 	defer pool.Close()
@@ -276,13 +261,6 @@ func TestTimeModeChunkSeam(t *testing.T) {
 			c.TimeMode(got, x, factors)
 			if j, ok := sameBits(got, want); !ok {
 				t.Fatalf("K=%d W=%d TimeMode[%d] = %x, reference %x", k, workers, j,
-					math.Float64bits(got[j]), math.Float64bits(want[j]))
-			}
-			if err := NewStreamKernel(c).TimeMode(got, src, factors); err != nil {
-				t.Fatal(err)
-			}
-			if j, ok := sameBits(got, want); !ok {
-				t.Fatalf("K=%d W=%d StreamKernel.TimeMode[%d] = %x, reference %x", k, workers, j,
 					math.Float64bits(got[j]), math.Float64bits(want[j]))
 			}
 		}

@@ -2,7 +2,6 @@ package mttkrp
 
 import (
 	"slices"
-	"sort"
 
 	"spstream/internal/dense"
 	"spstream/internal/sptensor"
@@ -23,18 +22,9 @@ type Remapped struct {
 	NZ [][]int32
 }
 
-// Remap builds the local-index view of a slice. Cost is O(nnz·N) plus
-// a sort of each mode's touched rows, O(|nz|·log|nz|). Convenience wrapper over a
-// throwaway Remapper; streaming callers hold a Remapper so the dense
-// scratch (and the result's storage) is reused across slices.
-func Remap(x *sptensor.Tensor) *Remapped {
-	var r Remapper
-	return r.Begin(x, nil)
-}
-
 // Remapper builds Remapped views with pooled storage: a dense
-// global→local lookup column per mode (replacing the map[int32]int32
-// the original Remap allocated per mode per slice), plus the reused NZ
+// global→local lookup column per mode (in place of a map[int32]int32
+// per mode per slice), plus the reused NZ
 // lists and local index columns. After the buffers have grown to the
 // stream's working size, Begin allocates nothing.
 type Remapper struct {
@@ -47,16 +37,14 @@ type Remapper struct {
 // of the previous Begin (callers needing the previous slice's NZ sets
 // across Begin calls must copy them out). The returned value's Vals
 // alias x's — values are untouched by renumbering — so x must stay
-// alive and unmodified while the view is in use.
+// alive and unmodified while the view is in use. Local ids follow
+// ascending global rows, which keeps a lexicographically sorted slice
+// sorted and NZ[m] sorted ascending (the invariant the SetDiff
+// bookkeeping relies on).
 //
-// hotFirst optionally overrides the local id order per mode: nil (or a
-// nil entry) assigns ids in ascending global-row order, which keeps a
-// lexicographically sorted slice sorted and NZ[m] sorted ascending (the
-// invariant the SetDiff bookkeeping relies on). A non-nil entry
-// must be a full permutation of the mode's rows (pos → global row);
-// rows then get local ids in that order, NZ[m] is in permutation order,
-// and the local slice is no longer sorted.
-func (r *Remapper) Begin(x *sptensor.Tensor, hotFirst [][]int32) *Remapped {
+// The variadic argument is ignored: it is the slot of a deleted
+// hot-first order that bench/ still passes as nil.
+func (r *Remapper) Begin(x *sptensor.Tensor, _ ...[][]int32) *Remapped {
 	n := x.NModes()
 	nnz := x.NNZ()
 	if cap(r.lut) < n {
@@ -100,21 +88,10 @@ func (r *Remapper) Begin(x *sptensor.Tensor, hotFirst [][]int32) *Remapped {
 			}
 		}
 		// … then assign local ids in ascending global order (a sort of
-		// the touched rows, so no pass over all dim) or in the caller's
-		// hot-first order.
-		if hotFirst != nil && m < len(hotFirst) && hotFirst[m] != nil {
-			nz = nz[:0]
-			for _, g := range hotFirst[m] {
-				if lut[g] == -2 {
-					lut[g] = int32(len(nz))
-					nz = append(nz, g)
-				}
-			}
-		} else {
-			slices.Sort(nz)
-			for l, g := range nz {
-				lut[g] = int32(l)
-			}
+		// the touched rows, so no pass over all dim).
+		slices.Sort(nz)
+		for l, g := range nz {
+			lut[g] = int32(l)
 		}
 		r.rm.NZ[m] = nz
 		r.x.Dims[m] = len(nz)
@@ -137,32 +114,15 @@ func (r *Remapper) Begin(x *sptensor.Tensor, hotFirst [][]int32) *Remapped {
 	return &r.rm
 }
 
-// GatherFactors extracts the A_nz matrices for every mode: out[m] is the
-// len(NZ[m])×K gather of full[m]'s nz rows.
-func (rm *Remapped) GatherFactors(full []*dense.Matrix) []*dense.Matrix {
-	out := make([]*dense.Matrix, len(full))
-	for m, f := range full {
-		idx := make([]int, len(rm.NZ[m]))
-		for i, g := range rm.NZ[m] {
-			idx[i] = int(g)
-		}
-		out[m] = dense.GatherRows(f, idx)
-	}
-	return out
-}
-
 // GatherMode refreshes a single mode's gather in place (the per-mode
 // compact-factor refresh after a factor update).
 func (rm *Remapped) GatherMode(dst, full *dense.Matrix, mode int) {
-	gatherInt32(dst, full, rm.NZ[mode])
-}
-
-func gatherInt32(dst, src *dense.Matrix, idx []int32) {
-	if dst.Rows != len(idx) || dst.Cols != src.Cols {
+	idx := rm.NZ[mode]
+	if dst.Rows != len(idx) || dst.Cols != full.Cols {
 		panic("mttkrp: gather shape mismatch")
 	}
 	for r, i := range idx {
-		copy(dst.Row(r), src.Row(int(i)))
+		copy(dst.Row(r), full.Row(int(i)))
 	}
 }
 
@@ -197,9 +157,4 @@ func SetDiff(a, b []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// SortedInt32 reports whether s is sorted ascending (test helper).
-func SortedInt32(s []int32) bool {
-	return sort.SliceIsSorted(s, func(a, b int) bool { return s[a] < s[b] })
 }

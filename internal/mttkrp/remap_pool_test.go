@@ -1,14 +1,13 @@
 package mttkrp
 
 import (
+	"slices"
 	"testing"
 
 	"spstream/internal/dense"
-	"spstream/internal/sptensor"
-	"spstream/internal/synth"
 )
 
-// remapEqual compares a pooled Begin result against a throwaway Remap of
+// remapEqual compares a pooled Begin result against a throwaway remap of
 // the same slice: NZ sets, local dims, and translated coordinates.
 func remapEqual(t *testing.T, got, want *Remapped) {
 	t.Helper()
@@ -33,7 +32,7 @@ func remapEqual(t *testing.T, got, want *Remapped) {
 }
 
 // A pooled Remapper fed a stream of slices with shifting nz sets must
-// produce exactly what a fresh Remap produces for every slice — the
+// produce exactly what a fresh Remapper produces for every slice — the
 // targeted LUT reset may leave no stale local ids behind.
 func TestRemapperPooledReuse(t *testing.T) {
 	dims := []int{40, 25, 33}
@@ -42,47 +41,17 @@ func TestRemapperPooledReuse(t *testing.T) {
 		// Vary density a lot so NZ sets both grow and shrink.
 		nnz := []int{60, 5, 90, 1, 40, 70}[s]
 		x := randomSlice(uint64(100+s), dims, nnz)
-		got := r.Begin(x, nil)
-		remapEqual(t, got, Remap(x))
+		got := r.Begin(x)
+		remapEqual(t, got, remap(x))
 		if err := got.X.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		for m := range dims {
-			if !SortedInt32(got.NZ[m]) {
+			if !slices.IsSorted(got.NZ[m]) {
 				t.Fatalf("slice %d mode %d: NZ not sorted", s, m)
 			}
 		}
 	}
-}
-
-// Hot-first order: local ids follow the permutation's order restricted
-// to the touched rows, and NZ[m] lists globals in that order.
-func TestRemapperHotFirst(t *testing.T) {
-	x := sptensor.New(6, 4)
-	x.Append([]int32{0, 1}, 1)
-	x.Append([]int32{2, 1}, 2)
-	x.Append([]int32{5, 3}, 3)
-	x.Coalesce()
-	perm := [][]int32{{5, 3, 0, 1, 2, 4}, nil} // mode 0 hot-first, mode 1 ascending
-	var r Remapper
-	rm := r.Begin(x, perm)
-	// Touched rows {0,2,5} in perm order → 5,0,2.
-	want := []int32{5, 0, 2}
-	for i, g := range want {
-		if rm.NZ[0][i] != g {
-			t.Fatalf("NZ[0] = %v, want %v", rm.NZ[0], want)
-		}
-	}
-	// Coordinate translation agrees: global 5 → local 0, 0 → 1, 2 → 2.
-	if rm.X.Inds[0][0] != 1 || rm.X.Inds[0][1] != 2 || rm.X.Inds[0][2] != 0 {
-		t.Fatalf("hot-first translated inds = %v", rm.X.Inds[0])
-	}
-	if !SortedInt32(rm.NZ[1]) {
-		t.Fatal("nil perm entry must keep ascending order")
-	}
-	// Next slice with nil perm resets cleanly back to ascending.
-	rm = r.Begin(x, nil)
-	remapEqual(t, rm, Remap(x))
 }
 
 // Steady-state remapping allocates nothing: once the pooled buffers have
@@ -92,14 +61,14 @@ func TestRemapperSteadyStateAllocs(t *testing.T) {
 	a := randomSlice(1, dims, 500)
 	b := randomSlice(2, dims, 480)
 	var r Remapper
-	r.Begin(a, nil)
-	r.Begin(b, nil)
+	r.Begin(a)
+	r.Begin(b)
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		if i%2 == 0 {
-			r.Begin(a, nil)
+			r.Begin(a)
 		} else {
-			r.Begin(b, nil)
+			r.Begin(b)
 		}
 		i++
 	})
@@ -108,45 +77,21 @@ func TestRemapperSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// randPerm builds a deterministic random permutation of [0, n).
-func randPerm(r *synth.RNG, n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// FuzzRemapRoundTrip drives Begin with random slices and random hot-first
-// permutations and checks the two contracts the streaming layout path
-// relies on: (1) global → local → global coordinate renumbering is the
-// identity on every nonzero, and (2) the MTTKRP computed in the permuted
-// local space, scattered back through NZ, equals Sequential over the
-// original slice.
+// FuzzRemapRoundTrip drives Begin with random slices and checks the two
+// contracts spCP-stream's remapped slice relies on: (1) global → local →
+// global coordinate renumbering is the identity on every nonzero, and
+// (2) the MTTKRP computed in the local space, scattered back through NZ,
+// equals Sequential over the original slice.
 func FuzzRemapRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(40), uint8(3), false)
-	f.Add(uint64(7), uint8(9), uint8(120), true)
-	f.Add(uint64(42), uint8(1), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed uint64, dimSel, nnzSel uint8, hot bool) {
+	f.Add(uint64(1), uint8(40), uint8(3))
+	f.Add(uint64(7), uint8(9), uint8(120))
+	f.Add(uint64(42), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, dimSel, nnzSel uint8) {
 		dims := []int{3 + int(dimSel)%48, 2 + int(dimSel>>2)%31, 2 + int(dimSel>>4)%17}
 		nnz := 1 + int(nnzSel)
 		x := randomSlice(seed, dims, nnz)
-		r := synth.NewRNG(seed ^ 0x9e3779b97f4a7c15)
-		var hotFirst [][]int32
-		if hot {
-			hotFirst = make([][]int32, len(dims))
-			for m, d := range dims {
-				if r.Intn(3) > 0 { // leave some modes ascending
-					hotFirst[m] = randPerm(r, d)
-				}
-			}
-		}
 		var rp Remapper
-		rm := rp.Begin(x, hotFirst)
+		rm := rp.Begin(x)
 		if err := rm.X.Validate(); err != nil {
 			t.Fatalf("remapped slice invalid: %v", err)
 		}
@@ -161,10 +106,10 @@ func FuzzRemapRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		// (2) Permuted-space MTTKRP equals the global-space one.
+		// (2) Local-space MTTKRP equals the global-space one.
 		k := 3
 		factors := randomFactors(seed+9, dims, k)
-		gathered := rm.GatherFactors(factors)
+		gathered := gatherFactors(rm, factors)
 		for mode := range dims {
 			local := dense.NewMatrix(len(rm.NZ[mode]), k)
 			Sequential(local, rm.X, gathered, mode)
@@ -175,7 +120,7 @@ func FuzzRemapRoundTrip(f *testing.F) {
 			for i := range want.Data {
 				d := back.Data[i] - want.Data[i]
 				if d > 1e-9 || d < -1e-9 {
-					t.Fatalf("mode %d: permuted MTTKRP diverges at %d: %g vs %g", mode, i, back.Data[i], want.Data[i])
+					t.Fatalf("mode %d: local MTTKRP diverges at %d: %g vs %g", mode, i, back.Data[i], want.Data[i])
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package mttkrp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,12 +9,29 @@ import (
 	"spstream/internal/sptensor"
 )
 
+// remap is a throwaway Remapper's view of x.
+func remap(x *sptensor.Tensor) *Remapped {
+	var r Remapper
+	return r.Begin(x)
+}
+
+// gatherFactors returns, per mode, the len(NZ[m])×K gather of full[m]'s
+// nz rows.
+func gatherFactors(rm *Remapped, full []*dense.Matrix) []*dense.Matrix {
+	out := make([]*dense.Matrix, len(full))
+	for m, f := range full {
+		out[m] = dense.NewMatrix(len(rm.NZ[m]), f.Cols)
+		rm.GatherMode(out[m], f, m)
+	}
+	return out
+}
+
 func TestRemapStructure(t *testing.T) {
 	x := sptensor.New(10, 20)
 	x.Append([]int32{7, 3}, 1)
 	x.Append([]int32{2, 3}, 2)
 	x.Append([]int32{7, 15}, 3)
-	rm := Remap(x)
+	rm := remap(x)
 	// nz sets sorted and correct.
 	if len(rm.NZ[0]) != 2 || rm.NZ[0][0] != 2 || rm.NZ[0][1] != 7 {
 		t.Fatalf("NZ[0] = %v", rm.NZ[0])
@@ -43,8 +61,8 @@ func TestRowSparseMatchesFullMTTKRP(t *testing.T) {
 		dims := []int{30, 40, 25}
 		x := randomSlice(seed, dims, 80) // sparse: many zero rows
 		factors := randomFactors(seed+5, dims, 3)
-		rm := Remap(x)
-		gathered := rm.GatherFactors(factors)
+		rm := remap(x)
+		gathered := gatherFactors(rm, factors)
 		c := NewComputer(2)
 		for mode := range dims {
 			full := dense.NewMatrix(dims[mode], 3)
@@ -84,19 +102,13 @@ func TestGatherScatterMode(t *testing.T) {
 	x := sptensor.New(6, 6)
 	x.Append([]int32{1, 2}, 1)
 	x.Append([]int32{4, 2}, 1)
-	rm := Remap(x)
+	rm := remap(x)
 	full := dense.NewMatrix(6, 2)
 	for i := range full.Data {
 		full.Data[i] = float64(i)
 	}
-	g := rm.GatherFactors([]*dense.Matrix{full, full})
-	if g[0].Rows != 2 || g[0].At(1, 0) != full.At(4, 0) {
-		t.Fatal("gather wrong")
-	}
-	// Refresh in place through GatherMode.
-	g2 := dense.NewMatrix(2, 2)
-	rm.GatherMode(g2, full, 0)
-	if g2.At(0, 1) != full.At(1, 1) {
+	g := gatherFactors(rm, []*dense.Matrix{full, full})
+	if g[0].Rows != 2 || g[0].At(1, 0) != full.At(4, 0) || g[0].At(0, 1) != full.At(1, 1) {
 		t.Fatal("GatherMode wrong")
 	}
 	// Scatter modified rows back.
@@ -149,7 +161,7 @@ func TestSetAlgebraProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(d)+common == len(b) && SortedInt32(d)
+		return len(d)+common == len(b) && slices.IsSorted(d)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -17,22 +17,14 @@ import (
 // (plus the factor matrices and the output) and no part of a pass runs
 // on the caller alone. The results are bit-identical to running the
 // in-memory plan kernels on the materialized concatenation of the
-// blocks, for any worker count:
-//
-//   - MTTKRP: Begin gives each worker a contiguous range of output rows
-//     (nnz-balanced from the exact row histogram) and the ascending list
-//     of blocks whose rows reach into it. A worker walks that list in
-//     source order and, per block, stable-counting-sorts the entries
-//     whose row it owns, so each output row has exactly one writer and
-//     receives its contributions in (block order, entry order) — the
-//     plan kernel's per-row left-to-right sum. Which worker owns a row
-//     decides only who does the work, never a bit of the result.
-//   - TimeMode: the global nonzero range is cut into the same fixed
-//     timeSpan-long spans as the in-memory TimeMode, each worker decodes
-//     the blocks its spans intersect and sums every span from zero into
-//     the span's own rank-k partial, carried across block edges, and the
-//     partials merge into dst in span order — the in-memory TimeMode's
-//     reduction on the materialized tensor, whoever summed which span.
+// blocks, for any worker count: Begin gives each worker a contiguous
+// range of output rows (nnz-balanced from the exact row histogram) and
+// the ascending list of blocks whose rows reach into it. A worker walks
+// that list in source order and, per block, stable-counting-sorts the
+// entries whose row it owns, so each output row has exactly one writer
+// and receives its contributions in (block order, entry order) — the
+// plan kernel's per-row left-to-right sum. Which worker owns a row
+// decides only who does the work, never a bit of the result.
 //
 // A slice's structure does not change between its passes, so what
 // SetShare leaves after the workers' streaming buffers keeps it, in a
@@ -79,11 +71,9 @@ type StreamKernel struct {
 	permTop    atomic.Int64
 	kept       int
 
-	// Dispatch arguments for the pool bodies (no closures), and
-	// TimeMode's span partials.
+	// Dispatch arguments for the pool body (no closures).
 	out     *dense.Matrix
 	factors []*dense.Matrix
-	parts   []float64
 	mode    int
 	k       int
 }
@@ -170,11 +160,11 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // Begin compiles the schedule for src in one pass over its blocks: the
-// global nonzero offset of every block (TimeMode's partition), ‖X‖² and,
-// per mode, every block's observed row extent, the exact row histogram,
-// and from it each worker's row range and block list; the blocks plan
-// keeps are copied out of the same decode. MTTKRP, TimeMode and Norm2
-// call it themselves on a source they were not compiled for.
+// global nonzero offset of every block, ‖X‖² and, per mode, every
+// block's observed row extent, the exact row histogram, and from it each
+// worker's row range and block list; the blocks plan keeps are copied
+// out of the same decode. MTTKRP and Norm2 call it themselves on a
+// source they were not compiled for.
 func (s *StreamKernel) Begin(src sptensor.BlockSource) error {
 	s.End()
 	dims, nb := src.Dims(), src.Blocks()
@@ -501,58 +491,4 @@ func streamBody(ctx any, _ int, wr parallel.Range) {
 func (s *StreamKernel) Norm2(src sptensor.BlockSource) (float64, error) {
 	err := s.compiled(src)
 	return s.norm2, err
-}
-
-// TimeMode computes dst[k] = Σ_e val_e · ∏_v factors[v][i_v][k] over all
-// blocks of src. Bit-identical to Computer.TimeMode on the materialized
-// tensor, at any worker count.
-func (s *StreamKernel) TimeMode(dst []float64, src sptensor.BlockSource, factors []*dense.Matrix) error {
-	if len(factors) != len(src.Dims()) {
-		panic("mttkrp: TimeMode factor count mismatch")
-	}
-	clear(dst)
-	if err := s.compiled(src); err != nil {
-		return err
-	}
-	k, spans := len(dst), (s.blkOff[len(s.blkOff)-1]+timeSpan-1)/timeSpan
-	s.c.ensureScratch(k)
-	s.parts = grow(s.parts, spans*k)
-	s.factors, s.k = factors, k
-	defer s.reset()
-	s.c.pool.Do(s.c.Workers, s.c.Workers, s, streamTimeBody)
-	if err := s.firstErr(s.c.Workers); err != nil {
-		return err
-	}
-	parallel.SumBlocks(dst, s.parts)
-	return nil
-}
-
-// streamTimeBody is the time-mode pass of workers wr, each with its
-// share of the spans: the blocks they intersect, each decoded once into
-// the worker's buffer, and per block the part of every span it holds
-// added to that span's partial.
-func streamTimeBody(ctx any, _ int, wr parallel.Range) {
-	s := ctx.(*StreamKernel)
-	nb, workers := len(s.blkOff)-1, s.c.Workers
-	spans := (s.blkOff[nb] + timeSpan - 1) / timeSpan
-	for w := wr.Lo; w < wr.Hi; w++ {
-		first, last := w*spans/workers, (w+1)*spans/workers
-		lo, hi := first*timeSpan, min(last*timeSpan, s.blkOff[nb])
-		clear(s.parts[first*s.k : last*s.k])
-		for b := 0; b < nb && s.blkOff[b] < hi; b++ {
-			base, end := s.blkOff[b], s.blkOff[b+1]
-			if end <= lo || end == base {
-				continue
-			}
-			x, err := s.block(s.src, b, w)
-			if err != nil {
-				s.ws[w].err, s.ws[w].errBlk = err, b
-				break
-			}
-			for sp := max(base, lo) / timeSpan; sp*timeSpan < min(end, hi); sp++ {
-				from, to := max(sp*timeSpan, base), min((sp+1)*timeSpan, end)
-				timeRange(s.parts[sp*s.k:(sp+1)*s.k], s.c.scratch[w][:s.k], x, s.factors, from-base, to-base)
-			}
-		}
-	}
 }

@@ -91,7 +91,7 @@ func TestStreamMatchesPlanOnBlockFile(t *testing.T) {
 
 // TestStreamKernelAllocFree checks the steady-state allocation contract:
 // after the first call has grown the scratch, repeated streamed MTTKRP
-// and TimeMode evaluations allocate nothing.
+// evaluations allocate nothing.
 func TestStreamKernelAllocFree(t *testing.T) {
 	x := streamTensor(t, []int{60, 45, 55}, 6000, 11, false)
 	src, err := sptensor.SplitBlocks(x, 900)
@@ -104,7 +104,6 @@ func TestStreamKernelAllocFree(t *testing.T) {
 	c := NewComputerWithPool(2, parallel.NewPool(2))
 	sk := NewStreamKernel(c)
 	out := dense.NewMatrix(x.Dims[0], k)
-	dst := make([]float64, k)
 	// Warm-up growth pass over every mode.
 	for mode := range x.Dims {
 		o := dense.NewMatrix(x.Dims[mode], k)
@@ -112,14 +111,8 @@ func TestStreamKernelAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sk.TimeMode(dst, src, factors); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := sk.MTTKRP(out, src, factors, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := sk.TimeMode(dst, src, factors); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -164,9 +157,8 @@ func newStreamTwin(t *testing.T, c *Computer, src sptensor.BlockSource, k int) *
 		factors: randFactors(rand.New(rand.NewSource(int64(k))), src.Dims(), k)}
 }
 
-// check runs every mode's MTTKRP and the time mode through sk and
-// compares the bits with the plan kernels and the span-keyed time-mode
-// reference.
+// check runs every mode's MTTKRP through sk and compares the bits with
+// the plan kernels.
 func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
 	t.Helper()
 	k := tw.factors[0].Cols
@@ -180,16 +172,6 @@ func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
 				t.Fatalf("%s mode %d: element %d = %v, want %v (not bit-identical)", label, mode, i, got.Data[i], v)
 			}
-		}
-	}
-	want, got := make([]float64, k), make([]float64, k)
-	refTimeMode(want, tw.mat, tw.factors)
-	if err := sk.TimeMode(got, tw.src, tw.factors); err != nil {
-		t.Fatalf("%s TimeMode: %v", label, err)
-	}
-	for j := range want {
-		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-			t.Fatalf("%s TimeMode[%d] = %v, want %v (not bit-identical)", label, j, got[j], want[j])
 		}
 	}
 }
@@ -290,7 +272,7 @@ func TestStreamScheduleSnapsToSlabs(t *testing.T) {
 }
 
 // TestStreamAlternatingSources drives one kernel the way the repo
-// benchmark does — MTTKRP and TimeMode called directly, never Begin —
+// benchmark does — MTTKRP called directly, never Begin —
 // on two sources in turn: the kernel must notice the switch each time.
 func TestStreamAlternatingSources(t *testing.T) {
 	pool := parallel.NewPool(4)
@@ -310,7 +292,7 @@ func TestStreamAlternatingSources(t *testing.T) {
 
 // TestStreamBeginAllocFree extends the steady-state contract to the
 // per-slice compile step: once the buffers have seen both sources, a
-// slice's worth of work — Begin, three MTTKRPs, a TimeMode, End —
+// slice's worth of work — Begin, three MTTKRPs, End —
 // allocates nothing on either, with no share and with the arena filled
 // from one (the file's blocks and both sources' permutations).
 func TestStreamBeginAllocFree(t *testing.T) {
@@ -327,7 +309,6 @@ func TestStreamBeginAllocFree(t *testing.T) {
 			outs[i] = append(outs[i], dense.NewMatrix(d, k))
 		}
 	}
-	dst := make([]float64, k)
 	for _, share := range []int64{0, 1 << 20} {
 		sk := NewStreamKernel(NewComputerWithPool(2, pool))
 		sk.SetShare(share)
@@ -343,9 +324,6 @@ func TestStreamBeginAllocFree(t *testing.T) {
 					if err := sk.MTTKRP(out, src, factors[i], mode); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if err := sk.TimeMode(dst, src, factors[i]); err != nil {
-					t.Fatal(err)
 				}
 				sk.End()
 			}
@@ -434,9 +412,6 @@ func TestStreamDecodeErrorLowestBlock(t *testing.T) {
 			}
 			poke(highBad, 0x7f)
 			poke(lowBad, 0x7f)
-		}
-		if err := sk.TimeMode(make([]float64, k), r, tw.factors); err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Fatalf("workers=%d TimeMode: error %v, want prefix %q", workers, err, want)
 		}
 		poke(highBad, oldHigh)
 		poke(lowBad, oldLow)

@@ -69,7 +69,6 @@ func newChaosDecomposer(t *testing.T, dims []int, cfg *resilience.Config) *core.
 	d, err := core.NewDecomposer(dims, core.Options{
 		Rank:       4,
 		Workers:    4,
-		TrackFit:   true,
 		Seed:       11,
 		Resilience: cfg,
 	})

@@ -21,7 +21,7 @@ import (
 func TestFlagGroups(t *testing.T) {
 	start := func() Config {
 		return Config{
-			Options:         core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, TrackFit: true, Resilience: &resilience.Config{Policy: resilience.SkipSlice}},
+			Options:         core.Options{Rank: 8, Algorithm: core.SpCPStream, Mu: 0.95, Resilience: &resilience.Config{Policy: resilience.SkipSlice}},
 			WindowEvents:    1000,
 			QueueCap:        8,
 			Policy:          ingest.DropNewest,

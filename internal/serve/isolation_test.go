@@ -59,7 +59,7 @@ func TestSnapshotIsolationAcrossRollback(t *testing.T) {
 	srv, err := New(Config{
 		Dims: stream.Dims,
 		Options: core.Options{
-			Rank: 3, Seed: 1, TrackFit: true,
+			Rank: 3, Seed: 1,
 			Resilience: &resilience.Config{
 				Policy:    resilience.SkipSlice,
 				FaultHook: failNthSlices(3, 5),

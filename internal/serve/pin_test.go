@@ -22,7 +22,7 @@ func spcpServer(t *testing.T, dims []int) *Server {
 	t.Helper()
 	srv, err := New(Config{
 		Dims:     dims,
-		Options:  core.Options{Rank: 3, Seed: 1, Algorithm: core.SpCPStream, TrackFit: true},
+		Options:  core.Options{Rank: 3, Seed: 1, Algorithm: core.SpCPStream},
 		QueueCap: 64,
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ func TestConcurrentReadsDuringChaos(t *testing.T) {
 	srv, err := New(Config{
 		Dims: stream.Dims,
 		Options: core.Options{
-			Rank: 3, Seed: 1, TrackFit: true,
+			Rank: 3, Seed: 1,
 			Resilience: &resilience.Config{
 				Policy: resilience.RetrySlice,
 				FaultHook: func(f resilience.Fault) error {

@@ -54,7 +54,7 @@ type FactorSnapshot struct {
 	Rank int
 	// S is the temporal row sₜ of the newest committed slice.
 	S []float64
-	// Fit is the newest committed slice's fit (NaN without TrackFit).
+	// Fit is the newest committed slice's fit (NaN for an empty slice).
 	Fit float64
 
 	ver *core.Version // fixed for the snapshot's life

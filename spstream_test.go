@@ -19,7 +19,6 @@ func TestQuickstartFlow(t *testing.T) {
 	dec, err := spstream.New(stream.Dims, spstream.Options{
 		Rank:      4,
 		Algorithm: spstream.SpCPStream,
-		TrackFit:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestFitSensible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := spstream.New(stream.Dims, spstream.Options{Rank: 4, TrackFit: true, MaxIters: 20})
+	dec, err := spstream.New(stream.Dims, spstream.Options{Rank: 4, MaxIters: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestOptionSurface(t *testing.T) {
 		v    any
 		want string
 	}{
-		{spstream.Options{}, "Rank:int Algorithm:int Mu:float64 Tol:float64 MaxIters:int Workers:int Constraint:interface ADMMTol:float64 ADMMMaxIters:int Seed:uint64 TrackFit:bool Normalize:bool DirectCz:bool MTTKRPKernel:int Layout:int MemBudget:int64 Resilience:ptr"},
+		{spstream.Options{}, "Rank:int Algorithm:int Mu:float64 Tol:float64 MaxIters:int Workers:int Constraint:interface ADMMTol:float64 ADMMMaxIters:int Seed:uint64 Normalize:bool TrackFit:bool MTTKRPKernel:int Layout:int MemBudget:int64 Resilience:ptr"},
 		{spstream.ResilienceConfig{}, "Policy:int SliceTimeout:int64 MaxDelta:float64 DisableInputScan:bool Checkpoint:ptr FaultHook:func"},
 		{spstream.IngestConfig{}, "QueueCap:int Policy:int MaxLag:int64 Degrade:bool DrainTimeout:int64 OnResult:func OnError:func Clock:func Gate:func Spill:ptr"},
 		{spstream.SpillConfig{}, "Dir:string MaxBytes:int64 SegmentBytes:int64 FsyncInterval:int64 FS:interface"},
