@@ -117,11 +117,29 @@ func oocSlice(b *testing.B) *ooc.BlockReader {
 // ooc-stream slice (schedule compiled outside the timer, like the plan
 // in BenchmarkPlanMTTKRP) and reports ns per nonzero: with no share
 // (every block decoded and sorted each pass), with a share the
-// permutations and some blocks fit, and with everything resident.
+// permutations and some blocks fit, and with everything resident. The
+// plan arm runs PlanMTTKRP on MaterializeBlocks of the same file: the
+// in-memory kernel on the same nonzeros, the floor the streamed kernel
+// is measured against.
 func BenchmarkStreamMTTKRP(b *testing.B) {
 	r := oocSlice(b)
 	const k = 16
 	factors := randomFactors(32, r.Dims(), k)
+	x, err := sptensor.MaterializeBlocks(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewComputer(0)
+	plan := c.NewPlan(x)
+	for mode, d := range x.Dims {
+		out := dense.NewMatrix(d, k)
+		b.Run(fmt.Sprintf("K=%d/plan/mode=%d", k, mode), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.PlanMTTKRP(out, plan, factors, mode)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
+		})
+	}
 	for _, share := range []int64{0, 12 << 20, 32 << 20} {
 		sk := NewStreamKernel(NewComputer(0))
 		sk.SetShare(share)

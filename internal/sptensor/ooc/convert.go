@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
@@ -41,10 +40,10 @@ type ConvertStats struct {
 
 // runEntry framing: each temporary run file is a raw sequence of
 // (nModes×int32 coordinates, float64 value) records, already sorted by
-// grid rank. Stability: within a run sort.SliceStable preserves input
-// order, and the merge breaks rank ties by run index, so the output's
-// block concatenation is the stable grid-sort of the input — the same
-// canonical order WriteTensor produces in memory.
+// grid rank. Stability: within a run gridOrder's counting sort keeps
+// input order among equal ranks, and the merge breaks rank ties by run
+// index, so the output's block concatenation is the stable grid-sort of
+// the input — the same canonical order WriteTensor produces in memory.
 
 // ConvertTNS converts a FROSTT text tensor into an SPBLK001 block
 // file with bounded memory: one streaming pass to learn dims and nnz,
@@ -73,10 +72,15 @@ func ConvertTNS(tnsPath, outPath string, opt ConvertOptions) (*ConvertStats, err
 	}
 	nModes := len(dims)
 	lay := Layout{Dims: dims, Splits: BlockShape(dims, nnz, opt.TargetBlockNNZ)}
+	cells, err := lay.cells()
+	if err != nil {
+		return nil, err
+	}
 
-	// Chunk capacity: coordinates + value + rank + sort permutation.
-	perEntry := int64(4*nModes + 8 + 8 + 8)
-	chunkCap := int(opt.MemBudget / perEntry)
+	// Chunk capacity: the budget less the rank histogram, over
+	// coordinates + value + int32 rank + int32 sort permutation.
+	perEntry := int64(4*nModes + 8 + 4 + 4)
+	chunkCap := int((opt.MemBudget - 4*int64(cells+1)) / perEntry)
 	if chunkCap < 1024 {
 		chunkCap = 1024
 	}
@@ -88,7 +92,7 @@ func ConvertTNS(tnsPath, outPath string, opt ConvertOptions) (*ConvertStats, err
 	// output (same filesystem, so the merge's reads and the atomic
 	// rename stay local).
 	dir := filepath.Dir(outPath)
-	chunk := newConvertChunk(nModes, chunkCap)
+	chunk := newConvertChunk(nModes, chunkCap, cells)
 	var runs []*os.File
 	cleanup := func() {
 		for _, f := range runs {
@@ -162,17 +166,19 @@ func ConvertTNS(tnsPath, outPath string, opt ConvertOptions) (*ConvertStats, err
 type convertChunk struct {
 	coords [][]int32
 	vals   []float64
-	ranks  []int64
-	perm   []int
+	ranks  []int32
+	perm   []int32
+	count  []int32
 	n      int
 }
 
-func newConvertChunk(nModes, capacity int) *convertChunk {
+func newConvertChunk(nModes, capacity, cells int) *convertChunk {
 	c := &convertChunk{
 		coords: make([][]int32, nModes),
 		vals:   make([]float64, capacity),
-		ranks:  make([]int64, capacity),
-		perm:   make([]int, capacity),
+		ranks:  make([]int32, capacity),
+		perm:   make([]int32, capacity),
+		count:  make([]int32, cells+1),
 	}
 	for m := range c.coords {
 		c.coords[m] = make([]int32, capacity)
@@ -189,18 +195,8 @@ func (c *convertChunk) add(coord []int32, val float64) {
 }
 
 func (c *convertChunk) sortAndWrite(f *os.File, lay Layout) error {
-	for e := 0; e < c.n; e++ {
-		r := int64(0)
-		for m := range c.coords {
-			r = r*int64(lay.GridDim(m)) + int64(lay.GridCoord(m, c.coords[m][e]))
-		}
-		c.ranks[e] = r
-	}
 	perm := c.perm[:c.n]
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return c.ranks[perm[a]] < c.ranks[perm[b]] })
+	gridOrder(lay, c.coords, c.ranks[:c.n], perm, c.count)
 
 	bw := bufio.NewWriterSize(f, 1<<16)
 	var rec [4*MaxModes + 8]byte

@@ -108,6 +108,19 @@ func (l Layout) Rank(grid []int32) int64 {
 	return r
 }
 
+// cells returns the number of grid cells, the range of a block rank,
+// refusing a grid whose ranks do not fit the int32 the sorts key on.
+func (l Layout) cells() (int, error) {
+	c := int64(1)
+	for m := range l.Dims {
+		c *= int64(l.GridDim(m))
+		if c >= math.MaxInt32 {
+			return 0, fmt.Errorf("ooc: block grid of more than %d cells", math.MaxInt32-1)
+		}
+	}
+	return int(c), nil
+}
+
 // Extent returns the half-open coordinate range [lo, hi) of grid cell
 // g along mode m.
 func (l Layout) Extent(m int, g int32) (lo, hi int32) {

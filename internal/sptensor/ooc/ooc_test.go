@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"spstream/internal/sptensor"
+	"spstream/internal/synth"
 )
 
 // randomTensor builds a deterministic random tensor, optionally with
@@ -216,6 +217,22 @@ func TestConvertTNSMatchesWriteTensor(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("converter output differs from in-memory WriteTensor (%d vs %d bytes)", len(b), len(a))
+	}
+	// Both equal the stable grid-sort oracle, across several blocks.
+	if st.Blocks < 2 {
+		t.Fatalf("converted into %d blocks; multi-block order not exercised", st.Blocks)
+	}
+	r, err := Open(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sptensor.MaterializeBlocks(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensorsEqual(got, expectGridSort(x, 300)) {
+		t.Fatal("converted blocks differ from the stable grid-sort of the input")
 	}
 	// No stray run files left beside the output.
 	entries, err := os.ReadDir(dir)
@@ -428,4 +445,29 @@ func BenchmarkBlockDecode(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkWriteTensor writes the ooc-stream workload's slice (uniform
+// 1200×900×700, 500 k nonzeros drawn, coalesced as synth hands it over)
+// at the default block size and reports ns per nonzero and B/op.
+func BenchmarkWriteTensor(b *testing.B) {
+	x, err := synth.GenerateSlice(synth.Config{
+		Name:        "oocflat",
+		Dists:       []synth.IndexDist{synth.Uniform{N: 1200}, synth.Uniform{N: 900}, synth.Uniform{N: 700}},
+		NNZPerSlice: 500_000,
+		T:           1,
+		Seed:        31,
+	}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "slice.spblk")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteTensor(path, x, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
 }

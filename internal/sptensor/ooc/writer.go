@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"math"
 
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
@@ -125,9 +125,10 @@ func (fw *fileWriter) finish() error {
 
 // WriteTensor writes an in-memory tensor to path as an SPBLK001 file,
 // blocked by BlockShape at the given target block size (≤0 uses
-// DefaultBlockNNZ). Nonzeros are stably partitioned into grid order —
-// within a block the original storage order is preserved, so the
-// file's block concatenation is the stable grid-sort of the input.
+// DefaultBlockNNZ). Nonzeros are put in grid order by a counting sort
+// over block ranks (gridOrder), which is stable: within a block the
+// original storage order is preserved, so the file's block
+// concatenation is the stable grid-sort of the input.
 // The write is atomic (temp + fsync + rename).
 func WriteTensor(path string, x *sptensor.Tensor, targetBlockNNZ int) error {
 	if err := x.Validate(); err != nil {
@@ -148,19 +149,16 @@ func WriteTensor(path string, x *sptensor.Tensor, targetBlockNNZ int) error {
 
 	n := x.NNZ()
 	nModes := x.NModes()
-	ranks := make([]int64, n)
-	for e := 0; e < n; e++ {
-		r := int64(0)
-		for m := 0; m < nModes; m++ {
-			r = r*int64(lay.GridDim(m)) + int64(lay.GridCoord(m, x.Inds[m][e]))
-		}
-		ranks[e] = r
+	cells, err := lay.cells()
+	if err != nil {
+		return err
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	if n > math.MaxInt32 {
+		return fmt.Errorf("ooc: cannot write %d nonzeros (limit %d)", n, math.MaxInt32)
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return ranks[perm[a]] < ranks[perm[b]] })
+	ranks := make([]int32, n)
+	perm := make([]int32, n)
+	gridOrder(lay, x.Inds, ranks, perm, make([]int32, cells+1))
 
 	return resilience.AtomicWriteFile(path, func(w io.Writer) error {
 		fw, err := newFileWriter(w, lay)
@@ -181,7 +179,7 @@ func WriteTensor(path string, x *sptensor.Tensor, targetBlockNNZ int) error {
 			vals = vals[:0]
 			return err
 		}
-		last := int64(-1)
+		last := int32(-1)
 		for _, p := range perm {
 			if ranks[p] != last {
 				if err := flush(); err != nil {
@@ -202,4 +200,30 @@ func WriteTensor(path string, x *sptensor.Tensor, targetBlockNNZ int) error {
 		}
 		return fw.finish()
 	})
+}
+
+// gridOrder fills ranks with each nonzero's block rank and perm with the
+// nonzeros in ascending rank, ties in input order: a counting sort over
+// the grid's cells, O(nnz + cells). count needs cells+1 slots.
+func gridOrder(lay Layout, coords [][]int32, ranks, perm, count []int32) {
+	var side, gdim [MaxModes]int32
+	for m := range coords {
+		side[m], gdim[m] = lay.Side(m), lay.GridDim(m)
+	}
+	clear(count)
+	for e := range ranks {
+		r := int32(0)
+		for m, col := range coords {
+			r = r*gdim[m] + col[e]/side[m]
+		}
+		ranks[e] = r
+		count[r+1]++
+	}
+	for c := 1; c < len(count); c++ {
+		count[c] += count[c-1]
+	}
+	for e, r := range ranks {
+		perm[count[r]] = int32(e)
+		count[r]++
+	}
 }

@@ -10,7 +10,8 @@ package sptensor
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
 )
 
 // Tensor is an N-way sparse tensor in coordinate format. Nonzero e has
@@ -138,34 +139,111 @@ func (t *Tensor) Norm2() float64 {
 }
 
 // SortByMode sorts nonzeros lexicographically with the given mode as the
-// primary key (remaining modes in order as tie-breakers). Used to build
-// slice offsets and to coalesce duplicates.
+// primary key and the remaining modes, in mode order, as tie-breakers.
+// The sort is stable: nonzeros with equal coordinates keep their input
+// order, which is what makes Coalesce sum duplicates in arrival order.
+//
+// It is an LSD radix sort over the key modes, last tie-breaker first, in
+// O(nnz) per pass. A mode's passes cover only the span max−min of its
+// coordinates in digits of at most radixBits bits, so the histogram
+// never grows with the mode's length: a small window in a long mode
+// costs a pass or two of a few hundred buckets. Input already in order
+// skips the passes. The permutation is int32, ping-ponged between two
+// buffers and applied once; a tensor sorted here holds fewer than 2³¹
+// nonzeros.
 func (t *Tensor) SortByMode(mode int) {
 	n := t.NNZ()
-	perm := make([]int, n)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("sptensor: SortByMode of %d nonzeros (limit %d)", n, math.MaxInt32))
+	}
+	// One allocation for both buffers: no more than the []int the
+	// permutation used to be.
+	buf := make([]int32, 2*n)
+	perm, spare := buf[:n:n], buf[n:]
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	order := make([]int, 0, len(t.Dims))
-	order = append(order, mode)
-	for m := range t.Dims {
-		if m != mode {
-			order = append(order, m)
-		}
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		for _, m := range order {
-			ia, ib := t.Inds[m][perm[a]], t.Inds[m][perm[b]]
-			if ia != ib {
-				return ia < ib
+	if !t.inOrder(mode) {
+		for m := len(t.Dims) - 1; m >= 0; m-- {
+			if m != mode {
+				perm, spare = radixPasses(t.Inds[m], perm, spare)
 			}
 		}
-		return false
-	})
+		perm, _ = radixPasses(t.Inds[mode], perm, spare)
+	}
 	t.applyPermutation(perm)
 }
 
-func (t *Tensor) applyPermutation(perm []int) {
+// inOrder reports whether the nonzeros already are in SortByMode(mode)'s
+// order, as a window of an already-ordered feed is; it stops at the
+// first pair out of order, so on unordered input it costs a few
+// comparisons.
+func (t *Tensor) inOrder(mode int) bool {
+	key := t.Inds[mode]
+	for e := 1; e < len(key); e++ {
+		if key[e-1] != key[e] {
+			if key[e-1] > key[e] {
+				return false
+			}
+			continue
+		}
+		for m, col := range t.Inds {
+			if m != mode && col[e-1] != col[e] {
+				if col[e-1] > col[e] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
+}
+
+// radixBits caps a radix digit: 2¹¹ int32 buckets stay in L1.
+const radixBits = 11
+
+// radixPasses stably reorders perm by col[perm[i]] with one counting
+// pass per digit of the column's span, least significant digit first,
+// and returns the reordered permutation and the free buffer. A digit
+// every nonzero shares is skipped.
+func radixPasses(col, perm, spare []int32) ([]int32, []int32) {
+	lo, hi := col[0], col[0]
+	for _, c := range col[1:] {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	width := bits.Len32(uint32(hi) - uint32(lo))
+	if width == 0 {
+		return perm, spare
+	}
+	passes := (width + radixBits - 1) / radixBits
+	digit := (width + passes - 1) / passes
+	mask := uint32(1)<<digit - 1
+	var buckets [1 << radixBits]int32
+	count := buckets[:mask+1]
+	for shift := 0; shift < width; shift += digit {
+		clear(count)
+		for _, c := range col {
+			count[(uint32(c)-uint32(lo))>>shift&mask]++
+		}
+		if count[(uint32(col[0])-uint32(lo))>>shift&mask] == int32(len(col)) {
+			continue
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, e := range perm {
+			d := (uint32(col[e]) - uint32(lo)) >> shift & mask
+			spare[count[d]] = e
+			count[d]++
+		}
+		perm, spare = spare, perm
+	}
+	return perm, spare
+}
+
+func (t *Tensor) applyPermutation(perm []int32) {
 	for m := range t.Inds {
 		col := t.Inds[m]
 		next := make([]int32, len(col))

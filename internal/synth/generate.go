@@ -17,9 +17,12 @@ const (
 	// micro-benchmarks where only sparsity structure matters.
 	ValueCounts ValueModel = iota
 	// ValuePlanted evaluates a hidden low-rank CP model (plus Gaussian
-	// noise) at each sampled coordinate, so a decomposition of the
-	// stream has real structure to recover and fit improves over
-	// iterations.
+	// noise) at each sampled coordinate. The coordinates are drawn
+	// from the index distributions independently of that model, so the
+	// observed slice is a random mask times a low-rank tensor, not a
+	// low-rank tensor: the fit a decomposition reaches is of the order
+	// of the slice's density (about half of it on the uber preset),
+	// and there is no planted factor it converges to.
 	ValuePlanted
 )
 
