@@ -95,9 +95,11 @@ type Decomposer struct {
 	colScale []float64
 
 	// Rank-K vectors of the fit (ψ and (⊛C)·s). ψ is also every sₜ
-	// solve's right-hand side. sweepPart: rowSweep's block partials,
-	// grow-only.
-	fitPsi, fitTmp, sweepPart []float64
+	// solve's right-hand side. sweepPart: rowSweep's block partials;
+	// sweepTr: its per-worker column-major sub-block copies; qPanels: Q
+	// packed for the staging (packPanels). Grow-only.
+	fitPsi, fitTmp, sweepPart, sweepTr []float64
+	qPanels                            [][4]float64
 
 	// Reusable argument block of the ctx-style pool bodies (sweep.go).
 	pargs coreArgs

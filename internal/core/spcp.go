@@ -3,6 +3,7 @@ package core
 import (
 	"spstream/internal/dense"
 	"spstream/internal/mttkrp"
+	"spstream/internal/parallel"
 )
 
 // spcpBufs are the slice body's matrices, owned by the Decomposer and
@@ -38,13 +39,22 @@ func resized(m *dense.Matrix, rows, k int) *dense.Matrix {
 }
 
 // gatherRows resizes dst to the rows of v's mode n listed in idx and
-// writes them, brought current.
-func gatherRows(dst *dense.Matrix, v *Version, n int, idx []int32) *dense.Matrix {
+// writes them, brought current, on the pool. Each row is transformed on
+// its own, so no bit depends on the partition. Allocation-free via
+// d.pargs.
+func (d *Decomposer) gatherRows(dst *dense.Matrix, v *Version, n int, idx []int32) *dense.Matrix {
 	dst = resized(dst, len(idx), v.a[n].Cols)
-	for r, i := range idx {
-		v.Row(n, int(i), dst.Row(r))
-	}
+	d.pargs = coreArgs{a: dst, ver: v, mode: n, idx: idx}
+	d.pool.Do(len(idx), d.opt.Workers, &d.pargs, gatherBody)
+	d.pargs = coreArgs{}
 	return dst
+}
+
+func gatherBody(ctx any, _ int, r parallel.Range) {
+	pa := ctx.(*coreArgs)
+	for j := r.Lo; j < r.Hi; j++ {
+		pa.ver.Row(pa.mode, int(pa.idx[j]), pa.a.Row(j))
+	}
 }
 
 // gatherEntered resizes dst to the rows of nz that prev lacks (both
@@ -78,7 +88,7 @@ func (d *Decomposer) beginZ(run *sliceRun) {
 	rm, sp, v := d.remapper.Begin(run.in.x), &d.sp, d.cur
 	for m := range v.a {
 		nz := rm.NZ[m]
-		sp.aNzPrev[m] = gatherRows(sp.aNzPrev[m], v, m, nz)
+		sp.aNzPrev[m] = d.gatherRows(sp.aNzPrev[m], v, m, nz)
 		d.zRowsRead += len(nz)
 		sp.aNz[m] = resized(sp.aNz[m], len(nz), d.k)
 		sp.aNz[m].CopyFrom(sp.aNzPrev[m])
@@ -92,7 +102,7 @@ func (d *Decomposer) beginZ(run *sliceRun) {
 		// Algorithm 4 lines 8–11: adjust C_z,t−1 by the rows that
 		// left (add) and entered (subtract) the nz set.
 		if left := mttkrp.SetDiff(d.prevNZ[m], nz); len(left) > 0 {
-			sp.moved = gatherRows(sp.moved, v, m, left)
+			sp.moved = d.gatherRows(sp.moved, v, m, left)
 			dense.GramParallel(sp.gram, sp.moved, d.opt.Workers)
 			dense.Add(d.cz[m], d.cz[m], sp.gram)
 		}

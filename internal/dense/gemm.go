@@ -295,6 +295,81 @@ func AddAtBRange(acc []float64, stride int, a, b *Matrix, lo, hi int, upper bool
 	}
 }
 
+// TransposeRows writes rows [lo, hi) of a into dst column-major, column p
+// of the block at dst[p·n : (p+1)·n] for n = hi − lo: the layout
+// AddAtBCols reads, and like it for a column count that is a multiple
+// of 4.
+func TransposeRows(dst []float64, a *Matrix, lo, hi int) {
+	n, k := hi-lo, a.Cols
+	if k%4 != 0 || len(dst) < k*n {
+		panic("dense: TransposeRows shape mismatch")
+	}
+	rows := a.Data[lo*a.Stride:]
+	for p := 0; p < k; p += 4 {
+		d0 := dst[p*n : (p+1)*n]
+		d1, d2, d3 := dst[(p+1)*n:], dst[(p+2)*n:], dst[(p+3)*n:]
+		d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
+		for r := range d0 {
+			v := (*[4]float64)(rows[r*a.Stride+p:])
+			d0[r], d1[r], d2[r], d3[r] = v[0], v[1], v[2], v[3]
+		}
+	}
+}
+
+// AddAtBCols is AddAtBRange over an n-row block of two k-column matrices
+// given column-major (TransposeRows): acc += aᵀ·b, acc k×k with stride k,
+// column p of a at at[p·n:] and column q of b at bt[q·n:]; k must be a
+// multiple of 4. The tiles are AddAtBRange's — 2×4, under upper the set
+// starting at the four-column boundary at or left of the diagonal — and
+// each entry is the same ascending-i sum of float64(a[i][p]·b[i][q]) with
+// zero a[i][p] skipped, so the bits are too. Only the addressing changed:
+// a tile reads six contiguous columns, with no per-row index arithmetic.
+func AddAtBCols(acc []float64, k int, at, bt []float64, n int, upper bool) {
+	if k%4 != 0 || len(at) < k*n || len(bt) < k*n || len(acc) < k*k {
+		panic("dense: AddAtBCols shape mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	for p := 0; p < k; p += 2 {
+		a0 := at[p*n : (p+1)*n]
+		a1 := at[(p+1)*n : (p+2)*n]
+		a1 = a1[:len(a0)]
+		q := 0
+		if upper {
+			q = p &^ 3
+		}
+		for ; q < k; q += 4 {
+			b0 := bt[q*n : (q+1)*n]
+			b1, b2, b3 := bt[(q+1)*n:], bt[(q+2)*n:], bt[(q+3)*n:]
+			b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
+			r0 := (*[4]float64)(acc[p*k+q:])
+			r1 := (*[4]float64)(acc[(p+1)*k+q:])
+			c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
+			c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+			// b is read in each branch rather than once before them: SSE
+			// multiplies overwrite an operand, and fourteen live values
+			// would spill.
+			for i, x0 := range a0 {
+				if x0 != 0 {
+					c00 += float64(x0 * b0[i])
+					c01 += float64(x0 * b1[i])
+					c02 += float64(x0 * b2[i])
+					c03 += float64(x0 * b3[i])
+				}
+				if x1 := a1[i]; x1 != 0 {
+					c10 += float64(x1 * b0[i])
+					c11 += float64(x1 * b1[i])
+					c12 += float64(x1 * b2[i])
+					c13 += float64(x1 * b3[i])
+				}
+			}
+			r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+			r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+		}
+	}
+}
+
 // atbEntry adds Σ_{i∈[lo,hi)} a[i][p]·b[i][q] to *dst — the edge of
 // AddAtBRange where no full 2×4 tile fits.
 func atbEntry(dst *float64, a, b *Matrix, p, q, lo, hi int) {
