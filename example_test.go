@@ -3,6 +3,7 @@ package spstream_test
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"spstream"
 )
@@ -20,13 +21,17 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The decomposer keeps only the latest temporal row; the caller
+	// collects the temporal factor S, one row per committed slice.
+	var s [][]float64
 	for t := 0; t < 3; t++ {
 		if _, err := dec.ProcessSlice(stream.Slices[t]); err != nil {
 			log.Fatal(err)
 		}
+		s = append(s, slices.Clone(dec.LastS()))
 	}
 	fmt.Println("slices processed:", dec.T())
-	fmt.Println("temporal factor rows:", dec.Temporal().Rows)
+	fmt.Println("temporal factor rows:", len(s))
 	// Output:
 	// slices processed: 3
 	// temporal factor rows: 3

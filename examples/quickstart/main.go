@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"spstream"
 )
@@ -27,9 +28,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The decomposer keeps only the latest temporal row sₜ; the caller
+	// collects S, one row per committed slice.
+	var s [][]float64
 	results, err := dec.ProcessStream(stream.Source(), func(r spstream.SliceResult) {
 		fmt.Printf("slice %2d: %6d nnz, %2d iterations, delta %.5f, fit %.4f\n",
 			r.T, r.NNZ, r.Iters, r.Delta, r.Fit)
+		if !r.Skipped {
+			s = append(s, slices.Clone(dec.LastS()))
+		}
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -42,6 +49,5 @@ func main() {
 		f := dec.Factor(m)
 		fmt.Printf("mode %d factor: %d×%d\n", m, f.Rows, f.Cols)
 	}
-	s := dec.Temporal()
-	fmt.Printf("temporal factor: %d×%d\n", s.Rows, s.Cols)
+	fmt.Printf("temporal factor: %d×%d\n", len(s), dec.Rank())
 }

@@ -44,7 +44,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Prime cross-slice state (sHist growth, chol storage, psi).
+		// Prime cross-slice state (chol storage, psi).
 		if _, err := d.ProcessSlice(s.Slices[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -290,19 +290,32 @@ func TestGuardedCommitZeroAlloc(t *testing.T) {
 }
 
 // TestSaveStateAllocsFlat: SaveState encodes through one buffer, so what
-// it allocates does not grow with the factors.
+// it allocates grows neither with the factors nor with t.
 func TestSaveStateAllocsFlat(t *testing.T) {
 	var allocs []float64
-	for _, rows := range []int{50, 5000} {
-		s := testStream(t, 308, []int{rows, 30}, 300, 2)
-		d, _ := runStream(t, s, Options{Rank: 8, Algorithm: SpCPStream, Seed: 2, Workers: 1})
+	cases := []struct{ rows, slices int }{{50, 2}, {5000, 2}, {50, 2000}}
+	for _, tc := range cases {
+		s := testStream(t, 308, []int{tc.rows, 30}, 300, 2)
+		d := runCycled(t, s, Options{Rank: 8, Algorithm: SpCPStream, Seed: 2, Workers: 1, MaxIters: 1}, tc.slices)
 		allocs = append(allocs, testing.AllocsPerRun(10, func() {
 			if err := d.SaveState(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}))
 	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("SaveState allocates %.0f times at I₀ = 50 and %.0f at I₀ = 5000, want the same", allocs[0], allocs[1])
+	for i := range cases[1:] {
+		if allocs[i+1] != allocs[0] {
+			t.Errorf("SaveState allocates %.0f times at I₀ = %d, t = %d and %.0f at I₀ = %d, t = %d, want the same",
+				allocs[0], cases[0].rows, cases[0].slices, allocs[i+1], cases[i+1].rows, cases[i+1].slices)
+		}
+	}
+}
+
+// TestAdvanceTimeAllocFree: closing a slice updates G and the slice
+// counter in place; the decomposer keeps no temporal history to grow.
+func TestAdvanceTimeAllocFree(t *testing.T) {
+	d, _ := runStream(t, testStream(t, 313, []int{6, 7}, 60, 2), Options{Rank: 3, Seed: 1, Workers: 1})
+	if allocs := testing.AllocsPerRun(100, d.advanceTime); allocs != 0 {
+		t.Errorf("advanceTime allocates %.1f times per slice, want 0", allocs)
 	}
 }

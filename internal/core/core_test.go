@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"spstream/internal/admm"
@@ -70,6 +71,41 @@ func runStream(t *testing.T, s *sptensor.Stream, opt Options) (*Decomposer, []Sl
 	return d, results
 }
 
+// runCycled runs T slices, cycling through s's: a long stream at the
+// cost of a short one's inputs.
+func runCycled(t *testing.T, s *sptensor.Stream, opt Options, T int) *Decomposer {
+	t.Helper()
+	d, err := NewDecomposer(s.Dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < T; ti++ {
+		if _, err := d.ProcessSlice(s.Slices[ti%len(s.Slices)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// runStreamS is runStream that also collects the temporal factor S the
+// way a caller does: LastS, copied after every committed slice.
+func runStreamS(t *testing.T, s *sptensor.Stream, opt Options) (*Decomposer, *dense.Matrix) {
+	t.Helper()
+	d, err := NewDecomposer(s.Dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float64
+	if _, err := d.ProcessStream(s.Source(), func(res SliceResult) {
+		if !res.Skipped {
+			rows = append(rows, slices.Clone(d.LastS()))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return d, dense.FromRows(rows)
+}
+
 func maxFactorDiff(a, b *Decomposer) float64 {
 	worst := 0.0
 	for m := range a.Dims() {
@@ -92,16 +128,15 @@ func TestSpCPMatchesExplicit(t *testing.T) {
 		{"skewed", skewedStream(t, 32)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt, _ := runStream(t, tc.stream, Options{Rank: 4, Algorithm: Optimized, Seed: 5, Workers: 2})
-			spc, _ := runStream(t, tc.stream, Options{Rank: 4, Algorithm: SpCPStream, Seed: 5, Workers: 2})
+			opt, st1 := runStreamS(t, tc.stream, Options{Rank: 4, Algorithm: Optimized, Seed: 5, Workers: 2})
+			spc, st2 := runStreamS(t, tc.stream, Options{Rank: 4, Algorithm: SpCPStream, Seed: 5, Workers: 2})
 			if d := maxFactorDiff(opt, spc); d > 1e-5 {
 				t.Fatalf("spCP vs explicit factors differ by %g", d)
 			}
 			// Temporal state must match too.
-			if d := opt.TemporalGram().MaxAbsDiff(spc.TemporalGram()); d > 1e-5 {
+			if d := opt.g.MaxAbsDiff(spc.g); d > 1e-5 {
 				t.Fatalf("temporal Gram differs by %g", d)
 			}
-			st1, st2 := opt.Temporal(), spc.Temporal()
 			if d := st1.MaxAbsDiff(st2); d > 1e-5 {
 				t.Fatalf("temporal factors differ by %g", d)
 			}
@@ -118,14 +153,13 @@ func TestExplicitMatchesSpCPOnSkewed(t *testing.T) {
 	s := remapStream(t, 405, 3)
 	for _, normalize := range []bool{false, true} {
 		opt := Options{Rank: 4, Seed: 5, Workers: 2, Normalize: normalize, MaxIters: 10, Tol: 1e-300}
-		exp, _ := runStream(t, s, opt)
+		exp, st := runStreamS(t, s, opt)
 		opt.Algorithm = SpCPStream
-		spc, _ := runStream(t, s, opt)
+		spc, stSpc := runStreamS(t, s, opt)
 		if d := relFactorDiff(exp, spc); d > 1e-10 {
 			t.Fatalf("normalize=%v: spCP vs explicit factors differ by %g of the largest entry", normalize, d)
 		}
-		st := exp.Temporal()
-		if d, scale := st.MaxAbsDiff(spc.Temporal()), math.Sqrt(dense.FrobNorm2(st)); d > 1e-10*scale {
+		if d, scale := st.MaxAbsDiff(stSpc), math.Sqrt(dense.FrobNorm2(st)); d > 1e-10*scale {
 			t.Fatalf("normalize=%v: temporal factors differ by %g of ‖S‖ = %g", normalize, d, scale)
 		}
 	}
@@ -298,11 +332,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestTemporalAccessors(t *testing.T) {
 	s := testStream(t, 81, []int{10, 10}, 100, 4)
-	d, res := runStream(t, s, Options{Rank: 2})
-	if d.T() != 4 || len(res) != 4 {
+	d, st := runStreamS(t, s, Options{Rank: 2})
+	if d.T() != 4 {
 		t.Fatal("slice count wrong")
 	}
-	st := d.Temporal()
 	if st.Rows != 4 || st.Cols != 2 {
 		t.Fatalf("temporal factor shape %d×%d", st.Rows, st.Cols)
 	}

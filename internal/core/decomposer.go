@@ -42,7 +42,6 @@ type Decomposer struct {
 	h                  []*dense.Matrix // H⁽ⁿ⁾ = Aₜ₋₁ᵀA (K×K)
 	g                  *dense.Matrix   // temporal Gram G (K×K)
 	s                  []float64       // current sₜ
-	sHist              [][]float64     // all temporal rows (the S factor)
 	t                  int             // slices processed
 
 	// The highest WAL sequence number whose slice the state includes
@@ -198,13 +197,11 @@ func (d *Decomposer) Rank() int { return d.k }
 // T returns the number of slices processed so far.
 func (d *Decomposer) T() int { return d.t }
 
-// TemporalGram returns the temporal Gram matrix G (live storage).
-func (d *Decomposer) TemporalGram() *dense.Matrix { return d.g }
-
-// Temporal returns the accumulated temporal factor S as a T×K matrix.
-func (d *Decomposer) Temporal() *dense.Matrix { return dense.FromRows(d.sHist) }
-
-// LastS returns the most recent temporal row sₜ (live storage).
+// LastS returns the most recent temporal row sₜ (live storage): the
+// row of S the last committed slice appended. The decomposer keeps no
+// earlier rows; a caller that wants S copies this after every slice
+// that committed — in a ProcessStream callback, every result that is
+// not Skipped.
 func (d *Decomposer) LastS() []float64 { return d.s }
 
 // Breakdown returns the accumulated per-phase time breakdown.
@@ -309,7 +306,8 @@ func (d *Decomposer) buildQ(dst *dense.Matrix, mode int) {
 }
 
 // advanceTime performs the bookkeeping that closes every slice after the
-// inner loop converges: the G/S temporal updates and the slice counter.
+// inner loop converges: the temporal Gram update and the slice counter.
+// No row of S is kept: the algorithm reads the past only through G.
 // (Normalization, when enabled, already ran per iteration — Algorithm 4
 // line 30.)
 func (d *Decomposer) advanceTime() {
@@ -322,7 +320,6 @@ func (d *Decomposer) advanceTime() {
 			gi[j] += si * d.s[j]
 		}
 	}
-	d.sHist = append(d.sHist, append([]float64(nil), d.s...))
 	d.t++
 }
 

@@ -215,7 +215,7 @@ func TestStreamingInvariants(t *testing.T) {
 		if !math.IsNaN(res.Fit) && res.Fit > 1+1e-9 {
 			t.Fatalf("slice %d: fit %v > 1", ti, res.Fit)
 		}
-		g := d.TemporalGram()
+		g := d.g
 		// Symmetry.
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -39,12 +41,6 @@ func FuzzRestoreState(f *testing.F) {
 	f.Add([]byte("SPSTRM01"))
 	f.Add([]byte("SPSTRM02"))
 	f.Add([]byte("SPSTRM99 and then some garbage"))
-	// A forged header claiming an astronomical temporal history.
-	forged := append([]byte(nil), valid[:32]...)
-	for i := 24; i < 32; i++ {
-		forged[i] = 0xff
-	}
-	f.Add(forged)
 	// The same state under the v3 magic, resealed: no cursor, rejected.
 	v3 := append([]byte(nil), valid...)
 	copy(v3, "SPSTRM03")
@@ -67,11 +63,24 @@ func FuzzRestoreState(f *testing.F) {
 	copy(v4, "SPSTRM04")
 	resealCRC(v4)
 	f.Add(v4)
+	// The state under the v5 magic, resealed: v5 carries a temporal
+	// history after sₜ, so it is refused by name.
+	v5 := append([]byte(nil), valid...)
+	copy(v5, "SPSTRM05")
+	resealCRC(v5)
+	if err := probe.RestoreState(bytes.NewReader(v5)); err == nil || !strings.Contains(err.Error(), "SPSTRM05") {
+		f.Fatalf("SPSTRM05 checkpoint: got %v, want a rejection naming the version", err)
+	}
+	f.Add(v5)
 
 	// A spCP checkpoint, its z side three slices past the last flush,
-	// and three forgeries of it, resealed so only validation can refuse
-	// them — each before it drives an allocation: a row dated after t,
-	// a log longer than zLogLen, and a log cut short.
+	// and forgeries of it, resealed so only validation can refuse them —
+	// each before it drives an allocation or reaches a slice: a t past
+	// the largest int, a row dated after t, a log longer than zLogLen, a
+	// log cut short, and mode 1's nz list with its last entry out of
+	// range or its last two out of order (either would pass the count
+	// check; the first crashes every later spCP slice, the second
+	// corrupts C_z through the sorted set difference).
 	sp, err := NewDecomposer(dims, Options{Rank: 3, Seed: 1, Workers: 1, Algorithm: SpCPStream})
 	if err != nil {
 		f.Fatal(err)
@@ -87,12 +96,21 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	lazy := buf.Bytes()
 	// magic, N, I₁, I₂, K, t; then lag; then mode 0's factor and ages.
-	const lagAt = 8 + 8*(1+2+1+1)
+	// The payload ends in mode 1's nz list, then the cursor.
+	const tAt = 8 + 8*(1+2+1)
+	const lagAt = tAt + 8
 	ageAt := lagAt + 8 + 8*dims[0]*opt.Rank
 	if lag := binary.LittleEndian.Uint64(lazy[lagAt:]); lag != uint64(len(s.Slices)) {
 		f.Fatalf("spCP checkpoint lag %d, want %d", lag, len(s.Slices))
 	}
+	nz1, lastAt := sp.prevNZ[1], len(lazy)-4-8-4
+	if len(nz1) < 2 || binary.LittleEndian.Uint32(lazy[lastAt:]) != uint32(nz1[len(nz1)-1]) {
+		f.Fatalf("mode 1's nz list %v does not end the spCP checkpoint's payload", nz1)
+	}
 	f.Add(lazy)
+	huge := append([]byte(nil), lazy...)
+	binary.LittleEndian.PutUint64(huge[tAt:], uint64(math.MaxInt)+1)
+	resealCRC(huge)
 	future := append([]byte(nil), lazy...)
 	future[ageAt] = byte(len(s.Slices) + 1)
 	resealCRC(future)
@@ -100,7 +118,17 @@ func FuzzRestoreState(f *testing.F) {
 	binary.LittleEndian.PutUint64(long[lagAt:], zLogLen+1)
 	resealCRC(long)
 	cut := append([]byte(nil), lazy[:ageAt+dims[0]+8*opt.Rank]...)
-	for name, forged := range map[string][]byte{"future row": future, "long log": long, "truncated log": cut} {
+	outside := append([]byte(nil), lazy...)
+	binary.LittleEndian.PutUint32(outside[lastAt:], 1000)
+	resealCRC(outside)
+	unsorted := append([]byte(nil), lazy...)
+	copy(unsorted[lastAt-4:lastAt], lazy[lastAt:lastAt+4])
+	copy(unsorted[lastAt:lastAt+4], lazy[lastAt-4:lastAt])
+	resealCRC(unsorted)
+	for name, forged := range map[string][]byte{
+		"t past the largest int": huge, "future row": future, "long log": long, "truncated log": cut,
+		"nz entry out of range": outside, "nz list out of order": unsorted,
+	} {
 		probe, err := NewDecomposer(dims, opt)
 		if err != nil {
 			f.Fatal(err)
@@ -112,20 +140,26 @@ func FuzzRestoreState(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, input []byte) {
-		fresh, err := NewDecomposer(dims, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.RestoreState(bytes.NewReader(input)); err != nil {
-			return
-		}
-		// A successful restore must leave a usable decomposer: the slice
-		// counter matches the temporal history and processing continues.
-		if fresh.T() != len(fresh.sHist) {
-			t.Fatalf("restored T=%d with %d temporal rows", fresh.T(), len(fresh.sHist))
-		}
-		if _, err := fresh.ProcessSlice(s.Slices[0]); err != nil {
-			t.Fatalf("decomposer broken after accepted restore: %v", err)
+		// A successful restore must leave a usable decomposer under either
+		// algorithm: a non-negative slice counter, and processing that
+		// continues — Optimized reads the factors and Grams, SpCPStream
+		// the nz sets and the z side too.
+		for _, alg := range []Algorithm{Optimized, SpCPStream} {
+			o := opt
+			o.Algorithm = alg
+			fresh, err := NewDecomposer(dims, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.RestoreState(bytes.NewReader(input)); err != nil {
+				continue
+			}
+			if fresh.T() < 0 {
+				t.Fatalf("%v: restored T=%d", alg, fresh.T())
+			}
+			if _, err := fresh.ProcessSlice(s.Slices[0]); err != nil {
+				t.Fatalf("%v: decomposer broken after accepted restore: %v", alg, err)
+			}
 		}
 	})
 }

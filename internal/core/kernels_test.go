@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +41,7 @@ func TestLayoutOptionInert(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			var ds []*Decomposer
 			var scheds [][]byte
+			var ss []*dense.Matrix
 			for _, layout := range []LayoutPolicy{LayoutAuto, LayoutOff} {
 				for _, kernel := range []MTTKRPKernel{0, KernelPlan} {
 					d, err := NewDecomposer(s.Dims, Options{Rank: 4, Constraint: con, Workers: workers, Seed: 5, MaxIters: 4, ADMMMaxIters: 8, Layout: layout, MTTKRPKernel: kernel})
@@ -47,13 +49,15 @@ func TestLayoutOptionInert(t *testing.T) {
 						t.Fatal(err)
 					}
 					var sched []byte
+					var rows [][]float64
 					for _, x := range s.Slices {
 						sched = scheduleTrace(t, d, x, sched)
+						rows = append(rows, slices.Clone(d.LastS()))
 						if rm, hot := d.LastLayoutDecision(); rm || hot {
 							t.Fatalf("layout %d: slice reports a layout decision %v/%v", layout, rm, hot)
 						}
 					}
-					ds, scheds = append(ds, d), append(scheds, sched)
+					ds, scheds, ss = append(ds, d), append(scheds, sched), append(ss, dense.FromRows(rows))
 				}
 			}
 			for i := 1; i < len(ds); i++ {
@@ -64,7 +68,7 @@ func TestLayoutOptionInert(t *testing.T) {
 				for m := range s.Dims {
 					sameMatrixBits(t, fmt.Sprintf("%s factor %d", name, m), ds[0].Factor(m), ds[i].Factor(m))
 				}
-				sameMatrixBits(t, name+" temporal", ds[0].Temporal(), ds[i].Temporal())
+				sameMatrixBits(t, name+" temporal", ss[0], ss[i])
 			}
 		}
 	}
@@ -103,7 +107,7 @@ func TestScheduleSkewedWorkerIndependent(t *testing.T) {
 			if got := string(scheduleTrace(t, d, x, nil)); got != "PPP|" {
 				t.Fatalf("%s: kernel schedule %q, want PPP", name, got)
 			}
-			got := []*dense.Matrix{d.Temporal(), d.TemporalGram()}
+			got := []*dense.Matrix{dense.FromRows([][]float64{d.LastS()}), d.g}
 			for n := range x.Dims {
 				got = append(got, d.Factor(n))
 			}

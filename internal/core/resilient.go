@@ -25,18 +25,17 @@ import (
 // stateSnapshot is the rollback point of a guarded slice: the committed
 // factor version, pinned for the length of the slice so nothing writes
 // it (nil outside a slice), and a copy of the small state that crosses slice boundaries — C,
-// C_z, G, sₜ, the temporal history length, t and the nz sets. It is
+// C_z, G, sₜ, t and the nz sets. It is
 // owned by the Decomposer and its storage is reused across slices, so
 // steady-state snapshotting allocates nothing and copies O(N·K² + |nz|).
 type stateSnapshot struct {
-	ver     *Version
-	c, cz   []*dense.Matrix
-	g       *dense.Matrix
-	s       []float64
-	histLen int
-	t       int
-	hasNZ   bool
-	prevNZ  [][]int32
+	ver    *Version
+	c, cz  []*dense.Matrix
+	g      *dense.Matrix
+	s      []float64
+	t      int
+	hasNZ  bool
+	prevNZ [][]int32
 }
 
 // takeSnapshot captures the current between-slice state and pins the
@@ -63,7 +62,6 @@ func (d *Decomposer) takeSnapshot() {
 	}
 	sn.g.CopyFrom(d.g)
 	copy(sn.s, d.s)
-	sn.histLen = len(d.sHist)
 	sn.t = d.t
 	sn.hasNZ = d.prevNZ != nil
 	if sn.hasNZ {
@@ -104,7 +102,6 @@ func (d *Decomposer) rollback() bool {
 	}
 	d.g.CopyFrom(sn.g)
 	copy(d.s, sn.s)
-	d.sHist = d.sHist[:sn.histLen]
 	d.t = sn.t
 	if !sn.hasNZ {
 		d.prevNZ = nil

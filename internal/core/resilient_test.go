@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,13 +26,7 @@ func TestCancelCheckpointResume(t *testing.T) {
 		s := testStream(t, 301, []int{14, 18}, 160, 8)
 		opt := Options{Rank: 3, Algorithm: alg, Workers: 2, Seed: 5}
 
-		ref, err := NewDecomposer(s.Dims, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.ProcessStream(s.Source(), nil); err != nil {
-			t.Fatal(err)
-		}
+		ref, refS := runStreamS(t, s, opt)
 
 		// Interrupted run: cancel from inside slice 4's first iteration.
 		optR := opt
@@ -49,7 +44,10 @@ func TestCancelCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := first.ProcessStreamContext(ctx, s.Source(), nil)
+		var rows [][]float64 // S across the restore, as a caller collects it
+		results, err := first.ProcessStreamContext(ctx, s.Source(), func(res SliceResult) {
+			rows = append(rows, slices.Clone(first.LastS()))
+		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: stream ended with %v, want context.Canceled", alg, err)
 		}
@@ -77,6 +75,7 @@ func TestCancelCheckpointResume(t *testing.T) {
 			if _, err := second.ProcessSlice(s.Slices[ti]); err != nil {
 				t.Fatal(err)
 			}
+			rows = append(rows, slices.Clone(second.LastS()))
 		}
 		if second.T() != ref.T() {
 			t.Fatalf("%v: resumed run processed %d slices, uninterrupted %d", alg, second.T(), ref.T())
@@ -84,7 +83,7 @@ func TestCancelCheckpointResume(t *testing.T) {
 		if d := maxFactorDiff(ref, second); d != 0 {
 			t.Fatalf("%v: resumed factors differ from uninterrupted by %g", alg, d)
 		}
-		if d := ref.Temporal().MaxAbsDiff(second.Temporal()); d != 0 {
+		if d := refS.MaxAbsDiff(dense.FromRows(rows)); d != 0 {
 			t.Fatalf("%v: temporal factors differ by %g", alg, d)
 		}
 	}
@@ -203,12 +202,12 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 		sameStateBits(t, fmt.Sprintf("bit flip at offset %d", off), fresh)
 	}
 	// The version byte flipped to v1, alone and with a payload flip.
-	if raw[7] != '5' {
-		t.Fatalf("magic %q is not v5", raw[:8])
+	if raw[7] != '6' {
+		t.Fatalf("magic %q is not v6", raw[:8])
 	}
 	for _, payloadFlip := range []bool{false, true} {
 		corrupted := append([]byte(nil), raw...)
-		corrupted[7] ^= '5' ^ '1'
+		corrupted[7] ^= '6' ^ '1'
 		if payloadFlip {
 			corrupted[len(raw)/2] ^= 0x10
 		}
@@ -235,7 +234,7 @@ func TestCheckpointCRCRejectsCorruption(t *testing.T) {
 
 // sameStateBits fails unless d, after a rejected restore, holds exactly
 // the state of a fresh decomposer with its options: factors, C, C_z, G,
-// sₜ, the temporal history, the slice counter and the WAL cursor. A
+// sₜ, the slice counter and the WAL cursor. A
 // rejected checkpoint must leave nothing of itself behind.
 func sameStateBits(t *testing.T, label string, d *Decomposer) {
 	t.Helper()
@@ -250,9 +249,9 @@ func sameStateBits(t *testing.T, label string, d *Decomposer) {
 	}
 	sameMatrixBits(t, label+": G", d.g, want.g)
 	sameMatrixBits(t, label+": s", dense.FromRows([][]float64{d.s}), dense.FromRows([][]float64{want.s}))
-	if d.T() != want.T() || d.Cursor() != want.Cursor() || len(d.sHist) != 0 || d.prevNZ != nil {
-		t.Fatalf("%s: t=%d cursor=%d |S|=%d nz=%v, want a fresh decomposer's t=%d cursor=%d",
-			label, d.T(), d.Cursor(), len(d.sHist), d.prevNZ != nil, want.T(), want.Cursor())
+	if d.T() != want.T() || d.Cursor() != want.Cursor() || d.prevNZ != nil {
+		t.Fatalf("%s: t=%d cursor=%d nz=%v, want a fresh decomposer's t=%d cursor=%d",
+			label, d.T(), d.Cursor(), d.prevNZ != nil, want.T(), want.Cursor())
 	}
 }
 

@@ -136,6 +136,7 @@ func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed, pinn
 	}
 	h := fnv.New64a()
 	var held []*Version
+	var sRows []float64 // S, row after row, as a caller collects it
 	for _, x := range s.Slices {
 		if pinned {
 			if len(held) == 2 {
@@ -161,6 +162,7 @@ func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed, pinn
 			t.Fatal(err)
 		}
 		hashFloats(h, res.Delta, res.Fit, float64(res.Iters), float64(res.ADMMIters))
+		sRows = append(sRows, d.LastS()...)
 		if eager {
 			d.flushCommitted()
 		}
@@ -173,9 +175,7 @@ func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed, pinn
 			hashFloats(h, mat.Data...)
 		}
 	}
-	for _, s := range d.sHist {
-		hashFloats(h, s...)
-	}
+	hashFloats(h, sRows...)
 	hashFloats(h, d.s...)
 	hashFloats(h, d.g.Data...)
 	return h.Sum64()

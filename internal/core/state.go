@@ -16,29 +16,32 @@ import (
 // dims and Options, so long-running deployments can survive restarts
 // without replaying the stream. The format captures exactly the state
 // that crosses slice boundaries: the factors, their Gram invariants,
-// the temporal Gram G, the temporal history S, the slice counter, (for
+// the temporal Gram G and the last sₜ, the slice counter, (for
 // spCP-stream) the previous nz sets and z-row Grams, and the WAL cursor
 // (Cursor) — the replay point of a spilled ingest backlog, so the state
 // and the position it was folded up to commit as one file. The factors
 // are written as the committed version stores them, lazy z side and
 // all (Version): the stored rows, each row's age and the log of suffix
 // products, so a restored run continues bit for bit, flushes included.
+// The algorithm reads the past only through G, so no temporal history
+// is stored and a checkpoint's size does not grow with t.
 //
-// The format is SPSTRM05: magic, payload, cursor, and a CRC32 (IEEE)
+// The format is SPSTRM06: magic, payload, cursor, and a CRC32 (IEEE)
 // footer covering all of it, so a checkpoint truncated or bit-flipped
 // at rest is rejected instead of restoring silently wrong state. Older
 // versions are rejected by their magic: v1 had no footer, v2/v3 carry
 // no cursor, so restoring one would replay a spilled backlog the state
-// may already hold, and v4 carries no z-side log.
+// may already hold, v4 carries no z-side log, and v5 carries the
+// temporal history this version dropped.
 //
 // Payload, little-endian u64 words unless noted: N, I₁…I_N, K, t, lag;
 // per mode the stored Iₙ×K factor, Iₙ age bytes, lag K×K suffix
-// products, C and C_z (float64 words); G, sₜ; the history length and
-// its rows; the nz presence flag and per-mode counted nz lists (u32
-// words); the cursor.
+// products, C and C_z (float64 words); G, sₜ; the nz presence flag and
+// per-mode counted nz lists (u32 words, strictly ascending in [0, Iₙ));
+// the cursor. t must fit a non-negative int.
 
 // stateMagic identifies the checkpoint container and its version.
-var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '5'}
+var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '6'}
 
 // stateBuf is the size of the one buffer a checkpoint is encoded and
 // decoded through, whatever the factors' size.
@@ -186,7 +189,7 @@ func (d *Decomposer) Cursor() uint64 { return d.cursor }
 // SetCursor records the WAL cursor the next SaveState writes.
 func (d *Decomposer) SetCursor(seq uint64) { d.cursor = seq }
 
-// SaveState serializes the decomposer's streaming state (SPSTRM05,
+// SaveState serializes the decomposer's streaming state (SPSTRM06,
 // with the CRC footer) through one buffer, so it allocates the same at
 // any mode length. It must be called between slices (never concurrently
 // with ProcessSlice).
@@ -213,11 +216,6 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 	}
 	e.matrix(d.g)
 	e.floats(d.s)
-	// Temporal history.
-	e.u64(uint64(len(d.sHist)))
-	for _, row := range d.sHist {
-		e.floats(row)
-	}
 	// spCP nz sets (presence flag + per-mode lists).
 	if d.prevNZ == nil {
 		e.u64(0)
@@ -278,6 +276,9 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	if dc.err != nil {
 		return dc.err
 	}
+	if t > math.MaxInt {
+		return fmt.Errorf("core: checkpoint slice counter t=%d does not fit an int", t)
+	}
 	if lag >= zLogLen || lag > t {
 		return fmt.Errorf("core: checkpoint z-side log of %d transforms at t=%d (at most %d)", lag, t, min(t, zLogLen-1))
 	}
@@ -308,24 +309,6 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	g, s := dense.NewMatrix(d.k, d.k), make([]float64, d.k)
 	dc.matrix(g)
 	dc.floats(s)
-	histLen := dc.u64()
-	if dc.err != nil {
-		return dc.err
-	}
-	if histLen != t {
-		return fmt.Errorf("core: checkpoint has %d temporal rows for t=%d", histLen, t)
-	}
-	// Rows are appended as they arrive instead of allocating histLen
-	// slots up front: a corrupt header claiming an astronomical t fails
-	// at EOF after reading only what the input actually contains.
-	sHist := make([][]float64, 0, min(int(histLen), 1024))
-	for i := uint64(0); i < histLen; i++ {
-		row := make([]float64, d.k)
-		if dc.floats(row); dc.err != nil {
-			return dc.err
-		}
-		sHist = append(sHist, row)
-	}
 	hasNZ := dc.u64()
 	if dc.err != nil {
 		return dc.err
@@ -344,7 +327,19 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 				return fmt.Errorf("core: checkpoint nz set of mode %d has %d entries for dim %d", m, cnt, d.dims[m])
 			}
 			prevNZ[m] = make([]int32, cnt)
-			dc.int32s(prevNZ[m])
+			if dc.int32s(prevNZ[m]); dc.err != nil {
+				return dc.err
+			}
+			// The spCP slice gathers these rows and subtracts the sets
+			// (mttkrp.SetDiff), which takes them sorted: one out of range
+			// would crash every later slice, one out of order corrupt C_z.
+			prev := int32(-1)
+			for j, i := range prevNZ[m] {
+				if i <= prev || int(i) >= d.dims[m] {
+					return fmt.Errorf("core: checkpoint nz set of mode %d has entry %d = %d, not strictly ascending in [0, %d)", m, j, i, d.dims[m])
+				}
+				prev = i
+			}
 		}
 	default:
 		return fmt.Errorf("core: checkpoint nz presence flag %d is not 0 or 1", hasNZ)
@@ -369,7 +364,6 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	}
 	d.g.CopyFrom(g)
 	copy(d.s, s)
-	d.sHist = sHist
 	d.prevNZ = prevNZ
 	d.t = int(t)
 	d.cursor = cursor

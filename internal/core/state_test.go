@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,8 +70,10 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refTrace []byte
+	var refS, rows [][]float64 // S uninterrupted, and across the restore
 	for _, x := range s.Slices {
 		refTrace = scheduleTrace(t, ref, x, refTrace)
+		refS = append(refS, slices.Clone(ref.LastS()))
 	}
 
 	first, err := NewDecomposer(s.Dims, opt)
@@ -81,6 +84,7 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 		if _, err := first.ProcessSlice(x); err != nil {
 			t.Fatal(err)
 		}
+		rows = append(rows, slices.Clone(first.LastS()))
 	}
 	var buf bytes.Buffer
 	if err := first.SaveState(&buf); err != nil {
@@ -99,6 +103,7 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	for ti := cut; ti < s.T(); ti++ {
 		tailRef = scheduleTrace(t, first, s.Slices[ti], tailRef)
 		tailSecond = scheduleTrace(t, second, s.Slices[ti], tailSecond)
+		rows = append(rows, slices.Clone(second.LastS()))
 	}
 	if !bytes.Equal(tailRef, tailSecond) {
 		t.Fatalf("restored schedule %q != interrupted-run schedule %q", tailSecond, tailRef)
@@ -112,7 +117,7 @@ func TestLayoutCheckpointRoundTrip(t *testing.T) {
 	if d := maxFactorDiff(ref, second); d != 0 {
 		t.Fatalf("restored factors differ from uninterrupted by %g", d)
 	}
-	if d := ref.Temporal().MaxAbsDiff(second.Temporal()); d != 0 {
+	if d := dense.FromRows(refS).MaxAbsDiff(dense.FromRows(rows)); d != 0 {
 		t.Fatalf("temporal factors differ by %g", d)
 	}
 }
@@ -125,8 +130,9 @@ func resealCRC(raw []byte) {
 // TestCheckpointCarriesCursor: the WAL cursor round-trips as the last
 // payload word, under the checkpoint's one CRC — one flipped cursor bit
 // fails the checksum — and a v2 or v3 checkpoint, which has no cursor,
-// or a v4 one, which has no z-side log, is rejected by an error that
-// names its version, even under a valid checksum.
+// a v4 one, which has no z-side log, or a v5 one, which carries a
+// temporal history, is rejected by an error that names its version,
+// even under a valid checksum.
 func TestCheckpointCarriesCursor(t *testing.T) {
 	dims, opt := []int{6, 7}, Options{Rank: 3, Seed: 1}
 	d, _ := runStream(t, testStream(t, 311, dims, 60, 3), opt)
@@ -160,7 +166,7 @@ func TestCheckpointCarriesCursor(t *testing.T) {
 	if _, err := restore(flipped); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("flipped cursor bit: got %v, want a checksum error", err)
 	}
-	for _, version := range []string{"SPSTRM02", "SPSTRM03", "SPSTRM04"} {
+	for _, version := range []string{"SPSTRM02", "SPSTRM03", "SPSTRM04", "SPSTRM05"} {
 		old := append([]byte(nil), raw...)
 		copy(old, version)
 		resealCRC(old)
@@ -250,14 +256,14 @@ func TestScheduleIgnoresHistory(t *testing.T) {
 	}
 }
 
-// savedStateSHA256 is the SHA-256 of the SPSTRM05 bytes SaveState writes
+// savedStateSHA256 is the SHA-256 of the SPSTRM06 bytes SaveState writes
 // for savedStateFixture: the stored rows, their ages and the log of a
 // lazy z side three slices past its last flush.
-const savedStateSHA256 = "0a70498b4453d9c51cb9d32ab21b55eff4ce542c26f39ec771c51340f264569e"
+const savedStateSHA256 = "2f9b257e41bd915068d9da93073bd2db1a2754650671ab436d57344056cf4263"
 
 // savedStateFixture is a decomposer whose state has every section of
-// the format filled in: a lazy z side, spCP nz sets and z-row Grams, a
-// temporal history, and a WAL cursor.
+// the format filled in: a lazy z side, spCP nz sets and z-row Grams,
+// and a WAL cursor.
 func savedStateFixture(t *testing.T) *Decomposer {
 	t.Helper()
 	s := testStream(t, 307, []int{300, 40, 25}, 400, 4)
@@ -274,6 +280,43 @@ func TestSaveStateBytesPinned(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != savedStateSHA256 {
 		t.Fatalf("SaveState wrote %d bytes hashing to %s, pinned %s", buf.Len(), got, savedStateSHA256)
+	}
+}
+
+// TestCheckpointFlatInT: a checkpoint holds the model and its K×K
+// invariants, not the stream's past, so SaveState writes as many bytes
+// at t = 10 as at t = 10 000 on the same dims, and RestoreState
+// allocates as often.
+func TestCheckpointFlatInT(t *testing.T) {
+	dims, opt := []int{6, 7}, Options{Rank: 3, Seed: 1, Workers: 1, MaxIters: 1}
+	s := testStream(t, 312, dims, 60, 10)
+	var size []int
+	var allocs []float64
+	for _, T := range []int{10, 10000} {
+		var buf bytes.Buffer
+		if err := runCycled(t, s, opt, T).SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		fresh, err := NewDecomposer(dims, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = append(size, len(raw))
+		allocs = append(allocs, testing.AllocsPerRun(10, func() {
+			if err := fresh.RestoreState(bytes.NewReader(raw)); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if fresh.T() != T {
+			t.Fatalf("restored t = %d, want %d", fresh.T(), T)
+		}
+	}
+	if size[0] != size[1] {
+		t.Errorf("SaveState wrote %d bytes at t = 10 and %d at t = 10 000, want the same", size[0], size[1])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("RestoreState allocates %.0f times at t = 10 and %.0f at t = 10 000, want the same", allocs[0], allocs[1])
 	}
 }
 

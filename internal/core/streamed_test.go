@@ -106,7 +106,7 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 						t.Fatalf("slice %d: s[%d] differs", ti, j)
 					}
 				}
-				sameMatrixBits(t, fmt.Sprintf("slice %d temporal Gram", ti), str.TemporalGram(), mem.TemporalGram())
+				sameMatrixBits(t, fmt.Sprintf("slice %d temporal Gram", ti), str.g, mem.g)
 			}
 		})
 	}
@@ -672,7 +672,7 @@ func TestSliceDriverStreamedAndResident(t *testing.T) {
 				for n := range dims {
 					sameMatrixBits(t, fmt.Sprintf("%s factor %d", label, n), got.d.Factor(n), ref.d.Factor(n))
 				}
-				sameMatrixBits(t, label+" temporal Gram", got.d.TemporalGram(), ref.d.TemporalGram())
+				sameMatrixBits(t, label+" temporal Gram", got.d.g, ref.d.g)
 				if !slices.Equal(got.d.LastS(), ref.d.LastS()) {
 					t.Fatalf("%s: sₜ differs", label)
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,13 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	results, err := dec.ProcessStream(stream.Source(), func(spstream.SliceResult) { calls++ })
+	var s [][]float64
+	results, err := dec.ProcessStream(stream.Source(), func(r spstream.SliceResult) {
+		calls++
+		if !r.Skipped {
+			s = append(s, slices.Clone(dec.LastS()))
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +50,13 @@ func TestQuickstartFlow(t *testing.T) {
 			t.Fatal("NaN in factors")
 		}
 	}
-	if s := dec.Temporal(); s.Rows != stream.T() || s.Cols != 4 {
-		t.Fatalf("temporal shape %d×%d", s.Rows, s.Cols)
+	if len(s) != stream.T() {
+		t.Fatalf("collected %d temporal rows, want %d", len(s), stream.T())
+	}
+	for i, row := range s {
+		if len(row) != 4 {
+			t.Fatalf("temporal row %d has %d entries, want 4", i, len(row))
+		}
 	}
 }
 
