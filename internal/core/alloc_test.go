@@ -204,11 +204,11 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 
 // TestSpCPSliceRoundAllocs bounds what a whole spCP-stream slice —
 // beginSlice, an iteration, finishSlice — allocates once the Decomposer's
-// grow-only matrices have reached the stream's nz counts: the remap, the
-// compiled plan, the two set differences per mode and the appended sₜ
-// row, together fewer bytes than the slice's A_nz alone (≈ 0.09 × here). (The parent
-// allocated A_nz, its A_{t−1} gather, Ψ_nz and the gathers of the rows
-// that moved afresh every slice: five to six times A_nz.)
+// grow-only matrices have reached the stream's nz counts: the remap and
+// the compiled plan, together under a seventh of the bytes of the
+// slice's A_nz (≈ 0.13 × here). The set differences of an incremental
+// C_z upkeep, two per mode, would take it to ≈ 0.16 ×; allocating A_nz,
+// its A_{t−1} gather and Ψ_nz afresh every slice, to five or six times.
 func TestSpCPSliceRoundAllocs(t *testing.T) {
 	s := remapStream(t, 406, 6)
 	d, err := NewDecomposer(s.Dims, Options{Rank: 16, Algorithm: SpCPStream, Seed: 7, Workers: 1})
@@ -239,7 +239,7 @@ func TestSpCPSliceRoundAllocs(t *testing.T) {
 			aNz += 8 * d.k * len(nz)
 		}
 		got := after.TotalAlloc - before.TotalAlloc
-		if got >= uint64(aNz) {
+		if 7*got >= uint64(aNz) {
 			t.Errorf("slice %d: a spCP slice round allocates %d bytes, its A_nz is %d", i, got, aNz)
 		}
 	}

@@ -48,15 +48,9 @@ type Decomposer struct {
 	// (Cursor); it is checkpointed with the state.
 	cursor uint64
 
-	// spCP-stream state carried across slices, and the pooled remapper
-	// that renumbers each of its slices into nz-row space.
-	prevNZ   [][]int32       // nz sets of the previous slice
-	cz       []*dense.Matrix // Gram of A's z-rows w.r.t. prevNZ
+	// The pooled remapper that renumbers each spCP slice into nz-row
+	// space.
 	remapper mttkrp.Remapper
-	// directCz recomputes C_z,t−1 = C − A_nzᵀA_nz from scratch every
-	// slice instead of Alg. 4's lines 8–11: the tests' cross-check of the
-	// incremental upkeep, and its ablation benchmark.
-	directCz bool
 	// One 1×K row per worker for the flush, and the count of rows the
 	// z side has brought current (the nz gathers and the flushes).
 	zRows     []dense.Matrix
@@ -177,11 +171,11 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 	sp := &d.sp
 	sp.aNz, sp.aNzPrev, sp.psi = make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
 	for range dims {
-		d.cz = append(d.cz, dense.NewMatrix(k, k))
+		sp.cz = append(sp.cz, dense.NewMatrix(k, k))
 		sp.tFinal = append(sp.tFinal, dense.NewMatrix(k, k))
 		sp.czCur = append(sp.czCur, dense.NewMatrix(k, k))
 	}
-	sp.tmpKK, sp.gram = dense.NewMatrix(k, k), dense.NewMatrix(k, k)
+	sp.tmpKK = dense.NewMatrix(k, k)
 	// Invariant: d.c always holds Gram of the committed factors at slice
 	// boundaries.
 	d.refreshGrams()
@@ -328,10 +322,11 @@ func (d *Decomposer) advanceTime() {
 // come from diag(C⁽ᵐ⁾) (so the Gram form takes the same ones), dead
 // columns guarded; λ is absorbed into sₜ so the model [[A…; s]] is
 // unchanged; the rows sw.a are scaled by λ⁻¹ in one more sweep, which
-// takes the norms and ψ again on the scaled rows; the cached Gram state
-// follows — C ← D⁻¹CD⁻¹ and H ← H·D⁻¹ (H's left side is the unscaled
-// A⁽ᵐ⁾ₜ₋₁) — and the µG + ssᵀ operand is refreshed so the later modes of
-// the iteration see a consistent model. λ⁻¹ stays in d.colScale.
+// takes the norms (sw.norms) and ψ again on the scaled rows; the cached
+// Gram state follows — C ← D⁻¹CD⁻¹ and H ← H·D⁻¹ (H's left side is the
+// unscaled A⁽ᵐ⁾ₜ₋₁) — and the µG + ssᵀ operand is refreshed so the later
+// modes of the iteration see a consistent model. λ⁻¹ stays in
+// d.colScale.
 func (d *Decomposer) normalizeMode(m int, sw coreArgs) (diff2, norm2 float64) {
 	sw.inv = d.colScale
 	for j := range sw.inv {

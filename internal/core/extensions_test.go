@@ -11,66 +11,7 @@ import (
 	"spstream/internal/admm"
 	"spstream/internal/dense"
 	"spstream/internal/sptensor"
-	"spstream/internal/synth"
 )
-
-// newDirectCz is NewDecomposer with the from-scratch C_z,t−1 of every
-// slice in place of Alg. 4's incremental upkeep (lines 8–11) when direct
-// is set: the reference the incremental runs are checked against.
-func newDirectCz(t testing.TB, dims []int, opt Options, direct bool) *Decomposer {
-	t.Helper()
-	d, err := NewDecomposer(dims, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.directCz = direct
-	return d
-}
-
-// The incremental C_z maintenance (Alg. 4 lines 8–11) must be exactly
-// equivalent to recomputing C_z,t−1 from scratch each slice.
-func TestDirectCzEquivalence(t *testing.T) {
-	s := skewedStream(t, 101)
-	opt := Options{Rank: 4, Algorithm: SpCPStream, Seed: 5, Workers: 1}
-	inc, _ := runStream(t, s, opt)
-	dir := newDirectCz(t, s.Dims, opt, true)
-	if _, err := dir.ProcessStream(s.Source(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxFactorDiff(inc, dir); d > 1e-8 {
-		t.Fatalf("incremental vs direct C_z differ by %g", d)
-	}
-}
-
-// BenchmarkAblationCz compares the incremental C_z maintenance of
-// Algorithm 4 (lines 8–11) against recomputing C_z,t−1 from scratch
-// every slice — the design choice called out in DESIGN.md — on the flickr
-// preset at a tenth of its size.
-func BenchmarkAblationCz(b *testing.B) {
-	cfg, err := synth.Preset("flickr", 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, direct := range []bool{false, true} {
-		name := "incremental"
-		if direct {
-			name = "direct"
-		}
-		b.Run(name, func(b *testing.B) {
-			dec := newDirectCz(b, s.Dims, Options{Rank: 16, Algorithm: SpCPStream, Seed: 5, MaxIters: 3}, direct)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dec.ProcessSlice(s.Slices[i%s.T()]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // TestConstrainedSpCPValidation: spCP-stream rejects every constraint
 // (paper §VII) — its z rows move only by a linear transform.

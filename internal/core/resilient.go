@@ -24,32 +24,25 @@ import (
 
 // stateSnapshot is the rollback point of a guarded slice: the committed
 // factor version, pinned for the length of the slice so nothing writes
-// it (nil outside a slice), and a copy of the small state that crosses slice boundaries — C,
-// C_z, G, sₜ, t and the nz sets. It is
-// owned by the Decomposer and its storage is reused across slices, so
-// steady-state snapshotting allocates nothing and copies O(N·K² + |nz|).
+// it (nil outside a slice), and a copy of the small state that crosses
+// slice boundaries — C, G, sₜ and t. It is owned by the Decomposer and
+// its storage is reused across slices, so steady-state snapshotting
+// allocates nothing and copies O(N·K²).
 type stateSnapshot struct {
-	ver    *Version
-	c, cz  []*dense.Matrix
-	g      *dense.Matrix
-	s      []float64
-	t      int
-	hasNZ  bool
-	prevNZ [][]int32
+	ver *Version
+	c   []*dense.Matrix
+	g   *dense.Matrix
+	s   []float64
+	t   int
 }
 
 // takeSnapshot captures the current between-slice state and pins the
 // committed version until releaseSnapshot.
 func (d *Decomposer) takeSnapshot() {
 	if d.snap == nil {
-		sn := &stateSnapshot{
-			g:      dense.NewMatrix(d.k, d.k),
-			s:      make([]float64, d.k),
-			prevNZ: make([][]int32, d.n),
-		}
+		sn := &stateSnapshot{g: dense.NewMatrix(d.k, d.k), s: make([]float64, d.k)}
 		for range d.dims {
 			sn.c = append(sn.c, dense.NewMatrix(d.k, d.k))
-			sn.cz = append(sn.cz, dense.NewMatrix(d.k, d.k))
 		}
 		d.snap = sn
 	}
@@ -58,17 +51,10 @@ func (d *Decomposer) takeSnapshot() {
 	sn.ver.Pin()
 	for m := range d.c {
 		sn.c[m].CopyFrom(d.c[m])
-		sn.cz[m].CopyFrom(d.cz[m])
 	}
 	sn.g.CopyFrom(d.g)
 	copy(sn.s, d.s)
 	sn.t = d.t
-	sn.hasNZ = d.prevNZ != nil
-	if sn.hasNZ {
-		for m := range d.prevNZ {
-			sn.prevNZ[m] = append(sn.prevNZ[m][:0], d.prevNZ[m]...)
-		}
-	}
 }
 
 // releaseSnapshot ends the rollback point: the version it pinned may be
@@ -95,7 +81,6 @@ func (d *Decomposer) rollback() bool {
 	}
 	for m := range d.c {
 		d.c[m].CopyFrom(sn.c[m])
-		d.cz[m].CopyFrom(sn.cz[m])
 		// Re-seed the slice-start invariants the begin phase established.
 		d.cPrev[m].CopyFrom(sn.c[m])
 		d.h[m].CopyFrom(sn.c[m])
@@ -103,16 +88,6 @@ func (d *Decomposer) rollback() bool {
 	d.g.CopyFrom(sn.g)
 	copy(d.s, sn.s)
 	d.t = sn.t
-	if !sn.hasNZ {
-		d.prevNZ = nil
-	} else {
-		if d.prevNZ == nil {
-			d.prevNZ = make([][]int32, d.n)
-		}
-		for m := range sn.prevNZ {
-			d.prevNZ[m] = append(d.prevNZ[m][:0], sn.prevNZ[m]...)
-		}
-	}
 	return true
 }
 
@@ -196,12 +171,14 @@ func scanSliceInput(x *sptensor.Tensor) error {
 
 // healthCheck validates the numerical state a just-finished slice left
 // behind, reading only what the slice wrote: finite convergence measure
-// within the divergence guard; finite factor rows — those the slice
-// wrote (Version.wrote), the z rows it left stored through their C_z and
-// the logged transforms; finite C, temporal weights, and temporal Gram.
-// A z row turns non-finite only after its squared norm, and with it
-// diag(C_z), has overflowed, so a finite C_z and log vouch for the rows
-// the slice did not touch. Failures wrap resilience.ErrDiverged.
+// within the divergence guard; finite factor rows — every row after a
+// slice that wrote them all, else the rows the slice wrote
+// (Version.wrote) and the z rows it left stored, through the C_z the
+// slice finished with (czCur) and the logged transforms; finite C,
+// temporal weights, and temporal Gram. A z row turns non-finite only
+// after its squared norm, and with it diag(C_z), has overflowed, so a
+// finite C_z and log vouch for the rows the slice did not touch.
+// Failures wrap resilience.ErrDiverged.
 func (d *Decomposer) healthCheck(res *SliceResult) error {
 	cfg := d.opt.Resilience
 	if cfg == nil {
@@ -213,10 +190,11 @@ func (d *Decomposer) healthCheck(res *SliceResult) error {
 	v := d.cur
 	var row dense.Matrix
 	for m, a := range v.a {
-		finite := !d.c[m].HasNaN() && !d.cz[m].HasNaN()
+		finite := !d.c[m].HasNaN()
 		if v.wrote == nil {
 			finite = finite && !a.HasNaN()
 		} else {
+			finite = finite && !d.sp.czCur[m].HasNaN()
 			for _, i := range v.wrote[m] {
 				row.SetRowView(a, int(i), int(i)+1)
 				finite = finite && !row.HasNaN()

@@ -155,9 +155,9 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		}
 		// The iterate's rows (Eq. 7): A = Ψ·Φ⁻¹ for Ψ = M·diag(sₜ) +
 		// A_{t−1}·Q — under a constraint BF-ADMM, warm-started from the
-		// previous iterate — and their C in c[n], H in h[n], the δ norms
-		// and ψ.
-		num, den, err := d.updateRows(&run.res, n, run.a[n], kout, run.prev[n], sp.psi[n], phi, q)
+		// previous iterate — and their C in c[n], H in h[n], ψ and, with
+		// z = ∅, the δ norms.
+		num, den, err := d.updateRows(run, n, kout, phi, q)
 		if err != nil {
 			return 0, err
 		}
@@ -168,15 +168,15 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 			// historical-term work (Fig. 8 accounting).
 			t0 = time.Now()
 			d.chol.SolveRowsInto(sp.tFinal[n], q)
-			dense.MulAB(sp.tmpKK, d.cz[n], sp.tFinal[n]) // C_z,t−1·T
-			dense.Add(d.h[n], d.h[n], sp.tmpKK)          // H = H_nz + H_z
+			dense.MulAB(sp.tmpKK, sp.cz[n], sp.tFinal[n]) // C_z,t−1·T
+			dense.Add(d.h[n], d.h[n], sp.tmpKK)           // H = H_nz + H_z
 			dense.MulAtB(sp.czCur[n], sp.tFinal[n], sp.tmpKK)
 			dense.Add(d.c[n], d.c[n], sp.czCur[n]) // C = C_nz + C_z
 			d.bd.Add(trace.Historical, time.Since(t0))
 		}
 		if d.opt.Normalize {
 			t0 = time.Now()
-			num, den = d.normalizeMode(n, coreArgs{a: run.a[n], m: kout, prev: run.prev[n], psi: last})
+			num, den = d.normalizeMode(n, coreArgs{a: run.a[n], m: kout, prev: run.prev[n], psi: last, norms: run.rm == nil})
 			if run.rm != nil {
 				// Scaling T's columns scales the implicit z rows
 				// (A_z = A_z,t₋₁·T), and C_z goes with them.
@@ -186,8 +186,9 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 			}
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
-		// δₜ = Σ_n ‖A⁽ⁿ⁾−A⁽ⁿ⁾ₜ₋₁‖_F / ‖A⁽ⁿ⁾‖_F (Eq. 15).
-		if run.rm == nil && den > 0 {
+		// δₜ = Σ_n ‖A⁽ⁿ⁾−A⁽ⁿ⁾ₜ₋₁‖_F / ‖A⁽ⁿ⁾‖_F (Eq. 15); a z set
+		// reduces no norms (den = 0) and takes the trace form below.
+		if den > 0 {
 			delta += math.Sqrt(num / den)
 		}
 	}
@@ -241,10 +242,6 @@ func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 	if run.rm != nil {
 		d.bd.Time(trace.Post, func() { d.finishZ(run) })
 	} else {
-		// Every row moved outside the Gram-form bookkeeping: like
-		// SetAlgorithm, make the next z set recompute C_z,t−1 from
-		// scratch.
-		d.prevNZ = nil
 		d.endWrite(run.next)
 	}
 	d.commit(run.next)

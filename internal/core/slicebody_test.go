@@ -18,7 +18,8 @@ import (
 
 // sliceBodyBits pins, per configuration, the FNV-64a hash of everything a
 // slice body produces: each slice's δ, fit, Iters and ADMMIters, then the
-// final factors, C, C_z, every sₜ and G. Keys are
+// final factors, C, the C_z the last slice finished with (zero after a
+// z = ∅ slice), every sₜ and G. Keys are
 // "<stream>/<alg>/<con|uncon>/<norm|raw>/<resident|streamed>".
 var sliceBodyBits = map[string]uint64{
 	"planted/optimized/uncon/raw/resident":  0xdd08fad54bad2731,
@@ -30,7 +31,7 @@ var sliceBodyBits = map[string]uint64{
 	"planted/optimized/con/norm/resident":   0x0d68d583c834ba42,
 	"planted/optimized/con/norm/streamed":   0x0d68d583c834ba42,
 	"planted/spcp/uncon/raw/resident":       0x72fecae8983d230c,
-	"planted/spcp/uncon/norm/resident":      0x9738c34f70c449b9,
+	"planted/spcp/uncon/norm/resident":      0xfea676403e2625b2,
 	"skewed/optimized/uncon/raw/resident":   0x2d6e08ede602a103,
 	"skewed/optimized/uncon/raw/streamed":   0x2d6e08ede602a103,
 	"skewed/optimized/uncon/norm/resident":  0xaa71d93a06c6d060,
@@ -39,8 +40,8 @@ var sliceBodyBits = map[string]uint64{
 	"skewed/optimized/con/raw/streamed":     0x294be7307b68d26c,
 	"skewed/optimized/con/norm/resident":    0xe73c1c8601d03b73,
 	"skewed/optimized/con/norm/streamed":    0xe73c1c8601d03b73,
-	"skewed/spcp/uncon/raw/resident":        0x1b1fdd42d12b41ee,
-	"skewed/spcp/uncon/norm/resident":       0x5244fb729c5fe4aa,
+	"skewed/spcp/uncon/raw/resident":        0xfd94290d73022312,
+	"skewed/spcp/uncon/norm/resident":       0xd0f31981d739ed5d,
 }
 
 // TestSliceBodyBits holds the slice body to its exact output across
@@ -171,7 +172,7 @@ func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed, pinn
 		v.Release()
 	}
 	for m := range d.dims {
-		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.cz[m]} {
+		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.sp.czCur[m]} {
 			hashFloats(h, mat.Data...)
 		}
 	}

@@ -154,8 +154,9 @@ func TestLazyZMatchesEagerOracle(t *testing.T) {
 
 // TestEagerOracleKeepsEagerBits: the oracle of TestLazyZMatchesEagerOracle
 // is the eager algorithm exactly — flushed after every slice, the slice
-// body reproduces the bits TestSliceBodyBits pinned for SpCPStream
-// before the z side became lazy, pinned or not.
+// body reproduces the eager z side's bits, pinned or not. On the planted
+// stream they are TestSliceBodyBits' SpCPStream pins; on the skewed one
+// the lazy z side moved them.
 func TestEagerOracleKeepsEagerBits(t *testing.T) {
 	planted, skewed := testStream(t, 106, []int{30, 700, 40}, 9000, 3), skewedStream(t, 32)
 	for _, tc := range []struct {
@@ -165,9 +166,9 @@ func TestEagerOracleKeepsEagerBits(t *testing.T) {
 		want      uint64
 	}{
 		{"planted/raw", planted, false, 0x72fecae8983d230c},
-		{"planted/norm", planted, true, 0x9738c34f70c449b9},
-		{"skewed/raw", skewed, false, 0xc3a3d4d46da4c676},
-		{"skewed/norm", skewed, true, 0xf639f5c7c8ecc8d0},
+		{"planted/norm", planted, true, 0xfea676403e2625b2},
+		{"skewed/raw", skewed, false, 0x4023f63491fec3f6},
+		{"skewed/norm", skewed, true, 0x4485c17fad078275},
 	} {
 		for _, pinned := range []bool{false, true} {
 			opt := Options{Rank: 5, Algorithm: SpCPStream, Normalize: tc.normalize, Seed: 4, Workers: 2}
@@ -205,7 +206,7 @@ func TestZRowsReadCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, nz := d.zRowsRead-before, 0
-			for _, set := range d.prevNZ {
+			for _, set := range d.cur.nz {
 				nz += len(set)
 			}
 			want := nz
@@ -267,8 +268,8 @@ func TestHealthCheckLazyZ(t *testing.T) {
 			if v.Row(m, i, row); math.Sqrt(dense.Dot(row, row)) < 1e154 {
 				t.Fatalf("z row norm %g, want past 1e154", math.Sqrt(dense.Dot(row, row)))
 			}
-			// C_z as the slice would have carried it: the Gram of the
-			// rows brought current, all but the nz rows.
+			// C_z as the slice would have finished with it: the Gram of
+			// the rows brought current, all but the nz rows.
 			inNZ := make(map[int32]bool)
 			for _, j := range v.wrote[m] {
 				inNZ[j] = true
@@ -284,7 +285,7 @@ func TestHealthCheckLazyZ(t *testing.T) {
 			if !math.IsInf(cz.At(0, 0), 1) && !math.IsInf(cz.At(1, 1), 1) {
 				t.Fatalf("diag(C_z) = %g, %g: did not overflow", cz.At(0, 0), cz.At(1, 1))
 			}
-			d.cz[m].CopyFrom(cz)
+			d.sp.czCur[m].CopyFrom(cz)
 		case "non-finite suffix product":
 			p.Data[1] = math.NaN()
 		}
@@ -296,6 +297,34 @@ func TestHealthCheckLazyZ(t *testing.T) {
 		got := d.snapshotFactors()
 		for n := range want {
 			sameMatrixBits(t, fmt.Sprintf("%s: rolled-back factor %d", fault, n), got[n], want[n])
+		}
+	}
+}
+
+// TestHealthCheckIgnoresStaleCz: C_z is the slice's own, so a z = ∅
+// slice reads none — not even one a rolled-back spCP slice left
+// non-finite in the buffers — and the next z set recomputes it.
+func TestHealthCheckIgnoresStaleCz(t *testing.T) {
+	s := skewedStream(t, 52)
+	d, err := NewDecomposer(s.Dims, Options{Rank: 4, Algorithm: SpCPStream, Seed: 6, Workers: 2,
+		Resilience: &resilience.Config{Policy: resilience.Abort}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, x := range s.Slices[:4] {
+		switch ti {
+		case 2:
+			if err := d.SetAlgorithm(Optimized); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			if err := d.SetAlgorithm(SpCPStream); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.sp.czCur[1].Data[0] = math.NaN() // what a failed spCP attempt may leave
+		if _, err := d.ProcessSlice(x); err != nil {
+			t.Fatalf("slice %d under %v: %v", ti, d.Algorithm(), err)
 		}
 	}
 }

@@ -16,32 +16,33 @@ import (
 // dims and Options, so long-running deployments can survive restarts
 // without replaying the stream. The format captures exactly the state
 // that crosses slice boundaries: the factors, their Gram invariants,
-// the temporal Gram G and the last sₜ, the slice counter, (for
-// spCP-stream) the previous nz sets and z-row Grams, and the WAL cursor
-// (Cursor) — the replay point of a spilled ingest backlog, so the state
-// and the position it was folded up to commit as one file. The factors
+// the temporal Gram G and the last sₜ, the slice counter, and the WAL
+// cursor (Cursor) — the replay point of a spilled ingest backlog, so the
+// state and the position it was folded up to commit as one file. The factors
 // are written as the committed version stores them, lazy z side and
 // all (Version): the stored rows, each row's age and the log of suffix
 // products, so a restored run continues bit for bit, flushes included.
 // The algorithm reads the past only through G, so no temporal history
-// is stored and a checkpoint's size does not grow with t.
+// is stored and a checkpoint's size does not grow with t; an spCP slice
+// computes its C_z from the rows it gathers, so no nz set or z-row Gram
+// is stored either, and a checkpoint's size does not depend on the
+// algorithm.
 //
-// The format is SPSTRM06: magic, payload, cursor, and a CRC32 (IEEE)
+// The format is SPSTRM07: magic, payload, cursor, and a CRC32 (IEEE)
 // footer covering all of it, so a checkpoint truncated or bit-flipped
 // at rest is rejected instead of restoring silently wrong state. Older
 // versions are rejected by their magic: v1 had no footer, v2/v3 carry
 // no cursor, so restoring one would replay a spilled backlog the state
-// may already hold, v4 carries no z-side log, and v5 carries the
-// temporal history this version dropped.
+// may already hold, v4 carries no z-side log, v5 carries the temporal
+// history, and v6 the nz sets and z-row Grams this version dropped.
 //
 // Payload, little-endian u64 words unless noted: N, I₁…I_N, K, t, lag;
 // per mode the stored Iₙ×K factor, Iₙ age bytes, lag K×K suffix
-// products, C and C_z (float64 words); G, sₜ; the nz presence flag and
-// per-mode counted nz lists (u32 words, strictly ascending in [0, Iₙ));
-// the cursor. t must fit a non-negative int.
+// products and C (float64 words); G, sₜ; the cursor. t must fit a
+// non-negative int.
 
 // stateMagic identifies the checkpoint container and its version.
-var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '6'}
+var stateMagic = [8]byte{'S', 'P', 'S', 'T', 'R', 'M', '0', '7'}
 
 // stateBuf is the size of the one buffer a checkpoint is encoded and
 // decoded through, whatever the factors' size.
@@ -89,13 +90,6 @@ func (e *stateEnc) bytes(v []byte) {
 		n := min(len(v), cap(e.buf)-len(e.buf))
 		e.buf = append(e.buf, v[:n]...)
 		v = v[n:]
-	}
-}
-
-func (e *stateEnc) int32s(v []int32) {
-	for _, x := range v {
-		e.room(4)
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
 	}
 }
 
@@ -161,20 +155,6 @@ func (dc *stateDec) bytes(v []byte) {
 	}
 }
 
-func (dc *stateDec) int32s(v []int32) {
-	for len(v) > 0 {
-		n := min(len(v), len(dc.buf)/4)
-		b := dc.next(4 * n)
-		if b == nil {
-			return
-		}
-		for i := range v[:n] {
-			v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		v = v[n:]
-	}
-}
-
 func (dc *stateDec) matrix(m *dense.Matrix) {
 	for i := 0; i < m.Rows; i++ {
 		dc.floats(m.Row(i))
@@ -189,7 +169,7 @@ func (d *Decomposer) Cursor() uint64 { return d.cursor }
 // SetCursor records the WAL cursor the next SaveState writes.
 func (d *Decomposer) SetCursor(seq uint64) { d.cursor = seq }
 
-// SaveState serializes the decomposer's streaming state (SPSTRM06,
+// SaveState serializes the decomposer's streaming state (SPSTRM07,
 // with the CRC footer) through one buffer, so it allocates the same at
 // any mode length. It must be called between slices (never concurrently
 // with ProcessSlice).
@@ -204,7 +184,7 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 	e.u64(uint64(d.t))
 	v := d.cur
 	e.u64(uint64(v.lag))
-	// Factors with their z side, Gram invariants, z-row Grams.
+	// Factors with their z side, Gram invariants.
 	for m, a := range v.a {
 		e.matrix(a)
 		e.bytes(v.age[m])
@@ -212,20 +192,9 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 			e.matrix(p)
 		}
 		e.matrix(d.c[m])
-		e.matrix(d.cz[m])
 	}
 	e.matrix(d.g)
 	e.floats(d.s)
-	// spCP nz sets (presence flag + per-mode lists).
-	if d.prevNZ == nil {
-		e.u64(0)
-	} else {
-		e.u64(1)
-		for _, nz := range d.prevNZ {
-			e.u64(uint64(len(nz)))
-			e.int32s(nz)
-		}
-	}
 	e.u64(d.cursor)
 	e.flush()
 	if e.err != nil {
@@ -287,16 +256,15 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	v := d.claimSpare()
 	d.beginWrite(v, nil)
 	v.growLog(int(lag))
-	c, cz := make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
+	c := make([]*dense.Matrix, d.n)
 	for m := range c {
-		c[m], cz[m] = dense.NewMatrix(d.k, d.k), dense.NewMatrix(d.k, d.k)
+		c[m] = dense.NewMatrix(d.k, d.k)
 		dc.matrix(v.a[m])
 		dc.bytes(v.age[m])
 		for _, p := range v.log[m][:lag] {
 			dc.matrix(p)
 		}
 		dc.matrix(c[m])
-		dc.matrix(cz[m])
 		if dc.err != nil {
 			return dc.err
 		}
@@ -309,41 +277,6 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	g, s := dense.NewMatrix(d.k, d.k), make([]float64, d.k)
 	dc.matrix(g)
 	dc.floats(s)
-	hasNZ := dc.u64()
-	if dc.err != nil {
-		return dc.err
-	}
-	var prevNZ [][]int32
-	switch hasNZ {
-	case 0:
-	case 1:
-		prevNZ = make([][]int32, d.n)
-		for m := 0; m < d.n; m++ {
-			cnt := dc.u64()
-			if dc.err != nil {
-				return dc.err
-			}
-			if cnt > uint64(d.dims[m]) {
-				return fmt.Errorf("core: checkpoint nz set of mode %d has %d entries for dim %d", m, cnt, d.dims[m])
-			}
-			prevNZ[m] = make([]int32, cnt)
-			if dc.int32s(prevNZ[m]); dc.err != nil {
-				return dc.err
-			}
-			// The spCP slice gathers these rows and subtracts the sets
-			// (mttkrp.SetDiff), which takes them sorted: one out of range
-			// would crash every later slice, one out of order corrupt C_z.
-			prev := int32(-1)
-			for j, i := range prevNZ[m] {
-				if i <= prev || int(i) >= d.dims[m] {
-					return fmt.Errorf("core: checkpoint nz set of mode %d has entry %d = %d, not strictly ascending in [0, %d)", m, j, i, d.dims[m])
-				}
-				prev = i
-			}
-		}
-	default:
-		return fmt.Errorf("core: checkpoint nz presence flag %d is not 0 or 1", hasNZ)
-	}
 	cursor := dc.u64()
 	if dc.err != nil {
 		return dc.err
@@ -360,11 +293,9 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	d.commit(v)
 	for m := range c {
 		d.c[m].CopyFrom(c[m])
-		d.cz[m].CopyFrom(cz[m])
 	}
 	d.g.CopyFrom(g)
 	copy(d.s, s)
-	d.prevNZ = prevNZ
 	d.t = int(t)
 	d.cursor = cursor
 	return nil

@@ -130,9 +130,9 @@ func resealCRC(raw []byte) {
 // TestCheckpointCarriesCursor: the WAL cursor round-trips as the last
 // payload word, under the checkpoint's one CRC — one flipped cursor bit
 // fails the checksum — and a v2 or v3 checkpoint, which has no cursor,
-// a v4 one, which has no z-side log, or a v5 one, which carries a
-// temporal history, is rejected by an error that names its version,
-// even under a valid checksum.
+// a v4 one, which has no z-side log, a v5 one, which carries a temporal
+// history, or a v6 one, which carries C_z and the nz sets, is rejected
+// by an error that names its version, even under a valid checksum.
 func TestCheckpointCarriesCursor(t *testing.T) {
 	dims, opt := []int{6, 7}, Options{Rank: 3, Seed: 1}
 	d, _ := runStream(t, testStream(t, 311, dims, 60, 3), opt)
@@ -166,7 +166,7 @@ func TestCheckpointCarriesCursor(t *testing.T) {
 	if _, err := restore(flipped); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("flipped cursor bit: got %v, want a checksum error", err)
 	}
-	for _, version := range []string{"SPSTRM02", "SPSTRM03", "SPSTRM04", "SPSTRM05"} {
+	for _, version := range []string{"SPSTRM02", "SPSTRM03", "SPSTRM04", "SPSTRM05", "SPSTRM06"} {
 		old := append([]byte(nil), raw...)
 		copy(old, version)
 		resealCRC(old)
@@ -256,14 +256,13 @@ func TestScheduleIgnoresHistory(t *testing.T) {
 	}
 }
 
-// savedStateSHA256 is the SHA-256 of the SPSTRM06 bytes SaveState writes
+// savedStateSHA256 is the SHA-256 of the SPSTRM07 bytes SaveState writes
 // for savedStateFixture: the stored rows, their ages and the log of a
 // lazy z side three slices past its last flush.
-const savedStateSHA256 = "2f9b257e41bd915068d9da93073bd2db1a2754650671ab436d57344056cf4263"
+const savedStateSHA256 = "a63335e1b49eabfc06dd9f63be311a80581311dea7a10109b3974b887a718536"
 
 // savedStateFixture is a decomposer whose state has every section of
-// the format filled in: a lazy z side, spCP nz sets and z-row Grams,
-// and a WAL cursor.
+// the format filled in: a lazy z side and a WAL cursor.
 func savedStateFixture(t *testing.T) *Decomposer {
 	t.Helper()
 	s := testStream(t, 307, []int{300, 40, 25}, 400, 4)
@@ -286,7 +285,9 @@ func TestSaveStateBytesPinned(t *testing.T) {
 // TestCheckpointFlatInT: a checkpoint holds the model and its K×K
 // invariants, not the stream's past, so SaveState writes as many bytes
 // at t = 10 as at t = 10 000 on the same dims, and RestoreState
-// allocates as often.
+// allocates as often. Nor does it hold the last slice's nz sets: at
+// t = zLogLen, where the lazy z side has just flushed, an SpCPStream
+// checkpoint is as long as an Optimized one.
 func TestCheckpointFlatInT(t *testing.T) {
 	dims, opt := []int{6, 7}, Options{Rank: 3, Seed: 1, Workers: 1, MaxIters: 1}
 	s := testStream(t, 312, dims, 60, 10)
@@ -317,6 +318,23 @@ func TestCheckpointFlatInT(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("RestoreState allocates %.0f times at t = 10 and %.0f at t = 10 000, want the same", allocs[0], allocs[1])
+	}
+	var lens [2]int
+	for i, alg := range []Algorithm{Optimized, SpCPStream} {
+		o := opt
+		o.Algorithm = alg
+		var buf bytes.Buffer
+		d := runCycled(t, s, o, zLogLen)
+		if err := d.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if d.cur.lag != 0 {
+			t.Fatalf("%v: z side lags %d slices at t = zLogLen, want a flush", alg, d.cur.lag)
+		}
+		lens[i] = buf.Len()
+	}
+	if lens[0] != lens[1] {
+		t.Errorf("at t = zLogLen an Optimized checkpoint has %d bytes, an SpCPStream one %d, want the same", lens[0], lens[1])
 	}
 }
 
@@ -376,11 +394,12 @@ func TestRestoreEverySliceContinuesBitEqual(t *testing.T) {
 }
 
 // stateHash is the FNV-64a hash of a decomposer's model and Gram state:
-// its factors brought current, C, C_z, sₜ and G.
+// its factors brought current, C, the C_z its last slice finished with,
+// sₜ and G.
 func stateHash(d *Decomposer) uint64 {
 	h := fnv.New64a()
 	for m := range d.dims {
-		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.cz[m]} {
+		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.sp.czCur[m]} {
 			hashFloats(h, mat.Data...)
 		}
 	}

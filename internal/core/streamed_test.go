@@ -443,23 +443,26 @@ func relFactorDiff(a, b *Decomposer) float64 {
 
 // TestSpCPStreamMixedEval streams two over-budget slices through a
 // spCP-stream decomposer between resident ones. The streamed slices run
-// the explicit body, which moves every row outside the Gram-form
-// bookkeeping, so the next spCP slice must rebuild C_z,t−1 from scratch:
-// the incremental run has to land where the from-scratch run (which
-// always rebuilds) does. The incremental run also loses the first slice after
-// the streamed ones to a failed health check, after that slice's finish
-// has recorded its nz sets: the rollback has to forget them again.
+// the explicit body, which moves every row with z = ∅, and the spCP
+// slices around them take their C_z,t−1 from the rows they gather. One
+// run loses the first slice after the streamed ones to a failed health
+// check, after that slice's finish has committed its nz rows and C_z; the
+// rollback and the retry of the slice have to land on the bits of the run
+// without the failure.
 func TestSpCPStreamMixedEval(t *testing.T) {
 	dims := []int{30, 2000, 20}
 	slices := testStream(t, 17, dims, 300, 6).Slices
 	big := testStream(t, 18, dims, 3000, 6).Slices
 	slices[2], slices[3] = big[2], big[3]
-	run := func(direct bool) *Decomposer {
-		d := newDirectCz(t, dims, Options{
+	run := func(fail bool) *Decomposer {
+		d, err := NewDecomposer(dims, Options{
 			Rank: 6, Algorithm: SpCPStream, Seed: 3,
 			MemBudget:  perfmodel.ResidentBytes(1000, 3),
 			Resilience: &resilience.Config{Policy: resilience.SkipSlice},
-		}, direct)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		feed := func(x *sptensor.Tensor) error {
 			src, err := sptensor.SplitBlocks(x, 500)
 			if err != nil {
@@ -473,14 +476,14 @@ func TestSpCPStreamMixedEval(t *testing.T) {
 			if ti == 0 {
 				d.SetMaxIters(1) // a cold first slice, as the benchmark feeds it
 			}
-			if ti == 4 && !direct {
+			if ti == 4 && fail {
 				maxDelta := d.opt.Resilience.MaxDelta
 				d.opt.Resilience.MaxDelta = 0
 				if err := feed(x); !errors.Is(err, resilience.ErrSliceSkipped) {
 					t.Fatalf("slice 4 under MaxDelta 0: %v, want a skipped slice", err)
 				}
-				if d.prevNZ != nil || d.T() != 4 {
-					t.Fatalf("rollback left prevNZ=%v t=%d, want nil and 4", d.prevNZ, d.T())
+				if d.T() != 4 {
+					t.Fatalf("rollback left t=%d, want 4", d.T())
 				}
 				d.opt.Resilience.MaxDelta = maxDelta
 			}
@@ -492,14 +495,13 @@ func TestSpCPStreamMixedEval(t *testing.T) {
 			if got := d.LastEvalMode(); (got == perfmodel.EvalStreamed) != streamed {
 				t.Fatalf("slice %d: eval mode %v", ti, got)
 			}
-			if (d.prevNZ == nil) != streamed {
-				t.Fatalf("slice %d: prevNZ nil is %v, streamed is %v", ti, d.prevNZ == nil, streamed)
-			}
 		}
 		return d
 	}
-	if diff := relFactorDiff(run(false), run(true)); diff > 1e-10 {
-		t.Fatalf("incremental C_z differs from the from-scratch one by %g after streamed slices", diff)
+	clean, failed := run(false), run(true)
+	if got, want := stateHash(failed), stateHash(clean); got != want {
+		t.Fatalf("the run that retried slice 4 hashes %#x, the clean run %#x (factors %g apart)",
+			got, want, relFactorDiff(failed, clean))
 	}
 }
 

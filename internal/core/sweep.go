@@ -41,6 +41,7 @@ type coreArgs struct {
 	chol       *dense.Cholesky
 	inv        []float64      // set: a[r] ← a[r]∘inv first (Normalize)
 	grams, psi bool           // reduce C (and H, given prev); reduce ψ
+	norms      bool           // reduce ‖A − A_{t−1}‖² and ‖A‖² (given prev): δ with z = ∅ reads them
 	part       []float64      // block partials
 	tr         []float64      // per-worker 2·sweepSub·K column-major copies of a and prev (K a multiple of 4)
 	idx        []int32        // gather: the rows of ver's mode brought current into a
@@ -52,7 +53,7 @@ type coreArgs struct {
 // rowSweep runs sw over every row of sw.a on the pool and adds up the
 // block partials: C into c (nil: not wanted) and, given sw.prev, H into h
 // — both compact K×K — ψ into d.fitPsi (sw.psi), and ‖A − A_{t−1}‖² and
-// ‖A‖² as the results (0 without sw.prev). Allocation-free once the
+// ‖A‖² as the results (0 without sw.norms). Allocation-free once the
 // partial buffer has grown.
 func (d *Decomposer) rowSweep(sw coreArgs, c, h *dense.Matrix) (diff2, norm2 float64) {
 	k, kk := d.k, d.k*d.k
@@ -93,24 +94,27 @@ func (d *Decomposer) rowSweep(sw coreArgs, c, h *dense.Matrix) (diff2, norm2 flo
 	return total[stride-2], total[stride-1]
 }
 
-// updateRows is the slice body's row update of mode n, over the rows it
-// iterates (all of them, or A_nz): a ← Ψ·Φ⁻¹ for Ψ = m·diag(sₜ) + prev·q, and the reductions over the new rows — C
-// into c[n], H into h[n], on the last mode ψ into fitPsi, the norms
-// returned. Unconstrained, the solve is the sweep's own; under a
-// constraint Ψ is staged into psi for BF-ADMM (phi is its Φ) and the
-// sweep only reduces. Either way a mode's C, H, δ terms and ψ have this
-// one implementation.
-func (d *Decomposer) updateRows(res *SliceResult, n int, a, m, prev, psi, phi, q *dense.Matrix) (diff2, norm2 float64, err error) {
+// updateRows is the slice body's row update of mode n, over the rows run
+// iterates (all of them, or A_nz): a ← Ψ·Φ⁻¹ for Ψ = m·diag(sₜ) +
+// A_{t−1}·q, and the reductions over the new rows — C into c[n], H into
+// h[n], on the last mode ψ into fitPsi, and with z = ∅ the norms
+// returned (a z set's δ is the trace form's). Unconstrained, the solve
+// is the sweep's own; under a constraint Ψ is staged into the mode's Ψ
+// workspace for BF-ADMM (phi is its Φ) and the sweep only reduces.
+// Either way a mode's C, H, δ terms and ψ have this one implementation.
+func (d *Decomposer) updateRows(run *sliceRun, n int, m, phi, q *dense.Matrix) (diff2, norm2 float64, err error) {
 	t0 := time.Now()
-	sw := coreArgs{a: a, m: m, prev: prev, q: q, s: d.s, psi: n == d.n-1}
+	a, prev := run.a[n], run.prev[n]
+	sw := coreArgs{a: a, m: m, prev: prev, q: q, s: d.s, psi: n == d.n-1, norms: run.rm == nil}
 	if con := d.opt.Constraint; con == nil {
 		sw.chol = &d.chol
 	} else {
+		psi := d.sp.psi[n]
 		d.stageRHS(psi, m, prev, q)
 		d.bd.Add(trace.Historical, time.Since(t0))
 		t0 = time.Now()
 		st, err := d.solver.BlockedFused(a, phi, psi, con)
-		res.ADMMIters += st.Iters
+		run.res.ADMMIters += st.Iters
 		d.bd.Add(trace.Update, time.Since(t0))
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: mode %d ADMM: %w", n, err)
@@ -258,7 +262,7 @@ func rowSweepBody(ctx any, w int, r parallel.Range) {
 					dense.AddAtBRange(h, k, pa.prev, a, lo, hi, false)
 				}
 			}
-			if pa.prev != nil {
+			if pa.norms {
 				// A row at a time, so consecutive rows' sums overlap.
 				for i := lo; i < hi; i++ {
 					rp := pa.prev.Row(i)

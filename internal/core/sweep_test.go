@@ -57,23 +57,22 @@ func sweepDecomposer(t testing.TB, c sweepCase, workers int) *Decomposer {
 	return d
 }
 
-// sweepShapes are the ways the two slice bodies call the sweep: the
-// unconstrained update, the reductions alone after ADMM (explicit and
-// spCP pass the same operands; spCP ignores the norms), Normalize's
-// scaling walk.
+// sweepShapes are the ways the slice body calls the sweep with z = ∅:
+// the unconstrained update, the reductions alone after ADMM, Normalize's
+// scaling walk. A z set passes the same operands with the norms off.
 var sweepShapes = []struct {
 	name string
 	c, h bool // which of C and H the caller asks for
 	args func(d *Decomposer, c sweepCase, a *dense.Matrix) coreArgs
 }{
 	{"solve", true, true, func(d *Decomposer, c sweepCase, a *dense.Matrix) coreArgs {
-		return coreArgs{a: a, m: c.m, prev: c.prev, q: c.q, s: d.s, chol: &d.chol, psi: true}
+		return coreArgs{a: a, m: c.m, prev: c.prev, q: c.q, s: d.s, chol: &d.chol, psi: true, norms: true}
 	}},
 	{"reduce", true, true, func(d *Decomposer, c sweepCase, a *dense.Matrix) coreArgs {
-		return coreArgs{a: a, m: c.m, prev: c.prev, psi: true}
+		return coreArgs{a: a, m: c.m, prev: c.prev, psi: true, norms: true}
 	}},
 	{"scale", false, false, func(d *Decomposer, c sweepCase, a *dense.Matrix) coreArgs {
-		return coreArgs{a: a, m: c.m, prev: c.prev, inv: c.inv, psi: true}
+		return coreArgs{a: a, m: c.m, prev: c.prev, inv: c.inv, psi: true, norms: true}
 	}},
 }
 

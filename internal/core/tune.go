@@ -36,13 +36,9 @@ func (d *Decomposer) Algorithm() Algorithm { return d.opt.Algorithm }
 // one slice body and differ only in its z set — the untouched rows under
 // spCP-stream, none under Optimized — and the state that crosses slice
 // boundaries is the same factors and Grams — a z = ∅ slice first
-// flushes the z side spCP-stream leaves lazy (Version) — so the switch
-// is exact. The
-// incremental C_z bookkeeping is invalidated by any switch and by any
-// slice run with z = ∅ — a streamed slice under spCP-stream included
-// (prevNZ would name rows the Gram form did not track) — so the next
-// z set recomputes C_z,t−1 from scratch: one extra Gram pass, after
-// which incremental maintenance resumes.
+// flushes the z side spCP-stream leaves lazy (Version), and a z set
+// computes its C_z,t−1 from the rows it gathers — so the switch is
+// exact.
 //
 // The same constraint-compatibility rules as construction apply
 // (spCP-stream rejects constraints); incompatible switches return an
@@ -57,6 +53,5 @@ func (d *Decomposer) SetAlgorithm(a Algorithm) error {
 		return err
 	}
 	d.opt.Algorithm = a
-	d.prevNZ = nil
 	return nil
 }

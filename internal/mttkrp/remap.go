@@ -39,8 +39,7 @@ type Remapper struct {
 // alias x's — values are untouched by renumbering — so x must stay
 // alive and unmodified while the view is in use. Local ids follow
 // ascending global rows, which keeps a lexicographically sorted slice
-// sorted and NZ[m] sorted ascending (the invariant the SetDiff
-// bookkeeping relies on).
+// sorted and NZ[m] sorted ascending.
 //
 // The variadic argument is ignored: it is the slot of a deleted
 // hot-first order that bench/ still passes as nil.
@@ -136,25 +135,4 @@ func (rm *Remapped) ScatterMode(full, src *dense.Matrix, mode int) {
 	for r, i := range idx {
 		copy(full.Row(int(i)), src.Row(r))
 	}
-}
-
-// SetDiff returns the elements of a not present in b; both inputs must
-// be sorted ascending. Used for the nz(n)ₜ₋₁ \ nz(n) bookkeeping of
-// Algorithm 4 (lines 9–10).
-func SetDiff(a, b []int32) []int32 {
-	out := make([]int32, 0)
-	i, j := 0, 0
-	for i < len(a) {
-		switch {
-		case j >= len(b) || a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] == b[j]:
-			i++
-			j++
-		default:
-			j++
-		}
-	}
-	return out
 }

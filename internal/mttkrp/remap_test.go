@@ -1,7 +1,6 @@
 package mttkrp
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,63 +120,4 @@ func TestGatherScatterMode(t *testing.T) {
 	if full.At(0, 0) != 0 {
 		t.Fatal("scatter touched a z row")
 	}
-}
-
-func TestSetDiffUnion(t *testing.T) {
-	a := []int32{1, 3, 5, 7}
-	b := []int32{3, 4, 7}
-	diff := SetDiff(a, b)
-	if len(diff) != 2 || diff[0] != 1 || diff[1] != 5 {
-		t.Fatalf("SetDiff = %v", diff)
-	}
-	if got := SetDiff(b, a); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("SetDiff reverse = %v", got)
-	}
-	if got := SetDiff(nil, b); len(got) != 0 {
-		t.Fatalf("SetDiff nil = %v", got)
-	}
-}
-
-// Property: SetDiff(B, A) is sorted, holds exactly the elements of B
-// not in A, and so satisfies |B\A| + |A∩B| = |B|.
-func TestSetAlgebraProperty(t *testing.T) {
-	f := func(xs, ys []uint8) bool {
-		a := dedupSorted(xs)
-		b := dedupSorted(ys)
-		d := SetDiff(b, a)
-		inA, inB := map[int32]bool{}, map[int32]bool{}
-		for _, v := range a {
-			inA[v] = true
-		}
-		common := 0
-		for _, v := range b {
-			inB[v] = true
-			if inA[v] {
-				common++
-			}
-		}
-		for _, v := range d {
-			if inA[v] || !inB[v] {
-				return false
-			}
-		}
-		return len(d)+common == len(b) && slices.IsSorted(d)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func dedupSorted(xs []uint8) []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	for _, x := range xs {
-		seen[int32(x)] = true
-	}
-	for i := int32(0); i < 256; i++ {
-		if seen[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }

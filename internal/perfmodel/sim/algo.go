@@ -86,8 +86,8 @@ func (mo Model) IterBreakdown(alg AlgKind, s perfmodel.SliceProfile, k, p, iters
 		b[trace.Update] = mo.denseMatTime(s.TotalNZRows(), k, p, 2*kk, 2.5)
 		// Trace-based convergence: O(N·K).
 		b[trace.Error] = float64(n) * kk * mo.P.GramNsPerElem * 1e-9
-		// Pre: remap + incremental C_z + the sₜ warm start, once per
-		// slice.
+		// Pre: remap + C_z,t−1 (a Gram over the nz rows) + the sₜ warm
+		// start, once per slice.
 		pre := float64(s.NNZ)*mo.P.RemapNsPerNnz*1e-9 +
 			mo.denseMatTime(s.TotalNZRows(), k, p, kk, 2) +
 			mo.TimeModeUpdateTime(s, k, p, false)
