@@ -85,8 +85,10 @@ func FuzzRestoreState(f *testing.F) {
 	// A spCP checkpoint, its z side three slices past the last flush,
 	// and forgeries of it, resealed so only validation can refuse them —
 	// each before it drives an allocation or reaches a slice: a t past
-	// the largest int, a row dated after t, a log longer than zLogLen and
-	// a log cut short.
+	// the largest int, a row dated after t, a log longer than zLogLen, a
+	// log cut short, and a v6-style nz list spliced in before the cursor
+	// (this format stores none, so the words after sₜ must be the cursor
+	// and the footer).
 	sp, err := NewDecomposer(dims, Options{Rank: 3, Seed: 1, Workers: 1, Algorithm: SpCPStream})
 	if err != nil {
 		f.Fatal(err)
@@ -119,8 +121,15 @@ func FuzzRestoreState(f *testing.F) {
 	binary.LittleEndian.PutUint64(long[lagAt:], zLogLen+1)
 	resealCRC(long)
 	cut := append([]byte(nil), lazy[:ageAt+dims[0]+8*opt.Rank]...)
+	cursorAt := len(lazy) - 4 - 8
+	nzList := binary.LittleEndian.AppendUint64(nil, 2)
+	nzList = binary.LittleEndian.AppendUint32(nzList, 1)
+	nzList = binary.LittleEndian.AppendUint32(nzList, 4)
+	stale := append(append(append([]byte(nil), lazy[:cursorAt]...), nzList...), lazy[cursorAt:]...)
+	resealCRC(stale)
 	for name, forged := range map[string][]byte{
 		"t past the largest int": huge, "future row": future, "long log": long, "truncated log": cut,
+		"stale nz list": stale,
 	} {
 		probe, err := NewDecomposer(dims, opt)
 		if err != nil {
