@@ -12,7 +12,9 @@
 // -max-lag, -spill-dir or -degrade routes resident slices through the
 // bounded ingest pipeline; .spblk slices cannot ride it, and the
 // combination is rejected. Any of -on-error, -slice-timeout or
-// -checkpoint-dir arms guarded processing.
+// -checkpoint-dir arms guarded processing. Like watch and spstreamd,
+// cpstream restores the newest valid checkpoint in -checkpoint-dir at
+// startup and skips the slices it holds; -resume names a single file.
 //
 // Examples:
 //
@@ -94,7 +96,7 @@ func newFlags() (*config, *flag.FlagSet) {
 	fs.IntVar(&c.maxSlices, "slices", 0, "process at most this many slices (0 = all)")
 	fs.StringVar(&c.factorsOut, "factors", "", "write final factor matrices to this file")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "write the decomposer state to this file after the run (atomic)")
-	fs.StringVar(&c.resume, "resume", "", "restore the decomposer state before processing: a checkpoint file, or a directory (newest valid checkpoint wins)")
+	fs.StringVar(&c.resume, "resume", "", "restore the decomposer state from this checkpoint file before processing (-checkpoint-dir restores its newest by itself)")
 	fs.BoolVar(&c.degrade, "degrade", false, "degrade model quality under sustained overload (enables the ingest pipeline)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file at exit")
@@ -302,11 +304,9 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	if cfg.resume != "" {
-		from, err := restoreFrom(cfg.resume, dec)
-		if err != nil {
-			return err
-		}
+	if from, err := restore(cfg.resume, dec); err != nil {
+		return err
+	} else if from != "" {
 		fmt.Fprintf(w, "resumed from %s at slice %d\n", from, dec.T())
 		for skipped := 0; skipped < dec.T(); skipped++ {
 			if _, _, ok := in.next(); !ok {
@@ -485,24 +485,25 @@ func loadStream(input string, streamMode int, preset string, scale float64) (*sp
 	}
 }
 
-// restoreFrom restores the decomposer from a checkpoint file, or — when
-// path is a directory — from the newest valid checkpoint inside it.
-// It returns the path actually used.
-func restoreFrom(path string, dec *spstream.Decomposer) (string, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return "", err
+// restore loads the state a run continues from: the -resume file, else
+// the newest valid checkpoint in -checkpoint-dir, as watch and spstreamd
+// do at startup. It returns the path restored, "" for a fresh start.
+func restore(file string, dec *spstream.Decomposer) (string, error) {
+	if file != "" {
+		f, err := os.Open(file)
+		if err != nil {
+			return "", err
+		}
+		defer f.Close()
+		return file, dec.RestoreState(f)
 	}
-	if info.IsDir() {
-		return spstream.RestoreNewestCheckpoint(path, dec)
+	mgr := dec.Checkpoints()
+	if mgr == nil {
+		return "", nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
+	path, err := mgr.RestoreLatest(dec.RestoreState)
+	if errors.Is(err, spstream.ErrNoCheckpoint) {
+		return "", nil
 	}
-	defer f.Close()
-	if err := dec.RestoreState(io.Reader(f)); err != nil {
-		return "", err
-	}
-	return path, nil
+	return path, err
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"spstream"
+	"spstream/internal/resilience"
 	"spstream/internal/serve"
 )
 
@@ -177,8 +178,9 @@ func TestRunStreamedShowsResidentShare(t *testing.T) {
 }
 
 // TestRunSlicesAndResume: -slices stops early, -checkpoint and
-// -checkpoint-dir leave restorable state, and -resume from either picks
-// the stream up where it stopped: 3 + 2 slices end where 5 do.
+// -checkpoint-dir leave restorable state, and -resume from the file or
+// a run on the same -checkpoint-dir picks the stream up where it
+// stopped: 3 + 2 slices end where 5 do. -resume takes a file only.
 func TestRunSlicesAndResume(t *testing.T) {
 	dir := t.TempDir()
 	file, ckdir := filepath.Join(dir, "state.spstrm"), filepath.Join(dir, "ck")
@@ -189,17 +191,40 @@ func TestRunSlicesAndResume(t *testing.T) {
 		t.Fatalf("-slices 5 printed %d rows:\n%s", n, straight)
 	}
 	mustRun(t, append(uber, "-slices", "3", "-checkpoint", file, "-checkpoint-dir", ckdir, "-every", "2")...)
-	for from, factors := range map[string]string{file: f32, ckdir: fdir} {
-		out := mustRun(t, append(uber, "-resume", from, "-slices", "2", "-factors", factors)...)
+	for _, from := range [][]string{{"-resume", file, "-factors", f32}, {"-checkpoint-dir", ckdir, "-factors", fdir}} {
+		out := mustRun(t, append(append(uber, "-slices", "2"), from...)...)
 		if !strings.Contains(out, "at slice 3\n") || strings.Join(rows(out), "\n") != strings.Join(rows(straight)[3:], "\n") {
-			t.Fatalf("-resume %s did not continue at slice 3:\n%s\nstraight run:\n%s", from, out, straight)
+			t.Fatalf("%s %s did not continue at slice 3:\n%s\nstraight run:\n%s", from[0], from[1], out, straight)
 		}
-		if readFile(t, factors) != readFile(t, f5) {
-			t.Fatalf("3 slices + 2 resumed from %s differ from 5 straight", from)
+		if readFile(t, from[3]) != readFile(t, f5) {
+			t.Fatalf("3 slices + 2 resumed by %s differ from 5 straight", from[0])
 		}
 	}
-	if _, err := runArgs(t, context.Background(), append(uber, "-resume", filepath.Join(dir, "missing"))...); err == nil {
-		t.Fatal("-resume from a missing path accepted")
+	for _, bad := range []string{filepath.Join(dir, "missing"), ckdir} {
+		if _, err := runArgs(t, context.Background(), append(uber, "-resume", bad)...); err == nil {
+			t.Fatalf("-resume %s accepted", bad)
+		}
+	}
+}
+
+// TestRunCheckpointDirRestores: a second run on the same -checkpoint-dir
+// continues from the first run's newest checkpoint — it neither starts
+// over nor prunes that checkpoint away as older than its own — so 4
+// slices and then 2 end where 6 do, with ckpt-6 the newest file.
+func TestRunCheckpointDirRestores(t *testing.T) {
+	dir := t.TempDir()
+	ck, f6, f42 := filepath.Join(dir, "ck"), filepath.Join(dir, "f6"), filepath.Join(dir, "f42")
+	straight := mustRun(t, append(uber, "-slices", "6", "-factors", f6)...)
+	mustRun(t, append(uber, "-slices", "4", "-checkpoint-dir", ck, "-every", "1")...)
+	out := mustRun(t, append(uber, "-slices", "2", "-checkpoint-dir", ck, "-every", "1", "-factors", f42)...)
+	if !strings.Contains(out, "at slice 4\n") || strings.Join(rows(out), "\n") != strings.Join(rows(straight)[4:], "\n") {
+		t.Fatalf("second run did not continue at slice 4:\n%s\nstraight run:\n%s", out, straight)
+	}
+	if readFile(t, f42) != readFile(t, f6) {
+		t.Fatal("4 slices + 2 restored from -checkpoint-dir differ from 6 straight")
+	}
+	if cks := resilience.ListCheckpoints(ck); len(cks) == 0 || filepath.Base(cks[0]) != "ckpt-000000006.spstrm" || !strings.Contains(out, "checkpoint written to "+cks[0]) {
+		t.Fatalf("newest checkpoints %v, want ckpt-000000006.spstrm written by the second run:\n%s", cks, out)
 	}
 }
 
@@ -231,7 +256,7 @@ func TestRunCancelLeavesCheckpoint(t *testing.T) {
 	if !strings.Contains(out.String(), "interrupted at slice 3;") || len(rows(out.String())) != 3 {
 		t.Fatalf("want 3 rows and an interrupt at slice 3:\n%s", out.String())
 	}
-	resumed := mustRun(t, append(uber, "-resume", ckdir, "-slices", "1")...)
+	resumed := mustRun(t, append(uber, "-checkpoint-dir", ckdir, "-slices", "1")...)
 	if !strings.Contains(resumed, "at slice 3\n") {
 		t.Fatalf("checkpoint after the interrupt is not at slice 3:\n%s", resumed)
 	}

@@ -26,23 +26,14 @@ type Decomposer struct {
 
 	// Factor state: the committed factors A⁽ⁿ⁾ (Iₙ×K), the retired
 	// version a slice writes its iterate into, and a retired version a
-	// reader still held when it was due (version.go); fac, the factors
-	// the kernels read during a slice with z = ∅ — the committed ones
-	// until the first iteration has written each mode's iterate. ids
-	// numbers version contents (Version.id); view holds the committed
-	// factors Factor brought current, for the contents viewID names,
-	// until the next slice begins.
+	// reader still held when it was due (version.go). ids numbers version
+	// contents (Version.id).
 	cur, spare, parked *Version
-	fac                []*dense.Matrix
 	ids                uint64
-	view               []*dense.Matrix
-	viewID             []uint64
-	c                  []*dense.Matrix // C⁽ⁿ⁾ = A⁽ⁿ⁾ᵀA⁽ⁿ⁾ (K×K)
-	cPrev              []*dense.Matrix // C⁽ⁿ⁾ₜ₋₁ (K×K)
-	h                  []*dense.Matrix // H⁽ⁿ⁾ = Aₜ₋₁ᵀA (K×K)
-	g                  *dense.Matrix   // temporal Gram G (K×K)
-	s                  []float64       // current sₜ
-	t                  int             // slices processed
+	modes              []modeState   // one record per mode
+	g                  *dense.Matrix // temporal Gram G (K×K)
+	s                  []float64     // current sₜ
+	t                  int           // slices processed
 
 	// The highest WAL sequence number whose slice the state includes
 	// (Cursor); it is checkpointed with the state.
@@ -57,7 +48,6 @@ type Decomposer struct {
 	zRowsRead int
 
 	// Kernels and workspaces.
-	sp     spcpBufs      // the slice body's per-slice matrices
 	lastM  *dense.Matrix // raw MTTKRP of a constrained last factor mode
 	mt     *mttkrp.Computer
 	solver *admm.Solver
@@ -79,7 +69,7 @@ type Decomposer struct {
 	lastEval perfmodel.EvalMode
 
 	// Scratch K×K matrices reused across iterations.
-	muG, phiS, sPhi, scratch1, scratch2 *dense.Matrix
+	muG, phiS, sPhi, scratch1, scratch2, tmpKK *dense.Matrix
 
 	// Reusable Cholesky factorization of the per-mode Φ (and the sₜ Φ).
 	chol dense.Cholesky
@@ -108,6 +98,25 @@ type Decomposer struct {
 	// commitHook, when set, observes every committed slice (see
 	// SetCommitHook).
 	commitHook func(SliceResult)
+}
+
+// modeState is one mode's share of the Decomposer — Alg. 4 is written
+// per mode: C⁽ⁿ⁾ = AᵀA (c; the committed factors' at slice boundaries),
+// and H⁽ⁿ⁾ = Aₜ₋₁ᵀA (h) and tr(C⁽ⁿ⁾ₜ₋₁) (trPrev), which beginSlice
+// seeds; the slice body's grow-only matrices — the Ψ workspace psi,
+// sized to the rows the body iterates (Iₙ, or |nz|), and, with a z set,
+// the |nz|×K iterate aNz, its A_{t−1} gather aNzPrev, and the K×K
+// C_z,t−1 cz, final transform tFinal and current C_z czCur, each
+// written in full in the slice before anything reads it (MaxIters ≥ 1,
+// so finishZ and the health check never see a previous slice's); and
+// view, the committed factor Factor brought current for the contents
+// viewID names, until the next slice begins.
+type modeState struct {
+	c, h                    *dense.Matrix
+	trPrev                  float64
+	psi, aNz, aNzPrev       *dense.Matrix
+	cz, tFinal, czCur, view *dense.Matrix
+	viewID                  uint64
 }
 
 // SetCommitHook registers a callback invoked immediately after a slice
@@ -147,16 +156,18 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 	})
 	k := d.k
 	d.cur = d.newVersion()
-	for _, f := range d.cur.a {
-		for i := range f.Data {
-			f.Data[i] = d.rng.Float64() + 0.1 // positive, well away from 0
+	for _, r := range d.cur.modes {
+		for i := range r.a.Data {
+			r.a.Data[i] = d.rng.Float64() + 0.1 // positive, well away from 0
 		}
 	}
 	d.endWrite(d.cur)
-	for range dims {
-		d.c = append(d.c, dense.NewMatrix(k, k))
-		d.cPrev = append(d.cPrev, dense.NewMatrix(k, k))
-		d.h = append(d.h, dense.NewMatrix(k, k))
+	d.modes = make([]modeState, d.n)
+	for m := range d.modes {
+		md := &d.modes[m]
+		md.c, md.h, md.cz = dense.NewMatrix(k, k), dense.NewMatrix(k, k), dense.NewMatrix(k, k)
+		md.tFinal, md.czCur = dense.NewMatrix(k, k), dense.NewMatrix(k, k)
+		dense.GramParallel(md.c, d.cur.modes[m].a, d.opt.Workers)
 	}
 	d.g = dense.NewMatrix(k, k)
 	d.s = make([]float64, k)
@@ -165,20 +176,10 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 	d.sPhi = dense.NewMatrix(k, k)
 	d.scratch1 = dense.NewMatrix(k, k)
 	d.scratch2 = dense.NewMatrix(k, k)
+	d.tmpKK = dense.NewMatrix(k, k)
 	d.colScale = make([]float64, k)
 	d.fitPsi = make([]float64, k)
 	d.fitTmp = make([]float64, k)
-	sp := &d.sp
-	sp.aNz, sp.aNzPrev, sp.psi = make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n), make([]*dense.Matrix, d.n)
-	for range dims {
-		sp.cz = append(sp.cz, dense.NewMatrix(k, k))
-		sp.tFinal = append(sp.tFinal, dense.NewMatrix(k, k))
-		sp.czCur = append(sp.czCur, dense.NewMatrix(k, k))
-	}
-	sp.tmpKK = dense.NewMatrix(k, k)
-	// Invariant: d.c always holds Gram of the committed factors at slice
-	// boundaries.
-	d.refreshGrams()
 	return d, nil
 }
 
@@ -232,13 +233,6 @@ func (d *Decomposer) ProcessStream(src sptensor.SliceSource, cb func(SliceResult
 
 // --- shared helpers ---------------------------------------------------
 
-// refreshGrams recomputes C⁽ⁿ⁾ for all modes from the current factors.
-func (d *Decomposer) refreshGrams() {
-	for m, a := range d.cur.a {
-		dense.GramParallel(d.c[m], a, d.opt.Workers)
-	}
-}
-
 // solveS computes the closed-form sₜ update
 // (⊛_v C⁽ᵛ⁾ + λI)s = ψ, with ψ — the streaming-mode MTTKRP of the slice
 // over the current factors — left in fitPsi by a row sweep: beginSlice's
@@ -248,8 +242,8 @@ func (d *Decomposer) refreshGrams() {
 func (d *Decomposer) solveS() error {
 	phi := d.sPhi
 	phi.Fill(1)
-	for m := range d.c {
-		dense.Hadamard(phi, phi, d.c[m])
+	for m := range d.modes {
+		dense.Hadamard(phi, phi, d.modes[m].c)
 	}
 	dense.AddScaledIdentity(phi, phi, StreamRidge)
 	if err := d.factorize(phi); err != nil {
@@ -272,11 +266,11 @@ func (d *Decomposer) buildMuG() {
 // dst, returning the ridge actually applied.
 func (d *Decomposer) buildPhi(dst *dense.Matrix, mode int) float64 {
 	dst.Fill(1)
-	for v := range d.c {
+	for v := range d.modes {
 		if v == mode {
 			continue
 		}
-		dense.Hadamard(dst, dst, d.c[v])
+		dense.Hadamard(dst, dst, d.modes[v].c)
 	}
 	dense.Hadamard(dst, dst, d.phiS)
 	ridge := FactorRidgeRel * dense.Trace(dst) / float64(d.k)
@@ -290,11 +284,11 @@ func (d *Decomposer) buildPhi(dst *dense.Matrix, mode int) float64 {
 // buildQ computes Q⁽ⁿ⁾ = (⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG into dst.
 func (d *Decomposer) buildQ(dst *dense.Matrix, mode int) {
 	dst.Fill(1)
-	for v := range d.h {
+	for v := range d.modes {
 		if v == mode {
 			continue
 		}
-		dense.Hadamard(dst, dst, d.h[v])
+		dense.Hadamard(dst, dst, d.modes[v].h)
 	}
 	dense.Hadamard(dst, dst, d.muG)
 }
@@ -328,19 +322,20 @@ func (d *Decomposer) advanceTime() {
 // modes of the iteration see a consistent model. λ⁻¹ stays in
 // d.colScale.
 func (d *Decomposer) normalizeMode(m int, sw coreArgs) (diff2, norm2 float64) {
+	md := &d.modes[m]
 	sw.inv = d.colScale
 	for j := range sw.inv {
 		lambda := 1.0
-		if v := d.c[m].At(j, j); v > 0 {
+		if v := md.c.At(j, j); v > 0 {
 			lambda = math.Sqrt(v)
 		}
 		sw.inv[j] = 1 / lambda
 		d.s[j] *= lambda
 	}
 	diff2, norm2 = d.rowSweep(sw, nil, nil)
-	dense.ScaleColumns(d.c[m], d.c[m], sw.inv)
-	dense.ScaleRows(d.c[m], d.c[m], sw.inv)
-	dense.ScaleColumns(d.h[m], d.h[m], sw.inv)
+	dense.ScaleColumns(md.c, md.c, sw.inv)
+	dense.ScaleRows(md.c, md.c, sw.inv)
+	dense.ScaleColumns(md.h, md.h, sw.inv)
 	d.buildMuG()
 	return diff2, norm2
 }

@@ -228,11 +228,11 @@ func TestStreamingInvariants(t *testing.T) {
 		if _, err := dense.FactorRidge(g, 1e-9*(1+dense.Trace(g))); err != nil {
 			t.Fatalf("slice %d: G not PSD: %v", ti, err)
 		}
-		// The Gram invariant: d.c[m] equals Gram(d.Factor(m)) at slice ends.
+		// The Gram invariant: d.modes[m].c equals Gram(d.Factor(m)) at slice ends.
 		for m := range s.Dims {
 			fresh := dense.NewMatrix(4, 4)
 			dense.Gram(fresh, d.Factor(m))
-			if fresh.MaxAbsDiff(d.c[m]) > 1e-6*(1+dense.Trace(fresh)) {
+			if fresh.MaxAbsDiff(d.modes[m].c) > 1e-6*(1+dense.Trace(fresh)) {
 				t.Fatalf("slice %d mode %d: cached C drifted from Gram(A)", ti, m)
 			}
 		}

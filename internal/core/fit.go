@@ -24,8 +24,8 @@ func (d *Decomposer) fit(xnorm2 float64) float64 {
 	}
 	had := d.scratch1
 	had.Fill(1)
-	for m := range d.c {
-		dense.Hadamard(had, had, d.c[m])
+	for m := range d.modes {
+		dense.Hadamard(had, had, d.modes[m].c)
 	}
 	tmp := d.fitTmp
 	dense.MulVec(tmp, had, d.s)

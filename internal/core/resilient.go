@@ -49,8 +49,8 @@ func (d *Decomposer) takeSnapshot() {
 	sn := d.snap
 	sn.ver = d.cur
 	sn.ver.Pin()
-	for m := range d.c {
-		sn.c[m].CopyFrom(d.c[m])
+	for m := range d.modes {
+		sn.c[m].CopyFrom(d.modes[m].c)
 	}
 	sn.g.CopyFrom(d.g)
 	copy(sn.s, d.s)
@@ -69,8 +69,9 @@ func (d *Decomposer) releaseSnapshot() {
 // rollback restores the last snapshot, reversing any partial mutation a
 // failed, cancelled, or panicked slice left behind: the committed
 // version is the pinned one again — the attempt's own, if it committed,
-// goes back to spare — and the small state is copied back. It reports
-// whether a snapshot was available.
+// goes back to spare — and the small state is copied back. H and
+// tr(C_{t−1}) are not: beginSlice seeds both before anything reads them.
+// It reports whether a snapshot was available.
 func (d *Decomposer) rollback() bool {
 	sn := d.snap
 	if sn == nil || sn.ver == nil {
@@ -79,11 +80,8 @@ func (d *Decomposer) rollback() bool {
 	if d.cur != sn.ver {
 		d.spare, d.cur = d.cur, sn.ver
 	}
-	for m := range d.c {
-		d.c[m].CopyFrom(sn.c[m])
-		// Re-seed the slice-start invariants the begin phase established.
-		d.cPrev[m].CopyFrom(sn.c[m])
-		d.h[m].CopyFrom(sn.c[m])
+	for m := range d.modes {
+		d.modes[m].c.CopyFrom(sn.c[m])
 	}
 	d.g.CopyFrom(sn.g)
 	copy(d.s, sn.s)
@@ -172,13 +170,13 @@ func scanSliceInput(x *sptensor.Tensor) error {
 // healthCheck validates the numerical state a just-finished slice left
 // behind, reading only what the slice wrote: finite convergence measure
 // within the divergence guard; finite factor rows — every row after a
-// slice that wrote them all, else the rows the slice wrote
-// (Version.wrote) and the z rows it left stored, through the C_z the
-// slice finished with (czCur) and the logged transforms; finite C,
-// temporal weights, and temporal Gram. A z row turns non-finite only
-// after its squared norm, and with it diag(C_z), has overflowed, so a
-// finite C_z and log vouch for the rows the slice did not touch.
-// Failures wrap resilience.ErrDiverged.
+// slice that wrote them all, else each mode's nz rows (Version.wroteNZ)
+// and the z rows it left stored, through the C_z the slice finished
+// with (czCur) and the logged transforms; finite C, temporal weights,
+// and temporal Gram. A z row turns non-finite only after its squared
+// norm, and with it diag(C_z), has overflowed, so a finite C_z and log
+// vouch for the rows the slice did not touch. Failures wrap
+// resilience.ErrDiverged.
 func (d *Decomposer) healthCheck(res *SliceResult) error {
 	cfg := d.opt.Resilience
 	if cfg == nil {
@@ -189,19 +187,20 @@ func (d *Decomposer) healthCheck(res *SliceResult) error {
 	}
 	v := d.cur
 	var row dense.Matrix
-	for m, a := range v.a {
-		finite := !d.c[m].HasNaN()
-		if v.wrote == nil {
-			finite = finite && !a.HasNaN()
+	for m := range v.modes {
+		r, md := &v.modes[m], &d.modes[m]
+		finite := !md.c.HasNaN()
+		if !v.wroteNZ {
+			finite = finite && !r.a.HasNaN()
 		} else {
-			finite = finite && !d.sp.czCur[m].HasNaN()
-			for _, i := range v.wrote[m] {
-				row.SetRowView(a, int(i), int(i)+1)
+			finite = finite && !md.czCur.HasNaN()
+			for _, i := range r.nz {
+				row.SetRowView(r.a, int(i), int(i)+1)
 				finite = finite && !row.HasNaN()
 			}
 		}
-		for e := 0; e < v.lag; e++ {
-			finite = finite && !v.log[m][e].HasNaN()
+		for _, p := range r.log[:v.lag] {
+			finite = finite && !p.HasNaN()
 		}
 		if !finite {
 			return fmt.Errorf("core: slice t=%d produced a non-finite mode-%d factor: %w", res.T, m, resilience.ErrDiverged)

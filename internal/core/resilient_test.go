@@ -244,7 +244,7 @@ func sameStateBits(t *testing.T, label string, d *Decomposer) {
 	}
 	for m := range d.Dims() {
 		sameMatrixBits(t, fmt.Sprintf("%s: factor %d", label, m), d.Factor(m), want.Factor(m))
-		sameMatrixBits(t, fmt.Sprintf("%s: C %d", label, m), d.c[m], want.c[m])
+		sameMatrixBits(t, fmt.Sprintf("%s: C %d", label, m), d.modes[m].c, want.modes[m].c)
 	}
 	sameMatrixBits(t, label+": G", d.g, want.g)
 	sameMatrixBits(t, label+": s", dense.FromRows([][]float64{d.s}), dense.FromRows([][]float64{want.s}))
@@ -356,47 +356,59 @@ func TestStreamCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRetryAfterTransientFailure: RetrySlice re-runs from the snapshot
-// and a first-attempt-only fault leaves the final state identical to a
-// fault-free run.
+// TestRetryAfterTransientFailure: RetrySlice re-runs from the snapshot,
+// and a first-attempt-only fault leaves the final state — factors, sₜ
+// and G — bit-identical to a fault-free run, under either algorithm and
+// whether the fault fires before the slice begins or at iteration 2,
+// after iteration 1 has written C, H and the iterate: the rollback
+// restores C alone, and beginSlice re-seeds the rest.
 func TestRetryAfterTransientFailure(t *testing.T) {
 	s := testStream(t, 308, []int{12, 14}, 120, 5)
-	opt := Options{Rank: 3, Algorithm: Optimized, Seed: 4}
-	ref, err := NewDecomposer(s.Dims, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.ProcessStream(s.Source(), nil); err != nil {
-		t.Fatal(err)
-	}
-
 	boom := errors.New("transient")
-	optR := opt
-	optR.Resilience = &resilience.Config{
-		Policy: resilience.RetrySlice,
-		FaultHook: func(f resilience.Fault) error {
-			if f.Slice == 2 && f.Stage == resilience.StageBegin && f.Attempt == 0 {
-				return boom
+	for _, alg := range []Algorithm{Optimized, SpCPStream} {
+		opt := Options{Rank: 3, Algorithm: alg, Seed: 4}
+		ref, err := NewDecomposer(s.Dims, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.ProcessStream(s.Source(), nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []struct {
+			name  string
+			stage resilience.Stage
+			iter  int
+		}{{"begin", resilience.StageBegin, 0}, {"iteration 2", resilience.StageIterate, 2}} {
+			label := fmt.Sprintf("%v, fault at %s", alg, at.name)
+			optR := opt
+			optR.Resilience = &resilience.Config{
+				Policy: resilience.RetrySlice,
+				FaultHook: func(f resilience.Fault) error {
+					if f.Slice == 2 && f.Stage == at.stage && f.Iter == at.iter && f.Attempt == 0 {
+						return boom
+					}
+					return nil
+				},
 			}
-			return nil
-		},
-	}
-	d, err := NewDecomposer(s.Dims, optR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := d.ProcessStreamContext(context.Background(), s.Source(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[2].Retries != 1 {
-		t.Errorf("slice 2 Retries = %d, want 1", results[2].Retries)
-	}
-	st := d.ResilienceStats()
-	if st.SliceRetries != 1 || st.Rollbacks != 1 {
-		t.Errorf("stats = %+v, want one retry and one rollback", st)
-	}
-	if diff := maxFactorDiff(ref, d); diff != 0 {
-		t.Fatalf("retried run differs from clean run by %g", diff)
+			d, err := NewDecomposer(s.Dims, optR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := d.ProcessStreamContext(context.Background(), s.Source(), nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if results[2].Retries != 1 {
+				t.Errorf("%s: slice 2 Retries = %d, want 1", label, results[2].Retries)
+			}
+			if st := d.ResilienceStats(); st.SliceRetries != 1 || st.Rollbacks != 1 {
+				t.Errorf("%s: stats = %+v, want one retry and one rollback", label, st)
+			}
+			for m := range s.Dims {
+				sameMatrixBits(t, fmt.Sprintf("%s: factor %d", label, m), d.Factor(m), ref.Factor(m))
+			}
+			sameMatrixBits(t, label+": s", dense.FromRows([][]float64{d.LastS()}), dense.FromRows([][]float64{ref.LastS()}))
+			sameMatrixBits(t, label+": G", d.g, ref.g)
+		}
 	}
 }

@@ -429,8 +429,8 @@ func TestTrackedFitReusesIterationPsi(t *testing.T) {
 			d.mt.TimeMode(psi, other, d.factors())
 			had := dense.NewMatrix(d.k, d.k)
 			had.Fill(1)
-			for m := range d.c {
-				dense.Hadamard(had, had, d.c[m])
+			for m := range d.modes {
+				dense.Hadamard(had, had, d.modes[m].c)
 			}
 			tmp := make([]float64, d.k)
 			dense.MulVec(tmp, had, d.s)

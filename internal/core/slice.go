@@ -30,10 +30,11 @@ type sliceRun struct {
 	kin  sliceData        // what the kernels read: in, or its remap into nz-row space
 	plan *mttkrp.Plan     // compiled over a resident kin; nil for a streamed one
 	rm   *mttkrp.Remapped // the remap that names the z set; nil for z = ∅
-	// a is the iterate — the spare version's A_t, or the gathered A_nz —
-	// prev its A_{t−1} — the committed version, or the gathered
-	// A_nz,t−1 — and fac the factors the kernels read: a, except that with
-	// z = ∅ a mode reads as prev until the first iteration has written it.
+	// Per mode, a is the iterate — the spare version's A_t, or the
+	// gathered A_nz — prev its A_{t−1} — the committed version's, or the
+	// gathered A_nz,t−1 — and fac the factor the kernels read: a, except
+	// that with z = ∅ a mode reads as prev until the first iteration has
+	// written it.
 	a, prev, fac []*dense.Matrix
 	// next is the version the slice commits: the spare, or the committed
 	// one itself when a z set writes in place (finishZ).
@@ -51,7 +52,7 @@ type sliceRun struct {
 // source. With z = ∅ the iterate is the spare version, which the kernels
 // read only once it is written: A_{t−1} is the committed version itself,
 // flushed first if its z side lags, and no copy seeds the iterate. Then
-// it seeds the Gram state (C_{t−1} = C, and H = C since
+// it seeds each mode's Gram state (tr(C_{t−1}) = tr(C), and H = C since
 // the iterate starts at A_{t−1}), sizes the Ψ workspace to the iterate,
 // and compiles the coordinate plan over a resident slice (amortized over
 // the inner iterations) or the streamed kernel's schedule over a source.
@@ -61,23 +62,27 @@ type sliceRun struct {
 // slice makes no pass over its nonzeros for the time mode.
 func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 	run := &sliceRun{in: in, kin: in, res: SliceResult{T: d.t, NNZ: in.nnz(), Fit: math.NaN()}}
+	mats := make([]*dense.Matrix, 3*d.n)
+	run.a, run.prev, run.fac = mats[:d.n:d.n], mats[d.n:2*d.n:2*d.n], mats[2*d.n:]
 	var err error
-	clear(d.view)
 	d.bd.Time(trace.Pre, func() {
 		if d.opt.Algorithm == SpCPStream && in.src == nil {
 			d.beginZ(run)
 		} else {
 			d.flushCommitted()
 			run.next = d.claimSpare()
-			d.beginWrite(run.next, nil)
+			d.beginWrite(run.next, false)
 			run.next.setCurrent()
-			d.fac = append(d.fac[:0], d.cur.a...)
-			run.a, run.prev, run.fac = run.next.a, d.cur.a, d.fac
+			for m := range d.modes {
+				run.a[m], run.prev[m], run.fac[m] = run.next.modes[m].a, d.cur.modes[m].a, d.cur.modes[m].a
+			}
 		}
-		for m := range run.a {
-			d.sp.psi[m] = resized(d.sp.psi[m], run.a[m].Rows, d.k)
-			d.cPrev[m].CopyFrom(d.c[m])
-			d.h[m].CopyFrom(d.c[m])
+		for m := range d.modes {
+			md := &d.modes[m]
+			md.view = nil
+			md.psi = resized(md.psi, run.a[m].Rows, d.k)
+			md.trPrev = dense.Trace(md.c)
+			md.h.CopyFrom(md.c)
 		}
 		if in.src != nil {
 			d.resident = false
@@ -92,10 +97,11 @@ func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 		return run, err
 	}
 	d.bd.Time(trace.MTTKRP, func() {
-		if err = d.mttkrpMode(d.sp.psi[0], run.kin, run.plan, run.fac, 0); err != nil {
+		psi := d.modes[0].psi
+		if err = d.mttkrpMode(psi, run.kin, run.plan, run.fac, 0); err != nil {
 			return
 		}
-		d.rowSweep(coreArgs{a: run.prev[0], m: d.sp.psi[0], psi: true}, nil, nil)
+		d.rowSweep(coreArgs{a: run.prev[0], m: psi, psi: true}, nil, nil)
 		run.m0 = true
 		err = d.solveS()
 	})
@@ -112,10 +118,10 @@ func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 // pool, timing uses explicit Add calls, and the Φ factorization reuses
 // the Decomposer's Cholesky storage — zero heap allocations per call.
 func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
-	phi, q, sp := d.scratch1, d.scratch2, &d.sp
+	phi, q := d.scratch1, d.scratch2
 	var delta float64
-	for n := 0; n < d.n; n++ {
-		last := n == d.n-1
+	for n := range d.modes {
+		md, last := &d.modes[n], n == d.n-1
 		// Q⁽ⁿ⁾ = (⊛_{v≠n} H⁽ᵛ⁾) ⊛ µG (Eq. 14), the "Historical" term: a
 		// Hadamard of K×K Grams, replacing the baseline's giant
 		// Historical matrix products.
@@ -136,7 +142,7 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		// overwrite with Ψ⁽ᴺ⁾, hence rawLast. The first iteration's mode 0
 		// reads the warm start's (beginSlice).
 		t0 = time.Now()
-		kout := sp.psi[n]
+		kout := md.psi
 		if d.opt.Constraint != nil && last {
 			kout = d.rawLast(kout.Rows)
 		}
@@ -155,8 +161,8 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		}
 		// The iterate's rows (Eq. 7): A = Ψ·Φ⁻¹ for Ψ = M·diag(sₜ) +
 		// A_{t−1}·Q — under a constraint BF-ADMM, warm-started from the
-		// previous iterate — and their C in c[n], H in h[n], ψ and, with
-		// z = ∅, the δ norms.
+		// previous iterate — and their C and H in the mode's record, ψ
+		// and, with z = ∅, the δ norms.
 		num, den, err := d.updateRows(run, n, kout, phi, q)
 		if err != nil {
 			return 0, err
@@ -167,11 +173,11 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 			// H_z = C_z,t−1·T, C_z = Tᵀ·C_z,t−1·T. All K×K, and
 			// historical-term work (Fig. 8 accounting).
 			t0 = time.Now()
-			d.chol.SolveRowsInto(sp.tFinal[n], q)
-			dense.MulAB(sp.tmpKK, sp.cz[n], sp.tFinal[n]) // C_z,t−1·T
-			dense.Add(d.h[n], d.h[n], sp.tmpKK)           // H = H_nz + H_z
-			dense.MulAtB(sp.czCur[n], sp.tFinal[n], sp.tmpKK)
-			dense.Add(d.c[n], d.c[n], sp.czCur[n]) // C = C_nz + C_z
+			d.chol.SolveRowsInto(md.tFinal, q)
+			dense.MulAB(d.tmpKK, md.cz, md.tFinal) // C_z,t−1·T
+			dense.Add(md.h, md.h, d.tmpKK)         // H = H_nz + H_z
+			dense.MulAtB(md.czCur, md.tFinal, d.tmpKK)
+			dense.Add(md.c, md.c, md.czCur) // C = C_nz + C_z
 			d.bd.Add(trace.Historical, time.Since(t0))
 		}
 		if d.opt.Normalize {
@@ -180,9 +186,9 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 			if run.rm != nil {
 				// Scaling T's columns scales the implicit z rows
 				// (A_z = A_z,t₋₁·T), and C_z goes with them.
-				dense.ScaleColumns(sp.tFinal[n], sp.tFinal[n], d.colScale)
-				dense.ScaleColumns(sp.czCur[n], sp.czCur[n], d.colScale)
-				dense.ScaleRows(sp.czCur[n], sp.czCur[n], d.colScale)
+				dense.ScaleColumns(md.tFinal, md.tFinal, d.colScale)
+				dense.ScaleColumns(md.czCur, md.czCur, d.colScale)
+				dense.ScaleRows(md.czCur, md.czCur, d.colScale)
 			}
 			d.bd.Add(trace.Misc, time.Since(t0))
 		}
@@ -207,9 +213,10 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 func (d *Decomposer) traceDelta() float64 {
 	t0 := time.Now()
 	var delta float64
-	for n := 0; n < d.n; n++ {
-		den := dense.Trace(d.c[n])
-		num := max(den+dense.Trace(d.cPrev[n])-2*dense.Trace(d.h[n]), 0) // cancellation guard
+	for n := range d.modes {
+		md := &d.modes[n]
+		den := dense.Trace(md.c)
+		num := max(den+md.trPrev-2*dense.Trace(md.h), 0) // cancellation guard
 		if den > 0 {
 			delta += math.Sqrt(num / den)
 		}

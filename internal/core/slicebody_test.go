@@ -172,7 +172,7 @@ func sliceBodyHash(t *testing.T, s *sptensor.Stream, opt Options, streamed, pinn
 		v.Release()
 	}
 	for m := range d.dims {
-		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.sp.czCur[m]} {
+		for _, mat := range []*dense.Matrix{d.Factor(m), d.modes[m].c, d.modes[m].czCur} {
 			hashFloats(h, mat.Data...)
 		}
 	}

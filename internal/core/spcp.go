@@ -5,22 +5,6 @@ import (
 	"spstream/internal/parallel"
 )
 
-// spcpBufs are the slice body's matrices, owned by the Decomposer and
-// grow-only. Per mode: the Ψ workspace psi, sized by beginSlice to the
-// rows the body iterates (Iₙ with z = ∅, |nz| otherwise); and, used only
-// with a z set, the |nz|×K iterate aNz, its A_{t−1} gather aNzPrev, and
-// the K×K C_z,t−1 cz, final transform tFinal and current C_z czCur.
-// tmpKK is K×K scratch. Nothing reads one before it is written in full:
-// aNzPrev by its gather, and aNz and cz by the copy and the Gram of it
-// in beginZ, psi by every mode's MTTKRP, tFinal, tmpKK and czCur by
-// iterateSlice's SolveRowsInto, MulAB and MulAtB — MaxIters ≥ 1, so
-// finishZ and the health check never see a previous slice's — tmpKK
-// again by finishZ's MulAB.
-type spcpBufs struct {
-	aNz, aNzPrev, psi, cz, tFinal, czCur []*dense.Matrix
-	tmpKK                                *dense.Matrix
-}
-
 // resized returns m re-sliced to rows×k over its own storage, contents
 // unspecified. Storage that is too small is replaced with a quarter's
 // headroom, so the creeping nz counts of a stream reallocate a few times
@@ -41,7 +25,7 @@ func resized(m *dense.Matrix, rows, k int) *dense.Matrix {
 // its own, so no bit depends on the partition. Allocation-free via
 // d.pargs.
 func (d *Decomposer) gatherRows(dst *dense.Matrix, v *Version, n int, idx []int32) *dense.Matrix {
-	dst = resized(dst, len(idx), v.a[n].Cols)
+	dst = resized(dst, len(idx), d.k)
 	d.pargs = coreArgs{a: dst, ver: v, mode: n, idx: idx}
 	d.pool.Do(len(idx), d.opt.Workers, &d.pargs, gatherBody)
 	d.pargs = coreArgs{}
@@ -65,17 +49,18 @@ func gatherBody(ctx any, _ int, r parallel.Range) {
 // it by the rows that left and entered the nz set: the same K×K matrix
 // at one |nz|·K² Gram per mode, with nothing of the slice before.
 func (d *Decomposer) beginZ(run *sliceRun) {
-	rm, sp, v := d.remapper.Begin(run.in.x), &d.sp, d.cur
-	for m := range v.a {
-		nz := rm.NZ[m]
-		sp.aNzPrev[m] = d.gatherRows(sp.aNzPrev[m], v, m, nz)
+	rm := d.remapper.Begin(run.in.x)
+	for m := range d.modes {
+		md, nz := &d.modes[m], rm.NZ[m]
+		md.aNzPrev = d.gatherRows(md.aNzPrev, d.cur, m, nz)
 		d.zRowsRead += len(nz)
-		sp.aNz[m] = resized(sp.aNz[m], len(nz), d.k)
-		sp.aNz[m].CopyFrom(sp.aNzPrev[m])
-		dense.GramParallel(sp.cz[m], sp.aNzPrev[m], d.opt.Workers)
-		dense.Sub(sp.cz[m], d.c[m], sp.cz[m])
+		md.aNz = resized(md.aNz, len(nz), d.k)
+		md.aNz.CopyFrom(md.aNzPrev)
+		dense.GramParallel(md.cz, md.aNzPrev, d.opt.Workers)
+		dense.Sub(md.cz, md.c, md.cz)
+		run.a[m], run.prev[m], run.fac[m] = md.aNz, md.aNzPrev, md.aNz
 	}
-	run.rm, run.kin, run.a, run.prev, run.fac = rm, sliceData{x: rm.X}, sp.aNz, sp.aNzPrev, sp.aNz
+	run.rm, run.kin = rm, sliceData{x: rm.X}
 }
 
 // finishZ is finishSlice's half for a z set: A = A_z ⊕ A_nz (Alg. 4
@@ -85,23 +70,21 @@ func (d *Decomposer) beginZ(run *sliceRun) {
 // brought level with it (writable). So a slice writes O(|nz|·K) words;
 // the z rows are rewritten only by the flush of every zLogLen-th slice.
 func (d *Decomposer) finishZ(run *sliceRun) {
-	rm, sp := run.rm, &d.sp
 	v := d.writable()
-	for m, nz := range rm.NZ {
-		v.nz[m] = append(v.nz[m][:0], nz...)
-	}
-	d.beginWrite(v, v.nz)
+	d.beginWrite(v, true)
 	v.growLog(v.lag + 1)
 	age := uint8(v.lag + 1)
-	for m, a := range v.a {
-		for e := 0; e < v.lag; e++ {
-			dense.MulAB(sp.tmpKK, v.log[m][e], sp.tFinal[m])
-			v.log[m][e].CopyFrom(sp.tmpKK)
+	for m := range v.modes {
+		r, md := &v.modes[m], &d.modes[m]
+		for _, p := range r.log[:v.lag] {
+			dense.MulAB(d.tmpKK, p, md.tFinal)
+			p.CopyFrom(d.tmpKK)
 		}
-		v.log[m][v.lag].CopyFrom(sp.tFinal[m])
-		rm.ScatterMode(a, sp.aNz[m], m)
-		for _, i := range rm.NZ[m] {
-			v.age[m][i] = age
+		r.log[v.lag].CopyFrom(md.tFinal)
+		run.rm.ScatterMode(r.a, md.aNz, m)
+		r.nz = append(r.nz[:0], run.rm.NZ[m]...)
+		for _, i := range r.nz {
+			r.age[i] = age
 		}
 	}
 	v.lag++

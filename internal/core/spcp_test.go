@@ -30,25 +30,25 @@ func TestApplyZTransformMatchesDotProducts(t *testing.T) {
 			rng := synth.NewRNG(uint64(100*k + workers))
 			v := d.cur
 			v.growLog(1)
-			a := v.a[0]
+			a := v.modes[0].a
 			for i := range a.Data {
 				a.Data[i] = rng.NormFloat64()
 			}
-			tr := v.log[0][0]
+			tr := v.modes[0].log[0]
 			for i := range tr.Data {
 				tr.Data[i] = rng.NormFloat64()
 			}
-			v.log[1][0].CopyFrom(dense.Identity(k))
+			v.modes[1].log[0].CopyFrom(dense.Identity(k))
 			nz := []int32{0, 5, 6, 20, rows - 1}
 			for _, i := range nz {
-				v.age[0][i] = 1
+				v.modes[0].age[i] = 1
 			}
 			v.lag = 1
 
 			want := a.Clone()
 			tmp := make([]float64, k)
 			for i := 0; i < rows; i++ {
-				if v.age[0][i] == 1 {
+				if v.modes[0].age[i] == 1 {
 					continue
 				}
 				row := want.Row(i)
@@ -69,9 +69,9 @@ func TestApplyZTransformMatchesDotProducts(t *testing.T) {
 			}
 			sameMatrixBits(t, label+" Row", got, want)
 			d.flush(v, v)
-			sameMatrixBits(t, label+" flushed in place", v.a[0], want)
-			if v.lag != 0 || v.age[0][rows-1] != 0 {
-				t.Fatalf("%s: flush left lag %d, age %d", label, v.lag, v.age[0][rows-1])
+			sameMatrixBits(t, label+" flushed in place", v.modes[0].a, want)
+			if v.lag != 0 || v.modes[0].age[rows-1] != 0 {
+				t.Fatalf("%s: flush left lag %d, age %d", label, v.lag, v.modes[0].age[rows-1])
 			}
 		}
 	}
@@ -206,8 +206,8 @@ func TestZRowsReadCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, nz := d.zRowsRead-before, 0
-			for _, set := range d.cur.nz {
-				nz += len(set)
+			for _, r := range d.cur.modes {
+				nz += len(r.nz)
 			}
 			want := nz
 			if ti == zLogLen-1 {
@@ -259,7 +259,7 @@ func TestHealthCheckLazyZ(t *testing.T) {
 		if i < 0 {
 			t.Fatal("no z row of mode 1 lags the log")
 		}
-		p := v.log[m][v.age[m][i]]
+		p := v.modes[m].log[v.modes[m].age[i]]
 		switch fault {
 		case "overflowed z row":
 			row := v.Row(m, i, make([]float64, d.k))
@@ -271,7 +271,7 @@ func TestHealthCheckLazyZ(t *testing.T) {
 			// C_z as the slice would have finished with it: the Gram of
 			// the rows brought current, all but the nz rows.
 			inNZ := make(map[int32]bool)
-			for _, j := range v.wrote[m] {
+			for _, j := range v.modes[m].nz {
 				inNZ[j] = true
 			}
 			var z [][]float64
@@ -285,7 +285,7 @@ func TestHealthCheckLazyZ(t *testing.T) {
 			if !math.IsInf(cz.At(0, 0), 1) && !math.IsInf(cz.At(1, 1), 1) {
 				t.Fatalf("diag(C_z) = %g, %g: did not overflow", cz.At(0, 0), cz.At(1, 1))
 			}
-			d.sp.czCur[m].CopyFrom(cz)
+			d.modes[m].czCur.CopyFrom(cz)
 		case "non-finite suffix product":
 			p.Data[1] = math.NaN()
 		}
@@ -322,7 +322,7 @@ func TestHealthCheckIgnoresStaleCz(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d.sp.czCur[1].Data[0] = math.NaN() // what a failed spCP attempt may leave
+		d.modes[1].czCur.Data[0] = math.NaN() // what a failed spCP attempt may leave
 		if _, err := d.ProcessSlice(x); err != nil {
 			t.Fatalf("slice %d under %v: %v", ti, d.Algorithm(), err)
 		}
@@ -331,7 +331,7 @@ func TestHealthCheckIgnoresStaleCz(t *testing.T) {
 
 // zRow returns a row of mode n that is stored behind the log, or −1.
 func (v *Version) zRow(n int) int {
-	for i, e := range v.age[n] {
+	for i, e := range v.modes[n].age {
 		if int(e) < v.lag {
 			return i
 		}

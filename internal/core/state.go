@@ -184,14 +184,15 @@ func (d *Decomposer) SaveState(w io.Writer) error {
 	e.u64(uint64(d.t))
 	v := d.cur
 	e.u64(uint64(v.lag))
-	// Factors with their z side, Gram invariants.
-	for m, a := range v.a {
-		e.matrix(a)
-		e.bytes(v.age[m])
-		for _, p := range v.log[m][:v.lag] {
+	// Per mode, the factor with its z side, and C.
+	for m := range v.modes {
+		r := &v.modes[m]
+		e.matrix(r.a)
+		e.bytes(r.age)
+		for _, p := range r.log[:v.lag] {
 			e.matrix(p)
 		}
-		e.matrix(d.c[m])
+		e.matrix(d.modes[m].c)
 	}
 	e.matrix(d.g)
 	e.floats(d.s)
@@ -254,21 +255,22 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	// The spare's contents are unknown from here on: nothing may bring
 	// it level by copying only a few rows.
 	v := d.claimSpare()
-	d.beginWrite(v, nil)
+	d.beginWrite(v, false)
 	v.growLog(int(lag))
 	c := make([]*dense.Matrix, d.n)
 	for m := range c {
+		r := &v.modes[m]
 		c[m] = dense.NewMatrix(d.k, d.k)
-		dc.matrix(v.a[m])
-		dc.bytes(v.age[m])
-		for _, p := range v.log[m][:lag] {
+		dc.matrix(r.a)
+		dc.bytes(r.age)
+		for _, p := range r.log[:lag] {
 			dc.matrix(p)
 		}
 		dc.matrix(c[m])
 		if dc.err != nil {
 			return dc.err
 		}
-		for i, e := range v.age[m] {
+		for i, e := range r.age {
 			if uint64(e) > lag {
 				return fmt.Errorf("core: checkpoint mode %d row %d is dated after t=%d", m, i, t)
 			}
@@ -292,7 +294,7 @@ func (d *Decomposer) RestoreState(r io.Reader) error {
 	d.endWrite(v)
 	d.commit(v)
 	for m := range c {
-		d.c[m].CopyFrom(c[m])
+		d.modes[m].c.CopyFrom(c[m])
 	}
 	d.g.CopyFrom(g)
 	copy(d.s, s)

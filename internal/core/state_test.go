@@ -399,7 +399,7 @@ func TestRestoreEverySliceContinuesBitEqual(t *testing.T) {
 func stateHash(d *Decomposer) uint64 {
 	h := fnv.New64a()
 	for m := range d.dims {
-		for _, mat := range []*dense.Matrix{d.Factor(m), d.c[m], d.sp.czCur[m]} {
+		for _, mat := range []*dense.Matrix{d.Factor(m), d.modes[m].c, d.modes[m].czCur} {
 			hashFloats(h, mat.Data...)
 		}
 	}

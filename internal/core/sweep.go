@@ -96,20 +96,20 @@ func (d *Decomposer) rowSweep(sw coreArgs, c, h *dense.Matrix) (diff2, norm2 flo
 
 // updateRows is the slice body's row update of mode n, over the rows run
 // iterates (all of them, or A_nz): a ← Ψ·Φ⁻¹ for Ψ = m·diag(sₜ) +
-// A_{t−1}·q, and the reductions over the new rows — C into c[n], H into
-// h[n], on the last mode ψ into fitPsi, and with z = ∅ the norms
+// A_{t−1}·q, and the reductions over the new rows — C and H into the
+// mode's record, on the last mode ψ into fitPsi, and with z = ∅ the norms
 // returned (a z set's δ is the trace form's). Unconstrained, the solve
 // is the sweep's own; under a constraint Ψ is staged into the mode's Ψ
 // workspace for BF-ADMM (phi is its Φ) and the sweep only reduces.
 // Either way a mode's C, H, δ terms and ψ have this one implementation.
 func (d *Decomposer) updateRows(run *sliceRun, n int, m, phi, q *dense.Matrix) (diff2, norm2 float64, err error) {
 	t0 := time.Now()
-	a, prev := run.a[n], run.prev[n]
+	a, prev, md := run.a[n], run.prev[n], &d.modes[n]
 	sw := coreArgs{a: a, m: m, prev: prev, q: q, s: d.s, psi: n == d.n-1, norms: run.rm == nil}
 	if con := d.opt.Constraint; con == nil {
 		sw.chol = &d.chol
 	} else {
-		psi := d.sp.psi[n]
+		psi := md.psi
 		d.stageRHS(psi, m, prev, q)
 		d.bd.Add(trace.Historical, time.Since(t0))
 		t0 = time.Now()
@@ -121,7 +121,7 @@ func (d *Decomposer) updateRows(run *sliceRun, n int, m, phi, q *dense.Matrix) (
 		}
 		t0 = time.Now()
 	}
-	diff2, norm2 = d.rowSweep(sw, d.c[n], d.h[n])
+	diff2, norm2 = d.rowSweep(sw, md.c, md.h)
 	d.addSweepTime(time.Since(t0), sw.chol != nil)
 	return diff2, norm2, nil
 }

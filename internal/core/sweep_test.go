@@ -231,7 +231,7 @@ func TestRowSweepMatchesSeparatePasses(t *testing.T) {
 			t.Fatalf("iteration %d: δ = %.17g, on the scaled factors %.17g", it, delta, want)
 		}
 		last := len(dims) - 1
-		sameMatrixBits(t, "ψ under Normalize", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{refColDots(d.sp.psi[last], run.a[last])}))
+		sameMatrixBits(t, "ψ under Normalize", dense.FromRows([][]float64{d.fitPsi}), dense.FromRows([][]float64{refColDots(d.modes[last].psi, run.a[last])}))
 	}
 }
 
@@ -271,7 +271,7 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 		if err := d.factorize(phi); err != nil {
 			t.Fatal(err)
 		}
-		psi := d.sp.psi[n]
+		psi := d.modes[n].psi
 		if err := d.mttkrpMode(psi, run.kin, run.plan, run.fac, n); err != nil {
 			t.Fatal(err)
 		}
@@ -281,11 +281,11 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 			dense.AddMulRow(psi.Row(i), run.prev[n].Row(i), q)
 		}
 		d.chol.SolveRowsInto(run.a[n], psi)
-		d.rowSweep(coreArgs{a: run.a[n], prev: run.prev[n]}, d.c[n], d.h[n])
+		d.rowSweep(coreArgs{a: run.a[n], prev: run.prev[n]}, d.modes[n].c, d.modes[n].h)
 		run.fac[n] = run.a[n]
 		sameMatrixBits(t, fmt.Sprintf("factor %d", n), runs[0].a[n], run.a[n])
-		sameMatrixBits(t, fmt.Sprintf("C %d", n), ds[0].c[n], d.c[n])
-		sameMatrixBits(t, fmt.Sprintf("H %d", n), ds[0].h[n], d.h[n])
+		sameMatrixBits(t, fmt.Sprintf("C %d", n), ds[0].modes[n].c, d.modes[n].c)
+		sameMatrixBits(t, fmt.Sprintf("H %d", n), ds[0].modes[n].h, d.modes[n].h)
 	}
 }
 

@@ -22,38 +22,48 @@ const zLogLen = 16
 // The z side is lazy. An spCP slice changes the rows no nonzero touched
 // only by its final transform T (row ← row·T, Eq. 6), so instead of
 // rewriting them a version logs the transforms: lag is the number of
-// slices since its last flush, age[n][i] the slice (counted from that
-// flush) that last wrote stored row i, and log[n][e] = T_{e+1}···T_lag
-// the suffix product that brings a row of age e current. Row applies
-// it; a row of age lag is stored current. Only the rows a slice touches
-// are written, and a flush (every zLogLen slices, and before a slice
-// that reads every row) brings them all current and empties the log.
+// slices since its last flush, and each mode's record (modeRows) dates
+// its stored rows against it. Row applies the log; a row of age lag is
+// stored current. Only the rows a slice touches are written, and a
+// flush (every zLogLen slices, and before a slice that reads every row)
+// brings them all current and empties the log.
 //
 // The pin count is the only synchronization. The Decomposer writes a
 // version only when nothing pins it, and allocates a fresh one when the
 // spare is pinned, so a pin never stalls a slice and never changes a
 // bit; one that is never released costs one allocation.
 type Version struct {
-	a   []*dense.Matrix
-	age [][]uint8
-	log [][]*dense.Matrix
-	lag int
+	modes []modeRows
+	lag   int
 	// Lineage, for bringing a spare level cheaply: id names the contents
 	// (0: unknown, mid-write), and base is the id of the contents this
-	// version held before its last write, which changed only the rows
-	// in wrote (nil: every row; else nz, the storage it points at).
-	id, base  uint64
-	wrote, nz [][]int32
-	pins      atomic.Int64
+	// version held before its last write, which changed only each mode's
+	// nz rows if wroteNZ, else every row.
+	id, base uint64
+	wroteNZ  bool
+	pins     atomic.Int64
+}
+
+// modeRows is one mode's share of a Version: the stored Iₙ×K factor a;
+// age[i], the slice (counted from the last flush) that last wrote stored
+// row i; log[e] = T_{e+1}···T_lag, the suffix product that brings a row
+// of age e current; and nz, the rows the version's last spCP write
+// touched (storage reused across writes).
+type modeRows struct {
+	a   *dense.Matrix
+	age []uint8
+	log []*dense.Matrix
+	nz  []int32
 }
 
 // Row writes row i of mode n, brought current, into dst (len K) and
 // returns it: O(K²), or a copy when the stored row is current.
 func (v *Version) Row(n, i int, dst []float64) []float64 {
-	src := v.a[n].Row(i)
-	if e := int(v.age[n][i]); e < v.lag {
+	r := &v.modes[n]
+	src := r.a.Row(i)
+	if e := int(r.age[i]); e < v.lag {
 		clear(dst)
-		dense.AddMulRow(dst, src, v.log[n][e])
+		dense.AddMulRow(dst, src, r.log[e])
 	} else {
 		copy(dst, src)
 	}
@@ -64,7 +74,7 @@ func (v *Version) Row(n, i int, dst []float64) []float64 {
 // the stored matrix itself when every row is current, else a new copy
 // brought current.
 func (v *Version) Factor(n int) *dense.Matrix {
-	a := v.a[n]
+	a := v.modes[n].a
 	if v.lag == 0 {
 		return a
 	}
@@ -96,10 +106,9 @@ func (v *Version) pinned() bool { return v.pins.Load() != 0 }
 func (d *Decomposer) Committed() *Version { return d.cur }
 
 func (d *Decomposer) newVersion() *Version {
-	v := &Version{a: make([]*dense.Matrix, d.n), age: make([][]uint8, d.n), log: make([][]*dense.Matrix, d.n), nz: make([][]int32, d.n)}
+	v := &Version{modes: make([]modeRows, d.n)}
 	for m, dim := range d.dims {
-		v.a[m] = dense.NewMatrix(dim, d.k)
-		v.age[m] = make([]uint8, dim)
+		v.modes[m] = modeRows{a: dense.NewMatrix(dim, d.k), age: make([]uint8, dim)}
 	}
 	return v
 }
@@ -108,9 +117,10 @@ func (d *Decomposer) newVersion() *Version {
 // allocated on first use, so a version that never logs (z = ∅) holds
 // none.
 func (v *Version) growLog(lag int) {
-	for m, a := range v.a {
-		for len(v.log[m]) < lag {
-			v.log[m] = append(v.log[m], dense.NewMatrix(a.Cols, a.Cols))
+	for m := range v.modes {
+		r := &v.modes[m]
+		for len(r.log) < lag {
+			r.log = append(r.log, dense.NewMatrix(r.a.Cols, r.a.Cols))
 		}
 	}
 }
@@ -149,12 +159,12 @@ func (d *Decomposer) commit(v *Version) {
 }
 
 // beginWrite marks v as being rewritten from the contents it holds,
-// changing only the rows of wrote (nil: all); endWrite names the new
-// contents. A write cut short leaves v's contents unknown (id 0), so
-// the next level copies it whole.
-func (d *Decomposer) beginWrite(v *Version, wrote [][]int32) {
+// changing only each mode's nz rows if nzOnly, else every row; endWrite
+// names the new contents. A write cut short leaves v's contents unknown
+// (id 0), so the next level copies it whole.
+func (d *Decomposer) beginWrite(v *Version, nzOnly bool) {
 	v.base, v.id = v.id, 0
-	v.wrote = wrote
+	v.wroteNZ = nzOnly
 }
 
 func (d *Decomposer) endWrite(v *Version) {
@@ -176,20 +186,21 @@ func (d *Decomposer) writable() *Version {
 	if v.id != 0 && v.id == from.id {
 		return v
 	}
-	partial := v.id != 0 && v.id == from.base && from.wrote != nil
+	partial := v.id != 0 && v.id == from.base && from.wroteNZ
 	v.growLog(from.lag)
-	for m, a := range from.a {
+	for m := range from.modes {
+		src, dst := &from.modes[m], &v.modes[m]
 		if partial {
-			for _, i := range from.wrote[m] {
-				copy(v.a[m].Row(int(i)), a.Row(int(i)))
-				v.age[m][i] = from.age[m][i]
+			for _, i := range src.nz {
+				copy(dst.a.Row(int(i)), src.a.Row(int(i)))
+				dst.age[i] = src.age[i]
 			}
 		} else {
-			v.a[m].CopyFrom(a)
-			copy(v.age[m], from.age[m])
+			dst.a.CopyFrom(src.a)
+			copy(dst.age, src.age)
 		}
 		for e := 0; e < from.lag; e++ {
-			v.log[m][e].CopyFrom(from.log[m][e])
+			dst.log[e].CopyFrom(src.log[e])
 		}
 	}
 	v.lag, v.id = from.lag, from.id
@@ -199,8 +210,8 @@ func (d *Decomposer) writable() *Version {
 // setCurrent records that every stored row of v is current: all ages
 // and the lag 0, the log empty.
 func (v *Version) setCurrent() {
-	for m := range v.age {
-		clear(v.age[m])
+	for m := range v.modes {
+		clear(v.modes[m].age)
 	}
 	v.lag = 0
 }
@@ -210,12 +221,13 @@ func (v *Version) setCurrent() {
 // per zLogLen spCP slices and before a slice with z = ∅. Each row is
 // transformed on its own, so no bit depends on the partition.
 func (d *Decomposer) flush(dst, src *Version) {
-	d.beginWrite(dst, nil)
+	d.beginWrite(dst, false)
 	for w := len(d.zRows); w < d.opt.Workers; w++ {
 		d.zRows = append(d.zRows, *dense.NewMatrix(1, d.k))
 	}
-	for m, a := range dst.a {
-		for _, e := range src.age[m] {
+	for m := range dst.modes {
+		a := dst.modes[m].a
+		for _, e := range src.modes[m].age {
 			if int(e) < src.lag {
 				d.zRowsRead++
 			}
@@ -259,15 +271,13 @@ func (d *Decomposer) flushCommitted() {
 func (d *Decomposer) Factor(n int) *dense.Matrix {
 	v := d.cur
 	if v.lag == 0 {
-		return v.a[n]
+		return v.modes[n].a
 	}
-	if d.view == nil {
-		d.view, d.viewID = make([]*dense.Matrix, d.n), make([]uint64, d.n)
+	md := &d.modes[n]
+	if md.view == nil || md.viewID != v.id {
+		md.view, md.viewID = v.Factor(n), v.id
 	}
-	if d.view[n] == nil || d.viewID[n] != v.id {
-		d.view[n], d.viewID[n] = v.Factor(n), v.id
-	}
-	return d.view[n]
+	return md.view
 }
 
 // factors returns every mode's Factor.
