@@ -29,6 +29,7 @@ type gemmArgs struct {
 	upper     bool
 	first     int // the first row block of the group in flight
 	part      []float64
+	tr        []float64 // per-worker column-major copies of a 64-row block of a and b
 }
 
 var gemmArgsPool struct {
@@ -191,7 +192,10 @@ const gramPart = 1 << 16
 // atbBlocks sets dst = aᵀb (with upper, only the entries on or above the
 // diagonal are defined) by gramBlock row blocks on the default pool.
 // g.part holds the merge's output, the running total and the group's
-// partials, n floats each.
+// partials, n floats each. When a and b have the same column count and
+// it is a multiple of 4, each block runs as the row sweep's Grams do:
+// every 64-row sub-block copied column-major into the worker's g.tr
+// (TransposeRows) and accumulated by AddAtBCols — AddAtBRange's bits.
 func atbBlocks(dst, a, b *Matrix, workers int, upper bool) {
 	n, nb := a.Cols*b.Cols, (a.Rows+gramBlock-1)/gramBlock
 	group := min(nb, max(1, gramPart/n-2))
@@ -199,6 +203,14 @@ func atbBlocks(dst, a, b *Matrix, workers int, upper bool) {
 	g.upper = upper
 	if cap(g.part) < (group+2)*n {
 		g.part = make([]float64, (group+2)*n)
+	}
+	g.tr = g.tr[:0]
+	if k := a.Cols; k == b.Cols && k%4 == 0 {
+		tr := parallel.ClampWorkers(workers, group) * 2 * atbBlock * k
+		if cap(g.tr) < tr {
+			g.tr = make([]float64, tr)
+		}
+		g.tr = g.tr[:tr]
 	}
 	merged, total := g.part[:n], g.part[n:2*n]
 	clear(total)
@@ -214,14 +226,33 @@ func atbBlocks(dst, a, b *Matrix, workers int, upper bool) {
 	putGemmArgs(g)
 }
 
-func atbBlockBody(ctx any, _ int, r parallel.Range) {
+func atbBlockBody(ctx any, w int, r parallel.Range) {
 	g := ctx.(*gemmArgs)
-	n := g.a.Cols * g.b.Cols
+	k, n := g.a.Cols, g.a.Cols*g.b.Cols
+	var at, bt []float64
+	if len(g.tr) > 0 {
+		tr := g.tr[w*2*atbBlock*k : (w+1)*2*atbBlock*k]
+		at, bt = tr[:atbBlock*k], tr[atbBlock*k:]
+	}
 	for i := r.Lo; i < r.Hi; i++ {
 		part := g.part[(2+i)*n : (3+i)*n]
 		clear(part)
 		lo := (g.first + i) * gramBlock
-		AddAtBRange(part, g.b.Cols, g.a, g.b, lo, min(lo+gramBlock, g.a.Rows), g.upper)
+		hi := min(lo+gramBlock, g.a.Rows)
+		if at == nil {
+			AddAtBRange(part, g.b.Cols, g.a, g.b, lo, hi, g.upper)
+			continue
+		}
+		for ; lo < hi; lo += atbBlock {
+			end := min(lo+atbBlock, hi)
+			TransposeRows(at, g.a, lo, end)
+			x := at
+			if g.b != g.a {
+				TransposeRows(bt, g.b, lo, end)
+				x = bt
+			}
+			AddAtBCols(part, k, at, x, end-lo, g.upper)
+		}
 	}
 }
 
@@ -232,10 +263,11 @@ const atbBlock = 64
 
 // AddAtBRange accumulates aᵀ·b over rows [lo, hi) into the row-major
 // accumulator acc (+=, row stride given) — the kernel under MulAtB and,
-// with upper set and b == a, under Gram, which needs only the entries on
-// or above the diagonal; exported for callers that keep one partial per
-// row block and reduce them themselves. Rows are taken in 64-row blocks; within a block
-// each 2×4 tile of the output is held in locals while i runs over the
+// unless AddAtBCols can run (4 dividing a common column count), under
+// MulAtBParallel and, with upper set and b == a, under Gram, which needs
+// only the entries on or above the diagonal; exported for callers that
+// keep one partial per row block and reduce them themselves. Rows are
+// taken in 64-row blocks; within a block each 2×4 tile of the output is held in locals while i runs over the
 // block, so every entry is still the ascending-i sum of
 // float64(a[i][p]·b[i][q]) with zero a[i][p] skipped — bit-identical to
 // accumulating in memory. With upper set, tiles start at the four-column
@@ -411,8 +443,9 @@ func mulABtRange(dst, a, b *Matrix, lo, hi int) {
 }
 
 // Gram computes dst = aᵀ·a (K×K symmetric) exploiting symmetry: only the
-// tiles on or above the diagonal are accumulated (AddAtBRange), by
-// gramBlock row blocks, then the upper triangle is mirrored.
+// tiles on or above the diagonal are accumulated (AddAtBCols over
+// column-major copies when K is a multiple of 4, AddAtBRange otherwise),
+// by gramBlock row blocks, then the upper triangle is mirrored.
 func Gram(dst, a *Matrix) { GramParallel(dst, a, 1) }
 
 // GramParallel is Gram with its row blocks shared out among the given

@@ -285,3 +285,42 @@ func TestAddRangesMatchWholeProduct(t *testing.T) {
 		}
 	}
 }
+
+// TestTiledGramsMatchAddAtBRange: where a and b share a column count that
+// is a multiple of 4, MulAtBParallel and GramParallel accumulate each
+// 64-row sub-block with AddAtBCols over column-major copies; their bits
+// must be those of AddAtBRange under the same block-keyed reduction, at
+// every worker count, with zeros, −0, ±Inf and NaN in the input (K = 5
+// keeps the untiled path in the sweep).
+func TestTiledGramsMatchAddAtBRange(t *testing.T) {
+	for _, nonFinite := range []bool{false, true} {
+		for _, k := range []int{4, 5, 8, 12, 16, 32} {
+			for _, rows := range []int{0, 1, 63, 64, 65, 255, 256, 257, 600} {
+				a := hostileMatrix(21, rows, k, nonFinite)
+				b := hostileMatrix(22, rows, k, nonFinite)
+				wantH, wantS, wantC := NewMatrix(k, k), NewMatrix(k, k), NewMatrix(k, k)
+				refReduce(wantH.Data, rows, func(acc []float64, lo, hi int) { AddAtBRange(acc, k, a, b, lo, hi, false) })
+				refReduce(wantS.Data, rows, func(acc []float64, lo, hi int) { AddAtBRange(acc, k, a, a, lo, hi, false) })
+				refReduce(wantC.Data, rows, func(acc []float64, lo, hi int) { AddAtBRange(acc, k, a, a, lo, hi, true) })
+				for x := 0; x < k; x++ {
+					for y := x + 1; y < k; y++ {
+						wantC.Set(y, x, wantC.At(x, y))
+					}
+				}
+				for _, w := range []int{1, 2, 3, 7} {
+					name := fmt.Sprintf("K=%d rows=%d W=%d nonFinite=%v", k, rows, w, nonFinite)
+					got := NewMatrix(k, k)
+					got.Fill(7)
+					MulAtBParallel(got, a, b, w)
+					requireSameBitsOrNaN(t, name+" MulAtBParallel", got, wantH)
+					got.Fill(7)
+					MulAtBParallel(got, a, a, w)
+					requireSameBitsOrNaN(t, name+" MulAtBParallel(a, a)", got, wantS)
+					got.Fill(7)
+					GramParallel(got, a, w)
+					requireSameBitsOrNaN(t, name+" GramParallel", got, wantC)
+				}
+			}
+		}
+	}
+}

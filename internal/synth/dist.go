@@ -33,16 +33,19 @@ func (u Uniform) Describe() string { return fmt.Sprintf("uniform(%d)", u.N) }
 // Zipf draws indices from a Zipf(s) law over [0, N): a popularity-skewed
 // mode such as terms or tags, where a few rows receive most updates (the
 // distribution that stresses lock contention in the baseline MTTKRP).
+// Only NewZipf builds one: Sample reads tables that a literal lacks.
 type Zipf struct {
 	N int
-	S float64 // exponent, > 1
-	// cached inverse-CDF table; built lazily on first Sample.
-	cdf []float64
+	S float64 // exponent, > 0
+	// cdf[i] is P(index ≤ i); guide[m] is the first i with cdf[i] ≥ m/N,
+	// or N−1 when there is none, for m ∈ [0, N]. Both built by NewZipf.
+	cdf   []float64
+	guide []int32
 }
 
-// NewZipf builds a Zipf sampler with a precomputed CDF table. For mode
-// lengths up to a few hundred thousand the table is small and sampling
-// is a binary search.
+// NewZipf builds a Zipf sampler: its CDF and a guide table of N+1 cut
+// points into it, so that a draw starts at the guide entry of its bucket
+// and steps O(1) entries on average.
 func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("synth: Zipf with non-positive dim")
@@ -61,25 +64,48 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range z.cdf {
 		z.cdf[i] *= inv
 	}
+	z.buildGuide()
 	return z
+}
+
+// buildGuide fills z.guide from z.cdf.
+func (z *Zipf) buildGuide() {
+	n := len(z.cdf)
+	z.guide = make([]int32, n+1)
+	i := 0
+	for m := range z.guide {
+		b := float64(m) / float64(n)
+		for i < n-1 && z.cdf[i] < b {
+			i++
+		}
+		z.guide[m] = int32(i)
+	}
 }
 
 // Dim implements IndexDist.
 func (z *Zipf) Dim() int { return z.N }
 
-// Sample implements IndexDist (binary search of the CDF).
-func (z *Zipf) Sample(r *RNG, _ int) int32 {
-	u := r.Float64()
-	lo, hi := 0, z.N-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// Sample implements IndexDist.
+func (z *Zipf) Sample(r *RNG, _ int) int32 { return z.index(r.Float64()) }
+
+// index returns the first index whose CDF entry is at least u ∈ [0, 1),
+// or N−1 when there is none: the index a binary search of the CDF finds.
+// It starts at the guide entry of u's bucket ⌊u·N⌋ and steps down, then
+// up; it steps down only when rounding put u in a bucket whose boundary
+// lies above u.
+func (z *Zipf) index(u float64) int32 {
+	if z.guide == nil {
+		panic("synth: Zipf sampled without NewZipf")
 	}
-	return int32(lo)
+	cdf := z.cdf
+	i := int(z.guide[int(u*float64(len(cdf)))])
+	for i > 0 && cdf[i-1] >= u {
+		i--
+	}
+	for i < len(cdf)-1 && cdf[i] < u {
+		i++
+	}
+	return int32(i)
 }
 
 // Describe implements IndexDist.

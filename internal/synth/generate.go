@@ -113,13 +113,17 @@ func generateSlice(cfg Config, planted *plantedModel, r *RNG, t int, dims []int)
 	sl := sptensor.New(dims...)
 	sl.Reserve(cfg.NNZPerSlice)
 	coord := make([]int32, len(dims))
+	var terms []float64
+	if planted != nil {
+		terms = make([]float64, cfg.PlantedRank)
+	}
 	for e := 0; e < cfg.NNZPerSlice; e++ {
 		for m, d := range cfg.Dists {
 			coord[m] = d.Sample(r, t)
 		}
 		var val float64
 		if planted != nil {
-			val = planted.value(coord, t) + cfg.NoiseStd*r.NormFloat64()
+			val = planted.value(terms, coord, t) + cfg.NoiseStd*r.NormFloat64()
 		} else {
 			val = r.LogNormal(0, 0.5)
 		}
@@ -164,15 +168,20 @@ func newPlantedModel(r *RNG, cfg Config) *plantedModel {
 	return m
 }
 
-// value evaluates the planted model at a coordinate for time step t.
-func (m *plantedModel) value(coord []int32, t int) float64 {
-	rank := len(m.s[t])
-	sum := 0.0
-	for k := 0; k < rank; k++ {
-		p := m.s[t][k]
-		for mm, f := range m.factors {
-			p *= f.At(int(coord[mm]), k)
+// value evaluates the planted model at a coordinate for time step t:
+// Σₖ sₜ[k]·a⁽⁰⁾[k]·a⁽¹⁾[k]·…, each term multiplied left to right and
+// summed in ascending k. Each mode's row is read once, multiplied into
+// terms (R floats of scratch) in place.
+func (m *plantedModel) value(terms []float64, coord []int32, t int) float64 {
+	copy(terms, m.s[t])
+	for mm, f := range m.factors {
+		row := f.Row(int(coord[mm]))[:len(terms)]
+		for k := range terms {
+			terms[k] *= row[k]
 		}
+	}
+	sum := 0.0
+	for _, p := range terms {
 		sum += p
 	}
 	return sum

@@ -15,10 +15,12 @@ import "math"
 
 // RNG is a deterministic SplitMix64 pseudo-random generator. It is
 // intentionally minimal — the generators only need uniform integers,
-// uniform floats, Gaussians, and a Zipf sampler (zipf.go).
+// uniform floats and Gaussians (the Zipf sampler in dist.go draws one
+// uniform float).
 type RNG struct {
 	state uint64
-	// spare Gaussian from the Box-Muller pair, NaN when absent.
+	// spare is the second Gaussian of the last Box-Muller pair; ok says
+	// it has not been returned yet.
 	spare float64
 	ok    bool
 }
