@@ -242,10 +242,10 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 			}
 		})
 		b.Run("rowsparse/rank"+itoa(k), func(b *testing.B) {
-			c := mttkrp.NewComputer(0)
 			var r mttkrp.Remapper
 			rm := r.Begin(x)
-			plan := c.NewPlan(rm.X)
+			kern := mttkrp.NewKernel(mttkrp.NewComputer(0))
+			kern.Compile(rm.X)
 			gathered, outs := make([]*dense.Matrix, len(s.Dims)), make([]*dense.Matrix, len(s.Dims))
 			for m := range s.Dims {
 				gathered[m] = dense.NewMatrix(len(rm.NZ[m]), k)
@@ -254,7 +254,9 @@ func BenchmarkFig4MTTKRP(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				for m := range s.Dims {
-					c.PlanMTTKRP(outs[m], plan, gathered, m)
+					if err := kern.MTTKRP(outs[m], gathered, m); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
@@ -390,8 +392,8 @@ func BenchmarkAblationPlanMTTKRP(b *testing.B) {
 	factors := benchFactors(s.Dims, 16)
 	mode := 2 // the long, skewed word mode
 	out := dense.NewMatrix(s.Dims[mode], 16)
-	c, lk := mttkrp.NewComputer(0), baselines.NewLockKernels(0)
-	plan := c.NewPlan(x)
+	kern, lk := mttkrp.NewKernel(mttkrp.NewComputer(0)), baselines.NewLockKernels(0)
+	kern.Compile(x)
 	b.Run("lock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lk.Lock(out, x, factors, mode)
@@ -404,7 +406,9 @@ func BenchmarkAblationPlanMTTKRP(b *testing.B) {
 	})
 	b.Run("plan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.PlanMTTKRP(out, plan, factors, mode)
+			if err := kern.MTTKRP(out, factors, mode); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

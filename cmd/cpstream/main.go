@@ -267,7 +267,8 @@ func solve(ctx context.Context, dec *spstream.Decomposer, x *spstream.Tensor, pa
 
 // table prints the per-slice rows; eval adds the column that says how a
 // block slice was evaluated: in-memory, or streamed with the share of
-// its permutations and blocks the budget kept resident between passes.
+// its (mode, block) pairs — in bytes — the budget kept resident between
+// passes.
 type table struct {
 	w    io.Writer
 	eval bool

@@ -163,17 +163,20 @@ func TestRunResidentAndBlockedAgree(t *testing.T) {
 
 // TestRunStreamedShowsResidentShare: the eval column of a streamed slice
 // says how much of it the budget kept resident — nothing under a budget
-// no slice fits, all of it under one that is just short of the resident
-// estimate — and the rows are the same either way.
+// no slice fits, two of its three modes' row-order copies under one that
+// is just short of the resident estimate (all three and the dense state
+// of these 900-nonzero slices would outweigh the estimate, so a budget
+// that holds them materializes the slice instead) — and the rows are
+// the same either way.
 func TestRunStreamedShowsResidentShare(t *testing.T) {
 	in := writeBlocks(t)
 	none := mustRun(t, "-input", in, "-rank", "4", "-workers", "1", "-mem-budget", "1")
-	all := mustRun(t, "-input", in, "-rank", "4", "-workers", "1", "-mem-budget", "70000")
-	if !strings.Contains(none, " streamed 0% ") || !strings.Contains(all, " streamed 100% ") || strings.Contains(all, "in-memory") {
-		t.Fatalf("eval column:\nbudget 1\n%s\nbudget 70000\n%s", none, all)
+	most := mustRun(t, "-input", in, "-rank", "4", "-workers", "1", "-mem-budget", "70000")
+	if !strings.Contains(none, " streamed 0% ") || !strings.Contains(most, " streamed 66% ") || strings.Contains(most, "in-memory") {
+		t.Fatalf("eval column:\nbudget 1\n%s\nbudget 70000\n%s", none, most)
 	}
-	if strings.Join(rows(none), "\n") != strings.Join(rows(all), "\n") {
-		t.Fatalf("rows differ with the resident share:\n%s\n%s", none, all)
+	if strings.Join(rows(none), "\n") != strings.Join(rows(most), "\n") {
+		t.Fatalf("rows differ with the resident share:\n%s\n%s", none, most)
 	}
 }
 

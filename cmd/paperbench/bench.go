@@ -254,12 +254,14 @@ func benchKernelOnce(kernel string, x *sptensor.Tensor, factors []*dense.Matrix,
 			}
 		})
 	case "plan":
-		c := mttkrp.NewComputer(w)
-		plan := c.NewPlan(x)
+		k := mttkrp.NewKernel(mttkrp.NewComputer(w))
+		k.Compile(x)
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.PlanMTTKRP(out, plan, factors, mode)
+				if err := k.MTTKRP(out, factors, mode); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	default: // csf

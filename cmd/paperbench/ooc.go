@@ -64,7 +64,7 @@ type oocRun struct {
 	liveB    int64 // post-GC live-heap delta after the run
 	peakB    int64 // sampled HeapAlloc high-water delta during the run
 	evalMode perfmodel.EvalMode
-	resident float64 // share of the slice's permutations and blocks kept between passes
+	resident float64 // share of the slice's (mode, block) pairs kept between passes, in bytes
 }
 
 func (h *harness) ooc() error {

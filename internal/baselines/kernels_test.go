@@ -171,7 +171,13 @@ func BenchmarkPlanVsLockInnerIters(b *testing.B) {
 	for m, d := range dims {
 		outs[m] = dense.NewMatrix(d, 16)
 	}
-	lk, c := NewLockKernels(0), mttkrp.NewComputer(0)
+	lk, kern := NewLockKernels(0), mttkrp.NewKernel(mttkrp.NewComputer(0))
+	plan := func(mode int) {
+		if err := kern.MTTKRP(outs[mode], factors, mode); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compile := func() { kern.Compile(x) }
 	b.Run("lock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for it := 0; it < innerIters; it++ {
@@ -192,21 +198,21 @@ func BenchmarkPlanVsLockInnerIters(b *testing.B) {
 	})
 	b.Run("plan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan := c.NewPlan(x) // amortized: built once per slice
+			compile() // amortized: built once per slice
 			for it := 0; it < innerIters; it++ {
 				for mode := range dims {
-					c.PlanMTTKRP(outs[mode], plan, factors, mode)
+					plan(mode)
 				}
 			}
 		}
 	})
 	b.Run("plan-steady", func(b *testing.B) {
-		plan := c.NewPlan(x) // excluded: pure per-iteration cost
+		compile() // excluded: pure per-iteration cost
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for it := 0; it < innerIters; it++ {
 				for mode := range dims {
-					c.PlanMTTKRP(outs[mode], plan, factors, mode)
+					plan(mode)
 				}
 			}
 		}

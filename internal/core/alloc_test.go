@@ -59,7 +59,7 @@ func TestExplicitIterateZeroAlloc(t *testing.T) {
 			if _, err := d.iterateSlice(run); err != nil {
 				t.Fatal(err)
 			}
-			d.sliceFit(sliceData{x: s.Slices[1]})
+			d.fit(d.kernel.Norm2())
 		})
 		if allocs != 0 {
 			t.Errorf("%s: inner iteration allocates %.1f times per run, want 0", tc.name, allocs)
@@ -87,7 +87,7 @@ func TestSpCPIterateZeroAlloc(t *testing.T) {
 		if _, err := d.iterateSlice(run); err != nil {
 			t.Fatal(err)
 		}
-		d.sliceFit(sliceData{x: s.Slices[1]})
+		d.fit(d.kernel.Norm2())
 	})
 	if allocs != 0 {
 		t.Errorf("spCP inner iteration allocates %.1f times per run, want 0", allocs)
@@ -163,7 +163,7 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 		if resident {
 			// Room for all of the larger slice.
 			for _, src := range srcs {
-				budget, _, _ := budgetFor(opt, src, len(s.Dims)*src.Blocks(), src.Blocks())
+				budget, _ := budgetFor(opt, src, len(s.Dims)*src.Blocks())
 				opt.MemBudget = max(opt.MemBudget, budget)
 			}
 		}
@@ -186,15 +186,13 @@ func TestStreamedIterateZeroAlloc(t *testing.T) {
 			t.Fatalf("resident=%v: evaluated %v with %+v resident", resident, d.LastEvalMode(), got)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := d.streamKernel().Begin(srcs[1]); err != nil {
+			if err := d.kernel.Begin(srcs[1]); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := d.iterateSlice(run); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.sliceFit(in); err != nil {
-				t.Fatal(err)
-			}
+			d.fit(d.kernel.Norm2())
 		})
 		if allocs != 0 {
 			t.Errorf("resident=%v: streamed inner iteration allocates %.1f times per run, want 0", resident, allocs)

@@ -19,18 +19,17 @@ const (
 // LastLayoutDecision always returns false, false: no slice is remapped.
 func (d *Decomposer) LastLayoutDecision() (remapped, hotFirst bool) { return false, false }
 
-// MTTKRPKernel is ignored: every resident slice runs the compiled plan
-// (kernels.go).
+// MTTKRPKernel is ignored: every slice runs the one kernel (kernels.go).
 type MTTKRPKernel int
 
 // KernelPlan is ignored, like the zero value.
 const KernelPlan MTTKRPKernel = 1
 
 // KernelSchedule appends the kernel of every mode of the last slice to
-// dst: one 'P' (plan) per mode after a resident slice, nothing after a
-// streamed one or before the first slice.
+// dst: one 'P' (the compiled row-order copy) per mode after a resident
+// slice, nothing after a streamed one or before the first slice.
 func (d *Decomposer) KernelSchedule(dst []byte) []byte {
-	if !d.resident {
+	if !d.kernel.FromTensor() {
 		return dst
 	}
 	for range d.dims {

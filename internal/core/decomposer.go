@@ -55,17 +55,10 @@ type Decomposer struct {
 	rng    *synth.RNG
 	pool   *parallel.Pool
 
-	// The coordinate plan every resident slice recompiles into
-	// (kernels.go; grow-only, it keeps no reference to the slice), and
-	// whether the last slice began on it rather than streamed
-	// (KernelSchedule).
-	plan     *mttkrp.Plan
-	resident bool
-
-	// Out-of-core evaluation (see streamed.go): the pooled streaming
-	// MTTKRP kernel (created on first blocked slice) and the evaluation
-	// mode SelectEval picked for the most recent block slice.
-	sk       *mttkrp.StreamKernel
+	// The MTTKRP kernel every slice recompiles (kernels.go), with the
+	// streaming share of Options.MemBudget, and the evaluation mode
+	// SelectEval picked for the most recent block slice (streamed.go).
+	kernel   *mttkrp.Kernel
 	lastEval perfmodel.EvalMode
 
 	// Scratch K×K matrices reused across iterations.
@@ -149,6 +142,8 @@ func NewDecomposer(dims []int, opt Options) (*Decomposer, error) {
 		rng:  synth.NewRNG(opt.Seed),
 		pool: parallel.Default(),
 	}
+	d.kernel = mttkrp.NewKernel(d.mt)
+	d.kernel.SetShare(kernelShare(opt, dims))
 	d.solver = admm.NewSolver(admm.Options{
 		Workers:  opt.Workers,
 		Tol:      opt.ADMMTol,

@@ -38,18 +38,6 @@ func (d *Decomposer) fit(xnorm2 float64) float64 {
 	return 1 - math.Sqrt(err2/xnorm2)
 }
 
-// sliceFit is the fit of the slice just solved. Its ⟨X, X̂⟩ = sᵀψ takes
-// the ψ the last sₜ refresh left in fitPsi, over the factors as they now
-// are, so it costs ‖X‖² alone: an O(nnz) sum over a resident slice's
-// values, and the schedule compile's for a streamed one.
-func (d *Decomposer) sliceFit(in sliceData) (float64, error) {
-	xnorm2, err := d.norm2(in)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return d.fit(xnorm2), nil
-}
-
 // FitOf evaluates the current model's fit 1 − ‖X−X̂‖_F/‖X‖_F against an
 // arbitrary slice-shaped tensor using the latest temporal weights —
 // e.g. to score a held-out or incoming slice before folding it in. Its

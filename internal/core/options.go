@@ -129,11 +129,11 @@ type Options struct {
 	// MemBudget caps the estimated resident bytes a slice may occupy
 	// during processing (see perfmodel.ResidentBytes). When a slice
 	// arriving through ProcessBlockSlice would exceed it, the slice is
-	// evaluated out of core: every kernel streams over the source blocks,
-	// and beside the factor matrices and one block per worker only as
-	// much of the slice stays resident between passes as the budget has
-	// room for — row-sorted permutations first, then decoded blocks (see
-	// mttkrp.StreamKernel; Decomposer.LastResidency reports the share).
+	// evaluated out of core: the kernel is compiled over the source
+	// blocks, and beside the factor matrices and one block per worker only
+	// as many of the slice's (mode, block) pairs stay resident between
+	// passes, as row-ordered copies, as the budget has room for (see
+	// mttkrp.Kernel; Decomposer.LastResidency reports the share).
 	// Results do not depend on it by a bit.
 	// Non-positive (the default) means unconstrained — block sources are
 	// materialized and take the regular in-memory path. Slices arriving

@@ -152,21 +152,6 @@ func (d *Decomposer) factorize(phi *dense.Matrix) error {
 	return err
 }
 
-// scanSliceInput rejects slices that would corrupt the factorization:
-// out-of-range or negative coordinates (which panic inside kernels) and
-// non-finite values (which propagate NaN into every factor).
-func scanSliceInput(x *sptensor.Tensor) error {
-	if err := x.Validate(); err != nil {
-		return err
-	}
-	for e, v := range x.Vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sptensor: nonzero %d has non-finite value %g", e, v)
-		}
-	}
-	return nil
-}
-
 // healthCheck validates the numerical state a just-finished slice left
 // behind, reading only what the slice wrote: finite convergence measure
 // within the divergence guard; finite factor rows — every row after a
@@ -249,13 +234,9 @@ func (d *Decomposer) runSlice(ctx context.Context, in sliceData) (res SliceResul
 		defer d.solver.SetCancel(nil)
 	}
 	d.iterNo = 0
-	// However the attempt ends, the streamed kernel drops a source it was
-	// begun on, so a reader the caller closes is not kept alive.
-	defer func() {
-		if d.sk != nil {
-			d.sk.End()
-		}
-	}()
+	// However the attempt ends, the kernel drops the slice it was
+	// compiled for, so a reader the caller closes is not kept alive.
+	defer d.kernel.End()
 	if err := d.injectFault(resilience.StageBegin, 0); err != nil {
 		return SliceResult{T: d.t, NNZ: in.nnz()}, err
 	}
@@ -339,7 +320,7 @@ func (d *Decomposer) guardedRun(ctx context.Context, in sliceData) (SliceResult,
 		return d.runSlice(ctx, in)
 	}
 	if !cfg.DisableInputScan {
-		if err := in.scan(); err != nil {
+		if err := d.scan(in); err != nil {
 			d.stats.InputRejects++
 			res := SliceResult{T: d.t, NNZ: in.nnz()}
 			if cfg.Policy == resilience.SkipSlice {

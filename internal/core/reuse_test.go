@@ -42,9 +42,7 @@ func reuseStream(t testing.TB, seed uint64, modes, slices int) *sptensor.Stream 
 // factors its kernels read.
 func driveSlice(t *testing.T, d *Decomposer, in sliceData, iters int, after func(kin sliceData, kf []*dense.Matrix)) {
 	t.Helper()
-	if in.src != nil {
-		defer d.streamKernel().End()
-	}
+	defer d.kernel.End()
 	run, err := d.beginSlice(in)
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +196,7 @@ func TestWarmStartMatchesTimeMode(t *testing.T) {
 				if _, err := d.finishSlice(run); err != nil {
 					t.Fatal(err)
 				}
-				if tc.streamed {
-					d.streamKernel().End()
-				}
+				d.kernel.End()
 			}
 		}
 	}
@@ -240,27 +236,47 @@ func (c *countingSource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Ten
 
 // budgetFor is the budget arithmetic written out forwards: the smallest
 // Options.MemBudget at which a decomposer with these options keeps the
-// permutations of the first pairs (mode, block) pairs of src — mode-major
-// — and decoded copies of its first blocks blocks, and the bytes of each
-// it then holds. An unconstrained decomposer's dense state is the factor,
-// its A_{t−1} copy and Ψ per mode, plus the rollback snapshot under a
-// resilience policy; a worker's streaming buffers are one decoded block
-// and one permutation of the largest block.
-func budgetFor(opt Options, src sptensor.BlockSource, pairs, blocks int) (budget, permBytes, blockBytes int64) {
-	nb, entry, largest, rows := src.Blocks(), int64(4*len(src.Dims())+8), 0, 0
-	for _, d := range src.Dims() {
+// first pairs (mode, block) pairs of src resident — mode-major — and the
+// bytes they then take. An unconstrained decomposer's dense state is the
+// factor, its spare version and Ψ per mode; a worker's streaming buffers
+// are one decoded block and one sort scratch of the largest block; a
+// resident pair holds its block's values and other-mode coordinates and
+// a row and an end per segment, at most one segment per entry and per
+// row.
+func budgetFor(opt Options, src sptensor.BlockSource, pairs int) (budget, bytes int64) {
+	dims, nb := src.Dims(), src.Blocks()
+	n, largest, rows := len(dims), 0, 0
+	for _, d := range dims {
 		rows += 3 * d
 	}
 	for b := 0; b < nb; b++ {
 		largest = max(largest, src.BlockNNZ(b))
 	}
 	for p := 0; p < pairs; p++ {
-		permBytes += 4 * int64(src.BlockNNZ(p%nb))
+		bytes += pairBytes(n, src.BlockNNZ(p%nb), dims[p/nb])
 	}
-	for b := 0; b < blocks; b++ {
-		blockBytes += entry * int64(src.BlockNNZ(b))
+	return int64(8*opt.Rank*rows) + int64(opt.Workers*largest)*int64(4*n+12) + bytes, bytes
+}
+
+// streamingPairs is the most of src's pairs — all of them, if it can —
+// that a budget keeps while src still streams (perfmodel.SelectEval): at
+// four modes the row-order copies of every pair and the dense state
+// outweigh the in-memory estimate, and a budget that holds them all
+// materializes the slice instead.
+func streamingPairs(opt Options, src sptensor.BlockSource) int {
+	pairs := len(src.Dims()) * src.Blocks()
+	for ; pairs > 0; pairs-- {
+		if budget, _ := budgetFor(opt, src, pairs); perfmodel.SelectEval(src.NNZ(), len(src.Dims()), budget) == perfmodel.EvalStreamed {
+			break
+		}
 	}
-	return int64(8*opt.Rank*rows) + int64(opt.Workers*largest)*(entry+4) + permBytes + blockBytes, permBytes, blockBytes
+	return pairs
+}
+
+// pairBytes is what a resident (mode, block) pair of nnz entries in a
+// mode of length dim takes, for n modes.
+func pairBytes(n, nnz, dim int) int64 {
+	return int64(nnz)*int64(4*(n-1)+8) + 8*int64(min(nnz, dim))
 }
 
 // raggedBlocks cuts x into consecutive-run blocks of up to 200 nonzeros
@@ -289,62 +305,68 @@ func raggedBlocks(t testing.TB, x *sptensor.Tensor) *sptensor.MemBlocks {
 	return src
 }
 
-// TestStreamedDecodeCount is the count behind both claims. A streamed
-// slice with nothing resident decodes every block once for the schedule
-// compile (which also sums ‖X‖² for the fit, whose ⟨X, X̂⟩ costs no pass
-// either) and once per factor mode per inner iteration — the warm-start
-// sₜ reads the first iteration's mode-0 MTTKRP, and no time-mode pass
-// runs at all: 61 times for three modes at 20 iterations. A block the
-// budget keeps resident is decoded
-// by the compile alone: once, and with everything resident that is every
-// block; resident permutations change no count. One worker, so that a
-// pass is exactly one decode of each block that holds anything; an empty
-// block is only ever opened by the compile.
+// TestStreamedDecodeCount is the count behind both claims, in the
+// kernel's unit of residency, the (mode, block) pair. A streamed slice
+// decodes every block once for the compile (which also sums ‖X‖² for the
+// fit, whose ⟨X, X̂⟩ costs no pass either); after that a resident pair
+// costs no decode, and a pair that is not resident costs one per pass of
+// its mode — iters per factor mode, the warm start's mode-0 pass
+// standing for the first iteration's, and no time-mode pass at all. With nothing resident that is 61 decodes
+// of every block for three modes at 20 iterations; with everything
+// resident, one (at four modes, as much as still streams:
+// streamingPairs). One worker, so that a pass is exactly one decode of
+// each block that holds anything; an empty block is only ever opened by
+// the compile. The guarded run counts the same: its input scan is the
+// compile, where a separate scan used to decode every block once more.
 func TestStreamedDecodeCount(t *testing.T) {
 	const iters = 20
 	for modes := 2; modes <= 4; modes++ {
 		dims := []int{60, 50, 40, 12}[:modes]
 		s := testStream(t, 70, dims, 1500, 2)
-		passes := int64(1 + modes*iters)
-		if modes == 3 && passes != 61 {
+		if passes := 1 + modes*iters; modes == 3 && passes != 61 {
 			t.Fatalf("three modes make %d passes, want 61", passes)
 		}
-		opt := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MaxIters: iters, Tol: 1e-300}
 		first := raggedBlocks(t, s.Slices[0])
-		nb := first.Blocks()
-		for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
-			label := fmt.Sprintf("N=%d pairs=%d blocks=%d", modes, keep[0], keep[1])
-			var permBytes, blockBytes int64
-			if opt.MemBudget = 1; keep[0] >= 0 {
-				opt.MemBudget, permBytes, blockBytes = budgetFor(opt, first, keep[0], keep[1])
-			}
-			d, err := NewDecomposer(dims, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ti, x := range s.Slices {
-				blocks := raggedBlocks(t, x)
-				src := &countingSource{BlockSource: blocks, decode: true}
-				res, err := d.ProcessBlockSlice(src)
-				if err != nil || res.Iters != iters || d.LastEvalMode() != perfmodel.EvalStreamed {
-					t.Fatalf("%s slice %d: %d iterations, %v, %v", label, ti, res.Iters, d.LastEvalMode(), err)
+		base := Options{Rank: 4, Algorithm: Optimized, Workers: 1, Seed: 2, MaxIters: iters, Tol: 1e-300}
+		full := streamingPairs(base, first)
+		for _, keep := range []int{-1, first.Blocks() + 2, full - 3, full} {
+			for _, guarded := range []bool{false, true} {
+				label := fmt.Sprintf("N=%d pairs=%d guarded=%v", modes, keep, guarded)
+				opt := base
+				var bytes int64
+				if opt.MemBudget = 1; keep >= 0 {
+					opt.MemBudget, bytes = budgetFor(opt, first, keep)
 				}
-				got := d.LastResidency()
-				if ti == 0 && (got.PermBytes != permBytes || got.BlockBytes != blockBytes) {
-					t.Fatalf("%s: resident %+v, want %d permutation and %d block bytes", label, got, permBytes, blockBytes)
+				if guarded {
+					opt.Resilience = &resilience.Config{Policy: resilience.Abort}
 				}
-				// Block b is resident when the prefix ending with it is.
-				want, prefix := int64(0), int64(0)
-				for b := 0; b < blocks.Blocks(); b++ {
-					prefix += int64(4*modes+8) * int64(blocks.BlockNNZ(b))
-					if blocks.BlockNNZ(b) == 0 || prefix <= got.BlockBytes {
-						want++
-					} else {
-						want += passes
+				d, err := NewDecomposer(dims, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ti, x := range s.Slices {
+					blocks := raggedBlocks(t, x)
+					src := &countingSource{BlockSource: blocks, decode: true}
+					res, err := d.ProcessBlockSlice(src)
+					if err != nil || res.Iters != iters || d.LastEvalMode() != perfmodel.EvalStreamed {
+						t.Fatalf("%s slice %d: %d iterations, %v, %v", label, ti, res.Iters, d.LastEvalMode(), err)
 					}
-				}
-				if n := src.decodes.Load(); n != want {
-					t.Fatalf("%s slice %d: %d block decodes, want %d (%d passes, %d blocks, %d block bytes resident)", label, ti, n, want, passes, blocks.Blocks(), got.BlockBytes)
+					got := d.LastResidency()
+					if ti == 0 && got.Bytes != bytes {
+						t.Fatalf("%s: resident %+v, want %d bytes", label, got, bytes)
+					}
+					// Pair p is resident when the pairs up to it fit in what
+					// the kernel holds.
+					want, held, n := int64(blocks.Blocks()), int64(0), blocks.Blocks()
+					for p := 0; p < modes*n; p++ {
+						m, nnz := p/n, blocks.BlockNNZ(p%n)
+						if held += pairBytes(modes, nnz, dims[m]); nnz > 0 && held > got.Bytes {
+							want += iters
+						}
+					}
+					if c := src.decodes.Load(); c != want {
+						t.Fatalf("%s slice %d: %d block decodes, want %d (%d blocks, %+v resident)", label, ti, c, want, n, got)
+					}
 				}
 			}
 		}

@@ -26,10 +26,9 @@ import (
 // every per-slice artifact out of the Decomposer while letting tests
 // drive — and measure — a single steady-state inner iteration.
 type sliceRun struct {
-	in   sliceData        // the slice
-	kin  sliceData        // what the kernels read: in, or its remap into nz-row space
-	plan *mttkrp.Plan     // compiled over a resident kin; nil for a streamed one
-	rm   *mttkrp.Remapped // the remap that names the z set; nil for z = ∅
+	in  sliceData        // the slice
+	kin sliceData        // what the kernel reads: in, or its remap into nz-row space
+	rm  *mttkrp.Remapped // the remap that names the z set; nil for z = ∅
 	// Per mode, a is the iterate — the spare version's A_t, or the
 	// gathered A_nz — prev its A_{t−1} — the committed version's, or the
 	// gathered A_nz,t−1 — and fac the factor the kernels read: a, except
@@ -54,8 +53,9 @@ type sliceRun struct {
 // flushed first if its z side lags, and no copy seeds the iterate. Then
 // it seeds each mode's Gram state (tr(C_{t−1}) = tr(C), and H = C since
 // the iterate starts at A_{t−1}), sizes the Ψ workspace to the iterate,
-// and compiles the coordinate plan over a resident slice (amortized over
-// the inner iterations) or the streamed kernel's schedule over a source.
+// and compiles the kernel over what it reads, amortized over the inner
+// iterations (compile: a source the guarded input scan compiled is
+// compiled already).
 // Last, the warm start: sₜ solved against A_{t−1}, with ψ read off mode
 // 0's MTTKRP over A_{t−1} — the one iteration 1's mode 0 would compute
 // over the same factors, so it consumes this one (sliceRun.m0) and the
@@ -84,13 +84,8 @@ func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 			md.trPrev = dense.Trace(md.c)
 			md.h.CopyFrom(md.c)
 		}
-		if in.src != nil {
-			d.resident = false
-			if err = d.streamKernel().Begin(in.src); err != nil {
-				err = fmt.Errorf("core: streamed schedule: %w", err)
-			}
-		} else {
-			run.plan = d.beginKernels(run.kin.x)
+		if err = d.compile(run.kin); err != nil {
+			err = fmt.Errorf("core: kernel compile: %w", err)
 		}
 	})
 	if err != nil {
@@ -98,7 +93,7 @@ func (d *Decomposer) beginSlice(in sliceData) (*sliceRun, error) {
 	}
 	d.bd.Time(trace.MTTKRP, func() {
 		psi := d.modes[0].psi
-		if err = d.mttkrpMode(psi, run.kin, run.plan, run.fac, 0); err != nil {
+		if err = d.mttkrpMode(psi, run.fac, 0); err != nil {
 			return
 		}
 		d.rowSweep(coreArgs{a: run.prev[0], m: psi, psi: true}, nil, nil)
@@ -148,7 +143,7 @@ func (d *Decomposer) iterateSlice(run *sliceRun) (float64, error) {
 		}
 		if n == 0 && run.m0 {
 			run.m0 = false
-		} else if err := d.mttkrpMode(kout, run.kin, run.plan, run.fac, n); err != nil {
+		} else if err := d.mttkrpMode(kout, run.fac, n); err != nil {
 			return 0, err
 		}
 		d.bd.Add(trace.MTTKRP, time.Since(t0))
@@ -252,11 +247,9 @@ func (d *Decomposer) finishSlice(run *sliceRun) (SliceResult, error) {
 		d.endWrite(run.next)
 	}
 	d.commit(run.next)
-	var err error
-	d.bd.Time(trace.Misc, func() { run.res.Fit, err = d.sliceFit(run.in) })
-	if err != nil {
-		return run.res, err
-	}
+	// The fit's ⟨X, X̂⟩ = sᵀψ takes the ψ the last sₜ refresh left in
+	// fitPsi and its ‖X‖² the kernel's compile: no pass over the nonzeros.
+	d.bd.Time(trace.Misc, func() { run.res.Fit = d.fit(d.kernel.Norm2()) })
 	d.bd.Time(trace.Post, d.advanceTime)
 	return run.res, nil
 }

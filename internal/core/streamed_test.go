@@ -113,13 +113,13 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 }
 
 // TestStreamedResidentMatchesInMemory is the same equivalence with the
-// idle budget spent: whatever share of a slice's permutations and blocks
-// the kernel keeps between passes — nothing (MemBudget 1), some
-// permutations only, all of them and a block prefix, everything — the
-// factors, sₜ, δ and tracked fit equal the in-memory run's
-// bit for bit, at 1, 2 and 4 workers, for 2-, 3- and 4-mode slices cut
-// into ragged blocks with an empty and a single-row one among them, and
-// the decomposer reports the share it used.
+// idle budget spent: whatever share of a slice's (mode, block) pairs the
+// kernel keeps between passes — nothing (MemBudget 1), a mode and a bit,
+// all but a few, everything (as much as still streams at four modes:
+// streamingPairs) — the factors, sₜ, δ and tracked fit equal
+// the in-memory run's bit for bit, at 1, 2 and 4 workers, for 2-, 3- and
+// 4-mode slices cut into ragged blocks with an empty and a single-row one
+// among them, and the decomposer reports the share it used.
 func TestStreamedResidentMatchesInMemory(t *testing.T) {
 	for modes := 2; modes <= 4; modes++ {
 		dims := []int{60, 50, 40, 12}[:modes]
@@ -127,17 +127,17 @@ func TestStreamedResidentMatchesInMemory(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			opt := Options{Rank: 4, Algorithm: Optimized, Workers: workers, Seed: 7, MaxIters: 4, Tol: 1e-300}
 			first := raggedBlocks(t, stream.Slices[0])
-			nb := first.Blocks()
-			for _, keep := range [][2]int{{-1, 0}, {nb + 2, 0}, {modes * nb, 4}, {modes * nb, nb}} {
-				label := fmt.Sprintf("N=%d workers=%d pairs=%d blocks=%d", modes, workers, keep[0], keep[1])
+			full := streamingPairs(opt, first)
+			for _, keep := range []int{-1, first.Blocks() + 2, full - 3, full} {
+				label := fmt.Sprintf("N=%d workers=%d pairs=%d", modes, workers, keep)
 				mem, err := NewDecomposer(dims, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				optS := opt
-				var permBytes, blockBytes int64
-				if optS.MemBudget = 1; keep[0] >= 0 {
-					optS.MemBudget, permBytes, blockBytes = budgetFor(optS, first, keep[0], keep[1])
+				var bytes int64
+				if optS.MemBudget = 1; keep >= 0 {
+					optS.MemBudget, bytes = budgetFor(optS, first, keep)
 				}
 				str, err := NewDecomposer(dims, optS)
 				if err != nil {
@@ -149,8 +149,8 @@ func TestStreamedResidentMatchesInMemory(t *testing.T) {
 					if errS != nil || errM != nil || str.LastEvalMode() != perfmodel.EvalStreamed {
 						t.Fatalf("%s slice %d: streamed %v (%v), in-memory %v", label, ti, errS, str.LastEvalMode(), errM)
 					}
-					if got := str.LastResidency(); ti == 0 && (got.PermBytes != permBytes || got.BlockBytes != blockBytes) || keep[0] < 0 && got.Share() != 0 {
-						t.Fatalf("%s slice %d: resident %+v, want %d permutation and %d block bytes on slice 0", label, ti, got, permBytes, blockBytes)
+					if got := str.LastResidency(); ti == 0 && got.Bytes != bytes || keep < 0 && got.Share() != 0 {
+						t.Fatalf("%s slice %d: resident %+v, want %d bytes on slice 0", label, ti, got, bytes)
 					}
 					if math.Float64bits(resS.Delta) != math.Float64bits(resM.Delta) || math.Float64bits(resS.Fit) != math.Float64bits(resM.Fit) {
 						t.Fatalf("%s slice %d: δ %g fit %g, in-memory δ %g fit %g", label, ti, resS.Delta, resS.Fit, resM.Delta, resM.Fit)
@@ -297,10 +297,10 @@ func (f *flakySource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Tensor
 // mode's Φ factorization calls.
 //
 // All of it twice: with nothing resident (MemBudget 1), and with a
-// budget that keeps every permutation and blocks 0–3 of 8. There the
-// flipped byte sits in a resident block and surfaces when Begin fills
-// the arena, and the block that goes away is one of the streamed
-// remainder, met at its pass. The next good slice is other data served
+// budget that keeps mode 0's pairs and mode 1's of blocks 0–3 of 8.
+// There the flipped byte sits in a block with resident pairs and
+// surfaces when the compile sorts them, and the block that goes away is
+// resident in mode 0 only, met at a later mode's pass. The next good slice is other data served
 // through the failed source's own address: had the kernel kept anything
 // of the lost attempt, the bits would show it.
 func TestStreamedDecodeErrorRollsBack(t *testing.T) {
@@ -371,7 +371,7 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 				},
 			}
 			if partial {
-				opt.MemBudget, _, _ = budgetFor(opt, good, len(dims)*good.Blocks(), 4)
+				opt.MemBudget, _ = budgetFor(opt, good, good.Blocks()+4)
 			}
 			d, err := NewDecomposer(dims, opt)
 			if err != nil {
@@ -419,7 +419,7 @@ func TestStreamedDecodeErrorRollsBack(t *testing.T) {
 			if math.Float64bits(fits[0]) != math.Float64bits(fits[1]) {
 				t.Fatalf("%s: next slice's fit %.17g, control %.17g", label, fits[1], fits[0])
 			}
-			if got := d.LastResidency(); partial != (got.BlockBytes > 0) {
+			if got := d.LastResidency(); partial != (got.Bytes > 0) {
 				t.Fatalf("%s: next slice resident %+v", label, got)
 			}
 			for n := range dims {

@@ -272,7 +272,7 @@ func TestRowUpdateMatchesParentFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		psi := d.modes[n].psi
-		if err := d.mttkrpMode(psi, run.kin, run.plan, run.fac, n); err != nil {
+		if err := d.mttkrpMode(psi, run.fac, n); err != nil {
 			t.Fatal(err)
 		}
 		dense.ScaleColumns(psi, psi, d.s)

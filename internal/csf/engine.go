@@ -10,8 +10,8 @@
 //
 // The paper's own kernels operate on plain COO; this package is the
 // storage-format counterpoint its related-work section contrasts
-// against. It is an experiment: the runtime (core) runs the compiled
-// coordinate plan (mttkrp.Plan) on every mode, and only benchmarks —
+// against. It is an experiment: the runtime (core) runs the one
+// compiled kernel (mttkrp.Kernel) on every mode, and only benchmarks —
 // the repository benchmark's probes, the root package's ablation and
 // paperbench's kernel grid — drive this engine.
 package csf

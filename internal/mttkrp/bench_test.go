@@ -32,19 +32,20 @@ func nipsSlice(b *testing.B) *sptensor.Tensor {
 // four-column tail (20).
 var benchRanks = []int{16, 20}
 
-// BenchmarkPlanMTTKRP times the plan kernel alone (layout compiled
-// outside the timer) per output mode and reports ns per nonzero.
+// BenchmarkPlanMTTKRP times the resident path's pass alone (the kernel
+// compiled over the slice outside the timer) per output mode and reports
+// ns per nonzero.
 func BenchmarkPlanMTTKRP(b *testing.B) {
 	x := nipsSlice(b)
 	c := NewComputer(0)
-	plan := c.NewPlan(x)
+	kern := compiled(b, c, x)
 	for _, k := range benchRanks {
 		factors := randomFactors(32, x.Dims, k)
 		for mode, d := range x.Dims {
 			out := dense.NewMatrix(d, k)
 			b.Run(fmt.Sprintf("K=%d/mode=%d", k, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					c.PlanMTTKRP(out, plan, factors, mode)
+					mustMTTKRP(b, kern, out, factors, mode)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
 			})
@@ -52,17 +53,17 @@ func BenchmarkPlanMTTKRP(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCompile times recompiling every mode of the plan into a
-// warm Plan's storage — the counting sort, its scatter of the values and
-// the other modes' coordinates, the worker partition — and reports ns
-// per nonzero per mode, the unit of perfmodel's PlanBuildNsPerNnz.
+// BenchmarkPlanCompile times recompiling the slice into a warm kernel —
+// the checks and row extents, per mode the counting sort, its scatter of
+// the values and the other modes' coordinates, the schedule — and
+// reports ns per nonzero per mode, the unit of perfmodel's
+// PlanBuildNsPerNnz.
 func BenchmarkPlanCompile(b *testing.B) {
 	x := nipsSlice(b)
-	c := NewComputer(0)
-	plan := c.NewPlan(x)
+	kern := compiled(b, NewComputer(0), x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.CompilePlan(plan, x)
+		kern.Compile(x)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()*x.NModes()), "ns/nnz")
 }
@@ -113,14 +114,13 @@ func oocSlice(b *testing.B) *ooc.BlockReader {
 	return r
 }
 
-// BenchmarkStreamMTTKRP times the streamed kernel per output mode on the
-// ooc-stream slice (schedule compiled outside the timer, like the plan
-// in BenchmarkPlanMTTKRP) and reports ns per nonzero: with no share
-// (every block decoded and sorted each pass), with a share the
-// permutations and some blocks fit, and with everything resident. The
-// plan arm runs PlanMTTKRP on MaterializeBlocks of the same file: the
-// in-memory kernel on the same nonzeros, the floor the streamed kernel
-// is measured against.
+// BenchmarkStreamMTTKRP times the kernel per output mode on the
+// ooc-stream slice (compiled outside the timer, like BenchmarkPlanMTTKRP)
+// and reports ns per nonzero: with no share (every block decoded and
+// sorted each pass), with a share that holds some of the (mode, block)
+// pairs, and with everything resident. The plan arm compiles
+// MaterializeBlocks of the same file: the resident path on the same
+// nonzeros, the floor the streamed passes are measured against.
 func BenchmarkStreamMTTKRP(b *testing.B) {
 	r := oocSlice(b)
 	const k = 16
@@ -129,30 +129,27 @@ func BenchmarkStreamMTTKRP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewComputer(0)
-	plan := c.NewPlan(x)
+	plan := compiled(b, NewComputer(0), x)
 	for mode, d := range x.Dims {
 		out := dense.NewMatrix(d, k)
 		b.Run(fmt.Sprintf("K=%d/plan/mode=%d", k, mode), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.PlanMTTKRP(out, plan, factors, mode)
+				mustMTTKRP(b, plan, out, factors, mode)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
 		})
 	}
 	for _, share := range []int64{0, 12 << 20, 32 << 20} {
-		sk := NewStreamKernel(NewComputer(0))
-		sk.SetShare(share)
-		if err := sk.Begin(r); err != nil {
+		kern := NewKernel(NewComputer(0))
+		kern.SetShare(share)
+		if err := kern.Begin(r); err != nil {
 			b.Fatal(err)
 		}
 		for mode, d := range r.Dims() {
 			out := dense.NewMatrix(d, k)
-			b.Run(fmt.Sprintf("K=%d/resident=%.0f%%/mode=%d", k, 100*sk.Residency().Share(), mode), func(b *testing.B) {
+			b.Run(fmt.Sprintf("K=%d/resident=%.0f%%/mode=%d", k, 100*kern.Residency().Share(), mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if err := sk.MTTKRP(out, r, factors, mode); err != nil {
-						b.Fatal(err)
-					}
+					mustMTTKRP(b, kern, out, factors, mode)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.NNZ()), "ns/nnz")
 			})

@@ -1,9 +1,9 @@
 // Package mttkrp implements the matricized-tensor-times-Khatri-Rao-
 // product kernels the runtime executes: Sequential (the single-threaded
-// reference every other kernel is tested against), the per-slice
-// compiled Plan (plan.go) and the register panel under it (panel.go),
-// the Remapper into the compact nz-row index space (remap.go), the
-// block-streamed StreamKernel (stream.go), and TimeMode, the single-row
+// reference every other kernel is tested against), the one factor-mode
+// Kernel over a block source, resident or streamed (kernel.go), and the
+// register panel under it (panel.go), the Remapper into the compact
+// nz-row index space (remap.go), and TimeMode, the single-row
 // streaming-mode MTTKRP (one partial per fixed nonzero span where the
 // paper accumulates per thread, §IV-B) that scores an arbitrary slice's
 // fit — the runtime's sₜ reads its right-hand side off a factor mode's
@@ -25,8 +25,8 @@ import (
 // kernels dispatch through a persistent parallel.Pool; the ones that
 // form a product row in memory (see scratch) keep it in a Computer-owned
 // per-worker arena, so steady-state calls are allocation-free for any
-// rank. A Plan's row-order copies are the Plan's own: a caller that
-// recompiles one Plan per slice (CompilePlan) keeps the compile
+// rank. A Kernel's row-order copies and decode buffers are the Kernel's
+// own: a caller that recompiles one Kernel per slice keeps the compile
 // allocation-free too, and the worker count it partitions for is the
 // Computer's.
 type Computer struct {
@@ -35,34 +35,18 @@ type Computer struct {
 
 	// Per-worker scratch, kcap floats each: the rowProduct/timeModeRow
 	// product row of the kernels that still form one — the N ≠ 3 bodies
-	// of rowRun and timeRange. The three-way plan, stream and time-mode
+	// of rowRun and timeRange. The three-way Kernel and time-mode
 	// kernels keep their panel in registers and never touch it.
 	scratch [][]float64
 	kcap    int
 
-	// TimeMode's span partials, k floats per timeSpan nonzeros.
-	parts []float64
-
-	// Reusable kernel argument block passed as ctx to the pool bodies.
-	args kernelArgs
-}
-
-// kernelArgs carries one kernel invocation's arguments through the pool
-// without a closure. It is owned by the Computer and cleared after each
-// call so factor matrices are not pinned between iterations.
-type kernelArgs struct {
-	c       *Computer
-	out     *dense.Matrix
+	// TimeMode's span partials, k floats per timeSpan nonzeros, and its
+	// arguments for the pool body (no closure), cleared after each call
+	// so the factors are not pinned between iterations.
+	parts   []float64
 	x       *sptensor.Tensor
 	factors []*dense.Matrix
-	pm      *planMode
-	mode    int
 	k       int
-}
-
-func (a *kernelArgs) reset() {
-	c := a.c
-	*a = kernelArgs{c: c}
 }
 
 // NewComputer creates a Computer for the given worker count (≤0 means
@@ -77,9 +61,7 @@ func NewComputerWithPool(workers int, pool *parallel.Pool) *Computer {
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	c := &Computer{Workers: workers, pool: pool}
-	c.args.c = c
-	return c
+	return &Computer{Workers: workers, pool: pool}
 }
 
 // ensureScratch grows the per-worker scratch arenas to hold one rank-k
@@ -190,19 +172,18 @@ func (c *Computer) TimeMode(dst []float64, x *sptensor.Tensor, factors []*dense.
 	k, spans := len(dst), (x.NNZ()+timeSpan-1)/timeSpan
 	c.ensureScratch(k)
 	c.parts = grow(c.parts, spans*k)
-	a := &c.args
-	a.x, a.factors, a.k = x, factors, k
-	c.pool.Do(spans, c.Workers, a, timeModeBody)
-	a.reset()
+	c.x, c.factors, c.k = x, factors, k
+	c.pool.Do(spans, c.Workers, c, timeModeBody)
+	c.x, c.factors = nil, nil
 	parallel.SumBlocks(dst, c.parts)
 }
 
 func timeModeBody(ctx any, w int, r parallel.Range) {
-	a := ctx.(*kernelArgs)
+	c := ctx.(*Computer)
 	for sp := r.Lo; sp < r.Hi; sp++ {
-		part := a.c.parts[sp*a.k : (sp+1)*a.k]
+		part := c.parts[sp*c.k : (sp+1)*c.k]
 		clear(part)
-		timeRange(part, a.c.scratch[w][:a.k], a.x, a.factors, sp*timeSpan, min((sp+1)*timeSpan, a.x.NNZ()))
+		timeRange(part, c.scratch[w][:c.k], c.x, c.factors, sp*timeSpan, min((sp+1)*timeSpan, c.x.NNZ()))
 	}
 }
 

@@ -87,9 +87,9 @@ func TestSequentialFourWay(t *testing.T) {
 	}
 }
 
-// The parallel kernels must agree with the sequential reference on
-// random slices: the compiled plan and the streamed kernel bit for bit,
-// at any worker count. (The lock-pool and Hybrid Lock kernels are checked
+// The parallel kernel must agree with the sequential reference on
+// random slices bit for bit, compiled over the slice and begun over its
+// blocks, at any worker count. (The lock-pool and Hybrid Lock kernels are checked
 // against Sequential in internal/baselines.)
 func TestKernelEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -102,24 +102,23 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			c := NewComputer(workers)
-			plan, sk := c.NewPlan(x), NewStreamKernel(c)
-			if sk.Begin(src) != nil {
+			plan, kern := compiled(t, c, x), NewKernel(c)
+			if kern.Begin(src) != nil {
 				return false
 			}
 			for mode := range dims {
 				want := dense.NewMatrix(dims[mode], 4)
 				Sequential(want, x, factors, mode)
 				got := dense.NewMatrix(dims[mode], 4)
-				c.PlanMTTKRP(got, plan, factors, mode)
-				if got.MaxAbsDiff(want) != 0 {
+				if plan.MTTKRP(got, factors, mode) != nil || got.MaxAbsDiff(want) != 0 {
 					return false
 				}
 				got.Fill(9)
-				if sk.MTTKRP(got, src, factors, mode) != nil || got.MaxAbsDiff(want) != 0 {
+				if kern.MTTKRP(got, factors, mode) != nil || got.MaxAbsDiff(want) != 0 {
 					return false
 				}
 			}
-			sk.End()
+			kern.End()
 		}
 		return true
 	}
@@ -180,7 +179,7 @@ func TestEmptySlice(t *testing.T) {
 	c := NewComputer(4)
 	out := dense.NewMatrix(5, 3)
 	out.Fill(9)
-	c.PlanMTTKRP(out, c.NewPlan(x), factors, 0)
+	mustMTTKRP(t, compiled(t, c, x), out, factors, 0)
 	for _, v := range out.Data {
 		if v != 0 {
 			t.Fatal("empty-slice MTTKRP must zero the output")

@@ -32,15 +32,11 @@ const timeChunk = 1024
 // with FMA.
 
 // rowRun adds the contributions of one output row's nonzeros to that row
-// of the MTTKRP: Plan hands it the zeroed row, StreamKernel the row as
-// earlier blocks left it. addRange takes entries lo … hi−1 of x in place
-// (a Plan mode's row-order copy, read front to back); add takes the
-// entries a permutation lists (StreamKernel's, over the block as
-// decoded). StreamKernel keeps the gather form on purpose: its blocks are
-// L2-resident, and feeding it contiguous copies through a per-worker
-// 1 024-entry gather was slower (BenchmarkStreamMTTKRP at 100 % residency,
-// 2 SMT vCPUs, go1.24: 6.9/8.7/9.1 → 9.2/10.5/9.9 ns/nnz per mode).
-// Three-way slices take the register panel; other orders keep the
+// of the MTTKRP, as the Kernel's earlier blocks left it (zero before the
+// first). addRange takes entries lo … hi−1 of x in place (a resident
+// pair's row-order copy, read front to back); add takes the entries a
+// permutation lists (a decoded block's, sorted by the row owner on the
+// pass). Three-way slices take the register panel; other orders keep the
 // generic scratch-row body over buf.
 type rowRun struct {
 	x       *sptensor.Tensor // Vals and Inds[v] for v ≠ mode are read

@@ -19,26 +19,27 @@ import (
 // The rewired kernels must match them bit for bit.
 
 // refPlanMTTKRP is the scratch-row planBody over every segment of the
-// mode's compiled row-order copy.
-func refPlanMTTKRP(out *dense.Matrix, plan *Plan, factors []*dense.Matrix, mode int) {
-	pm := &plan.modes[mode]
-	x := &pm.x
+// mode's row-order copy, read off a kernel compiled over one tensor.
+func refPlanMTTKRP(out *dense.Matrix, plan *Kernel, factors []*dense.Matrix, mode int) {
+	pr := &plan.pairs[mode]
+	x := &pr.x
 	k := out.Cols
 	out.Zero()
 	buf := make([]float64, k)
 	acc := make([]float64, k)
-	for seg := range pm.rows {
+	lo := int32(0)
+	for seg, hi := range pr.ends {
 		for j := range acc {
 			acc[j] = 0
 		}
-		lo, hi := pm.segPtr[seg], pm.segPtr[seg+1]
 		for e := int(lo); e < int(hi); e++ {
 			rowProduct(buf, x, factors, mode, e, x.Vals[e])
 			for j, v := range buf {
 				acc[j] += v
 			}
 		}
-		copy(out.Row(int(pm.rows[seg])), acc)
+		copy(out.Row(int(pr.rows[seg])), acc)
+		lo = hi
 	}
 }
 
@@ -187,9 +188,9 @@ var (
 	panelShapes  = [][]int{{11, 40, 9}, {5, 13, 4, 6}}
 )
 
-// TestPanelKernelsBitIdentical pins PlanMTTKRP, StreamKernel.MTTKRP and
-// Computer.TimeMode to the scratch-row bodies
-// they replaced: ranks around the panel width (tail only, one panel,
+// TestPanelKernelsBitIdentical pins Kernel.MTTKRP — compiled over the
+// tensor and begun over its blocks — and Computer.TimeMode to the
+// scratch-row bodies they replaced: ranks around the panel width (tail only, one panel,
 // panel + tail, several panels), worker counts below, at and above the
 // pool size, three-way (panel) and four-way (generic body) slices,
 // strided factor views.
@@ -208,22 +209,23 @@ func TestPanelKernelsBitIdentical(t *testing.T) {
 				for _, workers := range panelWorkers {
 					name := fmt.Sprintf("%d-way nonFinite=%v K=%d W=%d", len(dims), nonFinite, k, workers)
 					c := NewComputerWithPool(workers, pool)
-					sk := NewStreamKernel(c)
-					plan := c.NewPlan(x)
+					blocks := NewKernel(c)
+					if err := blocks.Begin(src); err != nil {
+						t.Fatal(err)
+					}
+					plan := compiled(t, c, x)
 					for mode, d := range dims {
 						want := dense.NewMatrix(d, k)
 						got := dense.NewMatrix(d, k)
 						refPlanMTTKRP(want, plan, factors, mode)
 						got.Fill(3)
-						c.PlanMTTKRP(got, plan, factors, mode)
-						requireSameMatrix(t, fmt.Sprintf("%s PlanMTTKRP mode %d", name, mode), got, want)
+						mustMTTKRP(t, plan, got, factors, mode)
+						requireSameMatrix(t, fmt.Sprintf("%s compiled MTTKRP mode %d", name, mode), got, want)
 
 						refStreamMTTKRP(want, src, factors, mode)
 						got.Fill(3)
-						if err := sk.MTTKRP(got, src, factors, mode); err != nil {
-							t.Fatal(err)
-						}
-						requireSameMatrix(t, fmt.Sprintf("%s StreamKernel.MTTKRP mode %d", name, mode), got, want)
+						mustMTTKRP(t, blocks, got, factors, mode)
+						requireSameMatrix(t, fmt.Sprintf("%s blocks MTTKRP mode %d", name, mode), got, want)
 					}
 					want := make([]float64, k)
 					got := make([]float64, k)

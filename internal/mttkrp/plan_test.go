@@ -11,10 +11,30 @@ import (
 	"spstream/internal/sptensor"
 )
 
-// Plan-based segmented MTTKRP must match Sequential *bit for bit* on
-// random slices, across modes, ranks, and worker counts: the stable
-// counting sort preserves the original entry order within each output
-// row, and each row has exactly one writer.
+// The tests in this file hold the resident path, a tensor compiled as a
+// one-block source with no share limit (Kernel.Compile): the in-memory
+// row-order copy of every mode.
+
+// compiled returns a kernel on c compiled over x.
+func compiled(t testing.TB, c *Computer, x *sptensor.Tensor) *Kernel {
+	t.Helper()
+	k := NewKernel(c)
+	k.Compile(x)
+	return k
+}
+
+// mustMTTKRP runs one of k's passes, which fails only on a decode (no
+// t.Helper: the allocation tests call it).
+func mustMTTKRP(t testing.TB, k *Kernel, out *dense.Matrix, factors []*dense.Matrix, mode int) {
+	if err := k.MTTKRP(out, factors, mode); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The compiled kernel must match Sequential *bit for bit* on random
+// slices, across modes, ranks, and worker counts: the stable counting
+// sort preserves the original entry order within each output row, and
+// each row has exactly one writer.
 func TestPlanMTTKRPBitIdenticalToSequential(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -25,13 +45,12 @@ func TestPlanMTTKRPBitIdenticalToSequential(t *testing.T) {
 		x := randomSlice(seed, dims, nnz)
 		factors := randomFactors(seed+1, dims, k)
 		for _, workers := range []int{1, 2, 4} {
-			c := NewComputerWithPool(workers, pool)
-			plan := c.NewPlan(x)
+			kern := compiled(t, NewComputerWithPool(workers, pool), x)
 			for mode := range dims {
 				want := dense.NewMatrix(dims[mode], k)
 				Sequential(want, x, factors, mode)
 				got := dense.NewMatrix(dims[mode], k)
-				c.PlanMTTKRP(got, plan, factors, mode)
+				mustMTTKRP(t, kern, got, factors, mode)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						return false
@@ -50,14 +69,13 @@ func TestPlanMTTKRPFourWay(t *testing.T) {
 	dims := []int{4, 3, 5, 2}
 	x := randomSlice(3, dims, 60)
 	factors := randomFactors(4, dims, 2)
-	c := NewComputer(2)
-	plan := c.NewPlan(x)
+	k := compiled(t, NewComputer(2), x)
 	for mode := range dims {
 		want := denseReference(t, x, factors, mode)
 		got := dense.NewMatrix(dims[mode], 2)
-		c.PlanMTTKRP(got, plan, factors, mode)
+		mustMTTKRP(t, k, got, factors, mode)
 		if d := got.MaxAbsDiff(want); d > 1e-10 {
-			t.Fatalf("mode %d: plan MTTKRP off by %g", mode, d)
+			t.Fatalf("mode %d: compiled MTTKRP off by %g", mode, d)
 		}
 	}
 }
@@ -66,22 +84,24 @@ func TestPlanEmptySlice(t *testing.T) {
 	dims := []int{5, 5, 5}
 	x := randomSlice(7, dims, 0)
 	factors := randomFactors(8, dims, 3)
-	c := NewComputer(4)
-	plan := c.NewPlan(x)
+	k := compiled(t, NewComputer(4), x)
 	out := dense.NewMatrix(5, 3)
 	out.Fill(9)
-	c.PlanMTTKRP(out, plan, factors, 0)
+	mustMTTKRP(t, k, out, factors, 0)
 	for _, v := range out.Data {
 		if v != 0 {
-			t.Fatal("empty-slice plan MTTKRP must zero the output")
+			t.Fatal("empty-slice MTTKRP must zero the output")
 		}
 	}
 }
 
-// The plan partition must cover every segment exactly once, with
-// monotone per-worker boundaries, for adversarial skew (one giant row),
-// and every mode's compiled copies must be the slice gathered through a
-// stable counting sort by that mode's coordinate.
+// The one schedule, on a resident tensor with adversarial skew (one giant
+// row): per mode the workers' row ranges are monotone and cover every row
+// exactly once — one writer per row — each worker's nonzero count is
+// within one row's weight and the snap slack of its quota, and every
+// mode's compiled copy is the slice gathered through a stable counting
+// sort by that mode's coordinate. Snapping to block edges is
+// TestStreamScheduleSnapsToSlabs'.
 func TestPlanWorkerPartition(t *testing.T) {
 	x := sptensor.New(8, 13, 5)
 	for e := 0; e < 1000; e++ {
@@ -91,26 +111,53 @@ func TestPlanWorkerPartition(t *testing.T) {
 		}
 		x.Append([]int32{i, int32(e * 7 % 13), int32(e % 5)}, float64(e))
 	}
-	plan := NewComputer(4).NewPlan(x)
-	for mode, dim := range x.Dims {
-		pm := &plan.modes[mode]
-		if pm.workerSeg[0] != 0 || int(pm.workerSeg[pm.active]) != len(pm.rows) {
-			t.Fatalf("mode %d: partition endpoints wrong: %v over %d segments", mode, pm.workerSeg, len(pm.rows))
+	for _, workers := range []int{2, 3, 4} {
+		k := compiled(t, NewComputer(workers), x)
+		for mode, dim := range x.Dims {
+			requireBalancedRows(t, fmt.Sprintf("workers=%d mode %d", workers, mode), x, &k.modes[mode], mode, dim)
+			requireStableSortCopies(t, x, k, mode, dim)
 		}
-		for w := 1; w <= pm.active; w++ {
-			if pm.workerSeg[w] < pm.workerSeg[w-1] {
-				t.Fatalf("mode %d: non-monotone partition %v", mode, pm.workerSeg)
-			}
-		}
-		requireStableSortCopies(t, x, plan, mode, dim)
 	}
 }
 
-// requireStableSortCopies checks plan's compiled layout of mode against
-// x gathered through a stable counting sort computed here.
-func requireStableSortCopies(t *testing.T, x *sptensor.Tensor, plan *Plan, mode, dim int) {
+// requireBalancedRows checks a mode's row ranges against x: boundaries
+// from row 0 to dim, monotone, and every worker's share of the nonzeros
+// within the heaviest row plus the snap slack of its quota.
+func requireBalancedRows(t *testing.T, label string, x *sptensor.Tensor, sm *kernelMode, mode, dim int) {
 	t.Helper()
-	pm := &plan.modes[mode]
+	rows := sm.rows
+	active := len(rows) - 1
+	if rows[0] != 0 || int(rows[active]) != dim {
+		t.Fatalf("%s: row ranges %v do not span [0, %d)", label, rows, dim)
+	}
+	cum := make([]int, dim+1)
+	for _, i := range x.Inds[mode] {
+		cum[i+1]++
+	}
+	heaviest := 0
+	for i := range cum[1:] {
+		heaviest = max(heaviest, cum[i+1])
+		cum[i+1] += cum[i]
+	}
+	nnz := x.NNZ()
+	for w := 1; w <= active; w++ {
+		if rows[w] < rows[w-1] {
+			t.Fatalf("%s: non-monotone row ranges %v", label, rows)
+		}
+		// Boundary w lies within a row's weight of its quota mark, and
+		// the snap moves it at most a 1/snapShare of a quota further.
+		if off := math.Abs(float64(cum[rows[w]]) - float64(w*nnz)/float64(active)); w < active && off > float64(heaviest+nnz/(active*snapShare)) {
+			t.Fatalf("%s: boundary %d at row %d holds %d nonzeros below, %g from its quota", label, w, rows[w], cum[rows[w]], off)
+		}
+	}
+}
+
+// requireStableSortCopies checks a compiled tensor's row-order copy of
+// mode (its one block's pair) against x gathered through a stable
+// counting sort computed here.
+func requireStableSortCopies(t *testing.T, x *sptensor.Tensor, k *Kernel, mode, dim int) {
+	t.Helper()
+	pr := &k.pairs[mode]
 	byRow := make([][]int, dim)
 	for e, i := range x.Inds[mode] {
 		byRow[i] = append(byRow[i], e)
@@ -120,30 +167,30 @@ func requireStableSortCopies(t *testing.T, x *sptensor.Tensor, plan *Plan, mode,
 		if len(es) == 0 {
 			continue
 		}
-		if pm.rows[seg] != int32(i) || int(pm.segPtr[seg]) != d {
-			t.Fatalf("mode %d: segment %d is row %d at %d, want row %d at %d", mode, seg, pm.rows[seg], pm.segPtr[seg], i, d)
+		if pr.rows[seg] != int32(i) || int(pr.ends[seg]) != d+len(es) {
+			t.Fatalf("mode %d: segment %d is row %d ending at %d, want row %d ending at %d", mode, seg, pr.rows[seg], pr.ends[seg], i, d+len(es))
 		}
 		for _, e := range es {
-			if math.Float64bits(pm.x.Vals[d]) != math.Float64bits(x.Vals[e]) {
-				t.Fatalf("mode %d: value %d is %v, want entry %d's %v", mode, d, pm.x.Vals[d], e, x.Vals[e])
+			if math.Float64bits(pr.x.Vals[d]) != math.Float64bits(x.Vals[e]) {
+				t.Fatalf("mode %d: value %d is %v, want entry %d's %v", mode, d, pr.x.Vals[d], e, x.Vals[e])
 			}
 			for v, col := range x.Inds {
-				if v != mode && pm.x.Inds[v][d] != col[e] {
-					t.Fatalf("mode %d: mode-%d coordinate %d is %d, want entry %d's %d", mode, v, d, pm.x.Inds[v][d], e, col[e])
+				if v != mode && pr.x.Inds[v][d] != col[e] {
+					t.Fatalf("mode %d: mode-%d coordinate %d is %d, want entry %d's %d", mode, v, d, pr.x.Inds[v][d], e, col[e])
 				}
 			}
 			d++
 		}
 		seg++
 	}
-	if seg != len(pm.rows) || int(pm.segPtr[seg]) != x.NNZ() || len(pm.x.Vals) != x.NNZ() {
-		t.Fatalf("mode %d: %d segments over %d entries, want %d over %d", mode, len(pm.rows), len(pm.x.Vals), seg, x.NNZ())
+	if seg != len(pr.rows) || len(pr.x.Vals) != x.NNZ() {
+		t.Fatalf("mode %d: %d segments over %d entries, want %d over %d", mode, len(pr.rows), len(pr.x.Vals), seg, x.NNZ())
 	}
 }
 
-// One Plan recompiled over slices of different sizes and orders
+// One kernel recompiled over slices of different sizes and orders
 // allocates nothing once it has seen the largest of each, and compiles
-// what a fresh NewPlan compiles, bit for bit.
+// what a fresh kernel compiles, bit for bit.
 func TestPlanRecompileAllocFree(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
@@ -155,34 +202,36 @@ func TestPlanRecompileAllocFree(t *testing.T) {
 		randomSlice(4, []int{30, 40, 20}, 1500),
 		randomSlice(5, []int{6, 7, 8}, 0), // every mode empty
 	}
-	plan := c.NewPlan(cases[0])
+	k := NewKernel(c)
 	compileAll := func() {
 		for _, x := range cases {
-			c.CompilePlan(plan, x)
+			k.Compile(x)
 		}
 	}
 	compileAll()
 	if allocs := testing.AllocsPerRun(10, compileAll); allocs != 0 {
-		t.Errorf("recompiling a warm plan: %v allocs per round, want 0", allocs)
+		t.Errorf("recompiling a warm kernel: %v allocs per round, want 0", allocs)
 	}
 	for i, x := range cases {
-		c.CompilePlan(plan, x)
-		fresh := c.NewPlan(x)
-		k := panelCols + 1
-		factors := randomFactors(uint64(i), x.Dims, k)
+		k.Compile(x)
+		fresh := compiled(t, c, x)
+		rank := panelCols + 1
+		factors := randomFactors(uint64(i), x.Dims, rank)
 		for mode, dim := range x.Dims {
-			requireStableSortCopies(t, x, plan, mode, dim)
-			want, got := dense.NewMatrix(dim, k), dense.NewMatrix(dim, k)
-			c.PlanMTTKRP(want, fresh, factors, mode)
+			requireStableSortCopies(t, x, k, mode, dim)
+			want, got := dense.NewMatrix(dim, rank), dense.NewMatrix(dim, rank)
+			mustMTTKRP(t, fresh, want, factors, mode)
 			got.Fill(3)
-			c.PlanMTTKRP(got, plan, factors, mode)
+			mustMTTKRP(t, k, got, factors, mode)
 			requireSameMatrix(t, fmt.Sprintf("case %d mode %d", i, mode), got, want)
 		}
 	}
 }
 
-// Steady-state kernels must be allocation-free once the plan is built
-// and the scratch arenas are warm. Uses an owned pool larger than the
+// Steady-state kernels must be allocation-free once the kernel is
+// compiled and the scratch arenas are warm — and so is the resident
+// path's whole slice step, Compile (the one-block MemBlocks wrap, no
+// share limit) followed by a pass. Uses an owned pool larger than the
 // worker count so the zero-alloc pool path is taken even on a
 // single-core host.
 func TestKernelsZeroAllocSteadyState(t *testing.T) {
@@ -192,15 +241,19 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	x := randomSlice(21, dims, 5000)
 	factors := randomFactors(22, dims, 8)
 	c := NewComputerWithPool(4, pool)
-	plan := c.NewPlan(x)
+	k := compiled(t, c, x)
 	out := dense.NewMatrix(dims[0], 8)
 	s := make([]float64, 8)
 	// Warm up every kernel once (scratch arenas).
-	c.PlanMTTKRP(out, plan, factors, 0)
+	mustMTTKRP(t, k, out, factors, 0)
 	c.TimeMode(s, x, factors)
 	cases := map[string]func(){
-		"PlanMTTKRP": func() { c.PlanMTTKRP(out, plan, factors, 0) },
-		"TimeMode":   func() { c.TimeMode(s, x, factors) },
+		"MTTKRP":   func() { mustMTTKRP(t, k, out, factors, 0) },
+		"TimeMode": func() { c.TimeMode(s, x, factors) },
+		"Compile+MTTKRP": func() {
+			k.Compile(x)
+			mustMTTKRP(t, k, out, factors, 0)
+		},
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
@@ -220,10 +273,10 @@ func TestKernelsZeroAllocLargeRank(t *testing.T) {
 	factors := randomFactors(24, dims, 600) // K > 512
 	c := NewComputerWithPool(2, pool)
 	out := dense.NewMatrix(dims[0], 600)
-	plan := c.NewPlan(x)
-	c.PlanMTTKRP(out, plan, factors, 0)
-	if allocs := testing.AllocsPerRun(20, func() { c.PlanMTTKRP(out, plan, factors, 0) }); allocs != 0 {
-		t.Errorf("PlanMTTKRP at K=600: %v allocs per call, want 0", allocs)
+	k := compiled(t, c, x)
+	mustMTTKRP(t, k, out, factors, 0)
+	if allocs := testing.AllocsPerRun(20, func() { mustMTTKRP(t, k, out, factors, 0) }); allocs != 0 {
+		t.Errorf("MTTKRP at K=600: %v allocs per call, want 0", allocs)
 	}
 	s := make([]float64, 600)
 	c.TimeMode(s, x, factors)

@@ -67,7 +67,7 @@ func TestRowSparseMatchesFullMTTKRP(t *testing.T) {
 			full := dense.NewMatrix(dims[mode], 3)
 			Sequential(full, x, factors, mode)
 			sp := dense.NewMatrix(len(rm.NZ[mode]), 3)
-			c.PlanMTTKRP(sp, c.NewPlan(rm.X), gathered, mode)
+			mustMTTKRP(t, compiled(t, c, rm.X), sp, gathered, mode)
 			// nz rows match.
 			for local, global := range rm.NZ[mode] {
 				for k := 0; k < 3; k++ {

@@ -47,12 +47,17 @@ func randFactors(rng *rand.Rand, dims []int, k int) []*dense.Matrix {
 	return fs
 }
 
-// TestStreamMatchesPlan checks that the streamed kernels are
-// bit-identical to the in-memory plan kernels on the materialized
-// concatenation of the blocks, for worker counts below, at, and above
-// the pool size, on random, skewed, and degenerate tensors.
+// TestStreamMatchesPlan is the kernel's identity over every layout of
+// one tensor: for 2-, 3- and 4-mode tensors (random, skewed, degenerate,
+// empty), the tensor compiled (Compile), as one block, as consecutive
+// runs of 700 and as runs with an empty block and a one-row block among
+// them — decoded into the kernel's buffers, not served in place — at
+// share 0, a share that holds half the pairs and no share limit, and 1,
+// 2, 3 and 7 workers against a pool of 4, gives every mode bit for bit
+// what Sequential gives on the tensor.
 func TestStreamMatchesPlan(t *testing.T) {
 	pool := parallel.NewPool(4)
+	defer pool.Close()
 	cases := []struct {
 		name string
 		x    *sptensor.Tensor
@@ -61,20 +66,89 @@ func TestStreamMatchesPlan(t *testing.T) {
 		{"skewed", streamTensor(t, []int{200, 30, 100}, 8000, 2, true)},
 		{"degenerate", streamTensor(t, []int{1, 3, 2}, 64, 3, false)},
 		{"mode4", streamTensor(t, []int{12, 9, 14, 8}, 2000, 4, false)},
+		{"mode2", streamTensor(t, []int{90, 70}, 3000, 5, true)},
 		{"empty", sptensor.New(5, 5, 5)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src, err := sptensor.SplitBlocks(tc.x, 700)
-			if err != nil {
-				t.Fatal(err)
+			x := oneRowFirst(tc.x)
+			layouts := map[string]sptensor.BlockSource{
+				"one block": splitBlocks(t, x, max(x.NNZ(), 1)),
+				"runs":      splitBlocks(t, x, 700),
+				"odd":       &decodingSource{BlockSource: oddBlocks(t, x)},
 			}
-			for _, workers := range []int{1, 4, 7} {
+			for _, workers := range []int{1, 2, 3, 7} {
 				c := NewComputerWithPool(workers, pool)
-				newStreamTwin(t, c, src, 9).check(t, NewStreamKernel(c), fmt.Sprintf("workers=%d", workers))
+				tw, k := newStreamTwin(splitBlocks(t, x, max(x.NNZ(), 1)), 9), compiled(t, c, x)
+				tw.check(t, fmt.Sprintf("workers=%d compiled", workers), func(out *dense.Matrix, mode int) error {
+					return k.MTTKRP(out, tw.factors, mode)
+				})
+				for name, src := range layouts {
+					tw.src = src
+					for _, pairs := range []int{0, len(x.Dims) * src.Blocks() / 2, -1} {
+						k := NewKernel(c)
+						share := int64(math.MaxInt64)
+						if pairs >= 0 {
+							share, _ = shareFor(src, workers, pairs)
+						}
+						k.SetShare(share)
+						tw.check(t, fmt.Sprintf("workers=%d %s pairs=%d", workers, name, pairs), tw.via(k))
+					}
+				}
 			}
 		})
 	}
+}
+
+// splitBlocks is sptensor.SplitBlocks that fails the test on an error.
+func splitBlocks(t *testing.T, x *sptensor.Tensor, n int) *sptensor.MemBlocks {
+	t.Helper()
+	src, err := sptensor.SplitBlocks(x, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// oneRowFirst is x with the entries of its first entry's mode-0 row moved
+// to the front (in order), so that a block can hold one row.
+func oneRowFirst(x *sptensor.Tensor) *sptensor.Tensor {
+	y := sptensor.New(x.Dims...)
+	coord := make([]int32, x.NModes())
+	for _, first := range []bool{true, false} {
+		for e := range x.Vals {
+			if (x.Inds[0][e] == x.Inds[0][0]) == first {
+				for m := range coord {
+					coord[m] = x.Inds[m][e]
+				}
+				y.Append(coord, x.Vals[e])
+			}
+		}
+	}
+	return y
+}
+
+// oddBlocks cuts a oneRowFirst tensor into its leading one-row run, an
+// empty block, and two halves of the rest.
+func oddBlocks(t *testing.T, x *sptensor.Tensor) *sptensor.MemBlocks {
+	t.Helper()
+	run := 0
+	for run < x.NNZ() && x.Inds[0][run] == x.Inds[0][0] {
+		run++
+	}
+	cut := func(lo, hi int) *sptensor.Tensor {
+		b := &sptensor.Tensor{Dims: x.Dims, Inds: make([][]int32, x.NModes()), Vals: x.Vals[lo:hi]}
+		for m := range b.Inds {
+			b.Inds[m] = x.Inds[m][lo:hi]
+		}
+		return b
+	}
+	mid := (run + x.NNZ()) / 2
+	src, err := sptensor.NewMemBlocks(x.Dims, []*sptensor.Tensor{cut(0, run), sptensor.New(x.Dims...), cut(run, mid), cut(mid, x.NNZ())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 // TestStreamMatchesPlanOnBlockFile runs the same bit-identity check
@@ -85,7 +159,8 @@ func TestStreamMatchesPlanOnBlockFile(t *testing.T) {
 	pool := parallel.NewPool(4)
 	for _, workers := range []int{1, 4, 7} {
 		c := NewComputerWithPool(workers, pool)
-		newStreamTwin(t, c, r, 12).check(t, NewStreamKernel(c), fmt.Sprintf("workers=%d", workers))
+		tw := newStreamTwin(r, 12)
+		tw.check(t, fmt.Sprintf("workers=%d", workers), tw.via(NewKernel(c)))
 	}
 }
 
@@ -94,28 +169,21 @@ func TestStreamMatchesPlanOnBlockFile(t *testing.T) {
 // evaluations allocate nothing.
 func TestStreamKernelAllocFree(t *testing.T) {
 	x := streamTensor(t, []int{60, 45, 55}, 6000, 11, false)
-	src, err := sptensor.SplitBlocks(x, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := splitBlocks(t, x, 900)
 	const k = 8
 	rng := rand.New(rand.NewSource(21))
 	factors := randFactors(rng, x.Dims, k)
 	c := NewComputerWithPool(2, parallel.NewPool(2))
-	sk := NewStreamKernel(c)
+	kern := NewKernel(c)
+	if err := kern.Begin(src); err != nil {
+		t.Fatal(err)
+	}
 	out := dense.NewMatrix(x.Dims[0], k)
 	// Warm-up growth pass over every mode.
 	for mode := range x.Dims {
-		o := dense.NewMatrix(x.Dims[mode], k)
-		if err := sk.MTTKRP(o, src, factors, mode); err != nil {
-			t.Fatal(err)
-		}
+		mustMTTKRP(t, kern, dense.NewMatrix(x.Dims[mode], k), factors, mode)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := sk.MTTKRP(out, src, factors, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := testing.AllocsPerRun(10, func() { mustMTTKRP(t, kern, out, factors, 0) })
 	if allocs != 0 {
 		t.Fatalf("steady-state streamed kernels allocate %v times per run, want 0", allocs)
 	}
@@ -137,35 +205,44 @@ func blockFile(t *testing.T, x *sptensor.Tensor, target int) *ooc.BlockReader {
 	return r
 }
 
-// streamTwin is what the streamed kernels must reproduce bit for bit:
-// the plan kernels on the materialized concatenation of src.
+// streamTwin is what a kernel must reproduce bit for bit over src:
+// Sequential on the materialized concatenation of its blocks.
 type streamTwin struct {
-	c       *Computer
 	src     sptensor.BlockSource
-	mat     *sptensor.Tensor
-	plan    *Plan
 	factors []*dense.Matrix
 }
 
-func newStreamTwin(t *testing.T, c *Computer, src sptensor.BlockSource, k int) *streamTwin {
+func newStreamTwin(src sptensor.BlockSource, k int) *streamTwin {
+	return &streamTwin{src: src, factors: randFactors(rand.New(rand.NewSource(int64(k))), src.Dims(), k)}
+}
+
+// via runs a mode's pass through k over the twin's source, compiling k
+// for it first unless it holds it.
+func (tw *streamTwin) via(k *Kernel) func(out *dense.Matrix, mode int) error {
+	return func(out *dense.Matrix, mode int) error {
+		if !k.Holds(tw.src) {
+			if err := k.Begin(tw.src); err != nil {
+				return err
+			}
+		}
+		return k.MTTKRP(out, tw.factors, mode)
+	}
+}
+
+// check runs every mode's MTTKRP through pass and compares the bits with
+// Sequential's.
+func (tw *streamTwin) check(t *testing.T, label string, pass func(out *dense.Matrix, mode int) error) {
 	t.Helper()
-	mat, err := sptensor.MaterializeBlocks(src)
+	mat, err := sptensor.MaterializeBlocks(tw.src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &streamTwin{c: c, src: src, mat: mat, plan: c.NewPlan(mat),
-		factors: randFactors(rand.New(rand.NewSource(int64(k))), src.Dims(), k)}
-}
-
-// check runs every mode's MTTKRP through sk and compares the bits with
-// the plan kernels.
-func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
-	t.Helper()
 	k := tw.factors[0].Cols
 	for mode, d := range tw.src.Dims() {
 		want, got := dense.NewMatrix(d, k), dense.NewMatrix(d, k)
-		tw.c.PlanMTTKRP(want, tw.plan, tw.factors, mode)
-		if err := sk.MTTKRP(got, tw.src, tw.factors, mode); err != nil {
+		Sequential(want, mat, tw.factors, mode)
+		got.Fill(3)
+		if err := pass(got, mode); err != nil {
 			t.Fatalf("%s mode %d: %v", label, mode, err)
 		}
 		for i, v := range want.Data {
@@ -181,13 +258,6 @@ func (tw *streamTwin) check(t *testing.T, sk *StreamKernel, label string) {
 // filter, and which it never opens.
 func rowOwnerSources(t *testing.T) map[string]sptensor.BlockSource {
 	t.Helper()
-	split := func(x *sptensor.Tensor, n int) sptensor.BlockSource {
-		src, err := sptensor.SplitBlocks(x, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
 	// An empty block and a block holding one row, between two ordinary ones.
 	dims := []int{30, 20, 25}
 	oneRow := streamTensor(t, dims, 300, 23, false)
@@ -206,7 +276,7 @@ func rowOwnerSources(t *testing.T) map[string]sptensor.BlockSource {
 		// Mode 0 is one slab: every worker opens every block and filters.
 		"unsplit-mode": blockFile(t, streamTensor(t, []int{24, 1100, 1700}, 6000, 32, false), 800),
 		// Consecutive runs: every block spans all rows of every mode.
-		"run-blocks": split(streamTensor(t, []int{50, 40, 60}, 5000, 33, false), 700),
+		"run-blocks": splitBlocks(t, streamTensor(t, []int{50, 40, 60}, 5000, 33, false), 700),
 		// Hot low rows pull a balanced boundary inside the first slab.
 		"skewed-grid":          blockFile(t, streamTensor(t, []int{200, 30, 100}, 8000, 34, true), 1000),
 		"empty-and-single-row": odd,
@@ -216,16 +286,16 @@ func rowOwnerSources(t *testing.T) map[string]sptensor.BlockSource {
 // TestStreamRowOwnerMatchesPlan is the row-ownership identity: whatever
 // rows and blocks a worker count hands each worker, every output row
 // still sums its entries in (block order, entry order), so the bits
-// equal the plan kernel's on the materialized twin.
+// equal Sequential's on the materialized twin.
 func TestStreamRowOwnerMatchesPlan(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	for name, src := range rowOwnerSources(t) {
 		for _, workers := range []int{1, 2, 3, 4, 7} {
-			c := NewComputerWithPool(workers, pool)
-			sk := NewStreamKernel(c)
-			for _, k := range []int{7, 16, 17} {
-				newStreamTwin(t, c, src, k).check(t, sk, fmt.Sprintf("%s workers=%d K=%d", name, workers, k))
+			k := NewKernel(NewComputerWithPool(workers, pool))
+			for _, rank := range []int{7, 16, 17} {
+				tw := newStreamTwin(src, rank)
+				tw.check(t, fmt.Sprintf("%s workers=%d K=%d", name, workers, rank), tw.via(k))
 			}
 		}
 	}
@@ -237,17 +307,23 @@ func TestStreamRowOwnerMatchesPlan(t *testing.T) {
 // opens only its own slab's four blocks and filters none; on the skewed
 // file the first of three workers' boundaries falls among the hot rows
 // and stays there (moving it to a slab edge would cost more than an
-// eighth of a worker's share), so two workers open that slab.
+// eighth of a worker's share), so two workers open that slab. Both keep
+// the balance bound and one writer per row (requireBalancedRows).
 func TestStreamScheduleSnapsToSlabs(t *testing.T) {
 	srcs := rowOwnerSources(t)
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	sk := NewStreamKernel(NewComputerWithPool(2, pool))
-	if err := sk.Begin(srcs["grid-2x2x2"]); err != nil {
+	k := NewKernel(NewComputerWithPool(2, pool))
+	if err := k.Begin(srcs["grid-2x2x2"]); err != nil {
 		t.Fatal(err)
 	}
-	for m := range sk.modes {
-		sm := &sk.modes[m]
+	grid, err := sptensor.MaterializeBlocks(srcs["grid-2x2x2"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range k.modes {
+		sm := &k.modes[m]
+		requireBalancedRows(t, fmt.Sprintf("grid mode %d", m), grid, sm, m, grid.Dims[m])
 		for w := 0; w < 2; w++ {
 			blks := sm.blks[sm.blkPtr[w]:sm.blkPtr[w+1]]
 			if len(blks) != 4 {
@@ -261,40 +337,47 @@ func TestStreamScheduleSnapsToSlabs(t *testing.T) {
 			}
 		}
 	}
-	sk = NewStreamKernel(NewComputerWithPool(3, pool))
-	if err := sk.Begin(srcs["skewed-grid"]); err != nil {
+	k = NewKernel(NewComputerWithPool(3, pool))
+	if err := k.Begin(srcs["skewed-grid"]); err != nil {
 		t.Fatal(err)
 	}
-	sm := &sk.modes[0]
+	skewed, err := sptensor.MaterializeBlocks(srcs["skewed-grid"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := &k.modes[0]
+	requireBalancedRows(t, "skewed mode 0", skewed, sm, 0, skewed.Dims[0])
 	if b := sm.blks[sm.blkPtr[1]]; sm.lo[b] >= sm.rows[1] {
 		t.Fatalf("skewed mode 0: boundary %d is on a slab edge (block %d starts at %d), want it inside the slab", sm.rows[1], b, sm.lo[b])
 	}
 }
 
 // TestStreamAlternatingSources drives one kernel the way the repo
-// benchmark does — MTTKRP called directly, never Begin —
+// benchmark does — StreamKernel.MTTKRP called directly, never Begin —
 // on two sources in turn: the kernel must notice the switch each time.
 func TestStreamAlternatingSources(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	srcs := rowOwnerSources(t)
 	for _, workers := range []int{1, 3} {
-		c := NewComputerWithPool(workers, pool)
-		sk := NewStreamKernel(c)
-		a := newStreamTwin(t, c, srcs["grid-2x2x2"], 9)
-		b := newStreamTwin(t, c, srcs["run-blocks"], 9)
+		sk := NewStreamKernel(NewComputerWithPool(workers, pool))
+		a := newStreamTwin(srcs["grid-2x2x2"], 9)
+		b := newStreamTwin(srcs["run-blocks"], 9)
 		for round := 0; round < 3; round++ {
-			a.check(t, sk, fmt.Sprintf("workers=%d round %d source a", workers, round))
-			b.check(t, sk, fmt.Sprintf("workers=%d round %d source b", workers, round))
+			for name, tw := range map[string]*streamTwin{"a": a, "b": b} {
+				tw.check(t, fmt.Sprintf("workers=%d round %d source %s", workers, round, name), func(out *dense.Matrix, mode int) error {
+					return sk.MTTKRP(out, tw.src, tw.factors, mode)
+				})
+			}
 		}
 	}
 }
 
 // TestStreamBeginAllocFree extends the steady-state contract to the
 // per-slice compile step: once the buffers have seen both sources, a
-// slice's worth of work — Begin, three MTTKRPs, End —
-// allocates nothing on either, with no share and with the arena filled
-// from one (the file's blocks and both sources' permutations).
+// slice's worth of work — Begin, three MTTKRPs, End — allocates nothing
+// on either, with no share and with a share that holds every pair of
+// both (and the file's decode buffers).
 func TestStreamBeginAllocFree(t *testing.T) {
 	srcs := rowOwnerSources(t)
 	pair := []sptensor.BlockSource{srcs["grid-2x2x2"], srcs["run-blocks"]}
@@ -310,22 +393,20 @@ func TestStreamBeginAllocFree(t *testing.T) {
 		}
 	}
 	for _, share := range []int64{0, 1 << 20} {
-		sk := NewStreamKernel(NewComputerWithPool(2, pool))
-		sk.SetShare(share)
+		kern := NewKernel(NewComputerWithPool(2, pool))
+		kern.SetShare(share)
 		slice := func() {
 			for i, src := range pair {
-				if err := sk.Begin(src); err != nil {
+				if err := kern.Begin(src); err != nil {
 					t.Fatal(err)
 				}
-				if (sk.Residency().Share() == 1) != (share > 0) {
-					t.Fatalf("share %d: resident %+v", share, sk.Residency())
+				if (kern.Residency().Share() == 1) != (share > 0) {
+					t.Fatalf("share %d: resident %+v", share, kern.Residency())
 				}
 				for mode, out := range outs[i] {
-					if err := sk.MTTKRP(out, src, factors[i], mode); err != nil {
-						t.Fatal(err)
-					}
+					mustMTTKRP(t, kern, out, factors[i], mode)
 				}
-				sk.End()
+				kern.End()
 			}
 		}
 		slice() // grow every buffer to the larger source
@@ -377,8 +458,9 @@ func pokeableFile(t *testing.T, x *sptensor.Tensor) (*ooc.BlockReader, func(b in
 // the kernel has compiled it — the CRCs are already checked, so only the
 // per-decode coordinate validation inside the pool can notice — and
 // checks that every worker count reports the lower block, wrapped the
-// usual way, without a panic, and that the kernel works again once the
-// file is whole.
+// usual way, without a panic, that the compile reports the block and
+// records it as the input scan's failure, and that the kernel works
+// again once the file is whole.
 func TestStreamDecodeErrorLowestBlock(t *testing.T) {
 	x := streamTensor(t, []int{60, 50, 40}, 4000, 41, false)
 	r, poke := pokeableFile(t, x)
@@ -387,42 +469,43 @@ func TestStreamDecodeErrorLowestBlock(t *testing.T) {
 	defer pool.Close()
 	const k = 8
 	for _, workers := range []int{1, 2, 4} {
-		c := NewComputerWithPool(workers, pool)
-		sk := NewStreamKernel(c)
-		tw := newStreamTwin(t, c, r, k)
-		if err := sk.Begin(r); err != nil {
+		kern := NewKernel(NewComputerWithPool(workers, pool))
+		tw := newStreamTwin(r, k)
+		if err := kern.Begin(r); err != nil {
 			t.Fatal(err)
 		}
 		oldHigh, oldLow := poke(highBad, 0x7f), poke(lowBad, 0x7f)
 		want := fmt.Sprintf("mttkrp: block %d: ooc: block %d mode-0 coordinate", lowBad, lowBad)
 		for mode := range x.Dims {
 			o := dense.NewMatrix(x.Dims[mode], k)
-			if err := sk.MTTKRP(o, r, tw.factors, mode); err == nil || !strings.HasPrefix(err.Error(), want) {
+			if err := kern.MTTKRP(o, tw.factors, mode); err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Fatalf("workers=%d mode %d: error %v, want prefix %q", workers, mode, err, want)
 			}
 			// The failed pass dropped the source; compile again while the
 			// second bad block is the only one to find.
 			poke(lowBad, oldLow)
-			if err := sk.Begin(r); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("mttkrp: block %d:", highBad)) {
+			err := kern.Begin(r)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("mttkrp: block %d:", highBad)) {
 				t.Fatalf("workers=%d: Begin error %v, want block %d", workers, err, highBad)
 			}
+			if scan := kern.ScanErr(); scan == nil || !strings.HasPrefix(scan.Error(), fmt.Sprintf("ooc: block %d mode-0 coordinate", highBad)) {
+				t.Fatalf("workers=%d: scan record %v, want the decode error of block %d", workers, scan, highBad)
+			}
 			poke(highBad, oldHigh)
-			if err := sk.Begin(r); err != nil {
-				t.Fatal(err)
+			if err := kern.Begin(r); err != nil || kern.ScanErr() != nil {
+				t.Fatal(err, kern.ScanErr())
 			}
 			poke(highBad, 0x7f)
 			poke(lowBad, 0x7f)
 		}
 		poke(highBad, oldHigh)
 		poke(lowBad, oldLow)
-		tw.check(t, sk, fmt.Sprintf("workers=%d after repair", workers))
+		tw.check(t, fmt.Sprintf("workers=%d after repair", workers), tw.via(kern))
 	}
 }
 
 // decodingSource serves another source's blocks the way a reader does —
-// copied into the caller's buffer — and counts the calls, so a MemBlocks
-// layout (empty and single-row blocks included) is worth keeping in the
-// arena.
+// copied into the caller's buffer — and counts the calls.
 type decodingSource struct {
 	sptensor.BlockSource
 	decodes atomic.Int64
@@ -445,39 +528,39 @@ func (d *decodingSource) BlockInto(b int, buf *sptensor.BlockBuf) (*sptensor.Ten
 	return t, nil
 }
 
-// shareFor is plan's arithmetic written out forwards: the smallest share
-// at which a kernel of that many workers keeps the permutations of the
-// first pairs (mode, block) pairs of src — mode-major — and decoded
-// copies of its first blocks blocks, and the bytes of each it then holds.
-func shareFor(src sptensor.BlockSource, workers, pairs, blocks int) (share, permBytes, blockBytes int64) {
-	nb, entry, largest := src.Blocks(), int64(4*len(src.Dims())+8), 0
+// shareFor is place's arithmetic written out forwards: the smallest
+// share at which a kernel of that many workers keeps the first pairs
+// (mode, block) pairs of src resident — mode-major — and the bytes they
+// take: a decode buffer and a sort scratch of the largest block per
+// worker, then per pair the block's values and other-mode coordinates
+// and a row and an end per segment, at most one per entry and per row.
+func shareFor(src sptensor.BlockSource, workers, pairs int) (share, bytes int64) {
+	dims, nb, largest := src.Dims(), src.Blocks(), 0
+	n := len(dims)
 	for b := 0; b < nb; b++ {
 		largest = max(largest, src.BlockNNZ(b))
 	}
 	for p := 0; p < pairs; p++ {
-		permBytes += 4 * int64(src.BlockNNZ(p%nb))
+		nnz := src.BlockNNZ(p % nb)
+		bytes += int64(nnz)*int64(4*(n-1)+8) + 8*int64(min(nnz, dims[p/nb]))
 	}
-	for b := 0; b < blocks; b++ {
-		blockBytes += entry * int64(src.BlockNNZ(b))
-	}
-	return int64(workers*largest)*(entry+4) + permBytes + blockBytes, permBytes, blockBytes
+	return int64(workers*largest)*int64(4*n+12) + bytes, bytes
 }
 
 // arenaBytes is what the kernel's slabs hold, used or not.
-func arenaBytes(sk *StreamKernel) int64 {
-	return int64(4*cap(sk.ints) + 8*cap(sk.vals))
+func arenaBytes(k *Kernel) int64 {
+	return int64(4*cap(k.ints) + 8*cap(k.vals))
 }
 
-// TestStreamResidentMatchesPlan is the identity the arena must not
-// touch: at no share, one that holds some permutations only, one that
-// holds them all and half the blocks, and one that holds everything, for
-// 2-, 3- and 4-mode sources with ragged, empty and single-row blocks and
-// worker counts 1, 2 and 4, the first pass (which sorts into the arena)
-// and a second (which reads it back) both equal the plan kernels bit for
-// bit; the kernel reports exactly the bytes shareFor predicts and its
-// slabs hold them without overdrawing the arena; a source that serves
-// its own storage keeps permutations only; and with everything resident
-// nothing is decoded after Begin.
+// TestStreamResidentMatchesPlan is the identity the residency must not
+// touch, and its accounting: at no share, a share that holds a mode and
+// a half, one that holds all but the last pair and one that holds
+// everything, for 2-, 3- and 4-mode sources with ragged, empty and
+// single-row blocks and worker counts 1, 2 and 4, two passes per mode
+// equal Sequential bit for bit; the kernel reports exactly the bytes
+// shareFor predicts and its slabs hold them without overdrawing the
+// share; and a pass decodes exactly the blocks of its mode's pairs that
+// are not resident — with everything resident, none after the compile.
 func TestStreamResidentMatchesPlan(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -487,33 +570,37 @@ func TestStreamResidentMatchesPlan(t *testing.T) {
 	srcs["decoded-odd"] = &decodingSource{BlockSource: srcs["empty-and-single-row"]}
 	for name, src := range srcs {
 		n, nb := len(src.Dims()), src.Blocks()
-		_, own := src.(*sptensor.MemBlocks)
 		counted, _ := src.(*decodingSource)
 		for _, workers := range []int{1, 2, 4} {
 			c := NewComputerWithPool(workers, pool)
-			tw := newStreamTwin(t, c, src, 9)
-			for _, keep := range [][2]int{{0, 0}, {nb + nb/2, 0}, {n * nb, nb / 2}, {n * nb, nb}} {
-				label := fmt.Sprintf("%s workers=%d pairs=%d blocks=%d", name, workers, keep[0], keep[1])
-				share, permBytes, blockBytes := shareFor(src, workers, keep[0], keep[1])
-				arena := permBytes + blockBytes // what the share leaves after the workers' buffers
-				if own {
-					blockBytes = 0
-				}
-				sk := NewStreamKernel(c)
-				sk.SetShare(share)
+			tw := newStreamTwin(src, 9)
+			for _, pairs := range []int{0, nb + nb/2, n*nb - 1, n * nb} {
+				label := fmt.Sprintf("%s workers=%d pairs=%d", name, workers, pairs)
+				share, bytes := shareFor(src, workers, pairs)
+				k := NewKernel(c)
+				k.SetShare(share)
 				if counted != nil {
 					counted.decodes.Store(0)
 				}
-				tw.check(t, sk, label+" sorting pass")
-				tw.check(t, sk, label+" resident pass")
-				if got := sk.Residency(); got.PermBytes != permBytes || got.BlockBytes != blockBytes {
-					t.Fatalf("%s: resident %+v, want %d permutation and %d block bytes", label, got, permBytes, blockBytes)
+				tw.check(t, label+" first pass", tw.via(k))
+				tw.check(t, label+" second pass", tw.via(k))
+				if got := k.Residency(); got.Bytes != bytes {
+					t.Fatalf("%s: resident %+v, want %d bytes", label, got, bytes)
 				}
-				if held := arenaBytes(sk); held < permBytes+blockBytes || held > arena {
-					t.Fatalf("%s: slabs hold %d bytes for %d resident in an arena of %d", label, held, permBytes+blockBytes, arena)
+				if held := arenaBytes(k); held < bytes || held > share {
+					t.Fatalf("%s: slabs hold %d bytes for %d resident in a share of %d", label, held, bytes, share)
 				}
-				if keep[1] == nb && counted != nil && counted.decodes.Load() != int64(nb) {
-					t.Fatalf("%s: %d decodes of %d blocks with everything resident", label, counted.decodes.Load(), nb)
+				if counted == nil || workers != 1 {
+					continue
+				}
+				want := int64(nb)
+				for p := 0; p < n*nb; p++ {
+					if p >= k.kept && src.BlockNNZ(p%nb) > 0 {
+						want += 2
+					}
+				}
+				if got := counted.decodes.Load(); got != want {
+					t.Fatalf("%s: %d decodes, want %d (%d pairs resident)", label, got, want, k.kept)
 				}
 			}
 		}
@@ -521,37 +608,38 @@ func TestStreamResidentMatchesPlan(t *testing.T) {
 }
 
 // TestStreamArenaWithinShare hands one kernel, and so one set of grow-only
-// slabs, sources of very different sizes under one share: whatever mix
-// of permutations and blocks each keeps, the slabs' capacities never sum
-// to more than the share, and every source still equals the plan.
+// slabs, sources of very different sizes under one share: whatever
+// pairs each keeps, the slabs' capacities never sum to more than the
+// share, and every source still equals Sequential.
 func TestStreamArenaWithinShare(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
 	c := NewComputerWithPool(2, pool)
 	small := blockFile(t, streamTensor(t, []int{60, 50, 40}, 1500, 61, false), 200)
 	large := blockFile(t, streamTensor(t, []int{60, 50, 40}, 9000, 62, false), 1200)
-	// Everything of small fits; of large, not even the permutations.
-	share, _, _ := shareFor(large, 2, large.Blocks()+3, 0)
-	sk := NewStreamKernel(c)
-	sk.SetShare(share)
+	// Everything of small fits; of large, a mode and three pairs.
+	share, _ := shareFor(large, 2, large.Blocks()+3)
+	k := NewKernel(c)
+	k.SetShare(share)
 	for round, src := range []sptensor.BlockSource{small, large, small, large} {
-		newStreamTwin(t, c, src, 8).check(t, sk, fmt.Sprintf("round %d", round))
-		res := sk.Residency()
-		if all := src == sptensor.BlockSource(small); all != (res.Share() == 1) || res.PermBytes == 0 {
+		tw := newStreamTwin(src, 8)
+		tw.check(t, fmt.Sprintf("round %d", round), tw.via(k))
+		res := k.Residency()
+		if all := src == sptensor.BlockSource(small); all != (res.Share() == 1) || res.Bytes == 0 {
 			t.Fatalf("round %d: resident %+v of share %d", round, res, share)
 		}
-		if held := arenaBytes(sk); held > share {
+		if held := arenaBytes(k); held > share {
 			t.Fatalf("round %d: slabs hold %d bytes of a %d-byte share", round, held, share)
 		}
 	}
 }
 
-// TestStreamResidentFaults corrupts a resident block and a streamed one
-// after Begin has filled the arena from a partial share. The pass never
-// reads the resident block again, so it reports the streamed one; that
-// drops everything resident, so the recompile meets the other at fill;
-// and once the file is whole the kernel — decoding afresh — equals the
-// plan again.
+// TestStreamResidentFaults corrupts a block whose mode-1 pair is resident
+// and a block whose mode-1 pair streams, after Begin has sorted the
+// resident pairs under a partial share. The mode-1 pass never reads the
+// first block again, so it reports the second; that drops the source,
+// so the recompile meets the first; and once the file is whole the
+// kernel — decoding afresh — equals Sequential again.
 func TestStreamResidentFaults(t *testing.T) {
 	x := streamTensor(t, []int{60, 50, 40}, 4000, 43, false)
 	r, poke := pokeableFile(t, x)
@@ -559,22 +647,22 @@ func TestStreamResidentFaults(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	for _, workers := range []int{1, 2, 4} {
-		c := NewComputerWithPool(workers, pool)
-		share, _, _ := shareFor(r, workers, 3*r.Blocks(), 4)
-		sk := NewStreamKernel(c)
-		sk.SetShare(share)
-		tw := newStreamTwin(t, c, r, k)
-		tw.check(t, sk, fmt.Sprintf("workers=%d before", workers))
+		share, _ := shareFor(r, workers, r.Blocks()+resident+1)
+		kern := NewKernel(NewComputerWithPool(workers, pool))
+		kern.SetShare(share)
+		tw := newStreamTwin(r, k)
+		tw.check(t, fmt.Sprintf("workers=%d before", workers), tw.via(kern))
 		oldResident, oldStreamed := poke(resident, 0x7f), poke(streamed, 0x7f)
 		out := dense.NewMatrix(x.Dims[1], k)
-		if err := sk.MTTKRP(out, r, tw.factors, 1); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mttkrp: block %d:", streamed)) {
+		pass := tw.via(kern)
+		if err := pass(out, 1); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mttkrp: block %d:", streamed)) {
 			t.Fatalf("workers=%d: pass error %v, want block %d", workers, err, streamed)
 		}
 		poke(streamed, oldStreamed)
-		if err := sk.MTTKRP(out, r, tw.factors, 1); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mttkrp: block %d:", resident)) {
-			t.Fatalf("workers=%d: fill error %v, want block %d", workers, err, resident)
+		if err := pass(out, 1); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mttkrp: block %d:", resident)) {
+			t.Fatalf("workers=%d: compile error %v, want block %d", workers, err, resident)
 		}
 		poke(resident, oldResident)
-		tw.check(t, sk, fmt.Sprintf("workers=%d after repair", workers))
+		tw.check(t, fmt.Sprintf("workers=%d after repair", workers), tw.via(kern))
 	}
 }

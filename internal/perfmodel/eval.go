@@ -10,12 +10,13 @@ package perfmodel
 type EvalMode int
 
 const (
-	// EvalInMemory materializes the slice and runs the compiled
-	// in-memory kernel (mttkrp.Plan) on every mode.
+	// EvalInMemory materializes the slice and compiles the kernel
+	// (mttkrp.Kernel) over it as one wholly resident block.
 	EvalInMemory EvalMode = iota
-	// EvalStreamed keeps the slice out of core and streams every kernel
-	// over its blocks; the factors, one decoded block per worker and
-	// what of the slice the budget has room for stay resident.
+	// EvalStreamed keeps the slice out of core and compiles the kernel
+	// over its blocks; the factors, one decoded block per worker and as
+	// many of the slice's (mode, block) pairs as the budget has room for
+	// stay resident.
 	EvalStreamed
 )
 
@@ -27,7 +28,7 @@ func (m EvalMode) String() string {
 }
 
 // residentMultiplier scales raw coordinate storage to the in-memory
-// path's working set: the COO arrays themselves, the plan's row-ordered
+// path's working set: the COO arrays themselves, the kernel's row-ordered
 // copy of the slice per mode, the build scratch, and allocator slack.
 // Measured high-water marks on the bench configs sit between 3× and 4×
 // the raw nonzero payload; 4 is the conservative choice —

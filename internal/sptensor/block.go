@@ -96,6 +96,18 @@ func SplitBlocks(x *Tensor, blockNNZ int) (*MemBlocks, error) {
 	return NewMemBlocks(x.Dims, blocks)
 }
 
+// Reset makes mb the source of x alone, or of no blocks for a nil x, in
+// mb's own storage: a caller that wraps one tensor after another
+// allocates nothing once that storage has grown.
+func (mb *MemBlocks) Reset(x *Tensor) {
+	clear(mb.blocks)
+	mb.blocks, mb.nnz = mb.blocks[:0], 0
+	if x != nil {
+		mb.dims = append(mb.dims[:0], x.Dims...)
+		mb.blocks, mb.nnz = append(mb.blocks, x), x.NNZ()
+	}
+}
+
 func (mb *MemBlocks) Dims() []int { return mb.dims }
 
 func (mb *MemBlocks) NNZ() int { return mb.nnz }

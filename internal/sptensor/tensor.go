@@ -83,6 +83,21 @@ func (t *Tensor) Validate() error {
 	return nil
 }
 
+// ValidateFinite is Validate followed by a check that every value is
+// finite: the guarded path's input scan of a slice, or of one block of
+// a source.
+func (t *Tensor) ValidateFinite() error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	for e, v := range t.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sptensor: nonzero %d has non-finite value %g", e, v)
+		}
+	}
+	return nil
+}
+
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	out := &Tensor{
