@@ -10,7 +10,7 @@ LDFLAGS   = -ldflags "-X spstream/internal/version.Version=$(VERSION) \
 	-X spstream/internal/version.Commit=$(COMMIT) \
 	-X spstream/internal/version.BuildDate=$(BUILDDATE)"
 
-.PHONY: all build test race cover bench bench-compare benchcmp bench-go bench-ooc threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos loc clean
+.PHONY: all build test race cover bench-go threshold lint repro repro-measure fuzz e2e wal-chaos cluster-chaos loc clean
 
 all: build test
 
@@ -26,40 +26,6 @@ race:
 
 cover:
 	$(GO) test -cover ./...
-
-# Reproducible benchmark pipeline: MTTKRP kernel grid (lock / plan /
-# CSF, ns/op + B/op + allocs/op + effective GFLOP/s, worker sweep up to
-# GOMAXPROCS) and end-to-end slices on the plan, written to
-# BENCH_PR10.json and compared against the previous committed
-# baseline, then the out-of-core flat-memory records are appended (the
-# ooc experiment preserves the bench records already in the file).
-# BENCH_BASE resolves to the newest committed BENCH_PR*.json;
-# `make bench-compare` diffs a fresh run against it (advisory: warns
-# past 10%, never fails).
-BENCH_BASE ?= $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1)
-
-bench:
-	$(GO) run ./cmd/paperbench -exp bench -benchjson BENCH_PR10.json -compare BENCH_PR6.json
-	$(GO) run ./cmd/paperbench -exp ooc -benchjson BENCH_PR10.json
-
-# Out-of-core acceptance gate: stream a slice grown to 100× nonzeros
-# under a fixed -mem-budget and HARD-fail if the sampled heap
-# high-water exceeds 1.25× the budget (plus an advisory streamed/
-# in-memory throughput ratio on the 1× config). Fresh results land in
-# bench_ooc_fresh.json; the compare against the committed baseline is
-# advisory.
-bench-ooc:
-	$(GO) run ./cmd/paperbench -exp ooc -benchjson bench_ooc_fresh.json -compare $(BENCH_BASE)
-
-bench-compare:
-	$(GO) run ./cmd/paperbench -exp bench -benchjson bench_fresh.json -compare $(BENCH_BASE)
-
-# Per-config speedup table between two committed bench files:
-#   make benchcmp OLD=BENCH_PR5.json NEW=BENCH_PR6.json
-OLD ?= BENCH_PR5.json
-NEW ?= BENCH_PR6.json
-benchcmp:
-	$(GO) run ./cmd/paperbench -exp benchcmp -old $(OLD) -new $(NEW)
 
 # Raw go test micro-benchmarks across all packages.
 bench-go:

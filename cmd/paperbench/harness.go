@@ -34,19 +34,6 @@ type harness struct {
 	// experiment with the raw series (for plotting).
 	csvDir string
 
-	// benchJSON / benchCompare configure the bench experiment: the
-	// output path for the results JSON and an optional committed
-	// baseline to diff against (advisory). benchOnly restricts the grid
-	// to a comma-separated subset of config names.
-	benchJSON    string
-	benchCompare string
-	benchOnly    string
-
-	// cmpOld / cmpNew are the two bench JSON files the benchcmp
-	// experiment diffs.
-	cmpOld string
-	cmpNew string
-
 	model    sim.Model
 	modelOK  bool
 	streams  map[string]*sptensor.Stream

@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"spstream/internal/version"
@@ -33,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: all, table1, table2, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fitlog, crossover, calibrate, bench, benchcmp, threshold, ooc")
+		exp        = flag.String("exp", "all", "experiment: all, table1, table2, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fitlog, crossover, calibrate, threshold")
 		mode       = flag.String("mode", "model", "model (paper-testbed performance model) or measure (wall clock on this host)")
 		scale      = flag.Float64("scale", 0.3, "synthetic dataset scale (1 = benchmark size)")
 		rank       = flag.Int("rank", 16, "decomposition rank for table1")
@@ -42,11 +43,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write raw per-experiment series as CSV files into this directory (model mode)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (useful with -mode measure)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		benchJSON  = flag.String("benchjson", "", "bench experiment: write results JSON to this file")
-		benchCmp   = flag.String("compare", "", "bench experiment: compare against this baseline JSON (advisory; warns on >10% regressions, never fails)")
-		benchOnly  = flag.String("benchconfigs", "", "bench experiment: comma-separated subset of configs to run (default all)")
-		cmpOld     = flag.String("old", "", "benchcmp experiment: older bench JSON")
-		cmpNew     = flag.String("new", "", "benchcmp experiment: newer bench JSON")
 		showVer    = flag.Bool("version", false, "print version/build information and exit")
 	)
 	flag.Parse()
@@ -88,18 +84,13 @@ func main() {
 	}
 
 	h := &harness{
-		mode:         *mode,
-		scale:        *scale,
-		rank:         *rank,
-		slices:       *slices,
-		maxWorkers:   *maxProc,
-		csvDir:       *csvDir,
-		benchJSON:    *benchJSON,
-		benchCompare: *benchCmp,
-		benchOnly:    *benchOnly,
-		cmpOld:       *cmpOld,
-		cmpNew:       *cmpNew,
-		out:          os.Stdout,
+		mode:       *mode,
+		scale:      *scale,
+		rank:       *rank,
+		slices:     *slices,
+		maxWorkers: *maxProc,
+		csvDir:     *csvDir,
+		out:        os.Stdout,
 	}
 	if err := h.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
@@ -120,14 +111,10 @@ func main() {
 		"fitlog":    h.fitlog,
 		"crossover": h.crossover,
 		"calibrate": h.calibrate,
-		"bench":     h.bench,
-		"ooc":       h.ooc,
-		"benchcmp":  h.benchcmpExp,
 		"threshold": h.threshold,
 	}
-	// bench, ooc and threshold are excluded from "all": they are host
-	// measurements (minutes of wall clock), run explicitly via
-	// `make bench` / `make bench-ooc` / `-exp threshold`.
+	// threshold is excluded from "all": it is a host measurement
+	// (minutes of wall clock), run explicitly via `-exp threshold`.
 	order := []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fitlog", "crossover", "calibrate"}
 
 	var run []string
@@ -137,7 +124,12 @@ func main() {
 		for _, name := range strings.Split(*exp, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := experiments[name]; !ok {
-				fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q (known: all, %s)\n", name, strings.Join(order, ", "))
+				known := make([]string, 0, len(experiments))
+				for k := range experiments {
+					known = append(known, k)
+				}
+				sort.Strings(known)
+				fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q (known: all, %s)\n", name, strings.Join(known, ", "))
 				os.Exit(2)
 			}
 			run = append(run, name)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -228,37 +227,5 @@ func TestCalibrateRuns(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("calibrate output missing %q", want)
 		}
-	}
-}
-
-// compareBench matches fresh records to the baseline by name: records
-// the baseline holds and the fresh run no longer produces (the slice
-// grid's former auto and csf policies) are skipped, and only the plan
-// record that both hold is compared.
-func TestCompareBenchSkipsMissingRecords(t *testing.T) {
-	base := benchFile{Records: []benchRecord{
-		{Name: "slice/skewed/k16/w1/auto", Kind: "slice", NsPerOp: 1},
-		{Name: "slice/skewed/k16/w1/plan", Kind: "slice", NsPerOp: 1000},
-		{Name: "slice/skewed/k16/w1/csf", Kind: "slice", NsPerOp: 1},
-	}}
-	data, err := json.Marshal(&base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, buf := newTestHarness("measure")
-	h.benchCompare = t.TempDir() + "/base.json"
-	if err := os.WriteFile(h.benchCompare, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := benchFile{Records: []benchRecord{{Name: "slice/skewed/k16/w1/plan", Kind: "slice", NsPerOp: 1500}}}
-	if err := compareBench(h, &fresh); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "1 of 1 matched benchmarks regressed") || !strings.Contains(out, "slice/skewed/k16/w1/plan") {
-		t.Fatalf("compare output:\n%s", out)
-	}
-	if strings.Contains(out, "/auto") || strings.Contains(out, "/csf") {
-		t.Fatalf("compare named a record the fresh run does not hold:\n%s", out)
 	}
 }
