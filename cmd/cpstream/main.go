@@ -8,13 +8,14 @@
 // (see cmd/spblk for the converter).
 //
 // The flags cpstream shares with watch and spstreamd are registered
-// once, by serve.Config's Flags and GuardFlags. Any of -shed-policy,
-// -max-lag, -spill-dir or -degrade routes resident slices through the
-// bounded ingest pipeline; .spblk slices cannot ride it, and the
-// combination is rejected. Any of -on-error, -slice-timeout or
-// -checkpoint-dir arms guarded processing. Like watch and spstreamd,
-// cpstream restores the newest valid checkpoint in -checkpoint-dir at
-// startup and skips the slices it holds; -resume names a single file.
+// once, by serve.Config's Flags and GuardFlags, and its run is built
+// the way theirs is: serve.NewDecomposer restores the newest valid
+// checkpoint in -checkpoint-dir at startup, cpstream skips the slices
+// it holds, and every slice runs guarded, under -on-error (abort by
+// default) and -slice-timeout. Any of -shed-policy, -max-lag,
+// -spill-dir or -degrade routes resident slices through the bounded
+// ingest pipeline of serve.NewPipeline; .spblk slices cannot ride it,
+// and the combination is rejected.
 //
 // Examples:
 //
@@ -43,7 +44,6 @@ import (
 
 	"spstream"
 	"spstream/internal/perfmodel"
-	"spstream/internal/resilience"
 	"spstream/internal/serve"
 	"spstream/internal/trace"
 	"spstream/internal/version"
@@ -62,9 +62,9 @@ type config struct {
 	nonneg bool
 	l1     float64
 	// what to print and write
-	breakdown, showVer             bool
-	factorsOut, checkpoint, resume string
-	cpuprofile, memprofile         string
+	breakdown, showVer     bool
+	factorsOut             string
+	cpuprofile, memprofile string
 	// the ingest pipeline: piped is set when a flag arms it
 	degrade, piped bool
 }
@@ -95,8 +95,6 @@ func newFlags() (*config, *flag.FlagSet) {
 	fs.BoolVar(&c.breakdown, "breakdown", false, "print the per-phase time breakdown at the end")
 	fs.IntVar(&c.maxSlices, "slices", 0, "process at most this many slices (0 = all)")
 	fs.StringVar(&c.factorsOut, "factors", "", "write final factor matrices to this file")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "write the decomposer state to this file after the run (atomic)")
-	fs.StringVar(&c.resume, "resume", "", "restore the decomposer state from this checkpoint file before processing (-checkpoint-dir restores its newest by itself)")
 	fs.BoolVar(&c.degrade, "degrade", false, "degrade model quality under sustained overload (enables the ingest pipeline)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file at exit")
@@ -107,24 +105,16 @@ func newFlags() (*config, *flag.FlagSet) {
 func parseFlags(args []string) config {
 	c, fs := newFlags()
 	fs.Parse(args) // ExitOnError
-	o := &c.Options
 
-	// The arming rules of the package doc. An enum flag arms its stage by
-	// being given at all (-shed-policy block and -on-error abort are the
-	// zero values); the flag set knows it by the field it is bound to.
-	guarded := c.CheckpointDir != "" || o.Resilience.SliceTimeout > 0
+	// The arming rule of the package doc. -shed-policy arms the pipeline
+	// by being given at all (block is the zero value); the flag set knows
+	// it by the field it is bound to.
 	c.piped = c.MaxLag > 0 || c.degrade || c.SpillDir != ""
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Value.(flag.Getter).Get() {
-		case &c.Policy:
+		if f.Value.(flag.Getter).Get() == &c.Policy {
 			c.piped = true
-		case &o.Resilience.Policy:
-			guarded = true
 		}
 	})
-	if !guarded {
-		o.Resilience = nil
-	}
 	return *c
 }
 
@@ -173,30 +163,6 @@ func profiled(cfg config, run func() error) error {
 	}
 	fmt.Printf("heap profile written to %s\n", cfg.memprofile)
 	return f.Close()
-}
-
-// options adds to the flags' Options the constraint and, with
-// -checkpoint-dir, the manager both slice loops find in
-// Options.Resilience.Checkpoint (the pipeline through the decomposer).
-func (c config) options() (spstream.Options, error) {
-	opt := c.Options
-	switch {
-	case c.nonneg && c.l1 > 0:
-		return opt, errors.New("choose one of -nonneg and -l1")
-	case c.nonneg:
-		opt.Constraint = spstream.NonNeg()
-	case c.l1 > 0:
-		opt.Constraint = spstream.L1(c.l1)
-	}
-	if c.CheckpointDir != "" {
-		rc := *opt.Resilience // the config's struct stays as it was
-		var err error
-		if rc.Checkpoint, err = spstream.NewCheckpointManager(c.CheckpointDir, c.CheckpointEvery, c.CheckpointKeep); err != nil {
-			return opt, err
-		}
-		opt.Resilience = &rc
-	}
-	return opt, nil
 }
 
 // input is the stream a run consumes, one slice per next call: resident
@@ -289,29 +255,52 @@ func (t table) row(res spstream.SliceResult, elapsed, eval string) {
 	t.line(strconv.Itoa(res.T), strconv.Itoa(res.NNZ), strconv.Itoa(res.Iters), fmt.Sprintf("%.6g", res.Delta), fmt.Sprintf("%.4f", res.Fit), elapsed, eval, conv)
 }
 
-// run is the whole command behind the flags: open the input, restore,
-// solve slice by slice — directly, or by offering the same slices to the
-// ingest pipeline — and write what the flags ask for.
+// run is the whole command behind the flags: open the input, build the
+// run the way serve does (the decomposer, restored from -checkpoint-dir,
+// and with an ingest flag the pipeline over it), solve slice by slice —
+// directly, or by offering the same slices to the pipeline — and write
+// what the flags ask for.
 func run(ctx context.Context, w io.Writer, cfg config) error {
-	opt, err := cfg.options()
-	if err != nil {
-		return err
+	opt := &cfg.Options
+	switch {
+	case cfg.nonneg && cfg.l1 > 0:
+		return errors.New("choose one of -nonneg and -l1")
+	case cfg.nonneg:
+		opt.Constraint = spstream.NonNeg()
+	case cfg.l1 > 0:
+		opt.Constraint = spstream.L1(cfg.l1)
 	}
 	in, err := openInput(cfg)
 	if err != nil {
 		return err
 	}
-	dec, err := spstream.New(in.dims, opt)
+	cfg.Dims = in.dims
+	cfg.Logf = func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
+	tbl := table{w: w, eval: in.paths != nil}
+	var dec *spstream.Decomposer
+	var p *spstream.IngestPipeline
+	if cfg.piped {
+		// Overload-robust path: the slices go through the bounded ingest
+		// pipeline, which also owns checkpointing for the run.
+		dec, p, err = serve.NewPipeline(cfg.Config, spstream.IngestConfig{
+			Degrade:  cfg.degrade,
+			OnResult: func(res spstream.SliceResult) { tbl.row(res, "-", "") },
+			OnError:  func(err error) { fmt.Fprintf(os.Stderr, "cpstream: %v\n", err) },
+		})
+	} else {
+		dec, err = serve.NewDecomposer(cfg.Config)
+	}
 	if err != nil {
 		return err
 	}
-	if from, err := restore(cfg.resume, dec); err != nil {
-		return err
-	} else if from != "" {
-		fmt.Fprintf(w, "resumed from %s at slice %d\n", from, dec.T())
+	if dec.T() > 0 {
+		fmt.Fprintf(w, "continuing at slice %d\n", dec.T())
 		for skipped := 0; skipped < dec.T(); skipped++ {
 			if _, _, ok := in.next(); !ok {
-				return fmt.Errorf("resume state is at slice %d but the stream has only %d", dec.T(), skipped)
+				if p != nil {
+					p.Kill() // never started, nothing spilled: only closes the WAL
+				}
+				return fmt.Errorf("checkpoint is at slice %d but the stream has only %d", dec.T(), skipped)
 			}
 		}
 	}
@@ -321,24 +310,8 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	}
 	alg, _ := opt.Algorithm.MarshalText() // parsed from the flag: always valid
 	fmt.Fprintf(w, "cpstream: dims=%v T=%d %s rank=%d alg=%s workers=%d\n", in.dims, in.t, in.desc, opt.Rank, alg, effWorkers)
-	tbl := table{w: w, eval: in.paths != nil}
 	tbl.line("slice", "nnz", "iters", "delta", "fit", "time", "eval", "conv")
-
-	// Overload-robust path: the slices go through the bounded ingest
-	// pipeline, which also owns checkpointing for the run.
-	var p *spstream.IngestPipeline
-	if cfg.piped {
-		pcfg := cfg.Ingest(spstream.IngestConfig{
-			Degrade:  cfg.degrade,
-			OnResult: func(res spstream.SliceResult) { tbl.row(res, "-", "") },
-			OnError:  func(err error) { fmt.Fprintf(os.Stderr, "cpstream: %v\n", err) },
-		})
-		if p, err = spstream.NewIngestPipeline(dec, pcfg); err != nil {
-			return err
-		}
-		if n := p.Stats().SpillRecovered; n > 0 {
-			fmt.Fprintf(w, "spill: recovered %d durable backlog slices (replay bound to t=%d)\n", n, dec.T())
-		}
+	if p != nil {
 		// The signal stops admissions; the backlog still drains
 		// (bounded by -drain-timeout).
 		p.Start(context.Background())
@@ -400,11 +373,9 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	if interrupted {
 		fmt.Fprintf(w, "interrupted at slice %d; state is consistent at the last completed slice\n", dec.T())
 	}
-	if opt.Resilience != nil {
-		st := dec.ResilienceStats()
-		fmt.Fprintf(w, "resilience: retries=%d skips=%d rollbacks=%d ridge-recoveries=%d panics=%d rejects=%d timeouts=%d\n",
-			st.SliceRetries, st.SlicesSkipped, st.Rollbacks, st.RidgeRecoveries, st.PanicsRecovered, st.InputRejects, st.Timeouts)
-	}
+	st := dec.ResilienceStats()
+	fmt.Fprintf(w, "resilience: retries=%d skips=%d rollbacks=%d ridge-recoveries=%d panics=%d rejects=%d timeouts=%d\n",
+		st.SliceRetries, st.SlicesSkipped, st.Rollbacks, st.RidgeRecoveries, st.PanicsRecovered, st.InputRejects, st.Timeouts)
 	if cfg.breakdown {
 		bd := dec.Breakdown()
 		per := bd.PerIter()
@@ -430,12 +401,6 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 		if cks := mgr.Checkpoints(); len(cks) > 0 && cks[0] == mgr.Path(dec.T()) {
 			fmt.Fprintf(w, "checkpoint written to %s\n", cks[0])
 		}
-	}
-	if cfg.checkpoint != "" {
-		if err := resilience.AtomicWriteFile(cfg.checkpoint, dec.SaveState); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "checkpoint written to %s\n", cfg.checkpoint)
 	}
 	return nil
 }
@@ -484,27 +449,4 @@ func loadStream(input string, streamMode int, preset string, scale float64) (*sp
 	default:
 		return nil, fmt.Errorf("one of -input or -preset is required")
 	}
-}
-
-// restore loads the state a run continues from: the -resume file, else
-// the newest valid checkpoint in -checkpoint-dir, as watch and spstreamd
-// do at startup. It returns the path restored, "" for a fresh start.
-func restore(file string, dec *spstream.Decomposer) (string, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return "", err
-		}
-		defer f.Close()
-		return file, dec.RestoreState(f)
-	}
-	mgr := dec.Checkpoints()
-	if mgr == nil {
-		return "", nil
-	}
-	path, err := mgr.RestoreLatest(dec.RestoreState)
-	if errors.Is(err, spstream.ErrNoCheckpoint) {
-		return "", nil
-	}
-	return path, err
 }

@@ -180,33 +180,25 @@ func TestRunStreamedShowsResidentShare(t *testing.T) {
 	}
 }
 
-// TestRunSlicesAndResume: -slices stops early, -checkpoint and
-// -checkpoint-dir leave restorable state, and -resume from the file or
-// a run on the same -checkpoint-dir picks the stream up where it
-// stopped: 3 + 2 slices end where 5 do. -resume takes a file only.
+// TestRunSlicesAndResume: -slices stops early, -checkpoint-dir leaves
+// restorable state, and a run on the same -checkpoint-dir picks the
+// stream up where it stopped: 3 + 2 slices end where 5 do.
 func TestRunSlicesAndResume(t *testing.T) {
 	dir := t.TempDir()
-	file, ckdir := filepath.Join(dir, "state.spstrm"), filepath.Join(dir, "ck")
-	f5, f32, fdir := filepath.Join(dir, "f5"), filepath.Join(dir, "f32"), filepath.Join(dir, "fdir")
+	ckdir := filepath.Join(dir, "ck")
+	f5, fdir := filepath.Join(dir, "f5"), filepath.Join(dir, "fdir")
 
 	straight := mustRun(t, append(uber, "-slices", "5", "-factors", f5)...)
 	if n := len(rows(straight)); n != 5 {
 		t.Fatalf("-slices 5 printed %d rows:\n%s", n, straight)
 	}
-	mustRun(t, append(uber, "-slices", "3", "-checkpoint", file, "-checkpoint-dir", ckdir, "-every", "2")...)
-	for _, from := range [][]string{{"-resume", file, "-factors", f32}, {"-checkpoint-dir", ckdir, "-factors", fdir}} {
-		out := mustRun(t, append(append(uber, "-slices", "2"), from...)...)
-		if !strings.Contains(out, "at slice 3\n") || strings.Join(rows(out), "\n") != strings.Join(rows(straight)[3:], "\n") {
-			t.Fatalf("%s %s did not continue at slice 3:\n%s\nstraight run:\n%s", from[0], from[1], out, straight)
-		}
-		if readFile(t, from[3]) != readFile(t, f5) {
-			t.Fatalf("3 slices + 2 resumed by %s differ from 5 straight", from[0])
-		}
+	mustRun(t, append(uber, "-slices", "3", "-checkpoint-dir", ckdir, "-every", "2")...)
+	out := mustRun(t, append(uber, "-slices", "2", "-checkpoint-dir", ckdir, "-factors", fdir)...)
+	if !strings.Contains(out, "at slice 3\n") || strings.Join(rows(out), "\n") != strings.Join(rows(straight)[3:], "\n") {
+		t.Fatalf("-checkpoint-dir %s did not continue at slice 3:\n%s\nstraight run:\n%s", ckdir, out, straight)
 	}
-	for _, bad := range []string{filepath.Join(dir, "missing"), ckdir} {
-		if _, err := runArgs(t, context.Background(), append(uber, "-resume", bad)...); err == nil {
-			t.Fatalf("-resume %s accepted", bad)
-		}
+	if readFile(t, fdir) != readFile(t, f5) {
+		t.Fatal("3 slices + 2 resumed from -checkpoint-dir differ from 5 straight")
 	}
 }
 
@@ -330,15 +322,15 @@ func flagNames(fs *flag.FlagSet) string {
 
 // TestFlagSurface pins cpstream's flags: their names (the shared ones
 // registered by serve), what an empty argv yields, which flags arm the
-// pipeline and guarded processing, and the header's -alg spelling.
+// pipeline, that every run is guarded, and the header's -alg spelling.
 func TestFlagSurface(t *testing.T) {
 	_, fs := newFlags()
-	const names = "alg breakdown checkpoint checkpoint-dir cpuprofile degrade drain-timeout every factors input keep l1 max-lag maxiters mem-budget memprofile mu nonneg on-error preset rank resume scale seed shed-policy slice-timeout slices spill-dir spill-fsync-interval spill-max-bytes streammode tol version workers"
+	const names = "alg breakdown checkpoint-dir cpuprofile degrade drain-timeout every factors input keep l1 max-lag maxiters mem-budget memprofile mu nonneg on-error preset rank scale seed shed-policy slice-timeout slices spill-dir spill-fsync-interval spill-max-bytes streammode tol version workers"
 	if got := flagNames(fs); got != names {
 		t.Errorf("flags:\n got %s\nwant %s", got, names)
 	}
 	want := config{Config: serve.Config{
-		Options:         spstream.Options{Rank: 16, Algorithm: spstream.Optimized, Mu: 0.99, Tol: 1e-5, MaxIters: 20, Seed: 1},
+		Options:         spstream.Options{Rank: 16, Algorithm: spstream.Optimized, Mu: 0.99, Tol: 1e-5, MaxIters: 20, Seed: 1, Resilience: &resilience.Config{}},
 		DrainTimeout:    30 * time.Second,
 		CheckpointEvery: 10,
 		CheckpointKeep:  2,
@@ -347,22 +339,22 @@ func TestFlagSurface(t *testing.T) {
 		t.Errorf("empty argv:\n got %+v\nwant %+v", got, want)
 	}
 	for _, tc := range []struct {
-		argv           string
-		piped, guarded bool
+		argv  string
+		piped bool
 	}{
-		{"-shed-policy block", true, false},
-		{"-max-lag 1s", true, false},
-		{"-degrade", true, false},
-		{"-spill-dir wal", true, false},
-		{"-spill-max-bytes 10 -spill-fsync-interval 1s -drain-timeout 1s", false, false},
-		{"-on-error abort", false, true},
-		{"-slice-timeout 1s", false, true},
-		{"-checkpoint-dir ck", false, true},
-		{"-every 3 -keep 4 -rank 2 -alg spcp -mu 0.5", false, false},
+		{"-shed-policy block", true},
+		{"-max-lag 1s", true},
+		{"-degrade", true},
+		{"-spill-dir wal", true},
+		{"-spill-max-bytes 10 -spill-fsync-interval 1s -drain-timeout 1s", false},
+		{"-on-error abort", false},
+		{"-slice-timeout 1s", false},
+		{"-checkpoint-dir ck", false},
+		{"-every 3 -keep 4 -rank 2 -alg spcp -mu 0.5", false},
 	} {
 		c := parseFlags(strings.Fields(tc.argv))
-		if c.piped != tc.piped || (c.Options.Resilience != nil) != tc.guarded {
-			t.Errorf("%s: piped %v guarded %v, want %v %v", tc.argv, c.piped, c.Options.Resilience != nil, tc.piped, tc.guarded)
+		if c.piped != tc.piped || c.Options.Resilience == nil {
+			t.Errorf("%s: piped %v guarded %v, want %v true", tc.argv, c.piped, c.Options.Resilience != nil, tc.piped)
 		}
 	}
 	for _, alg := range []string{"optimized", "spcp"} {

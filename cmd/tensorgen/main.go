@@ -34,8 +34,7 @@ func main() {
 		noise    = flag.Float64("noise", 0.05, "custom: noise std dev on planted values")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		out      = flag.String("o", "", "output .tns file (default stdout)")
-		binary   = flag.Bool("binary", false, "write the compact binary format instead of .tns text (same as -format binary)")
-		format   = flag.String("format", "", "output format: tns (default), binary, or spblk (block-partitioned out-of-core format; requires -o)")
+		format   = flag.String("format", "tns", "output format: tns, binary, or spblk (block-partitioned out-of-core format; requires -o)")
 		blockNNZ = flag.Int("block-nnz", 0, "spblk: target nonzeros per block (0 = default)")
 		split    = flag.Bool("split", false, "spblk: write one file per time slice into the -o directory (cpstream's out-of-core stream input)")
 		showVer  = flag.Bool("version", false, "print version/build information and exit")
@@ -58,13 +57,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "tensorgen: dims=%v (streaming mode last) nnz=%d\n", tensor.Dims, tensor.NNZ())
 
 	f := *format
-	if f == "" {
-		if *binary {
-			f = "binary"
-		} else {
-			f = "tns"
-		}
-	}
 	if f == "spblk" {
 		// The block format is written directly (atomic temp + rename),
 		// not through a stream, so it needs a path.

@@ -27,10 +27,12 @@ import (
 // iterations, Tol 0). The baseline is the post-GC HeapAlloc with the
 // file open and no decomposer built, so factor state, kernel scratch
 // and block buffers all count; the peak is the high-water of a 10 ms
-// ReadMemStats sampler.
+// ReadMemStats sampler and one more read when the slice returns, with
+// the decomposer still live.
 //
 //   - Gate: at 10× and 100× under a 16 MiB budget, the peak delta must
-//     stay within 1.25× of the budget.
+//     stay within 1.25× of the budget, and no run's peak may read 0 (a
+//     sampler that saw nothing measures nothing).
 //   - At 1×, budget 0 must evaluate in memory and budget 1 must stream.
 //     The streamed/in-memory throughput ratio between them is logged,
 //     advisory below 0.6×: the host's clock is not the test's business.
@@ -93,6 +95,9 @@ func TestOutOfCoreHeapFlat(t *testing.T) {
 	for _, r := range runs {
 		if r.eval != r.want {
 			t.Errorf("%s: evaluated %s, want %s (nnz=%d budget=%d)", r.name, r.eval, r.want, r.nnz, r.budget)
+		}
+		if r.peak == 0 {
+			t.Errorf("%s: heap high-water reads 0: the sampler saw no allocation", r.name)
 		}
 		if ceiling := int64(budget + budget/4); r.enforce && r.peak > ceiling {
 			t.Errorf("%s: heap high-water %s exceeds 1.25× budget (%s)", r.name, mib(r.peak), mib(ceiling))
@@ -164,9 +169,10 @@ func (r *heapRun) measure(dims []int, rank int, path string) error {
 }
 
 // heapSampler polls HeapAlloc every 10 ms until the returned stop is
-// called, which yields the high-water mark. A burst between two samples
-// can hide; the post-GC live heap is the floor, the sampled peak the
-// observable ceiling.
+// called, which reads it once more and yields the high-water mark. The
+// last read sees what is live when stop is called, so a run shorter than
+// a tick still shows; a burst between two reads can hide. The post-GC
+// live heap is the floor, the sampled peak the observable ceiling.
 func heapSampler() (stop func() uint64) {
 	var (
 		high uint64
@@ -192,7 +198,9 @@ func heapSampler() (stop func() uint64) {
 	return func() uint64 {
 		close(done)
 		wg.Wait()
-		return high
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return max(high, ms.HeapAlloc)
 	}
 }
 

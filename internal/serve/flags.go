@@ -21,7 +21,7 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.SpillDir, "spill-dir", c.SpillDir, "durable backlog directory: queue overflow spills to a crash-safe WAL here and replays in order (implies -shed-policy spill)")
 	fs.Int64Var(&c.SpillMaxBytes, "spill-max-bytes", c.SpillMaxBytes, "cap on the on-disk spill backlog; 0 = unbounded (past the cap overflow is shed)")
 	fs.DurationVar(&c.SpillFsyncInterval, "spill-fsync-interval", c.SpillFsyncInterval, "WAL group-commit window — how much freshly spilled data a hard crash may lose (0 = fsync every slice)")
-	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", c.CheckpointDir, "write periodic crash-safe checkpoints into this directory, and a final one at shutdown (watch and spstreamd also restore the newest one at startup)")
+	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", c.CheckpointDir, "restore the newest checkpoint in this directory at startup, write periodic crash-safe checkpoints into it, and a final one at shutdown")
 }
 
 // GuardFlags registers the flags cpstream and spstreamd take for guarded

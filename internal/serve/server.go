@@ -174,23 +174,15 @@ type Server struct {
 	httpSrv  *http.Server
 }
 
-// NewPipeline assembles the durable run a live front end sits on —
-// spstreamd through New, cmd/watch directly: the checkpoint manager when
-// cfg.CheckpointDir is set, a decomposer carrying it and restored from
-// the newest valid checkpoint there, and the ingest pipeline over that
-// decomposer, with the spill WAL when cfg.SpillDir is set. From here on
-// the pipeline owns the run's durability: replay after the restored
-// checkpoint's WAL cursor, a checkpoint carrying the consumed cursor
-// when one is due, the final one at Drain.
-// own carries what is the caller's — Gate, Degrade, OnResult, OnError —
-// and its queue, policy, lag, drain and spill settings come from cfg
-// (Ingest).
-func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipeline, error) {
+// NewDecomposer assembles the decomposer every front end runs: the
+// checkpoint manager when cfg.CheckpointDir is set, and a decomposer
+// carrying it, restored from the newest valid checkpoint there.
+func NewDecomposer(cfg Config) (*core.Decomposer, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.CheckpointDir != "" {
 		mgr, err := resilience.NewManager(cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointKeep)
 		if err != nil {
-			return nil, nil, fmt.Errorf("serve: checkpoint dir: %w", err)
+			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 		}
 		rc := *cfg.Options.Resilience // the caller's struct stays as it was
 		rc.Checkpoint = mgr
@@ -198,7 +190,7 @@ func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipel
 	}
 	dec, err := core.NewDecomposer(cfg.Dims, cfg.Options)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if mgr := dec.Checkpoints(); mgr != nil {
 		path, err := mgr.RestoreLatest(dec.RestoreState)
@@ -208,8 +200,26 @@ func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipel
 		case errors.Is(err, resilience.ErrNoCheckpoint):
 			// Fresh start.
 		default:
-			return nil, nil, fmt.Errorf("serve: restore: %w", err)
+			return nil, fmt.Errorf("serve: restore: %w", err)
 		}
+	}
+	return dec, nil
+}
+
+// NewPipeline assembles the durable run a live front end sits on —
+// spstreamd through New, watch and a piped cpstream directly: the
+// decomposer of NewDecomposer and the ingest pipeline over it, with the
+// spill WAL when cfg.SpillDir is set. From here on the pipeline owns the
+// run's durability: replay after the restored checkpoint's WAL cursor, a
+// checkpoint carrying the consumed cursor when one is due, the final one
+// at Drain. own carries what is the caller's — Gate, Degrade, OnResult,
+// OnError — and cfg its queue, policy, lag, drain and spill settings
+// (Ingest).
+func NewPipeline(cfg Config, own ingest.Config) (*core.Decomposer, *ingest.Pipeline, error) {
+	cfg = cfg.WithDefaults()
+	dec, err := NewDecomposer(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	pipe, err := ingest.New(dec, cfg.Ingest(own))
 	if err != nil {
