@@ -298,7 +298,7 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 		for skipped := 0; skipped < dec.T(); skipped++ {
 			if _, _, ok := in.next(); !ok {
 				if p != nil {
-					p.Kill() // never started, nothing spilled: only closes the WAL
+					p.Drain(context.Background())
 				}
 				return fmt.Errorf("checkpoint is at slice %d but the stream has only %d", dec.T(), skipped)
 			}

@@ -363,3 +363,62 @@ func TestFlagSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCheckpointPastStreamKeepsSpill: a piped run whose checkpoint
+// lies past the end of its stream returns its error without starting the
+// pipeline, and leaves the spill WAL's records on disk for the next run:
+// that run recovers them, and one over the full stream replays them.
+func TestRunCheckpointPastStreamKeepsSpill(t *testing.T) {
+	dir := t.TempDir()
+	ck, spill := filepath.Join(dir, "ck"), filepath.Join(dir, "spill")
+	tns := func(name string, slices int) string {
+		x := spstream.NewTensor(5, 6, slices)
+		for k := int32(0); k < int32(slices); k++ {
+			x.Append([]int32{0, 1, k}, 1.5)
+			x.Append([]int32{2, 3, k}, 2.5)
+			x.Append([]int32{4, 5, k}, 3.5)
+		}
+		path := filepath.Join(dir, name)
+		if err := spstream.SaveTNS(path, x); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	long, short := tns("long.tns", 4), tns("short.tns", 2)
+	flags := func(input string) []string {
+		return []string{"-input", input, "-streammode", "2", "-rank", "2", "-checkpoint-dir", ck, "-every", "1", "-spill-dir", spill}
+	}
+	mustRun(t, "-input", long, "-streammode", "2", "-rank", "2", "-checkpoint-dir", ck, "-every", "1")
+
+	// Two records wait in the WAL: a pipeline on the restored run, never
+	// started, queues one slice and spills the next two.
+	stream, err := loadStream(short, 2, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := serve.Config{Dims: stream.Dims, Options: spstream.Options{Rank: 2}, CheckpointDir: ck, SpillDir: spill, QueueCap: 1}
+	_, p, err := serve.NewPipeline(cfg, spstream.IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range append(stream.Slices, stream.Slices[0]) {
+		p.Offer(x)
+	}
+	if got := p.Drain(context.Background()).SpillPending(); got != 2 {
+		t.Fatalf("seeded %d WAL records, want 2", got)
+	}
+
+	for range 2 {
+		out, err := runArgs(t, context.Background(), flags(short)...)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint is at slice 4 but the stream has only 2") {
+			t.Fatalf("err = %v, want the checkpoint-past-stream error", err)
+		}
+		if !strings.Contains(out, "spill: recovered 2 durable backlog slices") {
+			t.Fatalf("the WAL records did not survive the failed run:\n%s", out)
+		}
+	}
+	out := mustRun(t, flags(long)...)
+	if !strings.Contains(out, "processed=2") || !strings.Contains(out, "pending=0") {
+		t.Fatalf("the full-stream run did not replay the two records:\n%s", out)
+	}
+}

@@ -32,14 +32,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"spstream/internal/cluster"
@@ -125,12 +122,8 @@ func main() {
 	// The e2e harness (and humans using :0) parse this line.
 	fmt.Printf("spstream-gateway %s listening on %s\n", version.Version, ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := serve.SignalContext() // a second signal force-quits
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop() // a second signal force-quits a wedged drain
-	}()
 
 	if err := g.Run(ctx, ln); err != nil {
 		fatal(err)

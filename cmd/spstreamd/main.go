@@ -32,17 +32,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"spstream/internal/cluster"
@@ -147,14 +144,8 @@ func main() {
 	// The e2e harness (and humans using :0) parse this line.
 	fmt.Printf("spstreamd %s listening on %s\n", version.Version, ln.Addr())
 
-	// First signal: graceful drain. Restoring default handling as soon
-	// as it fires means a second signal force-quits a wedged drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := serve.SignalContext() // a second signal force-quits
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
 	if err := srv.Run(ctx, ln); err != nil {
 		fatal(err)

@@ -31,11 +31,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"spstream"
@@ -90,14 +88,8 @@ func main() {
 		return
 	}
 
-	// First signal: graceful drain. Restoring default handling as soon
-	// as it fires means a second signal force-quits a wedged drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := serve.SignalContext() // a second signal force-quits
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
 	if err := run(ctx, os.Stdin, os.Stdout, cfg); err != nil {
 		fatal(err)

@@ -74,18 +74,8 @@ func RankComponents(d *Decomposer) []int {
 // ReconstructAt evaluates the current model X̂ₜ = [[A…; sₜ]] at one
 // coordinate of the latest slice — useful for spot-checking predictions
 // or imputing missing entries. It reads the N rows it needs, brought
-// current, so it costs O(N·K²) whatever the mode lengths.
-func ReconstructAt(d *Decomposer, coord []int32) float64 {
-	v := d.Committed()
-	p, row := append([]float64(nil), d.LastS()...), make([]float64, d.Rank())
-	for m := range d.Dims() {
-		for k, x := range v.Row(m, int(coord[m]), row) {
-			p[k] *= x
-		}
-	}
-	sum := 0.0
-	for _, x := range p {
-		sum += x
-	}
-	return sum
+// current, so it costs O(N·K²) whatever the mode lengths. A coordinate
+// of the wrong length or out of range is an error.
+func ReconstructAt(d *Decomposer, coord []int32) (float64, error) {
+	return d.Committed().ReconstructAt(d.LastS(), coord)
 }

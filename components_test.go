@@ -88,8 +88,18 @@ func TestReconstructAt(t *testing.T) {
 		}
 		want += p
 	}
-	if got := spstream.ReconstructAt(dec, coord); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ReconstructAt = %v want %v", got, want)
+	if got, err := spstream.ReconstructAt(dec, coord); err != nil || math.Abs(got-want) > 1e-12 {
+		t.Fatalf("ReconstructAt = %v, %v want %v", got, err, want)
+	}
+	// A short or out-of-range coordinate is an error, not a panic.
+	if _, err := spstream.ReconstructAt(dec, coord[:2]); err == nil {
+		t.Fatal("wrong arity accepted")
+	}
+	if _, err := spstream.ReconstructAt(dec, []int32{1, 2, int32(dec.Dims()[2])}); err == nil {
+		t.Fatal("out-of-range coordinate accepted")
+	}
+	if _, err := spstream.ReconstructAt(dec, []int32{-1, 2, 3}); err == nil {
+		t.Fatal("negative coordinate accepted")
 	}
 }
 

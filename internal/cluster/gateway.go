@@ -242,8 +242,10 @@ func (g *Gateway) Start() {
 }
 
 // Shutdown drains the forward queues (bounded by DrainTimeout), then
-// kills the remaining waits. Safe to call once after Start.
+// kills the remaining waits. Safe in any state: a Start after it does
+// nothing, and a second call returns at once.
 func (g *Gateway) Shutdown() {
+	g.started.Store(true)
 	g.draining.Store(true)
 	for _, s := range g.shards {
 		s.queue.close()
@@ -263,28 +265,15 @@ func (g *Gateway) Shutdown() {
 	g.probeWg.Wait()
 }
 
-// Run serves HTTP on ln until ctx is cancelled, then drains and
-// returns. The standard daemon entrypoint.
+// Run serves HTTP on ln until ctx is cancelled or serving fails, then
+// drains and returns. The standard daemon entrypoint.
 func (g *Gateway) Run(ctx context.Context, ln net.Listener) error {
 	g.Start()
-	hs := &http.Server{Handler: g.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	g.cfg.Logf("draining: flushing forward queues (timeout %v)", g.cfg.DrainTimeout)
-	g.Shutdown()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		return err
-	}
-	ov := g.ov.Snapshot()
-	g.cfg.Logf("drained: %s", ov)
-	return nil
+	return httpx.Run(ctx, ln, g.Handler(), 5*time.Second, func() {
+		g.cfg.Logf("draining: flushing forward queues (timeout %v)", g.cfg.DrainTimeout)
+		g.Shutdown()
+		g.cfg.Logf("drained: %s", g.ov.Snapshot())
+	})
 }
 
 func (g *Gateway) kill() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"spstream/internal/dense"
@@ -68,6 +69,32 @@ func (v *Version) Row(n, i int, dst []float64) []float64 {
 		copy(dst, src)
 	}
 	return dst
+}
+
+// ReconstructAt evaluates the model [[A…; s]] at coord with this
+// version's factors and the temporal row s: O(N·K²). A coordinate of
+// the wrong length or out of range is an error — the check a caller's
+// untrusted input needs.
+func (v *Version) ReconstructAt(s []float64, coord []int32) (float64, error) {
+	if len(coord) != len(v.modes) {
+		return 0, fmt.Errorf("core: want %d coordinates, got %d", len(v.modes), len(coord))
+	}
+	for m, c := range coord {
+		if dim := v.modes[m].a.Rows; c < 0 || int(c) >= dim {
+			return 0, fmt.Errorf("core: coordinate %d out of range for mode %d (dim %d)", c, m, dim)
+		}
+	}
+	p, row := append([]float64(nil), s...), make([]float64, len(s))
+	for m, c := range coord {
+		for k, x := range v.Row(m, int(c), row) {
+			p[k] *= x
+		}
+	}
+	sum := 0.0
+	for _, x := range p {
+		sum += x
+	}
+	return sum, nil
 }
 
 // Factor returns mode n's factor in this version (do not modify it):

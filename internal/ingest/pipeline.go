@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"spstream/internal/core"
-	"spstream/internal/ingest/wal"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
@@ -112,7 +112,7 @@ type Config struct {
 // shutdown. Counters live in a trace.Overload and satisfy, after
 // Drain:
 //
-//	produced == processed + failed + coalesced + shed
+//	produced + spill_recovered == processed + failed + coalesced + shed + spill_pending
 type Pipeline struct {
 	cfg      Config
 	proc     Processor
@@ -137,9 +137,17 @@ type Pipeline struct {
 	// after a crash is exactly-once.
 	consumedSeq atomic.Uint64
 
-	cancel context.CancelFunc
-	done   chan struct{}
+	// mu guards state. Drain and kill run once, under stopped: a later
+	// or concurrent call waits for the first and gets its snapshot.
+	mu      sync.Mutex
+	state   int
+	stopped sync.Once
+	final   trace.OverloadSnapshot
+	cancel  context.CancelFunc
+	done    chan struct{}
 }
+
+const stateNew, stateRunning, stateStopped = 0, 1, 2 // Pipeline.state
 
 // New validates the configuration and builds a pipeline around proc.
 func New(proc Processor, cfg Config) (*Pipeline, error) {
@@ -187,9 +195,15 @@ func New(proc Processor, cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Start launches the consumer loop. The context cancels in-flight and
-// future work (an emergency stop); use Drain for a graceful shutdown.
+// Start launches the consumer loop; any later call does nothing. The
+// context cancels in-flight and future work (an emergency stop).
 func (p *Pipeline) Start(ctx context.Context) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.state != stateNew {
+		return
+	}
+	p.state = stateRunning
 	ctx, p.cancel = context.WithCancel(ctx)
 	if p.sp != nil {
 		p.sp.start()
@@ -312,11 +326,8 @@ func (p *Pipeline) checkpoint(final bool) {
 	if t == 0 || !final && !p.mgr.Due(t) {
 		return
 	}
-	if p.sp != nil {
-		// A killed run's log is closed: it writes nothing more.
-		if err := p.sp.log.Sync(); errors.Is(err, wal.ErrClosed) || !p.durable("spill sync", err) {
-			return
-		}
+	if p.sp != nil && !p.durable("spill sync", p.sp.log.Sync()) {
+		return
 	}
 	p.ckpt.SetCursor(seq)
 	path, err := p.mgr.Write(t, p.ckpt)
@@ -352,24 +363,36 @@ func (p *Pipeline) durable(step string, err error) bool {
 	return err == nil
 }
 
-// Kill is the crash simulation used by the durability tests: it stops
+// kill is the crash simulation used by the durability tests: it stops
 // the consumer and refiller immediately and closes the WAL WITHOUT
 // flushing the group commit or writing a checkpoint — exactly the
 // state a SIGKILL leaves behind. Production shutdown is Drain.
-func (p *Pipeline) Kill() {
-	started := p.cancel != nil
-	if started {
-		p.cancel()
-	}
+func (p *Pipeline) kill() {
+	p.stopped.Do(func() {
+		p.stop()
+		if p.sp != nil {
+			p.sp.log.Abort() // no flush: the SIGKILL shape
+		}
+		p.final = p.ov.Snapshot()
+	})
+}
+
+// stop moves the lifecycle to stopped and halts the consumer and the
+// refiller, waiting for both if started; queued items stay in the queue.
+func (p *Pipeline) stop() {
+	p.mu.Lock()
+	started := p.state == stateRunning
+	p.state = stateStopped
+	p.mu.Unlock()
 	p.q.kill()
 	if p.sp != nil {
 		p.sp.kill()
-		if started {
-			p.sp.wait()
-		}
-		p.sp.abort()
 	}
 	if started {
+		p.cancel()
+		if p.sp != nil {
+			<-p.sp.done
+		}
 		<-p.done
 	}
 }
@@ -481,9 +504,18 @@ func (p *Pipeline) observe(lag time.Duration) {
 // further bounded by ctx), and anything still queued is shed and
 // counted. It then makes the end state durable — the final checkpoint
 // when the run has a manager, the WAL close — and returns the final
-// counter snapshot. Drain must be called exactly once, after producers
-// have stopped offering.
+// counter snapshot. Valid in any state once producers stop offering, it
+// runs once (later calls return its snapshot); on a pipeline never
+// started it writes no checkpoint and leaves the WAL's records on disk.
 func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
+	p.stopped.Do(func() { p.final = p.drain(ctx) })
+	return p.final
+}
+
+func (p *Pipeline) drain(ctx context.Context) trace.OverloadSnapshot {
+	p.mu.Lock()
+	started := p.state == stateRunning
+	p.mu.Unlock()
 	p.q.close()
 	if p.sp != nil {
 		// No more spills are coming; the refiller flushes the durable
@@ -491,51 +523,36 @@ func (p *Pipeline) Drain(ctx context.Context) trace.OverloadSnapshot {
 		// pop report exhaustion.
 		p.sp.closeAdmissions()
 	}
-	timer := time.NewTimer(p.cfg.DrainTimeout)
-	defer timer.Stop()
-	graceful := false
-	select {
-	case <-p.done:
-		graceful = true
-	case <-timer.C:
-	case <-ctx.Done():
+	if started {
+		timer := time.NewTimer(p.cfg.DrainTimeout)
+		defer timer.Stop()
+		select {
+		case <-p.done:
+		case <-timer.C:
+		case <-ctx.Done():
+		}
 	}
-	if !graceful {
-		// Deadline: stop the consumer and refiller, then account the
-		// backlog. Direct-queued slices are shed; spilled slices are
-		// returned to the durable backlog — they are on disk above every
-		// checkpoint's cursor, so the next run replays them instead.
-		if p.cancel != nil {
-			p.cancel()
+	// Stop the consumer and refiller — past the deadline, or if the
+	// pipeline never started; else both have exited — and account the
+	// backlog. Direct-queued slices are shed; spilled slices are returned
+	// to the durable backlog — they are on disk above every checkpoint's
+	// cursor, so the next run replays them instead.
+	p.stop()
+	for it, ok := p.q.tryPop(); ok; it, ok = p.q.tryPop() {
+		if it.walSeq > 0 {
+			p.sp.requeue()
+		} else {
+			p.ov.ShedDrain.Add(1)
 		}
-		if p.sp != nil {
-			// Wake a refiller blocked waiting for queue space, then
-			// wait it out; its in-flight record stays durable on disk.
-			p.q.kill()
-			p.sp.kill()
-			p.sp.wait()
-		}
-		<-p.done
-		for {
-			it, ok := p.q.tryPop()
-			if !ok {
-				break
-			}
-			if it.walSeq > 0 {
-				p.sp.requeue()
-			} else {
-				p.ov.ShedDrain.Add(1)
-			}
-		}
-	} else if p.sp != nil {
-		p.sp.wait()
 	}
 	// Checkpoint the final state with its cursor so a restart does not
 	// replay slices this run already folded in, then flush and close
 	// the WAL.
-	p.checkpoint(true)
+	if started {
+		p.checkpoint(true)
+	}
 	if p.sp != nil {
-		p.durable("spill close", p.sp.close())
+		p.durable("spill close", p.sp.log.Close())
 	}
 	return p.ov.Snapshot()
 }

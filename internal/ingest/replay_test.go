@@ -174,7 +174,7 @@ func TestSpillRestartReplaysNothingTwice(t *testing.T) {
 				}
 			}
 			waitCheckpoint(t, mgr, 24)
-			p.Kill()
+			p.kill()
 			if spilled := p.Stats().Spilled; spilled != 0 {
 				t.Fatalf("life 2 spilled %d slices, want every slice queued directly", spilled)
 			}
@@ -225,7 +225,7 @@ func TestSpillRestartAfterWALLost(t *testing.T) {
 	}
 	p.Start(context.Background())
 	waitCheckpoint(t, mgr, 21)
-	p.Kill()
+	p.kill()
 
 	l.finish(3)
 }

@@ -178,8 +178,8 @@ func (s *spiller) run() {
 				s.consumeBacklog(loss.Lost)
 				continue
 			}
-			// Closed under us (emergency stop) or unreadable state;
-			// leave the backlog durable for the next run.
+			// An unreadable log: leave the backlog durable for the
+			// next run.
 			return
 		}
 		if !ok {
@@ -243,9 +243,6 @@ func (s *spiller) kill() {
 	s.cond.Broadcast()
 }
 
-// wait blocks until the refill goroutine has exited.
-func (s *spiller) wait() { <-s.done }
-
 // requeue returns a popped-but-unprocessed WAL item to the backlog
 // accounting after a drain deadline: the record is still on disk and
 // above the consumer's cursor, so the next run replays it. Reverses the
@@ -256,9 +253,3 @@ func (s *spiller) requeue() {
 	s.backlog++
 	s.mu.Unlock()
 }
-
-// close flushes the group commit and closes the WAL.
-func (s *spiller) close() error { return s.log.Close() }
-
-// abort closes the WAL without flushing — the crash-simulation path.
-func (s *spiller) abort() { s.log.Abort() }

@@ -192,7 +192,7 @@ func TestSpillBacklogBoundedMemory(t *testing.T) {
 }
 
 // TestSpillCrashReplayBitIdentical is the crash-safety core: SIGKILL
-// (simulated by Pipeline.Kill — no WAL flush, no offset commit) with a
+// (simulated by Pipeline.kill — no WAL flush, no offset commit) with a
 // non-empty spilled backlog, then restart from the newest checkpoint
 // and replay. The recovered run must converge to factors BIT-IDENTICAL
 // to an uncrashed run over the same stream.
@@ -255,7 +255,7 @@ func TestSpillCrashReplayBitIdentical(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	p.Kill()
+	p.kill()
 	killT := dec.T()
 	if killT >= len(s.Slices) {
 		t.Fatalf("kill happened after the whole stream (t=%d); no backlog to replay", killT)
@@ -549,5 +549,5 @@ func TestSpillDirAndPolicyAreOneSetting(t *testing.T) {
 	if err != nil || p.sp == nil || p.cfg.Policy != Spill {
 		t.Fatalf("a spill directory must arm the Spill policy: err=%v", err)
 	}
-	p.Kill()
+	p.kill()
 }

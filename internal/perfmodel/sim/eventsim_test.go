@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"spstream/internal/perfmodel"
 	"spstream/internal/sptensor"
 	"spstream/internal/synth"
 )
@@ -79,5 +80,42 @@ func TestSimulateLockMTTKRPOnTinySlice(t *testing.T) {
 	mo := PaperModel()
 	if v := mo.SimulateLockMTTKRP(x, 0, 8, 4); v <= 0 {
 		t.Fatalf("tiny slice sim time %g", v)
+	}
+}
+
+// The event simulator and the closed-form model must agree on the
+// qualitative verdict for the same slice: HL-style local accumulation
+// beats the locked path at high thread counts on a skewed mode.
+func TestEventSimAgreesWithClosedForm(t *testing.T) {
+	cfg, err := synth.Preset("nips", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := st.Slices[2]
+	mo := PaperModel()
+	prof := perfmodel.Profile(x)
+	// Mode 2 (words) is the skewed long mode.
+	simLock56 := mo.SimulateLockMTTKRP(x, 2, 16, 56)
+	simLock1 := mo.SimulateLockMTTKRP(x, 2, 16, 1)
+	modelLock56 := mo.MTTKRPModeTime(MTTKRPLock, prof, 2, 16, 56)
+	modelLock1 := mo.MTTKRPModeTime(MTTKRPLock, prof, 2, 16, 1)
+	// Both must agree that 56 threads help substantially but fall short
+	// of ideal 56× scaling on this mildly skewed mode, and they must
+	// agree with each other within a factor of ~2.5.
+	simGain := simLock1 / simLock56
+	modelGain := modelLock1 / modelLock56
+	if simGain >= 56 || modelGain >= 56 {
+		t.Fatalf("lock path scaling too ideal: sim %.1fx model %.1fx", simGain, modelGain)
+	}
+	if simGain < 5 || modelGain < 5 {
+		t.Fatalf("lock path scaling collapsed unexpectedly: sim %.1fx model %.1fx", simGain, modelGain)
+	}
+	ratio := simGain / modelGain
+	if ratio < 0.4 || ratio > 2.5 {
+		t.Fatalf("sim and closed form disagree: sim %.1fx model %.1fx", simGain, modelGain)
 	}
 }

@@ -1,24 +1,19 @@
-// The tests in this file exercise the paper-figure simulator in the
-// sub-package sim. They stay in this directory, as an external test
-// package, so that their IDs (spstream/internal/perfmodel:TestX) are the
-// ones the test floor has always listed.
-package perfmodel_test
+package sim
 
 import (
 	"testing"
 	"testing/quick"
 
 	"spstream/internal/perfmodel"
-	"spstream/internal/perfmodel/sim"
 )
 
 // Kernel times must grow (weakly) with problem size.
 func TestModelMonotonicity(t *testing.T) {
-	mo := sim.PaperModel()
+	mo := PaperModel()
 	// ADMM in I.
 	prev := 0.0
 	for _, i := range []int{1000, 10000, 100000, 1000000} {
-		v := mo.ADMMIterTime(sim.ADMMBlockedFused, i, 16, 56)
+		v := mo.ADMMIterTime(ADMMBlockedFused, i, 16, 56)
 		if v < prev {
 			t.Fatalf("BF-ADMM time fell at I=%d", i)
 		}
@@ -31,7 +26,7 @@ func TestModelMonotonicity(t *testing.T) {
 			{Dim: 5000, NZRows: min(nnz, 5000), TopRowFrac: 0.001},
 			{Dim: 5000, NZRows: min(nnz, 5000), TopRowFrac: 0.001},
 		}}
-		v := mo.MTTKRPTime(sim.MTTKRPHybrid, s, 16, 56)
+		v := mo.MTTKRPTime(MTTKRPHybrid, s, 16, 56)
 		if v < prev {
 			t.Fatalf("HL-MTTKRP time fell at nnz=%d", nnz)
 		}
@@ -41,7 +36,7 @@ func TestModelMonotonicity(t *testing.T) {
 
 // Times must always be positive and finite for plausible inputs.
 func TestModelAlwaysFinite(t *testing.T) {
-	mo := sim.PaperModel()
+	mo := PaperModel()
 	f := func(nnzRaw, dimRaw uint16, pRaw, kRaw uint8) bool {
 		nnz := int(nnzRaw) + 1
 		dim := int(dimRaw) + 1
@@ -55,13 +50,13 @@ func TestModelAlwaysFinite(t *testing.T) {
 			{Dim: dim, NZRows: nz, TopRowFrac: 0.01},
 			{Dim: dim, NZRows: nz, TopRowFrac: 0.5},
 		}}
-		for _, kind := range []sim.MTTKRPKind{sim.MTTKRPLock, sim.MTTKRPHybrid, sim.MTTKRPRowSparse} {
+		for _, kind := range []MTTKRPKind{MTTKRPLock, MTTKRPHybrid, MTTKRPRowSparse} {
 			v := mo.MTTKRPTime(kind, s, k, p)
 			if !(v > 0) || v > 1e6 {
 				return false
 			}
 		}
-		for _, alg := range []sim.AlgKind{sim.AlgBaseline, sim.AlgOptimized, sim.AlgSpCP} {
+		for _, alg := range []AlgKind{AlgBaseline, AlgOptimized, AlgSpCP} {
 			v := mo.IterTime(alg, s, k, p, 6)
 			if !(v > 0) || v > 1e6 {
 				return false
@@ -77,7 +72,7 @@ func TestModelAlwaysFinite(t *testing.T) {
 // The locked single-row (streaming-mode) kernel must degrade with
 // thread count while the thread-local one improves.
 func TestTimeModeScalingDirections(t *testing.T) {
-	mo := sim.PaperModel()
+	mo := PaperModel()
 	s := perfmodel.SliceProfile{NNZ: 100000, Modes: []perfmodel.ModeProfile{
 		{Dim: 3000, NZRows: 3000, TopRowFrac: 0.001},
 		{Dim: 3000, NZRows: 3000, TopRowFrac: 0.001},
@@ -93,21 +88,14 @@ func TestTimeModeScalingDirections(t *testing.T) {
 // The ADMM model's cache fast path: a tiny mode must be much cheaper
 // per element than a huge one at the same thread count.
 func TestCacheFastPath(t *testing.T) {
-	mo := sim.PaperModel()
+	mo := PaperModel()
 	// 40k rows × 16 × 8 B × 5 operands ≈ 26 MB: resident in the
 	// kernel-usable share of the four sockets' LLC; 2M rows is not.
 	// (Very small modes are excluded — there fixed fork/join costs
 	// dominate the per-row figure.)
-	resident := mo.ADMMIterTime(sim.ADMMBlockedFused, 40000, 16, 56) / 40000
-	dram := mo.ADMMIterTime(sim.ADMMBlockedFused, 2000000, 16, 56) / 2000000
+	resident := mo.ADMMIterTime(ADMMBlockedFused, 40000, 16, 56) / 40000
+	dram := mo.ADMMIterTime(ADMMBlockedFused, 2000000, 16, 56) / 2000000
 	if resident >= dram {
 		t.Fatalf("cache-resident per-row cost %g should beat DRAM %g", resident, dram)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

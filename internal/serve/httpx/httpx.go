@@ -1,17 +1,43 @@
 // Package httpx holds the small HTTP conventions shared between the
 // single-node daemon (internal/serve) and the cluster gateway
-// (internal/cluster): both sides must render and parse the Retry-After
-// header identically, or a shard's backpressure hint would be rounded
-// one way on the wire and another way in the gateway's retry ladder.
+// (internal/cluster): one serve-and-drain loop, and one Retry-After
+// format — both sides must render and parse it identically, or a shard's
+// backpressure hint would be rounded one way on the wire and another way
+// in the gateway's retry ladder.
 package httpx
 
 import (
+	"context"
 	"math"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// Run serves h on ln until ctx ends or Serve fails, then runs drain —
+// on either exit, so what the owner runs beside the server stops too —
+// and shuts the server down, giving in-flight requests shutdownTimeout
+// to finish. It returns Serve's error, else the shutdown's, or nil after
+// a clean drain.
+func Run(ctx context.Context, ln net.Listener, h http.Handler, shutdownTimeout time.Duration, drain func()) error {
+	srv := &http.Server{Handler: h}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+	}
+	drain()
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if serr := srv.Shutdown(shutCtx); err == nil {
+		err = serr
+	}
+	return err
+}
 
 // RetryAfterSeconds renders d as a Retry-After header value: whole
 // delta-seconds, rounded up, floor 1 — a sub-second hint must not

@@ -8,11 +8,13 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"spstream/internal/core"
+	"spstream/internal/parallel"
 	"spstream/internal/resilience"
 	"spstream/internal/sptensor"
 )
@@ -182,6 +184,98 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 		got, want := srvs[0].Snapshot(), srvs[1].Snapshot()
 		if !got.Equal(want) {
 			t.Fatalf("after %d slices the corrupt-checkpoint daemon (t=%d) differs from the empty-directory one (t=%d)", i, got.T, want.T)
+		}
+	}
+}
+
+// settles polls until the goroutine count is back at base.
+func settles(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want %d", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// lifecycleSeqs returns every sequence of one to n calls from ops.
+func lifecycleSeqs(ops []string, n int) [][]string {
+	var out, level [][]string
+	level = [][]string{nil}
+	for i := 0; i < n; i++ {
+		var next [][]string
+		for _, seq := range level {
+			for _, op := range ops {
+				next = append(next, append(append([]string(nil), seq...), op))
+			}
+		}
+		out, level = append(out, next...), next
+	}
+	return out
+}
+
+// TestServerLifecycle calls Run up to three times in a row, each call
+// either on a live listener — an ingest and a read over HTTP, then
+// cancel — or on a closed listener, where Run must return Serve's
+// error. The server runs without and with the spill WAL and
+// checkpoints. Every Run returns within 2 s, and after each no
+// goroutine is left: a Serve failure drains the pipeline too.
+func TestServerLifecycle(t *testing.T) {
+	parallel.Default() // process-wide, started on first use
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for _, durable := range []bool{false, true} {
+		for _, seq := range lifecycleSeqs([]string{"cancel", "closed"}, 3) {
+			name := strings.Join(seq, ",")
+			if durable {
+				name = "durable/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				srv := newTestServer(t, func(c *Config) {
+					if durable {
+						c.SpillDir, c.CheckpointDir = t.TempDir(), t.TempDir()
+					}
+				})
+				for i, op := range seq {
+					ln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if op == "closed" {
+						ln.Close()
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					runErr := make(chan error, 1)
+					go func() { runErr <- srv.Run(ctx, ln) }()
+					if op == "cancel" {
+						url := "http://" + ln.Addr().String()
+						resp, err := client.Post(url+"/v1/ingest?flush=1", "text/plain", strings.NewReader(eventBody(8)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						if i == 0 && resp.StatusCode != http.StatusOK {
+							t.Fatalf("ingest = %d", resp.StatusCode)
+						}
+						if resp, err = client.Get(url + "/healthz"); err != nil {
+							t.Fatal(err)
+						}
+						resp.Body.Close()
+						cancel()
+					}
+					select {
+					case err := <-runErr:
+						if (err != nil) != (op == "closed") {
+							t.Fatalf("Run %d (%s) returned %v", i+1, op, err)
+						}
+					case <-time.After(2 * time.Second):
+						t.Fatalf("Run %d (%s) still running after 2s", i+1, op)
+					}
+					cancel()
+					settles(t, base)
+				}
+			})
 		}
 	}
 }

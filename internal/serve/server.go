@@ -7,13 +7,17 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"spstream/internal/core"
 	"spstream/internal/ingest"
 	"spstream/internal/resilience"
+	"spstream/internal/serve/httpx"
 	"spstream/internal/sptensor"
 	"spstream/internal/trace"
 )
@@ -171,7 +175,6 @@ type Server struct {
 
 	draining atomic.Bool
 	mux      *http.ServeMux
-	httpSrv  *http.Server
 }
 
 // NewDecomposer assembles the decomposer every front end runs: the
@@ -375,24 +378,18 @@ func (s *Server) Handler() http.Handler {
 	return http.TimeoutHandler(h, s.cfg.RequestTimeout, "request timed out\n")
 }
 
-// Run serves HTTP on ln until ctx is cancelled, then performs the
-// graceful shutdown: stop admissions, flush the partial window, drain
-// the backlog (bounded by DrainTimeout; the pipeline writes the final
-// checkpoint, carrying the WAL cursor), and finish in-flight reads. It
-// returns the fatal serve error, or nil after a clean drain.
+// Run serves HTTP on ln until ctx is cancelled or serving fails, then
+// performs the graceful shutdown (drain) and finishes in-flight reads.
+// It returns the fatal serve error, or nil after a clean drain.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	s.pipe.Start(context.Background())
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	return httpx.Run(ctx, ln, s.Handler(), s.cfg.RequestTimeout, s.drain)
+}
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
+// drain stops admissions, flushes the partial window and drains the
+// backlog (bounded by DrainTimeout; the pipeline writes the final
+// checkpoint, carrying the WAL cursor).
+func (s *Server) drain() {
 	s.cfg.Logf("shutdown: draining")
 	s.draining.Store(true) // readyz goes 503, ingest refuses
 
@@ -411,14 +408,17 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 			s.cfg.Logf("newest checkpoint: %s", cks[0])
 		}
 	}
-
-	// In-flight reads finish; new connections are refused.
-	shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
-	if err := s.httpSrv.Shutdown(shutCtx); err != nil {
-		return err
-	}
-	<-serveErr // Serve has returned ErrServerClosed
 	s.cfg.Logf("shutdown: complete (t=%d, %s)", s.dec.T(), snap.String())
-	return nil
+}
+
+// SignalContext returns a context that the first SIGINT or SIGTERM
+// cancels — the graceful drain. Default handling comes back as soon as
+// it fires, so a second signal force-quits a wedged drain.
+func SignalContext() (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
+	return ctx, stop
 }

@@ -29,7 +29,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 
 	"spstream/internal/core"
@@ -102,25 +101,7 @@ func (s *FactorSnapshot) Factor(m int) *dense.Matrix { return s.ver.Factor(m) }
 // coordinate of the newest slice, with bounds checking (the serving
 // layer's trust boundary for client-supplied coordinates).
 func (s *FactorSnapshot) ReconstructAt(coord []int32) (float64, error) {
-	if len(coord) != len(s.Dims) {
-		return 0, fmt.Errorf("serve: want %d coordinates, got %d", len(s.Dims), len(coord))
-	}
-	for m, c := range coord {
-		if c < 0 || int(c) >= s.Dims[m] {
-			return 0, fmt.Errorf("serve: coordinate %d out of range for mode %d (dim %d)", c, m, s.Dims[m])
-		}
-	}
-	p, row := append([]float64(nil), s.S...), make([]float64, s.Rank)
-	for m, c := range coord {
-		for k, v := range s.Row(m, int(c), row) {
-			p[k] *= v
-		}
-	}
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	return sum, nil
+	return s.ver.ReconstructAt(s.S, coord)
 }
 
 // Equal reports bit-for-bit equality of two snapshots' numerical state
